@@ -9,7 +9,7 @@ BENCH_JSON ?= BENCH_10.json
 # with BENCH_THRESHOLD=1.2 when chasing a specific benchmark.
 BENCH_THRESHOLD ?= 1.5
 
-.PHONY: all build test bench bench-smoke bench-json bench-compare cover race race-full vet examples serve-smoke ci
+.PHONY: all build test bench bench-smoke bench-json bench-compare cover race race-full fuzz-smoke vet examples serve-smoke ci
 
 # Every example binary, smoke-run at reduced problem size.
 EXAMPLES := quickstart jacobi3d adcirc amr migration cloudrestart
@@ -61,13 +61,20 @@ cover:
 # parallelism; race-check the packages that exercise them (the ft and
 # elastic supervisors run inside the parallel sweep fan-outs, and
 # machine/lb carry the membership-epoch and rebalance state those
-# supervisors mutate between attempts).
+# supervisors mutate between attempts). Every rank's copy-on-write data
+# segment in a process reads one shared base from whichever sweep worker
+# runs its world, so mem and core are checked too.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/harness/... ./internal/ampi/... ./internal/ft/... ./internal/machine/... ./internal/lb/...
+	$(GO) test -race ./internal/sim/... ./internal/harness/... ./internal/ampi/... ./internal/ft/... ./internal/machine/... ./internal/lb/... ./internal/mem/... ./internal/core/...
 
 # Full race sweep over every package, as CI's race job runs it.
 race-full:
 	$(GO) test -race ./...
+
+# Ten seconds of the copy-on-write segment view against its flat-heap
+# oracle: long enough to leave the seed corpus, short enough for CI.
+fuzz-smoke:
+	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzSegmentView -fuzztime 10s
 
 vet:
 	$(GO) vet ./...
@@ -87,4 +94,4 @@ serve-smoke:
 	./scripts/serve_smoke.sh
 
 # Everything CI runs, in the same order (see .github/workflows/ci.yml).
-ci: vet build test examples bench-smoke serve-smoke race
+ci: vet build test examples bench-smoke serve-smoke race fuzz-smoke

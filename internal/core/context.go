@@ -78,15 +78,6 @@ type RankContext struct {
 	// swapglobals methods, else nil.
 	heapCells *mem.Block
 
-	// pieCodeAddr/pieDataAddr are the Isomalloc addresses of the
-	// duplicated segments under PIEglobals (used to rebind after
-	// migration restore).
-	pieCodeAddr uint64
-	pieDataAddr uint64
-	// pieHeapObjAddrs maps original ctor heap object addresses to the
-	// rank's replicated copies (PIEglobals).
-	pieHeapObjAddrs map[uint64]uint64
-
 	// accesses counts privatized loads+stores for reporting.
 	accesses uint64
 
@@ -114,6 +105,9 @@ type resolvedCell struct {
 // newContext returns a context with heap + stack prepared; methods fill
 // in storage resolution.
 func newContext(m Method, env *ProcessEnv, img *elf.Image, shared *elf.Instance, vp int) (*RankContext, error) {
+	if vp < 0 || vp >= mem.MaxRanks {
+		return nil, fmt.Errorf("core: rank %d outside the Isomalloc arena's %d per-rank ranges", vp, mem.MaxRanks)
+	}
 	heap := mem.NewHeap(vp)
 	stackSize := env.StackSize
 	if stackSize == 0 {
@@ -147,12 +141,12 @@ func (c *RankContext) storage(v *elf.Var) (*uint64, error) {
 	ref := c.cells[v.Index]
 	switch ref.kind {
 	case storeShared:
-		return &c.Shared.Data[v.Index], nil
+		return c.Shared.Word(v.Index), nil
 	case storePrivSeg:
 		if c.Private == nil {
 			return nil, fmt.Errorf("core: rank %d: private segment storage with no private instance", c.VP)
 		}
-		return &c.Private.Data[v.Index], nil
+		return c.Private.Word(v.Index), nil
 	case storeTLS:
 		return &c.TLS[ref.slot], nil
 	case storeHeapCell:
@@ -189,10 +183,10 @@ func (c *RankContext) resolve(v *elf.Var) *resolvedCell {
 	case storeHeapCell:
 		rc.blk = c.heapCells
 	case storePrivSeg:
-		if c.pieDataAddr != 0 {
+		if c.Private.Seg != nil {
 			// PIE private-segment cells live inside the duplicated data
 			// segment's heap block; stores must dirty it.
-			rc.blk = c.Heap.Lookup(c.pieDataAddr)
+			rc.blk = c.Heap.Lookup(c.Private.DataBase)
 		}
 	}
 	return rc

@@ -7,6 +7,7 @@ import (
 	"provirt/internal/elf"
 	"provirt/internal/loader"
 	"provirt/internal/machine"
+	"provirt/internal/mem"
 	"provirt/internal/ult"
 )
 
@@ -573,5 +574,15 @@ func TestCapabilitiesMatchBehaviour(t *testing.T) {
 			t.Errorf("%s: context migratable=%v, capabilities say %v",
 				kind, res.Contexts[0].Migratable, caps.SupportsMigration)
 		}
+	}
+}
+
+// A rank id past the Isomalloc arena is an error from Setup, never
+// mem.NewHeap's panic.
+func TestSetupRejectsRankOutsideArena(t *testing.T) {
+	env := testEnv(t, false)
+	_, err := New(KindTLSglobals).Setup(env, testImage(t), []int{0, mem.MaxRanks}, 0)
+	if err == nil || !strings.Contains(err.Error(), "Isomalloc arena") {
+		t.Fatalf("Setup with rank %d: err = %v, want an arena-capacity error", mem.MaxRanks, err)
 	}
 }

@@ -238,20 +238,18 @@ func (m *pieglobalsMethod) Setup(env *ProcessEnv, img *elf.Image, vps []int, sta
 		}
 	}
 
+	tmpl := newPIETemplate(shared)
 	for _, vp := range vps {
 		c, err := newContext(m, env, img, shared, vp)
 		if err != nil {
 			return nil, err
 		}
-		dup, cost, err := duplicateInstance(env, shared, c.Heap, m.opts)
+		priv, cost, err := duplicateInstance(env, tmpl, c.Heap, m.opts)
 		if err != nil {
 			return nil, fmt.Errorf("core: pieglobals: rank %d: %w", vp, err)
 		}
 		done += cost
-		c.Private = dup.inst
-		c.pieCodeAddr = dup.codeAddr
-		c.pieDataAddr = dup.dataAddr
-		c.pieHeapObjAddrs = dup.heapObjAddrs
+		c.Private = priv
 		if useTLS {
 			c.TLS = make([]uint64, len(slots))
 			for idx, slot := range slots {

@@ -8,40 +8,83 @@ import (
 	"provirt/internal/sim"
 )
 
-// dupResult carries one rank's duplicated PIE segments.
-type dupResult struct {
-	inst     *elf.Instance
-	codeAddr uint64
-	dataAddr uint64
-	// heapObjAddrs maps original ctor-heap-object addresses to this
-	// rank's replicated copies.
-	heapObjAddrs map[uint64]uint64
+// pieTemplate is what PIEglobals works out once per process and reuses
+// for every rank: the frozen data-segment image the ranks' copy-on-write
+// views read through to, and the result of the pointer scan over it.
+type pieTemplate struct {
+	src  *elf.Instance
+	base *mem.SegmentBase
+	// relocs lists every word of the data segment and of the ctor heap
+	// objects whose value looks like a pointer into the original segments
+	// or ctor allocations.
+	relocs []reloc
 }
 
-// duplicateInstance implements the PIEglobals copy: allocate the code
-// and data segments in the rank's Isomalloc heap, memcpy them, scan the
-// data copy for values that look like pointers into the original
-// segments (or into constructor heap allocations) and rebase them, and
-// replicate the constructor heap allocations themselves.
+// reloc is one pointer-scan hit. holder and target index the same
+// per-rank list: 0 the code segment (never a holder), 1 the data
+// segment, 2+k ctor heap object k.
+type reloc struct {
+	holder, word, target int
+	off                  uint64
+}
+
+// newPIETemplate freezes src's data segment and runs the "contents that
+// look like pointers" scan of §3.3 over it and over the ctor heap
+// objects: a word whose integer value happens to fall inside the
+// original segment ranges is listed for rebasing even if it was never a
+// pointer — the false positive hazard the authors plan to engineer away.
+// The simulation preserves that hazard deliberately (see
+// TestPIEglobalsFalsePositive).
+func newPIETemplate(src *elf.Instance) *pieTemplate {
+	t := &pieTemplate{src: src, base: mem.FreezeSegment(src.Data)}
+	objIndex := make(map[*elf.HeapObj]int, len(src.HeapObjs))
+	for k, o := range src.HeapObjs {
+		objIndex[o] = k
+	}
+	scan := func(holder int, words []uint64) {
+		for i, w := range words {
+			switch {
+			case src.ContainsCode(w):
+				t.relocs = append(t.relocs, reloc{holder, i, 0, w - src.CodeBase})
+			case src.ContainsData(w):
+				t.relocs = append(t.relocs, reloc{holder, i, 1, w - src.DataBase})
+			default:
+				if o := src.HeapObjAt(w); o != nil {
+					t.relocs = append(t.relocs, reloc{holder, i, 2 + objIndex[o], w - o.Addr})
+				}
+			}
+		}
+	}
+	scan(1, src.Data)
+	for k, o := range src.HeapObjs {
+		scan(2+k, o.Words)
+	}
+	return t
+}
+
+// duplicateInstance implements the PIEglobals copy for one rank:
+// allocate the code and data segments in the rank's Isomalloc heap,
+// replicate the constructor heap allocations, and rebase every word the
+// template's pointer scan listed (GOT entries live inside the data
+// segment and are rebased by the same pass).
 //
-// The scan is the "contents that look like pointers" heuristic of §3.3:
-// a data word whose integer value happens to fall inside the original
-// segment ranges is rebased even if it was never a pointer — the false
-// positive hazard the authors plan to engineer away. The simulation
-// preserves that hazard deliberately (see TestPIEglobalsFalsePositive).
-func duplicateInstance(env *ProcessEnv, src *elf.Instance, heap *mem.Heap, opts PIEOptions) (*dupResult, sim.Time, error) {
-	img := src.Img
+// Modelled cost and host cost part ways here. The rank is charged for
+// copying, mapping and scanning every byte, as the real runtime does;
+// the host copies only the data-segment pages that hold a rebased word,
+// and the rest of the rank's view reads through to the template's base.
+func duplicateInstance(env *ProcessEnv, t *pieTemplate, heap *mem.Heap, opts PIEOptions) (*elf.Instance, sim.Time, error) {
+	src, img := t.src, t.src.Img
 	var cost sim.Time
 
 	codeBlk, err := heap.AllocBallast(img.CodeSize, "pie-code-segment")
 	if err != nil {
 		return nil, 0, err
 	}
-	dataBytes := uint64(len(src.Data)) * 8
-	dataBlk, err := heap.Alloc(dataBytes, "pie-data-segment")
+	dataBlk, err := heap.AllocSegment(t.base, "pie-data-segment")
 	if err != nil {
 		return nil, 0, err
 	}
+	dataBytes := dataBlk.Size
 	if opts.ShareCodePages {
 		// §6 future work: the rank's code is a read-only mapping of
 		// one shared descriptor — page tables only, no copy, no
@@ -66,104 +109,67 @@ func duplicateInstance(env *ProcessEnv, src *elf.Instance, heap *mem.Heap, opts 
 		cost += env.Cost.CopyTime(img.CodeSize + dataBytes)
 	}
 	cost += env.Cost.PageMapTime(img.CodeSize + dataBytes)
+	cost += sim.Time(dataBlk.Seg.Len()) * env.Cost.PointerScanPerWord
 
-	dup := &dupResult{
-		codeAddr:     codeBlk.Addr,
-		dataAddr:     dataBlk.Addr,
-		heapObjAddrs: make(map[uint64]uint64),
-	}
-
-	// Replicate constructor heap allocations first so the data scan
-	// can redirect pointers to them.
-	var objs []*elf.HeapObj
+	// addrs[i] is where this rank keeps the thing relocs call i.
+	addrs := []uint64{codeBlk.Addr, dataBlk.Addr}
+	objs := make([]*elf.HeapObj, 0, len(src.HeapObjs))
 	for _, o := range src.HeapObjs {
 		blk, err := heap.Alloc(o.Size, "pie-ctor-alloc")
 		if err != nil {
 			return nil, 0, err
 		}
 		copy(blk.Words, o.Words)
-		cost += env.Cost.CopyTime(o.Size) + env.Cost.CtorReplayPerAlloc
-		dup.heapObjAddrs[o.Addr] = blk.Addr
+		cost += env.Cost.CopyTime(o.Size) + env.Cost.CtorReplayPerAlloc +
+			sim.Time(len(o.Words))*env.Cost.PointerScanPerWord
+		addrs = append(addrs, blk.Addr)
 		objs = append(objs, &elf.HeapObj{Addr: blk.Addr, Size: o.Size, Words: blk.Words})
 	}
-
-	rebase := func(w uint64) uint64 {
-		switch {
-		case src.ContainsCode(w):
-			return dup.codeAddr + (w - src.CodeBase)
-		case src.ContainsData(w):
-			return dup.dataAddr + (w - src.DataBase)
-		default:
-			if na, ok := dup.heapObjAddrs[w]; ok {
-				return na
-			}
-			if obj := src.HeapObjAt(w); obj != nil {
-				return dup.heapObjAddrs[obj.Addr] + (w - obj.Addr)
-			}
-			return w
+	for _, r := range t.relocs {
+		v := addrs[r.target] + r.off
+		if r.holder == 1 {
+			*dataBlk.Seg.Word(r.word) = v
+		} else {
+			objs[r.holder-2].Words[r.word] = v
 		}
 	}
 
-	// Copy + scan the data segment (GOT entries live inside it and are
-	// rebased by the same pass).
-	copy(dataBlk.Words, src.Data)
-	for i, w := range dataBlk.Words {
-		dataBlk.Words[i] = rebase(w)
-	}
-	cost += sim.Time(len(dataBlk.Words)) * env.Cost.PointerScanPerWord
-
-	// Scan the replicated constructor heap objects for pointers into
-	// the original segments (vtables, cross-object pointers).
-	for _, o := range objs {
-		for i, w := range o.Words {
-			o.Words[i] = rebase(w)
-		}
-		cost += sim.Time(len(o.Words)) * env.Cost.PointerScanPerWord
-	}
-
-	dup.inst = &elf.Instance{
+	return &elf.Instance{
 		Img:        img,
 		Namespace:  src.Namespace,
-		CodeBase:   dup.codeAddr,
-		DataBase:   dup.dataAddr,
-		Data:       dataBlk.Words,
+		CodeBase:   codeBlk.Addr,
+		DataBase:   dataBlk.Addr,
+		Seg:        dataBlk.Seg,
 		HeapObjs:   objs,
 		Migratable: true,
-	}
-	return dup, cost, nil
+	}, cost, nil
 }
 
 // rebindPrivateInstance reattaches a migrated PIEglobals context's
 // private instance to the restored heap blocks (same addresses, new
 // storage). Called after mem.Restore on the destination process.
 func rebindPrivateInstance(c *RankContext) error {
-	if c.pieDataAddr == 0 {
+	old := c.Private
+	if old == nil || old.Seg == nil {
 		return nil
 	}
-	dataBlk := c.Heap.Lookup(c.pieDataAddr)
+	dataBlk := c.Heap.Lookup(old.DataBase)
 	if dataBlk == nil {
-		return fmt.Errorf("core: rank %d: restored heap lost data segment block at %#x", c.VP, c.pieDataAddr)
+		return fmt.Errorf("core: rank %d: restored heap lost data segment block at %#x", c.VP, old.DataBase)
 	}
-	codeBlk := c.Heap.Lookup(c.pieCodeAddr)
-	if codeBlk == nil {
-		return fmt.Errorf("core: rank %d: restored heap lost code segment block at %#x", c.VP, c.pieCodeAddr)
+	if c.Heap.Lookup(old.CodeBase) == nil {
+		return fmt.Errorf("core: rank %d: restored heap lost code segment block at %#x", c.VP, old.CodeBase)
 	}
-	var objs []*elf.HeapObj
-	for _, na := range c.pieHeapObjAddrs {
-		blk := c.Heap.Lookup(na)
+	objs := make([]*elf.HeapObj, 0, len(old.HeapObjs))
+	for _, o := range old.HeapObjs {
+		blk := c.Heap.Lookup(o.Addr)
 		if blk == nil {
-			return fmt.Errorf("core: rank %d: restored heap lost ctor allocation at %#x", c.VP, na)
+			return fmt.Errorf("core: rank %d: restored heap lost ctor allocation at %#x", c.VP, o.Addr)
 		}
 		objs = append(objs, &elf.HeapObj{Addr: blk.Addr, Size: blk.Size, Words: blk.Words})
 	}
-	c.Private = &elf.Instance{
-		Img:        c.Img,
-		Namespace:  c.Private.Namespace,
-		CodeBase:   c.pieCodeAddr,
-		DataBase:   c.pieDataAddr,
-		Data:       dataBlk.Words,
-		HeapObjs:   objs,
-		Migratable: true,
-	}
+	priv := *old
+	priv.Seg, priv.HeapObjs = dataBlk.Seg, objs
+	c.Private = &priv
 	return nil
 }

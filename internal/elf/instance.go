@@ -1,6 +1,10 @@
 package elf
 
-import "fmt"
+import (
+	"fmt"
+
+	"provirt/internal/mem"
+)
 
 // HeapObj is a heap allocation made by a static constructor at load
 // time, owned by a particular instance of the image.
@@ -27,14 +31,36 @@ type Instance struct {
 	Namespace int
 	CodeBase  uint64
 	DataBase  uint64
-	// Data holds the full data segment as 8-byte words.
+	// Data holds the full data segment as 8-byte words when the loader
+	// mapped it; it is nil for an Isomalloc copy, whose words live in Seg.
 	Data []uint64
+	// Seg is the copy-on-write view backing a PIEglobals per-rank copy of
+	// the data segment, else nil.
+	Seg *mem.Segment
 	// HeapObjs are the static-constructor heap allocations belonging to
 	// this instance.
 	HeapObjs []*HeapObj
 	// Migratable reports whether the segments were allocated through
 	// Isomalloc (true only for PIEglobals copies).
 	Migratable bool
+}
+
+// Word returns the cell of data-segment word i, whichever way the
+// instance's segment is stored.
+func (in *Instance) Word(i int) *uint64 {
+	if in.Seg != nil {
+		return in.Seg.Word(i)
+	}
+	return &in.Data[i]
+}
+
+// Load reads data-segment word i; unlike Word it never makes a view
+// take its own copy of the page.
+func (in *Instance) Load(i int) uint64 {
+	if in.Seg != nil {
+		return in.Seg.Load(i)
+	}
+	return in.Data[i]
 }
 
 // gotBase returns the word index where the GOT begins.
@@ -133,7 +159,7 @@ func (in *Instance) GOTEntryForVar(v *Var) (addr uint64, ok bool) {
 	if slot < 0 {
 		return 0, false
 	}
-	return in.Data[in.gotBase()+slot], true
+	return in.Load(in.gotBase() + slot), true
 }
 
 // SetGOTEntryForVar overwrites the GOT slot for an external-linkage
@@ -144,7 +170,7 @@ func (in *Instance) SetGOTEntryForVar(v *Var, addr uint64) error {
 	if slot < 0 {
 		return fmt.Errorf("elf: %s has no GOT entry (static variable)", v.Name)
 	}
-	in.Data[in.gotBase()+slot] = addr
+	*in.Word(in.gotBase() + slot) = addr
 	return nil
 }
 

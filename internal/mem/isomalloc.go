@@ -17,6 +17,9 @@ type Block struct {
 	// migration verbatim because the block's address is identical in
 	// every process.
 	Words []uint64
+	// Seg is the payload of a block made by AllocSegment: a copy-on-write
+	// view of a process-wide data-segment image, held instead of Words.
+	Seg *Segment
 	// Shared marks a block backed by a shared read-only mapping (one
 	// physical copy mapped from a single descriptor, per the paper's
 	// §6 future-work plan). Shared blocks occupy virtual address space
@@ -52,6 +55,15 @@ func (b *Block) sharedSpan() uint64 {
 // residentSpan returns the block's private (resident) byte count.
 func (b *Block) residentSpan() uint64 { return b.Size - b.sharedSpan() }
 
+// payloadWords counts the words a host copy of the block's payload
+// moves: all of Words, or only a segment view's materialised pages.
+func (b *Block) payloadWords() int {
+	if b.Seg != nil {
+		return b.Seg.ownedWords()
+	}
+	return len(b.Words)
+}
+
 // Touch marks the block's payload as modified since the last snapshot.
 // The runtime's write paths (privatized stores, charge-only access
 // batches) call it automatically; code that mutates Words directly
@@ -86,7 +98,8 @@ type Heap struct {
 
 type snapEntry struct {
 	gen   uint64
-	words []uint64 // nil for ballast blocks
+	words []uint64 // nil for ballast and segment blocks
+	seg   *Segment // the captured view of a segment block, else nil
 	// aliased marks an entry whose words array IS the block's live
 	// payload (a zero-copy adoption by RestoreConsume). Such an array
 	// must never be shared into a snapshot — the rank may keep writing
@@ -211,7 +224,7 @@ func (h *Heap) Free(addr uint64) error {
 	delete(h.clean, b) // the recycled struct must never revive a stale copy
 	h.live -= b.Size
 	h.resident -= b.residentSpan()
-	b.Words = nil
+	b.Words, b.Seg = nil, nil
 	b.Label = ""
 	b.Shared = false
 	b.SharedBytes = 0
@@ -356,11 +369,8 @@ func (h *Heap) Serialize() *Snapshot {
 	// locally so the snapshot stays immutable, but charge no delta.
 	var copyWords int
 	for _, b := range h.index {
-		if b.Words == nil {
-			continue
-		}
 		if e, ok := h.clean[b]; !ok || e.gen != b.gen || e.aliased {
-			copyWords += len(b.Words)
+			copyWords += b.payloadWords()
 		}
 	}
 	arena := make([]uint64, copyWords)
@@ -371,21 +381,20 @@ func (h *Heap) Serialize() *Snapshot {
 		clean := cached && e.gen == b.gen
 		switch {
 		case clean && !e.aliased:
-			cp.Words = e.words
+			cp.Words, cp.Seg = e.words, e.seg
 			reused++
-		case b.Words == nil:
+		case b.Words == nil && b.Seg == nil:
 			if !clean {
 				h.clean[b] = snapEntry{gen: b.gen}
 				snap.fresh[i] = true
 				snap.delta += b.residentSpan()
 			}
 		default:
-			w := arena[:len(b.Words):len(b.Words)]
-			arena = arena[len(b.Words):]
-			copy(w, b.Words)
-			cp.Words = w
+			// A segment view copies only its materialised pages; the
+			// modelled delta below is still the whole block.
+			cp.Words, cp.Seg = carve(&arena, b.Words), b.Seg.clone(&arena)
 			copied++
-			h.clean[b] = snapEntry{gen: b.gen, words: w}
+			h.clean[b] = snapEntry{gen: b.gen, words: cp.Words, seg: cp.Seg}
 			snap.fresh[i] = true
 			// A clean-but-aliased block's content is unchanged since the
 			// previous snapshot: the copy is a local memcpy, not wire
@@ -411,11 +420,20 @@ func (h *Heap) Serialize() *Snapshot {
 	return snap
 }
 
-// rebuild reconstructs heap structure from a snapshot; words gives, for
-// each snapshot index, the restored block's live payload (already copied
-// or adopted by the caller) and the clean-cache entry to seed for it, so
-// the restored heap's own first Serialize is already incremental.
-func rebuild(snap *Snapshot, words func(i int) ([]uint64, snapEntry)) *Heap {
+// restore reconstructs a heap from a snapshot at identical addresses.
+// With consume set, payloads the snapshot itself copied (fresh entries)
+// are adopted as the live payload and cached as aliased; every other
+// payload is copied through one pooled buffer. Either way the snapshot's
+// arrays seed the new heap's clean-block cache, so its own first
+// Serialize is already incremental.
+func restore(snap *Snapshot, consume bool) *Heap {
+	var total int
+	for i := range snap.Blocks {
+		if !(consume && snap.isFresh(i)) {
+			total += snap.Blocks[i].payloadWords()
+		}
+	}
+	arena := make([]uint64, total)
 	h := NewHeap(snap.VP)
 	h.brk = snap.Brk
 	n := len(snap.Blocks)
@@ -425,10 +443,15 @@ func rebuild(snap *Snapshot, words func(i int) ([]uint64, snapEntry)) *Heap {
 	for i := range snap.Blocks {
 		cp := &snap.Blocks[i]
 		nb := &structs[i]
-		*nb = Block{Addr: cp.Addr, Size: cp.Size, Label: cp.Label, Shared: cp.Shared, SharedBytes: cp.SharedBytes}
-		w, entry := words(i)
-		nb.Words = w
-		h.clean[nb] = entry // entry.gen is 0, matching the fresh block's gen
+		*nb = *cp // gen is 0 in a snapshot block, matching the cache entry below
+		adopt := consume && snap.isFresh(i) && (cp.Words != nil || cp.Seg != nil)
+		if !adopt {
+			nb.Words, nb.Seg = carve(&arena, cp.Words), cp.Seg.clone(&arena)
+		}
+		// An adopted array is the live payload now, so its entry is
+		// aliased: never shared into a future snapshot, but delta-free
+		// while the generation holds.
+		h.clean[nb] = snapEntry{words: cp.Words, seg: cp.Seg, aliased: adopt}
 		h.blocks[nb.Addr] = nb
 		h.index = append(h.index, nb) // snapshots are address-ordered
 		h.live += nb.Size
@@ -446,61 +469,18 @@ func rebuild(snap *Snapshot, words func(i int) ([]uint64, snapEntry)) *Heap {
 // Restore reconstructs a heap from a snapshot. Addresses are preserved
 // exactly; this is what makes Isomalloc migration transparent to any
 // pointers held in the payload. The snapshot is not consumed: payloads
-// are copied (through one pooled buffer), and the copies seed the new
-// heap's clean-block cache so its own first Serialize is already
-// incremental.
-func Restore(snap *Snapshot) *Heap {
-	var total int
-	for i := range snap.Blocks {
-		total += len(snap.Blocks[i].Words)
-	}
-	arena := make([]uint64, total)
-	return rebuild(snap, func(i int) ([]uint64, snapEntry) {
-		src := snap.Blocks[i].Words
-		if src == nil {
-			return nil, snapEntry{}
-		}
-		w := arena[:len(src):len(src)]
-		arena = arena[len(src):]
-		copy(w, src)
-		return w, snapEntry{words: src}
-	})
-}
+// are copied, so it can be restored again or kept as a checkpoint.
+func Restore(snap *Snapshot) *Heap { return restore(snap, false) }
 
 // RestoreConsume reconstructs a heap from a snapshot that the caller
 // owns exclusively and is discarding along with the source heap — the
-// migration case. Words arrays the snapshot itself copied (dirty
-// blocks) are adopted zero-copy as the live payload and cached as
-// aliased entries: a later Serialize re-copies them locally but, while
-// untouched, charges them no wire delta — so a rank migrated every
+// migration case. Payloads the snapshot itself copied (dirty blocks)
+// are adopted zero-copy: a later Serialize re-copies them locally but,
+// while untouched, charges them no wire delta — so a rank migrated every
 // load-balance round still only moves its dirty bytes. Arrays shared
 // with earlier snapshots are copied so those keepers stay immutable.
 // The snapshot must not be restored again or kept as a checkpoint
 // afterwards.
-func RestoreConsume(snap *Snapshot) *Heap {
-	var shared int
-	for i := range snap.Blocks {
-		if !snap.isFresh(i) {
-			shared += len(snap.Blocks[i].Words)
-		}
-	}
-	arena := make([]uint64, shared)
-	return rebuild(snap, func(i int) ([]uint64, snapEntry) {
-		src := snap.Blocks[i].Words
-		if src == nil {
-			return nil, snapEntry{}
-		}
-		if snap.isFresh(i) {
-			// Adopted zero-copy: the live heap now owns the array, so the
-			// cache entry is marked aliased — never shared into a future
-			// snapshot, but delta-free while the generation holds.
-			return src, snapEntry{words: src, aliased: true}
-		}
-		w := arena[:len(src):len(src)]
-		arena = arena[len(src):]
-		copy(w, src)
-		return w, snapEntry{words: src}
-	})
-}
+func RestoreConsume(snap *Snapshot) *Heap { return restore(snap, true) }
 
 func (s *Snapshot) isFresh(i int) bool { return s.fresh != nil && s.fresh[i] }

@@ -1,0 +1,225 @@
+package mem
+
+import (
+	"reflect"
+	"testing"
+)
+
+// segWords is the fuzzed segment's length: two whole pages and a partial
+// third, so page-boundary and short-last-page arithmetic both run.
+const segWords = 2*pageWords + 37
+
+// heapPair drives a copy-on-write heap and its oracle in lockstep. The
+// oracle is the representation the view replaced: the same block sizes at
+// the same addresses, with the segment held as a flat []uint64 copy.
+type heapPair struct {
+	t         *testing.T
+	cow, flat *Heap
+	segAddr   uint64
+	small     []uint64 // addresses of live scratch blocks, same in both
+}
+
+// snapPair is a snapshot of both heaps plus the segment content it must
+// keep showing however the heaps change afterwards.
+type snapPair struct {
+	cow, flat *Snapshot
+	want      []uint64
+}
+
+func newHeapPair(t *testing.T, image []uint64) *heapPair {
+	p := &heapPair{t: t, cow: NewHeap(3), flat: NewHeap(3)}
+	for _, h := range []*Heap{p.cow, p.flat} {
+		if _, err := h.AllocBallast(8192, "code"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cb, err := p.cow.AllocSegment(FreezeSegment(image), "data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, err := p.flat.Alloc(uint64(len(image))*8, "data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(fb.Words, image)
+	if cb.Addr != fb.Addr || cb.Size != fb.Size || cb.Words != nil {
+		t.Fatalf("segment block %+v does not mirror flat block %+v", cb, fb)
+	}
+	p.segAddr = cb.Addr
+	return p
+}
+
+func (p *heapPair) seg() (*Block, *Block) {
+	return p.cow.Lookup(p.segAddr), p.flat.Lookup(p.segAddr)
+}
+
+// check compares the live segment word for word and the heaps' accounting.
+func (p *heapPair) check(when string) {
+	p.t.Helper()
+	cb, fb := p.seg()
+	for i, want := range fb.Words {
+		if got := cb.Seg.Load(i); got != want {
+			p.t.Fatalf("%s: live word %d = %d, flat oracle has %d", when, i, got, want)
+		}
+	}
+	if p.cow.LiveBytes() != p.flat.LiveBytes() || p.cow.ResidentBytes() != p.flat.ResidentBytes() {
+		p.t.Fatalf("%s: live/resident %d/%d, oracle %d/%d", when,
+			p.cow.LiveBytes(), p.cow.ResidentBytes(), p.flat.LiveBytes(), p.flat.ResidentBytes())
+	}
+}
+
+func (p *heapPair) serialize(when string) snapPair {
+	p.t.Helper()
+	s := snapPair{cow: p.cow.Serialize(), flat: p.flat.Serialize()}
+	_, fb := p.seg()
+	s.want = append([]uint64(nil), fb.Words...)
+	if s.cow.Bytes() != s.flat.Bytes() || s.cow.DeltaBytes() != s.flat.DeltaBytes() {
+		p.t.Fatalf("%s: snapshot bytes/delta %d/%d, oracle %d/%d", when,
+			s.cow.Bytes(), s.cow.DeltaBytes(), s.flat.Bytes(), s.flat.DeltaBytes())
+	}
+	if !reflect.DeepEqual(s.cow.FreeSpans, s.flat.FreeSpans) || s.cow.Brk != s.flat.Brk {
+		p.t.Fatalf("%s: free spans %v brk %#x, oracle %v brk %#x", when,
+			s.cow.FreeSpans, s.cow.Brk, s.flat.FreeSpans, s.flat.Brk)
+	}
+	s.check(p.t, when)
+	return s
+}
+
+// check verifies the snapshot still shows the content it captured, in
+// both representations, block for block.
+func (s snapPair) check(t *testing.T, when string) {
+	t.Helper()
+	if len(s.cow.Blocks) != len(s.flat.Blocks) {
+		t.Fatalf("%s: %d blocks, oracle %d", when, len(s.cow.Blocks), len(s.flat.Blocks))
+	}
+	for i := range s.cow.Blocks {
+		cb, fb := &s.cow.Blocks[i], &s.flat.Blocks[i]
+		if cb.Addr != fb.Addr || cb.Size != fb.Size || cb.Label != fb.Label {
+			t.Fatalf("%s: block %d is %+v, oracle %+v", when, i, cb, fb)
+		}
+		if cb.Seg == nil {
+			if !reflect.DeepEqual(cb.Words, fb.Words) {
+				t.Fatalf("%s: block %d words differ from oracle", when, i)
+			}
+			continue
+		}
+		for j, want := range s.want {
+			if got := cb.Seg.Load(j); got != want || fb.Words[j] != want {
+				t.Fatalf("%s: snapshot word %d = %d (oracle %d), captured %d", when, j, got, fb.Words[j], want)
+			}
+		}
+	}
+}
+
+// FuzzSegmentView holds the copy-on-write segment view to the flat heap
+// it replaced. Each input byte pair is one operation on both heaps; after
+// every operation the live segment, the heaps' accounting and every kept
+// snapshot must agree with the oracle, and a write to the slice the base
+// was frozen from must never show.
+func FuzzSegmentView(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 5, 2, 0, 0, 200, 2, 0, 3, 0, 0, 9, 2, 0})             // store, snap, store, snap, restore, store, snap
+	f.Add([]byte{0, 1, 4, 0, 0, 255, 4, 0, 1, 0, 4, 0, 2, 0, 3, 1})       // migrate loop with stores and a bare Touch
+	f.Add([]byte{5, 3, 5, 9, 6, 0, 2, 0, 6, 1, 4, 0, 5, 1, 2, 0, 3, 0})   // scratch alloc/free around snapshots
+	f.Add([]byte{7, 0, 0, 0, 7, 1, 2, 0, 7, 2, 4, 0, 7, 3, 3, 0, 0, 128}) // writes to the base's source slice
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 128 {
+			ops = ops[:128]
+		}
+		image := make([]uint64, segWords)
+		for i := range image {
+			image[i] = uint64(i) * 3
+		}
+		p := newHeapPair(t, image)
+		var kept []snapPair
+		for n := 0; n+1 < len(ops); n += 2 {
+			op, arg := ops[n]%8, int(ops[n+1])
+			switch op {
+			case 0: // store through the view, as VarHandle.Store does
+				i := arg * segWords / 256
+				cb, fb := p.seg()
+				*cb.Seg.Word(i), fb.Words[i] = uint64(n)<<8|uint64(arg), uint64(n)<<8|uint64(arg)
+				cb.Touch()
+				fb.Touch()
+			case 1: // dirty without writing (a charge-only access batch)
+				cb, fb := p.seg()
+				cb.Touch()
+				fb.Touch()
+			case 2: // checkpoint: serialize and keep
+				if len(kept) < 6 {
+					kept = append(kept, p.serialize("serialize"))
+				}
+			case 3: // restart from a kept checkpoint
+				if len(kept) > 0 {
+					s := kept[arg%len(kept)]
+					p.cow, p.flat = Restore(s.cow), Restore(s.flat)
+				}
+			case 4: // migrate: serialize, consume, discard
+				s := p.serialize("migrate")
+				p.cow, p.flat = RestoreConsume(s.cow), RestoreConsume(s.flat)
+			case 5: // scratch allocation, so free lists and reuse take part
+				size := uint64(arg%7+1) * 16
+				cb, cerr := p.cow.Alloc(size, "scratch")
+				fb, ferr := p.flat.Alloc(size, "scratch")
+				if cerr != nil || ferr != nil || cb.Addr != fb.Addr {
+					t.Fatalf("scratch alloc diverged: %v %v", cerr, ferr)
+				}
+				p.small = append(p.small, cb.Addr)
+			case 6:
+				if len(p.small) > 0 {
+					k := arg % len(p.small)
+					addr := p.small[k]
+					p.small = append(p.small[:k], p.small[k+1:]...)
+					// A restore may have rolled the block back out of existence.
+					if cerr, ferr := p.cow.Free(addr), p.flat.Free(addr); (cerr == nil) != (ferr == nil) {
+						t.Fatalf("free %#x diverged: %v vs %v", addr, cerr, ferr)
+					}
+				}
+			case 7: // the slice the base was frozen from is the caller's again
+				image[arg*segWords/256] = ^uint64(0)
+			}
+			p.check("after op")
+			for _, s := range kept {
+				s.check(t, "kept snapshot")
+			}
+		}
+		cb, _ := p.seg()
+		if owned := cb.Seg.ownedWords(); owned > segWords {
+			t.Fatalf("view owns %d words of a %d-word segment", owned, segWords)
+		}
+	})
+}
+
+// A rank that stores into one page of a large segment holds, snapshots
+// and restores that one page; every modelled size is still the segment's.
+func TestSegmentMovesOnlyMaterialisedPages(t *testing.T) {
+	const words = 1 << 18 // a 2 MiB data segment
+	h := NewHeap(0)
+	b, err := h.AllocSegment(FreezeSegment(make([]uint64, words)), "pie-data-segment")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Size != words*8 || h.LiveBytes() != words*8 || b.Seg.ownedWords() != 0 {
+		t.Fatalf("fresh view: size %d live %d owned %d", b.Size, h.LiveBytes(), b.Seg.ownedWords())
+	}
+	*b.Seg.Word(700) = 7 // page 1
+	b.Touch()
+	if b.Seg.ownedWords() != pageWords {
+		t.Fatalf("one store materialised %d words, want one page", b.Seg.ownedWords())
+	}
+	snap := h.Serialize()
+	if snap.Bytes() != words*8 || snap.DeltaBytes() != words*8 {
+		t.Fatalf("snapshot models %d/%d bytes, want the full segment %d", snap.Bytes(), snap.DeltaBytes(), words*8)
+	}
+	if got := snap.Blocks[0].Seg.ownedWords(); got != pageWords {
+		t.Fatalf("snapshot copied %d words, want one page", got)
+	}
+	*b.Seg.Word(700) = 8
+	if got := snap.Blocks[0].Seg.Load(700); got != 7 {
+		t.Fatalf("snapshot saw a later store: %d", got)
+	}
+	r := Restore(snap).Lookup(b.Addr)
+	if r.Seg.Load(700) != 7 || r.Seg.Load(0) != 0 || r.Seg.ownedWords() != pageWords {
+		t.Fatalf("restored view: word %d, owned %d", r.Seg.Load(700), r.Seg.ownedWords())
+	}
+}

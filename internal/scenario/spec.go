@@ -27,6 +27,7 @@ import (
 	"provirt/internal/ft"
 	"provirt/internal/lb"
 	"provirt/internal/machine"
+	"provirt/internal/mem"
 	"provirt/internal/trace"
 )
 
@@ -217,6 +218,8 @@ func (s *Spec) Validate() error {
 	}
 	if s.VPs <= 0 {
 		add("VPs", "must be positive, got %d", s.VPs)
+	} else if s.VPs > mem.MaxRanks {
+		add("VPs", "%d ranks exceed the Isomalloc arena's %d per-rank ranges", s.VPs, mem.MaxRanks)
 	}
 
 	kind := s.kind()

@@ -8,6 +8,7 @@ import (
 	"provirt/internal/core"
 	"provirt/internal/lb"
 	"provirt/internal/machine"
+	"provirt/internal/mem"
 	"provirt/internal/scenario"
 	"provirt/internal/workloads/synth"
 )
@@ -70,6 +71,17 @@ func TestValidateHappyPathAndRun(t *testing.T) {
 func TestValidateZeroVPs(t *testing.T) {
 	sp := scenario.Spec{Machine: shape(1, 1, 1), Method: core.KindTLSglobals, Workload: "empty"}
 	wantField(t, sp.Validate(), "VPs", "must be positive")
+}
+
+// A world with more ranks than the Isomalloc arena has per-rank ranges
+// used to reach mem.NewHeap's panic; it must be a field error instead.
+func TestValidateTooManyVPs(t *testing.T) {
+	sp := scenario.Spec{Machine: shape(1, 1, 1), VPs: mem.MaxRanks, Method: core.KindTLSglobals, Workload: "empty"}
+	if err := sp.Validate(); err != nil {
+		t.Fatalf("%d VPs fill the arena exactly and must be accepted: %v", sp.VPs, err)
+	}
+	sp.VPs = mem.MaxRanks + 1
+	wantField(t, sp.Validate(), "VPs", "Isomalloc arena")
 }
 
 func TestValidateBadMachine(t *testing.T) {

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"provirt/internal/core"
 	"provirt/internal/obs"
 	"provirt/internal/resultstore"
 	"provirt/internal/scenario"
@@ -251,6 +252,33 @@ func TestValidationErrorsAreStructured400s(t *testing.T) {
 	}
 	if PointsExecuted() != 0 {
 		t.Fatal("invalid sweep still executed points")
+	}
+}
+
+// A point with more ranks than the Isomalloc arena holds used to panic in
+// mem.NewHeap on a worker and take the server down. It is a structured
+// 400 now, and the server keeps answering.
+func TestOversizedWorldIs400AndServerSurvives(t *testing.T) {
+	_, ts := newTestServer(t, 1)
+	big := tinySpec(2048)
+	big.Method = core.KindTLSglobals
+	resp, data := postRuns(t, ts.URL, map[string]any{"points": []scenario.Spec{big}})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", resp.StatusCode, data)
+	}
+	var doc errorDoc
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("400 body not JSON: %v in %s", err, data)
+	}
+	if len(doc.Fields) != 1 || doc.Fields[0].Field != "VPs" {
+		t.Fatalf("400 should carry one VPs field error: %+v", doc)
+	}
+	resp, data = postRuns(t, ts.URL, map[string]any{"spec": tinySpec(4)})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after the rejected one: %d %s", resp.StatusCode, data)
+	}
+	if _, pts, _ := parseStream(t, data); len(pts) != 1 || len(pts[0].Row) == 0 {
+		t.Fatalf("request after the rejected one produced no row: %+v", pts)
 	}
 }
 

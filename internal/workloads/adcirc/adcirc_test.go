@@ -1,6 +1,7 @@
 package adcirc_test
 
 import (
+	"runtime"
 	"testing"
 
 	"provirt/internal/ampi"
@@ -119,5 +120,29 @@ func TestImageShape(t *testing.T) {
 	}
 	if img.CodeSize < 14<<20 {
 		t.Errorf("code segment %d bytes, want >= 14 MiB", img.CodeSize)
+	}
+}
+
+// TestScalingPointHostCost guards the line between modelled and host
+// bytes on Table 2's 8-core, ratio-8 point: the world models 64 ranks
+// that each copy a 2 MiB data segment and 88 migrations that move
+// 1.5 GB, and the numbers below are that model's output, pinned from
+// the commit that still copied every one of those bytes on the host
+// (≈ 300 MB allocated). The host may allocate a tenth of that.
+func TestScalingPointHostCost(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, w := runSurge(t, adcirc.DefaultConfig(), 64, 8, lb.GreedyRefineLB{})
+	runtime.ReadMemStats(&after)
+
+	if got := int64(w.ExecutionTime()); got != 443472291 {
+		t.Errorf("ExecutionTime = %d ns, pinned 443472291", got)
+	}
+	if w.Migrations != 88 || w.MigratedBytes != 1586196480 || w.MigratedDeltaBytes != 973434880 {
+		t.Errorf("migrations %d moved %d bytes (%d delta), pinned 88 / 1586196480 / 973434880",
+			w.Migrations, w.MigratedBytes, w.MigratedDeltaBytes)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 32<<20 {
+		t.Errorf("host allocated %d MB to build and run the world, limit 32 MB", alloc>>20)
 	}
 }
