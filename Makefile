@@ -63,9 +63,11 @@ cover:
 # machine/lb carry the membership-epoch and rebalance state those
 # supervisors mutate between attempts). Every rank's copy-on-write data
 # segment in a process reads one shared base from whichever sweep worker
-# runs its world, so mem and core are checked too.
+# runs its world, so mem and core are checked too. ult is here because
+# its handoff is iter.Pull, which carries the race detector's
+# annotations: the kill/unwind and leak tests must hold under them.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/harness/... ./internal/ampi/... ./internal/ft/... ./internal/machine/... ./internal/lb/... ./internal/mem/... ./internal/core/...
+	$(GO) test -race ./internal/ult/... ./internal/sim/... ./internal/harness/... ./internal/ampi/... ./internal/ft/... ./internal/machine/... ./internal/lb/... ./internal/mem/... ./internal/core/...
 
 # Full race sweep over every package, as CI's race job runs it.
 race-full:

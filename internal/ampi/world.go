@@ -314,7 +314,11 @@ func rankCtx(t *ult.Thread) *core.RankContext {
 }
 
 // Run drives the simulation until every rank finishes. It returns the
-// first rank error or runtime error encountered.
+// first rank error or runtime error encountered. However the run ends —
+// completion, runtime error, node crash, drain, deadlock — no rank thread
+// outlives it: once the result is decided, every rank still parked is
+// killed, so its body unwinds (deferred functions run) and its coroutine
+// and stack are released with the world.
 func (w *World) Run() error {
 	err := w.Cluster.Engine.Run(func() bool {
 		if w.runtimeErr != nil {
@@ -330,6 +334,15 @@ func (w *World) Run() error {
 	if w.tracer != nil {
 		w.tracer.Emit(trace.Event{Time: w.Time(), Kind: trace.KindRunEnd, PE: -1, VP: -1, Peer: -1})
 	}
+	err = w.result(err)
+	for _, r := range w.Ranks {
+		r.thread.Kill("world stopped")
+	}
+	return err
+}
+
+// result turns the engine's verdict into Run's error.
+func (w *World) result(stall error) error {
 	if w.runtimeErr != nil {
 		return w.runtimeErr
 	}
@@ -340,8 +353,8 @@ func (w *World) Run() error {
 			return r.thread.Err
 		}
 	}
-	if err != nil {
-		return fmt.Errorf("ampi: %w (%s)", err, w.describeStall())
+	if stall != nil {
+		return fmt.Errorf("ampi: %w (%s)", stall, w.describeStall())
 	}
 	return nil
 }

@@ -1,10 +1,12 @@
-// Package ult implements user-level threads over goroutines with strict
-// cooperative handoff, bound to the discrete-event clock.
+// Package ult implements user-level threads as runtime coroutines
+// (iter.Pull), bound to the discrete-event clock.
 //
-// Exactly one goroutine in the whole simulation runs at a time: either
-// the engine (processing events) or one rank thread. A thread runs real
-// Go code — the MPI program — and charges virtual compute time to its
-// PE's local clock as it goes. When it blocks (inside MPI_Recv, a
+// Exactly one of the engine (processing events) and one rank thread runs
+// at a time, and the coroutine switch enforces it: resuming a thread
+// suspends the engine's goroutine until the thread parks or returns, with
+// no channel, no scheduler round trip and no allocation. A thread runs
+// real Go code — the MPI program — and charges virtual compute time to
+// its PE's local clock as it goes. When it blocks (inside MPI_Recv, a
 // barrier, ...), control hands back to the per-PE scheduler, which
 // context switches to the next ready thread, charging the privatization
 // method's switch cost. This mirrors AMPI's message-driven cooperative
@@ -13,6 +15,7 @@ package ult
 
 import (
 	"fmt"
+	"iter"
 
 	"provirt/internal/machine"
 	"provirt/internal/sim"
@@ -59,11 +62,14 @@ type Thread struct {
 	sched *Scheduler
 	body  func(*Thread)
 
-	resume chan struct{}
-	parked chan struct{}
+	// resume runs the body until it parks or returns, stop makes every
+	// park (the pending one and any later) fail, and yield is park's way
+	// back to whoever resumed: the three ends of one iter.Pull, nil until
+	// the first run.
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
 
-	started bool
-	killed  bool
 	// Err holds a panic recovered from the thread body.
 	Err error
 
@@ -78,9 +84,9 @@ type Thread struct {
 }
 
 // NewThread creates a thread that will run body when first scheduled.
-// The backing goroutine and its handoff channels are created lazily on
-// the first run, so a thread that never executes (an idle rank parked in
-// a collective for the whole run) costs one struct, not a goroutine.
+// The backing coroutine is created lazily on the first run, so a thread
+// that never executes (an idle rank parked in a collective for the whole
+// run) costs one struct, not a stack.
 func NewThread(id int, body func(*Thread)) *Thread {
 	return &Thread{ID: id, body: body}
 }
@@ -124,21 +130,23 @@ func (t *Thread) ResetLoad() { t.Load = 0 }
 type killedPanic struct{}
 
 // park hands control back to the scheduler until resumed. The caller
-// must set the thread's state (Blocked or Ready) first.
+// must set the thread's state (Blocked or Ready) first. Once the thread
+// is killed, yield returns false without switching, so a deferred
+// function that blocks again while the body unwinds re-panics instead of
+// hanging.
 func (t *Thread) park() {
-	t.parked <- struct{}{}
-	<-t.resume
-	if t.killed {
-		// Unwind the body; the run wrapper recovers and parks the
-		// goroutine for good.
+	if !t.yield(struct{}{}) {
+		// Unwind the body; main recovers.
 		panic(killedPanic{})
 	}
 	t.state = Running
 }
 
 // Kill forcibly terminates a parked thread (hard-fault injection: the
-// node hosting the rank died). The thread's body unwinds via a panic
-// recovered by the runtime; Err is set to a description. Kill may be
+// node hosting the rank died; or its world stopped without it). Stopping
+// the coroutine makes the pending park fail, so the body unwinds via a
+// panic recovered by the runtime, running its deferred functions; Err is
+// set to a description. Kill returns once the body has unwound. It may be
 // called on Blocked, Ready, or never-started threads — i.e. from any
 // engine event, where no thread is Running; killing a Running thread
 // panics.
@@ -150,8 +158,7 @@ func (t *Thread) Kill(reason string) {
 	default:
 		panic(fmt.Sprintf("ult: kill of %v thread %d", t.state, t.ID))
 	}
-	t.killed = true
-	if !t.started {
+	if t.resume == nil {
 		t.state = Done
 		t.Err = fmt.Errorf("ult: thread %d killed before first run: %s", t.ID, reason)
 		if t.sched != nil {
@@ -159,8 +166,7 @@ func (t *Thread) Kill(reason string) {
 		}
 		return
 	}
-	t.resume <- struct{}{}
-	<-t.parked
+	t.stop()
 	t.Err = fmt.Errorf("ult: thread %d killed: %s", t.ID, reason)
 }
 
@@ -175,9 +181,8 @@ func (t *Thread) Suspend() {
 // Yield places the thread at the back of its scheduler's ready queue
 // and parks; it resumes after other ready threads have run.
 func (t *Thread) Yield() {
-	s := t.sched
 	t.state = Ready
-	s.ready = append(s.ready, t)
+	t.sched.push(t)
 	t.park()
 }
 
@@ -190,38 +195,37 @@ func (t *Thread) Wake() {
 	}
 	s := t.sched
 	t.state = Ready
-	s.ready = append(s.ready, t)
+	s.push(t)
 	s.schedule()
 }
 
 // run hands control to the thread until it parks or finishes.
 func (t *Thread) run() {
-	if !t.started {
-		t.started = true
-		// Lazy materialization: the goroutine and its handoff channels
-		// exist only once the thread actually executes.
-		t.resume = make(chan struct{})
-		t.parked = make(chan struct{})
-		go func() {
-			<-t.resume
-			defer func() {
-				if r := recover(); r != nil {
-					if _, wasKill := r.(killedPanic); !wasKill {
-						t.Err = fmt.Errorf("ult: thread %d panicked: %v", t.ID, r)
-					}
-				}
-				t.state = Done
-				if t.sched != nil {
-					t.sched.done++
-				}
-				t.parked <- struct{}{}
-			}()
-			t.state = Running
-			t.body(t)
-		}()
+	if t.resume == nil {
+		// Lazy materialization: the coroutine and its stack exist only
+		// once the thread actually executes.
+		t.resume, t.stop = iter.Pull(t.main)
 	}
-	t.resume <- struct{}{}
-	<-t.parked
+	t.resume()
+}
+
+// main is the coroutine's body: the thread body between a recover that
+// turns a panic into Err and the bookkeeping that marks the thread Done.
+func (t *Thread) main(yield func(struct{}) bool) {
+	t.yield = yield
+	defer func() {
+		if r := recover(); r != nil {
+			if _, wasKill := r.(killedPanic); !wasKill {
+				t.Err = fmt.Errorf("ult: thread %d panicked: %v", t.ID, r)
+			}
+		}
+		t.state = Done
+		if t.sched != nil {
+			t.sched.done++
+		}
+	}()
+	t.state = Running
+	t.body(t)
 }
 
 // Scheduler is the per-PE cooperative scheduler.
@@ -230,8 +234,10 @@ type Scheduler struct {
 	Engine *sim.Engine
 	Cost   *machine.CostModel
 
-	now   sim.Time
+	now sim.Time
+	// ready[head:] is the FIFO run queue; see push.
 	ready []*Thread
+	head  int
 
 	passQueued bool
 	inPass     bool
@@ -332,7 +338,7 @@ func (s *Scheduler) Adopt(t *Thread) {
 	s.threads = append(s.threads, t)
 	if t.state == Created || t.state == Blocked {
 		t.state = Ready
-		s.ready = append(s.ready, t)
+		s.push(t)
 	}
 	s.schedule()
 }
@@ -366,10 +372,24 @@ func (s *Scheduler) AdoptBlocked(t *Thread) {
 	s.threads = append(s.threads, t)
 }
 
+// push appends t to the run queue. Popping advances head instead of
+// reslicing, so the backing array keeps its capacity; when it fills and
+// at least half of it is popped slots, the live tail slides down to the
+// front instead of growing. A steady Yield or Wake therefore allocates
+// nothing, whether the queue drains between pushes or (a two-thread
+// ping, where one thread is always queued) never does.
+func (s *Scheduler) push(t *Thread) {
+	if len(s.ready) == cap(s.ready) && 2*s.head >= len(s.ready) {
+		s.ready = s.ready[:copy(s.ready, s.ready[s.head:])]
+		s.head = 0
+	}
+	s.ready = append(s.ready, t)
+}
+
 // schedule queues a scheduler pass if one is needed and not already
 // pending.
 func (s *Scheduler) schedule() {
-	if s.passQueued || s.inPass || len(s.ready) == 0 {
+	if s.passQueued || s.inPass || s.RunnableCount() == 0 {
 		return
 	}
 	s.passQueued = true
@@ -394,9 +414,9 @@ func (s *Scheduler) pass() {
 		}
 		s.now = now
 	}
-	for len(s.ready) > 0 {
-		t := s.ready[0]
-		s.ready = s.ready[1:]
+	for s.head < len(s.ready) {
+		t := s.ready[s.head]
+		s.head++
 		if t.state != Ready {
 			continue
 		}
@@ -442,4 +462,4 @@ type Span struct {
 
 // RunnableCount reports how many threads are waiting in the ready
 // queue.
-func (s *Scheduler) RunnableCount() int { return len(s.ready) }
+func (s *Scheduler) RunnableCount() int { return len(s.ready) - s.head }

@@ -204,3 +204,180 @@ func TestManyThreadsFIFO(t *testing.T) {
 		t.Fatal("runnable queue not drained")
 	}
 }
+
+// killTarget is a thread that records how far it got and what ran while
+// it unwound.
+type killTarget struct {
+	th       *Thread
+	started  bool
+	resumed  bool
+	deferred int
+}
+
+// newKillTarget's body suspends once. While unwinding, its first deferred
+// function parks again (as a deferred MPI call would), which must
+// re-panic rather than hang, and the second must still run.
+func newKillTarget(id int) *killTarget {
+	k := &killTarget{}
+	k.th = NewThread(id, func(th *Thread) {
+		k.started = true
+		defer func() { k.deferred++ }()
+		defer func() {
+			k.deferred++
+			th.Suspend()
+			k.deferred = -100 // unreachable once killed
+		}()
+		th.Suspend()
+		k.resumed = true
+	})
+	return k
+}
+
+func (k *killTarget) check(t *testing.T, s *Scheduler, wantErr string, wantDeferred int) {
+	t.Helper()
+	if k.th.State() != Done {
+		t.Errorf("state %v, want done", k.th.State())
+	}
+	if k.th.Err == nil || k.th.Err.Error() != wantErr {
+		t.Errorf("Err = %v, want %q", k.th.Err, wantErr)
+	}
+	if k.resumed {
+		t.Error("killed body ran past its suspension point")
+	}
+	if k.deferred != wantDeferred {
+		t.Errorf("%d deferred functions ran, want %d", k.deferred, wantDeferred)
+	}
+	if s.DoneCount() != 1 {
+		t.Errorf("done count %d, want 1", s.DoneCount())
+	}
+}
+
+func TestKillBlocked(t *testing.T) {
+	s, e := testSched(t)
+	k := newKillTarget(4)
+	s.Adopt(k.th)
+	e.Drain()
+	if k.th.State() != Blocked {
+		t.Fatalf("state %v before kill", k.th.State())
+	}
+	k.th.Kill("node 1 failed")
+	k.check(t, s, "ult: thread 4 killed: node 1 failed", 2)
+	// Idempotent, and a stale wake-up finds nothing to run.
+	k.th.Kill("again")
+	k.check(t, s, "ult: thread 4 killed: node 1 failed", 2)
+}
+
+func TestKillReady(t *testing.T) {
+	s, e := testSched(t)
+	k := newKillTarget(5)
+	s.Adopt(k.th)
+	e.Drain()
+	// Woken but not yet run: Ready, with a queue entry and a pass pending.
+	k.th.Wake()
+	if k.th.State() != Ready || s.RunnableCount() != 1 {
+		t.Fatalf("state %v, %d runnable before kill", k.th.State(), s.RunnableCount())
+	}
+	k.th.Kill("preempted")
+	k.check(t, s, "ult: thread 5 killed: preempted", 2)
+	// The pending pass skips the dead thread's queue entry.
+	e.Drain()
+	k.check(t, s, "ult: thread 5 killed: preempted", 2)
+	if s.RunnableCount() != 0 {
+		t.Errorf("%d runnable after drain", s.RunnableCount())
+	}
+}
+
+func TestKillNeverStarted(t *testing.T) {
+	s, e := testSched(t)
+	k := newKillTarget(6)
+	s.Adopt(k.th) // Ready, but no pass has run it yet
+	k.th.Kill("early")
+	k.check(t, s, "ult: thread 6 killed before first run: early", 0)
+	e.Drain()
+	if k.started {
+		t.Error("thread killed before its first run still ran")
+	}
+	k.check(t, s, "ult: thread 6 killed before first run: early", 0)
+
+	// Not even adopted: no scheduler to account to.
+	orphan := NewThread(7, func(*Thread) { t.Error("orphan ran") })
+	orphan.Kill("unplaced")
+	if orphan.State() != Done || orphan.Err == nil {
+		t.Errorf("orphan: state %v err %v", orphan.State(), orphan.Err)
+	}
+}
+
+func TestKillRunningPanics(t *testing.T) {
+	s, e := testSched(t)
+	var recovered any
+	th := NewThread(0, func(th *Thread) {
+		defer func() { recovered = recover() }()
+		th.Kill("self")
+	})
+	s.Adopt(th)
+	e.Drain()
+	if recovered == nil {
+		t.Fatal("killing the running thread must panic")
+	}
+}
+
+// yieldAllocs runs n threads that yield in a loop on one scheduler and
+// reports the allocations per Yield round trip of thread 0 (one quantum
+// of every thread) in steady state.
+func yieldAllocs(t *testing.T, n int) float64 {
+	t.Helper()
+	s, e := testSched(t)
+	allocs := -1.0
+	done := false
+	s.Adopt(NewThread(0, func(th *Thread) {
+		// AllocsPerRun's warm-up call starts the other threads'
+		// coroutines and sizes the queue.
+		allocs = testing.AllocsPerRun(200, th.Yield)
+		done = true
+	}))
+	for i := 1; i < n; i++ {
+		s.Adopt(NewThread(i, func(th *Thread) {
+			for !done {
+				th.Yield()
+			}
+		}))
+	}
+	e.Drain()
+	if s.DoneCount() != n {
+		t.Fatalf("%d of %d threads finished", s.DoneCount(), n)
+	}
+	if want := uint64(201*n + n - 1); s.Switches() < want {
+		t.Fatalf("%d switches, want at least %d", s.Switches(), want)
+	}
+	return allocs
+}
+
+func TestYieldAllocatesNothing(t *testing.T) {
+	// Two threads: the queue never drains (one thread is always waiting).
+	// Sixty-four: it holds a full lap of threads between any two pops.
+	for _, n := range []int{2, 64} {
+		if got := yieldAllocs(t, n); got != 0 {
+			t.Errorf("%d threads: %v allocations per Yield round trip, want 0", n, got)
+		}
+	}
+}
+
+// BenchmarkSwitch is the two-thread yield ping: one op is one context
+// switch (scheduler pop, cost charge, coroutine resume, park).
+func BenchmarkSwitch(b *testing.B) {
+	cl, err := machine.New(machine.Config{Nodes: 1, ProcsPerNode: 1, PEsPerProc: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := NewScheduler(cl.PE(0), cl.Engine, cl.Cost)
+	for id := 0; id < 2; id++ {
+		s.Adopt(NewThread(id, func(th *Thread) {
+			for i := 0; i < b.N/2; i++ {
+				th.Yield()
+			}
+		}))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	cl.Engine.Drain()
+}

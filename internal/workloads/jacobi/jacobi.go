@@ -196,9 +196,10 @@ func runRank(cfg Config, r *ampi.Rank, results func(Result)) {
 	flop := r.World().Cluster.Cost.FlopTime
 	start := r.Wtime()
 
+	plan := newHaloPlan(b, neighbor)
 	var resid float64
 	for it := 0; it < cfg.Iters; it++ {
-		exchangeHalos(r, b, neighbor, it)
+		exchangeHalos(r, b, plan, it)
 		// The sweep's inner loop touches privatized globals per cell;
 		// charge those accesses plus the floating-point work.
 		omegaVar.Charge(cells * cfg.AccessesPerCell)
@@ -237,133 +238,109 @@ func runRank(cfg Config, r *ampi.Rank, results func(Result)) {
 	}
 }
 
-// face identifiers for halo tags.
-const (
-	faceXlo = iota
-	faceXhi
-	faceYlo
-	faceYhi
-	faceZlo
-	faceZhi
-)
-
+// haloTag tags iteration it's message for a face. Faces are numbered
+// 2*axis + side (Xlo, Xhi, Ylo, Yhi, Zlo, Zhi), so face^1 is the
+// opposite face: the one a neighbor's matching message is tagged with.
 func haloTag(it, face int) int { return it*8 + face }
+
+// halo is one face's transfer with the neighbor across it: the interior
+// plane sent, the ghost plane filled, and the gather scratch (Rank.Send
+// copies its payload, so one buffer per face serves every iteration).
+type halo struct {
+	peer, face int
+	// The face holds n1 x n2 cells at strides s1, s2 in the block's
+	// storage; send and ghost are the offsets of the two planes.
+	n1, s1, n2, s2 int
+	send, ghost    int
+	buf            []float64
+}
+
+// haloPlan is a rank's transfer plan: its faces that have a neighbor, in
+// face order, and the receive requests of the exchange in flight.
+type haloPlan struct {
+	faces []halo
+	reqs  []*ampi.Request
+}
+
+// newHaloPlan builds the plan once per rank. The block's geometry and the
+// rank's neighbors are fixed for the run, and the planes are addressed by
+// offset because sweep swaps u and un.
+func newHaloPlan(b *block, neighbor func(dx, dy, dz int) int) *haloPlan {
+	n := [3]int{b.nx, b.ny, b.nz}
+	stride := [3]int{(b.ny + 2) * (b.nz + 2), b.nz + 2, 1}
+	// The two axes spanning a face normal to each axis, in storage order.
+	span := [3][2]int{{1, 2}, {0, 2}, {0, 1}}
+	p := &haloPlan{}
+	for axis := 0; axis < 3; axis++ {
+		a1, a2 := span[axis][0], span[axis][1]
+		for side := 0; side < 2; side++ {
+			var d [3]int
+			d[axis] = 2*side - 1
+			peer := neighbor(d[0], d[1], d[2])
+			if peer < 0 {
+				continue
+			}
+			// The low side sends plane 1 into ghost 0; the high side
+			// sends plane n into ghost n+1.
+			send, ghost := 1, 0
+			if side == 1 {
+				send, ghost = n[axis], n[axis]+1
+			}
+			p.faces = append(p.faces, halo{
+				peer: peer, face: 2*axis + side,
+				n1: n[a1], s1: stride[a1], n2: n[a2], s2: stride[a2],
+				send: send * stride[axis], ghost: ghost * stride[axis],
+				buf: make([]float64, n[a1]*n[a2]),
+			})
+		}
+	}
+	p.reqs = make([]*ampi.Request, len(p.faces))
+	return p
+}
+
+// gather packs the face's send plane of u into its scratch.
+func (h *halo) gather(u []float64) []float64 {
+	p := 0
+	for i := 1; i <= h.n1; i++ {
+		row := h.send + i*h.s1
+		for j := 1; j <= h.n2; j++ {
+			h.buf[p] = u[row+j*h.s2]
+			p++
+		}
+	}
+	return h.buf
+}
+
+// scatter unpacks a received plane into the face's ghost plane of u.
+func (h *halo) scatter(u, in []float64) {
+	p := 0
+	for i := 1; i <= h.n1; i++ {
+		row := h.ghost + i*h.s1
+		for j := 1; j <= h.n2; j++ {
+			u[row+j*h.s2] = in[p]
+			p++
+		}
+	}
+}
 
 // exchangeHalos swaps boundary planes with up to six neighbors using
 // nonblocking receives to avoid deadlock.
-func exchangeHalos(r *ampi.Rank, b *block, neighbor func(dx, dy, dz int) int, it int) {
-	type xfer struct {
-		peer     int
-		sendTag  int
-		recvTag  int
-		gather   func() []float64
-		scatter  func([]float64)
-		planeLen int
+func exchangeHalos(r *ampi.Rank, b *block, plan *haloPlan, it int) {
+	for i := range plan.faces {
+		h := &plan.faces[i]
+		plan.reqs[i] = r.Irecv(h.peer, haloTag(it, h.face^1))
 	}
-	var xs []xfer
-
-	addX := func(peer, sendFace, recvFace, iSend, iGhost int) {
-		if peer < 0 {
-			return
+	for i := range plan.faces {
+		h := &plan.faces[i]
+		r.Send(h.peer, haloTag(it, h.face), h.gather(b.u), 0)
+	}
+	for i := range plan.faces {
+		h := &plan.faces[i]
+		in := r.Wait(plan.reqs[i])
+		if len(in) != len(h.buf) {
+			panic(fmt.Sprintf("jacobi: rank %d halo from %d has %d cells, want %d", r.Rank(), h.peer, len(in), len(h.buf)))
 		}
-		xs = append(xs, xfer{
-			peer: peer, sendTag: haloTag(it, sendFace), recvTag: haloTag(it, recvFace),
-			planeLen: (b.ny) * (b.nz),
-			gather: func() []float64 {
-				out := make([]float64, 0, b.ny*b.nz)
-				for j := 1; j <= b.ny; j++ {
-					for k := 1; k <= b.nz; k++ {
-						out = append(out, b.u[b.idx(iSend, j, k)])
-					}
-				}
-				return out
-			},
-			scatter: func(in []float64) {
-				p := 0
-				for j := 1; j <= b.ny; j++ {
-					for k := 1; k <= b.nz; k++ {
-						b.u[b.idx(iGhost, j, k)] = in[p]
-						p++
-					}
-				}
-			},
-		})
-	}
-	addY := func(peer, sendFace, recvFace, jSend, jGhost int) {
-		if peer < 0 {
-			return
-		}
-		xs = append(xs, xfer{
-			peer: peer, sendTag: haloTag(it, sendFace), recvTag: haloTag(it, recvFace),
-			planeLen: (b.nx) * (b.nz),
-			gather: func() []float64 {
-				out := make([]float64, 0, b.nx*b.nz)
-				for i := 1; i <= b.nx; i++ {
-					for k := 1; k <= b.nz; k++ {
-						out = append(out, b.u[b.idx(i, jSend, k)])
-					}
-				}
-				return out
-			},
-			scatter: func(in []float64) {
-				p := 0
-				for i := 1; i <= b.nx; i++ {
-					for k := 1; k <= b.nz; k++ {
-						b.u[b.idx(i, jGhost, k)] = in[p]
-						p++
-					}
-				}
-			},
-		})
-	}
-	addZ := func(peer, sendFace, recvFace, kSend, kGhost int) {
-		if peer < 0 {
-			return
-		}
-		xs = append(xs, xfer{
-			peer: peer, sendTag: haloTag(it, sendFace), recvTag: haloTag(it, recvFace),
-			planeLen: (b.nx) * (b.ny),
-			gather: func() []float64 {
-				out := make([]float64, 0, b.nx*b.ny)
-				for i := 1; i <= b.nx; i++ {
-					for j := 1; j <= b.ny; j++ {
-						out = append(out, b.u[b.idx(i, j, kSend)])
-					}
-				}
-				return out
-			},
-			scatter: func(in []float64) {
-				p := 0
-				for i := 1; i <= b.nx; i++ {
-					for j := 1; j <= b.ny; j++ {
-						b.u[b.idx(i, j, kGhost)] = in[p]
-						p++
-					}
-				}
-			},
-		})
-	}
-
-	addX(neighbor(-1, 0, 0), faceXlo, faceXhi, 1, 0)
-	addX(neighbor(+1, 0, 0), faceXhi, faceXlo, b.nx, b.nx+1)
-	addY(neighbor(0, -1, 0), faceYlo, faceYhi, 1, 0)
-	addY(neighbor(0, +1, 0), faceYhi, faceYlo, b.ny, b.ny+1)
-	addZ(neighbor(0, 0, -1), faceZlo, faceZhi, 1, 0)
-	addZ(neighbor(0, 0, +1), faceZhi, faceZlo, b.nz, b.nz+1)
-
-	reqs := make([]*ampi.Request, len(xs))
-	for i, x := range xs {
-		reqs[i] = r.Irecv(x.peer, x.recvTag)
-	}
-	for _, x := range xs {
-		r.Send(x.peer, x.sendTag, x.gather(), 0)
-	}
-	for i, x := range xs {
-		in := r.Wait(reqs[i])
-		if len(in) != x.planeLen {
-			panic(fmt.Sprintf("jacobi: rank %d halo from %d has %d cells, want %d", r.Rank(), x.peer, len(in), x.planeLen))
-		}
-		x.scatter(in)
+		h.scatter(b.u, in)
 	}
 }
 
