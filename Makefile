@@ -58,12 +58,12 @@ cover:
 
 # The sweep runner, the per-world pools, and the parallel event loop
 # (sim.ParallelEngine's window workers) are the code that runs under
-# parallelism; race-check the packages that exercise them (the ft and
-# elastic supervisors run inside the parallel sweep fan-outs, and
-# machine/lb carry the membership-epoch and rebalance state those
-# supervisors mutate between attempts). Every rank's copy-on-write data
-# segment in a process reads one shared base from whichever sweep worker
-# runs its world, so mem and core are checked too. ult is here because
+# parallelism; race-check the packages that exercise them (the ft
+# supervisor runs inside the parallel sweep fan-outs, and machine/lb
+# carry the membership-epoch and rebalance state it mutates between
+# attempts). Every rank's copy-on-write data segment in a process reads
+# one shared base from whichever sweep worker runs its world, so mem and
+# core are checked too. ult is here because
 # its handoff is iter.Pull, which carries the race detector's
 # annotations: the kill/unwind and leak tests must hold under them.
 race:
@@ -73,10 +73,13 @@ race:
 race-full:
 	$(GO) test -race ./...
 
-# Ten seconds of the copy-on-write segment view against its flat-heap
-# oracle: long enough to leave the seed corpus, short enough for CI.
+# Ten seconds each of the copy-on-write segment view against its
+# flat-heap oracle and of ChurnSpec.Compile against its
+# sort-then-truncate oracle: long enough to leave the seed corpus, short
+# enough for CI.
 fuzz-smoke:
 	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzSegmentView -fuzztime 10s
+	$(GO) test ./internal/ft -run '^$$' -fuzz FuzzChurnCompile -fuzztime 10s
 
 vet:
 	$(GO) vet ./...

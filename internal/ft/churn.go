@@ -2,7 +2,6 @@ package ft
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"provirt/internal/sim"
@@ -11,7 +10,7 @@ import (
 // Churn is membership change as data, the same discipline as fault
 // Plans: a ChurnPlan is a list of node arrivals and evictions at
 // absolute virtual times, compiled once (possibly from seeded Poisson
-// processes) and then executed by the elastic supervisor. Runs under
+// processes) and then executed by the supervisor (RunElastic). Runs under
 // churn stay pure functions of their configuration.
 
 // ChurnKind classifies a membership event.
@@ -150,36 +149,27 @@ func (s ChurnSpec) Validate() error {
 // Compile samples the spec into a concrete plan for a job starting on
 // nodes nodes. Pure: the seeded generators live and die here, so the
 // same (spec, nodes) yields the same plan under any sweep parallelism.
+//
+// Every stream is generated in time order and the merged plan keeps only
+// its first MaxEvents events, so no stream is ever asked for more than
+// that many: the work is bounded by MaxEvents, not by Horizon/rate.
 func (s ChurnSpec) Compile(nodes int) ChurnPlan {
 	p := ChurnPlan{Seed: s.Seed}
 	if !s.Enabled() || s.Horizon <= 0 || nodes <= 0 {
 		return p
 	}
+	limit := s.MaxEvents
+	if limit <= 0 {
+		limit = 64
+	}
 	// Independent sub-streams per process, forked from the spec seed,
 	// so enabling one process never reshuffles another.
 	rng := sim.NewRNG(s.Seed)
-	sample := func(r *sim.RNG, every sim.Time, emit func(t sim.Time)) {
-		if every <= 0 {
-			return
-		}
-		t := sim.Time(0)
-		for {
-			gap := sim.Time(-math.Log(1-r.Float64()) * float64(every))
-			if gap < 1 {
-				gap = 1
-			}
-			t += gap
-			if t >= s.Horizon || t < 0 {
-				return
-			}
-			emit(t)
-		}
-	}
-	sample(rng.Fork(1), s.ArrivalEvery, func(t sim.Time) {
+	poisson(rng.Fork(1), s.ArrivalEvery, s.Horizon, limit, func(t sim.Time) {
 		p.Events = append(p.Events, ChurnEvent{Kind: Arrival, At: t, Count: 1})
 	})
 	evrng := rng.Fork(2)
-	sample(evrng, s.EvictionEvery, func(t sim.Time) {
+	poisson(evrng, s.EvictionEvery, s.Horizon, limit, func(t sim.Time) {
 		p.Events = append(p.Events, ChurnEvent{Kind: Eviction, At: t, Node: evrng.Intn(nodes), Notice: s.Notice})
 	})
 	if s.RollingEvery > 0 {
@@ -187,26 +177,21 @@ func (s ChurnSpec) Compile(nodes int) ChurnPlan {
 		if steps <= 0 {
 			steps = nodes
 		}
-		for i := 0; i < steps; i++ {
-			at := s.RollingEvery * sim.Time(i+1)
-			if at >= s.Horizon {
-				break
-			}
+		// Two events a step; at < 0 is the step instant overflowing.
+		at := s.RollingEvery
+		for i := 0; i < steps && 2*i < limit && at < s.Horizon && at > 0; i++ {
 			p.Events = append(p.Events,
 				ChurnEvent{Kind: Eviction, At: at, Node: i, Notice: s.Notice},
 				ChurnEvent{Kind: Arrival, At: at, Count: 1})
+			at += s.RollingEvery
 		}
 	}
 	// Merge the streams into one timeline. The sort is stable and the
 	// streams were appended in a fixed order, so ties break the same
 	// way everywhere.
 	sort.SliceStable(p.Events, func(a, b int) bool { return p.Events[a].At < p.Events[b].At })
-	max := s.MaxEvents
-	if max <= 0 {
-		max = 64
-	}
-	if len(p.Events) > max {
-		p.Events = p.Events[:max]
+	if len(p.Events) > limit {
+		p.Events = p.Events[:limit]
 	}
 	return p
 }

@@ -2,13 +2,10 @@ package ft
 
 import (
 	"errors"
-	"fmt"
 
 	"provirt/internal/ampi"
 	"provirt/internal/lb"
-	"provirt/internal/machine"
 	"provirt/internal/sim"
-	"provirt/internal/trace"
 )
 
 // ElasticJob describes a supervised run on a cluster whose membership
@@ -69,25 +66,16 @@ type ResizeRecord struct {
 	Rework sim.Time
 }
 
-// ElasticReport summarizes an elastic run.
+// ElasticReport summarizes an elastic run: the shared Report plus the
+// membership history and its cost.
 type ElasticReport struct {
-	// World is the attempt that ran to completion.
-	World *ampi.World
-	// Attempts counts worlds started (1 = no churn, no failures).
-	Attempts int
+	Report
 	// Resizes has one record per membership change executed; Epochs is
 	// len(Resizes).
 	Resizes []ResizeRecord
-	// Recoveries covers unplanned crashes only (see Report).
-	Recoveries []RecoveryRecord
-	// TotalTime sums virtual time across attempts — time-to-solution
-	// including drains, lost work, and restarts.
-	TotalTime sim.Time
 	// NodeSeconds integrates cluster membership over the run: the cost
 	// axis (node-hours = NodeSeconds / 3600s).
 	NodeSeconds sim.Time
-	// Checkpoints counts snapshots across attempts (drains included).
-	Checkpoints int
 }
 
 // Epochs reports how many membership transitions the run executed.
@@ -124,19 +112,18 @@ func (r *ElasticReport) ReworkForced() sim.Time {
 	return t
 }
 
-// teeTracer fans one event stream out to two tracers — the caller's
-// and the autoscaler's profile recorder.
-type teeTracer struct{ a, b trace.Tracer }
-
-func (t teeTracer) Emit(ev trace.Event) { t.a.Emit(ev); t.b.Emit(ev) }
+var errNoProgram = errors.New("ft: job needs a program factory")
 
 // RunElastic drives an elastic job to completion. With no churn, no
 // faults, and no autoscaler it adds nothing: the world is built and
 // run exactly as a bare caller would, so churn-free elastic runs stay
 // bit-identical to unsupervised ones.
+//
+// RunElastic returns the report alongside any error from a started
+// job; on error the report covers the attempts made so far.
 func RunElastic(job ElasticJob) (*ElasticReport, error) {
 	if job.Program == nil {
-		return nil, errors.New("ft: elastic job needs a program factory")
+		return nil, errNoProgram
 	}
 	if err := job.Churn.Validate(); err != nil {
 		return nil, err
@@ -149,350 +136,14 @@ func RunElastic(job ElasticJob) (*ElasticReport, error) {
 			return nil, errors.New("ft: autoscaling needs a positive control interval")
 		}
 	}
-	elastic := len(job.Churn.Events) > 0 || job.Autoscale != nil
-	if elastic {
+	if len(job.Churn.Events) > 0 || job.Autoscale != nil {
 		if p := job.Config.Checkpoint; p == nil || p.Interval <= 0 {
 			return nil, errors.New("ft: elastic membership changes need a checkpoint policy to drain through")
 		}
 	}
-	cfg := job.Config
-	maxRestarts := job.MaxRestarts
-	if maxRestarts <= 0 {
-		maxRestarts = DefaultMaxRestarts
-	}
-	rep := &ElasticReport{}
-
-	// Membership spans for node-second accounting: one (joined,
-	// retired) pair per node ever used, retired < 0 while live.
-	spans := make([][2]sim.Time, cfg.Machine.Nodes)
-	open := make([]int, cfg.Machine.Nodes) // current node id -> span index
-	for i := range spans {
-		spans[i] = [2]sim.Time{0, -1}
-		open[i] = i
-	}
-	closeSpan := func(node int, at sim.Time) {
-		spans[open[node]][1] = at
-		open = append(open[:node], open[node+1:]...)
-	}
-	openSpans := func(count int, at sim.Time) {
-		for i := 0; i < count; i++ {
-			spans = append(spans, [2]sim.Time{at, -1})
-			open = append(open, len(spans)-1)
-		}
-	}
-
-	var now sim.Time // absolute virtual time consumed by ended attempts
-	var lastCk *ampi.Checkpoint
-	var pending *RecoveryRecord
-	churnIdx := 0
-	nextAuto := job.AutoscaleEvery
-	var lastUtil float64
-	finish := func(w *ampi.World) *ElasticReport {
-		rep.World = w
-		rep.NodeSeconds = machine.NodeSecondsOf(spans, rep.TotalTime)
+	rep, err := supervise(job)
+	if err == nil {
 		metrics.nodeSeconds.Set(int64(rep.NodeSeconds))
-		return rep
 	}
-
-	for restarts := 0; ; restarts++ {
-		attemptCfg := cfg
-		var rec *trace.Recorder
-		if job.Autoscale != nil {
-			rec = trace.NewRecorder(trace.KindSetup, trace.KindExec, trace.KindSwitch, trace.KindIdle)
-			if attemptCfg.Tracer != nil {
-				attemptCfg.Tracer = teeTracer{attemptCfg.Tracer, rec}
-			} else {
-				attemptCfg.Tracer = rec
-			}
-		}
-		var w *ampi.World
-		var err error
-		if lastCk == nil {
-			w, err = ampi.NewWorld(attemptCfg, job.Program())
-		} else {
-			w, err = ampi.NewWorldFromCheckpoint(attemptCfg, job.Program(), lastCk)
-		}
-		if err != nil {
-			return rep, err
-		}
-		if err := job.Faults.Shift(now).Arm(w); err != nil {
-			return rep, err
-		}
-
-		// Arm the next planned membership change, if any: the drain
-		// request at its announce instant, and for evictions the node
-		// departure at announce+notice — whichever the job reaches
-		// first decides drain vs crash.
-		type armed struct {
-			ev     ChurnEvent
-			rel    sim.Time // announce instant, relative to this attempt
-			victim int
-			leave  sim.Time // departure instant, relative to this attempt
-		}
-		var arm *armed
-		if churnIdx < len(job.Churn.Events) {
-			ev := job.Churn.Events[churnIdx]
-			rel := ev.At - now
-			if rel < 1 {
-				rel = 1 // overdue (announced during an earlier attempt): apply asap
-			}
-			a := &armed{ev: ev, rel: rel, victim: -1}
-			if ev.Kind == Eviction {
-				a.victim = ev.Node % cfg.Machine.Nodes
-				if a.victim < 0 {
-					a.victim += cfg.Machine.Nodes
-				}
-				a.leave = rel + ev.Notice
-				if err := w.ScheduleNodeFailure(a.victim, a.leave); err != nil {
-					return rep, err
-				}
-			}
-			if err := w.ScheduleReconfigure(rel); err != nil {
-				return rep, err
-			}
-			arm = a
-		}
-		// Autoscale control point: drain at the next control instant if
-		// it precedes the armed churn (both may be armed; first wins).
-		if job.Autoscale != nil {
-			rel := nextAuto - now
-			if rel < 1 {
-				rel = 1
-			}
-			if err := w.ScheduleReconfigure(rel); err != nil {
-				return rep, err
-			}
-		}
-
-		runErr := w.Run()
-		rep.Attempts++
-		rep.Checkpoints += w.Checkpoints
-		if pending != nil {
-			pending.Downtime = w.RestoreDone
-			if pending.Downtime == 0 {
-				pending.Downtime = w.SetupDone
-			}
-			pending.RestoredBytes = w.RestoredBytes
-			metrics.restoredBytes.Add(pending.RestoredBytes)
-			pending = nil
-		}
-		if rec != nil {
-			lastUtil = lb.Utilization(trace.BuildProfile(rec.Events()))
-		}
-		if runErr == nil {
-			rep.TotalTime += w.Time()
-			return finish(w), nil
-		}
-
-		var rc *ampi.Reconfigure
-		var nf *ampi.NodeFailure
-		switch {
-		case errors.As(runErr, &rc):
-			// Graceful drain: zero rework by construction. Decide what
-			// the drain was for — the armed churn event, or an
-			// autoscale control point (whichever instant came first).
-			elapsed := rc.At
-			rep.TotalTime += elapsed
-			abs := now + elapsed
-			if ck := w.LastCheckpoint(); ck != nil {
-				lastCk = ck
-			}
-			if restarts >= maxRestarts {
-				return rep, fmt.Errorf("ft: elastic job exceeded %d restarts", maxRestarts)
-			}
-			// Both a churn event and an autoscale control point may have
-			// requested drains; Requested identifies whichever fired
-			// first (ties go to the churn event — the drains are
-			// identical and its change is due anyway).
-			isChurn := arm != nil && rc.Requested == arm.rel
-			if isChurn {
-				ev := arm.ev
-				rz := ResizeRecord{At: abs, Kind: ev.Kind, Drained: true}
-				switch ev.Kind {
-				case Arrival:
-					placement, perr := expandPlacement(w, cfg.Machine, ev.Count)
-					if perr != nil {
-						return rep, fmt.Errorf("ft: arrival: %w", perr)
-					}
-					cfg.Machine.Nodes += ev.Count
-					cfg.Placement = placement
-					rz.Delta = ev.Count
-					openSpans(ev.Count, abs)
-				case Eviction:
-					if cfg.Machine.Nodes <= 1 {
-						return rep, errors.New("ft: eviction would leave no nodes")
-					}
-					placement, perr := shrinkPlacement(w, cfg.Machine, arm.victim)
-					if perr != nil {
-						return rep, fmt.Errorf("ft: eviction: %w", perr)
-					}
-					cfg.Machine.Nodes--
-					cfg.Placement = placement
-					rz.Delta = -1
-					// The node is billed until its reclaim deadline,
-					// even though the job vacated it at the drain.
-					closeSpan(arm.victim, now+arm.leave)
-					if lastCk != nil {
-						// Its in-memory snapshot copies leave with it.
-						lastCk.LostNode = arm.victim
-					}
-				}
-				rz.Nodes = cfg.Machine.Nodes
-				rep.Resizes = append(rep.Resizes, rz)
-				churnIdx++
-				metrics.epochs.Inc()
-				metrics.drains.Inc()
-			} else {
-				// Autoscale control point: apply the controller's
-				// decision from the ended attempt's utilization.
-				delta := job.Autoscale.Decide(lastUtil, cfg.Machine.Nodes)
-				nextAuto += job.AutoscaleEvery
-				if delta < -1 {
-					// One departure per control point: the shrink
-					// placement is computed against the live world, so
-					// multi-node shrinks land over successive drains.
-					delta = -1
-				}
-				if delta != 0 {
-					rz := ResizeRecord{At: abs, Auto: true, Drained: true, Delta: delta}
-					if delta > 0 {
-						rz.Kind = Arrival
-						placement, perr := expandPlacement(w, cfg.Machine, delta)
-						if perr != nil {
-							return rep, fmt.Errorf("ft: autoscale up: %w", perr)
-						}
-						cfg.Machine.Nodes += delta
-						cfg.Placement = placement
-						openSpans(delta, abs)
-					} else if cfg.Machine.Nodes > 1 {
-						rz.Kind = Eviction
-						victim := cfg.Machine.Nodes - 1
-						placement, perr := shrinkPlacement(w, cfg.Machine, victim)
-						if perr != nil {
-							return rep, fmt.Errorf("ft: autoscale down: %w", perr)
-						}
-						cfg.Machine.Nodes--
-						cfg.Placement = placement
-						closeSpan(victim, abs)
-						if lastCk != nil {
-							lastCk.LostNode = victim
-						}
-					} else {
-						delta = 0
-					}
-					if delta != 0 {
-						rz.Nodes = cfg.Machine.Nodes
-						rz.Delta = delta
-						rep.Resizes = append(rep.Resizes, rz)
-						metrics.epochs.Inc()
-					}
-				}
-				metrics.drains.Inc()
-			}
-			now = abs
-
-		case errors.As(runErr, &nf):
-			elapsed := w.Time()
-			if nf.At > elapsed {
-				elapsed = nf.At
-			}
-			rep.TotalTime += elapsed
-			abs := now + nf.At
-			if restarts >= maxRestarts {
-				return rep, fmt.Errorf("ft: job still failing after %d restart(s): %w", restarts, runErr)
-			}
-			if ck := w.LastCheckpoint(); ck != nil {
-				lastCk = ck
-			}
-			var rework sim.Time
-			if lastCk != nil {
-				rework = nf.At - lastCk.Taken
-				if rework < 0 {
-					rework = 0
-				}
-			} else {
-				rework = nf.At
-			}
-			planned := arm != nil && arm.victim == nf.Node && arm.leave == nf.At
-			if planned {
-				// The armed eviction's notice was too short: the node
-				// left before the job reached a consistency point, so
-				// the change recovers like a crash, rework included.
-				if cfg.Machine.Nodes <= 1 {
-					return rep, errors.New("ft: eviction would leave no nodes")
-				}
-				placement, perr := shrinkPlacement(w, cfg.Machine, nf.Node)
-				if perr != nil {
-					return rep, fmt.Errorf("ft: eviction: %w", perr)
-				}
-				cfg.Machine.Nodes--
-				cfg.Placement = placement
-				closeSpan(nf.Node, abs)
-				rep.Resizes = append(rep.Resizes, ResizeRecord{
-					At: abs, Kind: Eviction, Delta: -1, Nodes: cfg.Machine.Nodes,
-					Crashed: true, Rework: rework,
-				})
-				churnIdx++
-				metrics.epochs.Inc()
-			} else {
-				// Unplanned crash: recover per the job's mode.
-				recRec := RecoveryRecord{Attempt: rep.Attempts, Node: nf.Node, CrashAt: nf.At, Rework: rework}
-				switch job.Recovery {
-				case Shrink:
-					if cfg.Machine.Nodes <= 1 {
-						return rep, fmt.Errorf("ft: cannot shrink below one node: %w", runErr)
-					}
-					placement, perr := shrinkPlacement(w, cfg.Machine, nf.Node)
-					if perr != nil {
-						return rep, fmt.Errorf("ft: shrink recovery: %w", perr)
-					}
-					cfg.Machine.Nodes--
-					cfg.Placement = placement
-					recRec.Shrunk = true
-					closeSpan(nf.Node, abs)
-				case Expand:
-					placement, perr := expandPlacement(w, cfg.Machine, 1)
-					if perr != nil {
-						return rep, fmt.Errorf("ft: expand recovery: %w", perr)
-					}
-					cfg.Machine.Nodes++
-					cfg.Placement = placement
-					recRec.Expanded = true
-					openSpans(1, abs)
-				}
-				metrics.recoveries.Inc()
-				if recRec.Shrunk {
-					metrics.shrinks.Inc()
-				}
-				rep.Recoveries = append(rep.Recoveries, recRec)
-				pending = &rep.Recoveries[len(rep.Recoveries)-1]
-			}
-			if lastCk != nil {
-				lastCk.LostNode = nf.Node
-			}
-			metrics.reworkNS.Add(uint64(rework))
-			now = abs
-
-		default:
-			if lastCk != nil && errors.Is(runErr, ampi.ErrSnapshotLost) {
-				// Back-to-back departures outran the checkpoint cadence:
-				// the in-memory snapshot's last copies left with a node
-				// before a fresh snapshot replaced them. Nothing to
-				// restore from — restart the job from the beginning on
-				// the current (already reshaped) machine. The full-job
-				// rework lands in TotalTime.
-				elapsed := w.Time()
-				rep.TotalTime += elapsed
-				if restarts >= maxRestarts {
-					return rep, fmt.Errorf("ft: elastic job exceeded %d restarts: %w", maxRestarts, runErr)
-				}
-				now += elapsed
-				lastCk = nil
-				metrics.reworkNS.Add(uint64(elapsed))
-				continue
-			}
-			rep.TotalTime += w.Time()
-			return rep, runErr
-		}
-	}
+	return rep, err
 }

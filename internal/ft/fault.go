@@ -172,16 +172,24 @@ func CrashPlan(seed uint64, nodes int, mtbf, horizon sim.Time) Plan {
 		return p
 	}
 	rng := sim.NewRNG(seed)
-	t := sim.Time(0)
-	for {
-		gap := sim.Time(-math.Log(1-rng.Float64()) * float64(mtbf))
-		if gap < 1 {
-			gap = 1 // clamp pathological draws to one tick
-		}
-		t += gap
-		if t >= horizon || t < 0 {
-			return p
-		}
+	poisson(rng, mtbf, horizon, math.MaxInt, func(t sim.Time) {
 		p.Faults = append(p.Faults, Fault{Kind: Crash, At: t, Node: rng.Intn(nodes)})
+	})
+	return p
+}
+
+// poisson calls emit at each arrival instant of a Poisson process with
+// mean gap every, in time order, strictly before horizon and at most
+// limit times. Fault plans and churn plans both sample their schedules
+// here; emit may draw from r between arrivals.
+func poisson(r *sim.RNG, every, horizon sim.Time, limit int, emit func(t sim.Time)) {
+	t := sim.Time(0)
+	for n := 0; n < limit && every > 0; n++ {
+		// Pathological draws are clamped to one tick.
+		t += max(sim.Time(-math.Log(1-r.Float64())*float64(every)), 1)
+		if t >= horizon || t < 0 {
+			return
+		}
+		emit(t)
 	}
 }

@@ -19,7 +19,7 @@ type obsMetrics struct {
 	reworkNS *obs.Counter
 	// restoredBytes accumulates snapshot volume restarts read back.
 	restoredBytes *obs.Counter
-	// epochs counts cluster membership transitions elastic supervisors
+	// epochs counts cluster membership transitions the supervisor
 	// executed (arrivals + evictions + autoscale resizes); drains
 	// counts the graceful drain checkpoints taken ahead of planned
 	// departures.

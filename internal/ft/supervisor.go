@@ -8,6 +8,7 @@ import (
 	"provirt/internal/lb"
 	"provirt/internal/machine"
 	"provirt/internal/sim"
+	"provirt/internal/trace"
 )
 
 // RecoveryMode selects what the supervisor does with a failed node.
@@ -76,7 +77,8 @@ type Job struct {
 	// Plan is the fault schedule, in absolute virtual time from the
 	// original job start. The supervisor shifts it across restarts.
 	Plan Plan
-	// Recovery selects Spare (default) or Shrink handling of crashes.
+	// Recovery selects Spare (default), Shrink or Expand handling of
+	// crashes.
 	Recovery RecoveryMode
 	// MaxRestarts bounds recovery attempts; <= 0 means
 	// DefaultMaxRestarts.
@@ -108,19 +110,23 @@ type RecoveryRecord struct {
 	Expanded bool
 }
 
-// Report summarizes a supervised run.
+// Report summarizes a supervised run: the part of the outcome a
+// crash-only job and an elastic one share.
 type Report struct {
 	// World is the attempt that ran to completion.
 	World *ampi.World
-	// Attempts counts worlds started (1 = no failures).
+	// Attempts counts worlds started (1 = no failures, no churn).
 	Attempts int
-	// Recoveries has one record per crash the supervisor recovered
-	// from.
+	// Recoveries has one record per unplanned crash the supervisor
+	// recovered from.
 	Recoveries []RecoveryRecord
 	// TotalTime sums virtual time across all attempts — the job's
-	// effective time-to-solution including lost work and restarts.
+	// effective time-to-solution including drains, lost work and
+	// restarts. It is the supervisor's one clock: faults, churn and
+	// every recorded instant are placed on it.
 	TotalTime sim.Time
-	// Checkpoints counts snapshots taken across all attempts.
+	// Checkpoints counts snapshots taken across all attempts (drains
+	// included).
 	Checkpoints int
 }
 
@@ -139,126 +145,347 @@ func (r *Report) MeanRecovery() sim.Time {
 
 // Run drives a job to completion under supervision: it arms the fault
 // plan, runs the world, and on a node failure restarts from the last
-// checkpoint — onto a spare, or shrunk onto the survivors — up to
-// MaxRestarts times. A crash before any checkpoint restarts the job
-// from scratch. With an empty plan Run adds nothing to the run: it
-// builds and runs the world exactly as an unsupervised caller would, so
-// fault-free supervised runs are bit-identical to bare ones.
+// checkpoint — onto a spare, shrunk onto the survivors, or grown by a
+// node — up to MaxRestarts times. It is the crash-only case of the one
+// supervisor loop: RunElastic's, with a fault plan and no churn. A
+// crash before any checkpoint restarts the job from scratch. With an
+// empty plan Run adds nothing to the run: it builds and runs the world
+// exactly as an unsupervised caller would, so fault-free supervised runs
+// are bit-identical to bare ones.
 //
 // Run returns the report alongside any error; on error the report
 // covers the attempts made so far.
 func Run(job Job) (*Report, error) {
 	if job.Program == nil {
-		return nil, errors.New("ft: job needs a program factory")
+		return nil, errNoProgram
 	}
-	cfg := job.Config
+	rep, err := supervise(ElasticJob{
+		Config:      job.Config,
+		Program:     job.Program,
+		Faults:      job.Plan,
+		Recovery:    job.Recovery,
+		MaxRestarts: job.MaxRestarts,
+	})
+	return &rep.Report, err
+}
+
+// supervise is the one supervisor loop. An attempt either runs to
+// completion or stops for one of three reasons the loop restarts from:
+// it drained through a checkpoint ahead of a membership change, it lost
+// a node, or the snapshot it was restoring no longer exists. Each stop
+// charges the attempt's elapsed time to the one clock (Report.TotalTime),
+// takes over the attempt's last snapshot, and reshapes the machine if the
+// reason calls for it.
+func supervise(job ElasticJob) (*ElasticReport, error) {
 	maxRestarts := job.MaxRestarts
 	if maxRestarts <= 0 {
 		maxRestarts = DefaultMaxRestarts
 	}
-	plan := job.Plan
-	rep := &Report{}
-	var lastCk *ampi.Checkpoint
-	var pending *RecoveryRecord
+	s := &supervisor{job: job, cfg: job.Config, rep: &ElasticReport{}, nextAuto: job.AutoscaleEvery}
+	for i := range s.cfg.Machine.Nodes {
+		s.spans = append(s.spans, [2]sim.Time{0, -1})
+		s.open = append(s.open, i)
+	}
 	for restarts := 0; ; restarts++ {
-		var w *ampi.World
-		var err error
-		if lastCk == nil {
-			w, err = ampi.NewWorld(cfg, job.Program())
-		} else {
-			w, err = ampi.NewWorldFromCheckpoint(cfg, job.Program(), lastCk)
+		a, err := s.start()
+		if err != nil {
+			return s.rep, err
+		}
+		runErr := a.w.Run()
+		s.settle(a)
+		elapsed := a.w.Time()
+		var rc *ampi.Reconfigure
+		var nf *ampi.NodeFailure
+		switch {
+		case runErr == nil:
+			s.rep.TotalTime += elapsed
+			s.rep.World = a.w
+			s.rep.NodeSeconds = machine.NodeSecondsOf(s.spans, s.rep.TotalTime)
+			return s.rep, nil
+		case errors.As(runErr, &rc):
+			elapsed = rc.At
+		case errors.As(runErr, &nf):
+			// The attempt consumed virtual time up to the crash even
+			// when the PE clocks lag it (a crash during startup), and
+			// PE clocks that ran ahead of the crash were consumed too.
+			elapsed = max(elapsed, nf.At)
+		case s.lastCk != nil && errors.Is(runErr, ampi.ErrSnapshotLost):
+		default:
+			// An application or runtime bug: nothing a restart would fix.
+			s.rep.TotalTime += elapsed
+			return s.rep, runErr
+		}
+		s.rep.TotalTime += elapsed
+		if restarts >= maxRestarts {
+			return s.rep, fmt.Errorf("ft: job still failing after %d restart(s): %w", restarts, runErr)
+		}
+		if ck := a.w.LastCheckpoint(); ck != nil {
+			s.lastCk = ck
+		}
+		switch {
+		case rc != nil:
+			err = s.drained(a, rc)
+		case nf != nil:
+			err = s.nodeLost(a, nf)
+		default:
+			s.snapshotLost(elapsed)
 		}
 		if err != nil {
-			return rep, err
+			return s.rep, err
 		}
-		if err := plan.Arm(w); err != nil {
-			return rep, err
-		}
-		runErr := w.Run()
-		rep.Attempts++
-		rep.Checkpoints += w.Checkpoints
-		if pending != nil {
-			pending.Downtime = w.RestoreDone
-			if pending.Downtime == 0 {
-				pending.Downtime = w.SetupDone
-			}
-			pending.RestoredBytes = w.RestoredBytes
-			metrics.restoredBytes.Add(pending.RestoredBytes)
-			pending = nil
-		}
-		if runErr == nil {
-			rep.TotalTime += w.Time()
-			rep.World = w
-			return rep, nil
-		}
-		var nf *ampi.NodeFailure
-		if !errors.As(runErr, &nf) {
-			// Not a node failure: application or runtime bug, nothing a
-			// restart would fix.
-			rep.TotalTime += w.Time()
-			return rep, runErr
-		}
-		// The crashed attempt consumed virtual time up to the crash,
-		// even when the PE clocks lag it (a crash during startup): that
-		// is the time its faults must be shifted by and the time the
-		// attempt charges to the job.
-		elapsed := w.Time()
-		if nf.At > elapsed {
-			elapsed = nf.At
-		}
-		rep.TotalTime += elapsed
-		if restarts >= maxRestarts {
-			return rep, fmt.Errorf("ft: job still failing after %d restart(s): %w", restarts, runErr)
-		}
-		if ck := w.LastCheckpoint(); ck != nil {
-			lastCk = ck
-		}
-		rec := RecoveryRecord{Attempt: rep.Attempts, Node: nf.Node, CrashAt: nf.At}
-		if lastCk != nil {
-			rec.Rework = nf.At - lastCk.Taken
-			if rec.Rework < 0 {
-				rec.Rework = 0
-			}
-		} else {
-			// No snapshot yet: the whole attempt is rework.
-			rec.Rework = nf.At
-		}
-		plan = plan.Shift(elapsed)
-		switch job.Recovery {
-		case Shrink:
-			if cfg.Machine.Nodes <= 1 {
-				return rep, fmt.Errorf("ft: cannot shrink below one node: %w", runErr)
-			}
-			placement, perr := shrinkPlacement(w, cfg.Machine, nf.Node)
-			if perr != nil {
-				return rep, fmt.Errorf("ft: shrink recovery: %w", perr)
-			}
-			cfg.Machine.Nodes--
-			cfg.Placement = placement
-			rec.Shrunk = true
-		case Expand:
-			placement, perr := expandPlacement(w, cfg.Machine, 1)
-			if perr != nil {
-				return rep, fmt.Errorf("ft: expand recovery: %w", perr)
-			}
-			cfg.Machine.Nodes++
-			cfg.Placement = placement
-			rec.Expanded = true
-		}
-		if lastCk != nil {
-			// Tell the restore which node's in-memory snapshot copies
-			// died with the crash (buddy checkpoints read the surviving
-			// copy; filesystem snapshots ignore this).
-			lastCk.LostNode = nf.Node
-		}
-		metrics.recoveries.Inc()
-		if rec.Shrunk {
-			metrics.shrinks.Inc()
-		}
-		metrics.reworkNS.Add(uint64(rec.Rework))
-		rep.Recoveries = append(rep.Recoveries, rec)
-		pending = &rep.Recoveries[len(rep.Recoveries)-1]
 	}
+}
+
+// supervisor is the state the loop carries from one attempt to the next.
+type supervisor struct {
+	job ElasticJob
+	// cfg starts the next attempt: the job's configuration with the
+	// machine shape and placement the reshapes so far produced.
+	cfg ampi.Config
+	rep *ElasticReport
+	// spans has one (joined, retired) pair per node ever used, retired
+	// < 0 while live, for node-second accounting; open maps a current
+	// node id to its span.
+	spans    [][2]sim.Time
+	open     []int
+	lastCk   *ampi.Checkpoint // what the next attempt restores (nil: cold start)
+	pending  *RecoveryRecord  // the recovery whose restart cost the next attempt measures
+	churnIdx int              // next planned membership event
+	nextAuto sim.Time         // next autoscale control instant
+	lastUtil float64          // PE utilization of the attempt that just ended
+}
+
+// attempt is one world and what the supervisor armed on it.
+type attempt struct {
+	w     *ampi.World
+	start sim.Time        // the clock when the attempt began; its own instants are relative to this
+	util  *trace.Recorder // the attempt's PE activity, for the autoscaler
+	// churn is the planned membership change armed on this attempt (nil
+	// when the plan is exhausted): its drain request fires at rel, and
+	// an eviction's victim leaves at leave — whichever the job reaches
+	// first decides drain vs crash.
+	churn      *ChurnEvent
+	rel, leave sim.Time
+	victim     int
+}
+
+// teeTracer fans one event stream out to two tracers — the caller's
+// and the autoscaler's profile recorder.
+type teeTracer struct{ a, b trace.Tracer }
+
+func (t teeTracer) Emit(ev trace.Event) { t.a.Emit(ev); t.b.Emit(ev) }
+
+// start builds the next attempt's world — cold, or from the snapshot in
+// hand — and arms it: the fault plan as seen from the current clock, the
+// next planned membership change, and the next autoscale control point
+// (both may request a drain; the first to fire wins).
+func (s *supervisor) start() (*attempt, error) {
+	a := &attempt{start: s.rep.TotalTime}
+	cfg := s.cfg
+	if s.job.Autoscale != nil {
+		a.util = trace.NewRecorder(trace.KindSetup, trace.KindExec, trace.KindSwitch, trace.KindIdle)
+		if cfg.Tracer != nil {
+			cfg.Tracer = teeTracer{cfg.Tracer, a.util}
+		} else {
+			cfg.Tracer = a.util
+		}
+	}
+	var err error
+	if s.lastCk == nil {
+		a.w, err = ampi.NewWorld(cfg, s.job.Program())
+	} else {
+		a.w, err = ampi.NewWorldFromCheckpoint(cfg, s.job.Program(), s.lastCk)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if err := s.job.Faults.Shift(a.start).Arm(a.w); err != nil {
+		return nil, err
+	}
+	if s.churnIdx < len(s.job.Churn.Events) {
+		a.churn = &s.job.Churn.Events[s.churnIdx]
+		// An overdue event (announced during an earlier attempt) applies
+		// as soon as possible.
+		a.rel = max(a.churn.At-a.start, 1)
+		if a.churn.Kind == Eviction {
+			nodes := s.cfg.Machine.Nodes
+			a.victim = (a.churn.Node%nodes + nodes) % nodes
+			a.leave = a.rel + a.churn.Notice
+			if err := a.w.ScheduleNodeFailure(a.victim, a.leave); err != nil {
+				return nil, err
+			}
+		}
+		if err := a.w.ScheduleReconfigure(a.rel); err != nil {
+			return nil, err
+		}
+	}
+	if s.job.Autoscale != nil {
+		if err := a.w.ScheduleReconfigure(max(s.nextAuto-a.start, 1)); err != nil {
+			return nil, err
+		}
+	}
+	return a, nil
+}
+
+// settle books an ended attempt, however it ended: its counts, the
+// restart cost of the recovery that led to it, and its utilization.
+func (s *supervisor) settle(a *attempt) {
+	s.rep.Attempts++
+	s.rep.Checkpoints += a.w.Checkpoints
+	if s.pending != nil {
+		s.pending.Downtime = a.w.RestoreDone
+		if s.pending.Downtime == 0 {
+			s.pending.Downtime = a.w.SetupDone
+		}
+		s.pending.RestoredBytes = a.w.RestoredBytes
+		metrics.restoredBytes.Add(s.pending.RestoredBytes)
+		s.pending = nil
+	}
+	if a.util != nil {
+		s.lastUtil = lb.Utilization(trace.BuildProfile(a.util.Events()))
+	}
+}
+
+// drained handles a graceful drain: zero rework by construction. The
+// drain was for the armed churn event or for an autoscale control point,
+// and Requested identifies whichever fired first (ties go to the churn
+// event — the drains are identical and its change is due anyway).
+func (s *supervisor) drained(a *attempt, rc *ampi.Reconfigure) error {
+	metrics.drains.Inc()
+	rz := ResizeRecord{At: s.rep.TotalTime, Drained: true}
+	victim, billedUntil := s.cfg.Machine.Nodes-1, rz.At
+	if a.churn != nil && rc.Requested == a.rel {
+		s.churnIdx++
+		rz.Kind, rz.Delta = a.churn.Kind, a.churn.Count
+		if rz.Kind == Eviction {
+			// The node is billed until its reclaim deadline, even
+			// though the job vacated it at the drain.
+			rz.Delta, victim, billedUntil = -1, a.victim, a.start+a.leave
+		}
+	} else {
+		// One departure per control point: the shrink placement is
+		// computed against the live world, so multi-node shrinks land
+		// over successive drains.
+		rz.Auto = true
+		rz.Delta = max(s.job.Autoscale.Decide(s.lastUtil, s.cfg.Machine.Nodes), -1)
+		s.nextAuto += s.job.AutoscaleEvery
+		if rz.Delta < 0 {
+			rz.Kind = Eviction
+		}
+	}
+	return s.resize(a.w, rz, victim, billedUntil)
+}
+
+// nodeLost handles a node failure. If it is the armed eviction's
+// deadline, the notice was too short: the node left before the job
+// reached a consistency point, so the planned change recovers like a
+// crash, rework included. Otherwise it is an unplanned crash, recovered
+// per the job's mode.
+func (s *supervisor) nodeLost(a *attempt, nf *ampi.NodeFailure) error {
+	at := s.rep.TotalTime
+	// No snapshot yet: the whole attempt is rework.
+	rework := nf.At
+	if s.lastCk != nil {
+		rework = max(nf.At-s.lastCk.Taken, 0)
+		// The node's in-memory snapshot copies died with it (buddy
+		// restores read the surviving copy; filesystem ones ignore this).
+		s.lastCk.LostNode = nf.Node
+	}
+	metrics.reworkNS.Add(uint64(rework))
+	if a.churn != nil && a.churn.Kind == Eviction && a.victim == nf.Node && a.leave == nf.At {
+		s.churnIdx++
+		return s.resize(a.w, ResizeRecord{At: at, Kind: Eviction, Delta: -1, Crashed: true, Rework: rework}, nf.Node, at)
+	}
+	rec := RecoveryRecord{Attempt: s.rep.Attempts, Node: nf.Node, CrashAt: nf.At, Rework: rework}
+	var err error
+	switch s.job.Recovery {
+	case Shrink:
+		rec.Shrunk = true
+		err = s.shrink(a.w, nf.Node, at)
+	case Expand:
+		rec.Expanded = true
+		err = s.grow(a.w, 1, at)
+	}
+	if err != nil {
+		return fmt.Errorf("ft: %v recovery: %w", s.job.Recovery, err)
+	}
+	metrics.recoveries.Inc()
+	if rec.Shrunk {
+		metrics.shrinks.Inc()
+	}
+	s.rep.Recoveries = append(s.rep.Recoveries, rec)
+	s.pending = &s.rep.Recoveries[len(s.rep.Recoveries)-1]
+	return nil
+}
+
+// snapshotLost handles a restart whose snapshot is gone: back-to-back
+// departures outran the checkpoint cadence, so the in-memory snapshot's
+// last copies left with a node before a fresh snapshot replaced them.
+// Nothing to restore from — the job restarts from the beginning on the
+// current (already reshaped) machine, and the failed attempt is rework.
+func (s *supervisor) snapshotLost(elapsed sim.Time) {
+	s.lastCk = nil
+	metrics.reworkNS.Add(uint64(elapsed))
+}
+
+// resize executes one membership change — grow by rz.Delta nodes, or
+// drop victim, billed until billedUntil — and records it. A zero Delta
+// (the autoscaler held) changes and records nothing.
+func (s *supervisor) resize(w *ampi.World, rz ResizeRecord, victim int, billedUntil sim.Time) error {
+	var err error
+	switch {
+	case rz.Delta > 0:
+		err = s.grow(w, rz.Delta, rz.At)
+	case rz.Delta < 0:
+		err = s.shrink(w, victim, billedUntil)
+	default:
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("ft: %v: %w", rz.Kind, err)
+	}
+	rz.Nodes = s.cfg.Machine.Nodes
+	s.rep.Resizes = append(s.rep.Resizes, rz)
+	metrics.epochs.Inc()
+	return nil
+}
+
+// grow is the one way the machine gains nodes: count nodes join at
+// instant at and the next attempt's placement donates work onto them.
+func (s *supervisor) grow(w *ampi.World, count int, at sim.Time) error {
+	placement, err := expandPlacement(w, s.cfg.Machine, count)
+	if err != nil {
+		return err
+	}
+	s.cfg.Machine.Nodes += count
+	s.cfg.Placement = placement
+	for i := 0; i < count; i++ {
+		s.open = append(s.open, len(s.spans))
+		s.spans = append(s.spans, [2]sim.Time{at, -1})
+	}
+	return nil
+}
+
+// shrink is the one way the machine loses a node: victim leaves, billed
+// until billedUntil, the next attempt's placement remaps its ranks onto
+// the survivors, and the snapshot in hand is told whose in-memory copies
+// went with it.
+func (s *supervisor) shrink(w *ampi.World, victim int, billedUntil sim.Time) error {
+	if s.cfg.Machine.Nodes <= 1 {
+		return errors.New("cannot shrink below one node")
+	}
+	placement, err := shrinkPlacement(w, s.cfg.Machine, victim)
+	if err != nil {
+		return err
+	}
+	s.cfg.Machine.Nodes--
+	s.cfg.Placement = placement
+	s.spans[s.open[victim]][1] = billedUntil
+	s.open = append(s.open[:victim], s.open[victim+1:]...)
+	if s.lastCk != nil {
+		s.lastCk.LostNode = victim
+	}
+	return nil
 }
 
 // shrinkPlacement computes where every rank goes when the failed node

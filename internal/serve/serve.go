@@ -23,7 +23,9 @@
 //	                       point (in index order, written as soon as
 //	                       the point and all before it are done), and a
 //	                       trailer. Invalid Specs get a structured 400
-//	                       carrying scenario.ValidationError fields.
+//	                       carrying scenario.ValidationError fields, as
+//	                       do points with an enabled churn (Spec.Run
+//	                       would ignore it).
 //	GET  /v1/runs/{hash}   replays a completed run from the store.
 //	GET  /v1/experiments   lists the harness experiment registry and
 //	                       the workload registry with example Specs.
@@ -233,6 +235,16 @@ func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, errorDoc{
 				Error: "invalid spec", Point: &i,
 				Fields: []fieldError{{Field: "Workload", Msg: "server runs need a registered workload"}},
+			})
+			return
+		}
+		if c := points[i].Churn; c != nil && c.Enabled() {
+			// executePoint calls Spec.Run, which never reads Churn, and a
+			// Row cannot carry a supervised result: answering would cache
+			// a churn-free row under the churn Spec's hash.
+			writeError(w, http.StatusBadRequest, errorDoc{
+				Error: "invalid spec", Point: &i,
+				Fields: []fieldError{{Field: "Churn", Msg: "the server cannot run elastic (churn) points; use privbench -experiment elastic or Spec.RunElastic"}},
 			})
 			return
 		}

@@ -11,8 +11,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"provirt/internal/ampi"
 	"provirt/internal/core"
+	"provirt/internal/ft"
 	"provirt/internal/obs"
 	"provirt/internal/resultstore"
 	"provirt/internal/scenario"
@@ -424,5 +427,48 @@ func TestMissingWorkloadIs400(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+}
+
+// Spec.Churn is wire-decoded and hashed, but the server runs points with
+// Spec.Run, which never reads it: a churn point used to be computed and
+// cached as if churn were absent. Until a Row can carry a supervised
+// result the point is refused whole — nothing executed, nothing stored —
+// and the server keeps answering.
+func TestChurnPointIs400NotAChurnFreeRow(t *testing.T) {
+	s, ts := newTestServer(t, 1)
+	churned := scenario.DefaultSpec("jacobi")
+	churned.WorkloadParams.Quick = true
+	churned.Machine.Nodes = 3
+	churned.Method = core.KindPIEglobals
+	churned.Checkpoint = &ampi.CheckpointPolicy{Target: ampi.TargetFS, Dir: "/scratch/churn", Interval: 5 * time.Millisecond}
+	churned.Churn = &ft.ChurnSpec{Seed: 7, EvictionEvery: 20 * time.Millisecond, Notice: time.Second,
+		Horizon: 400 * time.Millisecond, MaxEvents: 2}
+	if err := churned.Validate(); err != nil {
+		t.Fatalf("the churn point must be refused by the server, not by Validate: %v", err)
+	}
+	resp, data := postRuns(t, ts.URL, map[string]any{"points": []scenario.Spec{tinySpec(4), churned}})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", resp.StatusCode, data)
+	}
+	var doc errorDoc
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("400 body not JSON: %v in %s", err, data)
+	}
+	if doc.Point == nil || *doc.Point != 1 || len(doc.Fields) != 1 || doc.Fields[0].Field != "Churn" {
+		t.Fatalf("400 should name point 1 and field Churn: %s", data)
+	}
+	if PointsExecuted() != 0 || s.store.Len() != 0 {
+		t.Fatalf("refused sweep executed %d point(s) and stored %d entries", PointsExecuted(), s.store.Len())
+	}
+	// A spec whose churn is present but disabled is an ordinary point.
+	idle := tinySpec(4)
+	idle.Churn = &ft.ChurnSpec{}
+	resp, data = postRuns(t, ts.URL, map[string]any{"spec": idle})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after the refused one: %d %s", resp.StatusCode, data)
+	}
+	if _, pts, _ := parseStream(t, data); len(pts) != 1 || len(pts[0].Row) == 0 || PointsExecuted() != 1 {
+		t.Fatalf("request after the refused one: %d executed, points %+v", PointsExecuted(), pts)
 	}
 }
