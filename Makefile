@@ -1,15 +1,6 @@
 GO ?= go
 
-# Which committed benchmark record bench-json refreshes, and what
-# bench-compare diffs a fresh run against.
-BENCH_JSON ?= BENCH_10.json
-
-# Regression factor for bench-compare: flag growth past 1.5x. Ordinary
-# run-to-run noise on a quiet machine stays well under that; tighten
-# with BENCH_THRESHOLD=1.2 when chasing a specific benchmark.
-BENCH_THRESHOLD ?= 1.5
-
-.PHONY: all build test bench bench-smoke bench-json bench-compare cover race race-full fuzz-smoke vet examples serve-smoke ci
+.PHONY: all build test bench bench-smoke cover race race-full fuzz-smoke vet examples serve-smoke ci
 
 # Every example binary, smoke-run at reduced problem size.
 EXAMPLES := quickstart jacobi3d adcirc amr migration cloudrestart
@@ -22,33 +13,16 @@ build:
 test:
 	$(GO) test ./...
 
-# Benchmarks for every table/figure plus the engine and MPI hot paths.
+# The micro-benchmarks that sit beside each layer's code, for measuring
+# while you work. The repository's benchmark — paired runs, bounds, the
+# per-layer probes — is bench/ (see bench/README.md and BENCHMARK.json).
 bench:
 	$(GO) test -run xxx -bench . -benchmem ./...
 
-# One iteration of every benchmark, as CI's bench-smoke job runs it: a
-# compile-and-execute check that keeps the bench suite (including the
-# million-VP scale run) from rotting between full bench-json refreshes.
+# One iteration of each, as CI's bench-smoke job runs it: a
+# compile-and-execute check that keeps them from rotting.
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime=1x -benchmem ./...
-
-# Machine-readable benchmark record: name -> ns/op, B/op, allocs/op.
-# Committed so benchmark movement shows up in diffs. -strict refuses a
-# record with unparseable benchmark lines instead of committing a
-# silently truncated one.
-bench-json:
-	$(GO) test -run xxx -bench . -benchmem ./... | $(GO) run ./cmd/benchjson -strict > $(BENCH_JSON)
-
-# Re-measure the full benchmark suite and diff against the committed
-# record; exits nonzero when any benchmark's ns/op or allocs/op grew
-# past BENCH_THRESHOLD. Timing must match how the committed record was
-# produced (full -benchtime), so this takes as long as bench-json —
-# comparing a -benchtime=1x run against a fully-timed record only
-# measures warm-up. CI's advisory bench-compare job instead benchmarks
-# the PR base and head at the same -benchtime=1x and diffs those.
-bench-compare:
-	$(GO) test -run xxx -bench . -benchmem ./... | $(GO) run ./cmd/benchjson > BENCH_new.json
-	$(GO) run ./cmd/benchjson -compare -threshold $(BENCH_THRESHOLD) $(BENCH_JSON) BENCH_new.json
 
 # Per-package and total statement coverage; cover.out feeds
 # `go tool cover -html=cover.out` and the CI coverage artifact.
@@ -74,12 +48,13 @@ race-full:
 	$(GO) test -race ./...
 
 # Ten seconds each of the copy-on-write segment view against its
-# flat-heap oracle and of ChurnSpec.Compile against its
-# sort-then-truncate oracle: long enough to leave the seed corpus, short
-# enough for CI.
+# flat-heap oracle, of ChurnSpec.Compile against its sort-then-truncate
+# oracle, and of the Spec wire codec (decode, validate, hash, round
+# trip): long enough to leave the seed corpus, short enough for CI.
 fuzz-smoke:
 	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzSegmentView -fuzztime 10s
 	$(GO) test ./internal/ft -run '^$$' -fuzz FuzzChurnCompile -fuzztime 10s
+	$(GO) test ./internal/scenario -run '^$$' -fuzz FuzzSpecDecode -fuzztime 10s
 
 vet:
 	$(GO) vet ./...

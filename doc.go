@@ -7,10 +7,11 @@
 // process model on a deterministic discrete-event cluster simulator.
 //
 // See README.md for a guided tour, DESIGN.md for the system inventory,
-// and EXPERIMENTS.md for paper-vs-measured results. The benchmark
-// harness in bench_test.go regenerates every table and figure of the
-// paper's evaluation; cmd/privbench prints them (-experiment=list
-// enumerates the registry). Experiments are declared in
-// internal/scenario Specs and run through explicit harness options —
-// no package-level knobs.
+// and EXPERIMENTS.md for paper-vs-measured results. internal/harness
+// regenerates every table and figure of the paper's evaluation and
+// pins their bytes in testdata/experiments.golden; cmd/privbench prints
+// them (-experiment=list enumerates the registry); bench/ is the
+// host-cost benchmark. Experiments are declared in internal/scenario
+// Specs and run through explicit harness options — no package-level
+// knobs.
 package provirt

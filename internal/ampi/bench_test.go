@@ -1,6 +1,7 @@
 package ampi_test
 
 import (
+	"fmt"
 	"testing"
 
 	"provirt/internal/ampi"
@@ -84,5 +85,66 @@ func BenchmarkAmpiManyPending(b *testing.B) {
 	b.ResetTimer()
 	if err := w.Run(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkVarAccess measures one store and one load of a privatized
+// global through the method's access path, per privatization method.
+func BenchmarkVarAccess(b *testing.B) {
+	for _, kind := range []core.Kind{core.KindNone, core.KindTLSglobals, core.KindPIEglobals} {
+		b.Run(kind.String(), func(b *testing.B) {
+			var total uint64
+			prog := &ampi.Program{
+				Image: synth.HelloImage(),
+				Main: func(r *ampi.Rank) {
+					h := r.Ctx().Var("my_rank")
+					for i := 0; i < b.N; i++ {
+						h.Store(uint64(i))
+						total += h.Load()
+					}
+				},
+			}
+			w, err := ampi.NewWorld(ampi.Config{
+				Machine:   machine.Config{Nodes: 1, ProcsPerNode: 1, PEsPerProc: 1},
+				VPs:       1,
+				Privatize: kind,
+			}, prog)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			if err := w.Run(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkAllreduce measures one one-element allreduce across the
+// world per iteration, at two world sizes on four PEs.
+func BenchmarkAllreduce(b *testing.B) {
+	for _, vps := range []int{8, 64} {
+		b.Run(fmt.Sprintf("vps-%d", vps), func(b *testing.B) {
+			prog := &ampi.Program{
+				Image: synth.EmptyImage(),
+				Main: func(r *ampi.Rank) {
+					for i := 0; i < b.N; i++ {
+						r.Allreduce([]float64{1}, ampi.OpSum)
+					}
+				},
+			}
+			w, err := ampi.NewWorld(ampi.Config{
+				Machine:   machine.Config{Nodes: 1, ProcsPerNode: 1, PEsPerProc: 4},
+				VPs:       vps,
+				Privatize: core.KindPIEglobals,
+			}, prog)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			if err := w.Run(); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }

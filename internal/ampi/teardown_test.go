@@ -112,7 +112,9 @@ func TestRunLeavesNoRankThread(t *testing.T) {
 			if unwound != len(w.Ranks) {
 				t.Errorf("%d of %d rank bodies unwound", unwound, len(w.Ranks))
 			}
-			if after := runtime.NumGoroutine(); after != before {
+			// Fewer is not a leak: the previous subtest's own goroutine
+			// may still have been exiting when before was sampled.
+			if after := runtime.NumGoroutine(); after > before {
 				t.Errorf("%d goroutines before the world, %d after Run", before, after)
 			}
 		})

@@ -77,13 +77,6 @@ type Config struct {
 	// comparison, and no hook perturbs virtual time, so traced and
 	// untraced runs produce identical results.
 	Tracer trace.Tracer
-	// SimWorkers is accepted for parity with FlatConfig: the goroutine
-	// world hands control between ranks and the engine through shared
-	// per-PE schedulers, match queues, and one shared filesystem, so
-	// the whole world forms a single lookahead domain and runs serial
-	// at any setting. Results are identical at every value; the flat
-	// path (FlatWorld) is where SimWorkers > 1 buys parallelism.
-	SimWorkers int
 
 	// restart, when set via NewWorldFromCheckpoint, restores every
 	// rank's state from the snapshot before its thread first runs.

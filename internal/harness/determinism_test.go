@@ -104,24 +104,3 @@ func TestScaleSimWorkersIsDeterministic(t *testing.T) {
 		}
 	}
 }
-
-// The goroutine-world experiments form a single lookahead domain and
-// must run serial — and produce identical output — at any SimWorkers
-// setting.
-func TestFig5SimWorkersIsANoOp(t *testing.T) {
-	run := func(workers int) (string, string) {
-		rows, tbl, err := harness.Fig5Startup(harness.Opts{Parallelism: 1, SimWorkers: workers}, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fmt.Sprintf("%#v", rows), tbl.String()
-	}
-	serialRows, serialTbl := run(0)
-	rows, tbl := run(8)
-	if rows != serialRows {
-		t.Errorf("fig5 rows change with sim-workers:\nserial:   %s\nworkers 8: %s", serialRows, rows)
-	}
-	if tbl != serialTbl {
-		t.Errorf("fig5 table changes with sim-workers:\nserial:\n%s\nworkers 8:\n%s", serialTbl, tbl)
-	}
-}

@@ -108,13 +108,12 @@ func CustomChurnRegime(seed uint64, rate, notice sim.Time) ElasticRegime {
 	}}
 }
 
-func elConfig(kind core.Kind, simWorkers int, tracer trace.Tracer) ampi.Config {
+func elConfig(kind core.Kind, tracer trace.Tracer) ampi.Config {
 	sp := scenario.Spec{
-		Machine:    machineShape(elNodes, 1, 2),
-		VPs:        elVPs,
-		Method:     kind,
-		SimWorkers: simWorkers,
-		Tracer:     tracer,
+		Machine: machineShape(elNodes, 1, 2),
+		VPs:     elVPs,
+		Method:  kind,
+		Tracer:  tracer,
 	}
 	cfg, err := sp.Config()
 	if err != nil {
@@ -130,7 +129,7 @@ func elasticPoint(o Opts, kind core.Kind, target ampi.CheckpointTarget, regime E
 	row := ElasticRow{Method: kind, Target: target, Regime: regime.Name}
 
 	finals := make([]uint64, elVPs)
-	w, err := ftRun(elConfig(kind, o.SimWorkers, nil), synth.Checkpointed(elIters, elCompute, finals))
+	w, err := ftRun(elConfig(kind, nil), synth.Checkpointed(elIters, elCompute, finals))
 	if err != nil {
 		return row, err
 	}
@@ -142,7 +141,7 @@ func elasticPoint(o Opts, kind core.Kind, target ampi.CheckpointTarget, regime E
 	// weathers the identical churn schedule — an equal-footing
 	// comparison, and trivially identical at any sweep parallelism.
 	plan := regime.Churn.Compile(elNodes)
-	cfg := elConfig(kind, o.SimWorkers, o.tracerFor(func(ts *TraceSel) bool {
+	cfg := elConfig(kind, o.tracerFor(func(ts *TraceSel) bool {
 		return ts.Method == kind && ts.Target == target && ts.Churn == regime.Name
 	}))
 	cfg.Checkpoint = &ampi.CheckpointPolicy{Target: target, Dir: elDir, Interval: sim.Time(elInterval)}

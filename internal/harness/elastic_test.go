@@ -13,16 +13,15 @@ import (
 
 // The elastic sweep compiles every churn plan from seeds before any
 // world runs, so rows, tables, and a selected trace must be
-// byte-identical at any sweep parallelism and any sim-worker count.
+// byte-identical at any sweep parallelism.
 func TestElasticSweepIsDeterministic(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the full elastic sweep three times")
+		t.Skip("runs the full elastic sweep twice")
 	}
-	run := func(par, simWorkers int) (string, string, []byte) {
+	run := func(par int) (string, string, []byte) {
 		rec := trace.NewRecorder(trace.AllKinds()...)
 		o := harness.Opts{
 			Parallelism: par,
-			SimWorkers:  simWorkers,
 			Trace: &harness.TraceSel{
 				Method: core.KindPIEglobals, Target: ampi.TargetFS,
 				Churn: "spot-busy", Rec: rec,
@@ -34,21 +33,19 @@ func TestElasticSweepIsDeterministic(t *testing.T) {
 		}
 		return fmt.Sprintf("%#v", rows), tbl.String(), jsonl(t, rec)
 	}
-	serialRows, serialTbl, serialTrace := run(1, 0)
+	serialRows, serialTbl, serialTrace := run(1)
 	if len(serialTrace) == 0 {
 		t.Fatal("trace selection matched no elastic run")
 	}
-	for _, p := range [][2]int{{4, 0}, {1, 8}} {
-		rows, tbl, tr := run(p[0], p[1])
-		if rows != serialRows {
-			t.Errorf("parallel=%d sim-workers=%d: elastic rows diverge from serial", p[0], p[1])
-		}
-		if tbl != serialTbl {
-			t.Errorf("parallel=%d sim-workers=%d: elastic table diverges:\nserial:\n%s\ngot:\n%s", p[0], p[1], serialTbl, tbl)
-		}
-		if !bytes.Equal(tr, serialTrace) {
-			t.Errorf("parallel=%d sim-workers=%d: elastic trace bytes diverge (%d vs %d bytes)", p[0], p[1], len(tr), len(serialTrace))
-		}
+	rows, tbl, tr := run(4)
+	if rows != serialRows {
+		t.Error("parallel=4: elastic rows diverge from serial")
+	}
+	if tbl != serialTbl {
+		t.Errorf("parallel=4: elastic table diverges:\nserial:\n%s\ngot:\n%s", serialTbl, tbl)
+	}
+	if !bytes.Equal(tr, serialTrace) {
+		t.Errorf("parallel=4: elastic trace bytes diverge (%d vs %d bytes)", len(tr), len(serialTrace))
 	}
 }
 

@@ -33,11 +33,10 @@ func Fig5Startup(o Opts, nodes int) ([]Fig5Row, *trace.Table, error) {
 	err := o.runner().Run(len(methods), func(i int) error {
 		kind := methods[i]
 		sp := scenario.Spec{
-			Machine:    machineShape(nodes, 1, 1),
-			VPs:        nodes * 8, // 8x virtualization per process
-			Method:     kind,
-			Program:    synth.Empty(),
-			SimWorkers: o.SimWorkers,
+			Machine: machineShape(nodes, 1, 1),
+			VPs:     nodes * 8, // 8x virtualization per process
+			Method:  kind,
+			Program: synth.Empty(),
 			Tracer: o.tracerFor(func(ts *TraceSel) bool {
 				return ts.Method == kind && ts.Nodes == nodes
 			}),

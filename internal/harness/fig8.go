@@ -44,12 +44,11 @@ func Fig8Migration(o Opts) ([]Fig8Row, *trace.Table, error) {
 			},
 		}
 		sp := scenario.Spec{
-			Machine:    machineShape(2, 1, 1),
-			VPs:        1,
-			Method:     kind,
-			Program:    prog,
-			Balancer:   lb.RotateLB{},
-			SimWorkers: o.SimWorkers,
+			Machine:  machineShape(2, 1, 1),
+			VPs:      1,
+			Method:   kind,
+			Program:  prog,
+			Balancer: lb.RotateLB{},
 			Tracer: o.tracerFor(func(ts *TraceSel) bool {
 				return ts.Method == kind && ts.Heap == heap
 			}),

@@ -67,15 +67,14 @@ func FTSweepMethods() []core.Kind {
 	return []core.Kind{core.KindTLSglobals, core.KindPIEglobals}
 }
 
-func ftConfig(kind core.Kind, simWorkers int, tracer trace.Tracer) ampi.Config {
+func ftConfig(kind core.Kind, tracer trace.Tracer) ampi.Config {
 	// No Program here: ft.Run constructs the program fresh for every
 	// attempt, so this Spec is lowered to a Config only.
 	sp := scenario.Spec{
-		Machine:    machineShape(ftNodes, 1, 2),
-		VPs:        ftVPs,
-		Method:     kind,
-		SimWorkers: simWorkers,
-		Tracer:     tracer,
+		Machine: machineShape(ftNodes, 1, 2),
+		VPs:     ftVPs,
+		Method:  kind,
+		Tracer:  tracer,
 	}
 	cfg, err := sp.Config()
 	if err != nil {
@@ -110,7 +109,7 @@ func ftPoint(o Opts, kind core.Kind, target ampi.CheckpointTarget, mtbf sim.Time
 
 	// Fault-free baseline, no checkpointing.
 	finals := make([]uint64, ftVPs)
-	w, err := ftRun(ftConfig(kind, o.SimWorkers, nil), synth.Checkpointed(ftIters, ftCompute, finals))
+	w, err := ftRun(ftConfig(kind, nil), synth.Checkpointed(ftIters, ftCompute, finals))
 	if err != nil {
 		return row, err
 	}
@@ -119,7 +118,7 @@ func ftPoint(o Opts, kind core.Kind, target ampi.CheckpointTarget, mtbf sim.Time
 	// Per-checkpoint cost: the same job snapshotting at every iteration
 	// boundary; the slowdown per snapshot is Daly's C for this method
 	// and target.
-	ckCfg := ftConfig(kind, o.SimWorkers, nil)
+	ckCfg := ftConfig(kind, nil)
 	ckCfg.Checkpoint = &ampi.CheckpointPolicy{Target: target, Dir: ftDir, Interval: 1}
 	wck, err := ftRun(ckCfg, synth.Checkpointed(ftIters, ftCompute, finals))
 	if err != nil {
@@ -135,7 +134,7 @@ func ftPoint(o Opts, kind core.Kind, target ampi.CheckpointTarget, mtbf sim.Time
 	// crash plan whose horizon generously covers the job. MaxRestarts
 	// exceeds the plan's crash count, so the supervisor never gives up
 	// before the plan runs dry.
-	cfg := ftConfig(kind, o.SimWorkers, o.tracerFor(func(ts *TraceSel) bool {
+	cfg := ftConfig(kind, o.tracerFor(func(ts *TraceSel) bool {
 		return ts.Method == kind && ts.Target == target && ts.MTBF == mtbf
 	}))
 	if row.Interval > 0 {

@@ -1,9 +1,9 @@
 // Package harness regenerates every table and figure of the paper's
 // evaluation (§4) from the simulation. Each experiment returns both
-// structured rows (asserted by tests and benchmarks) and a formatted
-// table (printed by cmd/privbench), and every experiment is an entry
-// in the registry (see registry.go) so launchers can enumerate and
-// dispatch them uniformly.
+// structured rows (asserted by tests) and a formatted table (printed by
+// cmd/privbench, pinned by testdata/experiments.golden), and every
+// experiment is an entry in the registry (see registry.go) so launchers
+// can enumerate and dispatch them uniformly.
 //
 // Experiments take an explicit Opts value — sweep parallelism and the
 // optional trace selection — instead of package-level state, so
@@ -48,10 +48,9 @@ type Opts struct {
 	// domains across (sim.ParallelEngine). Rows, tables, and traces
 	// are byte-identical at every setting — the conservative-window
 	// protocol fires events in the same (time, domain, seq) total
-	// order the serial engine uses. Only experiments on the flat
-	// world (scale) shard their event loop; the goroutine-world
-	// experiments form a single domain and run serial at any value.
-	// 0 or 1 keeps the serial engine.
+	// order the serial engine uses. Only the scale experiment (the
+	// flat world) reads it: a goroutine world is one lookahead domain
+	// and has no such option. 0 or 1 keeps the serial engine.
 	SimWorkers int
 }
 

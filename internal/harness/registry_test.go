@@ -38,23 +38,11 @@ func TestRegistryGoldenSmoke(t *testing.T) {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
 			t.Parallel()
-			render := func(par int) string {
-				res, err := e.Run(tinyRunOpts(par))
-				if err != nil {
-					t.Fatalf("%s: %v", e.Name, err)
-				}
-				var sb strings.Builder
-				for _, tbl := range res.Tables {
-					sb.WriteString(tbl.String())
-					sb.WriteByte('\n')
-				}
-				return sb.String()
-			}
-			serial := render(1)
+			serial := render(t, e, tinyRunOpts(1))
 			if strings.TrimSpace(serial) == "" {
 				t.Fatalf("%s rendered no table text", e.Name)
 			}
-			parallel := render(4)
+			parallel := render(t, e, tinyRunOpts(4))
 			if serial != parallel {
 				t.Errorf("%s output diverges between serial and parallel sweeps:\nserial:\n%s\nparallel:\n%s",
 					e.Name, serial, parallel)

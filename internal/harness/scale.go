@@ -134,8 +134,8 @@ func ScaleExperiment(o Opts, vps int) ([]ScaleRow, *trace.Table, error) {
 	}
 
 	// The rendered table carries only modeled (deterministic) values;
-	// the host-measured gauge readings live in the rows and in the
-	// benchmark metrics (BENCH_6.json).
+	// the host-measured gauge readings live in the rows and in bench/'s
+	// ampi.flat_* probes.
 	t := trace.NewTable(
 		fmt.Sprintf("Scale: flat world with %d virtual ranks (PIEglobals, shared code + RO COW)", vps),
 		"Phase", "Setup", "Done", "Events", "Migrations", "Moved", "Rank resident", "Rank shared")

@@ -176,6 +176,11 @@ func (h *Heap) allocRaw(size uint64, label string) (*Block, error) {
 	if size == 0 {
 		return nil, fmt.Errorf("isomalloc: zero-size allocation")
 	}
+	// Sizes can come from outside the program (a Spec's stack_size), so
+	// neither the rounding nor the range check below may wrap.
+	if align8(size) < size {
+		return nil, fmt.Errorf("isomalloc: rank %d range exhausted (%d bytes requested)", h.vp, size)
+	}
 	size = align8(size)
 	// First-fit reuse from the address-ordered free list. An oversized
 	// span is split: the block takes its head, the tail stays free at
@@ -201,7 +206,7 @@ func (h *Heap) allocRaw(size uint64, label string) (*Block, error) {
 		h.resident += size
 		return b, nil
 	}
-	if h.brk+size > h.limit {
+	if size > h.limit-h.brk {
 		return nil, fmt.Errorf("isomalloc: rank %d range exhausted (%d bytes requested)", h.vp, size)
 	}
 	b := &Block{Addr: h.brk, Size: size, Label: label}

@@ -240,4 +240,21 @@ func TestHeapExhaustion(t *testing.T) {
 	if _, err := h.Alloc(0, "zero"); err == nil {
 		t.Fatal("zero-size allocation must fail")
 	}
+	// Sizes that wrap the arithmetic: 2^64-1 rounds up to zero, and
+	// 2^64-4096 added to brk lands below the rank's base, inside rank
+	// 0's range. Both must be refused and leave the heap as it was.
+	h = NewHeap(1)
+	for _, size := range []uint64{1<<64 - 1, 1<<64 - 4096} {
+		if b, err := h.AllocBallast(size, "stack"); err == nil {
+			t.Errorf("AllocBallast(%d) returned a %d-byte block at %#x", size, b.Size, b.Addr)
+		}
+	}
+	b, err := h.AllocBallast(8, "next")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Addr != h.Base() || h.LiveBytes() != 8 || h.LiveBlocks() != 1 {
+		t.Errorf("after refused allocations: next block at %#x (base %#x), %d live bytes in %d blocks",
+			b.Addr, h.Base(), h.LiveBytes(), h.LiveBlocks())
+	}
 }

@@ -196,3 +196,11 @@ func TestSharingNeverHurtsEqualFootprintLRU(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func BenchmarkCacheSimFetch(b *testing.B) {
+	c := NewCache(Bridges2L1I())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Fetch(uint64(i) * 64)
+	}
+}

@@ -15,12 +15,8 @@
 //     (pinned by a golden hash test). Hash is SHA-256 over it.
 //
 // The canonical form captures exactly the fields that determine a
-// run's output. Knobs that are guaranteed output-neutral — SimWorkers
-// (byte-identical at any setting, see sim.ParallelEngine) and Tracer
-// (nil-hook discipline) — are deliberately excluded, so e.g. a serial
-// and a sharded run of the same Spec share one hash and one cache
-// entry. The environment is hashed *resolved* (after EnvPolicy and
-// Tweaks are applied), so an EnvAdjust Spec and the equivalent
+// run's output. The environment is hashed *resolved* (after EnvPolicy
+// and Tweaks are applied), so an EnvAdjust Spec and the equivalent
 // EnvExplicit Spec are the same content.
 
 package scenario
@@ -153,7 +149,6 @@ type specDoc struct {
 	Churn      *churnDoc      `json:"churn,omitempty"`
 	Placement  []int          `json:"placement,omitempty"`
 	StackSize  uint64         `json:"stack_size,omitempty"`
-	SimWorkers int            `json:"sim_workers,omitempty"`
 }
 
 type machineDoc struct {
@@ -223,13 +218,12 @@ func (s *Spec) doc() (*specDoc, error) {
 			PEsPerProc:   s.Machine.PEsPerProc,
 			Seed:         s.Machine.Seed,
 		},
-		VPs:        s.VPs,
-		Method:     s.Method.String(),
-		EnvPolicy:  policy,
-		Workload:   s.Workload,
-		Placement:  s.Placement,
-		StackSize:  s.StackSize,
-		SimWorkers: s.SimWorkers,
+		VPs:       s.VPs,
+		Method:    s.Method.String(),
+		EnvPolicy: policy,
+		Workload:  s.Workload,
+		Placement: s.Placement,
+		StackSize: s.StackSize,
 	}
 	if s.Tweaks != (EnvTweaks{}) {
 		d.Tweaks = &tweaksDoc{
@@ -327,13 +321,12 @@ func (s *Spec) UnmarshalJSON(data []byte) error {
 			PEsPerProc:   d.Machine.PEsPerProc,
 			Seed:         d.Machine.Seed,
 		},
-		VPs:        d.VPs,
-		Method:     kind,
-		EnvPolicy:  policy,
-		Workload:   d.Workload,
-		Placement:  d.Placement,
-		StackSize:  d.StackSize,
-		SimWorkers: d.SimWorkers,
+		VPs:       d.VPs,
+		Method:    kind,
+		EnvPolicy: policy,
+		Workload:  d.Workload,
+		Placement: d.Placement,
+		StackSize: d.StackSize,
 	}
 	if d.Tweaks != nil {
 		out.Tweaks = EnvTweaks{
@@ -404,8 +397,8 @@ func (s *Spec) UnmarshalJSON(data []byte) error {
 // Canonical returns the hashing pre-image: one `tag=value` line per
 // output-determining field, in a fixed order that is independent of
 // the Go struct layout. The environment is written *resolved* (after
-// EnvPolicy and Tweaks), and output-neutral knobs (SimWorkers, Tracer)
-// are omitted — see the package comment at the top of this file.
+// EnvPolicy and Tweaks) — see the package comment at the top of this
+// file.
 //
 // The leading version line guards the format itself: if the canonical
 // encoding ever has to change shape, bumping it invalidates every old

@@ -31,9 +31,8 @@ func fullSpec() Spec {
 			Target:   ampi.TargetBuddy,
 			Interval: sim.Time(50 * time.Millisecond),
 		},
-		Placement:  []int{0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7},
-		StackSize:  1 << 20,
-		SimWorkers: 4,
+		Placement: []int{0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7},
+		StackSize: 1 << 20,
 	}
 }
 
@@ -145,8 +144,7 @@ func TestSpecHashGolden(t *testing.T) {
 }
 
 // The canonical form resolves the environment, so an EnvAdjust Spec
-// and the equivalent EnvExplicit Spec are the same content; and the
-// output-neutral SimWorkers knob never perturbs the hash.
+// and the equivalent EnvExplicit Spec are the same content.
 func TestSpecHashSemanticEquivalence(t *testing.T) {
 	adjusted := DefaultSpec("empty")
 	tc, osEnv := core.Bridges2Env()
@@ -165,16 +163,6 @@ func TestSpecHashSemanticEquivalence(t *testing.T) {
 	}
 	if ha != he {
 		t.Errorf("EnvAdjust and equivalent EnvExplicit hash differently: %s vs %s", ha, he)
-	}
-
-	sharded := adjusted
-	sharded.SimWorkers = 8
-	hs, err := sharded.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hs != ha {
-		t.Errorf("SimWorkers changed the hash: %s vs %s", hs, ha)
 	}
 
 	other := adjusted

@@ -1,0 +1,45 @@
+package scenario
+
+import (
+	"encoding/json"
+	"testing"
+)
+
+// FuzzSpecDecode feeds the wire codec arbitrary bytes. Whatever decodes
+// must validate and hash without panicking, and a Spec that hashes must
+// survive the wire: re-marshaled and decoded again it has the same
+// digest and the same validity, so a cache entry can never be reached
+// by one encoding of a point and missed by another.
+func FuzzSpecDecode(f *testing.F) {
+	// The scripts/serve_smoke.sh point.
+	f.Add([]byte(`{"workload":"empty","vps":4,"machine":{"nodes":2,"procs_per_node":1,"pes_per_proc":1},"method":"pieglobals"}`))
+	// Churn, a checkpoint policy and the parameterized balancer at once.
+	f.Add([]byte(`{"machine":{"nodes":2,"procs_per_node":2,"pes_per_proc":2,"seed":7},"vps":16,"method":"tlsglobals","env_policy":"adjust","tweaks":{"patched_glibc":true},"workload":"adcirc","workload_params":{"has_lb":true,"quick":true},"balancer":"hierarchical","balancer_pes_per_node":4,"checkpoint":{"target":"buddy","interval_ns":50000000},"churn":{"seed":7,"eviction_every_ns":20000000,"notice_ns":1000000000,"horizon_ns":400000000,"max_events":2},"placement":[0,1,2,3,4,5,6,7,0,1,2,3,4,5,6,7],"stack_size":1048576}`))
+	// A stack size that wraps the allocator's bounds arithmetic.
+	f.Add([]byte(`{"workload":"empty","vps":4,"stack_size":18446744073709551615}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var sp Spec
+		if json.Unmarshal(data, &sp) != nil {
+			return
+		}
+		valid := sp.Validate() == nil
+		hash, err := sp.Hash()
+		if err != nil {
+			return
+		}
+		doc, err := json.Marshal(&sp)
+		if err != nil {
+			t.Fatalf("hashed Spec does not marshal: %v\ninput: %s", err, data)
+		}
+		var back Spec
+		if err := json.Unmarshal(doc, &back); err != nil {
+			t.Fatalf("re-marshaled Spec does not decode: %v\ndoc: %s", err, doc)
+		}
+		if h, err := back.Hash(); err != nil || h != hash {
+			t.Fatalf("hash moved across the wire: %s -> %s (%v)\ndoc: %s", hash, h, err, doc)
+		}
+		if (back.Validate() == nil) != valid {
+			t.Fatalf("validity moved across the wire (was valid: %v)\ndoc: %s", valid, doc)
+		}
+	})
+}

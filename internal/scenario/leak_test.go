@@ -21,7 +21,9 @@ func wantNoNewGoroutines(t *testing.T, f func()) {
 	t.Helper()
 	before := runtime.NumGoroutine()
 	f()
-	if after := runtime.NumGoroutine(); after != before {
+	// Fewer is not a leak: the previous subtest's own goroutine may
+	// still have been exiting when before was sampled.
+	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("%d goroutines before, %d after", before, after)
 	}
 }

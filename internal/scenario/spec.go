@@ -115,14 +115,6 @@ type Spec struct {
 	StackSize uint64
 	// Tracer, if set, receives virtual-time events from every layer.
 	Tracer trace.Tracer
-	// SimWorkers requests intra-world parallel simulation (sharded
-	// event engine with conservative lookahead). Results and trace
-	// bytes are byte-identical at any value. Worlds that form a single
-	// lookahead domain — the goroutine world's shared schedulers and
-	// filesystem couple every PE — run serial regardless; the flat
-	// scale path shards. Negative values are invalid; 0 and 1 mean
-	// serial.
-	SimWorkers int
 }
 
 // FieldError is one problem with a Spec, tied to the field that
@@ -264,8 +256,8 @@ func (s *Spec) Validate() error {
 			}
 		}
 	}
-	if s.SimWorkers < 0 {
-		add("SimWorkers", "must be non-negative, got %d", s.SimWorkers)
+	if s.StackSize > mem.IsomallocRangeSize {
+		add("StackSize", "%d bytes exceed a rank's %d-byte Isomalloc range", s.StackSize, uint64(mem.IsomallocRangeSize))
 	}
 
 	// Environment requirements the resolved env cannot meet. Under
@@ -323,7 +315,6 @@ func (s *Spec) Config() (ampi.Config, error) {
 		Checkpoint: s.Checkpoint,
 		Placement:  s.Placement,
 		Tracer:     s.Tracer,
-		SimWorkers: s.SimWorkers,
 	}, nil
 }
 

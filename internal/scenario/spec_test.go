@@ -210,6 +210,18 @@ func TestValidatePlacementLength(t *testing.T) {
 	wantField(t, sp.Validate(), "Placement", "want one per VP")
 }
 
+func TestValidateStackSizeBeyondRankRange(t *testing.T) {
+	sp := scenario.DefaultSpec("empty")
+	sp.StackSize = mem.IsomallocRangeSize
+	if err := sp.Validate(); err != nil {
+		t.Errorf("a stack filling the rank's range is the allocator's to refuse: %v", err)
+	}
+	for _, size := range []uint64{mem.IsomallocRangeSize + 1, 1<<64 - 4096, 1<<64 - 1} {
+		sp.StackSize = size
+		wantField(t, sp.Validate(), "StackSize", "Isomalloc range")
+	}
+}
+
 func TestValidateAggregatesAllErrors(t *testing.T) {
 	sp := scenario.Spec{
 		Machine:  shape(0, 1, 1),

@@ -287,14 +287,39 @@ func TestOversizedWorldIs400AndServerSurvives(t *testing.T) {
 
 func TestUnknownFieldIs400(t *testing.T) {
 	_, ts := newTestServer(t, 1)
-	body := `{"points":[{"workload":"empty","vps":4,"virtual_processors":4}]}`
-	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	for _, field := range []string{"virtual_processors", "sim_workers"} {
+		body := `{"points":[{"workload":"empty","vps":4,"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":1},"` + field + `":4}]}`
+		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", field, resp.StatusCode)
+		}
 	}
-	defer resp.Body.Close()
+}
+
+// stack_size reaches mem.(*Heap).AllocBallast unchanged. A value that
+// wraps the allocator's arithmetic used to be answered with the default
+// row, stored under a new hash; it is a structured 400 and nothing runs.
+func TestStackSizeBeyondRankRangeIs400(t *testing.T) {
+	s, ts := newTestServer(t, 1)
+	huge := tinySpec(4)
+	huge.StackSize = 1<<64 - 1
+	resp, data := postRuns(t, ts.URL, map[string]any{"points": []scenario.Spec{huge}})
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", resp.StatusCode)
+		t.Fatalf("status %d, want 400: %s", resp.StatusCode, data)
+	}
+	var doc errorDoc
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("400 body not JSON: %v in %s", err, data)
+	}
+	if len(doc.Fields) != 1 || doc.Fields[0].Field != "StackSize" {
+		t.Fatalf("400 should carry one StackSize field error: %s", data)
+	}
+	if PointsExecuted() != 0 || s.store.Len() != 0 {
+		t.Fatalf("refused point executed %d point(s) and stored %d entries", PointsExecuted(), s.store.Len())
 	}
 }
 
