@@ -69,7 +69,9 @@ examples:
 
 # End-to-end check of the experiment server: boot `privbench -serve`,
 # POST the same tiny Spec twice, assert the second response is a cache
-# hit with byte-identical row payloads and exactly one simulation run.
+# hit with byte-identical row payloads and exactly one simulation run;
+# then a fault point and a churn point through POST and `privbench
+# -spec`, which must print the same row.
 serve-smoke:
 	./scripts/serve_smoke.sh
 

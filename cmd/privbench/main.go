@@ -7,14 +7,18 @@
 //	privbench -experiment=all
 //	privbench -experiment=fig5 -nodes 8
 //	privbench -experiment=table2 -cores 1,2,4,8,16,32,64
+//	privbench -spec point.json
 //
 // Every experiment is an entry in the harness registry;
 // `-experiment=list` enumerates them with their descriptions, the
 // flags they consume, and the trace-selection keys they honor, so
-// this help never drifts from the code.
+// this help never drifts from the code. `-spec FILE|-` instead runs the
+// one point a scenario.Spec document (what `POST /v1/runs` accepts)
+// describes and ends with the row line the server would store.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -31,6 +35,7 @@ import (
 	"provirt/internal/core"
 	"provirt/internal/harness"
 	"provirt/internal/obs"
+	"provirt/internal/scenario"
 	"provirt/internal/sim"
 	"provirt/internal/trace"
 )
@@ -38,6 +43,8 @@ import (
 func main() {
 	experiment := flag.String("experiment", "all",
 		"which experiment to run: all, list, or one of "+strings.Join(harness.ExperimentNames(), ", "))
+	specFile := flag.String("spec", "",
+		"run the one point this scenario.Spec JSON document describes (a file, or - for stdin) instead of an experiment, printing the workload's output and then its row as the server would store it; -trace, -trace-format and -profile-ranks apply to that point")
 	nodes := flag.Int("nodes", 1, "node count for fig5")
 	vps := flag.Int("vps", 0,
 		"virtual rank count for the scale experiment (0 selects the default one million)")
@@ -102,29 +109,24 @@ func main() {
 	}
 	if *serveAddr != "" {
 		if *serveMetrics != "" {
-			fmt.Fprintf(os.Stderr, "privbench: -serve already includes the -serve-metrics endpoints; set only one\n")
-			os.Exit(2)
+			die(2, "-serve already includes the -serve-metrics endpoints; set only one")
 		}
 		if err := runServer(*serveAddr, *storeDir, *serveWorkers, *cacheEntries); err != nil {
-			fmt.Fprintf(os.Stderr, "privbench: -serve: %v\n", err)
-			os.Exit(1)
+			die(1, "-serve: %v", err)
 		}
 		return
 	}
 
 	cores, err := parseInts(*coresFlag)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "privbench: bad -cores: %v\n", err)
-		os.Exit(2)
+		die(2, "bad -cores: %v", err)
 	}
 	mtbfs, err := parseDurations(*mtbfFlag)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "privbench: bad -mtbf: %v\n", err)
-		os.Exit(2)
+		die(2, "bad -mtbf: %v", err)
 	}
 	if *parallel < 1 {
-		fmt.Fprintf(os.Stderr, "privbench: -parallel must be >= 1, got %d\n", *parallel)
-		os.Exit(2)
+		die(2, "-parallel must be >= 1, got %d", *parallel)
 	}
 
 	var selected []harness.Experiment
@@ -133,8 +135,7 @@ func main() {
 	} else {
 		e, ok := harness.LookupExperiment(*experiment)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "privbench: unknown experiment %q (try -experiment=list)\n", *experiment)
-			os.Exit(2)
+			die(2, "unknown experiment %q (try -experiment=list)", *experiment)
 		}
 		selected = []harness.Experiment{e}
 	}
@@ -142,12 +143,10 @@ func main() {
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "privbench: -cpuprofile: %v\n", err)
-			os.Exit(2)
+			die(2, "-cpuprofile: %v", err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "privbench: start cpu profile: %v\n", err)
-			os.Exit(2)
+			die(2, "start cpu profile: %v", err)
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -174,27 +173,24 @@ func main() {
 	// any (possibly parallel) sweep starts.
 	var rec *trace.Recorder
 	var sel *harness.TraceSel
+	var tracer trace.Tracer // whichever sink the flags opened
 	var windowed *trace.WindowWriter
 	var windowFile *os.File
 	if *traceFile != "" || *profileRanks {
-		if len(selected) != 1 || !selected[0].Traceable {
-			fmt.Fprintf(os.Stderr, "privbench: -trace/-profile-ranks need -experiment to be one of %s (got %q)\n",
+		if *specFile == "" && (len(selected) != 1 || !selected[0].Traceable) {
+			die(2, "-trace/-profile-ranks need -spec, or -experiment to be one of %s (got %q)",
 				strings.Join(harness.TraceableNames(), ", "), *experiment)
-			os.Exit(2)
 		}
 		if *traceFormat != "jsonl" && *traceFormat != "chrome" {
-			fmt.Fprintf(os.Stderr, "privbench: unknown -trace-format %q (want jsonl or chrome)\n", *traceFormat)
-			os.Exit(2)
+			die(2, "unknown -trace-format %q (want jsonl or chrome)", *traceFormat)
 		}
 		kind, err := core.ParseKind(*traceMethod)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "privbench: -trace-method: %v\n", err)
-			os.Exit(2)
+			die(2, "-trace-method: %v", err)
 		}
 		target, err := parseTarget(*traceTarget)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "privbench: -trace-target: %v\n", err)
-			os.Exit(2)
+			die(2, "-trace-target: %v", err)
 		}
 		scaleVPs := *vps
 		if scaleVPs <= 0 {
@@ -216,19 +212,17 @@ func main() {
 			// million-rank trace never lives in host memory — but that
 			// rules out post-hoc consumers of the full event slice.
 			if *traceFile == "" || *traceFormat != "jsonl" || *profileRanks {
-				fmt.Fprintf(os.Stderr, "privbench: -trace-window needs -trace with -trace-format=jsonl and no -profile-ranks\n")
-				os.Exit(2)
+				die(2, "-trace-window needs -trace with -trace-format=jsonl and no -profile-ranks")
 			}
 			windowFile, err = os.Create(*traceFile)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "privbench: -trace: %v\n", err)
-				os.Exit(2)
+				die(2, "-trace: %v", err)
 			}
 			windowed = trace.NewWindowWriter(windowFile, *traceWindow)
-			sel.Sink = windowed
+			sel.Sink, tracer = windowed, windowed
 		} else {
 			rec = trace.NewRecorder()
-			sel.Rec = rec
+			sel.Rec, tracer = rec, rec
 		}
 	}
 
@@ -244,8 +238,7 @@ func main() {
 	if *serveMetrics != "" {
 		ln, err := net.Listen("tcp", *serveMetrics)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "privbench: -serve-metrics: %v\n", err)
-			os.Exit(2)
+			die(2, "-serve-metrics: %v", err)
 		}
 		fmt.Fprintf(os.Stderr, "privbench: serving /metrics, /progress, /debug/pprof on http://%s\n", ln.Addr())
 		// The metrics server rides alongside the batch run: on
@@ -258,8 +251,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "privbench: metrics server: %v\n", err)
 			}
 			<-stop
-			fmt.Fprintf(os.Stderr, "privbench: interrupted; metrics server drained\n")
-			os.Exit(130)
+			die(130, "interrupted; metrics server drained")
 		}()
 	}
 
@@ -275,11 +267,16 @@ func main() {
 			harness.CustomChurnRegime(*churnSeed, sim.Time(*churnRate), sim.Time(*churnNotice)),
 		}
 	}
+	if *specFile != "" {
+		selected = nil
+		if err := runSpec(*specFile, tracer); err != nil {
+			die(1, "-spec: %v", err)
+		}
+	}
 	for _, e := range selected {
 		res, err := e.Run(ropts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "privbench: %s: %v\n", e.Name, err)
-			os.Exit(1)
+			die(1, "%s: %v", e.Name, err)
 		}
 		for _, tbl := range res.Tables {
 			fmt.Println(tbl)
@@ -292,24 +289,20 @@ func main() {
 			err = cerr
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "privbench: -trace: %v\n", err)
-			os.Exit(1)
+			die(1, "-trace: %v", err)
 		}
 		if windowed.Emitted() == 0 {
-			fmt.Fprintf(os.Stderr, "privbench: trace selection matched no run (check the experiment's trace keys against its sweep)\n")
-			os.Exit(1)
+			die(1, "trace selection matched no run (check the experiment's trace keys against its sweep)")
 		}
 		fmt.Printf("trace: %d events -> %s (jsonl, windowed)\n", windowed.Emitted(), *traceFile)
 	}
 	if rec != nil {
 		if rec.Len() == 0 {
-			fmt.Fprintf(os.Stderr, "privbench: trace selection matched no run (check -trace-method/-nodes/-trace-heap/-trace-cores/-trace-ratio against the experiment's sweep)\n")
-			os.Exit(1)
+			die(1, "trace selection matched no run (check -trace-method/-nodes/-trace-heap/-trace-cores/-trace-ratio against the experiment's sweep)")
 		}
 		if *traceFile != "" {
 			if err := writeTrace(*traceFile, *traceFormat, rec.Events()); err != nil {
-				fmt.Fprintf(os.Stderr, "privbench: -trace: %v\n", err)
-				os.Exit(1)
+				die(1, "-trace: %v", err)
 			}
 			fmt.Printf("trace: %d events -> %s (%s)\n", rec.Len(), *traceFile, *traceFormat)
 		}
@@ -326,10 +319,46 @@ func main() {
 		// so it is byte-identical across runs at a fixed -parallel.
 		fmt.Println("host metrics:")
 		if err := reg.WriteText(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "privbench: -metrics: %v\n", err)
-			os.Exit(1)
+			die(1, "-metrics: %v", err)
 		}
 	}
+}
+
+// die reports a fatal error and exits: 2 for bad usage, 1 for a failed run.
+func die(code int, format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "privbench: "+format+"\n", args...)
+	os.Exit(code)
+}
+
+// runSpec executes the one point the wire document at path (- for
+// stdin) describes and prints what the point produced: the workload's
+// own report, then the row exactly as the server would store it.
+func runSpec(path string, tracer trace.Tracer) error {
+	if path == "-" {
+		path = "/dev/stdin"
+	}
+	doc, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	var sp scenario.Spec
+	if err := json.Unmarshal(doc, &sp); err != nil {
+		return err
+	}
+	sp.Tracer = tracer
+	row, report, err := sp.Execute()
+	if err != nil {
+		return err
+	}
+	if report != nil {
+		report()
+	}
+	line, err := json.Marshal(row)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("%s\n", line)
+	return nil
 }
 
 // printVersion reports module, VCS, and toolchain details from the
@@ -424,48 +453,46 @@ func parseTarget(s string) (ampi.CheckpointTarget, error) {
 	}
 }
 
-// parseDurations splits a comma-separated duration list; an empty
-// string yields nil (the experiment's default list).
-func parseDurations(s string) ([]sim.Time, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var out []sim.Time
+// parseList splits a comma-separated list, skipping empty items, and
+// parses each with parse.
+func parseList[T any](s string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
 	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
+		if part = strings.TrimSpace(part); part == "" {
 			continue
 		}
-		d, err := time.ParseDuration(part)
+		v, err := parse(part)
 		if err != nil {
 			return nil, err
 		}
-		if d <= 0 {
-			return nil, fmt.Errorf("duration %v must be positive", d)
-		}
-		out = append(out, sim.Time(d))
+		out = append(out, v)
 	}
 	return out, nil
 }
 
+// parseDurations parses a list of positive durations; an empty string
+// yields nil (the experiment's default list).
+func parseDurations(s string) ([]sim.Time, error) {
+	return parseList(s, func(part string) (sim.Time, error) {
+		d, err := time.ParseDuration(part)
+		if err == nil && d <= 0 {
+			err = fmt.Errorf("duration %v must be positive", d)
+		}
+		return d, err
+	})
+}
+
+// parseInts parses a non-empty list of positive core counts.
 func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
+	out, err := parseList(s, func(part string) (int, error) {
 		n, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, err
+		if err == nil && n <= 0 {
+			err = fmt.Errorf("core count %d must be positive", n)
 		}
-		if n <= 0 {
-			return nil, fmt.Errorf("core count %d must be positive", n)
-		}
-		out = append(out, n)
+		return n, err
+	})
+	if err == nil && len(out) == 0 {
+		err = fmt.Errorf("no core counts")
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no core counts")
-	}
-	return out, nil
+	return out, err
 }

@@ -11,7 +11,8 @@
 // regenerates every table and figure of the paper's evaluation and
 // pins their bytes in testdata/experiments.golden; cmd/privbench prints
 // them (-experiment=list enumerates the registry); bench/ is the
-// host-cost benchmark. Experiments are declared in internal/scenario
-// Specs and run through explicit harness options — no package-level
+// host-cost benchmark. Every point — a figure's, the server's, or the
+// one `privbench -spec` reads — is an internal/scenario Spec run by
+// Spec.Execute, under explicit harness options and no package-level
 // knobs.
 package provirt

@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"time"
 
 	"provirt/internal/core"
 	"provirt/internal/lb"
@@ -64,22 +65,23 @@ func main() {
 			Program:  adcirc.New(run, func(r adcirc.Result) { volume += r.WetCellSteps }),
 			Balancer: v.balancer,
 		}
-		w, err := sp.Run()
+		row, _, err := sp.Execute()
 		if err != nil {
 			log.Fatalf("adcirc: %v", err)
 		}
 		if oracle := adcirc.TotalWetCellSteps(run); volume != oracle {
 			log.Fatalf("adcirc: volume %d != oracle %d — decomposition bug", volume, oracle)
 		}
-		secs := w.ExecutionTime().Seconds()
+		exec := time.Duration(row.ExecNs)
+		secs := exec.Seconds()
 		if baseline == 0 {
 			baseline = secs
 		}
 		tbl.AddRow(
 			v.name,
-			trace.FormatDuration(w.ExecutionTime()),
-			fmt.Sprint(w.Migrations),
-			trace.FormatBytes(int64(w.MigratedBytes)),
+			trace.FormatDuration(exec),
+			fmt.Sprint(row.Migrations),
+			trace.FormatBytes(int64(row.MigratedBytes)),
 			fmt.Sprintf("%+.0f%%", (baseline/secs-1)*100),
 		)
 	}

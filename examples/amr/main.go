@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"time"
 
 	"provirt/internal/core"
 	"provirt/internal/lb"
@@ -63,19 +64,20 @@ func main() {
 			Program:  amr.New(run, func(r amr.Result) { updates += r.CellUpdates }),
 			Balancer: v.balancer,
 		}
-		w, err := sp.Run()
+		row, _, err := sp.Execute()
 		if err != nil {
 			log.Fatalf("amr: %v", err)
 		}
 		if updates != amr.TotalCellUpdates(run) {
 			log.Fatalf("amr: work accounting broken: %d", updates)
 		}
-		secs := w.ExecutionTime().Seconds()
+		exec := time.Duration(row.ExecNs)
+		secs := exec.Seconds()
 		if baseline == 0 {
 			baseline = secs
 		}
-		tbl.AddRow(v.name, trace.FormatDuration(w.ExecutionTime()),
-			fmt.Sprint(w.Migrations), fmt.Sprintf("%+.0f%%", (baseline/secs-1)*100))
+		tbl.AddRow(v.name, trace.FormatDuration(exec),
+			fmt.Sprint(row.Migrations), fmt.Sprintf("%+.0f%%", (baseline/secs-1)*100))
 	}
 	fmt.Println(tbl)
 	fmt.Println("Refinement follows the front; rank migration follows the refinement.")

@@ -120,11 +120,16 @@ func main() {
 		Method:  core.KindPIEglobals,
 		Program: program(true, totalIters, ckptAt, make([]uint64, vps)),
 	}
-	w1, err := sp1.Run()
+	// The snapshot lives in the world, so this phase builds and runs it
+	// by hand rather than through Execute, which keeps only a row.
+	b1, err := sp1.Build()
+	if err == nil {
+		err = b1.World.Run()
+	}
 	if err != nil {
 		log.Fatalf("cloudrestart: %v", err)
 	}
-	ck := w1.LastCheckpoint()
+	ck := b1.World.LastCheckpoint()
 	if ck == nil {
 		log.Fatal("cloudrestart: no checkpoint taken")
 	}
@@ -142,7 +147,7 @@ func main() {
 		Program: program(false, totalIters, ckptAt, finals),
 		Restart: ck,
 	}
-	w2, err := sp2.Run()
+	row2, _, err := sp2.Execute()
 	if err != nil {
 		log.Fatalf("cloudrestart: %v", err)
 	}
@@ -155,7 +160,7 @@ func main() {
 	fmt.Printf("  uninterrupted answers (restart read %s back through the shared FS).\n",
 		trace.FormatBytes(int64(ck.Bytes)))
 	fmt.Printf("  restarted job: startup %s, execution %s\n",
-		trace.FormatDuration(w2.SetupDone), trace.FormatDuration(w2.ExecutionTime()))
+		trace.FormatDuration(time.Duration(row2.SetupNs)), trace.FormatDuration(time.Duration(row2.ExecNs)))
 
 	// Phase 3: the same reclaim, handled by the elastic supervisor.
 	// The spot market gives node 1 a generous notice; the supervisor

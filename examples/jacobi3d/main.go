@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"time"
 
 	"provirt/internal/core"
 	"provirt/internal/machine"
@@ -51,15 +52,15 @@ func main() {
 				residual = r.Residual
 			}),
 		}
-		w, err := sp.Run()
+		row, _, err := sp.Execute()
 		if err != nil {
 			log.Fatalf("jacobi3d: %v", err)
 		}
 		tbl.AddRow(
 			fmt.Sprint(vps),
 			fmt.Sprintf("%dx", ratio),
-			trace.FormatDuration(w.ExecutionTime()),
-			fmt.Sprint(w.TotalSwitches()),
+			trace.FormatDuration(time.Duration(row.ExecNs)),
+			fmt.Sprint(row.Switches),
 			fmt.Sprint(accesses),
 			fmt.Sprintf("%.6g", residual),
 		)

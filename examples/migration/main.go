@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"time"
 
 	"provirt/internal/ampi"
 	"provirt/internal/core"
@@ -39,13 +40,13 @@ func main() {
 	fmt.Println()
 	tbl := trace.NewTable("", "Method", "Payload", "Migration time", "Notes")
 	for _, kind := range []core.Kind{core.KindTLSglobals, core.KindPIEglobals} {
-		rec := migrateOnce(kind, userHeap)
+		row := migrateOnce(kind, userHeap)
 		note := "stack + heap + TLS block"
 		if kind == core.KindPIEglobals {
 			note = "stack + heap + TLS + code & data segments"
 		}
-		tbl.AddRow(kind.String(), trace.FormatBytes(int64(rec.Bytes)),
-			trace.FormatDuration(rec.Duration), note)
+		tbl.AddRow(kind.String(), trace.FormatBytes(int64(row.LastMigrationBytes)),
+			trace.FormatDuration(time.Duration(row.LastMigrationNs)), note)
 	}
 	fmt.Println(tbl)
 
@@ -69,7 +70,7 @@ func main() {
 	}
 }
 
-func migrateOnce(kind core.Kind, userHeap uint64) ampi.MigrationRecord {
+func migrateOnce(kind core.Kind, userHeap uint64) scenario.Row {
 	sp := scenario.Spec{
 		Machine: machine.Config{Nodes: 2, ProcsPerNode: 1, PEsPerProc: 1},
 		VPs:     1,
@@ -85,15 +86,14 @@ func migrateOnce(kind core.Kind, userHeap uint64) ampi.MigrationRecord {
 		},
 		Balancer: lb.RotateLB{},
 	}
-	w, err := sp.Run()
+	row, _, err := sp.Execute()
 	if err != nil {
 		log.Fatalf("migration: %v", err)
 	}
-	recs := w.LastMigrations()
-	if len(recs) != 1 {
-		log.Fatalf("migration: %d records", len(recs))
+	if row.Migrations != 1 {
+		log.Fatalf("migration: %d migrations", row.Migrations)
 	}
-	return recs[0]
+	return row
 }
 
 func demoPieglobalsFind() {
@@ -119,7 +119,7 @@ func demoPieglobalsFind() {
 			},
 		},
 	}
-	if _, err := sp.Run(); err != nil {
+	if _, _, err := sp.Execute(); err != nil {
 		log.Fatalf("migration: %v", err)
 	}
 }

@@ -56,37 +56,6 @@ func TestImbalanceTriggerSkipsBalancedLoad(t *testing.T) {
 	}
 }
 
-func TestStatsReport(t *testing.T) {
-	prog := &ampi.Program{
-		Image: synth.EmptyImage(),
-		Main: func(r *ampi.Rank) {
-			r.Compute(sim.Time(r.Rank()+1) * 1e6)
-			r.Barrier()
-		},
-	}
-	w := runProgram(t, mediumConfig(4), prog)
-	s := w.Stats()
-	if s.Execution <= 0 || s.Switches == 0 {
-		t.Fatalf("degenerate stats %+v", s)
-	}
-	if len(s.PEs) != 4 {
-		t.Fatalf("%d PE rows", len(s.PEs))
-	}
-	var busy sim.Time
-	for _, pe := range s.PEs {
-		busy += pe.Busy
-	}
-	if busy < 10e6 { // 1+2+3+4 ms of compute charged
-		t.Errorf("total busy %v, want >= 10ms", busy)
-	}
-	if s.LoadImbalance < 1 {
-		t.Errorf("imbalance %v < 1", s.LoadImbalance)
-	}
-	if s.Table().NumRows() != 4 {
-		t.Error("stats table row count")
-	}
-}
-
 // API misuse must fail loudly inside the rank body and surface as a
 // run error rather than hanging.
 func TestAPIMisusePanicsSurface(t *testing.T) {

@@ -93,32 +93,32 @@ func (p ChurnPlan) Validate() error {
 
 // ChurnSpec declaratively describes a churn regime; Compile samples it
 // into a concrete plan. The spec is what scenario files carry — small,
-// validated, and seeded — while the plan is what the supervisor
-// executes.
+// validated, and seeded, its JSON tags the wire format of a Spec's
+// "churn" object — while the plan is what the supervisor executes.
 type ChurnSpec struct {
 	// Seed drives the Poisson samplers; the same spec always compiles
 	// to the same plan.
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 	// ArrivalEvery is the mean gap between single-node arrivals
 	// (0 disables arrivals).
-	ArrivalEvery sim.Time
+	ArrivalEvery sim.Time `json:"arrival_every_ns,omitempty"`
 	// EvictionEvery is the mean gap between evictions (0 disables).
-	EvictionEvery sim.Time
+	EvictionEvery sim.Time `json:"eviction_every_ns,omitempty"`
 	// Notice is the warning window every sampled eviction carries.
-	Notice sim.Time
+	Notice sim.Time `json:"notice_ns,omitempty"`
 	// Horizon bounds sampling; events land strictly before it.
-	Horizon sim.Time
+	Horizon sim.Time `json:"horizon_ns,omitempty"`
 	// RollingEvery, when positive, adds a deterministic rolling
 	// restart on top of the sampled churn: starting at RollingEvery,
 	// every RollingEvery one node in turn is evicted with Notice and
 	// immediately replaced by an arrival — the kernel-upgrade walk
 	// across the fleet.
-	RollingEvery sim.Time
+	RollingEvery sim.Time `json:"rolling_every_ns,omitempty"`
 	// RollingNodes bounds how many rolling steps are generated
 	// (default: one full walk over the compile-time node count).
-	RollingNodes int
+	RollingNodes int `json:"rolling_nodes,omitempty"`
 	// MaxEvents bounds the compiled plan (default 64).
-	MaxEvents int
+	MaxEvents int `json:"max_events,omitempty"`
 }
 
 // Enabled reports whether the spec describes any churn at all.
@@ -140,8 +140,8 @@ func (s ChurnSpec) Validate() error {
 	if s.Notice < 0 {
 		return fmt.Errorf("ft: churn spec notice must be non-negative")
 	}
-	if s.MaxEvents < 0 {
-		return fmt.Errorf("ft: churn spec max events must be non-negative")
+	if s.MaxEvents < 0 || s.MaxEvents > maxPlanEvents {
+		return fmt.Errorf("ft: churn spec max events must be in [0, %d]", maxPlanEvents)
 	}
 	return nil
 }

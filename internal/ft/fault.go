@@ -167,15 +167,57 @@ func (p Plan) Crashes() []Fault {
 // horizon) always yields the same schedule, on any machine, under any
 // sweep parallelism.
 func CrashPlan(seed uint64, nodes int, mtbf, horizon sim.Time) Plan {
+	return crashPlan(seed, nodes, mtbf, horizon, math.MaxInt)
+}
+
+func crashPlan(seed uint64, nodes int, mtbf, horizon sim.Time, limit int) Plan {
 	p := Plan{Seed: seed}
 	if nodes <= 0 || mtbf <= 0 || horizon <= 0 {
 		return p
 	}
 	rng := sim.NewRNG(seed)
-	poisson(rng, mtbf, horizon, math.MaxInt, func(t sim.Time) {
+	poisson(rng, mtbf, horizon, limit, func(t sim.Time) {
 		p.Faults = append(p.Faults, Fault{Kind: Crash, At: t, Node: rng.Intn(nodes)})
 	})
 	return p
+}
+
+// maxPlanEvents bounds what a declarative spec can compile to: a
+// FaultSpec's crash count and the MaxEvents a ChurnSpec may ask for.
+// Specs arrive from the wire, so the bound is on work, not on meaning —
+// the supervisor gives up after MaxRestarts long before a plan this
+// long runs dry.
+const maxPlanEvents = 1024
+
+// FaultSpec declaratively describes a crash process, the way ChurnSpec
+// describes membership change: small, validated, seeded, and what
+// scenario documents carry (a Spec's "faults" object). Compile samples
+// it into the Plan the supervisor arms.
+type FaultSpec struct {
+	// Seed drives the Poisson sampler; the same spec always compiles to
+	// the same plan.
+	Seed uint64 `json:"seed,omitempty"`
+	// MTBF is the mean gap between node crashes (0 injects none).
+	MTBF sim.Time `json:"mtbf_ns,omitempty"`
+	// Horizon bounds sampling; crashes land strictly before it.
+	Horizon sim.Time `json:"horizon_ns,omitempty"`
+}
+
+// Validate rejects inconsistent specs.
+func (s FaultSpec) Validate() error {
+	if s.MTBF < 0 || s.Horizon < 0 {
+		return fmt.Errorf("ft: fault spec MTBF and horizon must be non-negative")
+	}
+	if s.MTBF > 0 && s.Horizon == 0 {
+		return fmt.Errorf("ft: fault spec needs a positive horizon")
+	}
+	return nil
+}
+
+// Compile is CrashPlan over the spec's fields for a job starting on
+// nodes nodes, stopped after maxPlanEvents crashes.
+func (s FaultSpec) Compile(nodes int) Plan {
+	return crashPlan(s.Seed, nodes, s.MTBF, s.Horizon, maxPlanEvents)
 }
 
 // poisson calls emit at each arrival instant of a Poisson process with

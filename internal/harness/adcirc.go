@@ -39,83 +39,55 @@ func Table2Cores() []int { return []int{1, 2, 4, 8, 16, 32, 64} }
 // AdcircRatios are the virtualization ratios swept per core count.
 func AdcircRatios() []int { return []int{2, 4, 8} }
 
-// runAdcirc executes one configuration and returns execution time.
-func runAdcirc(o Opts, cfg adcirc.Config, cores, vps int, balancer lb.Strategy) (sim.Time, error) {
-	acfg := cfg
-	if balancer == nil {
-		acfg.LBPeriod = 0
-	}
-	ratio := vps / cores
-	sp := scenario.Spec{
-		Machine:  machineShape(1, 1, cores),
-		VPs:      vps,
-		Method:   core.KindPIEglobals,
-		Program:  adcirc.New(acfg, nil),
-		Balancer: balancer,
-		Tracer: o.tracerFor(func(ts *TraceSel) bool {
-			return ts.Cores == cores && ts.Ratio == ratio
-		}),
-	}
-	w, err := sp.Run()
-	if err != nil {
-		return 0, err
-	}
-	return w.ExecutionTime(), nil
-}
-
 // AdcircScaling runs the full strong-scaling study of §4.6: for each
 // core count, an unvirtualized/unbalanced baseline plus each
 // virtualization ratio with GreedyRefineLB. It reproduces Table 2 (best
-// speedup per core count) and Fig. 9 (the full time series).
+// speedup per core count) and Fig. 9 (the full time series). A nil cores
+// selects Table2Cores and a zero cfg adcirc.DefaultConfig.
 func AdcircScaling(o Opts, cfg adcirc.Config, cores []int) ([]AdcircRow, *trace.Table, *trace.Table, error) {
 	if cores == nil {
 		cores = Table2Cores()
 	}
-	// Flatten the (cores x ratio) grid — one baseline plus each
-	// virtualization ratio per core count — into independent jobs and
-	// fan them across the sweep runner. Each job builds its own world
-	// and engine; rows are assembled serially afterwards, so the output
-	// is bit-identical to the serial loop this replaces.
+	if cfg == (adcirc.Config{}) {
+		cfg = adcirc.DefaultConfig()
+	}
+	// Flatten the (cores x ratio) grid — one unbalanced baseline plus
+	// each virtualization ratio with GreedyRefineLB per core count —
+	// into independent points.
 	ratios := AdcircRatios()
 	stride := 1 + len(ratios)
-	type job struct {
-		cores, ratio int
-		balanced     bool
+	unbalanced := cfg
+	unbalanced.LBPeriod = 0
+	point := func(c, ratio int, acfg adcirc.Config, balancer lb.Strategy) scenario.Spec {
+		return scenario.Spec{
+			Machine:  machineShape(1, 1, c),
+			VPs:      c * ratio,
+			Method:   core.KindPIEglobals,
+			Program:  adcirc.New(acfg, nil),
+			Balancer: balancer,
+			Tracer: o.tracerFor(func(ts *TraceSel) bool {
+				return ts.Cores == c && ts.Ratio == ratio
+			}),
+		}
 	}
-	jobs := make([]job, 0, len(cores)*stride)
+	specs := make([]scenario.Spec, 0, len(cores)*stride)
 	for _, c := range cores {
-		jobs = append(jobs, job{cores: c, ratio: 1})
+		specs = append(specs, point(c, 1, unbalanced, nil))
 		for _, ratio := range ratios {
-			jobs = append(jobs, job{cores: c, ratio: ratio, balanced: true})
+			specs = append(specs, point(c, ratio, cfg, lb.GreedyRefineLB{}))
 		}
 	}
-	times := make([]sim.Time, len(jobs))
-	err := o.runner().Run(len(jobs), func(i int) error {
-		j := jobs[i]
-		var bal lb.Strategy
-		if j.balanced {
-			bal = lb.GreedyRefineLB{}
-		}
-		tt, err := runAdcirc(o, cfg, j.cores, j.cores*j.ratio, bal)
-		if err != nil {
-			if !j.balanced {
-				return fmt.Errorf("adcirc baseline cores=%d: %w", j.cores, err)
-			}
-			return fmt.Errorf("adcirc cores=%d ratio=%d: %w", j.cores, j.ratio, err)
-		}
-		times[i] = tt
-		return nil
-	})
+	points, err := run(o, specs)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, fmt.Errorf("adcirc: %w", err)
 	}
 	var rows []AdcircRow
 	for ci, c := range cores {
-		base := times[ci*stride]
+		base := sim.Time(points[ci*stride].ExecNs)
 		row := AdcircRow{Cores: c, Baseline: base, Best: base, BestRatio: 1}
 		row.Points = append(row.Points, AdcircPoint{Cores: c, Ratio: 1, LB: false, Time: base})
 		for ri, ratio := range ratios {
-			tt := times[ci*stride+1+ri]
+			tt := sim.Time(points[ci*stride+1+ri].ExecNs)
 			row.Points = append(row.Points, AdcircPoint{Cores: c, Ratio: ratio, LB: true, Time: tt})
 			if tt < row.Best {
 				row.Best = tt

@@ -11,7 +11,6 @@ import (
 	"provirt/internal/scenario"
 	"provirt/internal/sim"
 	"provirt/internal/trace"
-	"provirt/internal/workloads/synth"
 )
 
 // ElasticRegime names one churn pattern the elastic experiment runs a
@@ -52,16 +51,13 @@ type ElasticRow struct {
 	Checkpoints   int
 }
 
-// The sweep's job: the checkpointable iterative kernel from the FT
-// sweep, on a machine with headroom to shrink twice and still hold
-// every rank.
+// The sweep's job: the "checkpointed" workload of the FT sweep, on a
+// machine with headroom to shrink twice and still hold every rank.
 const (
-	elIters    = 24
-	elCompute  = 8 * time.Millisecond
 	elNodes    = 4
 	elVPs      = 8
 	elDir      = "/scratch/elastic"
-	elInterval = 4 * elCompute // checkpoint cadence: every 4 iterations
+	elInterval = 32 * time.Millisecond // checkpoint cadence: every 4 iterations
 	// elNotice covers the job's setup phase plus several iteration
 	// boundaries, so a noticed eviction always reaches a consistency
 	// point and drains — even one announced before the first iteration
@@ -108,82 +104,21 @@ func CustomChurnRegime(seed uint64, rate, notice sim.Time) ElasticRegime {
 	}}
 }
 
-func elConfig(kind core.Kind, tracer trace.Tracer) ampi.Config {
-	sp := scenario.Spec{
-		Machine: machineShape(elNodes, 1, 2),
-		VPs:     elVPs,
-		Method:  kind,
-		Tracer:  tracer,
-	}
-	cfg, err := sp.Config()
-	if err != nil {
-		panic(fmt.Sprintf("elastic: %v", err))
-	}
-	return cfg
-}
-
-// elasticPoint measures one sweep point: the churn-free checkpoint-free
-// baseline, then the elastic supervised run under the regime's
-// compiled churn plan.
-func elasticPoint(o Opts, kind core.Kind, target ampi.CheckpointTarget, regime ElasticRegime) (ElasticRow, error) {
-	row := ElasticRow{Method: kind, Target: target, Regime: regime.Name}
-
-	finals := make([]uint64, elVPs)
-	w, err := ftRun(elConfig(kind, nil), synth.Checkpointed(elIters, elCompute, finals))
-	if err != nil {
-		return row, err
-	}
-	row.Baseline = w.Time()
-
-	// The elastic run: fixed-cadence checkpointing (churn, not MTBF,
-	// drives the snapshot need here) under the regime's compiled plan.
-	// The plan depends only on the regime, so every method/target combo
-	// weathers the identical churn schedule — an equal-footing
-	// comparison, and trivially identical at any sweep parallelism.
-	plan := regime.Churn.Compile(elNodes)
-	cfg := elConfig(kind, o.tracerFor(func(ts *TraceSel) bool {
+// elasticSpec is a point's supervised run: fixed-cadence checkpointing
+// (churn, not MTBF, drives the snapshot need here) under the regime's
+// churn spec. The compiled plan depends only on the regime, so every
+// method/target combo weathers the identical schedule — an
+// equal-footing comparison, and trivially identical at any sweep
+// parallelism.
+func elasticSpec(o Opts, kind core.Kind, target ampi.CheckpointTarget, regime ElasticRegime) scenario.Spec {
+	sp := checkpointedJob(elNodes, elVPs, kind)
+	sp.Tracer = o.tracerFor(func(ts *TraceSel) bool {
 		return ts.Method == kind && ts.Target == target && ts.Churn == regime.Name
-	}))
-	cfg.Checkpoint = &ampi.CheckpointPolicy{Target: target, Dir: elDir, Interval: sim.Time(elInterval)}
-	supFinals := make([]uint64, elVPs)
-	rep, err := ft.RunElastic(ft.ElasticJob{
-		Config:      cfg,
-		Program:     func() *ampi.Program { return synth.Checkpointed(elIters, elCompute, supFinals) },
-		Churn:       plan,
-		Recovery:    ft.Shrink,
-		MaxRestarts: len(plan.Events) + DefaultElasticHeadroom,
 	})
-	if err != nil {
-		return row, fmt.Errorf("regime %s: %w", regime.Name, err)
-	}
-	for rank, got := range supFinals {
-		if want := synth.CheckpointedAcc(elIters, rank); got != want {
-			return row, fmt.Errorf("regime %s: rank %d finished with acc %d, want %d: a membership change lost or double-counted work",
-				regime.Name, rank, got, want)
-		}
-	}
-	row.Total = rep.TotalTime
-	row.Overhead = float64(rep.TotalTime) / float64(row.Baseline)
-	row.NodeSeconds = rep.NodeSeconds
-	row.Epochs = rep.Epochs()
-	for _, rz := range rep.Resizes {
-		if rz.Drained {
-			row.Drained++
-		}
-		if rz.Crashed {
-			row.Crashed++
-		}
-	}
-	row.ReworkNoticed = rep.ReworkNoticed()
-	row.ReworkForced = rep.ReworkForced()
-	row.Checkpoints = rep.Checkpoints
-	return row, nil
+	sp.Checkpoint = &ampi.CheckpointPolicy{Target: target, Dir: elDir, Interval: elInterval}
+	sp.Churn = &regime.Churn
+	return sp
 }
-
-// DefaultElasticHeadroom pads MaxRestarts past the compiled plan's
-// event count, covering the restart each membership change costs plus
-// slack for crash-path recoveries.
-const DefaultElasticHeadroom = 4
 
 // ElasticSweep reproduces the elasticity experiment: supervised
 // time-to-solution and node-hours under cluster churn, for each
@@ -199,19 +134,30 @@ func ElasticSweep(o Opts, regimes []ElasticRegime) ([]ElasticRow, *trace.Table, 
 	kinds := FTSweepMethods()
 	targets := []ampi.CheckpointTarget{ampi.TargetFS, ampi.TargetBuddy}
 	rows := make([]ElasticRow, len(regimes)*len(kinds)*len(targets))
-	err := o.runner().Run(len(rows), func(i int) error {
+	// Two runs per point: the churn-free, checkpoint-free baseline, then
+	// the elastic run.
+	specs := make([]scenario.Spec, 0, 2*len(rows))
+	for i := range rows {
 		regime := regimes[i/(len(kinds)*len(targets))]
 		kind := kinds[i/len(targets)%len(kinds)]
 		target := targets[i%len(targets)]
-		row, err := elasticPoint(o, kind, target, regime)
-		if err != nil {
-			return fmt.Errorf("elastic %s/%s %s: %w", kind, target, regime.Name, err)
-		}
-		rows[i] = row
-		return nil
-	})
+		rows[i] = ElasticRow{Method: kind, Target: target, Regime: regime.Name}
+		specs = append(specs, checkpointedJob(elNodes, elVPs, kind), elasticSpec(o, kind, target, regime))
+	}
+	points, err := run(o, specs)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("elastic: %w", err)
+	}
+	for i := range rows {
+		r, base, res := &rows[i], points[2*i], points[2*i+1]
+		r.Baseline = sim.Time(base.TimeNs())
+		r.Total = sim.Time(res.TotalNs)
+		r.Overhead = float64(r.Total) / float64(r.Baseline)
+		r.NodeSeconds = sim.Time(res.NodeTimeNs)
+		r.Epochs, r.Drained, r.Crashed = res.Epochs, res.Drained, res.Crashed
+		r.ReworkNoticed = sim.Time(res.ReworkNoticedNs)
+		r.ReworkForced = sim.Time(res.ReworkForcedNs)
+		r.Checkpoints = res.Checkpoints
 	}
 	t := trace.NewTable("Elastic worlds: time-to-solution and node-hours under cluster churn",
 		"Method", "Target", "Regime", "Baseline", "Total", "Overhead", "Node-hours",

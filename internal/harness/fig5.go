@@ -20,6 +20,24 @@ type Fig5Row struct {
 	VsBaseline float64
 }
 
+// fig5Specs is one node count's points: every method with 8 virtual
+// ranks per process.
+func fig5Specs(o Opts, nodes int) []scenario.Spec {
+	var specs []scenario.Spec
+	for _, kind := range Fig5Methods() {
+		specs = append(specs, scenario.Spec{
+			Machine: machineShape(nodes, 1, 1),
+			VPs:     nodes * 8, // 8x virtualization per process
+			Method:  kind,
+			Program: synth.Empty(),
+			Tracer: o.tracerFor(func(ts *TraceSel) bool {
+				return ts.Method == kind && ts.Nodes == nodes
+			}),
+		})
+	}
+	return specs
+}
+
 // Fig5Startup measures AMPI initialization time for each method with 8
 // virtual ranks per process (Fig. 5). nodes controls scale; the
 // dlmopen/PIE methods cost constant per process while FSglobals
@@ -28,34 +46,16 @@ func Fig5Startup(o Opts, nodes int) ([]Fig5Row, *trace.Table, error) {
 	if nodes <= 0 {
 		nodes = 1
 	}
+	points, err := run(o, fig5Specs(o, nodes))
+	if err != nil {
+		return nil, nil, fmt.Errorf("fig5: %w", err)
+	}
 	methods := Fig5Methods()
 	rows := make([]Fig5Row, len(methods))
-	err := o.runner().Run(len(methods), func(i int) error {
-		kind := methods[i]
-		sp := scenario.Spec{
-			Machine: machineShape(nodes, 1, 1),
-			VPs:     nodes * 8, // 8x virtualization per process
-			Method:  kind,
-			Program: synth.Empty(),
-			Tracer: o.tracerFor(func(ts *TraceSel) bool {
-				return ts.Method == kind && ts.Nodes == nodes
-			}),
-		}
-		w, err := sp.Run()
-		if err != nil {
-			return fmt.Errorf("fig5 %s: %w", kind, err)
-		}
-		rows[i] = Fig5Row{Method: kind, Startup: w.SetupDone}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	// Baseline normalization is a serial post-pass so parallel and
-	// serial sweeps produce identical rows.
 	var baseline sim.Time
-	for i := range rows {
-		if rows[i].Method == core.KindNone {
+	for i, kind := range methods {
+		rows[i] = Fig5Row{Method: kind, Startup: sim.Time(points[i].SetupNs)}
+		if kind == core.KindNone {
 			baseline = rows[i].Startup
 		}
 		if baseline > 0 {
@@ -81,30 +81,22 @@ func Fig5Scaling(o Opts, nodeCounts []int) (*trace.Table, error) {
 	}
 	methods := Fig5Methods()
 	headers := []string{"Method"}
+	var specs []scenario.Spec
 	for _, n := range nodeCounts {
 		headers = append(headers, fmt.Sprintf("%d node(s)", n))
+		specs = append(specs, fig5Specs(o, n)...)
+	}
+	points, err := run(o, specs)
+	if err != nil {
+		return nil, fmt.Errorf("fig5scale: %w", err)
 	}
 	t := trace.NewTable("Figure 5 (scaling): startup vs node count, 8x virtualization", headers...)
-	perNode := make([][]Fig5Row, len(nodeCounts))
-	err := o.runner().Run(len(nodeCounts), func(i int) error {
-		// The inner sweep runs serially: the outer fan-out already
-		// saturates the workers, and nesting parallel runners would
-		// oversubscribe without changing any output.
-		rows, _, err := Fig5Startup(Opts{Parallelism: 1, Trace: o.Trace, Progress: o.Progress}, nodeCounts[i])
-		perNode[i] = rows
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	cells := make(map[core.Kind][]string, len(methods))
-	for _, rows := range perNode {
-		for _, r := range rows {
-			cells[r.Method] = append(cells[r.Method], trace.FormatDuration(r.Startup))
+	for mi, m := range methods {
+		cells := []string{m.String()}
+		for ni := range nodeCounts {
+			cells = append(cells, trace.FormatDuration(sim.Time(points[ni*len(methods)+mi].SetupNs)))
 		}
-	}
-	for _, m := range methods {
-		t.AddRow(append([]string{m.String()}, cells[m]...)...)
+		t.AddRow(cells...)
 	}
 	return t, nil
 }

@@ -35,34 +35,29 @@ func Fig6Methods() []core.Kind {
 // switches) for each method and reports mean switch time (Fig. 6).
 func Fig6ContextSwitch(o Opts) ([]Fig6Row, *trace.Table, error) {
 	methods := Fig6Methods()
-	rows := make([]Fig6Row, len(methods))
-	err := o.runner().Run(len(methods), func(i int) error {
-		kind := methods[i]
-		sp := scenario.Spec{
+	specs := make([]scenario.Spec, len(methods))
+	for i, kind := range methods {
+		specs[i] = scenario.Spec{
 			Machine: machineShape(1, 1, 1),
 			VPs:     2,
 			Method:  kind,
 			Program: synth.Ping(),
 			Tracer:  o.tracerFor(func(ts *TraceSel) bool { return ts.Method == kind }),
 		}
-		w, err := sp.Run()
-		if err != nil {
-			return fmt.Errorf("fig6 %s: %w", kind, err)
-		}
-		s := w.Scheds()[0]
-		if s.Switches() == 0 {
-			return fmt.Errorf("fig6 %s: no context switches recorded", kind)
-		}
-		per := s.SwitchTime() / sim.Time(s.Switches())
-		rows[i] = Fig6Row{Method: kind, Switches: s.Switches(), PerSwitch: per}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
 	}
+	points, err := run(o, specs)
+	if err != nil {
+		return nil, nil, fmt.Errorf("fig6: %w", err)
+	}
+	rows := make([]Fig6Row, len(methods))
 	var baseline sim.Time
-	for i := range rows {
-		if rows[i].Method == core.KindNone {
+	for i, kind := range methods {
+		p := points[i]
+		if p.Switches == 0 {
+			return nil, nil, fmt.Errorf("fig6 %s: no context switches recorded", kind)
+		}
+		rows[i] = Fig6Row{Method: kind, Switches: p.Switches, PerSwitch: sim.Time(p.SwitchNs) / sim.Time(p.Switches)}
+		if kind == core.KindNone {
 			baseline = rows[i].PerSwitch
 		}
 		rows[i].OverBaseline = rows[i].PerSwitch - baseline

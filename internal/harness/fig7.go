@@ -21,12 +21,7 @@ type Fig7Row struct {
 
 // Fig7Methods are the methods compared in the privatized-variable-
 // access experiment.
-func Fig7Methods() []core.Kind {
-	return []core.Kind{
-		core.KindNone, core.KindTLSglobals, core.KindPIPglobals,
-		core.KindFSglobals, core.KindPIEglobals,
-	}
-}
+func Fig7Methods() []core.Kind { return Fig5Methods() }
 
 // Fig7JacobiAccess runs Jacobi-3D with every inner-loop variable
 // privatized and compares execution time across methods (Fig. 7). One
@@ -35,29 +30,25 @@ func Fig7Methods() []core.Kind {
 func Fig7JacobiAccess(o Opts) ([]Fig7Row, *trace.Table, error) {
 	cfg := jacobi.Config{NX: 32, NY: 32, NZ: 32, Iters: 20, AccessesPerCell: 6, FlopsPerCell: 8}
 	methods := Fig7Methods()
-	rows := make([]Fig7Row, len(methods))
-	err := o.runner().Run(len(methods), func(i int) error {
-		kind := methods[i]
-		sp := scenario.Spec{
+	specs := make([]scenario.Spec, len(methods))
+	for i, kind := range methods {
+		specs[i] = scenario.Spec{
 			Machine: machineShape(1, 1, 4),
 			VPs:     4,
 			Method:  kind,
 			Program: jacobi.New(cfg, nil),
 			Tracer:  o.tracerFor(func(ts *TraceSel) bool { return ts.Method == kind }),
 		}
-		w, err := sp.Run()
-		if err != nil {
-			return fmt.Errorf("fig7 %s: %w", kind, err)
-		}
-		rows[i] = Fig7Row{Method: kind, Time: w.ExecutionTime()}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
 	}
+	points, err := run(o, specs)
+	if err != nil {
+		return nil, nil, fmt.Errorf("fig7: %w", err)
+	}
+	rows := make([]Fig7Row, len(methods))
 	var baseline sim.Time
-	for i := range rows {
-		if rows[i].Method == core.KindNone {
+	for i, kind := range methods {
+		rows[i] = Fig7Row{Method: kind, Time: sim.Time(points[i].ExecNs)}
+		if kind == core.KindNone {
 			baseline = rows[i].Time
 		}
 		if baseline > 0 {

@@ -33,60 +33,48 @@ func Fig8HeapSizes() []uint64 {
 // with PIEglobals (rank state plus the ADCIRC-sized 14 MB code segment
 // and data segment), reproducing Fig. 8.
 func Fig8Migration(o Opts) ([]Fig8Row, *trace.Table, error) {
-	measure := func(kind core.Kind, heap uint64) (sim.Time, uint64, error) {
-		prog := &ampi.Program{
-			Image: adcirc.Image(),
-			Main: func(r *ampi.Rank) {
-				if _, err := r.Ctx().Heap.AllocBallast(heap, "user-heap"); err != nil {
-					panic(err)
-				}
-				r.Migrate()
-			},
-		}
-		sp := scenario.Spec{
-			Machine:  machineShape(2, 1, 1),
-			VPs:      1,
-			Method:   kind,
-			Program:  prog,
-			Balancer: lb.RotateLB{},
-			Tracer: o.tracerFor(func(ts *TraceSel) bool {
-				return ts.Method == kind && ts.Heap == heap
-			}),
-		}
-		w, err := sp.Run()
-		if err != nil {
-			return 0, 0, err
-		}
-		recs := w.LastMigrations()
-		if len(recs) != 1 {
-			return 0, 0, fmt.Errorf("%d migrations recorded, want 1", len(recs))
-		}
-		return recs[0].Duration, recs[0].Bytes, nil
-	}
-
-	// Flatten the (heap size x method) grid into independent jobs.
+	// Flatten the (heap size x method) grid into independent points.
 	heaps := Fig8HeapSizes()
 	kinds := []core.Kind{core.KindTLSglobals, core.KindPIEglobals}
-	times := make([]sim.Time, len(heaps)*len(kinds))
-	bytes := make([]uint64, len(heaps)*len(kinds))
-	err := o.runner().Run(len(times), func(i int) error {
-		heap, kind := heaps[i/len(kinds)], kinds[i%len(kinds)]
-		t, b, err := measure(kind, heap)
-		if err != nil {
-			return fmt.Errorf("fig8 %s heap=%d: %w", kind, heap, err)
+	var specs []scenario.Spec
+	for _, heap := range heaps {
+		for _, kind := range kinds {
+			specs = append(specs, scenario.Spec{
+				Machine: machineShape(2, 1, 1),
+				VPs:     1,
+				Method:  kind,
+				Program: &ampi.Program{
+					Image: adcirc.Image(),
+					Main: func(r *ampi.Rank) {
+						if _, err := r.Ctx().Heap.AllocBallast(heap, "user-heap"); err != nil {
+							panic(err)
+						}
+						r.Migrate()
+					},
+				},
+				Balancer: lb.RotateLB{},
+				Tracer: o.tracerFor(func(ts *TraceSel) bool {
+					return ts.Method == kind && ts.Heap == heap
+				}),
+			})
 		}
-		times[i], bytes[i] = t, b
-		return nil
-	})
+	}
+	points, err := run(o, specs)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("fig8: %w", err)
 	}
 	var rows []Fig8Row
 	for i, heap := range heaps {
+		tls, pie := points[i*2], points[i*2+1]
+		for _, p := range []scenario.Row{tls, pie} {
+			if p.Migrations != 1 {
+				return nil, nil, fmt.Errorf("fig8 %s heap=%d: %d migrations recorded, want 1", p.Method, heap, p.Migrations)
+			}
+		}
 		rows = append(rows, Fig8Row{
 			HeapBytes: heap,
-			TLSTime:   times[i*2], PIETime: times[i*2+1],
-			TLSBytes: bytes[i*2], PIEBytes: bytes[i*2+1],
+			TLSTime:   sim.Time(tls.LastMigrationNs), PIETime: sim.Time(pie.LastMigrationNs),
+			TLSBytes: tls.LastMigrationBytes, PIEBytes: pie.LastMigrationBytes,
 		})
 	}
 	t := trace.NewTable("Figure 8: migration time vs per-rank heap size (lower is better)",

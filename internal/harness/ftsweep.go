@@ -10,7 +10,6 @@ import (
 	"provirt/internal/scenario"
 	"provirt/internal/sim"
 	"provirt/internal/trace"
-	"provirt/internal/workloads/synth"
 )
 
 // FTRow is one point of the fault-tolerance sweep: a supervised job
@@ -39,15 +38,14 @@ type FTRow struct {
 	RestoredBytes uint64
 }
 
-// The sweep's job: an iterative checkpointable kernel sized so the
-// default MTBF list produces a handful of crashes at the short end and
-// none at the long end.
+// The sweep's job: the registered "checkpointed" workload (an iterative
+// checkpointable kernel sized so the default MTBF list produces a
+// handful of crashes at the short end and none at the long end; its
+// ranks fail the run if recovery lost or double-counted work).
 const (
-	ftIters   = 24
-	ftCompute = 8 * time.Millisecond
-	ftNodes   = 3
-	ftVPs     = 6
-	ftDir     = "/scratch/ftsweep"
+	ftNodes = 3
+	ftVPs   = 6
+	ftDir   = "/scratch/ftsweep"
 )
 
 // FTSweepMTBFs is the default MTBF list, bracketing the job's length
@@ -67,20 +65,11 @@ func FTSweepMethods() []core.Kind {
 	return []core.Kind{core.KindTLSglobals, core.KindPIEglobals}
 }
 
-func ftConfig(kind core.Kind, tracer trace.Tracer) ampi.Config {
-	// No Program here: ft.Run constructs the program fresh for every
-	// attempt, so this Spec is lowered to a Config only.
-	sp := scenario.Spec{
-		Machine: machineShape(ftNodes, 1, 2),
-		VPs:     ftVPs,
-		Method:  kind,
-		Tracer:  tracer,
-	}
-	cfg, err := sp.Config()
-	if err != nil {
-		panic(fmt.Sprintf("ftsweep: %v", err))
-	}
-	return cfg
+// checkpointedJob is the job both supervised sweeps run — the
+// "checkpointed" workload, two PEs a node — bare: their points add a
+// checkpoint policy and a fault or churn process to it.
+func checkpointedJob(nodes, vps int, kind core.Kind) scenario.Spec {
+	return scenario.Spec{Machine: machineShape(nodes, 1, 2), VPs: vps, Method: kind, Workload: "checkpointed"}
 }
 
 // ftSeed derives each sweep point's crash-plan seed purely from its
@@ -89,83 +78,20 @@ func ftSeed(kind core.Kind, target ampi.CheckpointTarget, mtbf sim.Time) uint64 
 	return 0x9e3779b97f4a7c15 ^ uint64(kind)<<40 ^ uint64(target)<<32 ^ uint64(mtbf)
 }
 
-// ftRun builds and runs one world for a sweep point's measurement.
-func ftRun(cfg ampi.Config, prog *ampi.Program) (*ampi.World, error) {
-	w, err := ampi.NewWorld(cfg, prog)
-	if err != nil {
-		return nil, err
-	}
-	if err := w.Run(); err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
-// ftPoint measures one sweep point: a fault-free no-checkpoint
-// baseline, a measured per-checkpoint cost, and then the supervised run
-// under the point's seeded crash plan.
-func ftPoint(o Opts, kind core.Kind, target ampi.CheckpointTarget, mtbf sim.Time) (FTRow, error) {
-	row := FTRow{Method: kind, Target: target, MTBF: mtbf}
-
-	// Fault-free baseline, no checkpointing.
-	finals := make([]uint64, ftVPs)
-	w, err := ftRun(ftConfig(kind, nil), synth.Checkpointed(ftIters, ftCompute, finals))
-	if err != nil {
-		return row, err
-	}
-	row.Baseline = w.Time()
-
-	// Per-checkpoint cost: the same job snapshotting at every iteration
-	// boundary; the slowdown per snapshot is Daly's C for this method
-	// and target.
-	ckCfg := ftConfig(kind, nil)
-	ckCfg.Checkpoint = &ampi.CheckpointPolicy{Target: target, Dir: ftDir, Interval: 1}
-	wck, err := ftRun(ckCfg, synth.Checkpointed(ftIters, ftCompute, finals))
-	if err != nil {
-		return row, err
-	}
-	var ckCost sim.Time
-	if wck.Checkpoints > 0 && wck.Time() > row.Baseline {
-		ckCost = (wck.Time() - row.Baseline) / sim.Time(wck.Checkpoints)
-	}
-	row.Interval = ft.DalyInterval(ckCost, mtbf)
-
-	// The supervised run: Daly-interval checkpointing under a seeded
-	// crash plan whose horizon generously covers the job. MaxRestarts
-	// exceeds the plan's crash count, so the supervisor never gives up
-	// before the plan runs dry.
-	cfg := ftConfig(kind, o.tracerFor(func(ts *TraceSel) bool {
+// ftSupervisedSpec is a point's supervised run, given the Daly interval
+// and baseline its two measurements produced: checkpointing at the
+// interval (off when Daly says so) under the point's seeded crash
+// process, sampled out to four baselines.
+func ftSupervisedSpec(o Opts, kind core.Kind, target ampi.CheckpointTarget, mtbf, interval, baseline sim.Time) scenario.Spec {
+	sp := checkpointedJob(ftNodes, ftVPs, kind)
+	sp.Tracer = o.tracerFor(func(ts *TraceSel) bool {
 		return ts.Method == kind && ts.Target == target && ts.MTBF == mtbf
-	}))
-	if row.Interval > 0 {
-		cfg.Checkpoint = &ampi.CheckpointPolicy{Target: target, Dir: ftDir, Interval: row.Interval}
-	}
-	plan := ft.CrashPlan(ftSeed(kind, target, mtbf), ftNodes, mtbf, 4*row.Baseline)
-	supFinals := make([]uint64, ftVPs)
-	rep, err := ft.Run(ft.Job{
-		Config:      cfg,
-		Program:     func() *ampi.Program { return synth.Checkpointed(ftIters, ftCompute, supFinals) },
-		Plan:        plan,
-		Recovery:    ft.Spare,
-		MaxRestarts: len(plan.Crashes()) + 1,
 	})
-	if err != nil {
-		return row, err
+	if interval > 0 {
+		sp.Checkpoint = &ampi.CheckpointPolicy{Target: target, Dir: ftDir, Interval: interval}
 	}
-	for rank, got := range supFinals {
-		if want := synth.CheckpointedAcc(ftIters, rank); got != want {
-			return row, fmt.Errorf("rank %d finished with acc %d, want %d: recovery lost or double-counted work", rank, got, want)
-		}
-	}
-	row.Total = rep.TotalTime
-	row.Overhead = float64(rep.TotalTime) / float64(row.Baseline)
-	row.Checkpoints = rep.Checkpoints
-	row.Recoveries = len(rep.Recoveries)
-	row.MeanRecovery = rep.MeanRecovery()
-	for _, rec := range rep.Recoveries {
-		row.RestoredBytes += rec.RestoredBytes
-	}
-	return row, nil
+	sp.Faults = &ft.FaultSpec{Seed: ftSeed(kind, target, mtbf), MTBF: mtbf, Horizon: 4 * baseline}
+	return sp
 }
 
 // FTSweep reproduces the resilience figure: supervised time-to-solution
@@ -182,19 +108,51 @@ func FTSweep(o Opts, mtbfs []sim.Time) ([]FTRow, *trace.Table, error) {
 	kinds := FTSweepMethods()
 	targets := []ampi.CheckpointTarget{ampi.TargetFS, ampi.TargetBuddy}
 	rows := make([]FTRow, len(mtbfs)*len(kinds)*len(targets))
-	err := o.runner().Run(len(rows), func(i int) error {
-		mtbf := mtbfs[i/(len(kinds)*len(targets))]
-		kind := kinds[i/len(targets)%len(kinds)]
-		target := targets[i%len(targets)]
-		row, err := ftPoint(o, kind, target, mtbf)
-		if err != nil {
-			return fmt.Errorf("ftsweep %s/%s mtbf=%v: %w", kind, target, mtbf, err)
+	// Two measurements per point: the fault-free baseline with no
+	// checkpointing, and the same job snapshotting at every iteration
+	// boundary — the slowdown per snapshot is Daly's C for this method
+	// and target.
+	measure := make([]scenario.Spec, 0, 2*len(rows))
+	for i := range rows {
+		rows[i] = FTRow{
+			MTBF:   mtbfs[i/(len(kinds)*len(targets))],
+			Method: kinds[i/len(targets)%len(kinds)],
+			Target: targets[i%len(targets)],
 		}
-		rows[i] = row
-		return nil
-	})
+		every := checkpointedJob(ftNodes, ftVPs, rows[i].Method)
+		every.Checkpoint = &ampi.CheckpointPolicy{Target: rows[i].Target, Dir: ftDir, Interval: 1}
+		measure = append(measure, checkpointedJob(ftNodes, ftVPs, rows[i].Method), every)
+	}
+	measured, err := run(o, measure)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("ftsweep: %w", err)
+	}
+	// The supervised runs: Daly-interval checkpointing under a seeded
+	// crash process whose horizon generously covers the job.
+	supervised := make([]scenario.Spec, len(rows))
+	for i := range rows {
+		r := &rows[i]
+		base, every := measured[2*i], measured[2*i+1]
+		r.Baseline = sim.Time(base.TimeNs())
+		var ckCost sim.Time
+		if t := sim.Time(every.TimeNs()); every.Checkpoints > 0 && t > r.Baseline {
+			ckCost = (t - r.Baseline) / sim.Time(every.Checkpoints)
+		}
+		r.Interval = ft.DalyInterval(ckCost, r.MTBF)
+		supervised[i] = ftSupervisedSpec(o, r.Method, r.Target, r.MTBF, r.Interval, r.Baseline)
+	}
+	results, err := run(o, supervised)
+	if err != nil {
+		return nil, nil, fmt.Errorf("ftsweep: %w", err)
+	}
+	for i, res := range results {
+		r := &rows[i]
+		r.Total = sim.Time(res.TotalNs)
+		r.Overhead = float64(r.Total) / float64(r.Baseline)
+		r.Checkpoints = res.Checkpoints
+		r.Recoveries = res.Recoveries
+		r.MeanRecovery = sim.Time(res.MeanRecoveryNs)
+		r.RestoredBytes = res.RestoredBytes
 	}
 	t := trace.NewTable("Fault tolerance: supervised time-to-solution vs MTBF (Daly-optimal checkpointing)",
 		"Method", "Target", "MTBF", "Daly interval", "Baseline", "Total", "Overhead", "Ckpts", "Crashes", "Mean recovery")

@@ -1,14 +1,16 @@
 // Package harness regenerates every table and figure of the paper's
-// evaluation (§4) from the simulation. Each experiment returns both
-// structured rows (asserted by tests) and a formatted table (printed by
-// cmd/privbench, pinned by testdata/experiments.golden), and every
-// experiment is an entry in the registry (see registry.go) so launchers
-// can enumerate and dispatch them uniformly.
+// evaluation (§4) from the simulation. Every figure is a list of
+// scenario.Specs handed to run, arithmetic on the scenario.Rows that
+// come back, and a rendered table; it returns both the structured rows
+// (asserted by tests) and the table (printed by cmd/privbench, pinned
+// by testdata/experiments.golden). Every experiment is an entry in the
+// registry (see registry.go) so launchers enumerate and dispatch them
+// uniformly. The flat world of the scale experiment is the one caller
+// outside Spec.Execute (see scale.go).
 //
-// Experiments take an explicit Opts value — sweep parallelism and the
-// optional trace selection — instead of package-level state, so
-// concurrent experiment execution is safe by construction and a trace
-// selection cannot outlive the call that made it.
+// Experiments take an explicit Opts value instead of package-level
+// state, so concurrent experiment execution is safe by construction
+// and a trace selection cannot outlive the call that made it.
 package harness
 
 import (
@@ -20,6 +22,7 @@ import (
 	"provirt/internal/harness/sweep"
 	"provirt/internal/machine"
 	"provirt/internal/obs"
+	"provirt/internal/scenario"
 	"provirt/internal/sim"
 	"provirt/internal/trace"
 )
@@ -28,102 +31,96 @@ import (
 // receives. The zero value is ready to use: machine-sized sweep
 // parallelism and no tracing.
 type Opts struct {
-	// Parallelism is how many independent simulations the sweep
-	// experiments run concurrently. Every simulation is
-	// single-threaded and a pure function of its configuration, and
-	// result assembly is a serial post-pass, so rows and tables are
-	// bit-identical at any setting; 1 forces serial execution and
-	// values <= 0 select every available core.
+	// Parallelism is how many points run concurrently. Every simulation
+	// is single-threaded and a pure function of its Spec, and figures do
+	// their arithmetic after the sweep, so rows and tables are
+	// bit-identical at any setting; 1 is serial and values <= 0 select
+	// every available core.
 	Parallelism int
 	// Trace selects exactly one sweep point of the experiment to
 	// trace; nil runs untraced.
 	Trace *TraceSel
-	// Progress, if non-nil, receives sweep lifecycle callbacks (points
-	// scheduled and completed, host wall time per point) for live
-	// progress reporting. Progress observes the host runtime only:
-	// rows, tables, and traces are bit-identical with or without it.
+	// Progress, if non-nil, receives sweep lifecycle callbacks for live
+	// progress reporting. It observes the host runtime only: rows,
+	// tables, and traces are bit-identical with or without it.
 	Progress *obs.Progress
-	// SimWorkers is the intra-world event-loop parallelism: how many
-	// workers a single simulated world may spread its lookahead
-	// domains across (sim.ParallelEngine). Rows, tables, and traces
-	// are byte-identical at every setting — the conservative-window
-	// protocol fires events in the same (time, domain, seq) total
-	// order the serial engine uses. Only the scale experiment (the
-	// flat world) reads it: a goroutine world is one lookahead domain
-	// and has no such option. 0 or 1 keeps the serial engine.
+	// SimWorkers is how many workers the scale experiment's flat world
+	// spreads its lookahead domains across (sim.ParallelEngine), with
+	// byte-identical output at every setting; 0 or 1 keeps the serial
+	// engine. A goroutine world is one domain and has no such option.
 	SimWorkers int
 }
 
-// Workers resolves the effective sweep parallelism.
-func (o Opts) Workers() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
+// run is the harness's one fan-out: it executes every Spec on the
+// sweep runner — Opts.Parallelism workers, progress callbacks wired —
+// and returns their rows in order. It consumes specs: each one's
+// program is released, like its world, as soon as its row is in hand.
+func run(o Opts, specs []scenario.Spec) ([]scenario.Row, error) {
+	r := sweep.Runner{Workers: o.Parallelism}
+	if r.Workers <= 0 {
+		r.Workers = runtime.GOMAXPROCS(0)
 	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// runner returns the sweep runner the experiments fan out with,
-// wiring the progress tracker to the runner's completion hooks.
-func (o Opts) runner() sweep.Runner {
-	r := sweep.Runner{Workers: o.Workers()}
 	if p := o.Progress; p != nil {
 		r.OnStart = p.StartSweep
 		r.OnPoint = func(d sweep.PointDone) { p.Point(d.Worker, d.Elapsed) }
 	}
-	return r
+	rows := make([]scenario.Row, len(specs))
+	err := r.Run(len(specs), func(i int) error {
+		sp := &specs[i]
+		row, _, err := sp.Execute()
+		if err != nil {
+			return fmt.Errorf("%s, %d VPs on %dx%dx%d: %w", sp.Method, sp.VPs,
+				sp.Machine.Nodes, sp.Machine.ProcsPerNode, sp.Machine.PEsPerProc, err)
+		}
+		rows[i], *sp = row, scenario.Spec{}
+		return nil
+	})
+	return rows, err
 }
 
 // TraceSel selects exactly one sweep point of an experiment to trace.
-// Each experiment matches only the fields it sweeps — Fig5Startup
-// matches (Method, Nodes), Fig6/Fig7 match Method, Fig8 matches
-// (Method, Heap), AdcircScaling matches (Cores, Ratio), FTSweep
-// matches (Method, MTBF, Target) — and attaches Rec to the single
-// world whose configuration matches exactly. Because the match is a
-// pure function of the configuration (never of scheduling order), the
-// recorded trace is byte-identical between serial and parallel
-// sweeps, and the untraced worlds of the sweep run exactly as if no
-// selection existed.
+// Each experiment matches only the fields it sweeps (its registry
+// entry's TraceKeys) and attaches the tracer to the single Spec that
+// matches exactly. The match is a pure function of the configuration,
+// never of scheduling order, so the recorded trace is byte-identical
+// between serial and parallel sweeps and the untraced points run
+// exactly as if no selection existed.
 //
 // The caller must make the selection unique for the experiment it
 // runs (e.g. set Nodes when tracing inside Fig5Scaling): a selection
 // that matched two concurrently-running worlds would interleave their
 // events in one recorder.
 type TraceSel struct {
-	// Method selects the privatization method (fig5/6/7/8).
-	Method core.Kind
-	// Nodes selects the node count (fig5).
-	Nodes int
-	// Heap selects the per-rank heap size in bytes (fig8).
-	Heap uint64
-	// Cores and Ratio select the scaling point (table2/fig9); Ratio 1
-	// is the unvirtualized baseline.
+	Method core.Kind // fig5/6/7/8, ftsweep, elastic
+	Nodes  int       // fig5
+	Heap   uint64    // fig8: per-rank heap size in bytes
+	// Cores and Ratio select the table2/fig9 point; Ratio 1 is the
+	// unvirtualized baseline.
 	Cores int
 	Ratio int
-	// MTBF and Target select the fault-tolerance sweep point (ftsweep
-	// matches Method, MTBF, and Target); the recorder then captures the
-	// selected point's supervised run across all of its attempts.
+	// MTBF and Target select the ftsweep point, whose supervised run is
+	// captured across all of its attempts; Target and Churn (the regime's
+	// name) select the elastic point.
 	MTBF   sim.Time
 	Target ampi.CheckpointTarget
-	// VPs selects the rank count (scale).
-	VPs int
-	// Churn selects the elastic churn regime by name (elastic matches
-	// Method, Target, and Churn).
-	Churn string
-	// Rec receives the selected world's events.
+	Churn  string
+	VPs    int // scale
+	// Rec receives the selected point's events.
 	Rec *trace.Recorder
-	// Sink, consulted when Rec is nil, receives the selected world's
-	// events through an arbitrary Tracer — a trace.WindowWriter for
-	// runs whose event volume must not be buffered in memory (the
-	// million-rank scale experiment).
+	// Sink, consulted when Rec is nil, receives them through an
+	// arbitrary Tracer — a trace.WindowWriter for runs whose event
+	// volume must not be buffered in memory (the million-rank scale
+	// experiment).
 	Sink trace.Tracer
 }
 
 // tracerFor returns the selection's tracer when match reports the
-// sweep point is the selected one, else a nil Tracer. An in-memory
-// recorder takes precedence; otherwise the streaming sink is used.
+// sweep point is the selected one, else a nil Tracer; figures call it
+// while building their Specs, so the attach is part of the description
+// run executes. The recorder takes precedence over the streaming sink.
 func (o Opts) tracerFor(match func(*TraceSel) bool) trace.Tracer {
 	ts := o.Trace
-	if ts == nil || (ts.Rec == nil && ts.Sink == nil) || !match(ts) {
+	if ts == nil || !match(ts) {
 		return nil
 	}
 	if ts.Rec != nil {
@@ -145,21 +142,18 @@ func Fig5Methods() []core.Kind {
 // Table1 renders the feature matrix of pre-existing privatization
 // methods (paper Table 1).
 func Table1() *trace.Table {
-	t := trace.NewTable("Table 1: existing privatization methods",
-		"Method", "Automation", "Portability", "SMP Mode Support", "Migration Support")
-	for _, k := range core.Table1Order() {
-		c := core.CapabilitiesOf(k)
-		t.AddRow(c.DisplayName, c.Automation, c.Portability, c.SMPSupport, c.MigrationSupport)
-	}
-	return t
+	return featureTable("Table 1: existing privatization methods", core.Table1Order())
 }
 
 // Table3 renders the full feature matrix including the three novel
 // runtime methods (paper Table 3).
 func Table3() *trace.Table {
-	t := trace.NewTable("Table 3: privatization methods including the three novel runtime methods",
-		"Method", "Automation", "Portability", "SMP Mode Support", "Migration Support")
-	for _, k := range core.Table3Order() {
+	return featureTable("Table 3: privatization methods including the three novel runtime methods", core.Table3Order())
+}
+
+func featureTable(title string, methods []core.Kind) *trace.Table {
+	t := trace.NewTable(title, "Method", "Automation", "Portability", "SMP Mode Support", "Migration Support")
+	for _, k := range methods {
 		c := core.CapabilitiesOf(k)
 		t.AddRow(c.DisplayName, c.Automation, c.Portability, c.SMPSupport, c.MigrationSupport)
 	}

@@ -26,65 +26,35 @@ type MemoryRow struct {
 // runtime method plus PIEglobals with §6's shared-code-pages
 // optimization.
 func MemoryFootprint(o Opts) ([]MemoryRow, *trace.Table, error) {
-	type variant struct {
+	// Each point has its own method instance and image, so concurrent
+	// points never share mutable state.
+	variants := []struct {
 		name   string
-		method func() core.Method
+		method core.Method
+	}{
+		{"tlsglobals", core.New(core.KindTLSglobals)},
+		{"pipglobals", core.New(core.KindPIPglobals)},
+		{"fsglobals", core.New(core.KindFSglobals)},
+		{"pieglobals", core.New(core.KindPIEglobals)},
+		{"pieglobals+sharedcode", core.NewPIEglobals(core.PIEOptions{ShareCodePages: true})},
+		{"pieglobals+sharedcode+cow", core.NewPIEglobals(core.PIEOptions{ShareCodePages: true, ShareROData: true})},
 	}
-	// Each sweep point builds its own method instance and image so
-	// concurrent points never share mutable state.
-	variants := []variant{
-		{"tlsglobals", func() core.Method { return core.New(core.KindTLSglobals) }},
-		{"pipglobals", func() core.Method { return core.New(core.KindPIPglobals) }},
-		{"fsglobals", func() core.Method { return core.New(core.KindFSglobals) }},
-		{"pieglobals", func() core.Method { return core.New(core.KindPIEglobals) }},
-		{"pieglobals+sharedcode", func() core.Method {
-			return core.NewPIEglobals(core.PIEOptions{ShareCodePages: true})
-		}},
-		{"pieglobals+sharedcode+cow", func() core.Method {
-			return core.NewPIEglobals(core.PIEOptions{ShareCodePages: true, ShareROData: true})
-		}},
-	}
-	rows := make([]MemoryRow, len(variants))
-	err := o.runner().Run(len(variants), func(i int) error {
-		v := variants[i]
-		img := adcirc.Image()
-		sp := scenario.Spec{
+	specs := make([]scenario.Spec, len(variants))
+	for i, v := range variants {
+		specs[i] = scenario.Spec{
 			Machine:    machineShape(1, 1, 1),
 			VPs:        1,
-			MethodImpl: v.method(),
-			Program:    &ampi.Program{Image: img, Main: func(r *ampi.Rank) {}},
+			MethodImpl: v.method,
+			Program:    &ampi.Program{Image: adcirc.Image(), Main: func(r *ampi.Rank) {}},
 		}
-		w, err := sp.Run()
-		if err != nil {
-			return fmt.Errorf("memory %s: %w", v.name, err)
-		}
-		ctx := w.Ranks[0].Ctx()
-		var bytes uint64
-		// Heap-resident privatization state (PIE segment copies,
-		// swap/manual cells) minus the stack ballast. Subtract what the
-		// stack block actually contributes to ResidentBytes — if it
-		// were ever shared-backed or ballast-accounted differently,
-		// subtracting its nominal Size would underflow the unsigned
-		// total.
-		resident := ctx.Heap.ResidentBytes()
-		var stackResident uint64
-		if blk := ctx.Heap.Lookup(ctx.Stack.Addr); blk != nil && !blk.Shared {
-			stackResident = blk.Size - blk.SharedBytes
-		}
-		bytes += resident - stackResident
-		// TLS block.
-		bytes += uint64(len(ctx.TLS)) * 8
-		// Linker-held per-rank copies (PIP namespaces, FS copies).
-		for _, h := range w.EnvFor(w.Ranks[0].PE()).Linker.Handles() {
-			if h.Namespace != 0 || h.Path != img.Name {
-				bytes += h.Inst.Img.TotalSegmentBytes()
-			}
-		}
-		rows[i] = MemoryRow{Method: v.name, PerRankBytes: bytes}
-		return nil
-	})
+	}
+	points, err := run(o, specs)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("memory: %w", err)
+	}
+	rows := make([]MemoryRow, len(variants))
+	for i, v := range variants {
+		rows[i] = MemoryRow{Method: v.name, PerRankBytes: points[i].PrivBytes}
 	}
 	t := trace.NewTable("Memory: per-rank privatization footprint, ADCIRC-sized image (16 MiB segments)",
 		"Method", "Per-rank bytes")

@@ -9,16 +9,14 @@ import (
 )
 
 // EnableObs turns on host-side metrics for every instrumented runtime
-// layer — the engine (sim), matchqueues (ampi), snapshots (mem), and
-// the supervisor (ft) — registering their instruments in r, and
-// returns a sweep progress tracker registered in the same registry
-// (wire it into Opts.Progress). EnableObs(nil) uninstalls everything,
-// restoring the one-pointer-comparison no-op state, and returns nil.
+// layer (sim, ampi, mem, ft), registering their instruments in r, and
+// returns a sweep progress tracker in the same registry (wire it into
+// Opts.Progress). EnableObs(nil) uninstalls everything and returns nil.
 //
 // Call it only between runs: instruments are process-global and the
-// install itself is not synchronized with running worlds. Metrics
-// never feed back into virtual time, so enabling them changes no row,
-// table, or trace byte (pinned by TestObsLeavesRowsAndTracesBitIdentical).
+// install is not synchronized with running worlds. Metrics never feed
+// back into virtual time, so enabling them changes no row, table, or
+// trace byte (pinned by TestObsLeavesRowsAndTracesBitIdentical).
 func EnableObs(r *obs.Registry) *obs.Progress {
 	sim.EnableObs(r)
 	ampi.EnableObs(r)

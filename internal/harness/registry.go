@@ -16,45 +16,13 @@ import (
 // does.
 type RunOpts struct {
 	Opts
-	// Nodes is fig5's node count (<= 0 selects 1).
-	Nodes int
-	// NodeCounts is fig5scale's sweep (nil selects 1,2,4,8).
-	NodeCounts []int
-	// Cores is table2/fig9's core-count sweep (nil selects
-	// Table2Cores).
-	Cores []int
-	// MTBFs is ftsweep's MTBF list (nil selects FTSweepMTBFs).
-	MTBFs []sim.Time
-	// Adcirc sizes the table2/fig9 workload (zero selects
-	// adcirc.DefaultConfig).
-	Adcirc adcirc.Config
-	// ScaleVPs is the scale experiment's rank count (<= 0 selects
-	// DefaultScaleVPs — one million).
-	ScaleVPs int
-	// Elastic overrides the elastic experiment's churn-regime list
-	// (nil selects ElasticRegimes).
-	Elastic []ElasticRegime
-}
-
-func (r RunOpts) nodes() int {
-	if r.Nodes <= 0 {
-		return 1
-	}
-	return r.Nodes
-}
-
-func (r RunOpts) nodeCounts() []int {
-	if r.NodeCounts == nil {
-		return []int{1, 2, 4, 8}
-	}
-	return r.NodeCounts
-}
-
-func (r RunOpts) adcirc() adcirc.Config {
-	if r.Adcirc == (adcirc.Config{}) {
-		return adcirc.DefaultConfig()
-	}
-	return r.Adcirc
+	Nodes      int             // fig5's node count (<= 0 selects 1)
+	NodeCounts []int           // fig5scale's sweep (nil selects 1,2,4,8)
+	Cores      []int           // table2/fig9's core counts (nil selects Table2Cores)
+	MTBFs      []sim.Time      // ftsweep's MTBF list (nil selects FTSweepMTBFs)
+	Adcirc     adcirc.Config   // table2/fig9's workload size (zero selects adcirc.DefaultConfig)
+	ScaleVPs   int             // scale's rank count (<= 0 selects DefaultScaleVPs)
+	Elastic    []ElasticRegime // elastic's churn regimes (nil selects ElasticRegimes)
 }
 
 // Result is what a registry experiment produced: the structured rows
@@ -65,24 +33,30 @@ type Result struct {
 	Tables []*trace.Table
 }
 
+// result packs a figure's (rows, table, error) return into a Result.
+func result[R any](rows R, tbl *trace.Table, err error) (Result, error) {
+	return Result{Rows: rows, Tables: []*trace.Table{tbl}}, err
+}
+
 // Experiment is one registry entry: a named, self-describing wrapper
-// around a harness experiment.
+// around a harness experiment. Its JSON is what GET /v1/experiments
+// lists.
 type Experiment struct {
 	// Name is the canonical `-experiment=` value; Aliases are accepted
 	// equivalents (fig9 for table2).
-	Name    string
-	Aliases []string
+	Name    string   `json:"name"`
+	Aliases []string `json:"aliases,omitempty"`
 	// Description is the one-line summary `-experiment=list` prints.
-	Description string
+	Description string `json:"description"`
 	// Flags names the launcher flags the experiment consumes beyond
 	// the cross-cutting ones (parallelism, tracing, profiles).
-	Flags []string
+	Flags []string `json:"flags,omitempty"`
 	// Traceable reports whether the experiment honors Opts.Trace;
 	// TraceKeys names the TraceSel fields that select a sweep point.
-	Traceable bool
-	TraceKeys []string
+	Traceable bool     `json:"traceable,omitempty"`
+	TraceKeys []string `json:"trace_keys,omitempty"`
 	// Run executes the experiment.
-	Run func(RunOpts) (Result, error)
+	Run func(RunOpts) (Result, error) `json:"-"`
 }
 
 // registry holds every experiment in `-experiment=all` execution
@@ -101,10 +75,7 @@ var registry = []Experiment{
 		Flags:       []string{"nodes"},
 		Traceable:   true,
 		TraceKeys:   []string{"method", "nodes"},
-		Run: func(r RunOpts) (Result, error) {
-			rows, tbl, err := Fig5Startup(r.Opts, r.nodes())
-			return Result{Rows: rows, Tables: []*trace.Table{tbl}}, err
-		},
+		Run:         func(r RunOpts) (Result, error) { return result(Fig5Startup(r.Opts, r.Nodes)) },
 	},
 	{
 		Name:        "fig5scale",
@@ -112,7 +83,7 @@ var registry = []Experiment{
 		Traceable:   true,
 		TraceKeys:   []string{"method", "nodes"},
 		Run: func(r RunOpts) (Result, error) {
-			tbl, err := Fig5Scaling(r.Opts, r.nodeCounts())
+			tbl, err := Fig5Scaling(r.Opts, r.NodeCounts)
 			return Result{Tables: []*trace.Table{tbl}}, err
 		},
 	},
@@ -121,30 +92,21 @@ var registry = []Experiment{
 		Description: "Fig. 6: context-switch overhead per privatization method",
 		Traceable:   true,
 		TraceKeys:   []string{"method"},
-		Run: func(r RunOpts) (Result, error) {
-			rows, tbl, err := Fig6ContextSwitch(r.Opts)
-			return Result{Rows: rows, Tables: []*trace.Table{tbl}}, err
-		},
+		Run:         func(r RunOpts) (Result, error) { return result(Fig6ContextSwitch(r.Opts)) },
 	},
 	{
 		Name:        "fig7",
 		Description: "Fig. 7: privatized-variable access overhead (Jacobi-3D)",
 		Traceable:   true,
 		TraceKeys:   []string{"method"},
-		Run: func(r RunOpts) (Result, error) {
-			rows, tbl, err := Fig7JacobiAccess(r.Opts)
-			return Result{Rows: rows, Tables: []*trace.Table{tbl}}, err
-		},
+		Run:         func(r RunOpts) (Result, error) { return result(Fig7JacobiAccess(r.Opts)) },
 	},
 	{
 		Name:        "fig8",
 		Description: "Fig. 8: migration time vs per-rank heap size",
 		Traceable:   true,
 		TraceKeys:   []string{"method", "heap"},
-		Run: func(r RunOpts) (Result, error) {
-			rows, tbl, err := Fig8Migration(r.Opts)
-			return Result{Rows: rows, Tables: []*trace.Table{tbl}}, err
-		},
+		Run:         func(r RunOpts) (Result, error) { return result(Fig8Migration(r.Opts)) },
 	},
 	{
 		Name:        "icache",
@@ -157,10 +119,7 @@ var registry = []Experiment{
 	{
 		Name:        "memory",
 		Description: "§6: per-rank privatization memory footprint (ADCIRC image)",
-		Run: func(r RunOpts) (Result, error) {
-			rows, tbl, err := MemoryFootprint(r.Opts)
-			return Result{Rows: rows, Tables: []*trace.Table{tbl}}, err
-		},
+		Run:         func(r RunOpts) (Result, error) { return result(MemoryFootprint(r.Opts)) },
 	},
 	{
 		Name:        "ftsweep",
@@ -168,10 +127,7 @@ var registry = []Experiment{
 		Flags:       []string{"mtbf"},
 		Traceable:   true,
 		TraceKeys:   []string{"method", "mtbf", "target"},
-		Run: func(r RunOpts) (Result, error) {
-			rows, tbl, err := FTSweep(r.Opts, r.MTBFs)
-			return Result{Rows: rows, Tables: []*trace.Table{tbl}}, err
-		},
+		Run:         func(r RunOpts) (Result, error) { return result(FTSweep(r.Opts, r.MTBFs)) },
 	},
 	{
 		Name:        "table2",
@@ -181,7 +137,7 @@ var registry = []Experiment{
 		Traceable:   true,
 		TraceKeys:   []string{"cores", "ratio"},
 		Run: func(r RunOpts) (Result, error) {
-			rows, t2, f9, err := AdcircScaling(r.Opts, r.adcirc(), r.Cores)
+			rows, t2, f9, err := AdcircScaling(r.Opts, r.Adcirc, r.Cores)
 			return Result{Rows: rows, Tables: []*trace.Table{t2, f9}}, err
 		},
 	},
@@ -191,10 +147,7 @@ var registry = []Experiment{
 		Flags:       []string{"vps", "sim-workers"},
 		Traceable:   true,
 		TraceKeys:   []string{"vps"},
-		Run: func(r RunOpts) (Result, error) {
-			rows, tbl, err := ScaleExperiment(r.Opts, r.ScaleVPs)
-			return Result{Rows: rows, Tables: []*trace.Table{tbl}}, err
-		},
+		Run:         func(r RunOpts) (Result, error) { return result(ScaleExperiment(r.Opts, r.ScaleVPs)) },
 	},
 	{
 		Name:        "elastic",
@@ -202,10 +155,7 @@ var registry = []Experiment{
 		Flags:       []string{"churn-rate", "churn-notice", "churn-seed"},
 		Traceable:   true,
 		TraceKeys:   []string{"method", "target", "churn"},
-		Run: func(r RunOpts) (Result, error) {
-			rows, tbl, err := ElasticSweep(r.Opts, r.Elastic)
-			return Result{Rows: rows, Tables: []*trace.Table{tbl}}, err
-		},
+		Run:         func(r RunOpts) (Result, error) { return result(ElasticSweep(r.Opts, r.Elastic)) },
 	},
 }
 

@@ -9,21 +9,21 @@ import (
 	"provirt/internal/trace"
 )
 
-// The scale experiment is ROADMAP item 1's gate: build one world with a
-// million virtual ranks on a laptop-class machine shape, run a full
-// allreduce over the binomial tree, then a migration storm over an
-// eighth of the ranks, and report both the modeled physics (virtual
-// times, events, modeled per-rank resident bytes) and the host cost of
-// simulating it (bytes of host heap per rank at build and at peak).
+// The scale experiment builds one world with a million virtual ranks on
+// a laptop-class machine shape, runs a full allreduce over the binomial
+// tree, then a migration storm over an eighth of the ranks, and reports
+// both the modeled physics and the host cost of simulating it (bytes of
+// host heap per rank at build and at peak).
 //
-// It runs on the flat world path (ampi.FlatWorld): array-of-structs
-// rank records, lazy privatization sampling, tree-modeled collectives
-// with one engine event per edge. The default method is PIEglobals
-// with shared code pages and read-only-data COW — the configuration
-// whose per-rank footprint the shared-image work exists to shrink.
+// It runs on the flat world (ampi.FlatWorld) — array-of-structs rank
+// records, tree-modeled collectives, no rank threads — which has no
+// Spec and so is the one world the harness builds outside
+// scenario.Spec.Execute, until ROADMAP decides the flat world's engine.
+// The method is PIEglobals with shared code pages and read-only-data
+// COW, the configuration whose per-rank footprint matters at this size.
 
 // DefaultScaleVPs is the rank count the scale experiment runs at when
-// none is given: the million-rank world of ROADMAP item 1.
+// none is given.
 const DefaultScaleVPs = 1_000_000
 
 // scaleStride is the migration-storm stride: every stride-th rank

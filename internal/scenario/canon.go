@@ -132,23 +132,26 @@ func parseEnvPolicy(s string) (EnvPolicy, error) {
 
 // The wire document. Field tags are the format; Go names are
 // incidental. Optional sub-objects are pointers with omitempty so a
-// zero Spec marshals small and round-trips byte-identically.
+// zero Spec marshals small and round-trips byte-identically. The
+// sub-objects that are declarative data already (tweaks, workload
+// parameters, churn, faults) carry their tags on their own types.
 type specDoc struct {
-	Machine    machineDoc     `json:"machine"`
-	VPs        int            `json:"vps"`
-	Method     string         `json:"method"`
-	EnvPolicy  string         `json:"env_policy"`
-	Tweaks     *tweaksDoc     `json:"tweaks,omitempty"`
-	Toolchain  *toolchainDoc  `json:"toolchain,omitempty"`
-	OS         *osDoc         `json:"os,omitempty"`
-	Workload   string         `json:"workload,omitempty"`
-	Params     *paramsDoc     `json:"workload_params,omitempty"`
-	Balancer   string         `json:"balancer,omitempty"`
-	BalancerPE int            `json:"balancer_pes_per_node,omitempty"`
-	Checkpoint *checkpointDoc `json:"checkpoint,omitempty"`
-	Churn      *churnDoc      `json:"churn,omitempty"`
-	Placement  []int          `json:"placement,omitempty"`
-	StackSize  uint64         `json:"stack_size,omitempty"`
+	Machine    machineDoc      `json:"machine"`
+	VPs        int             `json:"vps"`
+	Method     string          `json:"method"`
+	EnvPolicy  string          `json:"env_policy"`
+	Tweaks     *EnvTweaks      `json:"tweaks,omitempty"`
+	Toolchain  *toolchainDoc   `json:"toolchain,omitempty"`
+	OS         *osDoc          `json:"os,omitempty"`
+	Workload   string          `json:"workload,omitempty"`
+	Params     *WorkloadParams `json:"workload_params,omitempty"`
+	Balancer   string          `json:"balancer,omitempty"`
+	BalancerPE int             `json:"balancer_pes_per_node,omitempty"`
+	Checkpoint *checkpointDoc  `json:"checkpoint,omitempty"`
+	Churn      *ft.ChurnSpec   `json:"churn,omitempty"`
+	Faults     *ft.FaultSpec   `json:"faults,omitempty"`
+	Placement  []int           `json:"placement,omitempty"`
+	StackSize  uint64          `json:"stack_size,omitempty"`
 }
 
 type machineDoc struct {
@@ -156,12 +159,6 @@ type machineDoc struct {
 	ProcsPerNode int    `json:"procs_per_node"`
 	PEsPerProc   int    `json:"pes_per_proc"`
 	Seed         uint64 `json:"seed,omitempty"`
-}
-
-type tweaksDoc struct {
-	OldOrPatchedLinker bool `json:"old_or_patched_linker,omitempty"`
-	PatchedGlibc       bool `json:"patched_glibc,omitempty"`
-	MPCToolchain       bool `json:"mpc_toolchain,omitempty"`
 }
 
 type toolchainDoc struct {
@@ -179,26 +176,10 @@ type osDoc struct {
 	SharedFS           bool   `json:"shared_fs,omitempty"`
 }
 
-type paramsDoc struct {
-	HasLB bool `json:"has_lb,omitempty"`
-	Quick bool `json:"quick,omitempty"`
-}
-
 type checkpointDoc struct {
 	Target     string `json:"target"`
 	Dir        string `json:"dir,omitempty"`
 	IntervalNs int64  `json:"interval_ns,omitempty"`
-}
-
-type churnDoc struct {
-	Seed            uint64 `json:"seed,omitempty"`
-	ArrivalEveryNs  int64  `json:"arrival_every_ns,omitempty"`
-	EvictionEveryNs int64  `json:"eviction_every_ns,omitempty"`
-	NoticeNs        int64  `json:"notice_ns,omitempty"`
-	HorizonNs       int64  `json:"horizon_ns,omitempty"`
-	RollingEveryNs  int64  `json:"rolling_every_ns,omitempty"`
-	RollingNodes    int    `json:"rolling_nodes,omitempty"`
-	MaxEvents       int    `json:"max_events,omitempty"`
 }
 
 // doc lowers the Spec to its wire document, rejecting non-declarative
@@ -212,6 +193,8 @@ func (s *Spec) doc() (*specDoc, error) {
 		return nil, err
 	}
 	d := &specDoc{
+		Churn:  s.Churn,
+		Faults: s.Faults,
 		Machine: machineDoc{
 			Nodes:        s.Machine.Nodes,
 			ProcsPerNode: s.Machine.ProcsPerNode,
@@ -225,12 +208,11 @@ func (s *Spec) doc() (*specDoc, error) {
 		Placement: s.Placement,
 		StackSize: s.StackSize,
 	}
+	// The sub-objects are copied, not pointed at: a pointer into s would
+	// move the whole Spec to the heap on every marshal.
 	if s.Tweaks != (EnvTweaks{}) {
-		d.Tweaks = &tweaksDoc{
-			OldOrPatchedLinker: s.Tweaks.OldOrPatchedLinker,
-			PatchedGlibc:       s.Tweaks.PatchedGlibc,
-			MPCToolchain:       s.Tweaks.MPCToolchain,
-		}
+		tweaks := s.Tweaks
+		d.Tweaks = &tweaks
 	}
 	if s.Toolchain != (core.Toolchain{}) {
 		d.Toolchain = &toolchainDoc{
@@ -250,7 +232,8 @@ func (s *Spec) doc() (*specDoc, error) {
 		}
 	}
 	if s.WorkloadParams != (WorkloadParams{}) {
-		d.Params = &paramsDoc{HasLB: s.WorkloadParams.HasLB, Quick: s.WorkloadParams.Quick}
+		params := s.WorkloadParams
+		d.Params = &params
 	}
 	if s.Balancer != nil {
 		name, pes, err := balancerName(s.Balancer)
@@ -264,18 +247,6 @@ func (s *Spec) doc() (*specDoc, error) {
 			Target:     s.Checkpoint.Target.String(),
 			Dir:        s.Checkpoint.Dir,
 			IntervalNs: int64(s.Checkpoint.Interval),
-		}
-	}
-	if s.Churn != nil {
-		d.Churn = &churnDoc{
-			Seed:            s.Churn.Seed,
-			ArrivalEveryNs:  int64(s.Churn.ArrivalEvery),
-			EvictionEveryNs: int64(s.Churn.EvictionEvery),
-			NoticeNs:        int64(s.Churn.Notice),
-			HorizonNs:       int64(s.Churn.Horizon),
-			RollingEveryNs:  int64(s.Churn.RollingEvery),
-			RollingNodes:    s.Churn.RollingNodes,
-			MaxEvents:       s.Churn.MaxEvents,
 		}
 	}
 	return d, nil
@@ -315,6 +286,8 @@ func (s *Spec) UnmarshalJSON(data []byte) error {
 		}
 	}
 	out := Spec{
+		Churn:  d.Churn,
+		Faults: d.Faults,
 		Machine: machine.Config{
 			Nodes:        d.Machine.Nodes,
 			ProcsPerNode: d.Machine.ProcsPerNode,
@@ -329,11 +302,7 @@ func (s *Spec) UnmarshalJSON(data []byte) error {
 		StackSize: d.StackSize,
 	}
 	if d.Tweaks != nil {
-		out.Tweaks = EnvTweaks{
-			OldOrPatchedLinker: d.Tweaks.OldOrPatchedLinker,
-			PatchedGlibc:       d.Tweaks.PatchedGlibc,
-			MPCToolchain:       d.Tweaks.MPCToolchain,
-		}
+		out.Tweaks = *d.Tweaks
 	}
 	if d.Toolchain != nil {
 		out.Toolchain = core.Toolchain{
@@ -353,7 +322,7 @@ func (s *Spec) UnmarshalJSON(data []byte) error {
 		}
 	}
 	if d.Params != nil {
-		out.WorkloadParams = WorkloadParams{HasLB: d.Params.HasLB, Quick: d.Params.Quick}
+		out.WorkloadParams = *d.Params
 	}
 	if d.Balancer != "" {
 		b, err := ParseBalancer(d.Balancer, d.BalancerPE)
@@ -376,18 +345,6 @@ func (s *Spec) UnmarshalJSON(data []byte) error {
 			Target:   target,
 			Dir:      d.Checkpoint.Dir,
 			Interval: sim.Time(d.Checkpoint.IntervalNs),
-		}
-	}
-	if d.Churn != nil {
-		out.Churn = &ft.ChurnSpec{
-			Seed:          d.Churn.Seed,
-			ArrivalEvery:  sim.Time(d.Churn.ArrivalEveryNs),
-			EvictionEvery: sim.Time(d.Churn.EvictionEveryNs),
-			Notice:        sim.Time(d.Churn.NoticeNs),
-			Horizon:       sim.Time(d.Churn.HorizonNs),
-			RollingEvery:  sim.Time(d.Churn.RollingEveryNs),
-			RollingNodes:  d.Churn.RollingNodes,
-			MaxEvents:     d.Churn.MaxEvents,
 		}
 	}
 	*s = out
@@ -419,7 +376,13 @@ func (s *Spec) Canonical() ([]byte, error) {
 	line("vps", "%d", s.VPs)
 	line("method", "%s", s.kind())
 	tc, osEnv := s.env()
-	line("env.toolchain.name", "%s", tc.Name)
+	// The toolchain's name and the checkpoint directory are labels — no
+	// run reads either — so they are not content, and two Specs that
+	// differ only there share a hash and a row. Their lines stay, frozen
+	// at what the golden hashes saw, because dropping a line would move
+	// every hash.
+	bridges2, _ := core.Bridges2Env()
+	line("env.toolchain.name", "%s", bridges2.Name)
 	line("env.toolchain.tls_seg_refs", "%t", tc.SupportsTLSSegRefs)
 	line("env.toolchain.mpc", "%t", tc.MPCPatched)
 	line("env.toolchain.pie", "%t", tc.PIE)
@@ -429,7 +392,9 @@ func (s *Spec) Canonical() ([]byte, error) {
 	line("env.os.old_or_patched_linker", "%t", osEnv.OldOrPatchedLinker)
 	line("env.os.shared_fs", "%t", osEnv.SharedFS)
 	line("workload", "%s", s.Workload)
-	line("workload.has_lb", "%t", s.WorkloadParams.HasLB)
+	// Derived, like the environment: what the workload is told is
+	// whether the Spec has a balancer, so that is what is hashed.
+	line("workload.has_lb", "%t", s.Balancer != nil)
 	line("workload.quick", "%t", s.WorkloadParams.Quick)
 	if s.Balancer != nil {
 		name, pes, err := balancerName(s.Balancer)
@@ -444,16 +409,16 @@ func (s *Spec) Canonical() ([]byte, error) {
 	}
 	if s.Checkpoint != nil {
 		line("checkpoint.target", "%s", s.Checkpoint.Target)
-		line("checkpoint.dir", "%s", s.Checkpoint.Dir)
+		line("checkpoint.dir", "")
 		line("checkpoint.interval_ns", "%d", int64(s.Checkpoint.Interval))
 	} else {
 		line("checkpoint.target", "")
 		line("checkpoint.dir", "")
 		line("checkpoint.interval_ns", "%d", 0)
 	}
-	// Churn lines appear only when churn is configured: churn-free
-	// Specs keep the exact canonical bytes (and hashes) they had before
-	// elasticity existed.
+	// Churn and fault lines appear only when configured: Specs without
+	// them keep the exact canonical bytes (and hashes) they had before
+	// supervision existed.
 	if s.Churn != nil {
 		line("churn.seed", "%d", s.Churn.Seed)
 		line("churn.arrival_every_ns", "%d", int64(s.Churn.ArrivalEvery))
@@ -463,6 +428,11 @@ func (s *Spec) Canonical() ([]byte, error) {
 		line("churn.rolling_every_ns", "%d", int64(s.Churn.RollingEvery))
 		line("churn.rolling_nodes", "%d", s.Churn.RollingNodes)
 		line("churn.max_events", "%d", s.Churn.MaxEvents)
+	}
+	if s.Faults != nil {
+		line("faults.seed", "%d", s.Faults.Seed)
+		line("faults.mtbf_ns", "%d", int64(s.Faults.MTBF))
+		line("faults.horizon_ns", "%d", int64(s.Faults.Horizon))
 	}
 	placement := make([]string, len(s.Placement))
 	for i, p := range s.Placement {

@@ -25,7 +25,7 @@ func fullSpec() Spec {
 		EnvPolicy:      EnvAdjust,
 		Tweaks:         EnvTweaks{PatchedGlibc: true},
 		Workload:       "adcirc",
-		WorkloadParams: WorkloadParams{HasLB: true, Quick: true},
+		WorkloadParams: WorkloadParams{Quick: true},
 		Balancer:       lb.HierarchicalLB{PEsPerNode: 4},
 		Checkpoint: &ampi.CheckpointPolicy{
 			Target:   ampi.TargetBuddy,

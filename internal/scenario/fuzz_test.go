@@ -14,9 +14,14 @@ func FuzzSpecDecode(f *testing.F) {
 	// The scripts/serve_smoke.sh point.
 	f.Add([]byte(`{"workload":"empty","vps":4,"machine":{"nodes":2,"procs_per_node":1,"pes_per_proc":1},"method":"pieglobals"}`))
 	// Churn, a checkpoint policy and the parameterized balancer at once.
-	f.Add([]byte(`{"machine":{"nodes":2,"procs_per_node":2,"pes_per_proc":2,"seed":7},"vps":16,"method":"tlsglobals","env_policy":"adjust","tweaks":{"patched_glibc":true},"workload":"adcirc","workload_params":{"has_lb":true,"quick":true},"balancer":"hierarchical","balancer_pes_per_node":4,"checkpoint":{"target":"buddy","interval_ns":50000000},"churn":{"seed":7,"eviction_every_ns":20000000,"notice_ns":1000000000,"horizon_ns":400000000,"max_events":2},"placement":[0,1,2,3,4,5,6,7,0,1,2,3,4,5,6,7],"stack_size":1048576}`))
+	f.Add([]byte(`{"machine":{"nodes":2,"procs_per_node":2,"pes_per_proc":2,"seed":7},"vps":16,"method":"tlsglobals","env_policy":"adjust","tweaks":{"patched_glibc":true},"workload":"adcirc","workload_params":{"quick":true},"balancer":"hierarchical","balancer_pes_per_node":4,"checkpoint":{"target":"buddy","interval_ns":50000000},"churn":{"seed":7,"eviction_every_ns":20000000,"notice_ns":1000000000,"horizon_ns":400000000,"max_events":2},"placement":[0,1,2,3,4,5,6,7,0,1,2,3,4,5,6,7],"stack_size":1048576}`))
 	// A stack size that wraps the allocator's bounds arithmetic.
 	f.Add([]byte(`{"workload":"empty","vps":4,"stack_size":18446744073709551615}`))
+	// A machine the model cannot hold: 30 M PEs, and a product that wraps.
+	f.Add([]byte(`{"workload":"empty","vps":4,"machine":{"nodes":3000,"procs_per_node":100,"pes_per_proc":100}}`))
+	f.Add([]byte(`{"workload":"empty","vps":4,"machine":{"nodes":1000000,"procs_per_node":1000000,"pes_per_proc":1000000}}`))
+	// A crash process, and a churn spec asking for an unbounded plan.
+	f.Add([]byte(`{"workload":"checkpointed","vps":6,"machine":{"nodes":3,"procs_per_node":1,"pes_per_proc":2},"method":"pieglobals","checkpoint":{"target":"fs","interval_ns":19000000},"faults":{"seed":3,"mtbf_ns":1,"horizon_ns":4611686018427387904},"churn":{"eviction_every_ns":1,"horizon_ns":4611686018427387904,"max_events":4611686018427387904}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var sp Spec
 		if json.Unmarshal(data, &sp) != nil {

@@ -88,7 +88,7 @@ func TestAbandonedWorldsLeaveNoGoroutines(t *testing.T) {
 		})
 	})
 
-	t.Run("Spec.Run deadlock", func(t *testing.T) {
+	t.Run("Execute deadlock", func(t *testing.T) {
 		wantNoNewGoroutines(t, func() {
 			sp := scenario.Spec{
 				Machine: shape(1, 1, 2),
@@ -99,9 +99,9 @@ func TestAbandonedWorldsLeaveNoGoroutines(t *testing.T) {
 					Main:  func(r *ampi.Rank) { r.Recv((r.Rank()+1)%r.Size(), 0) },
 				},
 			}
-			_, err := sp.Run()
+			_, _, err := sp.Execute()
 			if !errors.Is(err, sim.ErrStalled) {
-				t.Fatalf("Run returned %v, want a deadlock", err)
+				t.Fatalf("Execute returned %v, want a deadlock", err)
 			}
 		})
 	})

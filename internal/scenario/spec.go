@@ -1,16 +1,19 @@
 // Package scenario assembles simulated AMPI runs declaratively.
 //
 // The paper's evaluation is a matrix of scenarios — privatization
-// method x workload x machine shape x policy — and every consumer of
-// the runtime (the harness experiments, cmd/privbench, cmd/ampirun,
-// the examples) used to wire its cell of that matrix by hand. A Spec
-// is the single description of one cell: machine shape, virtual
-// ranks, privatization method, toolchain/OS environment, workload,
-// load-balancing strategy, checkpoint policy, and tracer. Validate
+// method x workload x machine shape x policy — and a Spec is the single
+// description of one cell: machine shape, virtual ranks, privatization
+// method, toolchain/OS environment, workload, load-balancing strategy,
+// checkpoint policy, fault and churn processes, and tracer. Validate
 // reports every problem with the description as structured field
-// errors; Config lowers it to the ampi.Config the engine consumes;
-// Build constructs the world (optionally restoring from a
-// checkpoint); Run builds and executes it.
+// errors, and Execute is the one way a described point becomes a
+// result: it builds the world, runs it — bare, or under the ft
+// supervisor when the Spec names a fault or churn process — and returns
+// a Row of plain values (see row.go). The harness figures, the serve
+// API and `privbench -spec` all go through it, so a description gets
+// the same answer whichever door it came through. Config, Build and
+// RunElastic are Execute's steps, exported for callers that need the
+// world itself (two examples, bench/).
 //
 // Workloads are resolved by name through a registry (see
 // workloads.go), so launchers list and select programs without
@@ -55,18 +58,20 @@ const (
 // environment (EnvAdjust and EnvBridges2 policies).
 type EnvTweaks struct {
 	// OldOrPatchedLinker pretends ld <= 2.23, enabling Swapglobals.
-	OldOrPatchedLinker bool
+	OldOrPatchedLinker bool `json:"old_or_patched_linker,omitempty"`
 	// PatchedGlibc lifts the dlmopen namespace limit for PIPglobals.
-	PatchedGlibc bool
+	PatchedGlibc bool `json:"patched_glibc,omitempty"`
 	// MPCToolchain uses an MPC-patched compiler, enabling
 	// -fmpc-privatize.
-	MPCToolchain bool
+	MPCToolchain bool `json:"mpc_toolchain,omitempty"`
 }
 
 // Spec declares one simulated run.
 type Spec struct {
 	// Machine is the cluster shape (nodes x processes x PEs) plus the
-	// seed and cost model.
+	// seed and cost model. The seed is the run's master seed: the Faults
+	// and Churn samplers draw from their own seeds mixed with it, and a
+	// run with neither has nothing random for it to move.
 	Machine machine.Config
 	// VPs is the number of virtual ranks (+vp N).
 	VPs int
@@ -106,6 +111,13 @@ type Spec struct {
 	// changes drain through snapshots) and a migratable method (ranks
 	// must move when the machine reshapes).
 	Churn *ft.ChurnSpec
+	// Faults, if set, runs the scenario under a seeded crash process:
+	// the spec compiles to a deterministic fault plan and the supervisor
+	// restarts the job from its last checkpoint (from scratch when there
+	// is none) after every node crash. Setting Churn or Faults at all —
+	// even to a spec that injects nothing — selects the supervised
+	// path, whose Row carries the supervised columns.
+	Faults *ft.FaultSpec
 	// Restart, if set, restores every rank from the snapshot before
 	// its thread first runs (stop/restart and recovery scenarios).
 	Restart *ampi.Checkpoint
@@ -120,8 +132,8 @@ type Spec struct {
 // FieldError is one problem with a Spec, tied to the field that
 // caused it.
 type FieldError struct {
-	Field string
-	Msg   string
+	Field string `json:"field"`
+	Msg   string `json:"msg"`
 }
 
 func (e FieldError) Error() string { return fmt.Sprintf("%s: %s", e.Field, e.Msg) }
@@ -139,6 +151,10 @@ func (e *ValidationError) Error() string {
 	}
 	return "scenario: invalid spec: " + strings.Join(msgs, "; ")
 }
+
+// supervised reports whether Execute runs the Spec under the ft
+// supervisor: it names a fault or a churn process.
+func (s *Spec) supervised() bool { return s.Faults != nil || s.Churn != nil }
 
 // capabilities returns the effective method's Table 3 row.
 func (s *Spec) capabilities() core.Capabilities {
@@ -207,6 +223,13 @@ func (s *Spec) Validate() error {
 
 	if err := s.Machine.Validate(); err != nil {
 		add("Machine", "%v", err)
+	} else if m := s.Machine; m.Nodes > mem.MaxRanks || m.ProcsPerNode > mem.MaxRanks/m.Nodes ||
+		m.PEsPerProc > mem.MaxRanks/(m.Nodes*m.ProcsPerNode) {
+		// Dividing the ceiling down keeps the product from wrapping. A
+		// world holds at most MaxRanks ranks, so PEs beyond that could
+		// never run one.
+		add("Machine", "%d x %d x %d PEs exceed the %d a world's ranks could occupy",
+			m.Nodes, m.ProcsPerNode, m.PEsPerProc, mem.MaxRanks)
 	}
 	if s.VPs <= 0 {
 		add("VPs", "must be positive, got %d", s.VPs)
@@ -256,6 +279,19 @@ func (s *Spec) Validate() error {
 			}
 		}
 	}
+	if s.Faults != nil {
+		if err := s.Faults.Validate(); err != nil {
+			add("Faults", "%v", err)
+		}
+	}
+	if s.supervised() {
+		if s.Restart != nil {
+			add("Restart", "a supervised run (Faults or Churn set) restarts from its own snapshots")
+		}
+		if s.Program != nil {
+			add("Program", "a supervised run (Faults or Churn set) rebuilds its program for every attempt; name a registered Workload instead")
+		}
+	}
 	if s.StackSize > mem.IsomallocRangeSize {
 		add("StackSize", "%d bytes exceed a rank's %d-byte Isomalloc range", s.StackSize, uint64(mem.IsomallocRangeSize))
 	}
@@ -287,6 +323,15 @@ func (s *Spec) Validate() error {
 			if !tc.SupportsTLSSegRefs {
 				add("Method", "tlsglobals needs -mno-tls-direct-seg-refs compiler support")
 			}
+		}
+		// The three runtime methods load the program through the dynamic
+		// linker, and two of them through glibc extensions.
+		runtimeMethod := kind == core.KindPIPglobals || kind == core.KindPIEglobals
+		if runtimeMethod && (osEnv.Kind != "linux" || !osEnv.Glibc) {
+			add("Method", "%s needs GNU/Linux (dlmopen and dl_iterate_phdr are glibc extensions)", kind)
+		}
+		if (runtimeMethod || kind == core.KindFSglobals) && !tc.PIE {
+			add("Method", "%s needs the program built as a Position Independent Executable", kind)
 		}
 	}
 
@@ -337,17 +382,11 @@ func (s *Spec) Build() (*Built, error) {
 	prog := s.Program
 	var report func()
 	if prog == nil {
-		if s.Workload == "" {
-			return nil, &ValidationError{Errs: []FieldError{{
-				Field: "Workload",
-				Msg: fmt.Sprintf("no workload: name one of %s or set Program",
-					strings.Join(WorkloadNames(), ", ")),
-			}}}
+		mk, err := s.workload()
+		if err != nil {
+			return nil, err
 		}
-		wl, _ := LookupWorkload(s.Workload) // existence pinned by Config's Validate
-		p := s.WorkloadParams
-		p.HasLB = s.Balancer != nil
-		prog, report = wl.New(p)
+		prog, report = mk()
 	}
 	var w *ampi.World
 	if s.Restart != nil {
@@ -361,22 +400,25 @@ func (s *Spec) Build() (*Built, error) {
 	return &Built{World: w, Report: report}, nil
 }
 
-// Run builds the world and runs it to completion.
-func (s *Spec) Run() (*ampi.World, error) {
-	b, err := s.Build()
-	if err != nil {
-		return nil, err
+// workload resolves the named workload into its constructor, bound to
+// the parameters it is given.
+func (s *Spec) workload() (func() (*ampi.Program, func()), error) {
+	if s.Workload == "" {
+		return nil, &ValidationError{Errs: []FieldError{{
+			Field: "Workload",
+			Msg:   fmt.Sprintf("no workload: name one of %s", strings.Join(WorkloadNames(), ", ")),
+		}}}
 	}
-	if err := b.World.Run(); err != nil {
-		return nil, err
-	}
-	return b.World, nil
+	wl, _ := LookupWorkload(s.Workload) // existence pinned by Validate
+	p := s.WorkloadParams
+	p.hasLB = s.Balancer != nil
+	return func() (*ampi.Program, func()) { return wl.New(p) }, nil
 }
 
-// RunElastic runs the scenario under its Churn schedule via the
-// elastic supervisor: the spec compiles to a deterministic membership
-// plan and the job drains, reshapes, and restarts across every
-// arrival and eviction. Requires a named Workload (each restart
+// RunElastic is Execute's supervised branch: the Churn and Faults specs
+// compile to deterministic membership and crash plans and the one ft
+// supervisor drains, reshapes, and restarts the job across every
+// arrival, eviction and crash. Requires a named Workload (each restart
 // attempt needs a fresh program instance) and, when churn is enabled,
 // a Checkpoint policy. The returned report function prints the final
 // attempt's workload output, mirroring Built.Report.
@@ -385,33 +427,27 @@ func (s *Spec) RunElastic() (*ft.ElasticReport, func(), error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if s.Program != nil {
-		return nil, nil, &ValidationError{Errs: []FieldError{{
-			Field: "Program",
-			Msg:   "elastic runs restart the program across membership changes; name a registered Workload instead",
-		}}}
+	mk, err := s.workload()
+	if err != nil {
+		return nil, nil, err
 	}
-	if s.Workload == "" {
-		return nil, nil, &ValidationError{Errs: []FieldError{{
-			Field: "Workload",
-			Msg: fmt.Sprintf("no workload: name one of %s",
-				strings.Join(WorkloadNames(), ", ")),
-		}}}
-	}
-	wl, _ := LookupWorkload(s.Workload) // existence pinned by Config's Validate
-	params := s.WorkloadParams
-	params.HasLB = s.Balancer != nil
 	var report func()
-	job := ft.ElasticJob{
-		Config: cfg,
-		Program: func() *ampi.Program {
-			p, r := wl.New(params)
-			report = r
-			return p
-		},
-	}
+	job := ft.ElasticJob{Config: cfg, Program: func() (p *ampi.Program) {
+		p, report = mk()
+		return p
+	}}
+	// Crashes and membership changes are the machine's doing, so the
+	// machine's seed is mixed into both samplers: it is the run's master
+	// seed, and zero leaves each spec's own seed as written.
 	if s.Churn != nil {
-		job.Churn = s.Churn.Compile(s.Machine.Nodes)
+		churn := *s.Churn
+		churn.Seed ^= s.Machine.Seed
+		job.Churn = churn.Compile(s.Machine.Nodes)
+	}
+	if s.Faults != nil {
+		faults := *s.Faults
+		faults.Seed ^= s.Machine.Seed
+		job.Faults = faults.Compile(s.Machine.Nodes)
 	}
 	rep, err := ft.RunElastic(job)
 	if err != nil {

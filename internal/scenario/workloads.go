@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"provirt/internal/ampi"
 	"provirt/internal/workloads/adcirc"
@@ -13,12 +14,13 @@ import (
 
 // WorkloadParams parameterizes a registered workload's constructor.
 type WorkloadParams struct {
-	// HasLB reports whether the run has a load balancer; workloads
-	// with a periodic AMPI_Migrate step skip it when nothing would
-	// rebalance. Build sets this from the Spec's Balancer.
-	HasLB bool
 	// Quick selects a reduced problem size for smoke runs.
-	Quick bool
+	Quick bool `json:"quick,omitempty"`
+	// hasLB reports whether the run has a load balancer; workloads
+	// with a periodic AMPI_Migrate step skip it when nothing would
+	// rebalance. It is derived: Build sets it from the Spec's Balancer,
+	// and no caller or document can say otherwise.
+	hasLB bool
 }
 
 // Workload is a registered program: a name launchers select by, a
@@ -103,6 +105,13 @@ func init() {
 		},
 	})
 	RegisterWorkload(Workload{
+		Name:        "checkpointed",
+		Description: "iterative checkpointable kernel whose ranks verify no restart lost or double-counted work (ftsweep, elastic)",
+		New: func(WorkloadParams) (*ampi.Program, func()) {
+			return synth.CheckpointedChecked(24, 8*time.Millisecond), nil
+		},
+	})
+	RegisterWorkload(Workload{
 		Name:        "jacobi",
 		Description: "Jacobi-3D stencil with privatized inner-loop variables (Fig. 7)",
 		New: func(p WorkloadParams) (*ampi.Program, func()) {
@@ -132,7 +141,7 @@ func init() {
 			if p.Quick {
 				cfg.Width, cfg.Height, cfg.Steps, cfg.LBPeriod = 96, 128, 8, 4
 			}
-			if !p.HasLB {
+			if !p.hasLB {
 				cfg.LBPeriod = 0
 			}
 			var volume uint64
@@ -151,7 +160,7 @@ func init() {
 			if p.Quick {
 				cfg.BlocksX, cfg.BlocksY, cfg.Steps, cfg.RegridEvery = 8, 8, 8, 4
 			}
-			if !p.HasLB {
+			if !p.hasLB {
 				cfg.RegridEvery = 0
 			}
 			var updates uint64

@@ -14,6 +14,7 @@ var (
 	dedupJoins     *obs.Counter
 	pointsExecuted *obs.Counter
 	pointErrors    *obs.Counter
+	pointPanics    *obs.Counter
 	storePutErrors *obs.Counter
 	queueHighwater *obs.Gauge
 	requestLatency *obs.Histogram
@@ -26,7 +27,7 @@ var (
 func EnableObs(r *obs.Registry) {
 	resultstore.EnableObs(r)
 	if r == nil {
-		requests, cacheHits, cacheMisses = nil, nil, nil
+		requests, cacheHits, cacheMisses, pointPanics = nil, nil, nil, nil
 		dedupJoins, pointsExecuted, pointErrors, storePutErrors = nil, nil, nil, nil
 		queueHighwater, requestLatency = nil, nil
 		return
@@ -43,6 +44,8 @@ func EnableObs(r *obs.Registry) {
 		"simulations actually executed (misses that were not deduped)")
 	pointErrors = r.Counter("serve_point_errors_total",
 		"point executions that returned an error")
+	pointPanics = r.Counter("serve_point_panics_total",
+		"point executions that panicked and were turned into an errored flight")
 	storePutErrors = r.Counter("serve_store_put_errors_total",
 		"results computed but not persisted (store write failed)")
 	queueHighwater = r.Gauge("serve_queue_depth_highwater",

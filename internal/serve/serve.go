@@ -23,15 +23,14 @@
 //	                       point (in index order, written as soon as
 //	                       the point and all before it are done), and a
 //	                       trailer. Invalid Specs get a structured 400
-//	                       carrying scenario.ValidationError fields, as
-//	                       do points with an enabled churn (Spec.Run
-//	                       would ignore it).
+//	                       carrying scenario.ValidationError fields.
+//	                       Points run through Spec.Execute, so fault
+//	                       and churn points run under the supervisor.
 //	GET  /v1/runs/{hash}   replays a completed run from the store.
 //	GET  /v1/experiments   lists the harness experiment registry and
 //	                       the workload registry with example Specs.
 //
-// Concurrency discipline (after the Go optimistic-concurrency study's
-// lock-usage findings): the server's mutex guards only the in-flight
+// Concurrency discipline: the server's mutex guards only the in-flight
 // map; simulation, marshaling, and store I/O all happen outside it.
 // Total concurrent simulations across all requests are bounded by a
 // semaphore threaded through sweep.Runner's admission gate.
@@ -78,10 +77,12 @@ type Server struct {
 }
 
 // flight is one in-progress point execution; joiners block on done and
-// read payload/err after it closes.
+// read payload/err after it closes. stored reports that the leader found
+// the row already persisted and executed nothing.
 type flight struct {
 	done    chan struct{}
 	payload []byte
+	stored  bool
 	err     error
 }
 
@@ -124,12 +125,6 @@ type runRequest struct {
 	Spec   *scenario.Spec  `json:"spec,omitempty"`
 }
 
-// fieldError mirrors scenario.FieldError on the wire.
-type fieldError struct {
-	Field string `json:"field"`
-	Msg   string `json:"msg"`
-}
-
 // errorDoc is every non-streaming error body.
 type errorDoc struct {
 	Error string `json:"error"`
@@ -137,7 +132,7 @@ type errorDoc struct {
 	// identifiable.
 	Point *int `json:"point,omitempty"`
 	// Fields carries scenario.ValidationError's per-field problems.
-	Fields []fieldError `json:"fields,omitempty"`
+	Fields []scenario.FieldError `json:"fields,omitempty"`
 }
 
 // headerLine opens every run stream.
@@ -221,9 +216,7 @@ func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
 			doc := errorDoc{Error: "invalid spec", Point: &i}
 			var verr *scenario.ValidationError
 			if errors.As(err, &verr) {
-				for _, fe := range verr.Errs {
-					doc.Fields = append(doc.Fields, fieldError{Field: fe.Field, Msg: fe.Msg})
-				}
+				doc.Fields = verr.Errs
 			} else {
 				doc.Error = err.Error()
 			}
@@ -234,17 +227,7 @@ func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
 			// Valid for Config(), but the server has no program to inject.
 			writeError(w, http.StatusBadRequest, errorDoc{
 				Error: "invalid spec", Point: &i,
-				Fields: []fieldError{{Field: "Workload", Msg: "server runs need a registered workload"}},
-			})
-			return
-		}
-		if c := points[i].Churn; c != nil && c.Enabled() {
-			// executePoint calls Spec.Run, which never reads Churn, and a
-			// Row cannot carry a supervised result: answering would cache
-			// a churn-free row under the churn Spec's hash.
-			writeError(w, http.StatusBadRequest, errorDoc{
-				Error: "invalid spec", Point: &i,
-				Fields: []fieldError{{Field: "Churn", Msg: "the server cannot run elastic (churn) points; use privbench -experiment elastic or Spec.RunElastic"}},
+				Fields: []scenario.FieldError{{Field: "Workload", Msg: "server runs need a registered workload"}},
 			})
 			return
 		}
@@ -315,9 +298,13 @@ func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
 		default:
 			f := res[i].flight
 			<-f.done
-			if res[i].joined {
+			switch {
+			case f.stored:
+				trailer.Cached++
+				line.Cached = true
+			case res[i].joined:
 				trailer.Deduped++
-			} else {
+			default:
 				trailer.Executed++
 			}
 			if f.err != nil {
@@ -364,13 +351,32 @@ func (s *Server) runLeaders(points []scenario.Spec, hashes []string, flights []*
 	_ = r.Run(len(leaders), func(j int) error {
 		i := leaders[j]
 		f := flights[j]
-		f.payload, f.err = s.executePoint(hashes[i], points[i])
+		f.payload, f.stored, f.err = s.lead(hashes[i], points[i])
 		s.mu.Lock()
 		delete(s.inflight, hashes[i])
 		s.mu.Unlock()
 		close(f.done)
 		return nil
 	})
+}
+
+// panicError is the error of a flight whose execution panicked.
+type panicError struct{ value any }
+
+func (e *panicError) Error() string { return fmt.Sprintf("point execution panicked: %v", e.value) }
+
+// lead is executePoint behind a recover: Execute reaches the world
+// builder, the supervisor and the reshape placements, and a panic under
+// them must cost one point, not the server — the flight completes with
+// a *panicError, so its joiners are released and the pool slot returns.
+func (s *Server) lead(hash string, sp scenario.Spec) (payload []byte, stored bool, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			pointPanics.Inc()
+			payload, err = nil, &panicError{value: r}
+		}
+	}()
+	return s.executePoint(hash, sp)
 }
 
 // acquireSlot blocks until a pool slot frees, recording how deep the
@@ -387,20 +393,20 @@ func (s *Server) releaseSlot() {
 
 // executePoint runs one Spec and stores its row. The leader re-checks
 // the store first: a flight that finished between this request's
-// store probe and its claim already persisted the row.
-func (s *Server) executePoint(hash string, sp scenario.Spec) ([]byte, error) {
+// store probe and its claim already persisted the row, and the point is
+// then a cache hit (stored), not an execution.
+func (s *Server) executePoint(hash string, sp scenario.Spec) (payload []byte, stored bool, err error) {
 	if p, ok := s.store.Get("pt", hash); ok {
 		cacheHits.Inc()
-		return p, nil
+		return p, true, nil
 	}
 	pointsExecuted.Inc()
-	w, err := sp.Run()
+	row, _, err := sp.Execute()
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	payload, err := json.Marshal(rowFor(&sp, w))
-	if err != nil {
-		return nil, err
+	if payload, err = json.Marshal(row); err != nil {
+		return nil, false, err
 	}
 	if err := s.store.Put("pt", hash, payload); err != nil {
 		// The row is still good; the next identical request just
@@ -408,7 +414,7 @@ func (s *Server) executePoint(hash string, sp scenario.Spec) ([]byte, error) {
 		// the cache off silently otherwise.
 		storePutErrors.Inc()
 	}
-	return payload, nil
+	return payload, false, nil
 }
 
 // putManifest persists the run-level record that lets GET
@@ -483,16 +489,6 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 
 // --- GET /v1/experiments ---
 
-// experimentDoc describes one harness registry entry.
-type experimentDoc struct {
-	Name        string   `json:"name"`
-	Aliases     []string `json:"aliases,omitempty"`
-	Description string   `json:"description"`
-	Flags       []string `json:"flags,omitempty"`
-	Traceable   bool     `json:"traceable,omitempty"`
-	TraceKeys   []string `json:"trace_keys,omitempty"`
-}
-
 // workloadDoc describes one registered workload plus a ready-to-POST
 // example Spec.
 type workloadDoc struct {
@@ -504,17 +500,11 @@ type workloadDoc struct {
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	requests.Inc()
 	var out struct {
-		Version     string          `json:"version"`
-		Experiments []experimentDoc `json:"experiments"`
-		Workloads   []workloadDoc   `json:"workloads"`
+		Version     string               `json:"version"`
+		Experiments []harness.Experiment `json:"experiments"`
+		Workloads   []workloadDoc        `json:"workloads"`
 	}
-	out.Version = s.version
-	for _, e := range harness.Experiments() {
-		out.Experiments = append(out.Experiments, experimentDoc{
-			Name: e.Name, Aliases: e.Aliases, Description: e.Description,
-			Flags: e.Flags, Traceable: e.Traceable, TraceKeys: e.TraceKeys,
-		})
-	}
+	out.Version, out.Experiments = s.version, harness.Experiments()
 	for _, wl := range scenario.Workloads() {
 		out.Workloads = append(out.Workloads, workloadDoc{
 			Name: wl.Name, Description: wl.Description, DefaultSpec: scenario.DefaultSpec(wl.Name),

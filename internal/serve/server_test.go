@@ -10,12 +10,15 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"provirt/internal/ampi"
 	"provirt/internal/core"
 	"provirt/internal/ft"
+	"provirt/internal/harness"
+	"provirt/internal/machine"
 	"provirt/internal/obs"
 	"provirt/internal/resultstore"
 	"provirt/internal/scenario"
@@ -140,7 +143,7 @@ func TestSecondPostIsByteIdenticalCacheHit(t *testing.T) {
 		t.Fatal("cache hit counter did not increment")
 	}
 
-	var row Row
+	var row scenario.Row
 	if err := json.Unmarshal(pts1[0].Row, &row); err != nil {
 		t.Fatalf("row payload not a Row: %v", err)
 	}
@@ -287,8 +290,8 @@ func TestOversizedWorldIs400AndServerSurvives(t *testing.T) {
 
 func TestUnknownFieldIs400(t *testing.T) {
 	_, ts := newTestServer(t, 1)
-	for _, field := range []string{"virtual_processors", "sim_workers"} {
-		body := `{"points":[{"workload":"empty","vps":4,"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":1},"` + field + `":4}]}`
+	for _, field := range []string{`"virtual_processors":4`, `"sim_workers":4`, `"workload_params":{"has_lb":true}`} {
+		body := `{"points":[{"workload":"empty","vps":4,"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":1},` + field + `}]}`
 		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -297,6 +300,52 @@ func TestUnknownFieldIs400(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", field, resp.StatusCode)
 		}
+	}
+}
+
+// The wire can name a machine the model cannot hold: 30 M PEs for four
+// ranks used to answer the header line and then pin a pool slot at
+// 850 MB and climbing; a product that wraps int got past positivity
+// checks. Both are a structured 400 and nothing runs.
+func TestMachineBeyondRanksIs400(t *testing.T) {
+	s, ts := newTestServer(t, 1)
+	for _, m := range []string{
+		`{"nodes":3000,"procs_per_node":100,"pes_per_proc":100}`,
+		`{"nodes":1000000,"procs_per_node":1000000,"pes_per_proc":1000000}`,
+	} {
+		body := `{"points":[{"workload":"empty","vps":4,"machine":` + m + `}]}`
+		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var doc errorDoc
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(data, &doc) != nil ||
+			len(doc.Fields) != 1 || doc.Fields[0].Field != "Machine" {
+			t.Errorf("%s: status %d, want a 400 with one Machine field error: %s", m, resp.StatusCode, data)
+		}
+	}
+	if PointsExecuted() != 0 || s.store.Len() != 0 {
+		t.Fatalf("refused points executed %d point(s) and stored %d entries", PointsExecuted(), s.store.Len())
+	}
+}
+
+// The scripts/serve_smoke.sh point's stored row, byte for byte what it
+// was before rows could carry supervised columns.
+func TestBareRowBytesArePinned(t *testing.T) {
+	_, ts := newTestServer(t, 1)
+	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(
+		`{"points":[{"workload":"empty","vps":4,"machine":{"nodes":2,"procs_per_node":1,"pes_per_proc":1},"method":"pieglobals"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	_, pts, _ := parseStream(t, data)
+	const want = `{"workload":"empty","method":"pieglobals","vps":4,"nodes":2,"setup_ns":96128674,"finish_ns":96135481,"migrations":0,"migrated_bytes":0,"migrated_delta_bytes":0,"skipped_balances":0,"checkpoints":0}`
+	if len(pts) != 1 || string(pts[0].Row) != want {
+		t.Fatalf("row moved:\n got %s\nwant %s", pts[0].Row, want)
 	}
 }
 
@@ -417,9 +466,9 @@ func TestExperimentsEndpointListsRegistries(t *testing.T) {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
 	}
 	var doc struct {
-		Version     string          `json:"version"`
-		Experiments []experimentDoc `json:"experiments"`
-		Workloads   []workloadDoc   `json:"workloads"`
+		Version     string               `json:"version"`
+		Experiments []harness.Experiment `json:"experiments"`
+		Workloads   []workloadDoc        `json:"workloads"`
 	}
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatal(err)
@@ -455,45 +504,198 @@ func TestMissingWorkloadIs400(t *testing.T) {
 	}
 }
 
-// Spec.Churn is wire-decoded and hashed, but the server runs points with
-// Spec.Run, which never reads it: a churn point used to be computed and
-// cached as if churn were absent. Until a Row can carry a supervised
-// result the point is refused whole — nothing executed, nothing stored —
-// and the server keeps answering.
-func TestChurnPointIs400NotAChurnFreeRow(t *testing.T) {
-	s, ts := newTestServer(t, 1)
-	churned := scenario.DefaultSpec("jacobi")
-	churned.WorkloadParams.Quick = true
-	churned.Machine.Nodes = 3
-	churned.Method = core.KindPIEglobals
-	churned.Checkpoint = &ampi.CheckpointPolicy{Target: ampi.TargetFS, Dir: "/scratch/churn", Interval: 5 * time.Millisecond}
-	churned.Churn = &ft.ChurnSpec{Seed: 7, EvictionEvery: 20 * time.Millisecond, Notice: time.Second,
-		Horizon: 400 * time.Millisecond, MaxEvents: 2}
-	if err := churned.Validate(); err != nil {
-		t.Fatalf("the churn point must be refused by the server, not by Validate: %v", err)
+// The server executes what it used to refuse: a point naming a churn
+// or a fault process runs under the supervisor, its row carries the
+// supervised columns, it is cached under its hash, and the run replays
+// byte-identically.
+func TestSupervisedPointsRunCacheAndReplay(t *testing.T) {
+	_, ts := newTestServer(t, 2)
+	base := func() scenario.Spec {
+		return scenario.Spec{
+			Machine: machine.Config{Nodes: 4, ProcsPerNode: 1, PEsPerProc: 2}, VPs: 8,
+			Method: core.KindPIEglobals, Workload: "checkpointed",
+			Checkpoint: &ampi.CheckpointPolicy{Target: ampi.TargetFS, Dir: "/scratch/served", Interval: 32 * time.Millisecond},
+		}
 	}
-	resp, data := postRuns(t, ts.URL, map[string]any{"points": []scenario.Spec{tinySpec(4), churned}})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400: %s", resp.StatusCode, data)
-	}
-	var doc errorDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("400 body not JSON: %v in %s", err, data)
-	}
-	if doc.Point == nil || *doc.Point != 1 || len(doc.Fields) != 1 || doc.Fields[0].Field != "Churn" {
-		t.Fatalf("400 should name point 1 and field Churn: %s", data)
-	}
-	if PointsExecuted() != 0 || s.store.Len() != 0 {
-		t.Fatalf("refused sweep executed %d point(s) and stored %d entries", PointsExecuted(), s.store.Len())
-	}
-	// A spec whose churn is present but disabled is an ordinary point.
-	idle := tinySpec(4)
-	idle.Churn = &ft.ChurnSpec{}
-	resp, data = postRuns(t, ts.URL, map[string]any{"spec": idle})
+	churned, crashed := base(), base()
+	churned.Churn = &ft.ChurnSpec{Seed: 20, EvictionEvery: 80 * time.Millisecond, Notice: 120 * time.Millisecond,
+		Horizon: 200 * time.Millisecond, MaxEvents: 2}
+	crashed.Faults = &ft.FaultSpec{Seed: 3, MTBF: 120 * time.Millisecond, Horizon: time.Second}
+	body := map[string]any{"points": []scenario.Spec{churned, crashed}}
+
+	resp, data := postRuns(t, ts.URL, body)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("request after the refused one: %d %s", resp.StatusCode, data)
+		t.Fatalf("status %d: %s", resp.StatusCode, data)
 	}
-	if _, pts, _ := parseStream(t, data); len(pts) != 1 || len(pts[0].Row) == 0 || PointsExecuted() != 1 {
-		t.Fatalf("request after the refused one: %d executed, points %+v", PointsExecuted(), pts)
+	hdr, pts, trailer := parseStream(t, data)
+	if trailer.Executed != 2 || trailer.Failed != 0 {
+		t.Fatalf("trailer %+v, want 2 executed: %s", trailer, data)
+	}
+	var rows [2]scenario.Row
+	for i := range rows {
+		if err := json.Unmarshal(pts[i].Row, &rows[i]); err != nil {
+			t.Fatalf("point %d: %v in %s", i, err, pts[i].Row)
+		}
+	}
+	if r := rows[0]; r.Epochs != 2 || r.Drained != 2 || r.Attempts != 3 || r.TotalNs <= 0 || r.NodeTimeNs <= 0 {
+		t.Errorf("churn point's row lacks the supervised columns: %s", pts[0].Row)
+	}
+	if r := rows[1]; r.Recoveries == 0 || r.Attempts != r.Recoveries+1 || r.RestoredBytes == 0 || r.TotalNs <= 0 {
+		t.Errorf("fault point's row lacks the supervised columns: %s", pts[1].Row)
+	}
+
+	executed := PointsExecuted()
+	_, again := postRuns(t, ts.URL, body)
+	_, pts2, trailer2 := parseStream(t, again)
+	if trailer2.Cached != 2 || PointsExecuted() != executed {
+		t.Fatalf("second POST: trailer %+v, executed %d -> %d", trailer2, executed, PointsExecuted())
+	}
+	get, err := http.Get(ts.URL + "/v1/runs/" + hdr.Run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay, _ := io.ReadAll(get.Body)
+	get.Body.Close()
+	_, pts3, _ := parseStream(t, replay)
+	for i := range pts {
+		if !bytes.Equal(pts[i].Row, pts2[i].Row) || !bytes.Equal(pts[i].Row, pts3[i].Row) || pts[i].Hash != pts3[i].Hash {
+			t.Errorf("point %d not byte-identical across execute, cache hit and replay:\n%s\n%s\n%s", i, pts[i].Row, pts2[i].Row, pts3[i].Row)
+		}
+	}
+}
+
+// A crash every nanosecond out to a 146-year horizon must not be a
+// long loop: the plan is bounded and the supervisor gives up, so the
+// point fails in bounded time and the server answers.
+func TestHostileFaultPlanFailsThePointInBoundedTime(t *testing.T) {
+	_, ts := newTestServer(t, 1)
+	done := make(chan []byte, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(
+			`{"points":[{"workload":"checkpointed","vps":6,"machine":{"nodes":3,"procs_per_node":1,"pes_per_proc":2},"method":"pieglobals","faults":{"mtbf_ns":1,"horizon_ns":4611686018427387904}}]}`))
+		if err != nil {
+			done <- []byte(err.Error())
+			return
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		done <- data
+	}()
+	select {
+	case data := <-done:
+		_, pts, trailer := parseStream(t, data)
+		if trailer.Failed != 1 || !strings.Contains(pts[0].Error, "still failing") {
+			t.Fatalf("want the point failed by restart exhaustion: %s", data)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("hostile fault plan still running after 30 s")
+	}
+}
+
+// beforePanic, when set, runs inside the panicking constructor first: the
+// test uses it to hold the leader until a joiner has lined up behind it.
+var beforePanic atomic.Pointer[func()]
+
+func init() {
+	scenario.RegisterWorkload(scenario.Workload{
+		Name:        "test-panicking-constructor",
+		Description: "Main is fine; the constructor panics",
+		New: func(scenario.WorkloadParams) (*ampi.Program, func()) {
+			if hold := beforePanic.Load(); hold != nil {
+				(*hold)()
+			}
+			panic("constructor exploded")
+		},
+	})
+}
+
+// A panic on the leader path used to kill the server and strand every
+// joiner. It is an errored flight: the POST answers with a per-point
+// error, a concurrent identical POST is released with the same error,
+// the flight leaves the in-flight map, and the next request is served.
+func TestPanickingConstructorIsAnErroredFlight(t *testing.T) {
+	s, ts := newTestServer(t, 2)
+	entered, gate := make(chan struct{}, 1), make(chan struct{})
+	hold := func() {
+		entered <- struct{}{}
+		<-gate
+	}
+	beforePanic.Store(&hold)
+	defer beforePanic.Store(nil)
+	body, err := json.Marshal(map[string]any{"spec": scenario.DefaultSpec("test-panicking-constructor")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := make(chan []byte, 2)
+	post := func() {
+		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			streams <- []byte(err.Error())
+			return
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		streams <- data
+	}
+	pointError := func(data []byte) string {
+		_, pts, trailer := parseStream(t, data)
+		if trailer.Failed != 1 || len(pts) != 1 {
+			t.Fatalf("unexpected stream: %s", data)
+		}
+		return pts[0].Error
+	}
+	go post()
+	<-entered // the leader is inside the constructor
+	go post()
+	for deadline := time.Now().Add(10 * time.Second); DedupJoins() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("second POST never joined the flight")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	first, second := pointError(<-streams), pointError(<-streams)
+	if first != second || !strings.Contains(first, "panicked: constructor exploded") {
+		t.Fatalf("leader and joiner must share the panic's error:\n%s\n%s", first, second)
+	}
+	if pointPanics.Value() != 1 {
+		t.Errorf("serve_point_panics_total = %d, want 1", pointPanics.Value())
+	}
+	s.mu.Lock()
+	left := len(s.inflight)
+	s.mu.Unlock()
+	if left != 0 {
+		t.Errorf("%d flight(s) left in the in-flight map", left)
+	}
+	resp, data := postRuns(t, ts.URL, map[string]any{"spec": tinySpec(4)})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after the panic: %d %s", resp.StatusCode, data)
+	}
+	if _, pts, _ := parseStream(t, data); len(pts) != 1 || len(pts[0].Row) == 0 {
+		t.Fatalf("request after the panic produced no row: %+v", pts)
+	}
+}
+
+// A leader re-checks the store before executing: a flight that finished
+// between this request's store probe and its claim already persisted the
+// row. That point was served from the store, so it must be reported (and
+// counted in the trailer) as cached — it used to read "executed", which
+// made a dedup storm look as if it had run a point twice.
+func TestLeaderThatFindsTheRowStoredReportsACacheHit(t *testing.T) {
+	s, _ := newTestServer(t, 1)
+	sp := tinySpec(4)
+	hash, err := sp.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.store.Put("pt", hash, []byte(`{"workload":"empty"}`)); err != nil {
+		t.Fatal(err)
+	}
+	payload, stored, err := s.lead(hash, sp)
+	if err != nil || !stored || string(payload) != `{"workload":"empty"}` {
+		t.Fatalf("lead = %s, stored %v, err %v; want the stored row", payload, stored, err)
+	}
+	if PointsExecuted() != 0 {
+		t.Fatalf("a stored point was executed %d time(s)", PointsExecuted())
 	}
 }

@@ -250,12 +250,6 @@ type Scheduler struct {
 	// nil means zero.
 	SwitchExtra func(from, to *Thread) sim.Time
 
-	// Trace enables execution-span recording (Projections-style
-	// timelines); spans accumulate in Spans.
-	Trace bool
-	// Spans holds one entry per scheduling quantum when Trace is on.
-	Spans []Span
-
 	// Tracer, when non-nil, receives context-switch, execution-quantum,
 	// and PE-idle events on the virtual clock. The nil default costs
 	// the scheduling loop one pointer comparison per quantum.
@@ -441,23 +435,11 @@ func (s *Scheduler) pass() {
 		s.last = t
 		start := s.now
 		t.run()
-		if s.Trace {
-			s.Spans = append(s.Spans, Span{VP: t.ID, Start: start, End: s.now})
-		}
 		if s.Tracer != nil {
 			s.Tracer.Emit(trace.Event{Time: start, Dur: s.now - start, Kind: trace.KindExec,
 				PE: int32(s.PE.ID), VP: int32(t.ID), Peer: -1})
 		}
 	}
-}
-
-// Span is one scheduling quantum: thread VP ran on this PE from Start
-// to End in virtual time. The Projections-style timeline view of a run
-// is the per-PE sequence of spans.
-type Span struct {
-	VP    int      `json:"vp"`
-	Start sim.Time `json:"start_ns"`
-	End   sim.Time `json:"end_ns"`
 }
 
 // RunnableCount reports how many threads are waiting in the ready

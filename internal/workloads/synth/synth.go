@@ -5,6 +5,8 @@
 package synth
 
 import (
+	"fmt"
+
 	"provirt/internal/ampi"
 	"provirt/internal/elf"
 	"provirt/internal/sim"
@@ -123,6 +125,23 @@ func CheckpointedImage() *elf.Image {
 // double-counted — the property recovery tests pin. finals[rank]
 // receives each rank's accumulator; compare against CheckpointedAcc.
 func Checkpointed(iters int, compute sim.Time, finals []uint64) *ampi.Program {
+	return checkpointed(iters, compute, func(rank int, acc uint64) { finals[rank] = acc })
+}
+
+// CheckpointedChecked is Checkpointed whose ranks verify their own
+// final accumulator against CheckpointedAcc instead of reporting it: a
+// rank that lost or double-counted work panics, which fails the run.
+// It needs no per-run sink, so it can be built without knowing the
+// rank count (the registered "checkpointed" workload).
+func CheckpointedChecked(iters int, compute sim.Time) *ampi.Program {
+	return checkpointed(iters, compute, func(rank int, acc uint64) {
+		if want := CheckpointedAcc(iters, rank); acc != want {
+			panic(fmt.Sprintf("rank %d finished with acc %d, want %d: a restart lost or double-counted work", rank, acc, want))
+		}
+	})
+}
+
+func checkpointed(iters int, compute sim.Time, done func(rank int, acc uint64)) *ampi.Program {
 	return &ampi.Program{
 		Image: CheckpointedImage(),
 		Main: func(r *ampi.Rank) {
@@ -135,7 +154,7 @@ func Checkpointed(iters int, compute sim.Time, finals []uint64) *ampi.Program {
 				r.CheckpointIfDue()
 			}
 			r.Barrier()
-			finals[r.Rank()] = ctx.Load("acc")
+			done(r.Rank(), ctx.Load("acc"))
 		},
 	}
 }

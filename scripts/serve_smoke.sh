@@ -4,7 +4,11 @@
 # payloads and no second simulation. This is the end-to-end check of
 # the content-addressed result path: canonical Spec hashing, the
 # resultstore round trip, and the server's cache/dedup accounting —
-# through a real TCP listener instead of httptest.
+# through a real TCP listener instead of httptest. Then the two
+# supervised points the harness itself runs — ftsweep's (pieglobals, fs,
+# 120 ms) and elastic's (pieglobals, fs, spot-busy) — go through POST
+# and through `privbench -spec`, and the two doors must print the same
+# row, supervised columns included.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -85,9 +89,26 @@ echo "$METRICS" | grep -q '^serve_points_executed_total 1$' \
 echo "$METRICS" | grep -q '^serve_cache_hits_total [1-9]' \
     || fail "no cache hits counted: $(echo "$METRICS" | grep serve_ || true)"
 
+# One executor behind every door: a fault point and a churn point,
+# served and run from the command line, give byte-identical rows.
+FAULTS='{"machine":{"nodes":3,"procs_per_node":1,"pes_per_proc":2},"vps":6,"method":"pieglobals","workload":"checkpointed","checkpoint":{"target":"fs","dir":"/scratch/ftsweep","interval_ns":19576668},"faults":{"seed":11400706023115026965,"mtbf_ns":120000000,"horizon_ns":1150225316}}'
+CHURN='{"machine":{"nodes":4,"procs_per_node":1,"pes_per_proc":2},"vps":8,"method":"pieglobals","workload":"checkpointed","checkpoint":{"target":"fs","dir":"/scratch/elastic","interval_ns":32000000},"churn":{"seed":20,"eviction_every_ns":80000000,"notice_ns":120000000,"horizon_ns":200000000,"max_events":2}}'
+for point in FAULTS CHURN; do
+    echo "== $point point: POST vs privbench -spec"
+    curl -sf -X POST -H 'Content-Type: application/json' -d "{\"spec\":${!point}}" \
+        "http://$ADDR/v1/runs" >"$WORKDIR/$point.ndjson" || fail "$point POST failed"
+    SERVED="$(point_row "$WORKDIR/$point.ndjson")"
+    [[ -n "$SERVED" ]] || fail "$point POST has no row: $(cat "$WORKDIR/$point.ndjson")"
+    echo "$SERVED" | grep -q '"attempts":' || fail "$point row lacks the supervised columns: $SERVED"
+    PRINTED="$(echo "${!point}" | "$WORKDIR/privbench" -spec - | tail -n 1)" || fail "privbench -spec failed on the $point point"
+    [[ "$SERVED" == "$PRINTED" ]] || fail "$point point: the server and privbench -spec disagree:
+  POST:  $SERVED
+  -spec: $PRINTED"
+done
+
 echo "== graceful shutdown"
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" || fail "server exited non-zero after SIGTERM"
 SERVER_PID=""
 
-echo "serve-smoke: OK (row payload byte-identical, second POST cached, 1 simulation total)"
+echo "serve-smoke: OK (row payload byte-identical, second POST cached, 1 simulation total; fault and churn points identical through POST and -spec)"
