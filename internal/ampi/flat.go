@@ -14,14 +14,16 @@ import (
 
 // FlatWorld is the million-VP scale path: a world whose ranks are bare
 // array-of-structs records instead of user-level threads, and whose
-// collectives are modeled directly on the event engine as binomial-tree
-// waves — one engine event per tree edge, O(ranks) events total, no
-// goroutine, stack, heap, or matchqueue per rank. The tree shape, cost
-// model, and network tiers are exactly the ones the full World charges
-// through its message-level path (tree.go, machine.Cluster), so flat
-// results are the same physics at a scale the per-rank machinery cannot
-// reach: ~32 bytes of runtime state per rank instead of a Thread +
-// Rank + stack block each.
+// collectives are modeled as binomial-tree waves — one modelled arrival
+// per tree edge, O(ranks) total, and an engine event only where the
+// edge crosses a lookahead domain: an edge between co-located ranks is
+// applied to the peer's record in place (DESIGN.md §11 argues that
+// arrival order cannot matter). No goroutine, stack, heap, or
+// matchqueue per rank. The tree shape, cost model, and network tiers
+// are exactly the ones the full World charges through its message-level
+// path (tree.go, machine.Cluster), so flat results are the same physics
+// at a scale the per-rank machinery cannot reach: ~32 bytes of runtime
+// state per rank instead of a Thread + Rank + stack block each.
 //
 // The flat world is also the repo's first parallel-simulation consumer:
 // with FlatConfig.SimWorkers > 1 its events run on a sharded
@@ -96,7 +98,7 @@ type flatRank struct {
 }
 
 // flatDomain is one lookahead domain's slice of the world's mutable
-// counters, padded to a cache line so concurrent domains don't falsely
+// counters, exactly a cache line so concurrent domains don't falsely
 // share one.
 type flatDomain struct {
 	done          int // ranks finished with the running collective
@@ -104,7 +106,9 @@ type flatDomain struct {
 	maxClock      sim.Time
 	migrations    int
 	migratedBytes uint64
-	_             [24]byte
+	events        uint64 // modelled arrivals landed in this domain
+	// Tree edges this domain sent in the running collective, by path.
+	inline, scheduled uint64
 }
 
 // FlatConfig describes a flat-path run.
@@ -123,7 +127,8 @@ type FlatConfig struct {
 	OS        core.OS
 	// Tracer receives engine, link, and setup events. At this scale it
 	// should be a windowed writer (trace.NewWindowWriter), not an
-	// in-memory recorder.
+	// in-memory recorder. Link spans arrive in cascade order (depth
+	// first from the dispatching event), not sorted by departure.
 	Tracer trace.Tracer
 	// SimWorkers enables intra-world parallel simulation: values > 1
 	// run the event engine as a sim.ParallelEngine with up to that many
@@ -247,10 +252,6 @@ func NewFlatWorld(cfg FlatConfig) (*FlatWorld, error) {
 	for d := range w.doms {
 		w.doms[d].maxClock = w.SetupDone
 	}
-	// Steady state keeps at most one event in flight per tree level
-	// fan-in plus the leaf wave; reserving the leaf count covers the
-	// worst instantaneous backlog without mid-run growth.
-	w.eng.Reserve((cfg.VPs + 1) / 2)
 	return w, nil
 }
 
@@ -268,8 +269,20 @@ func (w *FlatWorld) Time() sim.Time {
 	return t
 }
 
-// EventsFired reports engine events processed so far.
-func (w *FlatWorld) EventsFired() uint64 { return w.eng.EventsFired() }
+// EventsFired reports modelled arrivals so far: one per tree edge per
+// wave, one per migration — a result of the model, whatever the machine
+// shape. How many of them the engine carried is Dispatches.
+func (w *FlatWorld) EventsFired() uint64 {
+	var n uint64
+	for d := range w.doms {
+		n += w.doms[d].events
+	}
+	return n
+}
+
+// Dispatches reports engine events processed so far: the migrations and
+// the tree edges that crossed a lookahead domain.
+func (w *FlatWorld) Dispatches() uint64 { return w.eng.EventsFired() }
 
 // SimDomains reports how many lookahead domains the world's PEs were
 // partitioned into.
@@ -320,12 +333,27 @@ func (w *FlatWorld) transfer(s sim.Sched, start sim.Time, a, b *machine.PE, n ui
 	return start + d
 }
 
+// begin opens a phase. Every phase starts at the world clock: ranks
+// behind it are raised to it before anything is scheduled, so no phase
+// sends from before the last one finished, or behind the engine clock.
+func (w *FlatWorld) begin() sim.Time {
+	start := w.Time()
+	for vp := range w.ranks {
+		if w.ranks[vp].clock < start {
+			w.ranks[vp].clock = start
+		}
+	}
+	return start
+}
+
 // Allreduce models one allreduce of bytes per tree edge across every
 // rank: a reduce wave up the binomial tree followed by a broadcast wave
-// down it. One engine event per edge per wave — 2(N-1) events total.
-// It drives the engine to completion and returns the virtual time at
-// which the last rank finished.
+// down it. One modelled arrival per edge per wave — 2(N-1) in total —
+// of which only the edges that cross a lookahead domain are engine
+// events. It drives the engine to completion and returns the virtual
+// time at which the last rank finished.
 func (w *FlatWorld) Allreduce(bytes uint64) (sim.Time, error) {
+	start := w.begin()
 	for d := range w.doms {
 		w.doms[d].done = 0
 	}
@@ -334,7 +362,7 @@ func (w *FlatWorld) Allreduce(bytes uint64) (sim.Time, error) {
 	// ranks complete as arrivals drain their pending count.
 	for vp := range w.ranks {
 		if w.ranks[vp].pending == 0 {
-			w.reduceComplete(w.eng, &w.ranks[vp])
+			w.reduceComplete(w.eng, start, &w.ranks[vp])
 		}
 	}
 	err := w.eng.Run(func() bool { return w.doneRanks() == len(w.ranks) })
@@ -345,15 +373,40 @@ func (w *FlatWorld) Allreduce(bytes uint64) (sim.Time, error) {
 	for vp := range w.ranks {
 		w.ranks[vp].pending = int32(binomialChildCount(vp, len(w.ranks)))
 	}
+	for d := range w.doms {
+		metrics.flatInline.Add(w.doms[d].inline)
+		metrics.flatScheduled.Add(w.doms[d].scheduled)
+		w.doms[d].inline, w.doms[d].scheduled = 0, 0
+	}
 	return w.Time(), nil
+}
+
+// edge lands one tree edge, sent while the modelled clock read now, at
+// its far end: in place when both ends share a lookahead domain — a
+// cascade at most the tree height deep whose every write stays in that
+// domain, so serial and parallel runs stay identical — and as an engine
+// event otherwise. Nothing may arrive before now, on either path: the
+// check the engine makes of every event it is handed.
+func (w *FlatWorld) edge(s sim.Sched, now, arrive sim.Time, from, to *flatRank, fn sim.TimedCall) {
+	if arrive < now {
+		panic(fmt.Sprintf("ampi: flat edge %d->%d arrives at %v, before now %v", from.vp, to.vp, arrive, now))
+	}
+	d := w.dom(from)
+	if dst := w.domOf[to.pe]; dst != w.domOf[from.pe] {
+		d.scheduled++
+		s.AtCallIn(int(dst), arrive, fn, to)
+		return
+	}
+	d.inline++
+	fn(s, arrive, to)
 }
 
 // reduceComplete fires when a rank has combined all child contributions:
 // it forwards the partial up one edge, or, at the root, turns the wave
 // around into the broadcast.
-func (w *FlatWorld) reduceComplete(s sim.Sched, r *flatRank) {
+func (w *FlatWorld) reduceComplete(s sim.Sched, now sim.Time, r *flatRank) {
 	if r.parent < 0 {
-		w.bcastSend(s, r)
+		w.bcastSend(s, now, r)
 		w.dom(r).done++
 		w.advance(r, r.clock)
 		return
@@ -362,20 +415,21 @@ func (w *FlatWorld) reduceComplete(s sim.Sched, r *flatRank) {
 	depart := r.clock + w.Cluster.Cost.MsgSendOverhead
 	arrive := w.transfer(s, depart, w.pes[r.pe], w.pes[p.pe], w.collBytes)
 	r.clock = depart
-	s.AtCallIn(int(w.domOf[p.pe]), arrive, w.reduceFn, p)
+	w.edge(s, now, arrive, r, p, w.reduceFn)
 }
 
-// reduceArrive is the engine callback for one reduce edge landing at
-// the parent. It runs in the parent's domain and touches only the
-// parent's record.
+// reduceArrive is one reduce edge landing at the parent at time now,
+// called by edge or by the engine. It runs in the parent's domain and
+// touches only the parent's record.
 func (w *FlatWorld) reduceArrive(s sim.Sched, now sim.Time, arg any) {
 	p := arg.(*flatRank)
+	w.dom(p).events++
 	at := now + w.Cluster.Cost.MsgRecvOverhead
 	if at > p.clock {
 		p.clock = at
 	}
 	if p.pending--; p.pending == 0 {
-		w.reduceComplete(s, p)
+		w.reduceComplete(s, now, p)
 	}
 }
 
@@ -384,59 +438,77 @@ func (w *FlatWorld) reduceArrive(s sim.Sched, now sim.Time, arg any) {
 // child's departure is one send overhead after the previous. Children
 // may live in other domains: their home PE is immutable during the
 // collective, and the event is routed to the child's domain.
-func (w *FlatWorld) bcastSend(s sim.Sched, r *flatRank) {
+func (w *FlatWorld) bcastSend(s sim.Sched, now sim.Time, r *flatRank) {
 	rel := int(r.vp)
 	_, limit := binomialNode(rel, len(w.ranks))
 	for m := 1; m < limit && rel+m < len(w.ranks); m <<= 1 {
 		c := &w.ranks[rel+m]
 		r.clock += w.Cluster.Cost.MsgSendOverhead
 		arrive := w.transfer(s, r.clock, w.pes[r.pe], w.pes[c.pe], w.collBytes)
-		s.AtCallIn(int(w.domOf[c.pe]), arrive, w.bcastFn, c)
+		w.edge(s, now, arrive, r, c, w.bcastFn)
 	}
 	w.advance(r, r.clock)
 }
 
-// bcastArrive is the engine callback for one broadcast edge landing at
-// a child: the rank now holds the result, forwards it on, and is done.
+// bcastArrive is one broadcast edge landing at a child at time now,
+// called by edge or by the engine: the rank now holds the result,
+// forwards it on, and is done.
 func (w *FlatWorld) bcastArrive(s sim.Sched, now sim.Time, arg any) {
 	c := arg.(*flatRank)
+	w.dom(c).events++
 	c.clock = now + w.Cluster.Cost.MsgRecvOverhead
-	w.bcastSend(s, c)
+	w.bcastSend(s, now, c)
 	w.dom(c).done++
 	w.advance(c, c.clock)
 }
 
 // MigrationStorm migrates every stride-th rank to the PE halfway across
 // the machine, all departing at the current world clock — the
-// load-balancer-gone-wild stress case. Each migration is one engine
-// event; costs follow the message-level migration path: serialize
-// (CopyTime) + wire transfer + deserialize (CopyTime) + fixed
-// migration overhead, over the rank's resident bytes. It drives the
-// engine to completion and returns the time the last rank landed.
+// load-balancer-gone-wild stress case. It returns the time the last
+// rank landed.
 func (w *FlatWorld) MigrationStorm(stride int) (sim.Time, error) {
 	if stride <= 0 {
 		return 0, fmt.Errorf("ampi: migration stride must be positive, got %d", stride)
 	}
-	cost := w.Cluster.Cost
-	bytes := w.PerRankBytes
-	start := w.Time()
 	npes := len(w.pes)
-	for vp := 0; vp < len(w.ranks); vp += stride {
+	return w.storm("migration", func(r *flatRank) int {
+		if int(r.vp)%stride != 0 {
+			return int(r.pe)
+		}
+		return (int(r.pe) + npes/2) % npes
+	})
+}
+
+// storm migrates every rank whose dst differs from its home, all
+// departing at the phase start. Each migration is one engine event,
+// reserved up front; costs follow the message-level migration path:
+// serialize (CopyTime) + wire transfer + deserialize (CopyTime) + fixed
+// migration overhead, over the rank's resident bytes.
+func (w *FlatWorld) storm(what string, dst func(r *flatRank) int) (sim.Time, error) {
+	start := w.begin()
+	movers := 0
+	for vp := range w.ranks {
+		if dst(&w.ranks[vp]) != int(w.ranks[vp].pe) {
+			movers++
+		}
+	}
+	w.eng.Reserve(movers)
+	cost, bytes := w.Cluster.Cost, w.PerRankBytes
+	for vp := range w.ranks {
 		r := &w.ranks[vp]
-		dst := (int(r.pe) + npes/2) % npes
-		if dst == int(r.pe) {
+		to := dst(r)
+		if to == int(r.pe) {
 			continue
 		}
 		depart := start + cost.CopyTime(bytes)
-		arrive := w.transfer(w.eng, depart, w.pes[r.pe], w.pes[dst], bytes)
+		arrive := w.transfer(w.eng, depart, w.pes[r.pe], w.pes[to], bytes)
 		land := arrive + cost.CopyTime(bytes) + cost.MigrationOverhead
-		r.pe = int32(dst)
+		r.pe = int32(to)
 		w.dom(r).pendingOp++
-		w.eng.AtCallIn(int(w.domOf[dst]), land, w.migrateFn, r)
+		w.eng.AtCallIn(int(w.domOf[to]), land, w.migrateFn, r)
 	}
-	err := w.eng.Run(func() bool { return w.pendingOps() == 0 })
-	if err != nil {
-		return 0, fmt.Errorf("ampi: migration storm stalled: %w", err)
+	if err := w.eng.Run(func() bool { return w.pendingOps() == 0 }); err != nil {
+		return 0, fmt.Errorf("ampi: %s storm stalled: %w", what, err)
 	}
 	for d := range w.doms {
 		w.Migrations += w.doms[d].migrations
@@ -482,43 +554,9 @@ func (w *FlatWorld) ExpandStorm(nodes int) (sim.Time, error) {
 		w.tracer.Emit(trace.Event{Time: at, Kind: trace.KindEpoch, PE: -1, VP: -1,
 			Peer: int32(len(w.Cluster.LiveNodes(at))), Aux: trace.EpochAdd, Bytes: uint64(nodes)})
 	}
-
 	// Rebalance: the block placement over the widened PE set; ranks
 	// whose home moved storm over, all departing at the epoch instant.
-	cost := w.Cluster.Cost
-	bytes := w.PerRankBytes
-	npes := len(w.pes)
-	for vp := range w.ranks {
-		r := &w.ranks[vp]
-		dst := vp * npes / len(w.ranks)
-		if dst == int(r.pe) {
-			continue
-		}
-		depart := at + cost.CopyTime(bytes)
-		arrive := w.transfer(w.eng, depart, w.pes[r.pe], w.pes[dst], bytes)
-		land := arrive + cost.CopyTime(bytes) + cost.MigrationOverhead
-		r.pe = int32(dst)
-		w.dom(r).pendingOp++
-		w.eng.AtCallIn(int(w.domOf[dst]), land, w.migrateFn, r)
-	}
-	if err := w.eng.Run(func() bool { return w.pendingOps() == 0 }); err != nil {
-		return 0, fmt.Errorf("ampi: expand storm stalled: %w", err)
-	}
-	for d := range w.doms {
-		w.Migrations += w.doms[d].migrations
-		w.MigratedBytes += w.doms[d].migratedBytes
-		w.doms[d].migrations, w.doms[d].migratedBytes = 0, 0
-	}
-	// The expansion is a collective (every rank re-evaluates its home):
-	// all ranks resume together once the last mover lands, which also
-	// keeps later collectives from scheduling behind the engine clock.
-	end := w.Time()
-	for vp := range w.ranks {
-		if w.ranks[vp].clock < end {
-			w.ranks[vp].clock = end
-		}
-	}
-	return end, nil
+	return w.storm("expand", func(r *flatRank) int { return int(r.vp) * len(w.pes) / len(w.ranks) })
 }
 
 // migrateArrive is the engine callback for one migrated rank landing on
@@ -528,6 +566,7 @@ func (w *FlatWorld) migrateArrive(s sim.Sched, now sim.Time, arg any) {
 	r.clock = now
 	w.advance(r, r.clock)
 	d := w.dom(r)
+	d.events++
 	d.migrations++
 	d.migratedBytes += w.PerRankBytes
 	d.pendingOp--

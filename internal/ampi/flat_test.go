@@ -41,8 +41,8 @@ func newFlat(t *testing.T, vps int, tr trace.Tracer) *ampi.FlatWorld {
 }
 
 // TestFlatWorldAllreduce checks the flat path completes, advances the
-// clock past setup, and spends exactly one engine event per tree edge
-// per wave.
+// clock past setup, and models exactly one arrival per tree edge per
+// wave.
 func TestFlatWorldAllreduce(t *testing.T) {
 	const vps = 4096
 	w := newFlat(t, vps, nil)
@@ -60,7 +60,117 @@ func TestFlatWorldAllreduce(t *testing.T) {
 		t.Fatalf("allreduce finished at %v, not after setup %v", done, w.SetupDone)
 	}
 	if got, want := w.EventsFired(), uint64(2*(vps-1)); got != want {
-		t.Fatalf("allreduce fired %d events, want %d (one per tree edge per wave)", got, want)
+		t.Fatalf("allreduce modelled %d arrivals, want %d (one per tree edge per wave)", got, want)
+	}
+}
+
+// TestFlatWorldDispatchCounts pins the engine's share of the modelled
+// arrivals: only edges between lookahead domains (here, PEs) are
+// dispatched — 65536 ranks in 8 blocks of 8192, each block a subtree,
+// so seven edges per wave leave a PE — and a one-domain world
+// dispatches nothing. TestFlatWorldMillion has the count when blocks
+// cut across subtrees.
+func TestFlatWorldDispatchCounts(t *testing.T) {
+	for _, tc := range []struct {
+		mc   machine.Config
+		vps  int
+		want uint64
+	}{
+		{laptop(), 65536, 14},
+		{machine.Config{Nodes: 1, ProcsPerNode: 1, PEsPerProc: 1}, 65536, 0},
+	} {
+		w, err := ampi.NewFlatWorld(ampi.FlatConfig{Machine: tc.mc, VPs: tc.vps, Image: flatImage()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Allreduce(8); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := w.EventsFired(), uint64(2*(tc.vps-1)); got != want {
+			t.Fatalf("%d PEs: modelled %d arrivals, want %d", tc.mc.PEsPerProc, got, want)
+		}
+		if got := w.Dispatches(); got != tc.want {
+			t.Fatalf("%d PEs: dispatched %d engine events, want %d", tc.mc.PEsPerProc, got, tc.want)
+		}
+	}
+}
+
+// TestFlatWorldAllocs bounds what the flat path asks of the allocator:
+// a warm allreduce allocates nothing per edge (the Run predicate
+// closure is all there is), and a storm reserves its movers' engine
+// nodes as one slab instead of allocating one per mover.
+func TestFlatWorldAllocs(t *testing.T) {
+	w := newFlat(t, 65536, nil)
+	if _, err := w.Allreduce(8); err != nil {
+		t.Fatal(err)
+	}
+	perAllreduce := testing.AllocsPerRun(5, func() {
+		if _, err := w.Allreduce(8); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perAllreduce > 4 {
+		t.Fatalf("warm allreduce made %v allocations, want <= 4", perAllreduce)
+	}
+	total := testing.AllocsPerRun(1, func() {
+		w := newFlat(t, 65536, nil)
+		if _, err := w.Allreduce(8); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.MigrationStorm(8); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if total >= 400 {
+		t.Fatalf("build + allreduce + storm at 65536 VPs made %v allocations, want < 400", total)
+	}
+}
+
+// TestFlatWorldPhaseSequence runs every phase after every other on one
+// world. Each starts at the world clock, so each finishes no earlier
+// than the one before, at any worker count.
+func TestFlatWorldPhaseSequence(t *testing.T) {
+	run := func(mc machine.Config, workers int) []sim.Time {
+		w, err := ampi.NewFlatWorld(ampi.FlatConfig{
+			Machine: mc, VPs: 4096, Image: flatImage(), SimWorkers: workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		allreduce := func() (sim.Time, error) { return w.Allreduce(8) }
+		phases := []struct {
+			name string
+			run  func() (sim.Time, error)
+		}{
+			{"allreduce", allreduce},
+			{"allreduce", allreduce},
+			{"storm", func() (sim.Time, error) { return w.MigrationStorm(4) }},
+			{"allreduce", allreduce},
+			{"expand", func() (sim.Time, error) { return w.ExpandStorm(2) }},
+			{"allreduce", allreduce},
+		}
+		times := make([]sim.Time, len(phases))
+		last := w.SetupDone
+		for i, ph := range phases {
+			done, err := ph.run()
+			if err != nil {
+				t.Fatalf("workers=%d: phase %d (%s): %v", workers, i, ph.name, err)
+			}
+			if done < last || done != w.Time() {
+				t.Fatalf("workers=%d: phase %d (%s) finished at %v (world %v), before the previous phase's %v",
+					workers, i, ph.name, done, w.Time(), last)
+			}
+			times[i], last = done, done
+		}
+		return times
+	}
+	for _, mc := range []machine.Config{laptop(), {Nodes: 4, ProcsPerNode: 2, PEsPerProc: 2}} {
+		serial, par := run(mc, 0), run(mc, 2)
+		for i := range serial {
+			if serial[i] != par[i] {
+				t.Fatalf("%d nodes: phase %d finished at %v serial, %v at 2 workers", mc.Nodes, i, serial[i], par[i])
+			}
+		}
 	}
 }
 
@@ -107,7 +217,12 @@ func TestFlatWorldMillion(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, want := w.EventsFired(), uint64(2*(vps-1)); got != want {
-		t.Fatalf("allreduce fired %d events, want %d", got, want)
+		t.Fatalf("allreduce modelled %d arrivals, want %d", got, want)
+	}
+	// A million is not a power of two, so the eight blocks cut across
+	// subtrees: 56 edges per wave leave a PE.
+	if got := w.Dispatches(); got != 112 {
+		t.Fatalf("allreduce dispatched %d engine events, want 112", got)
 	}
 	if _, err := w.MigrationStorm(8); err != nil {
 		t.Fatal(err)

@@ -22,13 +22,19 @@ type obsMetrics struct {
 	// arrived before their receive was posted.
 	unexpectedDepth *obs.Gauge
 	unexpectedTotal *obs.Counter
+	// flatInline and flatScheduled count the flat world's tree edges by
+	// path: applied to the peer in place, or carried by the event engine
+	// because they cross a lookahead domain. Added once per collective
+	// from the per-domain tallies, so an edge costs no atomic.
+	flatInline    *obs.Counter
+	flatScheduled *obs.Counter
 }
 
 var metrics obsMetrics
 
-// EnableObs registers the matchqueue instruments in r and turns them
-// on for every world in the process; EnableObs(nil) restores the
-// no-op state. Call it only while no world is running.
+// EnableObs registers the matchqueue and flat-world instruments in r
+// and turns them on for every world in the process; EnableObs(nil)
+// restores the no-op state. Call it only while no world is running.
 func EnableObs(r *obs.Registry) {
 	if r == nil {
 		metrics = obsMetrics{}
@@ -44,5 +50,9 @@ func EnableObs(r *obs.Registry) {
 			"highest unexpected-message queue depth seen by any rank"),
 		unexpectedTotal: r.Counter("ampi_unexpected_total",
 			"messages queued as unexpected (arrived before a matching receive)"),
+		flatInline: r.Counter("ampi_flat_edges_inline_total",
+			"flat-world tree edges applied in place (both ends in one lookahead domain)"),
+		flatScheduled: r.Counter("ampi_flat_edges_scheduled_total",
+			"flat-world tree edges scheduled as engine events (crossing a lookahead domain)"),
 	}
 }

@@ -3,6 +3,7 @@ package ampi
 import (
 	"testing"
 
+	"provirt/internal/machine"
 	"provirt/internal/obs"
 )
 
@@ -51,5 +52,31 @@ func TestMatchqueueObsCounts(t *testing.T) {
 	}
 	if got := metrics.spills.Value(); got != 2 {
 		t.Fatalf("respill not counted: spills = %d, want 2", got)
+	}
+}
+
+// Flat-world instruments: every tree edge of a collective is counted
+// once, on the path it took, so the two counters sum to the modelled
+// arrivals and the scheduled one equals what the engine dispatched.
+func TestFlatEdgeObsCounts(t *testing.T) {
+	r := obs.NewRegistry()
+	EnableObs(r)
+	defer EnableObs(nil)
+
+	w := oracleWorld(t, machine.Config{Nodes: 4, ProcsPerNode: 2, PEsPerProc: 2}, 1000)
+	for range 2 {
+		if _, err := w.Allreduce(8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inline, scheduled := metrics.flatInline.Value(), metrics.flatScheduled.Value()
+	if inline == 0 || scheduled == 0 {
+		t.Fatalf("a path went uncounted: inline %d, scheduled %d", inline, scheduled)
+	}
+	if got := inline + scheduled; got != w.EventsFired() || got != 2*2*(1000-1) {
+		t.Fatalf("inline %d + scheduled %d = %d, world modelled %d arrivals", inline, scheduled, got, w.EventsFired())
+	}
+	if scheduled != w.Dispatches() {
+		t.Fatalf("ampi_flat_edges_scheduled_total = %d, engine dispatched %d", scheduled, w.Dispatches())
 	}
 }

@@ -2,8 +2,9 @@ package ampi
 
 // Binomial-tree shape, shared by the two collective implementations:
 // the ULT-level algorithms in comm.go (each rank sends/receives real
-// messages along its tree edges) and the flat event model in flat.go
-// (each edge is one engine event). Keeping the shape in one place pins
+// messages along its tree edges) and the flat model in flat.go (each
+// edge is one modelled arrival; an engine event only where the edge
+// crosses a lookahead domain). Keeping the shape in one place pins
 // the two paths to the same topology, so the flat model's round
 // structure is exactly what the message-level path executes.
 

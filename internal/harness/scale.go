@@ -38,7 +38,10 @@ type ScaleRow struct {
 	// phase completion).
 	SetupDone sim.Time
 	Time      sim.Time
-	// Events is the cumulative engine event count after the phase.
+	// Events is the cumulative count of modelled arrivals after the
+	// phase: one per tree edge per wave, one per migration. Of the tree
+	// edges, the engine dispatches only those that cross a lookahead
+	// domain (ampi.FlatWorld.Dispatches).
 	Events uint64
 	// Migrations and MigratedBytes are the storm's modeled volume (zero
 	// for the allreduce phase).
