@@ -118,7 +118,7 @@ func TestScheduleReconfigureNeedsPolicy(t *testing.T) {
 }
 
 func TestDrainEmitsDrainSpan(t *testing.T) {
-	rec := trace.NewRecorder(trace.AllKinds()...)
+	rec := trace.NewRecorder(append(trace.DefaultKinds(), trace.KindEngineEvent)...)
 	finals := make([]uint64, 4)
 	cfg := elasticConfig(4)
 	cfg.Tracer = rec

@@ -39,9 +39,6 @@ func (e *NodeFailure) Error() string {
 // Unwrap keeps errors.Is(err, ErrNodeFailed) working.
 func (e *NodeFailure) Unwrap() error { return ErrNodeFailed }
 
-// Failure returns the node failure that killed the job, or nil.
-func (w *World) Failure() *NodeFailure { return w.failure }
-
 // ScheduleNodeFailure injects a hard fault: at virtual time `at`, the
 // given node dies, killing every rank resident on (or migrating to) it
 // and aborting the job. A job that has been checkpointing can then be

@@ -126,9 +126,6 @@ func TestNodeFailureAfterCompletionIsNoOp(t *testing.T) {
 	if err := w.Run(); err != nil {
 		t.Fatalf("failure scheduled after completion killed the job: %v", err)
 	}
-	if f := w.Failure(); f != nil {
-		t.Errorf("finished world reports failure %v", f)
-	}
 	for vp := range finals {
 		if finals[vp] != expectedAcc(3, vp) {
 			t.Errorf("rank %d acc = %d, want %d", vp, finals[vp], expectedAcc(3, vp))
@@ -160,8 +157,8 @@ func TestNodeFailureOnEmptyNodeAborts(t *testing.T) {
 	if !strings.Contains(err.Error(), "no resident ranks") {
 		t.Errorf("error %q does not explain the node was empty", err)
 	}
-	nf := w.Failure()
-	if nf == nil || nf.Node != 1 || nf.Killed != 0 {
+	var nf *ampi.NodeFailure
+	if !errors.As(err, &nf) || nf.Node != 1 || nf.Killed != 0 {
 		t.Errorf("failure record = %+v, want node 1 with 0 ranks killed", nf)
 	}
 }

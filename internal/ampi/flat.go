@@ -284,10 +284,6 @@ func (w *FlatWorld) EventsFired() uint64 {
 // the tree edges that crossed a lookahead domain.
 func (w *FlatWorld) Dispatches() uint64 { return w.eng.EventsFired() }
 
-// SimDomains reports how many lookahead domains the world's PEs were
-// partitioned into.
-func (w *FlatWorld) SimDomains() int { return len(w.doms) }
-
 // dom returns the counter slot for the rank's current home domain.
 func (w *FlatWorld) dom(r *flatRank) *flatDomain {
 	return &w.doms[w.domOf[r.pe]]

@@ -186,7 +186,7 @@ func TestFlatAllreduceMatchesPerEdgeOracle(t *testing.T) {
 					if prep.name == "degraded" && vps >= 1000 && gotDone == plain {
 						t.Fatalf("degrade window changed nothing: still finishes at %v", plain)
 					}
-					if got.SimDomains() == 1 && prep.name != "expanded" && got.Dispatches() != 0 {
+					if len(got.doms) == 1 && prep.name != "expanded" && got.Dispatches() != 0 {
 						t.Fatalf("one-domain world dispatched %d engine events, want 0", got.Dispatches())
 					}
 				})

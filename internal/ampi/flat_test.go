@@ -190,7 +190,7 @@ func TestFlatWorldDeterministic(t *testing.T) {
 		return ar, st
 	}
 	ar1, st1 := run(nil)
-	rec := trace.NewRecorder(trace.AllKinds()...)
+	rec := trace.NewRecorder(append(trace.DefaultKinds(), trace.KindEngineEvent)...)
 	ar2, st2 := run(rec)
 	if ar1 != ar2 || st1 != st2 {
 		t.Fatalf("traced run diverged: allreduce %v vs %v, storm %v vs %v", ar1, ar2, st1, st2)
@@ -247,7 +247,7 @@ type flatRun struct {
 // included) and exporting it to canonical JSONL bytes.
 func runFlatAt(t *testing.T, mc machine.Config, vps, workers int) flatRun {
 	t.Helper()
-	rec := trace.NewRecorder(trace.AllKinds()...)
+	rec := trace.NewRecorder(append(trace.DefaultKinds(), trace.KindEngineEvent)...)
 	w, err := ampi.NewFlatWorld(ampi.FlatConfig{
 		Machine:    mc,
 		VPs:        vps,

@@ -171,38 +171,6 @@ func (s *msgStore) take(q *Request) *message {
 	return s.popHead(bestKey)
 }
 
-// probe reports whether any queued message matches the request.
-func (s *msgStore) probe(q *Request) bool {
-	if s.n == 0 {
-		return false
-	}
-	if !s.spilled {
-		for _, m := range s.small {
-			if matchEnvelope(q, m) {
-				return true
-			}
-		}
-		return false
-	}
-	if q.src != AnySource && q.tag != AnyTag {
-		k := matchKey{comm: q.comm, src: q.src, tag: q.tag, internal: q.internal}
-		return len(s.buckets[k]) > 0
-	}
-	for k := range s.buckets {
-		if k.comm != q.comm || k.internal != q.internal {
-			continue
-		}
-		if q.src != AnySource && q.src != k.src {
-			continue
-		}
-		if q.tag != AnyTag && q.tag != k.tag {
-			continue
-		}
-		return true
-	}
-	return false
-}
-
 // reqStore holds posted receives. In indexed mode, fully-specified
 // receives are hash-indexed and wildcard receives sit in a short
 // ordered list.

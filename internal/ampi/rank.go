@@ -256,16 +256,3 @@ func (r *Rank) RecvMsg(src, tag int) (data []float64, from, msgTag int) {
 	data = r.Wait(q)
 	return data, q.gotSrc, q.gotTag
 }
-
-// Sendrecv performs a combined send and receive without deadlock.
-func (r *Rank) Sendrecv(dst, sendTag int, data []float64, bytes uint64, src, recvTag int) []float64 {
-	q := r.Irecv(src, recvTag)
-	r.Send(dst, sendTag, data, bytes)
-	return r.Wait(q)
-}
-
-// Probe reports whether a matching message is queued, without
-// consuming it.
-func (r *Rank) Probe(src, tag int) bool {
-	return r.mailbox.probe(&Request{src: src, tag: tag})
-}

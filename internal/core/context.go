@@ -183,9 +183,10 @@ func (c *RankContext) resolve(v *elf.Var) *resolvedCell {
 	case storeHeapCell:
 		rc.blk = c.heapCells
 	case storePrivSeg:
-		if c.Private.Seg != nil {
+		if c.Private.Migratable {
 			// PIE private-segment cells live inside the duplicated data
-			// segment's heap block; stores must dirty it.
+			// segment's heap block; stores must dirty it. A PiP/FS copy
+			// was mapped by the linker and has no block.
 			rc.blk = c.Heap.Lookup(c.Private.DataBase)
 		}
 	}
@@ -214,14 +215,6 @@ func (c *RankContext) Store(name string, val uint64) { c.Var(name).Store(val) }
 // Accesses reports the number of loads+stores performed through this
 // context.
 func (c *RankContext) Accesses() uint64 { return c.accesses }
-
-// ChargeAccesses charges the cost of n additional variable accesses of
-// the named variable without performing them — workloads use it to
-// model inner loops that touch privatized globals billions of times
-// without executing each touch.
-func (c *RankContext) ChargeAccesses(name string, n uint64) {
-	c.Var(name).Charge(n)
-}
 
 // VarHandle is a resolved accessor for one variable in one rank's
 // context.
@@ -289,7 +282,8 @@ func (h VarHandle) Store(val uint64) {
 }
 
 // Charge bills the cost of n accesses to the variable without
-// performing them — the bulk fast path behind ChargeAccesses. The
+// performing them: workloads use it to model inner loops that touch
+// privatized globals billions of times without executing each touch. The
 // batch may include stores, so the backing heap block (if any) is
 // conservatively dirtied.
 func (h VarHandle) Charge(n uint64) {

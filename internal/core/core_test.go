@@ -19,7 +19,8 @@ func newTestScheduler(cl *machine.Cluster) *ult.Scheduler {
 // newBoundThread makes a ULT bound to the context so access charges
 // land on its clock.
 func newBoundThread(c *RankContext, _ *ult.Scheduler, body func()) *ult.Thread {
-	th := ult.NewThread(c.VP, func(*ult.Thread) { body() })
+	th := new(ult.Thread)
+	ult.InitThread(th, c.VP, func(*ult.Thread) { body() })
 	th.Context = c
 	c.Thread = th
 	return th
@@ -118,7 +119,10 @@ func TestPrivatizationMatrix(t *testing.T) {
 				privSet[n] = true
 			}
 			c0, c1 := res.Contexts[0], res.Contexts[1]
-			for _, v := range img.MutableVars() {
+			for _, v := range img.Vars {
+				if !v.Mutable() {
+					continue
+				}
 				h0, h1 := c0.Var(v.Name), c1.Var(v.Name)
 				if h0.Privatized() != privSet[v.Name] {
 					t.Errorf("%s: privatized=%v, want %v", v.Name, h0.Privatized(), privSet[v.Name])
@@ -243,6 +247,32 @@ func TestPIEglobalsDistinctSegments(t *testing.T) {
 	}
 }
 
+// Every segment-duplicating method's private instance carries a data
+// segment view, so "does a store dirty a heap block" is decided by who
+// mapped the segment: Isomalloc for PIEglobals, the linker for PiP/FS.
+func TestResolvedCellDirtiesOnlyIsomallocSegments(t *testing.T) {
+	for _, kind := range []Kind{KindPIPglobals, KindFSglobals, KindPIEglobals} {
+		t.Run(kind.String(), func(t *testing.T) {
+			img := testImage(t)
+			for _, c := range setup(t, kind, testEnv(t, false), img, 2).Contexts {
+				if c.Private.Seg == nil {
+					t.Fatalf("rank %d: private instance has no data segment view", c.VP)
+				}
+				blk := c.resolve(img.VarByName("ug")).blk
+				if kind != KindPIEglobals {
+					if blk != nil {
+						t.Fatalf("rank %d: linker-mapped cell resolves to heap block %q", c.VP, blk.Label)
+					}
+					continue
+				}
+				if blk == nil || blk.Label != "pie-data-segment" || blk.Seg != c.Private.Seg {
+					t.Fatalf("rank %d: PIE cell resolves to block %+v, want the rank's pie-data-segment", c.VP, blk)
+				}
+			}
+		})
+	}
+}
+
 func TestPIEglobalsCtorHeapReplication(t *testing.T) {
 	env := testEnv(t, false)
 	img := elf.NewBuilder("cpp").
@@ -252,7 +282,7 @@ func TestPIEglobalsCtorHeapReplication(t *testing.T) {
 		Func("vmethod", 128).
 		Ctor(elf.Ctor{
 			Allocs: []elf.CtorAlloc{{Size: 64, FuncPtrSlots: []int{0}}},
-			Writes: []elf.CtorWrite{elf.AllocPtrWrite("obj", 0)},
+			Writes: []elf.CtorWrite{{VarName: "obj", PointsToAlloc: 0}},
 		}).
 		MustBuild()
 	res := setup(t, KindPIEglobals, env, img, 2)
@@ -496,7 +526,7 @@ func TestPIESharedCodePages(t *testing.T) {
 
 // TestAccessCostsChargedToClock: every privatized load/store advances
 // the owning thread's PE clock by the cost model's per-access charge,
-// and ChargeAccesses amortizes bulk touches identically.
+// and Charge amortizes bulk touches identically.
 func TestAccessCostsChargedToClock(t *testing.T) {
 	env := testEnv(t, false)
 	img := testImage(t)
@@ -518,7 +548,7 @@ func TestAccessCostsChargedToClock(t *testing.T) {
 			t.Errorf("2 accesses charged %v, want %v", got, 2*perAccess)
 		}
 		before = c.Thread.Now()
-		c.ChargeAccesses("ug", 1000)
+		c.Var("ug").Charge(1000)
 		if got := c.Thread.Now() - before; got != 1000*perAccess {
 			t.Errorf("bulk charge %v, want %v", got, 1000*perAccess)
 		}
@@ -533,8 +563,17 @@ func TestAccessCostsChargedToClock(t *testing.T) {
 	}
 }
 
+// kinds returns every method kind in declaration order.
+func kinds() []Kind {
+	out := make([]Kind, 0, int(numKinds))
+	for k := KindNone; k < numKinds; k++ {
+		out = append(out, k)
+	}
+	return out
+}
+
 func TestParseKindRoundTrip(t *testing.T) {
-	for _, k := range Kinds() {
+	for _, k := range kinds() {
 		got, err := ParseKind(k.String())
 		if err != nil || got != k {
 			t.Errorf("ParseKind(%q) = %v, %v", k.String(), got, err)
@@ -546,7 +585,7 @@ func TestParseKindRoundTrip(t *testing.T) {
 }
 
 func TestCapabilityTableComplete(t *testing.T) {
-	for _, k := range Kinds() {
+	for _, k := range kinds() {
 		c := CapabilitiesOf(k)
 		if c.DisplayName == "" {
 			t.Errorf("%s has no capabilities row", k)

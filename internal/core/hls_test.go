@@ -19,6 +19,10 @@ func hlsImage(t *testing.T) *elf.Image {
 }
 
 // hlsSetup builds 4 ranks on 2 local PEs (0,0,1,1).
+// newMPCPrivatizeHLS returns -fmpc-privatize with MPC's hierarchical
+// local storage extension enabled.
+func newMPCPrivatizeHLS() Method { return &mpcMethod{hls: true} }
+
 func hlsSetup(t *testing.T, m Method) *SetupResult {
 	t.Helper()
 	env := testEnv(t, true)
@@ -35,7 +39,7 @@ func hlsSetup(t *testing.T, m Method) *SetupResult {
 }
 
 func TestHLSSharingLevels(t *testing.T) {
-	res := hlsSetup(t, NewMPCPrivatizeHLS())
+	res := hlsSetup(t, newMPCPrivatizeHLS())
 	c := res.Contexts
 
 	// per_rank: fully private.
@@ -74,7 +78,7 @@ func TestHLSSharingLevels(t *testing.T) {
 }
 
 func TestHLSInitialValues(t *testing.T) {
-	res := hlsSetup(t, NewMPCPrivatizeHLS())
+	res := hlsSetup(t, newMPCPrivatizeHLS())
 	for i, c := range res.Contexts {
 		if c.Load("per_rank") != 1 || c.Load("per_core") != 2 || c.Load("per_node") != 3 {
 			t.Fatalf("rank %d initial values: %d %d %d", i,
@@ -87,7 +91,7 @@ func TestHLSInitialValues(t *testing.T) {
 // than flat per-rank privatization.
 func TestHLSMemorySavings(t *testing.T) {
 	flat := hlsSetup(t, New(KindMPCPrivatize))
-	hls := hlsSetup(t, NewMPCPrivatizeHLS())
+	hls := hlsSetup(t, newMPCPrivatizeHLS())
 	// Flat: 3 mutable vars x 4 ranks = 12 words. HLS: 1x4 + 1x2 + 1 = 7.
 	if flat.PrivatizedWords != 12 {
 		t.Errorf("flat privatized words = %d, want 12", flat.PrivatizedWords)
@@ -101,7 +105,7 @@ func TestHLSMemorySavings(t *testing.T) {
 }
 
 func TestHLSRemainsNonMigratable(t *testing.T) {
-	res := hlsSetup(t, NewMPCPrivatizeHLS())
+	res := hlsSetup(t, newMPCPrivatizeHLS())
 	if _, err := res.Contexts[0].Serialize(); err == nil {
 		t.Fatal("HLS (mpc) rank serialized despite Table 1's 'Not implemented'")
 	}

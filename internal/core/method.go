@@ -97,25 +97,6 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("core: unknown privatization method %q", s)
 }
 
-// KindNames returns every method name (as accepted by ParseKind) in
-// declaration order, for flag help.
-func KindNames() []string {
-	out := make([]string, 0, int(numKinds))
-	for k := KindNone; k < numKinds; k++ {
-		out = append(out, k.String())
-	}
-	return out
-}
-
-// Kinds returns every method kind in declaration order.
-func Kinds() []Kind {
-	out := make([]Kind, 0, int(numKinds))
-	for k := KindNone; k < numKinds; k++ {
-		out = append(out, k)
-	}
-	return out
-}
-
 // Toolchain describes the compiler environment, used to model the
 // compiler-specific portability restrictions of Table 1.
 type Toolchain struct {

@@ -280,10 +280,6 @@ type mpcMethod struct {
 	hls bool
 }
 
-// NewMPCPrivatizeHLS returns -fmpc-privatize with MPC's hierarchical
-// local storage extension enabled.
-func NewMPCPrivatizeHLS() Method { return &mpcMethod{hls: true} }
-
 func (*mpcMethod) Kind() Kind                 { return KindMPCPrivatize }
 func (*mpcMethod) Capabilities() Capabilities { return CapabilitiesOf(KindMPCPrivatize) }
 

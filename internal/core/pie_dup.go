@@ -9,11 +9,10 @@ import (
 )
 
 // pieTemplate is what PIEglobals works out once per process and reuses
-// for every rank: the frozen data-segment image the ranks' copy-on-write
-// views read through to, and the result of the pointer scan over it.
+// for every rank: the loaded instance whose data-segment view the ranks
+// fork, and the result of the pointer scan over it.
 type pieTemplate struct {
-	src  *elf.Instance
-	base *mem.SegmentBase
+	src *elf.Instance
 	// relocs lists every word of the data segment and of the ctor heap
 	// objects whose value looks like a pointer into the original segments
 	// or ctor allocations.
@@ -28,36 +27,36 @@ type reloc struct {
 	off                  uint64
 }
 
-// newPIETemplate freezes src's data segment and runs the "contents that
-// look like pointers" scan of §3.3 over it and over the ctor heap
-// objects: a word whose integer value happens to fall inside the
-// original segment ranges is listed for rebasing even if it was never a
-// pointer — the false positive hazard the authors plan to engineer away.
+// newPIETemplate runs the "contents that look like pointers" scan of
+// §3.3 over src's data segment and over the ctor heap objects: a word
+// whose integer value happens to fall inside the original segment ranges
+// is listed for rebasing even if it was never a pointer — the false
+// positive hazard the authors plan to engineer away.
 // The simulation preserves that hazard deliberately (see
 // TestPIEglobalsFalsePositive).
 func newPIETemplate(src *elf.Instance) *pieTemplate {
-	t := &pieTemplate{src: src, base: mem.FreezeSegment(src.Data)}
+	t := &pieTemplate{src: src}
 	objIndex := make(map[*elf.HeapObj]int, len(src.HeapObjs))
 	for k, o := range src.HeapObjs {
 		objIndex[o] = k
 	}
-	scan := func(holder int, words []uint64) {
+	scan := func(holder, first int, words []uint64) {
 		for i, w := range words {
 			switch {
 			case src.ContainsCode(w):
-				t.relocs = append(t.relocs, reloc{holder, i, 0, w - src.CodeBase})
+				t.relocs = append(t.relocs, reloc{holder, first + i, 0, w - src.CodeBase})
 			case src.ContainsData(w):
-				t.relocs = append(t.relocs, reloc{holder, i, 1, w - src.DataBase})
+				t.relocs = append(t.relocs, reloc{holder, first + i, 1, w - src.DataBase})
 			default:
 				if o := src.HeapObjAt(w); o != nil {
-					t.relocs = append(t.relocs, reloc{holder, i, 2 + objIndex[o], w - o.Addr})
+					t.relocs = append(t.relocs, reloc{holder, first + i, 2 + objIndex[o], w - o.Addr})
 				}
 			}
 		}
 	}
-	scan(1, src.Data)
+	src.Seg.Scan(func(first int, words []uint64) { scan(1, first, words) })
 	for k, o := range src.HeapObjs {
-		scan(2+k, o.Words)
+		scan(2+k, 0, o.Words)
 	}
 	return t
 }
@@ -70,8 +69,9 @@ func newPIETemplate(src *elf.Instance) *pieTemplate {
 //
 // Modelled cost and host cost part ways here. The rank is charged for
 // copying, mapping and scanning every byte, as the real runtime does;
-// the host copies only the data-segment pages that hold a rebased word,
-// and the rest of the rank's view reads through to the template's base.
+// the host copies only the data-segment pages the process's instance
+// owns or that hold a rebased word, and the rest of the rank's view
+// reads through to the image's frozen base.
 func duplicateInstance(env *ProcessEnv, t *pieTemplate, heap *mem.Heap, opts PIEOptions) (*elf.Instance, sim.Time, error) {
 	src, img := t.src, t.src.Img
 	var cost sim.Time
@@ -80,7 +80,7 @@ func duplicateInstance(env *ProcessEnv, t *pieTemplate, heap *mem.Heap, opts PIE
 	if err != nil {
 		return nil, 0, err
 	}
-	dataBlk, err := heap.AllocSegment(t.base, "pie-data-segment")
+	dataBlk, err := heap.AllocSegment(src.Seg, "pie-data-segment")
 	if err != nil {
 		return nil, 0, err
 	}
@@ -89,7 +89,7 @@ func duplicateInstance(env *ProcessEnv, t *pieTemplate, heap *mem.Heap, opts PIE
 		// §6 future work: the rank's code is a read-only mapping of
 		// one shared descriptor — page tables only, no copy, no
 		// resident footprint, no migration payload.
-		heap.MarkShared(codeBlk)
+		heap.MarkSharedBytes(codeBlk, codeBlk.Size)
 		copyBytes := dataBytes
 		if opts.ShareROData {
 			// COW extension: the read-only slice of the data segment
@@ -150,7 +150,7 @@ func duplicateInstance(env *ProcessEnv, t *pieTemplate, heap *mem.Heap, opts PIE
 // storage). Called after mem.Restore on the destination process.
 func rebindPrivateInstance(c *RankContext) error {
 	old := c.Private
-	if old == nil || old.Seg == nil {
+	if old == nil || !old.Migratable {
 		return nil
 	}
 	dataBlk := c.Heap.Lookup(old.DataBase)

@@ -37,10 +37,9 @@ func oracleDuplicate(src, priv *elf.Instance) (data []uint64, objs [][]uint64) {
 			return w
 		}
 	}
-	data = make([]uint64, len(src.Data))
-	copy(data, src.Data)
-	for i, w := range data {
-		data[i] = rebase(w)
+	data = make([]uint64, src.Seg.Len())
+	for i := range data {
+		data[i] = rebase(src.Load(i))
 	}
 	for _, o := range src.HeapObjs {
 		words := append([]uint64(nil), o.Words...)
@@ -97,15 +96,15 @@ func ctorHeavyImage(hazards [3]uint64) *elf.Image {
 				{Size: 40, FuncPtrSlots: []int{2}},
 			},
 			Writes: []elf.CtorWrite{
-				elf.AllocPtrWrite(names[k], k%2),
-				elf.FuncPtrWrite(fns[k], []string{"vm_a", "vm_b", "vm_c"}[k%3]),
+				{VarName: names[k], PointsToAlloc: k % 2},
+				{VarName: fns[k], PointsToFunc: []string{"vm_a", "vm_b", "vm_c"}[k%3], PointsToAlloc: -1},
 			},
 		})
 	}
 	b.Ctor(elf.Ctor{Writes: []elf.CtorWrite{
-		elf.ValueWrite("int_a", hazards[0]),
-		elf.ValueWrite("int_b", hazards[1]),
-		elf.ValueWrite("int_c", hazards[2]),
+		{VarName: "int_a", Value: hazards[0], PointsToAlloc: -1},
+		{VarName: "int_b", Value: hazards[1], PointsToAlloc: -1},
+		{VarName: "int_c", Value: hazards[2], PointsToAlloc: -1},
 	}})
 	return b.MustBuild()
 }
@@ -201,10 +200,13 @@ func TestPIEDuplicationMatchesCopyAndScan(t *testing.T) {
 				wantData = atCheckpoint
 				check("after checkpoint restore")
 			}
-			// The process base is still what the loader mapped: no rank's
-			// store or rebase reached it.
-			if got := src.Data[len(src.Data)-3]; got != 0 {
+			// The process's instance is still what the loader mapped: no
+			// rank's store or rebase reached it, though every rank forked it.
+			if got := src.Load(src.Seg.Len() - 3); got != 0 {
 				t.Fatalf("a rank's store reached the process image: %d", got)
+			}
+			if got, ok := src.GOTEntryForVar(tc.img.Vars[0]); ok && got != src.VarAddr(tc.img.Vars[0]) {
+				t.Fatalf("a rank's rebase reached the process GOT: %#x", got)
 			}
 		})
 	}

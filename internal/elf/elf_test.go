@@ -1,6 +1,7 @@
 package elf
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -37,11 +38,17 @@ func TestBuilderBasics(t *testing.T) {
 	if img.VarByName("c1").Mutable() {
 		t.Error("const reported mutable")
 	}
-	if len(img.MutableVars()) != 3 {
-		t.Errorf("%d mutable vars, want 3", len(img.MutableVars()))
+	mutable, tagged := 0, 0
+	for _, v := range img.Vars {
+		if v.Mutable() {
+			mutable++
+			if v.Tagged {
+				tagged++
+			}
+		}
 	}
-	if len(img.TaggedVars()) != 1 {
-		t.Errorf("%d tagged vars, want 1", len(img.TaggedVars()))
+	if mutable != 3 || tagged != 1 {
+		t.Errorf("%d mutable vars of which %d tagged, want 3 and 1", mutable, tagged)
 	}
 	if img.FuncByName("helper").Offset != 1024 {
 		t.Errorf("helper offset %d", img.FuncByName("helper").Offset)
@@ -65,12 +72,12 @@ func TestBuilderRejectsDuplicates(t *testing.T) {
 
 func TestBuilderValidatesCtors(t *testing.T) {
 	_, err := NewBuilder("x").Global("g", 0).
-		Ctor(Ctor{Writes: []CtorWrite{ValueWrite("missing", 1)}}).Build()
+		Ctor(Ctor{Writes: []CtorWrite{{VarName: "missing", Value: 1, PointsToAlloc: -1}}}).Build()
 	if err == nil || !strings.Contains(err.Error(), "unknown variable") {
 		t.Fatalf("ctor write to unknown variable: %v", err)
 	}
 	_, err = NewBuilder("x").Global("g", 0).
-		Ctor(Ctor{Writes: []CtorWrite{FuncPtrWrite("g", "nofn")}}).Build()
+		Ctor(Ctor{Writes: []CtorWrite{{VarName: "g", PointsToFunc: "nofn", PointsToAlloc: -1}}}).Build()
 	if err == nil || !strings.Contains(err.Error(), "unknown function") {
 		t.Fatalf("ctor func-ptr to unknown function: %v", err)
 	}
@@ -82,10 +89,10 @@ func TestInstanceInitialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.Data[img.VarByName("g1").Index] != 10 {
+	if in.Load(img.VarByName("g1").Index) != 10 {
 		t.Error("g1 init wrong")
 	}
-	if in.Data[img.VarByName("c1").Index] != 30 {
+	if in.Load(img.VarByName("c1").Index) != 30 {
 		t.Error("c1 init wrong")
 	}
 	// GOT holds absolute addresses of external-linkage vars and funcs.
@@ -95,6 +102,48 @@ func TestInstanceInitialization(t *testing.T) {
 	}
 	if _, ok := in.GOTEntryForVar(img.VarByName("s1")); ok {
 		t.Error("static variable has a GOT entry")
+	}
+}
+
+func TestNewInstanceRejectsAliasedSegments(t *testing.T) {
+	if in, err := NewInstance(testImage(t), 0x10000, 0x10000, 0); err == nil || in != nil {
+		t.Fatalf("code and data at one base: instance %v, err %v", in, err)
+	}
+}
+
+// Two instances of one image are two views of one frozen base: the second
+// costs the host its GOT page, not a data segment, and a store through
+// one is never read through the other.
+func TestNewInstanceSharesImageBase(t *testing.T) {
+	img, err := NewBuilder("big").Global("g", 10).Func("main", 64).DataBulk(2 << 20).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewInstance(img, 0x10000, 0x4000000, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b *Instance
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if b, err = NewInstance(img, 0x10000, 0x8000000, 1); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > img.DataSize/16 {
+		t.Fatalf("second instance of a %d-byte data segment allocated %d host bytes", img.DataSize, got)
+	}
+	g, bulk := img.VarByName("g").Index, img.DataWords()-1
+	*a.Word(g), *a.Word(bulk) = 11, 12
+	*b.Word(g) = 21
+	if a.Load(g) != 11 || a.Load(bulk) != 12 || b.Load(g) != 21 || b.Load(bulk) != 0 {
+		t.Fatalf("stores crossed instances: a = %d/%d, b = %d/%d", a.Load(g), a.Load(bulk), b.Load(g), b.Load(bulk))
+	}
+	if c, _ := NewInstance(img, 0x10000, 0xc000000, 2); c.Load(g) != 10 || c.Load(bulk) != 0 {
+		t.Fatalf("a store reached the image's base: a third instance reads %d/%d", c.Load(g), c.Load(bulk))
+	}
+	if ga, _ := a.GOTEntryForVar(img.VarByName("g")); ga != a.VarAddr(img.VarByName("g")) {
+		t.Fatalf("instance a's GOT entry %#x is not its own cell", ga)
 	}
 }
 
@@ -148,9 +197,9 @@ func TestRunCtors(t *testing.T) {
 		Ctor(Ctor{
 			Allocs: []CtorAlloc{{Size: 64, FuncPtrSlots: []int{1}}},
 			Writes: []CtorWrite{
-				AllocPtrWrite("obj_ptr", 0),
-				FuncPtrWrite("vfn_ptr", "virtual_method"),
-				ValueWrite("plain", 77),
+				{VarName: "obj_ptr", PointsToAlloc: 0},
+				{VarName: "vfn_ptr", PointsToFunc: "virtual_method", PointsToAlloc: -1},
+				{VarName: "plain", Value: 77, PointsToAlloc: -1},
 			},
 		}).
 		Build()
@@ -170,7 +219,7 @@ func TestRunCtors(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("%d ctor allocs", n)
 	}
-	objPtr := in.Data[img.VarByName("obj_ptr").Index]
+	objPtr := in.Load(img.VarByName("obj_ptr").Index)
 	if objPtr != 0x9000000 {
 		t.Errorf("obj_ptr = %#x", objPtr)
 	}
@@ -182,24 +231,24 @@ func TestRunCtors(t *testing.T) {
 	if fp := obj.Words[1]; !in.ContainsCode(fp) {
 		t.Errorf("vtable slot %#x outside code", fp)
 	}
-	if in.Data[img.VarByName("vfn_ptr").Index] != in.FuncAddr(img.FuncByName("virtual_method")) {
+	if in.Load(img.VarByName("vfn_ptr").Index) != in.FuncAddr(img.FuncByName("virtual_method")) {
 		t.Error("function-pointer write wrong")
 	}
-	if in.Data[img.VarByName("plain").Index] != 77 {
+	if in.Load(img.VarByName("plain").Index) != 77 {
 		t.Error("plain write wrong")
 	}
 }
 
 func TestDataSegmentAccommodatesGOT(t *testing.T) {
-	// Even with no DataBulk, the instance's data array must hold all
+	// Even with no DataBulk, the instance's data segment must hold all
 	// variable cells plus GOT slots.
 	img, _ := NewBuilder("tiny").Global("a", 1).Func("f", 8).Build()
 	in, err := NewInstance(img, 0x1000, 0x8000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(in.Data) < 1+2 { // one var cell + var GOT + func GOT
-		t.Fatalf("data words %d too small", len(in.Data))
+	if in.Seg.Len() < 1+2 { // one var cell + var GOT + func GOT
+		t.Fatalf("data words %d too small", in.Seg.Len())
 	}
 }
 
@@ -243,7 +292,7 @@ func TestInstanceInitProperty(t *testing.T) {
 		}
 		for i, v := range inits {
 			va := img.VarByName(name(i))
-			if in.Data[va.Index] != v {
+			if in.Load(va.Index) != v {
 				return false
 			}
 			if got, ok := in.GOTEntryForVar(va); ok && got != in.VarAddr(va) {

@@ -126,26 +126,9 @@ type CtorWrite struct {
 	// the PIEglobals fixup hazard of §3.3, e.g. vtable slots).
 	PointsToFunc string
 	// PointsToAlloc, if >= 0, makes the store a pointer to the ctor
-	// heap allocation with that ordinal. Use the ValueWrite /
-	// FuncPtrWrite / AllocPtrWrite constructors rather than struct
-	// literals: a zero PointsToAlloc means "alloc 0", not "unset".
+	// heap allocation with that ordinal. A zero PointsToAlloc means
+	// "alloc 0", not "unset": a value or function-pointer store sets -1.
 	PointsToAlloc int
-}
-
-// ValueWrite returns a CtorWrite storing a plain value.
-func ValueWrite(varName string, value uint64) CtorWrite {
-	return CtorWrite{VarName: varName, Value: value, PointsToAlloc: -1}
-}
-
-// FuncPtrWrite returns a CtorWrite storing a function pointer.
-func FuncPtrWrite(varName, funcName string) CtorWrite {
-	return CtorWrite{VarName: varName, PointsToFunc: funcName, PointsToAlloc: -1}
-}
-
-// AllocPtrWrite returns a CtorWrite storing a pointer to the ctor's
-// alloc-th heap allocation.
-func AllocPtrWrite(varName string, alloc int) CtorWrite {
-	return CtorWrite{VarName: varName, PointsToAlloc: alloc}
 }
 
 // CtorAlloc is one heap allocation performed by a static constructor at
@@ -222,29 +205,6 @@ func (img *Image) VarLookups() int64 { return img.varLookups.Load() }
 
 // FuncByName returns the declared function or nil.
 func (img *Image) FuncByName(name string) *Func { return img.fnByName[name] }
-
-// MutableVars returns the variables requiring privatization, in index
-// order.
-func (img *Image) MutableVars() []*Var {
-	var out []*Var
-	for _, v := range img.Vars {
-		if v.Mutable() {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// TaggedVars returns the variables annotated for TLS privatization.
-func (img *Image) TaggedVars() []*Var {
-	var out []*Var
-	for _, v := range img.Vars {
-		if v.Tagged && v.Mutable() {
-			out = append(out, v)
-		}
-	}
-	return out
-}
 
 // DataWords returns the number of 8-byte cells in the data segment.
 func (img *Image) DataWords() int { return int(img.DataSize / 8) }

@@ -31,11 +31,10 @@ type Instance struct {
 	Namespace int
 	CodeBase  uint64
 	DataBase  uint64
-	// Data holds the full data segment as 8-byte words when the loader
-	// mapped it; it is nil for an Isomalloc copy, whose words live in Seg.
-	Data []uint64
-	// Seg is the copy-on-write view backing a PIEglobals per-rank copy of
-	// the data segment, else nil.
+	// Seg holds the data segment as 8-byte words: a copy-on-write view of
+	// the image's frozen base (Layout), so an instance owns only the pages
+	// written through it — the GOT, constructor stores, the program's own.
+	// A PIEglobals per-rank copy's view is the payload of its heap block.
 	Seg *mem.Segment
 	// HeapObjs are the static-constructor heap allocations belonging to
 	// this instance.
@@ -45,32 +44,15 @@ type Instance struct {
 	Migratable bool
 }
 
-// Word returns the cell of data-segment word i, whichever way the
-// instance's segment is stored.
-func (in *Instance) Word(i int) *uint64 {
-	if in.Seg != nil {
-		return in.Seg.Word(i)
-	}
-	return &in.Data[i]
-}
+// Word returns the cell of data-segment word i.
+func (in *Instance) Word(i int) *uint64 { return in.Seg.Word(i) }
 
-// Load reads data-segment word i; unlike Word it never makes a view
+// Load reads data-segment word i; unlike Word it never makes the view
 // take its own copy of the page.
-func (in *Instance) Load(i int) uint64 {
-	if in.Seg != nil {
-		return in.Seg.Load(i)
-	}
-	return in.Data[i]
-}
+func (in *Instance) Load(i int) uint64 { return in.Seg.Load(i) }
 
 // gotBase returns the word index where the GOT begins.
 func (in *Instance) gotBase() int { return len(in.Img.Vars) }
-
-// gotSlots returns how many GOT entries the image has: one per
-// external-linkage variable plus one per function. The count comes from
-// the image's shared Layout, computed once and reused by every
-// instance.
-func (in *Instance) gotSlots() int { return in.Img.Layout().GOTSlots }
 
 // gotIndexOfVar returns the GOT slot ordinal for an external-linkage
 // variable, or -1 for statics (which have no GOT entry — the Swapglobals
@@ -85,35 +67,27 @@ func (in *Instance) gotIndexOfFunc(f *Func) int {
 	return in.Img.Layout().ExternVars + f.Index
 }
 
-// NewInstance materializes an image at the given segment bases:
-// variable cells take their initializers, and the GOT is populated with
-// absolute addresses of this instance's cells and functions.
+// NewInstance materializes an image at the given segment bases: a fresh
+// view of the image's frozen data segment (variable cells at their
+// initializers), with the GOT populated with absolute addresses of this
+// instance's cells and functions.
 //
 // Static constructors are NOT run here; the loader runs them (they
 // execute at dlopen time with side effects the caller must account for).
 func NewInstance(img *Image, codeBase, dataBase uint64, namespace int) (*Instance, error) {
-	words := img.DataWords()
-	need := len(img.Vars)
-	in := &Instance{Img: img, Namespace: namespace, CodeBase: codeBase, DataBase: dataBase}
-	need += in.gotSlots()
-	if words < need {
-		words = need
+	if codeBase == dataBase {
+		return nil, fmt.Errorf("elf: code and data segments must not alias")
 	}
-	in.Data = make([]uint64, words)
-	for _, v := range img.Vars {
-		in.Data[v.Index] = v.Init
-	}
+	in := &Instance{Img: img, Namespace: namespace, CodeBase: codeBase, DataBase: dataBase,
+		Seg: img.Layout().base.View()}
 	gb := in.gotBase()
 	for _, v := range img.Vars {
 		if slot := in.gotIndexOfVar(v); slot >= 0 {
-			in.Data[gb+slot] = in.VarAddr(v)
+			*in.Word(gb + slot) = in.VarAddr(v)
 		}
 	}
 	for _, f := range img.Funcs {
-		in.Data[gb+in.gotIndexOfFunc(f)] = in.FuncAddr(f)
-	}
-	if codeBase == dataBase {
-		return nil, fmt.Errorf("elf: code and data segments must not alias")
+		*in.Word(gb + in.gotIndexOfFunc(f)) = in.FuncAddr(f)
 	}
 	return in, nil
 }
@@ -226,11 +200,11 @@ func (in *Instance) RunCtors(alloc func(size uint64) uint64) (int, error) {
 			v := in.Img.VarByName(w.VarName)
 			switch {
 			case w.PointsToFunc != "":
-				in.Data[v.Index] = in.FuncAddr(in.Img.FuncByName(w.PointsToFunc))
+				*in.Word(v.Index) = in.FuncAddr(in.Img.FuncByName(w.PointsToFunc))
 			case w.PointsToAlloc >= 0 && w.PointsToAlloc < len(objs):
-				in.Data[v.Index] = objs[w.PointsToAlloc].Addr
+				*in.Word(v.Index) = objs[w.PointsToAlloc].Addr
 			default:
-				in.Data[v.Index] = w.Value
+				*in.Word(v.Index) = w.Value
 			}
 		}
 	}

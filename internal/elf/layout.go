@@ -1,10 +1,15 @@
 package elf
 
-import "sync"
+import (
+	"sync"
+
+	"provirt/internal/mem"
+)
 
 // Layout is the per-image instance-layout metadata every loaded copy of
 // an Image shares: GOT geometry, the variable-index -> GOT-slot table,
-// and the read-only byte census. Before it existed, each Instance
+// the read-only byte census, and the frozen data segment every
+// instance's view reads through to. Before it existed, each Instance
 // recomputed slot ordinals with an O(vars) scan per lookup — O(vars²)
 // per instantiation, paid once per rank per method. At million-VP
 // worlds the metadata is computed exactly once per image and shared by
@@ -25,6 +30,10 @@ type Layout struct {
 	// const variable cells plus any declared read-only bulk. These are
 	// the bytes copy-on-write sharing keeps on shared pages per rank.
 	ROBytes uint64
+	// base is the data segment as the image file holds it: variable cells
+	// at their initialisers, GOT slots and bulk zero. Every instance's
+	// data segment is a copy-on-write view of it.
+	base *mem.SegmentBase
 }
 
 // Layout returns the image's shared instance-layout metadata, computed
@@ -52,6 +61,12 @@ func (img *Image) Layout() *Layout {
 			ro = img.DataSize
 		}
 		l.ROBytes = ro
+		init := make([]uint64, len(img.Vars))
+		for _, v := range img.Vars {
+			init[v.Index] = v.Init
+		}
+		// A builder may declare less data than the cells and GOT need.
+		l.base = mem.FreezeSegment(init, max(img.DataWords(), len(img.Vars)+l.GOTSlots))
 		img.layout = l
 	})
 	return img.layout

@@ -195,24 +195,3 @@ func (s ChurnSpec) Compile(nodes int) ChurnPlan {
 	}
 	return p
 }
-
-// SpotPlan samples an eviction-only churn schedule: reclaims arrive as
-// a Poisson process with mean gap every, each with the given notice,
-// striking a uniformly chosen node. The spot-market regime.
-func SpotPlan(seed uint64, nodes int, every, notice, horizon sim.Time) ChurnPlan {
-	return ChurnSpec{Seed: seed, EvictionEvery: every, Notice: notice, Horizon: horizon}.Compile(nodes)
-}
-
-// RollingPlan builds the deterministic rolling-restart schedule: one
-// node at a time is evicted with the given notice and immediately
-// replaced, one step every gap, starting at start.
-func RollingPlan(start, gap, notice sim.Time, nodes int) ChurnPlan {
-	var p ChurnPlan
-	for i := 0; i < nodes; i++ {
-		at := start + gap*sim.Time(i)
-		p.Events = append(p.Events,
-			ChurnEvent{Kind: Eviction, At: at, Node: i, Notice: notice},
-			ChurnEvent{Kind: Arrival, At: at, Count: 1})
-	}
-	return p
-}

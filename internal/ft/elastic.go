@@ -81,9 +81,6 @@ type ElasticReport struct {
 // Epochs reports how many membership transitions the run executed.
 func (r *ElasticReport) Epochs() int { return len(r.Resizes) }
 
-// NodeHours is the run's cost in node-hours.
-func (r *ElasticReport) NodeHours() float64 { return r.NodeSeconds.Hours() }
-
 // ReworkNoticed sums rework across drained (noticed) membership
 // changes — zero by construction, pinned by tests as the drain
 // dividend.

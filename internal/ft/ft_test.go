@@ -3,6 +3,7 @@ package ft_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -433,11 +434,9 @@ func TestPlanShift(t *testing.T) {
 func TestOptimalIntervals(t *testing.T) {
 	c := 6 * time.Minute
 	m := 24 * time.Hour
-	young := ft.YoungInterval(c, m)
-	// sqrt(2 * 360s * 86400s) ~= 7887.3s
-	if got := young.Seconds(); got < 7880 || got > 7895 {
-		t.Errorf("YoungInterval(6m, 24h) = %.1fs, want ~7887s", got)
-	}
+	// Young's first-order optimum, sqrt(2·C·M) = sqrt(2 * 360s * 86400s)
+	// ~= 7887.3s, is what Daly's estimate refines.
+	young := time.Duration(math.Sqrt(2 * float64(c) * float64(m)))
 	daly := ft.DalyInterval(c, m)
 	if daly <= 0 || daly >= young {
 		t.Errorf("DalyInterval %v should be positive and below Young %v for small C/M", daly, young)
@@ -449,7 +448,7 @@ func TestOptimalIntervals(t *testing.T) {
 	if got := ft.DalyInterval(10*time.Hour, time.Hour); got != time.Hour {
 		t.Errorf("DalyInterval with C >= 2M = %v, want MTBF", got)
 	}
-	if ft.YoungInterval(0, m) != 0 || ft.DalyInterval(c, 0) != 0 {
+	if ft.DalyInterval(0, m) != 0 || ft.DalyInterval(c, 0) != 0 {
 		t.Error("non-positive inputs should disable checkpointing")
 	}
 	// Longer MTBF, longer interval.

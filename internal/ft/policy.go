@@ -9,18 +9,8 @@ import (
 // Checkpoint-interval policy: how often a job should snapshot given its
 // checkpoint cost C and the machine's mean time between failures M.
 // Too-frequent checkpoints waste time writing snapshots; too-rare ones
-// waste time recomputing lost work after a failure. Young's first-order
-// model and Daly's higher-order refinement give the classic optima.
-
-// YoungInterval is Young's first-order optimal checkpoint interval,
-// sqrt(2·C·M), for checkpoint cost ckpt and mean time between failures
-// mtbf. Non-positive inputs return 0 (checkpointing disabled).
-func YoungInterval(ckpt, mtbf sim.Time) sim.Time {
-	if ckpt <= 0 || mtbf <= 0 {
-		return 0
-	}
-	return sim.Time(math.Sqrt(2 * float64(ckpt) * float64(mtbf)))
-}
+// waste time recomputing lost work after a failure. Daly's higher-order
+// refinement of Young's first-order sqrt(2·C·M) gives the classic optimum.
 
 // DalyInterval is Daly's higher-order estimate of the optimal interval
 // between checkpoint starts:

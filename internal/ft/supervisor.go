@@ -44,20 +44,6 @@ func (m RecoveryMode) String() string {
 	}
 }
 
-// ParseRecoveryMode inverts String for the named modes.
-func ParseRecoveryMode(s string) (RecoveryMode, error) {
-	switch s {
-	case "spare":
-		return Spare, nil
-	case "shrink":
-		return Shrink, nil
-	case "expand":
-		return Expand, nil
-	default:
-		return 0, fmt.Errorf("ft: unknown recovery mode %q", s)
-	}
-}
-
 // DefaultMaxRestarts bounds recovery attempts when Job.MaxRestarts is
 // unset.
 const DefaultMaxRestarts = 8

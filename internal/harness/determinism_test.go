@@ -75,7 +75,7 @@ func TestFig9ParallelSweepIsDeterministic(t *testing.T) {
 func TestScaleSimWorkersIsDeterministic(t *testing.T) {
 	const vps = 2048
 	run := func(workers int) (string, string, []byte) {
-		rec := trace.NewRecorder(trace.AllKinds()...)
+		rec := trace.NewRecorder(append(trace.DefaultKinds(), trace.KindEngineEvent)...)
 		o := harness.Opts{
 			SimWorkers: workers,
 			Trace:      &harness.TraceSel{VPs: vps, Rec: rec},

@@ -19,7 +19,7 @@ func TestElasticSweepIsDeterministic(t *testing.T) {
 		t.Skip("runs the full elastic sweep twice")
 	}
 	run := func(par int) (string, string, []byte) {
-		rec := trace.NewRecorder(trace.AllKinds()...)
+		rec := trace.NewRecorder(append(trace.DefaultKinds(), trace.KindEngineEvent)...)
 		o := harness.Opts{
 			Parallelism: par,
 			Trace: &harness.TraceSel{

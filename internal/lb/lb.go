@@ -412,21 +412,6 @@ func (h HierarchicalLB) Rebalance(loads []RankLoad, numPEs int) []int {
 	return assign
 }
 
-// CrossNodeMoves counts assignments that change a rank's node — the
-// expensive moves a topology-aware balancer minimizes.
-func CrossNodeMoves(loads []RankLoad, assign []int, pesPerNode int) int {
-	if pesPerNode <= 0 {
-		return 0
-	}
-	n := 0
-	for i, l := range loads {
-		if l.PE/pesPerNode != assign[i]/pesPerNode {
-			n++
-		}
-	}
-	return n
-}
-
 // EvacuateLB empties a set of PEs — the mechanism behind dynamic job
 // shrink (§2.1): before releasing cores back to the scheduler, every
 // rank resident on a departing PE migrates to the least-loaded

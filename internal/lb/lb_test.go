@@ -118,6 +118,21 @@ func TestRotateAndNull(t *testing.T) {
 	}
 }
 
+// crossNodeMoves counts assignments that change a rank's node — the
+// expensive moves a topology-aware balancer minimizes.
+func crossNodeMoves(loads []RankLoad, assign []int, pesPerNode int) int {
+	if pesPerNode <= 0 {
+		return 0
+	}
+	n := 0
+	for i, l := range loads {
+		if l.PE/pesPerNode != assign[i]/pesPerNode {
+			n++
+		}
+	}
+	return n
+}
+
 func TestHierarchicalLBBalancesAndMinimizesCrossNodeMoves(t *testing.T) {
 	// 2 nodes x 4 PEs with EQUAL node totals but one hot PE inside each
 	// node: the fix never requires crossing a node boundary, so a
@@ -145,12 +160,12 @@ func TestHierarchicalLBBalancesAndMinimizesCrossNodeMoves(t *testing.T) {
 	if after >= before {
 		t.Errorf("imbalance %v -> %v; hierarchical balancer did not help", before, after)
 	}
-	if cross := CrossNodeMoves(loads, assign, 4); cross != 0 {
+	if cross := crossNodeMoves(loads, assign, 4); cross != 0 {
 		t.Errorf("hierarchical made %d cross-node moves; intra-node refinement sufficed", cross)
 	}
 	// Flat greedy, blind to topology, crosses nodes for the same fix.
 	flat := GreedyLB{}.Rebalance(loads, 8)
-	if fCross := CrossNodeMoves(loads, flat, 4); fCross == 0 {
+	if fCross := crossNodeMoves(loads, flat, 4); fCross == 0 {
 		t.Skip("flat greedy happened to respect node boundaries on this input")
 	}
 }
@@ -169,7 +184,7 @@ func TestHierarchicalLBMovesAcrossNodesWhenNeeded(t *testing.T) {
 	if err := Validate(loads, 8, assign); err != nil {
 		t.Fatal(err)
 	}
-	if cross := CrossNodeMoves(loads, assign, 4); cross == 0 {
+	if cross := crossNodeMoves(loads, assign, 4); cross == 0 {
 		t.Error("node totals 200 vs 10 and no cross-node move")
 	}
 }

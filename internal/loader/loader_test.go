@@ -36,7 +36,7 @@ func TestDlopenMapsSegments(t *testing.T) {
 	if h.CodeRegion.Base == h.DataRegion.Base {
 		t.Error("code and data segments alias")
 	}
-	if h.Inst.Data[img.VarByName("g").Index] != 5 {
+	if h.Inst.Load(img.VarByName("g").Index) != 5 {
 		t.Error("globals not initialized")
 	}
 	// Re-opening the same path returns the same handle cheaply.

@@ -40,9 +40,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// TotalPEs returns the number of processing elements in the cluster.
-func (c Config) TotalPEs() int { return c.Nodes * c.ProcsPerNode * c.PEsPerProc }
-
 // SMPMode reports whether processes host more than one PE.
 func (c Config) SMPMode() bool { return c.PEsPerProc > 1 }
 
@@ -59,7 +56,6 @@ func (c Config) SMPMode() bool { return c.PEsPerProc > 1 }
 type Cluster struct {
 	Engine *sim.Engine
 	Cost   *CostModel
-	RNG    *sim.RNG
 	Nodes  []*Node
 	FS     *SharedFS
 
@@ -147,11 +143,10 @@ func (n *Node) Live(t sim.Time) bool {
 
 // Process is one OS process: an address space plus one or more PEs.
 type Process struct {
-	ID       int // global process id
-	Node     *Node
-	PEs      []*PE
-	AS       *mem.AddressSpace
-	Walltime time.Duration // accumulated startup work charged to this process
+	ID   int // global process id
+	Node *Node
+	PEs  []*PE
+	AS   *mem.AddressSpace
 
 	heapArena *mem.Region
 	heapNext  uint64
@@ -203,7 +198,6 @@ func New(cfg Config) (*Cluster, error) {
 	cl := &Cluster{
 		Engine: sim.NewEngine(),
 		Cost:   cost,
-		RNG:    sim.NewRNG(cfg.Seed),
 		cfg:    cfg,
 	}
 	cl.FS = NewSharedFS(cl.Engine, cost)

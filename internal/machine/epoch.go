@@ -188,11 +188,6 @@ func (cl *Cluster) NodeSeconds(horizon sim.Time) sim.Time {
 	return total
 }
 
-// NodeHours is NodeSeconds expressed in node-hours.
-func (cl *Cluster) NodeHours(horizon sim.Time) float64 {
-	return cl.NodeSeconds(horizon).Hours()
-}
-
 // memberSpan is the overlap of [joined, retired) with [0, horizon),
 // where retired < 0 means still live.
 func memberSpan(joined, retired, horizon sim.Time) sim.Time {

@@ -214,7 +214,7 @@ func TestNodeSecondsIntegration(t *testing.T) {
 	if got, want := NodeSecondsOf(spans, horizon), sec(85); got != want {
 		t.Errorf("NodeSecondsOf = %v, want %v", got, want)
 	}
-	if got, want := cl.NodeHours(horizon), (85.0 / 3600.0); got != want {
+	if got, want := cl.NodeSeconds(horizon).Hours(), (85.0 / 3600.0); got != want {
 		t.Errorf("NodeHours = %v, want %v", got, want)
 	}
 	if got, want := FormatNodeHours(sec(3600)), "1.000000"; got != want {

@@ -21,9 +21,6 @@ func TestConfigValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if good.TotalPEs() != 16 {
-		t.Errorf("TotalPEs = %d", good.TotalPEs())
-	}
 	if !good.SMPMode() {
 		t.Error("4 PEs/proc should be SMP mode")
 	}

@@ -59,11 +59,6 @@ type Region struct {
 // End returns one past the last mapped address.
 func (r *Region) End() uint64 { return r.Base + r.Size }
 
-// Contains reports whether addr falls inside the region.
-func (r *Region) Contains(addr uint64) bool {
-	return addr >= r.Base && addr < r.Base+r.Size
-}
-
 // Layout constants for the simulated address space. The mmap arena and
 // the Isomalloc arena are disjoint so a pointer's provenance is decidable
 // from its value alone, as it is on a real system with a reserved range.
@@ -85,7 +80,6 @@ type AddressSpace struct {
 	// checks.
 	regions map[uint64]*Region
 	index   []*Region
-	mapped  uint64
 }
 
 // NewAddressSpace returns an empty address space.
@@ -132,7 +126,6 @@ func (as *AddressSpace) Mmap(size uint64, label string) *Region {
 	as.next += r.Size + PageSize // guard page
 	as.regions[r.Base] = r
 	as.indexInsert(r)
-	as.mapped += r.Size
 	return r
 }
 
@@ -155,21 +148,18 @@ func (as *AddressSpace) MapFixed(base, size uint64, label string, owner int) (*R
 	r := &Region{Base: base, Size: size, Kind: IsoRegion, Label: label, Owner: owner}
 	as.regions[r.Base] = r
 	as.indexInsert(r)
-	as.mapped += r.Size
 	return r, nil
 }
 
 // Unmap removes the region starting at base.
 func (as *AddressSpace) Unmap(base uint64) error {
-	r, ok := as.regions[base]
-	if !ok {
+	if _, ok := as.regions[base]; !ok {
 		return fmt.Errorf("mem: unmap of unmapped base %#x", base)
 	}
 	delete(as.regions, base)
 	i := sort.Search(len(as.index), func(i int) bool { return as.index[i].Base >= base })
 	copy(as.index[i:], as.index[i+1:])
 	as.index = as.index[:len(as.index)-1]
-	as.mapped -= r.Size
 	return nil
 }
 
@@ -182,14 +172,6 @@ func (as *AddressSpace) Find(addr uint64) *Region {
 	return nil
 }
 
-// Regions returns all mapped regions ordered by base address.
-func (as *AddressSpace) Regions() []*Region {
-	return append([]*Region(nil), as.index...)
-}
-
-// MappedBytes reports the total size of all mapped regions.
-func (as *AddressSpace) MappedBytes() uint64 { return as.mapped }
-
 // RankRangeBase returns the base of virtual rank vp's reserved Isomalloc
 // range. The value is a pure function of vp, identical in every process.
 func RankRangeBase(vp int) uint64 {
@@ -199,13 +181,3 @@ func RankRangeBase(vp int) uint64 {
 // MaxRanks is the number of per-rank ranges the Isomalloc arena holds
 // before it would collide with the mmap arena.
 const MaxRanks = (mmapBase - IsomallocBase) / IsomallocRangeSize
-
-// RankOfAddress returns the virtual rank whose reserved range contains
-// addr, or -1 if addr is outside the Isomalloc arena.
-func RankOfAddress(addr uint64) int {
-	if addr < IsomallocBase || addr >= mmapBase {
-		return -1
-	}
-	vp := (addr - IsomallocBase) / IsomallocRangeSize
-	return int(vp)
-}

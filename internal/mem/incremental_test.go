@@ -127,13 +127,13 @@ func TestSnapshotRoundTripUnderChurn(t *testing.T) {
 		}
 	}
 	shared, _ := h.AllocBallast(1<<16, "code")
-	h.MarkShared(shared)
+	h.MarkSharedBytes(shared, shared.Size)
 
 	snap := h.Serialize()
 	h2 := Restore(snap)
 
-	if h2.LiveBlocks() != h.LiveBlocks() {
-		t.Fatalf("restored %d blocks, want %d", h2.LiveBlocks(), h.LiveBlocks())
+	if len(h2.Blocks()) != len(h.Blocks()) {
+		t.Fatalf("restored %d blocks, want %d", len(h2.Blocks()), len(h.Blocks()))
 	}
 	if h2.LiveBytes() != h.LiveBytes() || h2.ResidentBytes() != h.ResidentBytes() {
 		t.Fatalf("restored accounting %d/%d, want %d/%d",
@@ -144,7 +144,7 @@ func TestSnapshotRoundTripUnderChurn(t *testing.T) {
 		if nb == nil {
 			t.Fatalf("block %#x lost", b.Addr)
 		}
-		if nb.Size != b.Size || nb.Label != b.Label || nb.Shared != b.Shared {
+		if nb.Size != b.Size || nb.Label != b.Label || nb.SharedBytes != b.SharedBytes {
 			t.Fatalf("block %#x metadata diverged: %+v vs %+v", b.Addr, nb, b)
 		}
 		if b.Words != nil && nb.Words[0] != b.Words[0] {
@@ -277,9 +277,7 @@ func TestAccountingCountersMatchRescan(t *testing.T) {
 		var live, resident uint64
 		for _, b := range h.Blocks() {
 			live += b.Size
-			if !b.Shared {
-				resident += b.Size
-			}
+			resident += b.Size - b.SharedBytes
 		}
 		if h.LiveBytes() != live || h.ResidentBytes() != resident {
 			t.Fatalf("%s: counters %d/%d, rescan %d/%d", stage,
@@ -290,9 +288,9 @@ func TestAccountingCountersMatchRescan(t *testing.T) {
 	check("alloc")
 	code, _ := h.AllocBallast(1<<14, "code")
 	check("ballast")
-	h.MarkShared(code)
+	h.MarkSharedBytes(code, code.Size)
 	check("markshared")
-	h.MarkShared(code) // idempotent
+	h.MarkSharedBytes(code, code.Size) // idempotent
 	check("markshared-again")
 	h.Free(a.Addr)
 	check("free")

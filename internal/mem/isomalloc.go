@@ -18,21 +18,15 @@ type Block struct {
 	// every process.
 	Words []uint64
 	// Seg is the payload of a block made by AllocSegment: a copy-on-write
-	// view of a process-wide data-segment image, held instead of Words.
+	// view of a program image's frozen data segment, held instead of Words.
 	Seg *Segment
-	// Shared marks a block backed by a shared read-only mapping (one
-	// physical copy mapped from a single descriptor, per the paper's
-	// §6 future-work plan). Shared blocks occupy virtual address space
-	// but contribute neither resident memory nor migration payload:
-	// the destination re-establishes the mapping instead of receiving
-	// bytes.
-	Shared bool
-	// SharedBytes is the partially-shared span of an otherwise private
-	// block: the leading bytes backed by a shared read-only mapping
-	// (copy-on-write image data under PIEglobals code sharing). Like a
-	// fully Shared block, these bytes contribute neither resident memory
-	// nor migration payload; the writable remainder behaves normally.
-	// Ignored when Shared is set (the whole block is already shared).
+	// SharedBytes is the block's shared span: the leading bytes backed by
+	// a shared read-only mapping (one physical copy mapped from a single
+	// descriptor, per the paper's §6 future-work plan) — all of a code
+	// segment, the read-only head of a data segment. They occupy virtual
+	// address space but contribute neither resident memory nor migration
+	// payload: the destination re-establishes the mapping instead of
+	// receiving bytes. The writable remainder behaves normally.
 	SharedBytes uint64
 	// gen is the block's generation stamp: it advances whenever the
 	// payload may have changed, and a snapshot entry is reusable only
@@ -43,17 +37,8 @@ type Block struct {
 // End returns one past the last byte of the block.
 func (b *Block) End() uint64 { return b.Addr + b.Size }
 
-// sharedSpan returns how many of the block's bytes are backed by shared
-// mappings: all of them for a Shared block, SharedBytes otherwise.
-func (b *Block) sharedSpan() uint64 {
-	if b.Shared {
-		return b.Size
-	}
-	return b.SharedBytes
-}
-
 // residentSpan returns the block's private (resident) byte count.
-func (b *Block) residentSpan() uint64 { return b.Size - b.sharedSpan() }
+func (b *Block) residentSpan() uint64 { return b.Size - b.SharedBytes }
 
 // payloadWords counts the words a host copy of the block's payload
 // moves: all of Words, or only a segment view's materialised pages.
@@ -86,7 +71,7 @@ type Heap struct {
 	index  []*Block
 	free   []*Block // freed spans, address-ordered for deterministic reuse
 	// live/resident are running byte counters maintained by
-	// Alloc/Free/MarkShared so the accessors never rescan.
+	// Alloc/Free/MarkSharedBytes so the accessors never rescan.
 	live     uint64
 	resident uint64
 	// clean caches, per block, the words array captured by the last
@@ -191,7 +176,6 @@ func (h *Heap) allocRaw(size uint64, label string) (*Block, error) {
 		}
 		b := f
 		b.Label = label
-		b.Shared = false
 		b.SharedBytes = 0
 		b.gen++ // never match a stale snapshot entry from a past life
 		if f.Size > size {
@@ -231,7 +215,6 @@ func (h *Heap) Free(addr uint64) error {
 	h.resident -= b.residentSpan()
 	b.Words, b.Seg = nil, nil
 	b.Label = ""
-	b.Shared = false
 	b.SharedBytes = 0
 	b.gen++
 	i := sort.Search(len(h.free), func(i int) bool { return h.free[i].Addr > b.Addr })
@@ -241,28 +224,14 @@ func (h *Heap) Free(addr uint64) error {
 	return nil
 }
 
-// MarkShared flips a live block onto shared read-only backing, moving
-// its bytes out of the rank's resident footprint. Use this rather than
-// writing Block.Shared directly so the heap's running counters stay
-// consistent.
-func (h *Heap) MarkShared(b *Block) {
-	if b.Shared {
-		return
-	}
-	h.resident -= b.residentSpan()
-	b.Shared = true
-}
-
 // MarkSharedBytes marks the leading n bytes of a live block as backed by
-// a shared read-only mapping, leaving the remainder private — the
-// copy-on-write shape of a PIEglobals data segment whose .rodata pages
-// are shared across ranks. n is clamped to the block size; marking never
-// shrinks an existing shared span, and a fully Shared block is left
-// alone.
+// a shared read-only mapping, moving them out of the rank's resident
+// footprint and leaving the remainder private: the whole of a shared
+// code segment, or the .rodata pages of a PIEglobals data segment. Use
+// it rather than writing Block.SharedBytes so the heap's running
+// counters stay consistent. n is clamped to the block size; marking
+// never shrinks an existing shared span.
 func (h *Heap) MarkSharedBytes(b *Block, n uint64) {
-	if b.Shared {
-		return
-	}
 	if n > b.Size {
 		n = b.Size
 	}
@@ -286,16 +255,13 @@ func (h *Heap) Lookup(addr uint64) *Block {
 func (h *Heap) LiveBytes() uint64 { return h.live }
 
 // ResidentBytes reports live allocation bytes excluding spans backed by
-// shared read-only mappings (whole Shared blocks and partial SharedBytes
-// prefixes) — the per-rank physical memory footprint.
+// shared read-only mappings (each block's SharedBytes span) — the
+// per-rank physical memory footprint.
 func (h *Heap) ResidentBytes() uint64 { return h.resident }
 
 // SharedSpanBytes reports live allocation bytes backed by shared
 // read-only mappings: the gap between LiveBytes and ResidentBytes.
 func (h *Heap) SharedSpanBytes() uint64 { return h.live - h.resident }
-
-// LiveBlocks reports the number of live allocations.
-func (h *Heap) LiveBlocks() int { return len(h.blocks) }
 
 // Blocks returns live blocks ordered by address.
 func (h *Heap) Blocks() []*Block {
@@ -381,7 +347,7 @@ func (h *Heap) Serialize() *Snapshot {
 	arena := make([]uint64, copyWords)
 	var reused, copied uint64
 	for i, b := range h.index {
-		cp := Block{Addr: b.Addr, Size: b.Size, Label: b.Label, Shared: b.Shared, SharedBytes: b.SharedBytes}
+		cp := Block{Addr: b.Addr, Size: b.Size, Label: b.Label, SharedBytes: b.SharedBytes}
 		e, cached := h.clean[b]
 		clean := cached && e.gen == b.gen
 		switch {
@@ -404,8 +370,8 @@ func (h *Heap) Serialize() *Snapshot {
 			// A clean-but-aliased block's content is unchanged since the
 			// previous snapshot: the copy is a local memcpy, not wire
 			// bytes, so it contributes nothing to the delta. Shared spans
-			// (whole blocks or partial read-only prefixes) are remapped by
-			// the destination, never sent, so they never count either.
+			// are remapped by the destination, never sent, so they never
+			// count either.
 			if !clean {
 				snap.delta += b.residentSpan()
 			}

@@ -69,7 +69,7 @@ func TestSnapshotObsCounts(t *testing.T) {
 // shared — while the full/delta counters still model the whole block.
 func TestSegmentObsCounts(t *testing.T) {
 	const words = 16 * pageWords
-	base := FreezeSegment(make([]uint64, words))
+	base := FreezeSegment(nil, words).View()
 
 	// Off by default: nothing registered, nothing counted, no panic.
 	h := NewHeap(0)

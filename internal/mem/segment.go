@@ -5,21 +5,32 @@ import "sort"
 // pageWords is the copy-on-write granule of a Segment: one 4 KiB page.
 const pageWords = PageSize / 8
 
-// SegmentBase is a process's immutable data-segment image: frozen once,
-// then read by every rank's Segment view in the process and by every
-// snapshot of those views. Nothing writes it after FreezeSegment.
+// SegmentBase is a program image's immutable data segment: frozen once,
+// then read by every view of it — the loader's instances, the ranks'
+// forks of them, and every snapshot of those. Nothing writes it after
+// FreezeSegment.
 type SegmentBase struct{ words []uint64 }
 
-// FreezeSegment copies words into a new immutable base, so later writes
-// to the caller's slice never show through any view.
-func FreezeSegment(words []uint64) *SegmentBase {
-	return &SegmentBase{words: append([]uint64(nil), words...)}
+// FreezeSegment returns an immutable base of the given length in words
+// (at least len(init)) whose leading cells are a copy of init and whose
+// remainder is zero. Later writes to init never show through any view.
+func FreezeSegment(init []uint64, words int) *SegmentBase {
+	w := make([]uint64, max(words, len(init)))
+	copy(w, init)
+	return &SegmentBase{words: w}
 }
 
-// Segment is one rank's copy-on-write view of a SegmentBase: the host
-// holds only the pages the rank has written, while the block that
-// carries the view keeps its full modelled size. It is the payload of a
-// block made by Heap.AllocSegment.
+// View returns a fresh copy-on-write view that owns no page yet.
+func (b *SegmentBase) View() *Segment {
+	if metrics.bytesShared != nil {
+		metrics.bytesShared.Add(uint64(len(b.words)) * 8)
+	}
+	return &Segment{base: b}
+}
+
+// Segment is one copy-on-write view of a SegmentBase: the host holds
+// only the pages written through the view, while whatever carries it (a
+// loaded instance, a heap block) keeps its full modelled size.
 type Segment struct {
 	base *SegmentBase
 	// pages holds the materialised pages, sorted by page index.
@@ -50,8 +61,8 @@ func (s *Segment) Load(i int) uint64 {
 
 // Word returns the cell of word i, first copying its page out of the
 // base if the view does not own it yet. The pointer stays valid for the
-// life of the view; a caller that writes through it must Touch the
-// block, as with Block.Words.
+// life of the view; a caller that writes through it into a heap block's
+// view must Touch the block, as with Block.Words.
 func (s *Segment) Word(i int) *uint64 {
 	p := i / pageWords
 	k, ok := s.find(p)
@@ -68,6 +79,26 @@ func (s *Segment) Word(i int) *uint64 {
 	return &s.pages[k].words[i%pageWords]
 }
 
+// Scan calls fn with every word of the view in index order, as runs:
+// first is the index of words[0], and a run is either one owned page or
+// a stretch of the base between owned pages. fn must not write words.
+// Reading a whole segment this way costs one pass; Load per word would
+// search the page list each time.
+func (s *Segment) Scan(fn func(first int, words []uint64)) {
+	next := 0
+	for _, pg := range s.pages {
+		lo := pg.idx * pageWords
+		if next < lo {
+			fn(next, s.base.words[next:lo])
+		}
+		fn(lo, pg.words)
+		next = lo + len(pg.words)
+	}
+	if next < len(s.base.words) {
+		fn(next, s.base.words[next:])
+	}
+}
+
 // ownedWords counts the words in materialised pages: what a copy of the
 // view moves on the host.
 func (s *Segment) ownedWords() int {
@@ -78,9 +109,15 @@ func (s *Segment) ownedWords() int {
 	return n
 }
 
-// clone returns an independent view with the same content: the base is
-// shared, materialised pages are copied through arena. A nil view clones
-// to nil.
+// Fork returns an independent view with the same content: the base is
+// shared, materialised pages are copied.
+func (s *Segment) Fork() *Segment {
+	arena := make([]uint64, s.ownedWords())
+	return s.clone(&arena)
+}
+
+// clone is Fork with the page copies carved from arena, which the
+// caller sized from ownedWords. A nil view clones to nil.
 func (s *Segment) clone(arena *[]uint64) *Segment {
 	if s == nil {
 		return nil
@@ -107,16 +144,13 @@ func carve(arena *[]uint64, src []uint64) []uint64 {
 	return w
 }
 
-// AllocSegment allocates a block the size of base whose payload is a
-// fresh copy-on-write view of it (Block.Seg; Block.Words stays nil).
-func (h *Heap) AllocSegment(base *SegmentBase, label string) (*Block, error) {
-	b, err := h.allocRaw(uint64(len(base.words))*8, label)
+// AllocSegment allocates a block the size of src whose payload is a
+// fork of it (Block.Seg; Block.Words stays nil).
+func (h *Heap) AllocSegment(src *Segment, label string) (*Block, error) {
+	b, err := h.allocRaw(uint64(src.Len())*8, label)
 	if err != nil {
 		return nil, err
 	}
-	b.Seg = &Segment{base: base}
-	if metrics.bytesShared != nil {
-		metrics.bytesShared.Add(b.Size)
-	}
+	b.Seg = src.Fork()
 	return b, nil
 }

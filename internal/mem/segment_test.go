@@ -9,9 +9,38 @@ import (
 // third, so page-boundary and short-last-page arithmetic both run.
 const segWords = 2*pageWords + 37
 
-// heapPair drives a copy-on-write heap and its oracle in lockstep. The
-// oracle is the representation the view replaced: the same block sizes at
-// the same addresses, with the segment held as a flat []uint64 copy.
+// procPair is a loaded instance's view of the frozen base next to its
+// oracle, a flat copy of the words the base was frozen from.
+type procPair struct {
+	view *Segment
+	flat []uint64
+}
+
+// check compares the process view with its oracle through Scan, whose
+// runs must tile the segment in order.
+func (pp procPair) check(t *testing.T, when string) {
+	t.Helper()
+	next := 0
+	pp.view.Scan(func(first int, words []uint64) {
+		if first != next || len(words) == 0 {
+			t.Fatalf("%s: Scan run starts at %d with %d words, previous ended at %d", when, first, len(words), next)
+		}
+		for i, got := range words {
+			if want := pp.flat[first+i]; got != want {
+				t.Fatalf("%s: process word %d = %d, flat oracle has %d", when, first+i, got, want)
+			}
+		}
+		next = first + len(words)
+	})
+	if next != len(pp.flat) {
+		t.Fatalf("%s: Scan covered %d of %d words", when, next, len(pp.flat))
+	}
+}
+
+// heapPair drives a rank's copy-on-write heap and its oracle in lockstep.
+// The oracle is the representation the view replaced: the same block
+// sizes at the same addresses, with the segment held as a flat []uint64
+// copy of the process's words at the moment the rank forked them.
 type heapPair struct {
 	t         *testing.T
 	cow, flat *Heap
@@ -26,22 +55,22 @@ type snapPair struct {
 	want      []uint64
 }
 
-func newHeapPair(t *testing.T, image []uint64) *heapPair {
+func newHeapPair(t *testing.T, proc procPair) *heapPair {
 	p := &heapPair{t: t, cow: NewHeap(3), flat: NewHeap(3)}
 	for _, h := range []*Heap{p.cow, p.flat} {
 		if _, err := h.AllocBallast(8192, "code"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cb, err := p.cow.AllocSegment(FreezeSegment(image), "data")
+	cb, err := p.cow.AllocSegment(proc.view, "data")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb, err := p.flat.Alloc(uint64(len(image))*8, "data")
+	fb, err := p.flat.Alloc(uint64(len(proc.flat))*8, "data")
 	if err != nil {
 		t.Fatal(err)
 	}
-	copy(fb.Words, image)
+	copy(fb.Words, proc.flat)
 	if cb.Addr != fb.Addr || cb.Size != fb.Size || cb.Words != nil {
 		t.Fatalf("segment block %+v does not mirror flat block %+v", cb, fb)
 	}
@@ -111,17 +140,22 @@ func (s snapPair) check(t *testing.T, when string) {
 	}
 }
 
-// FuzzSegmentView holds the copy-on-write segment view to the flat heap
-// it replaced. Each input byte pair is one operation on both heaps; after
-// every operation the live segment, the heaps' accounting and every kept
-// snapshot must agree with the oracle, and a write to the slice the base
-// was frozen from must never show.
+// FuzzSegmentView holds the whole chain of copy-on-write views — frozen
+// base, a process's view of it, a rank's fork of that, the rank's
+// snapshots, heaps restored from them — to the flat copies they replaced.
+// Each input byte pair is one operation on the views and their oracles;
+// after every operation the process view, the live rank segment, the
+// heaps' accounting and every kept snapshot must agree with the oracle.
+// So a write at one level never shows at another, a fork of a view that
+// owns pages equals a flat copy of it, and a write to the slice the base
+// was frozen from never shows anywhere.
 func FuzzSegmentView(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 5, 2, 0, 0, 200, 2, 0, 3, 0, 0, 9, 2, 0})             // store, snap, store, snap, restore, store, snap
-	f.Add([]byte{0, 1, 4, 0, 0, 255, 4, 0, 1, 0, 4, 0, 2, 0, 3, 1})       // migrate loop with stores and a bare Touch
-	f.Add([]byte{5, 3, 5, 9, 6, 0, 2, 0, 6, 1, 4, 0, 5, 1, 2, 0, 3, 0})   // scratch alloc/free around snapshots
-	f.Add([]byte{7, 0, 0, 0, 7, 1, 2, 0, 7, 2, 4, 0, 7, 3, 3, 0, 0, 128}) // writes to the base's source slice
+	f.Add([]byte{0, 5, 2, 0, 0, 200, 2, 0, 3, 0, 0, 9, 2, 0})                             // store, snap, store, snap, restore, store, snap
+	f.Add([]byte{0, 1, 4, 0, 0, 255, 4, 0, 1, 0, 4, 0, 2, 0, 3, 1})                       // migrate loop with stores and a bare Touch
+	f.Add([]byte{5, 3, 5, 9, 6, 0, 2, 0, 6, 1, 4, 0, 5, 1, 2, 0, 3, 0})                   // scratch alloc/free around snapshots
+	f.Add([]byte{7, 0, 0, 0, 7, 1, 2, 0, 7, 2, 4, 0, 7, 3, 3, 0, 0, 128})                 // writes to the base's source slice
+	f.Add([]byte{8, 0, 8, 130, 9, 0, 0, 0, 8, 1, 2, 0, 9, 0, 8, 131, 4, 0, 3, 0, 0, 131}) // process stores around two forks, a snapshot and a restore
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 128 {
 			ops = ops[:128]
@@ -130,10 +164,11 @@ func FuzzSegmentView(f *testing.F) {
 		for i := range image {
 			image[i] = uint64(i) * 3
 		}
-		p := newHeapPair(t, image)
+		proc := procPair{view: FreezeSegment(image, segWords).View(), flat: append([]uint64(nil), image...)}
+		p := newHeapPair(t, proc)
 		var kept []snapPair
 		for n := 0; n+1 < len(ops); n += 2 {
-			op, arg := ops[n]%8, int(ops[n+1])
+			op, arg := ops[n]%10, int(ops[n+1])
 			switch op {
 			case 0: // store through the view, as VarHandle.Store does
 				i := arg * segWords / 256
@@ -177,7 +212,13 @@ func FuzzSegmentView(f *testing.F) {
 				}
 			case 7: // the slice the base was frozen from is the caller's again
 				image[arg*segWords/256] = ^uint64(0)
+			case 8: // store through the process's view, as a ctor or an unprivatized store does
+				i := arg * segWords / 256
+				*proc.view.Word(i), proc.flat[i] = uint64(n)<<8|uint64(arg)|1<<32, uint64(n)<<8|uint64(arg)|1<<32
+			case 9: // a new rank forks the process's view as it now stands
+				p = newHeapPair(t, proc)
 			}
+			proc.check(t, "after op")
 			p.check("after op")
 			for _, s := range kept {
 				s.check(t, "kept snapshot")
@@ -195,7 +236,7 @@ func FuzzSegmentView(f *testing.F) {
 func TestSegmentMovesOnlyMaterialisedPages(t *testing.T) {
 	const words = 1 << 18 // a 2 MiB data segment
 	h := NewHeap(0)
-	b, err := h.AllocSegment(FreezeSegment(make([]uint64, words)), "pie-data-segment")
+	b, err := h.AllocSegment(FreezeSegment(nil, words).View(), "pie-data-segment")
 	if err != nil {
 		t.Fatal(err)
 	}

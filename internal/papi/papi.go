@@ -150,14 +150,6 @@ type Counters struct {
 	Misses   uint64
 }
 
-// MissRate returns misses/accesses.
-func (k Counters) MissRate() float64 {
-	if k.Accesses == 0 {
-		return 0
-	}
-	return float64(k.Misses) / float64(k.Accesses)
-}
-
 // Read returns the current counters.
 func (c *Cache) Read() Counters { return Counters{Accesses: c.accesses, Misses: c.misses} }
 

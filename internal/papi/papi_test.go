@@ -10,6 +10,14 @@ func tinyCache(ways int, policy Replacement) CacheConfig {
 	// 4 sets.
 }
 
+// missRate returns misses/accesses.
+func missRate(k Counters) float64 {
+	if k.Accesses == 0 {
+		return 0
+	}
+	return float64(k.Misses) / float64(k.Accesses)
+}
+
 func TestConfigValidate(t *testing.T) {
 	if Bridges2L1I().Validate() != nil || Stampede2L1I().Validate() != nil {
 		t.Fatal("site configs invalid")
@@ -41,8 +49,8 @@ func TestHitsAndMisses(t *testing.T) {
 	if k.Accesses != 3 || k.Misses != 2 {
 		t.Fatalf("counters %+v", k)
 	}
-	if k.MissRate() != 2.0/3.0 {
-		t.Fatalf("miss rate %v", k.MissRate())
+	if missRate(k) != 2.0/3.0 {
+		t.Fatalf("miss rate %v", missRate(k))
 	}
 }
 
@@ -130,8 +138,8 @@ func TestRandomReplacementDegradesGracefully(t *testing.T) {
 	if k.Misses == k.Accesses {
 		t.Fatal("random replacement thrashed like LRU")
 	}
-	if k.MissRate() < 0.05 {
-		t.Fatalf("miss rate %.3f implausibly low for an overflowing set", k.MissRate())
+	if missRate(k) < 0.05 {
+		t.Fatalf("miss rate %.3f implausibly low for an overflowing set", missRate(k))
 	}
 }
 

@@ -24,7 +24,6 @@ func EnableObs(r *obs.Registry) {
 		"on-disk entries skipped because the header, length, or checksum failed verification")
 }
 
-// Evictions and CorruptSkipped expose the counters for tests and
-// launchers that report cache health without scraping the registry.
-func Evictions() uint64      { return evictions.Value() }
-func CorruptSkipped() uint64 { return corrupt.Value() }
+// Evictions exposes the counter for launchers that report cache health
+// without scraping the registry.
+func Evictions() uint64 { return evictions.Value() }

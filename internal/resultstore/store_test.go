@@ -85,8 +85,8 @@ func TestMissOnAbsentIsNotCorrupt(t *testing.T) {
 	if _, ok := st.Get("pt", "nothere"); ok {
 		t.Fatal("hit on absent key")
 	}
-	if CorruptSkipped() != 0 {
-		t.Fatalf("plain miss counted as corruption: %d", CorruptSkipped())
+	if corrupt.Value() != 0 {
+		t.Fatalf("plain miss counted as corruption: %d", corrupt.Value())
 	}
 }
 
@@ -148,13 +148,13 @@ func TestCorruptEntriesSkippedAndCounted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := CorruptSkipped()
+		before := corrupt.Value()
 		got, ok := cold.Get("pt", hash)
 		if ok {
 			t.Errorf("%s: corrupt entry served: %q", c.name, got)
 		}
-		if CorruptSkipped() != before+1 {
-			t.Errorf("%s: corrupt counter %d, want %d", c.name, CorruptSkipped(), before+1)
+		if corrupt.Value() != before+1 {
+			t.Errorf("%s: corrupt counter %d, want %d", c.name, corrupt.Value(), before+1)
 		}
 	}
 }

@@ -161,7 +161,7 @@ func privatizationBytes(w *ampi.World) uint64 {
 	// ever shared-backed or ballast-accounted differently, subtracting
 	// its nominal Size would underflow the unsigned total.
 	var stackResident uint64
-	if blk := ctx.Heap.Lookup(ctx.Stack.Addr); blk != nil && !blk.Shared {
+	if blk := ctx.Heap.Lookup(ctx.Stack.Addr); blk != nil {
 		stackResident = blk.Size - blk.SharedBytes
 	}
 	bytes := ctx.Heap.ResidentBytes() - stackResident

@@ -57,7 +57,5 @@ func EnableObs(r *obs.Registry) {
 
 // Accessors for tests and launchers reporting cache effectiveness
 // without scraping the registry.
-func CacheHits() uint64      { return cacheHits.Value() }
-func CacheMisses() uint64    { return cacheMisses.Value() }
-func DedupJoins() uint64     { return dedupJoins.Value() }
-func PointsExecuted() uint64 { return pointsExecuted.Value() }
+func CacheHits() uint64   { return cacheHits.Value() }
+func CacheMisses() uint64 { return cacheMisses.Value() }

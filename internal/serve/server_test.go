@@ -122,7 +122,7 @@ func TestSecondPostIsByteIdenticalCacheHit(t *testing.T) {
 	if len(pts1[0].Row) == 0 {
 		t.Fatal("first POST returned no row")
 	}
-	executedAfterFirst := PointsExecuted()
+	executedAfterFirst := pointsExecuted.Value()
 	hitsAfterFirst := CacheHits()
 
 	resp, data = postRuns(t, ts.URL, body)
@@ -136,8 +136,8 @@ func TestSecondPostIsByteIdenticalCacheHit(t *testing.T) {
 	if !bytes.Equal(pts1[0].Row, pts2[0].Row) {
 		t.Fatalf("row payloads differ:\n first=%s\nsecond=%s", pts1[0].Row, pts2[0].Row)
 	}
-	if PointsExecuted() != executedAfterFirst {
-		t.Fatalf("second POST executed a simulation: %d -> %d", executedAfterFirst, PointsExecuted())
+	if pointsExecuted.Value() != executedAfterFirst {
+		t.Fatalf("second POST executed a simulation: %d -> %d", executedAfterFirst, pointsExecuted.Value())
 	}
 	if CacheHits() <= hitsAfterFirst {
 		t.Fatal("cache hit counter did not increment")
@@ -185,7 +185,7 @@ func TestConcurrentIdenticalPostsExecuteOnce(t *testing.T) {
 			t.Fatalf("request %d: %v", g, err)
 		}
 	}
-	if got := PointsExecuted(); got != 1 {
+	if got := pointsExecuted.Value(); got != 1 {
 		t.Fatalf("%d concurrent identical POSTs executed %d simulations, want 1", n, got)
 	}
 	// Every response carries the same row bytes, whether it led,
@@ -197,9 +197,9 @@ func TestConcurrentIdenticalPostsExecuteOnce(t *testing.T) {
 			t.Fatalf("request %d row differs from request 0", g)
 		}
 	}
-	if CacheHits()+DedupJoins() < n-1 {
+	if CacheHits()+dedupJoins.Value() < n-1 {
 		t.Fatalf("hits=%d joins=%d: the other %d requests neither hit nor joined",
-			CacheHits(), DedupJoins(), n-1)
+			CacheHits(), dedupJoins.Value(), n-1)
 	}
 }
 
@@ -212,7 +212,7 @@ func TestEditedSweepRerunsOnlyChangedPoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST [A]: %d %s", resp.StatusCode, data)
 	}
-	if got := PointsExecuted(); got != 1 {
+	if got := pointsExecuted.Value(); got != 1 {
 		t.Fatalf("POST [A] executed %d, want 1", got)
 	}
 
@@ -221,7 +221,7 @@ func TestEditedSweepRerunsOnlyChangedPoint(t *testing.T) {
 		t.Fatalf("POST [A,B]: %d %s", resp.StatusCode, data)
 	}
 	_, pts, tr := parseStream(t, data)
-	if got := PointsExecuted(); got != 2 {
+	if got := pointsExecuted.Value(); got != 2 {
 		t.Fatalf("POST [A,B] executed %d total, want 2 (only B is new)", got)
 	}
 	if !pts[0].Cached || pts[1].Cached {
@@ -256,7 +256,7 @@ func TestValidationErrorsAreStructured400s(t *testing.T) {
 	if !found {
 		t.Fatalf("400 fields missing VPs: %+v", doc.Fields)
 	}
-	if PointsExecuted() != 0 {
+	if pointsExecuted.Value() != 0 {
 		t.Fatal("invalid sweep still executed points")
 	}
 }
@@ -326,8 +326,8 @@ func TestMachineBeyondRanksIs400(t *testing.T) {
 			t.Errorf("%s: status %d, want a 400 with one Machine field error: %s", m, resp.StatusCode, data)
 		}
 	}
-	if PointsExecuted() != 0 || s.store.Len() != 0 {
-		t.Fatalf("refused points executed %d point(s) and stored %d entries", PointsExecuted(), s.store.Len())
+	if pointsExecuted.Value() != 0 || s.store.Len() != 0 {
+		t.Fatalf("refused points executed %d point(s) and stored %d entries", pointsExecuted.Value(), s.store.Len())
 	}
 }
 
@@ -367,8 +367,8 @@ func TestStackSizeBeyondRankRangeIs400(t *testing.T) {
 	if len(doc.Fields) != 1 || doc.Fields[0].Field != "StackSize" {
 		t.Fatalf("400 should carry one StackSize field error: %s", data)
 	}
-	if PointsExecuted() != 0 || s.store.Len() != 0 {
-		t.Fatalf("refused point executed %d point(s) and stored %d entries", PointsExecuted(), s.store.Len())
+	if pointsExecuted.Value() != 0 || s.store.Len() != 0 {
+		t.Fatalf("refused point executed %d point(s) and stored %d entries", pointsExecuted.Value(), s.store.Len())
 	}
 }
 
@@ -544,11 +544,11 @@ func TestSupervisedPointsRunCacheAndReplay(t *testing.T) {
 		t.Errorf("fault point's row lacks the supervised columns: %s", pts[1].Row)
 	}
 
-	executed := PointsExecuted()
+	executed := pointsExecuted.Value()
 	_, again := postRuns(t, ts.URL, body)
 	_, pts2, trailer2 := parseStream(t, again)
-	if trailer2.Cached != 2 || PointsExecuted() != executed {
-		t.Fatalf("second POST: trailer %+v, executed %d -> %d", trailer2, executed, PointsExecuted())
+	if trailer2.Cached != 2 || pointsExecuted.Value() != executed {
+		t.Fatalf("second POST: trailer %+v, executed %d -> %d", trailer2, executed, pointsExecuted.Value())
 	}
 	get, err := http.Get(ts.URL + "/v1/runs/" + hdr.Run)
 	if err != nil {
@@ -647,7 +647,7 @@ func TestPanickingConstructorIsAnErroredFlight(t *testing.T) {
 	go post()
 	<-entered // the leader is inside the constructor
 	go post()
-	for deadline := time.Now().Add(10 * time.Second); DedupJoins() == 0; {
+	for deadline := time.Now().Add(10 * time.Second); dedupJoins.Value() == 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("second POST never joined the flight")
 		}
@@ -695,7 +695,7 @@ func TestLeaderThatFindsTheRowStoredReportsACacheHit(t *testing.T) {
 	if err != nil || !stored || string(payload) != `{"workload":"empty"}` {
 		t.Fatalf("lead = %s, stored %v, err %v; want the stored row", payload, stored, err)
 	}
-	if PointsExecuted() != 0 {
-		t.Fatalf("a stored point was executed %d time(s)", PointsExecuted())
+	if pointsExecuted.Value() != 0 {
+		t.Fatalf("a stored point was executed %d time(s)", pointsExecuted.Value())
 	}
 }

@@ -102,7 +102,7 @@ func runChurn(t *testing.T, d Dispatcher, domains int, rec *trace.Recorder) []tr
 // engine at several worker counts.
 func TestParallelEngineMatchesSerial(t *testing.T) {
 	const domains = 5
-	serialRec := trace.NewRecorder(trace.AllKinds()...)
+	serialRec := trace.NewRecorder(append(trace.DefaultKinds(), trace.KindEngineEvent)...)
 	ser := NewEngine()
 	ser.EnableDomains(domains)
 	ser.SetTracer(serialRec)
@@ -112,7 +112,7 @@ func TestParallelEngineMatchesSerial(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 2, 4, 8} {
-		rec := trace.NewRecorder(trace.AllKinds()...)
+		rec := trace.NewRecorder(append(trace.DefaultKinds(), trace.KindEngineEvent)...)
 		par := NewParallelEngine(ParallelConfig{
 			Domains: domains, Lookahead: churnLookahead, Workers: workers, Tracer: rec,
 		})
@@ -198,7 +198,7 @@ func TestParallelEngineWindowMetrics(t *testing.T) {
 	defer EnableObs(nil)
 
 	const domains = 3
-	rec := trace.NewRecorder(trace.AllKinds()...)
+	rec := trace.NewRecorder(append(trace.DefaultKinds(), trace.KindEngineEvent)...)
 	p := NewParallelEngine(ParallelConfig{Domains: domains, Lookahead: churnLookahead, Workers: 2, Tracer: rec})
 	runChurn(t, p, domains, rec)
 

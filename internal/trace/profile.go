@@ -53,14 +53,7 @@ type Profile struct {
 	PEs   []PEProfile
 	// Events is the number of events profiled.
 	Events int
-	// Mem, when attached via SetMemGauge, carries the run's host-memory
-	// readings. It is host-measured (see MemGauge) and excluded from the
-	// deterministic table renderings.
-	Mem *MemGauge
 }
-
-// SetMemGauge attaches host-memory readings to the profile.
-func (p *Profile) SetMemGauge(g *MemGauge) { p.Mem = g }
 
 // BuildProfile condenses an event stream (in emission order) into a
 // profile. Ranks and PEs are discovered from the events themselves.

@@ -1,144 +1,13 @@
-// Package trace provides lightweight statistics containers and table
-// formatting used by the experiment harness to report the paper's figures
-// and tables.
+// Package trace provides the table formatting the experiment harness
+// reports the paper's figures and tables with, and the event tracer
+// (tracer.go).
 package trace
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 	"time"
 )
-
-// Series accumulates float64 samples and answers summary queries.
-type Series struct {
-	name    string
-	samples []float64
-	// sorted memoizes the sorted view for Percentile; nil means stale.
-	// Rendering a summary table asks for several quantiles of the same
-	// series back to back, so the sort is paid once per batch of Adds
-	// instead of once per quantile.
-	sorted []float64
-}
-
-// NewSeries returns an empty series with the given display name.
-func NewSeries(name string) *Series { return &Series{name: name} }
-
-// Name returns the display name.
-func (s *Series) Name() string { return s.name }
-
-// Add appends a sample, invalidating the memoized sorted view.
-func (s *Series) Add(v float64) {
-	s.samples = append(s.samples, v)
-	s.sorted = nil
-}
-
-// AddDuration appends a duration sample in nanoseconds.
-func (s *Series) AddDuration(d time.Duration) { s.Add(float64(d)) }
-
-// N reports the sample count.
-func (s *Series) N() int { return len(s.samples) }
-
-// Sum returns the total of all samples.
-func (s *Series) Sum() float64 {
-	t := 0.0
-	for _, v := range s.samples {
-		t += v
-	}
-	return t
-}
-
-// Mean returns the arithmetic mean, or 0 for an empty series.
-func (s *Series) Mean() float64 {
-	if len(s.samples) == 0 {
-		return 0
-	}
-	return s.Sum() / float64(len(s.samples))
-}
-
-// Min returns the smallest sample, or +Inf for an empty series.
-func (s *Series) Min() float64 {
-	m := math.Inf(1)
-	for _, v := range s.samples {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Max returns the largest sample, or -Inf for an empty series.
-func (s *Series) Max() float64 {
-	m := math.Inf(-1)
-	for _, v := range s.samples {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Stddev returns the population standard deviation.
-func (s *Series) Stddev() float64 {
-	n := len(s.samples)
-	if n == 0 {
-		return 0
-	}
-	mean := s.Mean()
-	ss := 0.0
-	for _, v := range s.samples {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) by nearest-rank.
-// The sorted view is memoized across calls and rebuilt only after Add,
-// so repeated quantile queries cost O(1) sorts per batch of samples.
-func (s *Series) Percentile(p float64) float64 {
-	if len(s.samples) == 0 {
-		return 0
-	}
-	if s.sorted == nil {
-		s.sorted = append(make([]float64, 0, len(s.samples)), s.samples...)
-		sort.Float64s(s.sorted)
-	}
-	sorted := s.sorted
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return sorted[rank]
-}
-
-// Counter is a monotonically increasing named count.
-type Counter struct {
-	name string
-	n    uint64
-}
-
-// NewCounter returns a zeroed counter.
-func NewCounter(name string) *Counter { return &Counter{name: name} }
-
-// Inc adds 1.
-func (c *Counter) Inc() { c.n++ }
-
-// Addn adds n.
-func (c *Counter) Addn(n uint64) { c.n += n }
-
-// Value reports the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
-// Name returns the display name.
-func (c *Counter) Name() string { return c.name }
 
 // Table formats rows of experiment output with aligned columns, in the
 // spirit of the rows the paper reports per figure.

@@ -1,92 +1,10 @@
 package trace
 
 import (
-	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 )
-
-func TestSeriesSummaries(t *testing.T) {
-	s := NewSeries("lat")
-	for _, v := range []float64{4, 2, 8, 6} {
-		s.Add(v)
-	}
-	if s.Name() != "lat" || s.N() != 4 {
-		t.Fatalf("name/n wrong")
-	}
-	if s.Sum() != 20 || s.Mean() != 5 {
-		t.Fatalf("sum=%v mean=%v", s.Sum(), s.Mean())
-	}
-	if s.Min() != 2 || s.Max() != 8 {
-		t.Fatalf("min=%v max=%v", s.Min(), s.Max())
-	}
-	want := math.Sqrt((1 + 9 + 9 + 1) / 4.0)
-	if math.Abs(s.Stddev()-want) > 1e-12 {
-		t.Fatalf("stddev %v want %v", s.Stddev(), want)
-	}
-	if s.Percentile(50) != 4 {
-		t.Fatalf("p50 %v", s.Percentile(50))
-	}
-	if s.Percentile(100) != 8 || s.Percentile(0) != 2 {
-		t.Fatal("extreme percentiles wrong")
-	}
-}
-
-func TestEmptySeries(t *testing.T) {
-	s := NewSeries("e")
-	if s.Mean() != 0 || s.Stddev() != 0 || s.Percentile(50) != 0 {
-		t.Fatal("empty series summaries should be zero")
-	}
-	if !math.IsInf(s.Min(), 1) || !math.IsInf(s.Max(), -1) {
-		t.Fatal("empty min/max should be infinities")
-	}
-}
-
-func TestSeriesDuration(t *testing.T) {
-	s := NewSeries("d")
-	s.AddDuration(3 * time.Microsecond)
-	if s.Sum() != 3000 {
-		t.Fatalf("duration stored as %v ns", s.Sum())
-	}
-}
-
-// Property: percentile is monotone in p and bounded by min/max.
-func TestPercentileMonotone(t *testing.T) {
-	f := func(vals []float64, a, b uint8) bool {
-		if len(vals) == 0 {
-			return true
-		}
-		for _, v := range vals {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return true
-			}
-		}
-		s := NewSeries("p")
-		for _, v := range vals {
-			s.Add(v)
-		}
-		pa, pb := float64(a%101), float64(b%101)
-		if pa > pb {
-			pa, pb = pb, pa
-		}
-		va, vb := s.Percentile(pa), s.Percentile(pb)
-		return va <= vb && va >= s.Min() && vb <= s.Max()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCounter(t *testing.T) {
-	c := NewCounter("msgs")
-	c.Inc()
-	c.Addn(10)
-	if c.Value() != 11 || c.Name() != "msgs" {
-		t.Fatalf("counter %d", c.Value())
-	}
-}
 
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("Demo", "A", "Bee", "C")
@@ -140,5 +58,43 @@ func TestFormatBytes(t *testing.T) {
 		if got := FormatBytes(n); got != want {
 			t.Errorf("FormatBytes(%d) = %q, want %q", n, got, want)
 		}
+	}
+}
+
+// A row with more cells than headers would render misaligned; AddRow
+// treats it as a programming error.
+func TestAddRowTooManyCellsPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AddRow with extra cells must panic")
+		}
+	}()
+	tb := NewTable("t", "A", "B")
+	tb.AddRow("1", "2", "3")
+}
+
+// Short rows pad with empty cells so ragged data renders aligned.
+func TestAddRowShortRowPadded(t *testing.T) {
+	tb := NewTable("t", "A", "B", "C")
+	tb.AddRow("1")
+	tb.AddRow("x", "y", "z")
+	out := tb.String()
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) != 5 { // title, header, rule, 2 rows
+		t.Fatalf("%d lines:\n%s", len(lines), out)
+	}
+	// Both data rows render at the full header width.
+	if len(lines[3]) != len(lines[4]) {
+		t.Fatalf("padded row width %d != full row width %d:\n%s", len(lines[3]), len(lines[4]), out)
+	}
+}
+
+// Headerless tables keep accepting rows of any width.
+func TestAddRowNoHeaders(t *testing.T) {
+	tb := NewTable("")
+	tb.AddRow("a", "b", "c")
+	tb.AddRow("d")
+	if tb.NumRows() != 2 {
+		t.Fatalf("NumRows %d", tb.NumRows())
 	}
 }

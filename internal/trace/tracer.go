@@ -199,27 +199,9 @@ func FaultName(f int32) string {
 	return "fault?"
 }
 
-// Aux values for KindEpoch events.
-const (
-	// EpochAdd: nodes joined the cluster.
-	EpochAdd int32 = iota
-	// EpochRetire: nodes were retired (possibly with an eviction
-	// notice; the event time is when the notice arrived).
-	EpochRetire
-)
-
-var epochNames = [...]string{
-	EpochAdd:    "add",
-	EpochRetire: "retire",
-}
-
-// EpochName names a KindEpoch Aux code.
-func EpochName(e int32) string {
-	if e >= 0 && int(e) < len(epochNames) {
-		return epochNames[e]
-	}
-	return "epoch?"
-}
+// EpochAdd is the Aux value of a KindEpoch event: nodes joined the
+// cluster.
+const EpochAdd int32 = 0
 
 // Network tier codes carried in Event.Aux for KindLink events.
 const (
@@ -295,15 +277,6 @@ func DefaultKinds() []Kind {
 		if k != KindEngineEvent {
 			ks = append(ks, k)
 		}
-	}
-	return ks
-}
-
-// AllKinds lists every Kind, including KindEngineEvent.
-func AllKinds() []Kind {
-	ks := make([]Kind, numKinds)
-	for k := range ks {
-		ks[k] = Kind(k)
 	}
 	return ks
 }

@@ -26,7 +26,7 @@ func windowSampleEvents(n int) []Event {
 // stream length.
 func TestWindowWriterMatchesRecorder(t *testing.T) {
 	evs := windowSampleEvents(1000)
-	rec := NewRecorder(AllKinds()...)
+	rec := NewRecorder(allKinds()...)
 	for _, ev := range evs {
 		rec.Emit(ev)
 	}
@@ -36,7 +36,7 @@ func TestWindowWriterMatchesRecorder(t *testing.T) {
 	}
 	for _, window := range []int{1, 7, 64, 1000, 4096} {
 		var got bytes.Buffer
-		ww := NewWindowWriter(&got, window, AllKinds()...)
+		ww := NewWindowWriter(&got, window, allKinds()...)
 		for _, ev := range evs {
 			ww.Emit(ev)
 		}

@@ -83,17 +83,12 @@ type Thread struct {
 	Context any
 }
 
-// NewThread creates a thread that will run body when first scheduled.
-// The backing coroutine is created lazily on the first run, so a thread
-// that never executes (an idle rank parked in a collective for the whole
-// run) costs one struct, not a stack.
-func NewThread(id int, body func(*Thread)) *Thread {
-	return &Thread{ID: id, body: body}
-}
-
-// InitThread initializes a caller-allocated Thread in place, for worlds
-// that keep rank threads in one contiguous slab instead of a heap object
-// each. The thread behaves exactly like one from NewThread.
+// InitThread initializes a caller-allocated Thread in place, so worlds
+// can keep rank threads in one contiguous slab instead of a heap object
+// each; it will run body when first scheduled. The backing coroutine is
+// created lazily on the first run, so a thread that never executes (an
+// idle rank parked in a collective for the whole run) costs one struct,
+// not a stack.
 func InitThread(t *Thread, id int, body func(*Thread)) {
 	*t = Thread{ID: id, body: body}
 }
@@ -120,7 +115,6 @@ func (t *Thread) Advance(d sim.Time) {
 	}
 	t.sched.now += d
 	t.Load += d
-	t.sched.busy += d
 }
 
 // ResetLoad zeroes the thread's accumulated load (after a LB pass).
@@ -161,9 +155,6 @@ func (t *Thread) Kill(reason string) {
 	if t.resume == nil {
 		t.state = Done
 		t.Err = fmt.Errorf("ult: thread %d killed before first run: %s", t.ID, reason)
-		if t.sched != nil {
-			t.sched.done++
-		}
 		return
 	}
 	t.stop()
@@ -220,9 +211,6 @@ func (t *Thread) main(yield func(struct{}) bool) {
 			}
 		}
 		t.state = Done
-		if t.sched != nil {
-			t.sched.done++
-		}
 	}()
 	t.state = Running
 	t.body(t)
@@ -262,8 +250,6 @@ type Scheduler struct {
 	// Stats
 	switches   uint64
 	switchTime sim.Time
-	busy       sim.Time
-	done       int
 	threads    []*Thread
 	last       *Thread
 }
@@ -317,14 +303,8 @@ func (s *Scheduler) Switches() uint64 { return s.switches }
 // SwitchTime reports total virtual time spent context switching.
 func (s *Scheduler) SwitchTime() sim.Time { return s.switchTime }
 
-// BusyTime reports total virtual compute time charged to this PE.
-func (s *Scheduler) BusyTime() sim.Time { return s.busy }
-
 // Threads returns the threads homed on this scheduler.
 func (s *Scheduler) Threads() []*Thread { return s.threads }
-
-// DoneCount reports how many of this scheduler's threads have finished.
-func (s *Scheduler) DoneCount() int { return s.done }
 
 // Adopt homes a thread on this scheduler and marks it ready to run.
 func (s *Scheduler) Adopt(t *Thread) {
@@ -348,9 +328,6 @@ func (s *Scheduler) Remove(t *Thread) {
 			s.threads = append(s.threads[:i], s.threads[i+1:]...)
 			break
 		}
-	}
-	if t.state == Done {
-		s.done--
 	}
 	if s.last == t {
 		s.last = nil

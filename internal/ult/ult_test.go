@@ -17,17 +17,34 @@ func testSched(t *testing.T) (*Scheduler, *sim.Engine) {
 	return NewScheduler(cl.PE(0), cl.Engine, cl.Cost), cl.Engine
 }
 
+func newThread(id int, body func(*Thread)) *Thread {
+	t := new(Thread)
+	InitThread(t, id, body)
+	return t
+}
+
+// doneCount reports how many of the scheduler's threads have finished.
+func doneCount(s *Scheduler) int {
+	n := 0
+	for _, t := range s.Threads() {
+		if t.State() == Done {
+			n++
+		}
+	}
+	return n
+}
+
 func TestThreadRunsToCompletion(t *testing.T) {
 	s, e := testSched(t)
 	ran := false
-	th := NewThread(0, func(t *Thread) { ran = true })
+	th := newThread(0, func(t *Thread) { ran = true })
 	s.Adopt(th)
 	e.Drain()
 	if !ran || th.State() != Done {
 		t.Fatalf("ran=%v state=%v", ran, th.State())
 	}
-	if s.DoneCount() != 1 {
-		t.Fatalf("done count %d", s.DoneCount())
+	if doneCount(s) != 1 {
+		t.Fatalf("done count %d", doneCount(s))
 	}
 }
 
@@ -35,7 +52,7 @@ func TestCooperativeInterleaving(t *testing.T) {
 	s, e := testSched(t)
 	var order []int
 	mk := func(id int) *Thread {
-		return NewThread(id, func(th *Thread) {
+		return newThread(id, func(th *Thread) {
 			for i := 0; i < 3; i++ {
 				order = append(order, id)
 				th.Yield()
@@ -58,7 +75,7 @@ func TestCooperativeInterleaving(t *testing.T) {
 
 func TestAdvanceMovesClockAndLoad(t *testing.T) {
 	s, e := testSched(t)
-	th := NewThread(0, func(th *Thread) {
+	th := newThread(0, func(th *Thread) {
 		th.Advance(5 * time.Millisecond)
 	})
 	s.Adopt(th)
@@ -73,15 +90,12 @@ func TestAdvanceMovesClockAndLoad(t *testing.T) {
 	if th.Load != 0 {
 		t.Fatal("load not reset")
 	}
-	if s.BusyTime() != 5*time.Millisecond {
-		t.Fatalf("busy %v", s.BusyTime())
-	}
 }
 
 func TestSuspendWake(t *testing.T) {
 	s, e := testSched(t)
 	phase := 0
-	th := NewThread(0, func(th *Thread) {
+	th := newThread(0, func(th *Thread) {
 		phase = 1
 		th.Suspend()
 		phase = 2
@@ -102,7 +116,7 @@ func TestSwitchCostCharged(t *testing.T) {
 	s, e := testSched(t)
 	extra := 7 * time.Nanosecond
 	s.SwitchExtra = func(from, to *Thread) sim.Time { return extra }
-	th := NewThread(0, func(th *Thread) {
+	th := newThread(0, func(th *Thread) {
 		for i := 0; i < 9; i++ {
 			th.Yield()
 		}
@@ -120,7 +134,7 @@ func TestSwitchCostCharged(t *testing.T) {
 
 func TestPanicCapturedAsErr(t *testing.T) {
 	s, e := testSched(t)
-	th := NewThread(3, func(th *Thread) { panic("boom") })
+	th := newThread(3, func(th *Thread) { panic("boom") })
 	s.Adopt(th)
 	e.Drain()
 	if th.Err == nil || th.State() != Done {
@@ -133,7 +147,7 @@ func TestRemoveAndAdoptBlocked(t *testing.T) {
 	s0 := NewScheduler(cl.PE(0), cl.Engine, cl.Cost)
 	s1 := NewScheduler(cl.PE(1), cl.Engine, cl.Cost)
 	var resumedOn *Scheduler
-	th := NewThread(0, func(th *Thread) {
+	th := newThread(0, func(th *Thread) {
 		th.Suspend()
 		resumedOn = th.Scheduler()
 	})
@@ -160,7 +174,7 @@ func TestRemoveAndAdoptBlocked(t *testing.T) {
 
 func TestWakeOfRunnableThreadPanics(t *testing.T) {
 	s, e := testSched(t)
-	th := NewThread(0, func(th *Thread) { th.Yield() })
+	th := newThread(0, func(th *Thread) { th.Yield() })
 	s.Adopt(th)
 	defer func() {
 		if recover() == nil {
@@ -176,7 +190,7 @@ func TestSchedulerClockFollowsEngine(t *testing.T) {
 	// An event far in the future adopts a thread; the scheduler pass
 	// must not run the thread at an earlier local time.
 	e.At(time.Second, func() {
-		th := NewThread(0, func(th *Thread) {
+		th := newThread(0, func(th *Thread) {
 			if th.Now() < time.Second {
 				t.Errorf("thread ran at %v, before adoption time", th.Now())
 			}
@@ -192,7 +206,7 @@ func TestManyThreadsFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < n; i++ {
 		i := i
-		s.Adopt(NewThread(i, func(th *Thread) { order = append(order, i) }))
+		s.Adopt(newThread(i, func(th *Thread) { order = append(order, i) }))
 	}
 	e.Drain()
 	for i := 0; i < n; i++ {
@@ -219,7 +233,7 @@ type killTarget struct {
 // re-panic rather than hang, and the second must still run.
 func newKillTarget(id int) *killTarget {
 	k := &killTarget{}
-	k.th = NewThread(id, func(th *Thread) {
+	k.th = newThread(id, func(th *Thread) {
 		k.started = true
 		defer func() { k.deferred++ }()
 		defer func() {
@@ -247,8 +261,8 @@ func (k *killTarget) check(t *testing.T, s *Scheduler, wantErr string, wantDefer
 	if k.deferred != wantDeferred {
 		t.Errorf("%d deferred functions ran, want %d", k.deferred, wantDeferred)
 	}
-	if s.DoneCount() != 1 {
-		t.Errorf("done count %d, want 1", s.DoneCount())
+	if doneCount(s) != 1 {
+		t.Errorf("done count %d, want 1", doneCount(s))
 	}
 }
 
@@ -300,7 +314,7 @@ func TestKillNeverStarted(t *testing.T) {
 	k.check(t, s, "ult: thread 6 killed before first run: early", 0)
 
 	// Not even adopted: no scheduler to account to.
-	orphan := NewThread(7, func(*Thread) { t.Error("orphan ran") })
+	orphan := newThread(7, func(*Thread) { t.Error("orphan ran") })
 	orphan.Kill("unplaced")
 	if orphan.State() != Done || orphan.Err == nil {
 		t.Errorf("orphan: state %v err %v", orphan.State(), orphan.Err)
@@ -310,7 +324,7 @@ func TestKillNeverStarted(t *testing.T) {
 func TestKillRunningPanics(t *testing.T) {
 	s, e := testSched(t)
 	var recovered any
-	th := NewThread(0, func(th *Thread) {
+	th := newThread(0, func(th *Thread) {
 		defer func() { recovered = recover() }()
 		th.Kill("self")
 	})
@@ -329,22 +343,22 @@ func yieldAllocs(t *testing.T, n int) float64 {
 	s, e := testSched(t)
 	allocs := -1.0
 	done := false
-	s.Adopt(NewThread(0, func(th *Thread) {
+	s.Adopt(newThread(0, func(th *Thread) {
 		// AllocsPerRun's warm-up call starts the other threads'
 		// coroutines and sizes the queue.
 		allocs = testing.AllocsPerRun(200, th.Yield)
 		done = true
 	}))
 	for i := 1; i < n; i++ {
-		s.Adopt(NewThread(i, func(th *Thread) {
+		s.Adopt(newThread(i, func(th *Thread) {
 			for !done {
 				th.Yield()
 			}
 		}))
 	}
 	e.Drain()
-	if s.DoneCount() != n {
-		t.Fatalf("%d of %d threads finished", s.DoneCount(), n)
+	if doneCount(s) != n {
+		t.Fatalf("%d of %d threads finished", doneCount(s), n)
 	}
 	if want := uint64(201*n + n - 1); s.Switches() < want {
 		t.Fatalf("%d switches, want at least %d", s.Switches(), want)
@@ -371,7 +385,7 @@ func BenchmarkSwitch(b *testing.B) {
 	}
 	s := NewScheduler(cl.PE(0), cl.Engine, cl.Cost)
 	for id := 0; id < 2; id++ {
-		s.Adopt(NewThread(id, func(th *Thread) {
+		s.Adopt(newThread(id, func(th *Thread) {
 			for i := 0; i < b.N/2; i++ {
 				th.Yield()
 			}

@@ -168,20 +168,3 @@ func CheckpointedAcc(iters, rank int) uint64 {
 	}
 	return acc
 }
-
-// ComputeBound returns a program where each rank computes for the
-// given virtual duration, yielding periodically; used by scheduler and
-// load-balance tests.
-func ComputeBound(perRank []sim.Time, chunks int) *ampi.Program {
-	return &ampi.Program{
-		Image: EmptyImage(),
-		Main: func(r *ampi.Rank) {
-			total := perRank[r.Rank()%len(perRank)]
-			for i := 0; i < chunks; i++ {
-				r.Compute(total / sim.Time(chunks))
-				r.Yield()
-			}
-			r.Barrier()
-		},
-	}
-}

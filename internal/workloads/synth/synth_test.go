@@ -51,13 +51,29 @@ func TestPingSwitchCount(t *testing.T) {
 	}
 }
 
+// computeBound returns a program where each rank computes for the
+// given virtual duration, yielding periodically.
+func computeBound(perRank []sim.Time, chunks int) *ampi.Program {
+	return &ampi.Program{
+		Image: synth.EmptyImage(),
+		Main: func(r *ampi.Rank) {
+			total := perRank[r.Rank()%len(perRank)]
+			for i := 0; i < chunks; i++ {
+				r.Compute(total / sim.Time(chunks))
+				r.Yield()
+			}
+			r.Barrier()
+		},
+	}
+}
+
 func TestComputeBoundCharges(t *testing.T) {
 	per := []sim.Time{1e6, 2e6}
 	w, err := ampi.NewWorld(ampi.Config{
 		Machine:   machine.Config{Nodes: 1, ProcsPerNode: 1, PEsPerProc: 1},
 		VPs:       2,
 		Privatize: core.KindNone,
-	}, synth.ComputeBound(per, 4))
+	}, computeBound(per, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
