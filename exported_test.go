@@ -52,14 +52,11 @@ var keptExported = map[string]string{
 
 	// Not decided. Each is the only subject of a tier-1 test, so deleting
 	// it deletes that test; ROADMAP item 8 carries them.
-	"internal/elf.Instance.SetGOTEntryForVar":       "the GOT swap Swapglobals is named after; core models it with per-rank cells and never calls it",
 	"internal/harness/sweep.Default":                "a GOMAXPROCS-sized Runner; harness sizes its own",
-	"internal/loader.Linker.Dlclose":                "dlclose; no method unloads",
 	"internal/machine.Cluster.RetireNodes":          "membership log, retire half: the supervisor reshapes by building a new world instead",
 	"internal/machine.Cluster.EpochAt":              "membership log query",
 	"internal/machine.Cluster.LivePEs":              "membership log query",
 	"internal/ampi.FlatWorld.ExpandStorm":           "growing a live flat world; no experiment does (ROADMAP item 1a)",
-	"internal/mem.AddressSpace.MapFixed":            "MAP_FIXED; Isomalloc ranges are modelled by mem.Heap instead",
 	"internal/papi.Cache.Reset":                     "reusing one cache model across measurements; harness builds a fresh one",
 	"internal/sim.ParallelEngine.DomainEventsFired": "goes with ParallelEngine (ROADMAP item 2)",
 	"internal/sim.ParallelEngine.Windows":           "goes with ParallelEngine (ROADMAP item 2)",

@@ -255,16 +255,16 @@ func NewWorldFromCheckpoint(cfg Config, prog *Program, ck *Checkpoint) (*World, 
 		return nil, fmt.Errorf("ampi: checkpoint has %d payloads for %d ranks; snapshot is incomplete",
 			len(ck.Payloads), ck.VPs)
 	}
-	kind := cfg.Privatize
-	if cfg.Method != nil {
-		kind = cfg.Method.Kind()
+	method, err := cfg.method()
+	if err != nil {
+		return nil, err
 	}
-	if ck.Method != core.KindNone && ck.Method != kind {
+	if ck.Method != core.KindNone && ck.Method != method.Kind() {
 		return nil, fmt.Errorf("ampi: checkpoint was taken under %v, config restarts under %v; privatized state is not portable across methods",
-			ck.Method, kind)
+			ck.Method, method.Kind())
 	}
-	if !core.CapabilitiesOf(kind).SupportsMigration {
-		return nil, fmt.Errorf("ampi: method %v does not support migratable rank state; checkpoint restart is unavailable", kind)
+	if !method.Migratable() {
+		return nil, fmt.Errorf("ampi: method %v does not support migratable rank state; checkpoint restart is unavailable", method.Kind())
 	}
 	cfg.restart = ck
 	return NewWorld(cfg, prog)

@@ -121,7 +121,7 @@ type FlatConfig struct {
 	// Method is the privatization method; nil selects PIEglobals with
 	// code-page sharing and read-only-data COW — the configuration the
 	// scale experiment exists to demonstrate.
-	Method core.Method
+	Method *core.Method
 	// Toolchain and OS as in Config; zero values select Bridges-2.
 	Toolchain core.Toolchain
 	OS        core.OS
@@ -207,9 +207,6 @@ func NewFlatWorld(cfg FlatConfig) (*FlatWorld, error) {
 			Toolchain: cfg.Toolchain,
 			OS:        cfg.OS,
 			SMP:       cfg.Machine.SMPMode(),
-		}
-		if err := method.CheckEnv(env); err != nil {
-			return nil, err
 		}
 		return method.Setup(env, cfg.Image, vps, 0)
 	}

@@ -72,7 +72,7 @@ func (w *World) runBalancer() {
 			VP:         r.vp,
 			PE:         r.PE().ID,
 			Load:       r.thread.Load,
-			Migratable: r.ctx.Migratable,
+			Migratable: w.Method.Migratable(),
 		}
 		assign[i] = loads[i].PE
 	}

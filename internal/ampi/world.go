@@ -47,7 +47,7 @@ type Config struct {
 	// Method, if non-nil, overrides Privatize with a configured
 	// method instance (e.g. core.NewPIEglobals with future-work
 	// options).
-	Method core.Method
+	Method *core.Method
 	// Toolchain and OS describe the build/run environment; zero values
 	// select the paper's Bridges-2 environment.
 	Toolchain core.Toolchain
@@ -99,11 +99,23 @@ func (c *Config) normalize() error {
 
 func osSet(o core.OS) bool { return o != (core.OS{}) }
 
+// method returns the configured method instance, or the Privatize
+// kind's.
+func (c *Config) method() (*core.Method, error) {
+	if c.Method != nil {
+		return c.Method, nil
+	}
+	if m := core.New(c.Privatize); m != nil {
+		return m, nil
+	}
+	return nil, fmt.Errorf("ampi: unknown privatization method %d", int(c.Privatize))
+}
+
 // World is one virtualized MPI job.
 type World struct {
 	Cfg     Config
 	Cluster *machine.Cluster
-	Method  core.Method
+	Method  *core.Method
 	Program *Program
 
 	Ranks  []*Rank
@@ -173,12 +185,11 @@ func NewWorld(cfg Config, prog *Program) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	method := cfg.Method
-	if method == nil {
-		method = core.New(cfg.Privatize)
-	} else {
-		cfg.Privatize = method.Kind()
+	method, err := cfg.method()
+	if err != nil {
+		return nil, err
 	}
+	cfg.Privatize = method.Kind()
 	w := &World{Cfg: cfg, Cluster: cl, Method: method, Program: prog, tracer: cfg.Tracer}
 	if w.tracer != nil {
 		cl.SetTracer(w.tracer)
@@ -222,10 +233,6 @@ func NewWorld(cfg Config, prog *Program) (*World, error) {
 			OS:        cfg.OS,
 			SMP:       cfg.Machine.SMPMode(),
 			StackSize: cfg.StackSize,
-			PEOfVP:    func(vp int) int { return vpPE[vp] - firstPE },
-		}
-		if err := w.Method.CheckEnv(env); err != nil {
-			return nil, err
 		}
 		var vps []int
 		for vp, pe := range vpPE {
@@ -256,8 +263,8 @@ func NewWorld(cfg Config, prog *Program) (*World, error) {
 	// One scheduler per PE, with the method's context-switch surcharge.
 	for _, pe := range pes {
 		s := ult.NewScheduler(pe, cl.Engine, cl.Cost)
-		s.SwitchExtra = func(from, to *ult.Thread) sim.Time {
-			return w.Method.SwitchExtra(rankCtx(from), rankCtx(to))
+		s.SwitchExtra = func(_, to *ult.Thread) sim.Time {
+			return w.Method.SwitchExtra(rankCtx(to))
 		}
 		s.Tracer = w.tracer
 		w.scheds = append(w.scheds, s)
@@ -405,7 +412,7 @@ func (w *World) TotalSwitches() uint64 {
 func (w *World) RankLoads() []lb.RankLoad {
 	out := make([]lb.RankLoad, len(w.Ranks))
 	for i, r := range w.Ranks {
-		out[i] = lb.RankLoad{VP: r.vp, PE: r.pe.ID, Load: r.thread.Load, Migratable: r.ctx.Migratable}
+		out[i] = lb.RankLoad{VP: r.vp, PE: r.pe.ID, Load: r.thread.Load, Migratable: w.Method.Migratable()}
 	}
 	return out
 }

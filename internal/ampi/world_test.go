@@ -2,6 +2,7 @@ package ampi_test
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"provirt/internal/ampi"
@@ -135,6 +136,15 @@ func TestSwapglobalsRefusesModernLinker(t *testing.T) {
 	_, err := ampi.NewWorld(cfg, synth.Hello(func(synth.HelloResult) {}))
 	if err == nil {
 		t.Fatal("expected swapglobals to refuse a modern unpatched linker")
+	}
+}
+
+// A method kind past the table is an error from NewWorld, for callers
+// that did not come through a Spec's Validate; it used to be a panic.
+func TestUnknownMethodKindIsAnError(t *testing.T) {
+	_, err := ampi.NewWorld(smallConfig(2, core.Kind(99)), synth.Hello(func(synth.HelloResult) {}))
+	if err == nil || !strings.Contains(err.Error(), "unknown privatization method") {
+		t.Fatalf("NewWorld with kind 99: %v", err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"provirt/internal/elf"
-	"provirt/internal/machine"
 	"provirt/internal/mem"
 	"provirt/internal/sim"
 	"provirt/internal/ult"
@@ -19,8 +18,6 @@ const (
 	storePrivSeg                     // rank's private duplicated data segment
 	storeTLS                         // rank's TLS block
 	storeHeapCell                    // per-rank heap cell (manual refactor / swapglobals copy)
-	storeCoreCell                    // per-core cell (hierarchical local storage)
-	storeNodeCell                    // per-node/process cell (hierarchical local storage)
 )
 
 // RankContext is one virtual rank's privatized view of the program: for
@@ -29,7 +26,7 @@ const (
 // stack.
 type RankContext struct {
 	VP     int
-	Method Method
+	Method *Method
 	Img    *elf.Image
 
 	// Shared is the base (namespace-0) program instance all ranks in
@@ -41,11 +38,6 @@ type RankContext struct {
 	// TLS is the rank's thread-local storage block (TLSglobals,
 	// -fmpc-privatize, and PIEglobals-with-TLS), else nil.
 	TLS []uint64
-	// coreCells and nodeCells are hierarchical-local-storage blocks
-	// shared with, respectively, the other ranks on this rank's core
-	// and every rank in the process (HLS, §2.3.5).
-	coreCells []uint64
-	nodeCells []uint64
 
 	// Heap is the rank's Isomalloc heap (stack, user allocations, and —
 	// under PIEglobals — the duplicated segments themselves).
@@ -53,35 +45,25 @@ type RankContext struct {
 	// Stack is the rank's user-level thread stack block.
 	Stack *mem.Block
 
-	// Migratable reports whether the rank's complete state can be
-	// serialized and reconstructed in another address space.
-	Migratable bool
-	// MigrationVeto explains why migration is unsupported, for error
-	// messages ("code segments were mapped by ld.so, not Isomalloc").
-	MigrationVeto string
-
 	// Thread is the user-level thread executing this rank, once bound.
 	Thread *ult.Thread
 
-	// Per-variable resolution, indexed by elf.Var.Index.
-	cells []cellRef
+	// plan is the per-variable resolution every rank of the process
+	// shares; only what it resolves to is the rank's own.
+	plan *plan
 	// rcells memoizes the resolved cell pointer (and the heap block a
 	// store must dirty) per variable; an entry is valid while its epoch
 	// matches the context's. See resolve.
 	rcells []resolvedCell
-	// epoch versions every resolved cell pointer: restore/migration and
-	// method setup bump it, invalidating all cached resolutions at once.
+	// epoch versions every resolved cell pointer: restore/migration
+	// bumps it, invalidating all cached resolutions at once.
 	epoch uint64
-	// tlsSlot maps a variable index to its slot in TLS, or -1.
-	tlsSlot []int
 	// heapCells is the per-rank privatized-copy block for manual /
 	// swapglobals methods, else nil.
 	heapCells *mem.Block
 
 	// accesses counts privatized loads+stores for reporting.
 	accesses uint64
-
-	costModel *machine.CostModel
 }
 
 type cellRef struct {
@@ -102,9 +84,9 @@ type resolvedCell struct {
 	blk *mem.Block
 }
 
-// newContext returns a context with heap + stack prepared; methods fill
-// in storage resolution.
-func newContext(m Method, env *ProcessEnv, img *elf.Image, shared *elf.Instance, vp int) (*RankContext, error) {
+// newContext returns a context resolving through p, with heap + stack
+// prepared; Setup fills in the rank's private storage.
+func newContext(m *Method, p *plan, env *ProcessEnv, img *elf.Image, shared *elf.Instance, vp int) (*RankContext, error) {
 	if vp < 0 || vp >= mem.MaxRanks {
 		return nil, fmt.Errorf("core: rank %d outside the Isomalloc arena's %d per-rank ranges", vp, mem.MaxRanks)
 	}
@@ -117,53 +99,22 @@ func newContext(m Method, env *ProcessEnv, img *elf.Image, shared *elf.Instance,
 	if err != nil {
 		return nil, err
 	}
-	c := &RankContext{
-		VP:        vp,
-		Method:    m,
-		Img:       img,
-		Shared:    shared,
-		Heap:      heap,
-		Stack:     stack,
-		costModel: env.Cost,
-	}
-	c.cells = make([]cellRef, len(img.Vars))
-	c.rcells = make([]resolvedCell, len(img.Vars))
-	c.epoch = 1 // zero-valued rcells entries are never current
-	c.tlsSlot = make([]int, len(img.Vars))
-	for i := range c.tlsSlot {
-		c.tlsSlot[i] = -1
-	}
-	return c, nil
-}
-
-// storage returns the backing slice and element index for a variable.
-func (c *RankContext) storage(v *elf.Var) (*uint64, error) {
-	ref := c.cells[v.Index]
-	switch ref.kind {
-	case storeShared:
-		return c.Shared.Word(v.Index), nil
-	case storePrivSeg:
-		if c.Private == nil {
-			return nil, fmt.Errorf("core: rank %d: private segment storage with no private instance", c.VP)
-		}
-		return c.Private.Word(v.Index), nil
-	case storeTLS:
-		return &c.TLS[ref.slot], nil
-	case storeHeapCell:
-		return &c.heapCells.Words[ref.slot], nil
-	case storeCoreCell:
-		return &c.coreCells[ref.slot], nil
-	case storeNodeCell:
-		return &c.nodeCells[ref.slot], nil
-	default:
-		return nil, fmt.Errorf("core: rank %d: unresolved storage for %s", c.VP, v.Name)
-	}
+	return &RankContext{
+		VP:     vp,
+		Method: m,
+		Img:    img,
+		Shared: shared,
+		Heap:   heap,
+		Stack:  stack,
+		plan:   p,
+		rcells: make([]resolvedCell, len(img.Vars)),
+		epoch:  1, // zero-valued rcells entries are never current
+	}, nil
 }
 
 // invalidateResolutions discards every cached cell pointer; the next
 // access through any handle re-resolves against the context's current
-// storage. Called whenever storage moves: migration restore, method
-// setup.
+// storage. Called whenever storage moves: migration restore.
 func (c *RankContext) invalidateResolutions() { c.epoch++ }
 
 // resolve returns the variable's current fast-path entry, refreshing it
@@ -173,22 +124,23 @@ func (c *RankContext) resolve(v *elf.Var) *resolvedCell {
 	if rc.epoch == c.epoch {
 		return rc
 	}
-	cell, err := c.storage(v)
-	if err != nil {
-		panic(err)
-	}
-	ref := c.cells[v.Index]
-	rc.cell, rc.cost, rc.blk, rc.epoch = cell, ref.cost, nil, c.epoch
+	ref := c.plan.cells[v.Index]
+	rc.cost, rc.blk, rc.epoch = ref.cost, nil, c.epoch
 	switch ref.kind {
-	case storeHeapCell:
-		rc.blk = c.heapCells
+	case storeShared:
+		rc.cell = c.Shared.Word(v.Index)
 	case storePrivSeg:
+		rc.cell = c.Private.Word(v.Index)
 		if c.Private.Migratable {
 			// PIE private-segment cells live inside the duplicated data
 			// segment's heap block; stores must dirty it. A PiP/FS copy
 			// was mapped by the linker and has no block.
 			rc.blk = c.Heap.Lookup(c.Private.DataBase)
 		}
+	case storeTLS:
+		rc.cell = &c.TLS[ref.slot]
+	case storeHeapCell:
+		rc.cell, rc.blk = &c.heapCells.Words[ref.slot], c.heapCells
 	}
 	return rc
 }
@@ -229,7 +181,7 @@ func (h VarHandle) Name() string { return h.v.Name }
 // Addr returns the virtual address the rank's accesses reach — useful
 // for the pointer-identity tests and pieglobalsfind.
 func (h VarHandle) Addr() uint64 {
-	ref := h.ctx.cells[h.v.Index]
+	ref := h.ctx.plan.cells[h.v.Index]
 	switch ref.kind {
 	case storeShared:
 		return h.ctx.Shared.VarAddr(h.v)
@@ -240,12 +192,8 @@ func (h VarHandle) Addr() uint64 {
 		// real system; model a stable synthetic address derived from
 		// the rank's reserved range top.
 		return h.ctx.Heap.Base() + mem.IsomallocRangeSize - uint64(len(h.ctx.TLS)-ref.slot)*8
-	case storeHeapCell:
-		return h.ctx.heapCells.Addr + uint64(ref.slot)*8
 	default:
-		// Hierarchical-local-storage cells live in runtime-owned
-		// shared blocks with no modeled address.
-		return 0
+		return h.ctx.heapCells.Addr + uint64(ref.slot)*8
 	}
 }
 
@@ -301,21 +249,5 @@ func (h VarHandle) Charge(n uint64) {
 // Privatized reports whether the rank sees private storage for the
 // variable (false means accesses reach process-shared state).
 func (h VarHandle) Privatized() bool {
-	k := h.ctx.cells[h.v.Index].kind
-	return k != storeShared
-}
-
-// resolveAll assigns every variable a storage location. decide returns
-// the storage for mutable variables; const variables always resolve to
-// the shared instance.
-func (c *RankContext) resolveAll(env *ProcessEnv, decide func(v *elf.Var) cellRef) {
-	c.invalidateResolutions()
-	direct := accessCost(env.Cost, false)
-	for _, v := range c.Img.Vars {
-		if !v.Mutable() {
-			c.cells[v.Index] = cellRef{kind: storeShared, cost: direct}
-			continue
-		}
-		c.cells[v.Index] = decide(v)
-	}
+	return h.ctx.plan.cells[h.v.Index].kind != storeShared
 }

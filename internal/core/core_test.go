@@ -67,15 +67,11 @@ func testImage(t *testing.T) *elf.Image {
 // setup builds contexts for the given method over the image.
 func setup(t *testing.T, kind Kind, env *ProcessEnv, img *elf.Image, vps int) *SetupResult {
 	t.Helper()
-	m := New(kind)
-	if err := m.CheckEnv(env); err != nil {
-		t.Fatalf("CheckEnv(%s): %v", kind, err)
-	}
 	ids := make([]int, vps)
 	for i := range ids {
 		ids[i] = i
 	}
-	res, err := m.Setup(env, img, ids, 0)
+	res, err := New(kind).Setup(env, img, ids, 0)
 	if err != nil {
 		t.Fatalf("Setup(%s): %v", kind, err)
 	}
@@ -162,6 +158,8 @@ func TestConstStorePanics(t *testing.T) {
 	res.Contexts[0].Store("ro", 1)
 }
 
+// Setup checks the method's requirements itself and loads nothing into
+// a process that does not meet them.
 func TestCheckEnvFailures(t *testing.T) {
 	cases := []struct {
 		kind Kind
@@ -182,9 +180,12 @@ func TestCheckEnvFailures(t *testing.T) {
 		if tc.env != nil {
 			tc.env(env)
 		}
-		err := New(tc.kind).CheckEnv(env)
+		_, err := New(tc.kind).Setup(env, testImage(t), []int{0}, 0)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s CheckEnv = %v, want mention of %q", tc.kind, err, tc.want)
+			t.Errorf("%s Setup = %v, want mention of %q", tc.kind, err, tc.want)
+		}
+		if n := len(env.Linker.Handles()); n != 0 {
+			t.Errorf("%s loaded %d objects into a process it refuses", tc.kind, n)
 		}
 	}
 }
@@ -471,7 +472,7 @@ func TestFuncOffsetTranslationAcrossRanks(t *testing.T) {
 func TestPIESharedCodePages(t *testing.T) {
 	img := testImage(t)
 
-	mkCtx := func(m Method) *RankContext {
+	mkCtx := func(m *Method) *RankContext {
 		env := testEnv(t, false)
 		ids := []int{0}
 		res, err := m.Setup(env, img, ids, 0)
@@ -586,32 +587,35 @@ func TestParseKindRoundTrip(t *testing.T) {
 
 func TestCapabilityTableComplete(t *testing.T) {
 	for _, k := range kinds() {
+		m := New(k)
 		c := CapabilitiesOf(k)
 		if c.DisplayName == "" {
 			t.Errorf("%s has no capabilities row", k)
 		}
-		// Semantic flags must agree with the Table 3 cells.
-		if c.SupportsMigration && c.MigrationSupport == "No" {
-			t.Errorf("%s: flag/cell mismatch on migration", k)
+		// What the row does must agree with its Table 3 cells.
+		if m.Migratable() != (c.MigrationSupport == "Yes") {
+			t.Errorf("%s: veto/cell mismatch on migration", k)
 		}
-		if !c.SupportsSMP && c.SMPSupport == "Yes" {
-			t.Errorf("%s: flag/cell mismatch on SMP", k)
+		if (m.Needs()&NeedNoSMP == 0) != (c.SMPSupport != "No") {
+			t.Errorf("%s: requirement/cell mismatch on SMP", k)
 		}
 	}
 	if len(Table3Order()) != 8 {
 		t.Errorf("Table 3 has %d rows", len(Table3Order()))
 	}
+	if New(numKinds) != nil || CapabilitiesOf(numKinds).DisplayName != "" {
+		t.Error("a kind past the table has a method")
+	}
 }
 
-// The capability flags must agree with observed Setup behaviour.
+// The row's migration veto must agree with observed behaviour.
 func TestCapabilitiesMatchBehaviour(t *testing.T) {
 	for _, kind := range []Kind{KindManual, KindTLSglobals, KindPIPglobals, KindFSglobals, KindPIEglobals} {
 		env := testEnv(t, false)
 		res := setup(t, kind, env, testImage(t), 1)
-		caps := CapabilitiesOf(kind)
-		if res.Contexts[0].Migratable != caps.SupportsMigration {
-			t.Errorf("%s: context migratable=%v, capabilities say %v",
-				kind, res.Contexts[0].Migratable, caps.SupportsMigration)
+		_, err := res.Contexts[0].Serialize()
+		if m := res.Contexts[0].Method; m.Migratable() != (err == nil) {
+			t.Errorf("%s: migratable=%v, Serialize: %v", kind, m.Migratable(), err)
 		}
 	}
 }

@@ -4,12 +4,14 @@
 // processes.
 //
 // Each privatization technique from the paper — the surveyed existing
-// ones (§2.3) and the three new runtime methods (§3) — is a Method
-// strategy over the synthetic ELF/PIE model in internal/elf. A method
-// decides, per program variable, which storage a given virtual rank's
-// loads and stores reach; it charges its startup work, per-context-switch
-// work, and per-access work to the virtual clock; and it declares whether
-// the rank state it creates can migrate between address spaces.
+// ones (§2.3) and the three new runtime methods (§3) — is one row of
+// methodTable (table.go) over the synthetic ELF/PIE model in
+// internal/elf: which storage each class of program variable reaches
+// from a given virtual rank, what is loaded per rank at startup, what a
+// context switch costs, what the method needs of its toolchain, OS and
+// program, and why — if so — the rank state it creates cannot migrate
+// between address spaces. One Setup (this file) turns a row into rank
+// contexts, charging the work to the virtual clock.
 package core
 
 import (
@@ -62,28 +64,10 @@ const (
 )
 
 func (k Kind) String() string {
-	switch k {
-	case KindNone:
-		return "none"
-	case KindManual:
-		return "manual"
-	case KindPhotran:
-		return "photran"
-	case KindSwapglobals:
-		return "swapglobals"
-	case KindTLSglobals:
-		return "tlsglobals"
-	case KindMPCPrivatize:
-		return "fmpc-privatize"
-	case KindPIPglobals:
-		return "pipglobals"
-	case KindFSglobals:
-		return "fsglobals"
-	case KindPIEglobals:
-		return "pieglobals"
-	default:
+	if k < 0 || k >= numKinds {
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
+	return methodTable[k].name
 }
 
 // ParseKind maps a method name (as accepted by the -privatize flag) to
@@ -155,18 +139,6 @@ type ProcessEnv struct {
 	// StackSize is the per-rank user-level thread stack, allocated via
 	// Isomalloc.
 	StackSize uint64
-	// PEOfVP maps a virtual rank to its home PE's process-local index,
-	// used by hierarchical local storage to build per-core cells. Nil
-	// places every rank on local PE 0.
-	PEOfVP func(vp int) int
-}
-
-// localPE returns the process-local PE index for a rank.
-func (env *ProcessEnv) localPE(vp int) int {
-	if env.PEOfVP == nil {
-		return 0
-	}
-	return env.PEOfVP(vp)
 }
 
 // SetupResult is what a Method produces for one process.
@@ -179,71 +151,273 @@ type SetupResult struct {
 	Done sim.Time
 	// SharedInstance is the base (namespace-0) program instance.
 	SharedInstance *elf.Instance
-	// PrivatizedWords counts 8-byte cells of privatized storage
-	// materialized in the process (reported by HLS for its memory-
-	// overhead claim; zero when a method does not account for it).
-	PrivatizedWords uint64
 }
 
-// Method is one privatization technique.
-type Method interface {
-	Kind() Kind
-	// Capabilities returns the method's Table 1 / Table 3 row.
-	Capabilities() Capabilities
-	// CheckEnv verifies the method can run in the environment at all
-	// (compiler, linker, OS requirements). It is called before Setup.
-	CheckEnv(env *ProcessEnv) error
-	// Setup loads the program and builds one privatized context per
-	// virtual rank in vps, charging all work to virtual time starting
-	// at start.
-	Setup(env *ProcessEnv, img *elf.Image, vps []int, start sim.Time) (*SetupResult, error)
-	// SwitchExtra is the additional work performed at each user-level
-	// thread context switch (e.g. updating the TLS segment pointer).
-	SwitchExtra(from, to *RankContext) sim.Time
+// PIEOptions enables the paper's §6 future-work optimizations on
+// PIEglobals.
+type PIEOptions struct {
+	// ShareCodePages maps each rank's code segment from a single
+	// read-only descriptor instead of copying it: startup skips the
+	// code memcpy, the per-rank resident footprint drops by the code
+	// size, and migrations transfer only metadata for the code block
+	// (the destination remaps it). This is the "mapping the code
+	// segments into virtual memory from a single file descriptor using
+	// mmap" plus "only migrate segments of code that differ across
+	// ranks" plan of §6; with no self-modifying code no segment ever
+	// differs, so nothing is transferred.
+	ShareCodePages bool
+	// ShareROData extends the single-descriptor mapping to the read-only
+	// portion of the data segment (const variable cells and declared
+	// .rodata-like bulk, per elf.Layout.ROBytes): those bytes stay on
+	// shared pages with copy-on-write semantics, so startup skips their
+	// memcpy, the per-rank resident footprint shrinks to the writable
+	// delta plus handles, and migrations remap them instead of moving
+	// them. Requires ShareCodePages (same descriptor machinery).
+	ShareROData bool
 }
 
-// New returns the Method implementing kind.
-func New(kind Kind) Method {
-	switch kind {
-	case KindNone:
-		return &noneMethod{}
-	case KindManual:
-		return &refactorMethod{kind: KindManual}
-	case KindPhotran:
-		return &refactorMethod{kind: KindPhotran}
-	case KindSwapglobals:
-		return &swapglobalsMethod{}
-	case KindTLSglobals:
-		return &tlsglobalsMethod{}
-	case KindMPCPrivatize:
-		return &mpcMethod{}
-	case KindPIPglobals:
-		return &pipglobalsMethod{}
-	case KindFSglobals:
-		return &fsglobalsMethod{}
-	case KindPIEglobals:
-		return &pieglobalsMethod{}
-	default:
-		panic(fmt.Sprintf("core: no such method kind %d", int(kind)))
+// Method is one privatization technique: a row of methodTable, plus the
+// PIEglobals options when it was made by NewPIEglobals. It is immutable,
+// so one value can set up any number of worlds at once.
+type Method struct {
+	kind Kind
+	pie  PIEOptions
+}
+
+// paperMethods are the methods as the paper evaluated them, one per
+// Kind, so that New allocates nothing (a Spec asks for its method every
+// time it is validated or hashed).
+var paperMethods = func() (ms [numKinds]Method) {
+	for k := range ms {
+		ms[k].kind = Kind(k)
 	}
+	return ms
+}()
+
+// New returns the method of the given kind in the configuration the
+// paper evaluated, or nil when kind names no method.
+func New(kind Kind) *Method {
+	if kind < 0 || kind >= numKinds {
+		return nil
+	}
+	return &paperMethods[kind]
 }
 
-// loadBaseProgram performs the work every method shares: loading the
-// program (and the AMPI runtime) into the process once. It returns the
-// base instance and the completion time.
-func loadBaseProgram(env *ProcessEnv, img *elf.Image, start sim.Time) (*loader.Handle, sim.Time, error) {
-	start += env.Cost.ExecLoadBase + env.Cost.RuntimeInitBase
-	h, done, err := env.Linker.Dlopen(img, img.Name, start)
+// NewPIEglobals returns PIEglobals with explicit future-work options.
+func NewPIEglobals(opts PIEOptions) *Method {
+	return &Method{kind: KindPIEglobals, pie: opts}
+}
+
+func (m *Method) row() *methodRow { return &methodTable[m.kind] }
+
+// Kind returns which method this is.
+func (m *Method) Kind() Kind { return m.kind }
+
+// Needs returns the set of requirements the method has.
+func (m *Method) Needs() Requirement { return m.row().needs }
+
+// Migratable reports whether ranks privatized by this method can be
+// rebuilt in another address space.
+func (m *Method) Migratable() bool { return m.row().veto == "" }
+
+// Unmet lists the method's requirements that a process does not meet:
+// env supplies the toolchain, OS and SMP mode, ranks is how many virtual
+// ranks the process hosts, and img is the program — nil skips the
+// requirements on the program (NeedsOfImage). Setup refuses to run with
+// any unmet; callers that want every problem at once, before a world is
+// built, ask here.
+func (m *Method) Unmet(env *ProcessEnv, img *elf.Image, ranks int) []Unmet {
+	needs := m.row().needs
+	if img == nil {
+		needs &^= NeedsOfImage
+	}
+	at := site{tc: env.Toolchain, os: env.OS, smp: env.SMP, img: img, ranks: ranks}
+	var out []Unmet
+	for _, r := range requirements {
+		if needs&r.need != 0 && !r.met(at) {
+			out = append(out, Unmet{Need: r.need, Msg: m.kind.String() + " " + r.msg})
+		}
+	}
+	return out
+}
+
+// Grant returns the environment changed to supply what the method
+// needs and the environment lacks, where a change of toolchain or OS can
+// supply it: the old linker, the MPC compiler, and — when a process
+// hosts more ranks than stock glibc has namespaces — the patched glibc.
+func (m *Method) Grant(tc Toolchain, os OS, ranks int) (Toolchain, OS) {
+	needs, at := m.row().needs, site{tc: tc, os: os, ranks: ranks}
+	for _, r := range requirements {
+		if needs&r.need != 0 && r.grant != nil && !r.met(at) {
+			at = r.grant(at)
+		}
+	}
+	return at.tc, at.os
+}
+
+// SwitchExtra is the additional work performed at each user-level
+// thread context switch into to (updating the TLS segment pointer,
+// swapping the GOT).
+func (m *Method) SwitchExtra(to *RankContext) sim.Time {
+	if to == nil {
+		return 0
+	}
+	return to.plan.switchCost
+}
+
+// plan is what Setup works out once per process and every rank context
+// of the process points at: where each variable lives and what reaching
+// it costs, the templates a rank's private blocks are filled from, and
+// the per-switch charge.
+type plan struct {
+	// cells is indexed by elf.Var.Index.
+	cells []cellRef
+	// tlsInit is the TLS block's initial contents, slot by slot; nil
+	// when the method keeps no TLS block (empty but non-nil when it keeps
+	// one and the program tagged nothing).
+	tlsInit []uint64
+	// heapInit is the initial contents of the rank's privatized-copy
+	// block, one cell per program variable; nil when the method has none.
+	heapInit   []uint64
+	switchCost sim.Time
+}
+
+// newPlan lays the row's placement out over the image's variables.
+func (m *Method) newPlan(env *ProcessEnv, img *elf.Image) *plan {
+	r := m.row()
+	p := &plan{cells: make([]cellRef, len(img.Vars))}
+	useTLS := r.tls == tlsAll || r.tls == tlsTagged && env.Toolchain.SupportsTLSSegRefs
+	if useTLS {
+		p.tlsInit = []uint64{}
+	}
+	if r.rest == storeHeapCell && len(img.Vars) > 0 {
+		p.heapInit = make([]uint64, len(img.Vars))
+	}
+	for _, v := range img.Vars {
+		ref := cellRef{kind: r.rest, slot: v.Index}
+		switch {
+		case !v.Mutable(), r.gotOnly && v.Class == elf.ClassStatic:
+			ref.kind = storeShared
+		case useTLS && (r.tls == tlsAll || v.Tagged):
+			ref.kind, ref.slot = storeTLS, len(p.tlsInit)
+			p.tlsInit = append(p.tlsInit, v.Init)
+		}
+		// A TLS slot is reached through the segment pointer and a
+		// privatized copy through the GOT or the state struct's base; the
+		// shared and the duplicated segments are addressed PC-relative.
+		ref.cost = accessCost(env.Cost, ref.kind == storeTLS || ref.kind == storeHeapCell)
+		p.cells[v.Index] = ref
+		if p.heapInit != nil {
+			p.heapInit[v.Index] = v.Init
+		}
+	}
+	switch {
+	case r.charge == chargeGOT:
+		p.switchCost = env.Cost.GOTSwapCost
+	case r.charge == chargeTLS && useTLS:
+		p.switchCost = env.Cost.TLSSwitchCost
+	}
+	return p
+}
+
+// Setup loads the program into the process and builds one privatized
+// context per virtual rank in vps, charging all work to virtual time
+// starting at start. It refuses a process that does not meet the
+// method's requirements.
+func (m *Method) Setup(env *ProcessEnv, img *elf.Image, vps []int, start sim.Time) (*SetupResult, error) {
+	if unmet := m.Unmet(env, img, len(vps)); len(unmet) > 0 {
+		return nil, unmet[0]
+	}
+	r := m.row()
+	env.Linker.PatchedGlibc = env.OS.PatchedGlibc
+
+	// The work every method shares: loading the program (and the AMPI
+	// runtime) into the process once. PIEglobals finds the segments it
+	// will copy the way the real runtime must, by diffing
+	// dl_iterate_phdr around the dlopen.
+	var before []loader.SegmentInfo
+	if r.load == loadDuplicate {
+		before = env.Linker.IteratePhdr()
+	}
+	h, done, err := env.Linker.Dlopen(img, img.Name, start+env.Cost.ExecLoadBase+env.Cost.RuntimeInitBase)
 	if err != nil {
-		return nil, start, err
+		return nil, err
 	}
-	return h, done, nil
+	var tmpl *pieTemplate
+	if r.load == loadDuplicate {
+		seg, err := diffPhdr(before, env.Linker.IteratePhdr(), img.Name)
+		if err != nil {
+			return nil, err
+		}
+		if seg.CodeBase != h.Inst.CodeBase || seg.DataBase != h.Inst.DataBase {
+			return nil, fmt.Errorf("core: %s: dl_iterate_phdr diff located segments at %#x/%#x, loader reports %#x/%#x",
+				m.kind, seg.CodeBase, seg.DataBase, h.Inst.CodeBase, h.Inst.DataBase)
+		}
+		tmpl = newPIETemplate(h.Inst)
+	}
+
+	p := m.newPlan(env, img)
+	tlsCopy := env.Cost.CopyTime(uint64(len(p.tlsInit)) * 8)
+	cellCopy := env.Cost.CopyTime(uint64(len(p.heapInit)) * 8)
+	if r.charge == chargeGOT {
+		// Per-rank GOT construction: one relocation-sized fixup per entry.
+		cellCopy += sim.Time(len(img.Vars)+len(img.Funcs)) * env.Cost.RelocationCost
+	}
+	res := &SetupResult{SharedInstance: h.Inst, Contexts: make([]*RankContext, 0, len(vps))}
+	for _, vp := range vps {
+		c, err := newContext(m, p, env, img, h.Inst, vp)
+		if err != nil {
+			return nil, err
+		}
+		var copyH *loader.Handle
+		switch r.load {
+		case loadDlmopen:
+			copyH, done, err = env.Linker.Dlmopen(img, img.Name, done)
+		case loadFSCopy:
+			path := fmt.Sprintf("/scratch/fsglobals/%s.vp%d", img.Name, vp)
+			copyH, done, err = env.Linker.DlopenFromFS(env.FS, img, path, loader.WriteBinaryToFS(env.FS, img, path, done))
+		case loadDuplicate:
+			var cost sim.Time
+			c.Private, cost, err = duplicateInstance(env, tmpl, c.Heap, m.pie)
+			done += cost
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: %s: rank %d: %w", m.kind, vp, err)
+		}
+		if copyH != nil {
+			done = env.Linker.PopulateShim(copyH, done)
+			c.Private = copyH.Inst
+		}
+		if p.heapInit != nil {
+			c.heapCells, err = c.Heap.Alloc(uint64(len(p.heapInit))*8, r.cellLabel)
+			if err != nil {
+				return nil, err
+			}
+			copy(c.heapCells.Words, p.heapInit)
+		}
+		if p.tlsInit != nil {
+			c.TLS = append(make([]uint64, 0, len(p.tlsInit)), p.tlsInit...)
+		}
+		done += cellCopy + tlsCopy
+		res.Contexts = append(res.Contexts, c)
+	}
+	res.Done = done
+	return res, nil
 }
 
-// tlsCopyCost is the cost of materializing one rank's TLS block from
-// the image's TLS initialization template.
-func tlsCopyCost(env *ProcessEnv, words int) sim.Time {
-	return env.Cost.CopyTime(uint64(words) * 8)
+// diffPhdr finds the phdr record present in after but not before —
+// how the PIEglobals loader locates the fresh object's segments.
+func diffPhdr(before, after []loader.SegmentInfo, want string) (loader.SegmentInfo, error) {
+	seen := make(map[uint64]bool, len(before))
+	for _, s := range before {
+		seen[s.CodeBase] = true
+	}
+	for _, s := range after {
+		if !seen[s.CodeBase] {
+			return s, nil
+		}
+	}
+	return loader.SegmentInfo{}, fmt.Errorf("core: pieglobals: dl_iterate_phdr diff found no new object for %q", want)
 }
 
 // accessCost returns the per-load/store charge for a variable reached

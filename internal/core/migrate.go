@@ -36,11 +36,7 @@ func (p *MigrationPayload) DeltaBytes() uint64 {
 // Serialize captures the rank's migratable state, or explains why the
 // active privatization method cannot migrate it.
 func (c *RankContext) Serialize() (*MigrationPayload, error) {
-	if !c.Migratable {
-		veto := c.MigrationVeto
-		if veto == "" {
-			veto = "method does not support migration"
-		}
+	if veto := c.Method.row().veto; veto != "" {
 		return nil, fmt.Errorf("core: rank %d cannot migrate under %s: %s", c.VP, c.Method.Kind(), veto)
 	}
 	p := &MigrationPayload{VP: c.VP, Heap: c.Heap.Serialize()}

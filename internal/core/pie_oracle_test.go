@@ -211,3 +211,10 @@ func TestPIEDuplicationMatchesCopyAndScan(t *testing.T) {
 		})
 	}
 }
+
+// TestSetupMatchesOracleADCIRC runs the nine-methods oracle
+// (methods_oracle_test.go) over the image the paper's scaling study
+// loads: Fortran, TLS-tagged variables only, 16 MiB of segments.
+func TestSetupMatchesOracleADCIRC(t *testing.T) {
+	core.OracleCompare(t, adcirc.Image())
+}

@@ -170,22 +170,6 @@ func TestInstanceFuncAddressing(t *testing.T) {
 	}
 }
 
-func TestSetGOTEntry(t *testing.T) {
-	img := testImage(t)
-	in, _ := NewInstance(img, 0x40000, 0x900000, 0)
-	g1 := img.VarByName("g1")
-	if err := in.SetGOTEntryForVar(g1, 0xabcd000); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := in.GOTEntryForVar(g1)
-	if got != 0xabcd000 {
-		t.Errorf("GOT entry %#x after swap", got)
-	}
-	if err := in.SetGOTEntryForVar(img.VarByName("s1"), 1); err == nil {
-		t.Error("setting GOT entry for a static must fail")
-	}
-}
-
 func TestRunCtors(t *testing.T) {
 	img, err := NewBuilder("cpp").
 		Language("c++").

@@ -50,48 +50,12 @@ func (c StorageClass) String() string {
 	}
 }
 
-// Level is a variable's privatization level under hierarchical local
-// storage (MPC's HLS extension, §2.3.5): data may be private per
-// user-level thread, shared among the ranks of one core, or shared
-// node-wide, minimizing memory overhead for data that is logically
-// shared at a coarser granularity (lookup tables, read-mostly model
-// state).
-type Level int
-
-const (
-	// LevelULT is full per-rank privatization (the default).
-	LevelULT Level = iota
-	// LevelCore shares the variable among ranks co-scheduled on one
-	// core (PE).
-	LevelCore
-	// LevelNode shares the variable among all ranks in the process
-	// (one process per node in the deployments HLS targets).
-	LevelNode
-)
-
-func (l Level) String() string {
-	switch l {
-	case LevelULT:
-		return "ult"
-	case LevelCore:
-		return "core"
-	case LevelNode:
-		return "node"
-	default:
-		return fmt.Sprintf("Level(%d)", int(l))
-	}
-}
-
 // Var declares one program variable. Every variable occupies one 8-byte
 // cell in the data segment at offset 8*Index.
 type Var struct {
 	Name  string
 	Class StorageClass
 	Init  uint64
-	// Level is the hierarchical-local-storage privatization level,
-	// honored only by HLS-capable methods; everything else privatizes
-	// per rank.
-	Level Level
 	// Tagged reports whether the programmer annotated the declaration
 	// thread_local / __thread / !$omp threadprivate. TLSglobals only
 	// privatizes tagged variables — the source of its "Mediocre"
@@ -266,20 +230,6 @@ func (b *Builder) TaggedStatic(name string, init uint64) *Builder {
 // Const declares a write-once/read-only variable (safe to share).
 func (b *Builder) Const(name string, init uint64) *Builder {
 	return b.addVar(name, ClassConst, init, false)
-}
-
-// Level annotates the most recently declared variable with an HLS
-// privatization level.
-func (b *Builder) Level(l Level) *Builder {
-	if b.err != nil {
-		return b
-	}
-	if len(b.img.Vars) == 0 {
-		b.err = fmt.Errorf("elf: Level with no preceding variable")
-		return b
-	}
-	b.img.Vars[len(b.img.Vars)-1].Level = l
-	return b
 }
 
 // Func declares a function of the given byte size.

@@ -136,18 +136,6 @@ func (in *Instance) GOTEntryForVar(v *Var) (addr uint64, ok bool) {
 	return in.Load(in.gotBase() + slot), true
 }
 
-// SetGOTEntryForVar overwrites the GOT slot for an external-linkage
-// variable; Swapglobals uses this to point a rank's GOT at its private
-// copy of the variable.
-func (in *Instance) SetGOTEntryForVar(v *Var, addr uint64) error {
-	slot := in.gotIndexOfVar(v)
-	if slot < 0 {
-		return fmt.Errorf("elf: %s has no GOT entry (static variable)", v.Name)
-	}
-	*in.Word(in.gotBase() + slot) = addr
-	return nil
-}
-
 // ContainsCode reports whether addr falls in this instance's code
 // segment.
 func (in *Instance) ContainsCode(addr uint64) bool {

@@ -31,7 +31,7 @@ func runWorld(t *testing.T, cfg ampi.Config, prog *ampi.Program) *ampi.World {
 
 // migrateOnce moves one ADCIRC-image rank across two nodes and returns
 // the migration record and the rank's resident bytes after it.
-func migrateOnce(t *testing.T, cost *machine.CostModel, method core.Method) (ampi.MigrationRecord, uint64) {
+func migrateOnce(t *testing.T, cost *machine.CostModel, method *core.Method) (ampi.MigrationRecord, uint64) {
 	t.Helper()
 	w := runWorld(t, ampi.Config{
 		Machine:  machine.Config{Nodes: 2, ProcsPerNode: 1, PEsPerProc: 1, Cost: cost},

@@ -30,7 +30,7 @@ func MemoryFootprint(o Opts) ([]MemoryRow, *trace.Table, error) {
 	// points never share mutable state.
 	variants := []struct {
 		name   string
-		method core.Method
+		method *core.Method
 	}{
 		{"tlsglobals", core.New(core.KindTLSglobals)},
 		{"pipglobals", core.New(core.KindPIPglobals)},

@@ -61,8 +61,6 @@ type Handle struct {
 	// CtorAllocs counts heap allocations made by static constructors
 	// when this handle was opened.
 	CtorAllocs int
-
-	refs int
 }
 
 // SegmentInfo is one dl_iterate_phdr record.
@@ -132,7 +130,6 @@ func (l *Linker) open(img *elf.Image, path string, namespace int) (*Handle, erro
 		DataRegion: data,
 		Namespace:  namespace,
 		CtorAllocs: n,
-		refs:       1,
 	}
 	l.byPath[path] = h
 	l.handles = append(l.handles, h)
@@ -145,7 +142,6 @@ func (l *Linker) open(img *elf.Image, path string, namespace int) (*Handle, erro
 // reference semantics) at negligible cost.
 func (l *Linker) Dlopen(img *elf.Image, path string, start sim.Time) (*Handle, sim.Time, error) {
 	if h, ok := l.byPath[path]; ok {
-		h.refs++
 		return h, start + l.Cost.DlopenBase/10, nil
 	}
 	h, err := l.open(img, path, 0)
@@ -215,31 +211,6 @@ func (l *Linker) IteratePhdr() []SegmentInfo {
 		})
 	}
 	return out
-}
-
-// Dlclose drops a reference; the final close unmaps the segments.
-func (l *Linker) Dlclose(h *Handle) error {
-	if h.refs <= 0 {
-		return fmt.Errorf("loader: dlclose of closed handle %q", h.Path)
-	}
-	h.refs--
-	if h.refs > 0 {
-		return nil
-	}
-	if err := l.Proc.AS.Unmap(h.CodeRegion.Base); err != nil {
-		return err
-	}
-	if err := l.Proc.AS.Unmap(h.DataRegion.Base); err != nil {
-		return err
-	}
-	delete(l.byPath, h.Path)
-	for i, hh := range l.handles {
-		if hh == h {
-			l.handles = append(l.handles[:i], l.handles[i+1:]...)
-			break
-		}
-	}
-	return nil
 }
 
 // WriteBinaryToFS writes one rank's copy of the binary to the shared

@@ -2,7 +2,6 @@ package loader
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"provirt/internal/elf"
@@ -129,27 +128,6 @@ func TestIteratePhdrDiff(t *testing.T) {
 	}
 	if after[0].CodeSize != img.CodeSize {
 		t.Error("phdr code size wrong")
-	}
-}
-
-func TestDlclose(t *testing.T) {
-	l, _, img := testSetup(t)
-	h, _, _ := l.Dlopen(img, "app", 0)
-	l.Dlopen(img, "app", 0) // refcount 2
-	if err := l.Dlclose(h); err != nil {
-		t.Fatal(err)
-	}
-	if len(l.IteratePhdr()) != 1 {
-		t.Fatal("object unmapped while referenced")
-	}
-	if err := l.Dlclose(h); err != nil {
-		t.Fatal(err)
-	}
-	if len(l.IteratePhdr()) != 0 {
-		t.Fatal("object still mapped after final close")
-	}
-	if err := l.Dlclose(h); err == nil || !strings.Contains(err.Error(), "closed handle") {
-		t.Fatalf("dlclose of closed handle: %v", err)
 	}
 }
 

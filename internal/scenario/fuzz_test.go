@@ -9,7 +9,9 @@ import (
 // must validate and hash without panicking, and a Spec that hashes must
 // survive the wire: re-marshaled and decoded again it has the same
 // digest and the same validity, so a cache entry can never be reached
-// by one encoding of a point and missed by another.
+// by one encoding of a point and missed by another. And what Validate
+// passes, the engine builds: a valid document never becomes a 200 whose
+// stream carries a build error.
 func FuzzSpecDecode(f *testing.F) {
 	// The scripts/serve_smoke.sh point.
 	f.Add([]byte(`{"workload":"empty","vps":4,"machine":{"nodes":2,"procs_per_node":1,"pes_per_proc":1},"method":"pieglobals"}`))
@@ -22,6 +24,11 @@ func FuzzSpecDecode(f *testing.F) {
 	f.Add([]byte(`{"workload":"empty","vps":4,"machine":{"nodes":1000000,"procs_per_node":1000000,"pes_per_proc":1000000}}`))
 	// A crash process, and a churn spec asking for an unbounded plan.
 	f.Add([]byte(`{"workload":"checkpointed","vps":6,"machine":{"nodes":3,"procs_per_node":1,"pes_per_proc":2},"method":"pieglobals","checkpoint":{"target":"fs","interval_ns":19000000},"faults":{"seed":3,"mtbf_ns":1,"horizon_ns":4611686018427387904},"churn":{"eviction_every_ns":1,"horizon_ns":4611686018427387904,"max_events":4611686018427387904}}`))
+	// Validate once passed these and Build refused them: 14 PIPglobals
+	// ranks placed in one of two processes, and a placement past the
+	// machine's last PE.
+	f.Add([]byte(`{"workload":"empty","method":"pipglobals","vps":14,"machine":{"nodes":2,"procs_per_node":1,"pes_per_proc":1},"placement":[0,0,0,0,0,0,0,0,0,0,0,0,0,0]}`))
+	f.Add([]byte(`{"workload":"empty","method":"tlsglobals","vps":2,"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":1},"placement":[0,5]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var sp Spec
 		if json.Unmarshal(data, &sp) != nil {
@@ -45,6 +52,15 @@ func FuzzSpecDecode(f *testing.F) {
 		}
 		if (back.Validate() == nil) != valid {
 			t.Fatalf("validity moved across the wire (was valid: %v)\ndoc: %s", valid, doc)
+		}
+		// Small bare points only: a supervised run builds its worlds
+		// inside the supervisor, and how much stack fits beside a method's
+		// own allocations is the rank heap's to refuse, not Validate's
+		// (TestValidateStackSizeBeyondRankRange).
+		if _, known := LookupWorkload(sp.Workload); valid && known && !sp.supervised() && sp.VPs <= 64 && sp.StackSize <= 1<<30 {
+			if _, err := sp.Build(); err != nil {
+				t.Fatalf("Validate passed a Spec that does not build: %v\ndoc: %s", err, doc)
+			}
 		}
 	})
 }

@@ -27,6 +27,7 @@ import (
 
 	"provirt/internal/ampi"
 	"provirt/internal/core"
+	"provirt/internal/elf"
 	"provirt/internal/ft"
 	"provirt/internal/lb"
 	"provirt/internal/machine"
@@ -39,11 +40,11 @@ type EnvPolicy int
 
 const (
 	// EnvAdjust (the default) starts from the paper's Bridges-2
-	// environment and adjusts it so the selected method can run, as the
-	// paper's experiments did: PIPglobals beyond 12 ranks per process
-	// gets the patched glibc, Swapglobals gets the old-or-patched
-	// linker, and -fmpc-privatize gets the MPC-patched compiler.
-	// Explicit Tweaks are applied on top.
+	// environment and grants the selected method what it needs and that
+	// environment lacks (core.Method.Grant), as the paper's experiments
+	// did: PIPglobals beyond 12 ranks per process gets the patched glibc,
+	// Swapglobals gets the old-or-patched linker, and -fmpc-privatize
+	// gets the MPC-patched compiler. Explicit Tweaks are applied on top.
 	EnvAdjust EnvPolicy = iota
 	// EnvBridges2 uses the stock Bridges-2 environment plus explicit
 	// Tweaks only; a method whose requirements are not met fails
@@ -80,7 +81,7 @@ type Spec struct {
 	// MethodImpl, if non-nil, overrides Method with a configured
 	// instance (e.g. core.NewPIEglobals with future-work options); its
 	// Kind is used for validation.
-	MethodImpl core.Method
+	MethodImpl *core.Method
 
 	// EnvPolicy, Tweaks, Toolchain, and OS describe the build/run
 	// environment; see EnvPolicy.
@@ -156,12 +157,12 @@ func (e *ValidationError) Error() string {
 // supervisor: it names a fault or a churn process.
 func (s *Spec) supervised() bool { return s.Faults != nil || s.Churn != nil }
 
-// capabilities returns the effective method's Table 3 row.
-func (s *Spec) capabilities() core.Capabilities {
+// method returns the effective method, or nil when Method names none.
+func (s *Spec) method() *core.Method {
 	if s.MethodImpl != nil {
-		return s.MethodImpl.Capabilities()
+		return s.MethodImpl
 	}
-	return core.CapabilitiesOf(s.Method)
+	return core.New(s.Method)
 }
 
 // kind returns the effective method kind.
@@ -172,15 +173,41 @@ func (s *Spec) kind() core.Kind {
 	return s.Method
 }
 
-// ranksPerProc returns the worst-case virtual ranks per OS process
-// under the default block placement (used for the PIPglobals namespace
-// limit).
+// ranksPerProc returns the most virtual ranks any one OS process hosts
+// (the PIPglobals namespace limit is per process): counted from
+// Placement when it is set, else the block placement's
+// ceil(VPs/processes). It is called on Specs Validate has not passed.
 func (s *Spec) ranksPerProc() int {
 	procs := s.Machine.Nodes * s.Machine.ProcsPerNode
-	if procs <= 0 {
+	if procs <= 0 || s.Machine.PEsPerProc <= 0 {
 		return s.VPs
 	}
-	return (s.VPs + procs - 1) / procs
+	if s.Placement == nil {
+		return (s.VPs + procs - 1) / procs
+	}
+	most, perProc := 0, make(map[int]int)
+	for _, pe := range s.Placement {
+		proc := pe / s.Machine.PEsPerProc
+		perProc[proc]++
+		most = max(most, perProc[proc])
+	}
+	return most
+}
+
+// image returns the program the method's requirements on the program
+// are checked against: the explicit Program's, or the named workload's
+// when the method has such requirements at all. Nil when there is none
+// to check.
+func (s *Spec) image(m *core.Method) *elf.Image {
+	if s.Program != nil {
+		return s.Program.Image
+	}
+	wl, ok := LookupWorkload(s.Workload)
+	if !ok || m.Needs()&core.NeedsOfImage == 0 {
+		return nil
+	}
+	prog, _ := wl.New(s.WorkloadParams)
+	return prog.Image
 }
 
 // env resolves the toolchain/OS pair the run executes under.
@@ -198,17 +225,8 @@ func (s *Spec) env() (core.Toolchain, core.OS) {
 	if s.Tweaks.MPCToolchain {
 		tc.MPCPatched = true
 	}
-	if s.EnvPolicy == EnvAdjust {
-		switch s.kind() {
-		case core.KindPIPglobals:
-			if s.ranksPerProc() > 12 {
-				osEnv.PatchedGlibc = true
-			}
-		case core.KindSwapglobals:
-			osEnv.OldOrPatchedLinker = true
-		case core.KindMPCPrivatize:
-			tc.MPCPatched = true
-		}
+	if m := s.method(); m != nil && s.EnvPolicy == EnvAdjust {
+		tc, osEnv = m.Grant(tc, osEnv, s.ranksPerProc())
 	}
 	return tc, osEnv
 }
@@ -221,6 +239,7 @@ func (s *Spec) Validate() error {
 		errs = append(errs, FieldError{Field: field, Msg: fmt.Sprintf(format, args...)})
 	}
 
+	machineOK := false
 	if err := s.Machine.Validate(); err != nil {
 		add("Machine", "%v", err)
 	} else if m := s.Machine; m.Nodes > mem.MaxRanks || m.ProcsPerNode > mem.MaxRanks/m.Nodes ||
@@ -230,6 +249,8 @@ func (s *Spec) Validate() error {
 		// never run one.
 		add("Machine", "%d x %d x %d PEs exceed the %d a world's ranks could occupy",
 			m.Nodes, m.ProcsPerNode, m.PEsPerProc, mem.MaxRanks)
+	} else {
+		machineOK = true
 	}
 	if s.VPs <= 0 {
 		add("VPs", "must be positive, got %d", s.VPs)
@@ -237,11 +258,9 @@ func (s *Spec) Validate() error {
 		add("VPs", "%d ranks exceed the Isomalloc arena's %d per-rank ranges", s.VPs, mem.MaxRanks)
 	}
 
-	kind := s.kind()
-	caps := s.capabilities()
-	if caps.DisplayName == "" {
-		add("Method", "unknown privatization method %d", int(kind))
-		caps = core.Capabilities{}
+	m := s.method()
+	if m == nil {
+		add("Method", "unknown privatization method %d", int(s.Method))
 	}
 
 	// A Spec with neither Workload nor Program is still valid for
@@ -257,14 +276,20 @@ func (s *Spec) Validate() error {
 		}
 	}
 
-	if s.Balancer != nil && caps.DisplayName != "" && !caps.SupportsMigration {
-		add("Balancer", "method %s does not support migration; a load balancer cannot move its ranks", kind)
-	}
-	if caps.DisplayName != "" && !caps.SupportsSMP && s.Machine.PEsPerProc > 1 {
-		add("Machine", "method %s does not support SMP mode (%d PEs per process)", kind, s.Machine.PEsPerProc)
+	if s.Balancer != nil && m != nil && !m.Migratable() {
+		add("Balancer", "method %s does not support migration; a load balancer cannot move its ranks", m.Kind())
 	}
 	if s.Placement != nil && len(s.Placement) != s.VPs {
 		add("Placement", "has %d entries, want one per VP (%d)", len(s.Placement), s.VPs)
+	}
+	if machineOK {
+		npes := s.Machine.Nodes * s.Machine.ProcsPerNode * s.Machine.PEsPerProc
+		for vp, pe := range s.Placement {
+			if pe < 0 || pe >= npes {
+				add("Placement", "entry %d is PE %d, but the machine has PEs 0..%d", vp, pe, npes-1)
+				break
+			}
+		}
 	}
 	if s.Churn != nil {
 		if err := s.Churn.Validate(); err != nil {
@@ -274,8 +299,8 @@ func (s *Spec) Validate() error {
 			if s.Checkpoint == nil || s.Checkpoint.Interval <= 0 {
 				add("Churn", "elastic membership changes need a checkpoint policy to drain through")
 			}
-			if caps.DisplayName != "" && !caps.SupportsMigration {
-				add("Churn", "method %s does not support migration; ranks cannot move when the machine reshapes", kind)
+			if m != nil && !m.Migratable() {
+				add("Churn", "method %s does not support migration; ranks cannot move when the machine reshapes", m.Kind())
 			}
 		}
 	}
@@ -296,42 +321,18 @@ func (s *Spec) Validate() error {
 		add("StackSize", "%d bytes exceed a rank's %d-byte Isomalloc range", s.StackSize, uint64(mem.IsomallocRangeSize))
 	}
 
-	// Environment requirements the resolved env cannot meet. Under
-	// EnvAdjust these are satisfied by construction; under EnvBridges2
-	// and EnvExplicit the combination is a user error worth naming
-	// before the engine rejects it.
-	tc, osEnv := s.env()
-	if caps.DisplayName != "" {
-		switch kind {
-		case core.KindSwapglobals:
-			if !osEnv.OldOrPatchedLinker {
-				add("Method", "swapglobals needs an old or patched linker (ld <= 2.23)")
+	// What the method needs and the resolved environment, the machine
+	// shape or the program does not supply — the same list Setup would
+	// refuse the first entry of, named here before a world is built.
+	if m != nil {
+		tc, osEnv := s.env()
+		env := &core.ProcessEnv{Toolchain: tc, OS: osEnv, SMP: s.Machine.SMPMode()}
+		for _, u := range m.Unmet(env, s.image(m), s.ranksPerProc()) {
+			field := "Method"
+			if u.Need == core.NeedNoSMP {
+				field = "Machine"
 			}
-		case core.KindMPCPrivatize:
-			if !tc.MPCPatched {
-				add("Method", "fmpc-privatize needs an MPC-patched compiler")
-			}
-		case core.KindPIPglobals:
-			if !osEnv.PatchedGlibc && s.ranksPerProc() > 12 {
-				add("Method", "pipglobals beyond 12 ranks per process needs the patched glibc (%d ranks/process)", s.ranksPerProc())
-			}
-		case core.KindFSglobals:
-			if !osEnv.SharedFS {
-				add("Method", "fsglobals needs a shared filesystem")
-			}
-		case core.KindTLSglobals:
-			if !tc.SupportsTLSSegRefs {
-				add("Method", "tlsglobals needs -mno-tls-direct-seg-refs compiler support")
-			}
-		}
-		// The three runtime methods load the program through the dynamic
-		// linker, and two of them through glibc extensions.
-		runtimeMethod := kind == core.KindPIPglobals || kind == core.KindPIEglobals
-		if runtimeMethod && (osEnv.Kind != "linux" || !osEnv.Glibc) {
-			add("Method", "%s needs GNU/Linux (dlmopen and dl_iterate_phdr are glibc extensions)", kind)
-		}
-		if (runtimeMethod || kind == core.KindFSglobals) && !tc.PIE {
-			add("Method", "%s needs the program built as a Position Independent Executable", kind)
+			add(field, "%s", u.Msg)
 		}
 	}
 
