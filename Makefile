@@ -33,13 +33,13 @@ cover:
 # The sweep runner, the per-world pools, and the parallel event loop
 # (sim.ParallelEngine's window workers) are the code that runs under
 # parallelism; race-check the packages that exercise them (the ft
-# supervisor runs inside the parallel sweep fan-outs, and machine/lb
-# carry the membership-epoch and rebalance state it mutates between
-# attempts). Every rank's copy-on-write data segment in a process reads
-# one shared base from whichever sweep worker runs its world, so mem and
-# core are checked too. ult is here because
-# its handoff is iter.Pull, which carries the race detector's
-# annotations: the kill/unwind and leak tests must hold under them.
+# supervisor runs inside the parallel sweep fan-outs, and builds a new
+# machine and rebalance state for every attempt). Every rank's
+# copy-on-write data segment in a process reads one shared base from
+# whichever sweep worker runs its world, so mem and core are checked
+# too. ult is here because its handoff is iter.Pull, which carries the
+# race detector's annotations: the kill/unwind and leak tests must hold
+# under them.
 race:
 	$(GO) test -race ./internal/ult/... ./internal/sim/... ./internal/harness/... ./internal/ampi/... ./internal/ft/... ./internal/machine/... ./internal/lb/... ./internal/mem/... ./internal/core/...
 
@@ -49,15 +49,19 @@ race-full:
 
 # Ten seconds each of the copy-on-write segment view against its
 # flat-heap oracle, of ChurnSpec.Compile against its sort-then-truncate
-# oracle, and of the Spec wire codec (decode, validate, hash, round
-# trip): long enough to leave the seed corpus, short enough for CI.
+# oracle, of the Spec wire codec (decode, validate, hash, round trip),
+# and of the result store's entry loader against arbitrary files: long
+# enough to leave the seed corpus, short enough for CI.
 fuzz-smoke:
 	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzSegmentView -fuzztime 10s
 	$(GO) test ./internal/ft -run '^$$' -fuzz FuzzChurnCompile -fuzztime 10s
 	$(GO) test ./internal/scenario -run '^$$' -fuzz FuzzSpecDecode -fuzztime 10s
+	$(GO) test ./internal/resultstore -run '^$$' -fuzz FuzzStoreLoad -fuzztime 10s
 
+# go vet, and no file gofmt would change.
 vet:
 	$(GO) vet ./...
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; echo "gofmt: the files above need formatting"; exit 1; }
 
 # Smoke-run every example at -quick scale; a broken example is a
 # broken front door even when the libraries all pass.

@@ -22,11 +22,11 @@ func BenchmarkAmpiPingPong(b *testing.B) {
 			if r.Rank() == 0 {
 				for i := 0; i < b.N; i++ {
 					r.Send(1, 7, payload, 0)
-					r.Recv(1, 8)
+					r.Wait(r.Irecv(1, 8))
 				}
 			} else {
 				for i := 0; i < b.N; i++ {
-					r.Recv(0, 7)
+					r.Wait(r.Irecv(0, 7))
 					r.Send(0, 8, payload, 0)
 				}
 			}
@@ -61,13 +61,13 @@ func BenchmarkAmpiManyPending(b *testing.B) {
 					for tag := 0; tag < pending; tag++ {
 						r.Send(0, tag, nil, 8)
 					}
-					r.Recv(0, 0) // round-trip gate, keeps queues bounded
+					r.Wait(r.Irecv(0, 0)) // round-trip gate, keeps queues bounded
 				}
 				return
 			}
 			for i := 0; i < b.N; i++ {
 				for tag := pending - 1; tag >= 0; tag-- {
-					r.Recv(1, tag)
+					r.Wait(r.Irecv(1, tag))
 				}
 				r.Send(1, 0, nil, 8)
 			}

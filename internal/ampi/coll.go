@@ -34,40 +34,19 @@ func (r *Rank) collBegin() (start sim.Time, on bool) {
 // collEnd emits the collective's span. The span covers the whole call
 // in the rank's virtual time, inclusive of the sends, receives, and
 // waits the algorithm performs inside it.
-func (r *Rank) collEnd(on bool, start sim.Time, op int32, root int) {
+func (r *Rank) collEnd(on bool, start sim.Time, op int32) {
 	if !on {
 		return
 	}
 	r.world.tracer.Emit(trace.Event{Time: start, Dur: r.thread.Now() - start, Kind: trace.KindColl,
-		PE: int32(r.pe.ID), VP: int32(r.vp), Peer: int32(root), Aux: op})
-}
-
-// Bcast broadcasts data from root along a binomial tree and returns
-// each rank's copy. bytes models the wire size (0 derives it from the
-// payload).
-func (r *Rank) Bcast(root int, data []float64, bytes uint64) []float64 {
-	r.checkPeer(root)
-	start, on := r.collBegin()
-	out := r.worldComm().Bcast(root, data, bytes)
-	r.collEnd(on, start, trace.CollBcast, root)
-	return out
-}
-
-// Reduce combines each rank's contribution with op along a binomial
-// tree; the result is returned at root (nil elsewhere).
-func (r *Rank) Reduce(root int, data []float64, op *Op) []float64 {
-	r.checkPeer(root)
-	start, on := r.collBegin()
-	out := r.worldComm().Reduce(root, data, op)
-	r.collEnd(on, start, trace.CollReduce, root)
-	return out
+		PE: int32(r.pe.ID), VP: int32(r.vp), Peer: -1, Aux: op})
 }
 
 // Allreduce is Reduce to rank 0 followed by Bcast.
 func (r *Rank) Allreduce(data []float64, op *Op) []float64 {
 	start, on := r.collBegin()
 	out := r.worldComm().Allreduce(data, op)
-	r.collEnd(on, start, trace.CollAllreduce, -1)
+	r.collEnd(on, start, trace.CollAllreduce)
 	return out
 }
 
@@ -75,70 +54,5 @@ func (r *Rank) Allreduce(data []float64, op *Op) []float64 {
 func (r *Rank) Barrier() {
 	start, on := r.collBegin()
 	r.worldComm().Barrier()
-	r.collEnd(on, start, trace.CollBarrier, -1)
-}
-
-// Gather collects each rank's fixed-size contribution at root; the
-// result at root is the concatenation in rank order (nil elsewhere).
-func (r *Rank) Gather(root int, data []float64) [][]float64 {
-	r.checkPeer(root)
-	start, on := r.collBegin()
-	out := r.worldComm().Gather(root, data)
-	r.collEnd(on, start, trace.CollGather, root)
-	return out
-}
-
-// Scatter distributes root's per-rank chunks; each rank returns its
-// own chunk.
-func (r *Rank) Scatter(root int, chunks [][]float64) []float64 {
-	r.checkPeer(root)
-	start, on := r.collBegin()
-	out := r.worldComm().Scatter(root, chunks)
-	r.collEnd(on, start, trace.CollScatter, root)
-	return out
-}
-
-// Allgather collects every rank's contribution everywhere.
-func (r *Rank) Allgather(data []float64) [][]float64 {
-	start, on := r.collBegin()
-	out := r.worldComm().Allgather(data)
-	r.collEnd(on, start, trace.CollAllgather, -1)
-	return out
-}
-
-// Alltoall exchanges chunk i of each rank's input with rank i.
-func (r *Rank) Alltoall(chunks [][]float64) [][]float64 {
-	start, on := r.collBegin()
-	out := r.worldComm().Alltoall(chunks)
-	r.collEnd(on, start, trace.CollAlltoall, -1)
-	return out
-}
-
-// Scan computes an inclusive prefix reduction: rank i returns op
-// applied over the contributions of ranks 0..i (MPI_Scan).
-func (r *Rank) Scan(data []float64, op *Op) []float64 {
-	start, on := r.collBegin()
-	out := r.worldComm().Scan(data, op)
-	r.collEnd(on, start, trace.CollScan, -1)
-	return out
-}
-
-// Exscan computes an exclusive prefix reduction: rank i returns op
-// applied over ranks 0..i-1; rank 0 returns nil (MPI_Exscan).
-func (r *Rank) Exscan(data []float64, op *Op) []float64 {
-	start, on := r.collBegin()
-	out := r.worldComm().Exscan(data, op)
-	r.collEnd(on, start, trace.CollExscan, -1)
-	return out
-}
-
-// ReduceScatter reduces elementwise across ranks, then scatters equal
-// chunks: each rank returns its chunk of the reduced vector
-// (MPI_Reduce_scatter_block). The input length must be a multiple of
-// the rank count.
-func (r *Rank) ReduceScatter(data []float64, op *Op) []float64 {
-	start, on := r.collBegin()
-	out := r.worldComm().ReduceScatter(data, op)
-	r.collEnd(on, start, trace.CollReduceScatter, -1)
-	return out
+	r.collEnd(on, start, trace.CollBarrier)
 }

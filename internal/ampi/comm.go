@@ -1,83 +1,23 @@
 package ampi
 
-import (
-	"fmt"
-	"sort"
+import "provirt/internal/trace"
 
-	"provirt/internal/trace"
-)
-
-// WorldComm is the id of MPI_COMM_WORLD.
+// WorldComm is the id of MPI_COMM_WORLD, the communicator every message
+// travels on.
 const WorldComm = 0
 
-// Comm is a communicator: an ordered group of world ranks with its own
-// rank numbering and isolated tag space. The zero communicator
-// (CommWorld) contains every rank.
+// Comm is a rank's view of MPI_COMM_WORLD: the binomial-tree
+// collectives, with a tag sequence of their own.
 type Comm struct {
 	r       *Rank
-	id      int
-	members []int // world rank per comm rank
-	myRank  int   // this rank's position in members
 	collSeq int
 }
 
 // CommWorld returns this rank's view of MPI_COMM_WORLD.
-func (r *Rank) CommWorld() *Comm {
-	members := make([]int, r.Size())
-	for i := range members {
-		members[i] = i
-	}
-	return &Comm{r: r, id: WorldComm, members: members, myRank: r.vp}
-}
-
-// Rank reports this rank's number within the communicator.
-func (c *Comm) Rank() int { return c.myRank }
+func (r *Rank) CommWorld() *Comm { return &Comm{r: r} }
 
 // Size reports the communicator's group size.
-func (c *Comm) Size() int { return len(c.members) }
-
-// ID returns the communicator's id (diagnostic).
-func (c *Comm) ID() int { return c.id }
-
-// WorldRank translates a communicator rank to a world rank.
-func (c *Comm) WorldRank(commRank int) int {
-	if commRank < 0 || commRank >= len(c.members) {
-		panic(fmt.Sprintf("ampi: comm %d rank %d out of range [0,%d)", c.id, commRank, len(c.members)))
-	}
-	return c.members[commRank]
-}
-
-// commRankOf translates a world rank to a communicator rank, or -1.
-func (c *Comm) commRankOf(world int) int {
-	for i, m := range c.members {
-		if m == world {
-			return i
-		}
-	}
-	return -1
-}
-
-// Send sends within the communicator (dst is a comm rank).
-func (c *Comm) Send(dst, tag int, data []float64, bytes uint64) {
-	c.r.checkUserTag(tag)
-	c.r.sendComm(c.WorldRank(dst), tag, c.id, data, bytes)
-}
-
-// Recv receives within the communicator; src is a comm rank or
-// AnySource.
-func (c *Comm) Recv(src, tag int) []float64 {
-	return c.r.Wait(c.Irecv(src, tag))
-}
-
-// Irecv posts a nonblocking receive within the communicator.
-func (c *Comm) Irecv(src, tag int) *Request {
-	c.r.checkUserTag(tag)
-	worldSrc := AnySource
-	if src != AnySource {
-		worldSrc = c.WorldRank(src)
-	}
-	return c.r.irecvComm(worldSrc, tag, c.id, false)
-}
+func (c *Comm) Size() int { return c.r.Size() }
 
 // nextCollTag allocates a collective tag unique to this communicator
 // instance sequence.
@@ -87,12 +27,12 @@ func (c *Comm) nextCollTag() int {
 }
 
 // sendColl / recvColl are the collective plumbing within the comm.
-func (c *Comm) sendColl(dstCommRank, tag int, data []float64, bytes uint64) {
-	c.r.sendInternalComm(c.WorldRank(dstCommRank), tag, c.id, data, bytes)
+func (c *Comm) sendColl(dst, tag int, data []float64, bytes uint64) {
+	c.r.sendMsg(dst, tag, WorldComm, data, bytes, true)
 }
 
-func (c *Comm) recvColl(srcCommRank, tag int) []float64 {
-	return c.r.Wait(c.r.irecvComm(c.WorldRank(srcCommRank), tag, c.id, true))
+func (c *Comm) recvColl(src, tag int) []float64 {
+	return c.r.Wait(c.r.irecvComm(src, tag, WorldComm, true))
 }
 
 // Barrier blocks until every member has entered it.
@@ -100,14 +40,14 @@ func (c *Comm) Barrier() {
 	c.Allreduce(nil, OpSum)
 }
 
-// Bcast broadcasts from the comm rank root along a binomial tree.
+// Bcast broadcasts from root along a binomial tree.
 func (c *Comm) Bcast(root int, data []float64, bytes uint64) []float64 {
 	size := c.Size()
 	tag := c.nextCollTag()
 	if size == 1 {
 		return append([]float64(nil), data...)
 	}
-	rel := (c.myRank - root + size) % size
+	rel := (c.r.vp - root + size) % size
 	parent, children := binomialParentChildren(rel, size)
 	buf := data
 	if rel != 0 {
@@ -125,13 +65,13 @@ func (c *Comm) Bcast(root int, data []float64, bytes uint64) []float64 {
 	return out
 }
 
-// Reduce combines contributions at the comm rank root.
+// Reduce combines contributions at root.
 func (c *Comm) Reduce(root int, data []float64, op *Op) []float64 {
 	size := c.Size()
 	tag := c.nextCollTag()
 	w := c.r.world
 	acc := w.copyBuf(data)
-	rel := (c.myRank - root + size) % size
+	rel := (c.r.vp - root + size) % size
 	parent, children := binomialParentChildren(rel, size)
 	for i := len(children) - 1; i >= 0; i-- {
 		part := c.recvColl(abs(children[i], root, size), tag)
@@ -158,236 +98,8 @@ func (c *Comm) Allreduce(data []float64, op *Op) []float64 {
 	return out
 }
 
-// Gather collects fixed-size contributions at the comm rank root.
-func (c *Comm) Gather(root int, data []float64) [][]float64 {
-	size := c.Size()
-	tag := c.nextCollTag()
-	if c.myRank != root {
-		c.sendColl(root, tag, data, 0)
-		return nil
-	}
-	out := make([][]float64, size)
-	out[root] = append([]float64(nil), data...)
-	reqs := make([]*Request, 0, size-1)
-	srcs := make([]int, 0, size-1)
-	for cr := 0; cr < size; cr++ {
-		if cr == root {
-			continue
-		}
-		reqs = append(reqs, c.r.irecvComm(c.WorldRank(cr), tag, c.id, true))
-		srcs = append(srcs, cr)
-	}
-	for i, q := range reqs {
-		out[srcs[i]] = c.r.Wait(q)
-	}
-	return out
-}
-
-// Allgather collects every member's contribution everywhere.
-func (c *Comm) Allgather(data []float64) [][]float64 {
-	all := c.Gather(0, data)
-	n := len(data)
-	var flat []float64
-	if c.myRank == 0 {
-		for _, chunk := range all {
-			flat = append(flat, chunk...)
-		}
-	}
-	flat = c.Bcast(0, flat, 0)
-	out := make([][]float64, c.Size())
-	for i := range out {
-		out[i] = flat[i*n : (i+1)*n]
-	}
-	return out
-}
-
-// Scatter distributes root's per-member chunks; each member returns
-// its own chunk.
-func (c *Comm) Scatter(root int, chunks [][]float64) []float64 {
-	size := c.Size()
-	tag := c.nextCollTag()
-	if c.myRank == root {
-		if len(chunks) != size {
-			panic(fmt.Sprintf("ampi: scatter at root with %d chunks for %d members", len(chunks), size))
-		}
-		for cr := 0; cr < size; cr++ {
-			if cr == root {
-				continue
-			}
-			c.sendColl(cr, tag, chunks[cr], 0)
-		}
-		return append([]float64(nil), chunks[root]...)
-	}
-	return c.recvColl(root, tag)
-}
-
-// Alltoall exchanges chunk i of each member's input with member i.
-func (c *Comm) Alltoall(chunks [][]float64) [][]float64 {
-	size := c.Size()
-	if len(chunks) != size {
-		panic(fmt.Sprintf("ampi: alltoall with %d chunks for %d members", len(chunks), size))
-	}
-	tag := c.nextCollTag()
-	out := make([][]float64, size)
-	reqs := make([]*Request, size)
-	for cr := 0; cr < size; cr++ {
-		if cr == c.myRank {
-			out[cr] = append([]float64(nil), chunks[cr]...)
-			continue
-		}
-		reqs[cr] = c.r.irecvComm(c.WorldRank(cr), tag, c.id, true)
-	}
-	for d := 1; d < size; d++ {
-		cr := (c.myRank + d) % size
-		c.sendColl(cr, tag, chunks[cr], 0)
-	}
-	for cr := 0; cr < size; cr++ {
-		if cr == c.myRank {
-			continue
-		}
-		out[cr] = c.r.Wait(reqs[cr])
-	}
-	return out
-}
-
-// Scan computes an inclusive prefix reduction along the communicator
-// order (MPI_Scan). Linear chain algorithm.
-func (c *Comm) Scan(data []float64, op *Op) []float64 {
-	size := c.Size()
-	tag := c.nextCollTag()
-	acc := append([]float64(nil), data...)
-	if c.myRank > 0 {
-		prev := c.recvColl(c.myRank-1, tag)
-		acc = c.r.world.applyOp(op, c.r, prev, acc)
-		c.r.world.releaseAfterOp(op, prev)
-	}
-	if c.myRank < size-1 {
-		c.sendColl(c.myRank+1, tag, acc, 0)
-	}
-	return acc
-}
-
-// Exscan computes an exclusive prefix reduction; member 0 returns nil
-// (MPI_Exscan).
-func (c *Comm) Exscan(data []float64, op *Op) []float64 {
-	size := c.Size()
-	tag := c.nextCollTag()
-	var acc []float64
-	if c.myRank > 0 {
-		acc = c.recvColl(c.myRank-1, tag)
-	}
-	if c.myRank < size-1 {
-		fwd := c.r.world.copyBuf(data)
-		if acc != nil {
-			fwd = c.r.world.applyOp(op, c.r, acc, fwd)
-		}
-		c.sendColl(c.myRank+1, tag, fwd, 0)
-		c.r.world.releaseAfterOp(op, fwd)
-	}
-	return acc
-}
-
-// ReduceScatter reduces elementwise then scatters equal chunks
-// (MPI_Reduce_scatter_block).
-func (c *Comm) ReduceScatter(data []float64, op *Op) []float64 {
-	size := c.Size()
-	if len(data)%size != 0 {
-		panic(fmt.Sprintf("ampi: reduce_scatter input length %d not divisible by %d members", len(data), size))
-	}
-	full := c.Reduce(0, data, op)
-	n := len(data) / size
-	var chunks [][]float64
-	if c.myRank == 0 {
-		chunks = make([][]float64, size)
-		for i := range chunks {
-			chunks[i] = full[i*n : (i+1)*n]
-		}
-	}
-	return c.Scatter(0, chunks)
-}
-
-// Split partitions the communicator by color (MPI_Comm_split): members
-// with equal color form a new communicator, ordered by (key, parent
-// rank). A negative color (MPI_UNDEFINED) yields nil. Split is a
-// collective over the parent communicator.
-func (c *Comm) Split(color, key int) *Comm {
-	// Exchange (color, key) among all members.
-	pairs := c.Allgather([]float64{float64(color), float64(key)})
-
-	// The new communicator's id must be identical on every member of a
-	// color group and distinct from every other live communicator.
-	// Every member computes it locally from (parent id, parent
-	// collective sequence, color); the inputs are in lockstep across
-	// members because MPI requires collectives in program order, and
-	// the mix makes collisions between unrelated splits astronomically
-	// unlikely (a simple affine formula collides when colors are large).
-	newID := mixCommID(uint64(c.id), uint64(c.collSeq), uint64(color)+1)
-
-	if color < 0 {
-		return nil
-	}
-	type member struct{ commRank, key int }
-	var group []member
-	for cr, p := range pairs {
-		if int(p[0]) == color {
-			group = append(group, member{commRank: cr, key: int(p[1])})
-		}
-	}
-	sort.SliceStable(group, func(i, j int) bool {
-		if group[i].key != group[j].key {
-			return group[i].key < group[j].key
-		}
-		return group[i].commRank < group[j].commRank
-	})
-	nc := &Comm{r: c.r, id: newID}
-	for i, m := range group {
-		nc.members = append(nc.members, c.WorldRank(m.commRank))
-		if m.commRank == c.myRank {
-			nc.myRank = i
-		}
-	}
-	return nc
-}
-
-// Dup duplicates the communicator with a fresh id and tag space
-// (MPI_Comm_dup). Collective.
-func (c *Comm) Dup() *Comm {
-	return c.Split(0, c.myRank)
-}
-
-// mixCommID derives a communicator id from (parent, seq, color) with a
-// splitmix64-style finalizer; the result is positive and nonzero so it
-// never aliases WorldComm.
-func mixCommID(parent, seq, color uint64) int {
-	x := parent*0x9E3779B97F4A7C15 + seq*0xBF58476D1CE4E5B9 + color*0x94D049BB133111EB
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	id := int(x & 0x7FFF_FFFF_FFFF)
-	if id == WorldComm {
-		id = 1
-	}
-	return id
-}
-
-// --- Rank-level plumbing with explicit communicator ids ---
-
-func (r *Rank) sendComm(dstWorld, tag, comm int, data []float64, bytes uint64) {
-	r.checkPeer(dstWorld)
-	if tag == AnyTag {
-		panic(fmt.Sprintf("ampi: rank %d: send with wildcard tag", r.vp))
-	}
-	r.sendMsg(dstWorld, tag, comm, data, bytes, false)
-}
-
-func (r *Rank) sendInternalComm(dstWorld, tag, comm int, data []float64, bytes uint64) {
-	r.sendMsg(dstWorld, tag, comm, data, bytes, true)
-}
-
 func (r *Rank) irecvComm(srcWorld, tag, comm int, internal bool) *Request {
-	q := &Request{rank: r, src: srcWorld, tag: tag, comm: comm, recv: true, internal: internal}
+	q := &Request{rank: r, src: srcWorld, tag: tag, comm: comm, internal: internal}
 	w := r.world
 	if w.tracer != nil {
 		w.tracer.Emit(trace.Event{Time: r.thread.Now(), Kind: trace.KindRecvPost,

@@ -174,69 +174,3 @@ func TestReconfigureRaceWithNodeFailure(t *testing.T) {
 		t.Fatalf("Run returned %v, want *NodeFailure (notice too short to drain)", err)
 	}
 }
-
-func TestFlatExpandStorm(t *testing.T) {
-	w, err := ampi.NewFlatWorld(ampi.FlatConfig{
-		Machine: machine.Config{Nodes: 2, ProcsPerNode: 1, PEsPerProc: 2},
-		VPs:     512,
-		Image:   flatImage(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Allreduce(8); err != nil {
-		t.Fatal(err)
-	}
-	before := w.Time()
-	done, err := w.ExpandStorm(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Cluster.Epoch() != 1 {
-		t.Errorf("cluster epoch = %d, want 1", w.Cluster.Epoch())
-	}
-	if got := len(w.Cluster.PEs()); got != 8 {
-		t.Errorf("PE count after expand = %d, want 8", got)
-	}
-	if done <= before {
-		t.Errorf("expand storm finished at %v, not after %v", done, before)
-	}
-	// Block placement over a doubled machine keeps only the first
-	// block (ranks 0-63 stay on PE 0); everyone else storms over.
-	if w.Migrations != 448 {
-		t.Errorf("expand migrated %d ranks, want 448", w.Migrations)
-	}
-	// Collectives keep working over the widened machine.
-	if _, err := w.Allreduce(8); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFlatExpandStormDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) (sim.Time, int, uint64) {
-		w, err := ampi.NewFlatWorld(ampi.FlatConfig{
-			Machine:    machine.Config{Nodes: 4, ProcsPerNode: 1, PEsPerProc: 2},
-			VPs:        1024,
-			Image:      flatImage(),
-			SimWorkers: workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.Allreduce(64); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.ExpandStorm(2); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.Allreduce(64); err != nil {
-			t.Fatal(err)
-		}
-		return w.Time(), w.Migrations, w.MigratedBytes
-	}
-	t1, m1, b1 := run(1)
-	t8, m8, b8 := run(8)
-	if t1 != t8 || m1 != m8 || b1 != b8 {
-		t.Errorf("serial (%v, %d, %d) != parallel (%v, %d, %d)", t1, m1, b1, t8, m8, b8)
-	}
-}

@@ -252,9 +252,6 @@ func NewFlatWorld(cfg FlatConfig) (*FlatWorld, error) {
 	return w, nil
 }
 
-// VPs reports the number of virtual ranks.
-func (w *FlatWorld) VPs() int { return len(w.ranks) }
-
 // Time reports the maximum rank clock — the job's elapsed virtual time.
 func (w *FlatWorld) Time() sim.Time {
 	t := w.SetupDone
@@ -457,28 +454,23 @@ func (w *FlatWorld) bcastArrive(s sim.Sched, now sim.Time, arg any) {
 
 // MigrationStorm migrates every stride-th rank to the PE halfway across
 // the machine, all departing at the current world clock — the
-// load-balancer-gone-wild stress case. It returns the time the last
-// rank landed.
+// load-balancer-gone-wild stress case. Each migration is one engine
+// event, reserved up front; costs follow the message-level migration
+// path: serialize (CopyTime) + wire transfer + deserialize (CopyTime) +
+// fixed migration overhead, over the rank's resident bytes. It returns
+// the time the last rank landed.
 func (w *FlatWorld) MigrationStorm(stride int) (sim.Time, error) {
 	if stride <= 0 {
 		return 0, fmt.Errorf("ampi: migration stride must be positive, got %d", stride)
 	}
+	start := w.begin()
 	npes := len(w.pes)
-	return w.storm("migration", func(r *flatRank) int {
+	dst := func(r *flatRank) int {
 		if int(r.vp)%stride != 0 {
 			return int(r.pe)
 		}
 		return (int(r.pe) + npes/2) % npes
-	})
-}
-
-// storm migrates every rank whose dst differs from its home, all
-// departing at the phase start. Each migration is one engine event,
-// reserved up front; costs follow the message-level migration path:
-// serialize (CopyTime) + wire transfer + deserialize (CopyTime) + fixed
-// migration overhead, over the rank's resident bytes.
-func (w *FlatWorld) storm(what string, dst func(r *flatRank) int) (sim.Time, error) {
-	start := w.begin()
+	}
 	movers := 0
 	for vp := range w.ranks {
 		if dst(&w.ranks[vp]) != int(w.ranks[vp].pe) {
@@ -501,7 +493,7 @@ func (w *FlatWorld) storm(what string, dst func(r *flatRank) int) (sim.Time, err
 		w.eng.AtCallIn(int(w.domOf[to]), land, w.migrateFn, r)
 	}
 	if err := w.eng.Run(func() bool { return w.pendingOps() == 0 }); err != nil {
-		return 0, fmt.Errorf("ampi: %s storm stalled: %w", what, err)
+		return 0, fmt.Errorf("ampi: migration storm stalled: %w", err)
 	}
 	for d := range w.doms {
 		w.Migrations += w.doms[d].migrations
@@ -509,47 +501,6 @@ func (w *FlatWorld) storm(what string, dst func(r *flatRank) int) (sim.Time, err
 		w.doms[d].migrations, w.doms[d].migratedBytes = 0, 0
 	}
 	return w.Time(), nil
-}
-
-// ExpandStorm grows the machine by nodes fresh nodes at the current
-// world clock and rebalances onto them: the cluster logs a membership
-// epoch, the block placement is recomputed over the widened PE set,
-// and every rank whose home changed migrates there — the flat path
-// models an expansion as a migration storm onto the arrivals' homes,
-// which is exactly what the message-level runtime does one rank at a
-// time. Costs follow the storm path (serialize + wire + deserialize +
-// overhead per moved rank).
-//
-// The lookahead domain count is fixed at construction (a parallel
-// engine cannot grow mid-run), so arriving PEs are folded into the
-// existing domains round-robin by node: cross-domain traffic still
-// crosses nodes, preserving the conservative horizon.
-func (w *FlatWorld) ExpandStorm(nodes int) (sim.Time, error) {
-	if nodes <= 0 {
-		return 0, fmt.Errorf("ampi: expand needs a positive node count, got %d", nodes)
-	}
-	at := w.Time()
-	added, err := w.Cluster.AddNodes(at, nodes)
-	if err != nil {
-		return 0, err
-	}
-	ndom := len(w.doms)
-	for _, n := range added {
-		d := int32(n.ID % ndom)
-		for _, p := range n.Procs {
-			for range p.PEs {
-				w.domOf = append(w.domOf, d)
-			}
-		}
-	}
-	w.pes = w.Cluster.PEs()
-	if w.tracer != nil {
-		w.tracer.Emit(trace.Event{Time: at, Kind: trace.KindEpoch, PE: -1, VP: -1,
-			Peer: int32(len(w.Cluster.LiveNodes(at))), Aux: trace.EpochAdd, Bytes: uint64(nodes)})
-	}
-	// Rebalance: the block placement over the widened PE set; ranks
-	// whose home moved storm over, all departing at the epoch instant.
-	return w.storm("expand", func(r *flatRank) int { return int(r.vp) * len(w.pes) / len(w.ranks) })
 }
 
 // migrateArrive is the engine callback for one migrated rank landing on

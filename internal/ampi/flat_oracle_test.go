@@ -140,8 +140,10 @@ func TestFlatAllreduceMatchesPerEdgeOracle(t *testing.T) {
 			span := plain - w.SetupDone
 			w.Cluster.DegradeLinks(w.SetupDone+span/8, w.SetupDone+span/3, 4)
 		}},
-		{"expanded", func(t *testing.T, w *FlatWorld, _ sim.Time) {
-			if _, err := w.ExpandStorm(2); err != nil {
+		{"stormed", func(t *testing.T, w *FlatWorld, _ sim.Time) {
+			// Every third rank away from its home PE: the tree now spans
+			// domains its block placement did not.
+			if _, err := w.MigrationStorm(3); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -186,7 +188,7 @@ func TestFlatAllreduceMatchesPerEdgeOracle(t *testing.T) {
 					if prep.name == "degraded" && vps >= 1000 && gotDone == plain {
 						t.Fatalf("degrade window changed nothing: still finishes at %v", plain)
 					}
-					if len(got.doms) == 1 && prep.name != "expanded" && got.Dispatches() != 0 {
+					if len(got.doms) == 1 && got.Dispatches() != 0 {
 						t.Fatalf("one-domain world dispatched %d engine events, want 0", got.Dispatches())
 					}
 				})

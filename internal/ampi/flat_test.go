@@ -146,7 +146,7 @@ func TestFlatWorldPhaseSequence(t *testing.T) {
 			{"allreduce", allreduce},
 			{"storm", func() (sim.Time, error) { return w.MigrationStorm(4) }},
 			{"allreduce", allreduce},
-			{"expand", func() (sim.Time, error) { return w.ExpandStorm(2) }},
+			{"storm", func() (sim.Time, error) { return w.MigrationStorm(3) }},
 			{"allreduce", allreduce},
 		}
 		times := make([]sim.Time, len(phases))

@@ -13,7 +13,7 @@ import "testing"
 func TestMsgStoreLinearModeAllocs(t *testing.T) {
 	var s msgStore
 	m := &message{src: 3, tag: 7, comm: WorldComm}
-	q := &Request{src: 3, tag: 7, comm: WorldComm, recv: true}
+	q := &Request{src: 3, tag: 7, comm: WorldComm}
 
 	// Warm up the small-slice capacity.
 	s.add(m)
@@ -44,7 +44,7 @@ func TestMsgStoreLinearModeAllocs(t *testing.T) {
 func TestReqStoreLinearModeAllocs(t *testing.T) {
 	var s reqStore
 	m := &message{src: 3, tag: 7, comm: WorldComm}
-	q := &Request{src: 3, tag: 7, comm: WorldComm, recv: true}
+	q := &Request{src: 3, tag: 7, comm: WorldComm}
 
 	s.add(q)
 	if s.match(m) != q {

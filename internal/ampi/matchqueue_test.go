@@ -11,7 +11,7 @@ func msg(src, tag, comm int, internal bool) *message {
 }
 
 func req(src, tag, comm int, internal bool) *Request {
-	return &Request{src: src, tag: tag, comm: comm, internal: internal, recv: true}
+	return &Request{src: src, tag: tag, comm: comm, internal: internal}
 }
 
 func TestMsgStoreExactFIFO(t *testing.T) {

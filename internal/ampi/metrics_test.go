@@ -37,7 +37,7 @@ func TestMatchqueueObsCounts(t *testing.T) {
 	// Drain: each take against a non-empty store observes its depth.
 	before := metrics.probeDepth.Count()
 	for i := 0; i < n; i++ {
-		q := &Request{src: i, tag: 7, comm: WorldComm, recv: true}
+		q := &Request{src: i, tag: 7, comm: WorldComm}
 		if m := s.take(q); m == nil {
 			t.Fatalf("take(%d) found nothing", i)
 		}

@@ -30,7 +30,6 @@ type Op struct {
 	offset uint64
 	// fnName is the user function's symbol, for sanity checks.
 	fnName string
-	world  *World
 }
 
 // Name returns the operator's display name.
@@ -77,7 +76,7 @@ func (r *Rank) OpCreate(funcName string) (*Op, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Op{name: "user:" + funcName, offset: off, fnName: funcName, world: w}, nil
+	return &Op{name: "user:" + funcName, offset: off, fnName: funcName}, nil
 }
 
 // applyOp combines in into acc with op, executing at rank at.

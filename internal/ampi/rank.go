@@ -30,13 +30,12 @@ type message struct {
 	seq      uint64 // arrival order within the receiver's mailbox
 }
 
-// Request is a nonblocking-operation handle.
+// Request is a posted receive's handle.
 type Request struct {
 	rank     *Rank
 	src, tag int
 	comm     int
 	internal bool
-	recv     bool
 	done     bool
 	blocked  bool   // owner thread suspended in Wait on this request
 	seq      uint64 // posting order within the rank's receive queue
@@ -45,9 +44,6 @@ type Request struct {
 	data           []float64
 	gotSrc, gotTag int
 }
-
-// Done reports whether the operation has completed.
-func (q *Request) Done() bool { return q.done }
 
 // Rank is one virtual MPI rank: a migratable user-level thread with a
 // privatized view of the program's global state.
@@ -94,9 +90,6 @@ func (r *Rank) Compute(d sim.Time) { r.thread.Advance(d) }
 
 // Yield cooperatively yields the PE to other ready ranks.
 func (r *Rank) Yield() { r.thread.Yield() }
-
-// Thread exposes the rank's user-level thread.
-func (r *Rank) Thread() *ult.Thread { return r.thread }
 
 func (r *Rank) checkUserTag(tag int) {
 	if tag < 0 && tag != AnyTag {
@@ -200,16 +193,8 @@ func (r *Rank) Irecv(src, tag int) *Request {
 	return r.irecvComm(src, tag, WorldComm, false)
 }
 
-// Isend starts a nonblocking send. Sends are eager and buffered, so
-// the returned request is already complete; it exists for call-site
-// symmetry with MPI programs.
-func (r *Rank) Isend(dst, tag int, data []float64, bytes uint64) *Request {
-	r.Send(dst, tag, data, bytes)
-	return &Request{rank: r, done: true}
-}
-
 // Wait blocks until the request completes and returns the received
-// payload (nil for sends).
+// payload.
 func (r *Rank) Wait(q *Request) []float64 {
 	if q.rank != r {
 		panic(fmt.Sprintf("ampi: rank %d waiting on rank %d's request", r.vp, q.rank.vp))
@@ -242,17 +227,4 @@ func (r *Rank) Waitall(qs []*Request) [][]float64 {
 		out[i] = r.Wait(q)
 	}
 	return out
-}
-
-// Recv blocks until a matching message arrives and returns its payload.
-func (r *Rank) Recv(src, tag int) []float64 {
-	return r.Wait(r.Irecv(src, tag))
-}
-
-// RecvMsg is Recv returning the full envelope (source and tag), for
-// wildcard receives.
-func (r *Rank) RecvMsg(src, tag int) (data []float64, from, msgTag int) {
-	q := r.Irecv(src, tag)
-	data = r.Wait(q)
-	return data, q.gotSrc, q.gotTag
 }

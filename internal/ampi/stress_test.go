@@ -11,66 +11,6 @@ import (
 	"provirt/internal/workloads/synth"
 )
 
-func TestScanExscan(t *testing.T) {
-	const v = 7
-	scans := make([]float64, v)
-	exscans := make([]float64, v)
-	prog := &ampi.Program{
-		Image: synth.EmptyImage(),
-		Main: func(r *ampi.Rank) {
-			me := float64(r.Rank() + 1)
-			scans[r.Rank()] = r.Scan([]float64{me}, ampi.OpSum)[0]
-			ex := r.Exscan([]float64{me}, ampi.OpSum)
-			if r.Rank() == 0 {
-				if ex != nil {
-					panic("exscan at rank 0 must be nil")
-				}
-				return
-			}
-			exscans[r.Rank()] = ex[0]
-		},
-	}
-	runProgram(t, mediumConfig(v), prog)
-	for vp := 0; vp < v; vp++ {
-		want := float64((vp + 1) * (vp + 2) / 2)
-		if scans[vp] != want {
-			t.Errorf("scan at %d = %v, want %v", vp, scans[vp], want)
-		}
-		if vp > 0 {
-			wantEx := float64(vp * (vp + 1) / 2)
-			if exscans[vp] != wantEx {
-				t.Errorf("exscan at %d = %v, want %v", vp, exscans[vp], wantEx)
-			}
-		}
-	}
-}
-
-func TestReduceScatter(t *testing.T) {
-	const v = 4
-	got := make([][]float64, v)
-	prog := &ampi.Program{
-		Image: synth.EmptyImage(),
-		Main: func(r *ampi.Rank) {
-			// Rank i contributes vector of (i+1) repeated 2*v times.
-			in := make([]float64, 2*v)
-			for j := range in {
-				in[j] = float64(r.Rank() + 1)
-			}
-			got[r.Rank()] = r.ReduceScatter(in, ampi.OpSum)
-		},
-	}
-	runProgram(t, mediumConfig(v), prog)
-	want := float64(1 + 2 + 3 + 4)
-	for vp := 0; vp < v; vp++ {
-		if len(got[vp]) != 2 {
-			t.Fatalf("rank %d chunk %v", vp, got[vp])
-		}
-		if got[vp][0] != want || got[vp][1] != want {
-			t.Errorf("rank %d chunk %v, want [%v %v]", vp, got[vp], want, want)
-		}
-	}
-}
-
 // TestMigrationTrafficStress interleaves heavy random point-to-point
 // traffic with repeated migrations under several balancers; every
 // message must arrive intact and the run must terminate.
@@ -143,36 +83,5 @@ func TestMigrationTrafficStress(t *testing.T) {
 				t.Error("rotate balancer never migrated")
 			}
 		})
-	}
-}
-
-// TestShrinkViaEvacuation drains two of four PEs mid-run (dynamic job
-// shrink, §2.1) and verifies the evacuated PEs end empty while the
-// computation completes correctly.
-func TestShrinkViaEvacuation(t *testing.T) {
-	const v = 8
-	prog := &ampi.Program{
-		Image: synth.EmptyImage(),
-		Main: func(r *ampi.Rank) {
-			r.Compute(100_000)
-			r.Migrate() // evacuation point
-			r.Compute(100_000)
-			r.Barrier()
-		},
-	}
-	cfg := ampi.Config{
-		Machine:   machine.Config{Nodes: 1, ProcsPerNode: 1, PEsPerProc: 4},
-		VPs:       v,
-		Privatize: core.KindPIEglobals,
-		Balancer:  lb.EvacuateLB{Departing: []int{2, 3}},
-	}
-	w := runProgram(t, cfg, prog)
-	for _, r := range w.Ranks {
-		if id := r.PE().ID; id == 2 || id == 3 {
-			t.Fatalf("rank %d still on departing PE %d", r.Rank(), id)
-		}
-	}
-	if w.Migrations != 4 {
-		t.Errorf("%d migrations, want 4 (half the ranks)", w.Migrations)
 	}
 }

@@ -25,11 +25,11 @@ func pingPongWorld(b *testing.B, tracer trace.Tracer) *ampi.World {
 			if r.Rank() == 0 {
 				for i := 0; i < b.N; i++ {
 					r.Send(1, 7, payload, 0)
-					r.Recv(1, 8)
+					r.Wait(r.Irecv(1, 8))
 				}
 			} else {
 				for i := 0; i < b.N; i++ {
-					r.Recv(0, 7)
+					r.Wait(r.Irecv(0, 7))
 					r.Send(0, 8, payload, 0)
 				}
 			}

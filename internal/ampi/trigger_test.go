@@ -60,12 +60,10 @@ func TestImbalanceTriggerSkipsBalancedLoad(t *testing.T) {
 // run error rather than hanging.
 func TestAPIMisusePanicsSurface(t *testing.T) {
 	cases := map[string]func(r *ampi.Rank){
-		"negative tag":   func(r *ampi.Rank) { r.Send(0, -5, nil, 0) },
-		"bad peer":       func(r *ampi.Rank) { r.Send(99, 1, nil, 0) },
-		"wildcard send":  func(r *ampi.Rank) { r.Send(0, ampi.AnyTag, nil, 0) },
-		"foreign wait":   func(r *ampi.Rank) { r.Wait(&ampi.Request{}) },
-		"scatter shape":  func(r *ampi.Rank) { r.Scatter(r.Rank(), [][]float64{{1}, {2}, {3}}) },
-		"alltoall shape": func(r *ampi.Rank) { r.Alltoall([][]float64{{1}}) },
+		"negative tag":  func(r *ampi.Rank) { r.Send(0, -5, nil, 0) },
+		"bad peer":      func(r *ampi.Rank) { r.Send(99, 1, nil, 0) },
+		"wildcard send": func(r *ampi.Rank) { r.Send(0, ampi.AnyTag, nil, 0) },
+		"foreign wait":  func(r *ampi.Rank) { r.Wait(&ampi.Request{}) },
 	}
 	for name, body := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -4,11 +4,10 @@
 // state privatized by a method from internal/core.
 //
 // Programs are Go functions receiving a *Rank; they use the familiar
-// MPI surface (Send/Recv/Isend/Irecv/Wait, Barrier, Bcast, Reduce,
-// Allreduce, Gather, Scatter, user-defined reduction operators) plus
-// AMPI extensions (Migrate). Blocking calls suspend the rank's
-// user-level thread so another rank can run — message-driven
-// overdecomposition exactly as §2.1 describes.
+// MPI surface (Send/Irecv/Wait, Barrier, Allreduce, user-defined
+// reduction operators) plus AMPI extensions (Migrate). Blocking calls
+// suspend the rank's user-level thread so another rank can run —
+// message-driven overdecomposition exactly as §2.1 describes.
 package ampi
 
 import (

@@ -39,7 +39,7 @@ func oracleDuplicate(src, priv *elf.Instance) (data []uint64, objs [][]uint64) {
 	}
 	data = make([]uint64, src.Seg.Len())
 	for i := range data {
-		data[i] = rebase(src.Load(i))
+		data[i] = rebase(src.Seg.Load(i))
 	}
 	for _, o := range src.HeapObjs {
 		words := append([]uint64(nil), o.Words...)
@@ -147,7 +147,7 @@ func TestPIEDuplicationMatchesCopyAndScan(t *testing.T) {
 						t.Fatalf("rank %d %s: segment has %d words, oracle %d", c.VP, when, c.Private.Seg.Len(), len(wantData))
 					}
 					for i, want := range wantData {
-						if got := c.Private.Load(i); got != want {
+						if got := c.Private.Seg.Load(i); got != want {
 							t.Fatalf("rank %d %s: data word %d = %#x, copy-and-scan gives %#x", c.VP, when, i, got, want)
 						}
 					}
@@ -202,7 +202,7 @@ func TestPIEDuplicationMatchesCopyAndScan(t *testing.T) {
 			}
 			// The process's instance is still what the loader mapped: no
 			// rank's store or rebase reached it, though every rank forked it.
-			if got := src.Load(src.Seg.Len() - 3); got != 0 {
+			if got := src.Seg.Load(src.Seg.Len() - 3); got != 0 {
 				t.Fatalf("a rank's store reached the process image: %d", got)
 			}
 			if got, ok := src.GOTEntryForVar(tc.img.Vars[0]); ok && got != src.VarAddr(tc.img.Vars[0]) {

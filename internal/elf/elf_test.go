@@ -89,10 +89,10 @@ func TestInstanceInitialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.Load(img.VarByName("g1").Index) != 10 {
+	if in.Seg.Load(img.VarByName("g1").Index) != 10 {
 		t.Error("g1 init wrong")
 	}
-	if in.Load(img.VarByName("c1").Index) != 30 {
+	if in.Seg.Load(img.VarByName("c1").Index) != 30 {
 		t.Error("c1 init wrong")
 	}
 	// GOT holds absolute addresses of external-linkage vars and funcs.
@@ -136,11 +136,11 @@ func TestNewInstanceSharesImageBase(t *testing.T) {
 	g, bulk := img.VarByName("g").Index, img.DataWords()-1
 	*a.Word(g), *a.Word(bulk) = 11, 12
 	*b.Word(g) = 21
-	if a.Load(g) != 11 || a.Load(bulk) != 12 || b.Load(g) != 21 || b.Load(bulk) != 0 {
-		t.Fatalf("stores crossed instances: a = %d/%d, b = %d/%d", a.Load(g), a.Load(bulk), b.Load(g), b.Load(bulk))
+	if a.Seg.Load(g) != 11 || a.Seg.Load(bulk) != 12 || b.Seg.Load(g) != 21 || b.Seg.Load(bulk) != 0 {
+		t.Fatalf("stores crossed instances: a = %d/%d, b = %d/%d", a.Seg.Load(g), a.Seg.Load(bulk), b.Seg.Load(g), b.Seg.Load(bulk))
 	}
-	if c, _ := NewInstance(img, 0x10000, 0xc000000, 2); c.Load(g) != 10 || c.Load(bulk) != 0 {
-		t.Fatalf("a store reached the image's base: a third instance reads %d/%d", c.Load(g), c.Load(bulk))
+	if c, _ := NewInstance(img, 0x10000, 0xc000000, 2); c.Seg.Load(g) != 10 || c.Seg.Load(bulk) != 0 {
+		t.Fatalf("a store reached the image's base: a third instance reads %d/%d", c.Seg.Load(g), c.Seg.Load(bulk))
 	}
 	if ga, _ := a.GOTEntryForVar(img.VarByName("g")); ga != a.VarAddr(img.VarByName("g")) {
 		t.Fatalf("instance a's GOT entry %#x is not its own cell", ga)
@@ -203,7 +203,7 @@ func TestRunCtors(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("%d ctor allocs", n)
 	}
-	objPtr := in.Load(img.VarByName("obj_ptr").Index)
+	objPtr := in.Seg.Load(img.VarByName("obj_ptr").Index)
 	if objPtr != 0x9000000 {
 		t.Errorf("obj_ptr = %#x", objPtr)
 	}
@@ -215,10 +215,10 @@ func TestRunCtors(t *testing.T) {
 	if fp := obj.Words[1]; !in.ContainsCode(fp) {
 		t.Errorf("vtable slot %#x outside code", fp)
 	}
-	if in.Load(img.VarByName("vfn_ptr").Index) != in.FuncAddr(img.FuncByName("virtual_method")) {
+	if in.Seg.Load(img.VarByName("vfn_ptr").Index) != in.FuncAddr(img.FuncByName("virtual_method")) {
 		t.Error("function-pointer write wrong")
 	}
-	if in.Load(img.VarByName("plain").Index) != 77 {
+	if in.Seg.Load(img.VarByName("plain").Index) != 77 {
 		t.Error("plain write wrong")
 	}
 }
@@ -276,7 +276,7 @@ func TestInstanceInitProperty(t *testing.T) {
 		}
 		for i, v := range inits {
 			va := img.VarByName(name(i))
-			if in.Load(va.Index) != v {
+			if in.Seg.Load(va.Index) != v {
 				return false
 			}
 			if got, ok := in.GOTEntryForVar(va); ok && got != in.VarAddr(va) {

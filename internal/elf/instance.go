@@ -47,10 +47,6 @@ type Instance struct {
 // Word returns the cell of data-segment word i.
 func (in *Instance) Word(i int) *uint64 { return in.Seg.Word(i) }
 
-// Load reads data-segment word i; unlike Word it never makes the view
-// take its own copy of the page.
-func (in *Instance) Load(i int) uint64 { return in.Seg.Load(i) }
-
 // gotBase returns the word index where the GOT begins.
 func (in *Instance) gotBase() int { return len(in.Img.Vars) }
 
@@ -133,7 +129,7 @@ func (in *Instance) GOTEntryForVar(v *Var) (addr uint64, ok bool) {
 	if slot < 0 {
 		return 0, false
 	}
-	return in.Load(in.gotBase() + slot), true
+	return in.Seg.Load(in.gotBase() + slot), true
 }
 
 // ContainsCode reports whether addr falls in this instance's code

@@ -14,7 +14,6 @@
 package sweep
 
 import (
-	"runtime"
 	"sync"
 	"time"
 )
@@ -58,11 +57,6 @@ type Runner struct {
 	// Acquire.
 	Acquire func()
 	Release func()
-}
-
-// Default returns a runner sized to the machine.
-func Default() Runner {
-	return Runner{Workers: runtime.GOMAXPROCS(0)}
 }
 
 // Run executes task(0..n-1). Each task must be independent of the

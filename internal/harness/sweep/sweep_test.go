@@ -76,12 +76,6 @@ func TestRunActuallyParallel(t *testing.T) {
 	}
 }
 
-func TestDefaultSizedToMachine(t *testing.T) {
-	if Default().Workers < 1 {
-		t.Fatalf("Default().Workers = %d", Default().Workers)
-	}
-}
-
 // The progress hooks' contract under parallelism: OnStart fires once
 // with the sweep size before any task, OnPoint calls are serialized
 // with a strictly increasing Done of 1..n, every index is reported

@@ -106,12 +106,6 @@ type Trigger interface {
 	ShouldBalance(loads []RankLoad, numPEs int) bool
 }
 
-// AlwaysTrigger rebalances at every opportunity (the default).
-type AlwaysTrigger struct{}
-
-// ShouldBalance implements Trigger.
-func (AlwaysTrigger) ShouldBalance([]RankLoad, int) bool { return true }
-
 // ImbalanceTrigger rebalances only when max/mean PE load exceeds a
 // threshold, in the spirit of Charm++'s adaptive MetaLB.
 type ImbalanceTrigger struct {
@@ -408,60 +402,6 @@ func (h HierarchicalLB) Rebalance(loads []RankLoad, numPEs int) []int {
 		for j, i := range idx {
 			assign[i] = lo + sub[j]
 		}
-	}
-	return assign
-}
-
-// EvacuateLB empties a set of PEs — the mechanism behind dynamic job
-// shrink (§2.1): before releasing cores back to the scheduler, every
-// rank resident on a departing PE migrates to the least-loaded
-// remaining PE. Ranks elsewhere stay put.
-type EvacuateLB struct {
-	// Departing lists PE ids that must end up empty.
-	Departing []int
-}
-
-// Name implements Strategy.
-func (e EvacuateLB) Name() string { return "EvacuateLB" }
-
-// Rebalance implements Strategy.
-func (e EvacuateLB) Rebalance(loads []RankLoad, numPEs int) []int {
-	leaving := make(map[int]bool, len(e.Departing))
-	for _, pe := range e.Departing {
-		leaving[pe] = true
-	}
-	assign := make([]int, len(loads))
-	peLoad := make([]sim.Time, numPEs)
-	for i, l := range loads {
-		assign[i] = l.PE
-		peLoad[l.PE] += l.Load
-	}
-	// Move evacuees one at a time, heaviest first, to the least-loaded
-	// surviving PE.
-	order := make([]int, 0, len(loads))
-	for i, l := range loads {
-		if leaving[l.PE] && l.Migratable {
-			order = append(order, i)
-		}
-	}
-	sort.SliceStable(order, func(a, b int) bool { return loads[order[a]].Load > loads[order[b]].Load })
-	for _, i := range order {
-		dest := -1
-		for pe := 0; pe < numPEs; pe++ {
-			if leaving[pe] {
-				continue
-			}
-			if dest < 0 || peLoad[pe] < peLoad[dest] {
-				dest = pe
-			}
-		}
-		if dest < 0 {
-			// Every PE is departing; nothing valid to do.
-			break
-		}
-		peLoad[loads[i].PE] -= loads[i].Load
-		peLoad[dest] += loads[i].Load
-		assign[i] = dest
 	}
 	return assign
 }

@@ -204,40 +204,6 @@ func TestHierarchicalLBPinsNonMigratable(t *testing.T) {
 	}
 }
 
-func TestEvacuateLB(t *testing.T) {
-	loads := mkLoads([]int64{10, 20, 30, 40, 50, 60, 70, 80}, 4)
-	e := EvacuateLB{Departing: []int{1, 3}}
-	assign := e.Rebalance(loads, 4)
-	if err := Validate(loads, 4, assign); err != nil {
-		t.Fatal(err)
-	}
-	for i, pe := range assign {
-		if pe == 1 || pe == 3 {
-			t.Fatalf("rank %d still on departing PE %d", i, pe)
-		}
-		if loads[i].PE == 0 || loads[i].PE == 2 {
-			if pe != loads[i].PE {
-				t.Fatalf("rank %d on surviving PE moved", i)
-			}
-		}
-	}
-	// Non-migratable evacuees stay (the runtime surfaces that error
-	// separately).
-	loads[1].Migratable = false // rank 1 on PE 1
-	assign = e.Rebalance(loads, 4)
-	if assign[1] != 1 {
-		t.Fatal("non-migratable evacuee moved")
-	}
-	// All PEs departing: no valid destination, everything stays.
-	all := EvacuateLB{Departing: []int{0, 1, 2, 3}}
-	assign = all.Rebalance(loads, 4)
-	for i, pe := range assign {
-		if pe != loads[i].PE {
-			t.Fatal("rank moved with no surviving PE")
-		}
-	}
-}
-
 func TestValidateCatchesBadAssignments(t *testing.T) {
 	loads := mkLoads([]int64{1, 2}, 2)
 	if Validate(loads, 2, []int{0}) == nil {

@@ -35,7 +35,7 @@ func TestDlopenMapsSegments(t *testing.T) {
 	if h.CodeRegion.Base == h.DataRegion.Base {
 		t.Error("code and data segments alias")
 	}
-	if h.Inst.Load(img.VarByName("g").Index) != 5 {
+	if h.Inst.Seg.Load(img.VarByName("g").Index) != 5 {
 		t.Error("globals not initialized")
 	}
 	// Re-opening the same path returns the same handle cheaply.

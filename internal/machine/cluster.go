@@ -45,14 +45,8 @@ func (c Config) SMPMode() bool { return c.PEsPerProc > 1 }
 
 // Cluster is the simulated machine: nodes containing OS processes
 // containing PEs, joined by a tiered network and a shared filesystem.
-//
-// Membership is runtime state, not a construction-time constant: the
-// cluster keeps an epoch-versioned membership log (see epoch.go), and
-// New records the initial shape as epoch 0. AddNodes and RetireNodes
-// append later epochs at virtual times. A cluster whose log never
-// grows past epoch 0 behaves exactly as the fixed-shape model always
-// did — the elastic checks are gated on a single bool that stays false
-// until the first membership change.
+// Its shape is fixed at construction: an elastic job reshapes by
+// building a new cluster (see package ft).
 type Cluster struct {
 	Engine *sim.Engine
 	Cost   *CostModel
@@ -64,17 +58,6 @@ type Cluster struct {
 	Tracer trace.Tracer
 
 	pes []*PE
-
-	// cfg is the construction shape; AddNodes builds new nodes with the
-	// same per-node process/PE layout.
-	cfg Config
-
-	// events is the membership epoch log; events[0] is the construction
-	// epoch. elastic flips true on the first post-construction event so
-	// the hot transfer path pays one bool check while membership is
-	// static.
-	events  []MembershipEvent
-	elastic bool
 
 	// degrades holds injected link-degradation windows (fault
 	// injection). Empty on the healthy path, which transfers check with
@@ -128,17 +111,6 @@ func (cl *Cluster) SetTracer(t trace.Tracer) {
 type Node struct {
 	ID    int
 	Procs []*Process
-
-	// JoinedAt is the virtual time the node entered the cluster (0 for
-	// construction-time nodes). RetiredAt is the virtual time it left,
-	// or -1 while it is live.
-	JoinedAt  sim.Time
-	RetiredAt sim.Time
-}
-
-// Live reports whether the node is a member at virtual time t.
-func (n *Node) Live(t sim.Time) bool {
-	return t >= n.JoinedAt && (n.RetiredAt < 0 || t < n.RetiredAt)
 }
 
 // Process is one OS process: an address space plus one or more PEs.
@@ -174,16 +146,6 @@ func (p *Process) Malloc(n uint64) uint64 {
 type PE struct {
 	ID   int // global PE id
 	Proc *Process
-	// Sched is the user-level thread scheduler bound to this PE. It is
-	// declared as an interface to keep the package dependency order
-	// machine -> (nothing); package ult assigns the concrete type.
-	Sched Scheduler
-}
-
-// Scheduler is the contract package ult's per-PE scheduler fulfils.
-type Scheduler interface {
-	// Now reports the PE's local clock.
-	Now() sim.Time
 }
 
 // New builds a cluster per cfg. The engine clock starts at zero.
@@ -198,45 +160,24 @@ func New(cfg Config) (*Cluster, error) {
 	cl := &Cluster{
 		Engine: sim.NewEngine(),
 		Cost:   cost,
-		cfg:    cfg,
 	}
-	cl.FS = NewSharedFS(cl.Engine, cost)
-	added := cl.buildNodes(0, cfg.Nodes)
-	// The construction shape is epoch 0 of the membership log; a
-	// cluster that never changes shape never leaves it.
-	cl.events = append(cl.events, MembershipEvent{
-		At: 0, Added: added, Nodes: cfg.Nodes, NodesBuilt: cfg.Nodes, PEs: len(cl.pes),
-	})
-	return cl, nil
-}
-
-// buildNodes appends count nodes of the configured per-node shape,
-// continuing the global node/process/PE id sequences, with the given
-// join time. It returns the new node ids.
-func (cl *Cluster) buildNodes(at sim.Time, count int) []int {
+	cl.FS = NewSharedFS(cost)
 	procID := 0
-	for _, n := range cl.Nodes {
-		procID += len(n.Procs)
-	}
-	peID := len(cl.pes)
-	var added []int
-	for i := 0; i < count; i++ {
-		node := &Node{ID: len(cl.Nodes), JoinedAt: at, RetiredAt: -1}
-		for p := 0; p < cl.cfg.ProcsPerNode; p++ {
+	for i := 0; i < cfg.Nodes; i++ {
+		node := &Node{ID: i}
+		for p := 0; p < cfg.ProcsPerNode; p++ {
 			proc := &Process{ID: procID, Node: node, AS: mem.NewAddressSpace()}
 			procID++
-			for q := 0; q < cl.cfg.PEsPerProc; q++ {
-				pe := &PE{ID: peID, Proc: proc}
-				peID++
+			for q := 0; q < cfg.PEsPerProc; q++ {
+				pe := &PE{ID: len(cl.pes), Proc: proc}
 				proc.PEs = append(proc.PEs, pe)
 				cl.pes = append(cl.pes, pe)
 			}
 			node.Procs = append(node.Procs, proc)
 		}
-		added = append(added, node.ID)
 		cl.Nodes = append(cl.Nodes, node)
 	}
-	return added
+	return cl, nil
 }
 
 // PEs returns every PE in global id order.
@@ -265,32 +206,20 @@ func (cl *Cluster) Processes() []*Process {
 // sim.MaxDomains, contiguous units share a domain; merging whole units
 // only removes boundaries, so the bound still holds.
 func (cl *Cluster) DomainPlan() (domOf []int32, ndom int, lookahead time.Duration) {
-	return cl.DomainPlanAt(cl.Epoch())
-}
-
-// DomainPlanAt is DomainPlan evaluated at a membership epoch: it
-// covers exactly the PEs that existed by that epoch (later arrivals
-// are absent from the assignment). Retired nodes keep their domains —
-// their PEs simply stop producing events — so an assignment computed
-// at an early epoch stays valid as nodes leave, and epoch 0 of an
-// unchanged cluster reproduces the fixed-shape plan bit for bit.
-func (cl *Cluster) DomainPlanAt(epoch int) (domOf []int32, ndom int, lookahead time.Duration) {
-	ev := cl.events[epoch]
-	pes := cl.pes[:ev.PEs]
-	nodesBuilt := ev.NodesBuilt
-	procsBuilt := nodesBuilt * cl.cfg.ProcsPerNode
+	pes := cl.pes
+	nodes, procs := len(cl.Nodes), len(cl.Processes())
 	// unitOf maps each PE to its partition unit at the chosen tier.
 	unitOf := make([]int, len(pes))
 	var units int
 	switch {
-	case nodesBuilt > 1:
-		units = nodesBuilt
+	case nodes > 1:
+		units = nodes
 		for i, pe := range pes {
 			unitOf[i] = pe.Proc.Node.ID
 		}
 		lookahead = cl.Cost.MinLatencyAcross(false, false)
-	case procsBuilt > 1:
-		units = procsBuilt
+	case procs > 1:
+		units = procs
 		for i, pe := range pes {
 			unitOf[i] = pe.Proc.ID
 		}
@@ -340,32 +269,14 @@ func (cl *Cluster) Tier(a, b *PE) int32 {
 }
 
 // TransferTimeAt is TransferTime anchored at a departure instant: it
-// additionally applies any link-degradation window covering start, and
-// on an elastic cluster (one whose membership log has grown past the
-// construction epoch) asserts both endpoints are members at departure.
-// With no injected faults and no membership changes it is exactly
-// TransferTime.
+// additionally applies any link-degradation window covering start. With
+// no injected faults it is exactly TransferTime.
 func (cl *Cluster) TransferTimeAt(start sim.Time, a, b *PE, n uint64) time.Duration {
-	if cl.elastic {
-		cl.assertLive(start, a)
-		cl.assertLive(start, b)
-	}
 	d := cl.TransferTime(a, b, n)
 	if len(cl.degrades) != 0 {
 		d = time.Duration(float64(d) * cl.linkFactor(start))
 	}
 	return d
-}
-
-// assertLive panics when a transfer endpoint's node is not a cluster
-// member at the departure instant — routing traffic through departed
-// or not-yet-joined hardware is a modeling bug, not a recoverable
-// condition. Only elastic clusters pay this check.
-func (cl *Cluster) assertLive(at sim.Time, pe *PE) {
-	if n := pe.Proc.Node; !n.Live(at) {
-		panic(fmt.Sprintf("machine: transfer at %v touches PE %d on node %d, which is not a member (joined %v, retired %v)",
-			at, pe.ID, n.ID, n.JoinedAt, n.RetiredAt))
-	}
 }
 
 // Transfer charges a transfer of n bytes departing PE a for PE b at
@@ -387,7 +298,6 @@ func (cl *Cluster) Transfer(start sim.Time, a, b *PE, n uint64) sim.Time {
 // so per-client throughput degrades as more processes do I/O at once —
 // the behaviour that makes FSglobals startup scale poorly (§3.2).
 type SharedFS struct {
-	engine   *sim.Engine
 	cost     *CostModel
 	busyTill sim.Time
 	tracer   trace.Tracer
@@ -401,8 +311,8 @@ type SharedFS struct {
 }
 
 // NewSharedFS returns an empty filesystem.
-func NewSharedFS(e *sim.Engine, c *CostModel) *SharedFS {
-	return &SharedFS{engine: e, cost: c, files: make(map[string]uint64)}
+func NewSharedFS(c *CostModel) *SharedFS {
+	return &SharedFS{cost: c, files: make(map[string]uint64)}
 }
 
 // transfer charges a transfer of n bytes starting no earlier than start
@@ -456,12 +366,6 @@ func (fs *SharedFS) Populate(path string, n uint64) {
 func (fs *SharedFS) Exists(path string) bool {
 	_, ok := fs.files[path]
 	return ok
-}
-
-// Remove deletes a file (no time cost; cleanup happens off the critical
-// path).
-func (fs *SharedFS) Remove(path string) {
-	delete(fs.files, path)
 }
 
 // TotalBytes reports the space consumed on the filesystem.

@@ -1,8 +1,11 @@
 package machine
 
 import (
+	"fmt"
 	"testing"
 	"time"
+
+	"provirt/internal/sim"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -121,12 +124,8 @@ func TestSharedFSSerialization(t *testing.T) {
 	if !fs.Exists("/a") || fs.Exists("/c") {
 		t.Error("Exists wrong")
 	}
-	fs.Remove("/a")
-	if fs.Exists("/a") {
-		t.Error("Remove failed")
-	}
-	if _, _, err := fs.ReadFile(0, "/a"); err == nil {
-		t.Error("read of removed file succeeded")
+	if _, _, err := fs.ReadFile(0, "/c"); err == nil {
+		t.Error("read of a missing file succeeded")
 	}
 }
 
@@ -144,5 +143,69 @@ func TestCostModelHelpers(t *testing.T) {
 	}
 	if c.PageMapTime(8192) != 2*c.PageMapCost {
 		t.Error("two-page mapping wrong")
+	}
+}
+
+// TestDomainPlan pins the lookahead domains the flat world runs on: the
+// coarsest machine tier with more than one unit, and the cheapest link
+// that crosses it.
+func TestDomainPlan(t *testing.T) {
+	for _, c := range []struct {
+		cfg       Config
+		want      string
+		lookahead time.Duration
+	}{
+		{Config{Nodes: 4, ProcsPerNode: 1, PEsPerProc: 2}, "[0 0 1 1 2 2 3 3]", Default().MinLatencyAcross(false, false)},
+		{Config{Nodes: 1, ProcsPerNode: 2, PEsPerProc: 2}, "[0 0 1 1]", Default().MinLatencyAcross(true, false)},
+		{Config{Nodes: 1, ProcsPerNode: 1, PEsPerProc: 3}, "[0 1 2]", Default().MinLatencyAcross(true, true)},
+	} {
+		cl, err := New(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dom, ndom, la := cl.DomainPlan()
+		if got := fmt.Sprint(dom); got != c.want || ndom != int(dom[len(dom)-1])+1 || la != c.lookahead {
+			t.Errorf("%+v: plan (%s, %d, %v), want (%s, %v)", c.cfg, got, ndom, la, c.want, c.lookahead)
+		}
+	}
+}
+
+func TestDegradeLinksRejectsNoOpWindows(t *testing.T) {
+	cl, _ := New(Config{Nodes: 2, ProcsPerNode: 1, PEsPerProc: 1})
+	cl.DegradeLinks(0, sec(10), 1.0)     // factor 1: silent no-op, dropped
+	cl.DegradeLinks(sec(10), sec(10), 4) // empty interval, dropped
+	cl.DegradeLinks(sec(10), sec(5), 4)  // inverted interval, dropped
+	cl.DegradeLinks(0, sec(10), 0.5)     // speed-up: not a degradation, dropped
+	if got := len(cl.degrades); got != 0 {
+		t.Fatalf("%d no-op windows retained, want 0", got)
+	}
+	pes := cl.PEs()
+	base := cl.TransferTime(pes[0], pes[1], 4096)
+	if got := cl.TransferTimeAt(sec(5), pes[0], pes[1], 4096); got != base {
+		t.Errorf("dropped windows changed transfer time: %v != %v", got, base)
+	}
+}
+
+func TestDegradeLinksOverlappingWindowsCompound(t *testing.T) {
+	cl, _ := New(Config{Nodes: 2, ProcsPerNode: 1, PEsPerProc: 1})
+	cl.DegradeLinks(0, sec(20), 2)
+	cl.DegradeLinks(sec(10), sec(30), 3)
+	pes := cl.PEs()
+	base := float64(cl.TransferTime(pes[0], pes[1], 1<<20))
+	cases := []struct {
+		at   sim.Time
+		want float64
+	}{
+		{sec(5), 2},  // first window only
+		{sec(15), 6}, // overlap: factors multiply
+		{sec(25), 3}, // second window only
+		{sec(30), 1}, // past both ([from, until) is half-open)
+	}
+	for _, c := range cases {
+		got := float64(cl.TransferTimeAt(c.at, pes[0], pes[1], 1<<20))
+		want := base * c.want
+		if diff := got - want; diff > 1 || diff < -1 { // 1ns slack for float rounding
+			t.Errorf("transfer at %v = %v, want %v (factor %v)", c.at, got, want, c.want)
+		}
 	}
 }

@@ -132,14 +132,14 @@ func TestSnapshotRoundTripUnderChurn(t *testing.T) {
 	snap := h.Serialize()
 	h2 := Restore(snap)
 
-	if len(h2.Blocks()) != len(h.Blocks()) {
-		t.Fatalf("restored %d blocks, want %d", len(h2.Blocks()), len(h.Blocks()))
+	if len(h2.index) != len(h.index) {
+		t.Fatalf("restored %d blocks, want %d", len(h2.index), len(h.index))
 	}
 	if h2.LiveBytes() != h.LiveBytes() || h2.ResidentBytes() != h.ResidentBytes() {
 		t.Fatalf("restored accounting %d/%d, want %d/%d",
 			h2.LiveBytes(), h2.ResidentBytes(), h.LiveBytes(), h.ResidentBytes())
 	}
-	for _, b := range h.Blocks() {
+	for _, b := range h.index {
 		nb := h2.Lookup(b.Addr)
 		if nb == nil {
 			t.Fatalf("block %#x lost", b.Addr)
@@ -275,7 +275,7 @@ func TestAccountingCountersMatchRescan(t *testing.T) {
 	h := NewHeap(7)
 	check := func(stage string) {
 		var live, resident uint64
-		for _, b := range h.Blocks() {
+		for _, b := range h.index {
 			live += b.Size
 			resident += b.Size - b.SharedBytes
 		}

@@ -110,9 +110,6 @@ func NewHeap(vp int) *Heap {
 	}
 }
 
-// VP returns the owning virtual rank.
-func (h *Heap) VP() int { return h.vp }
-
 // Base returns the heap's reserved-range base address.
 func (h *Heap) Base() uint64 { return h.base }
 
@@ -262,11 +259,6 @@ func (h *Heap) ResidentBytes() uint64 { return h.resident }
 // SharedSpanBytes reports live allocation bytes backed by shared
 // read-only mappings: the gap between LiveBytes and ResidentBytes.
 func (h *Heap) SharedSpanBytes() uint64 { return h.live - h.resident }
-
-// Blocks returns live blocks ordered by address.
-func (h *Heap) Blocks() []*Block {
-	return append([]*Block(nil), h.index...)
-}
 
 // FreeSpan is one reusable gap in a serialized heap. Restoring the free
 // list alongside the blocks keeps the Isomalloc invariant across

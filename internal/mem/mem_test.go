@@ -106,8 +106,8 @@ func TestHeapFreeAndReuse(t *testing.T) {
 	if b.Addr != addr {
 		t.Fatalf("freed block not reused: got %#x want %#x", b.Addr, addr)
 	}
-	if len(h.Blocks()) != 1 {
-		t.Fatalf("%d live blocks", len(h.Blocks()))
+	if len(h.index) != 1 {
+		t.Fatalf("%d live blocks", len(h.index))
 	}
 }
 
@@ -243,8 +243,8 @@ func TestHeapExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Addr != h.Base() || h.LiveBytes() != 8 || len(h.Blocks()) != 1 {
+	if b.Addr != h.Base() || h.LiveBytes() != 8 || len(h.index) != 1 {
 		t.Errorf("after refused allocations: next block at %#x (base %#x), %d live bytes in %d blocks",
-			b.Addr, h.Base(), h.LiveBytes(), len(h.Blocks()))
+			b.Addr, h.Base(), h.LiveBytes(), len(h.index))
 	}
 }

@@ -94,9 +94,6 @@ func NewCache(cfg CacheConfig) *Cache {
 	return &Cache{cfg: cfg, sets: make([][]uint64, cfg.Sets()), rng: sim.NewRNG(0x1cac4e)}
 }
 
-// Config returns the geometry.
-func (c *Cache) Config() CacheConfig { return c.cfg }
-
 // Fetch performs one instruction fetch at addr.
 func (c *Cache) Fetch(addr uint64) {
 	c.accesses++
@@ -152,12 +149,6 @@ type Counters struct {
 
 // Read returns the current counters.
 func (c *Cache) Read() Counters { return Counters{Accesses: c.accesses, Misses: c.misses} }
-
-// Reset zeroes counters and invalidates the cache.
-func (c *Cache) Reset() {
-	c.accesses, c.misses = 0, 0
-	c.sets = make([][]uint64, c.cfg.Sets())
-}
 
 // ExecModel describes the interleaved execution whose fetch stream we
 // simulate: several virtual ranks sharing one core, each spinning in a

@@ -79,23 +79,10 @@ func TestFetchRangeCountsLines(t *testing.T) {
 	if k := c.Read(); k.Accesses != 2 {
 		t.Fatalf("accesses %d, want 2", k.Accesses)
 	}
-	c.Reset()
+	c = NewCache(Bridges2L1I())
 	c.FetchRange(0, 4096)
 	if k := c.Read(); k.Accesses != 64 || k.Misses != 64 {
 		t.Fatalf("range fetch %+v", k)
-	}
-}
-
-func TestResetClears(t *testing.T) {
-	c := NewCache(Bridges2L1I())
-	c.Fetch(0)
-	c.Reset()
-	if k := c.Read(); k.Accesses != 0 || k.Misses != 0 {
-		t.Fatal("counters survived reset")
-	}
-	c.Fetch(0)
-	if c.Read().Misses != 1 {
-		t.Fatal("cache contents survived reset")
 	}
 }
 

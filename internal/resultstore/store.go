@@ -16,10 +16,12 @@
 //     directory, is synced, then renamed over the final path. Readers
 //     therefore never observe a half-written entry under POSIX rename
 //     semantics; a crash leaves at worst an orphaned temp file.
-//   - Loads are corruption-tolerant: every entry carries a header with
-//     the payload length and SHA-256. A truncated, garbled, or
-//     mis-keyed file is counted (resultstore_corrupt_skipped_total)
-//     and treated as a miss — never a panic, never served.
+//   - Loads are corruption-tolerant: every entry opens with a header
+//     line carrying its hash, the payload length and SHA-256, and a file
+//     is served only if that line is exactly what Put writes for the
+//     payload that follows. Anything else is counted
+//     (resultstore_corrupt_skipped_total) and treated as a miss — never
+//     a panic, never served.
 //   - Locking follows the short-critical-section discipline the Go
 //     optimistic-concurrency study recommends: the mutex guards only
 //     the map/LRU index; all file I/O and hashing happen outside it,
@@ -32,12 +34,14 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 )
 
 // DefaultMaxEntries bounds the in-memory index when Open is given no
@@ -48,31 +52,55 @@ const DefaultMaxEntries = 1024
 // format itself.
 const magic = "provirt-result 1"
 
-// CodeVersion identifies the running build for cache partitioning: the
-// VCS revision stamped into the binary (suffixed "+dirty" when built
-// from a modified tree), or "dev" when no build info is available
-// (e.g. `go test` binaries).
-func CodeVersion() string {
-	info, ok := debug.ReadBuildInfo()
-	if !ok {
-		return "dev"
-	}
+// header is the first line of the entry file holding payload under
+// hash: magic, hash, payload length, and the payload's SHA-256.
+func header(hash string, payload []byte) string {
+	return fmt.Sprintf("%s %s %d %x\n", magic, sanitize(hash), len(payload), sha256.Sum256(payload))
+}
+
+// CodeVersion identifies the running build for cache partitioning. A
+// clean build keeps the VCS revision stamped into it. A build from a
+// modified tree is "<rev>+dirty.<digest>" and an unstamped one (go run,
+// go test, -buildvcs=false) "dev.<digest>", where digest is the first 12
+// hex digits of the SHA-256 of the running executable: two edits of one
+// commit never share a partition. It is computed once per process.
+var CodeVersion = sync.OnceValue(func() string {
 	var rev, modified string
-	for _, s := range info.Settings {
-		switch s.Key {
-		case "vcs.revision":
-			rev = s.Value
-		case "vcs.modified":
-			modified = s.Value
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				rev = s.Value
+			case "vcs.modified":
+				modified = s.Value
+			}
 		}
 	}
-	if rev == "" {
-		return "dev"
-	}
-	if modified == "true" {
-		return rev + "+dirty"
+	switch {
+	case rev == "":
+		return "dev." + executableDigest()
+	case modified == "true":
+		return rev + "+dirty." + executableDigest()
 	}
 	return rev
+})
+
+// executableDigest is the first 12 hex digits of the running binary's
+// SHA-256. A binary that cannot be read gets a partition of its own.
+func executableDigest() string {
+	h := sha256.New()
+	path, err := os.Executable()
+	if err == nil {
+		var f *os.File
+		if f, err = os.Open(path); err == nil {
+			_, err = io.Copy(h, f)
+			f.Close()
+		}
+	}
+	if err != nil {
+		return "t" + strconv.FormatInt(time.Now().UnixNano(), 16)
+	}
+	return hex.EncodeToString(h.Sum(nil))[:12]
 }
 
 // Store is one version-partition of the on-disk cache plus its
@@ -185,9 +213,7 @@ func (s *Store) Put(kind, hash string, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
-	sum := sha256.Sum256(payload)
-	header := fmt.Sprintf("%s %s %d %s\n", magic, sanitize(hash), len(payload), hex.EncodeToString(sum[:]))
-	_, err = tmp.WriteString(header)
+	_, err = tmp.WriteString(header(hash, payload))
 	if err == nil {
 		_, err = tmp.Write(payload)
 	}
@@ -233,39 +259,20 @@ func (s *Store) Len() int {
 	return s.lru.Len()
 }
 
-// load reads and verifies one entry file. Any deviation — missing
-// file, bad magic, wrong hash, short payload, checksum mismatch —
-// is a miss; corruption (as opposed to plain absence) is counted.
+// load reads and verifies one entry file: it is served iff its first
+// line is exactly header(wantHash, rest). Anything else — bad magic,
+// wrong hash, short payload, checksum mismatch, a framing Put never
+// writes — is a miss; corruption (as opposed to plain absence) is
+// counted.
 func (s *Store) load(path, wantHash string) ([]byte, bool) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, false // plain miss: the entry was never written
 	}
 	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 {
+	if nl < 0 || string(data[:nl+1]) != header(wantHash, data[nl+1:]) {
 		corrupt.Inc()
 		return nil, false
 	}
-	fields := strings.Fields(string(data[:nl]))
-	// magic is two tokens, then hash, length, checksum.
-	if len(fields) != 5 || fields[0]+" "+fields[1] != magic || fields[2] != sanitize(wantHash) {
-		corrupt.Inc()
-		return nil, false
-	}
-	n, err := strconv.Atoi(fields[3])
-	if err != nil || n < 0 {
-		corrupt.Inc()
-		return nil, false
-	}
-	payload := data[nl+1:]
-	if len(payload) != n {
-		corrupt.Inc()
-		return nil, false
-	}
-	sum := sha256.Sum256(payload)
-	if hex.EncodeToString(sum[:]) != fields[4] {
-		corrupt.Inc()
-		return nil, false
-	}
-	return payload, true
+	return data[nl+1:], true
 }

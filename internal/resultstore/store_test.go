@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -15,6 +16,43 @@ import (
 func TestCodeVersionNonEmpty(t *testing.T) {
 	if CodeVersion() == "" {
 		t.Fatal("empty code version")
+	}
+}
+
+// TestCodeVersionPartitionsBuilds builds testdata/codeversion twice,
+// unstamped and differing in one linked string: the two binaries report
+// different versions, each the same on every call and every run.
+func TestCodeVersionPartitionsBuilds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds two binaries")
+	}
+	dir := t.TempDir()
+	var versions []string
+	for _, stamp := range []string{"a", "b"} {
+		bin := filepath.Join(dir, stamp)
+		build := exec.Command("go", "build", "-buildvcs=false", "-ldflags", "-X main.stamp="+stamp, "-o", bin, "./testdata/codeversion")
+		if out, err := build.CombinedOutput(); err != nil {
+			t.Fatalf("go build: %v\n%s", err, out)
+		}
+		var runs []string
+		for range 2 {
+			out, err := exec.Command(bin).Output()
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := strings.Fields(string(out))
+			if len(f) != 3 || f[0] != stamp || f[1] != f[2] || !strings.HasPrefix(f[1], "dev.") {
+				t.Fatalf("stamp %s printed %q, want the stamp and one dev.<digest> twice", stamp, out)
+			}
+			runs = append(runs, f[1])
+		}
+		if runs[0] != runs[1] {
+			t.Fatalf("stamp %s: version %s, then %s on a second run", stamp, runs[0], runs[1])
+		}
+		versions = append(versions, runs[0])
+	}
+	if versions[0] == versions[1] {
+		t.Fatalf("two different builds share code version %s", versions[0])
 	}
 }
 
@@ -105,8 +143,8 @@ func TestCorruptEntriesSkippedAndCounted(t *testing.T) {
 	payload := []byte(`{"row":1}`)
 
 	corruptions := []struct {
-		name    string
-		mutate  func(path string) error
+		name   string
+		mutate func(path string) error
 	}{
 		{"garbage", func(p string) error { return os.WriteFile(p, []byte("not a result file"), 0o644) }},
 		{"empty", func(p string) error { return os.WriteFile(p, nil, 0o644) }},
@@ -212,4 +250,49 @@ func TestConcurrentPutGet(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// FuzzStoreLoad writes arbitrary bytes where an entry lives. Get never
+// panics, serves a file only if it is byte for byte what Put writes for
+// the payload it returns, and never indexes a file it rejects.
+func FuzzStoreLoad(f *testing.F) {
+	payload := []byte(`{"row":1}`)
+	good := header("h", payload) + string(payload)
+	nl := strings.IndexByte(good, '\n')
+	flipped := []byte(good)
+	flipped[len(flipped)-1] ^= 0xff
+	for _, seed := range []string{
+		good,
+		"not a result file",
+		"",
+		good[:len(good)-3],
+		string(flipped),
+		good[:nl+1],
+		strings.Replace(good, " 9 ", " +9 ", 1),
+		strings.Replace(good, " 9 ", " 09 ", 1),
+		strings.Replace(good, " 9 ", "\t9 ", 1),
+		strings.Replace(good, " h ", "  h ", 1),
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, file []byte) {
+		st, err := Open(t.TempDir(), "v1", 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := st.path("pt", "h")
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := st.Get("pt", "h")
+		switch {
+		case ok && string(file) != header("h", got)+string(got):
+			t.Fatalf("served %q from a file Put would not write: %q", got, file)
+		case !ok && st.Len() != 0:
+			t.Fatalf("rejected file entered the index")
+		}
+	})
 }

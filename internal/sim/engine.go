@@ -35,10 +35,7 @@ type node struct {
 	call  func(any)
 	tcall TimedCall
 	arg   any
-	gen   uint64
 	dom   int32 // lookahead domain (0 when domains are off)
-	dead  bool
-	eng   *Engine
 }
 
 // TimedCall is the callback form domain-aware scheduling uses: it
@@ -56,7 +53,6 @@ type Dispatcher interface {
 	Reserve(n int)
 	Run(done func() bool) error
 	EventsFired() uint64
-	Pending() int
 }
 
 // Sched is the scheduling surface an event callback sees. The serial
@@ -75,40 +71,9 @@ type Sched interface {
 	Tracer() trace.Tracer
 }
 
-// Event is a handle to a scheduled callback. It is a small value, cheap to
-// copy and to discard. Events with equal timestamps fire in the order they
-// were scheduled, which keeps runs deterministic.
-type Event struct {
-	n   *node
-	gen uint64
-	at  Time
-}
-
-// Time reports when the event fires.
-func (e Event) Time() Time { return e.at }
-
-// Cancel prevents a pending event from firing. Cancelling an event that has
-// already fired (or cancelling twice) is a no-op: the generation stamp in
-// the handle detects that the underlying node has been recycled.
-func (e Event) Cancel() {
-	n := e.n
-	if n == nil || n.gen != e.gen || n.dead {
-		return
-	}
-	n.dead = true
-	eng := n.eng
-	eng.live--
-	eng.dead++
-	// Dead nodes stay resident until popped; once they outnumber the live
-	// ones, compact so mass-cancellation workloads don't hold memory (and
-	// heap depth) indefinitely. Each compaction removes more than half the
-	// queue, so the cost amortizes to O(1) per cancel.
-	if eng.dead*2 > len(eng.queue) {
-		eng.compact()
-	}
-}
-
-// Engine owns the virtual clock and the pending event queue.
+// Engine owns the virtual clock and the pending event queue. Events with
+// equal timestamps fire in the order they were scheduled, which keeps runs
+// deterministic.
 //
 // The engine is not safe for concurrent use; the whole simulation runs on a
 // single logical thread (rank user-level threads hand control back and forth
@@ -118,8 +83,6 @@ type Engine struct {
 	now    Time
 	seq    uint64
 	queue  []*node
-	live   int // undead events resident in queue
-	dead   int // cancelled events resident in queue
 	free   []*node
 	fired  uint64
 	halted bool
@@ -187,7 +150,7 @@ func (e *Engine) stamp(dom int32) uint64 {
 	return uint64(dom)<<56 | uint64(src)<<40 | cnt
 }
 
-// curDom reports the domain untargeted scheduling (At/AtCall/After)
+// curDom reports the domain untargeted scheduling (At/AtCall)
 // lands in: the dispatching event's own domain, or 0 outside dispatch.
 func (e *Engine) curDom() int32 {
 	if e.curSrc > 0 {
@@ -210,7 +173,6 @@ func (e *Engine) Reserve(n int) {
 	if need := n - len(e.free); need > 0 {
 		nodes := make([]node, need) // one slab, not n small allocations
 		for i := range nodes {
-			nodes[i].eng = e
 			e.free = append(e.free, &nodes[i])
 		}
 	}
@@ -235,34 +197,29 @@ func (e *Engine) alloc() *node {
 		return nd
 	}
 	metrics.nodeAllocs.Inc()
-	return &node{eng: e}
+	return &node{}
 }
 
-// release recycles a node, bumping its generation so outstanding Event
-// handles become inert.
+// release recycles a node, dropping its references.
 func (e *Engine) release(nd *node) {
-	nd.gen++
 	nd.fn = nil
 	nd.call = nil
 	nd.tcall = nil
 	nd.arg = nil
-	nd.dead = false
 	e.free = append(e.free, nd)
 }
 
 // push appends a prepared node and restores the heap invariant.
-func (e *Engine) push(nd *node) Event {
-	e.live++
+func (e *Engine) push(nd *node) {
 	e.queue = append(e.queue, nd)
 	e.siftUp(len(e.queue) - 1)
 	metrics.queueDepth.SetMax(int64(len(e.queue)))
-	return Event{n: nd, gen: nd.gen, at: nd.at}
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it indicates a bug in a cost model, and silently clamping would
 // mask causality violations.
-func (e *Engine) At(t Time, fn func()) Event {
+func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: event scheduled at %v, before now %v", t, e.now))
 	}
@@ -270,14 +227,14 @@ func (e *Engine) At(t Time, fn func()) Event {
 	nd.at, nd.fn = t, fn
 	nd.dom = e.curDom()
 	nd.seq = e.stamp(nd.dom)
-	return e.push(nd)
+	e.push(nd)
 }
 
 // AtCall schedules call(arg) at absolute virtual time t. It is the
 // allocation-free variant of At for hot paths: the caller passes a shared
 // function value and threads its state through arg instead of capturing it
 // in a fresh closure per event.
-func (e *Engine) AtCall(t Time, call func(any), arg any) Event {
+func (e *Engine) AtCall(t Time, call func(any), arg any) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: event scheduled at %v, before now %v", t, e.now))
 	}
@@ -285,7 +242,7 @@ func (e *Engine) AtCall(t Time, call func(any), arg any) Event {
 	nd.at, nd.call, nd.arg = t, call, arg
 	nd.dom = e.curDom()
 	nd.seq = e.stamp(nd.dom)
-	return e.push(nd)
+	e.push(nd)
 }
 
 // AtCallIn schedules call(e, t, arg) at absolute virtual time t in
@@ -313,14 +270,6 @@ func (e *Engine) pushStamped(t Time, seq uint64, dom int32, call TimedCall, arg 
 	nd := e.alloc()
 	nd.at, nd.seq, nd.tcall, nd.arg, nd.dom = t, seq, call, arg, dom
 	e.push(nd)
-}
-
-// After schedules fn to run d after the current virtual time.
-func (e *Engine) After(d Time, fn func()) Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return e.At(e.now+d, fn)
 }
 
 // less orders nodes by (time, scheduling sequence).
@@ -389,28 +338,6 @@ func (e *Engine) popMin() *node {
 	return nd
 }
 
-// compact evicts dead nodes in place and rebuilds the heap. Pop order is
-// unchanged: the (time, seq) order is total, so any valid heap over the
-// same live set yields the identical firing sequence.
-func (e *Engine) compact() {
-	q := e.queue[:0]
-	for _, nd := range e.queue {
-		if nd.dead {
-			e.dead--
-			e.release(nd)
-			continue
-		}
-		q = append(q, nd)
-	}
-	for i := len(q); i < len(e.queue); i++ {
-		e.queue[i] = nil
-	}
-	e.queue = q
-	for i := (len(q) - 2) >> 2; i >= 0; i-- {
-		e.siftDown(i)
-	}
-}
-
 // Halt stops the run loop after the current event returns.
 func (e *Engine) Halt() { e.halted = true }
 
@@ -422,40 +349,33 @@ var ErrStalled = errors.New("sim: event queue empty before completion (deadlock)
 // Step fires the next pending event, advancing the clock to its timestamp.
 // It reports whether an event was fired.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		nd := e.popMin()
-		if nd.dead {
-			e.dead--
-			e.release(nd)
-			continue
-		}
-		if nd.at < e.now {
-			panic("sim: clock regression")
-		}
-		e.now = nd.at
-		e.fired++
-		e.live--
-		metrics.dispatched.Inc()
-		if e.tracer != nil {
-			e.tracer.Emit(trace.Event{Time: e.now, Kind: trace.KindEngineEvent, PE: -1, VP: -1, Peer: -1})
-		}
-		fn, call, tcall, arg, dom := nd.fn, nd.call, nd.tcall, nd.arg, nd.dom
-		// Recycle before running the callback: outstanding handles go
-		// inert (Cancel of a fired event stays a no-op) and the callback
-		// can immediately reuse the node for what it schedules.
-		e.release(nd)
-		e.curSrc = dom + 1
-		if fn != nil {
-			fn()
-		} else if call != nil {
-			call(arg)
-		} else {
-			tcall(e, e.now, arg)
-		}
-		e.curSrc = 0
-		return true
+	if len(e.queue) == 0 {
+		return false
 	}
-	return false
+	nd := e.popMin()
+	if nd.at < e.now {
+		panic("sim: clock regression")
+	}
+	e.now = nd.at
+	e.fired++
+	metrics.dispatched.Inc()
+	if e.tracer != nil {
+		e.tracer.Emit(trace.Event{Time: e.now, Kind: trace.KindEngineEvent, PE: -1, VP: -1, Peer: -1})
+	}
+	fn, call, tcall, arg, dom := nd.fn, nd.call, nd.tcall, nd.arg, nd.dom
+	// Recycle before running the callback, so it can immediately reuse
+	// the node for what it schedules.
+	e.release(nd)
+	e.curSrc = dom + 1
+	if fn != nil {
+		fn()
+	} else if call != nil {
+		call(arg)
+	} else {
+		tcall(e, e.now, arg)
+	}
+	e.curSrc = 0
+	return true
 }
 
 // Run fires events until done returns true, the queue drains, or Halt is
@@ -480,10 +400,4 @@ func (e *Engine) Run(done func() bool) error {
 func (e *Engine) Drain() {
 	for e.Step() {
 	}
-}
-
-// Pending reports the number of live events still queued. It is O(1): the
-// engine maintains the count as events are scheduled, cancelled, and fired.
-func (e *Engine) Pending() int {
-	return e.live
 }

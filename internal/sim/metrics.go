@@ -16,8 +16,8 @@ import "provirt/internal/obs"
 type obsMetrics struct {
 	// dispatched counts events fired across all engines.
 	dispatched *obs.Counter
-	// queueDepth is the high-water mark of any engine's pending queue
-	// (live + cancelled residents), the contention signal for the heap.
+	// queueDepth is the high-water mark of any engine's pending queue,
+	// the contention signal for the heap.
 	queueDepth *obs.Gauge
 	// nodeReuse counts event nodes taken from a free list; nodeAllocs
 	// counts nodes newly allocated. Steady state should be all reuse.

@@ -16,11 +16,11 @@ func TestEngineObsCounts(t *testing.T) {
 	e := NewEngine()
 	dispatched := 0
 	for i := 0; i < 8; i++ {
-		e.After(Time(i+1), func() { dispatched++ })
+		e.At(Time(i+1), func() { dispatched++ })
 	}
 	e.Drain()
 	// Reschedule: the free list now feeds alloc.
-	e.After(1, func() { dispatched++ })
+	e.At(e.Now()+1, func() { dispatched++ })
 	e.Drain()
 
 	if dispatched != 9 {
@@ -41,7 +41,7 @@ func TestEngineObsCounts(t *testing.T) {
 
 	EnableObs(nil)
 	e2 := NewEngine()
-	e2.After(1, func() {})
+	e2.At(1, func() {})
 	e2.Drain()
 	if got := metrics.dispatched.Value(); got != 0 {
 		t.Fatalf("disabled metrics still counting: %d", got)

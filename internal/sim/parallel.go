@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"provirt/internal/trace"
 )
@@ -52,11 +51,6 @@ type ParallelEngine struct {
 	// between windows, read by workers (and the causality check) inside
 	// one.
 	horizon Time
-
-	windows uint64
-	// halted is atomic because Halt may be called from a callback, which
-	// under this engine runs on a worker goroutine.
-	halted atomic.Bool
 
 	// active is the coordinator's reusable scratch slice.
 	active []*shard
@@ -139,15 +133,6 @@ func NewParallelEngine(cfg ParallelConfig) *ParallelEngine {
 	return p
 }
 
-// Domains reports the domain count.
-func (p *ParallelEngine) Domains() int { return len(p.shards) }
-
-// Lookahead reports the conservative horizon slack.
-func (p *ParallelEngine) Lookahead() Time { return p.lookahead }
-
-// Windows reports how many conservative windows have run.
-func (p *ParallelEngine) Windows() uint64 { return p.windows }
-
 // Tracer returns the user's tracer (Sched). Emissions made outside any
 // callback interleave with merged window output in program order, just
 // as they do on a serial engine.
@@ -182,39 +167,10 @@ func (p *ParallelEngine) EventsFired() uint64 {
 	return total
 }
 
-// DomainEventsFired reports per-domain fired counts, indexed by domain.
-func (p *ParallelEngine) DomainEventsFired() []uint64 {
-	out := make([]uint64, len(p.shards))
-	for d, s := range p.shards {
-		out[d] = s.eng.fired
-	}
-	return out
-}
-
-// Pending reports live events queued across all domains.
-func (p *ParallelEngine) Pending() int {
-	total := 0
-	for _, s := range p.shards {
-		total += s.eng.live
-	}
-	return total
-}
-
-// Halt stops Run after the current window's barrier.
-func (p *ParallelEngine) Halt() { p.halted.Store(true) }
-
-// next reports the shard's earliest live event time, releasing dead
-// heads on the way (the coordinator-side mirror of Step's skip loop).
+// next reports the shard's earliest event time.
 func (s *shard) next() (Time, bool) {
-	e := s.eng
-	for len(e.queue) > 0 {
-		nd := e.queue[0]
-		if !nd.dead {
-			return nd.at, true
-		}
-		e.popMin()
-		e.dead--
-		e.release(nd)
+	if q := s.eng.queue; len(q) > 0 {
+		return q[0].at, true
 	}
 	return 0, false
 }
@@ -223,22 +179,11 @@ func (s *shard) next() (Time, bool) {
 // It runs on a worker goroutine; everything it touches is shard-local.
 func (s *shard) runWindow(horizon Time) {
 	e := s.eng
-	for len(e.queue) > 0 {
-		nd := e.queue[0]
-		if nd.dead {
-			e.popMin()
-			e.dead--
-			e.release(nd)
-			continue
-		}
-		if nd.at >= horizon {
-			break
-		}
-		e.popMin()
+	for len(e.queue) > 0 && e.queue[0].at < horizon {
+		nd := e.popMin()
 		at := nd.at
 		e.now = at
 		e.fired++
-		e.live--
 		s.windowFired++
 		if s.buf != nil {
 			s.buf.begin(at, nd.seq)
@@ -290,13 +235,12 @@ func (s *shard) Tracer() trace.Tracer {
 	return s.buf
 }
 
-// Run drives conservative windows until done returns true, every queue
-// drains, or Halt is called. If the queues drain first, Run returns
+// Run drives conservative windows until done returns true or every queue
+// drains. If the queues drain first, Run returns
 // ErrStalled — the same contract as Engine.Run, with done evaluated at
 // window granularity (between windows no callback is mid-flight, so
 // any done predicate over world state is safe to read).
 func (p *ParallelEngine) Run(done func() bool) error {
-	p.halted.Store(false)
 	work := make(chan *shard, len(p.shards))
 	defer close(work)
 	var wg sync.WaitGroup
@@ -311,7 +255,7 @@ func (p *ParallelEngine) Run(done func() bool) error {
 			}
 		}()
 	}
-	for !p.halted.Load() {
+	for {
 		if done != nil && done() {
 			return nil
 		}
@@ -350,7 +294,6 @@ func (p *ParallelEngine) Run(done func() bool) error {
 		}
 		p.barrier(active)
 	}
-	return nil
 }
 
 // barrier is the window epilogue: deliver mailboxes, merge trace
@@ -380,7 +323,6 @@ func (p *ParallelEngine) barrier(active []*shard) {
 	if p.tracer != nil {
 		p.mergeTraces(active)
 	}
-	p.windows++
 	metrics.dispatched.Add(fired)
 	metrics.windows.Inc()
 	metrics.windowEvents.Observe(fired)

@@ -101,6 +101,9 @@ func runChurn(t *testing.T, d Dispatcher, domains int, rec *trace.Recorder) []tr
 // emissions) on the serial engine in domain mode and on the parallel
 // engine at several worker counts.
 func TestParallelEngineMatchesSerial(t *testing.T) {
+	r := obs.NewRegistry()
+	EnableObs(r)
+	defer EnableObs(nil)
 	const domains = 5
 	serialRec := trace.NewRecorder(append(trace.DefaultKinds(), trace.KindEngineEvent)...)
 	ser := NewEngine()
@@ -112,6 +115,7 @@ func TestParallelEngineMatchesSerial(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 2, 4, 8} {
+		windows := metrics.windows.Value()
 		rec := trace.NewRecorder(append(trace.DefaultKinds(), trace.KindEngineEvent)...)
 		par := NewParallelEngine(ParallelConfig{
 			Domains: domains, Lookahead: churnLookahead, Workers: workers, Tracer: rec,
@@ -129,15 +133,8 @@ func TestParallelEngineMatchesSerial(t *testing.T) {
 			t.Fatalf("workers=%d: fired %d events, serial fired %d",
 				workers, par.EventsFired(), ser.EventsFired())
 		}
-		if par.Windows() < 2 {
-			t.Fatalf("workers=%d: only %d windows — workload never exercised the protocol", workers, par.Windows())
-		}
-		var perDomain uint64
-		for _, n := range par.DomainEventsFired() {
-			perDomain += n
-		}
-		if perDomain != par.EventsFired() {
-			t.Fatalf("per-domain fired counts sum to %d, total says %d", perDomain, par.EventsFired())
+		if n := metrics.windows.Value() - windows; n < 2 {
+			t.Fatalf("workers=%d: only %d windows — workload never exercised the protocol", workers, n)
 		}
 	}
 }
@@ -162,8 +159,8 @@ func TestParallelEngineCausalityPanic(t *testing.T) {
 	_ = p.Run(nil)
 }
 
-// TestParallelEngineRunSemantics checks ErrStalled, done, and Halt
-// behave like the serial engine's Run.
+// TestParallelEngineRunSemantics checks ErrStalled and done behave like
+// the serial engine's Run.
 func TestParallelEngineRunSemantics(t *testing.T) {
 	p := NewParallelEngine(ParallelConfig{Domains: 2, Lookahead: 10, Workers: 2})
 	if err := p.Run(func() bool { return false }); err != ErrStalled {
@@ -174,19 +171,12 @@ func TestParallelEngineRunSemantics(t *testing.T) {
 	if err := p.Run(func() bool { return fired > 0 }); err != nil {
 		t.Fatalf("done run: %v", err)
 	}
-	if fired != 1 || p.EventsFired() != 1 || p.Pending() != 0 {
-		t.Fatalf("fired=%d events=%d pending=%d", fired, p.EventsFired(), p.Pending())
+	if fired != 1 || p.EventsFired() != 1 {
+		t.Fatalf("fired=%d events=%d", fired, p.EventsFired())
 	}
-
-	p.AtCallIn(1, 2, func(s Sched, now Time, arg any) {
-		p.Halt()
-		s.AtCallIn(1, now+1000, func(Sched, Time, any) { t.Error("ran past Halt") }, nil)
-	}, nil)
-	if err := p.Run(nil); err != nil {
-		t.Fatalf("halted run: %v", err)
-	}
-	if p.Pending() != 1 {
-		t.Fatalf("pending after Halt = %d, want the unfired follow-up", p.Pending())
+	p.AtCallIn(1, 2, func(Sched, Time, any) { fired++ }, nil)
+	if err := p.Run(nil); err != nil || fired != 2 {
+		t.Fatalf("drained run: %v, fired=%d", err, fired)
 	}
 }
 
@@ -202,8 +192,8 @@ func TestParallelEngineWindowMetrics(t *testing.T) {
 	p := NewParallelEngine(ParallelConfig{Domains: domains, Lookahead: churnLookahead, Workers: 2, Tracer: rec})
 	runChurn(t, p, domains, rec)
 
-	if got := metrics.windows.Value(); got != p.Windows() {
-		t.Fatalf("sim_windows_total = %d, engine says %d", got, p.Windows())
+	if got := metrics.windows.Value(); got < 2 {
+		t.Fatalf("sim_windows_total = %d, want several windows", got)
 	}
 	if got := metrics.dispatched.Value(); got != p.EventsFired() {
 		t.Fatalf("sim_events_dispatched_total = %d, engine fired %d", got, p.EventsFired())

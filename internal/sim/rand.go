@@ -1,7 +1,5 @@
 package sim
 
-import "math"
-
 // RNG is a small, fast, deterministic pseudo-random number generator
 // (xoshiro256** by Blackman and Vigna). The reproduction avoids math/rand's
 // global state so that independent simulation components can own independent
@@ -52,32 +50,6 @@ func (r *RNG) Intn(n int) int {
 // Float64 returns a uniform value in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// NormFloat64 returns a standard normal variate via the polar method.
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s >= 1 || s == 0 {
-			continue
-		}
-		return u * math.Sqrt(-2*math.Log(s)/s)
-	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }
 
 // Fork derives an independent stream labelled by id. Two forks with distinct

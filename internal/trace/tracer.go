@@ -78,11 +78,6 @@ const (
 	// Bytes the restored payload size. Aux is the Checkpoint target
 	// code (0 = shared FS, 1 = buddy memory).
 	KindRecover
-	// KindEpoch marks a cluster-membership epoch transition (instant):
-	// nodes arrived or were retired. Aux is the Epoch* constant, Peer
-	// the new live node count, Bytes the number of nodes the event
-	// added or retired.
-	KindEpoch
 	// KindDrain spans a drain checkpoint: the forced snapshot taken
 	// between an eviction notice arriving and the node leaving, so
 	// planned departures lose no work. Aux is the Checkpoint target
@@ -111,7 +106,6 @@ var kindNames = [numKinds]string{
 	KindFault:       "fault",
 	KindDetect:      "detect",
 	KindRecover:     "recover",
-	KindEpoch:       "epoch",
 	KindDrain:       "drain",
 }
 
@@ -138,39 +132,20 @@ const (
 	WaitMigrate int32 = 1
 )
 
-// CollOp codes carried in Event.Aux for KindColl events.
+// CollOp codes carried in Event.Aux for KindColl events: the two
+// rank-level collectives. The numbers are part of the trace format.
 const (
-	CollBarrier int32 = iota
-	CollBcast
-	CollReduce
-	CollAllreduce
-	CollGather
-	CollScatter
-	CollAllgather
-	CollAlltoall
-	CollScan
-	CollExscan
-	CollReduceScatter
+	CollBarrier   int32 = 0
+	CollAllreduce int32 = 3
 )
-
-var collNames = [...]string{
-	CollBarrier:       "barrier",
-	CollBcast:         "bcast",
-	CollReduce:        "reduce",
-	CollAllreduce:     "allreduce",
-	CollGather:        "gather",
-	CollScatter:       "scatter",
-	CollAllgather:     "allgather",
-	CollAlltoall:      "alltoall",
-	CollScan:          "scan",
-	CollExscan:        "exscan",
-	CollReduceScatter: "reduce_scatter",
-}
 
 // CollName names a CollOp code.
 func CollName(op int32) string {
-	if op >= 0 && int(op) < len(collNames) {
-		return collNames[op]
+	switch op {
+	case CollBarrier:
+		return "barrier"
+	case CollAllreduce:
+		return "allreduce"
 	}
 	return "coll?"
 }
@@ -198,10 +173,6 @@ func FaultName(f int32) string {
 	}
 	return "fault?"
 }
-
-// EpochAdd is the Aux value of a KindEpoch event: nodes joined the
-// cluster.
-const EpochAdd int32 = 0
 
 // Network tier codes carried in Event.Aux for KindLink events.
 const (
@@ -308,6 +279,3 @@ func (r *Recorder) Events() []Event { return r.events }
 
 // Len reports the number of recorded events.
 func (r *Recorder) Len() int { return len(r.events) }
-
-// Reset discards recorded events, keeping the kind selection.
-func (r *Recorder) Reset() { r.events = r.events[:0] }

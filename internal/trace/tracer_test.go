@@ -29,19 +29,6 @@ func TestRecorderExplicitKinds(t *testing.T) {
 	}
 }
 
-func TestRecorderReset(t *testing.T) {
-	r := NewRecorder()
-	r.Emit(Event{Kind: KindExec})
-	r.Reset()
-	if r.Len() != 0 {
-		t.Fatalf("len %d after reset", r.Len())
-	}
-	r.Emit(Event{Kind: KindWait})
-	if r.Len() != 1 {
-		t.Fatal("reset recorder must keep recording with the same kinds")
-	}
-}
-
 // allKinds lists every Kind, including KindEngineEvent.
 func allKinds() []Kind {
 	ks := make([]Kind, numKinds)

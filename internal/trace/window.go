@@ -74,9 +74,6 @@ func (ww *WindowWriter) flush() {
 // still-buffered tail window).
 func (ww *WindowWriter) Emitted() uint64 { return ww.emitted }
 
-// Err reports the first write error, if any.
-func (ww *WindowWriter) Err() error { return ww.err }
-
 // Close drains the tail window and flushes the underlying buffered
 // writer. It returns the first error seen anywhere in the stream.
 func (ww *WindowWriter) Close() error {

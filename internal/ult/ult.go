@@ -96,9 +96,6 @@ func InitThread(t *Thread, id int, body func(*Thread)) {
 // State reports the thread's lifecycle state.
 func (t *Thread) State() State { return t.state }
 
-// Scheduler returns the scheduler the thread is currently bound to.
-func (t *Thread) Scheduler() *Scheduler { return t.sched }
-
 // Now reports the thread's PE-local virtual clock. Valid only while the
 // thread is running.
 func (t *Thread) Now() sim.Time { return t.sched.now }
@@ -290,7 +287,6 @@ func (s *Scheduler) dilate(d sim.Time) sim.Time {
 func NewScheduler(pe *machine.PE, engine *sim.Engine, cost *machine.CostModel) *Scheduler {
 	s := &Scheduler{PE: pe, Engine: engine, Cost: cost}
 	s.passFn = s.pass
-	pe.Sched = s
 	return s
 }
 

@@ -105,7 +105,7 @@ func TestSuspendWake(t *testing.T) {
 	if phase != 1 || th.State() != Blocked {
 		t.Fatalf("phase=%d state=%v", phase, th.State())
 	}
-	e.After(time.Microsecond, func() { th.Wake() })
+	e.At(e.Now()+time.Microsecond, func() { th.Wake() })
 	e.Drain()
 	if phase != 2 || th.State() != Done {
 		t.Fatalf("after wake: phase=%d state=%v", phase, th.State())
@@ -149,20 +149,20 @@ func TestRemoveAndAdoptBlocked(t *testing.T) {
 	var resumedOn *Scheduler
 	th := newThread(0, func(th *Thread) {
 		th.Suspend()
-		resumedOn = th.Scheduler()
+		resumedOn = th.sched
 	})
 	s0.Adopt(th)
 	cl.Engine.Drain()
 	// Migrate the blocked thread.
 	s0.Remove(th)
-	if th.Scheduler() != nil {
+	if th.sched != nil {
 		t.Fatal("removed thread still bound")
 	}
 	s1.AdoptBlocked(th)
 	if th.State() != Blocked {
 		t.Fatal("AdoptBlocked changed state")
 	}
-	cl.Engine.After(time.Microsecond, func() { th.Wake() })
+	cl.Engine.At(cl.Engine.Now()+time.Microsecond, func() { th.Wake() })
 	cl.Engine.Drain()
 	if resumedOn != s1 {
 		t.Fatal("thread did not resume on the destination scheduler")

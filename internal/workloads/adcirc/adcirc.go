@@ -139,14 +139,6 @@ func Radius(cfg Config, t int) float64 {
 	return cfg.StormRadius * (1 + cfg.StormGrowth*frac)
 }
 
-// wet reports whether cell (x, y) is wet at step t.
-func wet(cfg Config, x, y, t int) bool {
-	sx, sy := storm(cfg, t)
-	dx, dy := float64(x)-sx, float64(y)-sy
-	r := Radius(cfg, t)
-	return dx*dx+dy*dy <= r*r
-}
-
 // WetCount returns the number of wet cells in rows [r0, r1) at step t.
 // The wet region is a disk, so each row's wet span is computed
 // analytically.
