@@ -50,13 +50,15 @@ race-full:
 # Ten seconds each of the copy-on-write segment view against its
 # flat-heap oracle, of ChurnSpec.Compile against its sort-then-truncate
 # oracle, of the Spec wire codec (decode, validate, hash, round trip),
-# and of the result store's entry loader against arbitrary files: long
+# of the result store's entry loader against arbitrary files, and of the
+# linear match queues against the hash-indexed ones they replaced: long
 # enough to leave the seed corpus, short enough for CI.
 fuzz-smoke:
 	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzSegmentView -fuzztime 10s
 	$(GO) test ./internal/ft -run '^$$' -fuzz FuzzChurnCompile -fuzztime 10s
 	$(GO) test ./internal/scenario -run '^$$' -fuzz FuzzSpecDecode -fuzztime 10s
 	$(GO) test ./internal/resultstore -run '^$$' -fuzz FuzzStoreLoad -fuzztime 10s
+	$(GO) test ./internal/ampi -run '^$$' -fuzz FuzzMatchQueue -fuzztime 10s
 
 # go vet, and no file gofmt would change.
 vet:

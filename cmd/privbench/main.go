@@ -128,6 +128,9 @@ func main() {
 	if *parallel < 1 {
 		die(2, "-parallel must be >= 1, got %d", *parallel)
 	}
+	if *traceWindow < 0 {
+		die(2, "-trace-window must be >= 0 (0 buffers the whole trace), got %d", *traceWindow)
+	}
 
 	var selected []harness.Experiment
 	if *experiment == "all" {

@@ -1,6 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -68,6 +74,33 @@ func TestParseDurations(t *testing.T) {
 		if _, err := parseDurations(in); err == nil {
 			t.Errorf("parseDurations(%q) accepted", in)
 		}
+	}
+}
+
+// TestNegativeTraceWindowIsRefused runs main in a child copy of the test
+// binary: a negative -trace-window must exit 2 before anything runs,
+// not fall back to buffering the whole trace in memory.
+func TestNegativeTraceWindowIsRefused(t *testing.T) {
+	if args := os.Getenv("PRIVBENCH_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"privbench"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	out := filepath.Join(t.TempDir(), "fig5.jsonl")
+	cmd := exec.Command(os.Args[0], "-test.run=^TestNegativeTraceWindowIsRefused$")
+	cmd.Env = append(os.Environ(), "PRIVBENCH_TEST_ARGS=-experiment fig5 -trace "+out+" -trace-window=-5")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("privbench -trace-window=-5: %v, want exit status 2", err)
+	}
+	if !strings.Contains(stderr.String(), "-trace-window") {
+		t.Fatalf("stderr does not name the flag: %q", stderr.String())
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("a refused run wrote its trace: %v", err)
 	}
 }
 

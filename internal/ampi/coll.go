@@ -12,47 +12,88 @@ import (
 // numbers aligned.
 const collTagBase = -1_000_000
 
-// worldComm returns the rank's cached MPI_COMM_WORLD; all rank-level
-// collectives delegate to it so there is exactly one implementation of
-// each algorithm.
-func (r *Rank) worldComm() *Comm {
-	if r.world0 == nil {
-		r.world0 = r.CommWorld()
-	}
-	return r.world0
+// nextCollTag allocates the tag of the rank's next collective step.
+func (r *Rank) nextCollTag() int {
+	r.collSeq++
+	return collTagBase - r.collSeq
 }
 
-// collBegin snapshots the start of a rank-level collective for the
-// tracer; on is false (and the snapshot free) when tracing is off.
-func (r *Rank) collBegin() (start sim.Time, on bool) {
-	if r.world.tracer == nil {
-		return 0, false
-	}
-	return r.thread.Now(), true
-}
-
-// collEnd emits the collective's span. The span covers the whole call
-// in the rank's virtual time, inclusive of the sends, receives, and
-// waits the algorithm performs inside it.
-func (r *Rank) collEnd(on bool, start sim.Time, op int32) {
-	if !on {
-		return
-	}
-	r.world.tracer.Emit(trace.Event{Time: start, Dur: r.thread.Now() - start, Kind: trace.KindColl,
-		PE: int32(r.pe.ID), VP: int32(r.vp), Peer: -1, Aux: op})
-}
-
-// Allreduce is Reduce to rank 0 followed by Bcast.
+// Allreduce is a reduce to rank 0 followed by a broadcast from it.
 func (r *Rank) Allreduce(data []float64, op *Op) []float64 {
-	start, on := r.collBegin()
-	out := r.worldComm().Allreduce(data, op)
-	r.collEnd(on, start, trace.CollAllreduce)
-	return out
+	return r.allreduce(trace.CollAllreduce, data, op)
 }
 
 // Barrier blocks until every rank has entered it.
-func (r *Rank) Barrier() {
-	start, on := r.collBegin()
-	r.worldComm().Barrier()
-	r.collEnd(on, start, trace.CollBarrier)
+func (r *Rank) Barrier() { r.allreduce(trace.CollBarrier, nil, OpSum) }
+
+// allreduce runs both collectives and traces the call as one span of
+// kind code, inclusive of the sends, receives and waits inside it.
+func (r *Rank) allreduce(code int32, data []float64, op *Op) []float64 {
+	tr := r.world.tracer
+	var start sim.Time
+	if tr != nil {
+		start = r.thread.Now()
+	}
+	acc := r.reduce(data, op)
+	out := r.bcast(acc)
+	if acc != nil {
+		// Only the root holds a reduction result here, and bcast has
+		// copied it into the outgoing payloads and out.
+		r.world.releaseAfterOp(op, acc)
+	}
+	if tr != nil {
+		tr.Emit(trace.Event{Time: start, Dur: r.thread.Now() - start, Kind: trace.KindColl,
+			PE: int32(r.pe.ID), VP: int32(r.vp), Peer: -1, Aux: code})
+	}
+	return out
+}
+
+// reduce combines every rank's contribution up a binomial tree rooted
+// at rank 0, children's subtrees largest first, and returns the result
+// at rank 0 (nil elsewhere).
+func (r *Rank) reduce(data []float64, op *Op) []float64 {
+	w, size := r.world, r.Size()
+	tag := r.nextCollTag()
+	acc := w.copyBuf(data)
+	parent, limit := binomialNode(r.vp, size)
+	top := 0
+	for m := 1; m < limit && r.vp+m < size; m <<= 1 {
+		top = m
+	}
+	for m := top; m > 0; m >>= 1 {
+		part := r.Wait(r.irecv(r.vp+m, tag))
+		acc = w.applyOp(op, r, part, acc)
+		w.releaseAfterOp(op, part)
+	}
+	if parent >= 0 {
+		r.sendMsg(parent, tag, acc, 0)
+		w.releaseAfterOp(op, acc)
+		return nil
+	}
+	return acc
+}
+
+// bcast sends rank 0's data down the same binomial tree and returns
+// every rank's copy.
+func (r *Rank) bcast(data []float64) []float64 {
+	size := r.Size()
+	tag := r.nextCollTag()
+	if size == 1 {
+		return append([]float64(nil), data...)
+	}
+	parent, limit := binomialNode(r.vp, size)
+	buf := data
+	if parent >= 0 {
+		buf = r.Wait(r.irecv(parent, tag))
+	}
+	for m := 1; m < limit && r.vp+m < size; m <<= 1 {
+		r.sendMsg(r.vp+m, tag, buf, 0)
+	}
+	out := append([]float64(nil), buf...)
+	if parent >= 0 {
+		// The relay buffer was this hop's message payload; sends have
+		// copied it onward, so it can be recycled.
+		r.world.putBuf(buf)
+	}
+	return out
 }

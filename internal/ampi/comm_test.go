@@ -34,26 +34,6 @@ func mediumConfig(v int) ampi.Config {
 	}
 }
 
-func TestCommWorldMirrorsRank(t *testing.T) {
-	prog := &ampi.Program{
-		Image: synth.EmptyImage(),
-		Main: func(r *ampi.Rank) {
-			c := r.CommWorld()
-			if c.Size() != r.Size() {
-				panic("comm world size mismatch")
-			}
-			sum := c.Allreduce([]float64{1}, ampi.OpSum)
-			if sum[0] != float64(r.Size()) {
-				panic("comm world allreduce wrong")
-			}
-			if got := r.Allreduce([]float64{1}, ampi.OpSum); got[0] != sum[0] {
-				panic("comm world and rank allreduce disagree")
-			}
-		},
-	}
-	runProgram(t, mediumConfig(6), prog)
-}
-
 func TestSendRecvBasic(t *testing.T) {
 	var got []float64
 	prog := &ampi.Program{
@@ -166,13 +146,13 @@ func TestBcastAllShapes(t *testing.T) {
 		prog := &ampi.Program{
 			Image: synth.EmptyImage(),
 			Main: func(r *ampi.Rank) {
-				var data []float64
-				root := r.Size() / 2
-				if r.Rank() == root {
-					data = []float64{42.5}
+				// Rank Size/2 holds the largest value, so an OpMax
+				// allreduce is its broadcast to every rank.
+				mine := float64(r.Rank())
+				if r.Rank() == r.Size()/2 {
+					mine = 42.5
 				}
-				out := r.CommWorld().Bcast(root, data, 0)
-				vals[r.Rank()] = out[0]
+				vals[r.Rank()] = r.Allreduce([]float64{mine}, ampi.OpMax)[0]
 			},
 		}
 		runProgram(t, mediumConfig(v), prog)
@@ -240,13 +220,9 @@ func TestUserDefinedOpOffsetTranslation(t *testing.T) {
 			if err != nil {
 				panic(err)
 			}
-			// Rank contributions 1..4; sum of squares at root, but note
-			// the op squares on combine, so compute expected directly
-			// from the implementation semantics below.
-			out := r.CommWorld().Reduce(0, []float64{float64(r.Rank() + 1)}, op)
-			if r.Rank() == 0 {
-				results[0] = out[0]
-			}
+			// Rank contributions 1..4, combined by the op on whichever
+			// rank holds the partial result, then broadcast.
+			results[r.Rank()] = r.Allreduce([]float64{float64(r.Rank() + 1)}, op)[0]
 		},
 	}
 	w := runProgram(t, mediumConfig(4), prog)
@@ -258,7 +234,12 @@ func TestUserDefinedOpOffsetTranslation(t *testing.T) {
 		t.Error("PIEglobals ranks share a function address; segment duplication failed")
 	}
 	if results[0] == 0 {
-		t.Error("reduction produced no result at root")
+		t.Error("reduction produced no result")
+	}
+	for vp, x := range results {
+		if x != results[0] {
+			t.Errorf("rank %d got %v, rank 0 got %v", vp, x, results[0])
+		}
 	}
 }
 

@@ -2,21 +2,16 @@ package ampi
 
 import "provirt/internal/obs"
 
-// Host-side matchqueue instruments (package obs). The paper's match
-// queues are the runtime's most contention-sensitive structure — the
-// adaptive linear→hash design exists because probe cost explodes with
-// depth — so these are exactly the counters ROADMAP item 3 asks for
-// before sweep-as-a-service can admit heavy traffic. Instruments are
-// package-level (worlds are built by the thousand per sweep) and nil
-// by default: an un-instrumented match costs one pointer comparison
-// per hook, the same discipline as the world's nil trace.Tracer.
+// Host-side matchqueue instruments (package obs). The match queues are
+// scanned linearly, so their depth is their cost; these instruments
+// show how deep they get. Instruments are package-level (worlds are
+// built by the thousand per sweep) and nil by default: an
+// un-instrumented match costs one pointer comparison per hook, the same
+// discipline as the world's nil trace.Tracer.
 type obsMetrics struct {
 	// probeDepth observes the store depth at every match attempt
-	// against a non-empty queue: the work a linear scan would do and
-	// the pressure that triggers spilling.
+	// against a non-empty queue: the most entries that scan can touch.
 	probeDepth *obs.Histogram
-	// spills counts linear→hash promotions across both store types.
-	spills *obs.Counter
 	// unexpectedDepth is the high-water depth of any rank's
 	// unexpected-message queue; unexpectedTotal counts messages that
 	// arrived before their receive was posted.
@@ -44,8 +39,6 @@ func EnableObs(r *obs.Registry) {
 		probeDepth: r.Histogram("ampi_match_probe_depth",
 			"matchqueue depth at each match attempt against a non-empty store",
 			obs.ExpBuckets(1, 2, 10)),
-		spills: r.Counter("ampi_matchqueue_spills_total",
-			"matchqueue linear-to-hash promotions (either store side)"),
 		unexpectedDepth: r.Gauge("ampi_unexpected_depth_high_water",
 			"highest unexpected-message queue depth seen by any rank"),
 		unexpectedTotal: r.Counter("ampi_unexpected_total",

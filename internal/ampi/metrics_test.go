@@ -8,20 +8,18 @@ import (
 )
 
 // Matchqueue instruments: unexpected arrivals raise the depth
-// high-water, deep stores promote to the hash index exactly once per
-// fill, and probe depths land in the histogram.
+// high-water, and probe depths land in the histogram.
 func TestMatchqueueObsCounts(t *testing.T) {
 	r := obs.NewRegistry()
 	EnableObs(r)
 	defer EnableObs(nil)
 
 	var s msgStore
-	// Fill past the spill threshold: every add is an "unexpected"
-	// arrival; crossing spillThreshold promotes once.
-	n := spillThreshold + 8
+	// Every add is an "unexpected" arrival.
+	n := 24
 	msgs := make([]message, n)
 	for i := 0; i < n; i++ {
-		msgs[i] = message{src: i, tag: 7, comm: WorldComm}
+		msgs[i] = message{src: i, tag: 7}
 		s.add(&msgs[i])
 	}
 	if got := metrics.unexpectedTotal.Value(); got != uint64(n) {
@@ -30,28 +28,17 @@ func TestMatchqueueObsCounts(t *testing.T) {
 	if got := metrics.unexpectedDepth.Value(); got != int64(n) {
 		t.Fatalf("ampi_unexpected_depth_high_water = %d, want %d", got, n)
 	}
-	if got := metrics.spills.Value(); got != 1 {
-		t.Fatalf("ampi_matchqueue_spills_total = %d, want 1", got)
-	}
 
 	// Drain: each take against a non-empty store observes its depth.
 	before := metrics.probeDepth.Count()
 	for i := 0; i < n; i++ {
-		q := &Request{src: i, tag: 7, comm: WorldComm}
+		q := &Request{src: i, tag: 7}
 		if m := s.take(q); m == nil {
 			t.Fatalf("take(%d) found nothing", i)
 		}
 	}
 	if got := metrics.probeDepth.Count() - before; got != uint64(n) {
 		t.Fatalf("probe depth observations = %d, want %d", got, n)
-	}
-	// Draining empty dropped the store back to linear mode; refilling
-	// past the threshold spills again.
-	for i := 0; i < spillThreshold+1; i++ {
-		s.add(&message{src: i, tag: 9, comm: WorldComm})
-	}
-	if got := metrics.spills.Value(); got != 2 {
-		t.Fatalf("respill not counted: spills = %d, want 2", got)
 	}
 }
 

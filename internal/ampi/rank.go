@@ -20,25 +20,19 @@ const (
 // are pooled per world: once matching hands the payload to a request,
 // the envelope is recycled.
 type message struct {
-	src      int // world rank
-	tag      int
-	comm     int // communicator id (WorldComm for rank-level ops)
-	bytes    uint64
-	data     []float64
-	internal bool   // collective plumbing; never matches user wildcards
-	dst      *Rank  // receiver, so delivery events need no closure
-	seq      uint64 // arrival order within the receiver's mailbox
+	src   int // world rank
+	tag   int // >= 0 from Send; < 0 for collective plumbing
+	bytes uint64
+	data  []float64
+	dst   *Rank // receiver, so delivery events need no closure
 }
 
 // Request is a posted receive's handle.
 type Request struct {
 	rank     *Rank
 	src, tag int
-	comm     int
-	internal bool
 	done     bool
-	blocked  bool   // owner thread suspended in Wait on this request
-	seq      uint64 // posting order within the rank's receive queue
+	blocked  bool // owner thread suspended in Wait on this request
 	// Completion record, copied out of the matched message so its
 	// envelope can be recycled immediately.
 	data           []float64
@@ -58,11 +52,11 @@ type Rank struct {
 	// schedulers.
 	pe *machine.PE
 
-	mailbox msgStore // unexpected messages, hash-indexed, FIFO
-	waits   reqStore // posted receive requests, hash-indexed, FIFO
+	mailbox msgStore // unexpected messages, FIFO
+	waits   reqStore // posted receive requests, FIFO
 
-	// world0 caches MPI_COMM_WORLD for the rank-level collectives.
-	world0 *Comm
+	// collSeq numbers the rank's collectives; see nextCollTag.
+	collSeq int
 }
 
 // Rank reports the MPI rank number (MPI_Comm_rank).
@@ -112,10 +106,11 @@ func (r *Rank) Send(dst, tag int, data []float64, bytes uint64) {
 		panic(fmt.Sprintf("ampi: rank %d: send with wildcard tag", r.vp))
 	}
 	r.checkPeer(dst)
-	r.sendMsg(dst, tag, WorldComm, data, bytes, false)
+	r.sendMsg(dst, tag, data, bytes)
 }
 
-func (r *Rank) sendMsg(dst, tag, comm int, data []float64, bytes uint64, internal bool) {
+// sendMsg is the send path Send and the collectives share.
+func (r *Rank) sendMsg(dst, tag int, data []float64, bytes uint64) {
 	w := r.world
 	if bytes == 0 {
 		bytes = uint64(len(data)) * 8
@@ -130,13 +125,12 @@ func (r *Rank) sendMsg(dst, tag, comm int, data []float64, bytes uint64, interna
 		payload = w.copyBuf(data)
 	}
 	m := w.getMsg()
-	m.src, m.tag, m.comm, m.bytes, m.data, m.internal, m.dst =
-		r.vp, tag, comm, bytes, payload, internal, dstRank
+	m.src, m.tag, m.bytes, m.data, m.dst = r.vp, tag, bytes, payload, dstRank
 	depart := r.thread.Now()
 	if w.tracer != nil {
 		w.tracer.Emit(trace.Event{Time: depart, Kind: trace.KindSendPost,
 			PE: int32(r.pe.ID), VP: int32(r.vp), Peer: int32(dst),
-			Tag: int32(tag), Comm: int64(comm), Bytes: bytes})
+			Tag: int32(tag), Bytes: bytes})
 	}
 	arrive := w.Cluster.Transfer(depart, r.PE(), dstRank.PE(), bytes)
 	w.Cluster.Engine.AtCall(arrive, deliverMsg, m)
@@ -167,7 +161,7 @@ func (r *Rank) deliver(m *message) {
 		if w.tracer != nil {
 			w.tracer.Emit(trace.Event{Time: w.Cluster.Engine.Now(), Kind: trace.KindMatch,
 				PE: int32(r.pe.ID), VP: int32(r.vp), Peer: int32(m.src),
-				Tag: int32(m.tag), Aux: trace.MatchOnDeliver, Comm: int64(m.comm), Bytes: m.bytes})
+				Tag: int32(m.tag), Aux: trace.MatchOnDeliver, Bytes: m.bytes})
 		}
 		r.complete(q, m)
 		if q.blocked {
@@ -179,7 +173,7 @@ func (r *Rank) deliver(m *message) {
 	if w.tracer != nil {
 		w.tracer.Emit(trace.Event{Time: w.Cluster.Engine.Now(), Kind: trace.KindUnexpected,
 			PE: int32(r.pe.ID), VP: int32(r.vp), Peer: int32(m.src),
-			Tag: int32(m.tag), Comm: int64(m.comm), Bytes: m.bytes})
+			Tag: int32(m.tag), Bytes: m.bytes})
 	}
 	r.mailbox.add(m)
 }
@@ -190,7 +184,29 @@ func (r *Rank) Irecv(src, tag int) *Request {
 		r.checkPeer(src)
 	}
 	r.checkUserTag(tag)
-	return r.irecvComm(src, tag, WorldComm, false)
+	return r.irecv(src, tag)
+}
+
+// irecv is the receive path Irecv and the collectives share: it
+// completes at once against a queued message, else posts the request.
+func (r *Rank) irecv(src, tag int) *Request {
+	q := &Request{rank: r, src: src, tag: tag}
+	w := r.world
+	if w.tracer != nil {
+		w.tracer.Emit(trace.Event{Time: r.thread.Now(), Kind: trace.KindRecvPost,
+			PE: int32(r.pe.ID), VP: int32(r.vp), Peer: int32(src), Tag: int32(tag)})
+	}
+	if m := r.mailbox.take(q); m != nil {
+		if w.tracer != nil {
+			w.tracer.Emit(trace.Event{Time: r.thread.Now(), Kind: trace.KindMatch,
+				PE: int32(r.pe.ID), VP: int32(r.vp), Peer: int32(m.src),
+				Tag: int32(m.tag), Aux: trace.MatchOnPost, Bytes: m.bytes})
+		}
+		r.complete(q, m)
+		return q
+	}
+	r.waits.add(q)
+	return q
 }
 
 // Wait blocks until the request completes and returns the received
@@ -213,7 +229,7 @@ func (r *Rank) Wait(q *Request) []float64 {
 		if w.tracer != nil {
 			w.tracer.Emit(trace.Event{Time: wstart, Dur: r.thread.Now() - wstart, Kind: trace.KindWait,
 				PE: int32(r.pe.ID), VP: int32(r.vp), Peer: int32(q.gotSrc),
-				Tag: int32(q.gotTag), Aux: trace.WaitMessage, Comm: int64(q.comm)})
+				Tag: int32(q.gotTag), Aux: trace.WaitMessage})
 		}
 	}
 	r.thread.Advance(r.world.Cluster.Cost.MsgRecvOverhead)

@@ -1,7 +1,7 @@
 package ampi
 
 // Binomial-tree shape, shared by the two collective implementations:
-// the ULT-level algorithms in comm.go (each rank sends/receives real
+// the ULT-level algorithms in coll.go (each rank sends/receives real
 // messages along its tree edges) and the flat model in flat.go (each
 // edge is one modelled arrival; an engine event only where the edge
 // crosses a lookahead domain). Keeping the shape in one place pins
@@ -9,8 +9,8 @@ package ampi
 // structure is exactly what the message-level path executes.
 
 // binomialNode returns the rank's parent in a binomial tree over size
-// entries rooted at relative rank 0, and the child iteration limit:
-// rel's children are rel+m for m = 1, 2, 4, ... while m < limit and
+// entries rooted at rank 0, and the child iteration limit: rel's
+// children are rel+m for m = 1, 2, 4, ... while m < limit and
 // rel+m < size. The root's parent is -1.
 func binomialNode(rel, size int) (parent, limit int) {
 	if rel == 0 {
@@ -18,18 +18,6 @@ func binomialNode(rel, size int) (parent, limit int) {
 	}
 	lsb := rel & -rel
 	return rel - lsb, lsb
-}
-
-// binomialParentChildren computes the rank's parent and children in a
-// binomial tree over size entries rooted at relative rank 0. The
-// message-level collectives use this allocating form once per call;
-// hot paths iterate children in place via binomialNode.
-func binomialParentChildren(rel, size int) (parent int, children []int) {
-	parent, limit := binomialNode(rel, size)
-	for m := 1; m < limit && rel+m < size; m <<= 1 {
-		children = append(children, rel+m)
-	}
-	return parent, children
 }
 
 // binomialChildCount counts rel's children without allocating.
@@ -41,6 +29,3 @@ func binomialChildCount(rel, size int) int {
 	}
 	return n
 }
-
-// abs translates a relative tree rank back to an absolute rank.
-func abs(rel, root, size int) int { return (rel + root) % size }

@@ -18,12 +18,15 @@ import (
 
 // writeEventJSONL writes one event in the canonical JSONL encoding.
 // WriteJSONL and the streaming WindowWriter both go through it, so a
-// windowed trace of a run is byte-identical to the buffered one.
+// windowed trace of a run is byte-identical to the buffered one. The
+// "comm" column is always 0: every message travels on MPI_COMM_WORLD,
+// and the column stays so existing traces and their readers keep one
+// format.
 func writeEventJSONL(bw *bufio.Writer, ev Event) error {
 	_, err := fmt.Fprintf(bw,
-		`{"t_ns":%d,"dur_ns":%d,"kind":%q,"pe":%d,"vp":%d,"peer":%d,"tag":%d,"aux":%d,"comm":%d,"bytes":%d}`+"\n",
+		`{"t_ns":%d,"dur_ns":%d,"kind":%q,"pe":%d,"vp":%d,"peer":%d,"tag":%d,"aux":%d,"comm":0,"bytes":%d}`+"\n",
 		ev.Time.Nanoseconds(), ev.Dur.Nanoseconds(), ev.Kind.String(),
-		ev.PE, ev.VP, ev.Peer, ev.Tag, ev.Aux, ev.Comm, ev.Bytes)
+		ev.PE, ev.VP, ev.Peer, ev.Tag, ev.Aux, ev.Bytes)
 	return err
 }
 

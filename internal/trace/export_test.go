@@ -16,12 +16,12 @@ func sampleEvents() []Event {
 		{Time: 0, Dur: us(50), Kind: KindSetup, PE: 0, VP: -1, Peer: -1},
 		{Time: us(50), Dur: us(1), Kind: KindSwitch, PE: 0, VP: 0, Peer: -1},
 		{Time: us(51), Dur: us(10), Kind: KindExec, PE: 0, VP: 0, Peer: -1},
-		{Time: us(55), Kind: KindSendPost, PE: 0, VP: 0, Peer: 1, Tag: 7, Comm: 1, Bytes: 4096},
+		{Time: us(55), Kind: KindSendPost, PE: 0, VP: 0, Peer: 1, Tag: 7, Bytes: 4096},
 		{Time: us(55), Dur: us(3), Kind: KindLink, PE: 0, VP: -1, Peer: 1, Aux: TierInterNode, Bytes: 4096},
-		{Time: us(56), Kind: KindRecvPost, PE: 1, VP: 1, Peer: 0, Tag: 7, Comm: 1},
-		{Time: us(58), Kind: KindMatch, PE: 1, VP: 1, Peer: 0, Tag: 7, Aux: MatchOnDeliver, Comm: 1},
-		{Time: us(58), Kind: KindUnexpected, PE: 1, VP: 1, Peer: 0, Tag: 8, Comm: 1},
-		{Time: us(56), Dur: us(2), Kind: KindWait, PE: 1, VP: 1, Peer: 0, Tag: 7, Aux: WaitMessage, Comm: 1},
+		{Time: us(56), Kind: KindRecvPost, PE: 1, VP: 1, Peer: 0, Tag: 7},
+		{Time: us(58), Kind: KindMatch, PE: 1, VP: 1, Peer: 0, Tag: 7, Aux: MatchOnDeliver},
+		{Time: us(58), Kind: KindUnexpected, PE: 1, VP: 1, Peer: 0, Tag: 8},
+		{Time: us(56), Dur: us(2), Kind: KindWait, PE: 1, VP: 1, Peer: 0, Tag: 7, Aux: WaitMessage},
 		{Time: us(61), Dur: us(5), Kind: KindColl, PE: 0, VP: 0, Peer: -1, Aux: CollAllreduce},
 		{Time: us(66), Dur: us(4), Kind: KindWait, PE: 0, VP: 0, Peer: -1, Aux: WaitMigrate},
 		{Time: us(66), Dur: us(4), Kind: KindMigration, PE: 0, VP: 0, Peer: 1, Bytes: 1 << 20},

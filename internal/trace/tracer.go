@@ -220,8 +220,6 @@ type Event struct {
 	Tag int32
 	// Aux carries a kind-specific code: CollOp, Tier, Match*, Wait*.
 	Aux int32
-	// Comm is the communicator id (point-to-point events).
-	Comm int64
 	// Bytes is the payload/wire size where applicable.
 	Bytes uint64
 }

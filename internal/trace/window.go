@@ -8,7 +8,7 @@ import (
 // WindowWriter is a Tracer that streams events to an io.Writer in
 // bounded windows instead of buffering the whole run in memory. A
 // traced million-rank world emits millions of events; a Recorder would
-// hold them all (64 bytes each), while a WindowWriter's footprint is
+// hold them all (48 bytes each), while a WindowWriter's footprint is
 // one fixed window regardless of run length. Events are encoded in the
 // canonical JSONL format as each window fills, so the resulting file is
 // byte-identical to Recorder + WriteJSONL over the same stream.
@@ -25,17 +25,10 @@ type WindowWriter struct {
 	err     error
 }
 
-// DefaultWindow is the event-window size used when NewWindowWriter is
-// given a non-positive one: 64 KiB of event structs.
-const DefaultWindow = 1024
-
 // NewWindowWriter returns a windowed streaming tracer writing JSONL to
-// w, flushing every window events. With no kinds it captures
+// w, flushing every window (> 0) events. With no kinds it captures
 // DefaultKinds, mirroring NewRecorder.
 func NewWindowWriter(w io.Writer, window int, kinds ...Kind) *WindowWriter {
-	if window <= 0 {
-		window = DefaultWindow
-	}
 	ww := &WindowWriter{bw: bufio.NewWriter(w), buf: make([]Event, 0, window)}
 	if len(kinds) == 0 {
 		kinds = DefaultKinds()

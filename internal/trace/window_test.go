@@ -14,7 +14,7 @@ func windowSampleEvents(n int) []Event {
 			Dur:  time.Duration(i%7) * 100 * time.Nanosecond,
 			Kind: Kind(i % int(numKinds)),
 			PE:   int32(i % 8), VP: int32(i % 64), Peer: int32(i%64) - 1,
-			Tag: int32(i % 5), Aux: int32(i % 3), Comm: int64(i % 2), Bytes: uint64(i) * 8,
+			Tag: int32(i % 5), Aux: int32(i % 3), Bytes: uint64(i) * 8,
 		}
 	}
 	return evs
