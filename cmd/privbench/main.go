@@ -99,6 +99,27 @@ func main() {
 	showVersion := flag.Bool("version", false, "print build and VCS information and exit")
 	flag.Parse()
 
+	// A value below a flag's range is refused before anything runs, never
+	// replaced by the flag's default.
+	switch {
+	case *nodes < 1:
+		die(2, "-nodes must be >= 1, got %d", *nodes)
+	case *vps < 0:
+		die(2, "-vps must be >= 0 (0 selects the default one million), got %d", *vps)
+	case *parallel < 1:
+		die(2, "-parallel must be >= 1, got %d", *parallel)
+	case *simWorkers < 0:
+		die(2, "-sim-workers must be >= 0, got %d", *simWorkers)
+	case *serveWorkers < 0:
+		die(2, "-serve-workers must be >= 0 (0 = GOMAXPROCS), got %d", *serveWorkers)
+	case *cacheEntries < 0:
+		die(2, "-cache-entries must be >= 0 (0 = the resultstore default), got %d", *cacheEntries)
+	case *churnNotice < 0:
+		die(2, "-churn-notice must be >= 0, got %v", *churnNotice)
+	case *traceWindow < 0:
+		die(2, "-trace-window must be >= 0 (0 buffers the whole trace), got %d", *traceWindow)
+	}
+
 	if *showVersion {
 		printVersion()
 		return
@@ -124,12 +145,6 @@ func main() {
 	mtbfs, err := parseDurations(*mtbfFlag)
 	if err != nil {
 		die(2, "bad -mtbf: %v", err)
-	}
-	if *parallel < 1 {
-		die(2, "-parallel must be >= 1, got %d", *parallel)
-	}
-	if *traceWindow < 0 {
-		die(2, "-trace-window must be >= 0 (0 buffers the whole trace), got %d", *traceWindow)
 	}
 
 	var selected []harness.Experiment

@@ -104,6 +104,44 @@ func TestNegativeTraceWindowIsRefused(t *testing.T) {
 	}
 }
 
+// TestBadFlagValuesAreRefused runs main in a child copy of the test
+// binary for each flag value that has no meaning: each must exit 2
+// naming the flag before anything runs, not fall back to a default.
+func TestBadFlagValuesAreRefused(t *testing.T) {
+	if args := os.Getenv("PRIVBENCH_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"privbench"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	for _, tc := range []struct{ flag, args string }{
+		{"-nodes", "-experiment fig5 -nodes -3"},
+		{"-nodes", "-experiment fig5 -nodes 0"},
+		{"-vps", "-experiment scale -vps -7"},
+		{"-sim-workers", "-experiment scale -vps 64 -sim-workers -1"},
+		{"-serve-workers", "-experiment fig5 -serve-workers -1"},
+		{"-cache-entries", "-experiment fig5 -cache-entries -1"},
+		{"-churn-notice", "-experiment elastic -churn-rate 50ms -churn-notice -1ms"},
+	} {
+		t.Run(tc.args, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], "-test.run=^TestBadFlagValuesAreRefused$")
+			cmd.Env = append(os.Environ(), "PRIVBENCH_TEST_ARGS="+tc.args)
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("privbench %s: %v, want exit status 2", tc.args, err)
+			}
+			if !strings.Contains(stderr.String(), tc.flag) {
+				t.Errorf("stderr does not name %s: %q", tc.flag, stderr.String())
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("a refused run printed %q", stdout.String())
+			}
+		})
+	}
+}
+
 func TestParseTarget(t *testing.T) {
 	if got, err := parseTarget("fs"); err != nil || got != ampi.TargetFS {
 		t.Errorf("parseTarget(fs) = %v, %v", got, err)

@@ -6,19 +6,23 @@ import (
 
 	"provirt/internal/core"
 	"provirt/internal/elf"
+	"provirt/internal/lb"
 	"provirt/internal/machine"
 	"provirt/internal/sim"
+	"provirt/internal/trace"
 )
 
-// Closed forms of the message path's cost model, checked against the
-// world that runs it. The goldens pin whatever the model prints; these
+// Closed forms of the message path's and migration's cost model,
+// checked against the world that runs it. The goldens pin whatever the model prints; these
 // pin what it is meant to compute.
 
-func closedFormWorld(t *testing.T, mc machine.Config, vps int, main func(r *Rank)) *World {
+// closedFormWorld runs main on every rank of a TLSglobals world
+// configured by cfg.
+func closedFormWorld(t *testing.T, cfg Config, main func(r *Rank)) *World {
 	t.Helper()
 	img := elf.NewBuilder("closedform").Global("g", 0).Func("main", 1024).MustBuild()
-	w, err := NewWorld(Config{Machine: mc, VPs: vps, Privatize: core.KindTLSglobals},
-		&Program{Image: img, Main: main})
+	cfg.Privatize = core.KindTLSglobals
+	w, err := NewWorld(cfg, &Program{Image: img, Main: main})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +52,7 @@ func TestPingPongClosedForm(t *testing.T) {
 		{Nodes: 2, ProcsPerNode: 1, PEsPerProc: 1}, // inter-node
 	} {
 		var rtt sim.Time
-		w := closedFormWorld(t, mc, 2, func(r *Rank) {
+		w := closedFormWorld(t, Config{Machine: mc, VPs: 2}, func(r *Rank) {
 			if r.Rank() == 0 {
 				start := r.Wtime()
 				r.Send(1, 0, []float64{1}, bytes)
@@ -93,7 +97,7 @@ func allreduceClosedForm(w *World, entry []sim.Time) []sim.Time {
 	}
 	send := func(from, to int) sim.Time {
 		clock[from] += c.MsgSendOverhead
-		return clock[from] + w.Cluster.TransferTimeAt(clock[from], w.Ranks[from].PE(), w.Ranks[to].PE(), 8)
+		return clock[from] + w.Cluster.TransferTime(w.Ranks[from].PE(), w.Ranks[to].PE(), 8)
 	}
 	// Reduce: children (v+m) finish before their parent, largest
 	// subtree received first.
@@ -137,7 +141,7 @@ func TestAllreduceClosedForm(t *testing.T) {
 		p := mc.Nodes * mc.ProcsPerNode * mc.PEsPerProc
 		t.Run(fmt.Sprintf("P=%d", p), func(t *testing.T) {
 			entry, exit := make([]sim.Time, p), make([]sim.Time, p)
-			w := closedFormWorld(t, mc, p, func(r *Rank) {
+			w := closedFormWorld(t, Config{Machine: mc, VPs: p}, func(r *Rank) {
 				entry[r.Rank()] = r.Wtime()
 				r.Allreduce([]float64{float64(r.Rank())}, OpSum)
 				exit[r.Rank()] = r.Wtime()
@@ -149,5 +153,33 @@ func TestAllreduceClosedForm(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFirstMigrationClosedForm: a rank's first migration lasts
+// 2 × CopyTime(b) + TransferTime(src, dst, b) + MigrationOverhead, where
+// b is its payload. With no earlier snapshot to be incremental against,
+// the whole payload is packed on the source, flown, and unpacked on the
+// destination.
+func TestFirstMigrationClosedForm(t *testing.T) {
+	for _, mc := range []machine.Config{
+		{Nodes: 1, ProcsPerNode: 1, PEsPerProc: 2}, // shared memory
+		{Nodes: 2, ProcsPerNode: 1, PEsPerProc: 1}, // inter-node
+	} {
+		rec := trace.NewRecorder(trace.KindMigration)
+		w := closedFormWorld(t, Config{Machine: mc, VPs: 1, Balancer: lb.RotateLB{}, Tracer: rec},
+			func(r *Rank) { r.Migrate() })
+		evs := rec.Events()
+		if len(evs) != 1 {
+			t.Fatalf("%dx%dx%d: %d migration spans, want 1", mc.Nodes, mc.ProcsPerNode, mc.PEsPerProc, len(evs))
+		}
+		ev, c := evs[0], w.Cluster.Cost
+		b := ev.Bytes
+		want := 2*c.CopyTime(b) + w.Cluster.TransferTime(w.Cluster.PE(int(ev.PE)), w.Cluster.PE(int(ev.Peer)), b) +
+			c.MigrationOverhead
+		if ev.Dur != want {
+			t.Errorf("%dx%dx%d: migration of %d bytes took %v, closed form %v",
+				mc.Nodes, mc.ProcsPerNode, mc.PEsPerProc, b, ev.Dur, want)
+		}
 	}
 }

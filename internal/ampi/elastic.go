@@ -14,17 +14,13 @@ import (
 // that snapshot. Unlike *NodeFailure, no work is lost — the snapshot
 // is taken at the drain instant, so rework is zero.
 type Reconfigure struct {
-	// Requested is when the membership change was announced (the
-	// eviction notice or arrival instant); At is when the drain
-	// checkpoint completed and the world stopped.
-	Requested sim.Time
-	At        sim.Time
+	// At is when the drain checkpoint completed and the world stopped.
+	At sim.Time
 }
 
 // Error implements error.
 func (e *Reconfigure) Error() string {
-	return fmt.Sprintf("ampi: world drained for reconfiguration at %v (requested %v); restart from the drain checkpoint",
-		e.At, e.Requested)
+	return fmt.Sprintf("ampi: world drained for reconfiguration at %v; restart from the drain checkpoint", e.At)
 }
 
 // ScheduleReconfigure arms a graceful drain at virtual time at: from
@@ -47,12 +43,7 @@ func (w *World) ScheduleReconfigure(at sim.Time) error {
 	if at < 0 {
 		return fmt.Errorf("ampi: ScheduleReconfigure at negative time %v", at)
 	}
-	w.Cluster.Engine.At(at, func() {
-		if !w.reconfigPending {
-			w.reconfigPending = true
-			w.reconfigAt = at
-		}
-	})
+	w.Cluster.Engine.At(at, func() { w.reconfigPending = true })
 	return nil
 }
 
@@ -64,5 +55,5 @@ func (w *World) drainWorld(ck *Checkpoint, started sim.Time) {
 		w.tracer.Emit(trace.Event{Time: started, Dur: ck.Taken - started, Kind: trace.KindDrain,
 			PE: -1, VP: -1, Peer: -1, Aux: int32(ck.Target), Bytes: ck.DeltaBytes})
 	}
-	w.fail(&Reconfigure{Requested: w.reconfigAt, At: ck.Taken})
+	w.fail(&Reconfigure{At: ck.Taken})
 }

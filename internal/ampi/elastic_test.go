@@ -42,9 +42,6 @@ func TestScheduleReconfigureDrainsThroughCheckpoint(t *testing.T) {
 	if !errors.As(err, &rc) {
 		t.Fatalf("Run returned %v, want *Reconfigure", err)
 	}
-	if rc.Requested != reqAt {
-		t.Errorf("Reconfigure.Requested = %v, want %v", rc.Requested, reqAt)
-	}
 	ck := w.LastCheckpoint()
 	if ck == nil {
 		t.Fatal("drain left no checkpoint")

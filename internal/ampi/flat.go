@@ -116,15 +116,11 @@ type FlatConfig struct {
 	Machine machine.Config
 	// VPs is the number of virtual ranks.
 	VPs int
-	// Image is the program image privatization setup is sampled on.
+	// Image is the program image privatization setup is sampled on,
+	// under PIEglobals with code-page sharing and read-only-data COW on
+	// Bridges-2: the configuration the scale experiment exists to
+	// demonstrate.
 	Image *elf.Image
-	// Method is the privatization method; nil selects PIEglobals with
-	// code-page sharing and read-only-data COW — the configuration the
-	// scale experiment exists to demonstrate.
-	Method *core.Method
-	// Toolchain and OS as in Config; zero values select Bridges-2.
-	Toolchain core.Toolchain
-	OS        core.OS
 	// Tracer receives engine, link, and setup events. At this scale it
 	// should be a windowed writer (trace.NewWindowWriter), not an
 	// in-memory recorder. Link spans arrive in cascade order (depth
@@ -150,17 +146,12 @@ func NewFlatWorld(cfg FlatConfig) (*FlatWorld, error) {
 	if err := cfg.Machine.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Toolchain == (core.Toolchain{}) && !osSet(cfg.OS) {
-		cfg.Toolchain, cfg.OS = core.Bridges2Env()
-	}
 	cl, err := machine.New(cfg.Machine)
 	if err != nil {
 		return nil, err
 	}
-	method := cfg.Method
-	if method == nil {
-		method = core.NewPIEglobals(core.PIEOptions{ShareCodePages: true, ShareROData: true})
-	}
+	method := core.NewPIEglobals(core.PIEOptions{ShareCodePages: true, ShareROData: true})
+	toolchain, osEnv := core.Bridges2Env()
 	w := &FlatWorld{Cfg: cfg, Cluster: cl, pes: cl.PEs(), tracer: cfg.Tracer}
 	w.reduceFn = w.reduceArrive
 	w.bcastFn = w.bcastArrive
@@ -204,8 +195,8 @@ func NewFlatWorld(cfg FlatConfig) (*FlatWorld, error) {
 			Cost:      cl.Cost,
 			Linker:    loader.New(proc, cl.Cost),
 			FS:        cl.FS,
-			Toolchain: cfg.Toolchain,
-			OS:        cfg.OS,
+			Toolchain: toolchain,
+			OS:        osEnv,
 			SMP:       cfg.Machine.SMPMode(),
 		}
 		return method.Setup(env, cfg.Image, vps, 0)
@@ -315,7 +306,7 @@ func (w *FlatWorld) pendingOps() int {
 // parallel engine the event lands in the merged per-window stream
 // instead of racing other domains to the user's tracer.
 func (w *FlatWorld) transfer(s sim.Sched, start sim.Time, a, b *machine.PE, n uint64) sim.Time {
-	d := w.Cluster.TransferTimeAt(start, a, b, n)
+	d := w.Cluster.TransferTime(a, b, n)
 	if tr := s.Tracer(); tr != nil {
 		tr.Emit(trace.Event{Time: start, Dur: d, Kind: trace.KindLink,
 			PE: int32(a.ID), VP: -1, Peer: int32(b.ID), Aux: w.Cluster.Tier(a, b), Bytes: n})

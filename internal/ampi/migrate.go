@@ -126,7 +126,7 @@ func (w *World) migrateRank(r *Rank, from, to int, start sim.Time) error {
 	srcPE, dstPE := w.Cluster.PE(from), w.Cluster.PE(to)
 	// Pack on the source, fly, unpack on the destination.
 	depart := start + cost.CopyTime(wire)
-	arrive := depart + w.Cluster.TransferTimeAt(depart, srcPE, dstPE, wire) +
+	arrive := depart + w.Cluster.TransferTime(srcPE, dstPE, wire) +
 		cost.CopyTime(wire) + cost.MigrationOverhead
 
 	src := w.scheds[from]

@@ -68,7 +68,7 @@ func TestRunLeavesNoRankThread(t *testing.T) {
 			name:    "drain",
 			main:    iterate,
 			arm:     func(w *World) error { return w.ScheduleReconfigure(w.SetupDone + 20*ms) },
-			wantErr: "ampi: world drained for reconfiguration at 116.222327ms (requested 115.12135ms); restart from the drain checkpoint",
+			wantErr: "ampi: world drained for reconfiguration at 116.222327ms; restart from the drain checkpoint",
 		},
 	}
 	for _, tc := range cases {

@@ -161,10 +161,8 @@ type World struct {
 
 	// reconfigPending arms a graceful drain (see ScheduleReconfigure):
 	// the next CheckpointIfDue snapshots unconditionally and stops the
-	// world with a *Reconfigure error. reconfigAt is when the drain
-	// was requested.
+	// world with a *Reconfigure error.
 	reconfigPending bool
-	reconfigAt      sim.Time
 
 	// Scratch pools (see pool.go). Per-world, engine-thread-only.
 	bufFree [][]float64

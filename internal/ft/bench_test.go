@@ -24,7 +24,7 @@ func benchRecovery(b *testing.B, target ampi.CheckpointTarget, recovery ft.Recov
 		rep, err := ft.Run(ft.Job{
 			Config:   cfg,
 			Program:  func() *ampi.Program { return synth.Checkpointed(testIters, testCompute, finals) },
-			Plan:     ft.Plan{Faults: []ft.Fault{{Kind: ft.Crash, At: crashAt, Node: 1}}},
+			Plan:     ft.Plan{Faults: []ft.Fault{{At: crashAt, Node: 1}}},
 			Recovery: recovery,
 		})
 		if err != nil {

@@ -17,7 +17,7 @@ import (
 type ChurnKind int
 
 const (
-	// Arrival adds nodes (capacity grew, or an autoscaler scaled up).
+	// Arrival adds nodes (capacity grew).
 	Arrival ChurnKind = iota
 	// Eviction removes one node, with an optional notice window —
 	// the spot/preemptible-instance reclaim.

@@ -4,20 +4,17 @@ import (
 	"errors"
 
 	"provirt/internal/ampi"
-	"provirt/internal/lb"
 	"provirt/internal/sim"
 )
 
 // ElasticJob describes a supervised run on a cluster whose membership
 // changes while the job executes: planned arrivals and evictions from
-// a ChurnPlan, unplanned crashes from a fault Plan, and optionally an
-// autoscaling controller that resizes the machine from measured
-// utilization. The supervisor executes membership changes the way the
-// runtime's malleability story says to (§2.1): drain the job through a
-// checkpoint at a consistency point, reshape the machine, restart from
-// the snapshot — so planned changes lose no work, while evictions
-// whose notice is too short to reach a consistency point degrade into
-// ordinary crashes.
+// a ChurnPlan and unplanned crashes from a fault Plan. The supervisor
+// executes membership changes the way the runtime's malleability story
+// says to (§2.1): drain the job through a checkpoint at a consistency
+// point, reshape the machine, restart from the snapshot — so planned
+// changes lose no work, while evictions whose notice is too short to
+// reach a consistency point degrade into ordinary crashes.
 type ElasticJob struct {
 	// Config is the job configuration. Config.Checkpoint must be set:
 	// drains and recoveries both restart from snapshots.
@@ -31,13 +28,6 @@ type ElasticJob struct {
 	// Recovery selects Spare/Shrink/Expand handling of unplanned
 	// crashes (planned churn carries its own shape change).
 	Recovery RecoveryMode
-	// Autoscale, when set, attaches a target-utilization controller:
-	// every AutoscaleEvery of job time the supervisor drains the job,
-	// reads the ended attempt's PE utilization, and applies the
-	// controller's resize decision before restarting.
-	Autoscale *lb.Autoscaler
-	// AutoscaleEvery is the control interval (required with Autoscale).
-	AutoscaleEvery sim.Time
 	// MaxRestarts bounds total restarts; <= 0 means DefaultMaxRestarts
 	// (churn-heavy jobs may need more than the crash default).
 	MaxRestarts int
@@ -49,10 +39,8 @@ type ResizeRecord struct {
 	// At is the absolute virtual time the change took effect (drain
 	// completion, or the crash instant for a failed drain).
 	At sim.Time
-	// Kind is Arrival or Eviction; autoscale resizes report Arrival
-	// when growing and Eviction when shrinking, with Auto set.
+	// Kind is Arrival or Eviction.
 	Kind ChurnKind
-	Auto bool
 	// Delta is the node-count change; Nodes the count afterwards.
 	Delta int
 	Nodes int
@@ -111,10 +99,10 @@ func (r *ElasticReport) ReworkForced() sim.Time {
 
 var errNoProgram = errors.New("ft: job needs a program factory")
 
-// RunElastic drives an elastic job to completion. With no churn, no
-// faults, and no autoscaler it adds nothing: the world is built and
-// run exactly as a bare caller would, so churn-free elastic runs stay
-// bit-identical to unsupervised ones.
+// RunElastic drives an elastic job to completion. With no churn and no
+// faults it adds nothing: the world is built and run exactly as a bare
+// caller would, so churn-free elastic runs stay bit-identical to
+// unsupervised ones.
 //
 // RunElastic returns the report alongside any error from a started
 // job; on error the report covers the attempts made so far.
@@ -125,15 +113,7 @@ func RunElastic(job ElasticJob) (*ElasticReport, error) {
 	if err := job.Churn.Validate(); err != nil {
 		return nil, err
 	}
-	if job.Autoscale != nil {
-		if err := job.Autoscale.Validate(); err != nil {
-			return nil, err
-		}
-		if job.AutoscaleEvery <= 0 {
-			return nil, errors.New("ft: autoscaling needs a positive control interval")
-		}
-	}
-	if len(job.Churn.Events) > 0 || job.Autoscale != nil {
+	if len(job.Churn.Events) > 0 {
 		if p := job.Config.Checkpoint; p == nil || p.Interval <= 0 {
 			return nil, errors.New("ft: elastic membership changes need a checkpoint policy to drain through")
 		}

@@ -8,7 +8,6 @@ import (
 
 	"provirt/internal/ampi"
 	"provirt/internal/ft"
-	"provirt/internal/lb"
 	"provirt/internal/sim"
 	"provirt/internal/trace"
 	"provirt/internal/workloads/synth"
@@ -31,7 +30,7 @@ func TestExpandRecoveryGrowsMachine(t *testing.T) {
 	rep, err := ft.Run(ft.Job{
 		Config:   cfg,
 		Program:  func() *ampi.Program { return synth.Checkpointed(testIters, testCompute, finals) },
-		Plan:     ft.Plan{Faults: []ft.Fault{{Kind: ft.Crash, At: crashAt, Node: 1}}},
+		Plan:     ft.Plan{Faults: []ft.Fault{{At: crashAt, Node: 1}}},
 		Recovery: ft.Expand,
 	})
 	if err != nil {
@@ -349,7 +348,7 @@ func TestElasticRollingRestartPreservesShape(t *testing.T) {
 }
 
 // TestElasticChurnFreeIsIdentical pins the hot-path guarantee at the
-// supervisor level: with no churn, no faults, and no autoscaler,
+// supervisor level: with no churn and no faults,
 // RunElastic is bit-identical to a bare run — same virtual time, same
 // application state, byte-identical trace.
 func TestElasticChurnFreeIsIdentical(t *testing.T) {
@@ -404,7 +403,7 @@ func TestElasticDeterministic(t *testing.T) {
 			{Kind: ft.Eviction, At: setup + (total-setup)/3, Node: 2, Notice: total},
 			{Kind: ft.Arrival, At: setup + (total-setup)*2/3, Count: 1},
 		}}
-		job.Faults = ft.Plan{Faults: []ft.Fault{{Kind: ft.Crash, At: total * 4 / 5, Node: 0}}}
+		job.Faults = ft.Plan{Faults: []ft.Fault{{At: total * 4 / 5, Node: 0}}}
 		job.MaxRestarts = 16
 		rep, err := ft.RunElastic(job)
 		if err != nil {
@@ -416,41 +415,6 @@ func TestElasticDeterministic(t *testing.T) {
 	t2, n2, f2 := run()
 	if t1 != t2 || n1 != n2 || fmt.Sprint(f1) != fmt.Sprint(f2) {
 		t.Errorf("elastic run not deterministic: (%v, %v, %v) vs (%v, %v, %v)", t1, n1, f1, t2, n2, f2)
-	}
-}
-
-func TestElasticAutoscaleScalesUp(t *testing.T) {
-	cfg := testConfig(2, 8, ampi.TargetFS, 5*time.Millisecond)
-	setup, total := probe(t, cfg)
-
-	finals := make([]uint64, cfg.VPs)
-	job := elasticJob(cfg, finals)
-	// Place the control point mid-execution (privatization setup
-	// dominates these tiny runs and drags measured utilization down)
-	// and pick a target far below it: the controller grows the machine
-	// at each control point until MaxNodes.
-	job.Autoscale = &lb.Autoscaler{TargetUtil: 0.02, HighWater: 0.05, MaxNodes: 4}
-	job.AutoscaleEvery = setup + (total-setup)/2
-	job.MaxRestarts = 16
-	rep, err := ft.RunElastic(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkFinals(t, finals)
-	var auto int
-	for _, rz := range rep.Resizes {
-		if rz.Auto {
-			auto++
-			if rz.Kind != ft.Arrival || rz.Delta <= 0 {
-				t.Errorf("autoscale resize = %+v, want growth", rz)
-			}
-		}
-	}
-	if auto == 0 {
-		t.Fatalf("no autoscale resizes; resizes = %+v", rep.Resizes)
-	}
-	if got := len(rep.World.Cluster.Nodes); got <= 2 {
-		t.Errorf("autoscaled job ended on %d nodes, want > 2", got)
 	}
 }
 
@@ -470,10 +434,5 @@ func TestElasticValidation(t *testing.T) {
 	job.Churn = ft.ChurnPlan{Events: []ft.ChurnEvent{{Kind: ft.Arrival, At: 1}}}
 	if _, err := ft.RunElastic(job); err == nil {
 		t.Error("RunElastic accepted an invalid churn plan")
-	}
-	job = elasticJob(cfg, finals)
-	job.Autoscale = &lb.Autoscaler{TargetUtil: 0.5}
-	if _, err := ft.RunElastic(job); err == nil {
-		t.Error("RunElastic accepted an autoscaler without a control interval")
 	}
 }

@@ -3,10 +3,9 @@
 // checkpoint-policy math (Young/Daly optimal intervals).
 //
 // Faults are data, not randomness at run time: a Plan is a list of
-// fault records — node crashes, transient link-degradation windows,
-// straggler PEs — compiled once (possibly from a seeded MTBF process)
-// and then armed onto a world. Runs stay pure functions of their
-// inputs, so a run with faults is exactly as reproducible as one
+// fail-stop node crashes, compiled once (possibly from a seeded MTBF
+// process) and then armed onto a world. Runs stay pure functions of
+// their inputs, so a run with faults is exactly as reproducible as one
 // without, and sweeps over fault scenarios parallelize byte-identically
 // (the determinism contract in DESIGN.md §9).
 package ft
@@ -17,52 +16,13 @@ import (
 
 	"provirt/internal/ampi"
 	"provirt/internal/sim"
-	"provirt/internal/trace"
-	"provirt/internal/ult"
 )
 
-// FaultKind classifies an injected fault.
-type FaultKind int
-
-const (
-	// Crash is a hard fail-stop node failure at a point in time.
-	Crash FaultKind = iota
-	// LinkDegrade multiplies network transfer times by Factor for
-	// transfers departing inside [At, Until).
-	LinkDegrade
-	// Straggler dilates one PE's compute by Factor inside [At, Until)
-	// (thermal throttling, a noisy neighbor, a failing DIMM).
-	Straggler
-)
-
-// String names the kind ("crash", "link-degrade", "straggler").
-func (k FaultKind) String() string {
-	switch k {
-	case Crash:
-		return "crash"
-	case LinkDegrade:
-		return "link-degrade"
-	case Straggler:
-		return "straggler"
-	default:
-		return fmt.Sprintf("FaultKind(%d)", int(k))
-	}
-}
-
-// Fault is one injected fault.
+// Fault is one fail-stop node crash.
 type Fault struct {
-	Kind FaultKind
-	// At is when the fault strikes (Crash) or the window opens
-	// (LinkDegrade, Straggler).
-	At sim.Time
-	// Until closes the window for LinkDegrade and Straggler.
-	Until sim.Time
-	// Node is the crash target.
+	// At is when the node dies, Node which one.
+	At   sim.Time
 	Node int
-	// PE is the straggling PE.
-	PE int
-	// Factor is the slowdown multiplier (>= 1) for window faults.
-	Factor float64
 }
 
 // Plan is a deterministic fault schedule. The zero value injects
@@ -76,88 +36,37 @@ type Plan struct {
 }
 
 // Shift returns the plan as seen by a job restarted after elapsed
-// virtual time was already consumed by earlier attempts: faults that
-// already struck are dropped, later ones move earlier, and windows
-// straddling the cut are clipped.
+// virtual time was already consumed by earlier attempts: crashes that
+// already struck are dropped and later ones move earlier.
 func (p Plan) Shift(elapsed sim.Time) Plan {
 	out := Plan{Seed: p.Seed}
 	for _, f := range p.Faults {
-		switch f.Kind {
-		case Crash:
-			if f.At <= elapsed {
-				continue
-			}
+		if f.At > elapsed {
 			f.At -= elapsed
-		default:
-			if f.Until <= elapsed {
-				continue
-			}
-			f.Until -= elapsed
-			if f.At <= elapsed {
-				f.At = 0
-			} else {
-				f.At -= elapsed
-			}
+			out.Faults = append(out.Faults, f)
 		}
-		out.Faults = append(out.Faults, f)
 	}
 	return out
 }
 
-// Arm installs the plan's faults onto a world before it runs. Crashes
-// become scheduled node failures; windows configure the machine and
-// scheduler layers directly. Crash targets beyond the world's node
-// count and straggler targets beyond its PE count are skipped — after a
-// shrink recovery, faults aimed at departed hardware have nothing left
-// to strike.
-//
-// Window faults emit their trace spans here, at arm time, rather than
-// from simulation callbacks: arming schedules no engine events of its
-// own (beyond the crash timers both traced and untraced runs share), so
-// tracing a faulty run cannot perturb event ordering.
+// Arm schedules the plan's crashes as node failures on a world before
+// it runs. Targets beyond the world's node count are skipped — after a
+// shrink recovery, crashes aimed at departed nodes have nothing left to
+// strike.
 func (p Plan) Arm(w *ampi.World) error {
 	for _, f := range p.Faults {
-		switch f.Kind {
-		case Crash:
-			if f.Node < 0 || f.Node >= len(w.Cluster.Nodes) {
-				continue
-			}
-			if err := w.ScheduleNodeFailure(f.Node, f.At); err != nil {
-				return fmt.Errorf("ft: arming %v: %w", f.Kind, err)
-			}
-		case LinkDegrade:
-			w.Cluster.DegradeLinks(f.At, f.Until, f.Factor)
-			if t := w.Cluster.Tracer; t != nil && f.Until > f.At {
-				t.Emit(trace.Event{Time: f.At, Dur: f.Until - f.At, Kind: trace.KindFault,
-					PE: -1, VP: -1, Peer: -1, Aux: trace.FaultLinkDegrade})
-			}
-		case Straggler:
-			scheds := w.Scheds()
-			if f.PE < 0 || f.PE >= len(scheds) {
-				continue
-			}
-			scheds[f.PE].AddSlowdown(ult.SlowWindow{Start: f.At, End: f.Until, Factor: f.Factor})
-			if t := w.Cluster.Tracer; t != nil && f.Until > f.At {
-				t.Emit(trace.Event{Time: f.At, Dur: f.Until - f.At, Kind: trace.KindFault,
-					PE: int32(f.PE), VP: -1, Peer: -1, Aux: trace.FaultStraggler})
-			}
-		default:
-			return fmt.Errorf("ft: unknown fault kind %v", f.Kind)
+		if f.Node < 0 || f.Node >= len(w.Cluster.Nodes) {
+			continue
+		}
+		if err := w.ScheduleNodeFailure(f.Node, f.At); err != nil {
+			return fmt.Errorf("ft: arming crash: %w", err)
 		}
 	}
 	return nil
 }
 
-// Crashes returns just the plan's crash faults, in order.
-func (p Plan) Crashes() []Fault {
-	var out []Fault
-	for _, f := range p.Faults {
-		if f.Kind == Crash {
-			out = append(out, f)
-		}
-	}
-	return out
-}
+// Crashes returns the plan's crashes, in order.
+func (p Plan) Crashes() []Fault { return p.Faults }
 
 // CrashPlan samples a crash schedule from a Poisson failure process:
 // inter-arrival gaps are exponentially distributed with mean mtbf, the
@@ -177,7 +86,7 @@ func crashPlan(seed uint64, nodes int, mtbf, horizon sim.Time, limit int) Plan {
 	}
 	rng := sim.NewRNG(seed)
 	poisson(rng, mtbf, horizon, limit, func(t sim.Time) {
-		p.Faults = append(p.Faults, Fault{Kind: Crash, At: t, Node: rng.Intn(nodes)})
+		p.Faults = append(p.Faults, Fault{At: t, Node: rng.Intn(nodes)})
 	})
 	return p
 }

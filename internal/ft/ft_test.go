@@ -67,7 +67,7 @@ func TestSpareRecoveryFromFSCheckpoint(t *testing.T) {
 	rep, err := ft.Run(ft.Job{
 		Config:   cfg,
 		Program:  func() *ampi.Program { return synth.Checkpointed(testIters, testCompute, finals) },
-		Plan:     ft.Plan{Faults: []ft.Fault{{Kind: ft.Crash, At: crashAt, Node: 1}}},
+		Plan:     ft.Plan{Faults: []ft.Fault{{At: crashAt, Node: 1}}},
 		Recovery: ft.Spare,
 	})
 	if err != nil {
@@ -107,7 +107,7 @@ func TestShrinkRecoveryFromBuddyCheckpoint(t *testing.T) {
 	rep, err := ft.Run(ft.Job{
 		Config:   cfg,
 		Program:  func() *ampi.Program { return synth.Checkpointed(testIters, testCompute, finals) },
-		Plan:     ft.Plan{Faults: []ft.Fault{{Kind: ft.Crash, At: crashAt, Node: 1}}},
+		Plan:     ft.Plan{Faults: []ft.Fault{{At: crashAt, Node: 1}}},
 		Recovery: ft.Shrink,
 	})
 	if err != nil {
@@ -143,7 +143,7 @@ func TestSpareRecoveryFromBuddyCheckpoint(t *testing.T) {
 	rep, err := ft.Run(ft.Job{
 		Config:   cfg,
 		Program:  func() *ampi.Program { return synth.Checkpointed(testIters, testCompute, finals) },
-		Plan:     ft.Plan{Faults: []ft.Fault{{Kind: ft.Crash, At: crashAt, Node: 0}}},
+		Plan:     ft.Plan{Faults: []ft.Fault{{At: crashAt, Node: 0}}},
 		Recovery: ft.Spare,
 	})
 	if err != nil {
@@ -165,7 +165,7 @@ func TestCrashBeforeFirstCheckpointRestartsFromScratch(t *testing.T) {
 	rep, err := ft.Run(ft.Job{
 		Config:   cfg,
 		Program:  func() *ampi.Program { return synth.Checkpointed(testIters, testCompute, finals) },
-		Plan:     ft.Plan{Faults: []ft.Fault{{Kind: ft.Crash, At: crashAt, Node: 0}}},
+		Plan:     ft.Plan{Faults: []ft.Fault{{At: crashAt, Node: 0}}},
 		Recovery: ft.Spare,
 	})
 	if err != nil {
@@ -194,7 +194,7 @@ func TestRepeatedCrashesExhaustRestarts(t *testing.T) {
 	// One crash per restart, far beyond the retry budget.
 	var faults []ft.Fault
 	for i := 0; i < 10; i++ {
-		faults = append(faults, ft.Fault{Kind: ft.Crash, At: crashAt * sim.Time(i+1), Node: i % 2})
+		faults = append(faults, ft.Fault{At: crashAt * sim.Time(i+1), Node: i % 2})
 	}
 	finals := make([]uint64, cfg.VPs)
 	rep, err := ft.Run(ft.Job{
@@ -272,7 +272,7 @@ func TestTracedRecoveryEmitsFaultLifecycle(t *testing.T) {
 	rep, err := ft.Run(ft.Job{
 		Config:   cfg,
 		Program:  func() *ampi.Program { return synth.Checkpointed(testIters, testCompute, finals) },
-		Plan:     ft.Plan{Faults: []ft.Fault{{Kind: ft.Crash, At: crashAt, Node: 1}}},
+		Plan:     ft.Plan{Faults: []ft.Fault{{At: crashAt, Node: 1}}},
 		Recovery: ft.Spare,
 	})
 	if err != nil {
@@ -306,7 +306,7 @@ func TestRecoveredRunIsDeterministic(t *testing.T) {
 			Config:  cfg,
 			Program: func() *ampi.Program { return synth.Checkpointed(testIters, testCompute, finals) },
 			Plan: ft.Plan{Faults: []ft.Fault{
-				{Kind: ft.Crash, At: setup + (total-setup)*3/5, Node: 1},
+				{At: setup + (total-setup)*3/5, Node: 1},
 			}},
 		})
 		if err != nil {
@@ -318,67 +318,6 @@ func TestRecoveredRunIsDeterministic(t *testing.T) {
 	t2, f2 := run()
 	if t1 != t2 || fmt.Sprint(f1) != fmt.Sprint(f2) {
 		t.Errorf("recovered run not deterministic: (%v, %v) vs (%v, %v)", t1, f1, t2, f2)
-	}
-}
-
-func TestLinkDegradeSlowsTheRun(t *testing.T) {
-	// Buddy checkpoints push deltas across the inter-node network, so a
-	// degraded link stretches the run.
-	run := func(plan ft.Plan) sim.Time {
-		cfg := testConfig(2, 4, ampi.TargetBuddy, 5*time.Millisecond)
-		finals := make([]uint64, cfg.VPs)
-		w, err := ampi.NewWorld(cfg, synth.Checkpointed(testIters, testCompute, finals))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := plan.Arm(w); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return w.Time()
-	}
-	healthy := run(ft.Plan{})
-	window := ft.Plan{Faults: []ft.Fault{
-		{Kind: ft.LinkDegrade, At: 0, Until: healthy * 2, Factor: 50},
-	}}
-	slow := run(window)
-	if slow <= healthy {
-		t.Errorf("degraded run %v not slower than healthy %v", slow, healthy)
-	}
-	if again := run(window); again != slow {
-		t.Errorf("degraded run not deterministic: %v vs %v", again, slow)
-	}
-}
-
-func TestStragglerSlowsTheRun(t *testing.T) {
-	run := func(plan ft.Plan) sim.Time {
-		cfg := testConfig(1, 4, ampi.TargetFS, 0)
-		cfg.Checkpoint = nil
-		finals := make([]uint64, cfg.VPs)
-		w, err := ampi.NewWorld(cfg, synth.Checkpointed(testIters, testCompute, finals))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := plan.Arm(w); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return w.Time()
-	}
-	healthy := run(ft.Plan{})
-	window := ft.Plan{Faults: []ft.Fault{
-		{Kind: ft.Straggler, At: 0, Until: healthy * 4, PE: 0, Factor: 3},
-	}}
-	slow := run(window)
-	if slow <= healthy {
-		t.Errorf("straggler run %v not slower than healthy %v", slow, healthy)
-	}
-	if again := run(window); again != slow {
-		t.Errorf("straggler run not deterministic: %v vs %v", again, slow)
 	}
 }
 
@@ -397,9 +336,6 @@ func TestCrashPlanDeterministicAndSeedSensitive(t *testing.T) {
 	}
 	var last sim.Time
 	for _, f := range a.Faults {
-		if f.Kind != ft.Crash {
-			t.Fatalf("CrashPlan produced %v", f.Kind)
-		}
 		if f.At <= last {
 			t.Fatalf("crash times not strictly increasing: %v after %v", f.At, last)
 		}
@@ -415,17 +351,12 @@ func TestCrashPlanDeterministicAndSeedSensitive(t *testing.T) {
 
 func TestPlanShift(t *testing.T) {
 	p := ft.Plan{Faults: []ft.Fault{
-		{Kind: ft.Crash, At: 100},
-		{Kind: ft.Crash, At: 300},
-		{Kind: ft.LinkDegrade, At: 50, Until: 250, Factor: 2},
-		{Kind: ft.Straggler, At: 260, Until: 280, PE: 1, Factor: 2},
+		{At: 100, Node: 0},
+		{At: 150, Node: 1},
+		{At: 300, Node: 1},
 	}}
 	s := p.Shift(150)
-	want := []ft.Fault{
-		{Kind: ft.Crash, At: 150},
-		{Kind: ft.LinkDegrade, At: 0, Until: 100, Factor: 2},
-		{Kind: ft.Straggler, At: 110, Until: 130, PE: 1, Factor: 2},
-	}
+	want := []ft.Fault{{At: 150, Node: 1}}
 	if fmt.Sprintf("%+v", s.Faults) != fmt.Sprintf("%+v", want) {
 		t.Errorf("Shift(150) = %+v, want %+v", s.Faults, want)
 	}

@@ -20,9 +20,8 @@ type obsMetrics struct {
 	// restoredBytes accumulates snapshot volume restarts read back.
 	restoredBytes *obs.Counter
 	// epochs counts cluster membership transitions the supervisor
-	// executed (arrivals + evictions + autoscale resizes); drains
-	// counts the graceful drain checkpoints taken ahead of planned
-	// departures.
+	// executed (arrivals + evictions); drains counts the graceful drain
+	// checkpoints taken ahead of planned departures.
 	epochs *obs.Counter
 	drains *obs.Counter
 	// rebalanceMoves counts ranks the expand/shrink placements moved.

@@ -23,7 +23,7 @@ func tenCrashes(t testing.TB, cfg ampi.Config) ft.Plan {
 	crashAt := setup + (total-setup)/2
 	var faults []ft.Fault
 	for i := 0; i < 10; i++ {
-		faults = append(faults, ft.Fault{Kind: ft.Crash, At: crashAt * sim.Time(i+1), Node: i % 2})
+		faults = append(faults, ft.Fault{At: crashAt * sim.Time(i+1), Node: i % 2})
 	}
 	return ft.Plan{Faults: faults}
 }
@@ -170,7 +170,7 @@ func TestCrashIsAnEvictionWithZeroNotice(t *testing.T) {
 			crashed, err := ft.Run(ft.Job{
 				Config:   cfg,
 				Program:  func() *ampi.Program { return synth.Checkpointed(testIters, testCompute, crashFinals) },
-				Plan:     ft.Plan{Faults: []ft.Fault{{Kind: ft.Crash, At: at, Node: 1}}},
+				Plan:     ft.Plan{Faults: []ft.Fault{{At: at, Node: 1}}},
 				Recovery: ft.Shrink,
 			})
 			if err != nil {
@@ -217,8 +217,8 @@ func TestRunColdRestartsWhenSnapshotLost(t *testing.T) {
 		// The second crash lands while the restarted attempt is still
 		// setting up, before it can take a snapshot of its own.
 		Plan: ft.Plan{Faults: []ft.Fault{
-			{Kind: ft.Crash, At: first, Node: 1},
-			{Kind: ft.Crash, At: first + setup/2, Node: 0},
+			{At: first, Node: 1},
+			{At: first + setup/2, Node: 0},
 		}},
 		Recovery: ft.Shrink,
 	}

@@ -8,7 +8,6 @@ import (
 	"provirt/internal/lb"
 	"provirt/internal/machine"
 	"provirt/internal/sim"
-	"provirt/internal/trace"
 )
 
 // RecoveryMode selects what the supervisor does with a failed node.
@@ -167,7 +166,7 @@ func supervise(job ElasticJob) (*ElasticReport, error) {
 	if maxRestarts <= 0 {
 		maxRestarts = DefaultMaxRestarts
 	}
-	s := &supervisor{job: job, cfg: job.Config, rep: &ElasticReport{}, nextAuto: job.AutoscaleEvery}
+	s := &supervisor{job: job, cfg: job.Config, rep: &ElasticReport{}}
 	for i := range s.cfg.Machine.Nodes {
 		s.spans = append(s.spans, [2]sim.Time{0, -1})
 		s.open = append(s.open, i)
@@ -210,7 +209,7 @@ func supervise(job ElasticJob) (*ElasticReport, error) {
 		}
 		switch {
 		case rc != nil:
-			err = s.drained(a, rc)
+			err = s.drained(a)
 		case nf != nil:
 			err = s.nodeLost(a, nf)
 		default:
@@ -237,50 +236,31 @@ type supervisor struct {
 	lastCk   *ampi.Checkpoint // what the next attempt restores (nil: cold start)
 	pending  *RecoveryRecord  // the recovery whose restart cost the next attempt measures
 	churnIdx int              // next planned membership event
-	nextAuto sim.Time         // next autoscale control instant
-	lastUtil float64          // PE utilization of the attempt that just ended
 }
 
 // attempt is one world and what the supervisor armed on it.
 type attempt struct {
 	w     *ampi.World
-	start sim.Time        // the clock when the attempt began; its own instants are relative to this
-	util  *trace.Recorder // the attempt's PE activity, for the autoscaler
+	start sim.Time // the clock when the attempt began; its own instants are relative to this
 	// churn is the planned membership change armed on this attempt (nil
-	// when the plan is exhausted): its drain request fires at rel, and
-	// an eviction's victim leaves at leave — whichever the job reaches
-	// first decides drain vs crash.
-	churn      *ChurnEvent
-	rel, leave sim.Time
-	victim     int
+	// when the plan is exhausted): its drain request fires first, and an
+	// eviction's victim leaves at leave — whichever the job reaches first
+	// decides drain vs crash.
+	churn  *ChurnEvent
+	leave  sim.Time
+	victim int
 }
 
-// teeTracer fans one event stream out to two tracers — the caller's
-// and the autoscaler's profile recorder.
-type teeTracer struct{ a, b trace.Tracer }
-
-func (t teeTracer) Emit(ev trace.Event) { t.a.Emit(ev); t.b.Emit(ev) }
-
 // start builds the next attempt's world — cold, or from the snapshot in
-// hand — and arms it: the fault plan as seen from the current clock, the
-// next planned membership change, and the next autoscale control point
-// (both may request a drain; the first to fire wins).
+// hand — and arms it: the fault plan as seen from the current clock and
+// the next planned membership change.
 func (s *supervisor) start() (*attempt, error) {
 	a := &attempt{start: s.rep.TotalTime}
-	cfg := s.cfg
-	if s.job.Autoscale != nil {
-		a.util = trace.NewRecorder(trace.KindSetup, trace.KindExec, trace.KindSwitch, trace.KindIdle)
-		if cfg.Tracer != nil {
-			cfg.Tracer = teeTracer{cfg.Tracer, a.util}
-		} else {
-			cfg.Tracer = a.util
-		}
-	}
 	var err error
 	if s.lastCk == nil {
-		a.w, err = ampi.NewWorld(cfg, s.job.Program())
+		a.w, err = ampi.NewWorld(s.cfg, s.job.Program())
 	} else {
-		a.w, err = ampi.NewWorldFromCheckpoint(cfg, s.job.Program(), s.lastCk)
+		a.w, err = ampi.NewWorldFromCheckpoint(s.cfg, s.job.Program(), s.lastCk)
 	}
 	if err != nil {
 		return nil, err
@@ -292,29 +272,24 @@ func (s *supervisor) start() (*attempt, error) {
 		a.churn = &s.job.Churn.Events[s.churnIdx]
 		// An overdue event (announced during an earlier attempt) applies
 		// as soon as possible.
-		a.rel = max(a.churn.At-a.start, 1)
+		rel := max(a.churn.At-a.start, 1)
 		if a.churn.Kind == Eviction {
 			nodes := s.cfg.Machine.Nodes
 			a.victim = (a.churn.Node%nodes + nodes) % nodes
-			a.leave = a.rel + a.churn.Notice
+			a.leave = rel + a.churn.Notice
 			if err := a.w.ScheduleNodeFailure(a.victim, a.leave); err != nil {
 				return nil, err
 			}
 		}
-		if err := a.w.ScheduleReconfigure(a.rel); err != nil {
-			return nil, err
-		}
-	}
-	if s.job.Autoscale != nil {
-		if err := a.w.ScheduleReconfigure(max(s.nextAuto-a.start, 1)); err != nil {
+		if err := a.w.ScheduleReconfigure(rel); err != nil {
 			return nil, err
 		}
 	}
 	return a, nil
 }
 
-// settle books an ended attempt, however it ended: its counts, the
-// restart cost of the recovery that led to it, and its utilization.
+// settle books an ended attempt, however it ended: its counts and the
+// restart cost of the recovery that led to it.
 func (s *supervisor) settle(a *attempt) {
 	s.rep.Attempts++
 	s.rep.Checkpoints += a.w.Checkpoints
@@ -327,37 +302,19 @@ func (s *supervisor) settle(a *attempt) {
 		metrics.restoredBytes.Add(s.pending.RestoredBytes)
 		s.pending = nil
 	}
-	if a.util != nil {
-		s.lastUtil = lb.Utilization(trace.BuildProfile(a.util.Events()))
-	}
 }
 
-// drained handles a graceful drain: zero rework by construction. The
-// drain was for the armed churn event or for an autoscale control point,
-// and Requested identifies whichever fired first (ties go to the churn
-// event — the drains are identical and its change is due anyway).
-func (s *supervisor) drained(a *attempt, rc *ampi.Reconfigure) error {
+// drained handles a graceful drain ahead of the armed churn event: zero
+// rework by construction.
+func (s *supervisor) drained(a *attempt) error {
 	metrics.drains.Inc()
-	rz := ResizeRecord{At: s.rep.TotalTime, Drained: true}
+	s.churnIdx++
+	rz := ResizeRecord{At: s.rep.TotalTime, Kind: a.churn.Kind, Delta: a.churn.Count, Drained: true}
 	victim, billedUntil := s.cfg.Machine.Nodes-1, rz.At
-	if a.churn != nil && rc.Requested == a.rel {
-		s.churnIdx++
-		rz.Kind, rz.Delta = a.churn.Kind, a.churn.Count
-		if rz.Kind == Eviction {
-			// The node is billed until its reclaim deadline, even
-			// though the job vacated it at the drain.
-			rz.Delta, victim, billedUntil = -1, a.victim, a.start+a.leave
-		}
-	} else {
-		// One departure per control point: the shrink placement is
-		// computed against the live world, so multi-node shrinks land
-		// over successive drains.
-		rz.Auto = true
-		rz.Delta = max(s.job.Autoscale.Decide(s.lastUtil, s.cfg.Machine.Nodes), -1)
-		s.nextAuto += s.job.AutoscaleEvery
-		if rz.Delta < 0 {
-			rz.Kind = Eviction
-		}
+	if rz.Kind == Eviction {
+		// The node is billed until its reclaim deadline, even though the
+		// job vacated it at the drain.
+		rz.Delta, victim, billedUntil = -1, a.victim, a.start+a.leave
 	}
 	return s.resize(a.w, rz, victim, billedUntil)
 }
@@ -415,17 +372,13 @@ func (s *supervisor) snapshotLost(elapsed sim.Time) {
 }
 
 // resize executes one membership change — grow by rz.Delta nodes, or
-// drop victim, billed until billedUntil — and records it. A zero Delta
-// (the autoscaler held) changes and records nothing.
+// drop victim, billed until billedUntil — and records it.
 func (s *supervisor) resize(w *ampi.World, rz ResizeRecord, victim int, billedUntil sim.Time) error {
 	var err error
-	switch {
-	case rz.Delta > 0:
+	if rz.Delta > 0 {
 		err = s.grow(w, rz.Delta, rz.At)
-	case rz.Delta < 0:
+	} else {
 		err = s.shrink(w, victim, billedUntil)
-	default:
-		return nil
 	}
 	if err != nil {
 		return fmt.Errorf("ft: %v: %w", rz.Kind, err)

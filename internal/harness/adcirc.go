@@ -43,13 +43,10 @@ func AdcircRatios() []int { return []int{2, 4, 8} }
 // core count, an unvirtualized/unbalanced baseline plus each
 // virtualization ratio with GreedyRefineLB. It reproduces Table 2 (best
 // speedup per core count) and Fig. 9 (the full time series). A nil cores
-// selects Table2Cores and a zero cfg adcirc.DefaultConfig.
+// selects Table2Cores.
 func AdcircScaling(o Opts, cfg adcirc.Config, cores []int) ([]AdcircRow, *trace.Table, *trace.Table, error) {
 	if cores == nil {
 		cores = Table2Cores()
-	}
-	if cfg == (adcirc.Config{}) {
-		cfg = adcirc.DefaultConfig()
 	}
 	// Flatten the (cores x ratio) grid — one unbalanced baseline plus
 	// each virtualization ratio with GreedyRefineLB per core count —

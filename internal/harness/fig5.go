@@ -74,11 +74,9 @@ func Fig5Startup(o Opts, nodes int) ([]Fig5Row, *trace.Table, error) {
 // Fig5Scaling shows how each method's startup responds to node count:
 // §4.1's observation that "with the exception of FSglobals, which
 // relies on a shared file system, the cost is constant per-process and
-// does not increase with node counts".
-func Fig5Scaling(o Opts, nodeCounts []int) (*trace.Table, error) {
-	if len(nodeCounts) == 0 {
-		nodeCounts = []int{1, 2, 4, 8}
-	}
+// does not increase with node counts", at 1, 2, 4 and 8 nodes.
+func Fig5Scaling(o Opts) (*trace.Table, error) {
+	nodeCounts := []int{1, 2, 4, 8}
 	methods := Fig5Methods()
 	headers := []string{"Method"}
 	var specs []scenario.Spec

@@ -244,7 +244,7 @@ func TestICacheContradiction(t *testing.T) {
 // TestFig5ScalingTable renders the node-count sweep and checks it has
 // one row per method.
 func TestFig5ScalingTable(t *testing.T) {
-	tbl, err := harness.Fig5Scaling(harness.Opts{}, []int{1, 2})
+	tbl, err := harness.Fig5Scaling(harness.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

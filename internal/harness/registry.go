@@ -16,13 +16,11 @@ import (
 // does.
 type RunOpts struct {
 	Opts
-	Nodes      int             // fig5's node count (<= 0 selects 1)
-	NodeCounts []int           // fig5scale's sweep (nil selects 1,2,4,8)
-	Cores      []int           // table2/fig9's core counts (nil selects Table2Cores)
-	MTBFs      []sim.Time      // ftsweep's MTBF list (nil selects FTSweepMTBFs)
-	Adcirc     adcirc.Config   // table2/fig9's workload size (zero selects adcirc.DefaultConfig)
-	ScaleVPs   int             // scale's rank count (<= 0 selects DefaultScaleVPs)
-	Elastic    []ElasticRegime // elastic's churn regimes (nil selects ElasticRegimes)
+	Nodes    int             // fig5's node count (<= 0 selects 1)
+	Cores    []int           // table2/fig9's core counts (nil selects Table2Cores)
+	MTBFs    []sim.Time      // ftsweep's MTBF list (nil selects FTSweepMTBFs)
+	ScaleVPs int             // scale's rank count (<= 0 selects DefaultScaleVPs)
+	Elastic  []ElasticRegime // elastic's churn regimes (nil selects ElasticRegimes)
 }
 
 // Result is what a registry experiment produced: the structured rows
@@ -83,7 +81,7 @@ var registry = []Experiment{
 		Traceable:   true,
 		TraceKeys:   []string{"method", "nodes"},
 		Run: func(r RunOpts) (Result, error) {
-			tbl, err := Fig5Scaling(r.Opts, r.NodeCounts)
+			tbl, err := Fig5Scaling(r.Opts)
 			return Result{Tables: []*trace.Table{tbl}}, err
 		},
 	},
@@ -137,7 +135,7 @@ var registry = []Experiment{
 		Traceable:   true,
 		TraceKeys:   []string{"cores", "ratio"},
 		Run: func(r RunOpts) (Result, error) {
-			rows, t2, f9, err := AdcircScaling(r.Opts, r.Adcirc, r.Cores)
+			rows, t2, f9, err := AdcircScaling(r.Opts, adcirc.DefaultConfig(), r.Cores)
 			return Result{Rows: rows, Tables: []*trace.Table{t2, f9}}, err
 		},
 	},

@@ -7,22 +7,17 @@ import (
 
 	"provirt/internal/harness"
 	"provirt/internal/sim"
-	"provirt/internal/workloads/adcirc"
 )
 
-// tinyRunOpts shrinks every parameterized experiment to smoke-test
-// scale while exercising its full code path.
+// tinyRunOpts shrinks the experiments whose size a flag sets to
+// smoke-test scale while exercising their full code path.
 func tinyRunOpts(par int) harness.RunOpts {
-	cfg := adcirc.DefaultConfig()
-	cfg.Width, cfg.Height, cfg.Steps, cfg.LBPeriod = 96, 128, 8, 4
 	return harness.RunOpts{
-		Opts:       harness.Opts{Parallelism: par},
-		Nodes:      1,
-		NodeCounts: []int{1, 2},
-		Cores:      []int{1, 2},
-		MTBFs:      []sim.Time{120 * time.Millisecond, 960 * time.Millisecond},
-		Adcirc:     cfg,
-		ScaleVPs:   4096,
+		Opts:     harness.Opts{Parallelism: par},
+		Nodes:    1,
+		Cores:    []int{1, 2},
+		MTBFs:    []sim.Time{120 * time.Millisecond, 960 * time.Millisecond},
+		ScaleVPs: 4096,
 	}
 }
 

@@ -3,9 +3,6 @@ package lb
 import (
 	"fmt"
 	"testing"
-
-	"provirt/internal/sim"
-	"provirt/internal/trace"
 )
 
 // Expand-direction coverage: the target set is larger than the set the
@@ -126,61 +123,3 @@ func applyAssign(loads []RankLoad, assign []int) []RankLoad {
 	}
 	return out
 }
-
-func TestAutoscalerDecide(t *testing.T) {
-	a := Autoscaler{TargetUtil: 0.75, MinNodes: 1, MaxNodes: 8, StepNodes: 2}
-	cases := []struct {
-		util  float64
-		nodes int
-		want  int
-	}{
-		{0.75, 4, 0},  // on target: hold
-		{0.80, 4, 0},  // inside the dead band: hold
-		{0.55, 4, 0},  // still inside band (low water 0.50)
-		{0.95, 4, 1},  // above high water: grow toward ideal 5
-		{1.00, 4, 1},  // saturated: grow
-		{0.98, 6, 2},  // ideal 8, step-capped at +2
-		{0.30, 4, -2}, // far under: shrink toward ideal 2
-		{0.10, 2, -1}, // ideal 0 clamps to MinNodes=1
-		{0.99, 8, 0},  // already at MaxNodes
-		{0.40, 1, 0},  // can't shrink below MinNodes
-	}
-	for _, c := range cases {
-		if got := a.Decide(c.util, c.nodes); got != c.want {
-			t.Errorf("Decide(%.2f, %d) = %+d, want %+d", c.util, c.nodes, got, c.want)
-		}
-	}
-}
-
-func TestAutoscalerValidate(t *testing.T) {
-	if err := (Autoscaler{}).Validate(); err != nil {
-		t.Errorf("zero-value autoscaler should validate: %v", err)
-	}
-	if err := (Autoscaler{LowWater: 0.9, HighWater: 0.5}).Validate(); err == nil {
-		t.Error("inverted band accepted")
-	}
-	if err := (Autoscaler{MinNodes: 4, MaxNodes: 2}).Validate(); err == nil {
-		t.Error("inverted node bounds accepted")
-	}
-}
-
-func TestUtilizationFromProfile(t *testing.T) {
-	p := &trace.Profile{
-		Span: 100 * millisecond,
-		PEs: []trace.PEProfile{
-			{PE: 0, Busy: 80 * millisecond},
-			{PE: 1, Busy: 40 * millisecond},
-		},
-	}
-	if got, want := Utilization(p), 0.6; got != want {
-		t.Errorf("Utilization = %v, want %v", got, want)
-	}
-	if got := Utilization(nil); got != 0 {
-		t.Errorf("Utilization(nil) = %v, want 0", got)
-	}
-	if got := Utilization(&trace.Profile{}); got != 0 {
-		t.Errorf("Utilization(empty) = %v, want 0", got)
-	}
-}
-
-const millisecond = sim.Time(1e6)

@@ -163,8 +163,12 @@ func (GreedyLB) Rebalance(loads []RankLoad, numPEs int) []int {
 	return assign
 }
 
+// tolerance is the overload ratio over the mean PE load a PE may carry
+// before it must donate ranks.
+const tolerance = 1.05
+
 // GreedyRefineLB improves balance while minimizing migrations: only
-// PEs loaded above a tolerance over the mean donate ranks, and they
+// PEs loaded above tolerance over the mean donate ranks, and they
 // donate their smallest ranks first to the least-loaded PEs. This is
 // the strategy the paper's ADCIRC runs use.
 //
@@ -179,9 +183,6 @@ func (GreedyLB) Rebalance(loads []RankLoad, numPEs int) []int {
 // migrates exactly the work needed to fill the new capacity instead of
 // reshuffling the whole machine.
 type GreedyRefineLB struct {
-	// Tolerance is the allowed overload ratio over the mean before a
-	// PE must donate (default 1.05).
-	Tolerance float64
 	// Expand optionally names PE ids that just joined the machine
 	// (empty, inside [0, numPEs)). When non-empty, donations target
 	// only these PEs — the rebalance-onto-arrivals pass an expansion
@@ -194,10 +195,6 @@ func (GreedyRefineLB) Name() string { return "GreedyRefineLB" }
 
 // Rebalance implements Strategy.
 func (g GreedyRefineLB) Rebalance(loads []RankLoad, numPEs int) []int {
-	tol := g.Tolerance
-	if tol <= 0 {
-		tol = 1.05
-	}
 	assign := make([]int, len(loads))
 	peLoad := make([]sim.Time, numPEs)
 	byPE := make([][]int, numPEs)
@@ -234,7 +231,7 @@ func (g GreedyRefineLB) Rebalance(loads []RankLoad, numPEs int) []int {
 	if total == 0 || numPEs <= 1 {
 		return assign
 	}
-	threshold := sim.Time(float64(total) / float64(numPEs) * tol)
+	threshold := sim.Time(float64(total) / float64(numPEs) * tolerance)
 
 	// Donation destinations: all PEs normally, or just the arrivals
 	// when an expand target set is given.
@@ -319,9 +316,6 @@ type HierarchicalLB struct {
 	// PEsPerNode groups PE ids into nodes: PEs [k*G, (k+1)*G) form
 	// node k.
 	PEsPerNode int
-	// Tolerance is the allowed overload ratio at both levels
-	// (default 1.05).
-	Tolerance float64
 }
 
 // Name implements Strategy.
@@ -333,10 +327,6 @@ func (h HierarchicalLB) Rebalance(loads []RankLoad, numPEs int) []int {
 	if g <= 0 || g > numPEs {
 		g = numPEs
 	}
-	tol := h.Tolerance
-	if tol <= 0 {
-		tol = 1.05
-	}
 	numNodes := (numPEs + g - 1) / g
 	nodeOf := func(pe int) int { return pe / g }
 
@@ -346,7 +336,7 @@ func (h HierarchicalLB) Rebalance(loads []RankLoad, numPEs int) []int {
 	for i, l := range loads {
 		nodeLoads[i] = RankLoad{VP: l.VP, PE: nodeOf(l.PE), Load: l.Load, Migratable: l.Migratable}
 	}
-	nodeAssign := GreedyRefineLB{Tolerance: tol}.Rebalance(nodeLoads, numNodes)
+	nodeAssign := GreedyRefineLB{}.Rebalance(nodeLoads, numNodes)
 
 	// Materialize node decisions as PE assignments: a rank that stays
 	// on its node keeps its PE; a mover lands on its new node's
@@ -398,7 +388,7 @@ func (h HierarchicalLB) Rebalance(loads []RankLoad, numPEs int) []int {
 				})
 			}
 		}
-		sub := GreedyRefineLB{Tolerance: tol}.Rebalance(local, hi-lo)
+		sub := GreedyRefineLB{}.Rebalance(local, hi-lo)
 		for j, i := range idx {
 			assign[i] = lo + sub[j]
 		}

@@ -58,44 +58,6 @@ type Cluster struct {
 	Tracer trace.Tracer
 
 	pes []*PE
-
-	// degrades holds injected link-degradation windows (fault
-	// injection). Empty on the healthy path, which transfers check with
-	// one length comparison.
-	degrades []degradeWindow
-}
-
-// degradeWindow is one transient network fault: transfers departing
-// within [From, Until) take Factor times as long.
-type degradeWindow struct {
-	From, Until sim.Time
-	Factor      float64
-}
-
-// DegradeLinks injects a transient network fault: every transfer whose
-// departure falls in [from, until) is slowed by factor (> 1).
-// Overlapping windows compound multiplicatively. Windows are part of
-// the run's configuration, so runs remain pure functions of their
-// inputs. Windows that cannot change any transfer — an empty interval,
-// or factor <= 1 (a factor of exactly 1 would be a silent no-op that
-// linkFactor still scans on every degraded transfer) — are dropped.
-func (cl *Cluster) DegradeLinks(from, until sim.Time, factor float64) {
-	if factor <= 1 || until <= from {
-		return
-	}
-	cl.degrades = append(cl.degrades, degradeWindow{From: from, Until: until, Factor: factor})
-}
-
-// linkFactor reports the compound slowdown for a transfer departing at
-// start.
-func (cl *Cluster) linkFactor(start sim.Time) float64 {
-	f := 1.0
-	for _, w := range cl.degrades {
-		if start >= w.From && start < w.Until {
-			f *= w.Factor
-		}
-	}
-	return f
 }
 
 // SetTracer wires a tracer through the machine layer: link occupancy
@@ -268,24 +230,12 @@ func (cl *Cluster) Tier(a, b *PE) int32 {
 	}
 }
 
-// TransferTimeAt is TransferTime anchored at a departure instant: it
-// additionally applies any link-degradation window covering start. With
-// no injected faults it is exactly TransferTime.
-func (cl *Cluster) TransferTimeAt(start sim.Time, a, b *PE, n uint64) time.Duration {
-	d := cl.TransferTime(a, b, n)
-	if len(cl.degrades) != 0 {
-		d = time.Duration(float64(d) * cl.linkFactor(start))
-	}
-	return d
-}
-
 // Transfer charges a transfer of n bytes departing PE a for PE b at
-// virtual time start and returns the arrival time. It is TransferTimeAt
-// anchored at a departure instant, which lets the tracer record the
-// flight as a link-occupancy span; untraced callers on a healthy
-// network get exactly start + TransferTime(a, b, n).
+// virtual time start and returns its arrival, start + TransferTime(a, b,
+// n). Anchoring it at the departure lets the tracer record the flight
+// as a link-occupancy span.
 func (cl *Cluster) Transfer(start sim.Time, a, b *PE, n uint64) sim.Time {
-	d := cl.TransferTimeAt(start, a, b, n)
+	d := cl.TransferTime(a, b, n)
 	if cl.Tracer != nil {
 		cl.Tracer.Emit(trace.Event{Time: start, Dur: d, Kind: trace.KindLink,
 			PE: int32(a.ID), VP: -1, Peer: int32(b.ID), Aux: cl.Tier(a, b), Bytes: n})

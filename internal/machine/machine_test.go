@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"provirt/internal/sim"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -166,46 +164,6 @@ func TestDomainPlan(t *testing.T) {
 		dom, ndom, la := cl.DomainPlan()
 		if got := fmt.Sprint(dom); got != c.want || ndom != int(dom[len(dom)-1])+1 || la != c.lookahead {
 			t.Errorf("%+v: plan (%s, %d, %v), want (%s, %v)", c.cfg, got, ndom, la, c.want, c.lookahead)
-		}
-	}
-}
-
-func TestDegradeLinksRejectsNoOpWindows(t *testing.T) {
-	cl, _ := New(Config{Nodes: 2, ProcsPerNode: 1, PEsPerProc: 1})
-	cl.DegradeLinks(0, sec(10), 1.0)     // factor 1: silent no-op, dropped
-	cl.DegradeLinks(sec(10), sec(10), 4) // empty interval, dropped
-	cl.DegradeLinks(sec(10), sec(5), 4)  // inverted interval, dropped
-	cl.DegradeLinks(0, sec(10), 0.5)     // speed-up: not a degradation, dropped
-	if got := len(cl.degrades); got != 0 {
-		t.Fatalf("%d no-op windows retained, want 0", got)
-	}
-	pes := cl.PEs()
-	base := cl.TransferTime(pes[0], pes[1], 4096)
-	if got := cl.TransferTimeAt(sec(5), pes[0], pes[1], 4096); got != base {
-		t.Errorf("dropped windows changed transfer time: %v != %v", got, base)
-	}
-}
-
-func TestDegradeLinksOverlappingWindowsCompound(t *testing.T) {
-	cl, _ := New(Config{Nodes: 2, ProcsPerNode: 1, PEsPerProc: 1})
-	cl.DegradeLinks(0, sec(20), 2)
-	cl.DegradeLinks(sec(10), sec(30), 3)
-	pes := cl.PEs()
-	base := float64(cl.TransferTime(pes[0], pes[1], 1<<20))
-	cases := []struct {
-		at   sim.Time
-		want float64
-	}{
-		{sec(5), 2},  // first window only
-		{sec(15), 6}, // overlap: factors multiply
-		{sec(25), 3}, // second window only
-		{sec(30), 1}, // past both ([from, until) is half-open)
-	}
-	for _, c := range cases {
-		got := float64(cl.TransferTimeAt(c.at, pes[0], pes[1], 1<<20))
-		want := base * c.want
-		if diff := got - want; diff > 1 || diff < -1 { // 1ns slack for float rounding
-			t.Errorf("transfer at %v = %v, want %v (factor %v)", c.at, got, want, c.want)
 		}
 	}
 }

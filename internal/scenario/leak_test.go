@@ -57,7 +57,7 @@ func TestAbandonedWorldsLeaveNoGoroutines(t *testing.T) {
 			rep, err := ft.Run(ft.Job{
 				Config:   cfg,
 				Program:  program,
-				Plan:     ft.Plan{Faults: []ft.Fault{{Kind: ft.Crash, At: crashAt, Node: 1}}},
+				Plan:     ft.Plan{Faults: []ft.Fault{{At: crashAt, Node: 1}}},
 				Recovery: ft.Spare,
 			})
 			if err != nil {

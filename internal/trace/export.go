@@ -215,14 +215,8 @@ func WriteChrome(w io.Writer, events []Event) error {
 		case KindRunEnd:
 			cw.instant(chromeNetPID, 0, "run_end", "runtime", t, "")
 		case KindFault:
-			if d > 0 {
-				cw.async(chromeNetPID, asyncID, FaultName(ev.Aux), "fault", t, d,
-					fmt.Sprintf(`{"pe":%d,"node":%d}`, ev.PE, ev.Peer))
-				asyncID++
-			} else {
-				cw.instant(chromeNetPID, 0, FaultName(ev.Aux), "fault", t,
-					fmt.Sprintf(`{"node":%d,"killed":%d}`, ev.Peer, ev.Bytes))
-			}
+			cw.instant(chromeNetPID, 0, "node_crash", "fault", t,
+				fmt.Sprintf(`{"node":%d,"killed":%d}`, ev.Peer, ev.Bytes))
 		case KindDetect:
 			cw.instant(chromeNetPID, 0, "detect", "fault", t,
 				fmt.Sprintf(`{"node":%d}`, ev.Peer))

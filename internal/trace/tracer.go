@@ -63,11 +63,9 @@ const (
 	KindFSIO
 	// KindRunEnd marks job completion at the final virtual time.
 	KindRunEnd
-	// KindFault marks an injected fault taking effect: Aux is the
-	// Fault* constant. For node crashes Peer is the node id and Bytes
-	// the number of ranks killed; for link-degradation windows and
-	// straggler PEs, Time/Dur span the window and PE names the
-	// straggling PE (-1 for cluster-wide link faults).
+	// KindFault marks an injected node crash taking effect: Aux is
+	// FaultNodeCrash, Peer the node id and Bytes the number of ranks
+	// killed.
 	KindFault
 	// KindDetect marks the runtime observing a fault and aborting the
 	// job (the fault-detector instant a supervisor reacts to). Peer is
@@ -150,29 +148,9 @@ func CollName(op int32) string {
 	return "coll?"
 }
 
-// Aux values for KindFault events.
-const (
-	// FaultNodeCrash: a node died (fail-stop), killing its ranks.
-	FaultNodeCrash int32 = iota
-	// FaultLinkDegrade: network transfers slowed for a window.
-	FaultLinkDegrade
-	// FaultStraggler: one PE computes slower for a window.
-	FaultStraggler
-)
-
-var faultNames = [...]string{
-	FaultNodeCrash:   "node_crash",
-	FaultLinkDegrade: "link_degrade",
-	FaultStraggler:   "straggler",
-}
-
-// FaultName names a KindFault Aux code.
-func FaultName(f int32) string {
-	if f >= 0 && int(f) < len(faultNames) {
-		return faultNames[f]
-	}
-	return "fault?"
-}
+// FaultNodeCrash is the Aux of every KindFault event: a node died
+// (fail-stop), killing its ranks.
+const FaultNodeCrash int32 = 0
 
 // Network tier codes carried in Event.Aux for KindLink events.
 const (

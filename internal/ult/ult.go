@@ -100,15 +100,10 @@ func (t *Thread) State() State { return t.state }
 // thread is running.
 func (t *Thread) Now() sim.Time { return t.sched.now }
 
-// Advance charges d of virtual compute time to the thread's PE. If the
-// PE is inside an injected straggler window, the charge is dilated by
-// the window's factor; the healthy path costs one length comparison.
+// Advance charges d of virtual compute time to the thread's PE.
 func (t *Thread) Advance(d sim.Time) {
 	if d < 0 {
 		panic("ult: negative compute time")
-	}
-	if len(t.sched.slow) != 0 {
-		d = t.sched.dilate(d)
 	}
 	t.sched.now += d
 	t.Load += d
@@ -240,47 +235,11 @@ type Scheduler struct {
 	// the scheduling loop one pointer comparison per quantum.
 	Tracer trace.Tracer
 
-	// slow holds injected straggler windows (fault injection); empty on
-	// the healthy path.
-	slow []SlowWindow
-
 	// Stats
 	switches   uint64
 	switchTime sim.Time
 	threads    []*Thread
 	last       *Thread
-}
-
-// SlowWindow is one injected straggler interval: compute charged while
-// the PE-local clock is inside [Start, End) takes Factor times as long
-// (thermal throttling, a noisy neighbor, a failing DIMM).
-type SlowWindow struct {
-	Start, End sim.Time
-	Factor     float64
-}
-
-// AddSlowdown injects a straggler window on this PE. Windows are part
-// of the run's configuration, so runs stay pure functions of their
-// inputs. Factors below 1 and empty windows are ignored.
-func (s *Scheduler) AddSlowdown(w SlowWindow) {
-	if w.Factor < 1 || w.End <= w.Start {
-		return
-	}
-	s.slow = append(s.slow, w)
-}
-
-// dilate applies the compound straggler factor at the current PE clock.
-func (s *Scheduler) dilate(d sim.Time) sim.Time {
-	f := 1.0
-	for _, w := range s.slow {
-		if s.now >= w.Start && s.now < w.End {
-			f *= w.Factor
-		}
-	}
-	if f == 1 {
-		return d
-	}
-	return sim.Time(float64(d) * f)
 }
 
 // NewScheduler binds a scheduler to a PE.

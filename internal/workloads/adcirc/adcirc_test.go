@@ -41,7 +41,9 @@ func runSurge(t *testing.T, cfg adcirc.Config, vps, pes int, balancer lb.Strateg
 }
 
 // TestVolumeInvariant: total wet-cell work is a physical invariant,
-// independent of decomposition, virtualization ratio, or balancing.
+// independent of decomposition, virtualization ratio, or balancing. On
+// the virtualized shapes the balancer migrates ranks mid-run, so the
+// answer is also checked to survive migration.
 func TestVolumeInvariant(t *testing.T) {
 	cfg := smallCfg()
 	want := adcirc.TotalWetCellSteps(cfg)
@@ -49,9 +51,12 @@ func TestVolumeInvariant(t *testing.T) {
 		t.Fatal("oracle volume is zero; storm misses the domain")
 	}
 	for _, shape := range []struct{ vps, pes int }{{1, 1}, {4, 2}, {8, 2}, {16, 4}} {
-		got, _ := runSurge(t, cfg, shape.vps, shape.pes, lb.GreedyRefineLB{})
+		got, w := runSurge(t, cfg, shape.vps, shape.pes, lb.GreedyRefineLB{})
 		if got != want {
 			t.Errorf("vps=%d pes=%d volume %d, oracle %d", shape.vps, shape.pes, got, want)
+		}
+		if shape.vps > shape.pes && w.Migrations == 0 {
+			t.Errorf("vps=%d pes=%d: no rank migrated, so the invariant was not checked across a migration", shape.vps, shape.pes)
 		}
 	}
 }

@@ -29,12 +29,6 @@ type Config struct {
 	AccessesPerCell uint64
 	// FlopsPerCell scales the per-cell compute charge.
 	FlopsPerCell int
-	// HeapBallast adds per-rank heap bytes beyond the grid (used by
-	// the migration experiments).
-	HeapBallast uint64
-	// MigrateEvery, if positive, calls AMPI_Migrate every that many
-	// iterations.
-	MigrateEvery int
 }
 
 // DefaultConfig returns a small deterministic problem.
@@ -159,12 +153,6 @@ func runRank(cfg Config, r *ampi.Rank, results func(Result)) {
 	z0, z1 := ranges(cfg.NZ, pz, iz)
 	b := newBlock(x1-x0, y1-y0, z1-z0)
 
-	if cfg.HeapBallast > 0 {
-		if _, err := r.Ctx().Heap.AllocBallast(cfg.HeapBallast, "user-heap"); err != nil {
-			panic(err)
-		}
-	}
-
 	// Dirichlet condition: u = 1 on the global x = 0 face.
 	if ix == 0 {
 		for j := 0; j <= b.ny+1; j++ {
@@ -207,9 +195,6 @@ func runRank(cfg Config, r *ampi.Rank, results func(Result)) {
 		resid = b.sweep(omega)
 		iterCount.Store(uint64(it + 1))
 		sweepCalls.Store(sweepCalls.Load() + 1)
-		if cfg.MigrateEvery > 0 && (it+1)%cfg.MigrateEvery == 0 {
-			r.Migrate()
-		}
 		// Iteration boundaries are the solver's consistency points:
 		// snapshot here when a checkpoint policy is armed (free when
 		// none is — the call returns immediately without a collective),

@@ -107,21 +107,6 @@ func TestResultsIndependentOfMethod(t *testing.T) {
 	}
 }
 
-// TestWithMigration keeps the answer intact while ranks migrate under
-// load balancing mid-solve.
-func TestWithMigration(t *testing.T) {
-	cfg := jacobi.Config{NX: 12, NY: 10, NZ: 8, Iters: 8, MigrateEvery: 3}
-	field, _ := jacobi.SerialSolve(cfg)
-	want := globalSum(field)
-	sum, _, w := run(t, cfg, 8, 4, core.KindPIEglobals, lb.GreedyLB{})
-	if math.Abs(sum-want) > 1e-9*math.Abs(want) {
-		t.Fatalf("migrating solve sum %.12f, serial %.12f", sum, want)
-	}
-	if w.Migrations == 0 {
-		t.Log("note: balancer chose not to migrate (acceptable for balanced load)")
-	}
-}
-
 // TestOverdecompositionHidesLatency: with compute spread over more
 // VPs than PEs, message waits overlap with other ranks' compute, so
 // 8x virtualization should not be slower than 1x by more than the

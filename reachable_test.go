@@ -27,10 +27,12 @@ import (
 //	frozen:      under bench/, which changes only together with BENCHMARK.json
 //
 // Whatever a kept declaration reaches is live too: OpCreate keeps the
-// FuncOffset chain, ImbalanceTrigger keeps PELoads and Imbalance.
+// FuncOffset chain, ImbalanceTrigger keeps PELoads and Imbalance. A
+// field is listed when it is reached but no main package sets it.
 var unreachableKept = map[string]string{
-	"internal/ampi.Rank.OpCreate":     "paper: MPI_Op_create stores a user reduction's code-segment offset, not its address (§3.3)",
-	"internal/ampi.World.ApplyOpOnPE": "paper: a PE with no resident rank has no code segment to resolve that offset against (§3.3)",
+	"internal/ampi.Rank.OpCreate":       "paper: MPI_Op_create stores a user reduction's code-segment offset, not its address (§3.3)",
+	"internal/ampi.World.ApplyOpOnPE":   "paper: a PE with no resident rank has no code segment to resolve that offset against (§3.3)",
+	"internal/ampi.Program.ReduceFuncs": "paper: the user reduction functions that offset names, which no bundled workload defines (§3.3)",
 
 	"internal/core.VarHandle.Privatized":     "observation: which storage classes a method privatizes, Tables 1 and 3 (core, ampi tests)",
 	"internal/elf.Instance.GOTEntryForVar":   "observation: where a GOT slot points after §3.3's rebase (elf, core tests)",
@@ -44,7 +46,9 @@ var unreachableKept = map[string]string{
 	"internal/trace.Table.NumRows":           "observation: row count of a rendered figure (trace, harness tests)",
 	"internal/ampi.FlatWorld.Dispatches":     "observation: engine events really dispatched, which the cascade oracle and the metrics tests pin (ampi, ampi_test)",
 
-	"internal/lb.ImbalanceTrigger": "ablation: TestAblationLBTrigger, the adaptive balancing trigger",
+	"internal/lb.ImbalanceTrigger":   "ablation: TestAblationLBTrigger, the adaptive balancing trigger",
+	"internal/scenario.Spec.Trigger": "ablation: TestAblationLBTrigger, the gate in front of the balancer",
+	"internal/machine.Config.Cost":   "ablation: TestAblationMigrationBandwidth and TestAblationJacobiNoHoisting, a cost model other than the default",
 }
 
 var keptReasons = map[string]bool{"paper": true, "observation": true, "ablation": true, "frozen": true}
@@ -68,6 +72,13 @@ var implicitMethods = map[string]bool{
 // that name on every reached type, and so do the names in
 // implicitMethods. A json-tagged field is used by reflection, and a
 // positional composite literal uses every field.
+//
+// A reached struct field must also be set by reached code, or it is an
+// option no program turns. Setting is a keyed or positional composite
+// literal, an assignment, ++ or --, taking its address, or calling a
+// pointer-receiver method on it; a json-tagged field is set by the
+// decoder. A kept field counts as set, and so does every field of a
+// type a kept declaration is or takes.
 func TestEveryDeclarationIsReachable(t *testing.T) {
 	p := loadProgram(t, "internal", "cmd", "bench", "examples")
 	kept := map[types.Object]string{}
@@ -89,7 +100,11 @@ func TestEveryDeclarationIsReachable(t *testing.T) {
 				others = append(others, o)
 			}
 		}
-		if p.reach(others)[obj] {
+		live, set := p.reach(others)
+		switch {
+		case isField(obj) && live[obj] && set[obj]:
+			t.Errorf("unreachableKept lists %s, which is reached and set without it: drop the entry", key)
+		case !isField(obj) && live[obj]:
 			t.Errorf("unreachableKept lists %s, which is reachable without it: drop the entry", key)
 		}
 	}
@@ -97,17 +112,35 @@ func TestEveryDeclarationIsReachable(t *testing.T) {
 	for obj := range kept {
 		roots = append(roots, obj)
 	}
-	live := p.reach(roots)
-	var dead []string
+	live, set := p.reach(roots)
+	var dead, unset []string
 	for obj, key := range p.byObj {
-		if !live[obj] {
-			dead = append(dead, p.fset.Position(obj.Pos()).String()+": "+key)
+		at := p.fset.Position(obj.Pos()).String() + ": " + key
+		switch {
+		case !live[obj]:
+			dead = append(dead, at)
+		case isField(obj) && !set[obj]:
+			unset = append(unset, at)
 		}
 	}
 	sort.Strings(dead)
+	sort.Strings(unset)
 	for _, d := range dead {
 		t.Errorf("%s is unreachable from every main package: delete it, or move it into the test that uses it", d)
 	}
+	for _, u := range unset {
+		t.Errorf("%s is read but no reached code sets it: delete it and what it selects, or set it from a main package", u)
+	}
+}
+
+func isField(obj types.Object) bool {
+	v, ok := obj.(*types.Var)
+	return ok && v.IsField()
+}
+
+func isPointer(t types.Type) bool {
+	_, ok := t.Underlying().(*types.Pointer)
+	return ok
 }
 
 // program is the module's non-test code, type-checked package by
@@ -243,14 +276,14 @@ func (p *program) declare(dir string, pkg *types.Package, f *ast.File) {
 }
 
 // reach returns every object reached from the program's roots and from
-// extra.
-func (p *program) reach(extra []types.Object) map[types.Object]bool {
+// extra, and every field that reached code sets.
+func (p *program) reach(extra []types.Object) (seen, set map[types.Object]bool) {
 	var (
-		seen  = map[types.Object]bool{}
 		named []*types.Named // reached module types
 		calls = map[string]bool{}
 		queue []types.Object
 	)
+	seen, set = map[types.Object]bool{}, map[types.Object]bool{}
 	mark := func(obj types.Object) {
 		switch o := obj.(type) {
 		case *types.Func:
@@ -263,6 +296,33 @@ func (p *program) reach(extra []types.Object) map[types.Object]bool {
 			queue = append(queue, obj)
 		}
 	}
+	// write records that e is stored to: the field it selects, and the
+	// fields and arrays holding that field by value.
+	write := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				v, ok := p.info.Uses[x.Sel].(*types.Var)
+				if !ok || !v.IsField() {
+					return
+				}
+				set[v.Origin()] = true
+				if isPointer(p.info.TypeOf(x.X)) {
+					return
+				}
+				e = x.X
+			case *ast.IndexExpr:
+				if _, arr := p.info.TypeOf(x.X).Underlying().(*types.Array); !arr {
+					return
+				}
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
 	scan := func(n ast.Node) {
 		ast.Inspect(n, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -270,25 +330,90 @@ func (p *program) reach(extra []types.Object) map[types.Object]bool {
 				mark(p.info.Uses[n])
 				if v, ok := p.info.Defs[n].(*types.Var); ok && v.Embedded() {
 					mark(v)
+					set[v] = true
 				}
 			case *ast.CompositeLit:
 				st, ok := p.info.TypeOf(n).Underlying().(*types.Struct)
-				if ok && len(n.Elts) > 0 {
-					if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
-						for i := range st.NumFields() {
-							mark(st.Field(i))
+				if !ok || len(n.Elts) == 0 {
+					break
+				}
+				if _, keyed := n.Elts[0].(*ast.KeyValueExpr); keyed {
+					for _, e := range n.Elts {
+						if f, ok := p.info.Uses[e.(*ast.KeyValueExpr).Key.(*ast.Ident)].(*types.Var); ok {
+							set[f.Origin()] = true
 						}
 					}
+					break
+				}
+				for i := range st.NumFields() {
+					mark(st.Field(i))
+					set[st.Field(i).Origin()] = true
+				}
+			case *ast.AssignStmt:
+				for _, e := range n.Lhs {
+					write(e)
+				}
+			case *ast.IncDecStmt:
+				write(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					write(n.X)
+				}
+			case *ast.CallExpr:
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if !ok {
+					break
+				}
+				m, ok := p.info.Uses[sel.Sel].(*types.Func)
+				if !ok {
+					break
+				}
+				recv := m.Type().(*types.Signature).Recv()
+				if recv != nil && isPointer(recv.Type()) && !isPointer(p.info.TypeOf(sel.X)) {
+					write(sel.X)
 				}
 			}
 			return true
 		})
+	}
+	// setAll counts every field of t, and of the types its fields hold,
+	// as set.
+	done := map[types.Type]bool{}
+	var setAll func(t types.Type)
+	setAll = func(t types.Type) {
+		switch t := t.(type) {
+		case *types.Named:
+			if !done[t] {
+				done[t] = true
+				setAll(t.Underlying())
+			}
+		case *types.Pointer:
+			setAll(t.Elem())
+		case *types.Slice:
+			setAll(t.Elem())
+		case *types.Struct:
+			for i := range t.NumFields() {
+				set[t.Field(i).Origin()] = true
+				setAll(t.Field(i).Type())
+			}
+		}
 	}
 	for _, n := range p.roots {
 		scan(n)
 	}
 	for _, obj := range extra {
 		mark(obj)
+		switch o := obj.(type) {
+		case *types.Var:
+			set[o] = true
+		case *types.TypeName:
+			setAll(o.Type())
+		case *types.Func:
+			params := o.Type().(*types.Signature).Params()
+			for i := range params.Len() {
+				setAll(params.At(i).Type())
+			}
+		}
 	}
 	for len(queue) > 0 {
 		obj := queue[len(queue)-1]
@@ -319,7 +444,7 @@ func (p *program) reach(extra []types.Object) map[types.Object]bool {
 			}
 		}
 	}
-	return seen
+	return seen, set
 }
 
 // methodNamed returns n's own method called name, or nil.
