@@ -206,8 +206,8 @@ func main() {
 		if err != nil {
 			die(2, "-trace-method: %v", err)
 		}
-		target, err := parseTarget(*traceTarget)
-		if err != nil {
+		var target ampi.CheckpointTarget
+		if err := target.UnmarshalText([]byte(*traceTarget)); err != nil {
 			die(2, "-trace-target: %v", err)
 		}
 		scaleVPs := *vps
@@ -457,18 +457,6 @@ func writeTrace(path, format string, events []trace.Event) error {
 		err = cerr
 	}
 	return err
-}
-
-// parseTarget maps fs/buddy to the checkpoint target.
-func parseTarget(s string) (ampi.CheckpointTarget, error) {
-	switch s {
-	case "fs":
-		return ampi.TargetFS, nil
-	case "buddy":
-		return ampi.TargetBuddy, nil
-	default:
-		return 0, fmt.Errorf("unknown checkpoint target %q (want fs or buddy)", s)
-	}
 }
 
 // parseList splits a comma-separated list, skipping empty items, and

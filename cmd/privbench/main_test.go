@@ -121,6 +121,7 @@ func TestBadFlagValuesAreRefused(t *testing.T) {
 		{"-serve-workers", "-experiment fig5 -serve-workers -1"},
 		{"-cache-entries", "-experiment fig5 -cache-entries -1"},
 		{"-churn-notice", "-experiment elastic -churn-rate 50ms -churn-notice -1ms"},
+		{"-trace-target", "-experiment ftsweep -profile-ranks -trace-target disk"},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], "-test.run=^TestBadFlagValuesAreRefused$")
@@ -142,16 +143,25 @@ func TestBadFlagValuesAreRefused(t *testing.T) {
 	}
 }
 
+// -trace-target is read by ampi.CheckpointTarget's text codec, the one
+// a Spec document's checkpoint target goes through.
 func TestParseTarget(t *testing.T) {
-	if got, err := parseTarget("fs"); err != nil || got != ampi.TargetFS {
-		t.Errorf("parseTarget(fs) = %v, %v", got, err)
-	}
-	if got, err := parseTarget("buddy"); err != nil || got != ampi.TargetBuddy {
-		t.Errorf("parseTarget(buddy) = %v, %v", got, err)
+	for in, want := range map[string]ampi.CheckpointTarget{"fs": ampi.TargetFS, "buddy": ampi.TargetBuddy} {
+		var got ampi.CheckpointTarget
+		if err := got.UnmarshalText([]byte(in)); err != nil || got != want {
+			t.Errorf("UnmarshalText(%s) = %v, %v", in, got, err)
+		}
+		if text, err := got.MarshalText(); err != nil || string(text) != in {
+			t.Errorf("MarshalText(%v) = %q, %v", got, text, err)
+		}
 	}
 	for _, in := range []string{"", "disk", "FS"} {
-		if _, err := parseTarget(in); err == nil {
-			t.Errorf("parseTarget(%q) accepted", in)
+		var got ampi.CheckpointTarget
+		if err := got.UnmarshalText([]byte(in)); err == nil {
+			t.Errorf("UnmarshalText(%q) accepted", in)
 		}
+	}
+	if _, err := ampi.CheckpointTarget(7).MarshalText(); err == nil {
+		t.Error("a target with no name marshaled")
 	}
 }

@@ -45,17 +45,39 @@ func (t CheckpointTarget) String() string {
 	}
 }
 
+// MarshalText writes the target's name; a target with none is an error.
+func (t CheckpointTarget) MarshalText() ([]byte, error) {
+	if t != TargetFS && t != TargetBuddy {
+		return nil, fmt.Errorf("ampi: unknown checkpoint target %d", int(t))
+	}
+	return []byte(t.String()), nil
+}
+
+// UnmarshalText parses a target's name: fs or buddy.
+func (t *CheckpointTarget) UnmarshalText(text []byte) error {
+	switch string(text) {
+	case "fs":
+		*t = TargetFS
+	case "buddy":
+		*t = TargetBuddy
+	default:
+		return fmt.Errorf("ampi: unknown checkpoint target %q (want fs or buddy)", text)
+	}
+	return nil
+}
+
 // CheckpointPolicy is the configuration Rank.CheckpointIfDue consults:
 // where snapshots go and how much virtual time should pass between
-// them (e.g. ft.DalyInterval for the optimal value given an MTBF).
+// them (e.g. ft.DalyInterval for the optimal value given an MTBF). Its
+// json tags are the scenario wire format's "checkpoint" object.
 type CheckpointPolicy struct {
-	Target CheckpointTarget
+	Target CheckpointTarget `json:"target"`
 	// Dir is the shared-filesystem directory for TargetFS; ignored by
 	// TargetBuddy.
-	Dir string
+	Dir string `json:"dir,omitempty"`
 	// Interval is the minimum virtual time between snapshot starts. A
 	// zero or negative interval disables CheckpointIfDue.
-	Interval sim.Time
+	Interval sim.Time `json:"interval_ns,omitempty"`
 }
 
 // Checkpoint is a consistent snapshot of every rank's migratable state.

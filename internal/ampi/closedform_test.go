@@ -3,10 +3,12 @@ package ampi
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"provirt/internal/core"
 	"provirt/internal/elf"
 	"provirt/internal/lb"
+	"provirt/internal/loader"
 	"provirt/internal/machine"
 	"provirt/internal/sim"
 	"provirt/internal/trace"
@@ -180,6 +182,55 @@ func TestFirstMigrationClosedForm(t *testing.T) {
 		if ev.Dur != want {
 			t.Errorf("%dx%dx%d: migration of %d bytes took %v, closed form %v",
 				mc.Nodes, mc.ProcsPerNode, mc.PEsPerProc, b, ev.Dur, want)
+		}
+	}
+}
+
+// TestFSglobalsStartupClosedForm: FSglobals startup on N nodes, one
+// process each, eight ranks per process (Fig. 5's scaling table).
+// Each rank's copy of the binary is written to the shared filesystem
+// and read back, and every transfer costs fs = FSOpenLatency +
+// bytes/FSBandwidth on the one filesystem clock. Around them a process
+// pays first (exec load, runtime init, the program's own dlopen) once
+// and local (linking the copy read back, populating its shim) per copy.
+//
+// The model serializes whole processes on that clock: process p's
+// first write waits for process p-1's last read, so a process's local
+// work holds the filesystem, and every node after the first adds
+// 8 × 2 × fs + 7 × local. Processes that ran concurrently would overlap
+// that local work with the other processes' transfers, and a node would
+// add its sixteen transfers alone. The 7 × local per node is a finding
+// (DESIGN §5, ROADMAP item 11), pinned here so it cannot move
+// unnoticed.
+func TestFSglobalsStartupClosedForm(t *testing.T) {
+	const perProc = 8
+	img := elf.NewBuilder("fsglobals").Global("g", 0).Func("main", 1024).
+		CodeBulk(3 << 20).DataBulk(256 << 10).MustBuild()
+	for _, nodes := range []int{1, 2, 4, 8} {
+		w, err := NewWorld(Config{
+			Machine:   machine.Config{Nodes: nodes, ProcsPerNode: 1, PEsPerProc: 1},
+			VPs:       nodes * perProc,
+			Privatize: core.KindFSglobals,
+		}, &Program{Image: img, Main: func(*Rank) {}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Run(); err != nil {
+			t.Fatal(err)
+		}
+		c, bytes := w.Cluster.Cost, img.TotalSegmentBytes()
+		fs := c.FSOpenLatency + sim.Time(float64(bytes)/c.FSBandwidth*float64(time.Second))
+		load := c.DlopenBase + sim.Time(img.Relocations)*c.RelocationCost + c.PageMapTime(bytes)
+		first := c.ExecLoadBase + c.RuntimeInitBase + load
+		local := load + loader.ShimFunctionCount*c.GlobalAccessDirect
+		n := sim.Time(nodes)
+		want := first + perProc*(2*fs+local) + (n-1)*(perProc*2*fs+(perProc-1)*local)
+		if w.SetupDone != want {
+			t.Errorf("%d nodes: startup %v, closed form %v (fs %v, local %v)", nodes, w.SetupDone, want, fs, local)
+		}
+		if grew := w.SetupDone - (first + perProc*(2*fs+local)) - (n-1)*perProc*2*fs; grew != 7*(n-1)*local {
+			t.Errorf("%d nodes: startup grew %v past the transfers of the added nodes, want 7 × (N-1) × local = %v",
+				nodes, grew, 7*(n-1)*local)
 		}
 	}
 }

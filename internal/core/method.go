@@ -82,44 +82,44 @@ func ParseKind(s string) (Kind, error) {
 }
 
 // Toolchain describes the compiler environment, used to model the
-// compiler-specific portability restrictions of Table 1.
+// compiler-specific portability restrictions of Table 1. Its json tags
+// are the scenario wire format's "toolchain" object.
 type Toolchain struct {
-	// Name is informational ("gcc-10.2.0").
-	Name string
 	// SupportsTLSSegRefs reports support for
 	// -mno-tls-direct-seg-refs (GCC, Clang 10+), required by
 	// TLSglobals.
-	SupportsTLSSegRefs bool
+	SupportsTLSSegRefs bool `json:"supports_tls_seg_refs,omitempty"`
 	// MPCPatched reports an MPC-patched compiler providing
 	// -fmpc-privatize.
-	MPCPatched bool
+	MPCPatched bool `json:"mpc_patched,omitempty"`
 	// PIE reports support for building Position Independent
 	// Executables (ubiquitous; required by the three new methods).
-	PIE bool
+	PIE bool `json:"pie,omitempty"`
 }
 
-// OS describes the operating system environment.
+// OS describes the operating system environment. Its json tags are the
+// scenario wire format's "os" object.
 type OS struct {
 	// Kind is "linux", "macos", ...
-	Kind string
+	Kind string `json:"kind,omitempty"`
 	// Glibc reports a GNU libc with dlmopen and dl_iterate_phdr.
-	Glibc bool
+	Glibc bool `json:"glibc,omitempty"`
 	// PatchedGlibc lifts the link-map namespace limit (the patched
 	// glibc PIP distributes).
-	PatchedGlibc bool
+	PatchedGlibc bool `json:"patched_glibc,omitempty"`
 	// OldOrPatchedLinker reports an ld <= 2.23 or a patched newer ld,
 	// required by Swapglobals to keep GOT-relative accesses.
-	OldOrPatchedLinker bool
+	OldOrPatchedLinker bool `json:"old_or_patched_linker,omitempty"`
 	// SharedFS reports a shared filesystem reachable by all nodes,
 	// required by FSglobals.
-	SharedFS bool
+	SharedFS bool `json:"shared_fs,omitempty"`
 }
 
 // Bridges2Env returns toolchain/OS settings matching the paper's test
 // system (GCC 10.2.0 on GNU/Linux; stock glibc; modern ld — which is why
 // the authors "were unable to get Swapglobals working on this system").
 func Bridges2Env() (Toolchain, OS) {
-	tc := Toolchain{Name: "gcc-10.2.0", SupportsTLSSegRefs: true, MPCPatched: false, PIE: true}
+	tc := Toolchain{SupportsTLSSegRefs: true, MPCPatched: false, PIE: true}
 	os := OS{Kind: "linux", Glibc: true, PatchedGlibc: false, OldOrPatchedLinker: false, SharedFS: true}
 	return tc, os
 }

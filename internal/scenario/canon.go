@@ -1,23 +1,22 @@
-// Canonical encoding and content addressing for Specs.
+// The wire codec and content addressing for Specs.
 //
 // A Spec whose fields are all *declarative* — expressible as data, no
-// injected Go values — can be written to JSON, read back, and hashed.
-// Two encodings live here and they serve different masters:
+// injected Go values — can be written to JSON, read back, and hashed,
+// and one document does all three. MarshalJSON/UnmarshalJSON speak the
+// wire document the serve API accepts and the launchers emit; it
+// round-trips byte-identically (marshal → unmarshal → re-marshal
+// reproduces the same bytes). Hash is SHA-256 over the *content*
+// document (Canonical): the same encoder's output for the Spec with its
+// environment resolved (env_policy "explicit" plus the toolchain and OS
+// the run executes under) and the checkpoint directory, a label no run
+// reads, cleared. So an EnvAdjust Spec and the equivalent EnvExplicit
+// Spec are the same content, and two Specs differing only in where
+// their snapshots are filed share a hash and a row.
 //
-//   - The JSON document (MarshalJSON/UnmarshalJSON) is the wire format
-//     the serve API accepts and the launchers emit. It is stable,
-//     human-writable, and round-trips byte-identically: marshal →
-//     unmarshal → re-marshal reproduces the same bytes.
-//   - The canonical form (Canonical) is the hashing pre-image: a flat
-//     list of `tag=value` lines appended in a fixed, hand-written
-//     order. Because every line is written explicitly, renaming or
-//     reordering the Go struct fields of Spec cannot change the bytes
-//     (pinned by a golden hash test). Hash is SHA-256 over it.
-//
-// The canonical form captures exactly the fields that determine a
-// run's output. The environment is hashed *resolved* (after EnvPolicy
-// and Tweaks are applied), so an EnvAdjust Spec and the equivalent
-// EnvExplicit Spec are the same content.
+// The content document's bytes follow the json tags and the field
+// order, so changing either moves every hash. That is safe: the result
+// store partitions entries by the build's code version, so no hash is
+// compared across builds.
 
 package scenario
 
@@ -34,7 +33,6 @@ import (
 	"provirt/internal/ft"
 	"provirt/internal/lb"
 	"provirt/internal/machine"
-	"provirt/internal/sim"
 )
 
 // NotDeclarativeError reports Spec fields that hold injected Go values
@@ -132,26 +130,25 @@ func parseEnvPolicy(s string) (EnvPolicy, error) {
 
 // The wire document. Field tags are the format; Go names are
 // incidental. Optional sub-objects are pointers with omitempty so a
-// zero Spec marshals small and round-trips byte-identically. The
-// sub-objects that are declarative data already (tweaks, workload
-// parameters, churn, faults) carry their tags on their own types.
+// zero Spec marshals small and round-trips byte-identically. Every
+// sub-object but the machine is a model type carrying its own tags;
+// machine.Config also holds the cost model, which no document can say.
 type specDoc struct {
-	Machine    machineDoc      `json:"machine"`
-	VPs        int             `json:"vps"`
-	Method     string          `json:"method"`
-	EnvPolicy  string          `json:"env_policy"`
-	Tweaks     *EnvTweaks      `json:"tweaks,omitempty"`
-	Toolchain  *toolchainDoc   `json:"toolchain,omitempty"`
-	OS         *osDoc          `json:"os,omitempty"`
-	Workload   string          `json:"workload,omitempty"`
-	Params     *WorkloadParams `json:"workload_params,omitempty"`
-	Balancer   string          `json:"balancer,omitempty"`
-	BalancerPE int             `json:"balancer_pes_per_node,omitempty"`
-	Checkpoint *checkpointDoc  `json:"checkpoint,omitempty"`
-	Churn      *ft.ChurnSpec   `json:"churn,omitempty"`
-	Faults     *ft.FaultSpec   `json:"faults,omitempty"`
-	Placement  []int           `json:"placement,omitempty"`
-	StackSize  uint64          `json:"stack_size,omitempty"`
+	Machine    machineDoc             `json:"machine"`
+	VPs        int                    `json:"vps"`
+	Method     string                 `json:"method"`
+	EnvPolicy  string                 `json:"env_policy"`
+	Toolchain  *core.Toolchain        `json:"toolchain,omitempty"`
+	OS         *core.OS               `json:"os,omitempty"`
+	Workload   string                 `json:"workload,omitempty"`
+	Params     *WorkloadParams        `json:"workload_params,omitempty"`
+	Balancer   string                 `json:"balancer,omitempty"`
+	BalancerPE int                    `json:"balancer_pes_per_node,omitempty"`
+	Checkpoint *ampi.CheckpointPolicy `json:"checkpoint,omitempty"`
+	Churn      *ft.ChurnSpec          `json:"churn,omitempty"`
+	Faults     *ft.FaultSpec          `json:"faults,omitempty"`
+	Placement  []int                  `json:"placement,omitempty"`
+	StackSize  uint64                 `json:"stack_size,omitempty"`
 }
 
 type machineDoc struct {
@@ -161,25 +158,15 @@ type machineDoc struct {
 	Seed         uint64 `json:"seed,omitempty"`
 }
 
-type toolchainDoc struct {
-	Name               string `json:"name,omitempty"`
-	SupportsTLSSegRefs bool   `json:"supports_tls_seg_refs,omitempty"`
-	MPCPatched         bool   `json:"mpc_patched,omitempty"`
-	PIE                bool   `json:"pie,omitempty"`
-}
-
-type osDoc struct {
-	Kind               string `json:"kind,omitempty"`
-	Glibc              bool   `json:"glibc,omitempty"`
-	PatchedGlibc       bool   `json:"patched_glibc,omitempty"`
-	OldOrPatchedLinker bool   `json:"old_or_patched_linker,omitempty"`
-	SharedFS           bool   `json:"shared_fs,omitempty"`
-}
-
-type checkpointDoc struct {
-	Target     string `json:"target"`
-	Dir        string `json:"dir,omitempty"`
-	IntervalNs int64  `json:"interval_ns,omitempty"`
+// nonZero returns a pointer to a copy of v, or nil for the zero value,
+// so the sub-object is omitted. A copy, not a pointer into the Spec:
+// that would move the whole Spec to the heap on every marshal.
+func nonZero[T comparable](v T) *T {
+	var zero T
+	if v == zero {
+		return nil
+	}
+	return &v
 }
 
 // doc lowers the Spec to its wire document, rejecting non-declarative
@@ -204,36 +191,12 @@ func (s *Spec) doc() (*specDoc, error) {
 		VPs:       s.VPs,
 		Method:    s.Method.String(),
 		EnvPolicy: policy,
+		Toolchain: nonZero(s.Toolchain),
+		OS:        nonZero(s.OS),
 		Workload:  s.Workload,
+		Params:    nonZero(s.WorkloadParams),
 		Placement: s.Placement,
 		StackSize: s.StackSize,
-	}
-	// The sub-objects are copied, not pointed at: a pointer into s would
-	// move the whole Spec to the heap on every marshal.
-	if s.Tweaks != (EnvTweaks{}) {
-		tweaks := s.Tweaks
-		d.Tweaks = &tweaks
-	}
-	if s.Toolchain != (core.Toolchain{}) {
-		d.Toolchain = &toolchainDoc{
-			Name:               s.Toolchain.Name,
-			SupportsTLSSegRefs: s.Toolchain.SupportsTLSSegRefs,
-			MPCPatched:         s.Toolchain.MPCPatched,
-			PIE:                s.Toolchain.PIE,
-		}
-	}
-	if s.OS != (core.OS{}) {
-		d.OS = &osDoc{
-			Kind:               s.OS.Kind,
-			Glibc:              s.OS.Glibc,
-			PatchedGlibc:       s.OS.PatchedGlibc,
-			OldOrPatchedLinker: s.OS.OldOrPatchedLinker,
-			SharedFS:           s.OS.SharedFS,
-		}
-	}
-	if s.WorkloadParams != (WorkloadParams{}) {
-		params := s.WorkloadParams
-		d.Params = &params
 	}
 	if s.Balancer != nil {
 		name, pes, err := balancerName(s.Balancer)
@@ -243,11 +206,8 @@ func (s *Spec) doc() (*specDoc, error) {
 		d.Balancer, d.BalancerPE = name, pes
 	}
 	if s.Checkpoint != nil {
-		d.Checkpoint = &checkpointDoc{
-			Target:     s.Checkpoint.Target.String(),
-			Dir:        s.Checkpoint.Dir,
-			IntervalNs: int64(s.Checkpoint.Interval),
-		}
+		ck := *s.Checkpoint
+		d.Checkpoint = &ck
 	}
 	return d, nil
 }
@@ -286,8 +246,9 @@ func (s *Spec) UnmarshalJSON(data []byte) error {
 		}
 	}
 	out := Spec{
-		Churn:  d.Churn,
-		Faults: d.Faults,
+		Checkpoint: d.Checkpoint,
+		Churn:      d.Churn,
+		Faults:     d.Faults,
 		Machine: machine.Config{
 			Nodes:        d.Machine.Nodes,
 			ProcsPerNode: d.Machine.ProcsPerNode,
@@ -298,28 +259,17 @@ func (s *Spec) UnmarshalJSON(data []byte) error {
 		Method:    kind,
 		EnvPolicy: policy,
 		Workload:  d.Workload,
-		Placement: d.Placement,
 		StackSize: d.StackSize,
 	}
-	if d.Tweaks != nil {
-		out.Tweaks = *d.Tweaks
+	// An empty placement decodes as none, the way it encodes.
+	if len(d.Placement) > 0 {
+		out.Placement = d.Placement
 	}
 	if d.Toolchain != nil {
-		out.Toolchain = core.Toolchain{
-			Name:               d.Toolchain.Name,
-			SupportsTLSSegRefs: d.Toolchain.SupportsTLSSegRefs,
-			MPCPatched:         d.Toolchain.MPCPatched,
-			PIE:                d.Toolchain.PIE,
-		}
+		out.Toolchain = *d.Toolchain
 	}
 	if d.OS != nil {
-		out.OS = core.OS{
-			Kind:               d.OS.Kind,
-			Glibc:              d.OS.Glibc,
-			PatchedGlibc:       d.OS.PatchedGlibc,
-			OldOrPatchedLinker: d.OS.OldOrPatchedLinker,
-			SharedFS:           d.OS.SharedFS,
-		}
+		out.OS = *d.OS
 	}
 	if d.Params != nil {
 		out.WorkloadParams = *d.Params
@@ -331,119 +281,29 @@ func (s *Spec) UnmarshalJSON(data []byte) error {
 		}
 		out.Balancer = b
 	}
-	if d.Checkpoint != nil {
-		var target ampi.CheckpointTarget
-		switch d.Checkpoint.Target {
-		case "fs":
-			target = ampi.TargetFS
-		case "buddy":
-			target = ampi.TargetBuddy
-		default:
-			return fmt.Errorf("scenario: unknown checkpoint target %q (want fs or buddy)", d.Checkpoint.Target)
-		}
-		out.Checkpoint = &ampi.CheckpointPolicy{
-			Target:   target,
-			Dir:      d.Checkpoint.Dir,
-			Interval: sim.Time(d.Checkpoint.IntervalNs),
-		}
-	}
 	*s = out
 	return nil
 }
 
-// Canonical returns the hashing pre-image: one `tag=value` line per
-// output-determining field, in a fixed order that is independent of
-// the Go struct layout. The environment is written *resolved* (after
-// EnvPolicy and Tweaks) — see the package comment at the top of this
-// file.
-//
-// The leading version line guards the format itself: if the canonical
-// encoding ever has to change shape, bumping it invalidates every old
-// hash instead of silently colliding with them.
+// Canonical returns the content document, the hashing pre-image: the
+// wire document with the environment resolved and the checkpoint
+// directory cleared (see the comment at the top of this file). Decoded,
+// it is a Spec with the same hash and the same validity.
 func (s *Spec) Canonical() ([]byte, error) {
-	if err := s.declarativeErr(); err != nil {
+	d, err := s.doc()
+	if err != nil {
 		return nil, err
 	}
-	var b bytes.Buffer
-	line := func(tag string, format string, args ...any) {
-		fmt.Fprintf(&b, tag+"="+format+"\n", args...)
-	}
-	line("canon", "%d", 1)
-	line("machine.nodes", "%d", s.Machine.Nodes)
-	line("machine.procs_per_node", "%d", s.Machine.ProcsPerNode)
-	line("machine.pes_per_proc", "%d", s.Machine.PEsPerProc)
-	line("machine.seed", "%d", s.Machine.Seed)
-	line("vps", "%d", s.VPs)
-	line("method", "%s", s.kind())
 	tc, osEnv := s.env()
-	// The toolchain's name and the checkpoint directory are labels — no
-	// run reads either — so they are not content, and two Specs that
-	// differ only there share a hash and a row. Their lines stay, frozen
-	// at what the golden hashes saw, because dropping a line would move
-	// every hash.
-	bridges2, _ := core.Bridges2Env()
-	line("env.toolchain.name", "%s", bridges2.Name)
-	line("env.toolchain.tls_seg_refs", "%t", tc.SupportsTLSSegRefs)
-	line("env.toolchain.mpc", "%t", tc.MPCPatched)
-	line("env.toolchain.pie", "%t", tc.PIE)
-	line("env.os.kind", "%s", osEnv.Kind)
-	line("env.os.glibc", "%t", osEnv.Glibc)
-	line("env.os.patched_glibc", "%t", osEnv.PatchedGlibc)
-	line("env.os.old_or_patched_linker", "%t", osEnv.OldOrPatchedLinker)
-	line("env.os.shared_fs", "%t", osEnv.SharedFS)
-	line("workload", "%s", s.Workload)
-	// Derived, like the environment: what the workload is told is
-	// whether the Spec has a balancer, so that is what is hashed.
-	line("workload.has_lb", "%t", s.Balancer != nil)
-	line("workload.quick", "%t", s.WorkloadParams.Quick)
-	if s.Balancer != nil {
-		name, pes, err := balancerName(s.Balancer)
-		if err != nil {
-			return nil, err
-		}
-		line("balancer", "%s", name)
-		line("balancer.pes_per_node", "%d", pes)
-	} else {
-		line("balancer", "")
-		line("balancer.pes_per_node", "%d", 0)
+	d.EnvPolicy = "explicit"
+	d.Toolchain, d.OS = nonZero(tc), nonZero(osEnv)
+	if d.Checkpoint != nil {
+		d.Checkpoint.Dir = ""
 	}
-	if s.Checkpoint != nil {
-		line("checkpoint.target", "%s", s.Checkpoint.Target)
-		line("checkpoint.dir", "")
-		line("checkpoint.interval_ns", "%d", int64(s.Checkpoint.Interval))
-	} else {
-		line("checkpoint.target", "")
-		line("checkpoint.dir", "")
-		line("checkpoint.interval_ns", "%d", 0)
-	}
-	// Churn and fault lines appear only when configured: Specs without
-	// them keep the exact canonical bytes (and hashes) they had before
-	// supervision existed.
-	if s.Churn != nil {
-		line("churn.seed", "%d", s.Churn.Seed)
-		line("churn.arrival_every_ns", "%d", int64(s.Churn.ArrivalEvery))
-		line("churn.eviction_every_ns", "%d", int64(s.Churn.EvictionEvery))
-		line("churn.notice_ns", "%d", int64(s.Churn.Notice))
-		line("churn.horizon_ns", "%d", int64(s.Churn.Horizon))
-		line("churn.rolling_every_ns", "%d", int64(s.Churn.RollingEvery))
-		line("churn.rolling_nodes", "%d", s.Churn.RollingNodes)
-		line("churn.max_events", "%d", s.Churn.MaxEvents)
-	}
-	if s.Faults != nil {
-		line("faults.seed", "%d", s.Faults.Seed)
-		line("faults.mtbf_ns", "%d", int64(s.Faults.MTBF))
-		line("faults.horizon_ns", "%d", int64(s.Faults.Horizon))
-	}
-	placement := make([]string, len(s.Placement))
-	for i, p := range s.Placement {
-		placement[i] = fmt.Sprintf("%d", p)
-	}
-	line("placement", "%s", strings.Join(placement, ","))
-	line("stack_size", "%d", s.StackSize)
-	return b.Bytes(), nil
+	return json.Marshal(d)
 }
 
-// Hash returns the hex SHA-256 of the canonical form: the Spec's
+// Hash returns the hex SHA-256 of the content document: the Spec's
 // content address. Because every run is a pure function of its
 // declarative Spec, two Specs with equal hashes produce bit-identical
 // output (for one build of the code — pair the hash with a code

@@ -96,14 +96,13 @@ func TestChurnJSONRoundTripAndHash(t *testing.T) {
 	if hc == h1 {
 		t.Error("churn-free spec shares the churned spec's hash")
 	}
-	// A *disabled* churn spec (nil) keeps the pre-elasticity canonical
-	// bytes: no churn lines appear at all.
+	// Without churn the content document has no churn object at all.
 	canon, err := calm.Canonical()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(canon), "churn.") {
-		t.Errorf("churn-free canonical form mentions churn:\n%s", canon)
+	if strings.Contains(string(canon), `"churn"`) {
+		t.Errorf("churn-free content document mentions churn: %s", canon)
 	}
 }
 

@@ -5,30 +5,42 @@ import (
 	"testing"
 )
 
-// FuzzSpecDecode feeds the wire codec arbitrary bytes. Whatever decodes
-// must validate and hash without panicking, and a Spec that hashes must
-// survive the wire: re-marshaled and decoded again it has the same
-// digest and the same validity, so a cache entry can never be reached
-// by one encoding of a point and missed by another. And what Validate
-// passes, the engine builds: a valid document never becomes a 200 whose
-// stream carries a build error.
-func FuzzSpecDecode(f *testing.F) {
+// specDecodeSeeds are FuzzSpecDecode's seed documents; the oracle in
+// canon_oracle_test.go hashes them too.
+var specDecodeSeeds = []string{
 	// The scripts/serve_smoke.sh point.
-	f.Add([]byte(`{"workload":"empty","vps":4,"machine":{"nodes":2,"procs_per_node":1,"pes_per_proc":1},"method":"pieglobals"}`))
+	`{"workload":"empty","vps":4,"machine":{"nodes":2,"procs_per_node":1,"pes_per_proc":1},"method":"pieglobals"}`,
 	// Churn, a checkpoint policy and the parameterized balancer at once.
-	f.Add([]byte(`{"machine":{"nodes":2,"procs_per_node":2,"pes_per_proc":2,"seed":7},"vps":16,"method":"tlsglobals","env_policy":"adjust","tweaks":{"patched_glibc":true},"workload":"adcirc","workload_params":{"quick":true},"balancer":"hierarchical","balancer_pes_per_node":4,"checkpoint":{"target":"buddy","interval_ns":50000000},"churn":{"seed":7,"eviction_every_ns":20000000,"notice_ns":1000000000,"horizon_ns":400000000,"max_events":2},"placement":[0,1,2,3,4,5,6,7,0,1,2,3,4,5,6,7],"stack_size":1048576}`))
+	`{"machine":{"nodes":2,"procs_per_node":2,"pes_per_proc":2,"seed":7},"vps":16,"method":"tlsglobals","env_policy":"adjust","workload":"adcirc","workload_params":{"quick":true},"balancer":"hierarchical","balancer_pes_per_node":4,"checkpoint":{"target":"buddy","interval_ns":50000000},"churn":{"seed":7,"eviction_every_ns":20000000,"notice_ns":1000000000,"horizon_ns":400000000,"max_events":2},"placement":[0,1,2,3,4,5,6,7,0,1,2,3,4,5,6,7],"stack_size":1048576}`,
 	// A stack size that wraps the allocator's bounds arithmetic.
-	f.Add([]byte(`{"workload":"empty","vps":4,"stack_size":18446744073709551615}`))
+	`{"workload":"empty","vps":4,"stack_size":18446744073709551615}`,
 	// A machine the model cannot hold: 30 M PEs, and a product that wraps.
-	f.Add([]byte(`{"workload":"empty","vps":4,"machine":{"nodes":3000,"procs_per_node":100,"pes_per_proc":100}}`))
-	f.Add([]byte(`{"workload":"empty","vps":4,"machine":{"nodes":1000000,"procs_per_node":1000000,"pes_per_proc":1000000}}`))
+	`{"workload":"empty","vps":4,"machine":{"nodes":3000,"procs_per_node":100,"pes_per_proc":100}}`,
+	`{"workload":"empty","vps":4,"machine":{"nodes":1000000,"procs_per_node":1000000,"pes_per_proc":1000000}}`,
 	// A crash process, and a churn spec asking for an unbounded plan.
-	f.Add([]byte(`{"workload":"checkpointed","vps":6,"machine":{"nodes":3,"procs_per_node":1,"pes_per_proc":2},"method":"pieglobals","checkpoint":{"target":"fs","interval_ns":19000000},"faults":{"seed":3,"mtbf_ns":1,"horizon_ns":4611686018427387904},"churn":{"eviction_every_ns":1,"horizon_ns":4611686018427387904,"max_events":4611686018427387904}}`))
+	`{"workload":"checkpointed","vps":6,"machine":{"nodes":3,"procs_per_node":1,"pes_per_proc":2},"method":"pieglobals","checkpoint":{"target":"fs","interval_ns":19000000},"faults":{"seed":3,"mtbf_ns":1,"horizon_ns":4611686018427387904},"churn":{"eviction_every_ns":1,"horizon_ns":4611686018427387904,"max_events":4611686018427387904}}`,
 	// Validate once passed these and Build refused them: 14 PIPglobals
 	// ranks placed in one of two processes, and a placement past the
 	// machine's last PE.
-	f.Add([]byte(`{"workload":"empty","method":"pipglobals","vps":14,"machine":{"nodes":2,"procs_per_node":1,"pes_per_proc":1},"placement":[0,0,0,0,0,0,0,0,0,0,0,0,0,0]}`))
-	f.Add([]byte(`{"workload":"empty","method":"tlsglobals","vps":2,"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":1},"placement":[0,5]}`))
+	`{"workload":"empty","method":"pipglobals","vps":14,"machine":{"nodes":2,"procs_per_node":1,"pes_per_proc":1},"placement":[0,0,0,0,0,0,0,0,0,0,0,0,0,0]}`,
+	`{"workload":"empty","method":"tlsglobals","vps":2,"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":1},"placement":[0,5]}`,
+	// An empty placement was refused, but encodes as none: its re-marshaled
+	// document was valid.
+	`{"vps":1,"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":1},"placement":[]}`,
+}
+
+// FuzzSpecDecode feeds the wire codec arbitrary bytes. Whatever decodes
+// must validate and hash without panicking, and a Spec that hashes must
+// survive the wire: re-marshaled and decoded again — and decoded from
+// its own content document — it has the same digest and the same
+// validity, so a cache entry can never be reached by one encoding of a
+// point and missed by another. And what Validate passes, the engine
+// builds: a valid document never becomes a 200 whose stream carries a
+// build error.
+func FuzzSpecDecode(f *testing.F) {
+	for _, doc := range specDecodeSeeds {
+		f.Add([]byte(doc))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var sp Spec
 		if json.Unmarshal(data, &sp) != nil {
@@ -52,6 +64,22 @@ func FuzzSpecDecode(f *testing.F) {
 		}
 		if (back.Validate() == nil) != valid {
 			t.Fatalf("validity moved across the wire (was valid: %v)\ndoc: %s", valid, doc)
+		}
+		// The content document is a fixed point: the bytes that were
+		// hashed decode to a Spec with the same hash and validity.
+		canon, err := sp.Canonical()
+		if err != nil {
+			t.Fatalf("hashed Spec has no content document: %v", err)
+		}
+		var content Spec
+		if err := json.Unmarshal(canon, &content); err != nil {
+			t.Fatalf("content document does not decode: %v\ncontent: %s", err, canon)
+		}
+		if h, err := content.Hash(); err != nil || h != hash {
+			t.Fatalf("hash moved through the content document: %s -> %s (%v)\ncontent: %s", hash, h, err, canon)
+		}
+		if (content.Validate() == nil) != valid {
+			t.Fatalf("validity moved through the content document (was valid: %v)\ncontent: %s", valid, canon)
 		}
 		// Small bare points only: a supervised run builds its worlds
 		// inside the supervisor, and how much stack fits beside a method's

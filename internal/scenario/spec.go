@@ -44,28 +44,15 @@ const (
 	// environment lacks (core.Method.Grant), as the paper's experiments
 	// did: PIPglobals beyond 12 ranks per process gets the patched glibc,
 	// Swapglobals gets the old-or-patched linker, and -fmpc-privatize
-	// gets the MPC-patched compiler. Explicit Tweaks are applied on top.
+	// gets the MPC-patched compiler.
 	EnvAdjust EnvPolicy = iota
-	// EnvBridges2 uses the stock Bridges-2 environment plus explicit
-	// Tweaks only; a method whose requirements are not met fails
-	// Validate. This is the launcher policy: the user opts into
-	// environment changes by flag.
+	// EnvBridges2 uses the stock Bridges-2 environment; a method whose
+	// requirements it does not meet fails Validate.
 	EnvBridges2
-	// EnvExplicit uses the Spec's Toolchain and OS verbatim.
+	// EnvExplicit uses the Spec's Toolchain and OS verbatim: any
+	// deviation from Bridges-2 is spelled out.
 	EnvExplicit
 )
-
-// EnvTweaks are user-requested deviations from the Bridges-2 base
-// environment (EnvAdjust and EnvBridges2 policies).
-type EnvTweaks struct {
-	// OldOrPatchedLinker pretends ld <= 2.23, enabling Swapglobals.
-	OldOrPatchedLinker bool `json:"old_or_patched_linker,omitempty"`
-	// PatchedGlibc lifts the dlmopen namespace limit for PIPglobals.
-	PatchedGlibc bool `json:"patched_glibc,omitempty"`
-	// MPCToolchain uses an MPC-patched compiler, enabling
-	// -fmpc-privatize.
-	MPCToolchain bool `json:"mpc_toolchain,omitempty"`
-}
 
 // Spec declares one simulated run.
 type Spec struct {
@@ -83,10 +70,9 @@ type Spec struct {
 	// Kind is used for validation.
 	MethodImpl *core.Method
 
-	// EnvPolicy, Tweaks, Toolchain, and OS describe the build/run
-	// environment; see EnvPolicy.
+	// EnvPolicy, Toolchain, and OS describe the build/run environment;
+	// see EnvPolicy.
 	EnvPolicy EnvPolicy
-	Tweaks    EnvTweaks
 	Toolchain core.Toolchain
 	OS        core.OS
 
@@ -216,15 +202,6 @@ func (s *Spec) env() (core.Toolchain, core.OS) {
 		return s.Toolchain, s.OS
 	}
 	tc, osEnv := core.Bridges2Env()
-	if s.Tweaks.OldOrPatchedLinker {
-		osEnv.OldOrPatchedLinker = true
-	}
-	if s.Tweaks.PatchedGlibc {
-		osEnv.PatchedGlibc = true
-	}
-	if s.Tweaks.MPCToolchain {
-		tc.MPCPatched = true
-	}
 	if m := s.method(); m != nil && s.EnvPolicy == EnvAdjust {
 		tc, osEnv = m.Grant(tc, osEnv, s.ranksPerProc())
 	}

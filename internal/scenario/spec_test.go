@@ -132,10 +132,11 @@ func TestValidateNonSMPMethodInSMPMode(t *testing.T) {
 		Machine:   shape(1, 1, 2),
 		VPs:       4,
 		Method:    core.KindSwapglobals,
-		EnvPolicy: scenario.EnvBridges2,
-		Tweaks:    scenario.EnvTweaks{OldOrPatchedLinker: true},
+		EnvPolicy: scenario.EnvExplicit,
 		Workload:  "empty",
 	}
+	sp.Toolchain, sp.OS = core.Bridges2Env()
+	sp.OS.OldOrPatchedLinker = true
 	wantField(t, sp.Validate(), "Machine", "does not support SMP")
 }
 
@@ -148,13 +149,15 @@ func TestValidateSwapglobalsNeedsOldLinker(t *testing.T) {
 		Workload:  "empty",
 	}
 	wantField(t, sp.Validate(), "Method", "old or patched linker")
-	sp.Tweaks.OldOrPatchedLinker = true
+	sp.EnvPolicy = scenario.EnvExplicit
+	sp.Toolchain, sp.OS = core.Bridges2Env()
+	sp.OS.OldOrPatchedLinker = true
 	if err := sp.Validate(); err != nil {
-		t.Errorf("swapglobals with -oldlinker tweak rejected: %v", err)
+		t.Errorf("swapglobals with an old linker spelled out rejected: %v", err)
 	}
 	// The harness policy adjusts the environment automatically.
-	sp.Tweaks.OldOrPatchedLinker = false
 	sp.EnvPolicy = scenario.EnvAdjust
+	sp.Toolchain, sp.OS = core.Toolchain{}, core.OS{}
 	if err := sp.Validate(); err != nil {
 		t.Errorf("swapglobals under EnvAdjust rejected: %v", err)
 	}
@@ -169,9 +172,11 @@ func TestValidateMPCNeedsPatchedCompiler(t *testing.T) {
 		Workload:  "empty",
 	}
 	wantField(t, sp.Validate(), "Method", "MPC-patched compiler")
-	sp.Tweaks.MPCToolchain = true
+	sp.EnvPolicy = scenario.EnvExplicit
+	sp.Toolchain, sp.OS = core.Bridges2Env()
+	sp.Toolchain.MPCPatched = true
 	if err := sp.Validate(); err != nil {
-		t.Errorf("fmpc-privatize with -mpc-compiler tweak rejected: %v", err)
+		t.Errorf("fmpc-privatize with an MPC-patched compiler spelled out rejected: %v", err)
 	}
 }
 

@@ -54,9 +54,9 @@ import (
 	"provirt/internal/scenario"
 )
 
-// Limits on one request: a sweep larger than MaxPoints or a body past
-// MaxBodyBytes is rejected up front with a 400/413 instead of queueing
-// unbounded work.
+// Limits on one request: a sweep larger than MaxPoints is rejected up
+// front with a 400, and a body past MaxBodyBytes with a 413, instead of
+// queueing unbounded work.
 const (
 	MaxPoints    = 4096
 	MaxBodyBytes = 8 << 20
@@ -189,7 +189,11 @@ func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
 	var req runRequest
 	body := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, errorDoc{Error: err.Error()})
+		status := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, errorDoc{Error: err.Error()})
 		return
 	}
 	points := req.Points

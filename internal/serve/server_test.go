@@ -290,16 +290,38 @@ func TestOversizedWorldIs400AndServerSurvives(t *testing.T) {
 
 func TestUnknownFieldIs400(t *testing.T) {
 	_, ts := newTestServer(t, 1)
-	for _, field := range []string{`"virtual_processors":4`, `"sim_workers":4`, `"workload_params":{"has_lb":true}`} {
+	for field, key := range map[string]string{
+		`"virtual_processors":4`:                       "virtual_processors",
+		`"sim_workers":4`:                              "sim_workers",
+		`"workload_params":{"has_lb":true}`:            "has_lb",
+		`"tweaks":{"patched_glibc":true}`:              "tweaks",
+		`"toolchain":{"name":"gcc-10.2.0","pie":true}`: "name",
+	} {
 		body := `{"points":[{"workload":"empty","vps":4,"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":1},` + field + `}]}`
 		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		data, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", field, resp.StatusCode)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), key) {
+			t.Errorf("%s: status %d, body %s; want a 400 naming %s", field, resp.StatusCode, data, key)
 		}
+	}
+}
+
+// A body past MaxBodyBytes is refused as too large, not as malformed.
+func TestOversizedBodyIs413(t *testing.T) {
+	_, ts := newTestServer(t, 1)
+	body := `{"points":[` + strings.Repeat(" ", MaxBodyBytes+1-len(`{"points":[`))
+	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("a %d-byte body: status %d (%s), want 413", len(body), resp.StatusCode, data)
 	}
 }
 

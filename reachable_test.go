@@ -61,6 +61,7 @@ var implicitMethods = map[string]bool{
 	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
 	"Read": true, "Write": true, "Close": true, "Flush": true,
 	"ServeHTTP": true, "MarshalJSON": true, "UnmarshalJSON": true, "Set": true,
+	"MarshalText": true, "UnmarshalText": true,
 }
 
 // TestEveryDeclarationIsReachable type-checks every non-test package of
@@ -70,8 +71,9 @@ var implicitMethods = map[string]bool{
 // kept declarations; a reached body or type declaration reaches what it
 // refers to. A call through an interface method reaches the method of
 // that name on every reached type, and so do the names in
-// implicitMethods. A json-tagged field is used by reflection, and a
-// positional composite literal uses every field.
+// implicitMethods. A json-tagged field is used by reflection (`json:"-"`
+// is no tag: the codec never touches the field), and a positional
+// composite literal uses every field.
 //
 // A reached struct field must also be set by reached code, or it is an
 // option no program turns. Setting is a keyed or positional composite
@@ -261,7 +263,7 @@ func (p *program) declare(dir string, pkg *types.Package, f *ast.File) {
 							tag = reflect.StructTag(strings.Trim(n.Tag.Value, "`")).Get("json")
 						}
 						for _, id := range n.Names {
-							if tag == "" {
+							if tag == "" || tag == "-" {
 								judge(id, dir+"."+ts.Name.Name+"."+id.Name, nil)
 							}
 						}

@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
 # serve_smoke: boot `privbench -serve`, POST the same tiny Spec twice,
 # and assert the second response is a cache hit with byte-identical row
-# payloads and no second simulation. This is the end-to-end check of
-# the content-addressed result path: canonical Spec hashing, the
-# resultstore round trip, and the server's cache/dedup accounting —
-# through a real TCP listener instead of httptest. Then the two
+# payloads and no second simulation, and that the hash is over content:
+# the same point spelled with its environment explicit is a cache hit.
+# This is the end-to-end check of the content-addressed result path:
+# Spec hashing, the resultstore round trip, and the server's cache/dedup
+# accounting — through a real TCP listener instead of httptest. Then the two
 # supervised points the harness itself runs — ftsweep's (pieglobals, fs,
 # 120 ms) and elastic's (pieglobals, fs, spot-busy) — go through POST
 # and through `privbench -spec`, and the two doors must print the same
-# row, supervised columns included.
+# row, supervised columns included, and the fault point filed under
+# another checkpoint directory is a cache hit.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -81,6 +83,21 @@ trailer "$WORKDIR/second.ndjson" | grep -q '"cached":1' \
 trailer "$WORKDIR/second.ndjson" | grep -q '"executed":0' \
     || fail "second POST re-executed: $(trailer "$WORKDIR/second.ndjson")"
 
+# The hash is over content, not spelling: the same point with the
+# environment adjust resolves to, written out, is the same point.
+EXPLICIT='{"points":[{"workload":"empty","vps":4,"machine":{"nodes":2,"procs_per_node":1,"pes_per_proc":1},"method":"pieglobals","env_policy":"explicit","toolchain":{"supports_tls_seg_refs":true,"pie":true},"os":{"kind":"linux","glibc":true,"shared_fs":true}}]}'
+echo "== explicit-environment POST (expect the same hash, cached)"
+curl -sf -X POST -H 'Content-Type: application/json' -d "$EXPLICIT" \
+    "http://$ADDR/v1/runs" >"$WORKDIR/explicit.ndjson" || fail "explicit POST failed"
+point_hash() { grep '"hash"' "$1" | sed 's/.*"hash":"\([0-9a-f]*\)".*/\1/'; }
+HASH1="$(point_hash "$WORKDIR/first.ndjson")"
+[[ -n "$HASH1" && "$HASH1" == "$(point_hash "$WORKDIR/explicit.ndjson")" ]] \
+    || fail "explicit environment hashed differently: $(cat "$WORKDIR/explicit.ndjson")"
+trailer "$WORKDIR/explicit.ndjson" | grep -q '"cached":1' \
+    || fail "explicit POST was not a cache hit: $(trailer "$WORKDIR/explicit.ndjson")"
+trailer "$WORKDIR/explicit.ndjson" | grep -q '"executed":0' \
+    || fail "explicit POST re-executed: $(trailer "$WORKDIR/explicit.ndjson")"
+
 # Cross-check with the server's own metrics: exactly one simulation
 # ever ran, and the cache hit was counted.
 METRICS="$(curl -sf "http://$ADDR/metrics")" || fail "metrics scrape failed"
@@ -106,9 +123,21 @@ for point in FAULTS CHURN; do
   -spec: $PRINTED"
 done
 
+# The checkpoint directory is a label: filed elsewhere, the fault point
+# is the same point.
+MOVED="${FAULTS//\/scratch\/ftsweep/\/scratch\/elsewhere}"
+[[ "$MOVED" != "$FAULTS" ]] || fail "the fault point names no checkpoint directory"
+echo "== FAULTS point under another checkpoint directory (expect a cache hit)"
+curl -sf -X POST -H 'Content-Type: application/json' -d "{\"spec\":$MOVED}" \
+    "http://$ADDR/v1/runs" >"$WORKDIR/moved.ndjson" || fail "moved-directory POST failed"
+trailer "$WORKDIR/moved.ndjson" | grep -q '"cached":1' \
+    || fail "another checkpoint directory missed the cache: $(trailer "$WORKDIR/moved.ndjson")"
+[[ "$(point_row "$WORKDIR/moved.ndjson")" == "$(point_row "$WORKDIR/FAULTS.ndjson")" ]] \
+    || fail "another checkpoint directory served a different row"
+
 echo "== graceful shutdown"
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" || fail "server exited non-zero after SIGTERM"
 SERVER_PID=""
 
-echo "serve-smoke: OK (row payload byte-identical, second POST cached, 1 simulation total; fault and churn points identical through POST and -spec)"
+echo "serve-smoke: OK (row payload byte-identical, second and explicit-environment POSTs cached, 1 simulation total; fault and churn points identical through POST and -spec; checkpoint directory not hashed)"
