@@ -58,11 +58,11 @@ func TestPingPongClosedForm(t *testing.T) {
 			if r.Rank() == 0 {
 				start := r.Wtime()
 				r.Send(1, 0, []float64{1}, bytes)
-				r.Wait(r.Irecv(1, 0))
+				r.Wait(r.Irecv(1, 0, make([]float64, 1)))
 				rtt = r.Wtime() - start
 				return
 			}
-			r.Wait(r.Irecv(0, 0))
+			r.Wait(r.Irecv(0, 0, make([]float64, 1)))
 			r.Send(0, 0, []float64{2}, bytes)
 		})
 		r0, r1 := w.Ranks[0], w.Ranks[1]

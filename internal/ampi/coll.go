@@ -35,7 +35,7 @@ func (r *Rank) allreduce(code int32, data []float64, op *Op) []float64 {
 		start = r.thread.Now()
 	}
 	acc := r.reduce(data, op)
-	out := r.bcast(acc)
+	out := r.bcast(acc, len(data))
 	if acc != nil {
 		// Only the root holds a reduction result here, and bcast has
 		// copied it into the outgoing payloads and out.
@@ -61,7 +61,7 @@ func (r *Rank) reduce(data []float64, op *Op) []float64 {
 		top = m
 	}
 	for m := top; m > 0; m >>= 1 {
-		part := r.Wait(r.irecv(r.vp+m, tag))
+		part := r.Wait(r.irecv(r.vp+m, tag, w.getBuf(len(data))))
 		acc = w.applyOp(op, r, part, acc)
 		w.releaseAfterOp(op, part)
 	}
@@ -74,26 +74,24 @@ func (r *Rank) reduce(data []float64, op *Op) []float64 {
 }
 
 // bcast sends rank 0's data down the same binomial tree and returns
-// every rank's copy.
-func (r *Rank) bcast(data []float64) []float64 {
+// every rank's copy of it. Each rank's copy is a new slice of n values,
+// the one allocation the collective hands to its caller; a non-root
+// rank receives straight into it and relays it onward.
+func (r *Rank) bcast(data []float64, n int) []float64 {
 	size := r.Size()
 	tag := r.nextCollTag()
-	if size == 1 {
-		return append([]float64(nil), data...)
+	var out []float64
+	if n > 0 {
+		out = make([]float64, n)
 	}
 	parent, limit := binomialNode(r.vp, size)
-	buf := data
-	if parent >= 0 {
-		buf = r.Wait(r.irecv(parent, tag))
+	if parent < 0 {
+		out = append(out[:0], data...)
+	} else {
+		out = r.Wait(r.irecv(parent, tag, out))
 	}
 	for m := 1; m < limit && r.vp+m < size; m <<= 1 {
-		r.sendMsg(r.vp+m, tag, buf, 0)
-	}
-	out := append([]float64(nil), buf...)
-	if parent >= 0 {
-		// The relay buffer was this hop's message payload; sends have
-		// copied it onward, so it can be recycled.
-		r.world.putBuf(buf)
+		r.sendMsg(r.vp+m, tag, out, 0)
 	}
 	return out
 }

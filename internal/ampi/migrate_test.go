@@ -182,7 +182,7 @@ func TestMigrationAcrossNodesSendRecvAfter(t *testing.T) {
 			if r.Rank() == 0 {
 				r.Send(1, 9, []float64{3.25}, 0)
 			} else if r.Rank() == 1 {
-				got = r.Wait(r.Irecv(0, 9))[0]
+				got = r.Wait(r.Irecv(0, 9, make([]float64, 1)))[0]
 			}
 			r.Barrier()
 		},

@@ -1,33 +1,35 @@
 package ampi
 
-// Per-world scratch pools. A collective moves its payload hop by hop
-// through the reduction/broadcast tree, and every hop used to copy the
-// slice with append([]float64(nil), ...) — one allocation per hop per
-// rank, dominating the allocation profile of Allreduce-heavy runs.
-// The world instead keeps a free list of scratch buffers: hop copies
-// are taken from the pool and returned as soon as the hop hands the
-// data on. Buffers that escape to user code (a Recv payload, a root's
-// reduction result) are simply never returned — the pool only ever
-// holds slices the runtime exclusively owns. The same discipline
-// recycles message envelopes.
+// Per-world pools. Point-to-point has MPI's buffer semantics: a send
+// copies its data into a payload taken from the world's buffer pool,
+// and the receive copies the payload into the caller's buffer and
+// returns it, so every payload goes back to the pool when its message
+// completes. Collectives take their per-hop scratch from the same pool
+// and return it as soon as the hop hands the data on. Message envelopes
+// and receive requests are recycled through free lists the same way:
+// an envelope at match, a request at Wait. In steady state the message
+// path allocates nothing.
 //
 // The pools are per-world and the whole world runs on one engine
 // thread, so no locking is needed; independent worlds running on
 // separate goroutines (the sweep runner) never share a pool.
 
-// getBuf returns a zero-length buffer with capacity at least n.
+// getBuf returns a buffer of length n, nil when n is 0.
 func (w *World) getBuf(n int) []float64 {
+	if n == 0 {
+		return nil
+	}
 	if last := len(w.bufFree) - 1; last >= 0 {
 		b := w.bufFree[last]
 		w.bufFree[last] = nil
 		w.bufFree = w.bufFree[:last]
 		if cap(b) >= n {
-			return b[:0]
+			return b[:n]
 		}
 		// Too small for this request; let it go rather than hold
 		// undersized buffers forever.
 	}
-	return make([]float64, 0, n)
+	return make([]float64, n)
 }
 
 // putBuf returns a buffer to the pool. The caller must not touch b
@@ -42,10 +44,9 @@ func (w *World) putBuf(b []float64) {
 // copyBuf is the pooled equivalent of append([]float64(nil), src...):
 // it preserves nil-ness for empty inputs (barrier payloads stay nil).
 func (w *World) copyBuf(src []float64) []float64 {
-	if len(src) == 0 {
-		return nil
-	}
-	return append(w.getBuf(len(src)), src...)
+	b := w.getBuf(len(src))
+	copy(b, src)
+	return b
 }
 
 // releaseAfterOp returns a reduction scratch buffer to the pool when
@@ -58,20 +59,22 @@ func (w *World) releaseAfterOp(op *Op, b []float64) {
 	}
 }
 
-// getMsg returns a zeroed message envelope.
-func (w *World) getMsg() *message {
-	if last := len(w.msgFree) - 1; last >= 0 {
-		m := w.msgFree[last]
-		w.msgFree[last] = nil
-		w.msgFree = w.msgFree[:last]
-		return m
+// freeList recycles records of one type: get returns a zeroed record,
+// put zeroes one and keeps it.
+type freeList[T any] []*T
+
+func (l *freeList[T]) get() *T {
+	if last := len(*l) - 1; last >= 0 {
+		x := (*l)[last]
+		(*l)[last] = nil
+		*l = (*l)[:last]
+		return x
 	}
-	return &message{}
+	return new(T)
 }
 
-// putMsg recycles a message envelope once matching handed its payload
-// to the request.
-func (w *World) putMsg(m *message) {
-	*m = message{}
-	w.msgFree = append(w.msgFree, m)
+func (l *freeList[T]) put(x *T) {
+	var zero T
+	*x = zero
+	*l = append(*l, x)
 }

@@ -17,8 +17,8 @@ const (
 )
 
 // message is one point-to-point payload in flight or queued. Envelopes
-// are pooled per world: once matching hands the payload to a request,
-// the envelope is recycled.
+// and payloads are pooled per world: once matching copies the payload
+// into the receive buffer, both are recycled.
 type message struct {
 	src   int // world rank
 	tag   int // >= 0 from Send; < 0 for collective plumbing
@@ -27,15 +27,17 @@ type message struct {
 	dst   *Rank // receiver, so delivery events need no closure
 }
 
-// Request is a posted receive's handle.
+// Request is a posted receive's handle (MPI_Request). Requests are
+// pooled per world: Wait frees one, and the handle must not be used
+// again.
 type Request struct {
 	rank     *Rank
 	src, tag int
+	buf      []float64 // the caller's; cut to the message's length at completion
 	done     bool
 	blocked  bool // owner thread suspended in Wait on this request
-	// Completion record, copied out of the matched message so its
-	// envelope can be recycled immediately.
-	data           []float64
+	// The matched message's source and tag, copied out of the envelope
+	// so it can be recycled at once.
 	gotSrc, gotTag int
 }
 
@@ -120,12 +122,8 @@ func (r *Rank) sendMsg(dst, tag int, data []float64, bytes uint64) {
 	}
 	r.thread.Advance(w.Cluster.Cost.MsgSendOverhead)
 	dstRank := w.Ranks[dst]
-	var payload []float64
-	if data != nil {
-		payload = w.copyBuf(data)
-	}
-	m := w.getMsg()
-	m.src, m.tag, m.bytes, m.data, m.dst = r.vp, tag, bytes, payload, dstRank
+	m := w.msgFree.get()
+	m.src, m.tag, m.bytes, m.data, m.dst = r.vp, tag, bytes, w.copyBuf(data), dstRank
 	depart := r.thread.Now()
 	if w.tracer != nil {
 		w.tracer.Emit(trace.Event{Time: depart, Kind: trace.KindSendPost,
@@ -144,12 +142,21 @@ func deliverMsg(x any) {
 	m.dst.deliver(m)
 }
 
-// complete hands a matched message's payload to the request and
-// recycles the envelope.
+// complete copies a matched message's payload into the request's
+// buffer and recycles the payload and the envelope. A payload longer
+// than the buffer fails the run (MPI_ERR_TRUNCATE) rather than being
+// cut silently.
 func (r *Rank) complete(q *Request, m *message) {
-	q.data, q.gotSrc, q.gotTag = m.data, m.src, m.tag
+	w := r.world
+	if len(m.data) > len(q.buf) {
+		w.fail(fmt.Errorf("ampi: rank %d: message from rank %d with tag %d holds %d values, receive buffer %d (MPI_ERR_TRUNCATE)",
+			r.vp, m.src, m.tag, len(m.data), len(q.buf)))
+	}
+	q.buf = q.buf[:copy(q.buf, m.data)]
+	q.gotSrc, q.gotTag = m.src, m.tag
 	q.done = true
-	r.world.putMsg(m)
+	w.putBuf(m.data)
+	w.msgFree.put(m)
 }
 
 // deliver lands a message at the rank (runs as an engine event). A
@@ -178,20 +185,23 @@ func (r *Rank) deliver(m *message) {
 	r.mailbox.add(m)
 }
 
-// Irecv posts a nonblocking receive.
-func (r *Rank) Irecv(src, tag int) *Request {
+// Irecv posts a nonblocking receive into buf (MPI_Irecv). The matched
+// message is copied into buf, so buf must hold it; a nil buf receives
+// messages that carry no payload.
+func (r *Rank) Irecv(src, tag int, buf []float64) *Request {
 	if src != AnySource {
 		r.checkPeer(src)
 	}
 	r.checkUserTag(tag)
-	return r.irecv(src, tag)
+	return r.irecv(src, tag, buf)
 }
 
 // irecv is the receive path Irecv and the collectives share: it
 // completes at once against a queued message, else posts the request.
-func (r *Rank) irecv(src, tag int) *Request {
-	q := &Request{rank: r, src: src, tag: tag}
+func (r *Rank) irecv(src, tag int, buf []float64) *Request {
 	w := r.world
+	q := w.reqFree.get()
+	q.rank, q.src, q.tag, q.buf = r, src, tag, buf
 	if w.tracer != nil {
 		w.tracer.Emit(trace.Event{Time: r.thread.Now(), Kind: trace.KindRecvPost,
 			PE: int32(r.pe.ID), VP: int32(r.vp), Peer: int32(src), Tag: int32(tag)})
@@ -209,11 +219,11 @@ func (r *Rank) irecv(src, tag int) *Request {
 	return q
 }
 
-// Wait blocks until the request completes and returns the received
-// payload.
+// Wait blocks until the request completes, frees it (MPI_Wait) and
+// returns the filled prefix of its buffer.
 func (r *Rank) Wait(q *Request) []float64 {
 	if q.rank != r {
-		panic(fmt.Sprintf("ampi: rank %d waiting on rank %d's request", r.vp, q.rank.vp))
+		panic(fmt.Sprintf("ampi: Wait on a request already completed or not posted by rank %d", r.vp))
 	}
 	if !q.done {
 		q.blocked = true
@@ -233,14 +243,15 @@ func (r *Rank) Wait(q *Request) []float64 {
 		}
 	}
 	r.thread.Advance(r.world.Cluster.Cost.MsgRecvOverhead)
-	return q.data
+	out := q.buf
+	r.world.reqFree.put(q)
+	return out
 }
 
-// Waitall completes all requests, returning payloads in request order.
-func (r *Rank) Waitall(qs []*Request) [][]float64 {
-	out := make([][]float64, len(qs))
-	for i, q := range qs {
-		out[i] = r.Wait(q)
+// Waitall completes and frees all requests; each one's data is in the
+// buffer it was posted with.
+func (r *Rank) Waitall(qs []*Request) {
+	for _, q := range qs {
+		r.Wait(q)
 	}
-	return out
 }

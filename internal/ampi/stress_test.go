@@ -46,7 +46,7 @@ func TestMigrationTrafficStress(t *testing.T) {
 						var reqs []*ampi.Request
 						for src, dst := range peers[rd] {
 							if dst == me {
-								reqs = append(reqs, r.Irecv(src, rd))
+								reqs = append(reqs, r.Irecv(src, rd, make([]float64, 1)))
 							}
 						}
 						r.Send(peers[rd][me], rd, []float64{float64(me*1000 + rd)}, 0)

@@ -44,14 +44,14 @@ func TestRunLeavesNoRankThread(t *testing.T) {
 				if r.Rank() == 1 {
 					panic("boom")
 				}
-				r.Wait(r.Irecv(1, 0))
+				r.Wait(r.Irecv(1, 0, nil))
 			},
 			wantErr: "ult: thread 1 panicked: boom",
 			died:    map[int]string{1: "ult: thread 1 panicked: boom"},
 		},
 		{
 			name:    "deadlock",
-			main:    func(r *Rank) { r.Wait(r.Irecv((r.Rank()+1)%r.Size(), 0)) },
+			main:    func(r *Rank) { r.Wait(r.Irecv((r.Rank()+1)%r.Size(), 0, nil)) },
 			wantErr: "ampi: sim: event queue empty before completion (deadlock) (rank states: map[blocked:4])",
 		},
 		{

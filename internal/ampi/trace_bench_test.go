@@ -21,15 +21,15 @@ func pingPongWorld(b *testing.B, tracer trace.Tracer) *ampi.World {
 	prog := &ampi.Program{
 		Image: synth.EmptyImage(),
 		Main: func(r *ampi.Rank) {
-			payload := []float64{1, 2, 3, 4}
+			payload, in := []float64{1, 2, 3, 4}, make([]float64, 4)
 			if r.Rank() == 0 {
 				for i := 0; i < b.N; i++ {
 					r.Send(1, 7, payload, 0)
-					r.Wait(r.Irecv(1, 8))
+					r.Wait(r.Irecv(1, 8, in))
 				}
 			} else {
 				for i := 0; i < b.N; i++ {
-					r.Wait(r.Irecv(0, 7))
+					r.Wait(r.Irecv(0, 7, in))
 					r.Send(0, 8, payload, 0)
 				}
 			}

@@ -166,7 +166,8 @@ type World struct {
 
 	// Scratch pools (see pool.go). Per-world, engine-thread-only.
 	bufFree [][]float64
-	msgFree []*message
+	msgFree freeList[message]
+	reqFree freeList[Request]
 }
 
 // NewWorld builds the cluster, runs privatization setup on every

@@ -5,8 +5,7 @@ import (
 	"testing"
 )
 
-// specDecodeSeeds are FuzzSpecDecode's seed documents; the oracle in
-// canon_oracle_test.go hashes them too.
+// specDecodeSeeds are FuzzSpecDecode's seed documents.
 var specDecodeSeeds = []string{
 	// The scripts/serve_smoke.sh point.
 	`{"workload":"empty","vps":4,"machine":{"nodes":2,"procs_per_node":1,"pes_per_proc":1},"method":"pieglobals"}`,

@@ -96,7 +96,7 @@ func TestAbandonedWorldsLeaveNoGoroutines(t *testing.T) {
 				Method:  core.KindTLSglobals,
 				Program: &ampi.Program{
 					Image: synth.EmptyImage(),
-					Main:  func(r *ampi.Rank) { r.Wait(r.Irecv((r.Rank()+1)%r.Size(), 0)) },
+					Main:  func(r *ampi.Rank) { r.Wait(r.Irecv((r.Rank()+1)%r.Size(), 0, nil)) },
 				},
 			}
 			_, _, err := sp.Execute()

@@ -27,8 +27,8 @@ import (
 // differing only there share a hash and must share a row.
 
 // witness changes the one field behind key on a valid base Spec. A
-// witness is named by the line its field had in the old canonical form
-// (oldCanonical, canon_oracle_test.go), which checks that line too.
+// witness keeps the name its field's line had in the hand-written
+// canonical form Spec.Hash once hashed.
 type witness struct {
 	key    string
 	base   func() Spec

@@ -216,10 +216,10 @@ func runRank(cfg Config, r *ampi.Rank, results func(Result)) {
 		// Exchange water-height halos with row neighbors.
 		reqs := make([]*ampi.Request, 0, 2)
 		if me > 0 {
-			reqs = append(reqs, r.Irecv(me-1, t*2))
+			reqs = append(reqs, r.Irecv(me-1, t*2, nil))
 		}
 		if me < v-1 {
-			reqs = append(reqs, r.Irecv(me+1, t*2))
+			reqs = append(reqs, r.Irecv(me+1, t*2, nil))
 		}
 		if me > 0 {
 			r.Send(me-1, t*2, nil, haloBytes)

@@ -212,7 +212,7 @@ func runRank(cfg Config, r *ampi.Rank, results func(Result)) {
 		}
 		reqs := make([]*ampi.Request, len(edges))
 		for i, e := range edges {
-			reqs[i] = r.Irecv(e.peer, t)
+			reqs[i] = r.Irecv(e.peer, t, nil)
 		}
 		for _, e := range edges {
 			r.Send(e.peer, t, nil, e.bytes)

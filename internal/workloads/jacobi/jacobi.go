@@ -229,15 +229,16 @@ func runRank(cfg Config, r *ampi.Rank, results func(Result)) {
 func haloTag(it, face int) int { return it*8 + face }
 
 // halo is one face's transfer with the neighbor across it: the interior
-// plane sent, the ghost plane filled, and the gather scratch (Rank.Send
-// copies its payload, so one buffer per face serves every iteration).
+// plane sent, the ghost plane filled, the gather scratch and the receive
+// buffer (Rank.Send copies its payload and Irecv copies into in, so one
+// pair of buffers per face serves every iteration).
 type halo struct {
 	peer, face int
 	// The face holds n1 x n2 cells at strides s1, s2 in the block's
 	// storage; send and ghost are the offsets of the two planes.
 	n1, s1, n2, s2 int
 	send, ghost    int
-	buf            []float64
+	buf, in        []float64
 }
 
 // haloPlan is a rank's transfer plan: its faces that have a neighbor, in
@@ -276,6 +277,7 @@ func newHaloPlan(b *block, neighbor func(dx, dy, dz int) int) *haloPlan {
 				n1: n[a1], s1: stride[a1], n2: n[a2], s2: stride[a2],
 				send: send * stride[axis], ghost: ghost * stride[axis],
 				buf: make([]float64, n[a1]*n[a2]),
+				in:  make([]float64, n[a1]*n[a2]),
 			})
 		}
 	}
@@ -313,7 +315,7 @@ func (h *halo) scatter(u, in []float64) {
 func exchangeHalos(r *ampi.Rank, b *block, plan *haloPlan, it int) {
 	for i := range plan.faces {
 		h := &plan.faces[i]
-		plan.reqs[i] = r.Irecv(h.peer, haloTag(it, h.face^1))
+		plan.reqs[i] = r.Irecv(h.peer, haloTag(it, h.face^1), h.in)
 	}
 	for i := range plan.faces {
 		h := &plan.faces[i]
