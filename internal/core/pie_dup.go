@@ -54,6 +54,9 @@ func newPIETemplate(src *elf.Instance) *pieTemplate {
 			}
 		}
 	}
+	// Scan passes only what the host holds of the segment and skips
+	// words it knows are zero. No zero word is a hit: every simulated
+	// address, mmap'd or Isomalloc, is at least mem.IsomallocBase.
 	src.Seg.Scan(func(first int, words []uint64) { scan(1, first, words) })
 	for k, o := range src.HeapObjs {
 		scan(2+k, 0, o.Words)
@@ -71,7 +74,8 @@ func newPIETemplate(src *elf.Instance) *pieTemplate {
 // copying, mapping and scanning every byte, as the real runtime does;
 // the host copies only the data-segment pages the process's instance
 // owns or that hold a rebased word, and the rest of the rank's view
-// reads through to the image's frozen base.
+// reads through to the image's frozen base: its initialised prefix and,
+// past it, zeros the host never stores.
 func duplicateInstance(env *ProcessEnv, t *pieTemplate, heap *mem.Heap, opts PIEOptions) (*elf.Instance, sim.Time, error) {
 	src, img := t.src, t.src.Img
 	var cost sim.Time

@@ -51,7 +51,7 @@ func oracleDuplicate(src, priv *elf.Instance) (data []uint64, objs [][]uint64) {
 	return data, objs
 }
 
-func pieSetup(t *testing.T, img *elf.Image, vps int) *core.SetupResult {
+func pieSetup(t testing.TB, img *elf.Image, vps int) *core.SetupResult {
 	t.Helper()
 	cl, err := machine.New(machine.Config{Nodes: 1, ProcsPerNode: 1, PEsPerProc: 1})
 	if err != nil {

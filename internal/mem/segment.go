@@ -1,6 +1,9 @@
 package mem
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // pageWords is the copy-on-write granule of a Segment: one 4 KiB page.
 const pageWords = PageSize / 8
@@ -8,22 +11,25 @@ const pageWords = PageSize / 8
 // SegmentBase is a program image's immutable data segment: frozen once,
 // then read by every view of it — the loader's instances, the ranks'
 // forks of them, and every snapshot of those. Nothing writes it after
-// FreezeSegment.
-type SegmentBase struct{ words []uint64 }
+// FreezeSegment. The host holds only the initialised prefix; every word
+// past it is zero and costs nothing until a view writes its page.
+type SegmentBase struct {
+	init []uint64 // the initialised prefix
+	n    int      // the length in words
+}
 
 // FreezeSegment returns an immutable base of the given length in words
 // (at least len(init)) whose leading cells are a copy of init and whose
-// remainder is zero. Later writes to init never show through any view.
+// remainder is zero. It stores the copy of init and implies the zero
+// bulk. Later writes to init never show through any view.
 func FreezeSegment(init []uint64, words int) *SegmentBase {
-	w := make([]uint64, max(words, len(init)))
-	copy(w, init)
-	return &SegmentBase{words: w}
+	return &SegmentBase{init: append([]uint64(nil), init...), n: max(words, len(init))}
 }
 
 // View returns a fresh copy-on-write view that owns no page yet.
 func (b *SegmentBase) View() *Segment {
 	if metrics.bytesShared != nil {
-		metrics.bytesShared.Add(uint64(len(b.words)) * 8)
+		metrics.bytesShared.Add(uint64(b.n) * 8)
 	}
 	return &Segment{base: b}
 }
@@ -43,7 +49,7 @@ type segPage struct {
 }
 
 // Len returns the segment's length in words.
-func (s *Segment) Len() int { return len(s.base.words) }
+func (s *Segment) Len() int { return s.base.n }
 
 // find returns the position of page p in s.pages and whether it is there.
 func (s *Segment) find(p int) (int, bool) {
@@ -56,22 +62,33 @@ func (s *Segment) Load(i int) uint64 {
 	if k, ok := s.find(i / pageWords); ok {
 		return s.pages[k].words[i%pageWords]
 	}
-	return s.base.words[i]
+	b := s.base
+	switch {
+	case i < len(b.init):
+		return b.init[i]
+	case i < b.n:
+		return 0
+	}
+	panic(fmt.Sprintf("mem: segment word %d past length %d", i, b.n))
 }
 
-// Word returns the cell of word i, first copying its page out of the
-// base if the view does not own it yet. The pointer stays valid for the
-// life of the view; a caller that writes through it into a heap block's
-// view must Touch the block, as with Block.Words.
+// Word returns the cell of word i, first materialising its page — zeros
+// with the overlapping part of the base's prefix copied in — if the view
+// does not own it yet. The pointer stays valid for the life of the
+// view; a caller that writes through it into a heap block's view must
+// Touch the block, as with Block.Words.
 func (s *Segment) Word(i int) *uint64 {
 	p := i / pageWords
 	k, ok := s.find(p)
 	if !ok {
 		lo := p * pageWords
-		hi := min(lo+pageWords, len(s.base.words))
+		w := make([]uint64, min(lo+pageWords, s.base.n)-lo)
+		if lo < len(s.base.init) {
+			copy(w, s.base.init[lo:])
+		}
 		s.pages = append(s.pages, segPage{})
 		copy(s.pages[k+1:], s.pages[k:])
-		s.pages[k] = segPage{idx: p, words: append([]uint64(nil), s.base.words[lo:hi]...)}
+		s.pages[k] = segPage{idx: p, words: w}
 		if metrics.pagesMaterialized != nil {
 			metrics.pagesMaterialized.Inc()
 		}
@@ -79,23 +96,24 @@ func (s *Segment) Word(i int) *uint64 {
 	return &s.pages[k].words[i%pageWords]
 }
 
-// Scan calls fn with every word of the view in index order, as runs:
-// first is the index of words[0], and a run is either one owned page or
-// a stretch of the base between owned pages. fn must not write words.
-// Reading a whole segment this way costs one pass; Load per word would
-// search the page list each time.
+// Scan calls fn with the view's words in index order, as runs: first
+// is the index of words[0], and a run is either one owned page or a
+// stretch of the base's prefix between owned pages. Every word Scan
+// does not pass is zero. fn must not write words. Reading a whole
+// segment this way costs one pass over what the host holds; Load per
+// word would search the page list each time.
 func (s *Segment) Scan(fn func(first int, words []uint64)) {
-	next := 0
+	init, next := s.base.init, 0
 	for _, pg := range s.pages {
 		lo := pg.idx * pageWords
-		if next < lo {
-			fn(next, s.base.words[next:lo])
+		if end := min(lo, len(init)); next < end {
+			fn(next, init[next:end])
 		}
 		fn(lo, pg.words)
 		next = lo + len(pg.words)
 	}
-	if next < len(s.base.words) {
-		fn(next, s.base.words[next:])
+	if next < len(init) {
+		fn(next, init[next:])
 	}
 }
 

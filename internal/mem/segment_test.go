@@ -2,6 +2,7 @@ package mem
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -9,22 +10,37 @@ import (
 // third, so page-boundary and short-last-page arithmetic both run.
 const segWords = 2*pageWords + 37
 
+// prefixWords are the initialised prefixes the fuzzer freezes a base
+// with: none, up to the middle of the second page, exactly one page, and
+// the whole segment. Past the prefix the base holds nothing on the host.
+var prefixWords = [...]int{0, pageWords + pageWords/2, pageWords, segWords}
+
 // procPair is a loaded instance's view of the frozen base next to its
-// oracle, a flat copy of the words the base was frozen from.
+// oracle, a flat copy of the words the base was frozen from, zero past
+// the prefix.
 type procPair struct {
 	view *Segment
 	flat []uint64
 }
 
-// check compares the process view with its oracle through Scan, whose
-// runs must tile the segment in order.
+// check compares the process view with its oracle word for word. Scan's
+// runs must ascend without overlap and equal the oracle; every word no
+// run covers must read 0 through Load and be 0 in the oracle.
 func (pp procPair) check(t *testing.T, when string) {
 	t.Helper()
+	zeros := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if got := pp.view.Load(i); got != 0 || pp.flat[i] != 0 {
+				t.Fatalf("%s: word %d is in no Scan run but reads %d, flat oracle has %d", when, i, got, pp.flat[i])
+			}
+		}
+	}
 	next := 0
 	pp.view.Scan(func(first int, words []uint64) {
-		if first != next || len(words) == 0 {
+		if first < next || len(words) == 0 || first+len(words) > len(pp.flat) {
 			t.Fatalf("%s: Scan run starts at %d with %d words, previous ended at %d", when, first, len(words), next)
 		}
+		zeros(next, first)
 		for i, got := range words {
 			if want := pp.flat[first+i]; got != want {
 				t.Fatalf("%s: process word %d = %d, flat oracle has %d", when, first+i, got, want)
@@ -32,9 +48,7 @@ func (pp procPair) check(t *testing.T, when string) {
 		}
 		next = first + len(words)
 	})
-	if next != len(pp.flat) {
-		t.Fatalf("%s: Scan covered %d of %d words", when, next, len(pp.flat))
-	}
+	zeros(next, len(pp.flat))
 }
 
 // heapPair drives a rank's copy-on-write heap and its oracle in lockstep.
@@ -143,6 +157,8 @@ func (s snapPair) check(t *testing.T, when string) {
 // FuzzSegmentView holds the whole chain of copy-on-write views — frozen
 // base, a process's view of it, a rank's fork of that, the rank's
 // snapshots, heaps restored from them — to the flat copies they replaced.
+// prefix picks how much of the base is initialised (prefixWords), so
+// the zero bulk the host never stores is read, forked and written too.
 // Each input byte pair is one operation on the views and their oracles;
 // after every operation the process view, the live rank segment, the
 // heaps' accounting and every kept snapshot must agree with the oracle.
@@ -150,21 +166,25 @@ func (s snapPair) check(t *testing.T, when string) {
 // owns pages equals a flat copy of it, and a write to the slice the base
 // was frozen from never shows anywhere.
 func FuzzSegmentView(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0, 5, 2, 0, 0, 200, 2, 0, 3, 0, 0, 9, 2, 0})                             // store, snap, store, snap, restore, store, snap
-	f.Add([]byte{0, 1, 4, 0, 0, 255, 4, 0, 1, 0, 4, 0, 2, 0, 3, 1})                       // migrate loop with stores and a bare Touch
-	f.Add([]byte{5, 3, 5, 9, 6, 0, 2, 0, 6, 1, 4, 0, 5, 1, 2, 0, 3, 0})                   // scratch alloc/free around snapshots
-	f.Add([]byte{7, 0, 0, 0, 7, 1, 2, 0, 7, 2, 4, 0, 7, 3, 3, 0, 0, 128})                 // writes to the base's source slice
-	f.Add([]byte{8, 0, 8, 130, 9, 0, 0, 0, 8, 1, 2, 0, 9, 0, 8, 131, 4, 0, 3, 0, 0, 131}) // process stores around two forks, a snapshot and a restore
-	f.Fuzz(func(t *testing.T, ops []byte) {
+	for prefix := range uint8(len(prefixWords)) {
+		f.Add(prefix, []byte{})
+		f.Add(prefix, []byte{0, 5, 2, 0, 0, 200, 2, 0, 3, 0, 0, 9, 2, 0})                             // store, snap, store, snap, restore, store, snap
+		f.Add(prefix, []byte{0, 1, 4, 0, 0, 255, 4, 0, 1, 0, 4, 0, 2, 0, 3, 1})                       // migrate loop with stores and a bare Touch
+		f.Add(prefix, []byte{5, 3, 5, 9, 6, 0, 2, 0, 6, 1, 4, 0, 5, 1, 2, 0, 3, 0})                   // scratch alloc/free around snapshots
+		f.Add(prefix, []byte{7, 0, 0, 0, 7, 1, 2, 0, 7, 2, 4, 0, 7, 3, 3, 0, 0, 128})                 // writes to the base's source slice
+		f.Add(prefix, []byte{8, 0, 8, 130, 9, 0, 0, 0, 8, 1, 2, 0, 9, 0, 8, 131, 4, 0, 3, 0, 0, 131}) // process stores around two forks, a snapshot and a restore
+		f.Add(prefix, []byte{8, 255, 9, 0, 0, 60, 8, 60, 2, 0})                                       // process stores past the prefix, then before it, with a fork between
+	}
+	f.Fuzz(func(t *testing.T, prefix uint8, ops []byte) {
 		if len(ops) > 128 {
 			ops = ops[:128]
 		}
-		image := make([]uint64, segWords)
+		image := make([]uint64, prefixWords[int(prefix)%len(prefixWords)])
 		for i := range image {
-			image[i] = uint64(i) * 3
+			image[i] = uint64(i)*3 + 1
 		}
-		proc := procPair{view: FreezeSegment(image, segWords).View(), flat: append([]uint64(nil), image...)}
+		proc := procPair{view: FreezeSegment(image, segWords).View(), flat: make([]uint64, segWords)}
+		copy(proc.flat, image)
 		p := newHeapPair(t, proc)
 		var kept []snapPair
 		for n := 0; n+1 < len(ops); n += 2 {
@@ -211,7 +231,9 @@ func FuzzSegmentView(f *testing.F) {
 					}
 				}
 			case 7: // the slice the base was frozen from is the caller's again
-				image[arg*segWords/256] = ^uint64(0)
+				if len(image) > 0 {
+					image[arg*len(image)/256] = ^uint64(0)
+				}
 			case 8: // store through the process's view, as a ctor or an unprivatized store does
 				i := arg * segWords / 256
 				*proc.view.Word(i), proc.flat[i] = uint64(n)<<8|uint64(arg)|1<<32, uint64(n)<<8|uint64(arg)|1<<32
@@ -262,5 +284,36 @@ func TestSegmentMovesOnlyMaterialisedPages(t *testing.T) {
 	r := Restore(snap).Lookup(b.Addr)
 	if r.Seg.Load(700) != 7 || r.Seg.Load(0) != 0 || r.Seg.ownedWords() != pageWords {
 		t.Fatalf("restored view: word %d, owned %d", r.Seg.Load(700), r.Seg.ownedWords())
+	}
+}
+
+// TestFrozenBaseHoldsOnlyItsPrefix pins the host form of a base: a
+// 2 MiB segment frozen from a 321-word prefix stores those words and
+// implies the zero bulk, and Scan passes only what the view holds — the
+// prefix, then one owned page more after a store.
+func TestFrozenBaseHoldsOnlyItsPrefix(t *testing.T) {
+	const words, prefix = 1 << 18, 321
+	init := make([]uint64, prefix)
+	for i := range init {
+		init[i] = uint64(i) + 1
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	view := FreezeSegment(init, words).View()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 16<<10 {
+		t.Errorf("freezing a %d-word prefix of a %d-word segment and viewing it allocated %d bytes, want under 16 KiB", prefix, words, got)
+	}
+	scanned := func() int {
+		n := 0
+		view.Scan(func(_ int, w []uint64) { n += len(w) })
+		return n
+	}
+	if got := scanned(); got != prefix {
+		t.Errorf("Scan of a fresh view passed %d words, want the %d-word prefix", got, prefix)
+	}
+	*view.Word(700) = 7
+	if got := scanned(); got != prefix+pageWords {
+		t.Errorf("Scan after one store passed %d words, want the prefix and one page, %d", got, prefix+pageWords)
 	}
 }
