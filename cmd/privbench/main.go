@@ -66,9 +66,7 @@ func main() {
 		"write a virtual-time event trace of one sweep point to this file (requires a single traceable -experiment: "+
 			strings.Join(harness.TraceableNames(), ", ")+")")
 	traceFormat := flag.String("trace-format", "jsonl",
-		"trace file format: jsonl (one event per line) or chrome (Perfetto-loadable trace-event JSON)")
-	traceWindow := flag.Int("trace-window", 0,
-		"stream the trace to -trace in bounded windows of this many events instead of buffering it whole (jsonl only; required at million-rank scale)")
+		"trace file format: jsonl (one event per line, streamed to the file as the run goes unless -profile-ranks is set) or chrome (Perfetto-loadable trace-event JSON)")
 	traceMethod := flag.String("trace-method", "pieglobals",
 		"privatization method of the sweep point to trace (fig5/fig6/fig7/fig8/ftsweep)")
 	traceHeap := flag.Uint64("trace-heap", 1<<20,
@@ -116,8 +114,6 @@ func main() {
 		die(2, "-cache-entries must be >= 0 (0 = the resultstore default), got %d", *cacheEntries)
 	case *churnNotice < 0:
 		die(2, "-churn-notice must be >= 0, got %v", *churnNotice)
-	case *traceWindow < 0:
-		die(2, "-trace-window must be >= 0 (0 buffers the whole trace), got %d", *traceWindow)
 	}
 
 	if *showVersion {
@@ -188,14 +184,14 @@ func main() {
 
 	// Tracing selects exactly one sweep point of one experiment; the
 	// selection is resolved here, from flags, so it is concrete before
-	// any (possibly parallel) sweep starts.
+	// any (possibly parallel) sweep starts. A JSONL trace nothing else
+	// reads streams to its file as the run goes; Chrome output and the
+	// profile need the whole event slice, so the recorder retains it.
 	var rec *trace.Recorder
 	var sel *harness.TraceSel
-	var tracer trace.Tracer // whichever sink the flags opened
-	var windowed *trace.WindowWriter
-	var windowFile *os.File
+	var traceOut *os.File // the file rec streams to, if it streams
 	if *traceFile != "" || *profileRanks {
-		if *specFile == "" && (len(selected) != 1 || !selected[0].Traceable) {
+		if *specFile == "" && (len(selected) != 1 || len(selected[0].TraceKeys) == 0) {
 			die(2, "-trace/-profile-ranks need -spec, or -experiment to be one of %s (got %q)",
 				strings.Join(harness.TraceableNames(), ", "), *experiment)
 		}
@@ -214,6 +210,14 @@ func main() {
 		if scaleVPs <= 0 {
 			scaleVPs = harness.DefaultScaleVPs
 		}
+		if *traceFile != "" && *traceFormat == "jsonl" && !*profileRanks {
+			if traceOut, err = os.Create(*traceFile); err != nil {
+				die(2, "-trace: %v", err)
+			}
+			rec = trace.NewJSONLRecorder(traceOut)
+		} else {
+			rec = trace.NewRecorder()
+		}
 		sel = &harness.TraceSel{
 			Method: kind,
 			Nodes:  *nodes,
@@ -224,23 +228,7 @@ func main() {
 			Target: target,
 			VPs:    scaleVPs,
 			Churn:  *traceChurn,
-		}
-		if *traceWindow > 0 {
-			// Windowed tracing streams events to disk as they fire, so a
-			// million-rank trace never lives in host memory — but that
-			// rules out post-hoc consumers of the full event slice.
-			if *traceFile == "" || *traceFormat != "jsonl" || *profileRanks {
-				die(2, "-trace-window needs -trace with -trace-format=jsonl and no -profile-ranks")
-			}
-			windowFile, err = os.Create(*traceFile)
-			if err != nil {
-				die(2, "-trace: %v", err)
-			}
-			windowed = trace.NewWindowWriter(windowFile, *traceWindow)
-			sel.Sink, tracer = windowed, windowed
-		} else {
-			rec = trace.NewRecorder()
-			sel.Rec, tracer = rec, rec
+			Rec:    rec,
 		}
 	}
 
@@ -287,7 +275,7 @@ func main() {
 	}
 	if *specFile != "" {
 		selected = nil
-		if err := runSpec(*specFile, tracer); err != nil {
+		if err := runSpec(*specFile, rec); err != nil {
 			die(1, "-spec: %v", err)
 		}
 	}
@@ -301,27 +289,26 @@ func main() {
 		}
 	}
 
-	if windowed != nil {
-		err := windowed.Close()
-		if cerr := windowFile.Close(); err == nil {
-			err = cerr
+	if rec != nil {
+		err := rec.Close()
+		if traceOut != nil {
+			if cerr := traceOut.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if rec.Len() == 0 {
+			if traceOut != nil {
+				os.Remove(*traceFile)
+			}
+			die(1, "trace selection matched no run (check the trace flags against the experiment's sweep; -experiment=list names its trace keys)")
+		}
+		if traceOut == nil && *traceFile != "" {
+			err = writeTrace(*traceFile, *traceFormat, rec.Events())
 		}
 		if err != nil {
 			die(1, "-trace: %v", err)
 		}
-		if windowed.Emitted() == 0 {
-			die(1, "trace selection matched no run (check the experiment's trace keys against its sweep)")
-		}
-		fmt.Printf("trace: %d events -> %s (jsonl, windowed)\n", windowed.Emitted(), *traceFile)
-	}
-	if rec != nil {
-		if rec.Len() == 0 {
-			die(1, "trace selection matched no run (check -trace-method/-nodes/-trace-heap/-trace-cores/-trace-ratio against the experiment's sweep)")
-		}
 		if *traceFile != "" {
-			if err := writeTrace(*traceFile, *traceFormat, rec.Events()); err != nil {
-				die(1, "-trace: %v", err)
-			}
 			fmt.Printf("trace: %d events -> %s (%s)\n", rec.Len(), *traceFile, *traceFormat)
 		}
 		if *profileRanks {
@@ -351,7 +338,7 @@ func die(code int, format string, args ...any) {
 // runSpec executes the one point the wire document at path (- for
 // stdin) describes and prints what the point produced: the workload's
 // own report, then the row exactly as the server would store it.
-func runSpec(path string, tracer trace.Tracer) error {
+func runSpec(path string, rec *trace.Recorder) error {
 	if path == "-" {
 		path = "/dev/stdin"
 	}
@@ -363,7 +350,9 @@ func runSpec(path string, tracer trace.Tracer) error {
 	if err := json.Unmarshal(doc, &sp); err != nil {
 		return err
 	}
-	sp.Tracer = tracer
+	if rec != nil { // a nil *Recorder must not become a non-nil Tracer
+		sp.Tracer = rec
+	}
 	row, report, err := sp.Execute()
 	if err != nil {
 		return err
@@ -432,7 +421,7 @@ func listExperiments() {
 		for _, f := range e.Flags {
 			notes = append(notes, "-"+f)
 		}
-		if e.Traceable {
+		if len(e.TraceKeys) > 0 {
 			notes = append(notes, "traceable by "+strings.Join(e.TraceKeys, "/"))
 		}
 		if len(notes) > 0 {

@@ -77,30 +77,33 @@ func TestParseDurations(t *testing.T) {
 	}
 }
 
-// TestNegativeTraceWindowIsRefused runs main in a child copy of the test
-// binary: a negative -trace-window must exit 2 before anything runs,
-// not fall back to buffering the whole trace in memory.
-func TestNegativeTraceWindowIsRefused(t *testing.T) {
+// TestUnmatchedTraceLeavesNoFile runs main in a child copy of the test
+// binary: a trace selection no sweep point matches must exit 1 after
+// printing the figure, and remove the file it opened to stream into.
+func TestUnmatchedTraceLeavesNoFile(t *testing.T) {
 	if args := os.Getenv("PRIVBENCH_TEST_ARGS"); args != "" {
 		os.Args = append([]string{"privbench"}, strings.Fields(args)...)
 		main()
 		os.Exit(0)
 	}
-	out := filepath.Join(t.TempDir(), "fig5.jsonl")
-	cmd := exec.Command(os.Args[0], "-test.run=^TestNegativeTraceWindowIsRefused$")
-	cmd.Env = append(os.Environ(), "PRIVBENCH_TEST_ARGS=-experiment fig5 -trace "+out+" -trace-window=-5")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
+	out := filepath.Join(t.TempDir(), "n.jsonl")
+	cmd := exec.Command(os.Args[0], "-test.run=^TestUnmatchedTraceLeavesNoFile$")
+	cmd.Env = append(os.Environ(), "PRIVBENCH_TEST_ARGS=-experiment fig5 -trace-method swapglobals -trace "+out)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	err := cmd.Run()
 	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Fatalf("privbench -trace-window=-5: %v, want exit status 2", err)
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("privbench with an unmatched trace: %v, want exit status 1", err)
 	}
-	if !strings.Contains(stderr.String(), "-trace-window") {
-		t.Fatalf("stderr does not name the flag: %q", stderr.String())
+	if !strings.Contains(stderr.String(), "matched no run") {
+		t.Errorf("stderr does not say the selection matched no run: %q", stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "Figure 5") {
+		t.Errorf("stdout does not carry the figure: %q", stdout.String())
 	}
 	if _, err := os.Stat(out); !os.IsNotExist(err) {
-		t.Fatalf("a refused run wrote its trace: %v", err)
+		t.Fatalf("an unmatched trace left its file behind: %v", err)
 	}
 }
 

@@ -122,9 +122,9 @@ type FlatConfig struct {
 	// demonstrate.
 	Image *elf.Image
 	// Tracer receives engine, link, and setup events. At this scale it
-	// should be a windowed writer (trace.NewWindowWriter), not an
-	// in-memory recorder. Link spans arrive in cascade order (depth
-	// first from the dispatching event), not sorted by departure.
+	// should be a streaming recorder (trace.NewJSONLRecorder), not a
+	// retaining one. Link spans arrive in cascade order (depth first
+	// from the dispatching event), not sorted by departure.
 	Tracer trace.Tracer
 	// SimWorkers enables intra-world parallel simulation: values > 1
 	// run the event engine as a sim.ParallelEngine with up to that many

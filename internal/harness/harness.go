@@ -105,28 +105,21 @@ type TraceSel struct {
 	Target ampi.CheckpointTarget
 	Churn  string
 	VPs    int // scale
-	// Rec receives the selected point's events.
+	// Rec receives the selected point's events, retained or streamed
+	// as the caller built it.
 	Rec *trace.Recorder
-	// Sink, consulted when Rec is nil, receives them through an
-	// arbitrary Tracer — a trace.WindowWriter for runs whose event
-	// volume must not be buffered in memory (the million-rank scale
-	// experiment).
-	Sink trace.Tracer
 }
 
-// tracerFor returns the selection's tracer when match reports the
+// tracerFor returns the selection's recorder when match reports the
 // sweep point is the selected one, else a nil Tracer; figures call it
 // while building their Specs, so the attach is part of the description
-// run executes. The recorder takes precedence over the streaming sink.
+// run executes.
 func (o Opts) tracerFor(match func(*TraceSel) bool) trace.Tracer {
 	ts := o.Trace
-	if ts == nil || !match(ts) {
-		return nil
+	if ts == nil || ts.Rec == nil || !match(ts) {
+		return nil // never a typed nil: hooks test the interface
 	}
-	if ts.Rec != nil {
-		return ts.Rec
-	}
-	return ts.Sink
+	return ts.Rec
 }
 
 // Fig5Methods are the privatization methods the startup experiment

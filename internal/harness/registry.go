@@ -49,9 +49,8 @@ type Experiment struct {
 	// Flags names the launcher flags the experiment consumes beyond
 	// the cross-cutting ones (parallelism, tracing, profiles).
 	Flags []string `json:"flags,omitempty"`
-	// Traceable reports whether the experiment honors Opts.Trace;
-	// TraceKeys names the TraceSel fields that select a sweep point.
-	Traceable bool     `json:"traceable,omitempty"`
+	// TraceKeys names the TraceSel fields that select a sweep point;
+	// an experiment that names none ignores Opts.Trace.
 	TraceKeys []string `json:"trace_keys,omitempty"`
 	// Run executes the experiment.
 	Run func(RunOpts) (Result, error) `json:"-"`
@@ -71,14 +70,12 @@ var registry = []Experiment{
 		Name:        "fig5",
 		Description: "Fig. 5: startup time per privatization method at one node count",
 		Flags:       []string{"nodes"},
-		Traceable:   true,
 		TraceKeys:   []string{"method", "nodes"},
 		Run:         func(r RunOpts) (Result, error) { return result(Fig5Startup(r.Opts, r.Nodes)) },
 	},
 	{
 		Name:        "fig5scale",
 		Description: "Fig. 5 scaling: startup time across node counts",
-		Traceable:   true,
 		TraceKeys:   []string{"method", "nodes"},
 		Run: func(r RunOpts) (Result, error) {
 			tbl, err := Fig5Scaling(r.Opts)
@@ -88,21 +85,18 @@ var registry = []Experiment{
 	{
 		Name:        "fig6",
 		Description: "Fig. 6: context-switch overhead per privatization method",
-		Traceable:   true,
 		TraceKeys:   []string{"method"},
 		Run:         func(r RunOpts) (Result, error) { return result(Fig6ContextSwitch(r.Opts)) },
 	},
 	{
 		Name:        "fig7",
 		Description: "Fig. 7: privatized-variable access overhead (Jacobi-3D)",
-		Traceable:   true,
 		TraceKeys:   []string{"method"},
 		Run:         func(r RunOpts) (Result, error) { return result(Fig7JacobiAccess(r.Opts)) },
 	},
 	{
 		Name:        "fig8",
 		Description: "Fig. 8: migration time vs per-rank heap size",
-		Traceable:   true,
 		TraceKeys:   []string{"method", "heap"},
 		Run:         func(r RunOpts) (Result, error) { return result(Fig8Migration(r.Opts)) },
 	},
@@ -123,7 +117,6 @@ var registry = []Experiment{
 		Name:        "ftsweep",
 		Description: "Fault tolerance: supervised time-to-solution vs MTBF",
 		Flags:       []string{"mtbf"},
-		Traceable:   true,
 		TraceKeys:   []string{"method", "mtbf", "target"},
 		Run:         func(r RunOpts) (Result, error) { return result(FTSweep(r.Opts, r.MTBFs)) },
 	},
@@ -132,7 +125,6 @@ var registry = []Experiment{
 		Aliases:     []string{"fig9"},
 		Description: "Table 2 & Fig. 9: ADCIRC strong scaling, virtualization x load balancing",
 		Flags:       []string{"cores"},
-		Traceable:   true,
 		TraceKeys:   []string{"cores", "ratio"},
 		Run: func(r RunOpts) (Result, error) {
 			rows, t2, f9, err := AdcircScaling(r.Opts, adcirc.DefaultConfig(), r.Cores)
@@ -143,7 +135,6 @@ var registry = []Experiment{
 		Name:        "scale",
 		Description: "Million-VP scale: flat-world allreduce + migration storm with per-rank memory gauges",
 		Flags:       []string{"vps", "sim-workers"},
-		Traceable:   true,
 		TraceKeys:   []string{"vps"},
 		Run:         func(r RunOpts) (Result, error) { return result(ScaleExperiment(r.Opts, r.ScaleVPs)) },
 	},
@@ -151,7 +142,6 @@ var registry = []Experiment{
 		Name:        "elastic",
 		Description: "Elastic worlds: time-to-solution and node-hours under cluster churn",
 		Flags:       []string{"churn-rate", "churn-notice", "churn-seed"},
-		Traceable:   true,
 		TraceKeys:   []string{"method", "target", "churn"},
 		Run:         func(r RunOpts) (Result, error) { return result(ElasticSweep(r.Opts, r.Elastic)) },
 	},
@@ -197,7 +187,7 @@ func ExperimentNames() []string {
 func TraceableNames() []string {
 	var names []string
 	for _, e := range registry {
-		if !e.Traceable {
+		if len(e.TraceKeys) == 0 {
 			continue
 		}
 		names = append(names, e.Name)

@@ -77,6 +77,15 @@ func TestFig8TracedRunMatchesUntraced(t *testing.T) {
 	}
 }
 
+// A selection without a recorder attaches no tracer: the matched point
+// sees a nil Tracer, not a typed nil whose first Emit would panic.
+func TestSelectionWithoutRecorderRunsUntraced(t *testing.T) {
+	sel := harness.TraceSel{Method: core.KindPIEglobals, Nodes: 2}
+	if _, _, err := harness.Fig5Startup(harness.Opts{Trace: &sel}, 2); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestFig5TraceBytesParallelismInvariant(t *testing.T) {
 	capture := func(par int) []byte {
 		o, rec := tracing(par, harness.TraceSel{Method: core.KindPIEglobals, Nodes: 2})

@@ -17,8 +17,8 @@ import (
 // produce identical files.
 
 // writeEventJSONL writes one event in the canonical JSONL encoding.
-// WriteJSONL and the streaming WindowWriter both go through it, so a
-// windowed trace of a run is byte-identical to the buffered one. The
+// WriteJSONL and a streaming Recorder both go through it, so a
+// streamed trace of a run is byte-identical to the retained one. The
 // "comm" column is always 0: every message travels on MPI_COMM_WORLD,
 // and the column stays so existing traces and their readers keep one
 // format.

@@ -68,3 +68,24 @@ func TestMemGaugeConcurrentSampling(t *testing.T) {
 		t.Fatalf("peak %d below build %d after concurrent sampling", g.PeakBytes, g.BuildBytes)
 	}
 }
+
+// TestMemGauge exercises the gauge's clamping and per-rank division.
+func TestMemGauge(t *testing.T) {
+	g := NewMemGauge()
+	g.SampleBuild()
+	hold := make([]byte, 1<<20)
+	for i := range hold {
+		hold[i] = byte(i)
+	}
+	g.Sample()
+	if g.PeakBytes < g.BuildBytes {
+		t.Fatalf("peak %d below build %d", g.PeakBytes, g.BuildBytes)
+	}
+	if hold[len(hold)-1] == 0 { // keep hold live past Sample
+		t.Fatal("unreachable")
+	}
+	b, p := g.PerRank(0)
+	if b != 0 || p != 0 {
+		t.Fatal("PerRank(0) must be zero")
+	}
+}

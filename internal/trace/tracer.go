@@ -1,6 +1,10 @@
 package trace
 
-import "time"
+import (
+	"bufio"
+	"io"
+	"time"
+)
 
 // This file is the event-tracing core: a Projections-style virtual-time
 // event stream for the simulated AMPI runtime. The runtime packages
@@ -209,12 +213,24 @@ type Tracer interface {
 	Emit(Event)
 }
 
-// Recorder is the standard Tracer: it filters by Kind and accumulates
-// events in memory for later export or profiling.
+// Recorder is the standard Tracer: it filters by Kind and either
+// retains the events in memory, for export or profiling after the run,
+// or streams them as JSONL to a writer (NewJSONLRecorder). A streaming
+// recorder encodes its buffer every streamWindow events and reuses it,
+// so a million-rank trace costs one window of host memory, not 48
+// bytes an event; its bytes equal WriteJSONL over the retained events.
+// The first write error sticks: nothing more is written, and Close
+// reports it.
 type Recorder struct {
-	mask   uint64
-	events []Event
+	mask    uint64
+	events  []Event
+	bw      *bufio.Writer // nil: retain every event
+	written int
 }
+
+// streamWindow is how many events a streaming recorder buffers between
+// writes.
+const streamWindow = 4096
 
 // DefaultKinds is every Kind except KindEngineEvent, whose one-record-
 // per-dispatch volume swamps a trace without adding timeline structure.
@@ -228,7 +244,7 @@ func DefaultKinds() []Kind {
 	return ks
 }
 
-// NewRecorder returns a recorder capturing the given kinds; with no
+// NewRecorder returns a recorder retaining the given kinds; with no
 // arguments it captures DefaultKinds.
 func NewRecorder(kinds ...Kind) *Recorder {
 	r := &Recorder{}
@@ -241,17 +257,54 @@ func NewRecorder(kinds ...Kind) *Recorder {
 	return r
 }
 
+// NewJSONLRecorder returns a recorder streaming the given kinds (with
+// none, DefaultKinds) to w in the canonical JSONL encoding. Call Close
+// after the run to write the tail.
+func NewJSONLRecorder(w io.Writer, kinds ...Kind) *Recorder {
+	r := NewRecorder(kinds...)
+	r.bw = bufio.NewWriter(w)
+	r.events = make([]Event, 0, streamWindow)
+	return r
+}
+
 // Emit records the event if its kind is selected.
 func (r *Recorder) Emit(ev Event) {
 	if r.mask&(1<<ev.Kind) == 0 {
 		return
 	}
 	r.events = append(r.events, ev)
+	if r.bw != nil && len(r.events) == streamWindow {
+		r.drain()
+	}
 }
 
-// Events returns the recorded events in emission order. The slice is
-// owned by the recorder; callers must not mutate it.
+// drain encodes and clears a streaming recorder's buffer. bufio.Writer
+// keeps its first error and writes nothing after it.
+func (r *Recorder) drain() {
+	for _, ev := range r.events {
+		if writeEventJSONL(r.bw, ev) != nil {
+			break
+		}
+	}
+	r.written += len(r.events)
+	r.events = r.events[:0]
+}
+
+// Events returns the retained events in emission order; a streaming
+// recorder holds only its unwritten buffer. The slice is owned by the
+// recorder; callers must not mutate it.
 func (r *Recorder) Events() []Event { return r.events }
 
-// Len reports the number of recorded events.
-func (r *Recorder) Len() int { return len(r.events) }
+// Len reports the number of selected events, written or retained.
+func (r *Recorder) Len() int { return r.written + len(r.events) }
+
+// Close writes a streaming recorder's buffered tail and flushes it,
+// returning the stream's first write error; on a retaining recorder it
+// does nothing.
+func (r *Recorder) Close() error {
+	if r.bw == nil {
+		return nil
+	}
+	r.drain()
+	return r.bw.Flush()
+}
