@@ -8,6 +8,7 @@ import "provirt/internal/obs"
 var (
 	evictions *obs.Counter
 	corrupt   *obs.Counter
+	puts      *obs.Counter
 )
 
 // EnableObs registers the store's instruments in r; EnableObs(nil)
@@ -15,13 +16,15 @@ var (
 // is not synchronized with concurrent store use.
 func EnableObs(r *obs.Registry) {
 	if r == nil {
-		evictions, corrupt = nil, nil
+		evictions, corrupt, puts = nil, nil, nil
 		return
 	}
 	evictions = r.Counter("resultstore_evictions_total",
 		"entries evicted from the in-memory LRU index (disk copies are kept)")
 	corrupt = r.Counter("resultstore_corrupt_skipped_total",
 		"on-disk entries skipped because the header, length, or checksum failed verification")
+	puts = r.Counter("resultstore_puts_total",
+		"entry writes (temp file, fsync, rename), failed ones included")
 }
 
 // Evictions exposes the counter for launchers that report cache health

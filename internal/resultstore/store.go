@@ -52,10 +52,14 @@ const DefaultMaxEntries = 1024
 // format itself.
 const magic = "provirt-result 1"
 
-// header is the first line of the entry file holding payload under
+// appendHeader appends the entry file's first line for payload under
 // hash: magic, hash, payload length, and the payload's SHA-256.
-func header(hash string, payload []byte) string {
-	return fmt.Sprintf("%s %s %d %x\n", magic, sanitize(hash), len(payload), sha256.Sum256(payload))
+func appendHeader(dst []byte, hash string, payload []byte) []byte {
+	sum := sha256.Sum256(payload)
+	dst = append(append(append(dst, magic...), ' '), sanitize(hash)...)
+	dst = strconv.AppendInt(append(dst, ' '), int64(len(payload)), 10)
+	dst = hex.AppendEncode(append(dst, ' '), sum[:])
+	return append(dst, '\n')
 }
 
 // CodeVersion identifies the running build for cache partitioning. A
@@ -111,13 +115,16 @@ type Store struct {
 
 	// mu guards exactly the three index fields below — never file I/O.
 	mu    sync.Mutex
-	byKey map[string]*list.Element // -> *entry
-	lru   *list.List               // front = most recently used
+	byKey map[key]*list.Element // -> *entry
+	lru   *list.List            // front = most recently used
 }
+
+// key addresses one entry.
+type key struct{ kind, hash string }
 
 // entry is one cached payload in the memory index.
 type entry struct {
-	key     string
+	key     key
 	payload []byte
 }
 
@@ -139,27 +146,23 @@ func Open(dir, version string, maxEntries int) (*Store, error) {
 	return &Store{
 		dir:        root,
 		maxEntries: maxEntries,
-		byKey:      make(map[string]*list.Element),
+		byKey:      make(map[key]*list.Element),
 		lru:        list.New(),
 	}, nil
 }
 
-// sanitize maps an arbitrary token onto a safe path segment.
+// sanitize maps an arbitrary token onto a safe path segment; a token
+// that already is one comes back as is (strings.Map does not copy it).
 func sanitize(s string) string {
-	var b strings.Builder
-	for _, c := range s {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
-			c == '.', c == '-', c == '_':
-			b.WriteRune(c)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	if b.Len() == 0 {
+	if s == "" {
 		return "_"
 	}
-	return b.String()
+	return strings.Map(func(c rune) rune {
+		if c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '.' || c == '-' || c == '_' {
+			return c
+		}
+		return '_'
+	}, s)
 }
 
 // path places an entry on disk: kind partitions the namespace (point
@@ -175,16 +178,14 @@ func (s *Store) path(kind, hash string) string {
 	return filepath.Join(s.dir, kind, shard, hash+".res")
 }
 
-func indexKey(kind, hash string) string { return kind + "/" + hash }
-
 // Get returns the payload stored under (kind, hash), consulting the
 // memory index first and falling back to disk. The returned bytes are
 // shared — callers must treat them as read-only. ok is false on a
 // miss, including entries that failed the corruption check.
 func (s *Store) Get(kind, hash string) (payload []byte, ok bool) {
-	key := indexKey(kind, hash)
+	k := key{kind, hash}
 	s.mu.Lock()
-	if el, hit := s.byKey[key]; hit {
+	if el, hit := s.byKey[k]; hit {
 		s.lru.MoveToFront(el)
 		p := el.Value.(*entry).payload
 		s.mu.Unlock()
@@ -197,7 +198,7 @@ func (s *Store) Get(kind, hash string) (payload []byte, ok bool) {
 	if !ok {
 		return nil, false
 	}
-	s.insert(key, payload)
+	s.insert(k, payload)
 	return payload, true
 }
 
@@ -205,6 +206,7 @@ func (s *Store) Get(kind, hash string) (payload []byte, ok bool) {
 // disk, then index insertion. The store keeps a reference to payload;
 // callers must not mutate it afterwards.
 func (s *Store) Put(kind, hash string, payload []byte) error {
+	puts.Inc()
 	path := s.path(kind, hash)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("resultstore: %w", err)
@@ -213,7 +215,7 @@ func (s *Store) Put(kind, hash string, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
-	_, err = tmp.WriteString(header(hash, payload))
+	_, err = tmp.Write(appendHeader(nil, hash, payload))
 	if err == nil {
 		_, err = tmp.Write(payload)
 	}
@@ -230,20 +232,20 @@ func (s *Store) Put(kind, hash string, payload []byte) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("resultstore: %w", err)
 	}
-	s.insert(indexKey(kind, hash), payload)
+	s.insert(key{kind, hash}, payload)
 	return nil
 }
 
 // insert adds (or refreshes) an index entry and evicts past capacity.
-func (s *Store) insert(key string, payload []byte) {
+func (s *Store) insert(k key, payload []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, hit := s.byKey[key]; hit {
+	if el, hit := s.byKey[k]; hit {
 		el.Value.(*entry).payload = payload
 		s.lru.MoveToFront(el)
 		return
 	}
-	s.byKey[key] = s.lru.PushFront(&entry{key: key, payload: payload})
+	s.byKey[k] = s.lru.PushFront(&entry{key: k, payload: payload})
 	for s.lru.Len() > s.maxEntries {
 		back := s.lru.Back()
 		s.lru.Remove(back)
@@ -260,7 +262,7 @@ func (s *Store) Len() int {
 }
 
 // load reads and verifies one entry file: it is served iff its first
-// line is exactly header(wantHash, rest). Anything else — bad magic,
+// line is exactly appendHeader(wantHash, rest). Anything else — bad magic,
 // wrong hash, short payload, checksum mismatch, a framing Put never
 // writes — is a miss; corruption (as opposed to plain absence) is
 // counted.
@@ -269,8 +271,9 @@ func (s *Store) load(path, wantHash string) ([]byte, bool) {
 	if err != nil {
 		return nil, false // plain miss: the entry was never written
 	}
+	var want [192]byte // a 64-digit hash's header fits
 	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 || string(data[:nl+1]) != header(wantHash, data[nl+1:]) {
+	if nl < 0 || !bytes.Equal(data[:nl+1], appendHeader(want[:0], wantHash, data[nl+1:])) {
 		corrupt.Inc()
 		return nil, false
 	}

@@ -2,6 +2,7 @@ package resultstore
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"os/exec"
@@ -112,6 +113,39 @@ func TestKindPartitions(t *testing.T) {
 	}
 	if _, ok := st.Get("run", "k"); ok {
 		t.Fatal("run namespace served a point result")
+	}
+}
+
+// A memory-index hit is a map probe and a list move: it allocates
+// nothing, and neither does naming a safe token's path segment.
+func TestMemoryHitAllocatesNothing(t *testing.T) {
+	st, _ := Open(t.TempDir(), "v1", 8)
+	hash := fmt.Sprintf("%064x", 7)
+	if err := st.Put("pt", hash, []byte("point")); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { st.Get("pt", hash) }); n != 0 {
+		t.Errorf("memory hit: %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sanitize(hash) }); n != 0 {
+		t.Errorf("sanitize of a safe token: %v allocations, want 0", n)
+	}
+}
+
+// The appended header is the fmt-formatted one, and an unsafe token is
+// mapped rune by rune.
+func TestHeaderAndSanitize(t *testing.T) {
+	for _, hash := range []string{"h", fmt.Sprintf("%064x", 1<<40), "a/b", "", "é.."} {
+		for _, payload := range []string{"", `{"row":1}`} {
+			if got, want := string(appendHeader(nil, hash, []byte(payload))), header(hash, []byte(payload)); got != want {
+				t.Errorf("appendHeader(%q, %q) = %q, want %q", hash, payload, got, want)
+			}
+		}
+	}
+	for in, want := range map[string]string{"": "_", "ab-_.9": "ab-_.9", "a/b": "a_b", "é": "_", "a b\x00": "a_b_"} {
+		if got := sanitize(in); got != want {
+			t.Errorf("sanitize(%q) = %q, want %q", in, got, want)
+		}
 	}
 }
 
@@ -250,6 +284,12 @@ func TestConcurrentPutGet(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// header is the entry header as fmt writes it: the oracle appendHeader
+// is held to, and which FuzzStoreLoad serves files against.
+func header(hash string, payload []byte) string {
+	return fmt.Sprintf("%s %s %d %x\n", magic, sanitize(hash), len(payload), sha256.Sum256(payload))
 }
 
 // FuzzStoreLoad writes arbitrary bytes where an entry lives. Get never

@@ -3,10 +3,10 @@
 // A Spec whose fields are all *declarative* — expressible as data, no
 // injected Go values — can be written to JSON, read back, and hashed,
 // and one document does all three. MarshalJSON/UnmarshalJSON speak the
-// wire document the serve API accepts and the launchers emit; it
+// wire document (Document) the serve API accepts and the launchers emit; it
 // round-trips byte-identically (marshal → unmarshal → re-marshal
 // reproduces the same bytes). Hash is SHA-256 over the *content*
-// document (Canonical): the same encoder's output for the Spec with its
+// document (content): the same encoder's output for the Spec with its
 // environment resolved (env_policy "explicit" plus the toolchain and OS
 // the run executes under) and the checkpoint directory, a label no run
 // reads, cleared. So an EnvAdjust Spec and the equivalent EnvExplicit
@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync"
 
 	"provirt/internal/ampi"
 	"provirt/internal/core"
@@ -128,12 +129,13 @@ func parseEnvPolicy(s string) (EnvPolicy, error) {
 	}
 }
 
-// The wire document. Field tags are the format; Go names are
+// Document is the wire document; decode it with DisallowUnknownFields
+// and lower it with Spec. Field tags are the format; Go names are
 // incidental. Optional sub-objects are pointers with omitempty so a
 // zero Spec marshals small and round-trips byte-identically. Every
 // sub-object but the machine is a model type carrying its own tags;
 // machine.Config also holds the cost model, which no document can say.
-type specDoc struct {
+type Document struct {
 	Machine    machineDoc             `json:"machine"`
 	VPs        int                    `json:"vps"`
 	Method     string                 `json:"method"`
@@ -151,6 +153,16 @@ type specDoc struct {
 	StackSize  uint64                 `json:"stack_size,omitempty"`
 }
 
+// lowered is a Spec's Document plus what its optional sub-objects point
+// at, so lowering allocates nothing past it; it encodes as the Document.
+type lowered struct {
+	Document
+	tc     core.Toolchain
+	os     core.OS
+	params WorkloadParams
+	ck     ampi.CheckpointPolicy
+}
+
 type machineDoc struct {
 	Nodes        int    `json:"nodes"`
 	ProcsPerNode int    `json:"procs_per_node"`
@@ -158,28 +170,29 @@ type machineDoc struct {
 	Seed         uint64 `json:"seed,omitempty"`
 }
 
-// nonZero returns a pointer to a copy of v, or nil for the zero value,
-// so the sub-object is omitted. A copy, not a pointer into the Spec:
-// that would move the whole Spec to the heap on every marshal.
-func nonZero[T comparable](v T) *T {
+// nonZero copies v into *store and returns store, or nil for the zero
+// value, so the sub-object is omitted. A copy, not a pointer into the
+// Spec: that would move the whole Spec to the heap on every marshal.
+func nonZero[T comparable](store *T, v T) *T {
 	var zero T
 	if v == zero {
 		return nil
 	}
-	return &v
+	*store = v
+	return store
 }
 
-// doc lowers the Spec to its wire document, rejecting non-declarative
-// Specs.
-func (s *Spec) doc() (*specDoc, error) {
+// doc lowers the Spec into d, its wire document, rejecting
+// non-declarative Specs.
+func (s *Spec) doc(d *lowered) error {
 	if err := s.declarativeErr(); err != nil {
-		return nil, err
+		return err
 	}
 	policy, err := envPolicyName(s.EnvPolicy)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	d := &specDoc{
+	d.Document = Document{
 		Churn:  s.Churn,
 		Faults: s.Faults,
 		Machine: machineDoc{
@@ -191,25 +204,24 @@ func (s *Spec) doc() (*specDoc, error) {
 		VPs:       s.VPs,
 		Method:    s.Method.String(),
 		EnvPolicy: policy,
-		Toolchain: nonZero(s.Toolchain),
-		OS:        nonZero(s.OS),
 		Workload:  s.Workload,
-		Params:    nonZero(s.WorkloadParams),
 		Placement: s.Placement,
 		StackSize: s.StackSize,
 	}
+	d.Toolchain, d.OS = nonZero(&d.tc, s.Toolchain), nonZero(&d.os, s.OS)
+	d.Params = nonZero(&d.params, s.WorkloadParams)
 	if s.Balancer != nil {
 		name, pes, err := balancerName(s.Balancer)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		d.Balancer, d.BalancerPE = name, pes
 	}
 	if s.Checkpoint != nil {
-		ck := *s.Checkpoint
-		d.Checkpoint = &ck
+		d.ck = *s.Checkpoint
+		d.Checkpoint = &d.ck
 	}
-	return d, nil
+	return nil
 }
 
 // MarshalJSON encodes the declarative Spec as its wire document. Specs
@@ -217,32 +229,40 @@ func (s *Spec) doc() (*specDoc, error) {
 // Restart, a custom cost model, an unregistered balancer) return a
 // *NotDeclarativeError.
 func (s Spec) MarshalJSON() ([]byte, error) {
-	d, err := s.doc()
-	if err != nil {
+	var d lowered
+	if err := s.doc(&d); err != nil {
 		return nil, err
 	}
-	return json.Marshal(d)
+	return json.Marshal(&d)
 }
 
-// UnmarshalJSON decodes the wire document into the Spec. Unknown
-// fields are errors, so a typoed document fails loudly instead of
-// silently running the defaults.
+// UnmarshalJSON strict-decodes one wire document and lowers it
+// (Document.Spec). Unknown fields are errors, so a typoed document
+// fails loudly instead of silently running the defaults.
 func (s *Spec) UnmarshalJSON(data []byte) error {
-	var d specDoc
+	var d Document
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&d); err != nil {
 		return fmt.Errorf("scenario: spec document: %w", err)
 	}
+	var err error
+	*s, err = d.Spec()
+	return err
+}
+
+// Spec lowers the document, resolving the method, environment policy
+// and balancer names; an unknown name is an error.
+func (d *Document) Spec() (Spec, error) {
 	policy, err := parseEnvPolicy(d.EnvPolicy)
 	if err != nil {
-		return err
+		return Spec{}, err
 	}
 	var kind core.Kind
 	if d.Method != "" {
 		kind, err = core.ParseKind(d.Method)
 		if err != nil {
-			return err
+			return Spec{}, err
 		}
 	}
 	out := Spec{
@@ -277,31 +297,38 @@ func (s *Spec) UnmarshalJSON(data []byte) error {
 	if d.Balancer != "" {
 		b, err := ParseBalancer(d.Balancer, d.BalancerPE)
 		if err != nil {
-			return err
+			return Spec{}, err
 		}
 		out.Balancer = b
 	}
-	*s = out
-	return nil
+	return out, nil
 }
 
-// Canonical returns the content document, the hashing pre-image: the
-// wire document with the environment resolved and the checkpoint
-// directory cleared (see the comment at the top of this file). Decoded,
-// it is a Spec with the same hash and the same validity.
-func (s *Spec) Canonical() ([]byte, error) {
-	d, err := s.doc()
-	if err != nil {
-		return nil, err
+// content lowers the Spec into d, its content document (the hashing
+// pre-image): the wire document with the environment resolved and the
+// checkpoint directory cleared (see the top of this file). Decoded, it
+// is a Spec with the same hash and the same validity.
+func (s *Spec) content(d *lowered) error {
+	if err := s.doc(d); err != nil {
+		return err
 	}
 	tc, osEnv := s.env()
 	d.EnvPolicy = "explicit"
-	d.Toolchain, d.OS = nonZero(tc), nonZero(osEnv)
+	d.Toolchain, d.OS = nonZero(&d.tc, tc), nonZero(&d.os, osEnv)
 	if d.Checkpoint != nil {
 		d.Checkpoint.Dir = ""
 	}
-	return json.Marshal(d)
+	return nil
 }
+
+// hashState is what Hash reuses through hashStates: the content
+// document and the buffer it is encoded into.
+type hashState struct {
+	doc lowered
+	buf bytes.Buffer
+}
+
+var hashStates = sync.Pool{New: func() any { return new(hashState) }}
 
 // Hash returns the hex SHA-256 of the content document: the Spec's
 // content address. Because every run is a pure function of its
@@ -309,12 +336,20 @@ func (s *Spec) Canonical() ([]byte, error) {
 // output (for one build of the code — pair the hash with a code
 // version when caching across builds).
 func (s *Spec) Hash() (string, error) {
-	canon, err := s.Canonical()
-	if err != nil {
+	h := hashStates.Get().(*hashState)
+	defer hashStates.Put(h)
+	h.buf.Reset()
+	if err := s.content(&h.doc); err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(canon)
-	return hex.EncodeToString(sum[:]), nil
+	if err := json.NewEncoder(&h.buf).Encode(&h.doc); err != nil {
+		return "", err
+	}
+	// Encode's trailing newline is not in json.Marshal's pre-image.
+	sum := sha256.Sum256(h.buf.Bytes()[:h.buf.Len()-1])
+	var digest [2 * sha256.Size]byte
+	hex.Encode(digest[:], sum[:])
+	return string(digest[:]), nil
 }
 
 // DefaultSpec returns a small, valid Spec running the named registered

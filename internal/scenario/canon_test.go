@@ -2,8 +2,11 @@ package scenario
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +18,44 @@ import (
 	"provirt/internal/sim"
 	"provirt/internal/trace"
 )
+
+// ContentDocument is the content document's bytes as json.Marshal
+// writes them: the pre-image Hash must hash. It lives here so the tests
+// outside the package can read it too.
+func ContentDocument(sp *Spec) ([]byte, error) {
+	var d lowered
+	if err := sp.content(&d); err != nil {
+		return nil, err
+	}
+	return json.Marshal(&d)
+}
+
+// Hash encodes into a reused buffer; its digest must be the SHA-256 of
+// the content document as json.Marshal writes it, for every fuzz seed
+// and every registered workload's default Spec.
+func TestHashIsSHA256OfTheContentDocument(t *testing.T) {
+	specs := map[string]Spec{"full": fullSpec()}
+	for i, doc := range specDecodeSeeds {
+		var sp Spec
+		if err := json.Unmarshal([]byte(doc), &sp); err != nil {
+			t.Fatalf("seed %d: %v", i, err)
+		}
+		specs[fmt.Sprintf("seed-%d", i)] = sp
+	}
+	for _, name := range WorkloadNames() {
+		specs["default-"+name] = DefaultSpec(name)
+	}
+	for name, sp := range specs {
+		canon, err := ContentDocument(&sp)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sum := sha256.Sum256(canon)
+		if h, err := sp.Hash(); err != nil || h != hex.EncodeToString(sum[:]) {
+			t.Errorf("%s: Hash %s (%v), want SHA-256 of %s", name, h, err, canon)
+		}
+	}
+}
 
 // fullSpec exercises every declarative field at once.
 func fullSpec() Spec {
@@ -114,7 +155,7 @@ func TestSpecMarshalRejectsNonDeclarative(t *testing.T) {
 		t.Fatal("non-declarative spec hashed")
 	}
 	var nde *NotDeclarativeError
-	_, err := sp.Canonical()
+	_, err := ContentDocument(&sp)
 	if !errors.As(err, &nde) || len(nde.Fields) != 1 || nde.Fields[0] != "Tracer" {
 		t.Fatalf("want NotDeclarativeError{Tracer}, got %v", err)
 	}
@@ -141,7 +182,7 @@ func TestSpecHashGolden(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if h != golden[name] {
-			canon, _ := sp.Canonical()
+			canon, _ := ContentDocument(&sp)
 			t.Errorf("%s: hash %s, want %s\ncontent document: %s", name, h, golden[name], canon)
 		}
 	}
@@ -196,7 +237,7 @@ func TestCanonicalMentionsNoGoFieldNames(t *testing.T) {
 	sp := fullSpec()
 	sp.EnvPolicy = EnvExplicit
 	sp.Toolchain, sp.OS = core.Bridges2Env()
-	canon, err := sp.Canonical()
+	canon, err := ContentDocument(&sp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,7 +97,7 @@ func TestChurnJSONRoundTripAndHash(t *testing.T) {
 		t.Error("churn-free spec shares the churned spec's hash")
 	}
 	// Without churn the content document has no churn object at all.
-	canon, err := calm.Canonical()
+	canon, err := scenario.ContentDocument(&calm)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,7 +103,7 @@ func TestFaultsJSONRoundTripAndHash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if canon, _ := sp.Canonical(); strings.Contains(string(canon), `"faults"`) {
+	if canon, _ := scenario.ContentDocument(&sp); strings.Contains(string(canon), `"faults"`) {
 		t.Errorf("fault-free content document mentions faults: %s", canon)
 	}
 	sp.Faults = &ft.FaultSpec{Seed: 9, MTBF: 120 * time.Millisecond, Horizon: time.Second}

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"testing"
 )
@@ -35,7 +37,7 @@ var specDecodeSeeds = []string{
 // validity, so a cache entry can never be reached by one encoding of a
 // point and missed by another. And what Validate passes, the engine
 // builds: a valid document never becomes a 200 whose stream carries a
-// build error.
+// build error. The hash is the SHA-256 of that content document.
 func FuzzSpecDecode(f *testing.F) {
 	for _, doc := range specDecodeSeeds {
 		f.Add([]byte(doc))
@@ -66,9 +68,12 @@ func FuzzSpecDecode(f *testing.F) {
 		}
 		// The content document is a fixed point: the bytes that were
 		// hashed decode to a Spec with the same hash and validity.
-		canon, err := sp.Canonical()
+		canon, err := ContentDocument(&sp)
 		if err != nil {
 			t.Fatalf("hashed Spec has no content document: %v", err)
+		}
+		if sum := sha256.Sum256(canon); hex.EncodeToString(sum[:]) != hash {
+			t.Fatalf("hash %s is not the SHA-256 of the content document\ncontent: %s", hash, canon)
 		}
 		var content Spec
 		if err := json.Unmarshal(canon, &content); err != nil {

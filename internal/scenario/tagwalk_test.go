@@ -14,7 +14,7 @@ import (
 )
 
 // No hashed key is accepted and ignored (ROADMAP aim 3). Every key of
-// the content document (Canonical) is part of a point's address, so
+// the content document (ContentDocument) is part of a point's address, so
 // every one of them must be able to change what the point produces: for
 // each key there is a witness — a valid Spec and a copy differing in
 // the one field behind the key — whose copy is either refused or
@@ -60,7 +60,7 @@ func contentKeys(t *testing.T, doc []byte) map[string]string {
 
 func canonKeys(t *testing.T, sp Spec) map[string]string {
 	t.Helper()
-	canon, err := sp.Canonical()
+	canon, err := ContentDocument(&sp)
 	if err != nil {
 		t.Fatal(err)
 	}

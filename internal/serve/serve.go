@@ -121,8 +121,8 @@ func (s *Server) Handler(fallback http.Handler) http.Handler {
 // runRequest is the POST /v1/runs body. "points" is a sweep; "spec"
 // is shorthand for a one-point sweep. Exactly one must be set.
 type runRequest struct {
-	Points []scenario.Spec `json:"points,omitempty"`
-	Spec   *scenario.Spec  `json:"spec,omitempty"`
+	Points []scenario.Document `json:"points,omitempty"`
+	Spec   *scenario.Document  `json:"spec,omitempty"`
 }
 
 // errorDoc is every non-streaming error body.
@@ -164,11 +164,11 @@ type trailerLine struct {
 }
 
 // runManifest is the stored record of a completed run: the point
-// hashes (rows live under their own keys) plus the Specs for
-// inspection.
+// hashes (rows live under their own keys) plus the request's point
+// documents for inspection.
 type runManifest struct {
-	Points []string          `json:"points"`
-	Specs  []json.RawMessage `json:"specs"`
+	Points []string            `json:"points"`
+	Specs  []scenario.Document `json:"specs"`
 }
 
 func writeError(w http.ResponseWriter, status int, doc errorDoc) {
@@ -186,9 +186,11 @@ func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
 		requestLatency.Observe(uint64(time.Since(began).Microseconds()))
 	}()
 
+	// One strict decoder: an unknown key, in the envelope or a point, is a 400.
 	var req runRequest
-	body := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		status := http.StatusBadRequest
 		if errors.As(err, new(*http.MaxBytesError)) {
 			status = http.StatusRequestEntityTooLarge
@@ -196,48 +198,56 @@ func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, errorDoc{Error: err.Error()})
 		return
 	}
-	points := req.Points
+	docs := req.Points
 	switch {
-	case req.Spec != nil && len(points) > 0:
+	case req.Spec != nil && len(docs) > 0:
 		writeError(w, http.StatusBadRequest, errorDoc{Error: `"spec" and "points" are mutually exclusive`})
 		return
 	case req.Spec != nil:
-		points = []scenario.Spec{*req.Spec}
-	case len(points) == 0:
+		docs = []scenario.Document{*req.Spec}
+	case len(docs) == 0:
 		writeError(w, http.StatusBadRequest, errorDoc{Error: `body needs "points" (a sweep) or "spec" (one point)`})
 		return
-	case len(points) > MaxPoints:
-		writeError(w, http.StatusBadRequest, errorDoc{Error: fmt.Sprintf("sweep has %d points, limit %d", len(points), MaxPoints)})
+	case len(docs) > MaxPoints:
+		writeError(w, http.StatusBadRequest, errorDoc{Error: fmt.Sprintf("sweep has %d points, limit %d", len(docs), MaxPoints)})
 		return
 	}
 
-	// Validate and hash every point before any work starts, so a bad
-	// sweep is rejected whole with the offending point named.
-	hashes := make([]string, len(points))
-	for i := range points {
-		i := i
-		if err := points[i].Validate(); err != nil {
-			doc := errorDoc{Error: "invalid spec", Point: &i}
+	// Lower, validate and hash every point before any work starts, so a
+	// bad sweep is rejected whole with the offending point named.
+	refuse := func(point int, doc errorDoc) {
+		doc.Point = &point
+		writeError(w, http.StatusBadRequest, doc)
+	}
+	points := make([]scenario.Spec, len(docs))
+	hashes := make([]string, len(docs))
+	for i := range docs {
+		var err error
+		if points[i], err = docs[i].Spec(); err == nil {
+			err = points[i].Validate()
+		}
+		if err != nil {
+			doc := errorDoc{Error: "invalid spec"}
 			var verr *scenario.ValidationError
 			if errors.As(err, &verr) {
 				doc.Fields = verr.Errs
 			} else {
 				doc.Error = err.Error()
 			}
-			writeError(w, http.StatusBadRequest, doc)
+			refuse(i, doc)
 			return
 		}
 		if points[i].Workload == "" {
 			// Valid for Config(), but the server has no program to inject.
-			writeError(w, http.StatusBadRequest, errorDoc{
-				Error: "invalid spec", Point: &i,
+			refuse(i, errorDoc{
+				Error:  "invalid spec",
 				Fields: []scenario.FieldError{{Field: "Workload", Msg: "server runs need a registered workload"}},
 			})
 			return
 		}
 		h, err := points[i].Hash()
 		if err != nil {
-			writeError(w, http.StatusBadRequest, errorDoc{Error: err.Error(), Point: &i})
+			refuse(i, errorDoc{Error: err.Error()})
 			return
 		}
 		hashes[i] = h
@@ -256,6 +266,7 @@ func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
 	}
 	res := make([]resolution, len(points))
 	var leaders []int
+	executing := 0 // points led or joined and not yet written
 	for i, h := range hashes {
 		if p, ok := s.store.Get("pt", h); ok {
 			cacheHits.Inc()
@@ -263,6 +274,7 @@ func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		cacheMisses.Inc()
+		executing++
 		f, leader := s.claim(h)
 		res[i] = resolution{joined: !leader, flight: f}
 		if leader {
@@ -279,12 +291,14 @@ func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
 		go s.runLeaders(points, hashes, flights, leaders)
 	}
 
+	// While a point executes, each line is flushed once it and all before
+	// it are ready; a fully cached response is sent when the handler returns.
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
 	writeLine := func(v any) {
 		_ = enc.Encode(v)
-		if flusher != nil {
+		if executing > 0 && flusher != nil {
 			flusher.Flush()
 		}
 	}
@@ -292,8 +306,9 @@ func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
 
 	var trailer trailerLine
 	trailer.Done = true
+	var line pointLine // reused: encoded through a pointer, it is allocated once
 	for i := range points {
-		line := pointLine{Index: i, Hash: hashes[i]}
+		line = pointLine{Index: i, Hash: hashes[i]}
 		switch {
 		case res[i].cached:
 			trailer.Cached++
@@ -319,10 +334,13 @@ func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
 				line.Row = f.payload
 			}
 		}
-		writeLine(line)
+		writeLine(&line)
+		if !res[i].cached {
+			executing--
+		}
 	}
 	if trailer.Failed == 0 {
-		s.putManifest(runHash, hashes, points)
+		s.putManifest(runHash, hashes, docs)
 	}
 	writeLine(trailer)
 }
@@ -422,17 +440,16 @@ func (s *Server) executePoint(hash string, sp scenario.Spec) (payload []byte, st
 }
 
 // putManifest persists the run-level record that lets GET
-// /v1/runs/{hash} replay the whole sweep.
-func (s *Server) putManifest(runHash string, hashes []string, points []scenario.Spec) {
-	m := runManifest{Points: hashes, Specs: make([]json.RawMessage, len(points))}
-	for i := range points {
-		doc, err := json.Marshal(points[i])
-		if err != nil {
-			return // unreachable for wire-decoded Specs; skip the manifest
-		}
-		m.Specs[i] = doc
+// /v1/runs/{hash} replay the whole sweep. The run hash is over the
+// point hashes, so a stored manifest already lists these points: only
+// a run's first completion writes one, and its Specs are the first
+// writer's documents. Get verifies the checksum, so a corrupt or lost
+// manifest is written again.
+func (s *Server) putManifest(runHash string, hashes []string, docs []scenario.Document) {
+	if _, ok := s.store.Get("run", runHash); ok {
+		return
 	}
-	payload, err := json.Marshal(m)
+	payload, err := json.Marshal(runManifest{Points: hashes, Specs: docs})
 	if err != nil {
 		return
 	}
@@ -445,13 +462,13 @@ func (s *Server) putManifest(runHash string, hashes []string, points []scenario.
 // The leading tag keeps run and point addresses from ever colliding
 // even though they also live in separate store namespaces.
 func runHashOf(pointHashes []string) string {
-	h := sha256.New()
-	h.Write([]byte("provirt-run 1\n"))
+	const tag = "provirt-run 1\n"
+	pre := append(make([]byte, 0, len(tag)+65*len(pointHashes)), tag...) // 64 hex digits and a newline each
 	for _, p := range pointHashes {
-		h.Write([]byte(p))
-		h.Write([]byte("\n"))
+		pre = append(append(pre, p...), '\n')
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(pre)
+	return hex.EncodeToString(sum[:])
 }
 
 // --- GET /v1/runs/{hash} ---

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -24,7 +26,8 @@ import (
 	"provirt/internal/scenario"
 )
 
-// newTestServer boots a server over a fresh store with obs installed.
+// newTestServer boots a server over a fresh store with obs installed,
+// serving /metrics beside the API the way privbench -serve does.
 func newTestServer(t *testing.T, workers int) (*Server, *httptest.Server) {
 	t.Helper()
 	reg := obs.NewRegistry()
@@ -35,9 +38,34 @@ func newTestServer(t *testing.T, workers int) (*Server, *httptest.Server) {
 		t.Fatal(err)
 	}
 	s := New(store, "test", workers)
-	ts := httptest.NewServer(s.Handler(nil))
+	ts := httptest.NewServer(s.Handler(obs.NewHandler(reg, nil)))
 	t.Cleanup(ts.Close)
 	return s, ts
+}
+
+// scrape reads one counter from the server's /metrics.
+func scrape(t *testing.T, url, name string) uint64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("/metrics has no %s:\n%s", name, data)
+	return 0
 }
 
 // tinySpec is the fastest runnable point: the empty workload
@@ -46,6 +74,17 @@ func tinySpec(vps int) scenario.Spec {
 	sp := scenario.DefaultSpec("empty")
 	sp.VPs = vps
 	return sp
+}
+
+// sweep48 is a sweep of 48 distinct tiny points, the size of one
+// serve_sweep request.
+func sweep48() []scenario.Spec {
+	points := make([]scenario.Spec, 48)
+	for i := range points {
+		points[i] = tinySpec(4)
+		points[i].Machine.Seed = uint64(i + 1)
+	}
+	return points
 }
 
 func postRuns(t *testing.T, url string, body any) (*http.Response, []byte) {
@@ -310,6 +349,52 @@ func TestUnknownFieldIs400(t *testing.T) {
 	}
 }
 
+// A key the envelope does not define is refused, not ignored.
+func TestUnknownEnvelopeKeyIs400(t *testing.T) {
+	_, ts := newTestServer(t, 1)
+	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(
+		`{"points":[{"workload":"empty","vps":4,"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":1}}],"priority":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "priority") {
+		t.Fatalf("status %d, body %s; want a 400 naming priority", resp.StatusCode, data)
+	}
+	if pointsExecuted.Value() != 0 {
+		t.Fatal("a refused body executed a point")
+	}
+}
+
+// An unknown method, environment policy or balancer is refused with
+// the index of the point that names it.
+func TestUnknownNameIs400NamingItsPoint(t *testing.T) {
+	_, ts := newTestServer(t, 1)
+	const good = `{"workload":"empty","vps":4,"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":1}}`
+	for key, bad := range map[string]string{
+		"method":     `"method":"nope"`,
+		"env_policy": `"env_policy":"nope"`,
+		"balancer":   `"balancer":"nope"`,
+	} {
+		body := `{"points":[` + good + `,` + strings.Replace(good, `"vps":4`, `"vps":4,`+bad, 1) + `]}`
+		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var doc errorDoc
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(data, &doc) != nil ||
+			doc.Point == nil || *doc.Point != 1 || !strings.Contains(doc.Error, `"nope"`) {
+			t.Errorf("%s: status %d, body %s; want a 400 naming point 1 and the name", key, resp.StatusCode, data)
+		}
+	}
+	if pointsExecuted.Value() != 0 {
+		t.Fatal("a refused sweep executed a point")
+	}
+}
+
 // A body past MaxBodyBytes is refused as too large, not as malformed.
 func TestOversizedBodyIs413(t *testing.T) {
 	_, ts := newTestServer(t, 1)
@@ -470,6 +555,107 @@ func TestGetRunReplaysCompletedSweep(t *testing.T) {
 	resp3.Body.Close()
 	if resp3.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown run: %d, want 404", resp3.StatusCode)
+	}
+}
+
+// A replay touches no disk: after a sweep's first POST has stored its
+// rows and its manifest, the same POST and a GET of the run write no
+// store entry, and both answer every point cached with the first
+// POST's row bytes.
+func TestReplayWritesNothing(t *testing.T) {
+	_, ts := newTestServer(t, 2)
+	body := map[string]any{"points": sweep48()}
+	resp, data := postRuns(t, ts.URL, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("first POST: %d %s", resp.StatusCode, data)
+	}
+	hdr, first, _ := parseStream(t, data)
+	written := scrape(t, ts.URL, "resultstore_puts_total")
+	if written != 49 {
+		t.Fatalf("first POST wrote %d entries, want 48 rows and a manifest", written)
+	}
+
+	_, data = postRuns(t, ts.URL, body)
+	_, again, trailer := parseStream(t, data)
+	get, err := http.Get(ts.URL + "/v1/runs/" + hdr.Run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay, _ := io.ReadAll(get.Body)
+	get.Body.Close()
+	_, replayed, trailer2 := parseStream(t, replay)
+	if trailer.Cached != 48 || trailer2.Cached != 48 {
+		t.Fatalf("replays not fully cached: POST %+v, GET %+v", trailer, trailer2)
+	}
+	for i := range first {
+		if !bytes.Equal(first[i].Row, again[i].Row) || !bytes.Equal(first[i].Row, replayed[i].Row) {
+			t.Fatalf("point %d not byte-identical across the first POST, the second and the GET", i)
+		}
+	}
+	if got := scrape(t, ts.URL, "resultstore_puts_total"); got != written {
+		t.Fatalf("replays wrote %d store entries, want 0", got-written)
+	}
+}
+
+// A response streams line by line only while one of its points
+// executes; a fully cached one is sent whole when the handler returns.
+func TestOnlyExecutingResponsesFlush(t *testing.T) {
+	s, _ := newTestServer(t, 1)
+	h := s.Handler(nil)
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/runs", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		return rec
+	}
+	const a = `{"workload":"empty","vps":4,"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":1}}`
+	const b = `{"workload":"empty","vps":8,"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":1}}`
+	if !post(`{"points":[` + a + `]}`).Flushed {
+		t.Error("a response whose point executed was not flushed")
+	}
+	if post(`{"points":[` + a + `]}`).Flushed {
+		t.Error("a fully cached response was flushed")
+	}
+	if !post(`{"points":[` + a + `,` + b + `]}`).Flushed {
+		t.Error("a response with one executing point was not flushed")
+	}
+}
+
+// A replayed sweep is a lookup per point. The handler's allocations
+// across a fully cached 48-point POST stay within 18 per point, half
+// the 36.9 a replay cost while it decoded each point with its own
+// json.Decoder, re-marshaled and re-wrote the run manifest, and keyed
+// the store's index with a concatenated string.
+func TestReplayedSweepAllocationBudget(t *testing.T) {
+	const budget = 18
+	s, _ := newTestServer(t, 2)
+	h := s.Handler(nil)
+	body, err := json.Marshal(map[string]any{"points": sweep48()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/runs", bytes.NewReader(body)))
+		return rec
+	}
+	if rec := post(); rec.Code != http.StatusOK {
+		t.Fatalf("first POST: %d %s", rec.Code, rec.Body)
+	}
+	post() // the first replay fills the pools
+	const replays = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range replays {
+		post()
+	}
+	runtime.ReadMemStats(&after)
+	perPoint := float64(after.Mallocs-before.Mallocs) / (replays * 48)
+	t.Logf("%.1f allocations per replayed point", perPoint)
+	if perPoint > budget {
+		t.Errorf("a replayed point costs %.1f allocations, budget %d", perPoint, budget)
 	}
 }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # serve_smoke: boot `privbench -serve`, POST the same tiny Spec twice,
 # and assert the second response is a cache hit with byte-identical row
-# payloads and no second simulation, and that the hash is over content:
+# payloads, no second simulation and no store write, that GET of the
+# run replays the same row, and that the hash is over content:
 # the same point spelled with its environment explicit is a cache hit.
 # This is the end-to-end check of the content-addressed result path:
 # Spec hashing, the resultstore round trip, and the server's cache/dedup
@@ -56,13 +57,21 @@ curl -sf "http://$ADDR/v1/experiments" >/dev/null || fail "server never came up"
 # The tiny fig5-style point: the empty workload (init/finalize only).
 SPEC='{"points":[{"workload":"empty","vps":4,"machine":{"nodes":2,"procs_per_node":1,"pes_per_proc":1},"method":"pieglobals"}]}'
 
+# Store entries written so far, from the server's own metrics.
+puts() {
+    curl -sf "http://$ADDR/metrics" | sed -n 's/^resultstore_puts_total //p' | grep . \
+        || fail "no resultstore_puts_total on /metrics"
+}
+
 echo "== first POST (expect an execution)"
 curl -sf -X POST -H 'Content-Type: application/json' -d "$SPEC" \
     "http://$ADDR/v1/runs" >"$WORKDIR/first.ndjson" || fail "first POST failed"
+PUTS1="$(puts)"
 
-echo "== second POST (expect a cache hit)"
+echo "== second POST (expect a cache hit that writes nothing)"
 curl -sf -X POST -H 'Content-Type: application/json' -d "$SPEC" \
     "http://$ADDR/v1/runs" >"$WORKDIR/second.ndjson" || fail "second POST failed"
+[[ "$(puts)" == "$PUTS1" ]] || fail "the replayed POST wrote to the store: resultstore_puts_total $PUTS1 -> $(puts)"
 
 # Point lines carry `"cached":...` response metadata next to the row
 # payload; strip everything up to the row to compare stored bytes only.
@@ -82,6 +91,17 @@ trailer "$WORKDIR/second.ndjson" | grep -q '"cached":1' \
     || fail "second POST was not a cache hit: $(trailer "$WORKDIR/second.ndjson")"
 trailer "$WORKDIR/second.ndjson" | grep -q '"executed":0' \
     || fail "second POST re-executed: $(trailer "$WORKDIR/second.ndjson")"
+
+# The run replays from the store: GET of the first POST's run hash
+# serves the same row bytes, cached, and writes nothing either.
+RUN="$(head -n 1 "$WORKDIR/first.ndjson" | sed 's/.*"run":"\([0-9a-f]*\)".*/\1/')"
+echo "== GET /v1/runs/$RUN (expect the first POST's row, cached)"
+curl -sf "http://$ADDR/v1/runs/$RUN" >"$WORKDIR/replay.ndjson" || fail "GET of run $RUN failed"
+[[ "$(point_row "$WORKDIR/replay.ndjson")" == "$ROW1" ]] \
+    || fail "replayed row differs: $(cat "$WORKDIR/replay.ndjson")"
+trailer "$WORKDIR/replay.ndjson" | grep -q '"cached":1' \
+    || fail "replay was not cached: $(trailer "$WORKDIR/replay.ndjson")"
+[[ "$(puts)" == "$PUTS1" ]] || fail "the GET replay wrote to the store: resultstore_puts_total $PUTS1 -> $(puts)"
 
 # The hash is over content, not spelling: the same point with the
 # environment adjust resolves to, written out, is the same point.
@@ -140,4 +160,4 @@ kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" || fail "server exited non-zero after SIGTERM"
 SERVER_PID=""
 
-echo "serve-smoke: OK (row payload byte-identical, second and explicit-environment POSTs cached, 1 simulation total; fault and churn points identical through POST and -spec; checkpoint directory not hashed)"
+echo "serve-smoke: OK (row payload byte-identical, second and explicit-environment POSTs cached, 1 simulation total, replays write nothing; fault and churn points identical through POST and -spec; checkpoint directory not hashed)"
