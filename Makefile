@@ -30,10 +30,11 @@ cover:
 	$(GO) test -cover -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
 
-# The sweep runner, the per-world pools, and the parallel event loop
-# (sim.ParallelEngine's window workers) are the code that runs under
-# parallelism; race-check the packages that exercise them (the ft
-# supervisor runs inside the parallel sweep fan-outs, and builds a new
+# The harness's sweep fan-out, the server's leader admission, the
+# per-world pools, and the parallel event loop (sim.ParallelEngine's
+# window workers) are the code that runs under parallelism; race-check
+# the packages that exercise them (the ft supervisor runs inside the
+# parallel sweep fan-outs, and builds a new
 # machine and rebalance state for every attempt). Every rank's
 # copy-on-write data segment in a process reads one shared base from
 # whichever sweep worker runs its world, so mem and core are checked
@@ -41,7 +42,7 @@ cover:
 # race detector's annotations: the kill/unwind and leak tests must hold
 # under them.
 race:
-	$(GO) test -race ./internal/ult/... ./internal/sim/... ./internal/harness/... ./internal/ampi/... ./internal/ft/... ./internal/machine/... ./internal/lb/... ./internal/mem/... ./internal/core/...
+	$(GO) test -race ./internal/ult/... ./internal/sim/... ./internal/harness/... ./internal/ampi/... ./internal/ft/... ./internal/machine/... ./internal/lb/... ./internal/mem/... ./internal/core/... ./internal/serve/...
 
 # Full race sweep over every package, as CI's race job runs it.
 race-full:

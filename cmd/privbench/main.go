@@ -239,7 +239,8 @@ func main() {
 	var prog *obs.Progress
 	if *showMetrics || *serveMetrics != "" {
 		reg = obs.NewRegistry()
-		prog = harness.EnableObs(reg)
+		harness.EnableObs(reg)
+		prog = obs.NewProgress(reg)
 	}
 	if *serveMetrics != "" {
 		ln, err := net.Listen("tcp", *serveMetrics)

@@ -68,7 +68,7 @@ func serveUntil(ln net.Listener, h http.Handler, stop <-chan struct{}, timeout t
 // internal/serve). Blocks until SIGINT/SIGTERM, then drains.
 func runServer(addr, storeDir string, workers, cacheEntries int) error {
 	reg := obs.NewRegistry()
-	prog := harness.EnableObs(reg)
+	harness.EnableObs(reg)
 	serve.EnableObs(reg)
 
 	version := resultstore.CodeVersion()
@@ -82,7 +82,7 @@ func runServer(addr, storeDir string, workers, cacheEntries int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "privbench: serving /v1/runs, /v1/experiments, /metrics, /progress on http://%s\n", ln.Addr())
+	fmt.Fprintf(os.Stderr, "privbench: serving /v1/runs, /v1/experiments, /metrics on http://%s\n", ln.Addr())
 	fmt.Fprintf(os.Stderr, "privbench: result store %s (code version %s)\n", storeDir, version)
-	return serveUntil(ln, srv.Handler(obs.NewHandler(reg, prog)), shutdownSignal(), shutdownTimeout)
+	return serveUntil(ln, srv.Handler(obs.NewHandler(reg, nil)), shutdownSignal(), shutdownTimeout)
 }

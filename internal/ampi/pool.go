@@ -12,7 +12,8 @@ package ampi
 //
 // The pools are per-world and the whole world runs on one engine
 // thread, so no locking is needed; independent worlds running on
-// separate goroutines (the sweep runner) never share a pool.
+// separate goroutines (the harness's sweep workers, the server's
+// leaders) never share a pool.
 
 // getBuf returns a buffer of length n, nil when n is 0.
 func (w *World) getBuf(n int) []float64 {

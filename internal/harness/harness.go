@@ -16,10 +16,12 @@ package harness
 import (
 	"fmt"
 	"runtime"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"provirt/internal/ampi"
 	"provirt/internal/core"
-	"provirt/internal/harness/sweep"
 	"provirt/internal/machine"
 	"provirt/internal/obs"
 	"provirt/internal/scenario"
@@ -51,31 +53,52 @@ type Opts struct {
 	SimWorkers int
 }
 
-// run is the harness's one fan-out: it executes every Spec on the
-// sweep runner — Opts.Parallelism workers, progress callbacks wired —
-// and returns their rows in order. It consumes specs: each one's
-// program is released, like its world, as soon as its row is in hand.
+// run is the harness's one fan-out: Opts.Parallelism workers, the
+// calling goroutine among them as worker 0, take the Specs in index
+// order and fill their rows in place. Every point runs even after one
+// fails, and the lowest-indexed error is returned, so neither rows nor
+// error depend on scheduling. It consumes specs: each one's program is
+// released, like its world, as soon as its row is in hand.
 func run(o Opts, specs []scenario.Spec) ([]scenario.Row, error) {
-	r := sweep.Runner{Workers: o.Parallelism}
-	if r.Workers <= 0 {
-		r.Workers = runtime.GOMAXPROCS(0)
+	workers := o.Parallelism
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	if p := o.Progress; p != nil {
-		r.OnStart = p.StartSweep
-		r.OnPoint = func(d sweep.PointDone) { p.Point(d.Worker, d.Elapsed) }
-	}
+	o.Progress.StartSweep(len(specs))
 	rows := make([]scenario.Row, len(specs))
-	err := r.Run(len(specs), func(i int) error {
-		sp := &specs[i]
-		row, _, err := sp.Execute()
-		if err != nil {
-			return fmt.Errorf("%s, %d VPs on %dx%dx%d: %w", sp.Method, sp.VPs,
-				sp.Machine.Nodes, sp.Machine.ProcsPerNode, sp.Machine.PEsPerProc, err)
+	errs := make([]error, len(specs))
+	var next atomic.Int64
+	work := func(worker int) {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(specs) {
+				return
+			}
+			began := time.Now()
+			sp := &specs[i]
+			row, _, err := sp.Execute()
+			if err != nil {
+				errs[i] = fmt.Errorf("%s, %d VPs on %dx%dx%d: %w", sp.Method, sp.VPs,
+					sp.Machine.Nodes, sp.Machine.ProcsPerNode, sp.Machine.PEsPerProc, err)
+			} else {
+				rows[i], *sp = row, scenario.Spec{}
+			}
+			o.Progress.Point(worker, time.Since(began))
 		}
-		rows[i], *sp = row, scenario.Spec{}
-		return nil
-	})
-	return rows, err
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, len(specs)); w++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); work(w) }()
+	}
+	work(0)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return rows, err
+		}
+	}
+	return rows, nil
 }
 
 // TraceSel selects exactly one sweep point of an experiment to trace.

@@ -9,21 +9,18 @@ import (
 )
 
 // EnableObs turns on host-side metrics for every instrumented runtime
-// layer (sim, ampi, mem, ft), registering their instruments in r, and
-// returns a sweep progress tracker in the same registry (wire it into
-// Opts.Progress). EnableObs(nil) uninstalls everything and returns nil.
+// layer (sim, ampi, mem, ft), registering their instruments in r;
+// EnableObs(nil) uninstalls everything. Sweep progress is separate: a
+// launcher that runs experiments wires obs.NewProgress into
+// Opts.Progress.
 //
 // Call it only between runs: instruments are process-global and the
 // install is not synchronized with running worlds. Metrics never feed
 // back into virtual time, so enabling them changes no row, table, or
 // trace byte (pinned by TestObsLeavesRowsAndTracesBitIdentical).
-func EnableObs(r *obs.Registry) *obs.Progress {
+func EnableObs(r *obs.Registry) {
 	sim.EnableObs(r)
 	ampi.EnableObs(r)
 	mem.EnableObs(r)
 	ft.EnableObs(r)
-	if r == nil {
-		return nil
-	}
-	return obs.NewProgress(r)
 }

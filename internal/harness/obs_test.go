@@ -32,9 +32,9 @@ func ftMTBFs() []sim.Time {
 func withObs(t *testing.T, fn func(r *obs.Registry, p *obs.Progress)) {
 	t.Helper()
 	r := obs.NewRegistry()
-	p := harness.EnableObs(r)
+	harness.EnableObs(r)
 	defer harness.EnableObs(nil)
-	fn(r, p)
+	fn(r, obs.NewProgress(r))
 }
 
 func TestObsLeavesRowsAndTracesBitIdentical(t *testing.T) {

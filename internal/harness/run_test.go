@@ -1,0 +1,155 @@
+package harness
+
+import (
+	"reflect"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"provirt/internal/ampi"
+	"provirt/internal/core"
+	"provirt/internal/obs"
+	"provirt/internal/scenario"
+	"provirt/internal/workloads/synth"
+)
+
+// rendezvous, when set, runs inside the test-rendezvous constructor, on
+// whichever worker builds the point.
+var rendezvous atomic.Pointer[func()]
+
+func init() {
+	scenario.RegisterWorkload(scenario.Workload{
+		Name:        "test-rendezvous",
+		Description: "the empty program, built after a hook the test sets",
+		New: func(scenario.WorkloadParams) (*ampi.Program, func()) {
+			if hook := rendezvous.Load(); hook != nil {
+				(*hook)()
+			}
+			return synth.Empty(), nil
+		},
+	})
+}
+
+// runSpecs is n distinct tiny points, point i at i+1 VPs; the points
+// listed in invalid get zero nodes, which Validate refuses.
+func runSpecs(n int, invalid ...int) []scenario.Spec {
+	specs := make([]scenario.Spec, n)
+	for i := range specs {
+		specs[i] = scenario.DefaultSpec("empty")
+		specs[i].VPs = i + 1
+	}
+	for _, i := range invalid {
+		specs[i].Machine.Nodes = 0
+	}
+	return specs
+}
+
+// A failed point neither stops the sweep nor moves its rows: every
+// other row is filled and the failed rows stay zero.
+func TestRunFillsEveryRowDespiteFailedPoints(t *testing.T) {
+	const n = 10
+	for _, par := range []int{1, 4} {
+		rows, _ := run(Opts{Parallelism: par}, runSpecs(n, 3, 6))
+		for i, row := range rows {
+			failed := i == 3 || i == 6
+			if got := row.Workload == "empty" && row.VPs == i+1; got == failed {
+				t.Fatalf("parallel %d: row %d = %+v (point failed: %v)", par, i, row, failed)
+			}
+		}
+	}
+}
+
+// Of two failed points the error is the lower-indexed one, whichever
+// finishes first, and it names its point.
+func TestRunReturnsLowestIndexedError(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		_, err := run(Opts{Parallelism: par}, runSpecs(10, 3, 6))
+		if err == nil || !strings.Contains(err.Error(), "4 VPs on 0x1x1") {
+			t.Fatalf("parallel %d: error %v, want point 3's (4 VPs on 0x1x1)", par, err)
+		}
+	}
+}
+
+// When every point fails, every point still runs: progress accounts
+// for all of them and no row is filled.
+func TestRunAllPointsRunDespiteErrors(t *testing.T) {
+	const n = 8
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	for _, par := range []int{1, 4} {
+		p := obs.NewProgress(nil)
+		rows, err := run(Opts{Parallelism: par, Progress: p}, runSpecs(n, all...))
+		if err == nil {
+			t.Fatalf("parallel %d: no error from a sweep of failing points", par)
+		}
+		if snap := p.Snapshot(); snap.PointsDone != n || snap.PointsTotal != n {
+			t.Fatalf("parallel %d: progress %d/%d, want %d/%d", par, snap.PointsDone, snap.PointsTotal, n, n)
+		}
+		for i, row := range rows {
+			if row != (scenario.Row{}) {
+				t.Fatalf("parallel %d: failed point %d filled row %+v", par, i, row)
+			}
+		}
+	}
+}
+
+// Attaching a Progress changes neither the rows nor the error, and the
+// progress ends at n of n, the failed points included.
+func TestProgressDoesNotPerturbRows(t *testing.T) {
+	const n = 10
+	for _, par := range []int{1, 4} {
+		want, wantErr := run(Opts{Parallelism: par}, runSpecs(n, 3, 6))
+		p := obs.NewProgress(nil)
+		got, err := run(Opts{Parallelism: par, Progress: p}, runSpecs(n, 3, 6))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("parallel %d: rows with progress %+v, without %+v", par, got, want)
+		}
+		if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("parallel %d: error with progress %v, without %v", par, err, wantErr)
+		}
+		if snap := p.Snapshot(); snap.PointsDone != n || snap.PointsTotal != n {
+			t.Fatalf("parallel %d: progress %d/%d, want %d/%d", par, snap.PointsDone, snap.PointsTotal, n, n)
+		}
+	}
+}
+
+func TestRunZeroPoints(t *testing.T) {
+	rows, err := run(Opts{Parallelism: 4}, nil)
+	if err != nil || len(rows) != 0 {
+		t.Fatalf("run of no points = %v, %v", rows, err)
+	}
+}
+
+// With four workers and four points whose construction waits until all
+// four have begun, the sweep completes only if the points run at once.
+func TestRunActuallyParallel(t *testing.T) {
+	const n = 4
+	var started atomic.Int64
+	var stalled atomic.Bool
+	all := make(chan struct{})
+	hook := func() {
+		if started.Add(1) == n {
+			close(all)
+		}
+		select {
+		case <-all:
+		case <-time.After(5 * time.Second):
+			stalled.Store(true)
+		}
+	}
+	rendezvous.Store(&hook)
+	defer rendezvous.Store(nil)
+	specs := runSpecs(n)
+	for i := range specs {
+		specs[i].Workload, specs[i].Method = "test-rendezvous", core.KindNone
+	}
+	if _, err := run(Opts{Parallelism: n}, specs); err != nil {
+		t.Fatal(err)
+	}
+	if stalled.Load() {
+		t.Fatalf("the %d points did not run at once", n)
+	}
+}

@@ -49,7 +49,7 @@ func EnableObs(r *obs.Registry) {
 	storePutErrors = r.Counter("serve_store_put_errors_total",
 		"results computed but not persisted (store write failed)")
 	queueHighwater = r.Gauge("serve_queue_depth_highwater",
-		"deepest the execution admission queue has been (waiters plus runners)")
+		"deepest the execution admission queue has been (requests waiting for a slot plus points running)")
 	requestLatency = r.Histogram("serve_request_latency_us",
 		"wall time to serve POST /v1/runs, microseconds",
 		obs.ExpBuckets(100, 4, 12), obs.Volatile())

@@ -32,8 +32,8 @@
 //
 // Concurrency discipline: the server's mutex guards only the in-flight
 // map; simulation, marshaling, and store I/O all happen outside it.
-// Total concurrent simulations across all requests are bounded by a
-// semaphore threaded through sweep.Runner's admission gate.
+// Total concurrent simulations across all requests are bounded by the
+// server's semaphore: each request's leaders take a slot apiece.
 package serve
 
 import (
@@ -49,7 +49,6 @@ import (
 	"time"
 
 	"provirt/internal/harness"
-	"provirt/internal/harness/sweep"
 	"provirt/internal/resultstore"
 	"provirt/internal/scenario"
 )
@@ -66,8 +65,9 @@ const (
 type Server struct {
 	store   *resultstore.Store
 	version string
-	workers int
 
+	// sem holds one slot per simulation running; queued counts them plus
+	// the requests waiting for one.
 	sem    chan struct{}
 	queued atomic.Int64
 
@@ -96,7 +96,6 @@ func New(store *resultstore.Store, version string, workers int) *Server {
 	return &Server{
 		store:    store,
 		version:  version,
-		workers:  workers,
 		sem:      make(chan struct{}, workers),
 		inflight: make(map[string]*flight),
 	}
@@ -104,7 +103,7 @@ func New(store *resultstore.Store, version string, workers int) *Server {
 
 // Handler mounts the /v1 API. fallback, if non-nil, serves every
 // other path — cmd/privbench passes the obs metrics handler so one
-// listener serves both the API and /metrics, /progress, /debug/pprof.
+// listener serves both the API and /metrics, /debug/pprof.
 func (s *Server) Handler(fallback http.Handler) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/runs", s.handlePostRuns)
@@ -359,27 +358,27 @@ func (s *Server) claim(hash string) (f *flight, leader bool) {
 	return f, true
 }
 
-// runLeaders executes this request's leader points on the shared
-// bounded pool. The sweep Runner fans them out; its admission gate is
-// the server-wide semaphore, so total concurrent simulations across
-// every request never exceed the pool size. leaders holds the point
-// indices; flights the matching claimed flights, in the same order.
+// runLeaders executes this request's leader points. It takes a slot of
+// the server-wide semaphore for each leader in index order and runs the
+// leader while it holds the slot, so total concurrent simulations
+// across every request never exceed the pool size; joiners and cache
+// hits take no slot. leaders holds the point indices; flights the
+// matching claimed flights, in the same order.
 func (s *Server) runLeaders(points []scenario.Spec, hashes []string, flights []*flight, leaders []int) {
-	r := sweep.Runner{
-		Workers: s.workers,
-		Acquire: s.acquireSlot,
-		Release: s.releaseSlot,
+	for j, i := range leaders {
+		queueHighwater.SetMax(s.queued.Add(1))
+		s.sem <- struct{}{}
+		go func() {
+			f := flights[j]
+			f.payload, f.stored, f.err = s.lead(hashes[i], points[i])
+			s.mu.Lock()
+			delete(s.inflight, hashes[i])
+			s.mu.Unlock()
+			close(f.done)
+			<-s.sem
+			s.queued.Add(-1)
+		}()
 	}
-	_ = r.Run(len(leaders), func(j int) error {
-		i := leaders[j]
-		f := flights[j]
-		f.payload, f.stored, f.err = s.lead(hashes[i], points[i])
-		s.mu.Lock()
-		delete(s.inflight, hashes[i])
-		s.mu.Unlock()
-		close(f.done)
-		return nil
-	})
 }
 
 // panicError is the error of a flight whose execution panicked.
@@ -399,18 +398,6 @@ func (s *Server) lead(hash string, sp scenario.Spec) (payload []byte, stored boo
 		}
 	}()
 	return s.executePoint(hash, sp)
-}
-
-// acquireSlot blocks until a pool slot frees, recording how deep the
-// admission queue got (waiters plus runners).
-func (s *Server) acquireSlot() {
-	queueHighwater.SetMax(s.queued.Add(1))
-	s.sem <- struct{}{}
-}
-
-func (s *Server) releaseSlot() {
-	<-s.sem
-	s.queued.Add(-1)
 }
 
 // executePoint runs one Spec and stores its row. The leader re-checks

@@ -24,6 +24,7 @@ import (
 	"provirt/internal/obs"
 	"provirt/internal/resultstore"
 	"provirt/internal/scenario"
+	"provirt/internal/workloads/synth"
 )
 
 // newTestServer boots a server over a fresh store with obs installed,
@@ -881,6 +882,91 @@ func TestPanickingConstructorIsAnErroredFlight(t *testing.T) {
 	}
 	if _, pts, _ := parseStream(t, data); len(pts) != 1 || len(pts[0].Row) == 0 {
 		t.Fatalf("request after the panic produced no row: %+v", pts)
+	}
+}
+
+// building counts the test-peak-concurrency points inside their
+// constructor at once, and buildPeak the most there have been.
+var building, buildPeak atomic.Int64
+
+func init() {
+	scenario.RegisterWorkload(scenario.Workload{
+		Name:        "test-peak-concurrency",
+		Description: "the empty program, built slowly while counting builds at once",
+		New: func(scenario.WorkloadParams) (*ampi.Program, func()) {
+			cur := building.Add(1)
+			for {
+				p := buildPeak.Load()
+				if cur <= p || buildPeak.CompareAndSwap(p, cur) {
+					break
+				}
+			}
+			time.Sleep(2 * time.Millisecond)
+			building.Add(-1)
+			return synth.Empty(), nil
+		},
+	})
+}
+
+// Leader admission is the server's semaphore: two concurrent cold
+// sweeps on a two-worker server never have more than two points
+// executing between them.
+func TestLeadersShareTheWorkerBound(t *testing.T) {
+	_, ts := newTestServer(t, 2)
+	buildPeak.Store(0)
+	sweep := func(first uint64) []scenario.Spec {
+		points := make([]scenario.Spec, 12)
+		for i := range points {
+			points[i] = scenario.DefaultSpec("test-peak-concurrency")
+			points[i].Machine.Seed = first + uint64(i)
+		}
+		return points
+	}
+	firsts := []uint64{1, 13}
+	bodies := make([][]byte, len(firsts))
+	var wg sync.WaitGroup
+	for k, first := range firsts {
+		body, err := json.Marshal(map[string]any{"points": sweep(first)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if resp, err := http.Post(ts.URL+"/v1/runs", "application/json", bytes.NewReader(body)); err == nil {
+				bodies[k], _ = io.ReadAll(resp.Body)
+				resp.Body.Close()
+			}
+		}()
+	}
+	wg.Wait()
+	for k, data := range bodies {
+		if _, _, trailer := parseStream(t, data); trailer.Executed != 12 {
+			t.Fatalf("sweep from seed %d: trailer %+v", firsts[k], trailer)
+		}
+	}
+	if p := buildPeak.Load(); p > 2 {
+		t.Fatalf("%d points executed at once on a 2-worker server", p)
+	}
+}
+
+// A panicking leader frees its slot: on a one-worker server the slot
+// returns, and the next POST runs. (The slot is checked first: a POST
+// stuck behind a leaked slot would hang the test server's Close.)
+func TestPanickingLeaderFreesItsSlot(t *testing.T) {
+	s, ts := newTestServer(t, 1)
+	_, data := postRuns(t, ts.URL, map[string]any{"spec": scenario.DefaultSpec("test-panicking-constructor")})
+	if _, _, trailer := parseStream(t, data); trailer.Failed != 1 {
+		t.Fatalf("panicking point: %s", data)
+	}
+	for deadline := time.Now().Add(10 * time.Second); len(s.sem) != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the panicking leader kept the only slot")
+		}
+	}
+	_, data = postRuns(t, ts.URL, map[string]any{"spec": tinySpec(4)})
+	if _, pts, _ := parseStream(t, data); len(pts) != 1 || len(pts[0].Row) == 0 {
+		t.Fatalf("request after the panic produced no row: %s", data)
 	}
 }
 

@@ -3,7 +3,8 @@
 # and assert the second response is a cache hit with byte-identical row
 # payloads, no second simulation and no store write, that GET of the
 # run replays the same row, and that the hash is over content:
-# the same point spelled with its environment explicit is a cache hit.
+# the same point spelled with its environment explicit is a cache hit,
+# and that the server mounts no batch-only /progress (a 404).
 # This is the end-to-end check of the content-addressed result path:
 # Spec hashing, the resultstore round trip, and the server's cache/dedup
 # accounting — through a real TCP listener instead of httptest. Then the two
@@ -126,6 +127,12 @@ echo "$METRICS" | grep -q '^serve_points_executed_total 1$' \
 echo "$METRICS" | grep -q '^serve_cache_hits_total [1-9]' \
     || fail "no cache hits counted: $(echo "$METRICS" | grep serve_ || true)"
 
+# /progress and the sweep_point* metrics belong to batch sweeps: the
+# server runs none, and the NDJSON stream already reports each point.
+PROGRESS="$(curl -s -o /dev/null -w '%{http_code}' "http://$ADDR/progress")"
+[[ "$PROGRESS" == "404" ]] || fail "GET /progress answered $PROGRESS, want 404: the server has no sweep to report"
+! echo "$METRICS" | grep -q '^sweep_point' || fail "/metrics carries sweep_point* families the server never feeds"
+
 # One executor behind every door: a fault point and a churn point,
 # served and run from the command line, give byte-identical rows.
 FAULTS='{"machine":{"nodes":3,"procs_per_node":1,"pes_per_proc":2},"vps":6,"method":"pieglobals","workload":"checkpointed","checkpoint":{"target":"fs","dir":"/scratch/ftsweep","interval_ns":19576668},"faults":{"seed":11400706023115026965,"mtbf_ns":120000000,"horizon_ns":1150225316}}'
@@ -160,4 +167,4 @@ kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" || fail "server exited non-zero after SIGTERM"
 SERVER_PID=""
 
-echo "serve-smoke: OK (row payload byte-identical, second and explicit-environment POSTs cached, 1 simulation total, replays write nothing; fault and churn points identical through POST and -spec; checkpoint directory not hashed)"
+echo "serve-smoke: OK (row payload byte-identical, second and explicit-environment POSTs cached, 1 simulation total, replays write nothing; fault and churn points identical through POST and -spec; checkpoint directory not hashed; no /progress)"
