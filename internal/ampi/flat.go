@@ -22,8 +22,8 @@ import (
 // matchqueue per rank. The tree shape, cost model, and network tiers
 // are exactly the ones the full World charges through its message-level
 // path (tree.go, machine.Cluster), so flat results are the same physics
-// at a scale the per-rank machinery cannot reach: ~32 bytes of runtime
-// state per rank instead of a Thread + Rank + stack block each.
+// at a scale the per-rank machinery cannot reach: one 24-byte flatRank
+// record per rank instead of a Thread + Rank + stack block each.
 //
 // The flat world is also the repo's first parallel-simulation consumer:
 // with FlatConfig.SimWorkers > 1 its events run on a sharded

@@ -7,8 +7,8 @@ import (
 )
 
 // BenchmarkPIEglobalsSetup is the privatization step of a world build
-// as every PIEglobals world takes it: a fresh adcirc image, so its
-// layout and frozen data segment are built too, loaded once into a
+// as every PIEglobals world takes it: the adcirc image, whose layout and
+// frozen data segment are built once per process, loaded once into a
 // process and duplicated into 8 ranks, pointer scan included.
 func BenchmarkPIEglobalsSetup(b *testing.B) {
 	b.ReportAllocs()

@@ -51,12 +51,14 @@ type RankContext struct {
 	// plan is the per-variable resolution every rank of the process
 	// shares; only what it resolves to is the rank's own.
 	plan *plan
-	// rcells memoizes the resolved cell pointer (and the heap block a
-	// store must dirty) per variable; an entry is valid while its epoch
-	// matches the context's. See resolve.
-	rcells []resolvedCell
-	// epoch versions every resolved cell pointer: restore/migration
-	// bumps it, invalidating all cached resolutions at once.
+	// rcells memoizes, per variable, the segment word a segment-backed
+	// cell resolved to (and the heap block a store must dirty); an entry
+	// is valid while its epoch matches the context's. It is allocated by
+	// the first segment-backed resolve, so a rank whose accesses all
+	// reach its TLS block or heap cells holds none. See resolve.
+	rcells []segmentCell
+	// epoch versions every cached segment word: restore/migration bumps
+	// it, invalidating all cached resolutions at once.
 	epoch uint64
 	// heapCells is the per-rank privatized-copy block for manual /
 	// swapglobals methods, else nil.
@@ -72,13 +74,12 @@ type cellRef struct {
 	cost sim.Time // per-access charge
 }
 
-// resolvedCell is the access fast path for one variable: the storage
-// cell's address and cost, resolved once per epoch so inner loops skip
-// the name lookup and the storage-kind switch.
-type resolvedCell struct {
+// segmentCell is one variable's resolved word in a shared or private
+// data segment, cached for an epoch because reaching it goes through the
+// segment view (Word) rather than a slice the context holds.
+type segmentCell struct {
 	epoch uint64
 	cell  *uint64
-	cost  sim.Time
 	// blk is the heap block backing the cell, if any; stores touch it
 	// so incremental snapshots re-copy the block.
 	blk *mem.Block
@@ -107,42 +108,47 @@ func newContext(m *Method, p *plan, env *ProcessEnv, img *elf.Image, shared *elf
 		Heap:   heap,
 		Stack:  stack,
 		plan:   p,
-		rcells: make([]resolvedCell, len(img.Vars)),
 		epoch:  1, // zero-valued rcells entries are never current
 	}, nil
 }
 
-// invalidateResolutions discards every cached cell pointer; the next
+// invalidateResolutions discards every cached segment word; the next
 // access through any handle re-resolves against the context's current
 // storage. Called whenever storage moves: migration restore.
 func (c *RankContext) invalidateResolutions() { c.epoch++ }
 
-// resolve returns the variable's current fast-path entry, refreshing it
-// if the context's storage changed since it was last resolved.
-func (c *RankContext) resolve(v *elf.Var) *resolvedCell {
-	rc := &c.rcells[v.Index]
-	if rc.epoch == c.epoch {
-		return rc
-	}
-	ref := c.plan.cells[v.Index]
-	rc.cost, rc.blk, rc.epoch = ref.cost, nil, c.epoch
+// resolve returns the variable's storage cell, its per-access cost, and
+// the heap block a store must dirty (nil when none). TLS and heap-cell
+// slots are reached through the slice and block the context holds, which
+// restore rebinds; a segment-backed cell is reached through the
+// segment's view once per epoch and cached.
+func (c *RankContext) resolve(v *elf.Var) (*uint64, sim.Time, *mem.Block) {
+	ref := &c.plan.cells[v.Index]
 	switch ref.kind {
-	case storeShared:
-		rc.cell = c.Shared.Word(v.Index)
-	case storePrivSeg:
-		rc.cell = c.Private.Word(v.Index)
-		if c.Private.Migratable {
-			// PIE private-segment cells live inside the duplicated data
-			// segment's heap block; stores must dirty it. A PiP/FS copy
-			// was mapped by the linker and has no block.
-			rc.blk = c.Heap.Lookup(c.Private.DataBase)
-		}
 	case storeTLS:
-		rc.cell = &c.TLS[ref.slot]
+		return &c.TLS[ref.slot], ref.cost, nil
 	case storeHeapCell:
-		rc.cell, rc.blk = &c.heapCells.Words[ref.slot], c.heapCells
+		return &c.heapCells.Words[ref.slot], ref.cost, c.heapCells
 	}
-	return rc
+	if c.rcells == nil {
+		c.rcells = make([]segmentCell, len(c.Img.Vars))
+	}
+	sc := &c.rcells[v.Index]
+	if sc.epoch != c.epoch {
+		sc.epoch, sc.blk = c.epoch, nil
+		if ref.kind == storeShared {
+			sc.cell = c.Shared.Word(v.Index)
+		} else {
+			sc.cell = c.Private.Word(v.Index)
+			if c.Private.Migratable {
+				// PIE private-segment cells live inside the duplicated
+				// data segment's heap block; stores must dirty it. A
+				// PiP/FS copy was mapped by the linker and has no block.
+				sc.blk = c.Heap.Lookup(c.Private.DataBase)
+			}
+		}
+	}
+	return sc.cell, ref.cost, sc.blk
 }
 
 // Var returns an access handle for the named variable. Unknown names
@@ -198,16 +204,16 @@ func (h VarHandle) Addr() uint64 {
 }
 
 // Load reads the variable, charging the method's access cost. Handles
-// survive migration: the cached resolution re-resolves automatically
-// when the context's storage epoch advances.
+// survive migration: each access resolves against the context's current
+// storage.
 func (h VarHandle) Load() uint64 {
 	c := h.ctx
-	rc := c.resolve(h.v)
+	cell, cost, _ := c.resolve(h.v)
 	if c.Thread != nil {
-		c.Thread.Advance(rc.cost)
+		c.Thread.Advance(cost)
 	}
 	c.accesses++
-	return *rc.cell
+	return *cell
 }
 
 // Store writes the variable, charging the method's access cost. Writing
@@ -218,14 +224,14 @@ func (h VarHandle) Store(val uint64) {
 		panic(fmt.Sprintf("core: store to const variable %s", h.v.Name))
 	}
 	c := h.ctx
-	rc := c.resolve(h.v)
+	cell, cost, blk := c.resolve(h.v)
 	if c.Thread != nil {
-		c.Thread.Advance(rc.cost)
+		c.Thread.Advance(cost)
 	}
 	c.accesses++
-	*rc.cell = val
-	if rc.blk != nil {
-		rc.blk.Touch()
+	*cell = val
+	if blk != nil {
+		blk.Touch()
 	}
 }
 
@@ -236,13 +242,13 @@ func (h VarHandle) Store(val uint64) {
 // conservatively dirtied.
 func (h VarHandle) Charge(n uint64) {
 	c := h.ctx
-	rc := c.resolve(h.v)
+	_, cost, blk := c.resolve(h.v)
 	if c.Thread != nil {
-		c.Thread.Advance(sim.Time(n) * rc.cost)
+		c.Thread.Advance(sim.Time(n) * cost)
 	}
 	c.accesses += n
-	if rc.blk != nil {
-		rc.blk.Touch()
+	if blk != nil {
+		blk.Touch()
 	}
 }
 

@@ -259,7 +259,7 @@ func TestResolvedCellDirtiesOnlyIsomallocSegments(t *testing.T) {
 				if c.Private.Seg == nil {
 					t.Fatalf("rank %d: private instance has no data segment view", c.VP)
 				}
-				blk := c.resolve(img.VarByName("ug")).blk
+				_, _, blk := c.resolve(img.VarByName("ug"))
 				if kind != KindPIEglobals {
 					if blk != nil {
 						t.Fatalf("rank %d: linker-mapped cell resolves to heap block %q", c.VP, blk.Label)

@@ -487,9 +487,11 @@ func compareWithOracle(t *testing.T, m *Method, img *elf.Image, got *SetupResult
 				t.Errorf("rank %d %s: addr %#x privatized %v, oracle %#x %v",
 					c.VP, v.Name, h.Addr(), h.Privatized(), oh.Addr(), oh.Privatized())
 			}
-			if g, w := c.resolve(v), o.resolve(v); g.cost != w.cost || *g.cell != *w.cell || (g.blk == nil) != (w.blk == nil) {
+			gCell, gCost, gBlk := c.resolve(v)
+			wCell, wCost, wBlk := o.resolve(v)
+			if gCost != wCost || *gCell != *wCell || (gBlk == nil) != (wBlk == nil) {
 				t.Errorf("rank %d %s: cost %v value %d dirties-block %v, oracle %v %d %v",
-					c.VP, v.Name, g.cost, *g.cell, g.blk != nil, w.cost, *w.cell, w.blk != nil)
+					c.VP, v.Name, gCost, *gCell, gBlk != nil, wCost, *wCell, wBlk != nil)
 			}
 		}
 		if g, w := c.Heap.ResidentBytes(), o.Heap.ResidentBytes(); g != w {

@@ -58,9 +58,10 @@ func (c *RankContext) RestoreInto(p *MigrationPayload, destShared *elf.Instance)
 
 // RestoreIntoConsume is RestoreInto for payloads the caller owns
 // exclusively and discards afterwards — the migration path, where the
-// source rank's heap dies with the move. Dirty-block payloads are
-// adopted zero-copy instead of being copied a second time. The payload
-// must not be restored again (a kept checkpoint must use RestoreInto).
+// source rank's heap dies with the move. Dirty-block payloads and the
+// TLS block are adopted zero-copy instead of being copied a second time.
+// The payload must not be restored again (a kept checkpoint must use
+// RestoreInto).
 func (c *RankContext) RestoreIntoConsume(p *MigrationPayload, destShared *elf.Instance) error {
 	return c.restoreInto(p, destShared, true)
 }
@@ -74,8 +75,8 @@ func (c *RankContext) restoreInto(p *MigrationPayload, destShared *elf.Instance,
 	} else {
 		c.Heap = mem.Restore(p.Heap)
 	}
-	// Every cached cell pointer referenced the old heap, TLS block, and
-	// instances; force handles to re-resolve.
+	// Every cached segment word referenced the old heap and instances;
+	// force handles to re-resolve.
 	c.invalidateResolutions()
 	stack := c.Heap.Lookup(c.Stack.Addr)
 	if stack == nil {
@@ -90,7 +91,12 @@ func (c *RankContext) restoreInto(p *MigrationPayload, destShared *elf.Instance,
 		c.heapCells = blk
 	}
 	if p.TLS != nil {
-		c.TLS = append([]uint64(nil), p.TLS...)
+		if consume {
+			// The payload's block is this move's private copy; adopt it.
+			c.TLS = p.TLS
+		} else {
+			c.TLS = append([]uint64(nil), p.TLS...)
+		}
 	}
 	if destShared != nil {
 		c.Shared = destShared

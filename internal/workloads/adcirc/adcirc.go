@@ -19,6 +19,7 @@ package adcirc
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"provirt/internal/ampi"
 	"provirt/internal/elf"
@@ -85,8 +86,12 @@ const NumGlobals = 320
 
 // Image returns the ADCIRC surrogate binary image: hundreds of tagged
 // mutable Fortran module variables and common blocks, a 14 MB code
-// segment, and a handful of entry points.
-func Image() *elf.Image {
+// segment, and a handful of entry points. It is built once per process
+// and shared by every world that loads it: an image is immutable once
+// built, and its layout is computed once.
+func Image() *elf.Image { return image() }
+
+var image = sync.OnceValue(func() *elf.Image {
 	b := elf.NewBuilder("adcirc").Language("fortran")
 	for i := 0; i < NumGlobals; i++ {
 		name := fmt.Sprintf("global_%03d", i)
@@ -111,7 +116,7 @@ func Image() *elf.Image {
 		RODataBulk(1 << 20). // nodal lookup tables, basis constants
 		Relocations(4096)
 	return b.MustBuild()
-}
+})
 
 // Result summarizes one rank's run.
 type Result struct {

@@ -17,6 +17,7 @@ package amr
 
 import (
 	"math"
+	"sync"
 
 	"provirt/internal/ampi"
 	"provirt/internal/elf"
@@ -60,8 +61,11 @@ func DefaultConfig() Config {
 }
 
 // Image returns the AMR program image: a C++ code with per-rank mesh
-// metadata in tagged globals and a moderate code segment.
-func Image() *elf.Image {
+// metadata in tagged globals and a moderate code segment. It is built
+// once per process and shared by every world that loads it.
+func Image() *elf.Image { return image() }
+
+var image = sync.OnceValue(func() *elf.Image {
 	return elf.NewBuilder("amr").
 		Language("c++").
 		TaggedGlobal("num_blocks_owned", 0).
@@ -76,7 +80,7 @@ func Image() *elf.Image {
 		CodeBulk(6 << 20).
 		DataBulk(1 << 20).
 		MustBuild()
-}
+})
 
 // frontPos returns the shock front's x-position (in block units) at
 // step t: it sweeps across the domain once over the run.

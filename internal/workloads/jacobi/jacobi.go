@@ -10,6 +10,7 @@ package jacobi
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"provirt/internal/ampi"
 	"provirt/internal/elf"
@@ -38,8 +39,11 @@ func DefaultConfig() Config {
 
 // Image returns the Jacobi-3D program image: a handful of tagged
 // mutable globals used in the innermost loop, main/sweep/exchange
-// functions, and a 3 MB code segment.
-func Image() *elf.Image {
+// functions, and a 3 MB code segment. It is built once per process and
+// shared by every world that loads it.
+func Image() *elf.Image { return image() }
+
+var image = sync.OnceValue(func() *elf.Image {
 	return elf.NewBuilder("jacobi3d").
 		Language("c").
 		TaggedGlobal("omega", math.Float64bits(0.8)).
@@ -56,7 +60,7 @@ func Image() *elf.Image {
 		CodeBulk(3 << 20).
 		DataBulk(128 << 10).
 		MustBuild()
-}
+})
 
 // Decompose3D factors v ranks into a (px, py, pz) grid with sides as
 // equal as possible (px >= py >= pz).

@@ -149,11 +149,13 @@ func TestAccessCounting(t *testing.T) {
 // a symbol lookup per access: ranks resolve each privatized global to a
 // VarHandle once, so the image's name-lookup count depends on setup
 // (ranks x referenced variables), not on iteration count or per-cell
-// access volume.
+// access volume. The image is shared by every world in the process, so
+// its counter is cumulative: each run reads the lookups it added.
 func TestInnerLoopHoldsHandles(t *testing.T) {
 	lookupsFor := func(iters int) (lookups int64, accesses uint64) {
 		cfg := jacobi.Config{NX: 8, NY: 8, NZ: 8, Iters: iters, AccessesPerCell: 6}
 		prog := jacobi.New(cfg, func(res jacobi.Result) { accesses += res.Accesses })
+		before := prog.Image.VarLookups()
 		w, err := ampi.NewWorld(ampi.Config{
 			Machine:   machine.Config{Nodes: 1, ProcsPerNode: 1, PEsPerProc: 1},
 			VPs:       2,
@@ -165,7 +167,7 @@ func TestInnerLoopHoldsHandles(t *testing.T) {
 		if err := w.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return prog.Image.VarLookups(), accesses
+		return prog.Image.VarLookups() - before, accesses
 	}
 	short, shortAcc := lookupsFor(2)
 	long, longAcc := lookupsFor(20)

@@ -6,6 +6,7 @@ package synth
 
 import (
 	"fmt"
+	"sync"
 
 	"provirt/internal/ampi"
 	"provirt/internal/elf"
@@ -15,8 +16,11 @@ import (
 // HelloImage models the Fig. 2 C program: a mutable global my_rank, a
 // write-once global num_ranks, a mutable static call counter, and a
 // main function. Both mutable variables are tagged thread_local so the
-// image is also usable with TLSglobals.
-func HelloImage() *elf.Image {
+// image is also usable with TLSglobals. Like every image here, it is
+// built once per process and shared by every world that loads it.
+func HelloImage() *elf.Image { return helloImage() }
+
+var helloImage = sync.OnceValue(func() *elf.Image {
 	return elf.NewBuilder("hello_world").
 		Language("c").
 		TaggedGlobal("my_rank", 0).
@@ -26,7 +30,7 @@ func HelloImage() *elf.Image {
 		Func("report", 512).
 		CodeBulk(64 << 10).
 		MustBuild()
-}
+})
 
 // HelloResult is one rank's observed output line.
 type HelloResult struct {
@@ -56,7 +60,9 @@ func Hello(sink func(HelloResult)) *ampi.Program {
 
 // EmptyImage is a minimal program image for startup measurements, with
 // a modest 3 MB code segment like the paper's Jacobi-3D binary.
-func EmptyImage() *elf.Image {
+func EmptyImage() *elf.Image { return emptyImage() }
+
+var emptyImage = sync.OnceValue(func() *elf.Image {
 	return elf.NewBuilder("empty").
 		Global("g0", 0).
 		Static("s0", 0).
@@ -64,7 +70,7 @@ func EmptyImage() *elf.Image {
 		CodeBulk(3 << 20).
 		DataBulk(256 << 10).
 		MustBuild()
-}
+})
 
 // Empty returns a program whose ranks immediately synchronize and
 // exit; its job time is dominated by startup.
@@ -106,7 +112,9 @@ func PingWithImage(img *elf.Image) *ampi.Program {
 // CheckpointedImage tracks progress in privatized globals (an
 // iteration counter and an accumulator), so a restarted run can skip
 // completed work hot-start style.
-func CheckpointedImage() *elf.Image {
+func CheckpointedImage() *elf.Image { return checkpointedImage() }
+
+var checkpointedImage = sync.OnceValue(func() *elf.Image {
 	return elf.NewBuilder("ckpt_synth").
 		TaggedGlobal("iter", 0).
 		TaggedGlobal("acc", 0).
@@ -114,7 +122,7 @@ func CheckpointedImage() *elf.Image {
 		CodeBulk(1 << 20).
 		DataBulk(256 << 10).
 		MustBuild()
-}
+})
 
 // Checkpointed returns an iterative program for fault-tolerance runs:
 // each rank performs iters iterations of compute work, folding a
