@@ -2,8 +2,11 @@ GO ?= go
 
 .PHONY: all build test bench bench-smoke cover race race-full fuzz-smoke vet examples serve-smoke ci
 
-# Every example binary, smoke-run at reduced problem size.
-EXAMPLES := quickstart jacobi3d adcirc amr migration cloudrestart
+# The Go examples, smoke-run at reduced problem size, and the example
+# documents, run at full size through `privbench -spec` and compared
+# with their goldens.
+EXAMPLES := migration cloudrestart
+EXAMPLE_DOCS := quickstart jacobi3d adcirc amr
 
 all: build test
 
@@ -66,12 +69,17 @@ vet:
 	$(GO) vet ./...
 	@test -z "$$(gofmt -l .)" || { gofmt -l .; echo "gofmt: the files above need formatting"; exit 1; }
 
-# Smoke-run every example at -quick scale; a broken example is a
-# broken front door even when the libraries all pass.
+# Smoke-run every Go example at -quick scale, then every example
+# document byte for byte against cmd/privbench/testdata; a broken
+# example is a broken front door even when the libraries all pass.
 examples:
 	@for ex in $(EXAMPLES); do \
 		echo "== examples/$$ex -quick"; \
 		$(GO) run ./examples/$$ex -quick > /dev/null || exit 1; \
+	done
+	@for doc in $(EXAMPLE_DOCS); do \
+		echo "== privbench -spec examples/$$doc.json"; \
+		$(GO) run ./cmd/privbench -spec examples/$$doc.json | cmp - cmd/privbench/testdata/$$doc.golden || exit 1; \
 	done
 
 # End-to-end check of the experiment server: boot `privbench -serve`,

@@ -7,21 +7,21 @@
 //	privbench -experiment=all
 //	privbench -experiment=fig5 -nodes 8
 //	privbench -experiment=table2 -cores 1,2,4,8,16,32,64
-//	privbench -spec point.json
+//	privbench -spec examples/jacobi3d.json
 //
 // Every experiment is an entry in the harness registry;
 // `-experiment=list` enumerates them with their descriptions, the
 // flags they consume, and the trace-selection keys they honor, so
-// this help never drifts from the code. `-spec FILE|-` instead runs the
-// one point a scenario.Spec document (what `POST /v1/runs` accepts)
-// describes and ends with the row line the server would store.
+// this help never drifts from the code. `-spec FILE|-` instead runs
+// the points of a `POST /v1/runs` body, {"spec":…} or {"points":[…]},
+// printing for each the workload's report and the row line the server
+// would store.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -44,7 +44,7 @@ func main() {
 	experiment := flag.String("experiment", "all",
 		"which experiment to run: all, list, or one of "+strings.Join(harness.ExperimentNames(), ", "))
 	specFile := flag.String("spec", "",
-		"run the one point this scenario.Spec JSON document describes (a file, or - for stdin) instead of an experiment, printing the workload's output and then its row as the server would store it; -trace, -trace-format and -profile-ranks apply to that point")
+		"run the points of this POST /v1/runs body, {\"spec\":…} or {\"points\":[…]} (a file, or - for stdin), instead of an experiment, printing for each point in order the workload's output and then its row as the server would store it; -trace, -trace-format and -profile-ranks need a one-point body")
 	nodes := flag.Int("nodes", 1, "node count for fig5")
 	vps := flag.Int("vps", 0,
 		"virtual rank count for the scale experiment (0 selects the default one million)")
@@ -84,10 +84,8 @@ func main() {
 		"print per-rank and per-PE virtual-time utilization profiles with a critical-path summary for the traced sweep point")
 	showMetrics := flag.Bool("metrics", false,
 		"collect host-side runtime metrics and print the deterministic text snapshot after the experiments finish")
-	serveMetrics := flag.String("serve-metrics", "",
-		"serve live host metrics on this address (e.g. :9090) while experiments run: Prometheus /metrics, JSON /progress, and /debug/pprof; implies metric collection")
 	serveAddr := flag.String("serve", "",
-		"run the experiment server on this address (e.g. :8080) instead of a batch run: POST /v1/runs executes Spec sweeps with content-addressed result caching; also serves /v1/experiments and the -serve-metrics endpoints")
+		"run the experiment server on this address (e.g. :8080) instead of a batch run: POST /v1/runs executes Spec sweeps with content-addressed result caching; also serves /v1/experiments, Prometheus /metrics and /debug/pprof")
 	storeDir := flag.String("store", ".provirt-results",
 		"result store directory for -serve; entries are keyed by spec hash and partitioned by code version")
 	serveWorkers := flag.Int("serve-workers", 0,
@@ -125,9 +123,6 @@ func main() {
 		return
 	}
 	if *serveAddr != "" {
-		if *serveMetrics != "" {
-			die(2, "-serve already includes the -serve-metrics endpoints; set only one")
-		}
 		if err := runServer(*serveAddr, *storeDir, *serveWorkers, *cacheEntries); err != nil {
 			die(1, "-serve: %v", err)
 		}
@@ -152,6 +147,18 @@ func main() {
 			die(2, "unknown experiment %q (try -experiment=list)", *experiment)
 		}
 		selected = []harness.Experiment{e}
+	}
+	// A -spec body replaces the experiments, and is read, lowered and
+	// validated whole before anything runs, as the server does.
+	var points []scenario.Spec
+	if *specFile != "" {
+		selected = nil
+		if points, err = readPoints(*specFile); err != nil {
+			die(2, "-spec: %v", err)
+		}
+		if (*traceFile != "" || *profileRanks) && len(points) != 1 {
+			die(2, "-trace/-profile-ranks need a one-point -spec body, got %d points", len(points))
+		}
 	}
 
 	if *cpuprofile != "" {
@@ -236,34 +243,13 @@ func main() {
 	// runtime only, so rows, tables, and trace bytes are identical with
 	// or without them.
 	var reg *obs.Registry
-	var prog *obs.Progress
-	if *showMetrics || *serveMetrics != "" {
+	if *showMetrics {
 		reg = obs.NewRegistry()
 		harness.EnableObs(reg)
-		prog = obs.NewProgress(reg)
-	}
-	if *serveMetrics != "" {
-		ln, err := net.Listen("tcp", *serveMetrics)
-		if err != nil {
-			die(2, "-serve-metrics: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "privbench: serving /metrics, /progress, /debug/pprof on http://%s\n", ln.Addr())
-		// The metrics server rides alongside the batch run: on
-		// SIGINT/SIGTERM it drains in-flight scrapes, then the process
-		// exits — a half-written experiment has no value, so there is
-		// nothing else to wind down gracefully.
-		stop := shutdownSignal()
-		go func() {
-			if err := serveUntil(ln, obs.NewHandler(reg, prog), stop, shutdownTimeout); err != nil {
-				fmt.Fprintf(os.Stderr, "privbench: metrics server: %v\n", err)
-			}
-			<-stop
-			die(130, "interrupted; metrics server drained")
-		}()
 	}
 
 	ropts := harness.RunOpts{
-		Opts:     harness.Opts{Parallelism: *parallel, Trace: sel, Progress: prog, SimWorkers: *simWorkers},
+		Opts:     harness.Opts{Parallelism: *parallel, Trace: sel, SimWorkers: *simWorkers},
 		Nodes:    *nodes,
 		Cores:    cores,
 		MTBFs:    mtbfs,
@@ -274,10 +260,9 @@ func main() {
 			harness.CustomChurnRegime(*churnSeed, sim.Time(*churnRate), sim.Time(*churnNotice)),
 		}
 	}
-	if *specFile != "" {
-		selected = nil
-		if err := runSpec(*specFile, rec); err != nil {
-			die(1, "-spec: %v", err)
+	for i := range points {
+		if err := runPoint(&points[i], rec); err != nil {
+			die(1, "-spec: point %d: %v", i, err)
 		}
 	}
 	for _, e := range selected {
@@ -336,21 +321,37 @@ func die(code int, format string, args ...any) {
 	os.Exit(code)
 }
 
-// runSpec executes the one point the wire document at path (- for
-// stdin) describes and prints what the point produced: the workload's
-// own report, then the row exactly as the server would store it.
-func runSpec(path string, rec *trace.Recorder) error {
-	if path == "-" {
-		path = "/dev/stdin"
+// readPoints decodes the request body at path (- for stdin) and lowers
+// and validates every point, naming the first one refused.
+func readPoints(path string) ([]scenario.Spec, error) {
+	f := os.Stdin
+	if path != "-" {
+		var err error
+		if f, err = os.Open(path); err != nil {
+			return nil, err
+		}
+		defer f.Close()
 	}
-	doc, err := os.ReadFile(path)
+	docs, err := scenario.DecodeRequest(f)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	var sp scenario.Spec
-	if err := json.Unmarshal(doc, &sp); err != nil {
-		return err
+	points := make([]scenario.Spec, len(docs))
+	for i := range docs {
+		if points[i], err = docs[i].Spec(); err == nil {
+			err = points[i].Validate()
+		}
+		if err != nil {
+			return nil, fmt.Errorf("point %d: %w", i, err)
+		}
 	}
+	return points, nil
+}
+
+// runPoint executes one point and prints what it produced: the
+// workload's own report, then the row exactly as the server would
+// store it.
+func runPoint(sp *scenario.Spec, rec *trace.Recorder) error {
 	if rec != nil { // a nil *Recorder must not become a non-nil Tracer
 		sp.Tracer = rec
 	}

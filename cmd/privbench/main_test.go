@@ -2,7 +2,11 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"flag"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -11,6 +15,8 @@ import (
 	"time"
 
 	"provirt/internal/ampi"
+	"provirt/internal/resultstore"
+	"provirt/internal/serve"
 	"provirt/internal/sim"
 )
 
@@ -77,45 +83,58 @@ func TestParseDurations(t *testing.T) {
 	}
 }
 
-// TestUnmatchedTraceLeavesNoFile runs main in a child copy of the test
-// binary: a trace selection no sweep point matches must exit 1 after
-// printing the figure, and remove the file it opened to stream into.
-func TestUnmatchedTraceLeavesNoFile(t *testing.T) {
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current tree")
+
+// TestMain lets a test run main in a child copy of the test binary:
+// PRIVBENCH_TEST_ARGS holds the child's arguments.
+func TestMain(m *testing.M) {
 	if args := os.Getenv("PRIVBENCH_TEST_ARGS"); args != "" {
 		os.Args = append([]string{"privbench"}, strings.Fields(args)...)
 		main()
 		os.Exit(0)
 	}
-	out := filepath.Join(t.TempDir(), "n.jsonl")
-	cmd := exec.Command(os.Args[0], "-test.run=^TestUnmatchedTraceLeavesNoFile$")
-	cmd.Env = append(os.Environ(), "PRIVBENCH_TEST_ARGS=-experiment fig5 -trace-method swapglobals -trace "+out)
+	os.Exit(m.Run())
+}
+
+// privbench runs main with args (split on spaces) and stdin in a child
+// process and returns its stdout, its stderr and its exit status.
+func privbench(t *testing.T, stdin, args string) (string, string, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "PRIVBENCH_TEST_ARGS="+args)
+	cmd.Stdin = strings.NewReader(stdin)
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	err := cmd.Run()
 	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-		t.Fatalf("privbench with an unmatched trace: %v, want exit status 1", err)
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatalf("privbench %s: %v", args, err)
 	}
-	if !strings.Contains(stderr.String(), "matched no run") {
-		t.Errorf("stderr does not say the selection matched no run: %q", stderr.String())
+	return stdout.String(), stderr.String(), cmd.ProcessState.ExitCode()
+}
+
+// A trace selection no sweep point matches must exit 1 after printing
+// the figure, and remove the file it opened to stream into.
+func TestUnmatchedTraceLeavesNoFile(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "n.jsonl")
+	stdout, stderr, code := privbench(t, "", "-experiment fig5 -trace-method swapglobals -trace "+out)
+	if code != 1 {
+		t.Fatalf("privbench with an unmatched trace: exit status %d, want 1", code)
 	}
-	if !strings.Contains(stdout.String(), "Figure 5") {
-		t.Errorf("stdout does not carry the figure: %q", stdout.String())
+	if !strings.Contains(stderr, "matched no run") {
+		t.Errorf("stderr does not say the selection matched no run: %q", stderr)
+	}
+	if !strings.Contains(stdout, "Figure 5") {
+		t.Errorf("stdout does not carry the figure: %q", stdout)
 	}
 	if _, err := os.Stat(out); !os.IsNotExist(err) {
 		t.Fatalf("an unmatched trace left its file behind: %v", err)
 	}
 }
 
-// TestBadFlagValuesAreRefused runs main in a child copy of the test
-// binary for each flag value that has no meaning: each must exit 2
-// naming the flag before anything runs, not fall back to a default.
+// Each flag value that has no meaning must exit 2 naming the flag
+// before anything runs, not fall back to a default.
 func TestBadFlagValuesAreRefused(t *testing.T) {
-	if args := os.Getenv("PRIVBENCH_TEST_ARGS"); args != "" {
-		os.Args = append([]string{"privbench"}, strings.Fields(args)...)
-		main()
-		os.Exit(0)
-	}
 	for _, tc := range []struct{ flag, args string }{
 		{"-nodes", "-experiment fig5 -nodes -3"},
 		{"-nodes", "-experiment fig5 -nodes 0"},
@@ -127,20 +146,131 @@ func TestBadFlagValuesAreRefused(t *testing.T) {
 		{"-trace-target", "-experiment ftsweep -profile-ranks -trace-target disk"},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
-			cmd := exec.Command(os.Args[0], "-test.run=^TestBadFlagValuesAreRefused$")
-			cmd.Env = append(os.Environ(), "PRIVBENCH_TEST_ARGS="+tc.args)
-			var stdout, stderr bytes.Buffer
-			cmd.Stdout, cmd.Stderr = &stdout, &stderr
-			err := cmd.Run()
-			var exit *exec.ExitError
-			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-				t.Fatalf("privbench %s: %v, want exit status 2", tc.args, err)
+			stdout, stderr, code := privbench(t, "", tc.args)
+			if code != 2 {
+				t.Fatalf("privbench %s: exit status %d, want 2", tc.args, code)
 			}
-			if !strings.Contains(stderr.String(), tc.flag) {
-				t.Errorf("stderr does not name %s: %q", tc.flag, stderr.String())
+			if !strings.Contains(stderr, tc.flag) {
+				t.Errorf("stderr does not name %s: %q", tc.flag, stderr)
 			}
-			if stdout.Len() != 0 {
-				t.Errorf("a refused run printed %q", stdout.String())
+			if stdout != "" {
+				t.Errorf("a refused run printed %q", stdout)
+			}
+		})
+	}
+}
+
+// TestExampleDocuments runs every examples/*.json document through
+// `privbench -spec` and compares stdout with testdata/<name>.golden.
+// Every byte is virtual time or a modeled count. A change that means to
+// move one regenerates with
+//
+//	go test ./cmd/privbench -run TestExampleDocuments -update
+func TestExampleDocuments(t *testing.T) {
+	docs, err := filepath.Glob("../../examples/*.json")
+	if err != nil || len(docs) == 0 {
+		t.Fatalf("no example documents: %v", err)
+	}
+	for _, doc := range docs {
+		name := strings.TrimSuffix(filepath.Base(doc), ".json")
+		t.Run(name, func(t *testing.T) {
+			stdout, stderr, code := privbench(t, "", "-spec "+doc)
+			if code != 0 {
+				t.Fatalf("privbench -spec %s: exit status %d: %s", doc, code, stderr)
+			}
+			golden := filepath.Join("testdata", name+".golden")
+			if *update {
+				if err := os.WriteFile(golden, []byte(stdout), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stdout != string(want) {
+				t.Errorf("privbench -spec %s differs from %s:\n%s", doc, golden, stdout)
+			}
+		})
+	}
+}
+
+// hello is a one-point document for the -spec tests.
+func hello(method string) string {
+	return `{"workload":"hello","vps":2,"method":"` + method +
+		`","machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":1}}`
+}
+
+// A two-point body prints, point by point and in order, the workload's
+// report and then the row.
+func TestSpecRunsEveryPointInOrder(t *testing.T) {
+	body := `{"points":[` + hello("none") + "," + hello("pieglobals") + "]}"
+	stdout, stderr, code := privbench(t, body, "-spec -")
+	if code != 0 {
+		t.Fatalf("privbench -spec: exit status %d: %s", code, stderr)
+	}
+	lines := strings.Split(strings.TrimSuffix(stdout, "\n"), "\n")
+	want := []string{"rank: 1", "rank: 1", `"method":"none"`, "rank: 0", "rank: 1", `"method":"pieglobals"`}
+	if len(lines) != len(want) {
+		t.Fatalf("stdout has %d lines, want %d:\n%s", len(lines), len(want), stdout)
+	}
+	for i, w := range want {
+		if !strings.Contains(lines[i], w) {
+			t.Errorf("line %d is %q, want it to carry %s", i, lines[i], w)
+		}
+	}
+}
+
+// A trace selects one point: with two, -spec exits 2 before anything
+// runs, and leaves no trace file.
+func TestSpecTraceNeedsOnePoint(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "t.jsonl")
+	body := `{"points":[` + hello("none") + "," + hello("pieglobals") + "]}"
+	stdout, stderr, code := privbench(t, body, "-spec - -trace "+out)
+	if code != 2 {
+		t.Fatalf("privbench -spec -trace of two points: exit status %d, want 2", code)
+	}
+	if !strings.Contains(stderr, "one-point") || stdout != "" {
+		t.Errorf("stdout %q, stderr %q", stdout, stderr)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("a refused trace left its file behind: %v", err)
+	}
+}
+
+// -spec takes the POST /v1/runs body through the server's decoder: a
+// bare Spec (by the unknown-field rule) and a body with both "spec" and
+// "points" are refused with the error the server answers them with.
+func TestSpecRefusesWhatTheServerRefuses(t *testing.T) {
+	store, err := resultstore.Open(t.TempDir(), "test", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(serve.New(store, "test", 1).Handler(nil))
+	defer ts.Close()
+	for name, tc := range map[string]struct{ body, why string }{
+		"bare spec":       {hello("none"), `unknown field "workload"`},
+		"spec and points": {`{"spec":` + hello("none") + `,"points":[` + hello("none") + "]}", "mutually exclusive"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			body := tc.body
+			resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var refused struct{ Error string }
+			if err := json.NewDecoder(resp.Body).Decode(&refused); err != nil || resp.StatusCode != http.StatusBadRequest ||
+				!strings.Contains(refused.Error, tc.why) {
+				t.Fatalf("POST: status %d, %v, %q; want a 400 saying %s", resp.StatusCode, err, refused.Error, tc.why)
+			}
+			stdout, stderr, code := privbench(t, body, "-spec -")
+			if code != 2 || stdout != "" {
+				t.Fatalf("privbench -spec: exit status %d, stdout %q", code, stdout)
+			}
+			if want := "privbench: -spec: " + refused.Error + "\n"; stderr != want {
+				t.Errorf("privbench -spec says %q, the server %q", stderr, refused.Error)
 			}
 		})
 	}

@@ -84,5 +84,5 @@ func runServer(addr, storeDir string, workers, cacheEntries int) error {
 	}
 	fmt.Fprintf(os.Stderr, "privbench: serving /v1/runs, /v1/experiments, /metrics on http://%s\n", ln.Addr())
 	fmt.Fprintf(os.Stderr, "privbench: result store %s (code version %s)\n", storeDir, version)
-	return serveUntil(ln, srv.Handler(obs.NewHandler(reg, nil)), shutdownSignal(), shutdownTimeout)
+	return serveUntil(ln, srv.Handler(obs.NewHandler(reg)), shutdownSignal(), shutdownTimeout)
 }

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// Satellite: the launcher's HTTP servers shut down gracefully — the
+// Satellite: the launcher's HTTP server shuts down gracefully — the
 // drain lets an in-flight request finish, then the listener is gone.
 func TestServeUntilDrainsInflightRequests(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -18,12 +18,10 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"provirt/internal/ampi"
 	"provirt/internal/core"
 	"provirt/internal/machine"
-	"provirt/internal/obs"
 	"provirt/internal/scenario"
 	"provirt/internal/sim"
 	"provirt/internal/trace"
@@ -42,10 +40,6 @@ type Opts struct {
 	// Trace selects exactly one sweep point of the experiment to
 	// trace; nil runs untraced.
 	Trace *TraceSel
-	// Progress, if non-nil, receives sweep lifecycle callbacks for live
-	// progress reporting. It observes the host runtime only: rows,
-	// tables, and traces are bit-identical with or without it.
-	Progress *obs.Progress
 	// SimWorkers is how many workers the scale experiment's flat world
 	// spreads its lookahead domains across (sim.ParallelEngine), with
 	// byte-identical output at every setting; 0 or 1 keeps the serial
@@ -54,7 +48,7 @@ type Opts struct {
 }
 
 // run is the harness's one fan-out: Opts.Parallelism workers, the
-// calling goroutine among them as worker 0, take the Specs in index
+// calling goroutine among them, take the Specs in index
 // order and fill their rows in place. Every point runs even after one
 // fails, and the lowest-indexed error is returned, so neither rows nor
 // error depend on scheduling. It consumes specs: each one's program is
@@ -64,17 +58,15 @@ func run(o Opts, specs []scenario.Spec) ([]scenario.Row, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	o.Progress.StartSweep(len(specs))
 	rows := make([]scenario.Row, len(specs))
 	errs := make([]error, len(specs))
 	var next atomic.Int64
-	work := func(worker int) {
+	work := func() {
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= len(specs) {
 				return
 			}
-			began := time.Now()
 			sp := &specs[i]
 			row, _, err := sp.Execute()
 			if err != nil {
@@ -83,15 +75,14 @@ func run(o Opts, specs []scenario.Spec) ([]scenario.Row, error) {
 			} else {
 				rows[i], *sp = row, scenario.Spec{}
 			}
-			o.Progress.Point(worker, time.Since(began))
 		}
 	}
 	var wg sync.WaitGroup
-	for w := 1; w < min(workers, len(specs)); w++ {
+	for range min(workers, len(specs)) - 1 {
 		wg.Add(1)
-		go func() { defer wg.Done(); work(w) }()
+		go func() { defer wg.Done(); work() }()
 	}
-	work(0)
+	work()
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {

@@ -10,9 +10,7 @@ import (
 
 // EnableObs turns on host-side metrics for every instrumented runtime
 // layer (sim, ampi, mem, ft), registering their instruments in r;
-// EnableObs(nil) uninstalls everything. Sweep progress is separate: a
-// launcher that runs experiments wires obs.NewProgress into
-// Opts.Progress.
+// EnableObs(nil) uninstalls everything.
 //
 // Call it only between runs: instruments are process-global and the
 // install is not synchronized with running worlds. Metrics never feed

@@ -29,12 +29,12 @@ func ftMTBFs() []sim.Time {
 
 // withObs runs fn with metrics installed into a fresh registry and
 // guarantees the no-op state is restored afterwards.
-func withObs(t *testing.T, fn func(r *obs.Registry, p *obs.Progress)) {
+func withObs(t *testing.T, fn func(r *obs.Registry)) {
 	t.Helper()
 	r := obs.NewRegistry()
 	harness.EnableObs(r)
 	defer harness.EnableObs(nil)
-	fn(r, obs.NewProgress(r))
+	fn(r)
 }
 
 func TestObsLeavesRowsAndTracesBitIdentical(t *testing.T) {
@@ -50,7 +50,6 @@ func TestObsLeavesRowsAndTracesBitIdentical(t *testing.T) {
 		var c capture
 
 		fo, fig5Rec := tracing(o.Parallelism, harness.TraceSel{Method: core.KindPIEglobals, Nodes: 2})
-		fo.Progress = o.Progress
 		rows5, tbl5, err := harness.Fig5Startup(fo, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -58,7 +57,6 @@ func TestObsLeavesRowsAndTracesBitIdentical(t *testing.T) {
 		c.fig5Rows, c.fig5Tbl, c.fig5Trace = fmt.Sprintf("%#v", rows5), tbl5.String(), jsonl(t, fig5Rec)
 
 		eo, fig8Rec := tracing(o.Parallelism, harness.TraceSel{Method: core.KindTLSglobals, Heap: 1 << 20})
-		eo.Progress = o.Progress
 		rows8, tbl8, err := harness.Fig8Migration(eo)
 		if err != nil {
 			t.Fatal(err)
@@ -67,7 +65,6 @@ func TestObsLeavesRowsAndTracesBitIdentical(t *testing.T) {
 
 		to, ftRec := tracing(o.Parallelism, harness.TraceSel{
 			Method: core.KindPIEglobals, MTBF: ftMTBFs()[0], Target: 0})
-		to.Progress = o.Progress
 		rowsFT, tblFT, err := harness.FTSweep(to, ftMTBFs())
 		if err != nil {
 			t.Fatal(err)
@@ -78,8 +75,8 @@ func TestObsLeavesRowsAndTracesBitIdentical(t *testing.T) {
 
 	plain := run(harness.Opts{Parallelism: 4})
 	var instrumented capture
-	withObs(t, func(r *obs.Registry, p *obs.Progress) {
-		instrumented = run(harness.Opts{Parallelism: 4, Progress: p})
+	withObs(t, func(r *obs.Registry) {
+		instrumented = run(harness.Opts{Parallelism: 4})
 
 		// The instruments must actually have observed the runs — a
 		// silently disabled registry would make this test vacuous.
@@ -95,9 +92,6 @@ func TestObsLeavesRowsAndTracesBitIdentical(t *testing.T) {
 			if strings.HasPrefix(line, frag+" 0\n") {
 				t.Fatalf("%s stayed zero across fig5+fig8+ftsweep", frag)
 			}
-		}
-		if p.Snapshot().PointsDone == 0 {
-			t.Fatal("progress tracker saw no sweep points")
 		}
 	})
 
@@ -128,13 +122,12 @@ func TestObsLeavesRowsAndTracesBitIdentical(t *testing.T) {
 }
 
 // The deterministic text snapshot: at a fixed parallelism, two runs of
-// the same experiments produce byte-identical snapshots (volatile
-// wall-time instruments are excluded by WriteText).
+// the same experiments produce byte-identical snapshots.
 func TestObsTextSnapshotDeterministic(t *testing.T) {
 	capture := func() string {
 		var out string
-		withObs(t, func(r *obs.Registry, p *obs.Progress) {
-			o := harness.Opts{Parallelism: 4, Progress: p}
+		withObs(t, func(r *obs.Registry) {
+			o := harness.Opts{Parallelism: 4}
 			if _, _, err := harness.Fig5Startup(o, 2); err != nil {
 				t.Fatal(err)
 			}
@@ -156,8 +149,5 @@ func TestObsTextSnapshotDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(a, "sim_events_dispatched_total") {
 		t.Fatalf("snapshot missing engine counters:\n%s", a)
-	}
-	if strings.Contains(a, "sweep_point_wall_us") {
-		t.Fatalf("volatile wall-time histogram leaked into the deterministic snapshot:\n%s", a)
 	}
 }

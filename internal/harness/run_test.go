@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -9,7 +8,6 @@ import (
 
 	"provirt/internal/ampi"
 	"provirt/internal/core"
-	"provirt/internal/obs"
 	"provirt/internal/scenario"
 	"provirt/internal/workloads/synth"
 )
@@ -17,6 +15,9 @@ import (
 // rendezvous, when set, runs inside the test-rendezvous constructor, on
 // whichever worker builds the point.
 var rendezvous atomic.Pointer[func()]
+
+// failedRuns counts the ranks of test-fail that started.
+var failedRuns atomic.Int64
 
 func init() {
 	scenario.RegisterWorkload(scenario.Workload{
@@ -27,6 +28,16 @@ func init() {
 				(*hook)()
 			}
 			return synth.Empty(), nil
+		},
+	})
+	scenario.RegisterWorkload(scenario.Workload{
+		Name:        "test-fail",
+		Description: "ranks that count their start, then panic",
+		New: func(scenario.WorkloadParams) (*ampi.Program, func()) {
+			return &ampi.Program{Image: synth.EmptyImage(), Main: func(*ampi.Rank) {
+				failedRuns.Add(1)
+				panic("test-fail")
+			}}, nil
 		},
 	})
 }
@@ -71,47 +82,28 @@ func TestRunReturnsLowestIndexedError(t *testing.T) {
 	}
 }
 
-// When every point fails, every point still runs: progress accounts
-// for all of them and no row is filled.
+// When every point fails, every point still runs: each one's rank
+// starts, and no row is filled.
 func TestRunAllPointsRunDespiteErrors(t *testing.T) {
 	const n = 8
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
 	for _, par := range []int{1, 4} {
-		p := obs.NewProgress(nil)
-		rows, err := run(Opts{Parallelism: par, Progress: p}, runSpecs(n, all...))
+		specs := make([]scenario.Spec, n)
+		for i := range specs {
+			specs[i] = scenario.DefaultSpec("test-fail")
+			specs[i].VPs = 1
+		}
+		failedRuns.Store(0)
+		rows, err := run(Opts{Parallelism: par}, specs)
 		if err == nil {
 			t.Fatalf("parallel %d: no error from a sweep of failing points", par)
 		}
-		if snap := p.Snapshot(); snap.PointsDone != n || snap.PointsTotal != n {
-			t.Fatalf("parallel %d: progress %d/%d, want %d/%d", par, snap.PointsDone, snap.PointsTotal, n, n)
+		if got := failedRuns.Load(); got != n {
+			t.Fatalf("parallel %d: %d of %d failing points ran", par, got, n)
 		}
 		for i, row := range rows {
 			if row != (scenario.Row{}) {
 				t.Fatalf("parallel %d: failed point %d filled row %+v", par, i, row)
 			}
-		}
-	}
-}
-
-// Attaching a Progress changes neither the rows nor the error, and the
-// progress ends at n of n, the failed points included.
-func TestProgressDoesNotPerturbRows(t *testing.T) {
-	const n = 10
-	for _, par := range []int{1, 4} {
-		want, wantErr := run(Opts{Parallelism: par}, runSpecs(n, 3, 6))
-		p := obs.NewProgress(nil)
-		got, err := run(Opts{Parallelism: par, Progress: p}, runSpecs(n, 3, 6))
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("parallel %d: rows with progress %+v, without %+v", par, got, want)
-		}
-		if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
-			t.Fatalf("parallel %d: error with progress %v, without %v", par, err, wantErr)
-		}
-		if snap := p.Snapshot(); snap.PointsDone != n || snap.PointsTotal != n {
-			t.Fatalf("parallel %d: progress %d/%d, want %d/%d", par, snap.PointsDone, snap.PointsTotal, n, n)
 		}
 	}
 }

@@ -53,9 +53,12 @@ type ScaleRow struct {
 	SharedBytesPerRank uint64
 	// HostBuildBytesPerRank and HostPeakBytesPerRank are HOST-measured
 	// (trace.MemGauge): bytes of simulator heap per rank at world build
-	// and at the phase peak. They are reported in rows and benchmark
-	// metrics but deliberately kept out of the rendered table, which
-	// must stay bit-identical across runs.
+	// and at the phase peak. They are kept out of the rendered table,
+	// which must stay bit-identical across runs, and nothing reads them
+	// (bench's ampi.flat_host_bytes_per_rank takes its own gauge). The
+	// gauge stays for what it does to the run: its four runtime.GC()
+	// calls collect the build's garbage before the next phase allocates,
+	// and without them the flat_scale workload's peak RSS doubles.
 	HostBuildBytesPerRank uint64
 	HostPeakBytesPerRank  uint64
 }
@@ -137,8 +140,7 @@ func ScaleExperiment(o Opts, vps int) ([]ScaleRow, *trace.Table, error) {
 	}
 
 	// The rendered table carries only modeled (deterministic) values;
-	// the host-measured gauge readings live in the rows and in bench/'s
-	// ampi.flat_* probes.
+	// the host-measured gauge readings stay in the rows.
 	t := trace.NewTable(
 		fmt.Sprintf("Scale: flat world with %d virtual ranks (PIEglobals, shared code + RO COW)", vps),
 		"Phase", "Setup", "Done", "Events", "Migrations", "Moved", "Rank resident", "Rank shared")

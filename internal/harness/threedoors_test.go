@@ -119,8 +119,9 @@ func TestOnePointThreeDoorsOneRow(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			resp, err := http.Post(ts.URL+"/v1/runs", "application/json",
-				bytes.NewReader(append(append([]byte(`{"spec":`), doc...), '}')))
+			// Both doors take the same body.
+			body := append(append([]byte(`{"spec":`), doc...), '}')
+			resp, err := http.Post(ts.URL+"/v1/runs", "application/json", bytes.NewReader(body))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,7 +141,7 @@ func TestOnePointThreeDoorsOneRow(t *testing.T) {
 			}
 
 			cmd := exec.Command(bin, "-spec", "-")
-			cmd.Stdin = bytes.NewReader(doc)
+			cmd.Stdin = bytes.NewReader(body)
 			out, err := cmd.Output()
 			if err != nil {
 				t.Fatalf("privbench -spec: %v", err)

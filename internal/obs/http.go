@@ -6,17 +6,14 @@ import (
 	"net/http/pprof"
 )
 
-// NewHandler serves the registry and progress tracker over HTTP:
+// NewHandler serves the registry over HTTP:
 //
 //	/metrics   Prometheus text exposition of every instrument
-//	/progress  JSON: points done/total, ETA, per-worker state
 //	/debug/pprof/...  the standard Go profiling endpoints
 //
-// The handler is read-only over atomics and its own locks, so serving
-// while a sweep runs never blocks or perturbs the run — the endpoint
-// exists precisely to watch long sweeps live. prog may be nil (no
-// sweep progress source); /progress then reports 404.
-func NewHandler(r *Registry, prog *Progress) http.Handler {
+// The handler is read-only over atomics and the registry's own locks,
+// so serving while points run never blocks or perturbs them.
+func NewHandler(r *Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -25,14 +22,6 @@ func NewHandler(r *Registry, prog *Progress) http.Handler {
 			// is the client's signal.
 			return
 		}
-	})
-	mux.HandleFunc("/progress", func(w http.ResponseWriter, req *http.Request) {
-		if prog == nil {
-			http.Error(w, "no sweep progress source", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = prog.WriteJSON(w)
 	})
 	// net/http/pprof self-registers only on http.DefaultServeMux; wire
 	// its handlers onto this mux explicitly so the metrics server is
@@ -47,7 +36,7 @@ func NewHandler(r *Registry, prog *Progress) http.Handler {
 			http.NotFound(w, req)
 			return
 		}
-		fmt.Fprint(w, "privbench metrics server\n\n/metrics\n/progress\n/debug/pprof/\n")
+		fmt.Fprint(w, "privbench metrics server\n\n/metrics\n/debug/pprof/\n")
 	})
 	return mux
 }

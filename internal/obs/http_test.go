@@ -1,26 +1,20 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 // The acceptance contract for the metrics server: /metrics serves
-// Prometheus text, /progress serves the JSON progress document, and
-// the pprof endpoints answer.
+// Prometheus text and the pprof endpoints answer.
 func TestHandlerEndpoints(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("sim_events_dispatched_total", "events").Add(42)
-	prog := NewProgress(r)
-	prog.StartSweep(4)
-	prog.Point(1, 3*time.Millisecond)
 
-	srv := httptest.NewServer(NewHandler(r, prog))
+	srv := httptest.NewServer(NewHandler(r))
 	defer srv.Close()
 
 	get := func(path string) (int, string) {
@@ -43,26 +37,10 @@ func TestHandlerEndpoints(t *testing.T) {
 	for _, frag := range []string{
 		"# TYPE sim_events_dispatched_total counter",
 		"sim_events_dispatched_total 42",
-		"sweep_points_total 1",
 	} {
 		if !strings.Contains(body, frag) {
 			t.Fatalf("/metrics missing %q:\n%s", frag, body)
 		}
-	}
-
-	code, body = get("/progress")
-	if code != http.StatusOK {
-		t.Fatalf("/progress status %d", code)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal([]byte(body), &snap); err != nil {
-		t.Fatalf("/progress not JSON: %v\n%s", err, body)
-	}
-	if snap.PointsDone != 1 || snap.PointsTotal != 4 {
-		t.Fatalf("/progress done/total = %d/%d, want 1/4", snap.PointsDone, snap.PointsTotal)
-	}
-	if len(snap.Workers) != 1 || snap.Workers[0].Worker != 1 {
-		t.Fatalf("/progress workers = %+v", snap.Workers)
 	}
 
 	if code, _ := get("/debug/pprof/"); code != http.StatusOK {
@@ -79,8 +57,9 @@ func TestHandlerEndpoints(t *testing.T) {
 	}
 }
 
+// No live sweep progress is served: /progress is an unknown path.
 func TestHandlerWithoutProgress(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(NewRegistry(), nil))
+	srv := httptest.NewServer(NewHandler(NewRegistry()))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/progress")
 	if err != nil {
@@ -88,6 +67,6 @@ func TestHandlerWithoutProgress(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/progress without source: status %d, want 404", resp.StatusCode)
+		t.Fatalf("/progress: status %d, want 404", resp.StatusCode)
 	}
 }

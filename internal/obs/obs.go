@@ -76,14 +76,6 @@ func (g *Gauge) Set(v int64) {
 	g.v.Store(v)
 }
 
-// Add adjusts the gauge by d.
-func (g *Gauge) Add(d int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(d)
-}
-
 // SetMax raises the gauge to v if v exceeds the current value — the
 // high-water-mark update. Maximum is order-independent, so concurrent
 // SetMax calls from sweep workers converge on the same value

@@ -17,7 +17,6 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	}
 	var g *Gauge
 	g.Set(4)
-	g.Add(2)
 	g.SetMax(9)
 	if g.Value() != 0 {
 		t.Fatal("nil gauge has a value")

@@ -1,9 +1,12 @@
 package scenario
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -41,6 +44,28 @@ var specDecodeSeeds = []string{
 func FuzzSpecDecode(f *testing.F) {
 	for _, doc := range specDecodeSeeds {
 		f.Add([]byte(doc))
+	}
+	// Every point of the example documents.
+	examples, err := filepath.Glob("../../examples/*.json")
+	if err != nil || len(examples) == 0 {
+		f.Fatalf("no example documents: %v", err)
+	}
+	for _, path := range examples {
+		body, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		docs, err := DecodeRequest(bytes.NewReader(body))
+		if err != nil {
+			f.Fatalf("%s: %v", path, err)
+		}
+		for _, d := range docs {
+			point, err := json.Marshal(d)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(point)
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var sp Spec

@@ -117,13 +117,6 @@ func (s *Server) Handler(fallback http.Handler) http.Handler {
 
 // --- request/response documents ---
 
-// runRequest is the POST /v1/runs body. "points" is a sweep; "spec"
-// is shorthand for a one-point sweep. Exactly one must be set.
-type runRequest struct {
-	Points []scenario.Document `json:"points,omitempty"`
-	Spec   *scenario.Document  `json:"spec,omitempty"`
-}
-
 // errorDoc is every non-streaming error body.
 type errorDoc struct {
 	Error string `json:"error"`
@@ -185,11 +178,9 @@ func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
 		requestLatency.Observe(uint64(time.Since(began).Microseconds()))
 	}()
 
-	// One strict decoder: an unknown key, in the envelope or a point, is a 400.
-	var req runRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	// The body `privbench -spec` takes, through the same strict decoder.
+	docs, err := scenario.DecodeRequest(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	if err != nil {
 		status := http.StatusBadRequest
 		if errors.As(err, new(*http.MaxBytesError)) {
 			status = http.StatusRequestEntityTooLarge
@@ -197,17 +188,7 @@ func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, errorDoc{Error: err.Error()})
 		return
 	}
-	docs := req.Points
-	switch {
-	case req.Spec != nil && len(docs) > 0:
-		writeError(w, http.StatusBadRequest, errorDoc{Error: `"spec" and "points" are mutually exclusive`})
-		return
-	case req.Spec != nil:
-		docs = []scenario.Document{*req.Spec}
-	case len(docs) == 0:
-		writeError(w, http.StatusBadRequest, errorDoc{Error: `body needs "points" (a sweep) or "spec" (one point)`})
-		return
-	case len(docs) > MaxPoints:
+	if len(docs) > MaxPoints {
 		writeError(w, http.StatusBadRequest, errorDoc{Error: fmt.Sprintf("sweep has %d points, limit %d", len(docs), MaxPoints)})
 		return
 	}

@@ -39,7 +39,7 @@ func newTestServer(t *testing.T, workers int) (*Server, *httptest.Server) {
 		t.Fatal(err)
 	}
 	s := New(store, "test", workers)
-	ts := httptest.NewServer(s.Handler(obs.NewHandler(reg, nil)))
+	ts := httptest.NewServer(s.Handler(obs.NewHandler(reg)))
 	t.Cleanup(ts.Close)
 	return s, ts
 }

@@ -4,15 +4,16 @@
 # payloads, no second simulation and no store write, that GET of the
 # run replays the same row, and that the hash is over content:
 # the same point spelled with its environment explicit is a cache hit,
-# and that the server mounts no batch-only /progress (a 404).
+# and that the server mounts no /progress (a 404).
 # This is the end-to-end check of the content-addressed result path:
 # Spec hashing, the resultstore round trip, and the server's cache/dedup
 # accounting — through a real TCP listener instead of httptest. Then the two
 # supervised points the harness itself runs — ftsweep's (pieglobals, fs,
 # 120 ms) and elastic's (pieglobals, fs, spot-busy) — go through POST
-# and through `privbench -spec`, and the two doors must print the same
-# row, supervised columns included, and the fault point filed under
-# another checkpoint directory is a cache hit.
+# and through `privbench -spec`, each given the same request body, and
+# the two doors must print the same row, supervised columns included;
+# and the fault point filed under another checkpoint directory is a
+# cache hit.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -127,11 +128,11 @@ echo "$METRICS" | grep -q '^serve_points_executed_total 1$' \
 echo "$METRICS" | grep -q '^serve_cache_hits_total [1-9]' \
     || fail "no cache hits counted: $(echo "$METRICS" | grep serve_ || true)"
 
-# /progress and the sweep_point* metrics belong to batch sweeps: the
-# server runs none, and the NDJSON stream already reports each point.
+# No live-progress endpoint and no sweep_point* metrics: the NDJSON
+# stream already reports each point.
 PROGRESS="$(curl -s -o /dev/null -w '%{http_code}' "http://$ADDR/progress")"
-[[ "$PROGRESS" == "404" ]] || fail "GET /progress answered $PROGRESS, want 404: the server has no sweep to report"
-! echo "$METRICS" | grep -q '^sweep_point' || fail "/metrics carries sweep_point* families the server never feeds"
+[[ "$PROGRESS" == "404" ]] || fail "GET /progress answered $PROGRESS, want 404: nothing serves live progress"
+! echo "$METRICS" | grep -q '^sweep_point' || fail "/metrics carries sweep_point* families nothing feeds"
 
 # One executor behind every door: a fault point and a churn point,
 # served and run from the command line, give byte-identical rows.
@@ -139,12 +140,13 @@ FAULTS='{"machine":{"nodes":3,"procs_per_node":1,"pes_per_proc":2},"vps":6,"meth
 CHURN='{"machine":{"nodes":4,"procs_per_node":1,"pes_per_proc":2},"vps":8,"method":"pieglobals","workload":"checkpointed","checkpoint":{"target":"fs","dir":"/scratch/elastic","interval_ns":32000000},"churn":{"seed":20,"eviction_every_ns":80000000,"notice_ns":120000000,"horizon_ns":200000000,"max_events":2}}'
 for point in FAULTS CHURN; do
     echo "== $point point: POST vs privbench -spec"
-    curl -sf -X POST -H 'Content-Type: application/json' -d "{\"spec\":${!point}}" \
+    BODY="{\"spec\":${!point}}"
+    curl -sf -X POST -H 'Content-Type: application/json' -d "$BODY" \
         "http://$ADDR/v1/runs" >"$WORKDIR/$point.ndjson" || fail "$point POST failed"
     SERVED="$(point_row "$WORKDIR/$point.ndjson")"
     [[ -n "$SERVED" ]] || fail "$point POST has no row: $(cat "$WORKDIR/$point.ndjson")"
     echo "$SERVED" | grep -q '"attempts":' || fail "$point row lacks the supervised columns: $SERVED"
-    PRINTED="$(echo "${!point}" | "$WORKDIR/privbench" -spec - | tail -n 1)" || fail "privbench -spec failed on the $point point"
+    PRINTED="$(printf '%s' "$BODY" | "$WORKDIR/privbench" -spec - | tail -n 1)" || fail "privbench -spec failed on the $point point"
     [[ "$SERVED" == "$PRINTED" ]] || fail "$point point: the server and privbench -spec disagree:
   POST:  $SERVED
   -spec: $PRINTED"
