@@ -61,6 +61,7 @@ fuzz-smoke:
 	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzSegmentView -fuzztime 10s
 	$(GO) test ./internal/ft -run '^$$' -fuzz FuzzChurnCompile -fuzztime 10s
 	$(GO) test ./internal/scenario -run '^$$' -fuzz FuzzSpecDecode -fuzztime 10s
+	$(GO) test ./internal/scenario -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 10s
 	$(GO) test ./internal/resultstore -run '^$$' -fuzz FuzzStoreLoad -fuzztime 10s
 	$(GO) test ./internal/ampi -run '^$$' -fuzz FuzzMatchQueue -fuzztime 10s
 

@@ -150,7 +150,7 @@ func main() {
 	}
 	// A -spec body replaces the experiments, and is read, lowered and
 	// validated whole before anything runs, as the server does.
-	var points []scenario.Spec
+	var points []*scenario.Spec
 	if *specFile != "" {
 		selected = nil
 		if points, err = readPoints(*specFile); err != nil {
@@ -261,7 +261,7 @@ func main() {
 		}
 	}
 	for i := range points {
-		if err := runPoint(&points[i], rec); err != nil {
+		if err := runPoint(points[i], rec); err != nil {
 			die(1, "-spec: point %d: %v", i, err)
 		}
 	}
@@ -321,9 +321,10 @@ func die(code int, format string, args ...any) {
 	os.Exit(code)
 }
 
-// readPoints decodes the request body at path (- for stdin) and lowers
-// and validates every point, naming the first one refused.
-func readPoints(path string) ([]scenario.Spec, error) {
+// readPoints decodes the request body at path (- for stdin) through
+// the server's decoder, which lowers and validates every point and
+// names the first one refused.
+func readPoints(path string) ([]*scenario.Spec, error) {
 	f := os.Stdin
 	if path != "-" {
 		var err error
@@ -332,20 +333,7 @@ func readPoints(path string) ([]scenario.Spec, error) {
 		}
 		defer f.Close()
 	}
-	docs, err := scenario.DecodeRequest(f)
-	if err != nil {
-		return nil, err
-	}
-	points := make([]scenario.Spec, len(docs))
-	for i := range docs {
-		if points[i], err = docs[i].Spec(); err == nil {
-			err = points[i].Validate()
-		}
-		if err != nil {
-			return nil, fmt.Errorf("point %d: %w", i, err)
-		}
-	}
-	return points, nil
+	return scenario.DecodeRequest(f)
 }
 
 // runPoint executes one point and prints what it produced: the

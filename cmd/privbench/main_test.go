@@ -10,12 +10,14 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"provirt/internal/ampi"
 	"provirt/internal/resultstore"
+	"provirt/internal/scenario"
 	"provirt/internal/serve"
 	"provirt/internal/sim"
 )
@@ -240,8 +242,10 @@ func TestSpecTraceNeedsOnePoint(t *testing.T) {
 }
 
 // -spec takes the POST /v1/runs body through the server's decoder: a
-// bare Spec (by the unknown-field rule) and a body with both "spec" and
-// "points" are refused with the error the server answers them with.
+// bare Spec (by the unknown-field rule), a body with both "spec" and
+// "points", a repeated key, data after the body and a sweep past
+// scenario.MaxPoints are refused with the error the server answers them
+// with.
 func TestSpecRefusesWhatTheServerRefuses(t *testing.T) {
 	store, err := resultstore.Open(t.TempDir(), "test", 0)
 	if err != nil {
@@ -252,6 +256,9 @@ func TestSpecRefusesWhatTheServerRefuses(t *testing.T) {
 	for name, tc := range map[string]struct{ body, why string }{
 		"bare spec":       {hello("none"), `unknown field "workload"`},
 		"spec and points": {`{"spec":` + hello("none") + `,"points":[` + hello("none") + "]}", "mutually exclusive"},
+		"repeated key":    {`{"points":[` + hello("none") + `],"points":[` + hello("pieglobals") + "]}", "appears twice"},
+		"trailing data":   {`{"spec":` + hello("none") + `}{"spec":` + hello("pieglobals") + "}", "data after"},
+		"too many points": {`{"points":[` + strings.Repeat(hello("none")+",", scenario.MaxPoints) + hello("none") + "]}", strconv.Itoa(scenario.MaxPoints)},
 	} {
 		t.Run(name, func(t *testing.T) {
 			body := tc.body

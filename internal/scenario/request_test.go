@@ -1,0 +1,201 @@
+package scenario
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// oracleHashes is what the server made of a body before DecodeRequest
+// lowered and validated points itself: the oracle's documents, each
+// lowered, validated, required to name a workload and hashed, in order.
+// Any refusal on the way is an error.
+func oracleHashes(body []byte) ([]string, error) {
+	docs, err := oracleDecodeRequest(bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	hashes := make([]string, len(docs))
+	for i := range docs {
+		sp, err := docs[i].Spec()
+		if err == nil {
+			err = sp.Validate()
+		}
+		if err == nil && sp.Workload == "" {
+			err = &ValidationError{Errs: []FieldError{{Field: "Workload", Msg: "a request point needs a registered workload"}}}
+		}
+		if err != nil {
+			return nil, &PointError{Index: i, Err: err}
+		}
+		if hashes[i], err = sp.Hash(); err != nil {
+			return nil, err
+		}
+	}
+	return hashes, nil
+}
+
+// envelopeShape reports whether an envelope key repeats, as json
+// matches keys (without regard to case), and whether anything but
+// whitespace follows the envelope. A body whose envelope does not parse
+// reports neither.
+func envelopeShape(body []byte) (repeated, trailing bool) {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return false, false
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			return false, false
+		}
+		var value json.RawMessage
+		if dec.Decode(&value) != nil {
+			return false, false
+		}
+		for _, k := range keys {
+			repeated = repeated || strings.EqualFold(k, tok.(string))
+		}
+		keys = append(keys, tok.(string))
+	}
+	if _, err := dec.Token(); err != nil {
+		return false, false
+	}
+	return repeated, len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0
+}
+
+// FuzzDecodeRequest holds the streaming decoder to the one-Decode
+// decoder it replaced (oracleDecodeRequest): a body the oracle accepts,
+// whose every point lowers, validates and names a workload, is accepted
+// with the same point hashes in order, unless an envelope key repeats,
+// something follows the envelope or it has more than MaxPoints points;
+// those, and every body the oracle or a point check refuses, are refused.
+func FuzzDecodeRequest(f *testing.F) {
+	examples, err := filepath.Glob("../../examples/*.json")
+	if err != nil || len(examples) == 0 {
+		f.Fatalf("no example documents: %v", err)
+	}
+	for _, path := range examples {
+		body, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	for _, doc := range specDecodeSeeds {
+		f.Add([]byte(`{"spec":` + doc + `}`))
+	}
+	a := specDecodeSeeds[0]
+	b := strings.Replace(a, `"vps":4`, `"vps":2`, 1)
+	for _, body := range []string{
+		`{"points":[` + a + `]}{"points":[` + b + `]}`,
+		`{"points":[` + a + `],"points":[` + b + `]}`,
+		`{"points":[` + a + `],"POINTS":[` + b + `]}`,
+		`{"spec":` + a + `,"spec":null}`,
+		`{"points":[` + a + `]} x`,
+		`{"points":[` + a + `]}}`,
+		`{"points":[` + a + `]} "cut`,
+		"{\"points\":[" + a + "]} \t\r\n",
+		`{"POINTS":[` + a + `,` + b + `]}`,
+		`{"spec":null,"points":[` + a + `]}`,
+		`{"points":[],"spec":` + a + `}`,
+		`{"points":null,"Spec":` + a + `}`,
+		`{"points":[` + a + `],"spec":` + b + `}`,
+		`{"spec":` + a + `,"points":[` + b + `]}`,
+		`{"points":[` + a + `],"spec":null}`,
+		`{"points":[null]}`,
+		`{"points":[{}]}`,
+		`{"points":[],"spec":null}`,
+		`{"points":{}}`,
+		`{"spec":[]}`,
+		`{"priority":1,"points":[` + a + `]}`,
+		`[]`,
+		`null`,
+		``,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		points, err := DecodeRequest(bytes.NewReader(body))
+		if repeated, trailing := envelopeShape(body); repeated || trailing {
+			if err == nil {
+				t.Fatalf("accepted a body with a repeated key (%v) or data after it (%v)\nbody: %s", repeated, trailing, body)
+			}
+			return
+		}
+		want, oerr := oracleHashes(body)
+		switch {
+		case oerr != nil:
+			if err == nil {
+				t.Fatalf("accepted a body the oracle refuses (%v)\nbody: %s", oerr, body)
+			}
+			return
+		case len(want) > MaxPoints:
+			if err == nil {
+				t.Fatalf("accepted %d points, past the limit", len(points))
+			}
+			return
+		case err != nil:
+			t.Fatalf("refused a body the oracle accepts: %v\nbody: %s", err, body)
+		case len(points) != len(want):
+			t.Fatalf("%d points, the oracle %d\nbody: %s", len(points), len(want), body)
+		}
+		for i, sp := range points {
+			if h, err := sp.Hash(); err != nil || h != want[i] {
+				t.Fatalf("point %d hashes to %s (%v), the oracle's to %s\nbody: %s", i, h, err, want[i], body)
+			}
+		}
+	})
+}
+
+// Two points of one sweep are decoded through one Document, yet share
+// nothing: json fills an existing pointee or slice in place, so a
+// Document not zeroed between points would hand the second point's
+// checkpoint, churn, faults and placement to the first as well.
+func TestDecodedPointsShareNothing(t *testing.T) {
+	const (
+		a = `{"workload":"checkpointed","vps":4,"machine":{"nodes":2,"procs_per_node":1,"pes_per_proc":2},"method":"pieglobals",` +
+			`"checkpoint":{"target":"fs","interval_ns":19000000},"faults":{"seed":3,"mtbf_ns":50000000,"horizon_ns":400000000},` +
+			`"churn":{"seed":7,"eviction_every_ns":20000000,"notice_ns":1000000000,"horizon_ns":400000000,"max_events":2},"placement":[0,1,2,3]}`
+		b = `{"workload":"checkpointed","vps":4,"machine":{"nodes":2,"procs_per_node":1,"pes_per_proc":2},"method":"pieglobals",` +
+			`"checkpoint":{"target":"buddy","interval_ns":25000000},"faults":{"seed":5,"mtbf_ns":70000000,"horizon_ns":300000000},` +
+			`"churn":{"seed":9,"arrival_every_ns":30000000,"horizon_ns":300000000,"max_events":1},"placement":[3,2,1,0]}`
+	)
+	decode := func(body string) []*Spec {
+		t.Helper()
+		points, err := DecodeRequest(strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%v\nbody: %s", err, body)
+		}
+		return points
+	}
+	hash := func(sp *Spec) string {
+		t.Helper()
+		h, err := sp.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	body := `{"points":[` + a + `,` + b + `]}`
+	sweep := decode(body)
+	x, y := sweep[0], sweep[1]
+	if x == y || x.Checkpoint == y.Checkpoint || x.Churn == y.Churn || x.Faults == y.Faults || &x.Placement[0] == &y.Placement[0] {
+		t.Fatalf("the two points share a Spec or a sub-object:\n%+v\n%+v", x, y)
+	}
+	alone := [2]string{hash(decode(`{"spec":` + a + `}`)[0]), hash(decode(`{"spec":` + b + `}`)[0])}
+	for edited := range 2 {
+		sweep := decode(body)
+		sp := sweep[edited]
+		sp.Checkpoint.Interval *= 2
+		sp.Churn.Seed++
+		sp.Faults.Seed++
+		sp.Placement[0]++
+		if other := 1 - edited; hash(sweep[other]) != alone[other] {
+			t.Errorf("editing point %d moved point %d's hash off its one-point body's", edited, other)
+		}
+	}
+}

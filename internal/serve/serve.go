@@ -22,11 +22,16 @@
 //	                       streams NDJSON — a header line, one line per
 //	                       point (in index order, written as soon as
 //	                       the point and all before it are done), and a
-//	                       trailer. Invalid Specs get a structured 400
-//	                       carrying scenario.ValidationError fields.
-//	                       Points run through Spec.Execute, so fault
-//	                       and churn points run under the supervisor.
-//	GET  /v1/runs/{hash}   replays a completed run from the store.
+//	                       trailer. The body is decoded as it streams
+//	                       (scenario.DecodeRequest): each point is
+//	                       lowered and validated as it is read, and the
+//	                       first invalid one, or the one past
+//	                       scenario.MaxPoints, ends the read with a
+//	                       structured 400 carrying scenario.ValidationError
+//	                       fields. Points run through Spec.Execute, so
+//	                       fault and churn points run under the supervisor.
+//	GET  /v1/runs/{hash}   replays a completed run from the store, whose
+//	                       manifest keeps the points' lowered documents.
 //	GET  /v1/experiments   lists the harness experiment registry and
 //	                       the workload registry with example Specs.
 //
@@ -53,13 +58,10 @@ import (
 	"provirt/internal/scenario"
 )
 
-// Limits on one request: a sweep larger than MaxPoints is rejected up
-// front with a 400, and a body past MaxBodyBytes with a 413, instead of
-// queueing unbounded work.
-const (
-	MaxPoints    = 4096
-	MaxBodyBytes = 8 << 20
-)
+// MaxBodyBytes bounds one request body: past it the read stops and the
+// request is a 413. A sweep past scenario.MaxPoints is a 400, refused
+// as its first extra point arrives.
+const MaxBodyBytes = 8 << 20
 
 // Server executes and caches Spec runs.
 type Server struct {
@@ -156,11 +158,12 @@ type trailerLine struct {
 }
 
 // runManifest is the stored record of a completed run: the point
-// hashes (rows live under their own keys) plus the request's point
-// documents for inspection.
+// hashes (rows live under their own keys) plus, for inspection, the
+// points as lowered, each encoding as the wire document it was hashed
+// from.
 type runManifest struct {
-	Points []string            `json:"points"`
-	Specs  []scenario.Document `json:"specs"`
+	Points []string         `json:"points"`
+	Specs  []*scenario.Spec `json:"specs"`
 }
 
 func writeError(w http.ResponseWriter, status int, doc errorDoc) {
@@ -178,59 +181,33 @@ func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
 		requestLatency.Observe(uint64(time.Since(began).Microseconds()))
 	}()
 
-	// The body `privbench -spec` takes, through the same strict decoder.
-	docs, err := scenario.DecodeRequest(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	// The body `privbench -spec` takes, through the same decoder: every
+	// point is lowered and validated as it streams in, so a bad sweep is
+	// refused whole, with the offending point named, before any work starts.
+	points, err := scenario.DecodeRequest(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.As(err, new(*http.MaxBytesError)) {
+		status, doc := http.StatusBadRequest, errorDoc{Error: err.Error()}
+		var perr *scenario.PointError
+		var verr *scenario.ValidationError
+		switch {
+		case errors.As(err, new(*http.MaxBytesError)):
 			status = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, status, errorDoc{Error: err.Error()})
-		return
-	}
-	if len(docs) > MaxPoints {
-		writeError(w, http.StatusBadRequest, errorDoc{Error: fmt.Sprintf("sweep has %d points, limit %d", len(docs), MaxPoints)})
-		return
-	}
-
-	// Lower, validate and hash every point before any work starts, so a
-	// bad sweep is rejected whole with the offending point named.
-	refuse := func(point int, doc errorDoc) {
-		doc.Point = &point
-		writeError(w, http.StatusBadRequest, doc)
-	}
-	points := make([]scenario.Spec, len(docs))
-	hashes := make([]string, len(docs))
-	for i := range docs {
-		var err error
-		if points[i], err = docs[i].Spec(); err == nil {
-			err = points[i].Validate()
-		}
-		if err != nil {
-			doc := errorDoc{Error: "invalid spec"}
-			var verr *scenario.ValidationError
-			if errors.As(err, &verr) {
-				doc.Fields = verr.Errs
-			} else {
-				doc.Error = err.Error()
+		case errors.As(err, &perr):
+			doc.Point, doc.Error = &perr.Index, perr.Err.Error()
+			if errors.As(perr.Err, &verr) {
+				doc.Error, doc.Fields = "invalid spec", verr.Errs
 			}
-			refuse(i, doc)
+		}
+		writeError(w, status, doc)
+		return
+	}
+	hashes := make([]string, len(points))
+	for i, sp := range points {
+		if hashes[i], err = sp.Hash(); err != nil {
+			point := i
+			writeError(w, http.StatusBadRequest, errorDoc{Error: err.Error(), Point: &point})
 			return
 		}
-		if points[i].Workload == "" {
-			// Valid for Config(), but the server has no program to inject.
-			refuse(i, errorDoc{
-				Error:  "invalid spec",
-				Fields: []scenario.FieldError{{Field: "Workload", Msg: "server runs need a registered workload"}},
-			})
-			return
-		}
-		h, err := points[i].Hash()
-		if err != nil {
-			refuse(i, errorDoc{Error: err.Error()})
-			return
-		}
-		hashes[i] = h
 	}
 	runHash := runHashOf(hashes)
 
@@ -320,7 +297,7 @@ func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if trailer.Failed == 0 {
-		s.putManifest(runHash, hashes, docs)
+		s.putManifest(runHash, hashes, points)
 	}
 	writeLine(trailer)
 }
@@ -345,7 +322,7 @@ func (s *Server) claim(hash string) (f *flight, leader bool) {
 // across every request never exceed the pool size; joiners and cache
 // hits take no slot. leaders holds the point indices; flights the
 // matching claimed flights, in the same order.
-func (s *Server) runLeaders(points []scenario.Spec, hashes []string, flights []*flight, leaders []int) {
+func (s *Server) runLeaders(points []*scenario.Spec, hashes []string, flights []*flight, leaders []int) {
 	for j, i := range leaders {
 		queueHighwater.SetMax(s.queued.Add(1))
 		s.sem <- struct{}{}
@@ -371,7 +348,7 @@ func (e *panicError) Error() string { return fmt.Sprintf("point execution panick
 // builder, the supervisor and the reshape placements, and a panic under
 // them must cost one point, not the server — the flight completes with
 // a *panicError, so its joiners are released and the pool slot returns.
-func (s *Server) lead(hash string, sp scenario.Spec) (payload []byte, stored bool, err error) {
+func (s *Server) lead(hash string, sp *scenario.Spec) (payload []byte, stored bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			pointPanics.Inc()
@@ -385,7 +362,7 @@ func (s *Server) lead(hash string, sp scenario.Spec) (payload []byte, stored boo
 // the store first: a flight that finished between this request's
 // store probe and its claim already persisted the row, and the point is
 // then a cache hit (stored), not an execution.
-func (s *Server) executePoint(hash string, sp scenario.Spec) (payload []byte, stored bool, err error) {
+func (s *Server) executePoint(hash string, sp *scenario.Spec) (payload []byte, stored bool, err error) {
 	if p, ok := s.store.Get("pt", hash); ok {
 		cacheHits.Inc()
 		return p, true, nil
@@ -411,13 +388,13 @@ func (s *Server) executePoint(hash string, sp scenario.Spec) (payload []byte, st
 // /v1/runs/{hash} replay the whole sweep. The run hash is over the
 // point hashes, so a stored manifest already lists these points: only
 // a run's first completion writes one, and its Specs are the first
-// writer's documents. Get verifies the checksum, so a corrupt or lost
+// writer's points. Get verifies the checksum, so a corrupt or lost
 // manifest is written again.
-func (s *Server) putManifest(runHash string, hashes []string, docs []scenario.Document) {
+func (s *Server) putManifest(runHash string, hashes []string, points []*scenario.Spec) {
 	if _, ok := s.store.Get("run", runHash); ok {
 		return
 	}
-	payload, err := json.Marshal(runManifest{Points: hashes, Specs: docs})
+	payload, err := json.Marshal(runManifest{Points: hashes, Specs: points})
 	if err != nil {
 		return
 	}
@@ -449,7 +426,7 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errorDoc{Error: "unknown run (not computed under this code version, or never completed)"})
 		return
 	}
-	var m runManifest
+	var m struct{ Points []string } // the Specs are for inspection only
 	if err := json.Unmarshal(payload, &m); err != nil {
 		writeError(w, http.StatusInternalServerError, errorDoc{Error: "stored manifest unreadable"})
 		return

@@ -411,6 +411,48 @@ func TestOversizedBodyIs413(t *testing.T) {
 	}
 }
 
+// A sweep one point past scenario.MaxPoints is refused as that point
+// arrives, with a 400 naming the limit, and nothing runs.
+func TestSweepPastMaxPointsIs400(t *testing.T) {
+	_, ts := newTestServer(t, 1)
+	points := make([]scenario.Spec, scenario.MaxPoints+1)
+	for i := range points {
+		points[i] = tinySpec(4)
+	}
+	resp, data := postRuns(t, ts.URL, map[string]any{"points": points})
+	var doc errorDoc
+	if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(data, &doc) != nil ||
+		!strings.Contains(doc.Error, strconv.Itoa(scenario.MaxPoints)) {
+		t.Fatalf("status %d, body %s; want a 400 naming the %d-point limit", resp.StatusCode, data, scenario.MaxPoints)
+	}
+	if n := scrape(t, ts.URL, "serve_points_executed_total"); n != 0 {
+		t.Fatalf("a refused sweep executed %d points", n)
+	}
+}
+
+// A body of MaxBodyBytes filled with empty points, 2.8 M of them, is
+// refused at the first: decoded whole before any point was looked at,
+// it allocated 2.7 GB.
+func TestBodyOfEmptyPointsIsRefusedAtItsFirst(t *testing.T) {
+	s, _ := newTestServer(t, 1)
+	h := s.Handler(nil)
+	const head, tail = `{"points":[`, `{}]}`
+	n := (MaxBodyBytes - len(head) - len(tail)) / len(`{},`)
+	body := []byte(head + strings.Repeat(`{},`, n) + tail)
+	req := httptest.NewRequest(http.MethodPost, "/v1/runs", bytes.NewReader(body))
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("%d empty points: status %d (%s), want 400", n+1, rec.Code, rec.Body)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+		t.Errorf("refusing %d empty points allocated %d B, want under 4 MB", n+1, alloc)
+	}
+}
+
 // The wire can name a machine the model cannot hold: 30 M PEs for four
 // ranks used to answer the header line and then pin a pool slot at
 // 850 MB and climbing; a product that wraps int got past positivity
@@ -559,6 +601,48 @@ func TestGetRunReplaysCompletedSweep(t *testing.T) {
 	}
 }
 
+// The run manifest keeps each point as lowered: a point that omits
+// env_policy is stored saying "adjust", and every stored document
+// decodes to a Spec whose hash is the manifest's hash of that point.
+func TestManifestKeepsLoweredPoints(t *testing.T) {
+	s, ts := newTestServer(t, 1)
+	const point = `{"workload":"empty","vps":%d,"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":1},"method":"pieglobals"}`
+	body := `{"points":[` + fmt.Sprintf(point, 2) + `,` + fmt.Sprintf(point, 4) + `]}`
+	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST: %d %s", resp.StatusCode, data)
+	}
+	hdr, _, _ := parseStream(t, data)
+	payload, ok := s.store.Get("run", hdr.Run)
+	if !ok {
+		t.Fatal("no manifest stored")
+	}
+	var m struct {
+		Points []string
+		Specs  []json.RawMessage
+	}
+	if err := json.Unmarshal(payload, &m); err != nil || len(m.Points) != 2 || len(m.Specs) != 2 {
+		t.Fatalf("manifest %s (%v)", payload, err)
+	}
+	for i, doc := range m.Specs {
+		if !bytes.Contains(doc, []byte(`"env_policy":"adjust"`)) {
+			t.Errorf("stored point %d is not the lowered document: %s", i, doc)
+		}
+		var sp scenario.Spec
+		if err := json.Unmarshal(doc, &sp); err != nil {
+			t.Fatalf("stored point %d does not decode: %v", i, err)
+		}
+		if h, err := sp.Hash(); err != nil || h != m.Points[i] {
+			t.Errorf("stored point %d hashes to %s (%v), the manifest lists %s", i, h, err, m.Points[i])
+		}
+	}
+}
+
 // A replay touches no disk: after a sweep's first POST has stored its
 // rows and its manifest, the same POST and a GET of the run write no
 // store entry, and both answer every point cached with the first
@@ -624,13 +708,18 @@ func TestOnlyExecutingResponsesFlush(t *testing.T) {
 	}
 }
 
+// raceEnabled is set under the race detector (race_test.go).
+var raceEnabled bool
+
 // A replayed sweep is a lookup per point. The handler's allocations
 // across a fully cached 48-point POST stay within 18 per point, half
 // the 36.9 a replay cost while it decoded each point with its own
 // json.Decoder, re-marshaled and re-wrote the run manifest, and keyed
-// the store's index with a concatenated string.
+// the store's index with a concatenated string. Its bytes stay within
+// 1 600 per point (1 360 when the body streams, 2 600 while it was
+// buffered whole and decoded into a grown slice of documents).
 func TestReplayedSweepAllocationBudget(t *testing.T) {
-	const budget = 18
+	const budget, byteBudget = 18, 1600
 	s, _ := newTestServer(t, 2)
 	h := s.Handler(nil)
 	body, err := json.Marshal(map[string]any{"points": sweep48()})
@@ -654,9 +743,13 @@ func TestReplayedSweepAllocationBudget(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perPoint := float64(after.Mallocs-before.Mallocs) / (replays * 48)
-	t.Logf("%.1f allocations per replayed point", perPoint)
+	bytesPerPoint := float64(after.TotalAlloc-before.TotalAlloc) / (replays * 48)
+	t.Logf("%.1f allocations, %.0f B per replayed point", perPoint, bytesPerPoint)
 	if perPoint > budget {
 		t.Errorf("a replayed point costs %.1f allocations, budget %d", perPoint, budget)
+	}
+	if bytesPerPoint > byteBudget && !raceEnabled {
+		t.Errorf("a replayed point allocates %.0f B, budget %d B", bytesPerPoint, byteBudget)
 	}
 }
 
@@ -985,7 +1078,7 @@ func TestLeaderThatFindsTheRowStoredReportsACacheHit(t *testing.T) {
 	if err := s.store.Put("pt", hash, []byte(`{"workload":"empty"}`)); err != nil {
 		t.Fatal(err)
 	}
-	payload, stored, err := s.lead(hash, sp)
+	payload, stored, err := s.lead(hash, &sp)
 	if err != nil || !stored || string(payload) != `{"workload":"empty"}` {
 		t.Fatalf("lead = %s, stored %v, err %v; want the stored row", payload, stored, err)
 	}

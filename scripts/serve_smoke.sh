@@ -4,7 +4,8 @@
 # payloads, no second simulation and no store write, that GET of the
 # run replays the same row, and that the hash is over content:
 # the same point spelled with its environment explicit is a cache hit,
-# and that the server mounts no /progress (a 404).
+# that a body followed by data is a 400, and that the server mounts no
+# /progress (a 404).
 # This is the end-to-end check of the content-addressed result path:
 # Spec hashing, the resultstore round trip, and the server's cache/dedup
 # accounting — through a real TCP listener instead of httptest. Then the two
@@ -120,6 +121,13 @@ trailer "$WORKDIR/explicit.ndjson" | grep -q '"cached":1' \
 trailer "$WORKDIR/explicit.ndjson" | grep -q '"executed":0' \
     || fail "explicit POST re-executed: $(trailer "$WORKDIR/explicit.ndjson")"
 
+echo "== two bodies in one POST (expect a 400: nothing after the body is ignored)"
+TRAILING="$(curl -s -o "$WORKDIR/trailing.json" -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
+    -d "$SPEC$SPEC" "http://$ADDR/v1/runs")"
+[[ "$TRAILING" == "400" ]] || fail "a body followed by a second one answered $TRAILING, want 400: $(cat "$WORKDIR/trailing.json")"
+grep -q 'data after the request body' "$WORKDIR/trailing.json" \
+    || fail "the trailing-data 400 does not say why: $(cat "$WORKDIR/trailing.json")"
+
 # Cross-check with the server's own metrics: exactly one simulation
 # ever ran, and the cache hit was counted.
 METRICS="$(curl -sf "http://$ADDR/metrics")" || fail "metrics scrape failed"
@@ -169,4 +177,4 @@ kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" || fail "server exited non-zero after SIGTERM"
 SERVER_PID=""
 
-echo "serve-smoke: OK (row payload byte-identical, second and explicit-environment POSTs cached, 1 simulation total, replays write nothing; fault and churn points identical through POST and -spec; checkpoint directory not hashed; no /progress)"
+echo "serve-smoke: OK (row payload byte-identical, second and explicit-environment POSTs cached, 1 simulation total, replays write nothing; fault and churn points identical through POST and -spec; checkpoint directory not hashed; trailing data refused; no /progress)"
