@@ -1,12 +1,16 @@
 package ampi_test
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"provirt/internal/ampi"
 	"provirt/internal/core"
 	"provirt/internal/lb"
 	"provirt/internal/machine"
+	"provirt/internal/mem"
+	"provirt/internal/obs"
 )
 
 // TestMigrationMovesOnlyDirtyBytes: a rank migrated every load-balance
@@ -66,6 +70,61 @@ func TestMigrationMovesOnlyDirtyBytes(t *testing.T) {
 	}
 }
 
+// TestMigrationHandsTheRankOff: a balancer step moves a rank without
+// copying it. The migrated rank holds the same heap, the same blocks and
+// the same TLS block as before, a handle taken before the move stores
+// into that block, and nothing went through the snapshot arena, though
+// the hand-off counts as a snapshot.
+func TestMigrationHandsTheRankOff(t *testing.T) {
+	reg := obs.NewRegistry()
+	mem.EnableObs(reg)
+	defer mem.EnableObs(nil)
+	var heaps [2]*mem.Heap
+	var blocks [2]*mem.Block
+	var tls [2][]uint64
+	var pes [2]int
+	prog := &ampi.Program{
+		Image: migrationImage(),
+		Main: func(r *ampi.Rank) {
+			ctx := r.Ctx()
+			state := ctx.Var("state")
+			state.Store(5)
+			blk, err := ctx.Heap.Alloc(4096, "data")
+			if err != nil {
+				panic(err)
+			}
+			heaps[0], blocks[0], tls[0], pes[0] = ctx.Heap, blk, ctx.TLS, r.PE().ID
+			r.Migrate()
+			state.Store(6)
+			heaps[1], blocks[1], tls[1], pes[1] = ctx.Heap, ctx.Heap.Lookup(blk.Addr), ctx.TLS, r.PE().ID
+		},
+	}
+	w := runProgram(t, ampi.Config{
+		Machine:   machine.Config{Nodes: 2, ProcsPerNode: 1, PEsPerProc: 1},
+		VPs:       1,
+		Privatize: core.KindTLSglobals,
+		Balancer:  lb.RotateLB{},
+	}, prog)
+	if w.Migrations != 1 || pes[0] == pes[1] {
+		t.Fatalf("%d migrations, PE %d -> %d: want one move", w.Migrations, pes[0], pes[1])
+	}
+	if heaps[0] != heaps[1] || blocks[0] != blocks[1] {
+		t.Fatal("the migrated rank holds a new heap or block instead of its own")
+	}
+	if len(tls[0]) != 1 || &tls[0][0] != &tls[1][0] || tls[0][0] != 6 {
+		t.Fatalf("the migrated rank's TLS block %v is not the one it held, or missed the store of 6", tls[1])
+	}
+	var text bytes.Buffer
+	if err := reg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"mem_snapshot_arena_bytes_total 0", "mem_snapshots_total 1"} {
+		if !strings.Contains(text.String(), want+"\n") {
+			t.Errorf("metrics lack %q:\n%s", want, text.String())
+		}
+	}
+}
+
 // TestCheckpointWritesOnlyDirtyBytes: the first checkpoint writes the
 // whole payload to the filesystem; the next one writes only what
 // changed, while reporting the same logical snapshot size.
@@ -115,7 +174,7 @@ func TestCheckpointWritesOnlyDirtyBytes(t *testing.T) {
 
 // TestCheckpointImmutableAfterMigration guards the sharpest aliasing
 // hazard in the incremental path: a checkpoint taken after a migration
-// (whose restore adopted snapshot arrays zero-copy) must stay intact
+// (which handed the live heap over without copying it) must stay intact
 // while the rank keeps writing and even migrates again. Restarting from
 // it must see the checkpoint-time values, not the later ones.
 func TestCheckpointImmutableAfterMigration(t *testing.T) {
@@ -139,7 +198,7 @@ func TestCheckpointImmutableAfterMigration(t *testing.T) {
 			blkAddr = blk.Addr
 			blk.Words[0] = 77
 			blk.Touch()
-			r.Migrate() // restore adopts the payload arrays zero-copy
+			r.Migrate() // the rank keeps its live heap
 			state.Store(5)
 			r.Checkpoint("/ckpt")
 			// Keep mutating after the checkpoint, then migrate again: none

@@ -109,21 +109,21 @@ func (w *World) wakeAt(r *Rank, t sim.Time) {
 	w.Cluster.Engine.At(t, func() { r.thread.Wake() })
 }
 
-// migrateRank serializes a rank, charges the transfer, and lands it on
+// migrateRank hands a rank off, charges the transfer, and lands it on
 // the destination PE.
 func (w *World) migrateRank(r *Rank, from, to int, start sim.Time) error {
-	payload, err := r.ctx.Serialize()
+	// The rank's context joins the destination process now, as r.pe
+	// does below: the rank stays suspended until it lands, so nothing
+	// resolves its cells in flight. The transport is incremental: only
+	// bytes that changed since the rank's previous snapshot cross the
+	// wire. A first-ever migration has no previous snapshot, so wire ==
+	// bytes and the modeled cost matches the full-copy runtime exactly.
+	srcPE, dstPE := w.Cluster.PE(from), w.Cluster.PE(to)
+	bytes, wire, err := r.ctx.Handoff(w.sharedInstanceOf(dstPE.Proc))
 	if err != nil {
 		return fmt.Errorf("ampi: balancer selected an unmigratable rank: %w", err)
 	}
-	bytes := payload.Bytes()
-	// The transport is incremental: only bytes that changed since the
-	// rank's previous serialization cross the wire. A first-ever
-	// migration has no previous snapshot, so wire == bytes and the
-	// modeled cost matches the full-copy runtime exactly.
-	wire := payload.DeltaBytes()
 	cost := w.Cluster.Cost
-	srcPE, dstPE := w.Cluster.PE(from), w.Cluster.PE(to)
 	// Pack on the source, fly, unpack on the destination.
 	depart := start + cost.CopyTime(wire)
 	arrive := depart + w.Cluster.TransferTime(srcPE, dstPE, wire) +
@@ -134,12 +134,6 @@ func (w *World) migrateRank(r *Rank, from, to int, start sim.Time) error {
 	src.Remove(r.thread)
 	r.pe = dstPE // messages sent mid-flight route to the destination
 	w.Cluster.Engine.At(arrive, func() {
-		// The payload is this move's private copy and the source heap is
-		// gone; consume it zero-copy.
-		if err := r.ctx.RestoreIntoConsume(payload, w.sharedInstanceOf(dstPE.Proc)); err != nil {
-			w.fail(fmt.Errorf("ampi: restoring rank %d on PE %d: %w", r.vp, to, err))
-			return
-		}
 		dst.AdoptBlocked(r.thread)
 		w.Migrations++
 		w.MigratedBytes += bytes

@@ -33,8 +33,8 @@ func (p *MigrationPayload) DeltaBytes() uint64 {
 	return p.Heap.DeltaBytes() + uint64(len(p.TLS))*8
 }
 
-// Serialize captures the rank's migratable state, or explains why the
-// active privatization method cannot migrate it.
+// Serialize captures the rank's migratable state for a checkpoint, or
+// explains why the active privatization method cannot migrate it.
 func (c *RankContext) Serialize() (*MigrationPayload, error) {
 	if veto := c.Method.row().veto; veto != "" {
 		return nil, fmt.Errorf("core: rank %d cannot migrate under %s: %s", c.VP, c.Method.Kind(), veto)
@@ -46,35 +46,39 @@ func (c *RankContext) Serialize() (*MigrationPayload, error) {
 	return p, nil
 }
 
+// Handoff moves the rank into the process whose base instance is
+// destShared without copying its state, or explains why the active
+// privatization method cannot migrate it. Isomalloc keeps every heap
+// block at the same address in every process, so the rank keeps its
+// Heap and TLS block; bytes and wire are what MigrationPayload.Bytes and
+// DeltaBytes would report, and the heap's delta base advances as a
+// Serialize would advance it. The rank's view of shared variables
+// switches to destShared (a nil instance keeps the current one):
+// unprivatized state is per-process, so a migrated rank sees the
+// destination's copy.
+func (c *RankContext) Handoff(destShared *elf.Instance) (bytes, wire uint64, err error) {
+	if veto := c.Method.row().veto; veto != "" {
+		return 0, 0, fmt.Errorf("core: rank %d cannot migrate under %s: %s", c.VP, c.Method.Kind(), veto)
+	}
+	heap, delta := c.Heap.Handoff()
+	tls := uint64(len(c.TLS)) * 8
+	if destShared != nil {
+		c.Shared = destShared
+	}
+	c.invalidateResolutions()
+	return heap + tls, delta + tls, nil
+}
+
 // RestoreInto rebuilds the rank's state in a destination process from
 // the payload: the heap is reconstructed at identical addresses, block
 // handles (stack, privatized-copy cells, duplicated segments) are
 // rebound, and the rank's view of *shared* variables switches to the
-// destination process's base instance — unprivatized state is
-// per-process, so a migrated rank sees the destination's copy.
+// destination process's base instance, as in Handoff.
 func (c *RankContext) RestoreInto(p *MigrationPayload, destShared *elf.Instance) error {
-	return c.restoreInto(p, destShared, false)
-}
-
-// RestoreIntoConsume is RestoreInto for payloads the caller owns
-// exclusively and discards afterwards — the migration path, where the
-// source rank's heap dies with the move. Dirty-block payloads and the
-// TLS block are adopted zero-copy instead of being copied a second time.
-// The payload must not be restored again (a kept checkpoint must use
-// RestoreInto).
-func (c *RankContext) RestoreIntoConsume(p *MigrationPayload, destShared *elf.Instance) error {
-	return c.restoreInto(p, destShared, true)
-}
-
-func (c *RankContext) restoreInto(p *MigrationPayload, destShared *elf.Instance, consume bool) error {
 	if p.VP != c.VP {
 		return fmt.Errorf("core: payload for rank %d restored into context of rank %d", p.VP, c.VP)
 	}
-	if consume {
-		c.Heap = mem.RestoreConsume(p.Heap)
-	} else {
-		c.Heap = mem.Restore(p.Heap)
-	}
+	c.Heap = mem.Restore(p.Heap)
 	// Every cached segment word referenced the old heap and instances;
 	// force handles to re-resolve.
 	c.invalidateResolutions()
@@ -91,12 +95,7 @@ func (c *RankContext) restoreInto(p *MigrationPayload, destShared *elf.Instance,
 		c.heapCells = blk
 	}
 	if p.TLS != nil {
-		if consume {
-			// The payload's block is this move's private copy; adopt it.
-			c.TLS = p.TLS
-		} else {
-			c.TLS = append([]uint64(nil), p.TLS...)
-		}
+		c.TLS = append([]uint64(nil), p.TLS...)
 	}
 	if destShared != nil {
 		c.Shared = destShared

@@ -57,27 +57,25 @@ func TestRestoreIntoTwiceGivesIndependentTLSBlocks(t *testing.T) {
 	}
 }
 
-// A migration adopts the payload's TLS block: a handle held across the
-// move stores into it, and the next Serialize copies it rather than
-// handing the live block out.
+// A migration's hand-off leaves the rank its own TLS block: a handle
+// held across the move stores into it, and the next Serialize copies it
+// rather than handing the live block out.
 func TestRestoreIntoConsumeAdoptsTLSBlock(t *testing.T) {
 	c := setup(t, KindTLSglobals, testEnv(t, false), testImage(t), 1).Contexts[0]
 	h := c.Var("tg")
 	h.Store(5)
-	p, err := c.Serialize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RestoreIntoConsume(p, nil); err != nil {
-		t.Fatal(err)
-	}
 	slot := tlsSlot(t, c, "tg")
-	if &c.TLS[slot] != &p.TLS[slot] {
-		t.Fatal("RestoreIntoConsume copied the payload's TLS block instead of adopting it")
+	block := &c.TLS[slot]
+	dest := setup(t, KindTLSglobals, testEnv(t, false), testImage(t), 1)
+	if _, _, err := c.Handoff(dest.SharedInstance); err != nil {
+		t.Fatal(err)
+	}
+	if &c.TLS[slot] != block {
+		t.Fatal("the hand-off replaced the rank's TLS block instead of keeping it")
 	}
 	h.Store(6)
-	if got := p.TLS[slot]; got != 6 {
-		t.Errorf("store through a held handle did not land in the adopted block: %d, want 6", got)
+	if got := *block; got != 6 {
+		t.Errorf("store through a held handle did not land in the rank's block: %d, want 6", got)
 	}
 
 	next, err := c.Serialize()
@@ -94,6 +92,31 @@ func TestRestoreIntoConsumeAdoptsTLSBlock(t *testing.T) {
 // restored storage afterwards whichever of the four kinds the variable
 // lives in.
 func TestHeldHandleReachesRestoredStorage(t *testing.T) {
+	heldHandleAcrossMove(t, func(c *RankContext, dest *SetupResult) {
+		p, err := c.Serialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.RestoreInto(p, dest.SharedInstance); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// The same holds across a migration's hand-off: the rank keeps its own
+// storage, and a shared cell resolves to the destination's copy.
+func TestHeldHandleReachesHandedOffStorage(t *testing.T) {
+	heldHandleAcrossMove(t, func(c *RankContext, dest *SetupResult) {
+		if _, _, err := c.Handoff(dest.SharedInstance); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// heldHandleAcrossMove takes a handle to a variable of each storage
+// kind, uses it, moves the rank into a second process with move, and
+// checks that the handle reaches the rank's storage there.
+func heldHandleAcrossMove(t *testing.T, move func(c *RankContext, dest *SetupResult)) {
 	img := testImage(t)
 	for _, tc := range []struct {
 		kind    Kind
@@ -117,14 +140,8 @@ func TestHeldHandleReachesRestoredStorage(t *testing.T) {
 			} else {
 				h.Load()
 			}
-			p, err := c.Serialize()
-			if err != nil {
-				t.Fatal(err)
-			}
 			dest := setup(t, tc.kind, testEnv(t, false), img, 1)
-			if err := c.RestoreInto(p, dest.SharedInstance); err != nil {
-				t.Fatal(err)
-			}
+			move(c, dest)
 
 			var cell *uint64
 			switch tc.want {
@@ -136,7 +153,7 @@ func TestHeldHandleReachesRestoredStorage(t *testing.T) {
 				cell = &c.TLS[c.plan.cells[v.Index].slot]
 			case storeHeapCell:
 				if c.heapCells != c.Heap.Lookup(c.heapCells.Addr) {
-					t.Fatal("privatized cells not rebound to the restored heap")
+					t.Fatal("privatized cells not bound to the rank's heap")
 				}
 				cell = &c.heapCells.Words[v.Index]
 			}
@@ -149,11 +166,11 @@ func TestHeldHandleReachesRestoredStorage(t *testing.T) {
 				return
 			}
 			if got := h.Load(); got != 11 {
-				t.Errorf("held handle reads %d after restore, want 11", got)
+				t.Errorf("held handle reads %d after the move, want 11", got)
 			}
 			h.Store(33)
 			if *cell != 33 {
-				t.Errorf("store through held handle left the restored cell at %d, want 33", *cell)
+				t.Errorf("store through held handle left the rank's cell at %d, want 33", *cell)
 			}
 		})
 	}

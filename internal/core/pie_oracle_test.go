@@ -111,7 +111,7 @@ func ctorHeavyImage(hazards [3]uint64) *elf.Image {
 
 // TestPIEDuplicationMatchesCopyAndScan: every rank's private data
 // segment and ctor objects equal the old copy-and-scan result word for
-// word — as built, after stores, after a consuming migration, and after
+// word — as built, after stores, after a migration hand-off, and after
 // a checkpoint restore.
 func TestPIEDuplicationMatchesCopyAndScan(t *testing.T) {
 	// Load the ctor-heavy image once to learn where its segments and
@@ -178,11 +178,7 @@ func TestPIEDuplicationMatchesCopyAndScan(t *testing.T) {
 				store(1000 + uint64(c.VP))
 				check("after a store")
 
-				p, err := c.Serialize()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := c.RestoreIntoConsume(p, nil); err != nil {
+				if _, _, err := c.Handoff(nil); err != nil {
 					t.Fatal(err)
 				}
 				check("after migration")

@@ -192,79 +192,89 @@ func TestRestoreSeedsIncrementalCache(t *testing.T) {
 	}
 }
 
-// TestRestoreConsumeAdoptsFreshArrays: the migration path adopts the
-// snapshot's freshly copied payloads zero-copy, while arrays shared
-// with an earlier (kept) snapshot are copied so the keeper stays
-// intact.
+// TestRestoreConsumeAdoptsFreshArrays: a migration's hand-off leaves the
+// heap its own live arrays, so the destination adopts them with no copy,
+// while a checkpoint kept from before the move stays intact. The next
+// Serialize copies a handed-off block rather than sharing the live
+// array, sees writes made after the hand-off, and charges delta only
+// for blocks touched since it.
 func TestRestoreConsumeAdoptsFreshArrays(t *testing.T) {
 	h := NewHeap(6)
 	a, _ := h.Alloc(64, "a")
 	b, _ := h.Alloc(64, "b")
 	a.Words[0], b.Words[0] = 1, 2
+	aWords, bWords := a.Words, b.Words
 
-	ck := h.Serialize() // kept checkpoint: both blocks fresh here
+	ck := h.Serialize() // kept checkpoint
 	b.Words[0] = 22
 	b.Touch()
-	mig := h.Serialize() // a clean (shared with ck), b dirty (fresh)
-
-	h2 := RestoreConsume(mig)
-	a2, b2 := h2.Lookup(a.Addr), h2.Lookup(b.Addr)
-	if !sameArray(b2.Words, mig.Blocks[1].Words) {
-		t.Fatal("fresh dirty payload was copied instead of adopted")
+	if bytes, delta := h.Handoff(); bytes != 128 || delta != 64 {
+		t.Fatalf("hand-off moved %d bytes with delta %d, want 128 and only the 64 touched", bytes, delta)
 	}
-	if sameArray(a2.Words, ck.Blocks[0].Words) {
-		t.Fatal("payload shared with a kept snapshot was adopted — the checkpoint is now mutable")
+	if h.Lookup(a.Addr) != a || h.Lookup(b.Addr) != b ||
+		!sameArray(a.Words, aWords) || !sameArray(b.Words, bWords) {
+		t.Fatal("the hand-off replaced a block or its array instead of leaving it to the heap")
 	}
 	// Destination writes must not corrupt the kept checkpoint.
-	a2.Words[0] = 100
-	b2.Words[0] = 200
+	a.Words[0] = 100
+	b.Words[0] = 200
+	b.Touch()
 	if ck.Blocks[0].Words[0] != 1 || ck.Blocks[1].Words[0] != 2 {
 		t.Fatalf("checkpoint corrupted: %d/%d", ck.Blocks[0].Words[0], ck.Blocks[1].Words[0])
 	}
-	// Adopted blocks are cached as aliased entries: the next serialize
-	// must re-copy the live array (never share it), so the snapshot sees
-	// the current content and stays immutable afterwards.
-	s := h2.Serialize()
+	s := h.Serialize()
 	if s.Blocks[1].Words[0] != 200 {
-		t.Fatal("post-consume serialize missed the adopted block's mutation")
+		t.Fatal("serialize after the hand-off missed the block's mutation")
 	}
-	if sameArray(s.Blocks[1].Words, b2.Words) {
-		t.Fatal("serialize shared a live adopted array into a snapshot")
+	if sameArray(s.Blocks[1].Words, b.Words) {
+		t.Fatal("serialize shared a live handed-off array into a snapshot")
+	}
+	if s.DeltaBytes() != 64 {
+		t.Fatalf("serialize after the hand-off charged %d delta bytes, want only the 64 touched", s.DeltaBytes())
 	}
 }
 
-// TestMigrationLoopStaysIncremental drives the full migration lifecycle
-// — serialize, consume-restore, mutate, repeat — and checks that after
-// the first full-payload round, every later round's wire delta is only
-// the touched bytes, even though consume-restore adopts arrays
-// zero-copy.
+// TestMigrationLoopStaysIncremental drives the migration lifecycle —
+// hand off, mutate, repeat — and checks that after the first
+// full-payload round, every later round's wire delta is only the touched
+// bytes. A checkpoint after the last hand-off copies the handed-off
+// block locally, charges it no delta, and never shares the live array.
 func TestMigrationLoopStaysIncremental(t *testing.T) {
 	h := NewHeap(8)
 	hot, _ := h.Alloc(64, "hot")
 	cold, _ := h.Alloc(1<<16, "cold")
 	hot.Words[0], cold.Words[0] = 1, 100
-	hotAddr, coldAddr := hot.Addr, cold.Addr
 
-	heap := h
 	for round := 0; round < 4; round++ {
-		s := heap.Serialize()
-		if round == 0 {
-			if s.DeltaBytes() != s.Bytes() {
-				t.Fatalf("round 0 delta %d, want full %d", s.DeltaBytes(), s.Bytes())
-			}
-		} else if s.DeltaBytes() != 64 {
-			t.Fatalf("round %d delta %d, want only the 64 touched bytes", round, s.DeltaBytes())
+		bytes, delta := h.Handoff()
+		if bytes != h.ResidentBytes() {
+			t.Fatalf("round %d hands off %d bytes, want the resident %d", round, bytes, h.ResidentBytes())
 		}
-		heap = RestoreConsume(s)
-		hb := heap.Lookup(hotAddr)
-		hb.Words[0]++
-		hb.Touch()
+		if round == 0 {
+			if delta != bytes {
+				t.Fatalf("round 0 delta %d, want full %d", delta, bytes)
+			}
+		} else if delta != 64 {
+			t.Fatalf("round %d delta %d, want only the 64 touched bytes", round, delta)
+		}
+		hot.Words[0]++
+		hot.Touch()
 	}
-	if got := heap.Lookup(hotAddr).Words[0]; got != 5 {
-		t.Fatalf("hot cell %d after 4 rounds, want 5", got)
+	if hot.Words[0] != 5 || cold.Words[0] != 100 {
+		t.Fatalf("hot/cold cells %d/%d after 4 rounds, want 5/100", hot.Words[0], cold.Words[0])
 	}
-	if got := heap.Lookup(coldAddr).Words[0]; got != 100 {
-		t.Fatalf("cold cell corrupted: %d", got)
+
+	h.Handoff()
+	s := h.Serialize()
+	if s.DeltaBytes() != 0 {
+		t.Fatalf("checkpoint after a hand-off charged %d delta bytes, want 0", s.DeltaBytes())
+	}
+	if sameArray(s.Blocks[0].Words, hot.Words) {
+		t.Fatal("checkpoint shared the live array of a handed-off block")
+	}
+	hot.Words[0] = 9
+	if s.Blocks[0].Words[0] != 5 {
+		t.Fatalf("a live write reached the checkpoint: %d, want 5", s.Blocks[0].Words[0])
 	}
 }
 

@@ -82,16 +82,15 @@ type Heap struct {
 }
 
 type snapEntry struct {
-	gen   uint64
-	words []uint64 // nil for ballast and segment blocks
-	seg   *Segment // the captured view of a segment block, else nil
-	// aliased marks an entry whose words array IS the block's live
-	// payload (a zero-copy adoption by RestoreConsume). Such an array
-	// must never be shared into a snapshot — the rank may keep writing
-	// through it — but while the generation matches, its content is
-	// known-unchanged, so re-copying it costs a local memcpy and zero
-	// wire delta.
-	aliased bool
+	gen uint64
+	// words or seg is the payload the last Serialize captured, shared
+	// with that snapshot. Both are nil for ballast, and for a payload
+	// block a Handoff captured last: such an entry holds no copy, but
+	// while the generation matches the content is unchanged since the
+	// hand-off, so the next Serialize copies it locally and charges no
+	// delta.
+	words []uint64
+	seg   *Segment
 }
 
 // NewHeap returns an empty heap for virtual rank vp. vp must be within
@@ -277,10 +276,6 @@ type Snapshot struct {
 	Blocks []Block
 	// FreeSpans is the allocator's free list, address-ordered.
 	FreeSpans []FreeSpan
-	// fresh marks blocks whose words array was copied by this Serialize
-	// (as opposed to shared with an earlier snapshot); only a fresh
-	// array may be adopted zero-copy by RestoreConsume.
-	fresh []bool
 	// delta is the payload bytes that actually had to be copied: the
 	// incremental cost of this snapshot given the previous one.
 	delta uint64
@@ -304,18 +299,17 @@ func (s *Snapshot) Bytes() uint64 {
 // a heap has no predecessor, so its delta equals Bytes().
 func (s *Snapshot) DeltaBytes() uint64 { return s.delta }
 
-// Serialize captures the heap for migration or checkpoint. Snapshots
-// are incremental: a block untouched since the previous Serialize
-// shares that snapshot's words array instead of being copied again,
-// and all blocks that do need copying go through one pooled buffer.
-// The returned snapshot is immutable and remains valid after the heap
+// Serialize captures the heap for a checkpoint. Snapshots are
+// incremental: a block untouched since the previous Serialize shares
+// that snapshot's words array instead of being copied again, and all
+// blocks that do need copying go through one pooled buffer. The
+// returned snapshot is immutable and remains valid after the heap
 // changes or is discarded.
 func (h *Heap) Serialize() *Snapshot {
 	snap := &Snapshot{
 		VP:     h.vp,
 		Brk:    h.brk,
 		Blocks: make([]Block, 0, len(h.index)),
-		fresh:  make([]bool, len(h.index)),
 	}
 	if len(h.free) > 0 {
 		snap.FreeSpans = make([]FreeSpan, len(h.free))
@@ -327,43 +321,37 @@ func (h *Heap) Serialize() *Snapshot {
 		h.clean = make(map[*Block]snapEntry, len(h.index))
 	}
 	// One pooled buffer backs every payload copy this snapshot makes:
-	// dirty blocks, plus clean blocks whose cached array aliases the live
-	// payload (adopted by a prior RestoreConsume) — those are re-copied
-	// locally so the snapshot stays immutable, but charge no delta.
+	// dirty blocks, plus clean blocks whose entry holds no copy (a
+	// Handoff captured them last) — those are copied locally, but
+	// charge no delta.
 	var copyWords int
 	for _, b := range h.index {
-		if e, ok := h.clean[b]; !ok || e.gen != b.gen || e.aliased {
+		if e, ok := h.clean[b]; !ok || e.gen != b.gen || e.words == nil && e.seg == nil {
 			copyWords += b.payloadWords()
 		}
 	}
 	arena := make([]uint64, copyWords)
 	var reused, copied uint64
-	for i, b := range h.index {
+	for _, b := range h.index {
 		cp := Block{Addr: b.Addr, Size: b.Size, Label: b.Label, SharedBytes: b.SharedBytes}
 		e, cached := h.clean[b]
 		clean := cached && e.gen == b.gen
+		ballast := b.Words == nil && b.Seg == nil
 		switch {
-		case clean && !e.aliased:
+		case clean && (ballast || e.words != nil || e.seg != nil):
 			cp.Words, cp.Seg = e.words, e.seg
 			reused++
-		case b.Words == nil && b.Seg == nil:
-			if !clean {
-				h.clean[b] = snapEntry{gen: b.gen}
-				snap.fresh[i] = true
-				snap.delta += b.residentSpan()
-			}
+		case ballast:
+			h.clean[b] = snapEntry{gen: b.gen}
+			snap.delta += b.residentSpan()
 		default:
 			// A segment view copies only its materialised pages; the
 			// modelled delta below is still the whole block.
 			cp.Words, cp.Seg = carve(&arena, b.Words), b.Seg.clone(&arena)
 			copied++
 			h.clean[b] = snapEntry{gen: b.gen, words: cp.Words, seg: cp.Seg}
-			snap.fresh[i] = true
-			// A clean-but-aliased block's content is unchanged since the
-			// previous snapshot: the copy is a local memcpy, not wire
-			// bytes, so it contributes nothing to the delta. Shared spans
-			// are remapped by the destination, never sent, so they never
-			// count either.
+			// Shared spans are remapped by the destination, never sent,
+			// so they never count.
 			if !clean {
 				snap.delta += b.residentSpan()
 			}
@@ -383,18 +371,41 @@ func (h *Heap) Serialize() *Snapshot {
 	return snap
 }
 
-// restore reconstructs a heap from a snapshot at identical addresses.
-// With consume set, payloads the snapshot itself copied (fresh entries)
-// are adopted as the live payload and cached as aliased; every other
-// payload is copied through one pooled buffer. Either way the snapshot's
-// arrays seed the new heap's clean-block cache, so its own first
-// Serialize is already incremental.
-func restore(snap *Snapshot, consume bool) *Heap {
+// Handoff moves the heap to another process without copying it: every
+// block keeps its address there, so the migrated rank keeps this heap.
+// It returns what Serialize would report — bytes, the resident span of
+// every block, and delta, that of every block touched since the last
+// Serialize or Handoff — and advances those blocks' delta base without
+// capturing them (see snapEntry).
+func (h *Heap) Handoff() (bytes, delta uint64) {
+	if h.clean == nil {
+		h.clean = make(map[*Block]snapEntry, len(h.index))
+	}
+	for _, b := range h.index {
+		bytes += b.residentSpan()
+		if e, ok := h.clean[b]; !ok || e.gen != b.gen {
+			h.clean[b] = snapEntry{gen: b.gen}
+			delta += b.residentSpan()
+		}
+	}
+	if metrics.snapshots != nil {
+		metrics.snapshots.Inc()
+		metrics.fullBytes.Add(bytes)
+		metrics.deltaBytes.Add(delta)
+	}
+	return bytes, delta
+}
+
+// Restore reconstructs a heap from a snapshot. Addresses are preserved
+// exactly; this is what makes Isomalloc restart transparent to any
+// pointers held in the payload. The snapshot is not consumed: payloads
+// are copied through one pooled buffer, so it can be restored again or
+// kept as a checkpoint. Its arrays seed the new heap's clean-block
+// cache, so the heap's own first Serialize is already incremental.
+func Restore(snap *Snapshot) *Heap {
 	var total int
 	for i := range snap.Blocks {
-		if !(consume && snap.isFresh(i)) {
-			total += snap.Blocks[i].payloadWords()
-		}
+		total += snap.Blocks[i].payloadWords()
 	}
 	arena := make([]uint64, total)
 	h := NewHeap(snap.VP)
@@ -407,14 +418,8 @@ func restore(snap *Snapshot, consume bool) *Heap {
 		cp := &snap.Blocks[i]
 		nb := &structs[i]
 		*nb = *cp // gen is 0 in a snapshot block, matching the cache entry below
-		adopt := consume && snap.isFresh(i) && (cp.Words != nil || cp.Seg != nil)
-		if !adopt {
-			nb.Words, nb.Seg = carve(&arena, cp.Words), cp.Seg.clone(&arena)
-		}
-		// An adopted array is the live payload now, so its entry is
-		// aliased: never shared into a future snapshot, but delta-free
-		// while the generation holds.
-		h.clean[nb] = snapEntry{words: cp.Words, seg: cp.Seg, aliased: adopt}
+		nb.Words, nb.Seg = carve(&arena, cp.Words), cp.Seg.clone(&arena)
+		h.clean[nb] = snapEntry{words: cp.Words, seg: cp.Seg}
 		h.blocks[nb.Addr] = nb
 		h.index = append(h.index, nb) // snapshots are address-ordered
 		h.live += nb.Size
@@ -428,22 +433,3 @@ func restore(snap *Snapshot, consume bool) *Heap {
 	}
 	return h
 }
-
-// Restore reconstructs a heap from a snapshot. Addresses are preserved
-// exactly; this is what makes Isomalloc migration transparent to any
-// pointers held in the payload. The snapshot is not consumed: payloads
-// are copied, so it can be restored again or kept as a checkpoint.
-func Restore(snap *Snapshot) *Heap { return restore(snap, false) }
-
-// RestoreConsume reconstructs a heap from a snapshot that the caller
-// owns exclusively and is discarding along with the source heap — the
-// migration case. Payloads the snapshot itself copied (dirty blocks)
-// are adopted zero-copy: a later Serialize re-copies them locally but,
-// while untouched, charges them no wire delta — so a rank migrated every
-// load-balance round still only moves its dirty bytes. Arrays shared
-// with earlier snapshots are copied so those keepers stay immutable.
-// The snapshot must not be restored again or kept as a checkpoint
-// afterwards.
-func RestoreConsume(snap *Snapshot) *Heap { return restore(snap, true) }
-
-func (s *Snapshot) isFresh(i int) bool { return s.fresh != nil && s.fresh[i] }

@@ -2,26 +2,27 @@ package mem
 
 import "provirt/internal/obs"
 
-// Host-side snapshot instruments (package obs). Serialization is the
-// memory subsystem's hot path — every migration and checkpoint pays
-// it — and the incremental design's whole value is the gap between
-// full and delta bytes, which these counters make observable across a
-// run. Package-level with a nil default: an un-instrumented Serialize
-// pays one pointer comparison, the trace.Tracer discipline.
+// Host-side snapshot instruments (package obs). Every migration's
+// hand-off and every checkpoint's Serialize is a snapshot here, and the
+// incremental design's whole value is the gap between full and delta
+// bytes, which these counters make observable across a run.
+// Package-level with a nil default: an un-instrumented Serialize pays
+// one pointer comparison, the trace.Tracer discipline.
 type obsMetrics struct {
-	// snapshots counts Serialize calls; fullBytes/deltaBytes accumulate
-	// each snapshot's logical payload vs what actually changed since
-	// the previous snapshot (the incremental win is their ratio).
+	// snapshots counts Serialize and Handoff calls; fullBytes and
+	// deltaBytes accumulate each snapshot's logical payload vs what
+	// actually changed since the previous snapshot (the incremental win
+	// is their ratio).
 	snapshots  *obs.Counter
 	fullBytes  *obs.Counter
 	deltaBytes *obs.Counter
 	// blocksReused counts clean blocks whose payload was shared
 	// copy-on-write with the previous snapshot; blocksCopied counts
-	// dirty (or cache-aliased) blocks that went through the arena.
+	// dirty (or last handed off) blocks that went through the arena.
 	blocksReused *obs.Counter
 	blocksCopied *obs.Counter
 	// arenaBytes accumulates the bytes actually copied through the
-	// pooled snapshot arena.
+	// pooled snapshot arena; a hand-off copies none.
 	arenaBytes *obs.Counter
 	// pagesMaterialized counts 4 KiB pages a Segment view copied out of
 	// its base when Word first reached them; bytesShared accumulates the
@@ -44,7 +45,7 @@ func EnableObs(r *obs.Registry) {
 	}
 	metrics = obsMetrics{
 		snapshots: r.Counter("mem_snapshots_total",
-			"heap serializations (migrations + checkpoints)"),
+			"heap snapshots: checkpoint serializations, and migration hand-offs, which copy nothing into the arena"),
 		fullBytes: r.Counter("mem_snapshot_full_bytes_total",
 			"logical payload bytes across all snapshots"),
 		deltaBytes: r.Counter("mem_snapshot_delta_bytes_total",

@@ -60,6 +60,9 @@ type heapPair struct {
 	cow, flat *Heap
 	segAddr   uint64
 	small     []uint64 // addresses of live scratch blocks, same in both
+	// touched holds the addresses of blocks allocated or touched since
+	// the last Serialize, Handoff or Restore.
+	touched map[uint64]bool
 }
 
 // snapPair is a snapshot of both heaps plus the segment content it must
@@ -70,11 +73,13 @@ type snapPair struct {
 }
 
 func newHeapPair(t *testing.T, proc procPair) *heapPair {
-	p := &heapPair{t: t, cow: NewHeap(3), flat: NewHeap(3)}
+	p := &heapPair{t: t, cow: NewHeap(3), flat: NewHeap(3), touched: map[uint64]bool{}}
 	for _, h := range []*Heap{p.cow, p.flat} {
-		if _, err := h.AllocBallast(8192, "code"); err != nil {
+		b, err := h.AllocBallast(8192, "code")
+		if err != nil {
 			t.Fatal(err)
 		}
+		p.touched[b.Addr] = true
 	}
 	cb, err := p.cow.AllocSegment(proc.view, "data")
 	if err != nil {
@@ -89,7 +94,20 @@ func newHeapPair(t *testing.T, proc procPair) *heapPair {
 		t.Fatalf("segment block %+v does not mirror flat block %+v", cb, fb)
 	}
 	p.segAddr = cb.Addr
+	p.touched[cb.Addr] = true
 	return p
+}
+
+// touchedBytes is the resident span of the live blocks in touched: the
+// delta the next Serialize or Handoff must report.
+func (p *heapPair) touchedBytes() uint64 {
+	var n uint64
+	for addr := range p.touched {
+		if b := p.flat.Lookup(addr); b != nil && b.Addr == addr {
+			n += b.residentSpan()
+		}
+	}
+	return n
 }
 
 func (p *heapPair) seg() (*Block, *Block) {
@@ -113,12 +131,17 @@ func (p *heapPair) check(when string) {
 
 func (p *heapPair) serialize(when string) snapPair {
 	p.t.Helper()
+	want := p.touchedBytes()
+	clear(p.touched)
 	s := snapPair{cow: p.cow.Serialize(), flat: p.flat.Serialize()}
 	_, fb := p.seg()
 	s.want = append([]uint64(nil), fb.Words...)
 	if s.cow.Bytes() != s.flat.Bytes() || s.cow.DeltaBytes() != s.flat.DeltaBytes() {
 		p.t.Fatalf("%s: snapshot bytes/delta %d/%d, oracle %d/%d", when,
 			s.cow.Bytes(), s.cow.DeltaBytes(), s.flat.Bytes(), s.flat.DeltaBytes())
+	}
+	if s.flat.DeltaBytes() != want {
+		p.t.Fatalf("%s: delta %d, want the %d bytes touched since the last snapshot", when, s.flat.DeltaBytes(), want)
 	}
 	if !reflect.DeepEqual(s.cow.FreeSpans, s.flat.FreeSpans) || s.cow.Brk != s.flat.Brk {
 		p.t.Fatalf("%s: free spans %v brk %#x, oracle %v brk %#x", when,
@@ -156,7 +179,8 @@ func (s snapPair) check(t *testing.T, when string) {
 
 // FuzzSegmentView holds the whole chain of copy-on-write views — frozen
 // base, a process's view of it, a rank's fork of that, the rank's
-// snapshots, heaps restored from them — to the flat copies they replaced.
+// snapshots, heaps restored from them, hand-offs — to the flat copies
+// they replaced.
 // prefix picks how much of the base is initialised (prefixWords), so
 // the zero bulk the host never stores is read, forked and written too.
 // Each input byte pair is one operation on the views and their oracles;
@@ -196,10 +220,12 @@ func FuzzSegmentView(f *testing.F) {
 				*cb.Seg.Word(i), fb.Words[i] = uint64(n)<<8|uint64(arg), uint64(n)<<8|uint64(arg)
 				cb.Touch()
 				fb.Touch()
+				p.touched[p.segAddr] = true
 			case 1: // dirty without writing (a charge-only access batch)
 				cb, fb := p.seg()
 				cb.Touch()
 				fb.Touch()
+				p.touched[p.segAddr] = true
 			case 2: // checkpoint: serialize and keep
 				if len(kept) < 6 {
 					kept = append(kept, p.serialize("serialize"))
@@ -208,10 +234,19 @@ func FuzzSegmentView(f *testing.F) {
 				if len(kept) > 0 {
 					s := kept[arg%len(kept)]
 					p.cow, p.flat = Restore(s.cow), Restore(s.flat)
+					clear(p.touched)
 				}
-			case 4: // migrate: serialize, consume, discard
-				s := p.serialize("migrate")
-				p.cow, p.flat = RestoreConsume(s.cow), RestoreConsume(s.flat)
+			case 4: // migrate: hand the heaps off, keeping them
+				want := p.touchedBytes()
+				clear(p.touched)
+				cbytes, cdelta := p.cow.Handoff()
+				fbytes, fdelta := p.flat.Handoff()
+				if cbytes != fbytes || cdelta != fdelta || fbytes != p.flat.ResidentBytes() {
+					t.Fatalf("hand-off bytes/delta %d/%d, oracle %d/%d, resident %d", cbytes, cdelta, fbytes, fdelta, p.flat.ResidentBytes())
+				}
+				if fdelta != want {
+					t.Fatalf("hand-off delta %d, want the %d bytes touched since the last snapshot", fdelta, want)
+				}
 			case 5: // scratch allocation, so free lists and reuse take part
 				size := uint64(arg%7+1) * 16
 				cb, cerr := p.cow.Alloc(size, "scratch")
@@ -220,6 +255,7 @@ func FuzzSegmentView(f *testing.F) {
 					t.Fatalf("scratch alloc diverged: %v %v", cerr, ferr)
 				}
 				p.small = append(p.small, cb.Addr)
+				p.touched[cb.Addr] = true
 			case 6:
 				if len(p.small) > 0 {
 					k := arg % len(p.small)

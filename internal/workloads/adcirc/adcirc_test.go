@@ -139,9 +139,9 @@ func TestImageShape(t *testing.T) {
 // that each copy a 2 MiB data segment and 88 migrations that move
 // 1.5 GB, and the numbers below are that model's output, pinned from
 // the commit that still copied every one of those bytes on the host
-// (≈ 300 MB allocated). The host may allocate 2.5 MB: the ranks' TLS
-// blocks, heaps and migration payloads, with no per-variable cache for
-// cells that live in the TLS block and no second copy of a migrated one.
+// (≈ 300 MB allocated). The host may allocate 1.25 MB: the ranks' TLS
+// blocks and heaps, with no per-variable cache for cells that live in
+// the TLS block, and no copy of a migrated rank's heap or TLS block.
 func TestScalingPointHostCost(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -155,7 +155,7 @@ func TestScalingPointHostCost(t *testing.T) {
 		t.Errorf("migrations %d moved %d bytes (%d delta), pinned 88 / 1586196480 / 973434880",
 			w.Migrations, w.MigratedBytes, w.MigratedDeltaBytes)
 	}
-	const limit = 5 << 19 // 2.5 MiB
+	const limit = 5 << 18 // 1.25 MiB
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > limit {
 		t.Errorf("host allocated %.2f MB to build and run the world, limit %.1f MB", float64(alloc)/(1<<20), float64(limit)/(1<<20))
 	}
