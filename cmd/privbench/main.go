@@ -10,12 +10,12 @@
 //	privbench -spec examples/jacobi3d.json
 //
 // Every experiment is an entry in the harness registry;
-// `-experiment=list` enumerates them with their descriptions, the
-// flags they consume, and the trace-selection keys they honor, so
-// this help never drifts from the code. `-spec FILE|-` instead runs
-// the points of a `POST /v1/runs` body, {"spec":…} or {"points":[…]},
-// printing for each the workload's report and the row line the server
-// would store.
+// `-experiment=list` enumerates them with their descriptions and the
+// flags they consume, so this help never drifts from the code.
+// `-trace f -trace-point LABEL` traces the sweep point with that label
+// (e.g. cores=4,ratio=2). `-spec FILE|-` instead runs the points of a
+// `POST /v1/runs` body, {"spec":…} or {"points":[…]}, printing for each
+// the workload's report and the row line the server would store.
 package main
 
 import (
@@ -31,8 +31,6 @@ import (
 	"strings"
 	"time"
 
-	"provirt/internal/ampi"
-	"provirt/internal/core"
 	"provirt/internal/harness"
 	"provirt/internal/obs"
 	"provirt/internal/scenario"
@@ -63,23 +61,11 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	traceFile := flag.String("trace", "",
-		"write a virtual-time event trace of one sweep point to this file (requires a single traceable -experiment: "+
-			strings.Join(harness.TraceableNames(), ", ")+")")
+		"write a virtual-time event trace of one sweep point (see -trace-point) to this file (requires -spec or a single -experiment)")
 	traceFormat := flag.String("trace-format", "jsonl",
 		"trace file format: jsonl (one event per line, streamed to the file as the run goes unless -profile-ranks is set) or chrome (Perfetto-loadable trace-event JSON)")
-	traceMethod := flag.String("trace-method", "pieglobals",
-		"privatization method of the sweep point to trace (fig5/fig6/fig7/fig8/ftsweep)")
-	traceHeap := flag.Uint64("trace-heap", 1<<20,
-		"per-rank heap size in bytes of the fig8 point to trace")
-	traceCores := flag.Int("trace-cores", 1, "core count of the table2/fig9 point to trace")
-	traceRatio := flag.Int("trace-ratio", 1,
-		"virtualization ratio of the table2/fig9 point to trace (1 = unvirtualized baseline)")
-	traceMTBF := flag.Duration("trace-mtbf", 120*time.Millisecond,
-		"MTBF of the ftsweep point to trace")
-	traceTarget := flag.String("trace-target", "fs",
-		"checkpoint target of the ftsweep/elastic point to trace: fs or buddy")
-	traceChurn := flag.String("trace-churn", "spot-busy",
-		"churn regime name of the elastic point to trace (custom when -churn-rate is set)")
+	tracePoint := flag.String("trace-point", "",
+		"label of the sweep point -trace and -profile-ranks select: its swept values as key=value pairs, e.g. cores=4,ratio=2; empty selects the experiment's first point, and a label no point carries lists the experiment's labels")
 	profileRanks := flag.Bool("profile-ranks", false,
 		"print per-rank and per-PE virtual-time utilization profiles with a critical-path summary for the traced sweep point")
 	showMetrics := flag.Bool("metrics", false,
@@ -94,9 +80,12 @@ func main() {
 		"in-memory result index capacity for -serve (0 = the resultstore default; the disk store is unbounded)")
 	showVersion := flag.Bool("version", false, "print build and VCS information and exit")
 	flag.Parse()
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	tracing := *traceFile != "" || *profileRanks
 
-	// A value below a flag's range is refused before anything runs, never
-	// replaced by the flag's default.
+	// A value below a flag's range, or a flag nothing would read, is
+	// refused before anything runs, never replaced or ignored.
 	switch {
 	case *nodes < 1:
 		die(2, "-nodes must be >= 1, got %d", *nodes)
@@ -112,6 +101,12 @@ func main() {
 		die(2, "-cache-entries must be >= 0 (0 = the resultstore default), got %d", *cacheEntries)
 	case *churnNotice < 0:
 		die(2, "-churn-notice must be >= 0, got %v", *churnNotice)
+	case set["trace-point"] && !tracing:
+		die(2, "-trace-point needs -trace or -profile-ranks")
+	case set["trace-format"] && !tracing:
+		die(2, "-trace-format needs -trace or -profile-ranks")
+	case set["trace-point"] && *specFile != "":
+		die(2, "-trace-point selects an experiment's point; a -spec body's one point needs none")
 	}
 
 	if *showVersion {
@@ -156,7 +151,7 @@ func main() {
 		if points, err = readPoints(*specFile); err != nil {
 			die(2, "-spec: %v", err)
 		}
-		if (*traceFile != "" || *profileRanks) && len(points) != 1 {
+		if tracing && len(points) != 1 {
 			die(2, "-trace/-profile-ranks need a one-point -spec body, got %d points", len(points))
 		}
 	}
@@ -189,33 +184,19 @@ func main() {
 		}()
 	}
 
-	// Tracing selects exactly one sweep point of one experiment; the
-	// selection is resolved here, from flags, so it is concrete before
-	// any (possibly parallel) sweep starts. A JSONL trace nothing else
-	// reads streams to its file as the run goes; Chrome output and the
-	// profile need the whole event slice, so the recorder retains it.
+	// Tracing selects one sweep point of one experiment by its label,
+	// or a -spec body's one point. A JSONL trace nothing else reads
+	// streams to its file as the run goes; Chrome output and the profile
+	// need the whole event slice, so the recorder retains it.
 	var rec *trace.Recorder
 	var sel *harness.TraceSel
 	var traceOut *os.File // the file rec streams to, if it streams
-	if *traceFile != "" || *profileRanks {
-		if *specFile == "" && (len(selected) != 1 || len(selected[0].TraceKeys) == 0) {
-			die(2, "-trace/-profile-ranks need -spec, or -experiment to be one of %s (got %q)",
-				strings.Join(harness.TraceableNames(), ", "), *experiment)
+	if tracing {
+		if *specFile == "" && len(selected) != 1 {
+			die(2, "-trace/-profile-ranks need -spec or a single -experiment (got %q)", *experiment)
 		}
 		if *traceFormat != "jsonl" && *traceFormat != "chrome" {
 			die(2, "unknown -trace-format %q (want jsonl or chrome)", *traceFormat)
-		}
-		kind, err := core.ParseKind(*traceMethod)
-		if err != nil {
-			die(2, "-trace-method: %v", err)
-		}
-		var target ampi.CheckpointTarget
-		if err := target.UnmarshalText([]byte(*traceTarget)); err != nil {
-			die(2, "-trace-target: %v", err)
-		}
-		scaleVPs := *vps
-		if scaleVPs <= 0 {
-			scaleVPs = harness.DefaultScaleVPs
 		}
 		if *traceFile != "" && *traceFormat == "jsonl" && !*profileRanks {
 			if traceOut, err = os.Create(*traceFile); err != nil {
@@ -225,18 +206,7 @@ func main() {
 		} else {
 			rec = trace.NewRecorder()
 		}
-		sel = &harness.TraceSel{
-			Method: kind,
-			Nodes:  *nodes,
-			Heap:   *traceHeap,
-			Cores:  *traceCores,
-			Ratio:  *traceRatio,
-			MTBF:   sim.Time(*traceMTBF),
-			Target: target,
-			VPs:    scaleVPs,
-			Churn:  *traceChurn,
-			Rec:    rec,
-		}
+		sel = &harness.TraceSel{Point: *tracePoint, Rec: rec}
 	}
 
 	// Host metrics piggyback on the runs: instruments observe the host
@@ -286,7 +256,12 @@ func main() {
 			if traceOut != nil {
 				os.Remove(*traceFile)
 			}
-			die(1, "trace selection matched no run (check the trace flags against the experiment's sweep; -experiment=list names its trace keys)")
+			labels := ""
+			for _, l := range sel.Offered {
+				labels += "\n  " + l
+			}
+			die(1, "trace selection %q matched no run; the experiment ran %d labelled points%s",
+				*tracePoint, len(sel.Offered), labels)
 		}
 		if traceOut == nil && *traceFile != "" {
 			err = writeTrace(*traceFile, *traceFormat, rec.Events())
@@ -395,8 +370,8 @@ func printVersion() {
 }
 
 // listExperiments prints the registry: one line per experiment with
-// its aliases, the extra flags it reads, and its trace keys. Output is
-// sorted by name so it never leaks registry iteration order.
+// its aliases and the extra flags it reads. Output is sorted by name so
+// it never leaks registry iteration order.
 func listExperiments() {
 	exps := harness.Experiments()
 	sort.Slice(exps, func(i, j int) bool { return exps[i].Name < exps[j].Name })
@@ -407,15 +382,8 @@ func listExperiments() {
 			name += " (alias " + strings.Join(e.Aliases, ", ") + ")"
 		}
 		fmt.Printf("  %-24s %s\n", name, e.Description)
-		var notes []string
-		for _, f := range e.Flags {
-			notes = append(notes, "-"+f)
-		}
-		if len(e.TraceKeys) > 0 {
-			notes = append(notes, "traceable by "+strings.Join(e.TraceKeys, "/"))
-		}
-		if len(notes) > 0 {
-			fmt.Printf("  %-24s %s\n", "", strings.Join(notes, "; "))
+		if len(e.Flags) > 0 {
+			fmt.Printf("  %-24s -%s\n", "", strings.Join(e.Flags, "; -"))
 		}
 	}
 }

@@ -116,15 +116,16 @@ func privbench(t *testing.T, stdin, args string) (string, string, int) {
 }
 
 // A trace selection no sweep point matches must exit 1 after printing
-// the figure, and remove the file it opened to stream into.
+// the figure, list the labels the experiment offered, and remove the
+// file it opened to stream into.
 func TestUnmatchedTraceLeavesNoFile(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "n.jsonl")
-	stdout, stderr, code := privbench(t, "", "-experiment fig5 -trace-method swapglobals -trace "+out)
+	stdout, stderr, code := privbench(t, "", "-experiment fig5 -trace-point method=swapglobals,nodes=1 -trace "+out)
 	if code != 1 {
 		t.Fatalf("privbench with an unmatched trace: exit status %d, want 1", code)
 	}
-	if !strings.Contains(stderr, "matched no run") {
-		t.Errorf("stderr does not say the selection matched no run: %q", stderr)
+	if !strings.Contains(stderr, "matched no run") || !strings.Contains(stderr, "\n  method=pieglobals,nodes=1\n") {
+		t.Errorf("stderr does not say the selection matched no run and list the labels: %q", stderr)
 	}
 	if !strings.Contains(stdout, "Figure 5") {
 		t.Errorf("stdout does not carry the figure: %q", stdout)
@@ -145,7 +146,9 @@ func TestBadFlagValuesAreRefused(t *testing.T) {
 		{"-serve-workers", "-experiment fig5 -serve-workers -1"},
 		{"-cache-entries", "-experiment fig5 -cache-entries -1"},
 		{"-churn-notice", "-experiment elastic -churn-rate 50ms -churn-notice -1ms"},
-		{"-trace-target", "-experiment ftsweep -profile-ranks -trace-target disk"},
+		{"-trace-point", "-experiment fig5 -trace-point method=none,nodes=1"},
+		{"-trace-format", "-experiment fig5 -trace-format chrome"},
+		{"-trace-point", "-spec - -profile-ranks -trace-point method=none"},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
 			stdout, stderr, code := privbench(t, "", tc.args)
@@ -283,8 +286,8 @@ func TestSpecRefusesWhatTheServerRefuses(t *testing.T) {
 	}
 }
 
-// -trace-target is read by ampi.CheckpointTarget's text codec, the one
-// a Spec document's checkpoint target goes through.
+// A Spec document's checkpoint target goes through
+// ampi.CheckpointTarget's text codec.
 func TestParseTarget(t *testing.T) {
 	for in, want := range map[string]ampi.CheckpointTarget{"fs": ampi.TargetFS, "buddy": ampi.TargetBuddy} {
 		var got ampi.CheckpointTarget

@@ -55,23 +55,20 @@ func AdcircScaling(o Opts, cfg adcirc.Config, cores []int) ([]AdcircRow, *trace.
 	stride := 1 + len(ratios)
 	unbalanced := cfg
 	unbalanced.LBPeriod = 0
-	point := func(c, ratio int, acfg adcirc.Config, balancer lb.Strategy) scenario.Spec {
-		return scenario.Spec{
+	at := func(c, ratio int, acfg adcirc.Config, balancer lb.Strategy) point {
+		return point{fmt.Sprintf("cores=%d,ratio=%d", c, ratio), scenario.Spec{
 			Machine:  machineShape(1, 1, c),
 			VPs:      c * ratio,
 			Method:   core.KindPIEglobals,
 			Program:  adcirc.New(acfg, nil),
 			Balancer: balancer,
-			Tracer: o.tracerFor(func(ts *TraceSel) bool {
-				return ts.Cores == c && ts.Ratio == ratio
-			}),
-		}
+		}}
 	}
-	specs := make([]scenario.Spec, 0, len(cores)*stride)
+	specs := make([]point, 0, len(cores)*stride)
 	for _, c := range cores {
-		specs = append(specs, point(c, 1, unbalanced, nil))
+		specs = append(specs, at(c, 1, unbalanced, nil))
 		for _, ratio := range ratios {
-			specs = append(specs, point(c, ratio, cfg, lb.GreedyRefineLB{}))
+			specs = append(specs, at(c, ratio, cfg, lb.GreedyRefineLB{}))
 		}
 	}
 	points, err := run(o, specs)

@@ -67,26 +67,18 @@ func TestFig9ParallelSweepIsDeterministic(t *testing.T) {
 // identical at every worker count. The scale experiment is the one
 // that actually shards (flat world, per-PE domains); pinning it here
 // is the harness-level end of the byte-identity chain that starts at
-// sim.TestParallelEngineMatchesSerial. The host-measured gauge fields
-// (HostBuildBytesPerRank, HostPeakBytesPerRank) observe the
-// simulator's own heap — which legitimately grows with the engine's
-// shards — and are already excluded from the rendered table; the
-// comparison zeroes them for the same reason.
+// sim.TestParallelEngineMatchesSerial.
 func TestScaleSimWorkersIsDeterministic(t *testing.T) {
 	const vps = 2048
 	run := func(workers int) (string, string, []byte) {
 		rec := trace.NewRecorder(append(trace.DefaultKinds(), trace.KindEngineEvent)...)
 		o := harness.Opts{
 			SimWorkers: workers,
-			Trace:      &harness.TraceSel{VPs: vps, Rec: rec},
+			Trace:      &harness.TraceSel{Point: "vps=2048", Rec: rec},
 		}
 		rows, tbl, err := harness.ScaleExperiment(o, vps)
 		if err != nil {
 			t.Fatal(err)
-		}
-		for i := range rows {
-			rows[i].HostBuildBytesPerRank = 0
-			rows[i].HostPeakBytesPerRank = 0
 		}
 		return fmt.Sprintf("%#v", rows), tbl.String(), jsonl(t, rec)
 	}

@@ -110,11 +110,8 @@ func CustomChurnRegime(seed uint64, rate, notice sim.Time) ElasticRegime {
 // method/target combo weathers the identical schedule — an
 // equal-footing comparison, and trivially identical at any sweep
 // parallelism.
-func elasticSpec(o Opts, kind core.Kind, target ampi.CheckpointTarget, regime ElasticRegime) scenario.Spec {
+func elasticSpec(kind core.Kind, target ampi.CheckpointTarget, regime ElasticRegime) scenario.Spec {
 	sp := checkpointedJob(elNodes, elVPs, kind)
-	sp.Tracer = o.tracerFor(func(ts *TraceSel) bool {
-		return ts.Method == kind && ts.Target == target && ts.Churn == regime.Name
-	})
 	sp.Checkpoint = &ampi.CheckpointPolicy{Target: target, Dir: elDir, Interval: elInterval}
 	sp.Churn = &regime.Churn
 	return sp
@@ -136,13 +133,16 @@ func ElasticSweep(o Opts, regimes []ElasticRegime) ([]ElasticRow, *trace.Table, 
 	rows := make([]ElasticRow, len(regimes)*len(kinds)*len(targets))
 	// Two runs per point: the churn-free, checkpoint-free baseline, then
 	// the elastic run.
-	specs := make([]scenario.Spec, 0, 2*len(rows))
+	specs := make([]point, 0, 2*len(rows))
 	for i := range rows {
 		regime := regimes[i/(len(kinds)*len(targets))]
 		kind := kinds[i/len(targets)%len(kinds)]
 		target := targets[i%len(targets)]
 		rows[i] = ElasticRow{Method: kind, Target: target, Regime: regime.Name}
-		specs = append(specs, checkpointedJob(elNodes, elVPs, kind), elasticSpec(o, kind, target, regime))
+		label := fmt.Sprintf("method=%s,target=%s,churn=%s", kind, target, regime.Name)
+		specs = append(specs,
+			point{label + ",run=baseline", checkpointedJob(elNodes, elVPs, kind)},
+			point{label, elasticSpec(kind, target, regime)})
 	}
 	points, err := run(o, specs)
 	if err != nil {

@@ -22,10 +22,7 @@ func TestElasticSweepIsDeterministic(t *testing.T) {
 		rec := trace.NewRecorder(append(trace.DefaultKinds(), trace.KindEngineEvent)...)
 		o := harness.Opts{
 			Parallelism: par,
-			Trace: &harness.TraceSel{
-				Method: core.KindPIEglobals, Target: ampi.TargetFS,
-				Churn: "spot-busy", Rec: rec,
-			},
+			Trace:       &harness.TraceSel{Point: "method=pieglobals,target=fs,churn=spot-busy", Rec: rec},
 		}
 		rows, tbl, err := harness.ElasticSweep(o, nil)
 		if err != nil {

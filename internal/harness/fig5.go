@@ -20,22 +20,19 @@ type Fig5Row struct {
 	VsBaseline float64
 }
 
-// fig5Specs is one node count's points: every method with 8 virtual
+// fig5Points is one node count's points: every method with 8 virtual
 // ranks per process.
-func fig5Specs(o Opts, nodes int) []scenario.Spec {
-	var specs []scenario.Spec
+func fig5Points(nodes int) []point {
+	var points []point
 	for _, kind := range Fig5Methods() {
-		specs = append(specs, scenario.Spec{
+		points = append(points, point{fmt.Sprintf("method=%s,nodes=%d", kind, nodes), scenario.Spec{
 			Machine: machineShape(nodes, 1, 1),
 			VPs:     nodes * 8, // 8x virtualization per process
 			Method:  kind,
 			Program: synth.Empty(),
-			Tracer: o.tracerFor(func(ts *TraceSel) bool {
-				return ts.Method == kind && ts.Nodes == nodes
-			}),
-		})
+		}})
 	}
-	return specs
+	return points
 }
 
 // Fig5Startup measures AMPI initialization time for each method with 8
@@ -46,7 +43,7 @@ func Fig5Startup(o Opts, nodes int) ([]Fig5Row, *trace.Table, error) {
 	if nodes <= 0 {
 		nodes = 1
 	}
-	points, err := run(o, fig5Specs(o, nodes))
+	points, err := run(o, fig5Points(nodes))
 	if err != nil {
 		return nil, nil, fmt.Errorf("fig5: %w", err)
 	}
@@ -79,12 +76,12 @@ func Fig5Scaling(o Opts) (*trace.Table, error) {
 	nodeCounts := []int{1, 2, 4, 8}
 	methods := Fig5Methods()
 	headers := []string{"Method"}
-	var specs []scenario.Spec
+	var all []point
 	for _, n := range nodeCounts {
 		headers = append(headers, fmt.Sprintf("%d node(s)", n))
-		specs = append(specs, fig5Specs(o, n)...)
+		all = append(all, fig5Points(n)...)
 	}
-	points, err := run(o, specs)
+	points, err := run(o, all)
 	if err != nil {
 		return nil, fmt.Errorf("fig5scale: %w", err)
 	}

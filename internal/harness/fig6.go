@@ -35,15 +35,14 @@ func Fig6Methods() []core.Kind {
 // switches) for each method and reports mean switch time (Fig. 6).
 func Fig6ContextSwitch(o Opts) ([]Fig6Row, *trace.Table, error) {
 	methods := Fig6Methods()
-	specs := make([]scenario.Spec, len(methods))
+	specs := make([]point, len(methods))
 	for i, kind := range methods {
-		specs[i] = scenario.Spec{
+		specs[i] = point{"method=" + kind.String(), scenario.Spec{
 			Machine: machineShape(1, 1, 1),
 			VPs:     2,
 			Method:  kind,
 			Program: synth.Ping(),
-			Tracer:  o.tracerFor(func(ts *TraceSel) bool { return ts.Method == kind }),
-		}
+		}}
 	}
 	points, err := run(o, specs)
 	if err != nil {

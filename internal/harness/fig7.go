@@ -30,15 +30,14 @@ func Fig7Methods() []core.Kind { return Fig5Methods() }
 func Fig7JacobiAccess(o Opts) ([]Fig7Row, *trace.Table, error) {
 	cfg := jacobi.Config{NX: 32, NY: 32, NZ: 32, Iters: 20, AccessesPerCell: 6, FlopsPerCell: 8}
 	methods := Fig7Methods()
-	specs := make([]scenario.Spec, len(methods))
+	specs := make([]point, len(methods))
 	for i, kind := range methods {
-		specs[i] = scenario.Spec{
+		specs[i] = point{"method=" + kind.String(), scenario.Spec{
 			Machine: machineShape(1, 1, 4),
 			VPs:     4,
 			Method:  kind,
 			Program: jacobi.New(cfg, nil),
-			Tracer:  o.tracerFor(func(ts *TraceSel) bool { return ts.Method == kind }),
-		}
+		}}
 	}
 	points, err := run(o, specs)
 	if err != nil {

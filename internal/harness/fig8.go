@@ -36,10 +36,10 @@ func Fig8Migration(o Opts) ([]Fig8Row, *trace.Table, error) {
 	// Flatten the (heap size x method) grid into independent points.
 	heaps := Fig8HeapSizes()
 	kinds := []core.Kind{core.KindTLSglobals, core.KindPIEglobals}
-	var specs []scenario.Spec
+	var specs []point
 	for _, heap := range heaps {
 		for _, kind := range kinds {
-			specs = append(specs, scenario.Spec{
+			specs = append(specs, point{fmt.Sprintf("method=%s,heap=%d", kind, heap), scenario.Spec{
 				Machine: machineShape(2, 1, 1),
 				VPs:     1,
 				Method:  kind,
@@ -53,10 +53,7 @@ func Fig8Migration(o Opts) ([]Fig8Row, *trace.Table, error) {
 					},
 				},
 				Balancer: lb.RotateLB{},
-				Tracer: o.tracerFor(func(ts *TraceSel) bool {
-					return ts.Method == kind && ts.Heap == heap
-				}),
-			})
+			}})
 		}
 	}
 	points, err := run(o, specs)

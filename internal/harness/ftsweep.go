@@ -78,15 +78,18 @@ func ftSeed(kind core.Kind, target ampi.CheckpointTarget, mtbf sim.Time) uint64 
 	return 0x9e3779b97f4a7c15 ^ uint64(kind)<<40 ^ uint64(target)<<32 ^ uint64(mtbf)
 }
 
+// ftLabel names a point's supervised run; its two measurements add
+// ",run=baseline" and ",run=every".
+func ftLabel(r *FTRow) string {
+	return fmt.Sprintf("method=%s,target=%s,mtbf=%v", r.Method, r.Target, r.MTBF)
+}
+
 // ftSupervisedSpec is a point's supervised run, given the Daly interval
 // and baseline its two measurements produced: checkpointing at the
 // interval (off when Daly says so) under the point's seeded crash
 // process, sampled out to four baselines.
-func ftSupervisedSpec(o Opts, kind core.Kind, target ampi.CheckpointTarget, mtbf, interval, baseline sim.Time) scenario.Spec {
+func ftSupervisedSpec(kind core.Kind, target ampi.CheckpointTarget, mtbf, interval, baseline sim.Time) scenario.Spec {
 	sp := checkpointedJob(ftNodes, ftVPs, kind)
-	sp.Tracer = o.tracerFor(func(ts *TraceSel) bool {
-		return ts.Method == kind && ts.Target == target && ts.MTBF == mtbf
-	})
 	if interval > 0 {
 		sp.Checkpoint = &ampi.CheckpointPolicy{Target: target, Dir: ftDir, Interval: interval}
 	}
@@ -112,7 +115,7 @@ func FTSweep(o Opts, mtbfs []sim.Time) ([]FTRow, *trace.Table, error) {
 	// checkpointing, and the same job snapshotting at every iteration
 	// boundary — the slowdown per snapshot is Daly's C for this method
 	// and target.
-	measure := make([]scenario.Spec, 0, 2*len(rows))
+	measure := make([]point, 0, 2*len(rows))
 	for i := range rows {
 		rows[i] = FTRow{
 			MTBF:   mtbfs[i/(len(kinds)*len(targets))],
@@ -121,7 +124,9 @@ func FTSweep(o Opts, mtbfs []sim.Time) ([]FTRow, *trace.Table, error) {
 		}
 		every := checkpointedJob(ftNodes, ftVPs, rows[i].Method)
 		every.Checkpoint = &ampi.CheckpointPolicy{Target: rows[i].Target, Dir: ftDir, Interval: 1}
-		measure = append(measure, checkpointedJob(ftNodes, ftVPs, rows[i].Method), every)
+		measure = append(measure,
+			point{ftLabel(&rows[i]) + ",run=baseline", checkpointedJob(ftNodes, ftVPs, rows[i].Method)},
+			point{ftLabel(&rows[i]) + ",run=every", every})
 	}
 	measured, err := run(o, measure)
 	if err != nil {
@@ -129,7 +134,7 @@ func FTSweep(o Opts, mtbfs []sim.Time) ([]FTRow, *trace.Table, error) {
 	}
 	// The supervised runs: Daly-interval checkpointing under a seeded
 	// crash process whose horizon generously covers the job.
-	supervised := make([]scenario.Spec, len(rows))
+	supervised := make([]point, len(rows))
 	for i := range rows {
 		r := &rows[i]
 		base, every := measured[2*i], measured[2*i+1]
@@ -139,7 +144,7 @@ func FTSweep(o Opts, mtbfs []sim.Time) ([]FTRow, *trace.Table, error) {
 			ckCost = (t - r.Baseline) / sim.Time(every.Checkpoints)
 		}
 		r.Interval = ft.DalyInterval(ckCost, r.MTBF)
-		supervised[i] = ftSupervisedSpec(o, r.Method, r.Target, r.MTBF, r.Interval, r.Baseline)
+		supervised[i] = point{ftLabel(r), ftSupervisedSpec(r.Method, r.Target, r.MTBF, r.Interval, r.Baseline)}
 	}
 	results, err := run(o, supervised)
 	if err != nil {

@@ -6,8 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"provirt/internal/ampi"
-	"provirt/internal/core"
 	"provirt/internal/harness"
 	"provirt/internal/sim"
 	"provirt/internal/trace"
@@ -50,11 +48,7 @@ func TestFaultTracedRunMatchesUntraced(t *testing.T) {
 		return fmt.Sprintf("%#v", rows), tbl.String()
 	}
 	plainRows, plainTbl := run(harness.Opts{})
-	o, rec := tracing(0, harness.TraceSel{
-		Method: core.KindTLSglobals,
-		Target: ampi.TargetFS,
-		MTBF:   120 * time.Millisecond,
-	})
+	o, rec := tracing(0, "method=tlsglobals,target=fs,mtbf=120ms")
 	tracedRows, tracedTbl := run(o)
 	if rec.Len() == 0 {
 		t.Fatal("trace selection matched no ftsweep run")
@@ -82,13 +76,8 @@ func TestFaultTracedRunMatchesUntraced(t *testing.T) {
 }
 
 func TestFTSweepTraceBytesParallelismInvariant(t *testing.T) {
-	sel := harness.TraceSel{
-		Method: core.KindPIEglobals,
-		Target: ampi.TargetBuddy,
-		MTBF:   120 * time.Millisecond,
-	}
 	capture := func(par int) []byte {
-		o, rec := tracing(par, sel)
+		o, rec := tracing(par, "method=pieglobals,target=buddy,mtbf=120ms")
 		if _, _, err := harness.FTSweep(o, ftTestMTBFs()); err != nil {
 			t.Fatal(err)
 		}

@@ -19,11 +19,9 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"provirt/internal/ampi"
 	"provirt/internal/core"
 	"provirt/internal/machine"
 	"provirt/internal/scenario"
-	"provirt/internal/sim"
 	"provirt/internal/trace"
 )
 
@@ -37,8 +35,8 @@ type Opts struct {
 	// bit-identical at any setting; 1 is serial and values <= 0 select
 	// every available core.
 	Parallelism int
-	// Trace selects exactly one sweep point of the experiment to
-	// trace; nil runs untraced.
+	// Trace selects one sweep point of the experiment to trace; nil
+	// runs untraced.
 	Trace *TraceSel
 	// SimWorkers is how many workers the scale experiment's flat world
 	// spreads its lookahead domains across (sim.ParallelEngine), with
@@ -47,38 +45,51 @@ type Opts struct {
 	SimWorkers int
 }
 
+// point is one Spec run executes and the label that names it: its
+// swept values as key=value pairs, such as "cores=4,ratio=2" or
+// "method=pieglobals,target=fs,churn=spot-busy".
+type point struct {
+	label string
+	spec  scenario.Spec
+}
+
 // run is the harness's one fan-out: Opts.Parallelism workers, the
-// calling goroutine among them, take the Specs in index
-// order and fill their rows in place. Every point runs even after one
-// fails, and the lowest-indexed error is returned, so neither rows nor
-// error depend on scheduling. It consumes specs: each one's program is
-// released, like its world, as soon as its row is in hand.
-func run(o Opts, specs []scenario.Spec) ([]scenario.Row, error) {
+// calling goroutine among them, take the points in index order and
+// fill their rows in place. Before any starts, it offers every label
+// to the trace selection and attaches the recorder to the one selected,
+// so the attach never depends on scheduling. Every point runs even
+// after one fails, and the lowest-indexed error, named by its label, is
+// returned, so neither rows nor error depend on scheduling. It consumes
+// points: each one's program is released, like its world, as soon as
+// its row is in hand.
+func run(o Opts, points []point) ([]scenario.Row, error) {
+	for i := range points {
+		points[i].spec.Tracer = o.Trace.tracer(points[i].label)
+	}
 	workers := o.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	rows := make([]scenario.Row, len(specs))
-	errs := make([]error, len(specs))
+	rows := make([]scenario.Row, len(points))
+	errs := make([]error, len(points))
 	var next atomic.Int64
 	work := func() {
 		for {
 			i := int(next.Add(1)) - 1
-			if i >= len(specs) {
+			if i >= len(points) {
 				return
 			}
-			sp := &specs[i]
-			row, _, err := sp.Execute()
+			p := &points[i]
+			row, _, err := p.spec.Execute()
 			if err != nil {
-				errs[i] = fmt.Errorf("%s, %d VPs on %dx%dx%d: %w", sp.Method, sp.VPs,
-					sp.Machine.Nodes, sp.Machine.ProcsPerNode, sp.Machine.PEsPerProc, err)
+				errs[i] = fmt.Errorf("%s: %w", p.label, err)
 			} else {
-				rows[i], *sp = row, scenario.Spec{}
+				rows[i], p.spec = row, scenario.Spec{}
 			}
 		}
 	}
 	var wg sync.WaitGroup
-	for range min(workers, len(specs)) - 1 {
+	for range min(workers, len(points)) - 1 {
 		wg.Add(1)
 		go func() { defer wg.Done(); work() }()
 	}
@@ -92,45 +103,34 @@ func run(o Opts, specs []scenario.Spec) ([]scenario.Row, error) {
 	return rows, nil
 }
 
-// TraceSel selects exactly one sweep point of an experiment to trace.
-// Each experiment matches only the fields it sweeps (its registry
-// entry's TraceKeys) and attaches the tracer to the single Spec that
-// matches exactly. The match is a pure function of the configuration,
-// never of scheduling order, so the recorded trace is byte-identical
-// between serial and parallel sweeps and the untraced points run
-// exactly as if no selection existed.
-//
-// The caller must make the selection unique for the experiment it
-// runs (e.g. set Nodes when tracing inside Fig5Scaling): a selection
-// that matched two concurrently-running worlds would interleave their
-// events in one recorder.
+// TraceSel selects one sweep point of an experiment to trace by its
+// label. The match is a pure function of the configuration, never of
+// scheduling order, so the recorded trace is byte-identical between
+// serial and parallel sweeps and the untraced points run exactly as if
+// no selection existed. An experiment's labels are unique, so the
+// recorder never sees two worlds. A TraceSel serves one experiment run
+// at a time.
 type TraceSel struct {
-	Method core.Kind // fig5/6/7/8, ftsweep, elastic
-	Nodes  int       // fig5
-	Heap   uint64    // fig8: per-rank heap size in bytes
-	// Cores and Ratio select the table2/fig9 point; Ratio 1 is the
-	// unvirtualized baseline.
-	Cores int
-	Ratio int
-	// MTBF and Target select the ftsweep point, whose supervised run is
-	// captured across all of its attempts; Target and Churn (the regime's
-	// name) select the elastic point.
-	MTBF   sim.Time
-	Target ampi.CheckpointTarget
-	Churn  string
-	VPs    int // scale
+	// Point is the label of the point to trace; empty selects the
+	// experiment's first point.
+	Point string
 	// Rec receives the selected point's events, retained or streamed
 	// as the caller built it.
 	Rec *trace.Recorder
+	// Offered lists, in order, the label of every point the experiment
+	// ran, for a launcher to name them when Point matched none.
+	Offered []string
 }
 
-// tracerFor returns the selection's recorder when match reports the
-// sweep point is the selected one, else a nil Tracer; figures call it
-// while building their Specs, so the attach is part of the description
-// run executes.
-func (o Opts) tracerFor(match func(*TraceSel) bool) trace.Tracer {
-	ts := o.Trace
-	if ts == nil || ts.Rec == nil || !match(ts) {
+// tracer offers label to the selection and returns its recorder when
+// label is the selected point, else a nil Tracer.
+func (ts *TraceSel) tracer(label string) trace.Tracer {
+	if ts == nil {
+		return nil
+	}
+	selected := label == ts.Point || ts.Point == "" && len(ts.Offered) == 0
+	ts.Offered = append(ts.Offered, label)
+	if ts.Rec == nil || !selected {
 		return nil // never a typed nil: hooks test the interface
 	}
 	return ts.Rec

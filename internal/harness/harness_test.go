@@ -11,6 +11,7 @@ import (
 	"provirt/internal/elf"
 	"provirt/internal/harness"
 	"provirt/internal/machine"
+	"provirt/internal/scenario"
 	"provirt/internal/workloads/adcirc"
 	"provirt/internal/workloads/synth"
 )
@@ -277,6 +278,20 @@ func TestMemoryFootprintShape(t *testing.T) {
 	}
 	if by["pieglobals+sharedcode"] >= by["pieglobals"]-(13<<20) {
 		t.Errorf("shared-code option saved too little: %d vs %d", by["pieglobals+sharedcode"], by["pieglobals"])
+	}
+}
+
+// A memory variant sets MethodImpl and leaves Method zero, so a failing
+// point is named by its label, never as the zero method.
+func TestFailingPointIsNamedByItsLabel(t *testing.T) {
+	err := harness.RunPoint("method=pieglobals+sharedcode", scenario.Spec{
+		Machine:    machine.Config{Nodes: 1, ProcsPerNode: 1, PEsPerProc: 1},
+		VPs:        1,
+		MethodImpl: core.NewPIEglobals(core.PIEOptions{ShareCodePages: true}),
+		Program:    &ampi.Program{Image: synth.EmptyImage(), Main: func(*ampi.Rank) { panic("variant fails") }},
+	})
+	if err == nil || !strings.HasPrefix(err.Error(), "method=pieglobals+sharedcode: ") {
+		t.Fatalf("error %v, want it named method=pieglobals+sharedcode", err)
 	}
 }
 

@@ -39,14 +39,14 @@ func MemoryFootprint(o Opts) ([]MemoryRow, *trace.Table, error) {
 		{"pieglobals+sharedcode", core.NewPIEglobals(core.PIEOptions{ShareCodePages: true})},
 		{"pieglobals+sharedcode+cow", core.NewPIEglobals(core.PIEOptions{ShareCodePages: true, ShareROData: true})},
 	}
-	specs := make([]scenario.Spec, len(variants))
+	specs := make([]point, len(variants))
 	for i, v := range variants {
-		specs[i] = scenario.Spec{
+		specs[i] = point{"method=" + v.name, scenario.Spec{
 			Machine:    machineShape(1, 1, 1),
 			VPs:        1,
 			MethodImpl: v.method,
 			Program:    &ampi.Program{Image: adcirc.Image(), Main: func(r *ampi.Rank) {}},
-		}
+		}}
 	}
 	points, err := run(o, specs)
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"provirt/internal/core"
 	"provirt/internal/harness"
 	"provirt/internal/obs"
 	"provirt/internal/sim"
@@ -49,22 +48,21 @@ func TestObsLeavesRowsAndTracesBitIdentical(t *testing.T) {
 	run := func(o harness.Opts) capture {
 		var c capture
 
-		fo, fig5Rec := tracing(o.Parallelism, harness.TraceSel{Method: core.KindPIEglobals, Nodes: 2})
+		fo, fig5Rec := tracing(o.Parallelism, "method=pieglobals,nodes=2")
 		rows5, tbl5, err := harness.Fig5Startup(fo, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		c.fig5Rows, c.fig5Tbl, c.fig5Trace = fmt.Sprintf("%#v", rows5), tbl5.String(), jsonl(t, fig5Rec)
 
-		eo, fig8Rec := tracing(o.Parallelism, harness.TraceSel{Method: core.KindTLSglobals, Heap: 1 << 20})
+		eo, fig8Rec := tracing(o.Parallelism, "method=tlsglobals,heap=1048576")
 		rows8, tbl8, err := harness.Fig8Migration(eo)
 		if err != nil {
 			t.Fatal(err)
 		}
 		c.fig8Rows, c.fig8Tbl, c.fig8Trace = fmt.Sprintf("%#v", rows8), tbl8.String(), jsonl(t, fig8Rec)
 
-		to, ftRec := tracing(o.Parallelism, harness.TraceSel{
-			Method: core.KindPIEglobals, MTBF: ftMTBFs()[0], Target: 0})
+		to, ftRec := tracing(o.Parallelism, "method=pieglobals,target=fs,mtbf=120ms")
 		rowsFT, tblFT, err := harness.FTSweep(to, ftMTBFs())
 		if err != nil {
 			t.Fatal(err)

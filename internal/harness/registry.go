@@ -49,9 +49,6 @@ type Experiment struct {
 	// Flags names the launcher flags the experiment consumes beyond
 	// the cross-cutting ones (parallelism, tracing, profiles).
 	Flags []string `json:"flags,omitempty"`
-	// TraceKeys names the TraceSel fields that select a sweep point;
-	// an experiment that names none ignores Opts.Trace.
-	TraceKeys []string `json:"trace_keys,omitempty"`
 	// Run executes the experiment.
 	Run func(RunOpts) (Result, error) `json:"-"`
 }
@@ -70,13 +67,11 @@ var registry = []Experiment{
 		Name:        "fig5",
 		Description: "Fig. 5: startup time per privatization method at one node count",
 		Flags:       []string{"nodes"},
-		TraceKeys:   []string{"method", "nodes"},
 		Run:         func(r RunOpts) (Result, error) { return result(Fig5Startup(r.Opts, r.Nodes)) },
 	},
 	{
 		Name:        "fig5scale",
 		Description: "Fig. 5 scaling: startup time across node counts",
-		TraceKeys:   []string{"method", "nodes"},
 		Run: func(r RunOpts) (Result, error) {
 			tbl, err := Fig5Scaling(r.Opts)
 			return Result{Tables: []*trace.Table{tbl}}, err
@@ -85,19 +80,16 @@ var registry = []Experiment{
 	{
 		Name:        "fig6",
 		Description: "Fig. 6: context-switch overhead per privatization method",
-		TraceKeys:   []string{"method"},
 		Run:         func(r RunOpts) (Result, error) { return result(Fig6ContextSwitch(r.Opts)) },
 	},
 	{
 		Name:        "fig7",
 		Description: "Fig. 7: privatized-variable access overhead (Jacobi-3D)",
-		TraceKeys:   []string{"method"},
 		Run:         func(r RunOpts) (Result, error) { return result(Fig7JacobiAccess(r.Opts)) },
 	},
 	{
 		Name:        "fig8",
 		Description: "Fig. 8: migration time vs per-rank heap size",
-		TraceKeys:   []string{"method", "heap"},
 		Run:         func(r RunOpts) (Result, error) { return result(Fig8Migration(r.Opts)) },
 	},
 	{
@@ -117,7 +109,6 @@ var registry = []Experiment{
 		Name:        "ftsweep",
 		Description: "Fault tolerance: supervised time-to-solution vs MTBF",
 		Flags:       []string{"mtbf"},
-		TraceKeys:   []string{"method", "mtbf", "target"},
 		Run:         func(r RunOpts) (Result, error) { return result(FTSweep(r.Opts, r.MTBFs)) },
 	},
 	{
@@ -125,7 +116,6 @@ var registry = []Experiment{
 		Aliases:     []string{"fig9"},
 		Description: "Table 2 & Fig. 9: ADCIRC strong scaling, virtualization x load balancing",
 		Flags:       []string{"cores"},
-		TraceKeys:   []string{"cores", "ratio"},
 		Run: func(r RunOpts) (Result, error) {
 			rows, t2, f9, err := AdcircScaling(r.Opts, adcirc.DefaultConfig(), r.Cores)
 			return Result{Rows: rows, Tables: []*trace.Table{t2, f9}}, err
@@ -135,14 +125,12 @@ var registry = []Experiment{
 		Name:        "scale",
 		Description: "Million-VP scale: flat-world allreduce + migration storm with per-rank memory gauges",
 		Flags:       []string{"vps", "sim-workers"},
-		TraceKeys:   []string{"vps"},
 		Run:         func(r RunOpts) (Result, error) { return result(ScaleExperiment(r.Opts, r.ScaleVPs)) },
 	},
 	{
 		Name:        "elastic",
 		Description: "Elastic worlds: time-to-solution and node-hours under cluster churn",
 		Flags:       []string{"churn-rate", "churn-notice", "churn-seed"},
-		TraceKeys:   []string{"method", "target", "churn"},
 		Run:         func(r RunOpts) (Result, error) { return result(ElasticSweep(r.Opts, r.Elastic)) },
 	},
 }
@@ -175,21 +163,6 @@ func LookupExperiment(name string) (Experiment, bool) {
 func ExperimentNames() []string {
 	var names []string
 	for _, e := range registry {
-		names = append(names, e.Name)
-		names = append(names, e.Aliases...)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// TraceableNames returns the names (and aliases) of experiments that
-// honor a trace selection, sorted.
-func TraceableNames() []string {
-	var names []string
-	for _, e := range registry {
-		if len(e.TraceKeys) == 0 {
-			continue
-		}
 		names = append(names, e.Name)
 		names = append(names, e.Aliases...)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"provirt/internal/harness"
 	"provirt/internal/sim"
+	"provirt/internal/trace"
 )
 
 // tinyRunOpts shrinks the experiments whose size a flag sets to
@@ -82,10 +83,38 @@ func TestRegistryLookup(t *testing.T) {
 	}
 }
 
-// An experiment is traceable exactly when it names trace keys.
-func TestTraceableNames(t *testing.T) {
-	want := "elastic, fig5, fig5scale, fig6, fig7, fig8, fig9, ftsweep, scale, table2"
-	if got := strings.Join(harness.TraceableNames(), ", "); got != want {
-		t.Fatalf("TraceableNames() = %s, want %s", got, want)
+// Every experiment runs once with a selection that matches nothing.
+// Its labels must be unique, so a selection never sends the events of
+// two worlds to one recorder, and every experiment that runs a point
+// must offer one.
+func TestEveryExperimentLabelsItsPointsUniquely(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment")
+	}
+	pointless := map[string]bool{"tables": true, "icache": true}
+	for _, e := range harness.Experiments() {
+		t.Run(e.Name, func(t *testing.T) {
+			t.Parallel()
+			rec := trace.NewRecorder()
+			ro := tinyRunOpts(1)
+			sel := &harness.TraceSel{Point: "no-such-point", Rec: rec}
+			ro.Trace = sel
+			if _, err := e.Run(ro); err != nil {
+				t.Fatal(err)
+			}
+			if rec.Len() != 0 {
+				t.Errorf("a label no point carries recorded %d events", rec.Len())
+			}
+			if len(sel.Offered) == 0 && !pointless[e.Name] {
+				t.Error("offered no label")
+			}
+			seen := map[string]bool{}
+			for _, l := range sel.Offered {
+				if l == "" || seen[l] {
+					t.Errorf("label %q is empty or offered twice", l)
+				}
+				seen[l] = true
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -42,18 +43,19 @@ func init() {
 	})
 }
 
-// runSpecs is n distinct tiny points, point i at i+1 VPs; the points
-// listed in invalid get zero nodes, which Validate refuses.
-func runSpecs(n int, invalid ...int) []scenario.Spec {
-	specs := make([]scenario.Spec, n)
-	for i := range specs {
-		specs[i] = scenario.DefaultSpec("empty")
-		specs[i].VPs = i + 1
+// runPoints is n distinct tiny points, point i at i+1 VPs and labelled
+// so; the points listed in invalid get zero nodes, which Validate
+// refuses.
+func runPoints(n int, invalid ...int) []point {
+	points := make([]point, n)
+	for i := range points {
+		points[i] = point{fmt.Sprintf("vps=%d", i+1), scenario.DefaultSpec("empty")}
+		points[i].spec.VPs = i + 1
 	}
 	for _, i := range invalid {
-		specs[i].Machine.Nodes = 0
+		points[i].spec.Machine.Nodes = 0
 	}
-	return specs
+	return points
 }
 
 // A failed point neither stops the sweep nor moves its rows: every
@@ -61,7 +63,7 @@ func runSpecs(n int, invalid ...int) []scenario.Spec {
 func TestRunFillsEveryRowDespiteFailedPoints(t *testing.T) {
 	const n = 10
 	for _, par := range []int{1, 4} {
-		rows, _ := run(Opts{Parallelism: par}, runSpecs(n, 3, 6))
+		rows, _ := run(Opts{Parallelism: par}, runPoints(n, 3, 6))
 		for i, row := range rows {
 			failed := i == 3 || i == 6
 			if got := row.Workload == "empty" && row.VPs == i+1; got == failed {
@@ -72,12 +74,12 @@ func TestRunFillsEveryRowDespiteFailedPoints(t *testing.T) {
 }
 
 // Of two failed points the error is the lower-indexed one, whichever
-// finishes first, and it names its point.
+// finishes first, and it names its point by its label.
 func TestRunReturnsLowestIndexedError(t *testing.T) {
 	for _, par := range []int{1, 4} {
-		_, err := run(Opts{Parallelism: par}, runSpecs(10, 3, 6))
-		if err == nil || !strings.Contains(err.Error(), "4 VPs on 0x1x1") {
-			t.Fatalf("parallel %d: error %v, want point 3's (4 VPs on 0x1x1)", par, err)
+		_, err := run(Opts{Parallelism: par}, runPoints(10, 3, 6))
+		if err == nil || !strings.HasPrefix(err.Error(), "vps=4: ") {
+			t.Fatalf("parallel %d: error %v, want point 3's (vps=4)", par, err)
 		}
 	}
 }
@@ -87,13 +89,13 @@ func TestRunReturnsLowestIndexedError(t *testing.T) {
 func TestRunAllPointsRunDespiteErrors(t *testing.T) {
 	const n = 8
 	for _, par := range []int{1, 4} {
-		specs := make([]scenario.Spec, n)
-		for i := range specs {
-			specs[i] = scenario.DefaultSpec("test-fail")
-			specs[i].VPs = 1
+		points := make([]point, n)
+		for i := range points {
+			points[i] = point{fmt.Sprintf("i=%d", i), scenario.DefaultSpec("test-fail")}
+			points[i].spec.VPs = 1
 		}
 		failedRuns.Store(0)
-		rows, err := run(Opts{Parallelism: par}, specs)
+		rows, err := run(Opts{Parallelism: par}, points)
 		if err == nil {
 			t.Fatalf("parallel %d: no error from a sweep of failing points", par)
 		}
@@ -134,11 +136,11 @@ func TestRunActuallyParallel(t *testing.T) {
 	}
 	rendezvous.Store(&hook)
 	defer rendezvous.Store(nil)
-	specs := runSpecs(n)
-	for i := range specs {
-		specs[i].Workload, specs[i].Method = "test-rendezvous", core.KindNone
+	points := runPoints(n)
+	for i := range points {
+		points[i].spec.Workload, points[i].spec.Method = "test-rendezvous", core.KindNone
 	}
-	if _, err := run(Opts{Parallelism: n}, specs); err != nil {
+	if _, err := run(Opts{Parallelism: n}, points); err != nil {
 		t.Fatal(err)
 	}
 	if stalled.Load() {

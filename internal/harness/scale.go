@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"runtime"
 
 	"provirt/internal/ampi"
 	"provirt/internal/elf"
@@ -12,8 +13,7 @@ import (
 // The scale experiment builds one world with a million virtual ranks on
 // a laptop-class machine shape, runs a full allreduce over the binomial
 // tree, then a migration storm over an eighth of the ranks, and reports
-// both the modeled physics and the host cost of simulating it (bytes of
-// host heap per rank at build and at peak).
+// the modeled physics.
 //
 // It runs on the flat world (ampi.FlatWorld) — array-of-structs rank
 // records, tree-modeled collectives, no rank threads — which has no
@@ -51,16 +51,6 @@ type ScaleRow struct {
 	// SharedBytesPerRank the per-rank bytes on shared mappings.
 	PerRankBytes       uint64
 	SharedBytesPerRank uint64
-	// HostBuildBytesPerRank and HostPeakBytesPerRank are HOST-measured
-	// (trace.MemGauge): bytes of simulator heap per rank at world build
-	// and at the phase peak. They are kept out of the rendered table,
-	// which must stay bit-identical across runs, and nothing reads them
-	// (bench's ampi.flat_host_bytes_per_rank takes its own gauge). The
-	// gauge stays for what it does to the run: its four runtime.GC()
-	// calls collect the build's garbage before the next phase allocates,
-	// and without them the flat_scale workload's peak RSS doubles.
-	HostBuildBytesPerRank uint64
-	HostPeakBytesPerRank  uint64
 }
 
 // scaleImage is the program image the scale experiment samples
@@ -81,29 +71,33 @@ func scaleImage() *elf.Image {
 // ScaleExperiment runs the flat-world allreduce + migration storm at
 // the given rank count (<= 0 selects DefaultScaleVPs) and returns one
 // row per phase. The world is a single simulation, so Opts.Parallelism
-// does not apply; Opts.Trace selects it via the VPs key.
+// does not apply; its one point is labelled "vps=N".
+//
+// A collection before the build and after each phase frees the last
+// phase's garbage before the next one allocates: without them the
+// flat_scale benchmark's peak RSS roughly doubles (47 to 92 MB).
 func ScaleExperiment(o Opts, vps int) ([]ScaleRow, *trace.Table, error) {
 	if vps <= 0 {
 		vps = DefaultScaleVPs
 	}
-	gauge := trace.NewMemGauge()
+	runtime.GC()
 	w, err := ampi.NewFlatWorld(ampi.FlatConfig{
 		Machine:    machineShape(1, 1, 8),
 		VPs:        vps,
 		Image:      scaleImage(),
-		Tracer:     o.tracerFor(func(ts *TraceSel) bool { return ts.VPs == vps }),
+		Tracer:     o.Trace.tracer(fmt.Sprintf("vps=%d", vps)),
 		SimWorkers: o.SimWorkers,
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("scale: %w", err)
 	}
-	gauge.SampleBuild()
+	runtime.GC()
 
 	arDone, err := w.Allreduce(8)
 	if err != nil {
 		return nil, nil, fmt.Errorf("scale: %w", err)
 	}
-	gauge.Sample()
+	runtime.GC()
 	arEvents := w.EventsFired()
 	rows := make([]ScaleRow, 0, 2)
 	rows = append(rows, ScaleRow{
@@ -120,7 +114,7 @@ func ScaleExperiment(o Opts, vps int) ([]ScaleRow, *trace.Table, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("scale: %w", err)
 	}
-	gauge.Sample()
+	runtime.GC()
 	rows = append(rows, ScaleRow{
 		Phase:              "migration-storm",
 		VPs:                vps,
@@ -133,14 +127,6 @@ func ScaleExperiment(o Opts, vps int) ([]ScaleRow, *trace.Table, error) {
 		SharedBytesPerRank: w.SharedBytesPerRank,
 	})
 
-	hostBuild, hostPeak := gauge.PerRank(vps)
-	for i := range rows {
-		rows[i].HostBuildBytesPerRank = hostBuild
-		rows[i].HostPeakBytesPerRank = hostPeak
-	}
-
-	// The rendered table carries only modeled (deterministic) values;
-	// the host-measured gauge readings stay in the rows.
 	t := trace.NewTable(
 		fmt.Sprintf("Scale: flat world with %d virtual ranks (PIEglobals, shared code + RO COW)", vps),
 		"Phase", "Setup", "Done", "Events", "Migrations", "Moved", "Rank resident", "Rank shared")

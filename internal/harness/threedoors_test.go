@@ -83,7 +83,7 @@ func TestOnePointThreeDoorsOneRow(t *testing.T) {
 		check func(scenario.Row)
 	}{
 		"ftsweep": {
-			harness.FTSupervisedSpec(harness.Opts{}, kind, target, mtbf, ftRow.Interval, ftRow.Baseline),
+			harness.FTSupervisedSpec(kind, target, mtbf, ftRow.Interval, ftRow.Baseline),
 			func(r scenario.Row) {
 				if sim.Time(r.TotalNs) != ftRow.Total || r.Checkpoints != ftRow.Checkpoints ||
 					r.Recoveries != ftRow.Recoveries || r.RestoredBytes != ftRow.RestoredBytes ||
@@ -93,7 +93,7 @@ func TestOnePointThreeDoorsOneRow(t *testing.T) {
 			},
 		},
 		"elastic": {
-			harness.ElasticSpec(harness.Opts{}, kind, target, regime),
+			harness.ElasticSpec(kind, target, regime),
 			func(r scenario.Row) {
 				if sim.Time(r.TotalNs) != elRow.Total || r.Checkpoints != elRow.Checkpoints ||
 					r.Recoveries != 0 || r.RestoredBytes != 0 || r.Epochs != elRow.Epochs ||

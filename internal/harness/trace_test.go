@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"provirt/internal/core"
 	"provirt/internal/harness"
 	"provirt/internal/trace"
 )
@@ -18,10 +17,9 @@ import (
 // parallelism. These tests pin both contracts for Fig. 5 and Fig. 8.
 
 // tracing returns Opts carrying a fresh recorder for one sweep point.
-func tracing(par int, sel harness.TraceSel) (harness.Opts, *trace.Recorder) {
+func tracing(par int, label string) (harness.Opts, *trace.Recorder) {
 	rec := trace.NewRecorder()
-	sel.Rec = rec
-	return harness.Opts{Parallelism: par, Trace: &sel}, rec
+	return harness.Opts{Parallelism: par, Trace: &harness.TraceSel{Point: label, Rec: rec}}, rec
 }
 
 func jsonl(t *testing.T, rec *trace.Recorder) []byte {
@@ -42,7 +40,7 @@ func TestFig5TracedRunMatchesUntraced(t *testing.T) {
 		return fmt.Sprintf("%#v", rows), tbl.String()
 	}
 	plainRows, plainTbl := run(harness.Opts{})
-	o, rec := tracing(0, harness.TraceSel{Method: core.KindPIEglobals, Nodes: 2})
+	o, rec := tracing(0, "method=pieglobals,nodes=2")
 	tracedRows, tracedTbl := run(o)
 	if rec.Len() == 0 {
 		t.Fatal("trace selection matched no fig5 run")
@@ -64,7 +62,7 @@ func TestFig8TracedRunMatchesUntraced(t *testing.T) {
 		return fmt.Sprintf("%#v", rows), tbl.String()
 	}
 	plainRows, plainTbl := run(harness.Opts{})
-	o, rec := tracing(0, harness.TraceSel{Method: core.KindTLSglobals, Heap: 4 << 20})
+	o, rec := tracing(0, "method=tlsglobals,heap=4194304")
 	tracedRows, tracedTbl := run(o)
 	if rec.Len() == 0 {
 		t.Fatal("trace selection matched no fig8 run")
@@ -80,7 +78,7 @@ func TestFig8TracedRunMatchesUntraced(t *testing.T) {
 // A selection without a recorder attaches no tracer: the matched point
 // sees a nil Tracer, not a typed nil whose first Emit would panic.
 func TestSelectionWithoutRecorderRunsUntraced(t *testing.T) {
-	sel := harness.TraceSel{Method: core.KindPIEglobals, Nodes: 2}
+	sel := harness.TraceSel{Point: "method=pieglobals,nodes=2"}
 	if _, _, err := harness.Fig5Startup(harness.Opts{Trace: &sel}, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +86,7 @@ func TestSelectionWithoutRecorderRunsUntraced(t *testing.T) {
 
 func TestFig5TraceBytesParallelismInvariant(t *testing.T) {
 	capture := func(par int) []byte {
-		o, rec := tracing(par, harness.TraceSel{Method: core.KindPIEglobals, Nodes: 2})
+		o, rec := tracing(par, "method=pieglobals,nodes=2")
 		if _, _, err := harness.Fig5Startup(o, 2); err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +105,7 @@ func TestFig5TraceBytesParallelismInvariant(t *testing.T) {
 
 func TestFig8TraceBytesParallelismInvariant(t *testing.T) {
 	capture := func(par int) []byte {
-		o, rec := tracing(par, harness.TraceSel{Method: core.KindPIEglobals, Heap: 1 << 20})
+		o, rec := tracing(par, "method=pieglobals,heap=1048576")
 		if _, _, err := harness.Fig8Migration(o); err != nil {
 			t.Fatal(err)
 		}
