@@ -2,6 +2,7 @@ package ampi_test
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"provirt/internal/machine"
 	"provirt/internal/mem"
 	"provirt/internal/obs"
+	"provirt/internal/workloads/adcirc"
 )
 
 // TestMigrationMovesOnlyDirtyBytes: a rank migrated every load-balance
@@ -119,6 +121,47 @@ func TestMigrationHandsTheRankOff(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"mem_snapshot_arena_bytes_total 0", "mem_snapshots_total 1"} {
+		if !strings.Contains(text.String(), want+"\n") {
+			t.Errorf("metrics lack %q:\n%s", want, text.String())
+		}
+	}
+}
+
+// TestPIERankSnapshotMovesOnlyRelocatedGranules: an ADCIRC PIEglobals
+// rank's data segment is a copy-on-write view of the image's, and the
+// words its relocations write — the GOT, 220 words — span four 512 B
+// granules. The rank's first checkpoint copies exactly those granules
+// through the snapshot arena, while the snapshot still models the whole
+// 2 MiB segment.
+func TestPIERankSnapshotMovesOnlyRelocatedGranules(t *testing.T) {
+	reg := obs.NewRegistry()
+	mem.EnableObs(reg)
+	defer mem.EnableObs(nil)
+	img := adcirc.Image()
+	w := runProgram(t, ampi.Config{
+		Machine:   machine.Config{Nodes: 1, ProcsPerNode: 1, PEsPerProc: 1},
+		VPs:       1,
+		Privatize: core.KindPIEglobals,
+	}, &ampi.Program{Image: img, Main: func(r *ampi.Rank) { r.Checkpoint("/ckpt") }})
+	snap := w.LastCheckpoint().Payloads[0].Heap
+	var seg *mem.Block
+	for i := range snap.Blocks {
+		if snap.Blocks[i].Label == "pie-data-segment" {
+			seg = &snap.Blocks[i]
+		}
+	}
+	if seg == nil || seg.Seg == nil || seg.Size != img.DataSize || img.DataSize != 2<<20 {
+		t.Fatalf("snapshot's data segment block %+v, want a 2 MiB segment view", seg)
+	}
+	var text bytes.Buffer
+	if err := reg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"mem_snapshot_arena_bytes_total 2048",
+		"mem_snapshot_blocks_copied_total 1",
+		fmt.Sprintf("mem_snapshot_full_bytes_total %d", snap.Bytes()),
+	} {
 		if !strings.Contains(text.String(), want+"\n") {
 			t.Errorf("metrics lack %q:\n%s", want, text.String())
 		}

@@ -72,8 +72,9 @@ func newPIETemplate(src *elf.Instance) *pieTemplate {
 //
 // Modelled cost and host cost part ways here. The rank is charged for
 // copying, mapping and scanning every byte, as the real runtime does;
-// the host copies only the data-segment pages the process's instance
-// owns or that hold a rebased word, and the rest of the rank's view
+// the host copies only the data-segment granules (512 B, not modelled
+// pages) the process's instance owns or that hold a rebased word — for
+// ADCIRC, the four around its GOT — and the rest of the rank's view
 // reads through to the image's frozen base: its initialised prefix and,
 // past it, zeros the host never stores.
 func duplicateInstance(env *ProcessEnv, t *pieTemplate, heap *mem.Heap, opts PIEOptions) (*elf.Instance, sim.Time, error) {

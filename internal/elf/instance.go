@@ -32,8 +32,9 @@ type Instance struct {
 	CodeBase  uint64
 	DataBase  uint64
 	// Seg holds the data segment as 8-byte words: a copy-on-write view of
-	// the image's frozen base (Layout), so an instance owns only the pages
-	// written through it — the GOT, constructor stores, the program's own.
+	// the image's frozen base (Layout), so an instance owns only the 512 B
+	// granules written through it — the GOT, constructor stores, the
+	// program's own.
 	// A PIEglobals per-rank copy's view is the payload of its heap block.
 	Seg *mem.Segment
 	// HeapObjs are the static-constructor heap allocations belonging to

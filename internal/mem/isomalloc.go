@@ -41,7 +41,7 @@ func (b *Block) End() uint64 { return b.Addr + b.Size }
 func (b *Block) residentSpan() uint64 { return b.Size - b.SharedBytes }
 
 // payloadWords counts the words a host copy of the block's payload
-// moves: all of Words, or only a segment view's materialised pages.
+// moves: all of Words, or only a segment view's materialised granules.
 func (b *Block) payloadWords() int {
 	if b.Seg != nil {
 		return b.Seg.ownedWords()
@@ -345,7 +345,7 @@ func (h *Heap) Serialize() *Snapshot {
 			h.clean[b] = snapEntry{gen: b.gen}
 			snap.delta += b.residentSpan()
 		default:
-			// A segment view copies only its materialised pages; the
+			// A segment view copies only its materialised granules; the
 			// modelled delta below is still the whole block.
 			cp.Words, cp.Seg = carve(&arena, b.Words), b.Seg.clone(&arena)
 			copied++

@@ -24,13 +24,13 @@ type obsMetrics struct {
 	// arenaBytes accumulates the bytes actually copied through the
 	// pooled snapshot arena; a hand-off copies none.
 	arenaBytes *obs.Counter
-	// pagesMaterialized counts 4 KiB pages a Segment view copied out of
-	// its base when Word first reached them; bytesShared accumulates the
-	// segment bytes each view creation and each view copy (Fork,
-	// Serialize, Restore) left on the shared base instead of moving — the
-	// host side of the modelled full/delta bytes above.
-	pagesMaterialized *obs.Counter
-	bytesShared       *obs.Counter
+	// granulesMaterialized counts 512 B granules a Segment view copied
+	// out of its base when Word first reached them; bytesShared
+	// accumulates the segment bytes each view creation and each view copy
+	// (Fork, Serialize, Restore) left on the shared base instead of
+	// moving — the host side of the modelled full/delta bytes above.
+	granulesMaterialized *obs.Counter
+	bytesShared          *obs.Counter
 }
 
 var metrics obsMetrics
@@ -56,8 +56,8 @@ func EnableObs(r *obs.Registry) {
 			"dirty blocks copied through the snapshot arena"),
 		arenaBytes: r.Counter("mem_snapshot_arena_bytes_total",
 			"bytes copied through the snapshot arena"),
-		pagesMaterialized: r.Counter("mem_segment_pages_materialized_total",
-			"copy-on-write segment pages copied out of the image's base on first access by cell pointer"),
+		granulesMaterialized: r.Counter("mem_segment_granules_materialized_total",
+			"512 B copy-on-write segment granules copied out of the image's base on first access by cell pointer"),
 		bytesShared: r.Counter("mem_segment_bytes_shared_total",
 			"segment bytes left on the image's shared base by view creations and copies"),
 	}

@@ -64,11 +64,12 @@ func TestSnapshotObsCounts(t *testing.T) {
 }
 
 // Segment instruments: host bytes next to the modelled snapshot bytes. A
-// view that wrote one page of a 16-page segment materialises one page,
-// moves one page through the arena per copy, and reports the rest as
-// shared — while the full/delta counters still model the whole block.
+// view that wrote one granule of a 16-granule segment materialises one
+// granule, moves its 512 B through the arena per copy, and reports the
+// rest as shared — while the full/delta counters still model the whole
+// block.
 func TestSegmentObsCounts(t *testing.T) {
-	const words = 16 * pageWords
+	const words, granuleBytes = 16 * granuleWords, granuleWords * 8
 	base := FreezeSegment(nil, words).View()
 
 	// Off by default: nothing registered, nothing counted, no panic.
@@ -76,7 +77,7 @@ func TestSegmentObsCounts(t *testing.T) {
 	b, _ := h.AllocSegment(base, "data")
 	*b.Seg.Word(0) = 1
 	h.Serialize()
-	if metrics.pagesMaterialized != nil || metrics.bytesShared != nil {
+	if metrics.granulesMaterialized != nil || metrics.bytesShared != nil {
 		t.Fatal("segment instruments are on without EnableObs")
 	}
 
@@ -90,27 +91,27 @@ func TestSegmentObsCounts(t *testing.T) {
 		t.Fatalf("a fresh view shares %d bytes, want the whole segment %d", got, words*8)
 	}
 	*b.Seg.Word(3) = 1
-	*b.Seg.Word(4) = 2 // same page
+	*b.Seg.Word(4) = 2 // same granule
 	b.Touch()
-	if got := metrics.pagesMaterialized.Value(); got != 1 {
-		t.Fatalf("mem_segment_pages_materialized_total = %d, want 1", got)
+	if got := metrics.granulesMaterialized.Value(); got != 1 {
+		t.Fatalf("mem_segment_granules_materialized_total = %d, want 1", got)
 	}
 
 	snap := h.Serialize()
 	if metrics.fullBytes.Value() != words*8 || metrics.deltaBytes.Value() != words*8 {
 		t.Fatalf("modelled full/delta = %d/%d, want %d", metrics.fullBytes.Value(), metrics.deltaBytes.Value(), words*8)
 	}
-	if got := metrics.arenaBytes.Value(); got != PageSize {
-		t.Fatalf("arena bytes = %d, want the one materialised page", got)
+	if got := metrics.arenaBytes.Value(); got != granuleBytes {
+		t.Fatalf("arena bytes = %d, want the one materialised granule, %d", got, granuleBytes)
 	}
-	if got := metrics.bytesShared.Value(); got != words*8+(words*8-PageSize) {
+	if got := metrics.bytesShared.Value(); got != words*8+(words*8-granuleBytes) {
 		t.Fatalf("mem_segment_bytes_shared_total = %d after one copy", got)
 	}
 	Restore(snap)
-	if got := metrics.bytesShared.Value(); got != words*8+2*(words*8-PageSize) {
+	if got := metrics.bytesShared.Value(); got != words*8+2*(words*8-granuleBytes) {
 		t.Fatalf("mem_segment_bytes_shared_total = %d after restore", got)
 	}
-	if got := metrics.pagesMaterialized.Value(); got != 1 {
-		t.Fatalf("copies materialised pages: %d", got)
+	if got := metrics.granulesMaterialized.Value(); got != 1 {
+		t.Fatalf("copies materialised granules: %d", got)
 	}
 }

@@ -5,14 +5,15 @@ import (
 	"sort"
 )
 
-// pageWords is the copy-on-write granule of a Segment: one 4 KiB page.
-const pageWords = PageSize / 8
+// granuleWords is the host copy-on-write unit of a Segment, 512 bytes;
+// every charge and modelled size still counts in PageSize pages.
+const granuleWords = 64
 
 // SegmentBase is a program image's immutable data segment: frozen once,
 // then read by every view of it — the loader's instances, the ranks'
 // forks of them, and every snapshot of those. Nothing writes it after
 // FreezeSegment. The host holds only the initialised prefix; every word
-// past it is zero and costs nothing until a view writes its page.
+// past it is zero and costs nothing until a view writes its granule.
 type SegmentBase struct {
 	init []uint64 // the initialised prefix
 	n    int      // the length in words
@@ -26,7 +27,7 @@ func FreezeSegment(init []uint64, words int) *SegmentBase {
 	return &SegmentBase{init: append([]uint64(nil), init...), n: max(words, len(init))}
 }
 
-// View returns a fresh copy-on-write view that owns no page yet.
+// View returns a fresh copy-on-write view that owns no granule yet.
 func (b *SegmentBase) View() *Segment {
 	if metrics.bytesShared != nil {
 		metrics.bytesShared.Add(uint64(b.n) * 8)
@@ -35,15 +36,14 @@ func (b *SegmentBase) View() *Segment {
 }
 
 // Segment is one copy-on-write view of a SegmentBase: the host holds
-// only the pages written through the view, while whatever carries it (a
-// loaded instance, a heap block) keeps its full modelled size.
+// only the granules written through the view, while whatever carries it
+// (a loaded instance, a heap block) keeps its full modelled size.
 type Segment struct {
-	base *SegmentBase
-	// pages holds the materialised pages, sorted by page index.
-	pages []segPage
+	base     *SegmentBase
+	granules []segGranule // the materialised granules, sorted by idx
 }
 
-type segPage struct {
+type segGranule struct {
 	idx   int
 	words []uint64
 }
@@ -51,16 +51,16 @@ type segPage struct {
 // Len returns the segment's length in words.
 func (s *Segment) Len() int { return s.base.n }
 
-// find returns the position of page p in s.pages and whether it is there.
-func (s *Segment) find(p int) (int, bool) {
-	k := sort.Search(len(s.pages), func(k int) bool { return s.pages[k].idx >= p })
-	return k, k < len(s.pages) && s.pages[k].idx == p
+// find returns granule g's position in s.granules and whether it is there.
+func (s *Segment) find(g int) (int, bool) {
+	k := sort.Search(len(s.granules), func(k int) bool { return s.granules[k].idx >= g })
+	return k, k < len(s.granules) && s.granules[k].idx == g
 }
 
-// Load reads word i without materialising its page.
+// Load reads word i without materialising its granule.
 func (s *Segment) Load(i int) uint64 {
-	if k, ok := s.find(i / pageWords); ok {
-		return s.pages[k].words[i%pageWords]
+	if k, ok := s.find(i / granuleWords); ok {
+		return s.granules[k].words[i%granuleWords]
 	}
 	b := s.base
 	switch {
@@ -72,77 +72,77 @@ func (s *Segment) Load(i int) uint64 {
 	panic(fmt.Sprintf("mem: segment word %d past length %d", i, b.n))
 }
 
-// Word returns the cell of word i, first materialising its page — zeros
-// with the overlapping part of the base's prefix copied in — if the view
-// does not own it yet. The pointer stays valid for the life of the
+// Word returns the cell of word i, first materialising its granule —
+// zeros with the overlapping part of the base's prefix copied in — if the
+// view does not own it yet. The pointer stays valid for the life of the
 // view; a caller that writes through it into a heap block's view must
 // Touch the block, as with Block.Words.
 func (s *Segment) Word(i int) *uint64 {
-	p := i / pageWords
-	k, ok := s.find(p)
+	g := i / granuleWords
+	k, ok := s.find(g)
 	if !ok {
-		lo := p * pageWords
-		w := make([]uint64, min(lo+pageWords, s.base.n)-lo)
+		lo := g * granuleWords
+		w := make([]uint64, min(lo+granuleWords, s.base.n)-lo)
 		if lo < len(s.base.init) {
 			copy(w, s.base.init[lo:])
 		}
-		s.pages = append(s.pages, segPage{})
-		copy(s.pages[k+1:], s.pages[k:])
-		s.pages[k] = segPage{idx: p, words: w}
-		if metrics.pagesMaterialized != nil {
-			metrics.pagesMaterialized.Inc()
+		s.granules = append(s.granules, segGranule{})
+		copy(s.granules[k+1:], s.granules[k:])
+		s.granules[k] = segGranule{idx: g, words: w}
+		if metrics.granulesMaterialized != nil {
+			metrics.granulesMaterialized.Inc()
 		}
 	}
-	return &s.pages[k].words[i%pageWords]
+	return &s.granules[k].words[i%granuleWords]
 }
 
 // Scan calls fn with the view's words in index order, as runs: first
-// is the index of words[0], and a run is either one owned page or a
-// stretch of the base's prefix between owned pages. Every word Scan
+// is the index of words[0], and a run is either one owned granule or a
+// stretch of the base's prefix between owned granules. Every word Scan
 // does not pass is zero. fn must not write words. Reading a whole
 // segment this way costs one pass over what the host holds; Load per
-// word would search the page list each time.
+// word would search the granule list each time.
 func (s *Segment) Scan(fn func(first int, words []uint64)) {
 	init, next := s.base.init, 0
-	for _, pg := range s.pages {
-		lo := pg.idx * pageWords
+	for _, gr := range s.granules {
+		lo := gr.idx * granuleWords
 		if end := min(lo, len(init)); next < end {
 			fn(next, init[next:end])
 		}
-		fn(lo, pg.words)
-		next = lo + len(pg.words)
+		fn(lo, gr.words)
+		next = lo + len(gr.words)
 	}
 	if next < len(init) {
 		fn(next, init[next:])
 	}
 }
 
-// ownedWords counts the words in materialised pages: what a copy of the
-// view moves on the host.
+// ownedWords counts the words in materialised granules: what a copy of
+// the view moves on the host.
 func (s *Segment) ownedWords() int {
 	n := 0
-	for _, pg := range s.pages {
-		n += len(pg.words)
+	for _, gr := range s.granules {
+		n += len(gr.words)
 	}
 	return n
 }
 
 // Fork returns an independent view with the same content: the base is
-// shared, materialised pages are copied.
+// shared, and only the materialised granules are copied, into one arena.
 func (s *Segment) Fork() *Segment {
 	arena := make([]uint64, s.ownedWords())
 	return s.clone(&arena)
 }
 
-// clone is Fork with the page copies carved from arena, which the
+// clone is Fork with the granule copies carved from arena, which the
 // caller sized from ownedWords. A nil view clones to nil.
 func (s *Segment) clone(arena *[]uint64) *Segment {
 	if s == nil {
 		return nil
 	}
-	c := &Segment{base: s.base, pages: make([]segPage, len(s.pages))}
-	for k, pg := range s.pages {
-		c.pages[k] = segPage{idx: pg.idx, words: carve(arena, pg.words)}
+	c := &Segment{base: s.base, granules: make([]segGranule, len(s.granules))}
+	for k, gr := range s.granules {
+		c.granules[k] = segGranule{idx: gr.idx, words: carve(arena, gr.words)}
 	}
 	if metrics.bytesShared != nil {
 		metrics.bytesShared.Add(uint64(s.Len()-s.ownedWords()) * 8)

@@ -6,14 +6,16 @@ import (
 	"testing"
 )
 
-// segWords is the fuzzed segment's length: two whole pages and a partial
-// third, so page-boundary and short-last-page arithmetic both run.
-const segWords = 2*pageWords + 37
+// segWords is the fuzzed segment's length: sixteen whole granules and a
+// partial seventeenth, so granule-boundary and short-last-granule
+// arithmetic both run, over more words than two 4 KiB pages.
+const segWords = 16*granuleWords + 37
 
 // prefixWords are the initialised prefixes the fuzzer freezes a base
-// with: none, up to the middle of the second page, exactly one page, and
-// the whole segment. Past the prefix the base holds nothing on the host.
-var prefixWords = [...]int{0, pageWords + pageWords/2, pageWords, segWords}
+// with: none, up to the middle of the ninth granule, exactly eight
+// granules, and the whole segment. Past the prefix the base holds
+// nothing on the host.
+var prefixWords = [...]int{0, 8*granuleWords + granuleWords/2, 8 * granuleWords, segWords}
 
 // procPair is a loaded instance's view of the frozen base next to its
 // oracle, a flat copy of the words the base was frozen from, zero past
@@ -187,7 +189,7 @@ func (s snapPair) check(t *testing.T, when string) {
 // after every operation the process view, the live rank segment, the
 // heaps' accounting and every kept snapshot must agree with the oracle.
 // So a write at one level never shows at another, a fork of a view that
-// owns pages equals a flat copy of it, and a write to the slice the base
+// owns granules equals a flat copy of it, and a write to the slice the base
 // was frozen from never shows anywhere.
 func FuzzSegmentView(f *testing.F) {
 	for prefix := range uint8(len(prefixWords)) {
@@ -198,6 +200,9 @@ func FuzzSegmentView(f *testing.F) {
 		f.Add(prefix, []byte{7, 0, 0, 0, 7, 1, 2, 0, 7, 2, 4, 0, 7, 3, 3, 0, 0, 128})                 // writes to the base's source slice
 		f.Add(prefix, []byte{8, 0, 8, 130, 9, 0, 0, 0, 8, 1, 2, 0, 9, 0, 8, 131, 4, 0, 3, 0, 0, 131}) // process stores around two forks, a snapshot and a restore
 		f.Add(prefix, []byte{8, 255, 9, 0, 0, 60, 8, 60, 2, 0})                                       // process stores past the prefix, then before it, with a fork between
+		// Process and rank stores in descending granule order, so each
+		// materialised granule goes in front of the list, then one between.
+		f.Add(prefix, []byte{8, 250, 8, 130, 8, 10, 9, 0, 0, 240, 0, 160, 0, 80, 0, 20, 0, 120, 2, 0, 0, 100, 3, 0})
 	}
 	f.Fuzz(func(t *testing.T, prefix uint8, ops []byte) {
 		if len(ops) > 128 {
@@ -289,8 +294,9 @@ func FuzzSegmentView(f *testing.F) {
 	})
 }
 
-// A rank that stores into one page of a large segment holds, snapshots
-// and restores that one page; every modelled size is still the segment's.
+// A rank that stores into one granule of a large segment holds, snapshots
+// and restores that one granule; every modelled size is still the
+// segment's.
 func TestSegmentMovesOnlyMaterialisedPages(t *testing.T) {
 	const words = 1 << 18 // a 2 MiB data segment
 	h := NewHeap(0)
@@ -301,24 +307,24 @@ func TestSegmentMovesOnlyMaterialisedPages(t *testing.T) {
 	if b.Size != words*8 || h.LiveBytes() != words*8 || b.Seg.ownedWords() != 0 {
 		t.Fatalf("fresh view: size %d live %d owned %d", b.Size, h.LiveBytes(), b.Seg.ownedWords())
 	}
-	*b.Seg.Word(700) = 7 // page 1
+	*b.Seg.Word(700) = 7 // granule 10
 	b.Touch()
-	if b.Seg.ownedWords() != pageWords {
-		t.Fatalf("one store materialised %d words, want one page", b.Seg.ownedWords())
+	if b.Seg.ownedWords() != granuleWords {
+		t.Fatalf("one store materialised %d words, want one granule", b.Seg.ownedWords())
 	}
 	snap := h.Serialize()
 	if snap.Bytes() != words*8 || snap.DeltaBytes() != words*8 {
 		t.Fatalf("snapshot models %d/%d bytes, want the full segment %d", snap.Bytes(), snap.DeltaBytes(), words*8)
 	}
-	if got := snap.Blocks[0].Seg.ownedWords(); got != pageWords {
-		t.Fatalf("snapshot copied %d words, want one page", got)
+	if got := snap.Blocks[0].Seg.ownedWords(); got != granuleWords {
+		t.Fatalf("snapshot copied %d words, want one granule", got)
 	}
 	*b.Seg.Word(700) = 8
 	if got := snap.Blocks[0].Seg.Load(700); got != 7 {
 		t.Fatalf("snapshot saw a later store: %d", got)
 	}
 	r := Restore(snap).Lookup(b.Addr)
-	if r.Seg.Load(700) != 7 || r.Seg.Load(0) != 0 || r.Seg.ownedWords() != pageWords {
+	if r.Seg.Load(700) != 7 || r.Seg.Load(0) != 0 || r.Seg.ownedWords() != granuleWords {
 		t.Fatalf("restored view: word %d, owned %d", r.Seg.Load(700), r.Seg.ownedWords())
 	}
 }
@@ -326,7 +332,7 @@ func TestSegmentMovesOnlyMaterialisedPages(t *testing.T) {
 // TestFrozenBaseHoldsOnlyItsPrefix pins the host form of a base: a
 // 2 MiB segment frozen from a 321-word prefix stores those words and
 // implies the zero bulk, and Scan passes only what the view holds — the
-// prefix, then one owned page more after a store.
+// prefix, then one owned granule more after a store.
 func TestFrozenBaseHoldsOnlyItsPrefix(t *testing.T) {
 	const words, prefix = 1 << 18, 321
 	init := make([]uint64, prefix)
@@ -349,7 +355,7 @@ func TestFrozenBaseHoldsOnlyItsPrefix(t *testing.T) {
 		t.Errorf("Scan of a fresh view passed %d words, want the %d-word prefix", got, prefix)
 	}
 	*view.Word(700) = 7
-	if got := scanned(); got != prefix+pageWords {
-		t.Errorf("Scan after one store passed %d words, want the prefix and one page, %d", got, prefix+pageWords)
+	if got := scanned(); got != prefix+granuleWords {
+		t.Errorf("Scan after one store passed %d words, want the prefix and one granule, %d", got, prefix+granuleWords)
 	}
 }
