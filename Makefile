@@ -54,9 +54,10 @@ race-full:
 # Ten seconds each of the copy-on-write segment view against its
 # flat-heap oracle, of ChurnSpec.Compile against its sort-then-truncate
 # oracle, of the Spec wire codec (decode, validate, hash, round trip),
-# of the result store's entry loader against arbitrary files, and of the
-# linear match queues against the hash-indexed ones they replaced: long
-# enough to leave the seed corpus, short enough for CI.
+# of the result store's log index over arbitrary bytes and a record
+# appended after them, and of the linear match queues against the
+# hash-indexed ones they replaced: long enough to leave the seed corpus,
+# short enough for CI.
 fuzz-smoke:
 	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzSegmentView -fuzztime 10s
 	$(GO) test ./internal/ft -run '^$$' -fuzz FuzzChurnCompile -fuzztime 10s

@@ -80,9 +80,14 @@ func runServer(addr, storeDir string, workers, cacheEntries int) error {
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
+		store.Close()
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "privbench: serving /v1/runs, /v1/experiments, /metrics on http://%s\n", ln.Addr())
 	fmt.Fprintf(os.Stderr, "privbench: result store %s (code version %s)\n", storeDir, version)
-	return serveUntil(ln, srv.Handler(obs.NewHandler(reg)), shutdownSignal(), shutdownTimeout)
+	err = serveUntil(ln, srv.Handler(obs.NewHandler(reg)), shutdownSignal(), shutdownTimeout)
+	if cerr := store.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -20,11 +20,11 @@ func EnableObs(r *obs.Registry) {
 		return
 	}
 	evictions = r.Counter("resultstore_evictions_total",
-		"entries evicted from the in-memory LRU index (disk copies are kept)")
+		"payloads evicted from the in-memory LRU (their records stay in the log)")
 	corrupt = r.Counter("resultstore_corrupt_skipped_total",
-		"on-disk entries skipped because the header, length, or checksum failed verification")
+		"log records skipped or refused because the header, length, or checksum failed verification")
 	puts = r.Counter("resultstore_puts_total",
-		"entry writes (temp file, fsync, rename), failed ones included")
+		"record appends (one write and one fsync each), failed ones included")
 }
 
 // Evictions exposes the counter for launchers that report cache health

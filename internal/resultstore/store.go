@@ -1,7 +1,7 @@
 // Package resultstore is the content-addressed result cache behind the
-// experiment server: an on-disk store of opaque payloads keyed by
-// (kind, content hash) and partitioned by code version, fronted by a
-// bounded in-memory LRU index.
+// experiment server: opaque payloads keyed by (kind, content hash),
+// partitioned by code version, kept in one append-only log per
+// partition and fronted by a bounded in-memory LRU of payloads.
 //
 // The store exists because the simulation is deterministic: a Spec's
 // hash fully identifies its output for one build of the code, so a
@@ -10,29 +10,29 @@
 // old build stay on disk (useful for cross-version diffing) but are
 // never served for a new one.
 //
-// Durability and concurrency discipline:
-//
-//   - Writes are atomic: payload goes to a temp file in the target
-//     directory, is synced, then renamed over the final path. Readers
-//     therefore never observe a half-written entry under POSIX rename
-//     semantics; a crash leaves at worst an orphaned temp file.
-//   - Loads are corruption-tolerant: every entry opens with a header
-//     line carrying its hash, the payload length and SHA-256, and a file
-//     is served only if that line is exactly what Put writes for the
-//     payload that follows. Anything else is counted
-//     (resultstore_corrupt_skipped_total) and treated as a miss — never
-//     a panic, never served.
-//   - Locking follows the short-critical-section discipline the Go
-//     optimistic-concurrency study recommends: the mutex guards only
-//     the map/LRU index; all file I/O and hashing happen outside it,
-//     so concurrent readers never serialize behind the disk.
+// A partition is <dir>/<version>/results.log, records of a header line
+// "provirt-result 2 <kind> <hash> <len> <sha256>" and the payload. Put
+// writes a record in one append and fsyncs it before it returns; its
+// first failure fails every later Put, since the fsync after a failed
+// one can succeed with the lost pages marked clean. The log is never
+// rewritten, so a crash loses only records whose Put had not returned.
+// Open indexes each record exactly as Put writes it and counts
+// (resultstore_corrupt_skipped_total) and skips anything else up to the
+// next magic. A disk hit reads a record's header and payload and
+// verifies them again. A Store sees the records present at its Open
+// plus its own puts, not what another Store appends later: a partition
+// wants one writing process. The index mutex never covers I/O or
+// hashing (the Go optimistic-concurrency study's short critical
+// sections).
 package resultstore
 
 import (
+	"bufio"
 	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -44,20 +44,25 @@ import (
 	"time"
 )
 
-// DefaultMaxEntries bounds the in-memory index when Open is given no
-// explicit capacity.
+// DefaultMaxEntries bounds the payloads held in memory when Open is
+// given no explicit capacity.
 const DefaultMaxEntries = 1024
 
-// magic leads every entry file; the version number guards the framing
-// format itself.
-const magic = "provirt-result 1"
+const (
+	magic     = "provirt-result 2" // the version number guards the framing
+	logName   = "results.log"
+	maxToken  = 255 // a kind's or hash's length: the file-name limit keys always met
+	maxHeader = len(magic) + 2*(1+maxToken) + 1 + 20 + 1 + 2*sha256.Size + 1
+)
 
-// appendHeader appends the entry file's first line for payload under
-// hash: magic, hash, payload length, and the payload's SHA-256.
-func appendHeader(dst []byte, hash string, payload []byte) []byte {
+// syncFile makes the log durable; tests wrap it.
+var syncFile = (*os.File).Sync
+
+// appendHeader appends the header line of payload's record.
+func appendHeader(dst []byte, kind, hash string, payload []byte) []byte {
 	sum := sha256.Sum256(payload)
-	dst = append(append(append(dst, magic...), ' '), sanitize(hash)...)
-	dst = strconv.AppendInt(append(dst, ' '), int64(len(payload)), 10)
+	dst = append(append(append(append(dst, magic...), ' '), kind...), ' ')
+	dst = strconv.AppendInt(append(append(dst, hash...), ' '), int64(len(payload)), 10)
 	dst = hex.AppendEncode(append(dst, ' '), sum[:])
 	return append(dst, '\n')
 }
@@ -107,31 +112,40 @@ func executableDigest() string {
 	return hex.EncodeToString(h.Sum(nil))[:12]
 }
 
-// Store is one version-partition of the on-disk cache plus its
-// in-memory LRU index. Methods are safe for concurrent use.
+// Store is one version partition's log plus its index. Methods are
+// safe for concurrent use.
 type Store struct {
-	dir        string // version-specific root directory
+	f          *os.File // the log, opened for append
 	maxEntries int
 
-	// mu guards exactly the three index fields below — never file I/O.
+	appendMu sync.Mutex // held across a record's write and fsync
+	failed   error      // the first failed append; guarded by appendMu
+
+	// mu guards exactly the index fields below.
 	mu    sync.Mutex
-	byKey map[key]*list.Element // -> *entry
-	lru   *list.List            // front = most recently used
+	index map[key]*entry
+	lru   *list.List // entries whose payload is resident, most recent first
 }
 
-// key addresses one entry.
 type key struct{ kind, hash string }
 
-// entry is one cached payload in the memory index.
+// span places a record in the log: offset, header and payload lengths.
+type span struct {
+	off    int64
+	hdr, n int
+}
+
+// entry is one indexed record; el is non-nil while payload is resident.
 type entry struct {
-	key     key
+	span    span
 	payload []byte
+	el      *list.Element
 }
 
 // Open returns the store rooted at dir for the given code version,
-// creating directories as needed. maxEntries bounds the in-memory
-// index (<= 0 selects DefaultMaxEntries); the disk is unbounded and
-// never evicted.
+// creating directories and the log as needed, and indexes the log.
+// maxEntries bounds the payloads held in memory (<= 0 selects
+// DefaultMaxEntries); the log is never compacted.
 func Open(dir, version string, maxEntries int) (*Store, error) {
 	if version == "" {
 		version = "dev"
@@ -140,16 +154,35 @@ func Open(dir, version string, maxEntries int) (*Store, error) {
 		maxEntries = DefaultMaxEntries
 	}
 	root := filepath.Join(dir, sanitize(version))
-	if err := os.MkdirAll(root, 0o755); err != nil {
+	err := os.MkdirAll(root, 0o755)
+	var f *os.File
+	if err == nil {
+		f, err = os.OpenFile(filepath.Join(root, logName), os.O_RDWR|os.O_APPEND|os.O_CREATE, 0o644)
+	}
+	if err == nil { // the log's and the partition's directory entries
+		err = errors.Join(syncDir(root), syncDir(dir))
+	}
+	s := &Store{f: f, maxEntries: maxEntries, index: make(map[key]*entry), lru: list.New()}
+	if err == nil {
+		err = s.load()
+	}
+	if err != nil {
+		f.Close()
 		return nil, fmt.Errorf("resultstore: %w", err)
 	}
-	return &Store{
-		dir:        root,
-		maxEntries: maxEntries,
-		byKey:      make(map[key]*list.Element),
-		lru:        list.New(),
-	}, nil
+	return s, nil
 }
+
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err == nil {
+		err = errors.Join(d.Sync(), d.Close())
+	}
+	return err
+}
+
+// Close releases the log. The store must not be used afterwards.
+func (s *Store) Close() error { return s.f.Close() }
 
 // sanitize maps an arbitrary token onto a safe path segment; a token
 // that already is one comes back as is (strings.Map does not copy it).
@@ -165,117 +198,181 @@ func sanitize(s string) string {
 	}, s)
 }
 
-// path places an entry on disk: kind partitions the namespace (point
-// results vs run manifests), the hash's leading byte fans entries
-// across subdirectories so no single directory grows unboundedly.
-func (s *Store) path(kind, hash string) string {
-	kind = sanitize(kind)
-	hash = sanitize(hash)
-	shard := "00"
-	if len(hash) >= 2 {
-		shard = hash[:2]
-	}
-	return filepath.Join(s.dir, kind, shard, hash+".res")
-}
+// token reports whether s can be a kind or hash: a header splits back
+// into the key Put was given, and no two keys share a spelling.
+func token(s string) bool { return len(s) <= maxToken && sanitize(s) == s }
 
-// Get returns the payload stored under (kind, hash), consulting the
-// memory index first and falling back to disk. The returned bytes are
-// shared — callers must treat them as read-only. ok is false on a
-// miss, including entries that failed the corruption check.
+// Get returns the payload stored under (kind, hash), from memory or
+// else from the log. The returned bytes are shared — callers must treat
+// them as read-only. ok is false on a miss, including a record that no
+// longer reads back as the one Put wrote (counted as corrupt).
 func (s *Store) Get(kind, hash string) (payload []byte, ok bool) {
 	k := key{kind, hash}
 	s.mu.Lock()
-	if el, hit := s.byKey[k]; hit {
-		s.lru.MoveToFront(el)
-		p := el.Value.(*entry).payload
+	e, ok := s.index[k]
+	if !ok || e.el != nil {
+		if ok {
+			s.lru.MoveToFront(e.el)
+			payload = e.payload
+		}
 		s.mu.Unlock()
-		return p, true
+		return payload, ok
 	}
+	sp := e.span
 	s.mu.Unlock()
 
-	// Disk read and verification happen outside the lock.
-	payload, ok = s.load(s.path(kind, hash), hash)
-	if !ok {
+	var hdr, want [maxHeader]byte // on the stack: only the payload is allocated
+	payload = make([]byte, sp.n)
+	_, err := s.f.ReadAt(hdr[:sp.hdr], sp.off)
+	if err == nil {
+		_, err = s.f.ReadAt(payload, sp.off+int64(sp.hdr))
+	}
+	if err != nil || !bytes.Equal(hdr[:sp.hdr], appendHeader(want[:0], kind, hash, payload)) {
+		corrupt.Inc()
 		return nil, false
 	}
-	s.insert(k, payload)
+	s.insert(k, sp, payload)
 	return payload, true
 }
 
-// Put stores payload under (kind, hash): atomic write-then-rename on
-// disk, then index insertion. The store keeps a reference to payload;
-// callers must not mutate it afterwards.
+// Put appends payload under (kind, hash) to the log, fsyncs it, and
+// indexes it. kind and hash must be safe tokens. The store keeps a
+// reference to payload; callers must not mutate it afterwards.
 func (s *Store) Put(kind, hash string, payload []byte) error {
 	puts.Inc()
-	path := s.path(kind, hash)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("resultstore: %w", err)
+	if !token(kind) || !token(hash) {
+		return fmt.Errorf("resultstore: key (%q, %q) is not a pair of safe tokens", kind, hash)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	rec := appendHeader(make([]byte, 0, maxHeader+len(payload)), kind, hash, payload)
+	sp := span{hdr: len(rec), n: len(payload)}
+	rec = append(rec, payload...)
+	end, err := s.append(rec)
 	if err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
-	_, err = tmp.Write(appendHeader(nil, hash, payload))
-	if err == nil {
-		_, err = tmp.Write(payload)
-	}
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	s.insert(key{kind, hash}, payload)
+	sp.off = end - int64(len(rec))
+	s.insert(key{kind, hash}, sp, payload)
 	return nil
 }
 
-// insert adds (or refreshes) an index entry and evicts past capacity.
-func (s *Store) insert(k key, payload []byte) {
+// append writes rec at the log's end and fsyncs it, returning the file's
+// end (not a sum of this Store's writes: another may append).
+func (s *Store) append(rec []byte) (end int64, err error) {
+	s.appendMu.Lock()
+	defer s.appendMu.Unlock()
+	if s.failed != nil {
+		return 0, s.failed
+	}
+	if _, err = s.f.Write(rec); err == nil {
+		end, err = s.f.Seek(0, io.SeekCurrent)
+	}
+	if err == nil {
+		err = syncFile(s.f)
+	}
+	s.failed = err
+	return end, err
+}
+
+// insert indexes a record with its payload resident, evicting the
+// least recently used payloads past capacity.
+func (s *Store) insert(k key, sp span, payload []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, hit := s.byKey[k]; hit {
-		el.Value.(*entry).payload = payload
-		s.lru.MoveToFront(el)
+	e := s.index[k]
+	if e == nil {
+		e = &entry{}
+		s.index[k] = e
+	}
+	e.span, e.payload = sp, payload
+	if e.el != nil {
+		s.lru.MoveToFront(e.el)
 		return
 	}
-	s.byKey[k] = s.lru.PushFront(&entry{key: k, payload: payload})
+	e.el = s.lru.PushFront(e)
 	for s.lru.Len() > s.maxEntries {
-		back := s.lru.Back()
-		s.lru.Remove(back)
-		delete(s.byKey, back.Value.(*entry).key)
+		old := s.lru.Remove(s.lru.Back()).(*entry)
+		old.payload, old.el = nil, nil
 		evictions.Inc()
 	}
 }
 
-// Len reports the number of entries in the memory index.
+// Len reports the number of payloads resident in memory.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.lru.Len()
 }
 
-// load reads and verifies one entry file: it is served iff its first
-// line is exactly appendHeader(wantHash, rest). Anything else — bad magic,
-// wrong hash, short payload, checksum mismatch, a framing Put never
-// writes — is a miss; corruption (as opposed to plain absence) is
-// counted.
-func (s *Store) load(path, wantHash string) ([]byte, bool) {
-	data, err := os.ReadFile(path)
+// load indexes the log in one streaming pass through a 64 KiB buffer,
+// grown only to hold a longer record. A run of bytes that holds no
+// record Put writes is counted once and skipped up to the next magic.
+func (s *Store) load() error {
+	fi, err := s.f.Stat()
 	if err != nil {
-		return nil, false // plain miss: the entry was never written
+		return err
 	}
-	var want [192]byte // a 64-digit hash's header fits
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 || !bytes.Equal(data[:nl+1], appendHeader(want[:0], wantHash, data[nl+1:])) {
-		corrupt.Inc()
-		return nil, false
+	size, off, skipping := fi.Size(), int64(0), false
+	sc := bufio.NewScanner(io.NewSectionReader(s.f, 0, size))
+	sc.Buffer(make([]byte, 64<<10), int(size)+1)
+	// Every step that advances yields a token: Scan stops at the first
+	// step past EOF that yields none.
+	sc.Split(func(data []byte, atEOF bool) (n int, _ []byte, _ error) {
+		defer func() { off += int64(n) }()
+		k, sp, err := record(data, size-off)
+		switch {
+		case err == nil:
+			sp.off, skipping = off, false
+			s.index[k] = &entry{span: sp}
+			return sp.hdr + sp.n, data, nil
+		case err == errShort && !atEOF, len(data) == 0:
+			return 0, nil, nil
+		}
+		if !skipping {
+			corrupt.Inc()
+		}
+		skipping = true
+		switch i := bytes.Index(data[1:], []byte(magic)); {
+		case i >= 0:
+			return 1 + i, data, nil
+		case atEOF:
+			return len(data), data, nil
+		}
+		return max(len(data)-len(magic), 1), data, nil
+	})
+	for sc.Scan() {
 	}
-	return data[nl+1:], true
+	return sc.Err()
+}
+
+var (
+	errShort   = errors.New("data ends inside the record")
+	errCorrupt = errors.New("not a record Put writes")
+)
+
+// record parses the record at data's start, at most remaining bytes
+// long: errShort if data may hold only a prefix of it, errCorrupt
+// unless its header is exactly what Put writes for the payload that
+// follows.
+func record(data []byte, remaining int64) (key, span, error) {
+	nl := bytes.IndexByte(data[:min(len(data), maxHeader)], '\n')
+	if nl < 0 && len(data) < maxHeader {
+		return key{}, span{}, errShort
+	}
+	f := bytes.Split(data[:max(nl, 0)], []byte(" "))
+	if len(f) != 6 || !bytes.HasPrefix(data, []byte(magic+" ")) {
+		return key{}, span{}, errCorrupt
+	}
+	n, err := strconv.Atoi(string(f[4]))
+	k, sp := key{string(f[2]), string(f[3])}, span{hdr: nl + 1, n: n}
+	if err != nil || n < 0 || int64(n) > remaining-int64(sp.hdr) || !token(k.kind) || !token(k.hash) {
+		return key{}, span{}, errCorrupt
+	}
+	if len(data) < sp.hdr+n {
+		return key{}, span{}, errShort
+	}
+	var want [maxHeader]byte
+	if !bytes.Equal(data[:sp.hdr], appendHeader(want[:0], k.kind, k.hash, data[sp.hdr:sp.hdr+n])) {
+		return key{}, span{}, errCorrupt
+	}
+	return k, sp, nil
 }

@@ -3,12 +3,14 @@ package resultstore
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"provirt/internal/obs"
@@ -57,12 +59,20 @@ func TestCodeVersionPartitionsBuilds(t *testing.T) {
 	}
 }
 
-func TestPutGetRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir, "v1", 8)
+// open opens the store at dir and closes it when the test ends.
+func open(t testing.TB, dir string, maxEntries int) *Store {
+	t.Helper()
+	st, err := Open(dir, "v1", maxEntries)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
+func TestPutGetRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	st := open(t, dir, 8)
 	payload := []byte(`{"row":42}`)
 	if err := st.Put("pt", "abc123", payload); err != nil {
 		t.Fatal(err)
@@ -72,32 +82,48 @@ func TestPutGetRoundTrip(t *testing.T) {
 		t.Fatalf("memory get: ok=%v payload=%q", ok, got)
 	}
 
-	// A fresh store over the same directory must hit disk.
-	st2, err := Open(dir, "v1", 8)
-	if err != nil {
+	// A record longer than the scan's 64 KiB buffer, like a large run
+	// manifest, and one after it.
+	big := bytes.Repeat([]byte("m"), 200<<10)
+	if err := st.Put("run", "big", big); err != nil {
 		t.Fatal(err)
 	}
-	got, ok = st2.Get("pt", "abc123")
-	if !ok || !bytes.Equal(got, payload) {
-		t.Fatalf("disk get: ok=%v payload=%q", ok, got)
+	if err := st.Put("pt", "after", payload); err != nil {
+		t.Fatal(err)
 	}
 
-	// No temp files left behind by the write-then-rename protocol.
-	err = filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && strings.HasPrefix(d.Name(), ".tmp-") {
-			t.Errorf("orphaned temp file %s", path)
+	// A fresh store over the same directory must hit disk.
+	cold := open(t, dir, 8)
+	for k, want := range map[key][]byte{{"pt", "abc123"}: payload, {"run", "big"}: big, {"pt", "after"}: payload} {
+		if got, ok := cold.Get(k.kind, k.hash); !ok || !bytes.Equal(got, want) {
+			t.Fatalf("disk get %v: ok=%v, %d bytes", k, ok, len(got))
 		}
-		return nil
+	}
+
+	// The partition is one log: no entry files, no temp files.
+	var files []string
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			files = append(files, path)
+		}
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want := filepath.Join(dir, "v1", logName); len(files) != 1 || files[0] != want {
+		t.Fatalf("partition holds %q, want exactly %s", files, want)
 	}
 }
 
 func TestVersionPartitions(t *testing.T) {
 	dir := t.TempDir()
-	st1, _ := Open(dir, "v1", 8)
-	st2, _ := Open(dir, "v2", 8)
+	st1 := open(t, dir, 8)
+	st2, err := Open(dir, "v2", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
 	if err := st1.Put("pt", "k", []byte("old")); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +133,7 @@ func TestVersionPartitions(t *testing.T) {
 }
 
 func TestKindPartitions(t *testing.T) {
-	st, _ := Open(t.TempDir(), "v1", 8)
+	st := open(t, t.TempDir(), 8)
 	if err := st.Put("pt", "k", []byte("point")); err != nil {
 		t.Fatal(err)
 	}
@@ -116,10 +142,33 @@ func TestKindPartitions(t *testing.T) {
 	}
 }
 
-// A memory-index hit is a map probe and a list move: it allocates
-// nothing, and neither does naming a safe token's path segment.
+// A key is stored under the tokens it was given, never under a
+// sanitized spelling that another key shares: Put refuses a kind or
+// hash that is not a safe token, and such a key is a miss on disk as
+// in memory.
+func TestUnsafeKeysAreRefusedNotAliased(t *testing.T) {
+	dir := t.TempDir()
+	st := open(t, dir, 8)
+	for _, k := range []key{{"pt", "a/b"}, {"p?t", "h"}, {"", "h"}, {"pt", ""}, {"pt", strings.Repeat("a", maxToken+1)}} {
+		if err := st.Put(k.kind, k.hash, []byte("p")); err == nil {
+			t.Errorf("Put(%q, %q) accepted an unsafe key", k.kind, k.hash)
+		}
+	}
+	if err := st.Put("p_t", "h", []byte("p")); err != nil {
+		t.Fatal(err)
+	}
+	cold := open(t, dir, 8)
+	for _, k := range []key{{"pt", "a_b"}, {"pt", "a/b"}, {"p?t", "h"}} {
+		if got, ok := cold.Get(k.kind, k.hash); ok {
+			t.Errorf("Get(%q, %q) on disk served %q", k.kind, k.hash, got)
+		}
+	}
+}
+
+// A memory hit is a map probe and a list move: it allocates nothing,
+// and neither does checking that a safe token is one.
 func TestMemoryHitAllocatesNothing(t *testing.T) {
-	st, _ := Open(t.TempDir(), "v1", 8)
+	st := open(t, t.TempDir(), 8)
 	hash := fmt.Sprintf("%064x", 7)
 	if err := st.Put("pt", hash, []byte("point")); err != nil {
 		t.Fatal(err)
@@ -132,12 +181,12 @@ func TestMemoryHitAllocatesNothing(t *testing.T) {
 	}
 }
 
-// The appended header is the fmt-formatted one, and an unsafe token is
-// mapped rune by rune.
+// The appended header is the fmt-formatted one, and an unsafe version
+// is mapped rune by rune.
 func TestHeaderAndSanitize(t *testing.T) {
-	for _, hash := range []string{"h", fmt.Sprintf("%064x", 1<<40), "a/b", "", "é.."} {
+	for _, hash := range []string{"h", fmt.Sprintf("%064x", 1<<40)} {
 		for _, payload := range []string{"", `{"row":1}`} {
-			if got, want := string(appendHeader(nil, hash, []byte(payload))), header(hash, []byte(payload)); got != want {
+			if got, want := string(appendHeader(nil, "pt", hash, []byte(payload))), header("pt", hash, []byte(payload)); got != want {
 				t.Errorf("appendHeader(%q, %q) = %q, want %q", hash, payload, got, want)
 			}
 		}
@@ -153,7 +202,7 @@ func TestMissOnAbsentIsNotCorrupt(t *testing.T) {
 	reg := obs.NewRegistry()
 	EnableObs(reg)
 	defer EnableObs(nil)
-	st, _ := Open(t.TempDir(), "v1", 8)
+	st := open(t, t.TempDir(), 8)
 	if _, ok := st.Get("pt", "nothere"); ok {
 		t.Fatal("hit on absent key")
 	}
@@ -162,71 +211,69 @@ func TestMissOnAbsentIsNotCorrupt(t *testing.T) {
 	}
 }
 
-// Satellite: a truncated or garbage entry on disk is skipped with a
-// counted metric, never a panic, and never served.
+// A record damaged in the log is skipped with a counted metric, never a
+// panic, and never served — by a store opened after the damage, which
+// skips it while indexing, and by one opened before, whose read of the
+// span no longer verifies — and the record after it is still served.
 func TestCorruptEntriesSkippedAndCounted(t *testing.T) {
 	reg := obs.NewRegistry()
 	EnableObs(reg)
 	defer EnableObs(nil)
 
-	dir := t.TempDir()
-	st, err := Open(dir, "v1", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
 	payload := []byte(`{"row":1}`)
-
 	corruptions := []struct {
 		name   string
-		mutate func(path string) error
+		mutate func(rec []byte) []byte
 	}{
-		{"garbage", func(p string) error { return os.WriteFile(p, []byte("not a result file"), 0o644) }},
-		{"empty", func(p string) error { return os.WriteFile(p, nil, 0o644) }},
-		{"truncated-payload", func(p string) error {
-			data, err := os.ReadFile(p)
-			if err != nil {
-				return err
-			}
-			return os.WriteFile(p, data[:len(data)-3], 0o644)
+		{"garbage", func([]byte) []byte { return []byte("not a result file") }},
+		// The record's extent holds no data: what a crash leaves when the
+		// log grew but its blocks were never written.
+		{"empty", func(rec []byte) []byte { return make([]byte, len(rec)) }},
+		{"truncated-payload", func(rec []byte) []byte { return rec[:len(rec)-3] }},
+		{"flipped-byte", func(rec []byte) []byte {
+			rec = bytes.Clone(rec)
+			rec[len(rec)-1] ^= 0xff
+			return rec
 		}},
-		{"flipped-byte", func(p string) error {
-			data, err := os.ReadFile(p)
-			if err != nil {
-				return err
-			}
-			data[len(data)-1] ^= 0xff
-			return os.WriteFile(p, data, 0o644)
-		}},
-		{"header-only", func(p string) error {
-			data, err := os.ReadFile(p)
-			if err != nil {
-				return err
-			}
-			nl := bytes.IndexByte(data, '\n')
-			return os.WriteFile(p, data[:nl+1], 0o644)
-		}},
+		{"header-only", func(rec []byte) []byte { return rec[:bytes.IndexByte(rec, '\n')+1] }},
 	}
-	for i, c := range corruptions {
-		hash := fmt.Sprintf("hash%d", i)
-		if err := st.Put("pt", hash, payload); err != nil {
-			t.Fatalf("%s: put: %v", c.name, err)
+	for _, c := range corruptions {
+		dir := t.TempDir()
+		st := open(t, dir, 8)
+		for _, hash := range []string{"victim", "after"} {
+			if err := st.Put("pt", hash, payload); err != nil {
+				t.Fatalf("%s: put: %v", c.name, err)
+			}
 		}
-		path := st.path("pt", hash)
-		if err := c.mutate(path); err != nil {
-			t.Fatalf("%s: mutate: %v", c.name, err)
-		}
-		// Fresh store so the memory index doesn't mask the disk state.
-		cold, err := Open(dir, "v1", 8)
+		warm := open(t, dir, 8) // indexed before the damage, nothing resident
+		path := filepath.Join(dir, "v1", logName)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
+		n := len(header("pt", "victim", payload)) + len(payload)
+		if err := os.WriteFile(path, append(c.mutate(data[:n]), data[n:]...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+
 		before := corrupt.Value()
-		got, ok := cold.Get("pt", hash)
-		if ok {
-			t.Errorf("%s: corrupt entry served: %q", c.name, got)
+		if got, ok := warm.Get("pt", "victim"); ok {
+			t.Errorf("%s: a span that no longer verifies was served: %q", c.name, got)
 		}
 		if corrupt.Value() != before+1 {
-			t.Errorf("%s: corrupt counter %d, want %d", c.name, corrupt.Value(), before+1)
+			t.Errorf("%s: a failed span read counted %d, want 1", c.name, corrupt.Value()-before)
+		}
+
+		before = corrupt.Value()
+		cold := open(t, dir, 8)
+		if got, ok := cold.Get("pt", "victim"); ok {
+			t.Errorf("%s: corrupt record served: %q", c.name, got)
+		}
+		if corrupt.Value() != before+1 {
+			t.Errorf("%s: corrupt counter moved %d, want 1", c.name, corrupt.Value()-before)
+		}
+		if got, ok := cold.Get("pt", "after"); !ok || !bytes.Equal(got, payload) {
+			t.Errorf("%s: the record after the damage: ok=%v payload=%q", c.name, ok, got)
 		}
 	}
 }
@@ -236,10 +283,7 @@ func TestLRUEvictionCountsAndKeepsDisk(t *testing.T) {
 	EnableObs(reg)
 	defer EnableObs(nil)
 
-	st, err := Open(t.TempDir(), "v1", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := open(t, t.TempDir(), 2)
 	for i := 0; i < 3; i++ {
 		if err := st.Put("pt", fmt.Sprintf("h%d", i), []byte(fmt.Sprintf("p%d", i))); err != nil {
 			t.Fatal(err)
@@ -259,10 +303,7 @@ func TestLRUEvictionCountsAndKeepsDisk(t *testing.T) {
 }
 
 func TestConcurrentPutGet(t *testing.T) {
-	st, err := Open(t.TempDir(), "v1", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := open(t, t.TempDir(), 16)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		g := g
@@ -286,18 +327,97 @@ func TestConcurrentPutGet(t *testing.T) {
 	wg.Wait()
 }
 
-// header is the entry header as fmt writes it: the oracle appendHeader
-// is held to, and which FuzzStoreLoad serves files against.
-func header(hash string, payload []byte) string {
-	return fmt.Sprintf("%s %s %d %x\n", magic, sanitize(hash), len(payload), sha256.Sum256(payload))
+// A failed fsync may have dropped pages that the next one on the same
+// file reports clean, so the first failed append fails every Put after
+// it: of eight concurrent puts whose third fsync fails, exactly two
+// return nil and are served, and nothing is written after the failure.
+func TestFailedFsyncFailsEveryLaterPut(t *testing.T) {
+	var fsyncs atomic.Int32
+	defer func(orig func(*os.File) error) { syncFile = orig }(syncFile)
+	syncFile = func(f *os.File) error {
+		if fsyncs.Add(1) == 3 {
+			return errors.New("injected fsync failure")
+		}
+		return f.Sync()
+	}
+	dir := t.TempDir()
+	st := open(t, dir, 16)
+	payload := []byte(`{"row":1}`)
+	errs := make([]error, 8)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = st.Put("pt", fmt.Sprintf("h%d", i), payload)
+		}()
+	}
+	wg.Wait()
+	acked := 0
+	for i, err := range errs {
+		if _, ok := st.Get("pt", fmt.Sprintf("h%d", i)); ok != (err == nil) {
+			t.Errorf("put %d returned %v, yet Get gives ok=%v", i, err, ok)
+		}
+		if err == nil {
+			acked++
+		}
+	}
+	if acked != 2 || fsyncs.Load() != 3 {
+		t.Fatalf("%d puts returned nil over %d fsyncs, want 2 over 3", acked, fsyncs.Load())
+	}
+	path := filepath.Join(dir, "v1", logName)
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put("pt", "later", payload); err == nil {
+		t.Fatal("a put after the failed fsync returned nil")
+	}
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Size() != before.Size() || fsyncs.Load() != 3 {
+		t.Fatalf("a put after the failure reached the log (size %d -> %d, %d fsyncs)", before.Size(), after.Size(), fsyncs.Load())
+	}
 }
 
-// FuzzStoreLoad writes arbitrary bytes where an entry lives. Get never
-// panics, serves a file only if it is byte for byte what Put writes for
-// the payload it returns, and never indexes a file it rejects.
+// header is the record header as fmt writes it: the oracle appendHeader
+// is held to, and which FuzzStoreLoad serves records against.
+func header(kind, hash string, payload []byte) string {
+	return fmt.Sprintf("%s %s %s %d %x\n", magic, kind, hash, len(payload), sha256.Sum256(payload))
+}
+
+// checkIndex holds every record st indexed to the log's bytes: its span
+// is byte for byte what Put writes, and Get serves its payload.
+func checkIndex(t *testing.T, st *Store, log []byte) {
+	t.Helper()
+	spans := map[key]span{}
+	for k, e := range st.index {
+		spans[k] = e.span
+	}
+	for k, sp := range spans {
+		if sp.off < 0 || sp.off+int64(sp.hdr+sp.n) > int64(len(log)) {
+			t.Fatalf("%v indexed at %+v, past the %d-byte log", k, sp, len(log))
+		}
+		rec := log[sp.off : sp.off+int64(sp.hdr+sp.n)]
+		payload := rec[sp.hdr:]
+		if string(rec) != header(k.kind, k.hash, payload)+string(payload) {
+			t.Fatalf("indexed %q, which Put would not write", rec)
+		}
+		if got, ok := st.Get(k.kind, k.hash); !ok || !bytes.Equal(got, payload) {
+			t.Fatalf("%v indexed but Get gave ok=%v %q", k, ok, got)
+		}
+	}
+}
+
+// FuzzStoreLoad puts arbitrary bytes where the log lives, then Puts one
+// record. Open and Get never panic, a record is indexed and served only
+// if it is byte for byte what Put writes, and the record appended after
+// the garbage is served by a store reopened over it.
 func FuzzStoreLoad(f *testing.F) {
 	payload := []byte(`{"row":1}`)
-	good := header("h", payload) + string(payload)
+	good := header("pt", "h", payload) + string(payload)
 	nl := strings.IndexByte(good, '\n')
 	flipped := []byte(good)
 	flipped[len(flipped)-1] ^= 0xff
@@ -312,27 +432,40 @@ func FuzzStoreLoad(f *testing.F) {
 		strings.Replace(good, " 9 ", " 09 ", 1),
 		strings.Replace(good, " 9 ", "\t9 ", 1),
 		strings.Replace(good, " h ", "  h ", 1),
+		"x x pt h 9223372036854775807 x\n", // a length that overflows the header's
+		magic + " pt h 9223372036854775807 x\n",
 	} {
 		f.Add([]byte(seed))
 	}
-	f.Fuzz(func(t *testing.T, file []byte) {
-		st, err := Open(t.TempDir(), "v1", 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := st.path("pt", "h")
+	f.Fuzz(func(t *testing.T, garbage []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "v1", logName)
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, file, 0o644); err != nil {
+		if err := os.WriteFile(path, garbage, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, ok := st.Get("pt", "h")
-		switch {
-		case ok && string(file) != header("h", got)+string(got):
-			t.Fatalf("served %q from a file Put would not write: %q", got, file)
-		case !ok && st.Len() != 0:
-			t.Fatalf("rejected file entered the index")
+		st, err := Open(dir, "v1", 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkIndex(t, st, garbage)
+		appended := []byte(`{"row":2}`)
+		err = st.Put("pt", "h", appended)
+		st.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		log, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st = open(t, dir, 8)
+		checkIndex(t, st, log)
+		if got, ok := st.Get("pt", "h"); !ok || !bytes.Equal(got, appended) {
+			t.Fatalf("the record appended after %q: ok=%v payload=%q", garbage, ok, got)
 		}
 	})
 }

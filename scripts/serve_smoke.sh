@@ -14,7 +14,8 @@
 # and through `privbench -spec`, each given the same request body, and
 # the two doors must print the same row, supervised columns included;
 # and the fault point filed under another checkpoint directory is a
-# cache hit.
+# cache hit. Last, the server restarts on the same store and replays
+# the first POST from its log.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -44,18 +45,27 @@ fail() {
 echo "== build"
 go build -o "$WORKDIR/privbench" ./cmd/privbench
 
-echo "== start server on $ADDR (store: $WORKDIR/store)"
-"$WORKDIR/privbench" -serve "$ADDR" -store "$WORKDIR/store" >"$LOG" 2>&1 &
-SERVER_PID=$!
+start_server() {
+    echo "== start server on $ADDR (store: $WORKDIR/store)"
+    "$WORKDIR/privbench" -serve "$ADDR" -store "$WORKDIR/store" >>"$LOG" 2>&1 &
+    SERVER_PID=$!
+    for i in $(seq 1 50); do
+        if curl -sf "http://$ADDR/v1/experiments" >/dev/null 2>&1; then
+            break
+        fi
+        kill -0 "$SERVER_PID" 2>/dev/null || fail "server exited before accepting connections"
+        sleep 0.1
+    done
+    curl -sf "http://$ADDR/v1/experiments" >/dev/null || fail "server never came up"
+}
 
-for i in $(seq 1 50); do
-    if curl -sf "http://$ADDR/v1/experiments" >/dev/null 2>&1; then
-        break
-    fi
-    kill -0 "$SERVER_PID" 2>/dev/null || fail "server exited before accepting connections"
-    sleep 0.1
-done
-curl -sf "http://$ADDR/v1/experiments" >/dev/null || fail "server never came up"
+stop_server() {
+    kill -TERM "$SERVER_PID"
+    wait "$SERVER_PID" || fail "server exited non-zero after SIGTERM"
+    SERVER_PID=""
+}
+
+start_server
 
 # The tiny fig5-style point: the empty workload (init/finalize only).
 SPEC='{"points":[{"workload":"empty","vps":4,"machine":{"nodes":2,"procs_per_node":1,"pes_per_proc":1},"method":"pieglobals"}]}'
@@ -172,9 +182,20 @@ trailer "$WORKDIR/moved.ndjson" | grep -q '"cached":1' \
 [[ "$(point_row "$WORKDIR/moved.ndjson")" == "$(point_row "$WORKDIR/FAULTS.ndjson")" ]] \
     || fail "another checkpoint directory served a different row"
 
-echo "== graceful shutdown"
-kill -TERM "$SERVER_PID"
-wait "$SERVER_PID" || fail "server exited non-zero after SIGTERM"
-SERVER_PID=""
+# The store outlives the process: restarted on the same -store, the
+# server replays the first body from its log and writes nothing.
+echo "== graceful shutdown, restart on the same store"
+stop_server
+start_server
+curl -sf -X POST -H 'Content-Type: application/json' -d "$SPEC" \
+    "http://$ADDR/v1/runs" >"$WORKDIR/restarted.ndjson" || fail "POST after the restart failed"
+! grep '"row"' "$WORKDIR/restarted.ndjson" | grep -qv '"cached":true' \
+    || fail "a point missed the store after the restart: $(cat "$WORKDIR/restarted.ndjson")"
+[[ "$(point_row "$WORKDIR/restarted.ndjson")" == "$ROW1" ]] \
+    || fail "the restarted server served another row: $(cat "$WORKDIR/restarted.ndjson")"
+[[ "$(puts)" == "0" ]] || fail "the replay after the restart wrote to the store: resultstore_puts_total $(puts)"
 
-echo "serve-smoke: OK (row payload byte-identical, second and explicit-environment POSTs cached, 1 simulation total, replays write nothing; fault and churn points identical through POST and -spec; checkpoint directory not hashed; trailing data refused; no /progress)"
+echo "== graceful shutdown"
+stop_server
+
+echo "serve-smoke: OK (row payload byte-identical, second and explicit-environment POSTs cached, 1 simulation total, replays write nothing, also after a restart on the same store; fault and churn points identical through POST and -spec; checkpoint directory not hashed; trailing data refused; no /progress)"
