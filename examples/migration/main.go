@@ -13,6 +13,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -70,21 +71,15 @@ func main() {
 	}
 }
 
+// migrateOnce runs one rank with userHeap bytes of application state
+// on a two-node machine, which the rotate balancer moves once: the
+// ballast workload, as the document a client would POST.
 func migrateOnce(kind core.Kind, userHeap uint64) scenario.Row {
-	sp := scenario.Spec{
-		Machine: machine.Config{Nodes: 2, ProcsPerNode: 1, PEsPerProc: 1},
-		VPs:     1,
-		Method:  kind,
-		Program: &ampi.Program{
-			Image: adcirc.Image(),
-			Main: func(r *ampi.Rank) {
-				if _, err := r.Ctx().Heap.AllocBallast(userHeap, "app-state"); err != nil {
-					panic(err)
-				}
-				r.Migrate()
-			},
-		},
-		Balancer: lb.RotateLB{},
+	doc := fmt.Sprintf(`{"machine":{"nodes":2,"procs_per_node":1,"pes_per_proc":1},"vps":1,"method":%q,`+
+		`"workload":"ballast","workload_params":{"heap_bytes":%d},"balancer":"rotate"}`, kind, userHeap)
+	var sp scenario.Spec
+	if err := json.Unmarshal([]byte(doc), &sp); err != nil {
+		log.Fatalf("migration: %v", err)
 	}
 	row, _, err := sp.Execute()
 	if err != nil {

@@ -277,16 +277,15 @@ func NewWorldFromCheckpoint(cfg Config, prog *Program, ck *Checkpoint) (*World, 
 		return nil, fmt.Errorf("ampi: checkpoint has %d payloads for %d ranks; snapshot is incomplete",
 			len(ck.Payloads), ck.VPs)
 	}
-	method, err := cfg.method()
-	if err != nil {
+	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	if ck.Method != core.KindNone && ck.Method != method.Kind() {
+	if ck.Method != core.KindNone && ck.Method != cfg.Privatize {
 		return nil, fmt.Errorf("ampi: checkpoint was taken under %v, config restarts under %v; privatized state is not portable across methods",
-			ck.Method, method.Kind())
+			ck.Method, cfg.Privatize)
 	}
-	if !method.Migratable() {
-		return nil, fmt.Errorf("ampi: method %v does not support migratable rank state; checkpoint restart is unavailable", method.Kind())
+	if !cfg.Privatize.Migratable() {
+		return nil, fmt.Errorf("ampi: method %v does not support migratable rank state; checkpoint restart is unavailable", cfg.Privatize)
 	}
 	cfg.restart = ck
 	return NewWorld(cfg, prog)

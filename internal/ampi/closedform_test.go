@@ -36,7 +36,7 @@ func closedFormWorld(t *testing.T, cfg Config, main func(r *Rank)) *World {
 
 // switchCost is what a PE's scheduler charges to switch to a rank.
 func switchCost(w *World, r *Rank) sim.Time {
-	return w.Cluster.Cost.ULTSwitchBase + w.Method.SwitchExtra(r.ctx)
+	return w.Cluster.Cost.ULTSwitchBase + w.Cfg.Privatize.SwitchExtra(r.ctx)
 }
 
 // TestPingPongClosedForm: a round trip between two ranks takes

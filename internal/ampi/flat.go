@@ -150,7 +150,6 @@ func NewFlatWorld(cfg FlatConfig) (*FlatWorld, error) {
 	if err != nil {
 		return nil, err
 	}
-	method := core.NewPIEglobals(core.PIEOptions{ShareCodePages: true, ShareROData: true})
 	toolchain, osEnv := core.Bridges2Env()
 	w := &FlatWorld{Cfg: cfg, Cluster: cl, pes: cl.PEs(), tracer: cfg.Tracer}
 	w.reduceFn = w.reduceArrive
@@ -199,7 +198,7 @@ func NewFlatWorld(cfg FlatConfig) (*FlatWorld, error) {
 			OS:        osEnv,
 			SMP:       cfg.Machine.SMPMode(),
 		}
-		return method.Setup(env, cfg.Image, vps, 0)
+		return core.KindPIEglobalsSharedCodeCOW.Setup(env, cfg.Image, vps, 0)
 	}
 	one, err := sample([]int{0})
 	if err != nil {

@@ -72,7 +72,7 @@ func (w *World) runBalancer() {
 			VP:         r.vp,
 			PE:         r.PE().ID,
 			Load:       r.thread.Load,
-			Migratable: w.Method.Migratable(),
+			Migratable: w.Cfg.Privatize.Migratable(),
 		}
 		assign[i] = loads[i].PE
 	}

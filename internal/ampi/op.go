@@ -130,5 +130,5 @@ func (w *World) ApplyOpOnPE(pe *machine.PE, op *Op, in, acc []float64) ([]float6
 		}
 	}
 	return acc, fmt.Errorf("ampi: cannot process user-defined reduction %s on PE %d: no virtual ranks are resident, so no code-segment base is available to resolve the operator offset under %s; all cores must have at least one virtual rank assigned during reduction processing",
-		op.name, pe.ID, w.Method.Kind())
+		op.name, pe.ID, w.Cfg.Privatize)
 }

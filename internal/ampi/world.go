@@ -43,10 +43,6 @@ type Config struct {
 	VPs int
 	// Privatize selects the privatization method.
 	Privatize core.Kind
-	// Method, if non-nil, overrides Privatize with a configured
-	// method instance (e.g. core.NewPIEglobals with future-work
-	// options).
-	Method *core.Method
 	// Toolchain and OS describe the build/run environment; zero values
 	// select the paper's Bridges-2 environment.
 	Toolchain core.Toolchain
@@ -82,7 +78,7 @@ type Config struct {
 	restart *Checkpoint
 }
 
-// normalize fills defaults.
+// normalize checks the configuration and fills its defaults.
 func (c *Config) normalize() error {
 	if err := c.Machine.Validate(); err != nil {
 		return err
@@ -90,31 +86,19 @@ func (c *Config) normalize() error {
 	if c.VPs <= 0 {
 		return fmt.Errorf("ampi: VPs must be positive, got %d", c.VPs)
 	}
-	if c.Toolchain == (core.Toolchain{}) && !osSet(c.OS) {
+	if !c.Privatize.Valid() {
+		return fmt.Errorf("ampi: unknown privatization method %d", int(c.Privatize))
+	}
+	if c.Toolchain == (core.Toolchain{}) && c.OS == (core.OS{}) {
 		c.Toolchain, c.OS = core.Bridges2Env()
 	}
 	return nil
-}
-
-func osSet(o core.OS) bool { return o != (core.OS{}) }
-
-// method returns the configured method instance, or the Privatize
-// kind's.
-func (c *Config) method() (*core.Method, error) {
-	if c.Method != nil {
-		return c.Method, nil
-	}
-	if m := core.New(c.Privatize); m != nil {
-		return m, nil
-	}
-	return nil, fmt.Errorf("ampi: unknown privatization method %d", int(c.Privatize))
 }
 
 // World is one virtualized MPI job.
 type World struct {
 	Cfg     Config
 	Cluster *machine.Cluster
-	Method  *core.Method
 	Program *Program
 
 	Ranks  []*Rank
@@ -183,12 +167,7 @@ func NewWorld(cfg Config, prog *Program) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	method, err := cfg.method()
-	if err != nil {
-		return nil, err
-	}
-	cfg.Privatize = method.Kind()
-	w := &World{Cfg: cfg, Cluster: cl, Method: method, Program: prog, tracer: cfg.Tracer}
+	w := &World{Cfg: cfg, Cluster: cl, Program: prog, tracer: cfg.Tracer}
 	if w.tracer != nil {
 		cl.SetTracer(w.tracer)
 	}
@@ -239,7 +218,7 @@ func NewWorld(cfg Config, prog *Program) (*World, error) {
 			}
 		}
 		w.envs = append(w.envs, env)
-		res, err := w.Method.Setup(env, prog.Image, vps, 0)
+		res, err := w.Cfg.Privatize.Setup(env, prog.Image, vps, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -262,7 +241,7 @@ func NewWorld(cfg Config, prog *Program) (*World, error) {
 	for _, pe := range pes {
 		s := ult.NewScheduler(pe, cl.Engine, cl.Cost)
 		s.SwitchExtra = func(_, to *ult.Thread) sim.Time {
-			return w.Method.SwitchExtra(rankCtx(to))
+			return w.Cfg.Privatize.SwitchExtra(rankCtx(to))
 		}
 		s.Tracer = w.tracer
 		w.scheds = append(w.scheds, s)
@@ -410,7 +389,7 @@ func (w *World) TotalSwitches() uint64 {
 func (w *World) RankLoads() []lb.RankLoad {
 	out := make([]lb.RankLoad, len(w.Ranks))
 	for i, r := range w.Ranks {
-		out[i] = lb.RankLoad{VP: r.vp, PE: r.pe.ID, Load: r.thread.Load, Migratable: w.Method.Migratable()}
+		out[i] = lb.RankLoad{VP: r.vp, PE: r.pe.ID, Load: r.thread.Load, Migratable: w.Cfg.Privatize.Migratable()}
 	}
 	return out
 }

@@ -26,7 +26,7 @@ const (
 // stack.
 type RankContext struct {
 	VP     int
-	Method *Method
+	Method Kind
 	Img    *elf.Image
 
 	// Shared is the base (namespace-0) program instance all ranks in
@@ -87,7 +87,7 @@ type segmentCell struct {
 
 // newContext returns a context resolving through p, with heap + stack
 // prepared; Setup fills in the rank's private storage.
-func newContext(m *Method, p *plan, env *ProcessEnv, img *elf.Image, shared *elf.Instance, vp int) (*RankContext, error) {
+func newContext(k Kind, p *plan, env *ProcessEnv, img *elf.Image, shared *elf.Instance, vp int) (*RankContext, error) {
 	if vp < 0 || vp >= mem.MaxRanks {
 		return nil, fmt.Errorf("core: rank %d outside the Isomalloc arena's %d per-rank ranges", vp, mem.MaxRanks)
 	}
@@ -102,7 +102,7 @@ func newContext(m *Method, p *plan, env *ProcessEnv, img *elf.Image, shared *elf
 	}
 	return &RankContext{
 		VP:     vp,
-		Method: m,
+		Method: k,
 		Img:    img,
 		Shared: shared,
 		Heap:   heap,

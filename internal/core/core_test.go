@@ -71,7 +71,7 @@ func setup(t *testing.T, kind Kind, env *ProcessEnv, img *elf.Image, vps int) *S
 	for i := range ids {
 		ids[i] = i
 	}
-	res, err := New(kind).Setup(env, img, ids, 0)
+	res, err := kind.Setup(env, img, ids, 0)
 	if err != nil {
 		t.Fatalf("Setup(%s): %v", kind, err)
 	}
@@ -180,7 +180,7 @@ func TestCheckEnvFailures(t *testing.T) {
 		if tc.env != nil {
 			tc.env(env)
 		}
-		_, err := New(tc.kind).Setup(env, testImage(t), []int{0}, 0)
+		_, err := tc.kind.Setup(env, testImage(t), []int{0}, 0)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s Setup = %v, want mention of %q", tc.kind, err, tc.want)
 		}
@@ -193,7 +193,7 @@ func TestCheckEnvFailures(t *testing.T) {
 func TestPhotranRequiresFortran(t *testing.T) {
 	env := testEnv(t, false)
 	img := testImage(t) // language "c"
-	m := New(KindPhotran)
+	m := KindPhotran
 	if _, err := m.Setup(env, img, []int{0}, 0); err == nil {
 		t.Fatal("photran accepted a C program")
 	}
@@ -206,7 +206,7 @@ func TestPhotranRequiresFortran(t *testing.T) {
 func TestFSglobalsRejectsSharedDeps(t *testing.T) {
 	env := testEnv(t, false)
 	img := elf.NewBuilder("dyn").Global("g", 1).Func("main", 64).SharedDeps(2).MustBuild()
-	if _, err := New(KindFSglobals).Setup(env, img, []int{0}, 0); err == nil {
+	if _, err := KindFSglobals.Setup(env, img, []int{0}, 0); err == nil {
 		t.Fatal("fsglobals accepted shared-object dependencies")
 	}
 }
@@ -472,7 +472,7 @@ func TestFuncOffsetTranslationAcrossRanks(t *testing.T) {
 func TestPIESharedCodePages(t *testing.T) {
 	img := testImage(t)
 
-	mkCtx := func(m *Method) *RankContext {
+	mkCtx := func(m Kind) *RankContext {
 		env := testEnv(t, false)
 		ids := []int{0}
 		res, err := m.Setup(env, img, ids, 0)
@@ -481,8 +481,8 @@ func TestPIESharedCodePages(t *testing.T) {
 		}
 		return res.Contexts[0]
 	}
-	plain := mkCtx(New(KindPIEglobals))
-	shared := mkCtx(NewPIEglobals(PIEOptions{ShareCodePages: true}))
+	plain := mkCtx(KindPIEglobals)
+	shared := mkCtx(KindPIEglobalsSharedCode)
 
 	// Same privatization semantics.
 	shared.Store("ug", 42)
@@ -513,7 +513,7 @@ func TestPIESharedCodePages(t *testing.T) {
 		t.Errorf("payload %d vs %d: expected a %d-byte saving", p1.Bytes(), p2.Bytes(), img.CodeSize)
 	}
 	env2 := testEnv(t, false)
-	res2, err := NewPIEglobals(PIEOptions{ShareCodePages: true}).Setup(env2, img, []int{0}, 0)
+	res2, err := KindPIEglobalsSharedCode.Setup(env2, img, []int{0}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -587,7 +587,7 @@ func TestParseKindRoundTrip(t *testing.T) {
 
 func TestCapabilityTableComplete(t *testing.T) {
 	for _, k := range kinds() {
-		m := New(k)
+		m := k
 		c := CapabilitiesOf(k)
 		if c.DisplayName == "" {
 			t.Errorf("%s has no capabilities row", k)
@@ -603,7 +603,7 @@ func TestCapabilityTableComplete(t *testing.T) {
 	if len(Table3Order()) != 8 {
 		t.Errorf("Table 3 has %d rows", len(Table3Order()))
 	}
-	if New(numKinds) != nil || CapabilitiesOf(numKinds).DisplayName != "" {
+	if numKinds.Valid() || CapabilitiesOf(numKinds).DisplayName != "" {
 		t.Error("a kind past the table has a method")
 	}
 }
@@ -624,7 +624,7 @@ func TestCapabilitiesMatchBehaviour(t *testing.T) {
 // mem.NewHeap's panic.
 func TestSetupRejectsRankOutsideArena(t *testing.T) {
 	env := testEnv(t, false)
-	_, err := New(KindTLSglobals).Setup(env, testImage(t), []int{0, mem.MaxRanks}, 0)
+	_, err := KindTLSglobals.Setup(env, testImage(t), []int{0, mem.MaxRanks}, 0)
 	if err == nil || !strings.Contains(err.Error(), "Isomalloc arena") {
 		t.Fatalf("Setup with rank %d: err = %v, want an arena-capacity error", mem.MaxRanks, err)
 	}

@@ -24,7 +24,9 @@ import (
 	"provirt/internal/sim"
 )
 
-// Kind enumerates the privatization methods discussed in the paper.
+// Kind enumerates the privatization methods discussed in the paper. A
+// Kind is the method: its methods read its row of methodTable, so one
+// Kind sets up any number of worlds at once. Call them on a Valid one.
 type Kind int
 
 const (
@@ -59,12 +61,21 @@ const (
 	// through Isomalloc, rebases pointers, and combines with
 	// TLSglobals for TLS variables (§3.3).
 	KindPIEglobals
+	// KindPIEglobalsSharedCode is PIEglobals with §6's shared code
+	// pages: each rank maps the code segment instead of copying it.
+	KindPIEglobalsSharedCode
+	// KindPIEglobalsSharedCodeCOW also leaves the read-only part of the
+	// data segment on the shared mapping, copy-on-write.
+	KindPIEglobalsSharedCodeCOW
 
 	numKinds
 )
 
+// Valid reports whether k names a method.
+func (k Kind) Valid() bool { return k >= 0 && k < numKinds }
+
 func (k Kind) String() string {
-	if k < 0 || k >= numKinds {
+	if !k.Valid() {
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
 	return methodTable[k].name
@@ -124,7 +135,7 @@ func Bridges2Env() (Toolchain, OS) {
 	return tc, os
 }
 
-// ProcessEnv is everything a Method needs about the process it is
+// ProcessEnv is everything a method needs about the process it is
 // privatizing ranks in.
 type ProcessEnv struct {
 	Proc      *machine.Process
@@ -141,7 +152,7 @@ type ProcessEnv struct {
 	StackSize uint64
 }
 
-// SetupResult is what a Method produces for one process.
+// SetupResult is what a method's Setup produces for one process.
 type SetupResult struct {
 	// Contexts holds one rank context per requested VP, in input
 	// order.
@@ -153,72 +164,15 @@ type SetupResult struct {
 	SharedInstance *elf.Instance
 }
 
-// PIEOptions enables the paper's §6 future-work optimizations on
-// PIEglobals.
-type PIEOptions struct {
-	// ShareCodePages maps each rank's code segment from a single
-	// read-only descriptor instead of copying it: startup skips the
-	// code memcpy, the per-rank resident footprint drops by the code
-	// size, and migrations transfer only metadata for the code block
-	// (the destination remaps it). This is the "mapping the code
-	// segments into virtual memory from a single file descriptor using
-	// mmap" plus "only migrate segments of code that differ across
-	// ranks" plan of §6; with no self-modifying code no segment ever
-	// differs, so nothing is transferred.
-	ShareCodePages bool
-	// ShareROData extends the single-descriptor mapping to the read-only
-	// portion of the data segment (const variable cells and declared
-	// .rodata-like bulk, per elf.Layout.ROBytes): those bytes stay on
-	// shared pages with copy-on-write semantics, so startup skips their
-	// memcpy, the per-rank resident footprint shrinks to the writable
-	// delta plus handles, and migrations remap them instead of moving
-	// them. Requires ShareCodePages (same descriptor machinery).
-	ShareROData bool
-}
-
-// Method is one privatization technique: a row of methodTable, plus the
-// PIEglobals options when it was made by NewPIEglobals. It is immutable,
-// so one value can set up any number of worlds at once.
-type Method struct {
-	kind Kind
-	pie  PIEOptions
-}
-
-// paperMethods are the methods as the paper evaluated them, one per
-// Kind, so that New allocates nothing (a Spec asks for its method every
-// time it is validated or hashed).
-var paperMethods = func() (ms [numKinds]Method) {
-	for k := range ms {
-		ms[k].kind = Kind(k)
-	}
-	return ms
-}()
-
-// New returns the method of the given kind in the configuration the
-// paper evaluated, or nil when kind names no method.
-func New(kind Kind) *Method {
-	if kind < 0 || kind >= numKinds {
-		return nil
-	}
-	return &paperMethods[kind]
-}
-
-// NewPIEglobals returns PIEglobals with explicit future-work options.
-func NewPIEglobals(opts PIEOptions) *Method {
-	return &Method{kind: KindPIEglobals, pie: opts}
-}
-
-func (m *Method) row() *methodRow { return &methodTable[m.kind] }
-
-// Kind returns which method this is.
-func (m *Method) Kind() Kind { return m.kind }
+// row is the method's row of methodTable; k must be Valid.
+func (k Kind) row() *methodRow { return &methodTable[k] }
 
 // Needs returns the set of requirements the method has.
-func (m *Method) Needs() Requirement { return m.row().needs }
+func (k Kind) Needs() Requirement { return k.row().needs }
 
 // Migratable reports whether ranks privatized by this method can be
 // rebuilt in another address space.
-func (m *Method) Migratable() bool { return m.row().veto == "" }
+func (k Kind) Migratable() bool { return k.row().veto == "" }
 
 // Unmet lists the method's requirements that a process does not meet:
 // env supplies the toolchain, OS and SMP mode, ranks is how many virtual
@@ -226,8 +180,8 @@ func (m *Method) Migratable() bool { return m.row().veto == "" }
 // requirements on the program (NeedsOfImage). Setup refuses to run with
 // any unmet; callers that want every problem at once, before a world is
 // built, ask here.
-func (m *Method) Unmet(env *ProcessEnv, img *elf.Image, ranks int) []Unmet {
-	needs := m.row().needs
+func (k Kind) Unmet(env *ProcessEnv, img *elf.Image, ranks int) []Unmet {
+	needs := k.row().needs
 	if img == nil {
 		needs &^= NeedsOfImage
 	}
@@ -235,7 +189,7 @@ func (m *Method) Unmet(env *ProcessEnv, img *elf.Image, ranks int) []Unmet {
 	var out []Unmet
 	for _, r := range requirements {
 		if needs&r.need != 0 && !r.met(at) {
-			out = append(out, Unmet{Need: r.need, Msg: m.kind.String() + " " + r.msg})
+			out = append(out, Unmet{Need: r.need, Msg: k.String() + " " + r.msg})
 		}
 	}
 	return out
@@ -245,8 +199,8 @@ func (m *Method) Unmet(env *ProcessEnv, img *elf.Image, ranks int) []Unmet {
 // needs and the environment lacks, where a change of toolchain or OS can
 // supply it: the old linker, the MPC compiler, and — when a process
 // hosts more ranks than stock glibc has namespaces — the patched glibc.
-func (m *Method) Grant(tc Toolchain, os OS, ranks int) (Toolchain, OS) {
-	needs, at := m.row().needs, site{tc: tc, os: os, ranks: ranks}
+func (k Kind) Grant(tc Toolchain, os OS, ranks int) (Toolchain, OS) {
+	needs, at := k.row().needs, site{tc: tc, os: os, ranks: ranks}
 	for _, r := range requirements {
 		if needs&r.need != 0 && r.grant != nil && !r.met(at) {
 			at = r.grant(at)
@@ -258,7 +212,7 @@ func (m *Method) Grant(tc Toolchain, os OS, ranks int) (Toolchain, OS) {
 // SwitchExtra is the additional work performed at each user-level
 // thread context switch into to (updating the TLS segment pointer,
 // swapping the GOT).
-func (m *Method) SwitchExtra(to *RankContext) sim.Time {
+func (k Kind) SwitchExtra(to *RankContext) sim.Time {
 	if to == nil {
 		return 0
 	}
@@ -283,8 +237,8 @@ type plan struct {
 }
 
 // newPlan lays the row's placement out over the image's variables.
-func (m *Method) newPlan(env *ProcessEnv, img *elf.Image) *plan {
-	r := m.row()
+func (k Kind) newPlan(env *ProcessEnv, img *elf.Image) *plan {
+	r := k.row()
 	p := &plan{cells: make([]cellRef, len(img.Vars))}
 	useTLS := r.tls == tlsAll || r.tls == tlsTagged && env.Toolchain.SupportsTLSSegRefs
 	if useTLS {
@@ -324,11 +278,11 @@ func (m *Method) newPlan(env *ProcessEnv, img *elf.Image) *plan {
 // context per virtual rank in vps, charging all work to virtual time
 // starting at start. It refuses a process that does not meet the
 // method's requirements.
-func (m *Method) Setup(env *ProcessEnv, img *elf.Image, vps []int, start sim.Time) (*SetupResult, error) {
-	if unmet := m.Unmet(env, img, len(vps)); len(unmet) > 0 {
+func (k Kind) Setup(env *ProcessEnv, img *elf.Image, vps []int, start sim.Time) (*SetupResult, error) {
+	if unmet := k.Unmet(env, img, len(vps)); len(unmet) > 0 {
 		return nil, unmet[0]
 	}
-	r := m.row()
+	r := k.row()
 	env.Linker.PatchedGlibc = env.OS.PatchedGlibc
 
 	// The work every method shares: loading the program (and the AMPI
@@ -351,12 +305,12 @@ func (m *Method) Setup(env *ProcessEnv, img *elf.Image, vps []int, start sim.Tim
 		}
 		if seg.CodeBase != h.Inst.CodeBase || seg.DataBase != h.Inst.DataBase {
 			return nil, fmt.Errorf("core: %s: dl_iterate_phdr diff located segments at %#x/%#x, loader reports %#x/%#x",
-				m.kind, seg.CodeBase, seg.DataBase, h.Inst.CodeBase, h.Inst.DataBase)
+				k, seg.CodeBase, seg.DataBase, h.Inst.CodeBase, h.Inst.DataBase)
 		}
 		tmpl = newPIETemplate(h.Inst)
 	}
 
-	p := m.newPlan(env, img)
+	p := k.newPlan(env, img)
 	tlsCopy := env.Cost.CopyTime(uint64(len(p.tlsInit)) * 8)
 	cellCopy := env.Cost.CopyTime(uint64(len(p.heapInit)) * 8)
 	if r.charge == chargeGOT {
@@ -365,7 +319,7 @@ func (m *Method) Setup(env *ProcessEnv, img *elf.Image, vps []int, start sim.Tim
 	}
 	res := &SetupResult{SharedInstance: h.Inst, Contexts: make([]*RankContext, 0, len(vps))}
 	for _, vp := range vps {
-		c, err := newContext(m, p, env, img, h.Inst, vp)
+		c, err := newContext(k, p, env, img, h.Inst, vp)
 		if err != nil {
 			return nil, err
 		}
@@ -378,11 +332,11 @@ func (m *Method) Setup(env *ProcessEnv, img *elf.Image, vps []int, start sim.Tim
 			copyH, done, err = env.Linker.DlopenFromFS(env.FS, img, path, loader.WriteBinaryToFS(env.FS, img, path, done))
 		case loadDuplicate:
 			var cost sim.Time
-			c.Private, cost, err = duplicateInstance(env, tmpl, c.Heap, m.pie)
+			c.Private, cost, err = duplicateInstance(env, tmpl, c.Heap, r)
 			done += cost
 		}
 		if err != nil {
-			return nil, fmt.Errorf("core: %s: rank %d: %w", m.kind, vp, err)
+			return nil, fmt.Errorf("core: %s: rank %d: %w", k, vp, err)
 		}
 		if copyH != nil {
 			done = env.Linker.PopulateShim(copyH, done)

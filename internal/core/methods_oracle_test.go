@@ -26,8 +26,8 @@ type oracleOutcome struct {
 	switchExtra func(to *RankContext) sim.Time
 }
 
-func oracleContext(m *Method, env *ProcessEnv, img *elf.Image, shared *elf.Instance, vp int) (*RankContext, error) {
-	return newContext(m, &plan{cells: make([]cellRef, len(img.Vars))}, env, img, shared, vp)
+func oracleContext(k Kind, env *ProcessEnv, img *elf.Image, shared *elf.Instance, vp int) (*RankContext, error) {
+	return newContext(k, &plan{cells: make([]cellRef, len(img.Vars))}, env, img, shared, vp)
 }
 
 // oracleResolveAll assigns every variable a storage location. decide
@@ -64,19 +64,24 @@ func oracleCheckEnv(kind Kind, env *ProcessEnv) error {
 		return fmt.Errorf("tlsglobals requires -mno-tls-direct-seg-refs")
 	case kind == KindMPCPrivatize && !env.Toolchain.MPCPatched:
 		return fmt.Errorf("-fmpc-privatize requires an MPC-patched compiler")
-	case (kind == KindPIPglobals || kind == KindPIEglobals) && !glibc:
+	case (kind == KindPIPglobals || isPIE(kind)) && !glibc:
 		return fmt.Errorf("%s requires GNU/Linux", kind)
 	case kind == KindFSglobals && !env.OS.SharedFS:
 		return fmt.Errorf("fsglobals requires a shared filesystem")
-	case (kind == KindPIPglobals || kind == KindFSglobals || kind == KindPIEglobals) && !env.Toolchain.PIE:
+	case (kind == KindPIPglobals || kind == KindFSglobals || isPIE(kind)) && !env.Toolchain.PIE:
 		return fmt.Errorf("%s requires a Position Independent Executable", kind)
 	}
 	return nil
 }
 
+// isPIE reports whether kind is PIEglobals or one of its §6 variants.
+func isPIE(kind Kind) bool {
+	return kind == KindPIEglobals || kind == KindPIEglobalsSharedCode || kind == KindPIEglobalsSharedCodeCOW
+}
+
 // oracleSetup is the old CheckEnv-then-Setup of one method.
-func oracleSetup(m *Method, env *ProcessEnv, img *elf.Image, vps []int, start sim.Time) (*oracleOutcome, error) {
-	if err := oracleCheckEnv(m.kind, env); err != nil {
+func oracleSetup(k Kind, env *ProcessEnv, img *elf.Image, vps []int, start sim.Time) (*oracleOutcome, error) {
+	if err := oracleCheckEnv(k, env); err != nil {
 		return nil, err
 	}
 	out := &oracleOutcome{SetupResult: &SetupResult{}, migratable: true,
@@ -88,35 +93,35 @@ func oracleSetup(m *Method, env *ProcessEnv, img *elf.Image, vps []int, start si
 		return env.Cost.TLSSwitchCost
 	}
 	var err error
-	switch m.kind {
+	switch k {
 	case KindNone:
-		err = oracleNone(m, env, img, vps, start, out.SetupResult)
+		err = oracleNone(k, env, img, vps, start, out.SetupResult)
 	case KindManual, KindPhotran:
-		err = oracleRefactor(m, env, img, vps, start, out.SetupResult)
+		err = oracleRefactor(k, env, img, vps, start, out.SetupResult)
 	case KindSwapglobals:
 		out.switchExtra = func(to *RankContext) sim.Time {
-			if to == nil || to.Method.Kind() != KindSwapglobals {
+			if to == nil || to.Method != KindSwapglobals {
 				return 0
 			}
 			return env.Cost.GOTSwapCost
 		}
-		err = oracleSwapglobals(m, env, img, vps, start, out.SetupResult)
+		err = oracleSwapglobals(k, env, img, vps, start, out.SetupResult)
 	case KindTLSglobals:
 		out.switchExtra = tlsSwitch
-		err = oracleTLS(m, env, img, vps, start, out.SetupResult, false)
+		err = oracleTLS(k, env, img, vps, start, out.SetupResult, false)
 	case KindMPCPrivatize:
 		out.switchExtra = tlsSwitch
 		out.migratable, out.veto = false, "migration is not implemented for -fmpc-privatize (Table 1)"
-		err = oracleTLS(m, env, img, vps, start, out.SetupResult, true)
+		err = oracleTLS(k, env, img, vps, start, out.SetupResult, true)
 	case KindPIPglobals:
 		out.migratable = false
 		out.veto = "pipglobals segments are mapped by ld-linux.so's internal mmap calls, which cannot be intercepted and allocated via Isomalloc (§3.1)"
-		err = oraclePIP(m, env, img, vps, start, out.SetupResult)
+		err = oraclePIP(k, env, img, vps, start, out.SetupResult)
 	case KindFSglobals:
 		out.migratable = false
 		out.veto = "fsglobals segments are mapped by the system dlopen, which cannot be intercepted and allocated via Isomalloc (§3.2)"
-		err = oracleFS(m, env, img, vps, start, out.SetupResult)
-	case KindPIEglobals:
+		err = oracleFS(k, env, img, vps, start, out.SetupResult)
+	case KindPIEglobals, KindPIEglobalsSharedCode, KindPIEglobalsSharedCodeCOW:
 		// PIEglobals implies TLSglobals where supported, so it pays the
 		// TLS segment pointer update at every switch (§4.2).
 		out.switchExtra = func(to *RankContext) sim.Time {
@@ -125,7 +130,7 @@ func oracleSetup(m *Method, env *ProcessEnv, img *elf.Image, vps []int, start si
 			}
 			return env.Cost.TLSSwitchCost
 		}
-		err = oraclePIE(m, env, img, vps, start, out.SetupResult)
+		err = oraclePIE(k, env, img, vps, start, out.SetupResult)
 	}
 	if err != nil {
 		return nil, err
@@ -133,7 +138,7 @@ func oracleSetup(m *Method, env *ProcessEnv, img *elf.Image, vps []int, start si
 	return out, nil
 }
 
-func oracleNone(m *Method, env *ProcessEnv, img *elf.Image, vps []int, start sim.Time, res *SetupResult) error {
+func oracleNone(k Kind, env *ProcessEnv, img *elf.Image, vps []int, start sim.Time, res *SetupResult) error {
 	h, done, err := oracleLoadBase(env, img, start)
 	if err != nil {
 		return err
@@ -141,7 +146,7 @@ func oracleNone(m *Method, env *ProcessEnv, img *elf.Image, vps []int, start sim
 	res.SharedInstance, res.Done = h.Inst, done
 	direct := accessCost(env.Cost, false)
 	for _, vp := range vps {
-		c, err := oracleContext(m, env, img, h.Inst, vp)
+		c, err := oracleContext(k, env, img, h.Inst, vp)
 		if err != nil {
 			return err
 		}
@@ -153,8 +158,8 @@ func oracleNone(m *Method, env *ProcessEnv, img *elf.Image, vps []int, start sim
 	return nil
 }
 
-func oracleRefactor(m *Method, env *ProcessEnv, img *elf.Image, vps []int, start sim.Time, res *SetupResult) error {
-	if m.kind == KindPhotran && img.Language != "fortran" {
+func oracleRefactor(k Kind, env *ProcessEnv, img *elf.Image, vps []int, start sim.Time, res *SetupResult) error {
+	if k == KindPhotran && img.Language != "fortran" {
 		return fmt.Errorf("core: photran refactoring applies only to Fortran codes; %q is %s", img.Name, img.Language)
 	}
 	h, done, err := oracleLoadBase(env, img, start)
@@ -168,7 +173,7 @@ func oracleRefactor(m *Method, env *ProcessEnv, img *elf.Image, vps []int, start
 	priv := accessCost(env.Cost, true)
 	words := uint64(len(img.Vars))
 	for _, vp := range vps {
-		c, err := oracleContext(m, env, img, h.Inst, vp)
+		c, err := oracleContext(k, env, img, h.Inst, vp)
 		if err != nil {
 			return err
 		}
@@ -192,7 +197,7 @@ func oracleRefactor(m *Method, env *ProcessEnv, img *elf.Image, vps []int, start
 	return nil
 }
 
-func oracleSwapglobals(m *Method, env *ProcessEnv, img *elf.Image, vps []int, start sim.Time, res *SetupResult) error {
+func oracleSwapglobals(k Kind, env *ProcessEnv, img *elf.Image, vps []int, start sim.Time, res *SetupResult) error {
 	h, done, err := oracleLoadBase(env, img, start)
 	if err != nil {
 		return err
@@ -202,7 +207,7 @@ func oracleSwapglobals(m *Method, env *ProcessEnv, img *elf.Image, vps []int, st
 	got := accessCost(env.Cost, true)
 	words := uint64(len(img.Vars))
 	for _, vp := range vps {
-		c, err := oracleContext(m, env, img, h.Inst, vp)
+		c, err := oracleContext(k, env, img, h.Inst, vp)
 		if err != nil {
 			return err
 		}
@@ -233,7 +238,7 @@ func oracleSwapglobals(m *Method, env *ProcessEnv, img *elf.Image, vps []int, st
 // oracleTLS builds contexts whose tagged (or, if privatizeAll, every
 // mutable) variables live in per-rank TLS blocks: TLSglobals and
 // -fmpc-privatize.
-func oracleTLS(m *Method, env *ProcessEnv, img *elf.Image, vps []int, start sim.Time, res *SetupResult, privatizeAll bool) error {
+func oracleTLS(k Kind, env *ProcessEnv, img *elf.Image, vps []int, start sim.Time, res *SetupResult, privatizeAll bool) error {
 	h, done, err := oracleLoadBase(env, img, start)
 	if err != nil {
 		return err
@@ -250,7 +255,7 @@ func oracleTLS(m *Method, env *ProcessEnv, img *elf.Image, vps []int, start sim.
 	}
 	var extra sim.Time
 	for _, vp := range vps {
-		c, err := oracleContext(m, env, img, h.Inst, vp)
+		c, err := oracleContext(k, env, img, h.Inst, vp)
 		if err != nil {
 			return err
 		}
@@ -271,7 +276,7 @@ func oracleTLS(m *Method, env *ProcessEnv, img *elf.Image, vps []int, start sim.
 	return nil
 }
 
-func oraclePIP(m *Method, env *ProcessEnv, img *elf.Image, vps []int, start sim.Time, res *SetupResult) error {
+func oraclePIP(k Kind, env *ProcessEnv, img *elf.Image, vps []int, start sim.Time, res *SetupResult) error {
 	env.Linker.PatchedGlibc = env.OS.PatchedGlibc
 	h, done, err := oracleLoadBase(env, img, start)
 	if err != nil {
@@ -287,7 +292,7 @@ func oraclePIP(m *Method, env *ProcessEnv, img *elf.Image, vps []int, start sim.
 			return fmt.Errorf("core: pipglobals: rank %d: %w", vp, err)
 		}
 		done = env.Linker.PopulateShim(copyH, copyDone)
-		c, err := oracleContext(m, env, img, h.Inst, vp)
+		c, err := oracleContext(k, env, img, h.Inst, vp)
 		if err != nil {
 			return err
 		}
@@ -301,7 +306,7 @@ func oraclePIP(m *Method, env *ProcessEnv, img *elf.Image, vps []int, start sim.
 	return nil
 }
 
-func oracleFS(m *Method, env *ProcessEnv, img *elf.Image, vps []int, start sim.Time, res *SetupResult) error {
+func oracleFS(k Kind, env *ProcessEnv, img *elf.Image, vps []int, start sim.Time, res *SetupResult) error {
 	if img.SharedDeps > 0 {
 		return fmt.Errorf("core: fsglobals: %q has %d shared-object dependencies", img.Name, img.SharedDeps)
 	}
@@ -321,7 +326,7 @@ func oracleFS(m *Method, env *ProcessEnv, img *elf.Image, vps []int, start sim.T
 			return fmt.Errorf("core: fsglobals: rank %d: %w", vp, err)
 		}
 		done = env.Linker.PopulateShim(copyH, copyDone)
-		c, err := oracleContext(m, env, img, h.Inst, vp)
+		c, err := oracleContext(k, env, img, h.Inst, vp)
 		if err != nil {
 			return err
 		}
@@ -335,7 +340,7 @@ func oracleFS(m *Method, env *ProcessEnv, img *elf.Image, vps []int, start sim.T
 	return nil
 }
 
-func oraclePIE(m *Method, env *ProcessEnv, img *elf.Image, vps []int, start sim.Time, res *SetupResult) error {
+func oraclePIE(k Kind, env *ProcessEnv, img *elf.Image, vps []int, start sim.Time, res *SetupResult) error {
 	before := env.Linker.IteratePhdr()
 	h, done, err := oracleLoadBase(env, img, start)
 	if err != nil {
@@ -366,11 +371,11 @@ func oraclePIE(m *Method, env *ProcessEnv, img *elf.Image, vps []int, start sim.
 	}
 	tmpl := newPIETemplate(shared)
 	for _, vp := range vps {
-		c, err := oracleContext(m, env, img, shared, vp)
+		c, err := oracleContext(k, env, img, shared, vp)
 		if err != nil {
 			return err
 		}
-		priv, cost, err := duplicateInstance(env, tmpl, c.Heap, m.pie)
+		priv, cost, err := duplicateInstance(env, tmpl, c.Heap, k.row())
 		if err != nil {
 			return fmt.Errorf("core: pieglobals: rank %d: %w", vp, err)
 		}
@@ -415,8 +420,7 @@ func oracleEnv(t *testing.T, smp bool) *ProcessEnv {
 }
 
 // OracleCompare holds the table-driven Setup to the nine old ones over
-// img: for every method (PIEglobals also without TLS and with each §6
-// option), 1 and 3 and 14 ranks, SMP off and on, the two either both
+// img: for every method (PIEglobals also without TLS), 1 and 3 and 14 ranks, SMP off and on, the two either both
 // refuse or agree on Done, on every variable's address, placement,
 // value and access cost, on each rank's heap footprint, TLS block and
 // migration answer, and on the per-switch charge. It is exported to the
@@ -424,18 +428,16 @@ func oracleEnv(t *testing.T, smp bool) *ProcessEnv {
 func OracleCompare(t *testing.T, img *elf.Image) {
 	type variant struct {
 		name string
-		m    *Method
+		k    Kind
 		env  func(*ProcessEnv)
 	}
 	var variants []variant
 	for k := KindNone; k < numKinds; k++ {
-		variants = append(variants, variant{k.String(), New(k), nil})
+		variants = append(variants, variant{k.String(), k, nil})
 	}
 	variants = append(variants,
-		variant{"pieglobals-no-tls", New(KindPIEglobals), func(e *ProcessEnv) { e.Toolchain.SupportsTLSSegRefs = false }},
-		variant{"pieglobals+sharedcode", NewPIEglobals(PIEOptions{ShareCodePages: true}), nil},
-		variant{"pieglobals+sharedcode+cow", NewPIEglobals(PIEOptions{ShareCodePages: true, ShareROData: true}), nil},
-		variant{"pipglobals-stock-glibc", New(KindPIPglobals), func(e *ProcessEnv) { e.OS.PatchedGlibc = false }},
+		variant{"pieglobals-no-tls", KindPIEglobals, func(e *ProcessEnv) { e.Toolchain.SupportsTLSSegRefs = false }},
+		variant{"pipglobals-stock-glibc", KindPIPglobals, func(e *ProcessEnv) { e.OS.PatchedGlibc = false }},
 	)
 	for _, v := range variants {
 		for _, nvps := range []int{1, 3, 14} {
@@ -450,22 +452,22 @@ func OracleCompare(t *testing.T, img *elf.Image) {
 						v.env(envs[0])
 						v.env(envs[1])
 					}
-					got, gotErr := v.m.Setup(envs[0], img, vps, 5)
-					want, wantErr := oracleSetup(v.m, envs[1], img, vps, 5)
+					got, gotErr := v.k.Setup(envs[0], img, vps, 5)
+					want, wantErr := oracleSetup(v.k, envs[1], img, vps, 5)
 					if (gotErr == nil) != (wantErr == nil) {
 						t.Fatalf("Setup: %v, oracle: %v", gotErr, wantErr)
 					}
 					if gotErr != nil {
 						return
 					}
-					compareWithOracle(t, v.m, img, got, want)
+					compareWithOracle(t, v.k, img, got, want)
 				})
 			}
 		}
 	}
 }
 
-func compareWithOracle(t *testing.T, m *Method, img *elf.Image, got *SetupResult, want *oracleOutcome) {
+func compareWithOracle(t *testing.T, k Kind, img *elf.Image, got *SetupResult, want *oracleOutcome) {
 	t.Helper()
 	if got.Done != want.Done {
 		t.Errorf("Done = %v, oracle %v", got.Done, want.Done)
@@ -473,7 +475,7 @@ func compareWithOracle(t *testing.T, m *Method, img *elf.Image, got *SetupResult
 	if len(got.Contexts) != len(want.Contexts) {
 		t.Fatalf("%d contexts, oracle %d", len(got.Contexts), len(want.Contexts))
 	}
-	if g, w := m.SwitchExtra(nil), want.switchExtra(nil); g != w {
+	if g, w := k.SwitchExtra(nil), want.switchExtra(nil); g != w {
 		t.Errorf("SwitchExtra(nil) = %v, oracle %v", g, w)
 	}
 	for i, c := range got.Contexts {
@@ -506,18 +508,18 @@ func compareWithOracle(t *testing.T, m *Method, img *elf.Image, got *SetupResult
 		if (c.Private == nil) != (o.Private == nil) {
 			t.Errorf("rank %d: private instance %v, oracle %v", c.VP, c.Private != nil, o.Private != nil)
 		}
-		if g, w := m.SwitchExtra(c), want.switchExtra(o); g != w {
+		if g, w := k.SwitchExtra(c), want.switchExtra(o); g != w {
 			t.Errorf("rank %d: SwitchExtra = %v, oracle %v", c.VP, g, w)
 		}
-		if m.Migratable() != want.migratable {
-			t.Errorf("rank %d: migratable %v, oracle %v", c.VP, m.Migratable(), want.migratable)
+		if k.Migratable() != want.migratable {
+			t.Errorf("rank %d: migratable %v, oracle %v", c.VP, k.Migratable(), want.migratable)
 		}
 		_, err := c.Serialize()
 		switch {
 		case want.migratable && err != nil:
 			t.Errorf("rank %d: Serialize: %v", c.VP, err)
 		case !want.migratable:
-			wantErr := fmt.Sprintf("core: rank %d cannot migrate under %s: %s", c.VP, m.Kind(), want.veto)
+			wantErr := fmt.Sprintf("core: rank %d cannot migrate under %s: %s", c.VP, k, want.veto)
 			if err == nil || err.Error() != wantErr {
 				t.Errorf("rank %d: Serialize = %v, oracle %q", c.VP, err, wantErr)
 			}

@@ -37,7 +37,7 @@ func (p *MigrationPayload) DeltaBytes() uint64 {
 // explains why the active privatization method cannot migrate it.
 func (c *RankContext) Serialize() (*MigrationPayload, error) {
 	if veto := c.Method.row().veto; veto != "" {
-		return nil, fmt.Errorf("core: rank %d cannot migrate under %s: %s", c.VP, c.Method.Kind(), veto)
+		return nil, fmt.Errorf("core: rank %d cannot migrate under %s: %s", c.VP, c.Method, veto)
 	}
 	p := &MigrationPayload{VP: c.VP, Heap: c.Heap.Serialize()}
 	if c.TLS != nil {
@@ -58,7 +58,7 @@ func (c *RankContext) Serialize() (*MigrationPayload, error) {
 // destination's copy.
 func (c *RankContext) Handoff(destShared *elf.Instance) (bytes, wire uint64, err error) {
 	if veto := c.Method.row().veto; veto != "" {
-		return 0, 0, fmt.Errorf("core: rank %d cannot migrate under %s: %s", c.VP, c.Method.Kind(), veto)
+		return 0, 0, fmt.Errorf("core: rank %d cannot migrate under %s: %s", c.VP, c.Method, veto)
 	}
 	heap, delta := c.Heap.Handoff()
 	tls := uint64(len(c.TLS)) * 8

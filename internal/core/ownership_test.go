@@ -191,7 +191,7 @@ func TestContextWithoutSegmentCellsHoldsNoCache(t *testing.T) {
 	for _, kind := range []Kind{KindTLSglobals, KindManual} {
 		t.Run(kind.String(), func(t *testing.T) {
 			env := testEnv(t, false)
-			m := New(kind)
+			m := kind
 			buildBytes := func(img *elf.Image) uint64 {
 				p := m.newPlan(env, img)
 				const runs = 20

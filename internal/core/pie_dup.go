@@ -77,7 +77,7 @@ func newPIETemplate(src *elf.Instance) *pieTemplate {
 // ADCIRC, the four around its GOT — and the rest of the rank's view
 // reads through to the image's frozen base: its initialised prefix and,
 // past it, zeros the host never stores.
-func duplicateInstance(env *ProcessEnv, t *pieTemplate, heap *mem.Heap, opts PIEOptions) (*elf.Instance, sim.Time, error) {
+func duplicateInstance(env *ProcessEnv, t *pieTemplate, heap *mem.Heap, r *methodRow) (*elf.Instance, sim.Time, error) {
 	src, img := t.src, t.src.Img
 	var cost sim.Time
 
@@ -90,13 +90,13 @@ func duplicateInstance(env *ProcessEnv, t *pieTemplate, heap *mem.Heap, opts PIE
 		return nil, 0, err
 	}
 	dataBytes := dataBlk.Size
-	if opts.ShareCodePages {
+	if r.shareCode {
 		// §6 future work: the rank's code is a read-only mapping of
 		// one shared descriptor — page tables only, no copy, no
 		// resident footprint, no migration payload.
 		heap.MarkSharedBytes(codeBlk, codeBlk.Size)
 		copyBytes := dataBytes
-		if opts.ShareROData {
+		if r.shareRO {
 			// COW extension: the read-only slice of the data segment
 			// (const cells + declared .rodata bulk) stays on the shared
 			// mapping too. Only the writable delta is copied per rank;

@@ -66,7 +66,7 @@ func pieSetup(t testing.TB, img *elf.Image, vps int) *core.SetupResult {
 	for i := range ids {
 		ids[i] = i
 	}
-	res, err := core.New(core.KindPIEglobals).Setup(env, img, ids, 0)
+	res, err := core.KindPIEglobals.Setup(env, img, ids, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

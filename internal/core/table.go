@@ -68,7 +68,7 @@ type site struct {
 // requirements says, once, what each Requirement means: when a site
 // meets it, what to tell the user when it does not, and — for the three
 // the paper's own test system lacked — the change to an environment
-// that supplies it (see Method.Grant).
+// that supplies it (see Kind.Grant).
 var requirements = []struct {
 	need  Requirement
 	met   func(s site) bool
@@ -185,11 +185,39 @@ type methodRow struct {
 	// cellLabel names the rank's heap block when rest is storeHeapCell.
 	cellLabel string
 
-	load   loadStep
-	charge switchCharge
+	load loadStep
+	// shareCode maps the rank's code segment from one read-only
+	// descriptor instead of copying it, so the code adds nothing to the
+	// rank's footprint or a migration's payload; shareRO also leaves the
+	// data segment's read-only part (elf.Layout.ROBytes) on a shared
+	// copy-on-write mapping (§6 future work, under loadDuplicate).
+	shareCode, shareRO bool
+	charge             switchCharge
 	// veto is why a rank's state cannot be rebuilt in another address
 	// space; empty when it can.
 	veto string
+}
+
+// The program is dlopen'd once per process — a per-rank dlopen
+// crashes glibc under SMP mode's pthreads — and the runtime copies its
+// segments per rank itself, through Isomalloc, so the rank can migrate,
+// at the price of moving its code with it (§3.3, Fig. 8). Combines with
+// TLSglobals where the toolchain supports it (§4.2).
+var pieglobals = methodRow{
+	name:         "pieglobals",
+	Capabilities: Capabilities{"PIEglobals", "Good", "Implemented w/ GNU libc extension", "Yes", "Yes"},
+	needs:        NeedGlibc | NeedPIE,
+	tls:          tlsTagged,
+	rest:         storePrivSeg,
+	load:         loadDuplicate,
+	charge:       chargeTLS,
+}
+
+// sharing is the row named name, sharing its code and, if ro, its RO data.
+func (r methodRow) sharing(name string, ro bool) methodRow {
+	r.name, r.DisplayName = name, name
+	r.shareCode, r.shareRO = true, ro
+	return r
 }
 
 // methodTable holds each method's row. Cell strings match Table 3 of
@@ -271,26 +299,16 @@ var methodTable = [numKinds]methodRow{
 		load:         loadFSCopy,
 		veto:         "fsglobals segments are mapped by the system dlopen, which cannot be intercepted and allocated via Isomalloc (§3.2)",
 	},
-	// The program is dlopen'd once per process — a per-rank dlopen
-	// crashes glibc under SMP mode's pthreads — and the runtime copies
-	// its segments per rank itself, through Isomalloc, so the rank can
-	// migrate, at the price of moving its code with it (§3.3, Fig. 8).
-	// Combines with TLSglobals where the toolchain supports it (§4.2).
-	KindPIEglobals: {
-		name:         "pieglobals",
-		Capabilities: Capabilities{"PIEglobals", "Good", "Implemented w/ GNU libc extension", "Yes", "Yes"},
-		needs:        NeedGlibc | NeedPIE,
-		tls:          tlsTagged,
-		rest:         storePrivSeg,
-		load:         loadDuplicate,
-		charge:       chargeTLS,
-	},
+	KindPIEglobals: pieglobals,
+	// §6's future work, for the memory experiment; in neither Table 1 nor 3.
+	KindPIEglobalsSharedCode:    pieglobals.sharing("pieglobals+sharedcode", false),
+	KindPIEglobalsSharedCodeCOW: pieglobals.sharing("pieglobals+sharedcode+cow", true),
 }
 
 // CapabilitiesOf returns the Table 3 row for a method kind, or the zero
 // Capabilities when kind names no method.
 func CapabilitiesOf(k Kind) Capabilities {
-	if k < 0 || k >= numKinds {
+	if !k.Valid() {
 		return Capabilities{}
 	}
 	return methodTable[k].Capabilities

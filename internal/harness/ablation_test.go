@@ -31,13 +31,13 @@ func runWorld(t *testing.T, cfg ampi.Config, prog *ampi.Program) *ampi.World {
 
 // migrateOnce moves one ADCIRC-image rank across two nodes and returns
 // the migration record and the rank's resident bytes after it.
-func migrateOnce(t *testing.T, cost *machine.CostModel, method *core.Method) (ampi.MigrationRecord, uint64) {
+func migrateOnce(t *testing.T, cost *machine.CostModel, method core.Kind) (ampi.MigrationRecord, uint64) {
 	t.Helper()
 	w := runWorld(t, ampi.Config{
-		Machine:  machine.Config{Nodes: 2, ProcsPerNode: 1, PEsPerProc: 1, Cost: cost},
-		VPs:      1,
-		Method:   method,
-		Balancer: lb.RotateLB{},
+		Machine:   machine.Config{Nodes: 2, ProcsPerNode: 1, PEsPerProc: 1, Cost: cost},
+		VPs:       1,
+		Privatize: method,
+		Balancer:  lb.RotateLB{},
 	}, &ampi.Program{
 		Image: adcirc.Image(),
 		Main:  func(r *ampi.Rank) { r.Migrate() },
@@ -54,7 +54,7 @@ func TestAblationMigrationBandwidth(t *testing.T) {
 	migrate := func(bw float64) int64 {
 		cost := machine.Default()
 		cost.InterNodeBandwidth = bw
-		rec, _ := migrateOnce(t, cost, core.New(core.KindPIEglobals))
+		rec, _ := migrateOnce(t, cost, core.KindPIEglobals)
 		return rec.Duration.Microseconds()
 	}
 	base, fast := migrate(12e9), migrate(24e9)
@@ -99,8 +99,8 @@ func TestAblationLBTrigger(t *testing.T) {
 // the code bytes from both the per-rank resident footprint and the
 // migration payload.
 func TestAblationSharedCode(t *testing.T) {
-	base, baseRes := migrateOnce(t, nil, core.New(core.KindPIEglobals))
-	opt, optRes := migrateOnce(t, nil, core.NewPIEglobals(core.PIEOptions{ShareCodePages: true}))
+	base, baseRes := migrateOnce(t, nil, core.KindPIEglobals)
+	opt, optRes := migrateOnce(t, nil, core.KindPIEglobalsSharedCode)
 	got := fmt.Sprintf("%.2f → %.3f MiB payload, %.2f → %.3f MiB resident, %d → %d µs",
 		mib(base.Bytes), mib(opt.Bytes), mib(baseRes), mib(optRes),
 		base.Duration.Microseconds(), opt.Duration.Microseconds())

@@ -8,7 +8,6 @@ import (
 	"provirt/internal/scenario"
 	"provirt/internal/sim"
 	"provirt/internal/trace"
-	"provirt/internal/workloads/adcirc"
 )
 
 // AdcircPoint is one (cores, ratio) measurement of the ADCIRC strong-
@@ -42,36 +41,48 @@ func AdcircRatios() []int { return []int{2, 4, 8} }
 // AdcircScaling runs the full strong-scaling study of §4.6: for each
 // core count, an unvirtualized/unbalanced baseline plus each
 // virtualization ratio with GreedyRefineLB. It reproduces Table 2 (best
-// speedup per core count) and Fig. 9 (the full time series). A nil cores
-// selects Table2Cores.
-func AdcircScaling(o Opts, cfg adcirc.Config, cores []int) ([]AdcircRow, *trace.Table, *trace.Table, error) {
+// speedup per core count) and Fig. 9 (the full time series) for the
+// adcirc workload's default or quick cfg. A nil cores selects Table2Cores.
+func AdcircScaling(o Opts, cfg scenario.AdcircConfig, cores []int) ([]AdcircRow, *trace.Table, *trace.Table, error) {
+	params, err := scenario.AdcircParams(cfg)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return adcircScaling(o, params, cores)
+}
+
+// adcircPoints is the (cores x ratio) grid: per core count, the
+// unbalanced baseline at ratio 1, which never calls AMPI_Migrate, then
+// each of AdcircRatios with GreedyRefineLB.
+func adcircPoints(params scenario.WorkloadParams, cores []int) []point {
+	var points []point
+	at := func(c, ratio int, balancer lb.Strategy) point {
+		return point{fmt.Sprintf("cores=%d,ratio=%d", c, ratio), scenario.Spec{
+			Machine:        machineShape(1, 1, c),
+			VPs:            c * ratio,
+			Method:         core.KindPIEglobals,
+			Workload:       "adcirc",
+			WorkloadParams: params,
+			Balancer:       balancer,
+		}}
+	}
+	for _, c := range cores {
+		points = append(points, at(c, 1, nil))
+		for _, ratio := range AdcircRatios() {
+			points = append(points, at(c, ratio, lb.GreedyRefineLB{}))
+		}
+	}
+	return points
+}
+
+// adcircScaling is AdcircScaling with the adcirc workload at params.
+func adcircScaling(o Opts, params scenario.WorkloadParams, cores []int) ([]AdcircRow, *trace.Table, *trace.Table, error) {
 	if cores == nil {
 		cores = Table2Cores()
 	}
-	// Flatten the (cores x ratio) grid — one unbalanced baseline plus
-	// each virtualization ratio with GreedyRefineLB per core count —
-	// into independent points.
 	ratios := AdcircRatios()
 	stride := 1 + len(ratios)
-	unbalanced := cfg
-	unbalanced.LBPeriod = 0
-	at := func(c, ratio int, acfg adcirc.Config, balancer lb.Strategy) point {
-		return point{fmt.Sprintf("cores=%d,ratio=%d", c, ratio), scenario.Spec{
-			Machine:  machineShape(1, 1, c),
-			VPs:      c * ratio,
-			Method:   core.KindPIEglobals,
-			Program:  adcirc.New(acfg, nil),
-			Balancer: balancer,
-		}}
-	}
-	specs := make([]point, 0, len(cores)*stride)
-	for _, c := range cores {
-		specs = append(specs, at(c, 1, unbalanced, nil))
-		for _, ratio := range ratios {
-			specs = append(specs, at(c, ratio, cfg, lb.GreedyRefineLB{}))
-		}
-	}
-	points, err := run(o, specs)
+	points, err := run(o, adcircPoints(params, cores))
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("adcirc: %w", err)
 	}

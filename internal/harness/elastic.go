@@ -117,22 +117,16 @@ func elasticSpec(kind core.Kind, target ampi.CheckpointTarget, regime ElasticReg
 	return sp
 }
 
-// ElasticSweep reproduces the elasticity experiment: supervised
-// time-to-solution and node-hours under cluster churn, for each
-// migratable privatization method, checkpoint target, and churn
-// regime. Churn plans are compiled from per-point seeds before any
-// world runs, so rows, tables, and any selected trace are
-// byte-identical at any sweep parallelism. A nil regimes selects
-// ElasticRegimes().
-func ElasticSweep(o Opts, regimes []ElasticRegime) ([]ElasticRow, *trace.Table, error) {
+// elasticPoints is the sweep's rows, one per (regime, method, target),
+// and two runs per row: the churn-free, checkpoint-free baseline, then
+// the elastic run. A nil regimes selects ElasticRegimes().
+func elasticPoints(regimes []ElasticRegime) ([]ElasticRow, []point) {
 	if regimes == nil {
 		regimes = ElasticRegimes()
 	}
 	kinds := FTSweepMethods()
 	targets := []ampi.CheckpointTarget{ampi.TargetFS, ampi.TargetBuddy}
 	rows := make([]ElasticRow, len(regimes)*len(kinds)*len(targets))
-	// Two runs per point: the churn-free, checkpoint-free baseline, then
-	// the elastic run.
 	specs := make([]point, 0, 2*len(rows))
 	for i := range rows {
 		regime := regimes[i/(len(kinds)*len(targets))]
@@ -144,6 +138,18 @@ func ElasticSweep(o Opts, regimes []ElasticRegime) ([]ElasticRow, *trace.Table, 
 			point{label + ",run=baseline", checkpointedJob(elNodes, elVPs, kind)},
 			point{label, elasticSpec(kind, target, regime)})
 	}
+	return rows, specs
+}
+
+// ElasticSweep reproduces the elasticity experiment: supervised
+// time-to-solution and node-hours under cluster churn, for each
+// migratable privatization method, checkpoint target, and churn
+// regime. Churn plans are compiled from per-point seeds before any
+// world runs, so rows, tables, and any selected trace are
+// byte-identical at any sweep parallelism. A nil regimes selects
+// ElasticRegimes().
+func ElasticSweep(o Opts, regimes []ElasticRegime) ([]ElasticRow, *trace.Table, error) {
+	rows, specs := elasticPoints(regimes)
 	points, err := run(o, specs)
 	if err != nil {
 		return nil, nil, fmt.Errorf("elastic: %w", err)

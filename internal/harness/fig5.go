@@ -7,7 +7,6 @@ import (
 	"provirt/internal/scenario"
 	"provirt/internal/sim"
 	"provirt/internal/trace"
-	"provirt/internal/workloads/synth"
 )
 
 // Fig5Row is one bar of Fig. 5: startup/initialization time for one
@@ -23,16 +22,8 @@ type Fig5Row struct {
 // fig5Points is one node count's points: every method with 8 virtual
 // ranks per process.
 func fig5Points(nodes int) []point {
-	var points []point
-	for _, kind := range Fig5Methods() {
-		points = append(points, point{fmt.Sprintf("method=%s,nodes=%d", kind, nodes), scenario.Spec{
-			Machine: machineShape(nodes, 1, 1),
-			VPs:     nodes * 8, // 8x virtualization per process
-			Method:  kind,
-			Program: synth.Empty(),
-		}})
-	}
-	return points
+	return methodPoints(Fig5Methods(), fmt.Sprintf(",nodes=%d", nodes),
+		scenario.Spec{Machine: machineShape(nodes, 1, 1), VPs: nodes * 8, Workload: "empty"})
 }
 
 // Fig5Startup measures AMPI initialization time for each method with 8
@@ -68,16 +59,18 @@ func Fig5Startup(o Opts, nodes int) ([]Fig5Row, *trace.Table, error) {
 	return rows, t, nil
 }
 
+// fig5ScaleNodes are the node counts Fig5Scaling sweeps.
+var fig5ScaleNodes = []int{1, 2, 4, 8}
+
 // Fig5Scaling shows how each method's startup responds to node count:
 // §4.1's observation that "with the exception of FSglobals, which
 // relies on a shared file system, the cost is constant per-process and
 // does not increase with node counts", at 1, 2, 4 and 8 nodes.
 func Fig5Scaling(o Opts) (*trace.Table, error) {
-	nodeCounts := []int{1, 2, 4, 8}
 	methods := Fig5Methods()
 	headers := []string{"Method"}
 	var all []point
-	for _, n := range nodeCounts {
+	for _, n := range fig5ScaleNodes {
 		headers = append(headers, fmt.Sprintf("%d node(s)", n))
 		all = append(all, fig5Points(n)...)
 	}
@@ -88,7 +81,7 @@ func Fig5Scaling(o Opts) (*trace.Table, error) {
 	t := trace.NewTable("Figure 5 (scaling): startup vs node count, 8x virtualization", headers...)
 	for mi, m := range methods {
 		cells := []string{m.String()}
-		for ni := range nodeCounts {
+		for ni := range fig5ScaleNodes {
 			cells = append(cells, trace.FormatDuration(sim.Time(points[ni*len(methods)+mi].SetupNs)))
 		}
 		t.AddRow(cells...)

@@ -7,7 +7,6 @@ import (
 	"provirt/internal/scenario"
 	"provirt/internal/sim"
 	"provirt/internal/trace"
-	"provirt/internal/workloads/synth"
 )
 
 // Fig6Row is one bar of Fig. 6: mean user-level thread context-switch
@@ -31,20 +30,17 @@ func Fig6Methods() []core.Kind {
 	}
 }
 
+// fig6Points is the two-ULT ping microbenchmark under each of
+// Fig6Methods.
+func fig6Points() []point {
+	return methodPoints(Fig6Methods(), "", scenario.Spec{Machine: machineShape(1, 1, 1), VPs: 2, Workload: "ping"})
+}
+
 // Fig6ContextSwitch runs the two-ULT ping microbenchmark (100,000
 // switches) for each method and reports mean switch time (Fig. 6).
 func Fig6ContextSwitch(o Opts) ([]Fig6Row, *trace.Table, error) {
 	methods := Fig6Methods()
-	specs := make([]point, len(methods))
-	for i, kind := range methods {
-		specs[i] = point{"method=" + kind.String(), scenario.Spec{
-			Machine: machineShape(1, 1, 1),
-			VPs:     2,
-			Method:  kind,
-			Program: synth.Ping(),
-		}}
-	}
-	points, err := run(o, specs)
+	points, err := run(o, fig6Points())
 	if err != nil {
 		return nil, nil, fmt.Errorf("fig6: %w", err)
 	}

@@ -7,7 +7,6 @@ import (
 	"provirt/internal/scenario"
 	"provirt/internal/sim"
 	"provirt/internal/trace"
-	"provirt/internal/workloads/jacobi"
 )
 
 // Fig7Row is one bar of Fig. 7: Jacobi-3D execution time with all
@@ -19,27 +18,19 @@ type Fig7Row struct {
 	VsBaseline float64
 }
 
-// Fig7Methods are the methods compared in the privatized-variable-
-// access experiment.
-func Fig7Methods() []core.Kind { return Fig5Methods() }
+// fig7Points is a 32³ Jacobi-3D, 20 sweeps, under each of Fig5Methods.
+// One rank per PE isolates access cost from scheduling effects,
+// matching the paper's experimental intent.
+func fig7Points() []point {
+	return methodPoints(Fig5Methods(), "", scenario.Spec{Machine: machineShape(1, 1, 4), VPs: 4,
+		Workload: "jacobi", WorkloadParams: scenario.WorkloadParams{Grid: 32, Iters: 20}})
+}
 
 // Fig7JacobiAccess runs Jacobi-3D with every inner-loop variable
-// privatized and compares execution time across methods (Fig. 7). One
-// rank per PE isolates access cost from scheduling effects, matching
-// the paper's experimental intent.
+// privatized and compares execution time across methods (Fig. 7).
 func Fig7JacobiAccess(o Opts) ([]Fig7Row, *trace.Table, error) {
-	cfg := jacobi.Config{NX: 32, NY: 32, NZ: 32, Iters: 20, AccessesPerCell: 6, FlopsPerCell: 8}
-	methods := Fig7Methods()
-	specs := make([]point, len(methods))
-	for i, kind := range methods {
-		specs[i] = point{"method=" + kind.String(), scenario.Spec{
-			Machine: machineShape(1, 1, 4),
-			VPs:     4,
-			Method:  kind,
-			Program: jacobi.New(cfg, nil),
-		}}
-	}
-	points, err := run(o, specs)
+	methods := Fig5Methods()
+	points, err := run(o, fig7Points())
 	if err != nil {
 		return nil, nil, fmt.Errorf("fig7: %w", err)
 	}

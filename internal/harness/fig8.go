@@ -3,13 +3,11 @@ package harness
 import (
 	"fmt"
 
-	"provirt/internal/ampi"
 	"provirt/internal/core"
 	"provirt/internal/lb"
 	"provirt/internal/scenario"
 	"provirt/internal/sim"
 	"provirt/internal/trace"
-	"provirt/internal/workloads/adcirc"
 )
 
 // Fig8Row is one point of Fig. 8: time to migrate one virtual rank
@@ -28,40 +26,32 @@ func Fig8HeapSizes() []uint64 {
 	return []uint64{1 << 20, 4 << 20, 16 << 20, 64 << 20, 100 << 20}
 }
 
+// fig8Points is the (heap size x method) grid, TLSglobals then
+// PIEglobals at each size: one rank on a two-node machine, migrated
+// once.
+func fig8Points() []point {
+	var points []point
+	kinds := []core.Kind{core.KindTLSglobals, core.KindPIEglobals}
+	for _, heap := range Fig8HeapSizes() {
+		points = append(points, methodPoints(kinds, fmt.Sprintf(",heap=%d", heap), scenario.Spec{
+			Machine: machineShape(2, 1, 1), VPs: 1, Balancer: lb.RotateLB{},
+			Workload: "ballast", WorkloadParams: scenario.WorkloadParams{HeapBytes: heap},
+		})...)
+	}
+	return points
+}
+
 // Fig8Migration measures single-rank migration time across node
 // boundaries as heap size grows, comparing TLSglobals (rank state only)
 // with PIEglobals (rank state plus the ADCIRC-sized 14 MB code segment
 // and data segment), reproducing Fig. 8.
 func Fig8Migration(o Opts) ([]Fig8Row, *trace.Table, error) {
-	// Flatten the (heap size x method) grid into independent points.
-	heaps := Fig8HeapSizes()
-	kinds := []core.Kind{core.KindTLSglobals, core.KindPIEglobals}
-	var specs []point
-	for _, heap := range heaps {
-		for _, kind := range kinds {
-			specs = append(specs, point{fmt.Sprintf("method=%s,heap=%d", kind, heap), scenario.Spec{
-				Machine: machineShape(2, 1, 1),
-				VPs:     1,
-				Method:  kind,
-				Program: &ampi.Program{
-					Image: adcirc.Image(),
-					Main: func(r *ampi.Rank) {
-						if _, err := r.Ctx().Heap.AllocBallast(heap, "user-heap"); err != nil {
-							panic(err)
-						}
-						r.Migrate()
-					},
-				},
-				Balancer: lb.RotateLB{},
-			}})
-		}
-	}
-	points, err := run(o, specs)
+	points, err := run(o, fig8Points())
 	if err != nil {
 		return nil, nil, fmt.Errorf("fig8: %w", err)
 	}
 	var rows []Fig8Row
-	for i, heap := range heaps {
+	for i, heap := range Fig8HeapSizes() {
 		tls, pie := points[i*2], points[i*2+1]
 		for _, p := range []scenario.Row{tls, pie} {
 			if p.Migrations != 1 {

@@ -97,24 +97,17 @@ func ftSupervisedSpec(kind core.Kind, target ampi.CheckpointTarget, mtbf, interv
 	return sp
 }
 
-// FTSweep reproduces the resilience figure: supervised time-to-solution
-// versus machine MTBF, for each privatization method and checkpoint
-// target, with the checkpoint interval set to Daly's optimum for each
-// point. Every run is a pure function of its configuration — crash
-// plans are compiled from per-point seeds before the run — so rows,
-// tables, and any selected trace are byte-identical at any sweep
-// parallelism. A nil mtbfs selects FTSweepMTBFs().
-func FTSweep(o Opts, mtbfs []sim.Time) ([]FTRow, *trace.Table, error) {
+// ftMeasurePoints is the sweep's rows, one per (MTBF, method, target),
+// and two measurements per row: the fault-free baseline, and the job
+// snapshotting at every iteration boundary, whose slowdown per snapshot
+// is Daly's C. A nil mtbfs selects FTSweepMTBFs().
+func ftMeasurePoints(mtbfs []sim.Time) ([]FTRow, []point) {
 	if mtbfs == nil {
 		mtbfs = FTSweepMTBFs()
 	}
 	kinds := FTSweepMethods()
 	targets := []ampi.CheckpointTarget{ampi.TargetFS, ampi.TargetBuddy}
 	rows := make([]FTRow, len(mtbfs)*len(kinds)*len(targets))
-	// Two measurements per point: the fault-free baseline with no
-	// checkpointing, and the same job snapshotting at every iteration
-	// boundary — the slowdown per snapshot is Daly's C for this method
-	// and target.
 	measure := make([]point, 0, 2*len(rows))
 	for i := range rows {
 		rows[i] = FTRow{
@@ -128,12 +121,13 @@ func FTSweep(o Opts, mtbfs []sim.Time) ([]FTRow, *trace.Table, error) {
 			point{ftLabel(&rows[i]) + ",run=baseline", checkpointedJob(ftNodes, ftVPs, rows[i].Method)},
 			point{ftLabel(&rows[i]) + ",run=every", every})
 	}
-	measured, err := run(o, measure)
-	if err != nil {
-		return nil, nil, fmt.Errorf("ftsweep: %w", err)
-	}
-	// The supervised runs: Daly-interval checkpointing under a seeded
-	// crash process whose horizon generously covers the job.
+	return rows, measure
+}
+
+// ftSupervisedPoints sets each row's baseline and Daly interval from its
+// two measurements and returns its supervised run: checkpointing at that
+// interval under a seeded crash process whose horizon covers the job.
+func ftSupervisedPoints(rows []FTRow, measured []scenario.Row) []point {
 	supervised := make([]point, len(rows))
 	for i := range rows {
 		r := &rows[i]
@@ -146,7 +140,23 @@ func FTSweep(o Opts, mtbfs []sim.Time) ([]FTRow, *trace.Table, error) {
 		r.Interval = ft.DalyInterval(ckCost, r.MTBF)
 		supervised[i] = point{ftLabel(r), ftSupervisedSpec(r.Method, r.Target, r.MTBF, r.Interval, r.Baseline)}
 	}
-	results, err := run(o, supervised)
+	return supervised
+}
+
+// FTSweep reproduces the resilience figure: supervised time-to-solution
+// versus machine MTBF, for each privatization method and checkpoint
+// target, with the checkpoint interval set to Daly's optimum for each
+// point. Every run is a pure function of its configuration — crash
+// plans are compiled from per-point seeds before the run — so rows,
+// tables, and any selected trace are byte-identical at any sweep
+// parallelism. A nil mtbfs selects FTSweepMTBFs().
+func FTSweep(o Opts, mtbfs []sim.Time) ([]FTRow, *trace.Table, error) {
+	rows, measure := ftMeasurePoints(mtbfs)
+	measured, err := run(o, measure)
+	if err != nil {
+		return nil, nil, fmt.Errorf("ftsweep: %w", err)
+	}
+	results, err := run(o, ftSupervisedPoints(rows, measured))
 	if err != nil {
 		return nil, nil, fmt.Errorf("ftsweep: %w", err)
 	}

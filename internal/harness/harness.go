@@ -53,6 +53,17 @@ type point struct {
 	spec  scenario.Spec
 }
 
+// methodPoints is sp under each of kinds, labelled "method=<kind>" and
+// then suffix.
+func methodPoints(kinds []core.Kind, suffix string, sp scenario.Spec) []point {
+	points := make([]point, len(kinds))
+	for i, kind := range kinds {
+		sp.Method = kind
+		points[i] = point{"method=" + kind.String() + suffix, sp}
+	}
+	return points
+}
+
 // run is the harness's one fan-out: Opts.Parallelism workers, the
 // calling goroutine among them, take the points in index order and
 // fill their rows in place. Before any starts, it offers every label

@@ -281,14 +281,13 @@ func TestMemoryFootprintShape(t *testing.T) {
 	}
 }
 
-// A memory variant sets MethodImpl and leaves Method zero, so a failing
-// point is named by its label, never as the zero method.
+// A failing point is named by its label, whatever its method.
 func TestFailingPointIsNamedByItsLabel(t *testing.T) {
 	err := harness.RunPoint("method=pieglobals+sharedcode", scenario.Spec{
-		Machine:    machine.Config{Nodes: 1, ProcsPerNode: 1, PEsPerProc: 1},
-		VPs:        1,
-		MethodImpl: core.NewPIEglobals(core.PIEOptions{ShareCodePages: true}),
-		Program:    &ampi.Program{Image: synth.EmptyImage(), Main: func(*ampi.Rank) { panic("variant fails") }},
+		Machine:  machine.Config{Nodes: 1, ProcsPerNode: 1, PEsPerProc: 1},
+		VPs:      1,
+		Method:   core.KindPIEglobalsSharedCode,
+		Workload: "test-fail",
 	})
 	if err == nil || !strings.HasPrefix(err.Error(), "method=pieglobals+sharedcode: ") {
 		t.Fatalf("error %v, want it named method=pieglobals+sharedcode", err)
@@ -323,5 +322,27 @@ func TestAdcircScalingShape(t *testing.T) {
 	}
 	if byCores[64] >= byCores[4] {
 		t.Errorf("speedup at 64 cores (%.0f%%) should taper below the 4-core peak (%.0f%%)", byCores[64], byCores[4])
+	}
+}
+
+// AdcircScaling runs only the configs a document can say: the adcirc
+// workload's default and its quick size. Any other is refused, never
+// replaced by one of those two.
+func TestAdcircScalingRunsOnlyConfigsADocumentSays(t *testing.T) {
+	quick := adcirc.DefaultConfig()
+	quick.Width, quick.Height, quick.Steps, quick.LBPeriod = 96, 128, 8, 4
+	if _, _, _, err := harness.AdcircScaling(harness.Opts{}, quick, []int{2}); err != nil {
+		t.Fatalf("the quick size: %v", err)
+	}
+	for _, mutate := range []func(*adcirc.Config){
+		func(c *adcirc.Config) { c.Steps++ },
+		func(c *adcirc.Config) { c.LBPeriod = 0 },
+		func(c *adcirc.Config) { *c = quick; c.WetFlops++ },
+	} {
+		cfg := adcirc.DefaultConfig()
+		mutate(&cfg)
+		if _, _, _, err := harness.AdcircScaling(harness.Opts{}, cfg, []int{2}); err == nil {
+			t.Errorf("config %+v ran", cfg)
+		}
 	}
 }

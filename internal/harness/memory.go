@@ -3,11 +3,9 @@ package harness
 import (
 	"fmt"
 
-	"provirt/internal/ampi"
 	"provirt/internal/core"
 	"provirt/internal/scenario"
 	"provirt/internal/trace"
-	"provirt/internal/workloads/adcirc"
 )
 
 // MemoryRow is one method's per-rank memory overhead for privatized
@@ -22,39 +20,30 @@ type MemoryRow struct {
 	PerRankBytes uint64
 }
 
-// MemoryFootprint measures per-rank privatization memory for each
-// runtime method plus PIEglobals with §6's shared-code-pages
-// optimization.
+// memoryMethods are the methods the memory experiment compares: the
+// runtime methods plus PIEglobals with §6's shared code pages, alone
+// and with the read-only data left copy-on-write.
+var memoryMethods = []core.Kind{
+	core.KindTLSglobals, core.KindPIPglobals, core.KindFSglobals, core.KindPIEglobals,
+	core.KindPIEglobalsSharedCode, core.KindPIEglobalsSharedCodeCOW,
+}
+
+// memoryPoints is one rank of the ADCIRC image under each of
+// memoryMethods.
+func memoryPoints() []point {
+	return methodPoints(memoryMethods, "", scenario.Spec{Machine: machineShape(1, 1, 1), VPs: 1, Workload: "ballast"})
+}
+
+// MemoryFootprint measures per-rank privatization memory for each of
+// memoryMethods.
 func MemoryFootprint(o Opts) ([]MemoryRow, *trace.Table, error) {
-	// Each point has its own method instance and image, so concurrent
-	// points never share mutable state.
-	variants := []struct {
-		name   string
-		method *core.Method
-	}{
-		{"tlsglobals", core.New(core.KindTLSglobals)},
-		{"pipglobals", core.New(core.KindPIPglobals)},
-		{"fsglobals", core.New(core.KindFSglobals)},
-		{"pieglobals", core.New(core.KindPIEglobals)},
-		{"pieglobals+sharedcode", core.NewPIEglobals(core.PIEOptions{ShareCodePages: true})},
-		{"pieglobals+sharedcode+cow", core.NewPIEglobals(core.PIEOptions{ShareCodePages: true, ShareROData: true})},
-	}
-	specs := make([]point, len(variants))
-	for i, v := range variants {
-		specs[i] = point{"method=" + v.name, scenario.Spec{
-			Machine:    machineShape(1, 1, 1),
-			VPs:        1,
-			MethodImpl: v.method,
-			Program:    &ampi.Program{Image: adcirc.Image(), Main: func(r *ampi.Rank) {}},
-		}}
-	}
-	points, err := run(o, specs)
+	points, err := run(o, memoryPoints())
 	if err != nil {
 		return nil, nil, fmt.Errorf("memory: %w", err)
 	}
-	rows := make([]MemoryRow, len(variants))
-	for i, v := range variants {
-		rows[i] = MemoryRow{Method: v.name, PerRankBytes: points[i].PrivBytes}
+	rows := make([]MemoryRow, len(points))
+	for i, kind := range memoryMethods {
+		rows[i] = MemoryRow{Method: kind.String(), PerRankBytes: points[i].PrivBytes}
 	}
 	t := trace.NewTable("Memory: per-rank privatization footprint, ADCIRC-sized image (16 MiB segments)",
 		"Method", "Per-rank bytes")

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"sort"
 
+	"provirt/internal/scenario"
 	"provirt/internal/sim"
 	"provirt/internal/trace"
-	"provirt/internal/workloads/adcirc"
 )
 
 // RunOpts is everything a registry experiment can consume: the
@@ -117,7 +117,7 @@ var registry = []Experiment{
 		Description: "Table 2 & Fig. 9: ADCIRC strong scaling, virtualization x load balancing",
 		Flags:       []string{"cores"},
 		Run: func(r RunOpts) (Result, error) {
-			rows, t2, f9, err := AdcircScaling(r.Opts, adcirc.DefaultConfig(), r.Cores)
+			rows, t2, f9, err := adcircScaling(r.Opts, scenario.WorkloadParams{}, r.Cores)
 			return Result{Rows: rows, Tables: []*trace.Table{t2, f9}}, err
 		},
 	},

@@ -25,6 +25,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -37,7 +38,7 @@ import (
 )
 
 // NotDeclarativeError reports Spec fields that hold injected Go values
-// (programs, method instances, tracers...) and therefore cannot be
+// (programs, tracers...) and therefore cannot be
 // serialized or hashed.
 type NotDeclarativeError struct {
 	Fields []string
@@ -52,9 +53,6 @@ func (e *NotDeclarativeError) Error() string {
 // data, else a NotDeclarativeError naming the offenders.
 func (s *Spec) declarativeErr() error {
 	var fields []string
-	if s.MethodImpl != nil {
-		fields = append(fields, "MethodImpl")
-	}
 	if s.Program != nil {
 		fields = append(fields, "Program")
 	}
@@ -225,7 +223,7 @@ func (s *Spec) doc(d *lowered) error {
 }
 
 // MarshalJSON encodes the declarative Spec as its wire document. Specs
-// holding injected Go values (Program, MethodImpl, Tracer, Trigger,
+// holding injected Go values (Program, Tracer, Trigger,
 // Restart, a custom cost model, an unregistered balancer) return a
 // *NotDeclarativeError.
 func (s Spec) MarshalJSON() ([]byte, error) {
@@ -293,6 +291,9 @@ func (d *Document) Spec() (Spec, error) {
 	}
 	if d.Params != nil {
 		out.WorkloadParams = *d.Params
+	}
+	if d.BalancerPE != 0 && d.Balancer != "hierarchical" {
+		return Spec{}, errors.New("scenario: balancer_pes_per_node is read only by the hierarchical balancer")
 	}
 	if d.Balancer != "" {
 		b, err := ParseBalancer(d.Balancer, d.BalancerPE)

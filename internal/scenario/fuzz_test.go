@@ -31,6 +31,23 @@ var specDecodeSeeds = []string{
 	// An empty placement was refused, but encodes as none: its re-marshaled
 	// document was valid.
 	`{"vps":1,"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":1},"placement":[]}`,
+	// The first point of fig5 (and of fig5scale, whose first point it
+	// is), fig6, fig7, fig8, memory and table2.
+	`{"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":1},"vps":8,"method":"none","env_policy":"adjust","workload":"empty"}`,
+	`{"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":1},"vps":2,"method":"none","env_policy":"adjust","workload":"ping"}`,
+	`{"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":4},"vps":4,"method":"none","env_policy":"adjust","workload":"jacobi","workload_params":{"grid":32,"iters":20}}`,
+	`{"machine":{"nodes":2,"procs_per_node":1,"pes_per_proc":1},"vps":1,"method":"tlsglobals","env_policy":"adjust","workload":"ballast","workload_params":{"heap_bytes":1048576},"balancer":"rotate"}`,
+	`{"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":1},"vps":1,"method":"tlsglobals","env_policy":"adjust","workload":"ballast"}`,
+	`{"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":1},"vps":1,"method":"pieglobals","env_policy":"adjust","workload":"adcirc"}`,
+}
+
+// refusedSpecSeeds are seed documents that must be refused: a
+// parameter the workload does not read, and a node grouping for a
+// balancer that has none, which does not even lower.
+var refusedSpecSeeds = []string{
+	`{"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":1},"vps":2,"workload":"jacobi","workload_params":{"heap_bytes":1048576}}`,
+	`{"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":1},"vps":2,"workload":"adcirc","workload_params":{"grid":8}}`,
+	`{"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":2},"vps":4,"workload":"adcirc","balancer":"greedy","balancer_pes_per_node":7}`,
 }
 
 // FuzzSpecDecode feeds the wire codec arbitrary bytes. Whatever decodes
@@ -42,7 +59,7 @@ var specDecodeSeeds = []string{
 // builds: a valid document never becomes a 200 whose stream carries a
 // build error. The hash is the SHA-256 of that content document.
 func FuzzSpecDecode(f *testing.F) {
-	for _, doc := range specDecodeSeeds {
+	for _, doc := range append(specDecodeSeeds, refusedSpecSeeds...) {
 		f.Add([]byte(doc))
 	}
 	// Every point of the example documents.
@@ -120,4 +137,13 @@ func FuzzSpecDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+func TestRefusedSeedsAreRefused(t *testing.T) {
+	for _, doc := range refusedSpecSeeds {
+		var sp Spec
+		if json.Unmarshal([]byte(doc), &sp) == nil && sp.Validate() == nil {
+			t.Errorf("accepted %s", doc)
+		}
+	}
 }

@@ -199,3 +199,19 @@ func TestDecodedPointsShareNothing(t *testing.T) {
 		}
 	}
 }
+
+// A node grouping for any balancer but hierarchical, or a negative one,
+// refuses the body and names the key: it used to be accepted and run as
+// the point without it.
+func TestBalancerPEsPerNodeIsRefusedUnlessRead(t *testing.T) {
+	for _, keys := range []string{
+		`"balancer":"greedy","balancer_pes_per_node":7`,
+		`"balancer_pes_per_node":7`,
+		`"balancer":"hierarchical","balancer_pes_per_node":-5`,
+	} {
+		body := `{"spec":{"workload":"adcirc","vps":4,"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":2},` + keys + `}}`
+		if _, err := DecodeRequest(strings.NewReader(body)); err == nil || !strings.Contains(err.Error(), "balancer_pes_per_node") {
+			t.Errorf("%s: %v, want a refusal naming balancer_pes_per_node", keys, err)
+		}
+	}
+}

@@ -73,7 +73,7 @@ func TestValidateRefusesIffBuildFails(t *testing.T) {
 		{core.NeedNoSharedDeps, false, func(s *Spec) { s.Workload, s.Program = "", withDeps }},
 	}
 	refused := map[core.Requirement]int{}
-	for k := core.Kind(0); core.New(k) != nil; k++ {
+	for k := core.Kind(0); k.Valid(); k++ {
 		for _, w := range withheld {
 			for _, policy := range []EnvPolicy{EnvExplicit, EnvAdjust} {
 				sp := Spec{
@@ -83,7 +83,7 @@ func TestValidateRefusesIffBuildFails(t *testing.T) {
 				}
 				w.withhold(&sp)
 				want := ""
-				if core.New(k).Needs()&w.need != 0 && !(w.ofEnv && policy == EnvAdjust) {
+				if k.Needs()&w.need != 0 && !(w.ofEnv && policy == EnvAdjust) {
 					want = "Method"
 					if w.need == core.NeedNoSMP {
 						want = "Machine"

@@ -123,7 +123,7 @@ func (s *Spec) Execute() (Row, func(), error) {
 func (s *Spec) row(w *ampi.World) Row {
 	r := Row{
 		Workload:           s.Workload,
-		Method:             s.kind().String(),
+		Method:             s.Method.String(),
 		VPs:                s.VPs,
 		Nodes:              s.Machine.Nodes,
 		SetupNs:            int64(w.SetupDone),

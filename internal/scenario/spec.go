@@ -22,7 +22,9 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"provirt/internal/ampi"
@@ -41,7 +43,7 @@ type EnvPolicy int
 const (
 	// EnvAdjust (the default) starts from the paper's Bridges-2
 	// environment and grants the selected method what it needs and that
-	// environment lacks (core.Method.Grant), as the paper's experiments
+	// environment lacks (core.Kind.Grant), as the paper's experiments
 	// did: PIPglobals beyond 12 ranks per process gets the patched glibc,
 	// Swapglobals gets the old-or-patched linker, and -fmpc-privatize
 	// gets the MPC-patched compiler.
@@ -65,10 +67,6 @@ type Spec struct {
 	VPs int
 	// Method selects the privatization method.
 	Method core.Kind
-	// MethodImpl, if non-nil, overrides Method with a configured
-	// instance (e.g. core.NewPIEglobals with future-work options); its
-	// Kind is used for validation.
-	MethodImpl *core.Method
 
 	// EnvPolicy, Toolchain, and OS describe the build/run environment;
 	// see EnvPolicy.
@@ -143,22 +141,6 @@ func (e *ValidationError) Error() string {
 // supervisor: it names a fault or a churn process.
 func (s *Spec) supervised() bool { return s.Faults != nil || s.Churn != nil }
 
-// method returns the effective method, or nil when Method names none.
-func (s *Spec) method() *core.Method {
-	if s.MethodImpl != nil {
-		return s.MethodImpl
-	}
-	return core.New(s.Method)
-}
-
-// kind returns the effective method kind.
-func (s *Spec) kind() core.Kind {
-	if s.MethodImpl != nil {
-		return s.MethodImpl.Kind()
-	}
-	return s.Method
-}
-
 // ranksPerProc returns the most virtual ranks any one OS process hosts
 // (the PIPglobals namespace limit is per process): counted from
 // Placement when it is set, else the block placement's
@@ -184,12 +166,12 @@ func (s *Spec) ranksPerProc() int {
 // are checked against: the explicit Program's, or the named workload's
 // when the method has such requirements at all. Nil when there is none
 // to check.
-func (s *Spec) image(m *core.Method) *elf.Image {
+func (s *Spec) image() *elf.Image {
 	if s.Program != nil {
 		return s.Program.Image
 	}
 	wl, ok := LookupWorkload(s.Workload)
-	if !ok || m.Needs()&core.NeedsOfImage == 0 {
+	if !ok || s.Method.Needs()&core.NeedsOfImage == 0 {
 		return nil
 	}
 	prog, _ := wl.New(s.WorkloadParams)
@@ -202,8 +184,8 @@ func (s *Spec) env() (core.Toolchain, core.OS) {
 		return s.Toolchain, s.OS
 	}
 	tc, osEnv := core.Bridges2Env()
-	if m := s.method(); m != nil && s.EnvPolicy == EnvAdjust {
-		tc, osEnv = m.Grant(tc, osEnv, s.ranksPerProc())
+	if s.Method.Valid() && s.EnvPolicy == EnvAdjust {
+		tc, osEnv = s.Method.Grant(tc, osEnv, s.ranksPerProc())
 	}
 	return tc, osEnv
 }
@@ -235,8 +217,7 @@ func (s *Spec) Validate() error {
 		add("VPs", "%d ranks exceed the Isomalloc arena's %d per-rank ranges", s.VPs, mem.MaxRanks)
 	}
 
-	m := s.method()
-	if m == nil {
+	if !s.Method.Valid() {
 		add("Method", "unknown privatization method %d", int(s.Method))
 	}
 
@@ -253,8 +234,8 @@ func (s *Spec) Validate() error {
 		}
 	}
 
-	if s.Balancer != nil && m != nil && !m.Migratable() {
-		add("Balancer", "method %s does not support migration; a load balancer cannot move its ranks", m.Kind())
+	if s.Balancer != nil && s.Method.Valid() && !s.Method.Migratable() {
+		add("Balancer", "method %s does not support migration; a load balancer cannot move its ranks", s.Method)
 	}
 	if s.Placement != nil && len(s.Placement) != s.VPs {
 		add("Placement", "has %d entries, want one per VP (%d)", len(s.Placement), s.VPs)
@@ -276,8 +257,8 @@ func (s *Spec) Validate() error {
 			if s.Checkpoint == nil || s.Checkpoint.Interval <= 0 {
 				add("Churn", "elastic membership changes need a checkpoint policy to drain through")
 			}
-			if m != nil && !m.Migratable() {
-				add("Churn", "method %s does not support migration; ranks cannot move when the machine reshapes", m.Kind())
+			if s.Method.Valid() && !s.Method.Migratable() {
+				add("Churn", "method %s does not support migration; ranks cannot move when the machine reshapes", s.Method)
 			}
 		}
 	}
@@ -297,14 +278,34 @@ func (s *Spec) Validate() error {
 	if s.StackSize > mem.IsomallocRangeSize {
 		add("StackSize", "%d bytes exceed a rank's %d-byte Isomalloc range", s.StackSize, uint64(mem.IsomallocRangeSize))
 	}
+	if h, ok := s.Balancer.(lb.HierarchicalLB); ok && h.PEsPerNode < 0 {
+		add("Balancer", "balancer_pes_per_node %d is negative", h.PEsPerNode)
+	}
+
+	// Each workload parameter is read by the workload and in its range.
+	wp := &s.WorkloadParams
+	room := uint64(mem.IsomallocRangeSize - 1<<30)
+	room -= min(room, cmp.Or(s.StackSize, 1<<20)) // AMPI's default stack
+	reads := workloadRegistry[s.Workload].reads
+	for _, p := range [...]struct {
+		key     string
+		v, most uint64
+	}{{"grid", uint64(wp.Grid), 64}, {"iters", uint64(wp.Iters), 1000}, {"heap_bytes", wp.HeapBytes, room}} {
+		switch {
+		case p.v != 0 && !slices.Contains(reads, p.key):
+			add("WorkloadParams", "%s is not read by workload %q", p.key, s.Workload)
+		case p.v > p.most:
+			add("WorkloadParams", "%s is outside 1..%d", p.key, p.most)
+		}
+	}
 
 	// What the method needs and the resolved environment, the machine
 	// shape or the program does not supply — the same list Setup would
 	// refuse the first entry of, named here before a world is built.
-	if m != nil {
+	if s.Method.Valid() {
 		tc, osEnv := s.env()
 		env := &core.ProcessEnv{Toolchain: tc, OS: osEnv, SMP: s.Machine.SMPMode()}
-		for _, u := range m.Unmet(env, s.image(m), s.ranksPerProc()) {
+		for _, u := range s.Method.Unmet(env, s.image(), s.ranksPerProc()) {
 			field := "Method"
 			if u.Need == core.NeedNoSMP {
 				field = "Machine"
@@ -328,8 +329,7 @@ func (s *Spec) Config() (ampi.Config, error) {
 	return ampi.Config{
 		Machine:    s.Machine,
 		VPs:        s.VPs,
-		Privatize:  s.kind(),
-		Method:     s.MethodImpl,
+		Privatize:  s.Method,
 		Toolchain:  tc,
 		OS:         osEnv,
 		StackSize:  s.StackSize,

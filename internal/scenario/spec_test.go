@@ -315,3 +315,66 @@ func TestWorkloadRegistry(t *testing.T) {
 		t.Error("Workloads and WorkloadNames disagree")
 	}
 }
+
+// A workload parameter the workload does not read, one past its bound
+// and a negative node grouping are refused, each naming its key. Quick
+// is read by every workload that has a reduced size and accepted by
+// all.
+func TestValidateRefusesUnreadOrOutOfRangeKeys(t *testing.T) {
+	for _, tc := range []struct {
+		workload string
+		params   scenario.WorkloadParams
+		key      string
+	}{
+		{"jacobi", scenario.WorkloadParams{HeapBytes: 1 << 20}, "heap_bytes"},
+		{"adcirc", scenario.WorkloadParams{Grid: 8}, "grid"},
+		{"ballast", scenario.WorkloadParams{Iters: 2}, "iters"},
+		{"empty", scenario.WorkloadParams{Quick: true, Grid: 8}, "grid"},
+		{"jacobi", scenario.WorkloadParams{Grid: 65}, "grid"},
+		{"jacobi", scenario.WorkloadParams{Iters: 1001}, "iters"},
+		{"ballast", scenario.WorkloadParams{HeapBytes: mem.IsomallocRangeSize}, "heap_bytes"},
+	} {
+		sp := scenario.DefaultSpec(tc.workload)
+		sp.WorkloadParams = tc.params
+		wantField(t, sp.Validate(), "WorkloadParams", tc.key)
+	}
+	sp := scenario.DefaultSpec("adcirc")
+	sp.Balancer = lb.HierarchicalLB{PEsPerNode: -5}
+	wantField(t, sp.Validate(), "Balancer", "balancer_pes_per_node")
+	for _, name := range scenario.WorkloadNames() {
+		if sp := scenario.DefaultSpec(name); sp.Validate() != nil {
+			t.Errorf("%s refuses quick: %v", name, sp.Validate())
+		}
+	}
+}
+
+// The most heap_bytes Validate passes fits beside the PIE methods'
+// segment copies and the stack: the rank allocates it and migrates.
+func TestBallastAtItsBoundRuns(t *testing.T) {
+	sp := scenario.Spec{Machine: shape(2, 1, 1), VPs: 1, Method: core.KindPIEglobals, Workload: "ballast",
+		Balancer: lb.RotateLB{}, StackSize: 8 << 20}
+	sp.WorkloadParams.HeapBytes = mem.IsomallocRangeSize - 1<<30 - sp.StackSize
+	if row, _, err := sp.Execute(); err != nil || row.Migrations != 1 {
+		t.Fatalf("ballast at its bound: %d migrations, %v", row.Migrations, err)
+	}
+	sp.WorkloadParams.HeapBytes++
+	wantField(t, sp.Validate(), "WorkloadParams", "heap_bytes")
+}
+
+// Checking the workload parameters allocates nothing: a valid point
+// with them validates in as many allocations as one without.
+func TestValidatingParamsAllocatesNothing(t *testing.T) {
+	plain := scenario.DefaultSpec("jacobi")
+	with := plain
+	with.WorkloadParams.Grid, with.WorkloadParams.Iters = 8, 2
+	allocs := func(sp scenario.Spec) float64 {
+		return testing.AllocsPerRun(100, func() {
+			if err := sp.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, b := allocs(plain), allocs(with); a != b {
+		t.Errorf("Validate allocates %v times with workload parameters, %v without", b, a)
+	}
+}

@@ -90,6 +90,15 @@ func explicitBase(method core.Kind, vps int) func() Spec {
 	}
 }
 
+func jacobiBase() Spec {
+	return Spec{Machine: shapeOf(1, 1, 2), VPs: 4, Method: core.KindPIEglobals, Workload: "jacobi", WorkloadParams: WorkloadParams{Quick: true}}
+}
+
+// ballastBase is fig8's point: one rank the rotate balancer moves.
+func ballastBase() Spec {
+	return Spec{Machine: shapeOf(2, 1, 1), VPs: 1, Method: core.KindPIEglobals, Workload: "ballast", Balancer: lb.RotateLB{}}
+}
+
 func adcircBase() Spec {
 	return Spec{
 		Machine: shapeOf(1, 1, 4), VPs: 16, Method: core.KindPIEglobals,
@@ -141,7 +150,7 @@ func populatedSpec() Spec {
 		Notice: 120 * time.Millisecond, Horizon: 200 * time.Millisecond,
 		RollingEvery: 60 * time.Millisecond, RollingNodes: 1, MaxEvents: 2,
 	}
-	sp.WorkloadParams.Quick = true
+	sp.WorkloadParams = WorkloadParams{Quick: true, Grid: 8, Iters: 2, HeapBytes: 1 << 20}
 	sp.Balancer = lb.HierarchicalLB{PEsPerNode: 2}
 	sp.Placement = []int{0, 1, 2, 3, 4, 5, 6, 7}
 	sp.StackSize = 1 << 20
@@ -167,8 +176,11 @@ var tagWitnesses = map[string]witness{
 	"env.os.old_or_patched_linker": {"os.old_or_patched_linker", explicitBase(core.KindSwapglobals, 4), func(s *Spec) { s.OS.OldOrPatchedLinker = false }},
 	"env.os.shared_fs":             {"os.shared_fs", explicitBase(core.KindFSglobals, 4), func(s *Spec) { s.OS.SharedFS = false }},
 
-	"workload":       {"workload", emptyBase, func(s *Spec) { s.Workload = "hello" }},
-	"workload.quick": {"workload_params.quick", func() Spec { sp := emptyBase(); sp.Workload = "jacobi"; return sp }, func(s *Spec) { s.WorkloadParams.Quick = true }},
+	"workload":            {"workload", emptyBase, func(s *Spec) { s.Workload = "hello" }},
+	"workload.quick":      {"workload_params.quick", func() Spec { sp := emptyBase(); sp.Workload = "jacobi"; return sp }, func(s *Spec) { s.WorkloadParams.Quick = true }},
+	"workload.grid":       {"workload_params.grid", jacobiBase, func(s *Spec) { s.WorkloadParams.Grid = 8 }},
+	"workload.iters":      {"workload_params.iters", jacobiBase, func(s *Spec) { s.WorkloadParams.Iters = 2 }},
+	"workload.heap_bytes": {"workload_params.heap_bytes", ballastBase, func(s *Spec) { s.WorkloadParams.HeapBytes = 1 << 20 }},
 	// Whether the workload is told it has a balancer is derived from
 	// the balancer, so dropping the balancer is what moves it.
 	"workload.has_lb":       {"balancer", adcircBase, func(s *Spec) { s.Balancer = nil }},

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"time"
@@ -13,6 +14,8 @@ import (
 )
 
 // WorkloadParams parameterizes a registered workload's constructor.
+// Every workload accepts Quick; Validate refuses each other parameter
+// on a workload that does not read it, and outside its range.
 type WorkloadParams struct {
 	// Quick selects a reduced problem size for smoke runs.
 	Quick bool `json:"quick,omitempty"`
@@ -21,6 +24,14 @@ type WorkloadParams struct {
 	// rebalance. It is derived: Build sets it from the Spec's Balancer,
 	// and no caller or document can say otherwise.
 	hasLB bool
+	// Grid is jacobi's grid side (≤ 64) and Iters its sweeps (≤ 1000);
+	// zero keeps Quick's size. Their narrow types keep a Spec, which
+	// every POSTed point allocates, in its size class.
+	Grid  uint16 `json:"grid,omitempty"`
+	Iters uint16 `json:"iters,omitempty"`
+	// HeapBytes is the user heap ballast allocates per rank, at most what
+	// the rank's range holds beside its stack and 1 GiB for the program.
+	HeapBytes uint64 `json:"heap_bytes,omitempty"`
 }
 
 // Workload is a registered program: a name launchers select by, a
@@ -31,6 +42,38 @@ type Workload struct {
 	Name        string
 	Description string
 	New         func(p WorkloadParams) (*ampi.Program, func())
+	// reads names the parameters past quick that New reads.
+	reads []string
+}
+
+// AdcircConfig is the adcirc workload's configuration, for callers that
+// hold one without building the program (harness.AdcircScaling).
+type AdcircConfig = adcirc.Config
+
+// adcircConfig is the configuration the adcirc workload runs under p.
+func adcircConfig(p WorkloadParams) adcirc.Config {
+	cfg := adcirc.DefaultConfig()
+	if p.Quick {
+		cfg.Width, cfg.Height, cfg.Steps, cfg.LBPeriod = 96, 128, 8, 4
+	}
+	if !p.hasLB {
+		cfg.LBPeriod = 0
+	}
+	return cfg
+}
+
+// AdcircParams returns the parameters under which the adcirc workload,
+// given a balancer, runs cfg: none for adcirc.DefaultConfig() and quick
+// for the quick size. No document can say any other config, so it is an
+// error.
+func AdcircParams(cfg AdcircConfig) (WorkloadParams, error) {
+	for _, p := range []WorkloadParams{{hasLB: true}, {Quick: true, hasLB: true}} {
+		if adcircConfig(p) == cfg {
+			p.hasLB = false
+			return p, nil
+		}
+	}
+	return WorkloadParams{}, fmt.Errorf("scenario: adcirc config %+v is neither the default nor the quick size", cfg)
 }
 
 var workloadRegistry = map[string]Workload{}
@@ -114,11 +157,15 @@ func init() {
 	RegisterWorkload(Workload{
 		Name:        "jacobi",
 		Description: "Jacobi-3D stencil with privatized inner-loop variables (Fig. 7)",
+		reads:       []string{"grid", "iters"},
 		New: func(p WorkloadParams) (*ampi.Program, func()) {
 			cfg := jacobi.DefaultConfig()
 			if p.Quick {
 				cfg.NX, cfg.NY, cfg.NZ, cfg.Iters = 12, 12, 12, 4
 			}
+			g := int(p.Grid)
+			cfg.NX, cfg.NY, cfg.NZ = cmp.Or(g, cfg.NX), cmp.Or(g, cfg.NY), cmp.Or(g, cfg.NZ)
+			cfg.Iters = cmp.Or(int(p.Iters), cfg.Iters)
 			var results []jacobi.Result
 			prog := jacobi.New(cfg, func(r jacobi.Result) { results = append(results, r) })
 			return prog, func() {
@@ -137,19 +184,30 @@ func init() {
 		Name:        "adcirc",
 		Description: "ADCIRC storm-surge surrogate with dynamic load imbalance (§4.6)",
 		New: func(p WorkloadParams) (*ampi.Program, func()) {
-			cfg := adcirc.DefaultConfig()
-			if p.Quick {
-				cfg.Width, cfg.Height, cfg.Steps, cfg.LBPeriod = 96, 128, 8, 4
-			}
-			if !p.hasLB {
-				cfg.LBPeriod = 0
-			}
+			cfg := adcircConfig(p)
 			var volume uint64
 			prog := adcirc.New(cfg, func(r adcirc.Result) { volume += r.WetCellSteps })
 			return prog, func() {
 				fmt.Printf("adcirc: %dx%d grid, %d steps, total wet-cell updates %d (oracle %d)\n",
 					cfg.Width, cfg.Height, cfg.Steps, volume, adcirc.TotalWetCellSteps(cfg))
 			}
+		},
+	})
+	RegisterWorkload(Workload{
+		Name:        "ballast",
+		Description: "the ADCIRC image with heap_bytes of user heap per rank, migrated once if a balancer is set (Fig. 8, §6 memory)",
+		reads:       []string{"heap_bytes"},
+		New: func(p WorkloadParams) (*ampi.Program, func()) {
+			return &ampi.Program{Image: adcirc.Image(), Main: func(r *ampi.Rank) {
+				if p.HeapBytes > 0 {
+					if _, err := r.Ctx().Heap.AllocBallast(p.HeapBytes, "user-heap"); err != nil {
+						panic(err)
+					}
+				}
+				if p.hasLB {
+					r.Migrate()
+				}
+			}}, nil
 		},
 	})
 	RegisterWorkload(Workload{

@@ -350,6 +350,37 @@ func TestUnknownFieldIs400(t *testing.T) {
 	}
 }
 
+// A key nothing in the run would read is refused with a 400 naming it:
+// a node grouping beside a balancer other than hierarchical (or no
+// balancer), a negative one, a workload parameter the workload does not
+// read, and one past its bound.
+func TestUnreadKeyIs400(t *testing.T) {
+	_, ts := newTestServer(t, 1)
+	for point, key := range map[string]string{
+		`"workload":"adcirc","balancer":"greedy","balancer_pes_per_node":7`:        "balancer_pes_per_node",
+		`"workload":"adcirc","balancer_pes_per_node":7`:                            "balancer_pes_per_node",
+		`"workload":"adcirc","balancer":"hierarchical","balancer_pes_per_node":-5`: "balancer_pes_per_node",
+		`"workload":"jacobi","workload_params":{"heap_bytes":1048576}`:             "heap_bytes",
+		`"workload":"adcirc","workload_params":{"grid":8}`:                         "grid",
+		`"workload":"jacobi","workload_params":{"iters":1001}`:                     "iters",
+		`"workload":"jacobi","workload_params":{"grid":-1}`:                        "grid",
+	} {
+		body := `{"points":[{"vps":4,"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":2},` + point + `}]}`
+		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), key) {
+			t.Errorf("%s: status %d, body %s; want a 400 naming %s", point, resp.StatusCode, data, key)
+		}
+	}
+	if pointsExecuted.Value() != 0 {
+		t.Fatal("a refused body executed a point")
+	}
+}
+
 // A key the envelope does not define is refused, not ignored.
 func TestUnknownEnvelopeKeyIs400(t *testing.T) {
 	_, ts := newTestServer(t, 1)
