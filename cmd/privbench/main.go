@@ -308,7 +308,7 @@ func readPoints(path string) ([]*scenario.Spec, error) {
 		}
 		defer f.Close()
 	}
-	return scenario.DecodeRequest(f)
+	return scenario.DecodeRequest(f, nil)
 }
 
 // runPoint executes one point and prints what it produced: the

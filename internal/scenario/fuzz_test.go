@@ -72,7 +72,7 @@ func FuzzSpecDecode(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		docs, err := DecodeRequest(bytes.NewReader(body))
+		docs, err := DecodeRequest(bytes.NewReader(body), nil)
 		if err != nil {
 			f.Fatalf("%s: %v", path, err)
 		}

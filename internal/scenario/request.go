@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -23,18 +24,25 @@ func (e *PointError) Error() string { return fmt.Sprintf("point %d: %v", e.Index
 
 func (e *PointError) Unwrap() error { return e.Err }
 
+// A Probe sees each request point's bytes, with the point's index,
+// before DecodeRequest decodes them; reporting true resolves the point:
+// it is not decoded and its entry in DecodeRequest's result is nil.
+// point is valid only during the call.
+type Probe func(i int, point []byte) bool
+
 // DecodeRequest reads one `POST /v1/runs` body from r — "points" (a
 // sweep) or "spec" (shorthand for a one-point sweep) — and returns its
 // points, lowered and validated, in order. It decodes as the body
-// streams: each point is read into a zeroed Document, lowered, checked
-// and kept, so the body is never held whole and the first bad point,
-// or the point past MaxPoints, ends the read. Exactly one of "spec" and
-// "points" must be set; an unknown key, in the envelope or a point, a
-// repeated envelope key, and anything but whitespace after the envelope
-// are errors, so a bare Spec document is refused and no part of a body
-// is accepted and then ignored. An error r returns is passed through,
-// so a caller can tell its reader's limit from a bad body.
-func DecodeRequest(r io.Reader) ([]*Spec, error) {
+// streams: each point is read as its bytes, offered to probe (if not
+// nil), and unless probe resolves it, decoded by DecodePoint and kept,
+// so the body is never held whole and the first bad point, or the point
+// past MaxPoints, ends the read. Exactly one of "spec" and "points" must
+// be set; an unknown key, in the envelope or a point, a repeated
+// envelope key, and anything but whitespace after the envelope are
+// errors, so a bare Spec document is refused and no part of a body is
+// accepted and then ignored. An error r returns is passed through, so a
+// caller can tell its reader's limit from a bad body.
+func DecodeRequest(r io.Reader, probe Probe) ([]*Spec, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	switch tok, err := dec.Token(); {
@@ -44,11 +52,18 @@ func DecodeRequest(r io.Reader) ([]*Spec, error) {
 		return nil, fmt.Errorf("json: the body must be an object, got %v", tok)
 	}
 	var (
-		d                    = new(Document) // every point is decoded here, zeroed first
-		points               []*Spec
-		spec                 *Spec
-		seenPoints, seenSpec bool
+		raw                            json.RawMessage // every point is read here first
+		pd                             pointDecoder
+		points                         []*Spec
+		spec                           *Spec
+		seenPoints, seenSpec, haveSpec bool
 	)
+	point := func(i int) (*Spec, error) {
+		if probe != nil && probe(i, raw) {
+			return nil, nil
+		}
+		return pd.spec(raw, i)
+	}
 	for dec.More() {
 		tok, err := dec.Token()
 		if err != nil {
@@ -72,17 +87,16 @@ func DecodeRequest(r io.Reader) ([]*Spec, error) {
 				return nil, fmt.Errorf(`json: "points" must be an array of point documents, got %v`, tok)
 			}
 			for dec.More() {
-				if spec != nil {
+				if haveSpec {
 					return nil, errAmbiguous
 				}
 				if len(points) == MaxPoints {
 					return nil, fmt.Errorf("sweep exceeds the limit of %d points", MaxPoints)
 				}
-				*d = Document{}
-				if err := dec.Decode(d); err != nil {
+				if err := dec.Decode(&raw); err != nil {
 					return nil, err
 				}
-				sp, err := lowerPoint(d, len(points))
+				sp, err := point(len(points))
 				if err != nil {
 					return nil, err
 				}
@@ -96,21 +110,23 @@ func DecodeRequest(r io.Reader) ([]*Spec, error) {
 				return nil, repeatedKeyError(key)
 			}
 			seenSpec = true
-			// Decoded through a pointer, null clears it; an object fills *d.
-			*d = Document{}
-			p := d
-			if err := dec.Decode(&p); err != nil {
+			if err := dec.Decode(&raw); err != nil {
 				return nil, err
 			}
-			if p == nil {
+			if string(raw) == "null" { // as an absent key
 				continue
 			}
 			if len(points) > 0 {
+				// A point that does not decode is refused as that first.
+				if err := pd.document(raw); err != nil {
+					return nil, err
+				}
 				return nil, errAmbiguous
 			}
-			if spec, err = lowerPoint(d, 0); err != nil {
+			if spec, err = point(0); err != nil {
 				return nil, err
 			}
+			haveSpec = true
 		default:
 			return nil, fmt.Errorf("json: unknown field %q", key)
 		}
@@ -128,12 +144,48 @@ func DecodeRequest(r io.Reader) ([]*Spec, error) {
 		return nil, err
 	}
 	switch {
-	case spec != nil:
+	case haveSpec:
 		return []*Spec{spec}, nil
 	case len(points) == 0:
 		return nil, errNoPoints
 	}
 	return points, nil
+}
+
+// DecodePoint decodes request point i from its bytes as DecodeRequest
+// does: strictly into a zeroed Document, then lowered and validated.
+// A document that does not decode is a json error; one that does not
+// lower or validate, a *PointError naming i.
+func DecodePoint(point []byte, i int) (*Spec, error) {
+	return new(pointDecoder).spec(point, i)
+}
+
+// pointDecoder decodes point documents from their bytes: one strict
+// json.Decoder reads each in turn from a reader reset to it, into one
+// Document zeroed first (json fills an existing pointee or slice in
+// place, so a Document not zeroed between points would share
+// sub-objects across them).
+type pointDecoder struct {
+	r   bytes.Reader
+	dec *json.Decoder
+	d   Document
+}
+
+func (p *pointDecoder) document(point []byte) error {
+	if p.dec == nil {
+		p.dec = json.NewDecoder(&p.r)
+		p.dec.DisallowUnknownFields()
+	}
+	p.r.Reset(point)
+	p.d = Document{}
+	return p.dec.Decode(&p.d)
+}
+
+func (p *pointDecoder) spec(point []byte, i int) (*Spec, error) {
+	if err := p.document(point); err != nil {
+		return nil, err
+	}
+	return lowerPoint(&p.d, i)
 }
 
 var (

@@ -3,8 +3,11 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -67,12 +70,83 @@ func envelopeShape(body []byte) (repeated, trailing bool) {
 	return repeated, len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0
 }
 
+// memoProbe is a Probe over a memo of point bytes to content hashes,
+// the way the server resolves points it has seen.
+type memoProbe struct {
+	t     *testing.T
+	known map[string]string
+	seen  []string // the bytes of each point offered, in order
+}
+
+func (m *memoProbe) probe(i int, point []byte) bool {
+	if i != len(m.seen) {
+		m.t.Fatalf("probe offered point %d after %d points", i, len(m.seen))
+	}
+	m.seen = append(m.seen, string(point))
+	_, ok := m.known[string(point)]
+	return ok
+}
+
+// decode decodes body through the probe and returns its point hashes,
+// a resolved point's from the memo; it remembers each decoded point's.
+func (m *memoProbe) decode(body []byte) (hashes []string, resolved int, err error) {
+	m.seen = m.seen[:0]
+	points, err := DecodeRequest(bytes.NewReader(body), m.probe)
+	if err != nil {
+		return nil, 0, err
+	}
+	hashes = make([]string, len(points))
+	for i, sp := range points {
+		if sp == nil {
+			hashes[i] = m.known[m.seen[i]]
+			resolved++
+			continue
+		}
+		if hashes[i], err = sp.Hash(); err != nil {
+			return nil, 0, err
+		}
+		m.known[m.seen[i]] = hashes[i]
+	}
+	return hashes, resolved, nil
+}
+
+// learn remembers every point offered in the last decode that decodes
+// alone, so a body refused at a later point is known up to it.
+func (m *memoProbe) learn() {
+	for _, point := range m.seen {
+		if sp, err := DecodePoint([]byte(point), 0); err == nil {
+			if h, err := sp.Hash(); err == nil {
+				m.known[point] = h
+			}
+		}
+	}
+}
+
+// sameOutcome fails unless two decodes of body agree: the same hashes,
+// or the same error text naming the same point.
+func sameOutcome(t *testing.T, body []byte, what string, want, got []string, wantErr, gotErr error) {
+	t.Helper()
+	var wp, gp *PointError
+	switch {
+	case (wantErr == nil) != (gotErr == nil), wantErr != nil && wantErr.Error() != gotErr.Error():
+		t.Fatalf("%s: error %v, the plain decode's %v\nbody: %s", what, gotErr, wantErr, body)
+	case errors.As(wantErr, &wp) != errors.As(gotErr, &gp), wp != nil && wp.Index != gp.Index:
+		t.Fatalf("%s: point error %v, the plain decode's %v\nbody: %s", what, gotErr, wantErr, body)
+	case !slices.Equal(want, got):
+		t.Fatalf("%s: hashes %v, the plain decode's %v\nbody: %s", what, got, want, body)
+	}
+}
+
 // FuzzDecodeRequest holds the streaming decoder to the one-Decode
 // decoder it replaced (oracleDecodeRequest): a body the oracle accepts,
 // whose every point lowers, validates and names a workload, is accepted
 // with the same point hashes in order, unless an envelope key repeats,
 // something follows the envelope or it has more than MaxPoints points;
 // those, and every body the oracle or a point check refuses, are refused.
+// And a probe changes nothing but what is decoded: through an empty
+// memo, and again once the memo knows every point that decodes alone,
+// the body yields the plain decode's hashes, or its error for the same
+// point, and the second pass resolves every point of an accepted body.
 func FuzzDecodeRequest(f *testing.F) {
 	examples, err := filepath.Glob("../../examples/*.json")
 	if err != nil || len(examples) == 0 {
@@ -119,7 +193,24 @@ func FuzzDecodeRequest(f *testing.F) {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		points, err := DecodeRequest(bytes.NewReader(body))
+		points, err := DecodeRequest(bytes.NewReader(body), nil)
+		var plain []string
+		for _, sp := range points {
+			h, err := sp.Hash()
+			if err != nil {
+				t.Fatalf("an accepted point does not hash: %v\nbody: %s", err, body)
+			}
+			plain = append(plain, h)
+		}
+		m := &memoProbe{t: t, known: map[string]string{}}
+		first, _, ferr := m.decode(body)
+		sameOutcome(t, body, "through an empty memo", plain, first, err, ferr)
+		m.learn()
+		second, resolved, serr := m.decode(body)
+		sameOutcome(t, body, "through a filled memo", plain, second, err, serr)
+		if serr == nil && resolved != len(second) {
+			t.Fatalf("the filled memo resolved %d of %d points\nbody: %s", resolved, len(second), body)
+		}
 		if repeated, trailing := envelopeShape(body); repeated || trailing {
 			if err == nil {
 				t.Fatalf("accepted a body with a repeated key (%v) or data after it (%v)\nbody: %s", repeated, trailing, body)
@@ -166,7 +257,7 @@ func TestDecodedPointsShareNothing(t *testing.T) {
 	)
 	decode := func(body string) []*Spec {
 		t.Helper()
-		points, err := DecodeRequest(strings.NewReader(body))
+		points, err := DecodeRequest(strings.NewReader(body), nil)
 		if err != nil {
 			t.Fatalf("%v\nbody: %s", err, body)
 		}
@@ -210,8 +301,36 @@ func TestBalancerPEsPerNodeIsRefusedUnlessRead(t *testing.T) {
 		`"balancer":"hierarchical","balancer_pes_per_node":-5`,
 	} {
 		body := `{"spec":{"workload":"adcirc","vps":4,"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":2},` + keys + `}}`
-		if _, err := DecodeRequest(strings.NewReader(body)); err == nil || !strings.Contains(err.Error(), "balancer_pes_per_node") {
+		if _, err := DecodeRequest(strings.NewReader(body), nil); err == nil || !strings.Contains(err.Error(), "balancer_pes_per_node") {
 			t.Errorf("%s: %v, want a refusal naming balancer_pes_per_node", keys, err)
+		}
+	}
+}
+
+// A hierarchical node grouping larger than the machine is refused as a
+// Balancer FieldError: the balancer clamps it to the PE count, so 4 and
+// 100 on a 4-PE machine were two hashes for one row. Under churn an
+// expansion can grow the machine past it, so there it stands.
+func TestHierarchicalGroupingBeyondTheMachineIsRefused(t *testing.T) {
+	const point = `{"workload":"adcirc","vps":8,"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":4},"balancer":"hierarchical"%s%s}`
+	const churn = `,"checkpoint":{"target":"buddy","interval_ns":50000000},"churn":{"seed":7,"eviction_every_ns":20000000,"notice_ns":1000000000,"horizon_ns":400000000,"max_events":2}`
+	decode := func(grouping, churn string) error {
+		_, err := DecodeRequest(strings.NewReader(`{"spec":`+fmt.Sprintf(point, grouping, churn)+`}`), nil)
+		return err
+	}
+	err := decode(`,"balancer_pes_per_node":100`, "")
+	var verr *ValidationError
+	if !errors.As(err, &verr) || len(verr.Errs) != 1 || verr.Errs[0].Field != "Balancer" ||
+		!strings.Contains(verr.Errs[0].Msg, "balancer_pes_per_node 100 exceeds the machine's 4 PEs") {
+		t.Fatalf("grouping 100 on 4 PEs: %v, want one Balancer FieldError", err)
+	}
+	for _, tc := range []struct{ grouping, churn string }{
+		{`,"balancer_pes_per_node":4`, ""},
+		{"", ""},
+		{`,"balancer_pes_per_node":100`, churn},
+	} {
+		if err := decode(tc.grouping, tc.churn); err != nil {
+			t.Errorf("grouping %q, churn %v: %v", tc.grouping, tc.churn != "", err)
 		}
 	}
 }

@@ -248,6 +248,12 @@ func (s *Spec) Validate() error {
 				break
 			}
 		}
+		// The balancer clamps a grouping past the PE count to the PE
+		// count, so two values would name one run; under churn an
+		// expansion can grow the machine past it.
+		if h, ok := s.Balancer.(lb.HierarchicalLB); ok && h.PEsPerNode > npes && s.Churn == nil {
+			add("Balancer", "balancer_pes_per_node %d exceeds the machine's %d PEs", h.PEsPerNode, npes)
+		}
 	}
 	if s.Churn != nil {
 		if err := s.Churn.Validate(); err != nil {

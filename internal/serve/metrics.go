@@ -13,6 +13,7 @@ var (
 	cacheMisses    *obs.Counter
 	dedupJoins     *obs.Counter
 	pointsExecuted *obs.Counter
+	pointsDecoded  *obs.Counter
 	pointErrors    *obs.Counter
 	pointPanics    *obs.Counter
 	storePutErrors *obs.Counter
@@ -29,6 +30,7 @@ func EnableObs(r *obs.Registry) {
 	if r == nil {
 		requests, cacheHits, cacheMisses, pointPanics = nil, nil, nil, nil
 		dedupJoins, pointsExecuted, pointErrors, storePutErrors = nil, nil, nil, nil
+		pointsDecoded = nil
 		queueHighwater, requestLatency = nil, nil
 		return
 	}
@@ -42,6 +44,8 @@ func EnableObs(r *obs.Registry) {
 		"points that joined an identical in-flight execution instead of starting one")
 	pointsExecuted = r.Counter("serve_points_executed_total",
 		"simulations actually executed (misses that were not deduped)")
+	pointsDecoded = r.Counter("serve_points_decoded_total",
+		"request points decoded and validated (the rest were known by their bytes)")
 	pointErrors = r.Counter("serve_point_errors_total",
 		"point executions that returned an error")
 	pointPanics = r.Counter("serve_point_panics_total",

@@ -14,7 +14,8 @@
 //     leader's result instead of queueing duplicate work.
 //   - Incremental sweeps: a request is a list of points, each hashed
 //     independently, so editing one point of a sweep re-runs exactly
-//     the changed point.
+//     the changed point, and replaying a sweep decodes none: a point
+//     whose bytes the server has seen is looked up by their SHA-256.
 //
 // Endpoints:
 //
@@ -23,25 +24,28 @@
 //	                       point (in index order, written as soon as
 //	                       the point and all before it are done), and a
 //	                       trailer. The body is decoded as it streams
-//	                       (scenario.DecodeRequest): each point is
-//	                       lowered and validated as it is read, and the
-//	                       first invalid one, or the one past
-//	                       scenario.MaxPoints, ends the read with a
-//	                       structured 400 carrying scenario.ValidationError
-//	                       fields. Points run through Spec.Execute, so
-//	                       fault and churn points run under the supervisor.
+//	                       (scenario.DecodeRequest): each point the memo
+//	                       does not resolve is lowered and validated as
+//	                       it is read, and the first invalid one, or the
+//	                       one past scenario.MaxPoints, ends the read with
+//	                       a structured 400 carrying
+//	                       scenario.ValidationError fields. Points run
+//	                       through Spec.Execute, so fault and churn
+//	                       points run under the supervisor.
 //	GET  /v1/runs/{hash}   replays a completed run from the store, whose
 //	                       manifest keeps the points' lowered documents.
 //	GET  /v1/experiments   lists the harness experiment registry and
 //	                       the workload registry with example Specs.
 //
 // Concurrency discipline: the server's mutex guards only the in-flight
-// map; simulation, marshaling, and store I/O all happen outside it.
+// map, and the memo's only its table; simulation, marshaling, and store
+// I/O all happen outside them.
 // Total concurrent simulations across all requests are bounded by the
 // server's semaphore: each request's leaders take a slot apiece.
 package serve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -76,6 +80,9 @@ type Server struct {
 	// mu guards only inflight; everything else is channels/atomics.
 	mu       sync.Mutex
 	inflight map[string]*flight
+
+	// memo maps request points' bytes to their content hashes.
+	memo *memo
 }
 
 // flight is one in-progress point execution; joiners block on done and
@@ -100,6 +107,7 @@ func New(store *resultstore.Store, version string, workers int) *Server {
 		version:  version,
 		sem:      make(chan struct{}, workers),
 		inflight: make(map[string]*flight),
+		memo:     newMemo(memoSets),
 	}
 }
 
@@ -174,6 +182,61 @@ func writeError(w http.ResponseWriter, status int, doc errorDoc) {
 
 // --- POST /v1/runs ---
 
+// posted is one POST's points as its probe saw them, in index order.
+type posted struct {
+	s      *Server
+	points []postedPoint
+	// resolved holds the bytes of the points the probe resolved, end to
+	// end, in case the run has no manifest yet and they must be decoded.
+	resolved []byte
+}
+
+// postedStates recycles posted's slices across requests.
+var postedStates = sync.Pool{New: func() any { return new(posted) }}
+
+// release returns p to postedStates, dropping its references to rows;
+// one that held more than a megabyte of resolved points is left to the
+// collector.
+func (p *posted) release() {
+	if cap(p.resolved) > 1<<20 {
+		return
+	}
+	clear(p.points)
+	p.s, p.points, p.resolved = nil, p.points[:0], p.resolved[:0]
+	postedStates.Put(p)
+}
+
+type postedPoint struct {
+	key digest // SHA-256 of the point's bytes
+	// Set when the probe resolved the point: its content hash, stored
+	// row and bytes (resolved[start:end]).
+	hash       string
+	row        []byte
+	start, end int
+}
+
+// probe resolves a point whose bytes the memo knows and whose row the
+// store still holds; any other point is decoded (scenario.Probe).
+func (p *posted) probe(_ int, point []byte) bool {
+	pt := postedPoint{key: sha256.Sum256(point)}
+	sum, ok := p.s.memo.get(&pt.key)
+	if ok {
+		var h [2 * sha256.Size]byte
+		hex.Encode(h[:], sum[:])
+		hash := string(h[:])
+		if pt.row, ok = p.s.store.Get("pt", hash); ok {
+			pt.hash, pt.start = hash, len(p.resolved)
+			p.resolved = append(p.resolved, point...)
+			pt.end = len(p.resolved)
+		}
+	}
+	if !ok {
+		pointsDecoded.Inc()
+	}
+	p.points = append(p.points, pt)
+	return ok
+}
+
 func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
 	began := time.Now()
 	requests.Inc()
@@ -183,8 +246,12 @@ func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
 
 	// The body `privbench -spec` takes, through the same decoder: every
 	// point is lowered and validated as it streams in, so a bad sweep is
-	// refused whole, with the offending point named, before any work starts.
-	points, err := scenario.DecodeRequest(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	// refused whole, with the offending point named, before any work
+	// starts. A point the probe resolves is not decoded at all.
+	req := postedStates.Get().(*posted)
+	defer req.release()
+	req.s = s
+	points, err := scenario.DecodeRequest(http.MaxBytesReader(w, r.Body, MaxBodyBytes), req.probe)
 	if err != nil {
 		status, doc := http.StatusBadRequest, errorDoc{Error: err.Error()}
 		var perr *scenario.PointError
@@ -203,11 +270,18 @@ func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
 	}
 	hashes := make([]string, len(points))
 	for i, sp := range points {
+		if sp == nil {
+			hashes[i] = req.points[i].hash
+			continue
+		}
 		if hashes[i], err = sp.Hash(); err != nil {
 			point := i
 			writeError(w, http.StatusBadRequest, errorDoc{Error: err.Error(), Point: &point})
 			return
 		}
+		var sum digest
+		hex.Decode(sum[:], []byte(hashes[i])) // a hash is 64 hex digits
+		s.memo.put(&req.points[i].key, &sum)
 	}
 	runHash := runHashOf(hashes)
 
@@ -225,7 +299,11 @@ func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
 	var leaders []int
 	executing := 0 // points led or joined and not yet written
 	for i, h := range hashes {
-		if p, ok := s.store.Get("pt", h); ok {
+		p, ok := req.points[i].row, points[i] == nil
+		if !ok {
+			p, ok = s.store.Get("pt", h)
+		}
+		if ok {
 			cacheHits.Inc()
 			res[i] = resolution{cached: true, payload: p}
 			continue
@@ -251,21 +329,15 @@ func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
 	// While a point executes, each line is flushed once it and all before
 	// it are ready; a fully cached response is sent when the handler returns.
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	writeLine := func(v any) {
-		_ = enc.Encode(v)
-		if executing > 0 && flusher != nil {
-			flusher.Flush()
-		}
-	}
-	writeLine(headerLine{Run: runHash, Points: len(points), Version: s.version})
+	out := newLines(w)
+	defer out.close()
+	out.b = (&headerLine{Run: runHash, Points: len(points), Version: s.version}).appendTo(out.b)
+	out.sync(executing > 0)
 
 	var trailer trailerLine
 	trailer.Done = true
-	var line pointLine // reused: encoded through a pointer, it is allocated once
 	for i := range points {
-		line = pointLine{Index: i, Hash: hashes[i]}
+		line := pointLine{Index: i, Hash: hashes[i]}
 		switch {
 		case res[i].cached:
 			trailer.Cached++
@@ -291,15 +363,16 @@ func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
 				line.Row = f.payload
 			}
 		}
-		writeLine(&line)
+		out.b = line.appendTo(out.b)
+		out.sync(executing > 0)
 		if !res[i].cached {
 			executing--
 		}
 	}
 	if trailer.Failed == 0 {
-		s.putManifest(runHash, hashes, points)
+		s.putManifest(runHash, hashes, points, req)
 	}
-	writeLine(trailer)
+	out.b = trailer.appendTo(out.b)
 }
 
 // claim registers interest in a point hash: the first caller becomes
@@ -388,11 +461,23 @@ func (s *Server) executePoint(hash string, sp *scenario.Spec) (payload []byte, s
 // /v1/runs/{hash} replay the whole sweep. The run hash is over the
 // point hashes, so a stored manifest already lists these points: only
 // a run's first completion writes one, and its Specs are the first
-// writer's points. Get verifies the checksum, so a corrupt or lost
-// manifest is written again.
-func (s *Server) putManifest(runHash string, hashes []string, points []*scenario.Spec) {
+// writer's points — the points the probe resolved are decoded for it
+// here. Get verifies the checksum, so a corrupt or lost manifest is
+// written again.
+func (s *Server) putManifest(runHash string, hashes []string, points []*scenario.Spec, req *posted) {
 	if _, ok := s.store.Get("run", runHash); ok {
 		return
+	}
+	for i, sp := range points {
+		if sp != nil {
+			continue
+		}
+		pt := &req.points[i]
+		pointsDecoded.Inc()
+		var err error
+		if points[i], err = scenario.DecodePoint(req.resolved[pt.start:pt.end], i); err != nil {
+			return // the memo knew these bytes only because they decoded
+		}
 	}
 	payload, err := json.Marshal(runManifest{Points: hashes, Specs: points})
 	if err != nil {
@@ -426,16 +511,17 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errorDoc{Error: "unknown run (not computed under this code version, or never completed)"})
 		return
 	}
-	var m struct{ Points []string } // the Specs are for inspection only
-	if err := json.Unmarshal(payload, &m); err != nil {
+	points, err := manifestPoints(payload)
+	if err != nil {
 		writeError(w, http.StatusInternalServerError, errorDoc{Error: "stored manifest unreadable"})
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(headerLine{Run: hash, Points: len(m.Points), Version: s.version})
+	out := newLines(w)
+	defer out.close()
+	out.b = (&headerLine{Run: hash, Points: len(points), Version: s.version}).appendTo(out.b)
 	trailer := trailerLine{Done: true}
-	for i, ph := range m.Points {
+	for i, ph := range points {
 		line := pointLine{Index: i, Hash: ph, Cached: true}
 		if row, ok := s.store.Get("pt", ph); ok {
 			cacheHits.Inc()
@@ -448,9 +534,25 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 			line.Cached = false
 			line.Error = "row missing from store; re-POST the spec to recompute"
 		}
-		_ = enc.Encode(line)
+		out.b = line.appendTo(out.b)
+		out.sync(false)
 	}
-	_ = enc.Encode(trailer)
+	out.b = trailer.appendTo(out.b)
+}
+
+// manifestPoints reads the point hashes that lead a stored manifest
+// and stops: the documents after them are for inspection only, and the
+// store's checksum already vouches for the record.
+func manifestPoints(manifest []byte) (points []string, err error) {
+	dec := json.NewDecoder(bytes.NewReader(manifest))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return nil, errors.New("manifest is not an object")
+	}
+	if tok, err := dec.Token(); err != nil || tok != "points" {
+		return nil, errors.New(`manifest does not open with "points"`)
+	}
+	err = dec.Decode(&points)
+	return points, err
 }
 
 // --- GET /v1/experiments ---

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # serve_smoke: boot `privbench -serve`, POST the same tiny Spec twice,
 # and assert the second response is a cache hit with byte-identical row
-# payloads, no second simulation and no store write, that GET of the
+# payloads, no second simulation, no store write and no point decoded
+# (the server knows the point's bytes), that GET of the
 # run replays the same row, and that the hash is over content:
 # the same point spelled with its environment explicit is a cache hit,
 # that a body followed by data is a 400, and that the server mounts no
@@ -76,15 +77,24 @@ puts() {
         || fail "no resultstore_puts_total on /metrics"
 }
 
+# Request points decoded so far: a point whose bytes the server has seen
+# is looked up, not decoded.
+decoded() {
+    curl -sf "http://$ADDR/metrics" | sed -n 's/^serve_points_decoded_total //p' | grep . \
+        || fail "no serve_points_decoded_total on /metrics"
+}
+
 echo "== first POST (expect an execution)"
 curl -sf -X POST -H 'Content-Type: application/json' -d "$SPEC" \
     "http://$ADDR/v1/runs" >"$WORKDIR/first.ndjson" || fail "first POST failed"
 PUTS1="$(puts)"
+DECODED1="$(decoded)"
 
-echo "== second POST (expect a cache hit that writes nothing)"
+echo "== second POST (expect a cache hit that writes nothing and decodes nothing)"
 curl -sf -X POST -H 'Content-Type: application/json' -d "$SPEC" \
     "http://$ADDR/v1/runs" >"$WORKDIR/second.ndjson" || fail "second POST failed"
 [[ "$(puts)" == "$PUTS1" ]] || fail "the replayed POST wrote to the store: resultstore_puts_total $PUTS1 -> $(puts)"
+[[ "$(decoded)" == "$DECODED1" ]] || fail "the replayed POST decoded its point: serve_points_decoded_total $DECODED1 -> $(decoded)"
 
 # Point lines carry `"cached":...` response metadata next to the row
 # payload; strip everything up to the row to compare stored bytes only.
