@@ -5,17 +5,20 @@
 //
 //	privbench -experiment=list
 //	privbench -experiment=all
-//	privbench -experiment=fig5 -nodes 8
-//	privbench -experiment=table2 -cores 1,2,4,8,16,32,64
+//	privbench -experiment=fig5scale
+//	privbench -experiment=scale -vps 65536
 //	privbench -spec examples/jacobi3d.json
+//	privbench -serve :8080 -store DIR
 //
-// Every experiment is an entry in the harness registry;
-// `-experiment=list` enumerates them with their descriptions and the
-// flags they consume, so this help never drifts from the code.
-// `-trace f -trace-point LABEL` traces the sweep point with that label
-// (e.g. cores=4,ratio=2). `-spec FILE|-` instead runs the points of a
-// `POST /v1/runs` body, {"spec":…} or {"points":[…]}, printing for each
-// the workload's report and the row line the server would store.
+// Every experiment is an entry in the harness registry, run at its
+// published shape; `-experiment=list` enumerates them with their
+// descriptions and the flags they consume, so this help never drifts
+// from the code. `-trace f -trace-point LABEL` traces the sweep point
+// with that label (e.g. cores=4,ratio=2). `-spec FILE|-` instead runs
+// the points of a `POST /v1/runs` body, {"spec":…} or {"points":[…]},
+// printing for each the workload's report and the row line the server
+// would store; a point off a figure is such a document. A flag the
+// chosen mode does not read exits 2 (see modes).
 package main
 
 import (
@@ -26,59 +29,63 @@ import (
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
-	"time"
 
 	"provirt/internal/harness"
 	"provirt/internal/obs"
 	"provirt/internal/scenario"
-	"provirt/internal/sim"
 	"provirt/internal/trace"
 )
 
-func main() {
-	experiment := flag.String("experiment", "all",
+// The flags, one per option; modes says which mode reads each.
+var (
+	experiment = flag.String("experiment", "all",
 		"which experiment to run: all, list, or one of "+strings.Join(harness.ExperimentNames(), ", "))
-	specFile := flag.String("spec", "",
+	specFile = flag.String("spec", "",
 		"run the points of this POST /v1/runs body, {\"spec\":…} or {\"points\":[…]} (a file, or - for stdin), instead of an experiment, printing for each point in order the workload's output and then its row as the server would store it; -trace, -trace-format and -profile-ranks need a one-point body")
-	nodes := flag.Int("nodes", 1, "node count for fig5")
-	vps := flag.Int("vps", 0,
+	vps = flag.Int("vps", 0,
 		"virtual rank count for the scale experiment (0 selects the default one million)")
-	coresFlag := flag.String("cores", "1,2,4,8,16,32,64", "core counts for table2/fig9")
-	mtbfFlag := flag.String("mtbf", "",
-		"comma-separated MTBF durations for ftsweep (e.g. 120ms,480ms); empty uses the default list")
-	churnRate := flag.Duration("churn-rate", 0,
-		"mean gap between spot evictions for the elastic experiment; nonzero replaces the default regime list with one custom regime")
-	churnNotice := flag.Duration("churn-notice", 120*time.Millisecond,
-		"eviction notice window for -churn-rate (0 = every reclaim degrades into a crash)")
-	churnSeed := flag.Uint64("churn-seed", 20, "churn sampler seed for -churn-rate")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
+	parallel = flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker goroutines for experiment sweeps; each simulation stays single-threaded and seeded, so output is identical at any setting (1 = serial)")
-	simWorkers := flag.Int("sim-workers", 0,
+	simWorkers = flag.Int("sim-workers", 0,
 		"workers inside a single simulated world: the flat-world scale experiment shards its event loop across lookahead domains; rows, tables, and traces are byte-identical at any setting (0 or 1 = serial engine)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
-	traceFile := flag.String("trace", "",
+	cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
+	traceFile  = flag.String("trace", "",
 		"write a virtual-time event trace of one sweep point (see -trace-point) to this file (requires -spec or a single -experiment)")
-	traceFormat := flag.String("trace-format", "jsonl",
+	traceFormat = flag.String("trace-format", "jsonl",
 		"trace file format: jsonl (one event per line, streamed to the file as the run goes unless -profile-ranks is set) or chrome (Perfetto-loadable trace-event JSON)")
-	tracePoint := flag.String("trace-point", "",
+	tracePoint = flag.String("trace-point", "",
 		"label of the sweep point -trace and -profile-ranks select: its swept values as key=value pairs, e.g. cores=4,ratio=2; empty selects the experiment's first point, and a label no point carries lists the experiment's labels")
-	profileRanks := flag.Bool("profile-ranks", false,
+	profileRanks = flag.Bool("profile-ranks", false,
 		"print per-rank and per-PE virtual-time utilization profiles with a critical-path summary for the traced sweep point")
-	showMetrics := flag.Bool("metrics", false,
+	showMetrics = flag.Bool("metrics", false,
 		"collect host-side runtime metrics and print the deterministic text snapshot after the experiments finish")
-	serveAddr := flag.String("serve", "",
+	serveAddr = flag.String("serve", "",
 		"run the experiment server on this address (e.g. :8080) instead of a batch run: POST /v1/runs executes Spec sweeps with content-addressed result caching; also serves /v1/experiments, Prometheus /metrics and /debug/pprof")
-	storeDir := flag.String("store", ".provirt-results",
+	storeDir = flag.String("store", ".provirt-results",
 		"result store directory for -serve; entries are keyed by spec hash and partitioned by code version")
-	serveWorkers := flag.Int("serve-workers", 0,
+	serveWorkers = flag.Int("serve-workers", 0,
 		"maximum concurrent simulations for -serve, across all requests (0 = GOMAXPROCS)")
-	cacheEntries := flag.Int("cache-entries", 0,
+	cacheEntries = flag.Int("cache-entries", 0,
 		"in-memory result index capacity for -serve (0 = the resultstore default; the disk store is unbounded)")
-	showVersion := flag.Bool("version", false, "print build and VCS information and exit")
+	showVersion = flag.Bool("version", false, "print build and VCS information and exit")
+)
+
+// modes lists the flags each mode reads. The experiments mode also
+// reads the registry Flags of each experiment it runs. A flag set
+// outside its mode is refused before anything runs.
+var modes = map[string][]string{
+	"version":     {"version"},
+	"list":        {"experiment"},
+	"serve":       {"serve", "store", "serve-workers", "cache-entries"},
+	"spec":        {"spec", "trace", "trace-format", "profile-ranks", "cpuprofile", "memprofile", "metrics"},
+	"experiments": {"experiment", "parallel", "trace", "trace-format", "trace-point", "profile-ranks", "cpuprofile", "memprofile", "metrics"},
+}
+
+func main() {
 	flag.Parse()
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
@@ -87,8 +94,6 @@ func main() {
 	// A value below a flag's range, or a flag nothing would read, is
 	// refused before anything runs, never replaced or ignored.
 	switch {
-	case *nodes < 1:
-		die(2, "-nodes must be >= 1, got %d", *nodes)
 	case *vps < 0:
 		die(2, "-vps must be >= 0 (0 selects the default one million), got %d", *vps)
 	case *parallel < 1:
@@ -99,55 +104,61 @@ func main() {
 		die(2, "-serve-workers must be >= 0 (0 = GOMAXPROCS), got %d", *serveWorkers)
 	case *cacheEntries < 0:
 		die(2, "-cache-entries must be >= 0 (0 = the resultstore default), got %d", *cacheEntries)
-	case *churnNotice < 0:
-		die(2, "-churn-notice must be >= 0, got %v", *churnNotice)
 	case set["trace-point"] && !tracing:
 		die(2, "-trace-point needs -trace or -profile-ranks")
 	case set["trace-format"] && !tracing:
 		die(2, "-trace-format needs -trace or -profile-ranks")
-	case set["trace-point"] && *specFile != "":
-		die(2, "-trace-point selects an experiment's point; a -spec body's one point needs none")
 	}
+	mode, by := "experiments", "-experiment="+*experiment
+	switch {
+	case *showVersion:
+		mode, by = "version", "-version"
+	case *experiment == "list":
+		mode = "list"
+	case *serveAddr != "":
+		mode, by = "serve", "-serve"
+	case *specFile != "":
+		mode, by = "spec", "-spec"
+	}
+	var selected []harness.Experiment
+	if mode == "experiments" {
+		if *experiment == "all" {
+			selected = harness.Experiments()
+		} else if e, ok := harness.LookupExperiment(*experiment); ok {
+			selected = []harness.Experiment{e}
+		} else {
+			die(2, "unknown experiment %q (try -experiment=list)", *experiment)
+		}
+	}
+	reads := modes[mode]
+	for _, e := range selected {
+		reads = append(reads, e.Flags...)
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if !slices.Contains(reads, f.Name) {
+			die(2, "-%s is not read by %s", f.Name, by)
+		}
+	})
 
-	if *showVersion {
+	switch mode {
+	case "version":
 		printVersion()
 		return
-	}
-	if *experiment == "list" {
+	case "list":
 		listExperiments()
 		return
-	}
-	if *serveAddr != "" {
+	case "serve":
 		if err := runServer(*serveAddr, *storeDir, *serveWorkers, *cacheEntries); err != nil {
 			die(1, "-serve: %v", err)
 		}
 		return
 	}
 
-	cores, err := parseInts(*coresFlag)
-	if err != nil {
-		die(2, "bad -cores: %v", err)
-	}
-	mtbfs, err := parseDurations(*mtbfFlag)
-	if err != nil {
-		die(2, "bad -mtbf: %v", err)
-	}
-
-	var selected []harness.Experiment
-	if *experiment == "all" {
-		selected = harness.Experiments()
-	} else {
-		e, ok := harness.LookupExperiment(*experiment)
-		if !ok {
-			die(2, "unknown experiment %q (try -experiment=list)", *experiment)
-		}
-		selected = []harness.Experiment{e}
-	}
-	// A -spec body replaces the experiments, and is read, lowered and
-	// validated whole before anything runs, as the server does.
+	// A -spec body is read, lowered and validated whole before anything
+	// runs, as the server does.
 	var points []*scenario.Spec
-	if *specFile != "" {
-		selected = nil
+	if mode == "spec" {
+		var err error
 		if points, err = readPoints(*specFile); err != nil {
 			die(2, "-spec: %v", err)
 		}
@@ -192,13 +203,14 @@ func main() {
 	var sel *harness.TraceSel
 	var traceOut *os.File // the file rec streams to, if it streams
 	if tracing {
-		if *specFile == "" && len(selected) != 1 {
+		if mode == "experiments" && len(selected) != 1 {
 			die(2, "-trace/-profile-ranks need -spec or a single -experiment (got %q)", *experiment)
 		}
 		if *traceFormat != "jsonl" && *traceFormat != "chrome" {
 			die(2, "unknown -trace-format %q (want jsonl or chrome)", *traceFormat)
 		}
 		if *traceFile != "" && *traceFormat == "jsonl" && !*profileRanks {
+			var err error
 			if traceOut, err = os.Create(*traceFile); err != nil {
 				die(2, "-trace: %v", err)
 			}
@@ -220,15 +232,7 @@ func main() {
 
 	ropts := harness.RunOpts{
 		Opts:     harness.Opts{Parallelism: *parallel, Trace: sel, SimWorkers: *simWorkers},
-		Nodes:    *nodes,
-		Cores:    cores,
-		MTBFs:    mtbfs,
 		ScaleVPs: *vps,
-	}
-	if *churnRate > 0 {
-		ropts.Elastic = []harness.ElasticRegime{
-			harness.CustomChurnRegime(*churnSeed, sim.Time(*churnRate), sim.Time(*churnNotice)),
-		}
 	}
 	for i := range points {
 		if err := runPoint(points[i], rec); err != nil {
@@ -404,48 +408,4 @@ func writeTrace(path, format string, events []trace.Event) error {
 		err = cerr
 	}
 	return err
-}
-
-// parseList splits a comma-separated list, skipping empty items, and
-// parses each with parse.
-func parseList[T any](s string, parse func(string) (T, error)) ([]T, error) {
-	var out []T
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part == "" {
-			continue
-		}
-		v, err := parse(part)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// parseDurations parses a list of positive durations; an empty string
-// yields nil (the experiment's default list).
-func parseDurations(s string) ([]sim.Time, error) {
-	return parseList(s, func(part string) (sim.Time, error) {
-		d, err := time.ParseDuration(part)
-		if err == nil && d <= 0 {
-			err = fmt.Errorf("duration %v must be positive", d)
-		}
-		return d, err
-	})
-}
-
-// parseInts parses a non-empty list of positive core counts.
-func parseInts(s string) ([]int, error) {
-	out, err := parseList(s, func(part string) (int, error) {
-		n, err := strconv.Atoi(part)
-		if err == nil && n <= 0 {
-			err = fmt.Errorf("core count %d must be positive", n)
-		}
-		return n, err
-	})
-	if err == nil && len(out) == 0 {
-		err = fmt.Errorf("no core counts")
-	}
-	return out, err
 }

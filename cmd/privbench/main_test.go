@@ -13,77 +13,13 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"provirt/internal/ampi"
+	"provirt/internal/harness"
 	"provirt/internal/resultstore"
 	"provirt/internal/scenario"
 	"provirt/internal/serve"
-	"provirt/internal/sim"
 )
-
-func TestParseInts(t *testing.T) {
-	good := map[string][]int{
-		"1":            {1},
-		"1,2,4":        {1, 2, 4},
-		" 8 , 16 ":     {8, 16},
-		"1,2,4,8,16,,": {1, 2, 4, 8, 16},
-	}
-	for in, want := range good {
-		got, err := parseInts(in)
-		if err != nil {
-			t.Errorf("parseInts(%q): %v", in, err)
-			continue
-		}
-		if len(got) != len(want) {
-			t.Errorf("parseInts(%q) = %v, want %v", in, got, want)
-			continue
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("parseInts(%q) = %v, want %v", in, got, want)
-			}
-		}
-	}
-	for _, in := range []string{"", "x", "0", "-2", "1,zero"} {
-		if _, err := parseInts(in); err == nil {
-			t.Errorf("parseInts(%q) accepted", in)
-		}
-	}
-}
-
-func TestParseDurations(t *testing.T) {
-	good := map[string][]sim.Time{
-		"":             nil, // empty selects the experiment default
-		"   ":          nil,
-		"120ms":        {sim.Time(120 * time.Millisecond)},
-		"120ms, 1s ,":  {sim.Time(120 * time.Millisecond), sim.Time(time.Second)},
-		"500us,2m":     {sim.Time(500 * time.Microsecond), sim.Time(2 * time.Minute)},
-		"1.5s":         {sim.Time(1500 * time.Millisecond)},
-		"120ms,,960ms": {sim.Time(120 * time.Millisecond), sim.Time(960 * time.Millisecond)},
-	}
-	for in, want := range good {
-		got, err := parseDurations(in)
-		if err != nil {
-			t.Errorf("parseDurations(%q): %v", in, err)
-			continue
-		}
-		if len(got) != len(want) {
-			t.Errorf("parseDurations(%q) = %v, want %v", in, got, want)
-			continue
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("parseDurations(%q) = %v, want %v", in, got, want)
-			}
-		}
-	}
-	for _, in := range []string{"x", "120", "0s", "-5ms", "120ms,never"} {
-		if _, err := parseDurations(in); err == nil {
-			t.Errorf("parseDurations(%q) accepted", in)
-		}
-	}
-}
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current tree")
 
@@ -135,20 +71,25 @@ func TestUnmatchedTraceLeavesNoFile(t *testing.T) {
 	}
 }
 
-// Each flag value that has no meaning must exit 2 naming the flag
-// before anything runs, not fall back to a default.
+// Each flag value that has no meaning, and each flag its mode does not
+// read, must exit 2 naming the flag before anything runs, not fall
+// back to a default or be ignored.
 func TestBadFlagValuesAreRefused(t *testing.T) {
+	const doc = "../../examples/quickstart.json"
 	for _, tc := range []struct{ flag, args string }{
-		{"-nodes", "-experiment fig5 -nodes -3"},
-		{"-nodes", "-experiment fig5 -nodes 0"},
 		{"-vps", "-experiment scale -vps -7"},
 		{"-sim-workers", "-experiment scale -vps 64 -sim-workers -1"},
 		{"-serve-workers", "-experiment fig5 -serve-workers -1"},
 		{"-cache-entries", "-experiment fig5 -cache-entries -1"},
-		{"-churn-notice", "-experiment elastic -churn-rate 50ms -churn-notice -1ms"},
 		{"-trace-point", "-experiment fig5 -trace-point method=none,nodes=1"},
 		{"-trace-format", "-experiment fig5 -trace-format chrome"},
 		{"-trace-point", "-spec - -profile-ranks -trace-point method=none"},
+		{"-vps", "-spec " + doc + " -vps 9"},
+		{"-parallel", "-spec " + doc + " -parallel 4"},
+		{"-store", "-experiment tables -store x"},
+		{"-sim-workers", "-experiment fig6 -sim-workers 2"},
+		{"-parallel", "-serve 127.0.0.1:0 -parallel 2"},
+		{"-parallel", "-version -parallel 2"},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
 			stdout, stderr, code := privbench(t, "", tc.args)
@@ -163,6 +104,35 @@ func TestBadFlagValuesAreRefused(t *testing.T) {
 			}
 		})
 	}
+}
+
+// Every flag privbench defines names the mode that reads it, in modes
+// or as an experiment's registry flag, and every name there is a flag.
+func TestEveryFlagHasAMode(t *testing.T) {
+	read := map[string]bool{}
+	for _, names := range modes {
+		for _, name := range names {
+			read[name] = true
+		}
+	}
+	for _, e := range harness.Experiments() {
+		for _, name := range e.Flags {
+			read[name] = true
+		}
+	}
+	for name := range read {
+		if flag.Lookup(name) == nil {
+			t.Errorf("-%s is read by a mode but defined by no flag", name)
+		}
+	}
+	flag.VisitAll(func(f *flag.Flag) {
+		if strings.HasPrefix(f.Name, "test.") || f.Name == "update" {
+			return // the test binary's own
+		}
+		if !read[f.Name] {
+			t.Errorf("-%s is read by no mode", f.Name)
+		}
+	})
 }
 
 // TestExampleDocuments runs every examples/*.json document through
@@ -246,9 +216,10 @@ func TestSpecTraceNeedsOnePoint(t *testing.T) {
 
 // -spec takes the POST /v1/runs body through the server's decoder: a
 // bare Spec (by the unknown-field rule), a body with both "spec" and
-// "points", a repeated key, data after the body and a sweep past
-// scenario.MaxPoints are refused with the error the server answers them
-// with.
+// "points", a repeated key, data after the body, a sweep past
+// scenario.MaxPoints and a point with an unknown key are refused with
+// the error the server answers them with, naming the point when the
+// server does.
 func TestSpecRefusesWhatTheServerRefuses(t *testing.T) {
 	store, err := resultstore.Open(t.TempDir(), "test", 0)
 	if err != nil {
@@ -256,12 +227,13 @@ func TestSpecRefusesWhatTheServerRefuses(t *testing.T) {
 	}
 	ts := httptest.NewServer(serve.New(store, "test", 1).Handler(nil))
 	defer ts.Close()
-	for name, tc := range map[string]struct{ body, why string }{
-		"bare spec":       {hello("none"), `unknown field "workload"`},
-		"spec and points": {`{"spec":` + hello("none") + `,"points":[` + hello("none") + "]}", "mutually exclusive"},
-		"repeated key":    {`{"points":[` + hello("none") + `],"points":[` + hello("pieglobals") + "]}", "appears twice"},
-		"trailing data":   {`{"spec":` + hello("none") + `}{"spec":` + hello("pieglobals") + "}", "data after"},
-		"too many points": {`{"points":[` + strings.Repeat(hello("none")+",", scenario.MaxPoints) + hello("none") + "]}", strconv.Itoa(scenario.MaxPoints)},
+	for name, tc := range map[string]struct{ body, why, at string }{
+		"bare spec":         {hello("none"), `unknown field "workload"`, ""},
+		"spec and points":   {`{"spec":` + hello("none") + `,"points":[` + hello("none") + "]}", "mutually exclusive", ""},
+		"repeated key":      {`{"points":[` + hello("none") + `],"points":[` + hello("pieglobals") + "]}", "appears twice", ""},
+		"trailing data":     {`{"spec":` + hello("none") + `}{"spec":` + hello("pieglobals") + "}", "data after", ""},
+		"too many points":   {`{"points":[` + strings.Repeat(hello("none")+",", scenario.MaxPoints) + hello("none") + "]}", strconv.Itoa(scenario.MaxPoints), ""},
+		"unknown point key": {`{"points":[` + hello("none") + `,{"bogus":1}]}`, `unknown field "bogus"`, "point 1: "},
 	} {
 		t.Run(name, func(t *testing.T) {
 			body := tc.body
@@ -270,16 +242,26 @@ func TestSpecRefusesWhatTheServerRefuses(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer resp.Body.Close()
-			var refused struct{ Error string }
+			var refused struct {
+				Error string
+				Point *int
+			}
 			if err := json.NewDecoder(resp.Body).Decode(&refused); err != nil || resp.StatusCode != http.StatusBadRequest ||
 				!strings.Contains(refused.Error, tc.why) {
 				t.Fatalf("POST: status %d, %v, %q; want a 400 saying %s", resp.StatusCode, err, refused.Error, tc.why)
+			}
+			at := ""
+			if refused.Point != nil {
+				at = "point " + strconv.Itoa(*refused.Point) + ": "
+			}
+			if at != tc.at {
+				t.Fatalf("POST: the refusal names %q, want %q", at, tc.at)
 			}
 			stdout, stderr, code := privbench(t, body, "-spec -")
 			if code != 2 || stdout != "" {
 				t.Fatalf("privbench -spec: exit status %d, stdout %q", code, stdout)
 			}
-			if want := "privbench: -spec: " + refused.Error + "\n"; stderr != want {
+			if want := "privbench: -spec: " + at + refused.Error + "\n"; stderr != want {
 				t.Errorf("privbench -spec says %q, the server %q", stderr, refused.Error)
 			}
 		})

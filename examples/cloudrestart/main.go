@@ -9,8 +9,8 @@
 // rank state serializes placement-independently through Isomalloc, and
 // 16 virtual ranks run as happily on 4 PEs as on 8. Each rank resumes
 // from its restored iteration counter; the final answer matches an
-// uninterrupted run exactly. The restarted phase is declared as a
-// scenario.Spec whose Restart field carries the snapshot.
+// uninterrupted run exactly. The restarted phase's world is built from
+// a scenario.Spec's Config and the snapshot.
 //
 // Phase 3 replays the same story hands-free: the elastic supervisor
 // (ft.RunElastic) receives the reclaim as a churn event with a notice
@@ -144,10 +144,15 @@ func main() {
 		Machine: machine.Config{Nodes: 1, ProcsPerNode: 1, PEsPerProc: 4},
 		VPs:     vps,
 		Method:  core.KindPIEglobals,
-		Program: program(false, totalIters, ckptAt, finals),
-		Restart: ck,
 	}
-	row2, _, err := sp2.Execute()
+	cfg2, err := sp2.Config()
+	var w2 *ampi.World
+	if err == nil {
+		w2, err = ampi.NewWorldFromCheckpoint(cfg2, program(false, totalIters, ckptAt, finals), ck)
+	}
+	if err == nil {
+		err = w2.Run()
+	}
 	if err != nil {
 		log.Fatalf("cloudrestart: %v", err)
 	}
@@ -160,7 +165,7 @@ func main() {
 	fmt.Printf("  uninterrupted answers (restart read %s back through the shared FS).\n",
 		trace.FormatBytes(int64(ck.Bytes)))
 	fmt.Printf("  restarted job: startup %s, execution %s\n",
-		trace.FormatDuration(time.Duration(row2.SetupNs)), trace.FormatDuration(time.Duration(row2.ExecNs)))
+		trace.FormatDuration(w2.SetupDone), trace.FormatDuration(w2.ExecutionTime()))
 
 	// Phase 3: the same reclaim, handled by the elastic supervisor.
 	// The spot market gives node 1 a generous notice; the supervisor

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"provirt/internal/core"
+	"provirt/internal/machine"
 	"provirt/internal/sim"
 	"provirt/internal/trace"
 )
@@ -295,7 +296,8 @@ func NewWorldFromCheckpoint(cfg Config, prog *Program, ck *Checkpoint) (*World, 
 // of adopting rank threads directly at setup completion, each rank's
 // snapshot is read back (from the contended filesystem, or from buddy
 // memory over the network) and restored, and the thread starts only
-// once its state is back.
+// once its state is back. Ranks are charged in vp order, so filesystem
+// and link contention fall the same way on every run.
 func (w *World) restoreFromCheckpoint(ck *Checkpoint, vpPE []int) error {
 	byVP := make(map[int]*core.MigrationPayload, len(ck.Payloads))
 	homeByVP := make(map[int]int, len(ck.Payloads))
@@ -311,97 +313,38 @@ func (w *World) restoreFromCheckpoint(ck *Checkpoint, vpPE []int) error {
 		}
 	}
 	if ck.Target == TargetBuddy {
-		return w.restoreFromBuddy(ck, vpPE, byVP, homeByVP)
-	}
-	// The shared filesystem persists across jobs: make the previous
-	// job's checkpoint files visible to this cluster.
-	for _, p := range ck.Payloads {
-		w.Cluster.FS.Populate(checkpointPath(ck.Dir, p.VP), p.Bytes())
+		if len(ck.Homes) != len(ck.Payloads) {
+			return fmt.Errorf("ampi: buddy checkpoint has %d home records for %d payloads", len(ck.Homes), len(ck.Payloads))
+		}
+		if ck.Nodes <= 0 {
+			return fmt.Errorf("ampi: buddy checkpoint records no cluster shape")
+		}
+		if ck.LostNode >= 0 && ck.Nodes < 2 {
+			return fmt.Errorf("ampi: buddy checkpoint on a 1-node cluster cannot survive losing node %d: %w", ck.LostNode, ErrSnapshotLost)
+		}
+	} else {
+		// The shared filesystem persists across jobs: make the previous
+		// job's checkpoint files visible to this cluster.
+		for _, p := range ck.Payloads {
+			w.Cluster.FS.Populate(checkpointPath(ck.Dir, p.VP), p.Bytes())
+		}
 	}
 	engine := w.Cluster.Engine
 	engine.At(w.SetupDone, func() {
 		for vp, r := range w.Ranks {
-			r := r
 			payload := byVP[vp]
 			pe := w.scheds[vpPE[vp]]
-			readDone, _, err := w.Cluster.FS.ReadFile(w.SetupDone, checkpointPath(ck.Dir, vp))
-			if err != nil {
-				w.fail(fmt.Errorf("ampi: restart rank %d: %w", vp, err))
-				return
-			}
-			engine.At(readDone, func() {
-				if err := r.ctx.RestoreInto(payload, w.sharedInstanceOf(pe.PE.Proc)); err != nil {
-					w.fail(fmt.Errorf("ampi: restart rank %d: %w", r.vp, err))
-					return
-				}
-				w.noteRestore(r, payload, w.SetupDone, readDone, int32(TargetFS))
-				pe.Adopt(r.thread)
-			})
-		}
-	})
-	return nil
-}
-
-// restoreFromBuddy restores ranks from in-memory snapshot copies. Each
-// rank's state comes from its old home node's copy — or, if that node
-// is the one marked lost, from the buddy's copy — and is transferred
-// over the network to wherever the rank now lives.
-func (w *World) restoreFromBuddy(ck *Checkpoint, vpPE []int, byVP map[int]*core.MigrationPayload, homeByVP map[int]int) error {
-	if len(ck.Homes) != len(ck.Payloads) {
-		return fmt.Errorf("ampi: buddy checkpoint has %d home records for %d payloads", len(ck.Homes), len(ck.Payloads))
-	}
-	if ck.Nodes <= 0 {
-		return fmt.Errorf("ampi: buddy checkpoint records no cluster shape")
-	}
-	if ck.LostNode >= 0 && ck.Nodes < 2 {
-		return fmt.Errorf("ampi: buddy checkpoint on a 1-node cluster cannot survive losing node %d: %w", ck.LostNode, ErrSnapshotLost)
-	}
-	// Map a node id from the snapshot's cluster onto this cluster. A
-	// shrunk restart (one fewer node) drops the lost node's id and
-	// shifts the ids above it down; same-shape restarts map identically.
-	shrunk := len(w.Cluster.Nodes) < ck.Nodes
-	mapNode := func(old int) (int, error) {
-		id := old
-		if shrunk && ck.LostNode >= 0 && old > ck.LostNode {
-			id = old - 1
-		}
-		if id < 0 || id >= len(w.Cluster.Nodes) {
-			return 0, fmt.Errorf("ampi: buddy restore: snapshot node %d has no counterpart on this %d-node cluster: %w",
-				old, len(w.Cluster.Nodes), ErrSnapshotLost)
-		}
-		return id, nil
-	}
-	engine := w.Cluster.Engine
-	cost := w.Cluster.Cost
-	engine.At(w.SetupDone, func() {
-		for vp, r := range w.Ranks {
-			r := r
-			payload := byVP[vp]
-			home := homeByVP[vp]
-			src := home
-			if home == ck.LostNode {
-				src = (home + 1) % ck.Nodes // the buddy holds the only copy
-			}
-			srcID, err := mapNode(src)
+			ready, err := w.restoreReady(ck, vp, homeByVP[vp], pe.PE, payload)
 			if err != nil {
 				w.fail(err)
 				return
 			}
-			pe := w.scheds[vpPE[vp]]
-			srcPE := w.Cluster.Nodes[srcID].Procs[0].PEs[0]
-			n := payload.Bytes()
-			// Unpack the copy; if it lives on another node, pack and
-			// ship it over the network first.
-			done := w.SetupDone + cost.CopyTime(n)
-			if srcPE.Proc.Node != pe.PE.Proc.Node {
-				done = w.Cluster.Transfer(w.SetupDone+cost.CopyTime(n), srcPE, pe.PE, n) + cost.CopyTime(n)
-			}
-			engine.At(done, func() {
+			engine.At(ready, func() {
 				if err := r.ctx.RestoreInto(payload, w.sharedInstanceOf(pe.PE.Proc)); err != nil {
 					w.fail(fmt.Errorf("ampi: restart rank %d: %w", r.vp, err))
 					return
 				}
-				w.noteRestore(r, payload, w.SetupDone, done, int32(TargetBuddy))
+				w.noteRestore(r, payload, ready)
 				pe.Adopt(r.thread)
 			})
 		}
@@ -409,10 +352,46 @@ func (w *World) restoreFromBuddy(ck *Checkpoint, vpPE []int, byVP map[int]*core.
 	return nil
 }
 
+// restoreReady is when rank vp's snapshot p is back on pe, from setup
+// completion: read from the shared filesystem, or unpacked from an
+// in-memory copy — its old home node's, or the buddy's if home is the
+// node marked lost — that is first shipped over the network when it
+// lives on another node. A shrunk restart (one fewer node) drops the
+// lost node's id and shifts the ids above it down; same-shape restarts
+// map identically.
+func (w *World) restoreReady(ck *Checkpoint, vp, home int, pe *machine.PE, p *core.MigrationPayload) (sim.Time, error) {
+	if ck.Target != TargetBuddy {
+		done, _, err := w.Cluster.FS.ReadFile(w.SetupDone, checkpointPath(ck.Dir, vp))
+		if err != nil {
+			return 0, fmt.Errorf("ampi: restart rank %d: %w", vp, err)
+		}
+		return done, nil
+	}
+	src := home
+	if home == ck.LostNode {
+		src = (home + 1) % ck.Nodes // the buddy holds the only copy
+	}
+	id := src
+	if len(w.Cluster.Nodes) < ck.Nodes && ck.LostNode >= 0 && src > ck.LostNode {
+		id = src - 1
+	}
+	if id < 0 || id >= len(w.Cluster.Nodes) {
+		return 0, fmt.Errorf("ampi: buddy restore: snapshot node %d has no counterpart on this %d-node cluster: %w",
+			src, len(w.Cluster.Nodes), ErrSnapshotLost)
+	}
+	cost, n := w.Cluster.Cost, p.Bytes()
+	srcPE := w.Cluster.Nodes[id].Procs[0].PEs[0]
+	if srcPE.Proc.Node == pe.Proc.Node {
+		return w.SetupDone + cost.CopyTime(n), nil
+	}
+	return w.Cluster.Transfer(w.SetupDone+cost.CopyTime(n), srcPE, pe, n) + cost.CopyTime(n), nil
+}
+
 // noteRestore records restore accounting and emits the rank's recovery
-// span. It runs inside the restore completion callback, so tracing adds
-// no engine events and traced runs stay bit-identical to untraced ones.
-func (w *World) noteRestore(r *Rank, p *core.MigrationPayload, start, done sim.Time, target int32) {
+// span, from setup completion to done. It runs inside the restore
+// completion callback, so tracing adds no engine events and traced runs
+// stay bit-identical to untraced ones.
+func (w *World) noteRestore(r *Rank, p *core.MigrationPayload, done sim.Time) {
 	w.RestoredBytes += p.Bytes()
 	if done > w.RestoreDone {
 		w.RestoreDone = done
@@ -421,7 +400,7 @@ func (w *World) noteRestore(r *Rank, p *core.MigrationPayload, start, done sim.T
 		w.lastCkptAt = done // checkpoint intervals count from the restore
 	}
 	if w.tracer != nil {
-		w.tracer.Emit(trace.Event{Time: start, Dur: done - start, Kind: trace.KindRecover,
-			PE: int32(r.pe.ID), VP: int32(r.vp), Peer: -1, Aux: target, Bytes: p.Bytes()})
+		w.tracer.Emit(trace.Event{Time: w.SetupDone, Dur: done - w.SetupDone, Kind: trace.KindRecover,
+			PE: int32(r.pe.ID), VP: int32(r.vp), Peer: -1, Aux: int32(w.Cfg.restart.Target), Bytes: p.Bytes()})
 	}
 }

@@ -95,15 +95,6 @@ func ElasticRegimes() []ElasticRegime {
 	}
 }
 
-// CustomChurnRegime builds a single spot-eviction regime from launcher
-// flags, sized to the elastic experiment's job.
-func CustomChurnRegime(seed uint64, rate, notice sim.Time) ElasticRegime {
-	return ElasticRegime{Name: "custom", Churn: ft.ChurnSpec{
-		Seed: seed, EvictionEvery: rate, Notice: notice,
-		Horizon: elHorizon, MaxEvents: 2,
-	}}
-}
-
 // elasticSpec is a point's supervised run: fixed-cadence checkpointing
 // (churn, not MTBF, drives the snapshot need here) under the regime's
 // churn spec. The compiled plan depends only on the regime, so every

@@ -7,6 +7,7 @@ import (
 
 	"provirt/internal/ampi"
 	"provirt/internal/core"
+	"provirt/internal/ft"
 	"provirt/internal/harness"
 	"provirt/internal/trace"
 )
@@ -105,9 +106,11 @@ func TestElasticDrainDividend(t *testing.T) {
 	}
 }
 
-// A custom regime built from launcher flags replaces the default list.
+// A regime list the caller passes replaces the default list.
 func TestElasticCustomRegime(t *testing.T) {
-	regime := harness.CustomChurnRegime(20, 80_000_000, 120_000_000)
+	regime := harness.ElasticRegime{Name: "custom", Churn: ft.ChurnSpec{
+		Seed: 20, EvictionEvery: 80_000_000, Notice: 120_000_000, Horizon: 200_000_000, MaxEvents: 2,
+	}}
 	rows, tbl, err := harness.ElasticSweep(harness.Opts{Parallelism: 2}, []harness.ElasticRegime{regime})
 	if err != nil {
 		t.Fatal(err)

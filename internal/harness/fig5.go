@@ -31,9 +31,6 @@ func fig5Points(nodes int) []point {
 // dlmopen/PIE methods cost constant per process while FSglobals
 // degrades with node count due to shared-filesystem contention.
 func Fig5Startup(o Opts, nodes int) ([]Fig5Row, *trace.Table, error) {
-	if nodes <= 0 {
-		nodes = 1
-	}
 	points, err := run(o, fig5Points(nodes))
 	if err != nil {
 		return nil, nil, fmt.Errorf("fig5: %w", err)

@@ -5,22 +5,17 @@ import (
 	"sort"
 
 	"provirt/internal/scenario"
-	"provirt/internal/sim"
 	"provirt/internal/trace"
 )
 
 // RunOpts is everything a registry experiment can consume: the
-// cross-cutting Opts plus the per-experiment parameters launchers
-// expose as flags. Zero-valued parameters select each experiment's
-// defaults, so RunOpts{} runs every experiment as `-experiment=all`
-// does.
+// cross-cutting Opts plus scale's rank count, the one figure parameter
+// a launcher exposes as a flag. Every other figure runs at its
+// published shape; a point off a figure is a Spec document. RunOpts{}
+// runs every experiment as `-experiment=all` does.
 type RunOpts struct {
 	Opts
-	Nodes    int             // fig5's node count (<= 0 selects 1)
-	Cores    []int           // table2/fig9's core counts (nil selects Table2Cores)
-	MTBFs    []sim.Time      // ftsweep's MTBF list (nil selects FTSweepMTBFs)
-	ScaleVPs int             // scale's rank count (<= 0 selects DefaultScaleVPs)
-	Elastic  []ElasticRegime // elastic's churn regimes (nil selects ElasticRegimes)
+	ScaleVPs int // scale's rank count (<= 0 selects DefaultScaleVPs)
 }
 
 // Result is what a registry experiment produced: the structured rows
@@ -66,8 +61,7 @@ var registry = []Experiment{
 	{
 		Name:        "fig5",
 		Description: "Fig. 5: startup time per privatization method at one node count",
-		Flags:       []string{"nodes"},
-		Run:         func(r RunOpts) (Result, error) { return result(Fig5Startup(r.Opts, r.Nodes)) },
+		Run:         func(r RunOpts) (Result, error) { return result(Fig5Startup(r.Opts, 1)) },
 	},
 	{
 		Name:        "fig5scale",
@@ -108,16 +102,14 @@ var registry = []Experiment{
 	{
 		Name:        "ftsweep",
 		Description: "Fault tolerance: supervised time-to-solution vs MTBF",
-		Flags:       []string{"mtbf"},
-		Run:         func(r RunOpts) (Result, error) { return result(FTSweep(r.Opts, r.MTBFs)) },
+		Run:         func(r RunOpts) (Result, error) { return result(FTSweep(r.Opts, nil)) },
 	},
 	{
 		Name:        "table2",
 		Aliases:     []string{"fig9"},
 		Description: "Table 2 & Fig. 9: ADCIRC strong scaling, virtualization x load balancing",
-		Flags:       []string{"cores"},
 		Run: func(r RunOpts) (Result, error) {
-			rows, t2, f9, err := adcircScaling(r.Opts, scenario.WorkloadParams{}, r.Cores)
+			rows, t2, f9, err := adcircScaling(r.Opts, scenario.WorkloadParams{}, nil)
 			return Result{Rows: rows, Tables: []*trace.Table{t2, f9}}, err
 		},
 	},
@@ -130,8 +122,7 @@ var registry = []Experiment{
 	{
 		Name:        "elastic",
 		Description: "Elastic worlds: time-to-solution and node-hours under cluster churn",
-		Flags:       []string{"churn-rate", "churn-notice", "churn-seed"},
-		Run:         func(r RunOpts) (Result, error) { return result(ElasticSweep(r.Opts, r.Elastic)) },
+		Run:         func(r RunOpts) (Result, error) { return result(ElasticSweep(r.Opts, nil)) },
 	},
 }
 

@@ -1,47 +1,36 @@
 package harness_test
 
 import (
+	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"provirt/internal/harness"
-	"provirt/internal/sim"
 	"provirt/internal/trace"
 )
 
-// tinyRunOpts shrinks the experiments whose size a flag sets to
-// smoke-test scale while exercising their full code path.
-func tinyRunOpts(par int) harness.RunOpts {
-	return harness.RunOpts{
-		Opts:     harness.Opts{Parallelism: par},
-		Nodes:    1,
-		Cores:    []int{1, 2},
-		MTBFs:    []sim.Time{120 * time.Millisecond, 960 * time.Millisecond},
-		ScaleVPs: 4096,
-	}
-}
-
-// TestRegistryGoldenSmoke runs every registered experiment at tiny
-// scale and pins the engine-wide determinism contract at the registry
-// boundary: every entry renders non-empty tables, and the rendered
-// bytes are identical between a serial and a parallel sweep.
+// TestRegistryGoldenSmoke runs every registered experiment on four
+// sweep workers and pins the engine-wide determinism contract at the
+// registry boundary: every entry renders non-empty tables, and the
+// rendered bytes are the ones testdata/experiments.golden holds for it,
+// which TestExperimentsGolden renders at the default parallelism.
 func TestRegistryGoldenSmoke(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs every experiment twice")
+		t.Skip("runs every experiment")
+	}
+	golden, err := os.ReadFile("testdata/experiments.golden")
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, e := range harness.Experiments() {
-		e := e
 		t.Run(e.Name, func(t *testing.T) {
 			t.Parallel()
-			serial := render(t, e, tinyRunOpts(1))
-			if strings.TrimSpace(serial) == "" {
+			got := render(t, e, harness.RunOpts{Opts: harness.Opts{Parallelism: 4}})
+			if strings.TrimSpace(got) == "" {
 				t.Fatalf("%s rendered no table text", e.Name)
 			}
-			parallel := render(t, e, tinyRunOpts(4))
-			if serial != parallel {
-				t.Errorf("%s output diverges between serial and parallel sweeps:\nserial:\n%s\nparallel:\n%s",
-					e.Name, serial, parallel)
+			if !strings.Contains(string(golden), got) {
+				t.Errorf("%s at -parallel 4 is not what experiments.golden holds:\n%s", e.Name, got)
 			}
 		})
 	}
@@ -96,10 +85,8 @@ func TestEveryExperimentLabelsItsPointsUniquely(t *testing.T) {
 		t.Run(e.Name, func(t *testing.T) {
 			t.Parallel()
 			rec := trace.NewRecorder()
-			ro := tinyRunOpts(1)
 			sel := &harness.TraceSel{Point: "no-such-point", Rec: rec}
-			ro.Trace = sel
-			if _, err := e.Run(ro); err != nil {
+			if _, err := e.Run(harness.RunOpts{Opts: harness.Opts{Trace: sel}, ScaleVPs: 4096}); err != nil {
 				t.Fatal(err)
 			}
 			if rec.Len() != 0 {

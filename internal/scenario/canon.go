@@ -62,9 +62,6 @@ func (s *Spec) declarativeErr() error {
 	if s.Trigger != nil {
 		fields = append(fields, "Trigger")
 	}
-	if s.Restart != nil {
-		fields = append(fields, "Restart")
-	}
 	if s.Machine.Cost != nil {
 		fields = append(fields, "Machine.Cost")
 	}
@@ -223,9 +220,8 @@ func (s *Spec) doc(d *lowered) error {
 }
 
 // MarshalJSON encodes the declarative Spec as its wire document. Specs
-// holding injected Go values (Program, Tracer, Trigger,
-// Restart, a custom cost model, an unregistered balancer) return a
-// *NotDeclarativeError.
+// holding injected Go values (Program, Tracer, Trigger, a custom cost
+// model, an unregistered balancer) return a *NotDeclarativeError.
 func (s Spec) MarshalJSON() ([]byte, error) {
 	var d lowered
 	if err := s.doc(&d); err != nil {

@@ -13,8 +13,9 @@ import (
 // past it is refused as it arrives, before the rest is read.
 const MaxPoints = 4096
 
-// PointError is a request point that does not lower, validate, or name
-// a registered workload. Err is the *ValidationError or lowering error.
+// PointError is a request point that does not decode, lower, validate,
+// or name a registered workload. Err is the json, lowering or
+// *ValidationError error.
 type PointError struct {
 	Index int
 	Err   error
@@ -154,8 +155,8 @@ func DecodeRequest(r io.Reader, probe Probe) ([]*Spec, error) {
 
 // DecodePoint decodes request point i from its bytes as DecodeRequest
 // does: strictly into a zeroed Document, then lowered and validated.
-// A document that does not decode is a json error; one that does not
-// lower or validate, a *PointError naming i.
+// A document that does not decode, lower or validate is a *PointError
+// naming i.
 func DecodePoint(point []byte, i int) (*Spec, error) {
 	return new(pointDecoder).spec(point, i)
 }
@@ -183,7 +184,7 @@ func (p *pointDecoder) document(point []byte) error {
 
 func (p *pointDecoder) spec(point []byte, i int) (*Spec, error) {
 	if err := p.document(point); err != nil {
-		return nil, err
+		return nil, &PointError{Index: i, Err: err}
 	}
 	return lowerPoint(&p.d, i)
 }

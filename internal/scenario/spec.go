@@ -103,9 +103,6 @@ type Spec struct {
 	// even to a spec that injects nothing — selects the supervised
 	// path, whose Row carries the supervised columns.
 	Faults *ft.FaultSpec
-	// Restart, if set, restores every rank from the snapshot before
-	// its thread first runs (stop/restart and recovery scenarios).
-	Restart *ampi.Checkpoint
 	// Placement overrides the default block mapping of VPs onto PEs.
 	Placement []int
 	// StackSize overrides the default 1 MiB per-rank ULT stack.
@@ -274,9 +271,6 @@ func (s *Spec) Validate() error {
 		}
 	}
 	if s.supervised() {
-		if s.Restart != nil {
-			add("Restart", "a supervised run (Faults or Churn set) restarts from its own snapshots")
-		}
 		if s.Program != nil {
 			add("Program", "a supervised run (Faults or Churn set) rebuilds its program for every attempt; name a registered Workload instead")
 		}
@@ -357,7 +351,7 @@ type Built struct {
 }
 
 // Build validates the Spec, resolves its workload, and constructs the
-// world (from the Restart snapshot when one is set).
+// world.
 func (s *Spec) Build() (*Built, error) {
 	cfg, err := s.Config()
 	if err != nil {
@@ -372,12 +366,7 @@ func (s *Spec) Build() (*Built, error) {
 		}
 		prog, report = mk()
 	}
-	var w *ampi.World
-	if s.Restart != nil {
-		w, err = ampi.NewWorldFromCheckpoint(cfg, prog, s.Restart)
-	} else {
-		w, err = ampi.NewWorld(cfg, prog)
-	}
+	w, err := ampi.NewWorld(cfg, prog)
 	if err != nil {
 		return nil, err
 	}

@@ -344,8 +344,9 @@ func TestUnknownFieldIs400(t *testing.T) {
 		}
 		data, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), key) {
-			t.Errorf("%s: status %d, body %s; want a 400 naming %s", field, resp.StatusCode, data, key)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), key) ||
+			!strings.Contains(string(data), `"point":0`) {
+			t.Errorf("%s: status %d, body %s; want a 400 naming %s in point 0", field, resp.StatusCode, data, key)
 		}
 	}
 }
