@@ -1,18 +1,14 @@
 GO ?= go
 
-.PHONY: all build test bench bench-smoke cover race race-full fuzz-smoke vet examples serve-smoke ci
-
-# The Go examples, smoke-run at reduced problem size, and the example
-# documents, run at full size through `privbench -spec` and compared
-# with their goldens.
-EXAMPLES := migration cloudrestart
-EXAMPLE_DOCS := quickstart jacobi3d adcirc amr
+.PHONY: all build test bench bench-smoke cover race race-full fuzz-smoke vet serve-smoke ci
 
 all: build test
 
 build:
 	$(GO) build ./...
 
+# Also runs every examples/*.json document through `privbench -spec`
+# and compares the output with its golden (TestExampleDocuments).
 test:
 	$(GO) test ./...
 
@@ -71,19 +67,6 @@ vet:
 	$(GO) vet ./...
 	@test -z "$$(gofmt -l .)" || { gofmt -l .; echo "gofmt: the files above need formatting"; exit 1; }
 
-# Smoke-run every Go example at -quick scale, then every example
-# document byte for byte against cmd/privbench/testdata; a broken
-# example is a broken front door even when the libraries all pass.
-examples:
-	@for ex in $(EXAMPLES); do \
-		echo "== examples/$$ex -quick"; \
-		$(GO) run ./examples/$$ex -quick > /dev/null || exit 1; \
-	done
-	@for doc in $(EXAMPLE_DOCS); do \
-		echo "== privbench -spec examples/$$doc.json"; \
-		$(GO) run ./cmd/privbench -spec examples/$$doc.json | cmp - cmd/privbench/testdata/$$doc.golden || exit 1; \
-	done
-
 # End-to-end check of the experiment server: boot `privbench -serve`,
 # POST the same tiny Spec twice, assert the second response is a cache
 # hit with byte-identical row payloads and exactly one simulation run;
@@ -93,4 +76,4 @@ serve-smoke:
 	./scripts/serve_smoke.sh
 
 # Everything CI runs, in the same order (see .github/workflows/ci.yml).
-ci: vet build test examples bench-smoke serve-smoke race fuzz-smoke
+ci: vet build test bench-smoke serve-smoke race fuzz-smoke

@@ -82,7 +82,7 @@ var modes = map[string][]string{
 	"list":        {"experiment"},
 	"serve":       {"serve", "store", "serve-workers", "cache-entries"},
 	"spec":        {"spec", "trace", "trace-format", "profile-ranks", "cpuprofile", "memprofile", "metrics"},
-	"experiments": {"experiment", "parallel", "trace", "trace-format", "trace-point", "profile-ranks", "cpuprofile", "memprofile", "metrics"},
+	"experiments": {"experiment", "cpuprofile", "memprofile", "metrics"},
 }
 
 func main() {

@@ -90,6 +90,9 @@ func TestBadFlagValuesAreRefused(t *testing.T) {
 		{"-sim-workers", "-experiment fig6 -sim-workers 2"},
 		{"-parallel", "-serve 127.0.0.1:0 -parallel 2"},
 		{"-parallel", "-version -parallel 2"},
+		{"-parallel", "-experiment tables -parallel 3"},
+		{"-parallel", "-experiment icache -parallel 3"},
+		{"-parallel", "-experiment scale -vps 64 -parallel 2"},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
 			stdout, stderr, code := privbench(t, "", tc.args)
@@ -103,6 +106,23 @@ func TestBadFlagValuesAreRefused(t *testing.T) {
 				t.Errorf("a refused run printed %q", stdout)
 			}
 		})
+	}
+}
+
+// The sweep flags are read by each experiment that runs a sweep, and
+// so by -experiment=all, which runs them all.
+func TestSweepFlagsAreReadBySweeps(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "f5.jsonl")
+	for _, args := range []string{
+		"-experiment all -parallel 2",
+		"-experiment fig5 -parallel 2 -trace " + out,
+	} {
+		if _, stderr, code := privbench(t, "", args); code != 0 {
+			t.Errorf("privbench %s: exit status %d: %s", args, code, stderr)
+		}
+	}
+	if _, err := os.Stat(out); err != nil {
+		t.Errorf("fig5 wrote no trace: %v", err)
 	}
 }
 
@@ -168,6 +188,58 @@ func TestExampleDocuments(t *testing.T) {
 				t.Errorf("privbench -spec %s differs from %s:\n%s", doc, golden, stdout)
 			}
 		})
+	}
+}
+
+// goldenRows decodes the row lines of testdata/<name>.golden, which
+// TestExampleDocuments pins to what `privbench -spec` prints.
+func goldenRows(t *testing.T, name string) []scenario.Row {
+	t.Helper()
+	out, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []scenario.Row
+	for _, line := range strings.Split(string(out), "\n") {
+		if !strings.HasPrefix(line, "{") {
+			continue
+		}
+		var row scenario.Row
+		if err := json.Unmarshal([]byte(line), &row); err != nil {
+			t.Fatalf("%s.golden: %v", name, err)
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// The two story documents keep telling their stories, whatever -update
+// writes. cloudrestart: a noticed eviction drains the job through a
+// checkpoint and it restarts on the surviving node with no rework (the
+// checkpointed workload's ranks panic on a wrong final sum). migration:
+// PIEglobals moves the rank's code and data segments with it, so its
+// one migration carries more bytes than TLSglobals' (Fig. 8).
+func TestExampleStories(t *testing.T) {
+	rows := goldenRows(t, "cloudrestart")
+	if len(rows) != 1 {
+		t.Fatalf("cloudrestart has %d rows, want 1", len(rows))
+	}
+	if r := rows[0]; r.Epochs != 1 || r.Drained != 1 || r.Attempts != 2 || r.ReworkNoticedNs != 0 || r.ReworkForcedNs != 0 {
+		t.Errorf("cloudrestart: epochs %d, drained %d, attempts %d, rework %d noticed + %d forced; want 1, 1, 2 and no rework",
+			r.Epochs, r.Drained, r.Attempts, r.ReworkNoticedNs, r.ReworkForcedNs)
+	}
+
+	rows = goldenRows(t, "migration")
+	if len(rows) != 2 || rows[0].Method != "tlsglobals" || rows[1].Method != "pieglobals" {
+		t.Fatalf("migration rows %+v, want a tlsglobals and a pieglobals point", rows)
+	}
+	for _, r := range rows {
+		if r.Migrations != 1 {
+			t.Errorf("migration: %s migrated %d times, want 1", r.Method, r.Migrations)
+		}
+	}
+	if tls, pie := rows[0].MigratedBytes, rows[1].MigratedBytes; pie <= tls {
+		t.Errorf("migration: pieglobals moved %d bytes, tlsglobals %d; want pieglobals to move more", pie, tls)
 	}
 }
 

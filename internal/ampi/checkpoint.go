@@ -119,28 +119,6 @@ type Checkpoint struct {
 	VPs int
 }
 
-// Checkpoint is a collective: every rank must call it. The runtime
-// serializes all rank state and writes one file per rank to the shared
-// filesystem; ranks resume once their file is durable. The snapshot is
-// available afterwards via World.LastCheckpoint. It is shorthand for
-// CheckpointTo(TargetFS, dir).
-func (r *Rank) Checkpoint(dir string) {
-	r.CheckpointTo(TargetFS, dir)
-}
-
-// CheckpointTo is a collective: every rank must call it with the same
-// arguments. The runtime serializes all rank state and makes it durable
-// on the chosen target; ranks resume once their part is safe.
-func (r *Rank) CheckpointTo(target CheckpointTarget, dir string) {
-	w := r.world
-	w.ckptWaiting = append(w.ckptWaiting, r)
-	if len(w.ckptWaiting) == len(w.Ranks) {
-		at := r.thread.Now()
-		w.Cluster.Engine.At(at, func() { w.runCheckpoint(target, dir, false) })
-	}
-	r.thread.Suspend()
-}
-
 // CheckpointIfDue is the policy-driven checkpoint call applications
 // place at their natural consistency points (iteration boundaries). If
 // the world has no CheckpointPolicy (or a non-positive interval) it
@@ -158,7 +136,7 @@ func (r *Rank) CheckpointIfDue() bool {
 	w.ckptWaiting = append(w.ckptWaiting, r)
 	if len(w.ckptWaiting) == len(w.Ranks) {
 		at := r.thread.Now()
-		w.Cluster.Engine.At(at, func() { w.runCheckpoint(p.Target, p.Dir, true) })
+		w.Cluster.Engine.At(at, func() { w.runCheckpoint(p) })
 	}
 	r.thread.Suspend()
 	return w.ckptDecision
@@ -167,7 +145,7 @@ func (r *Rank) CheckpointIfDue() bool {
 // LastCheckpoint returns the most recent snapshot, or nil.
 func (w *World) LastCheckpoint() *Checkpoint { return w.lastCheckpoint }
 
-func (w *World) runCheckpoint(target CheckpointTarget, dir string, ifDue bool) {
+func (w *World) runCheckpoint(p *CheckpointPolicy) {
 	sync := w.Cluster.Engine.Now()
 	for _, s := range w.scheds {
 		if s.Now() > sync {
@@ -182,7 +160,7 @@ func (w *World) runCheckpoint(target CheckpointTarget, dir string, ifDue bool) {
 	// interval has not elapsed, and the ranks are not resumed.
 	drain := w.reconfigPending
 
-	if ifDue && !drain && sync-w.lastCkptAt < w.Cfg.Checkpoint.Interval {
+	if !drain && sync-w.lastCkptAt < p.Interval {
 		// Not due yet: the gather still synchronizes the ranks (they
 		// all resume at the slowest clock), but no snapshot is taken.
 		w.ckptDecision = false
@@ -196,8 +174,8 @@ func (w *World) runCheckpoint(target CheckpointTarget, dir string, ifDue bool) {
 	w.Checkpoints++
 
 	ck := &Checkpoint{
-		Target:   target,
-		Dir:      dir,
+		Target:   p.Target,
+		Dir:      p.Dir,
 		Method:   w.Cfg.Privatize,
 		Nodes:    len(w.Cluster.Nodes),
 		LostNode: -1,
@@ -217,7 +195,7 @@ func (w *World) runCheckpoint(target CheckpointTarget, dir string, ifDue bool) {
 		delta := payload.DeltaBytes()
 		ck.DeltaBytes += delta
 		var done sim.Time
-		switch target {
+		switch p.Target {
 		case TargetBuddy:
 			// Double in-memory checkpoint: pack the delta locally, ship
 			// it to the buddy node, unpack there. The rank resumes once
@@ -230,7 +208,7 @@ func (w *World) runCheckpoint(target CheckpointTarget, dir string, ifDue bool) {
 		default:
 			// Writes contend on the shared filesystem; the rank resumes
 			// when its file is durable.
-			done = w.Cluster.FS.WriteFile(sync, checkpointPath(dir, r.vp), delta)
+			done = w.Cluster.FS.WriteFile(sync, checkpointPath(p.Dir, r.vp), delta)
 		}
 		if done > ck.Taken {
 			ck.Taken = done

@@ -21,8 +21,15 @@ func ckptImage() *elf.Image {
 		MustBuild()
 }
 
-// ckptProgram runs `total` iterations, checkpointing at `at`; on
-// restart it resumes from the restored iteration counter.
+// everyCall is a policy under which every CheckpointIfDue that follows
+// any virtual time snapshots to dir on the shared filesystem.
+func everyCall(dir string) *ampi.CheckpointPolicy {
+	return &ampi.CheckpointPolicy{Target: ampi.TargetFS, Dir: dir, Interval: 1}
+}
+
+// ckptProgram runs `total` iterations, checkpointing at `at` under an
+// everyCall("/scratch/ckpt") policy; on restart it resumes from the
+// restored iteration counter.
 func ckptProgram(total, at int, finals []uint64) *ampi.Program {
 	return &ampi.Program{
 		Image: ckptImage(),
@@ -33,7 +40,7 @@ func ckptProgram(total, at int, finals []uint64) *ampi.Program {
 				ctx.Store("acc", ctx.Load("acc")+(it+1)*uint64(r.Rank()+1))
 				ctx.Store("iter", it+1)
 				if int(it+1) == at {
-					r.Checkpoint("/scratch/ckpt")
+					r.CheckpointIfDue()
 				}
 			}
 			r.Barrier()
@@ -54,9 +61,10 @@ func TestCheckpointWritesSnapshot(t *testing.T) {
 	finals := make([]uint64, 4)
 	prog := ckptProgram(6, 3, finals)
 	cfg := ampi.Config{
-		Machine:   machine.Config{Nodes: 1, ProcsPerNode: 1, PEsPerProc: 2},
-		VPs:       4,
-		Privatize: core.KindPIEglobals,
+		Machine:    machine.Config{Nodes: 1, ProcsPerNode: 1, PEsPerProc: 2},
+		VPs:        4,
+		Privatize:  core.KindPIEglobals,
+		Checkpoint: everyCall("/scratch/ckpt"),
 	}
 	w := runProgram(t, cfg, prog)
 	ck := w.LastCheckpoint()
@@ -88,9 +96,10 @@ func TestRestartResumesFromCheckpoint(t *testing.T) {
 	// Phase 1: run to completion, checkpointing at iteration 3.
 	finals1 := make([]uint64, 4)
 	cfg := ampi.Config{
-		Machine:   machine.Config{Nodes: 2, ProcsPerNode: 1, PEsPerProc: 2},
-		VPs:       4,
-		Privatize: core.KindPIEglobals,
+		Machine:    machine.Config{Nodes: 2, ProcsPerNode: 1, PEsPerProc: 2},
+		VPs:        4,
+		Privatize:  core.KindPIEglobals,
+		Checkpoint: everyCall("/scratch/ckpt"),
 	}
 	w1 := runProgram(t, cfg, ckptProgram(6, 3, finals1))
 	ck := w1.LastCheckpoint()
@@ -129,12 +138,13 @@ func TestCheckpointRefusedForNonMigratableMethods(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			prog := &ampi.Program{
 				Image: ckptImage(),
-				Main:  func(r *ampi.Rank) { r.Checkpoint("/scratch/x") },
+				Main:  func(r *ampi.Rank) { r.CheckpointIfDue() },
 			}
 			cfg := ampi.Config{
-				Machine:   machine.Config{Nodes: 1, ProcsPerNode: 1, PEsPerProc: 1},
-				VPs:       2,
-				Privatize: kind,
+				Machine:    machine.Config{Nodes: 1, ProcsPerNode: 1, PEsPerProc: 1},
+				VPs:        2,
+				Privatize:  kind,
+				Checkpoint: everyCall("/scratch/x"),
 			}
 			w, err := ampi.NewWorld(cfg, prog)
 			if err != nil {
@@ -189,9 +199,10 @@ func TestRestartValidationRejectsBadSnapshots(t *testing.T) {
 		// layout.
 		finals := make([]uint64, 4)
 		w := runProgram(t, ampi.Config{
-			Machine:   machine.Config{Nodes: 1, ProcsPerNode: 1, PEsPerProc: 2},
-			VPs:       4,
-			Privatize: core.KindPIEglobals,
+			Machine:    machine.Config{Nodes: 1, ProcsPerNode: 1, PEsPerProc: 2},
+			VPs:        4,
+			Privatize:  core.KindPIEglobals,
+			Checkpoint: everyCall("/scratch/ckpt"),
 		}, ckptProgram(6, 3, finals))
 		ck := w.LastCheckpoint()
 		if ck == nil {

@@ -31,7 +31,7 @@ func TestNodeFailureRecovery(t *testing.T) {
 				ctx.Store("iter", it+1)
 				r.Compute(2 * time.Millisecond)
 				if int(it+1)%ckptEvery == 0 {
-					r.Checkpoint("/scratch/ft")
+					r.CheckpointIfDue()
 				}
 			}
 			r.Barrier()
@@ -40,9 +40,10 @@ func TestNodeFailureRecovery(t *testing.T) {
 	}
 
 	cfg := ampi.Config{
-		Machine:   machine.Config{Nodes: 2, ProcsPerNode: 1, PEsPerProc: 2},
-		VPs:       4,
-		Privatize: core.KindPIEglobals,
+		Machine:    machine.Config{Nodes: 2, ProcsPerNode: 1, PEsPerProc: 2},
+		VPs:        4,
+		Privatize:  core.KindPIEglobals,
+		Checkpoint: everyCall("/scratch/ft"),
 	}
 	w, err := ampi.NewWorld(cfg, periodic)
 	if err != nil {

@@ -139,10 +139,11 @@ func TestPIERankSnapshotMovesOnlyRelocatedGranules(t *testing.T) {
 	defer mem.EnableObs(nil)
 	img := adcirc.Image()
 	w := runProgram(t, ampi.Config{
-		Machine:   machine.Config{Nodes: 1, ProcsPerNode: 1, PEsPerProc: 1},
-		VPs:       1,
-		Privatize: core.KindPIEglobals,
-	}, &ampi.Program{Image: img, Main: func(r *ampi.Rank) { r.Checkpoint("/ckpt") }})
+		Machine:    machine.Config{Nodes: 1, ProcsPerNode: 1, PEsPerProc: 1},
+		VPs:        1,
+		Privatize:  core.KindPIEglobals,
+		Checkpoint: everyCall("/ckpt"),
+	}, &ampi.Program{Image: img, Main: func(r *ampi.Rank) { r.CheckpointIfDue() }})
 	snap := w.LastCheckpoint().Payloads[0].Heap
 	var seg *mem.Block
 	for i := range snap.Blocks {
@@ -184,16 +185,17 @@ func TestCheckpointWritesOnlyDirtyBytes(t *testing.T) {
 			state := ctx.Var("state")
 			for i := 0; i < 2; i++ {
 				state.Store(uint64(i + 1))
-				r.Checkpoint("/ckpt")
+				r.CheckpointIfDue()
 				cks = append(cks, w.LastCheckpoint())
 			}
 		},
 	}
 	var err error
 	w, err = ampi.NewWorld(ampi.Config{
-		Machine:   machine.Config{Nodes: 1, ProcsPerNode: 1, PEsPerProc: 1},
-		VPs:       1,
-		Privatize: core.KindManual,
+		Machine:    machine.Config{Nodes: 1, ProcsPerNode: 1, PEsPerProc: 1},
+		VPs:        1,
+		Privatize:  core.KindManual,
+		Checkpoint: everyCall("/ckpt"),
 	}, prog)
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +245,7 @@ func TestCheckpointImmutableAfterMigration(t *testing.T) {
 			blk.Touch()
 			r.Migrate() // the rank keeps its live heap
 			state.Store(5)
-			r.Checkpoint("/ckpt")
+			r.CheckpointIfDue()
 			// Keep mutating after the checkpoint, then migrate again: none
 			// of this may leak into the kept snapshot.
 			state.Store(9)
@@ -254,10 +256,11 @@ func TestCheckpointImmutableAfterMigration(t *testing.T) {
 		},
 	}
 	cfg := ampi.Config{
-		Machine:   machine.Config{Nodes: 2, ProcsPerNode: 1, PEsPerProc: 1},
-		VPs:       1,
-		Privatize: core.KindPIEglobals,
-		Balancer:  lb.RotateLB{},
+		Machine:    machine.Config{Nodes: 2, ProcsPerNode: 1, PEsPerProc: 1},
+		VPs:        1,
+		Privatize:  core.KindPIEglobals,
+		Balancer:   lb.RotateLB{},
+		Checkpoint: everyCall("/ckpt"),
 	}
 	w := runProgram(t, cfg, prog)
 	if w.Migrations != 2 {

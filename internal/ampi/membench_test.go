@@ -81,14 +81,15 @@ func BenchmarkCheckpoint(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ctr++
 				state.Store(uint64(ctr))
-				r.Checkpoint("/ckpt")
+				r.CheckpointIfDue()
 			}
 		},
 	}
 	w, err := ampi.NewWorld(ampi.Config{
-		Machine:   machine.Config{Nodes: 1, ProcsPerNode: 1, PEsPerProc: 1},
-		VPs:       1,
-		Privatize: core.KindManual,
+		Machine:    machine.Config{Nodes: 1, ProcsPerNode: 1, PEsPerProc: 1},
+		VPs:        1,
+		Privatize:  core.KindManual,
+		Checkpoint: everyCall("/ckpt"),
 	}, prog)
 	if err != nil {
 		b.Fatal(err)
@@ -97,6 +98,9 @@ func BenchmarkCheckpoint(b *testing.B) {
 	b.ResetTimer()
 	if err := w.Run(); err != nil {
 		b.Fatal(err)
+	}
+	if w.Checkpoints != b.N {
+		b.Fatalf("took %d checkpoints, want %d", w.Checkpoints, b.N)
 	}
 	if ck := w.LastCheckpoint(); b.N > 0 && (ck == nil || ck.Bytes == 0) {
 		b.Fatal("no checkpoint recorded")

@@ -121,8 +121,8 @@ type World struct {
 	// SkippedBalances counts Migrate collectives where the trigger
 	// declined to rebalance.
 	SkippedBalances int
-	// Checkpoints counts snapshots actually taken (by Checkpoint,
-	// CheckpointTo, or a CheckpointIfDue that came due).
+	// Checkpoints counts snapshots actually taken (each a
+	// CheckpointIfDue that came due).
 	Checkpoints int
 	// RestoreDone is the virtual time the slowest rank finished
 	// restoring on a restarted world (zero when not a restart).

@@ -42,11 +42,20 @@ type Experiment struct {
 	// Description is the one-line summary `-experiment=list` prints.
 	Description string `json:"description"`
 	// Flags names the launcher flags the experiment consumes beyond
-	// the cross-cutting ones (parallelism, tracing, profiles).
+	// the ones every experiment reads (metrics and host profiles):
+	// sweepFlags for one that fans Spec points out, traceFlags for one
+	// that traces its single world, and its own figure parameters.
 	Flags []string `json:"flags,omitempty"`
 	// Run executes the experiment.
 	Run func(RunOpts) (Result, error) `json:"-"`
 }
+
+// traceFlags select and record one of an experiment's points;
+// sweepFlags add the width of the fan-out that runs them.
+var (
+	traceFlags = []string{"trace", "trace-format", "trace-point", "profile-ranks"}
+	sweepFlags = append([]string{"parallel"}, traceFlags...)
+)
 
 // registry holds every experiment in `-experiment=all` execution
 // order.
@@ -61,11 +70,13 @@ var registry = []Experiment{
 	{
 		Name:        "fig5",
 		Description: "Fig. 5: startup time per privatization method at one node count",
+		Flags:       sweepFlags,
 		Run:         func(r RunOpts) (Result, error) { return result(Fig5Startup(r.Opts, 1)) },
 	},
 	{
 		Name:        "fig5scale",
 		Description: "Fig. 5 scaling: startup time across node counts",
+		Flags:       sweepFlags,
 		Run: func(r RunOpts) (Result, error) {
 			tbl, err := Fig5Scaling(r.Opts)
 			return Result{Tables: []*trace.Table{tbl}}, err
@@ -74,16 +85,19 @@ var registry = []Experiment{
 	{
 		Name:        "fig6",
 		Description: "Fig. 6: context-switch overhead per privatization method",
+		Flags:       sweepFlags,
 		Run:         func(r RunOpts) (Result, error) { return result(Fig6ContextSwitch(r.Opts)) },
 	},
 	{
 		Name:        "fig7",
 		Description: "Fig. 7: privatized-variable access overhead (Jacobi-3D)",
+		Flags:       sweepFlags,
 		Run:         func(r RunOpts) (Result, error) { return result(Fig7JacobiAccess(r.Opts)) },
 	},
 	{
 		Name:        "fig8",
 		Description: "Fig. 8: migration time vs per-rank heap size",
+		Flags:       sweepFlags,
 		Run:         func(r RunOpts) (Result, error) { return result(Fig8Migration(r.Opts)) },
 	},
 	{
@@ -97,17 +111,20 @@ var registry = []Experiment{
 	{
 		Name:        "memory",
 		Description: "§6: per-rank privatization memory footprint (ADCIRC image)",
+		Flags:       sweepFlags,
 		Run:         func(r RunOpts) (Result, error) { return result(MemoryFootprint(r.Opts)) },
 	},
 	{
 		Name:        "ftsweep",
 		Description: "Fault tolerance: supervised time-to-solution vs MTBF",
+		Flags:       sweepFlags,
 		Run:         func(r RunOpts) (Result, error) { return result(FTSweep(r.Opts, nil)) },
 	},
 	{
 		Name:        "table2",
 		Aliases:     []string{"fig9"},
 		Description: "Table 2 & Fig. 9: ADCIRC strong scaling, virtualization x load balancing",
+		Flags:       sweepFlags,
 		Run: func(r RunOpts) (Result, error) {
 			rows, t2, f9, err := adcircScaling(r.Opts, scenario.WorkloadParams{}, nil)
 			return Result{Rows: rows, Tables: []*trace.Table{t2, f9}}, err
@@ -116,12 +133,13 @@ var registry = []Experiment{
 	{
 		Name:        "scale",
 		Description: "Million-VP scale: flat-world allreduce + migration storm with per-rank memory gauges",
-		Flags:       []string{"vps", "sim-workers"},
+		Flags:       append([]string{"vps", "sim-workers"}, traceFlags...),
 		Run:         func(r RunOpts) (Result, error) { return result(ScaleExperiment(r.Opts, r.ScaleVPs)) },
 	},
 	{
 		Name:        "elastic",
 		Description: "Elastic worlds: time-to-solution and node-hours under cluster churn",
+		Flags:       sweepFlags,
 		Run:         func(r RunOpts) (Result, error) { return result(ElasticSweep(r.Opts, nil)) },
 	},
 }

@@ -13,7 +13,7 @@
 // API and `privbench -spec` all go through it, so a description gets
 // the same answer whichever door it came through. Config, Build and
 // RunElastic are Execute's steps, exported for callers that need the
-// world itself (examples/cloudrestart, bench/).
+// world itself (bench/).
 //
 // Workloads are resolved by name through a registry (see
 // workloads.go), so launchers list and select programs without
