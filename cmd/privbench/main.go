@@ -49,8 +49,6 @@ var (
 		"virtual rank count for the scale experiment (0 selects the default one million)")
 	parallel = flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker goroutines for experiment sweeps; each simulation stays single-threaded and seeded, so output is identical at any setting (1 = serial)")
-	simWorkers = flag.Int("sim-workers", 0,
-		"workers inside a single simulated world: the flat-world scale experiment shards its event loop across lookahead domains; rows, tables, and traces are byte-identical at any setting (0 or 1 = serial engine)")
 	cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	traceFile  = flag.String("trace", "",
@@ -98,8 +96,6 @@ func main() {
 		die(2, "-vps must be >= 0 (0 selects the default one million), got %d", *vps)
 	case *parallel < 1:
 		die(2, "-parallel must be >= 1, got %d", *parallel)
-	case *simWorkers < 0:
-		die(2, "-sim-workers must be >= 0, got %d", *simWorkers)
 	case *serveWorkers < 0:
 		die(2, "-serve-workers must be >= 0 (0 = GOMAXPROCS), got %d", *serveWorkers)
 	case *cacheEntries < 0:
@@ -231,7 +227,7 @@ func main() {
 	}
 
 	ropts := harness.RunOpts{
-		Opts:     harness.Opts{Parallelism: *parallel, Trace: sel, SimWorkers: *simWorkers},
+		Opts:     harness.Opts{Parallelism: *parallel, Trace: sel},
 		ScaleVPs: *vps,
 	}
 	for i := range points {

@@ -71,14 +71,14 @@ func TestUnmatchedTraceLeavesNoFile(t *testing.T) {
 	}
 }
 
-// Each flag value that has no meaning, and each flag its mode does not
-// read, must exit 2 naming the flag before anything runs, not fall
-// back to a default or be ignored.
+// Each flag value that has no meaning, each flag its mode does not
+// read, and a flag that is gone must exit 2 naming the flag before
+// anything runs, not fall back to a default or be ignored.
 func TestBadFlagValuesAreRefused(t *testing.T) {
 	const doc = "../../examples/quickstart.json"
 	for _, tc := range []struct{ flag, args string }{
 		{"-vps", "-experiment scale -vps -7"},
-		{"-sim-workers", "-experiment scale -vps 64 -sim-workers -1"},
+		{"-sim-workers", "-experiment scale -sim-workers 2"},
 		{"-serve-workers", "-experiment fig5 -serve-workers -1"},
 		{"-cache-entries", "-experiment fig5 -cache-entries -1"},
 		{"-trace-point", "-experiment fig5 -trace-point method=none,nodes=1"},
@@ -87,7 +87,7 @@ func TestBadFlagValuesAreRefused(t *testing.T) {
 		{"-vps", "-spec " + doc + " -vps 9"},
 		{"-parallel", "-spec " + doc + " -parallel 4"},
 		{"-store", "-experiment tables -store x"},
-		{"-sim-workers", "-experiment fig6 -sim-workers 2"},
+		{"-vps", "-experiment fig6 -vps 64"},
 		{"-parallel", "-serve 127.0.0.1:0 -parallel 2"},
 		{"-parallel", "-version -parallel 2"},
 		{"-parallel", "-experiment tables -parallel 3"},

@@ -74,8 +74,9 @@ func (t *CheckpointTarget) UnmarshalText(text []byte) error {
 type CheckpointPolicy struct {
 	Target CheckpointTarget `json:"target"`
 	// Dir is the shared-filesystem directory for TargetFS; ignored by
-	// TargetBuddy.
-	Dir string `json:"dir,omitempty"`
+	// TargetBuddy. No modelled cost or result reads it, so it is not on
+	// the wire: a document that names one is refused.
+	Dir string `json:"-"`
 	// Interval is the minimum virtual time between snapshot starts. A
 	// zero or negative interval disables CheckpointIfDue.
 	Interval sim.Time `json:"interval_ns,omitempty"`
@@ -143,7 +144,20 @@ func (r *Rank) CheckpointIfDue() bool {
 }
 
 // LastCheckpoint returns the most recent snapshot, or nil.
-func (w *World) LastCheckpoint() *Checkpoint { return w.lastCheckpoint }
+func (w *World) LastCheckpoint() *Checkpoint { return w.checkpoints[0] }
+
+// CheckpointDurableBy returns the newest snapshot whose every write had
+// completed by virtual time t, or nil. The world keeps its last two
+// snapshots, and the one before the last is always complete by then: a
+// snapshot's gather waits for every rank's write of the one before.
+func (w *World) CheckpointDurableBy(t sim.Time) *Checkpoint {
+	for _, ck := range w.checkpoints {
+		if ck != nil && ck.Taken <= t {
+			return ck
+		}
+	}
+	return nil
+}
 
 func (w *World) runCheckpoint(p *CheckpointPolicy) {
 	sync := w.Cluster.Engine.Now()
@@ -217,7 +231,7 @@ func (w *World) runCheckpoint(p *CheckpointPolicy) {
 			w.wakeAt(r, done)
 		}
 	}
-	w.lastCheckpoint = ck
+	w.checkpoints = [2]*Checkpoint{ck, w.checkpoints[0]}
 	if drain {
 		// The ranks stay suspended: once the slowest payload is safe the
 		// world stops with a *Reconfigure error so the supervisor can

@@ -137,7 +137,7 @@ type World struct {
 	migrateWaiting []*Rank
 	lastMigrations []MigrationRecord
 	ckptWaiting    []*Rank
-	lastCheckpoint *Checkpoint
+	checkpoints    [2]*Checkpoint // the last snapshot taken and the one before it
 	lastCkptAt     sim.Time
 	ckptDecision   bool
 	runtimeErr     error

@@ -102,7 +102,8 @@ var errNoProgram = errors.New("ft: job needs a program factory")
 // RunElastic drives an elastic job to completion. With no churn and no
 // faults it adds nothing: the world is built and run exactly as a bare
 // caller would, so churn-free elastic runs stay bit-identical to
-// unsupervised ones.
+// unsupervised ones, and the node-seconds gauge keeps the last job that
+// had a crash or membership change planned.
 //
 // RunElastic returns the report alongside any error from a started
 // job; on error the report covers the attempts made so far.
@@ -119,7 +120,7 @@ func RunElastic(job ElasticJob) (*ElasticReport, error) {
 		}
 	}
 	rep, err := supervise(job)
-	if err == nil {
+	if err == nil && (len(job.Churn.Events) > 0 || len(job.Faults.Faults) > 0) {
 		metrics.nodeSeconds.Set(int64(rep.NodeSeconds))
 	}
 	return rep, err

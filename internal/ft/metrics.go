@@ -27,7 +27,9 @@ type obsMetrics struct {
 	// rebalanceMoves counts ranks the expand/shrink placements moved.
 	rebalanceMoves *obs.Counter
 	// nodeSeconds gauges the virtual node-seconds the most recent
-	// elastic job consumed — the cost axis of the elastic experiment.
+	// elastic job consumed — the cost axis of the elastic experiment. A
+	// job with empty plans, as every point without faults or churn is,
+	// does not set it.
 	nodeSeconds *obs.Gauge
 }
 

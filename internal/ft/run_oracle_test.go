@@ -8,10 +8,12 @@ import (
 )
 
 // oracleRun is ft.Run's supervisor loop as it stood before Run became
-// the crash-only case of the elastic loop, kept verbatim as the
-// reference the merged loop is held to (TestRunMatchesOracle). It knows
-// crashes only — no drains, no membership spans — and returns a lost
-// snapshot as an error where the merged loop cold-restarts.
+// the crash-only case of the elastic loop, kept as the reference the
+// merged loop is held to (TestRunMatchesOracle). It knows crashes only —
+// no drains, no membership spans — and returns a lost snapshot as an
+// error where the merged loop cold-restarts. It is verbatim but for one
+// fix both loops share: a crash restarts from the newest snapshot that
+// was complete when the node failed, not from one still being written.
 func oracleRun(job Job) (*Report, error) {
 	if job.Program == nil {
 		return nil, errors.New("ft: job needs a program factory")
@@ -75,7 +77,7 @@ func oracleRun(job Job) (*Report, error) {
 		if restarts >= maxRestarts {
 			return rep, fmt.Errorf("ft: job still failing after %d restart(s): %w", restarts, runErr)
 		}
-		if ck := w.LastCheckpoint(); ck != nil {
+		if ck := w.CheckpointDurableBy(nf.At); ck != nil {
 			lastCk = ck
 		}
 		rec := RecoveryRecord{Attempt: rep.Attempts, Node: nf.Node, CrashAt: nf.At}

@@ -204,7 +204,13 @@ func supervise(job ElasticJob) (*ElasticReport, error) {
 		if restarts >= maxRestarts {
 			return s.rep, fmt.Errorf("ft: job still failing after %d restart(s): %w", restarts, runErr)
 		}
-		if ck := a.w.LastCheckpoint(); ck != nil {
+		ck := a.w.LastCheckpoint()
+		if nf != nil {
+			// A snapshot still being written when the node failed is not
+			// there to restart from.
+			ck = a.w.CheckpointDurableBy(nf.At)
+		}
+		if ck != nil {
 			s.lastCk = ck
 		}
 		switch {

@@ -67,14 +67,15 @@ func TestFig9ParallelSweepIsDeterministic(t *testing.T) {
 // identical at every worker count. The scale experiment is the one
 // that actually shards (flat world, per-PE domains); pinning it here
 // is the harness-level end of the byte-identity chain that starts at
-// sim.TestParallelEngineMatchesSerial.
+// sim.TestParallelEngineMatchesSerial, at the 65 536 ranks the scale
+// experiment's -vps checks are pinned at.
 func TestScaleSimWorkersIsDeterministic(t *testing.T) {
-	const vps = 2048
+	const vps = 65536
 	run := func(workers int) (string, string, []byte) {
 		rec := trace.NewRecorder(append(trace.DefaultKinds(), trace.KindEngineEvent)...)
 		o := harness.Opts{
 			SimWorkers: workers,
-			Trace:      &harness.TraceSel{Point: "vps=2048", Rec: rec},
+			Trace:      &harness.TraceSel{Point: "vps=65536", Rec: rec},
 		}
 		rows, tbl, err := harness.ScaleExperiment(o, vps)
 		if err != nil {

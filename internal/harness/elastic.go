@@ -56,7 +56,6 @@ type ElasticRow struct {
 const (
 	elNodes    = 4
 	elVPs      = 8
-	elDir      = "/scratch/elastic"
 	elInterval = 32 * time.Millisecond // checkpoint cadence: every 4 iterations
 	// elNotice covers the job's setup phase plus several iteration
 	// boundaries, so a noticed eviction always reaches a consistency
@@ -103,7 +102,7 @@ func ElasticRegimes() []ElasticRegime {
 // parallelism.
 func elasticSpec(kind core.Kind, target ampi.CheckpointTarget, regime ElasticRegime) scenario.Spec {
 	sp := checkpointedJob(elNodes, elVPs, kind)
-	sp.Checkpoint = &ampi.CheckpointPolicy{Target: target, Dir: elDir, Interval: elInterval}
+	sp.Checkpoint = &ampi.CheckpointPolicy{Target: target, Interval: elInterval}
 	sp.Churn = &regime.Churn
 	return sp
 }

@@ -45,7 +45,6 @@ type FTRow struct {
 const (
 	ftNodes = 3
 	ftVPs   = 6
-	ftDir   = "/scratch/ftsweep"
 )
 
 // FTSweepMTBFs is the default MTBF list, bracketing the job's length
@@ -91,7 +90,7 @@ func ftLabel(r *FTRow) string {
 func ftSupervisedSpec(kind core.Kind, target ampi.CheckpointTarget, mtbf, interval, baseline sim.Time) scenario.Spec {
 	sp := checkpointedJob(ftNodes, ftVPs, kind)
 	if interval > 0 {
-		sp.Checkpoint = &ampi.CheckpointPolicy{Target: target, Dir: ftDir, Interval: interval}
+		sp.Checkpoint = &ampi.CheckpointPolicy{Target: target, Interval: interval}
 	}
 	sp.Faults = &ft.FaultSpec{Seed: ftSeed(kind, target, mtbf), MTBF: mtbf, Horizon: 4 * baseline}
 	return sp
@@ -116,7 +115,7 @@ func ftMeasurePoints(mtbfs []sim.Time) ([]FTRow, []point) {
 			Target: targets[i%len(targets)],
 		}
 		every := checkpointedJob(ftNodes, ftVPs, rows[i].Method)
-		every.Checkpoint = &ampi.CheckpointPolicy{Target: rows[i].Target, Dir: ftDir, Interval: 1}
+		every.Checkpoint = &ampi.CheckpointPolicy{Target: rows[i].Target, Interval: 1}
 		measure = append(measure,
 			point{ftLabel(&rows[i]) + ",run=baseline", checkpointedJob(ftNodes, ftVPs, rows[i].Method)},
 			point{ftLabel(&rows[i]) + ",run=every", every})

@@ -42,6 +42,7 @@ type Opts struct {
 	// spreads its lookahead domains across (sim.ParallelEngine), with
 	// byte-identical output at every setting; 0 or 1 keeps the serial
 	// engine. A goroutine world is one domain and has no such option.
+	// No flag sets it; only the benchmark's parallel-engine probe does.
 	SimWorkers int
 }
 

@@ -133,7 +133,7 @@ var registry = []Experiment{
 	{
 		Name:        "scale",
 		Description: "Million-VP scale: flat-world allreduce + migration storm with per-rank memory gauges",
-		Flags:       append([]string{"vps", "sim-workers"}, traceFlags...),
+		Flags:       append([]string{"vps"}, traceFlags...),
 		Run:         func(r RunOpts) (Result, error) { return result(ScaleExperiment(r.Opts, r.ScaleVPs)) },
 	},
 	{

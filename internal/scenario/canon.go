@@ -8,10 +8,8 @@
 // reproduces the same bytes). Hash is SHA-256 over the *content*
 // document (content): the same encoder's output for the Spec with its
 // environment resolved (env_policy "explicit" plus the toolchain and OS
-// the run executes under) and the checkpoint directory, a label no run
-// reads, cleared. So an EnvAdjust Spec and the equivalent EnvExplicit
-// Spec are the same content, and two Specs differing only in where
-// their snapshots are filed share a hash and a row.
+// the run executes under). So an EnvAdjust Spec and the equivalent
+// EnvExplicit Spec are the same content.
 //
 // The content document's bytes follow the json tags and the field
 // order, so changing either moves every hash. That is safe: the result
@@ -155,7 +153,6 @@ type lowered struct {
 	tc     core.Toolchain
 	os     core.OS
 	params WorkloadParams
-	ck     ampi.CheckpointPolicy
 }
 
 type machineDoc struct {
@@ -188,8 +185,9 @@ func (s *Spec) doc(d *lowered) error {
 		return err
 	}
 	d.Document = Document{
-		Churn:  s.Churn,
-		Faults: s.Faults,
+		Checkpoint: s.Checkpoint,
+		Churn:      s.Churn,
+		Faults:     s.Faults,
 		Machine: machineDoc{
 			Nodes:        s.Machine.Nodes,
 			ProcsPerNode: s.Machine.ProcsPerNode,
@@ -211,10 +209,6 @@ func (s *Spec) doc(d *lowered) error {
 			return err
 		}
 		d.Balancer, d.BalancerPE = name, pes
-	}
-	if s.Checkpoint != nil {
-		d.ck = *s.Checkpoint
-		d.Checkpoint = &d.ck
 	}
 	return nil
 }
@@ -302,9 +296,9 @@ func (d *Document) Spec() (Spec, error) {
 }
 
 // content lowers the Spec into d, its content document (the hashing
-// pre-image): the wire document with the environment resolved and the
-// checkpoint directory cleared (see the top of this file). Decoded, it
-// is a Spec with the same hash and the same validity.
+// pre-image): the wire document with the environment resolved (see
+// the top of this file). Decoded, it is a Spec with the same hash and
+// the same validity.
 func (s *Spec) content(d *lowered) error {
 	if err := s.doc(d); err != nil {
 		return err
@@ -312,9 +306,6 @@ func (s *Spec) content(d *lowered) error {
 	tc, osEnv := s.env()
 	d.EnvPolicy = "explicit"
 	d.Toolchain, d.OS = nonZero(&d.tc, tc), nonZero(&d.os, osEnv)
-	if d.Checkpoint != nil {
-		d.Checkpoint.Dir = ""
-	}
 	return nil
 }
 

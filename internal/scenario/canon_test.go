@@ -84,7 +84,6 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	explicit.EnvPolicy = EnvExplicit
 	explicit.Toolchain, explicit.OS = core.Bridges2Env()
 	explicit.OS.PatchedGlibc = true
-	explicit.Checkpoint.Dir = "/scratch/full"
 	specs := map[string]Spec{"full": fullSpec(), "explicit": explicit}
 	for _, name := range WorkloadNames() {
 		specs["default-"+name] = DefaultSpec(name)

@@ -2,6 +2,7 @@ package scenario_test
 
 import (
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -159,5 +160,33 @@ func TestRunElasticRequiresWorkload(t *testing.T) {
 	sp2.Program = &ampi.Program{}
 	if _, _, err := sp2.RunElastic(); err == nil {
 		t.Error("RunElastic accepted an explicit Program")
+	}
+}
+
+// A node that leaves while the snapshot meant to drain it is still being
+// written takes the job back to the last snapshot that was complete
+// when it left, and the work since is rework. With seed 2 and 120 ms of
+// notice, examples/cloudrestart.json's node leaves at 130.29 ms, before
+// the drain's snapshot (its first) completes at 135.56 ms: the restart
+// is cold, and all 130.29 ms are forced rework. Adopting the unfinished
+// snapshot booked none.
+func TestEvictionDuringTheDrainSnapshotIsRework(t *testing.T) {
+	body, err := os.ReadFile("../../examples/cloudrestart.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	points, err := scenario.DecodeRequest(strings.NewReader(string(body)), nil)
+	if err != nil || len(points) != 1 {
+		t.Fatalf("%d points, %v", len(points), err)
+	}
+	sp := points[0]
+	sp.Churn.Seed, sp.Churn.Notice = 2, 120*sim.Time(time.Millisecond)
+	row, _, err := sp.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row.Crashed != 1 || row.ReworkForcedNs <= 0 {
+		t.Fatalf("crashed %d, rework_forced_ns %d: want one crashed eviction with its rework booked",
+			row.Crashed, row.ReworkForcedNs)
 	}
 }

@@ -35,9 +35,9 @@ type Probe func(i int, point []byte) bool
 // sweep) or "spec" (shorthand for a one-point sweep) — and returns its
 // points, lowered and validated, in order. It decodes as the body
 // streams: each point is read as its bytes, offered to probe (if not
-// nil), and unless probe resolves it, decoded by DecodePoint and kept,
-// so the body is never held whole and the first bad point, or the point
-// past MaxPoints, ends the read. Exactly one of "spec" and "points" must
+// nil), and unless probe resolves it, decoded and kept, so the body is
+// never held whole and the first bad point, or the point past
+// MaxPoints, ends the read. Exactly one of "spec" and "points" must
 // be set; an unknown key, in the envelope or a point, a repeated
 // envelope key, and anything but whitespace after the envelope are
 // errors, so a bare Spec document is refused and no part of a body is
@@ -118,9 +118,10 @@ func DecodeRequest(r io.Reader, probe Probe) ([]*Spec, error) {
 				continue
 			}
 			if len(points) > 0 {
-				// A point that does not decode is refused as that first.
+				// A point that does not decode is refused as that first,
+				// as it would be alone.
 				if err := pd.document(raw); err != nil {
-					return nil, err
+					return nil, &PointError{Index: 0, Err: err}
 				}
 				return nil, errAmbiguous
 			}
@@ -151,14 +152,6 @@ func DecodeRequest(r io.Reader, probe Probe) ([]*Spec, error) {
 		return nil, errNoPoints
 	}
 	return points, nil
-}
-
-// DecodePoint decodes request point i from its bytes as DecodeRequest
-// does: strictly into a zeroed Document, then lowered and validated.
-// A document that does not decode, lower or validate is a *PointError
-// naming i.
-func DecodePoint(point []byte, i int) (*Spec, error) {
-	return new(pointDecoder).spec(point, i)
 }
 
 // pointDecoder decodes point documents from their bytes: one strict

@@ -114,7 +114,7 @@ func (m *memoProbe) decode(body []byte) (hashes []string, resolved int, err erro
 // alone, so a body refused at a later point is known up to it.
 func (m *memoProbe) learn() {
 	for _, point := range m.seen {
-		if sp, err := DecodePoint([]byte(point), 0); err == nil {
+		if sp, err := new(pointDecoder).spec([]byte(point), 0); err == nil {
 			if h, err := sp.Hash(); err == nil {
 				m.known[point] = h
 			}
@@ -331,6 +331,29 @@ func TestHierarchicalGroupingBeyondTheMachineIsRefused(t *testing.T) {
 	} {
 		if err := decode(tc.grouping, tc.churn); err != nil {
 			t.Errorf("grouping %q, churn %v: %v", tc.grouping, tc.churn != "", err)
+		}
+	}
+}
+
+// A "spec" whose document does not decode is refused as point 0, with
+// the error a lone {"spec":…} gets, whether it comes before "points" or
+// after them.
+func TestUndecodableSpecIsRefusedAsItsPointInEitherOrder(t *testing.T) {
+	good := specDecodeSeeds[0]
+	const bad = `{"workload":"empty","vps":4,"bogus":1}`
+	_, want := DecodeRequest(strings.NewReader(`{"spec":`+bad+`}`), nil)
+	var wp *PointError
+	if !errors.As(want, &wp) || wp.Index != 0 {
+		t.Fatalf("a lone spec: %v, want a *PointError for point 0", want)
+	}
+	for _, body := range []string{
+		`{"spec":` + bad + `,"points":[` + good + `]}`,
+		`{"points":[` + good + `],"spec":` + bad + `}`,
+	} {
+		_, err := DecodeRequest(strings.NewReader(body), nil)
+		var pe *PointError
+		if !errors.As(err, &pe) || pe.Index != 0 || err.Error() != want.Error() {
+			t.Errorf("%s: %v, want %v", body, err, want)
 		}
 	}
 }

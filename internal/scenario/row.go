@@ -76,26 +76,19 @@ func (r Row) TimeNs() int64 { return r.SetupNs + r.ExecNs }
 
 // Execute runs the point and returns its row, plus the workload's
 // report function when the Spec named a registered workload that has
-// one (it prints the collected program output). A Spec with neither
-// Faults nor Churn takes the bare path — build the world, run it — and
-// any other goes to the ft supervisor through RunElastic, which with
-// empty plans runs the same world and adds only the supervised columns.
+// one (it prints the collected program output). Every Spec runs through
+// the ft supervisor (RunElastic), which with empty plans runs the world
+// once; the supervised columns are filled only when the Spec names a
+// fault or churn process.
 func (s *Spec) Execute() (Row, func(), error) {
-	if !s.supervised() {
-		b, err := s.Build()
-		if err != nil {
-			return Row{}, nil, err
-		}
-		if err := b.World.Run(); err != nil {
-			return Row{}, nil, err
-		}
-		return s.row(b.World), b.Report, nil
-	}
 	rep, report, err := s.RunElastic()
 	if err != nil {
 		return Row{}, nil, err
 	}
 	row := s.row(rep.World)
+	if !s.supervised() {
+		return row, report, nil
+	}
 	row.Checkpoints = rep.Checkpoints
 	row.TotalNs = int64(rep.TotalTime)
 	row.Attempts = rep.Attempts

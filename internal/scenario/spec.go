@@ -7,13 +7,13 @@
 // checkpoint policy, fault and churn processes, and tracer. Validate
 // reports every problem with the description as structured field
 // errors, and Execute is the one way a described point becomes a
-// result: it builds the world, runs it — bare, or under the ft
-// supervisor when the Spec names a fault or churn process — and returns
-// a Row of plain values (see row.go). The harness figures, the serve
+// result: it runs the world under the ft supervisor, which injects the
+// Spec's fault and churn processes when it names them, and returns a
+// Row of plain values (see row.go). The harness figures, the serve
 // API and `privbench -spec` all go through it, so a description gets
-// the same answer whichever door it came through. Config, Build and
-// RunElastic are Execute's steps, exported for callers that need the
-// world itself (bench/).
+// the same answer whichever door it came through. Config and RunElastic
+// are Execute's steps; Build constructs the world without running it,
+// for callers that need the world itself (bench/).
 //
 // Workloads are resolved by name through a registry (see
 // workloads.go), so launchers list and select programs without
@@ -100,8 +100,8 @@ type Spec struct {
 	// the spec compiles to a deterministic fault plan and the supervisor
 	// restarts the job from its last checkpoint (from scratch when there
 	// is none) after every node crash. Setting Churn or Faults at all —
-	// even to a spec that injects nothing — selects the supervised
-	// path, whose Row carries the supervised columns.
+	// even to a spec that injects nothing — fills the Row's supervised
+	// columns.
 	Faults *ft.FaultSpec
 	// Placement overrides the default block mapping of VPs onto PEs.
 	Placement []int
@@ -344,10 +344,6 @@ func (s *Spec) Config() (ampi.Config, error) {
 // Built is a constructed, not-yet-run world.
 type Built struct {
 	World *ampi.World
-	// Report, when the Spec named a registered workload, prints the
-	// workload's collected output; nil for explicit Programs or
-	// workloads with nothing to report.
-	Report func()
 }
 
 // Build validates the Spec, resolves its workload, and constructs the
@@ -357,25 +353,25 @@ func (s *Spec) Build() (*Built, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog := s.Program
-	var report func()
-	if prog == nil {
-		mk, err := s.workload()
-		if err != nil {
-			return nil, err
-		}
-		prog, report = mk()
+	mk, err := s.workload()
+	if err != nil {
+		return nil, err
 	}
+	prog, _ := mk()
 	w, err := ampi.NewWorld(cfg, prog)
 	if err != nil {
 		return nil, err
 	}
-	return &Built{World: w, Report: report}, nil
+	return &Built{World: w}, nil
 }
 
-// workload resolves the named workload into its constructor, bound to
-// the parameters it is given.
+// workload resolves the Spec's program into a constructor: the named
+// workload's, bound to the parameters it is given, or one that returns
+// the explicit Program and no report.
 func (s *Spec) workload() (func() (*ampi.Program, func()), error) {
+	if s.Program != nil {
+		return func() (*ampi.Program, func()) { return s.Program, nil }, nil
+	}
 	if s.Workload == "" {
 		return nil, &ValidationError{Errs: []FieldError{{
 			Field: "Workload",
@@ -388,13 +384,14 @@ func (s *Spec) workload() (func() (*ampi.Program, func()), error) {
 	return func() (*ampi.Program, func()) { return wl.New(p) }, nil
 }
 
-// RunElastic is Execute's supervised branch: the Churn and Faults specs
-// compile to deterministic membership and crash plans and the one ft
+// RunElastic is Execute's one loop: the Churn and Faults specs, when
+// set, compile to deterministic membership and crash plans, and the ft
 // supervisor drains, reshapes, and restarts the job across every
-// arrival, eviction and crash. Requires a named Workload (each restart
-// attempt needs a fresh program instance) and, when churn is enabled,
-// a Checkpoint policy. The returned report function prints the final
-// attempt's workload output, mirroring Built.Report.
+// arrival, eviction and crash. With neither it runs the world once, as
+// Build would construct it. A supervised Spec needs a named Workload
+// (each restart attempt needs a fresh program instance) and, when churn
+// is enabled, a Checkpoint policy. The returned report function prints
+// the final attempt's workload output, when the workload has one.
 func (s *Spec) RunElastic() (*ft.ElasticReport, func(), error) {
 	cfg, err := s.Config()
 	if err != nil {

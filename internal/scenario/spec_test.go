@@ -56,15 +56,12 @@ func TestValidateHappyPathAndRun(t *testing.T) {
 	if err := sp.Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
-	built, err := sp.Build()
+	_, report, err := sp.Execute()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if built.Report == nil {
+	if report == nil {
 		t.Error("hello workload should come with a report function")
-	}
-	if err := built.World.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 

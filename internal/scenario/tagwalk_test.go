@@ -1,8 +1,10 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,10 +23,9 @@ import (
 // executes to a different Row. A key with no such pair names a field
 // that mints distinct cache keys for identical results.
 //
-// Two keys are held to the opposite rule. env_policy is always
-// "explicit" in the content document, whatever the Spec's policy; and
-// checkpoint.dir, which the wire carries, is cleared, so two Specs
-// differing only there share a hash and must share a row.
+// env_policy is held to the opposite rule: it is always "explicit" in
+// the content document, whatever the Spec's policy. And the checkpoint
+// directory, which no run reads, is not on the wire at all.
 
 // witness changes the one field behind key on a valid base Spec. A
 // witness keeps the name its field's line had in the hand-written
@@ -215,12 +216,9 @@ func TestEveryCanonicalTagChangesTheRowOrIsRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	for key := range contentKeys(t, wire) {
-		if _, ok := hashed[key]; !ok && key != "checkpoint.dir" {
+		if _, ok := hashed[key]; !ok {
 			t.Errorf("wire key %q is not hashed", key)
 		}
-	}
-	if _, ok := hashed["checkpoint.dir"]; ok {
-		t.Error("the content document carries the checkpoint directory")
 	}
 	witnessed := map[string]bool{"env_policy": true}
 	for name, w := range tagWitnesses {
@@ -286,25 +284,17 @@ func TestEveryCanonicalTagChangesTheRowOrIsRejected(t *testing.T) {
 	}
 
 	t.Run("checkpoint.dir", func(t *testing.T) {
-		a, b := faultsBase(), faultsBase()
-		b.Checkpoint.Dir = "/elsewhere"
-		ha, err := a.Hash()
+		sp := faultsBase()
+		wire, err := json.Marshal(sp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if hb, err := b.Hash(); err != nil || hb != ha {
-			t.Fatalf("the checkpoint directory moved the hash: %s vs %s (%v)", ha, hb, err)
+		if bytes.Contains(wire, []byte(`"dir"`)) {
+			t.Fatalf("the wire document carries the checkpoint directory: %s", wire)
 		}
-		ra, _, err := a.Execute()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, _, err := b.Execute()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ra != rb {
-			t.Errorf("two Specs differing only in the checkpoint directory share a hash and execute to different rows:\n%+v\n%+v", ra, rb)
+		doc := bytes.Replace(wire, []byte(`"checkpoint":{`), []byte(`"checkpoint":{"dir":"/elsewhere",`), 1)
+		if err := json.Unmarshal(doc, new(Spec)); err == nil || !strings.Contains(err.Error(), `"dir"`) {
+			t.Errorf("a document naming a checkpoint directory: %v, want it refused as an unknown key", err)
 		}
 	})
 

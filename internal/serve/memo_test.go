@@ -119,8 +119,8 @@ func pointDocs(n int) []string {
 func sweepBody(docs ...string) string { return `{"points":[` + strings.Join(docs, ",") + `]}` }
 
 // A replayed sweep decodes none of its points and answers with the
-// bytes it answered before; an edited one decodes its new point, and
-// its known ones once, for the manifest of the new run.
+// bytes it answered before; an edited one decodes only its new point,
+// since the manifest of the new run is its point hashes.
 func TestKnownPointsAreNotDecoded(t *testing.T) {
 	s, _ := newTestServer(t, 2)
 	h := s.Handler(nil)
@@ -150,8 +150,8 @@ func TestKnownPointsAreNotDecoded(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("edited POST: %d %s", code, data)
 	}
-	if got := pointsDecoded.Value() - 4; got != 1+3 {
-		t.Fatalf("edited POST decoded %d points, want its new one and, for its manifest, its 3 known ones", got)
+	if got := pointsDecoded.Value() - 4; got != 1 {
+		t.Fatalf("edited POST decoded %d points, want its new one", got)
 	}
 	hdr, _, tr := parseStream(t, data)
 	if tr.Executed != 1 || tr.Cached != 3 {
@@ -161,7 +161,7 @@ func TestKnownPointsAreNotDecoded(t *testing.T) {
 		t.Fatal("the edited run has no manifest")
 	}
 	post(h, edited)
-	if got := pointsDecoded.Value() - 8; got != 0 {
+	if got := pointsDecoded.Value() - 5; got != 0 {
 		t.Fatalf("replaying the edited sweep decoded %d points", got)
 	}
 }
@@ -214,17 +214,6 @@ func TestInvalidPointIsRefusedAlikeAmongKnownPoints(t *testing.T) {
 		if code != wantCode || !bytes.Equal(got, want) || code/100 != 4 {
 			t.Errorf("%s: %d %s after its points were seen, %d %s before", bad, code, got, wantCode, want)
 		}
-	}
-}
-
-// GET reads a manifest's point list and no further.
-func TestManifestPointsStopsAtThePointList(t *testing.T) {
-	points, err := manifestPoints([]byte(`{"points":["a1","b2"],"specs":[{"never":"read"`))
-	if err != nil || len(points) != 2 || points[0] != "a1" || points[1] != "b2" {
-		t.Fatalf("points %q, %v", points, err)
-	}
-	if _, err := manifestPoints([]byte(`{"specs":[],"points":[]}`)); err == nil {
-		t.Fatal("a manifest not led by its points was read")
 	}
 }
 

@@ -33,7 +33,7 @@
 //	                       through Spec.Execute, so fault and churn
 //	                       points run under the supervisor.
 //	GET  /v1/runs/{hash}   replays a completed run from the store, whose
-//	                       manifest keeps the points' lowered documents.
+//	                       manifest is the run's point hashes, in order.
 //	GET  /v1/experiments   lists the harness experiment registry and
 //	                       the workload registry with example Specs.
 //
@@ -45,7 +45,6 @@
 package serve
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -165,13 +164,10 @@ type trailerLine struct {
 	Failed   int  `json:"failed"`
 }
 
-// runManifest is the stored record of a completed run: the point
-// hashes (rows live under their own keys) plus, for inspection, the
-// points as lowered, each encoding as the wire document it was hashed
-// from.
+// runManifest is the stored record of a completed run: its point
+// hashes, in index order. The rows live under their own keys.
 type runManifest struct {
-	Points []string         `json:"points"`
-	Specs  []*scenario.Spec `json:"specs"`
+	Points []string `json:"points"`
 }
 
 func writeError(w http.ResponseWriter, status int, doc errorDoc) {
@@ -186,33 +182,24 @@ func writeError(w http.ResponseWriter, status int, doc errorDoc) {
 type posted struct {
 	s      *Server
 	points []postedPoint
-	// resolved holds the bytes of the points the probe resolved, end to
-	// end, in case the run has no manifest yet and they must be decoded.
-	resolved []byte
 }
 
 // postedStates recycles posted's slices across requests.
 var postedStates = sync.Pool{New: func() any { return new(posted) }}
 
-// release returns p to postedStates, dropping its references to rows;
-// one that held more than a megabyte of resolved points is left to the
-// collector.
+// release returns p to postedStates, dropping its references to rows.
 func (p *posted) release() {
-	if cap(p.resolved) > 1<<20 {
-		return
-	}
 	clear(p.points)
-	p.s, p.points, p.resolved = nil, p.points[:0], p.resolved[:0]
+	p.s, p.points = nil, p.points[:0]
 	postedStates.Put(p)
 }
 
 type postedPoint struct {
 	key digest // SHA-256 of the point's bytes
-	// Set when the probe resolved the point: its content hash, stored
-	// row and bytes (resolved[start:end]).
-	hash       string
-	row        []byte
-	start, end int
+	// Set when the probe resolved the point: its content hash and
+	// stored row.
+	hash string
+	row  []byte
 }
 
 // probe resolves a point whose bytes the memo knows and whose row the
@@ -225,9 +212,7 @@ func (p *posted) probe(_ int, point []byte) bool {
 		hex.Encode(h[:], sum[:])
 		hash := string(h[:])
 		if pt.row, ok = p.s.store.Get("pt", hash); ok {
-			pt.hash, pt.start = hash, len(p.resolved)
-			p.resolved = append(p.resolved, point...)
-			pt.end = len(p.resolved)
+			pt.hash = hash
 		}
 	}
 	if !ok {
@@ -370,7 +355,7 @@ func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if trailer.Failed == 0 {
-		s.putManifest(runHash, hashes, points, req)
+		s.putManifest(runHash, hashes)
 	}
 	out.b = trailer.appendTo(out.b)
 }
@@ -458,28 +443,15 @@ func (s *Server) executePoint(hash string, sp *scenario.Spec) (payload []byte, s
 }
 
 // putManifest persists the run-level record that lets GET
-// /v1/runs/{hash} replay the whole sweep. The run hash is over the
-// point hashes, so a stored manifest already lists these points: only
-// a run's first completion writes one, and its Specs are the first
-// writer's points — the points the probe resolved are decoded for it
-// here. Get verifies the checksum, so a corrupt or lost manifest is
-// written again.
-func (s *Server) putManifest(runHash string, hashes []string, points []*scenario.Spec, req *posted) {
+// /v1/runs/{hash} replay the whole sweep: its point hashes. The run hash
+// is over them, so a stored manifest already lists these points and only
+// a run's first completion writes one. Get verifies the checksum, so a
+// corrupt or lost manifest is written again.
+func (s *Server) putManifest(runHash string, hashes []string) {
 	if _, ok := s.store.Get("run", runHash); ok {
 		return
 	}
-	for i, sp := range points {
-		if sp != nil {
-			continue
-		}
-		pt := &req.points[i]
-		pointsDecoded.Inc()
-		var err error
-		if points[i], err = scenario.DecodePoint(req.resolved[pt.start:pt.end], i); err != nil {
-			return // the memo knew these bytes only because they decoded
-		}
-	}
-	payload, err := json.Marshal(runManifest{Points: hashes, Specs: points})
+	payload, err := json.Marshal(runManifest{Points: hashes})
 	if err != nil {
 		return
 	}
@@ -540,19 +512,11 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 	out.b = trailer.appendTo(out.b)
 }
 
-// manifestPoints reads the point hashes that lead a stored manifest
-// and stops: the documents after them are for inspection only, and the
-// store's checksum already vouches for the record.
-func manifestPoints(manifest []byte) (points []string, err error) {
-	dec := json.NewDecoder(bytes.NewReader(manifest))
-	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
-		return nil, errors.New("manifest is not an object")
-	}
-	if tok, err := dec.Token(); err != nil || tok != "points" {
-		return nil, errors.New(`manifest does not open with "points"`)
-	}
-	err = dec.Decode(&points)
-	return points, err
+// manifestPoints reads a stored manifest's point hashes.
+func manifestPoints(manifest []byte) ([]string, error) {
+	var m runManifest
+	err := json.Unmarshal(manifest, &m)
+	return m.Points, err
 }
 
 // --- GET /v1/experiments ---

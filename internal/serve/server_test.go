@@ -328,8 +328,14 @@ func TestOversizedWorldIs400AndServerSurvives(t *testing.T) {
 	}
 }
 
+// An unknown key is a 400 naming it and its point, wherever the point
+// sits: in "points", or in a "spec" that follows "points".
 func TestUnknownFieldIs400(t *testing.T) {
 	_, ts := newTestServer(t, 1)
+	const point = `{"workload":"empty","vps":4,"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":1}%s}`
+	bodies := map[string]string{
+		`{"points":[` + fmt.Sprintf(point, "") + `],"spec":` + fmt.Sprintf(point, `,"bogus":1`) + `}`: "bogus",
+	}
 	for field, key := range map[string]string{
 		`"virtual_processors":4`:                       "virtual_processors",
 		`"sim_workers":4`:                              "sim_workers",
@@ -337,7 +343,9 @@ func TestUnknownFieldIs400(t *testing.T) {
 		`"tweaks":{"patched_glibc":true}`:              "tweaks",
 		`"toolchain":{"name":"gcc-10.2.0","pie":true}`: "name",
 	} {
-		body := `{"points":[{"workload":"empty","vps":4,"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":1},` + field + `}]}`
+		bodies[`{"points":[`+fmt.Sprintf(point, ","+field)+`]}`] = key
+	}
+	for body, key := range bodies {
 		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -346,7 +354,7 @@ func TestUnknownFieldIs400(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), key) ||
 			!strings.Contains(string(data), `"point":0`) {
-			t.Errorf("%s: status %d, body %s; want a 400 naming %s in point 0", field, resp.StatusCode, data, key)
+			t.Errorf("%s: status %d, body %s; want a 400 naming %s in point 0", body, resp.StatusCode, data, key)
 		}
 	}
 }
@@ -633,10 +641,9 @@ func TestGetRunReplaysCompletedSweep(t *testing.T) {
 	}
 }
 
-// The run manifest keeps each point as lowered: a point that omits
-// env_policy is stored saying "adjust", and every stored document
-// decodes to a Spec whose hash is the manifest's hash of that point.
-func TestManifestKeepsLoweredPoints(t *testing.T) {
+// A run's manifest is its point hashes, in index order, and nothing
+// else: the points' documents are not decoded again to store them.
+func TestManifestIsItsPointHashes(t *testing.T) {
 	s, ts := newTestServer(t, 1)
 	const point = `{"workload":"empty","vps":%d,"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":1},"method":"pieglobals"}`
 	body := `{"points":[` + fmt.Sprintf(point, 2) + `,` + fmt.Sprintf(point, 4) + `]}`
@@ -649,29 +656,13 @@ func TestManifestKeepsLoweredPoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST: %d %s", resp.StatusCode, data)
 	}
-	hdr, _, _ := parseStream(t, data)
+	hdr, pts, _ := parseStream(t, data)
 	payload, ok := s.store.Get("run", hdr.Run)
 	if !ok {
 		t.Fatal("no manifest stored")
 	}
-	var m struct {
-		Points []string
-		Specs  []json.RawMessage
-	}
-	if err := json.Unmarshal(payload, &m); err != nil || len(m.Points) != 2 || len(m.Specs) != 2 {
-		t.Fatalf("manifest %s (%v)", payload, err)
-	}
-	for i, doc := range m.Specs {
-		if !bytes.Contains(doc, []byte(`"env_policy":"adjust"`)) {
-			t.Errorf("stored point %d is not the lowered document: %s", i, doc)
-		}
-		var sp scenario.Spec
-		if err := json.Unmarshal(doc, &sp); err != nil {
-			t.Fatalf("stored point %d does not decode: %v", i, err)
-		}
-		if h, err := sp.Hash(); err != nil || h != m.Points[i] {
-			t.Errorf("stored point %d hashes to %s (%v), the manifest lists %s", i, h, err, m.Points[i])
-		}
+	if want := `{"points":["` + pts[0].Hash + `","` + pts[1].Hash + `"]}`; string(payload) != want {
+		t.Fatalf("manifest %s, want %s", payload, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package provirt
 
 import (
 	"errors"
+	"flag"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -9,6 +10,7 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -52,6 +54,15 @@ var unreachableKept = map[string]string{
 	"internal/machine.Config.Cost":   "ablation: TestAblationMigrationBandwidth and TestAblationJacobiNoHoisting, a cost model other than the default",
 }
 
+// update rewrites benchOnlyGolden from the current tree.
+var update = flag.Bool("update", false, "rewrite "+benchOnlyGolden+" from the current tree")
+
+// benchOnlyGolden lists, one per line and sorted, each declaration
+// under cmd/ and internal/ that only bench/ reaches, and each reached
+// field that only bench/ sets: what stays because the frozen benchmark
+// uses it, and goes when the benchmark stops.
+const benchOnlyGolden = "testdata/bench_only.golden"
+
 var keptReasons = map[string]bool{"paper": true, "observation": true, "ablation": true, "frozen": true}
 
 // implicitMethods are method names the standard library calls through
@@ -82,6 +93,11 @@ var implicitMethods = map[string]bool{
 // pointer-receiver method on it; a json-tagged field is set by the
 // decoder. A kept field counts as set, and so does every field of a
 // type a kept declaration is or takes.
+//
+// The same reach from cmd/ and internal/ alone, bench/'s roots and
+// frozen entries left out, must leave unreached or unset exactly what
+// benchOnlyGolden lists (go test -run TestEveryDeclarationIsReachable
+// -update . rewrites it).
 func TestEveryDeclarationIsReachable(t *testing.T) {
 	p := loadProgram(t, "internal", "cmd", "bench")
 	kept := map[types.Object]string{}
@@ -103,7 +119,7 @@ func TestEveryDeclarationIsReachable(t *testing.T) {
 				others = append(others, o)
 			}
 		}
-		live, set := p.reach(others)
+		live, set := p.reach(p.roots, others)
 		switch {
 		case isField(obj) && live[obj] && set[obj]:
 			t.Errorf("unreachableKept lists %s, which is reached and set without it: drop the entry", key)
@@ -115,7 +131,7 @@ func TestEveryDeclarationIsReachable(t *testing.T) {
 	for obj := range kept {
 		roots = append(roots, obj)
 	}
-	live, set := p.reach(roots)
+	live, set := p.reach(p.roots, roots)
 	var dead, unset []string
 	for obj, key := range p.byObj {
 		at := p.fset.Position(obj.Pos()).String() + ": " + key
@@ -133,6 +149,45 @@ func TestEveryDeclarationIsReachable(t *testing.T) {
 	}
 	for _, u := range unset {
 		t.Errorf("%s is read but no reached code sets it: delete it and what it selects, or set it from a main package", u)
+	}
+
+	inBench := func(pos token.Pos) bool { return strings.HasPrefix(p.fset.Position(pos).Filename, "bench/") }
+	var ownRoots []ast.Node
+	for _, n := range p.roots {
+		if !inBench(n.Pos()) {
+			ownRoots = append(ownRoots, n)
+		}
+	}
+	var ownKept []types.Object
+	for _, obj := range roots {
+		if !inBench(obj.Pos()) {
+			ownKept = append(ownKept, obj)
+		}
+	}
+	ownLive, ownSet := p.reach(ownRoots, ownKept)
+	var benchOnly []string
+	for obj, key := range p.byObj {
+		switch {
+		case inBench(obj.Pos()) || !live[obj]:
+		case !ownLive[obj]:
+			benchOnly = append(benchOnly, key+" reached only from bench/")
+		case isField(obj) && set[obj] && !ownSet[obj]:
+			benchOnly = append(benchOnly, key+" set only in bench/")
+		}
+	}
+	sort.Strings(benchOnly)
+	got := strings.Join(benchOnly, "\n") + "\n"
+	if *update {
+		if err := os.WriteFile(benchOnlyGolden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(benchOnlyGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("what only bench/ reaches or sets differs from %s (rerun with -update and read the diff):\n%s", benchOnlyGolden, got)
 	}
 }
 
@@ -278,9 +333,9 @@ func (p *program) declare(dir string, pkg *types.Package, f *ast.File) {
 	}
 }
 
-// reach returns every object reached from the program's roots and from
-// extra, and every field that reached code sets.
-func (p *program) reach(extra []types.Object) (seen, set map[types.Object]bool) {
+// reach returns every object reached from roots and from extra, and
+// every field that reached code sets.
+func (p *program) reach(roots []ast.Node, extra []types.Object) (seen, set map[types.Object]bool) {
 	var (
 		named []*types.Named // reached module types
 		calls = map[string]bool{}
@@ -401,7 +456,7 @@ func (p *program) reach(extra []types.Object) (seen, set map[types.Object]bool) 
 			}
 		}
 	}
-	for _, n := range p.roots {
+	for _, n := range roots {
 		scan(n)
 	}
 	for _, obj := range extra {
