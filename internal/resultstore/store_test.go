@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -178,6 +179,51 @@ func TestMemoryHitAllocatesNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { sanitize(hash) }); n != 0 {
 		t.Errorf("sanitize of a safe token: %v allocations, want 0", n)
+	}
+}
+
+// raceEnabled is set under the race detector (race_test.go).
+var raceEnabled bool
+
+// A disk hit reads and checks its record into one new buffer, the
+// payload, and allocates nothing else: the header is read and rebuilt
+// on the stack, and the entry that becomes resident is already indexed,
+// linked into the LRU through its own fields. Two records alternate in
+// a store that holds one payload, so every Get and Lookup is a disk hit.
+func TestDiskHitAllocatesItsPayload(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates in file reads")
+	}
+	st := open(t, t.TempDir(), 1)
+	a, b := fmt.Sprintf("%064x", 1), fmt.Sprintf("%064x", 2)
+	payload := bytes.Repeat([]byte("p"), 4096) // a size class of its own
+	for _, h := range []string{a, b} {
+		if err := st.Put("pt", h, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bh := []byte(b)
+	hits := func() {
+		if p, ok := st.Get("pt", a); !ok || len(p) != len(payload) {
+			t.Fatal("Get missed a stored record")
+		}
+		if p, ok := st.Lookup("pt", bh); !ok || len(p) != len(payload) {
+			t.Fatal("Lookup missed a stored record")
+		}
+	}
+	hits()
+	if n := testing.AllocsPerRun(100, hits); n != 2 {
+		t.Errorf("two disk hits: %v allocations, want 2", n)
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		hits()
+	}
+	runtime.ReadMemStats(&after)
+	if got, want := after.TotalAlloc-before.TotalAlloc, uint64(runs*2*len(payload)); got != want {
+		t.Errorf("%d disk hits allocated %d B, want their payloads' %d B", 2*runs, got, want)
 	}
 }
 

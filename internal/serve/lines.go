@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/hex"
 	"encoding/json"
 	"net/http"
 	"strconv"
@@ -27,7 +28,11 @@ func (p *pointLine) appendTo(b []byte) []byte {
 	b = append(b, `{"index":`...)
 	b = strconv.AppendInt(b, int64(p.Index), 10)
 	b = append(b, `,"hash":`...)
-	b = appendString(b, p.Hash)
+	if p.sum != nil {
+		b = append(hex.AppendEncode(append(b, '"'), p.sum[:]), '"')
+	} else {
+		b = appendString(b, p.Hash)
+	}
 	b = append(b, `,"cached":`...)
 	b = strconv.AppendBool(b, p.Cached)
 	if len(p.Row) > 0 {

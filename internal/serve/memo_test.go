@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -19,7 +20,8 @@ import (
 // The hand-appended lines are the bytes json.Encoder writes, for every
 // kind of value a line carries: an error or version json must escape,
 // a row (json.Marshal output, as the store holds) spliced in, a point
-// without one.
+// without one, and a hash written from its binary digest, as the hex
+// Hash would be.
 func TestLinesAreEncoderOutput(t *testing.T) {
 	row, err := json.Marshal(map[string]any{"workload": "empty", "vps": 4, "note": "<x> & \u2028"})
 	if err != nil {
@@ -33,10 +35,20 @@ func TestLinesAreEncoderOutput(t *testing.T) {
 			&pointLine{Index: 7, Hash: s, Cached: true, Row: row},
 		)
 	}
-	lines = append(lines, &trailerLine{Done: true, Cached: 3, Executed: 40, Deduped: 5, Failed: 1}, &trailerLine{})
+	sum := sha256.Sum256([]byte("point"))
+	lines = append(lines,
+		&pointLine{Index: 9, Cached: true, Row: row, sum: &sum},
+		&pointLine{Index: 10, Error: "failed", sum: &digest{}},
+		&trailerLine{Done: true, Cached: 3, Executed: 40, Deduped: 5, Failed: 1}, &trailerLine{})
 	for _, v := range lines {
+		encoded := v
+		if l, ok := v.(*pointLine); ok && l.sum != nil {
+			hexed := *l
+			hexed.Hash, hexed.sum = hex.EncodeToString(l.sum[:]), nil
+			encoded = &hexed
+		}
 		var want bytes.Buffer
-		if err := json.NewEncoder(&want).Encode(v); err != nil {
+		if err := json.NewEncoder(&want).Encode(encoded); err != nil {
 			t.Fatal(err)
 		}
 		var got []byte

@@ -15,7 +15,9 @@
 //   - Incremental sweeps: a request is a list of points, each hashed
 //     independently, so editing one point of a sweep re-runs exactly
 //     the changed point, and replaying a sweep decodes none: a point
-//     whose bytes the server has seen is looked up by their SHA-256.
+//     whose bytes the server has seen is looked up by their SHA-256,
+//     and its content hash stays binary until it is written, so a
+//     replay allocates the same few times at any size.
 //
 // Endpoints:
 //
@@ -23,9 +25,10 @@
 //	                       streams NDJSON — a header line, one line per
 //	                       point (in index order, written as soon as
 //	                       the point and all before it are done), and a
-//	                       trailer. The body is decoded as it streams
-//	                       (scenario.DecodeRequest): each point the memo
-//	                       does not resolve is lowered and validated as
+//	                       trailer. The body is read once as it streams
+//	                       (scenario.DecodeRequest), split into each
+//	                       point's byte span: a span the memo does not
+//	                       resolve is decoded, lowered and validated as
 //	                       it is read, and the first invalid one, or the
 //	                       one past scenario.MaxPoints, ends the read with
 //	                       a structured 400 carrying
@@ -153,6 +156,9 @@ type pointLine struct {
 	Cached bool            `json:"cached"`
 	Row    json.RawMessage `json:"row,omitempty"`
 	Error  string          `json:"error,omitempty"`
+	// sum, when set, is the hash in binary, and the line is written with
+	// it in place of Hash.
+	sum *digest
 }
 
 // trailerLine closes the stream with the request's cache accounting.
@@ -178,48 +184,64 @@ func writeError(w http.ResponseWriter, status int, doc errorDoc) {
 
 // --- POST /v1/runs ---
 
-// posted is one POST's points as its probe saw them, in index order.
+// posted is one POST's state, recycled across requests with its
+// slices: its points as the probe saw them and their decoded Specs,
+// both in index order.
 type posted struct {
 	s      *Server
 	points []postedPoint
+	specs  []*scenario.Spec // nil where the probe resolved the point
 }
 
-// postedStates recycles posted's slices across requests.
+// postedStates recycles posted states.
 var postedStates = sync.Pool{New: func() any { return new(posted) }}
 
-// release returns p to postedStates, dropping its references to rows.
+// release returns p to postedStates, dropping its references to rows,
+// flights and Specs.
 func (p *posted) release() {
 	clear(p.points)
-	p.s, p.points = nil, p.points[:0]
+	clear(p.specs)
+	p.s, p.points, p.specs = nil, p.points[:0], p.specs[:0]
 	postedStates.Put(p)
 }
 
+// postedPoint is one point of a POST: what its bytes resolved to, then
+// how it is answered.
 type postedPoint struct {
 	key digest // SHA-256 of the point's bytes
-	// Set when the probe resolved the point: its content hash and
-	// stored row.
+	sum digest // its content hash: Spec.Hash, in binary
+	// hash is sum in hex, set only for a point the probe did not resolve:
+	// the key it is looked up, claimed and run under.
 	hash string
-	row  []byte
+	// row is the stored row of a cached point; f the flight of one that
+	// executes, joined (not led) by this request if joined is set.
+	row    []byte
+	f      *flight
+	joined bool
 }
 
 // probe resolves a point whose bytes the memo knows and whose row the
 // store still holds; any other point is decoded (scenario.Probe).
 func (p *posted) probe(_ int, point []byte) bool {
-	pt := postedPoint{key: sha256.Sum256(point)}
-	sum, ok := p.s.memo.get(&pt.key)
-	if ok {
+	p.points = append(p.points, postedPoint{key: sha256.Sum256(point)})
+	pt := &p.points[len(p.points)-1]
+	var ok bool
+	if pt.sum, ok = p.s.memo.get(&pt.key); ok {
 		var h [2 * sha256.Size]byte
-		hex.Encode(h[:], sum[:])
-		hash := string(h[:])
-		if pt.row, ok = p.s.store.Get("pt", hash); ok {
-			pt.hash = hash
-		}
+		hex.Encode(h[:], pt.sum[:])
+		pt.row, ok = p.s.store.Lookup("pt", h[:])
 	}
 	if !ok {
 		pointsDecoded.Inc()
 	}
-	p.points = append(p.points, pt)
 	return ok
+}
+
+// leader is a point this request executes.
+type leader struct {
+	hash string
+	sp   *scenario.Spec
+	f    *flight
 }
 
 func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
@@ -236,7 +258,7 @@ func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
 	req := postedStates.Get().(*posted)
 	defer req.release()
 	req.s = s
-	points, err := scenario.DecodeRequest(http.MaxBytesReader(w, r.Body, MaxBodyBytes), req.probe)
+	specs, err := scenario.AppendRequest(req.specs, http.MaxBytesReader(w, r.Body, MaxBodyBytes), req.probe)
 	if err != nil {
 		status, doc := http.StatusBadRequest, errorDoc{Error: err.Error()}
 		var perr *scenario.PointError
@@ -253,62 +275,53 @@ func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, doc)
 		return
 	}
-	hashes := make([]string, len(points))
-	for i, sp := range points {
+	req.specs = specs
+	points := req.points
+	for i, sp := range specs {
 		if sp == nil {
-			hashes[i] = req.points[i].hash
 			continue
 		}
-		if hashes[i], err = sp.Hash(); err != nil {
+		pt := &points[i]
+		if pt.hash, err = sp.Hash(); err != nil {
 			point := i
 			writeError(w, http.StatusBadRequest, errorDoc{Error: err.Error(), Point: &point})
 			return
 		}
-		var sum digest
-		hex.Decode(sum[:], []byte(hashes[i])) // a hash is 64 hex digits
-		s.memo.put(&req.points[i].key, &sum)
+		hex.Decode(pt.sum[:], []byte(pt.hash)) // a hash is 64 hex digits
+		s.memo.put(&pt.key, &pt.sum)
 	}
-	runHash := runHashOf(hashes)
+	runSum := runHashOf(points)
+	runHash := hex.EncodeToString(runSum[:])
 
 	// Resolve each point: cached rows are ready now; the rest either
 	// join an in-flight execution or become its leader. Leaders run on
 	// the shared bounded pool in the background while this handler
 	// streams results in index order.
-	type resolution struct {
-		cached  bool
-		joined  bool
-		flight  *flight
-		payload []byte
-	}
-	res := make([]resolution, len(points))
-	var leaders []int
+	var leaders []leader
 	executing := 0 // points led or joined and not yet written
-	for i, h := range hashes {
-		p, ok := req.points[i].row, points[i] == nil
-		if !ok {
-			p, ok = s.store.Get("pt", h)
-		}
-		if ok {
+	for i := range points {
+		pt := &points[i]
+		if specs[i] == nil { // the probe found its row
 			cacheHits.Inc()
-			res[i] = resolution{cached: true, payload: p}
+			continue
+		}
+		var ok bool
+		if pt.row, ok = s.store.Get("pt", pt.hash); ok {
+			cacheHits.Inc()
 			continue
 		}
 		cacheMisses.Inc()
 		executing++
-		f, leader := s.claim(h)
-		res[i] = resolution{joined: !leader, flight: f}
-		if leader {
-			leaders = append(leaders, i)
+		f, lead := s.claim(pt.hash)
+		pt.f, pt.joined = f, !lead
+		if lead {
+			leaders = append(leaders, leader{hash: pt.hash, sp: specs[i], f: f})
 		} else {
 			dedupJoins.Inc()
 		}
 	}
 	if len(leaders) > 0 {
-		flights := make([]*flight, len(leaders))
-		for j, i := range leaders {
-			flights[j] = res[i].flight
-		}
-		go s.runLeaders(points, hashes, flights, leaders)
+		go s.runLeaders(leaders)
 	}
 
 	// While a point executes, each line is flushed once it and all before
@@ -322,20 +335,19 @@ func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
 	var trailer trailerLine
 	trailer.Done = true
 	for i := range points {
-		line := pointLine{Index: i, Hash: hashes[i]}
-		switch {
-		case res[i].cached:
+		pt := &points[i]
+		line := pointLine{Index: i, sum: &pt.sum}
+		if f := pt.f; f == nil {
 			trailer.Cached++
 			line.Cached = true
-			line.Row = res[i].payload
-		default:
-			f := res[i].flight
+			line.Row = pt.row
+		} else {
 			<-f.done
 			switch {
 			case f.stored:
 				trailer.Cached++
 				line.Cached = true
-			case res[i].joined:
+			case pt.joined:
 				trailer.Deduped++
 			default:
 				trailer.Executed++
@@ -350,12 +362,12 @@ func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
 		}
 		out.b = line.appendTo(out.b)
 		out.sync(executing > 0)
-		if !res[i].cached {
+		if pt.f != nil {
 			executing--
 		}
 	}
 	if trailer.Failed == 0 {
-		s.putManifest(runHash, hashes)
+		s.putManifest(runHash, points)
 	}
 	out.b = trailer.appendTo(out.b)
 }
@@ -378,17 +390,16 @@ func (s *Server) claim(hash string) (f *flight, leader bool) {
 // the server-wide semaphore for each leader in index order and runs the
 // leader while it holds the slot, so total concurrent simulations
 // across every request never exceed the pool size; joiners and cache
-// hits take no slot. leaders holds the point indices; flights the
-// matching claimed flights, in the same order.
-func (s *Server) runLeaders(points []*scenario.Spec, hashes []string, flights []*flight, leaders []int) {
-	for j, i := range leaders {
+// hits take no slot.
+func (s *Server) runLeaders(leaders []leader) {
+	for _, l := range leaders {
 		queueHighwater.SetMax(s.queued.Add(1))
 		s.sem <- struct{}{}
 		go func() {
-			f := flights[j]
-			f.payload, f.stored, f.err = s.lead(hashes[i], points[i])
+			f := l.f
+			f.payload, f.stored, f.err = s.lead(l.hash, l.sp)
 			s.mu.Lock()
-			delete(s.inflight, hashes[i])
+			delete(s.inflight, l.hash)
 			s.mu.Unlock()
 			close(f.done)
 			<-s.sem
@@ -447,11 +458,15 @@ func (s *Server) executePoint(hash string, sp *scenario.Spec) (payload []byte, s
 // is over them, so a stored manifest already lists these points and only
 // a run's first completion writes one. Get verifies the checksum, so a
 // corrupt or lost manifest is written again.
-func (s *Server) putManifest(runHash string, hashes []string) {
+func (s *Server) putManifest(runHash string, points []postedPoint) {
 	if _, ok := s.store.Get("run", runHash); ok {
 		return
 	}
-	payload, err := json.Marshal(runManifest{Points: hashes})
+	m := runManifest{Points: make([]string, len(points))}
+	for i := range points {
+		m.Points[i] = hex.EncodeToString(points[i].sum[:])
+	}
+	payload, err := json.Marshal(m)
 	if err != nil {
 		return
 	}
@@ -460,17 +475,22 @@ func (s *Server) putManifest(runHash string, hashes []string) {
 	}
 }
 
-// runHashOf derives the run's content address from its point hashes.
-// The leading tag keeps run and point addresses from ever colliding
+// runHashOf derives the run's content address from its point hashes:
+// the SHA-256 of a tag line and then each point's hash in hex, a line
+// apiece. The tag keeps run and point addresses from ever colliding
 // even though they also live in separate store namespaces.
-func runHashOf(pointHashes []string) string {
-	const tag = "provirt-run 1\n"
-	pre := append(make([]byte, 0, len(tag)+65*len(pointHashes)), tag...) // 64 hex digits and a newline each
-	for _, p := range pointHashes {
-		pre = append(append(pre, p...), '\n')
+func runHashOf(points []postedPoint) (sum digest) {
+	h := sha256.New()
+	var line [2*sha256.Size + 1]byte
+	copy(line[:], "provirt-run 1\n")
+	h.Write(line[:len("provirt-run 1\n")])
+	line[len(line)-1] = '\n'
+	for i := range points {
+		hex.Encode(line[:], points[i].sum[:])
+		h.Write(line[:])
 	}
-	sum := sha256.Sum256(pre)
-	return hex.EncodeToString(sum[:])
+	h.Sum(sum[:0])
+	return sum
 }
 
 // --- GET /v1/runs/{hash} ---
