@@ -126,6 +126,65 @@ func TestSweepFlagsAreReadBySweeps(t *testing.T) {
 	}
 }
 
+// hasLine reports whether out holds want as a whole line.
+func hasLine(out, want string) bool {
+	for _, line := range strings.Split(out, "\n") {
+		if line == want {
+			return true
+		}
+	}
+	return false
+}
+
+// A JSONL trace streams to its file unless -profile-ranks needs the
+// events afterwards; then the retained slice goes through WriteJSONL.
+// Both writers must give the same bytes on a real run: the scale
+// experiment at 65 536 ranks, which records 139 263 events.
+func TestScaleTraceStreamedEqualsRetained(t *testing.T) {
+	dir := t.TempDir()
+	streamed, retained := filepath.Join(dir, "s.jsonl"), filepath.Join(dir, "r.jsonl")
+	var stdout string
+	for _, args := range []string{
+		"-experiment scale -vps 65536 -trace " + streamed,
+		"-experiment scale -vps 65536 -trace " + retained + " -profile-ranks",
+	} {
+		out, stderr, code := privbench(t, "", args)
+		if code != 0 {
+			t.Fatalf("privbench %s: exit status %d: %s", args, code, stderr)
+		}
+		if stdout == "" {
+			stdout = out
+		}
+	}
+	if want := "trace: 139263 events -> " + streamed + " (jsonl)"; !hasLine(stdout, want) {
+		t.Errorf("the streamed run does not print %q:\n%s", want, stdout)
+	}
+	s, err := os.ReadFile(streamed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := os.ReadFile(retained)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(s, r) {
+		t.Errorf("streamed trace (%d B) and retained trace (%d B) differ", len(s), len(r))
+	}
+}
+
+// The flat world hands the engine only what crosses a lookahead domain:
+// at 65 536 ranks, 14 tree edges and 8 192 migrations, 8 206 events a
+// host cannot change.
+func TestScaleRunDispatchesCrossDomainEdgesAndMigrations(t *testing.T) {
+	stdout, stderr, code := privbench(t, "", "-experiment scale -vps 65536 -metrics")
+	if code != 0 {
+		t.Fatalf("privbench -experiment scale -metrics: exit status %d: %s", code, stderr)
+	}
+	if want := "sim_events_dispatched_total 8206"; !hasLine(stdout, want) {
+		t.Errorf("-metrics does not print %q:\n%s", want, stdout)
+	}
+}
+
 // Every flag privbench defines names the mode that reads it, in modes
 // or as an experiment's registry flag, and every name there is a flag.
 func TestEveryFlagHasAMode(t *testing.T) {

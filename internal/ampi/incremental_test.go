@@ -83,7 +83,7 @@ func TestMigrationHandsTheRankOff(t *testing.T) {
 	defer mem.EnableObs(nil)
 	var heaps [2]*mem.Heap
 	var blocks [2]*mem.Block
-	var tls [2][]uint64
+	var tls [2]*mem.Segment
 	var pes [2]int
 	prog := &ampi.Program{
 		Image: migrationImage(),
@@ -113,8 +113,8 @@ func TestMigrationHandsTheRankOff(t *testing.T) {
 	if heaps[0] != heaps[1] || blocks[0] != blocks[1] {
 		t.Fatal("the migrated rank holds a new heap or block instead of its own")
 	}
-	if len(tls[0]) != 1 || &tls[0][0] != &tls[1][0] || tls[0][0] != 6 {
-		t.Fatalf("the migrated rank's TLS block %v is not the one it held, or missed the store of 6", tls[1])
+	if tls[0].Len() != 1 || tls[0] != tls[1] || tls[0].Load(0) != 6 {
+		t.Fatalf("the migrated rank's TLS block is not the one it held, or missed the store of 6")
 	}
 	var text bytes.Buffer
 	if err := reg.WriteText(&text); err != nil {

@@ -36,8 +36,10 @@ type RankContext struct {
 	// methods (PIP/FS/PIE), else nil.
 	Private *elf.Instance
 	// TLS is the rank's thread-local storage block (TLSglobals,
-	// -fmpc-privatize, and PIEglobals-with-TLS), else nil.
-	TLS []uint64
+	// -fmpc-privatize, and PIEglobals-with-TLS), else nil: a
+	// copy-on-write view of the plan's frozen block, which owns only the
+	// granules the rank has reached.
+	TLS *mem.Segment
 
 	// Heap is the rank's Isomalloc heap (stack, user allocations, and —
 	// under PIEglobals — the duplicated segments themselves).
@@ -119,14 +121,16 @@ func (c *RankContext) invalidateResolutions() { c.epoch++ }
 
 // resolve returns the variable's storage cell, its per-access cost, and
 // the heap block a store must dirty (nil when none). TLS and heap-cell
-// slots are reached through the slice and block the context holds, which
-// restore rebinds; a segment-backed cell is reached through the
-// segment's view once per epoch and cached.
+// slots are reached through the view and block the context holds, which
+// restore rebinds; a data-segment cell is reached through the segment's
+// view once per epoch and cached. A TLS slot is not cached: the cache
+// holds a 24 B entry per program variable, 7.7 KB for ADCIRC's 321,
+// three times the TLS block whose copy the view saves.
 func (c *RankContext) resolve(v *elf.Var) (*uint64, sim.Time, *mem.Block) {
 	ref := &c.plan.cells[v.Index]
 	switch ref.kind {
 	case storeTLS:
-		return &c.TLS[ref.slot], ref.cost, nil
+		return c.TLS.Word(ref.slot), ref.cost, nil
 	case storeHeapCell:
 		return &c.heapCells.Words[ref.slot], ref.cost, c.heapCells
 	}
@@ -197,7 +201,7 @@ func (h VarHandle) Addr() uint64 {
 		// TLS cells live in the rank's heap-resident TLS block in the
 		// real system; model a stable synthetic address derived from
 		// the rank's reserved range top.
-		return h.ctx.Heap.Base() + mem.IsomallocRangeSize - uint64(len(h.ctx.TLS)-ref.slot)*8
+		return h.ctx.Heap.Base() + mem.IsomallocRangeSize - uint64(h.ctx.TLS.Len()-ref.slot)*8
 	default:
 		return h.ctx.heapCells.Addr + uint64(ref.slot)*8
 	}

@@ -21,6 +21,7 @@ import (
 	"provirt/internal/elf"
 	"provirt/internal/loader"
 	"provirt/internal/machine"
+	"provirt/internal/mem"
 	"provirt/internal/sim"
 )
 
@@ -226,10 +227,12 @@ func (k Kind) SwitchExtra(to *RankContext) sim.Time {
 type plan struct {
 	// cells is indexed by elf.Var.Index.
 	cells []cellRef
-	// tlsInit is the TLS block's initial contents, slot by slot; nil
+	// tls is the TLS block's initial contents, slot by slot, frozen once
+	// per process; every rank's block is a copy-on-write view of it. nil
 	// when the method keeps no TLS block (empty but non-nil when it keeps
-	// one and the program tagged nothing).
-	tlsInit []uint64
+	// one and the program tagged nothing). tlsWords is its length.
+	tls      *mem.SegmentBase
+	tlsWords int
 	// heapInit is the initial contents of the rank's privatized-copy
 	// block, one cell per program variable; nil when the method has none.
 	heapInit   []uint64
@@ -241,9 +244,6 @@ func (k Kind) newPlan(env *ProcessEnv, img *elf.Image) *plan {
 	r := k.row()
 	p := &plan{cells: make([]cellRef, len(img.Vars))}
 	useTLS := r.tls == tlsAll || r.tls == tlsTagged && env.Toolchain.SupportsTLSSegRefs
-	if useTLS {
-		p.tlsInit = []uint64{}
-	}
 	if r.rest == storeHeapCell && len(img.Vars) > 0 {
 		p.heapInit = make([]uint64, len(img.Vars))
 	}
@@ -253,8 +253,8 @@ func (k Kind) newPlan(env *ProcessEnv, img *elf.Image) *plan {
 		case !v.Mutable(), r.gotOnly && v.Class == elf.ClassStatic:
 			ref.kind = storeShared
 		case useTLS && (r.tls == tlsAll || v.Tagged):
-			ref.kind, ref.slot = storeTLS, len(p.tlsInit)
-			p.tlsInit = append(p.tlsInit, v.Init)
+			ref.kind, ref.slot = storeTLS, p.tlsWords
+			p.tlsWords++
 		}
 		// A TLS slot is reached through the segment pointer and a
 		// privatized copy through the GOT or the state struct's base; the
@@ -264,6 +264,15 @@ func (k Kind) newPlan(env *ProcessEnv, img *elf.Image) *plan {
 		if p.heapInit != nil {
 			p.heapInit[v.Index] = v.Init
 		}
+	}
+	if useTLS {
+		init := make([]uint64, p.tlsWords)
+		for _, v := range img.Vars {
+			if ref := p.cells[v.Index]; ref.kind == storeTLS {
+				init[ref.slot] = v.Init
+			}
+		}
+		p.tls = mem.AdoptSegment(init)
 	}
 	switch {
 	case r.charge == chargeGOT:
@@ -311,7 +320,7 @@ func (k Kind) Setup(env *ProcessEnv, img *elf.Image, vps []int, start sim.Time) 
 	}
 
 	p := k.newPlan(env, img)
-	tlsCopy := env.Cost.CopyTime(uint64(len(p.tlsInit)) * 8)
+	tlsCopy := env.Cost.CopyTime(uint64(p.tlsWords) * 8)
 	cellCopy := env.Cost.CopyTime(uint64(len(p.heapInit)) * 8)
 	if r.charge == chargeGOT {
 		// Per-rank GOT construction: one relocation-sized fixup per entry.
@@ -349,8 +358,8 @@ func (k Kind) Setup(env *ProcessEnv, img *elf.Image, vps []int, start sim.Time) 
 			}
 			copy(c.heapCells.Words, p.heapInit)
 		}
-		if p.tlsInit != nil {
-			c.TLS = append(make([]uint64, 0, len(p.tlsInit)), p.tlsInit...)
+		if p.tls != nil {
+			c.TLS = p.tls.View()
 		}
 		done += cellCopy + tlsCopy
 		res.Contexts = append(res.Contexts, c)

@@ -7,6 +7,7 @@ import (
 	"provirt/internal/elf"
 	"provirt/internal/loader"
 	"provirt/internal/machine"
+	"provirt/internal/mem"
 	"provirt/internal/sim"
 )
 
@@ -235,6 +236,16 @@ func oracleSwapglobals(k Kind, env *ProcessEnv, img *elf.Image, vps []int, start
 	return nil
 }
 
+// oracleTLSBlock builds one rank's TLS block by hand: each slot's
+// variable's initial value, in a view of a base of its own.
+func oracleTLSBlock(img *elf.Image, slots map[int]int) *mem.Segment {
+	init := make([]uint64, len(slots))
+	for idx, slot := range slots {
+		init[slot] = img.Vars[idx].Init
+	}
+	return mem.FreezeSegment(init, len(init)).View()
+}
+
 // oracleTLS builds contexts whose tagged (or, if privatizeAll, every
 // mutable) variables live in per-rank TLS blocks: TLSglobals and
 // -fmpc-privatize.
@@ -259,10 +270,7 @@ func oracleTLS(k Kind, env *ProcessEnv, img *elf.Image, vps []int, start sim.Tim
 		if err != nil {
 			return err
 		}
-		c.TLS = make([]uint64, len(slots))
-		for idx, slot := range slots {
-			c.TLS[slot] = img.Vars[idx].Init
-		}
+		c.TLS = oracleTLSBlock(img, slots)
 		extra += env.Cost.CopyTime(uint64(len(slots)) * 8)
 		oracleResolveAll(c, env, func(v *elf.Var) cellRef {
 			if slot, ok := slots[v.Index]; ok {
@@ -382,10 +390,7 @@ func oraclePIE(k Kind, env *ProcessEnv, img *elf.Image, vps []int, start sim.Tim
 		done += cost
 		c.Private = priv
 		if useTLS {
-			c.TLS = make([]uint64, len(slots))
-			for idx, slot := range slots {
-				c.TLS[slot] = img.Vars[idx].Init
-			}
+			c.TLS = oracleTLSBlock(img, slots)
 			done += env.Cost.CopyTime(uint64(len(slots)) * 8)
 		}
 		oracleResolveAll(c, env, func(v *elf.Var) cellRef {
@@ -502,8 +507,14 @@ func compareWithOracle(t *testing.T, k Kind, img *elf.Image, got *SetupResult, w
 		if g, w := c.Heap.SharedSpanBytes(), o.Heap.SharedSpanBytes(); g != w {
 			t.Errorf("rank %d: shared span bytes %d, oracle %d", c.VP, g, w)
 		}
-		if (c.TLS == nil) != (o.TLS == nil) || len(c.TLS) != len(o.TLS) {
-			t.Errorf("rank %d: TLS block nil=%v len %d, oracle nil=%v len %d", c.VP, c.TLS == nil, len(c.TLS), o.TLS == nil, len(o.TLS))
+		if (c.TLS == nil) != (o.TLS == nil) || c.TLS.Len() != o.TLS.Len() {
+			t.Errorf("rank %d: TLS block nil=%v len %d, oracle nil=%v len %d", c.VP, c.TLS == nil, c.TLS.Len(), o.TLS == nil, o.TLS.Len())
+		} else {
+			for i := 0; i < c.TLS.Len(); i++ {
+				if g, w := c.TLS.Load(i), o.TLS.Load(i); g != w {
+					t.Errorf("rank %d: TLS slot %d holds %d, oracle %d", c.VP, i, g, w)
+				}
+			}
 		}
 		if (c.Private == nil) != (o.Private == nil) {
 			t.Errorf("rank %d: private instance %v, oracle %v", c.VP, c.Private != nil, o.Private != nil)

@@ -41,7 +41,8 @@ func (c *RankContext) Serialize() (*MigrationPayload, error) {
 	}
 	p := &MigrationPayload{VP: c.VP, Heap: c.Heap.Serialize()}
 	if c.TLS != nil {
-		p.TLS = append([]uint64(nil), c.TLS...)
+		p.TLS = make([]uint64, c.TLS.Len())
+		c.TLS.Scan(func(first int, words []uint64) { copy(p.TLS[first:], words) })
 	}
 	return p, nil
 }
@@ -61,7 +62,7 @@ func (c *RankContext) Handoff(destShared *elf.Instance) (bytes, wire uint64, err
 		return 0, 0, fmt.Errorf("core: rank %d cannot migrate under %s: %s", c.VP, c.Method, veto)
 	}
 	heap, delta := c.Heap.Handoff()
-	tls := uint64(len(c.TLS)) * 8
+	tls := uint64(c.TLS.Len()) * 8
 	if destShared != nil {
 		c.Shared = destShared
 	}
@@ -95,7 +96,9 @@ func (c *RankContext) RestoreInto(p *MigrationPayload, destShared *elf.Instance)
 		c.heapCells = blk
 	}
 	if p.TLS != nil {
-		c.TLS = append([]uint64(nil), p.TLS...)
+		// The payload is immutable, so the restored block is a view of
+		// it: its writes materialise granules of their own.
+		c.TLS = mem.AdoptSegment(p.TLS).View()
 	}
 	if destShared != nil {
 		c.Shared = destShared

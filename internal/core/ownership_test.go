@@ -41,7 +41,7 @@ func TestRestoreIntoTwiceGivesIndependentTLSBlocks(t *testing.T) {
 	if err := b.RestoreInto(payload, resB.SharedInstance); err != nil {
 		t.Fatal(err)
 	}
-	if &a.TLS[slot] == &b.TLS[slot] || &a.TLS[slot] == &payload.TLS[slot] {
+	if a.TLS.Word(slot) == b.TLS.Word(slot) || a.TLS.Word(slot) == &payload.TLS[slot] {
 		t.Fatal("restored contexts share a TLS block with each other or with the payload")
 	}
 	a.Store("tg", 8)
@@ -65,12 +65,12 @@ func TestRestoreIntoConsumeAdoptsTLSBlock(t *testing.T) {
 	h := c.Var("tg")
 	h.Store(5)
 	slot := tlsSlot(t, c, "tg")
-	block := &c.TLS[slot]
+	block := c.TLS.Word(slot)
 	dest := setup(t, KindTLSglobals, testEnv(t, false), testImage(t), 1)
 	if _, _, err := c.Handoff(dest.SharedInstance); err != nil {
 		t.Fatal(err)
 	}
-	if &c.TLS[slot] != block {
+	if c.TLS.Word(slot) != block {
 		t.Fatal("the hand-off replaced the rank's TLS block instead of keeping it")
 	}
 	h.Store(6)
@@ -150,7 +150,7 @@ func heldHandleAcrossMove(t *testing.T, move func(c *RankContext, dest *SetupRes
 			case storePrivSeg:
 				cell = c.Private.Word(v.Index)
 			case storeTLS:
-				cell = &c.TLS[c.plan.cells[v.Index].slot]
+				cell = c.TLS.Word(c.plan.cells[v.Index].slot)
 			case storeHeapCell:
 				if c.heapCells != c.Heap.Lookup(c.heapCells.Addr) {
 					t.Fatal("privatized cells not bound to the rank's heap")

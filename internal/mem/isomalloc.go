@@ -64,12 +64,10 @@ type Heap struct {
 	base  uint64
 	limit uint64
 	brk   uint64
-	// blocks maps a block's base address to the block; index holds the
-	// same blocks sorted by address for O(log n) containment lookups and
-	// scan-free ordered iteration.
-	blocks map[uint64]*Block
-	index  []*Block
-	free   []*Block // freed spans, address-ordered for deterministic reuse
+	// index holds the live blocks sorted by address: O(log n) lookups by
+	// base (Free) or containment (Lookup), and scan-free ordered iteration.
+	index []*Block
+	free  []*Block // freed spans, address-ordered for deterministic reuse
 	// live/resident are running byte counters maintained by
 	// Alloc/Free/MarkSharedBytes so the accessors never rescan.
 	live     uint64
@@ -100,13 +98,7 @@ func NewHeap(vp int) *Heap {
 		panic(fmt.Sprintf("isomalloc: rank %d outside arena capacity %d", vp, MaxRanks))
 	}
 	base := RankRangeBase(vp)
-	return &Heap{
-		vp:     vp,
-		base:   base,
-		limit:  base + IsomallocRangeSize,
-		brk:    base,
-		blocks: make(map[uint64]*Block),
-	}
+	return &Heap{vp: vp, base: base, limit: base + IsomallocRangeSize, brk: base}
 }
 
 // Base returns the heap's reserved-range base address.
@@ -146,13 +138,6 @@ func (h *Heap) indexInsert(b *Block) {
 	h.index[i] = b
 }
 
-// indexRemove drops the block at addr from the sorted address index.
-func (h *Heap) indexRemove(addr uint64) {
-	i := sort.Search(len(h.index), func(i int) bool { return h.index[i].Addr >= addr })
-	copy(h.index[i:], h.index[i+1:])
-	h.index = h.index[:len(h.index)-1]
-}
-
 func (h *Heap) allocRaw(size uint64, label string) (*Block, error) {
 	if size == 0 {
 		return nil, fmt.Errorf("isomalloc: zero-size allocation")
@@ -180,7 +165,6 @@ func (h *Heap) allocRaw(size uint64, label string) (*Block, error) {
 		} else {
 			h.free = append(h.free[:i], h.free[i+1:]...)
 		}
-		h.blocks[b.Addr] = b
 		h.indexInsert(b)
 		h.live += size
 		h.resident += size
@@ -191,7 +175,6 @@ func (h *Heap) allocRaw(size uint64, label string) (*Block, error) {
 	}
 	b := &Block{Addr: h.brk, Size: size, Label: label}
 	h.brk += size
-	h.blocks[b.Addr] = b
 	h.indexInsert(b)
 	h.live += size
 	h.resident += size
@@ -200,12 +183,12 @@ func (h *Heap) allocRaw(size uint64, label string) (*Block, error) {
 
 // Free releases the block at addr for reuse.
 func (h *Heap) Free(addr uint64) error {
-	b, ok := h.blocks[addr]
-	if !ok {
+	i := sort.Search(len(h.index), func(i int) bool { return h.index[i].Addr >= addr })
+	if i == len(h.index) || h.index[i].Addr != addr {
 		return fmt.Errorf("isomalloc: free of unallocated address %#x", addr)
 	}
-	delete(h.blocks, addr)
-	h.indexRemove(addr)
+	b := h.index[i]
+	h.index = append(h.index[:i], h.index[i+1:]...)
 	delete(h.clean, b) // the recycled struct must never revive a stale copy
 	h.live -= b.Size
 	h.resident -= b.residentSpan()
@@ -213,7 +196,7 @@ func (h *Heap) Free(addr uint64) error {
 	b.Label = ""
 	b.SharedBytes = 0
 	b.gen++
-	i := sort.Search(len(h.free), func(i int) bool { return h.free[i].Addr > b.Addr })
+	i = sort.Search(len(h.free), func(i int) bool { return h.free[i].Addr > b.Addr })
 	h.free = append(h.free, nil)
 	copy(h.free[i+1:], h.free[i:])
 	h.free[i] = b
@@ -420,7 +403,6 @@ func Restore(snap *Snapshot) *Heap {
 		*nb = *cp // gen is 0 in a snapshot block, matching the cache entry below
 		nb.Words, nb.Seg = carve(&arena, cp.Words), cp.Seg.clone(&arena)
 		h.clean[nb] = snapEntry{words: cp.Words, seg: cp.Seg}
-		h.blocks[nb.Addr] = nb
 		h.index = append(h.index, nb) // snapshots are address-ordered
 		h.live += nb.Size
 		h.resident += nb.residentSpan()

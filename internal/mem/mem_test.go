@@ -111,6 +111,66 @@ func TestHeapFreeAndReuse(t *testing.T) {
 	}
 }
 
+// Free finds its block in the sorted address index alone: an address
+// inside a live block, one already freed, one below the first block and
+// one past the last are all refused, and a refusal changes nothing.
+func TestFreeRefusesWhatIsNotABlockBase(t *testing.T) {
+	h := NewHeap(2)
+	var blks []*Block
+	for _, size := range []uint64{64, 128, 256} {
+		b, err := h.Alloc(size, "x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		blks = append(blks, b)
+	}
+	if err := h.Free(blks[1].Addr); err != nil {
+		t.Fatal(err)
+	}
+	live, resident := h.LiveBytes(), h.ResidentBytes()
+	for _, tc := range []struct {
+		name string
+		addr uint64
+	}{
+		{"interior", blks[0].Addr + 8},
+		{"interior of the last", blks[2].Addr + 8},
+		{"double free", blks[1].Addr},
+		{"below the first", h.Base() - 8},
+		{"past the last", blks[2].End()},
+		{"far past the last", h.Base() + IsomallocRangeSize - 8},
+	} {
+		if err := h.Free(tc.addr); err == nil {
+			t.Errorf("%s: Free(%#x) succeeded", tc.name, tc.addr)
+		}
+	}
+	if len(h.index) != 2 || h.index[0] != blks[0] || h.index[1] != blks[2] {
+		t.Fatalf("a refused Free changed the index: %d blocks", len(h.index))
+	}
+	if h.LiveBytes() != live || h.ResidentBytes() != resident {
+		t.Errorf("a refused Free moved the counters: live %d resident %d, want %d %d",
+			h.LiveBytes(), h.ResidentBytes(), live, resident)
+	}
+	// A restored heap is indexed the same way, and frees the same.
+	r := Restore(h.Serialize())
+	if err := r.Free(blks[2].Addr + 8); err == nil {
+		t.Error("restored heap freed an interior address")
+	}
+	if err := r.Free(blks[2].Addr); err != nil || r.Lookup(blks[2].Addr) != nil {
+		t.Errorf("restored heap: Free(%#x) = %v, block still found: %v", blks[2].Addr, err, r.Lookup(blks[2].Addr) != nil)
+	}
+	for _, b := range []*Block{blks[2], blks[0]} {
+		if err := h.Free(b.Addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(h.index) != 0 || h.LiveBytes() != 0 {
+		t.Fatalf("%d blocks, %d live bytes after freeing everything", len(h.index), h.LiveBytes())
+	}
+	if err := h.Free(blks[0].Addr); err == nil {
+		t.Error("Free on an empty heap succeeded")
+	}
+}
+
 func TestHeapLookup(t *testing.T) {
 	h := NewHeap(1)
 	b, _ := h.Alloc(100, "x")

@@ -27,6 +27,13 @@ func FreezeSegment(init []uint64, words int) *SegmentBase {
 	return &SegmentBase{init: append([]uint64(nil), init...), n: max(words, len(init))}
 }
 
+// AdoptSegment is FreezeSegment of words without the copy: the base is
+// words itself, so nothing may write them afterwards. A plan's TLS
+// block, built for the purpose, and a checkpoint's are frozen this way.
+func AdoptSegment(words []uint64) *SegmentBase {
+	return &SegmentBase{init: words, n: len(words)}
+}
+
 // View returns a fresh copy-on-write view that owns no granule yet.
 func (b *SegmentBase) View() *Segment {
 	if metrics.bytesShared != nil {
@@ -48,8 +55,13 @@ type segGranule struct {
 	words []uint64
 }
 
-// Len returns the segment's length in words.
-func (s *Segment) Len() int { return s.base.n }
+// Len returns the segment's length in words; a nil view has none.
+func (s *Segment) Len() int {
+	if s == nil {
+		return 0
+	}
+	return s.base.n
+}
 
 // find returns granule g's position in s.granules and whether it is there.
 func (s *Segment) find(g int) (int, bool) {

@@ -159,7 +159,7 @@ func privatizationBytes(w *ampi.World) uint64 {
 	}
 	bytes := ctx.Heap.ResidentBytes() - stackResident
 	// TLS block.
-	bytes += uint64(len(ctx.TLS)) * 8
+	bytes += uint64(ctx.TLS.Len()) * 8
 	// Linker-held per-rank copies (PIP namespaces, FS copies).
 	for _, h := range w.EnvFor(rank.PE()).Linker.Handles() {
 		if h.Namespace != 0 || h.Path != w.Program.Image.Name {
