@@ -202,9 +202,9 @@ func TestMigrationAcrossNodesSendRecvAfter(t *testing.T) {
 	}
 }
 
-// TestGreedyLBBalancesLoad checks that an imbalanced compute-bound run
-// under GreedyLB moves work off the hot PE.
-func TestGreedyLBBalancesLoad(t *testing.T) {
+// TestGreedyRefineLBBalancesLoad checks that an imbalanced
+// compute-bound run under GreedyRefineLB moves work off the hot PEs.
+func TestGreedyRefineLBBalancesLoad(t *testing.T) {
 	// 8 ranks all start on PE 0's half; rank loads are skewed.
 	loads := []int64{8, 1, 1, 1, 8, 1, 1, 1}
 	perRank := make([]sim.Time, len(loads))
@@ -224,15 +224,15 @@ func TestGreedyLBBalancesLoad(t *testing.T) {
 		Machine:   machine.Config{Nodes: 1, ProcsPerNode: 1, PEsPerProc: 4},
 		VPs:       8,
 		Privatize: core.KindPIEglobals,
-		Balancer:  lb.GreedyLB{},
+		Balancer:  lb.GreedyRefineLB{},
 	}
 	w := runProgram(t, cfg, prog)
 	if w.Migrations == 0 {
-		t.Fatal("GreedyLB performed no migrations on a skewed load")
+		t.Fatal("GreedyRefineLB performed no migrations on a skewed load")
 	}
 	// After balancing, the two heavy ranks (0 and 4) must not share a
 	// PE.
 	if w.Ranks[0].PE() == w.Ranks[4].PE() {
-		t.Error("heavy ranks still share a PE after GreedyLB")
+		t.Error("heavy ranks still share a PE after GreedyRefineLB")
 	}
 }

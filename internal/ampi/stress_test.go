@@ -19,7 +19,7 @@ func TestMigrationTrafficStress(t *testing.T) {
 		v      = 12
 		rounds = 8
 	)
-	for _, strat := range []lb.Strategy{lb.RotateLB{}, lb.GreedyLB{}, lb.GreedyRefineLB{}} {
+	for _, strat := range []lb.Strategy{lb.RotateLB{}, lb.GreedyRefineLB{}} {
 		t.Run(strat.Name(), func(t *testing.T) {
 			rng := sim.NewRNG(99)
 			// Precompute a deterministic traffic pattern: per round,

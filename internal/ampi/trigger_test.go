@@ -30,7 +30,7 @@ func TestImbalanceTriggerSkipsBalancedLoad(t *testing.T) {
 			Machine:   machine.Config{Nodes: 1, ProcsPerNode: 1, PEsPerProc: 2},
 			VPs:       4,
 			Privatize: core.KindPIEglobals,
-			Balancer:  lb.GreedyLB{},
+			Balancer:  lb.GreedyRefineLB{},
 			Trigger:   lb.ImbalanceTrigger{Threshold: 1.2},
 		}, prog)
 		if err != nil {

@@ -61,8 +61,8 @@ type Config struct {
 	Checkpoint *CheckpointPolicy
 	// Placement, if non-nil, overrides the default block mapping of VPs
 	// onto PEs: rank vp starts on PE Placement[vp]. Its length must be
-	// VPs and every entry a valid PE id. Supervised shrink recovery uses
-	// this to remap ranks displaced from a failed node onto survivors.
+	// VPs and every entry a valid PE id. The supervisor uses this to
+	// remap ranks displaced from an evicted node onto survivors.
 	Placement []int
 	// Tracer, if set, receives Projections-style virtual-time events
 	// from every layer of the run: engine dispatch, context switches

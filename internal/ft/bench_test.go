@@ -14,7 +14,7 @@ import (
 // filesystem; the buddy variant restores from the surviving in-memory
 // copies over the network.
 
-func benchRecovery(b *testing.B, target ampi.CheckpointTarget, recovery ft.RecoveryMode) {
+func benchRecovery(b *testing.B, target ampi.CheckpointTarget) {
 	cfg := testConfig(2, 4, target, 5*time.Millisecond)
 	setup, total := probe(b, cfg)
 	crashAt := setup + (total-setup)*3/5
@@ -22,10 +22,9 @@ func benchRecovery(b *testing.B, target ampi.CheckpointTarget, recovery ft.Recov
 	for i := 0; i < b.N; i++ {
 		finals := make([]uint64, cfg.VPs)
 		rep, err := ft.Run(ft.Job{
-			Config:   cfg,
-			Program:  func() *ampi.Program { return synth.Checkpointed(testIters, testCompute, finals) },
-			Plan:     ft.Plan{Faults: []ft.Fault{{At: crashAt, Node: 1}}},
-			Recovery: recovery,
+			Config:  cfg,
+			Program: func() *ampi.Program { return synth.Checkpointed(testIters, testCompute, finals) },
+			Plan:    ft.Plan{Faults: []ft.Fault{{At: crashAt, Node: 1}}},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -36,11 +35,8 @@ func benchRecovery(b *testing.B, target ampi.CheckpointTarget, recovery ft.Recov
 	}
 }
 
-func BenchmarkRecoverySpareFS(b *testing.B)    { benchRecovery(b, ampi.TargetFS, ft.Spare) }
-func BenchmarkRecoverySpareBuddy(b *testing.B) { benchRecovery(b, ampi.TargetBuddy, ft.Spare) }
-func BenchmarkRecoveryShrinkBuddy(b *testing.B) {
-	benchRecovery(b, ampi.TargetBuddy, ft.Shrink)
-}
+func BenchmarkRecoverySpareFS(b *testing.B)    { benchRecovery(b, ampi.TargetFS) }
+func BenchmarkRecoverySpareBuddy(b *testing.B) { benchRecovery(b, ampi.TargetBuddy) }
 
 func BenchmarkFaultFreeSupervised(b *testing.B) {
 	cfg := testConfig(2, 4, ampi.TargetFS, 5*time.Millisecond)

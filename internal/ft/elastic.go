@@ -25,9 +25,6 @@ type ElasticJob struct {
 	Faults Plan
 	// Churn is the planned membership schedule, absolute virtual time.
 	Churn ChurnPlan
-	// Recovery selects Spare/Shrink/Expand handling of unplanned
-	// crashes (planned churn carries its own shape change).
-	Recovery RecoveryMode
 	// MaxRestarts bounds total restarts; <= 0 means DefaultMaxRestarts
 	// (churn-heavy jobs may need more than the crash default).
 	MaxRestarts int

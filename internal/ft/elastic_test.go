@@ -3,6 +3,7 @@ package ft_test
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,36 +14,24 @@ import (
 	"provirt/internal/workloads/synth"
 )
 
-func TestRecoveryModeRoundTrip(t *testing.T) {
-	for m, want := range map[ft.RecoveryMode]string{ft.Spare: "spare", ft.Shrink: "shrink", ft.Expand: "expand", 42: "unknown(42)"} {
-		if got := m.String(); got != want {
-			t.Errorf("RecoveryMode(%d).String() = %q, want %q", int(m), got, want)
-		}
-	}
-}
-
-func TestExpandRecoveryGrowsMachine(t *testing.T) {
-	cfg := testConfig(2, 8, ampi.TargetFS, 5*time.Millisecond)
-	setup, total := probe(t, cfg)
-	crashAt := setup + (total-setup)*3/5
-
-	finals := make([]uint64, cfg.VPs)
+// A crash recovers onto a spare only: Run refuses any other recovery
+// mode before it starts a world, rather than running as Spare.
+func TestRunRefusesRecoveryOtherThanSpare(t *testing.T) {
+	cfg := testConfig(2, 4, ampi.TargetFS, 5*time.Millisecond)
+	started := false
 	rep, err := ft.Run(ft.Job{
-		Config:   cfg,
-		Program:  func() *ampi.Program { return synth.Checkpointed(testIters, testCompute, finals) },
-		Plan:     ft.Plan{Faults: []ft.Fault{{At: crashAt, Node: 1}}},
-		Recovery: ft.Expand,
+		Config: cfg,
+		Program: func() *ampi.Program {
+			started = true
+			return synth.Checkpointed(testIters, testCompute, make([]uint64, cfg.VPs))
+		},
+		Recovery: ft.Spare + 1,
 	})
-	if err != nil {
-		t.Fatal(err)
+	if err == nil || !strings.Contains(err.Error(), "spare") {
+		t.Fatalf("Run with recovery mode 1: %v, want a refusal naming the spare", err)
 	}
-	checkFinals(t, finals)
-	rec := rep.Recoveries[0]
-	if !rec.Expanded || rec.Shrunk {
-		t.Errorf("expand recovery record = %+v, want Expanded", rec)
-	}
-	if got := len(rep.World.Cluster.Nodes); got != 3 {
-		t.Errorf("expand recovery ended with %d nodes, want 3 (spare + one extra)", got)
+	if rep != nil || started {
+		t.Errorf("refused job still ran: report %+v, program built %v", rep, started)
 	}
 }
 

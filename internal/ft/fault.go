@@ -1,5 +1,5 @@
 // Package ft is the resilience subsystem: deterministic fault
-// injection, supervised restart and shrink recovery, and
+// injection, supervised restart and elastic reshaping, and
 // checkpoint-policy math (Young/Daly optimal intervals).
 //
 // Faults are data, not randomness at run time: a Plan is a list of
@@ -50,9 +50,9 @@ func (p Plan) Shift(elapsed sim.Time) Plan {
 }
 
 // Arm schedules the plan's crashes as node failures on a world before
-// it runs. Targets beyond the world's node count are skipped — after a
-// shrink recovery, crashes aimed at departed nodes have nothing left to
-// strike.
+// it runs. Targets beyond the world's node count are skipped — after an
+// eviction shrank the machine, crashes aimed at departed nodes have
+// nothing left to strike.
 func (p Plan) Arm(w *ampi.World) error {
 	for _, f := range p.Faults {
 		if f.Node < 0 || f.Node >= len(w.Cluster.Nodes) {

@@ -84,9 +84,6 @@ func TestSpareRecoveryFromFSCheckpoint(t *testing.T) {
 	if rec.Rework <= 0 || rec.Downtime <= 0 || rec.RestoredBytes == 0 {
 		t.Errorf("recovery accounting empty: %+v", rec)
 	}
-	if rec.Shrunk {
-		t.Error("spare recovery marked shrunk")
-	}
 	if rep.Checkpoints == 0 {
 		t.Error("no checkpoints were taken")
 	}
@@ -98,18 +95,18 @@ func TestSpareRecoveryFromFSCheckpoint(t *testing.T) {
 	}
 }
 
+// TestShrinkRecoveryFromBuddyCheckpoint: an eviction with zero notice
+// takes the crash path, and the job restarts on the two survivors from
+// the buddy copies the departed node did not hold.
 func TestShrinkRecoveryFromBuddyCheckpoint(t *testing.T) {
 	cfg := testConfig(3, 6, ampi.TargetBuddy, 5*time.Millisecond)
 	setup, total := probe(t, cfg)
-	crashAt := setup + (total-setup)*3/5
+	at := setup + (total-setup)*3/5
 
 	finals := make([]uint64, cfg.VPs)
-	rep, err := ft.Run(ft.Job{
-		Config:   cfg,
-		Program:  func() *ampi.Program { return synth.Checkpointed(testIters, testCompute, finals) },
-		Plan:     ft.Plan{Faults: []ft.Fault{{At: crashAt, Node: 1}}},
-		Recovery: ft.Shrink,
-	})
+	job := elasticJob(cfg, finals)
+	job.Churn = ft.ChurnPlan{Events: []ft.ChurnEvent{{Kind: ft.Eviction, At: at, Node: 1, Notice: 0}}}
+	rep, err := ft.RunElastic(job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +114,10 @@ func TestShrinkRecoveryFromBuddyCheckpoint(t *testing.T) {
 		t.Fatalf("attempts = %d, want 2", rep.Attempts)
 	}
 	checkFinals(t, finals)
-	rec := rep.Recoveries[0]
-	if !rec.Shrunk {
-		t.Error("shrink recovery not marked shrunk")
+	if len(rep.Resizes) != 1 || !rep.Resizes[0].Crashed || rep.Resizes[0].Rework <= 0 {
+		t.Errorf("resizes = %+v, want one crashed eviction with rework", rep.Resizes)
 	}
-	if rec.RestoredBytes == 0 {
+	if rep.World.RestoredBytes == 0 {
 		t.Error("buddy restore reported zero bytes")
 	}
 	if got := len(rep.World.Cluster.Nodes); got != 2 {

@@ -9,11 +9,8 @@ import "provirt/internal/obs"
 // per-run Report. Nil by default; updates are atomic so parallel
 // sweep points share them.
 type obsMetrics struct {
-	// recoveries counts crashes the supervisor recovered from;
-	// shrinks counts the subset that dropped the failed node instead
-	// of using a spare.
+	// recoveries counts crashes the supervisor recovered from.
 	recoveries *obs.Counter
-	shrinks    *obs.Counter
 	// reworkNS accumulates virtual nanoseconds of work crashes threw
 	// away (snapshot-to-crash distance per recovery).
 	reworkNS *obs.Counter
@@ -47,8 +44,6 @@ func EnableObs(r *obs.Registry) {
 	metrics = obsMetrics{
 		recoveries: r.Counter("ft_recoveries_total",
 			"node crashes the supervisor recovered from"),
-		shrinks: r.Counter("ft_shrink_recoveries_total",
-			"recoveries that shrank onto survivors instead of using a spare"),
 		reworkNS: r.Counter("ft_rework_virtual_ns_total",
 			"virtual nanoseconds of work lost to crashes (rework)"),
 		restoredBytes: r.Counter("ft_restored_bytes_total",

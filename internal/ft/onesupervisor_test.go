@@ -89,7 +89,7 @@ func TestCrashedEvictionIsOnTheTotalTimeClock(t *testing.T) {
 // supervised runs one job under run and returns everything the
 // differential tests compare: the report, the error, the application's
 // final state and the JSONL bytes of every attempt's trace.
-func supervised(t *testing.T, cfg ampi.Config, plan ft.Plan, mode ft.RecoveryMode,
+func supervised(t *testing.T, cfg ampi.Config, plan ft.Plan,
 	run func(ft.Job) (*ft.Report, error)) (*ft.Report, error, []uint64, []byte) {
 	t.Helper()
 	rec := trace.NewRecorder()
@@ -99,7 +99,6 @@ func supervised(t *testing.T, cfg ampi.Config, plan ft.Plan, mode ft.RecoveryMod
 		Config:      cfg,
 		Program:     func() *ampi.Program { return synth.Checkpointed(testIters, testCompute, finals) },
 		Plan:        plan,
-		Recovery:    mode,
 		MaxRestarts: 12,
 	})
 	var buf bytes.Buffer
@@ -110,55 +109,54 @@ func supervised(t *testing.T, cfg ampi.Config, plan ft.Plan, mode ft.RecoveryMod
 }
 
 // TestRunMatchesOracle holds the merged loop to the loop it replaced:
-// over every recovery mode, both snapshot targets and a spread of
-// sampled crash schedules, ft.Run and oracleRun agree on the report, the
-// application's results and the trace bytes. The one intended difference
-// is excluded: where the oracle gives up on a lost snapshot, Run
-// cold-restarts (TestRunColdRestartsWhenSnapshotLost).
+// over both snapshot targets and a spread of sampled crash schedules,
+// ft.Run and oracleRun agree on the report, the application's results
+// and the trace bytes. The one intended difference is excluded: where
+// the oracle gives up on a lost snapshot, Run cold-restarts
+// (TestRunColdRestartsWhenSnapshotLost).
 func TestRunMatchesOracle(t *testing.T) {
 	compared := 0
-	for _, mode := range []ft.RecoveryMode{ft.Spare, ft.Shrink, ft.Expand} {
-		for _, target := range []ampi.CheckpointTarget{ampi.TargetFS, ampi.TargetBuddy} {
-			cfg := testConfig(3, 6, target, 5*time.Millisecond)
-			_, total := probe(t, cfg)
-			for seed := uint64(1); seed <= 10; seed++ {
-				plan := ft.CrashPlan(seed, cfg.Machine.Nodes, total/2, 4*total)
-				name := fmt.Sprintf("%v/%v/seed%d", mode, target, seed)
-				want, wantErr, wantFinals, wantTrace := supervised(t, cfg, plan, mode, ft.OracleRun)
-				if errors.Is(wantErr, ampi.ErrSnapshotLost) {
-					continue
-				}
-				got, gotErr, gotFinals, gotTrace := supervised(t, cfg, plan, mode, ft.Run)
-				compared++
-				if (gotErr == nil) != (wantErr == nil) {
-					t.Errorf("%s: Run error %v, oracle error %v", name, gotErr, wantErr)
-					continue
-				}
-				if got.Attempts != want.Attempts || got.TotalTime != want.TotalTime || got.Checkpoints != want.Checkpoints {
-					t.Errorf("%s: Run %d attempts, %v, %d checkpoints; oracle %d, %v, %d", name,
-						got.Attempts, got.TotalTime, got.Checkpoints, want.Attempts, want.TotalTime, want.Checkpoints)
-				}
-				if !reflect.DeepEqual(got.Recoveries, want.Recoveries) {
-					t.Errorf("%s: recoveries differ\nRun    %+v\noracle %+v", name, got.Recoveries, want.Recoveries)
-				}
-				if !reflect.DeepEqual(gotFinals, wantFinals) {
-					t.Errorf("%s: finals differ: Run %v, oracle %v", name, gotFinals, wantFinals)
-				}
-				if !bytes.Equal(gotTrace, wantTrace) {
-					t.Errorf("%s: traces differ (%d vs %d bytes)", name, len(gotTrace), len(wantTrace))
-				}
+	for _, target := range []ampi.CheckpointTarget{ampi.TargetFS, ampi.TargetBuddy} {
+		cfg := testConfig(3, 6, target, 5*time.Millisecond)
+		_, total := probe(t, cfg)
+		for seed := uint64(1); seed <= 10; seed++ {
+			plan := ft.CrashPlan(seed, cfg.Machine.Nodes, total/2, 4*total)
+			name := fmt.Sprintf("%v/seed%d", target, seed)
+			want, wantErr, wantFinals, wantTrace := supervised(t, cfg, plan, ft.OracleRun)
+			if errors.Is(wantErr, ampi.ErrSnapshotLost) {
+				continue
+			}
+			got, gotErr, gotFinals, gotTrace := supervised(t, cfg, plan, ft.Run)
+			compared++
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Errorf("%s: Run error %v, oracle error %v", name, gotErr, wantErr)
+				continue
+			}
+			if got.Attempts != want.Attempts || got.TotalTime != want.TotalTime || got.Checkpoints != want.Checkpoints {
+				t.Errorf("%s: Run %d attempts, %v, %d checkpoints; oracle %d, %v, %d", name,
+					got.Attempts, got.TotalTime, got.Checkpoints, want.Attempts, want.TotalTime, want.Checkpoints)
+			}
+			if !reflect.DeepEqual(got.Recoveries, want.Recoveries) {
+				t.Errorf("%s: recoveries differ\nRun    %+v\noracle %+v", name, got.Recoveries, want.Recoveries)
+			}
+			if !reflect.DeepEqual(gotFinals, wantFinals) {
+				t.Errorf("%s: finals differ: Run %v, oracle %v", name, gotFinals, wantFinals)
+			}
+			if !bytes.Equal(gotTrace, wantTrace) {
+				t.Errorf("%s: traces differ (%d vs %d bytes)", name, len(gotTrace), len(wantTrace))
 			}
 		}
 	}
-	if compared < 3*2*8 {
-		t.Errorf("compared %d runs, want at least 8 seeds for each of 3 modes x 2 targets", compared)
+	if compared < 2*8 {
+		t.Errorf("compared %d runs, want at least 8 seeds for each of 2 targets", compared)
 	}
 }
 
-// TestCrashIsAnEvictionWithZeroNotice: losing node n at instant t costs
-// the same whether it arrives as a fault or as a planned eviction whose
-// notice is zero — same time-to-solution, same rework, same placement
-// for the attempt that follows.
+// TestCrashIsAnEvictionWithZeroNotice: losing node n at instant t
+// throws away the same work whether it arrives as a fault or as a
+// planned eviction whose notice is zero, and takes the same attempts.
+// Only the machine the next attempt runs on differs: a spare replaces
+// the crashed node, while the evicted one leaves for good.
 func TestCrashIsAnEvictionWithZeroNotice(t *testing.T) {
 	for _, target := range []ampi.CheckpointTarget{ampi.TargetFS, ampi.TargetBuddy} {
 		t.Run(fmt.Sprint(target), func(t *testing.T) {
@@ -168,10 +166,9 @@ func TestCrashIsAnEvictionWithZeroNotice(t *testing.T) {
 
 			crashFinals := make([]uint64, cfg.VPs)
 			crashed, err := ft.Run(ft.Job{
-				Config:   cfg,
-				Program:  func() *ampi.Program { return synth.Checkpointed(testIters, testCompute, crashFinals) },
-				Plan:     ft.Plan{Faults: []ft.Fault{{At: at, Node: 1}}},
-				Recovery: ft.Shrink,
+				Config:  cfg,
+				Program: func() *ampi.Program { return synth.Checkpointed(testIters, testCompute, crashFinals) },
+				Plan:    ft.Plan{Faults: []ft.Fault{{At: at, Node: 1}}},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -189,52 +186,43 @@ func TestCrashIsAnEvictionWithZeroNotice(t *testing.T) {
 				t.Fatalf("recoveries %+v, resizes %+v: want one crash and one crashed eviction",
 					crashed.Recoveries, evicted.Resizes)
 			}
-			if evicted.TotalTime != crashed.TotalTime || evicted.Attempts != crashed.Attempts {
-				t.Errorf("eviction: %d attempts, %v; crash: %d attempts, %v",
-					evicted.Attempts, evicted.TotalTime, crashed.Attempts, crashed.TotalTime)
+			if evicted.Attempts != crashed.Attempts {
+				t.Errorf("eviction: %d attempts; crash: %d", evicted.Attempts, crashed.Attempts)
 			}
-			if got, want := evicted.Resizes[0].Rework, crashed.Recoveries[0].Rework; got != want {
+			if got, want := evicted.Resizes[0].Rework, crashed.Recoveries[0].Rework; got != want || want <= 0 {
 				t.Errorf("eviction rework %v, crash rework %v", got, want)
 			}
-			if got, want := evicted.World.Cfg.Placement, crashed.World.Cfg.Placement; !reflect.DeepEqual(got, want) || len(want) != cfg.VPs {
-				t.Errorf("eviction restarted on placement %v, crash on %v", got, want)
+			if c, e := len(crashed.World.Cluster.Nodes), len(evicted.World.Cluster.Nodes); c != 3 || e != 2 {
+				t.Errorf("crash restarted on %d nodes, eviction on %d; want 3 (a spare) and 2 (the survivors)", c, e)
 			}
 		})
 	}
 }
 
-// TestRunColdRestartsWhenSnapshotLost: two crashes inside one checkpoint
-// interval shrink a three-node buddy job onto one node, and the only
-// snapshot in hand kept a rank's copies on the two nodes that left.
-// Run restarts the job from the beginning on the machine it has — the
-// elastic loop's rule — instead of returning ErrSnapshotLost.
+// TestRunColdRestartsWhenSnapshotLost: two zero-notice evictions inside
+// one checkpoint interval shrink a three-node buddy job onto one node,
+// and the only snapshot in hand kept a rank's copies on the two nodes
+// that left. The supervisor restarts the job from the beginning on the
+// machine it has instead of returning ErrSnapshotLost.
 func TestRunColdRestartsWhenSnapshotLost(t *testing.T) {
 	cfg := testConfig(3, 6, ampi.TargetBuddy, 5*time.Millisecond)
 	setup, total := probe(t, cfg)
 	first := setup + (total-setup)*3/5
-	job := ft.Job{
-		Config: cfg,
-		// The second crash lands while the restarted attempt is still
-		// setting up, before it can take a snapshot of its own.
-		Plan: ft.Plan{Faults: []ft.Fault{
-			{At: first, Node: 1},
-			{At: first + setup/2, Node: 0},
-		}},
-		Recovery: ft.Shrink,
-	}
 	finals := make([]uint64, cfg.VPs)
-	job.Program = func() *ampi.Program { return synth.Checkpointed(testIters, testCompute, finals) }
-	if _, err := ft.OracleRun(job); !errors.Is(err, ampi.ErrSnapshotLost) {
-		t.Fatalf("the old loop returned %v; the plan was meant to lose the snapshot", err)
-	}
-	finals = make([]uint64, cfg.VPs)
-	rep, err := ft.Run(job)
+	job := elasticJob(cfg, finals)
+	// The second eviction lands while the restarted attempt is still
+	// setting up, before it can take a snapshot of its own.
+	job.Churn = ft.ChurnPlan{Events: []ft.ChurnEvent{
+		{Kind: ft.Eviction, At: first, Node: 1, Notice: 0},
+		{Kind: ft.Eviction, At: first + setup/2, Node: 0, Notice: 0},
+	}}
+	rep, err := ft.RunElastic(job)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkFinals(t, finals)
-	if rep.Attempts != 4 || len(rep.Recoveries) != 2 {
-		t.Errorf("%d attempts, %d recoveries; want crash, crash, lost snapshot, cold run", rep.Attempts, len(rep.Recoveries))
+	if rep.Attempts != 4 || len(rep.Resizes) != 2 || !rep.Resizes[0].Crashed || !rep.Resizes[1].Crashed {
+		t.Errorf("%d attempts, resizes %+v; want eviction, eviction, lost snapshot, cold run", rep.Attempts, rep.Resizes)
 	}
 	if got := len(rep.World.Cluster.Nodes); got != 1 {
 		t.Errorf("cold restart ran on %d nodes, want the one survivor", got)

@@ -12,13 +12,14 @@ import (
 // merged loop is held to (TestRunMatchesOracle). It knows crashes only —
 // no drains, no membership spans — and returns a lost snapshot as an
 // error where the merged loop cold-restarts. It is verbatim but for one
-// fix both loops share: a crash restarts from the newest snapshot that
-// was complete when the node failed, not from one still being written.
+// fix both loops share — a crash restarts from the newest snapshot that
+// was complete when the node failed, not from one still being written —
+// and for its shrink and expand arms, which went with those recovery
+// modes: a crash recovers onto a spare.
 func oracleRun(job Job) (*Report, error) {
 	if job.Program == nil {
 		return nil, errors.New("ft: job needs a program factory")
 	}
-	cfg := job.Config
 	maxRestarts := job.MaxRestarts
 	if maxRestarts <= 0 {
 		maxRestarts = DefaultMaxRestarts
@@ -31,9 +32,9 @@ func oracleRun(job Job) (*Report, error) {
 		var w *ampi.World
 		var err error
 		if lastCk == nil {
-			w, err = ampi.NewWorld(cfg, job.Program())
+			w, err = ampi.NewWorld(job.Config, job.Program())
 		} else {
-			w, err = ampi.NewWorldFromCheckpoint(cfg, job.Program(), lastCk)
+			w, err = ampi.NewWorldFromCheckpoint(job.Config, job.Program(), lastCk)
 		}
 		if err != nil {
 			return rep, err
@@ -91,27 +92,6 @@ func oracleRun(job Job) (*Report, error) {
 			rec.Rework = nf.At
 		}
 		plan = plan.Shift(elapsed)
-		switch job.Recovery {
-		case Shrink:
-			if cfg.Machine.Nodes <= 1 {
-				return rep, fmt.Errorf("ft: cannot shrink below one node: %w", runErr)
-			}
-			placement, perr := shrinkPlacement(w, cfg.Machine, nf.Node)
-			if perr != nil {
-				return rep, fmt.Errorf("ft: shrink recovery: %w", perr)
-			}
-			cfg.Machine.Nodes--
-			cfg.Placement = placement
-			rec.Shrunk = true
-		case Expand:
-			placement, perr := expandPlacement(w, cfg.Machine, 1)
-			if perr != nil {
-				return rep, fmt.Errorf("ft: expand recovery: %w", perr)
-			}
-			cfg.Machine.Nodes++
-			cfg.Placement = placement
-			rec.Expanded = true
-		}
 		if lastCk != nil {
 			// Tell the restore which node's in-memory snapshot copies
 			// died with the crash (buddy checkpoints read the surviving
@@ -119,9 +99,6 @@ func oracleRun(job Job) (*Report, error) {
 			lastCk.LostNode = nf.Node
 		}
 		metrics.recoveries.Inc()
-		if rec.Shrunk {
-			metrics.shrinks.Inc()
-		}
 		metrics.reworkNS.Add(uint64(rec.Rework))
 		rep.Recoveries = append(rep.Recoveries, rec)
 		pending = &rep.Recoveries[len(rep.Recoveries)-1]

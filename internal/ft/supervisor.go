@@ -10,46 +10,21 @@ import (
 	"provirt/internal/sim"
 )
 
-// RecoveryMode selects what the supervisor does with a failed node.
+// RecoveryMode selects what the supervisor does with a failed node;
+// Spare is the only mode.
 type RecoveryMode int
 
-const (
-	// Spare replaces the failed node with an identical spare: the job
-	// restarts on a same-shape machine.
-	Spare RecoveryMode = iota
-	// Shrink restarts the job on the surviving nodes only, remapping
-	// the displaced ranks onto the remaining PEs with GreedyRefineLB —
-	// the malleable-job recovery virtualized ranks make possible
-	// (§2.1): the rank count never changes, only where ranks live.
-	Shrink
-	// Expand recovers bigger: the failed node is replaced by a spare
-	// and the restart machine additionally grows by one node, with
-	// GreedyRefineLB rebalancing onto the arrivals — the "make up lost
-	// time with more hardware" policy elastic clouds allow.
-	Expand
-)
-
-// String names the mode ("spare", "shrink", "expand").
-func (m RecoveryMode) String() string {
-	switch m {
-	case Spare:
-		return "spare"
-	case Shrink:
-		return "shrink"
-	case Expand:
-		return "expand"
-	default:
-		return fmt.Sprintf("unknown(%d)", int(m))
-	}
-}
+// Spare replaces the failed node with an identical spare: the job
+// restarts on a same-shape machine.
+const Spare RecoveryMode = 0
 
 // DefaultMaxRestarts bounds recovery attempts when Job.MaxRestarts is
 // unset.
 const DefaultMaxRestarts = 8
 
 // Job describes a supervised run: the configuration and program to
-// execute, the fault plan to inject, and the recovery policy to apply
-// when a node crash kills an attempt.
+// execute and the fault plan to inject. A node crash that kills an
+// attempt is recovered onto a spare.
 type Job struct {
 	// Config is the job configuration; set Config.Checkpoint so
 	// CheckpointIfDue actually snapshots, or crashes lose all progress.
@@ -62,8 +37,7 @@ type Job struct {
 	// Plan is the fault schedule, in absolute virtual time from the
 	// original job start. The supervisor shifts it across restarts.
 	Plan Plan
-	// Recovery selects Spare (default), Shrink or Expand handling of
-	// crashes.
+	// Recovery must be Spare (the zero value); Run refuses any other.
 	Recovery RecoveryMode
 	// MaxRestarts bounds recovery attempts; <= 0 means
 	// DefaultMaxRestarts.
@@ -88,11 +62,6 @@ type RecoveryRecord struct {
 	Downtime sim.Time
 	// RestoredBytes is the snapshot volume the restart read back.
 	RestoredBytes uint64
-	// Shrunk reports whether this recovery dropped the failed node
-	// instead of using a spare; Expanded whether it grew the machine
-	// past the original shape.
-	Shrunk   bool
-	Expanded bool
 }
 
 // Report summarizes a supervised run: the part of the outcome a
@@ -130,13 +99,12 @@ func (r *Report) MeanRecovery() sim.Time {
 
 // Run drives a job to completion under supervision: it arms the fault
 // plan, runs the world, and on a node failure restarts from the last
-// checkpoint — onto a spare, shrunk onto the survivors, or grown by a
-// node — up to MaxRestarts times. It is the crash-only case of the one
-// supervisor loop: RunElastic's, with a fault plan and no churn. A
-// crash before any checkpoint restarts the job from scratch. With an
-// empty plan Run adds nothing to the run: it builds and runs the world
-// exactly as an unsupervised caller would, so fault-free supervised runs
-// are bit-identical to bare ones.
+// checkpoint onto a spare, up to MaxRestarts times. It is the
+// crash-only case of the one supervisor loop: RunElastic's, with a
+// fault plan and no churn. A crash before any checkpoint restarts the
+// job from scratch. With an empty plan Run adds nothing to the run: it
+// builds and runs the world exactly as an unsupervised caller would, so
+// fault-free supervised runs are bit-identical to bare ones.
 //
 // Run returns the report alongside any error; on error the report
 // covers the attempts made so far.
@@ -144,11 +112,13 @@ func Run(job Job) (*Report, error) {
 	if job.Program == nil {
 		return nil, errNoProgram
 	}
+	if job.Recovery != Spare {
+		return nil, fmt.Errorf("ft: recovery mode %d: a crash recovers onto a spare only", int(job.Recovery))
+	}
 	rep, err := supervise(ElasticJob{
 		Config:      job.Config,
 		Program:     job.Program,
 		Faults:      job.Plan,
-		Recovery:    job.Recovery,
 		MaxRestarts: job.MaxRestarts,
 	})
 	return &rep.Report, err
@@ -327,9 +297,9 @@ func (s *supervisor) drained(a *attempt) error {
 
 // nodeLost handles a node failure. If it is the armed eviction's
 // deadline, the notice was too short: the node left before the job
-// reached a consistency point, so the planned change recovers like a
-// crash, rework included. Otherwise it is an unplanned crash, recovered
-// per the job's mode.
+// reached a consistency point, so the machine shrinks and the planned
+// change pays rework like a crash. Otherwise it is an unplanned crash:
+// a spare replaces the node and the machine keeps its shape.
 func (s *supervisor) nodeLost(a *attempt, nf *ampi.NodeFailure) error {
 	at := s.rep.TotalTime
 	// No snapshot yet: the whole attempt is rework.
@@ -345,24 +315,8 @@ func (s *supervisor) nodeLost(a *attempt, nf *ampi.NodeFailure) error {
 		s.churnIdx++
 		return s.resize(a.w, ResizeRecord{At: at, Kind: Eviction, Delta: -1, Crashed: true, Rework: rework}, nf.Node, at)
 	}
-	rec := RecoveryRecord{Attempt: s.rep.Attempts, Node: nf.Node, CrashAt: nf.At, Rework: rework}
-	var err error
-	switch s.job.Recovery {
-	case Shrink:
-		rec.Shrunk = true
-		err = s.shrink(a.w, nf.Node, at)
-	case Expand:
-		rec.Expanded = true
-		err = s.grow(a.w, 1, at)
-	}
-	if err != nil {
-		return fmt.Errorf("ft: %v recovery: %w", s.job.Recovery, err)
-	}
 	metrics.recoveries.Inc()
-	if rec.Shrunk {
-		metrics.shrinks.Inc()
-	}
-	s.rep.Recoveries = append(s.rep.Recoveries, rec)
+	s.rep.Recoveries = append(s.rep.Recoveries, RecoveryRecord{Attempt: s.rep.Attempts, Node: nf.Node, CrashAt: nf.At, Rework: rework})
 	s.pending = &s.rep.Recoveries[len(s.rep.Recoveries)-1]
 	return nil
 }

@@ -22,8 +22,8 @@ type RankLoad struct {
 	VP int
 	// PE is the rank's current processing element. A value outside
 	// [0, numPEs) marks a *displaced* rank: its PE no longer exists
-	// (job shrink after a node failure, or cores returned to the
-	// scheduler), so a shrink-aware strategy must find it a new home.
+	// (its node left the machine), so a shrink-aware strategy must find
+	// it a new home.
 	PE   int
 	Load sim.Time
 	// Migratable reports whether the runtime can move this rank; a
@@ -123,46 +123,6 @@ func (g ImbalanceTrigger) ShouldBalance(loads []RankLoad, numPEs int) bool {
 	return Imbalance(loads, numPEs) > th
 }
 
-// GreedyLB sorts ranks by decreasing load and assigns each to the
-// currently least-loaded PE. It produces near-optimal balance but
-// ignores current placement, so it migrates aggressively.
-type GreedyLB struct{}
-
-// Name implements Strategy.
-func (GreedyLB) Name() string { return "GreedyLB" }
-
-// Rebalance implements Strategy.
-func (GreedyLB) Rebalance(loads []RankLoad, numPEs int) []int {
-	assign := make([]int, len(loads))
-	peLoad := make([]sim.Time, numPEs)
-	order := make([]int, len(loads))
-	for i := range order {
-		order[i] = i
-	}
-	// Pin non-migratable ranks first.
-	for i, l := range loads {
-		if !l.Migratable {
-			assign[i] = l.PE
-			peLoad[l.PE] += l.Load
-		}
-	}
-	sort.SliceStable(order, func(a, b int) bool { return loads[order[a]].Load > loads[order[b]].Load })
-	for _, i := range order {
-		if !loads[i].Migratable {
-			continue
-		}
-		best := 0
-		for pe := 1; pe < numPEs; pe++ {
-			if peLoad[pe] < peLoad[best] {
-				best = pe
-			}
-		}
-		assign[i] = best
-		peLoad[best] += loads[i].Load
-	}
-	return assign
-}
-
 // tolerance is the overload ratio over the mean PE load a PE may carry
 // before it must donate ranks.
 const tolerance = 1.05
@@ -176,7 +136,7 @@ const tolerance = 1.05
 // [0, numPEs) (their node failed, or its cores were returned to the
 // scheduler) are treated as displaced and placed first, heaviest onto
 // the least-loaded surviving PE, before the refinement pass runs. This
-// is the remap restart-with-shrink recovery drives.
+// is the remap a shrinking machine (an eviction under churn) drives.
 //
 // It is also expand-aware: when Expand names freshly arrived PEs, the
 // donation pass sends ranks only onto those arrivals, so an expansion
@@ -302,111 +262,6 @@ func (RotateLB) Rebalance(loads []RankLoad, numPEs int) []int {
 		} else {
 			assign[i] = l.PE
 		}
-	}
-	return assign
-}
-
-// HierarchicalLB balances in two levels, the way Charm++'s hybrid
-// balancers scale to large machines: first ranks move between *nodes*
-// only as needed to equalize node totals (each inter-node move pays
-// network transfer for the whole rank payload — expensive under
-// PIEglobals), then each node refines locally across its own PEs
-// (cheap shared-memory moves).
-type HierarchicalLB struct {
-	// PEsPerNode groups PE ids into nodes: PEs [k*G, (k+1)*G) form
-	// node k.
-	PEsPerNode int
-}
-
-// Name implements Strategy.
-func (HierarchicalLB) Name() string { return "HierarchicalLB" }
-
-// Rebalance implements Strategy.
-func (h HierarchicalLB) Rebalance(loads []RankLoad, numPEs int) []int {
-	g := h.PEsPerNode
-	if g <= 0 || g > numPEs {
-		g = numPEs
-	}
-	numNodes := (numPEs + g - 1) / g
-	nodeOf := func(pe int) int { return pe / g }
-
-	// Level 1: balance across nodes. Project ranks onto nodes and run
-	// the refine donation at node granularity.
-	nodeLoads := make([]RankLoad, len(loads))
-	for i, l := range loads {
-		nodeLoads[i] = RankLoad{VP: l.VP, PE: nodeOf(l.PE), Load: l.Load, Migratable: l.Migratable}
-	}
-	nodeAssign := GreedyRefineLB{}.Rebalance(nodeLoads, numNodes)
-
-	// Materialize node decisions as PE assignments: a rank that stays
-	// on its node keeps its PE; a mover lands on its new node's
-	// least-loaded PE (refined below anyway).
-	assign := make([]int, len(loads))
-	peLoad := make([]sim.Time, numPEs)
-	for i, l := range loads {
-		if nodeAssign[i] == nodeOf(l.PE) {
-			assign[i] = l.PE
-			peLoad[l.PE] += l.Load
-		} else {
-			assign[i] = -1
-		}
-	}
-	for i, l := range loads {
-		if assign[i] >= 0 {
-			continue
-		}
-		lo := nodeAssign[i] * g
-		hi := lo + g
-		if hi > numPEs {
-			hi = numPEs
-		}
-		best := lo
-		for pe := lo + 1; pe < hi; pe++ {
-			if peLoad[pe] < peLoad[best] {
-				best = pe
-			}
-		}
-		assign[i] = best
-		peLoad[best] += l.Load
-	}
-
-	// Level 2: refine within each node.
-	for n := 0; n < numNodes; n++ {
-		lo := n * g
-		hi := lo + g
-		if hi > numPEs {
-			hi = numPEs
-		}
-		var idx []int
-		var local []RankLoad
-		for i := range loads {
-			if assign[i] >= lo && assign[i] < hi {
-				idx = append(idx, i)
-				local = append(local, RankLoad{
-					VP: loads[i].VP, PE: assign[i] - lo,
-					Load: loads[i].Load, Migratable: loads[i].Migratable,
-				})
-			}
-		}
-		sub := GreedyRefineLB{}.Rebalance(local, hi-lo)
-		for j, i := range idx {
-			assign[i] = lo + sub[j]
-		}
-	}
-	return assign
-}
-
-// NullLB keeps every rank in place (baseline for ablations).
-type NullLB struct{}
-
-// Name implements Strategy.
-func (NullLB) Name() string { return "NullLB" }
-
-// Rebalance implements Strategy.
-func (NullLB) Rebalance(loads []RankLoad, numPEs int) []int {
-	assign := make([]int, len(loads))
-	for i, l := range loads {
-		assign[i] = l.PE
 	}
 	return assign
 }

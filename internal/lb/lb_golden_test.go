@@ -10,10 +10,10 @@ import (
 )
 
 // Golden-mapping tests: GreedyRefineLB is the strategy both the ADCIRC
-// runs and shrink recovery depend on, so its exact decisions on crafted
-// load vectors are pinned here. If the strategy changes, these goldens
-// change — update them only with the before/after Imbalance numbers in
-// hand.
+// runs and the elastic supervisor's reshapes depend on, so its exact
+// decisions on crafted load vectors are pinned here. If the strategy
+// changes, these goldens change — update them only with the
+// before/after Imbalance numbers in hand.
 
 func ms(n int64) sim.Time { return sim.Time(n) * sim.Time(time.Millisecond) }
 

@@ -10,26 +10,19 @@ import (
 // BalancerNames lists the strategies ParseBalancer accepts, in help
 // order.
 func BalancerNames() []string {
-	return []string{"greedy", "greedyrefine", "hierarchical", "rotate", "null"}
+	return []string{"greedyrefine", "rotate"}
 }
 
-// ParseBalancer maps a launcher flag value to a strategy. The empty
-// string selects no balancer; pesPerNode parameterizes the
-// hierarchical strategy's node grouping.
-func ParseBalancer(name string, pesPerNode int) (lb.Strategy, error) {
+// ParseBalancer maps a document's balancer name to a strategy. The
+// empty string selects no balancer.
+func ParseBalancer(name string) (lb.Strategy, error) {
 	switch name {
 	case "":
 		return nil, nil
-	case "greedy":
-		return lb.GreedyLB{}, nil
 	case "greedyrefine":
 		return lb.GreedyRefineLB{}, nil
-	case "hierarchical":
-		return lb.HierarchicalLB{PEsPerNode: pesPerNode}, nil
 	case "rotate":
 		return lb.RotateLB{}, nil
-	case "null":
-		return lb.NullLB{}, nil
 	default:
 		return nil, fmt.Errorf("scenario: unknown balancer %q (try %s)",
 			name, strings.Join(BalancerNames(), ", "))

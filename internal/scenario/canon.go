@@ -23,7 +23,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -57,14 +56,11 @@ func (s *Spec) declarativeErr() error {
 	if s.Tracer != nil {
 		fields = append(fields, "Tracer")
 	}
-	if s.Trigger != nil {
-		fields = append(fields, "Trigger")
-	}
 	if s.Machine.Cost != nil {
 		fields = append(fields, "Machine.Cost")
 	}
 	if s.Balancer != nil {
-		if _, _, err := balancerName(s.Balancer); err != nil {
+		if _, err := balancerName(s.Balancer); err != nil {
 			fields = append(fields, "Balancer")
 		}
 	}
@@ -75,21 +71,15 @@ func (s *Spec) declarativeErr() error {
 }
 
 // balancerName maps a strategy instance back to its ParseBalancer
-// name (and the hierarchical strategy's node-grouping parameter).
-func balancerName(b lb.Strategy) (name string, pesPerNode int, err error) {
-	switch v := b.(type) {
-	case lb.GreedyLB:
-		return "greedy", 0, nil
+// name.
+func balancerName(b lb.Strategy) (string, error) {
+	switch b.(type) {
 	case lb.GreedyRefineLB:
-		return "greedyrefine", 0, nil
-	case lb.HierarchicalLB:
-		return "hierarchical", v.PEsPerNode, nil
+		return "greedyrefine", nil
 	case lb.RotateLB:
-		return "rotate", 0, nil
-	case lb.NullLB:
-		return "null", 0, nil
+		return "rotate", nil
 	default:
-		return "", 0, fmt.Errorf("scenario: balancer %T has no registered name", b)
+		return "", fmt.Errorf("scenario: balancer %T has no registered name", b)
 	}
 }
 
@@ -138,7 +128,6 @@ type Document struct {
 	Workload   string                 `json:"workload,omitempty"`
 	Params     *WorkloadParams        `json:"workload_params,omitempty"`
 	Balancer   string                 `json:"balancer,omitempty"`
-	BalancerPE int                    `json:"balancer_pes_per_node,omitempty"`
 	Checkpoint *ampi.CheckpointPolicy `json:"checkpoint,omitempty"`
 	Churn      *ft.ChurnSpec          `json:"churn,omitempty"`
 	Faults     *ft.FaultSpec          `json:"faults,omitempty"`
@@ -204,17 +193,17 @@ func (s *Spec) doc(d *lowered) error {
 	d.Toolchain, d.OS = nonZero(&d.tc, s.Toolchain), nonZero(&d.os, s.OS)
 	d.Params = nonZero(&d.params, s.WorkloadParams)
 	if s.Balancer != nil {
-		name, pes, err := balancerName(s.Balancer)
+		name, err := balancerName(s.Balancer)
 		if err != nil {
 			return err
 		}
-		d.Balancer, d.BalancerPE = name, pes
+		d.Balancer = name
 	}
 	return nil
 }
 
 // MarshalJSON encodes the declarative Spec as its wire document. Specs
-// holding injected Go values (Program, Tracer, Trigger, a custom cost
+// holding injected Go values (Program, Tracer, a custom cost
 // model, an unregistered balancer) return a *NotDeclarativeError.
 func (s Spec) MarshalJSON() ([]byte, error) {
 	var d lowered
@@ -282,15 +271,9 @@ func (d *Document) Spec() (Spec, error) {
 	if d.Params != nil {
 		out.WorkloadParams = *d.Params
 	}
-	if d.BalancerPE != 0 && d.Balancer != "hierarchical" {
-		return Spec{}, errors.New("scenario: balancer_pes_per_node is read only by the hierarchical balancer")
-	}
-	if d.Balancer != "" {
-		b, err := ParseBalancer(d.Balancer, d.BalancerPE)
-		if err != nil {
-			return Spec{}, err
-		}
-		out.Balancer = b
+	out.Balancer, err = ParseBalancer(d.Balancer)
+	if err != nil {
+		return Spec{}, err
 	}
 	return out, nil
 }

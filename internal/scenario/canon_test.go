@@ -66,7 +66,7 @@ func fullSpec() Spec {
 		EnvPolicy:      EnvAdjust,
 		Workload:       "adcirc",
 		WorkloadParams: WorkloadParams{Quick: true},
-		Balancer:       lb.HierarchicalLB{PEsPerNode: 4},
+		Balancer:       lb.GreedyRefineLB{},
 		Checkpoint: &ampi.CheckpointPolicy{
 			Target:   ampi.TargetBuddy,
 			Interval: sim.Time(50 * time.Millisecond),
@@ -168,7 +168,7 @@ func TestSpecMarshalRejectsNonDeclarative(t *testing.T) {
 func TestSpecHashGolden(t *testing.T) {
 	golden := map[string]string{
 		"empty-default": "5aa25f2192d43e8a8057b78b95b7c0ad3518981d893790ecdb94761a73ab666b",
-		"full":          "1406dc244498c1a83f84436e73e4f7fc17041bdf1be5e38311e93aff6e01a060",
+		"full":          "6f7cb9b7e9aa7e4c23bb1e7baaa3568d7b32687a7667e96ecd3acf604ac47149",
 	}
 
 	specs := map[string]Spec{

@@ -159,7 +159,7 @@ func TestHasLBCannotBeSetFromTheWire(t *testing.T) {
 	// balancer.
 	balanced := without
 	var perr error
-	if balanced.Balancer, perr = scenario.ParseBalancer("greedyrefine", 0); perr != nil {
+	if balanced.Balancer, perr = scenario.ParseBalancer("greedyrefine"); perr != nil {
 		t.Fatal(perr)
 	}
 	h1, err := without.Hash()

@@ -14,8 +14,9 @@ import (
 var specDecodeSeeds = []string{
 	// The scripts/serve_smoke.sh point.
 	`{"workload":"empty","vps":4,"machine":{"nodes":2,"procs_per_node":1,"pes_per_proc":1},"method":"pieglobals"}`,
-	// Churn, a checkpoint policy and the parameterized balancer at once.
-	`{"machine":{"nodes":2,"procs_per_node":2,"pes_per_proc":2,"seed":7},"vps":16,"method":"tlsglobals","env_policy":"adjust","workload":"adcirc","workload_params":{"quick":true},"balancer":"hierarchical","balancer_pes_per_node":4,"checkpoint":{"target":"buddy","interval_ns":50000000},"churn":{"seed":7,"eviction_every_ns":20000000,"notice_ns":1000000000,"horizon_ns":400000000,"max_events":2},"placement":[0,1,2,3,4,5,6,7,0,1,2,3,4,5,6,7],"stack_size":1048576}`,
+	// Churn, a checkpoint policy and a balancer at once.
+	`{"machine":{"nodes":2,"procs_per_node":2,"pes_per_proc":2,"seed":7},"vps":16,"method":"tlsglobals","env_policy":"adjust","workload":"adcirc","workload_params":{"quick":true},"balancer":"greedyrefine","checkpoint":{"target":"buddy","interval_ns":50000000},"churn":{"seed":7,"eviction_every_ns":20000000,"notice_ns":1000000000,"horizon_ns":400000000,"max_events":2},"placement":[0,1,2,3,4,5,6,7,0,1,2,3,4,5,6,7],"stack_size":1048576}`,
+	everyKeySeed,
 	// A stack size that wraps the allocator's bounds arithmetic.
 	`{"workload":"empty","vps":4,"stack_size":18446744073709551615}`,
 	// A machine the model cannot hold: 30 M PEs, and a product that wraps.
@@ -41,13 +42,18 @@ var specDecodeSeeds = []string{
 	`{"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":1},"vps":1,"method":"pieglobals","env_policy":"adjust","workload":"adcirc"}`,
 }
 
+// everyKeySeed holds every key the wire carries: it is populatedSpec's
+// document (TestEveryKeySeedHoldsEveryWireKey).
+const everyKeySeed = `{"machine":{"nodes":4,"procs_per_node":1,"pes_per_proc":2,"seed":5},"vps":8,"method":"pieglobals","env_policy":"explicit","toolchain":{"supports_tls_seg_refs":true,"mpc_patched":true,"pie":true},"os":{"kind":"linux","glibc":true,"patched_glibc":true,"old_or_patched_linker":true,"shared_fs":true},"workload":"checkpointed","workload_params":{"quick":true,"grid":8,"iters":2,"heap_bytes":1048576},"balancer":"greedyrefine","checkpoint":{"target":"fs","interval_ns":32000000},"churn":{"seed":20,"arrival_every_ns":90000000,"eviction_every_ns":80000000,"notice_ns":120000000,"horizon_ns":200000000,"rolling_every_ns":60000000,"rolling_nodes":1,"max_events":2},"faults":{"seed":3,"mtbf_ns":120000000,"horizon_ns":1000000000},"placement":[0,1,2,3,4,5,6,7],"stack_size":1048576}`
+
 // refusedSpecSeeds are seed documents that must be refused: a
-// parameter the workload does not read, and a node grouping for a
-// balancer that has none, which does not even lower.
+// parameter the workload does not read, a balancer the wire does not
+// name, and a key no Spec field carries, which does not even lower.
 var refusedSpecSeeds = []string{
 	`{"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":1},"vps":2,"workload":"jacobi","workload_params":{"heap_bytes":1048576}}`,
 	`{"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":1},"vps":2,"workload":"adcirc","workload_params":{"grid":8}}`,
-	`{"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":2},"vps":4,"workload":"adcirc","balancer":"greedy","balancer_pes_per_node":7}`,
+	`{"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":2},"vps":4,"workload":"adcirc","balancer":"greedy"}`,
+	`{"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":2},"vps":4,"workload":"adcirc","balancer_pes_per_node":7}`,
 }
 
 // FuzzSpecDecode feeds the wire codec arbitrary bytes. Whatever decodes

@@ -392,46 +392,50 @@ func TestDecodedPointsShareNothing(t *testing.T) {
 	}
 }
 
-// A node grouping for any balancer but hierarchical, or a negative one,
-// refuses the body and names the key: it used to be accepted and run as
-// the point without it.
+// balancer_pes_per_node is an unknown key, beside a balancer or alone,
+// refused naming itself and its point. A balancer name the wire does
+// not accept is refused listing the two it does.
 func TestBalancerPEsPerNodeIsRefusedUnlessRead(t *testing.T) {
+	const point = `{"workload":"adcirc","vps":4,"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":2},%s}`
+	decode := func(keys string) error {
+		body := `{"points":[{"workload":"empty","vps":1,"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":1}},` + fmt.Sprintf(point, keys) + `]}`
+		_, err := DecodeRequest(strings.NewReader(body), nil)
+		return err
+	}
 	for _, keys := range []string{
-		`"balancer":"greedy","balancer_pes_per_node":7`,
+		`"balancer":"greedyrefine","balancer_pes_per_node":7`,
 		`"balancer_pes_per_node":7`,
-		`"balancer":"hierarchical","balancer_pes_per_node":-5`,
 	} {
-		body := `{"spec":{"workload":"adcirc","vps":4,"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":2},` + keys + `}}`
-		if _, err := DecodeRequest(strings.NewReader(body), nil); err == nil || !strings.Contains(err.Error(), "balancer_pes_per_node") {
-			t.Errorf("%s: %v, want a refusal naming balancer_pes_per_node", keys, err)
+		if err := decode(keys); err == nil || !strings.Contains(err.Error(), `point 1: json: unknown field "balancer_pes_per_node"`) {
+			t.Errorf("%s: %v, want point 1's unknown key balancer_pes_per_node", keys, err)
+		}
+	}
+	for _, name := range []string{"greedy", "hierarchical", "null"} {
+		want := fmt.Sprintf(`unknown balancer %q (try greedyrefine, rotate)`, name)
+		if err := decode(`"balancer":"` + name + `"`); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("balancer %q: %v, want %s", name, err, want)
 		}
 	}
 }
 
-// A hierarchical node grouping larger than the machine is refused as a
-// Balancer FieldError: the balancer clamps it to the PE count, so 4 and
-// 100 on a 4-PE machine were two hashes for one row. Under churn an
-// expansion can grow the machine past it, so there it stands.
+// A hierarchical node grouping is refused at any size, with or without
+// churn: the wire names neither the balancer nor its key.
 func TestHierarchicalGroupingBeyondTheMachineIsRefused(t *testing.T) {
 	const point = `{"workload":"adcirc","vps":8,"machine":{"nodes":1,"procs_per_node":1,"pes_per_proc":4},"balancer":"hierarchical"%s%s}`
 	const churn = `,"checkpoint":{"target":"buddy","interval_ns":50000000},"churn":{"seed":7,"eviction_every_ns":20000000,"notice_ns":1000000000,"horizon_ns":400000000,"max_events":2}`
-	decode := func(grouping, churn string) error {
-		_, err := DecodeRequest(strings.NewReader(`{"spec":`+fmt.Sprintf(point, grouping, churn)+`}`), nil)
-		return err
-	}
-	err := decode(`,"balancer_pes_per_node":100`, "")
-	var verr *ValidationError
-	if !errors.As(err, &verr) || len(verr.Errs) != 1 || verr.Errs[0].Field != "Balancer" ||
-		!strings.Contains(verr.Errs[0].Msg, "balancer_pes_per_node 100 exceeds the machine's 4 PEs") {
-		t.Fatalf("grouping 100 on 4 PEs: %v, want one Balancer FieldError", err)
-	}
 	for _, tc := range []struct{ grouping, churn string }{
+		{`,"balancer_pes_per_node":100`, ""},
 		{`,"balancer_pes_per_node":4`, ""},
 		{"", ""},
 		{`,"balancer_pes_per_node":100`, churn},
 	} {
-		if err := decode(tc.grouping, tc.churn); err != nil {
-			t.Errorf("grouping %q, churn %v: %v", tc.grouping, tc.churn != "", err)
+		want := `unknown field "balancer_pes_per_node"`
+		if tc.grouping == "" {
+			want = `unknown balancer "hierarchical"`
+		}
+		_, err := DecodeRequest(strings.NewReader(`{"spec":`+fmt.Sprintf(point, tc.grouping, tc.churn)+`}`), nil)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("grouping %q, churn %v: %v, want %s", tc.grouping, tc.churn != "", err, want)
 		}
 	}
 }

@@ -83,10 +83,8 @@ type Spec struct {
 	// images, result sinks, or per-rank main functions.
 	Program *ampi.Program
 
-	// Balancer, if set, runs at every AMPI_Migrate collective; Trigger
-	// optionally gates it.
+	// Balancer, if set, runs at every AMPI_Migrate collective.
 	Balancer lb.Strategy
-	Trigger  lb.Trigger
 	// Checkpoint, if set, is the policy Rank.CheckpointIfDue consults.
 	Checkpoint *ampi.CheckpointPolicy
 	// Churn, if set and enabled, runs the scenario under elastic
@@ -245,12 +243,6 @@ func (s *Spec) Validate() error {
 				break
 			}
 		}
-		// The balancer clamps a grouping past the PE count to the PE
-		// count, so two values would name one run; under churn an
-		// expansion can grow the machine past it.
-		if h, ok := s.Balancer.(lb.HierarchicalLB); ok && h.PEsPerNode > npes && s.Churn == nil {
-			add("Balancer", "balancer_pes_per_node %d exceeds the machine's %d PEs", h.PEsPerNode, npes)
-		}
 	}
 	if s.Churn != nil {
 		if err := s.Churn.Validate(); err != nil {
@@ -277,9 +269,6 @@ func (s *Spec) Validate() error {
 	}
 	if s.StackSize > mem.IsomallocRangeSize {
 		add("StackSize", "%d bytes exceed a rank's %d-byte Isomalloc range", s.StackSize, uint64(mem.IsomallocRangeSize))
-	}
-	if h, ok := s.Balancer.(lb.HierarchicalLB); ok && h.PEsPerNode < 0 {
-		add("Balancer", "balancer_pes_per_node %d is negative", h.PEsPerNode)
 	}
 
 	// Each workload parameter is read by the workload and in its range.
@@ -334,7 +323,6 @@ func (s *Spec) Config() (ampi.Config, error) {
 		OS:         osEnv,
 		StackSize:  s.StackSize,
 		Balancer:   s.Balancer,
-		Trigger:    s.Trigger,
 		Checkpoint: s.Checkpoint,
 		Placement:  s.Placement,
 		Tracer:     s.Tracer,

@@ -282,15 +282,15 @@ func TestConfigMatchesEngineDefaults(t *testing.T) {
 
 func TestParseBalancer(t *testing.T) {
 	for _, name := range scenario.BalancerNames() {
-		s, err := scenario.ParseBalancer(name, 4)
+		s, err := scenario.ParseBalancer(name)
 		if err != nil || s == nil {
 			t.Errorf("ParseBalancer(%q) = %v, %v", name, s, err)
 		}
 	}
-	if s, err := scenario.ParseBalancer("", 4); err != nil || s != nil {
+	if s, err := scenario.ParseBalancer(""); err != nil || s != nil {
 		t.Errorf("empty balancer should be nil, nil; got %v, %v", s, err)
 	}
-	if _, err := scenario.ParseBalancer("zigzag", 4); err == nil {
+	if _, err := scenario.ParseBalancer("zigzag"); err == nil {
 		t.Error("unknown balancer accepted")
 	}
 }
@@ -313,10 +313,9 @@ func TestWorkloadRegistry(t *testing.T) {
 	}
 }
 
-// A workload parameter the workload does not read, one past its bound
-// and a negative node grouping are refused, each naming its key. Quick
-// is read by every workload that has a reduced size and accepted by
-// all.
+// A workload parameter the workload does not read and one past its
+// bound are refused, each naming its key. Quick is read by every
+// workload that has a reduced size and accepted by all.
 func TestValidateRefusesUnreadOrOutOfRangeKeys(t *testing.T) {
 	for _, tc := range []struct {
 		workload string
@@ -335,9 +334,6 @@ func TestValidateRefusesUnreadOrOutOfRangeKeys(t *testing.T) {
 		sp.WorkloadParams = tc.params
 		wantField(t, sp.Validate(), "WorkloadParams", tc.key)
 	}
-	sp := scenario.DefaultSpec("adcirc")
-	sp.Balancer = lb.HierarchicalLB{PEsPerNode: -5}
-	wantField(t, sp.Validate(), "Balancer", "balancer_pes_per_node")
 	for _, name := range scenario.WorkloadNames() {
 		if sp := scenario.DefaultSpec(name); sp.Validate() != nil {
 			t.Errorf("%s refuses quick: %v", name, sp.Validate())

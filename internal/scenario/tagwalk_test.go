@@ -152,7 +152,7 @@ func populatedSpec() Spec {
 		RollingEvery: 60 * time.Millisecond, RollingNodes: 1, MaxEvents: 2,
 	}
 	sp.WorkloadParams = WorkloadParams{Quick: true, Grid: 8, Iters: 2, HeapBytes: 1 << 20}
-	sp.Balancer = lb.HierarchicalLB{PEsPerNode: 2}
+	sp.Balancer = lb.GreedyRefineLB{}
 	sp.Placement = []int{0, 1, 2, 3, 4, 5, 6, 7}
 	sp.StackSize = 1 << 20
 	env := explicitBase(sp.Method, sp.VPs)()
@@ -184,9 +184,8 @@ var tagWitnesses = map[string]witness{
 	"workload.heap_bytes": {"workload_params.heap_bytes", ballastBase, func(s *Spec) { s.WorkloadParams.HeapBytes = 1 << 20 }},
 	// Whether the workload is told it has a balancer is derived from
 	// the balancer, so dropping the balancer is what moves it.
-	"workload.has_lb":       {"balancer", adcircBase, func(s *Spec) { s.Balancer = nil }},
-	"balancer":              {"balancer", adcircBase, func(s *Spec) { s.Balancer = lb.RotateLB{} }},
-	"balancer.pes_per_node": {"balancer_pes_per_node", func() Spec { sp := adcircBase(); sp.Balancer = lb.HierarchicalLB{PEsPerNode: 2}; return sp }, func(s *Spec) { s.Balancer = lb.HierarchicalLB{PEsPerNode: 4} }},
+	"workload.has_lb": {"balancer", adcircBase, func(s *Spec) { s.Balancer = nil }},
+	"balancer":        {"balancer", adcircBase, func(s *Spec) { s.Balancer = lb.RotateLB{} }},
 
 	"checkpoint.target":      {"checkpoint.target", churnBase, func(s *Spec) { s.Checkpoint.Target = ampi.TargetBuddy }},
 	"checkpoint.interval_ns": {"checkpoint.interval_ns", churnBase, func(s *Spec) { s.Checkpoint.Interval = 16 * time.Millisecond }},
@@ -206,6 +205,21 @@ var tagWitnesses = map[string]witness{
 
 	"placement":  {"placement", emptyBase, func(s *Spec) { s.Placement = []int{0, 0, 0, 1} }},
 	"stack_size": {"stack_size", adcircBase, func(s *Spec) { s.StackSize = 2 << 20 }},
+}
+
+// FuzzSpecDecode's every-key seed holds each key populatedSpec's
+// document does, so the fuzzer starts from every key the wire carries.
+func TestEveryKeySeedHoldsEveryWireKey(t *testing.T) {
+	wire, err := json.Marshal(populatedSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := contentKeys(t, []byte(everyKeySeed))
+	for key := range contentKeys(t, wire) {
+		if _, ok := seed[key]; !ok {
+			t.Errorf("everyKeySeed lacks wire key %q", key)
+		}
+	}
 }
 
 func TestEveryCanonicalTagChangesTheRowOrIsRejected(t *testing.T) {

@@ -49,9 +49,9 @@ var unreachableKept = map[string]string{
 	"internal/trace.Table.NumRows":           "observation: row count of a rendered figure (trace, harness tests)",
 	"internal/ampi.FlatWorld.Dispatches":     "observation: engine events really dispatched, which the cascade oracle and the metrics tests pin (ampi, ampi_test)",
 
-	"internal/lb.ImbalanceTrigger":   "ablation: TestAblationLBTrigger, the adaptive balancing trigger",
-	"internal/scenario.Spec.Trigger": "ablation: TestAblationLBTrigger, the gate in front of the balancer",
-	"internal/machine.Config.Cost":   "ablation: TestAblationMigrationBandwidth and TestAblationJacobiNoHoisting, a cost model other than the default",
+	"internal/lb.ImbalanceTrigger": "ablation: TestAblationLBTrigger, the adaptive balancing trigger",
+	"internal/ampi.Config.Trigger": "ablation: TestAblationLBTrigger, the gate in front of the balancer",
+	"internal/machine.Config.Cost": "ablation: TestAblationMigrationBandwidth and TestAblationJacobiNoHoisting, a cost model other than the default",
 }
 
 // update rewrites benchOnlyGolden from the current tree.
