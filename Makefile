@@ -39,9 +39,11 @@ cover:
 # whichever sweep worker runs its world, so mem and core are checked
 # too. ult is here because its handoff is iter.Pull, which carries the
 # race detector's annotations: the kill/unwind and leak tests must hold
-# under them.
+# under them. The workloads are here because Jacobi's pool of rank
+# storage is shared by the worlds that concurrent sweep and serve
+# workers run.
 race:
-	$(GO) test -race ./internal/ult/... ./internal/sim/... ./internal/harness/... ./internal/ampi/... ./internal/ft/... ./internal/machine/... ./internal/lb/... ./internal/mem/... ./internal/core/... ./internal/serve/...
+	$(GO) test -race ./internal/ult/... ./internal/sim/... ./internal/harness/... ./internal/ampi/... ./internal/ft/... ./internal/machine/... ./internal/lb/... ./internal/mem/... ./internal/core/... ./internal/serve/... ./internal/workloads/...
 
 # Full race sweep over every package, as CI's race job runs it.
 race-full:
@@ -51,9 +53,10 @@ race-full:
 # flat-heap oracle, of ChurnSpec.Compile against its sort-then-truncate
 # oracle, of the Spec wire codec (decode, validate, hash, round trip),
 # of the result store's log index over arbitrary bytes and a record
-# appended after them, and of the linear match queues against the
-# hash-indexed ones they replaced: long enough to leave the seed corpus,
-# short enough for CI.
+# appended after them, of the linear match queues against the
+# hash-indexed ones they replaced, and of Jacobi's row-slice kernels
+# against the index-arithmetic ones: long enough to leave the seed
+# corpus, short enough for CI.
 fuzz-smoke:
 	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzSegmentView -fuzztime 10s
 	$(GO) test ./internal/ft -run '^$$' -fuzz FuzzChurnCompile -fuzztime 10s
@@ -61,6 +64,7 @@ fuzz-smoke:
 	$(GO) test ./internal/scenario -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 10s
 	$(GO) test ./internal/resultstore -run '^$$' -fuzz FuzzStoreLoad -fuzztime 10s
 	$(GO) test ./internal/ampi -run '^$$' -fuzz FuzzMatchQueue -fuzztime 10s
+	$(GO) test ./internal/workloads/jacobi -run '^$$' -fuzz FuzzJacobiSweep -fuzztime 10s
 
 # go vet, and no file gofmt would change.
 vet:

@@ -53,11 +53,12 @@ type RankContext struct {
 	// plan is the per-variable resolution every rank of the process
 	// shares; only what it resolves to is the rank's own.
 	plan *plan
-	// rcells memoizes, per variable, the segment word a segment-backed
-	// cell resolved to (and the heap block a store must dirty); an entry
-	// is valid while its epoch matches the context's. It is allocated by
-	// the first segment-backed resolve, so a rank whose accesses all
-	// reach its TLS block or heap cells holds none. See resolve.
+	// rcells memoizes, per variable, the heap block a store to a
+	// segment-backed cell must dirty and, once a store has resolved it,
+	// the segment word; an entry is valid while its epoch matches the
+	// context's. It is allocated by the first segment-backed access, so a
+	// rank whose accesses all reach its TLS block or heap cells holds
+	// none. See segmentCell.
 	rcells []segmentCell
 	// epoch versions every cached segment word: restore/migration bumps
 	// it, invalidating all cached resolutions at once.
@@ -81,7 +82,9 @@ type cellRef struct {
 // segment view (Word) rather than a slice the context holds.
 type segmentCell struct {
 	epoch uint64
-	cell  *uint64
+	// cell is the word a store resolved, nil until one has: a load reads
+	// through the view without materialising its granule.
+	cell *uint64
 	// blk is the heap block backing the cell, if any; stores touch it
 	// so incremental snapshots re-copy the block.
 	blk *mem.Block
@@ -119,8 +122,9 @@ func newContext(k Kind, p *plan, env *ProcessEnv, img *elf.Image, shared *elf.In
 // storage. Called whenever storage moves: migration restore.
 func (c *RankContext) invalidateResolutions() { c.epoch++ }
 
-// resolve returns the variable's storage cell, its per-access cost, and
-// the heap block a store must dirty (nil when none). TLS and heap-cell
+// resolve returns the variable's writable storage cell, its per-access
+// cost, and the heap block a store must dirty (nil when none): Store's
+// path, the only one that materialises a granule. TLS and heap-cell
 // slots are reached through the view and block the context holds, which
 // restore rebinds; a data-segment cell is reached through the segment's
 // view once per epoch and cached. A TLS slot is not cached: the cache
@@ -134,25 +138,69 @@ func (c *RankContext) resolve(v *elf.Var) (*uint64, sim.Time, *mem.Block) {
 	case storeHeapCell:
 		return &c.heapCells.Words[ref.slot], ref.cost, c.heapCells
 	}
+	sc := c.segmentCell(v, ref)
+	if sc.cell == nil {
+		sc.cell = c.instance(ref).Word(v.Index)
+	}
+	return sc.cell, ref.cost, sc.blk
+}
+
+// load reads the variable and returns its per-access cost without
+// materialising anything: a word whose granule the view does not own
+// yet is read from the segment's base.
+func (c *RankContext) load(v *elf.Var) (uint64, sim.Time) {
+	ref := &c.plan.cells[v.Index]
+	switch ref.kind {
+	case storeTLS:
+		return c.TLS.Load(ref.slot), ref.cost
+	case storeHeapCell:
+		return c.heapCells.Words[ref.slot], ref.cost
+	}
+	if sc := c.segmentCell(v, ref); sc.cell != nil {
+		return *sc.cell, ref.cost
+	}
+	return c.instance(ref).Seg.Load(v.Index), ref.cost
+}
+
+// dirtied returns the variable's per-access cost and the heap block a
+// store to it dirties (nil when none), reaching no cell.
+func (c *RankContext) dirtied(v *elf.Var) (sim.Time, *mem.Block) {
+	ref := &c.plan.cells[v.Index]
+	switch ref.kind {
+	case storeTLS:
+		return ref.cost, nil
+	case storeHeapCell:
+		return ref.cost, c.heapCells
+	}
+	return ref.cost, c.segmentCell(v, ref).blk
+}
+
+// segmentCell returns a data-segment variable's cache entry for the
+// current epoch. A fresh entry knows the heap block a store must dirty;
+// its cell stays nil until a store resolves it.
+func (c *RankContext) segmentCell(v *elf.Var, ref *cellRef) *segmentCell {
 	if c.rcells == nil {
 		c.rcells = make([]segmentCell, len(c.Img.Vars))
 	}
 	sc := &c.rcells[v.Index]
 	if sc.epoch != c.epoch {
-		sc.epoch, sc.blk = c.epoch, nil
-		if ref.kind == storeShared {
-			sc.cell = c.Shared.Word(v.Index)
-		} else {
-			sc.cell = c.Private.Word(v.Index)
-			if c.Private.Migratable {
-				// PIE private-segment cells live inside the duplicated
-				// data segment's heap block; stores must dirty it. A
-				// PiP/FS copy was mapped by the linker and has no block.
-				sc.blk = c.Heap.Lookup(c.Private.DataBase)
-			}
+		sc.epoch, sc.cell, sc.blk = c.epoch, nil, nil
+		if ref.kind == storePrivSeg && c.Private.Migratable {
+			// PIE private-segment cells live inside the duplicated
+			// data segment's heap block; stores must dirty it. A
+			// PiP/FS copy was mapped by the linker and has no block.
+			sc.blk = c.Heap.Lookup(c.Private.DataBase)
 		}
 	}
-	return sc.cell, ref.cost, sc.blk
+	return sc
+}
+
+// instance is the loaded instance holding a data-segment variable.
+func (c *RankContext) instance(ref *cellRef) *elf.Instance {
+	if ref.kind == storeShared {
+		return c.Shared
+	}
+	return c.Private
 }
 
 // Var returns an access handle for the named variable. Unknown names
@@ -212,12 +260,12 @@ func (h VarHandle) Addr() uint64 {
 // storage.
 func (h VarHandle) Load() uint64 {
 	c := h.ctx
-	cell, cost, _ := c.resolve(h.v)
+	val, cost := c.load(h.v)
 	if c.Thread != nil {
 		c.Thread.Advance(cost)
 	}
 	c.accesses++
-	return *cell
+	return val
 }
 
 // Store writes the variable, charging the method's access cost. Writing
@@ -246,7 +294,7 @@ func (h VarHandle) Store(val uint64) {
 // conservatively dirtied.
 func (h VarHandle) Charge(n uint64) {
 	c := h.ctx
-	_, cost, blk := c.resolve(h.v)
+	cost, blk := c.dirtied(h.v)
 	if c.Thread != nil {
 		c.Thread.Advance(sim.Time(n) * cost)
 	}

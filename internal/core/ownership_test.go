@@ -3,9 +3,12 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"provirt/internal/elf"
+	"provirt/internal/mem"
+	"provirt/internal/obs"
 )
 
 // tlsSlot returns the TLS block slot the context's plan gives the named
@@ -227,5 +230,44 @@ func TestContextWithoutSegmentCellsHoldsNoCache(t *testing.T) {
 	c.Load("ro")
 	if c.rcells == nil {
 		t.Error("a segment-backed load left no cache entry")
+	}
+}
+
+// TestLoadMaterialisesNoGranule: a load and a charge read through a
+// rank's copy-on-write views and materialise nothing, whether the cell
+// is in the rank's TLS block, the process's shared segment
+// (TLSglobals' untagged global) or the rank's private segment
+// (PIEglobals'). Only a store copies a granule out of the base.
+func TestLoadMaterialisesNoGranule(t *testing.T) {
+	for _, kind := range []Kind{KindTLSglobals, KindPIEglobals} {
+		t.Run(kind.String(), func(t *testing.T) {
+			img := testImage(t)
+			c := setup(t, kind, testEnv(t, false), img, 1).Contexts[0]
+			reg := obs.NewRegistry()
+			mem.EnableObs(reg)
+			defer mem.EnableObs(nil)
+			for _, name := range []string{"tg", "ug", "ts", "us", "ro"} {
+				want := img.VarByName(name).Init
+				if got := c.Load(name); got != want {
+					t.Errorf("%s loads %d, initialised %d", name, got, want)
+				}
+				c.Var(name).Charge(3)
+			}
+			var out strings.Builder
+			if err := reg.WriteText(&out); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(out.String(), "mem_segment_granules_materialized_total 0\n") {
+				t.Errorf("loads and charges materialised granules:\n%s", out.String())
+			}
+			c.Store("tg", 1)
+			out.Reset()
+			if err := reg.WriteText(&out); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(out.String(), "mem_segment_granules_materialized_total 1\n") {
+				t.Errorf("a store into the rank's fresh TLS block did not materialise one granule:\n%s", out.String())
+			}
+		})
 	}
 }
