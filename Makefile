@@ -29,9 +29,8 @@ cover:
 	$(GO) test -cover -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
 
-# The harness's sweep fan-out, the server's leader admission, the
-# per-world pools, and the parallel event loop (sim.ParallelEngine's
-# window workers) are the code that runs under parallelism; race-check
+# The harness's sweep fan-out, the server's leader admission and the
+# per-world pools are the code that runs under parallelism; race-check
 # the packages that exercise them (the ft supervisor runs inside the
 # parallel sweep fan-outs, and builds a new
 # machine and rebalance state for every attempt). Every rank's

@@ -185,6 +185,24 @@ func TestScaleRunDispatchesCrossDomainEdgesAndMigrations(t *testing.T) {
 	}
 }
 
+// The whole evaluation through the real binary at -parallel 4 prints
+// the results golden byte for byte. Workload images are built once per
+// process and shared by every sweep worker, so this also checks that
+// sharing them changes no byte.
+func TestEvaluationMatchesTheGoldenInParallel(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("..", "..", "internal", "harness", "testdata", "experiments.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, code := privbench(t, "", "-experiment=all -parallel 4")
+	if code != 0 {
+		t.Fatalf("privbench -experiment=all -parallel 4: exit status %d: %s", code, stderr)
+	}
+	if stdout != string(want) {
+		t.Errorf("privbench -experiment=all -parallel 4 (%d B) differs from experiments.golden (%d B)", len(stdout), len(want))
+	}
+}
+
 // Every flag privbench defines names the mode that reads it, in modes
 // or as an experiment's registry flag, and every name there is a flag.
 func TestEveryFlagHasAMode(t *testing.T) {

@@ -2,6 +2,7 @@ package ampi
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"provirt/internal/elf"
@@ -11,15 +12,13 @@ import (
 
 // flatOracle is the flat allreduce as it was written before same-domain
 // edges were applied in place: every tree edge, whatever domains its
-// ends sit in, is one engine event, dispatched in (time, stamp) order.
-// It is kept as the reference the cascade is held to — the claim that
-// arrival order cannot matter (DESIGN.md §11) is checked here rank by
-// rank, not argued. Delete it with the parallel engine (ROADMAP item
-// 2b): once nothing needs a second dispatch order to be compared
-// against, the cascade's own tests are enough.
+// ends sit in, is one engine event, dispatched in (time, scheduling
+// order). It is kept as the reference the cascade is held to — the
+// claim that arrival order cannot matter (DESIGN.md §11) is checked
+// here rank by rank, not argued.
 type flatOracle struct {
 	w                 *FlatWorld
-	reduceFn, bcastFn sim.TimedCall
+	reduceFn, bcastFn func(any)
 }
 
 func newFlatOracle(w *FlatWorld) *flatOracle {
@@ -31,16 +30,14 @@ func newFlatOracle(w *FlatWorld) *flatOracle {
 func (o *flatOracle) allreduce(bytes uint64) (sim.Time, error) {
 	w := o.w
 	w.begin()
-	for d := range w.doms {
-		w.doms[d].done = 0
-	}
+	w.done = 0
 	w.collBytes = bytes
 	for vp := range w.ranks {
 		if w.ranks[vp].pending == 0 {
-			o.reduceComplete(w.eng, &w.ranks[vp])
+			o.reduceComplete(&w.ranks[vp])
 		}
 	}
-	err := w.eng.Run(func() bool { return w.doneRanks() == len(w.ranks) })
+	err := w.eng.Run(func() bool { return w.done == len(w.ranks) })
 	if err != nil {
 		return 0, fmt.Errorf("oracle allreduce stalled: %w", err)
 	}
@@ -50,52 +47,52 @@ func (o *flatOracle) allreduce(bytes uint64) (sim.Time, error) {
 	return w.Time(), nil
 }
 
-func (o *flatOracle) reduceComplete(s sim.Sched, r *flatRank) {
+func (o *flatOracle) reduceComplete(r *flatRank) {
 	w := o.w
 	if r.parent < 0 {
-		o.bcastSend(s, r)
-		w.dom(r).done++
-		w.advance(r, r.clock)
+		o.bcastSend(r)
+		w.done++
+		w.advance(r.clock)
 		return
 	}
 	p := &w.ranks[r.parent]
 	depart := r.clock + w.Cluster.Cost.MsgSendOverhead
-	arrive := w.transfer(s, depart, w.pes[r.pe], w.pes[p.pe], w.collBytes)
+	arrive := w.Cluster.Transfer(depart, w.pes[r.pe], w.pes[p.pe], w.collBytes)
 	r.clock = depart
-	s.AtCallIn(int(w.domOf[p.pe]), arrive, o.reduceFn, p)
+	w.eng.AtCall(arrive, o.reduceFn, p)
 }
 
-func (o *flatOracle) reduceArrive(s sim.Sched, now sim.Time, arg any) {
+func (o *flatOracle) reduceArrive(arg any) {
 	p := arg.(*flatRank)
-	at := now + o.w.Cluster.Cost.MsgRecvOverhead
+	at := o.w.eng.Now() + o.w.Cluster.Cost.MsgRecvOverhead
 	if at > p.clock {
 		p.clock = at
 	}
 	if p.pending--; p.pending == 0 {
-		o.reduceComplete(s, p)
+		o.reduceComplete(p)
 	}
 }
 
-func (o *flatOracle) bcastSend(s sim.Sched, r *flatRank) {
+func (o *flatOracle) bcastSend(r *flatRank) {
 	w := o.w
 	rel := int(r.vp)
 	_, limit := binomialNode(rel, len(w.ranks))
 	for m := 1; m < limit && rel+m < len(w.ranks); m <<= 1 {
 		c := &w.ranks[rel+m]
 		r.clock += w.Cluster.Cost.MsgSendOverhead
-		arrive := w.transfer(s, r.clock, w.pes[r.pe], w.pes[c.pe], w.collBytes)
-		s.AtCallIn(int(w.domOf[c.pe]), arrive, o.bcastFn, c)
+		arrive := w.Cluster.Transfer(r.clock, w.pes[r.pe], w.pes[c.pe], w.collBytes)
+		w.eng.AtCall(arrive, o.bcastFn, c)
 	}
-	w.advance(r, r.clock)
+	w.advance(r.clock)
 }
 
-func (o *flatOracle) bcastArrive(s sim.Sched, now sim.Time, arg any) {
+func (o *flatOracle) bcastArrive(arg any) {
 	w := o.w
 	c := arg.(*flatRank)
-	c.clock = now + w.Cluster.Cost.MsgRecvOverhead
-	o.bcastSend(s, c)
-	w.dom(c).done++
-	w.advance(c, c.clock)
+	c.clock = w.eng.Now() + w.Cluster.Cost.MsgRecvOverhead
+	o.bcastSend(c)
+	w.done++
+	w.advance(c.clock)
 }
 
 func oracleImage() *elf.Image {
@@ -174,7 +171,7 @@ func TestFlatAllreduceMatchesPerEdgeOracle(t *testing.T) {
 						t.Fatalf("modelled %d arrivals, oracle dispatched %d, tree has %d edges",
 							n, edges, 2*(vps-1))
 					}
-					if len(got.doms) == 1 && got.Dispatches() != 0 {
+					if slices.Max(got.domOf) == 0 && got.Dispatches() != 0 {
 						t.Fatalf("one-domain world dispatched %d engine events, want 0", got.Dispatches())
 					}
 				})

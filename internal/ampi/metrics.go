@@ -20,7 +20,7 @@ type obsMetrics struct {
 	// flatInline and flatScheduled count the flat world's tree edges by
 	// path: applied to the peer in place, or carried by the event engine
 	// because they cross a lookahead domain. Added once per collective
-	// from the per-domain tallies, so an edge costs no atomic.
+	// from the world's own tallies, so an edge costs no atomic.
 	flatInline    *obs.Counter
 	flatScheduled *obs.Counter
 }

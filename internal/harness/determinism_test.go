@@ -1,7 +1,8 @@
 package harness_test
 
 import (
-	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 
@@ -60,40 +61,41 @@ func TestFig9ParallelSweepIsDeterministic(t *testing.T) {
 	}
 }
 
-// SimWorkers shards a single world's event loop across lookahead
-// domains (sim.ParallelEngine). The conservative-window protocol fires
-// events in the same (time, domain, seq) total order the serial
-// engine uses, so rows, tables, and the full trace byte stream must be
-// identical at every worker count. The scale experiment is the one
-// that actually shards (flat world, per-PE domains); pinning it here
-// is the harness-level end of the byte-identity chain that starts at
-// sim.TestParallelEngineMatchesSerial, at the 65 536 ranks the scale
-// experiment's -vps checks are pinned at.
+// TestScaleSimWorkersIsDeterministic pins the 65 536-rank scale run —
+// rows, table and the full trace, engine dispatches included — to
+// recorded digests, with the Opts.SimWorkers value the benchmark sets:
+// nothing reads it, so the bytes are the default run's.
 func TestScaleSimWorkersIsDeterministic(t *testing.T) {
-	const vps = 65536
-	run := func(workers int) (string, string, []byte) {
-		rec := trace.NewRecorder(append(trace.DefaultKinds(), trace.KindEngineEvent)...)
-		o := harness.Opts{
-			SimWorkers: workers,
-			Trace:      &harness.TraceSel{Point: "vps=65536", Rec: rec},
-		}
-		rows, tbl, err := harness.ScaleExperiment(o, vps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fmt.Sprintf("%#v", rows), tbl.String(), jsonl(t, rec)
+	const (
+		vps        = 65536
+		wantRows   = "d060d31fbcf392870889ab727a9cb2596aa00a4e3efde3ea458e618dcea0b8c3"
+		wantTable  = "47f63cb6b7ba6b9a6c3f46d8ae60d68f1fd6ad4c8e71b940334c4f55ae8b7ecb"
+		wantTrace  = "37b1fa3148b929c7d2f1a5c7923193216c85c9d2bdc5bf78dbcd36a457b52b33"
+		traceBytes = 15918559
+	)
+	rec := trace.NewRecorder(append(trace.DefaultKinds(), trace.KindEngineEvent)...)
+	o := harness.Opts{
+		SimWorkers: 2,
+		Trace:      &harness.TraceSel{Point: "vps=65536", Rec: rec},
 	}
-	serialRows, serialTbl, serialTrace := run(0)
-	for _, workers := range []int{1, 2, 8} {
-		rows, tbl, tr := run(workers)
-		if rows != serialRows {
-			t.Errorf("sim-workers=%d: scale rows diverge from serial:\nserial:   %s\nparallel: %s", workers, serialRows, rows)
-		}
-		if tbl != serialTbl {
-			t.Errorf("sim-workers=%d: scale table diverges from serial:\nserial:\n%s\nparallel:\n%s", workers, serialTbl, tbl)
-		}
-		if !bytes.Equal(tr, serialTrace) {
-			t.Errorf("sim-workers=%d: scale trace bytes diverge from serial (%d vs %d bytes)", workers, len(tr), len(serialTrace))
-		}
+	rows, tbl, err := harness.ScaleExperiment(o, vps)
+	if err != nil {
+		t.Fatal(err)
 	}
+	tr := jsonl(t, rec)
+	if got := digest(fmt.Sprintf("%#v", rows)); got != wantRows {
+		t.Errorf("rows digest %s, want %s:\n%#v", got, wantRows, rows)
+	}
+	if got := digest(tbl.String()); got != wantTable {
+		t.Errorf("table digest %s, want %s:\n%s", got, wantTable, tbl)
+	}
+	if got := digest(string(tr)); got != wantTrace || len(tr) != traceBytes {
+		t.Errorf("trace digest %s (%d bytes), want %s (%d bytes)", got, len(tr), wantTrace, traceBytes)
+	}
+}
+
+// digest is the hex SHA-256 of s.
+func digest(s string) string {
+	sum := sha256.Sum256([]byte(s))
+	return hex.EncodeToString(sum[:])
 }

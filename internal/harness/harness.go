@@ -38,11 +38,9 @@ type Opts struct {
 	// Trace selects one sweep point of the experiment to trace; nil
 	// runs untraced.
 	Trace *TraceSel
-	// SimWorkers is how many workers the scale experiment's flat world
-	// spreads its lookahead domains across (sim.ParallelEngine), with
-	// byte-identical output at every setting; 0 or 1 keeps the serial
-	// engine. A goroutine world is one domain and has no such option.
-	// No flag sets it; only the benchmark's parallel-engine probe does.
+	// SimWorkers is read by nothing: it stays only because the
+	// benchmark's sim.par2_* probe sets it, and goes with that probe
+	// (ROADMAP item 9).
 	SimWorkers int
 }
 

@@ -18,7 +18,8 @@ import (
 // It runs on the flat world (ampi.FlatWorld) — array-of-structs rank
 // records, tree-modeled collectives, no rank threads — which has no
 // Spec and so is the one world the harness builds outside
-// scenario.Spec.Execute, until ROADMAP decides the flat world's engine.
+// scenario.Spec.Execute, until ROADMAP decides the flat world's
+// future. It runs on the same single event engine as every other world.
 // The method is PIEglobals with shared code pages and read-only-data
 // COW, the configuration whose per-rank footprint matters at this size.
 
@@ -82,11 +83,10 @@ func ScaleExperiment(o Opts, vps int) ([]ScaleRow, *trace.Table, error) {
 	}
 	runtime.GC()
 	w, err := ampi.NewFlatWorld(ampi.FlatConfig{
-		Machine:    machineShape(1, 1, 8),
-		VPs:        vps,
-		Image:      scaleImage(),
-		Tracer:     o.Trace.tracer(fmt.Sprintf("vps=%d", vps)),
-		SimWorkers: o.SimWorkers,
+		Machine: machineShape(1, 1, 8),
+		VPs:     vps,
+		Image:   scaleImage(),
+		Tracer:  o.Trace.tracer(fmt.Sprintf("vps=%d", vps)),
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("scale: %w", err)

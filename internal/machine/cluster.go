@@ -157,17 +157,18 @@ func (cl *Cluster) Processes() []*Process {
 	return out
 }
 
-// DomainPlan partitions the cluster's PEs into conservative-lookahead
-// domains for parallel simulation: domains follow the coarsest machine
-// tier with more than one unit — one domain per node on a multi-node
-// machine, else per process, else per PE — so the cheapest link that
-// can cross a domain boundary is as slow as the machine allows.
-// It returns the per-PE domain assignment (indexed by global PE id),
-// the domain count, and the lookahead bound: the minimum latency of
-// any cross-domain link. When the natural unit count exceeds
-// sim.MaxDomains, contiguous units share a domain; merging whole units
-// only removes boundaries, so the bound still holds.
-func (cl *Cluster) DomainPlan() (domOf []int32, ndom int, lookahead time.Duration) {
+// maxDomains caps DomainPlan's domain count. Contiguous units merged
+// into one domain keep their edges in place, so on a machine past the
+// cap it also bounds how many tree edges become engine events.
+const maxDomains = 256
+
+// DomainPlan partitions the cluster's PEs into lookahead domains:
+// domains follow the coarsest machine tier with more than one unit —
+// one domain per node on a multi-node machine, else per process, else
+// per PE. It returns the per-PE domain assignment, indexed by global PE
+// id. When the natural unit count exceeds maxDomains, contiguous units
+// share a domain.
+func (cl *Cluster) DomainPlan() []int32 {
 	pes := cl.pes
 	nodes, procs := len(cl.Nodes), len(cl.Processes())
 	// unitOf maps each PE to its partition unit at the chosen tier.
@@ -179,29 +180,23 @@ func (cl *Cluster) DomainPlan() (domOf []int32, ndom int, lookahead time.Duratio
 		for i, pe := range pes {
 			unitOf[i] = pe.Proc.Node.ID
 		}
-		lookahead = cl.Cost.MinLatencyAcross(false, false)
 	case procs > 1:
 		units = procs
 		for i, pe := range pes {
 			unitOf[i] = pe.Proc.ID
 		}
-		lookahead = cl.Cost.MinLatencyAcross(true, false)
 	default:
 		units = len(pes)
 		for i := range pes {
 			unitOf[i] = i
 		}
-		lookahead = cl.Cost.MinLatencyAcross(true, true)
 	}
-	ndom = units
-	if ndom > sim.MaxDomains {
-		ndom = sim.MaxDomains
-	}
-	domOf = make([]int32, len(pes))
+	ndom := min(units, maxDomains)
+	domOf := make([]int32, len(pes))
 	for i, u := range unitOf {
 		domOf[i] = int32(u * ndom / units)
 	}
-	return domOf, ndom, lookahead
+	return domOf
 }
 
 // TransferTime returns the network cost of moving n bytes from PE a to

@@ -155,31 +155,6 @@ func Default() *CostModel {
 	}
 }
 
-// MinLatencyAcross reports the smallest latency of any link that can
-// cross a partition boundary when PEs are grouped at the given machine
-// tier: grouping by node leaves only inter-node links crossing;
-// grouping by process adds intra-node links; grouping by PE (or any
-// finer split) can cross every tier. This is the conservative lookahead
-// bound parallel simulation uses — no cross-domain event can arrive
-// sooner than the cheapest link that joins two domains.
-//
-// tier follows the trace tier constants via the sameNode/sameProc
-// geometry: pass the coarsest relation still shared inside one domain.
-func (c *CostModel) MinLatencyAcross(sameNode, sameProc bool) time.Duration {
-	min := c.InterNodeLatency
-	if sameNode {
-		if c.IntraNodeLatency < min {
-			min = c.IntraNodeLatency
-		}
-	}
-	if sameProc {
-		if c.SharedMemLatency < min {
-			min = c.SharedMemLatency
-		}
-	}
-	return min
-}
-
 // CopyTime returns the virtual time to memcpy n bytes within a process.
 func (c *CostModel) CopyTime(n uint64) time.Duration {
 	return time.Duration(float64(n) / c.MemcpyBandwidth * float64(time.Second))

@@ -145,25 +145,31 @@ func TestCostModelHelpers(t *testing.T) {
 }
 
 // TestDomainPlan pins the lookahead domains the flat world runs on: the
-// coarsest machine tier with more than one unit, and the cheapest link
-// that crosses it.
+// coarsest machine tier with more than one unit.
 func TestDomainPlan(t *testing.T) {
 	for _, c := range []struct {
-		cfg       Config
-		want      string
-		lookahead time.Duration
+		cfg  Config
+		want string
 	}{
-		{Config{Nodes: 4, ProcsPerNode: 1, PEsPerProc: 2}, "[0 0 1 1 2 2 3 3]", Default().MinLatencyAcross(false, false)},
-		{Config{Nodes: 1, ProcsPerNode: 2, PEsPerProc: 2}, "[0 0 1 1]", Default().MinLatencyAcross(true, false)},
-		{Config{Nodes: 1, ProcsPerNode: 1, PEsPerProc: 3}, "[0 1 2]", Default().MinLatencyAcross(true, true)},
+		{Config{Nodes: 4, ProcsPerNode: 1, PEsPerProc: 2}, "[0 0 1 1 2 2 3 3]"},
+		{Config{Nodes: 1, ProcsPerNode: 2, PEsPerProc: 2}, "[0 0 1 1]"},
+		{Config{Nodes: 1, ProcsPerNode: 1, PEsPerProc: 3}, "[0 1 2]"},
 	} {
 		cl, err := New(c.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dom, ndom, la := cl.DomainPlan()
-		if got := fmt.Sprint(dom); got != c.want || ndom != int(dom[len(dom)-1])+1 || la != c.lookahead {
-			t.Errorf("%+v: plan (%s, %d, %v), want (%s, %v)", c.cfg, got, ndom, la, c.want, c.lookahead)
+		if got := fmt.Sprint(cl.DomainPlan()); got != c.want {
+			t.Errorf("%+v: plan %s, want %s", c.cfg, got, c.want)
 		}
+	}
+	// Past maxDomains units, contiguous units share a domain.
+	cl, err := New(Config{Nodes: 300, ProcsPerNode: 1, PEsPerProc: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dom := cl.DomainPlan()
+	if len(dom) != 300 || dom[0] != 0 || dom[1] != 0 || dom[2] != 1 || dom[299] != maxDomains-1 {
+		t.Errorf("300 nodes: plan %v, want 256 domains, contiguous", dom)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -215,15 +216,23 @@ func TestDiskHitAllocatesItsPayload(t *testing.T) {
 	if n := testing.AllocsPerRun(100, hits); n != 2 {
 		t.Errorf("two disk hits: %v allocations, want 2", n)
 	}
-	const runs = 100
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		hits()
+	// TotalAlloc counts the whole process, so another goroutine of the
+	// test binary allocating during a round only adds bytes to it. The
+	// smallest of several rounds is this loop's own: an extra
+	// allocation of the store's would show in every round.
+	const runs, rounds = 100, 5
+	least := uint64(math.MaxUint64)
+	for range rounds {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			hits()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
-	runtime.ReadMemStats(&after)
-	if got, want := after.TotalAlloc-before.TotalAlloc, uint64(runs*2*len(payload)); got != want {
-		t.Errorf("%d disk hits allocated %d B, want their payloads' %d B", 2*runs, got, want)
+	if want := uint64(runs * 2 * len(payload)); least != want {
+		t.Errorf("%d disk hits allocated at least %d B in each of %d rounds, want their payloads' %d B", 2*runs, least, rounds, want)
 	}
 }
 

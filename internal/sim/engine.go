@@ -27,48 +27,13 @@ import (
 type Time = time.Duration
 
 // node is the pooled representation of one scheduled callback. Exactly one
-// of fn, call, and tcall is set.
+// of fn and call is set.
 type node struct {
-	at    Time
-	seq   uint64
-	fn    func()
-	call  func(any)
-	tcall TimedCall
-	arg   any
-	dom   int32 // lookahead domain (0 when domains are off)
-}
-
-// TimedCall is the callback form domain-aware scheduling uses: it
-// receives the scheduler context it may schedule follow-up events on
-// and the event's own timestamp. Passing both explicitly is what lets
-// the same callback run under the serial Engine and under a
-// ParallelEngine shard, where a global "now" does not exist.
-type TimedCall = func(s Sched, now Time, arg any)
-
-// Dispatcher is the engine surface a world drives when it should run
-// on either clock implementation: scheduling (Sched), bulk pre-sizing,
-// and the run loop. Engine and ParallelEngine both implement it.
-type Dispatcher interface {
-	Sched
-	Reserve(n int)
-	Run(done func() bool) error
-	EventsFired() uint64
-}
-
-// Sched is the scheduling surface an event callback sees. The serial
-// Engine implements it directly; ParallelEngine hands each callback a
-// per-domain view that routes cross-domain insertions through the
-// window mailboxes.
-type Sched interface {
-	// AtCallIn schedules call(s, t, arg) at absolute virtual time t in
-	// the given lookahead domain. From inside a callback, a cross-domain
-	// t must be at least one lookahead past the current window horizon.
-	AtCallIn(dom int, t Time, call TimedCall, arg any)
-	// Tracer returns the tracer run-phase emissions must go through so
-	// they merge into the deterministic per-event stream (nil when the
-	// run is untraced). Under the parallel engine this is a per-domain
-	// window buffer, not the user's tracer.
-	Tracer() trace.Tracer
+	at   Time
+	seq  uint64
+	fn   func()
+	call func(any)
+	arg  any
 }
 
 // Engine owns the virtual clock and the pending event queue. Events with
@@ -77,8 +42,10 @@ type Sched interface {
 //
 // The engine is not safe for concurrent use; the whole simulation runs on a
 // single logical thread (rank user-level threads hand control back and forth
-// with the engine through package ult). Independent engines are fully
-// isolated and may run on distinct goroutines.
+// with the engine through package ult, and the flat world's records are
+// updated from its callbacks). It is the only clock: every world, of
+// either kind, runs on one. Independent engines are fully isolated and may
+// run on distinct goroutines, one per sweep point.
 type Engine struct {
 	now    Time
 	seq    uint64
@@ -86,23 +53,6 @@ type Engine struct {
 	free   []*node
 	fired  uint64
 	halted bool
-
-	// Domain mode (EnableDomains). domains == 0 is plain mode: seq is a
-	// single insertion counter and ties fire in scheduling order. With
-	// domains on, seq becomes the composite key
-	//
-	//	dom<<56 | src<<40 | count
-	//
-	// where dom is the event's target domain, src identifies its creator
-	// (0 for events scheduled outside any callback, d+1 for events
-	// created while domain d was dispatching), and count is the
-	// creator's monotone creation counter (srcSeq[src]). Under (at, seq)
-	// this orders ties by (domain, creator, creation order) — a total
-	// order both the serial engine and the sharded ParallelEngine can
-	// compute locally, which is what makes the two byte-identical.
-	domains int
-	curSrc  int32 // srcSeq slot creations stamp from; 0 outside dispatch
-	srcSeq  []uint64
 
 	// tracer, when non-nil, receives one KindEngineEvent per dispatch.
 	// The nil default keeps Step's dispatch loop hook-free apart from a
@@ -117,47 +67,6 @@ func NewEngine() *Engine {
 
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
-
-// MaxDomains is the largest domain count EnableDomains accepts: the
-// composite seq key gives the domain 8 bits.
-const MaxDomains = 256
-
-// EnableDomains switches the engine to domain-stamped tie order (see
-// the Engine doc) with n lookahead domains. It must be called before
-// anything is scheduled: mixing plain and composite seq values would
-// make the tie order meaningless.
-func (e *Engine) EnableDomains(n int) {
-	if n < 1 || n > MaxDomains {
-		panic(fmt.Sprintf("sim: domain count %d out of range [1,%d]", n, MaxDomains))
-	}
-	if e.seq != 0 || e.fired != 0 || len(e.queue) != 0 {
-		panic("sim: EnableDomains after scheduling began")
-	}
-	e.domains = n
-	e.srcSeq = make([]uint64, n+1)
-}
-
-// stamp assigns the next seq value for an event targeting dom.
-func (e *Engine) stamp(dom int32) uint64 {
-	if e.domains == 0 {
-		s := e.seq
-		e.seq++
-		return s
-	}
-	src := e.curSrc
-	cnt := e.srcSeq[src]
-	e.srcSeq[src] = cnt + 1
-	return uint64(dom)<<56 | uint64(src)<<40 | cnt
-}
-
-// curDom reports the domain untargeted scheduling (At/AtCall)
-// lands in: the dispatching event's own domain, or 0 outside dispatch.
-func (e *Engine) curDom() int32 {
-	if e.curSrc > 0 {
-		return e.curSrc - 1
-	}
-	return 0
-}
 
 // Reserve pre-sizes the engine for a workload that will keep about n
 // events in flight: the queue gets capacity up front and the free list
@@ -184,9 +93,6 @@ func (e *Engine) EventsFired() uint64 { return e.fired }
 // SetTracer installs (or, with nil, removes) the dispatch tracer.
 func (e *Engine) SetTracer(t trace.Tracer) { e.tracer = t }
 
-// Tracer returns the installed tracer (Sched).
-func (e *Engine) Tracer() trace.Tracer { return e.tracer }
-
 // alloc takes a node from the free list, or makes one.
 func (e *Engine) alloc() *node {
 	if n := len(e.free); n > 0 {
@@ -204,7 +110,6 @@ func (e *Engine) alloc() *node {
 func (e *Engine) release(nd *node) {
 	nd.fn = nil
 	nd.call = nil
-	nd.tcall = nil
 	nd.arg = nil
 	e.free = append(e.free, nd)
 }
@@ -224,9 +129,8 @@ func (e *Engine) At(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: event scheduled at %v, before now %v", t, e.now))
 	}
 	nd := e.alloc()
-	nd.at, nd.fn = t, fn
-	nd.dom = e.curDom()
-	nd.seq = e.stamp(nd.dom)
+	nd.at, nd.seq, nd.fn = t, e.seq, fn
+	e.seq++
 	e.push(nd)
 }
 
@@ -239,36 +143,8 @@ func (e *Engine) AtCall(t Time, call func(any), arg any) {
 		panic(fmt.Sprintf("sim: event scheduled at %v, before now %v", t, e.now))
 	}
 	nd := e.alloc()
-	nd.at, nd.call, nd.arg = t, call, arg
-	nd.dom = e.curDom()
-	nd.seq = e.stamp(nd.dom)
-	e.push(nd)
-}
-
-// AtCallIn schedules call(e, t, arg) at absolute virtual time t in
-// lookahead domain dom (Sched). On the serial engine the domain only
-// feeds the tie-order stamp; under a ParallelEngine the same call
-// routes the event to that domain's shard.
-func (e *Engine) AtCallIn(dom int, t Time, call TimedCall, arg any) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: event scheduled at %v, before now %v", t, e.now))
-	}
-	nd := e.alloc()
-	nd.at, nd.tcall, nd.arg, nd.dom = t, call, arg, int32(dom)
-	nd.seq = e.stamp(nd.dom)
-	e.push(nd)
-}
-
-// pushStamped schedules a timed callback whose seq was computed by the
-// caller — the ParallelEngine's delivery path for external scheduling
-// and for cross-domain mailbox drains, where the stamp's creation
-// counter belongs to another shard.
-func (e *Engine) pushStamped(t Time, seq uint64, dom int32, call TimedCall, arg any) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: event scheduled at %v, before now %v", t, e.now))
-	}
-	nd := e.alloc()
-	nd.at, nd.seq, nd.tcall, nd.arg, nd.dom = t, seq, call, arg, dom
+	nd.at, nd.seq, nd.call, nd.arg = t, e.seq, call, arg
+	e.seq++
 	e.push(nd)
 }
 
@@ -362,19 +238,15 @@ func (e *Engine) Step() bool {
 	if e.tracer != nil {
 		e.tracer.Emit(trace.Event{Time: e.now, Kind: trace.KindEngineEvent, PE: -1, VP: -1, Peer: -1})
 	}
-	fn, call, tcall, arg, dom := nd.fn, nd.call, nd.tcall, nd.arg, nd.dom
+	fn, call, arg := nd.fn, nd.call, nd.arg
 	// Recycle before running the callback, so it can immediately reuse
 	// the node for what it schedules.
 	e.release(nd)
-	e.curSrc = dom + 1
 	if fn != nil {
 		fn()
-	} else if call != nil {
-		call(arg)
 	} else {
-		tcall(e, e.now, arg)
+		call(arg)
 	}
-	e.curSrc = 0
 	return true
 }
 

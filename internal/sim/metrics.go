@@ -23,25 +23,6 @@ type obsMetrics struct {
 	// counts nodes newly allocated. Steady state should be all reuse.
 	nodeReuse  *obs.Counter
 	nodeAllocs *obs.Counter
-
-	// Parallel-engine window protocol. All of these are folded in at
-	// window barriers from shard-local counters, so the per-event hot
-	// loop never touches a shared atomic; totals are sums and therefore
-	// deterministic at any worker count.
-
-	// windows counts conservative-window advances.
-	windows *obs.Counter
-	// windowEvents observes events fired per window across all domains
-	// — the grain size the barrier cost amortizes over.
-	windowEvents *obs.Histogram
-	// domainWindowEvents observes one active domain's fired count per
-	// window — the load-balance signal across domains.
-	domainWindowEvents *obs.Histogram
-	// crossDomainEvents counts events routed through window mailboxes.
-	crossDomainEvents *obs.Counter
-	// idleDomainWindows counts domain-windows spent waiting at the
-	// barrier with no event under the horizon (stalls).
-	idleDomainWindows *obs.Counter
 }
 
 var metrics obsMetrics
@@ -64,17 +45,5 @@ func EnableObs(r *obs.Registry) {
 			"event nodes recycled from an engine free list"),
 		nodeAllocs: r.Counter("sim_event_node_allocs_total",
 			"event nodes newly allocated (free list empty)"),
-		windows: r.Counter("sim_windows_total",
-			"conservative-window advances across all parallel engines"),
-		windowEvents: r.Histogram("sim_window_events",
-			"events fired per conservative window (all domains)",
-			obs.ExpBuckets(1, 4, 12)),
-		domainWindowEvents: r.Histogram("sim_domain_window_events",
-			"events fired per domain per conservative window",
-			obs.ExpBuckets(1, 4, 12)),
-		crossDomainEvents: r.Counter("sim_cross_domain_events_total",
-			"events routed between domains through window mailboxes"),
-		idleDomainWindows: r.Counter("sim_domain_idle_windows_total",
-			"domain-windows stalled at the barrier with no runnable event"),
 	}
 }
