@@ -30,7 +30,8 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -1
 
 # The harness's sweep fan-out, the server's leader admission and the
-# per-world pools are the code that runs under parallelism; race-check
+# message scratch and event queues that worlds hand on through
+# sync.Pool are the code that runs under parallelism; race-check
 # the packages that exercise them (the ft supervisor runs inside the
 # parallel sweep fan-outs, and builds a new
 # machine and rebalance state for every attempt). Every rank's

@@ -12,9 +12,9 @@ import (
 
 // BenchmarkAmpiPingPong measures the point-to-point hot path: one
 // round trip of a small payload between two ranks on one PE per
-// iteration. Event nodes, envelopes, payloads and requests are pooled
-// and each receive lands in the caller's buffer, so it reports 0
-// allocs/op; TestMessagePathAllocatesNothing is the test that holds it.
+// iteration. The engine's queue holds events by value, envelopes,
+// payloads and requests are pooled and each receive lands in the
+// caller's buffer, so it reports 0 allocs/op; TestMessagePathAllocatesNothing is the test that holds it.
 func BenchmarkAmpiPingPong(b *testing.B) {
 	prog := &ampi.Program{
 		Image: synth.EmptyImage(),
@@ -147,5 +147,19 @@ func BenchmarkAllreduce(b *testing.B) {
 				b.Fatal(err)
 			}
 		})
+	}
+}
+
+// BenchmarkWarmWorld builds and runs switch_msg's 64-rank Jacobi world
+// once per iteration after a first, untimed one, so B/op and allocs/op
+// are what a warm world allocates: every world after the first runs on
+// the message scratch and event queue the one before it gave back.
+// TestWarmWorldAllocationBudget holds its bytes per rank.
+func BenchmarkWarmWorld(b *testing.B) {
+	runSwitchWorld(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runSwitchWorld(b)
 	}
 }

@@ -39,7 +39,7 @@ func (r *Rank) allreduce(code int32, data []float64, op *Op) []float64 {
 	if acc != nil {
 		// Only the root holds a reduction result here, and bcast has
 		// copied it into the outgoing payloads and out.
-		r.world.releaseAfterOp(op, acc)
+		r.world.pool().releaseAfterOp(op, acc)
 	}
 	if tr != nil {
 		tr.Emit(trace.Event{Time: start, Dur: r.thread.Now() - start, Kind: trace.KindColl,
@@ -52,22 +52,22 @@ func (r *Rank) allreduce(code int32, data []float64, op *Op) []float64 {
 // at rank 0, children's subtrees largest first, and returns the result
 // at rank 0 (nil elsewhere).
 func (r *Rank) reduce(data []float64, op *Op) []float64 {
-	w, size := r.world, r.Size()
+	w, s, size := r.world, r.world.pool(), r.Size()
 	tag := r.nextCollTag()
-	acc := w.copyBuf(data)
+	acc := s.copyBuf(data)
 	parent, limit := binomialNode(r.vp, size)
 	top := 0
 	for m := 1; m < limit && r.vp+m < size; m <<= 1 {
 		top = m
 	}
 	for m := top; m > 0; m >>= 1 {
-		part := r.Wait(r.irecv(r.vp+m, tag, w.getBuf(len(data))))
+		part := r.Wait(r.irecv(r.vp+m, tag, s.getBuf(len(data))))
 		acc = w.applyOp(op, r, part, acc)
-		w.releaseAfterOp(op, part)
+		s.releaseAfterOp(op, part)
 	}
 	if parent >= 0 {
 		r.sendMsg(parent, tag, acc, 0)
-		w.releaseAfterOp(op, acc)
+		s.releaseAfterOp(op, acc)
 		return nil
 	}
 	return acc

@@ -106,8 +106,12 @@ func (w *World) runBalancer() {
 // wakeAt resumes a suspended rank at virtual time t on its current
 // scheduler.
 func (w *World) wakeAt(r *Rank, t sim.Time) {
-	w.Cluster.Engine.At(t, func() { r.thread.Wake() })
+	w.Cluster.Engine.AtCall(t, wakeRank, r)
 }
+
+// wakeRank is wakeAt's trampoline: the rank is the event's argument, so
+// a wake-up allocates no closure.
+func wakeRank(x any) { x.(*Rank).thread.Wake() }
 
 // migrateRank hands a rank off, charges the transfer, and lands it on
 // the destination PE.

@@ -17,8 +17,8 @@ const (
 )
 
 // message is one point-to-point payload in flight or queued. Envelopes
-// and payloads are pooled per world: once matching copies the payload
-// into the receive buffer, both are recycled.
+// and payloads come from the world's scratch set (pool.go): once
+// matching copies the payload into the receive buffer, both go back.
 type message struct {
 	src   int // world rank
 	tag   int // >= 0 from Send; < 0 for collective plumbing
@@ -27,9 +27,9 @@ type message struct {
 	dst   *Rank // receiver, so delivery events need no closure
 }
 
-// Request is a posted receive's handle (MPI_Request). Requests are
-// pooled per world: Wait frees one, and the handle must not be used
-// again.
+// Request is a posted receive's handle (MPI_Request). Requests come
+// from the world's scratch set: Wait frees one, and the handle must not
+// be used again.
 type Request struct {
 	rank     *Rank
 	src, tag int
@@ -122,8 +122,9 @@ func (r *Rank) sendMsg(dst, tag int, data []float64, bytes uint64) {
 	}
 	r.thread.Advance(w.Cluster.Cost.MsgSendOverhead)
 	dstRank := w.Ranks[dst]
-	m := w.msgFree.get()
-	m.src, m.tag, m.bytes, m.data, m.dst = r.vp, tag, bytes, w.copyBuf(data), dstRank
+	s := w.pool()
+	m := s.msgs.get()
+	m.src, m.tag, m.bytes, m.data, m.dst = r.vp, tag, bytes, s.copyBuf(data), dstRank
 	depart := r.thread.Now()
 	if w.tracer != nil {
 		w.tracer.Emit(trace.Event{Time: depart, Kind: trace.KindSendPost,
@@ -135,8 +136,8 @@ func (r *Rank) sendMsg(dst, tag int, data []float64, bytes uint64) {
 }
 
 // deliverMsg is the shared delivery trampoline: the message itself
-// carries its destination, so scheduling a delivery allocates neither
-// a closure nor an event node (both are pooled).
+// carries its destination, so scheduling a delivery allocates no
+// closure.
 func deliverMsg(x any) {
 	m := x.(*message)
 	m.dst.deliver(m)
@@ -155,8 +156,9 @@ func (r *Rank) complete(q *Request, m *message) {
 	q.buf = q.buf[:copy(q.buf, m.data)]
 	q.gotSrc, q.gotTag = m.src, m.tag
 	q.done = true
-	w.putBuf(m.data)
-	w.msgFree.put(m)
+	s := w.pool()
+	s.putBuf(m.data)
+	s.msgs.put(m)
 }
 
 // deliver lands a message at the rank (runs as an engine event). A
@@ -200,7 +202,7 @@ func (r *Rank) Irecv(src, tag int, buf []float64) *Request {
 // completes at once against a queued message, else posts the request.
 func (r *Rank) irecv(src, tag int, buf []float64) *Request {
 	w := r.world
-	q := w.reqFree.get()
+	q := w.pool().reqs.get()
 	q.rank, q.src, q.tag, q.buf = r, src, tag, buf
 	if w.tracer != nil {
 		w.tracer.Emit(trace.Event{Time: r.thread.Now(), Kind: trace.KindRecvPost,
@@ -244,7 +246,7 @@ func (r *Rank) Wait(q *Request) []float64 {
 	}
 	r.thread.Advance(r.world.Cluster.Cost.MsgRecvOverhead)
 	out := q.buf
-	r.world.reqFree.put(q)
+	r.world.pool().reqs.put(q)
 	return out
 }
 

@@ -148,10 +148,9 @@ type World struct {
 	// world with a *Reconfigure error.
 	reconfigPending bool
 
-	// Scratch pools (see pool.go). Per-world, engine-thread-only.
-	bufFree [][]float64
-	msgFree freeList[message]
-	reqFree freeList[Request]
+	// scratch is the message layer's storage (see pool.go): taken from
+	// the process at NewWorld, given back at the end of Run.
+	scratch *scratch
 }
 
 // NewWorld builds the cluster, runs privatization setup on every
@@ -167,7 +166,8 @@ func NewWorld(cfg Config, prog *Program) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &World{Cfg: cfg, Cluster: cl, Program: prog, tracer: cfg.Tracer}
+	w := &World{Cfg: cfg, Cluster: cl, Program: prog, tracer: cfg.Tracer,
+		scratch: scratchSets.Get().(*scratch)}
 	if w.tracer != nil {
 		cl.SetTracer(w.tracer)
 	}
@@ -295,7 +295,8 @@ func rankCtx(t *ult.Thread) *core.RankContext {
 // completion, runtime error, node crash, drain, deadlock — no rank thread
 // outlives it: once the result is decided, every rank still parked is
 // killed, so its body unwinds (deferred functions run) and its coroutine
-// and stack are released with the world.
+// and stack are released with the world. Then the world gives its message
+// scratch and its engine's queue to the worlds built after it.
 func (w *World) Run() error {
 	err := w.Cluster.Engine.Run(func() bool {
 		if w.runtimeErr != nil {
@@ -315,6 +316,8 @@ func (w *World) Run() error {
 	for _, r := range w.Ranks {
 		r.thread.Kill("world stopped")
 	}
+	w.releaseScratch()
+	w.Cluster.Engine.Recycle()
 	return err
 }
 

@@ -15,6 +15,7 @@ package papi
 
 import (
 	"fmt"
+	"math/bits"
 
 	"provirt/internal/sim"
 )
@@ -50,6 +51,9 @@ func (c CacheConfig) Validate() error {
 	if c.SizeBytes == 0 || c.LineBytes == 0 || c.Ways <= 0 {
 		return fmt.Errorf("papi: cache config %+v has zero fields", c)
 	}
+	if c.LineBytes&(c.LineBytes-1) != 0 {
+		return fmt.Errorf("papi: line size %d not a power of two", c.LineBytes)
+	}
 	if c.SizeBytes%(c.LineBytes*uint64(c.Ways)) != 0 {
 		return fmt.Errorf("papi: cache size %d not divisible by line*ways", c.SizeBytes)
 	}
@@ -81,6 +85,11 @@ type Cache struct {
 	sets [][]uint64 // per-set line tags; LRU order (front = MRU) under LRU
 	rng  *sim.RNG
 
+	// An address's line is addr >> lineShift and a line's set is
+	// line & setMask: both sizes are powers of two.
+	lineShift uint
+	setMask   uint64
+
 	accesses uint64
 	misses   uint64
 }
@@ -91,14 +100,16 @@ func NewCache(cfg CacheConfig) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Cache{cfg: cfg, sets: make([][]uint64, cfg.Sets()), rng: sim.NewRNG(0x1cac4e)}
+	sets := cfg.Sets()
+	return &Cache{cfg: cfg, sets: make([][]uint64, sets), rng: sim.NewRNG(0x1cac4e),
+		lineShift: uint(bits.TrailingZeros64(cfg.LineBytes)), setMask: sets - 1}
 }
 
 // Fetch performs one instruction fetch at addr.
 func (c *Cache) Fetch(addr uint64) {
 	c.accesses++
-	line := addr / c.cfg.LineBytes
-	set := line % c.cfg.Sets()
+	line := addr >> c.lineShift
+	set := line & c.setMask
 	tags := c.sets[set]
 	for i, t := range tags {
 		if t == line {
@@ -134,10 +145,9 @@ func (c *Cache) Fetch(addr uint64) {
 
 // FetchRange fetches every line in [base, base+size).
 func (c *Cache) FetchRange(base, size uint64) {
-	first := base / c.cfg.LineBytes
-	last := (base + size - 1) / c.cfg.LineBytes
-	for l := first; l <= last; l++ {
-		c.Fetch(l * c.cfg.LineBytes)
+	last := (base + size - 1) >> c.lineShift
+	for l := base >> c.lineShift; l <= last; l++ {
+		c.Fetch(l << c.lineShift)
 	}
 }
 

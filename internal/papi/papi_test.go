@@ -29,6 +29,11 @@ func TestConfigValidate(t *testing.T) {
 	if (CacheConfig{}).Validate() == nil {
 		t.Fatal("zero geometry accepted")
 	}
+	// Four sets of two 48-byte lines: the set count is a power of two,
+	// the line size is not.
+	if (CacheConfig{SizeBytes: 384, LineBytes: 48, Ways: 2}).Validate() == nil {
+		t.Fatal("non-power-of-two line size accepted")
+	}
 }
 
 func TestSets(t *testing.T) {

@@ -6,16 +6,19 @@
 // reproduces bit-for-bit.
 //
 // The engine is built for wall-clock speed: the pending queue is a 4-ary
-// min-heap with inlined sift operations (shallower than a binary heap, so
-// fewer comparisons per pop on the deep queues collectives build), event
-// nodes are recycled through a free list so steady-state scheduling does
-// not allocate, and AtCall schedules a (func, arg) pair without forcing the
-// caller to allocate a capturing closure.
+// min-heap (shallower than a binary heap, so fewer comparisons per pop on
+// the deep queues collectives build) that holds events by value, so
+// scheduling allocates nothing once the queue has grown, and writes each
+// scheduled or reinserted event once, where its sift stops; AtCall
+// schedules a (func, arg) pair without forcing the caller to allocate a
+// capturing closure; and a finished engine hands its queue's storage to
+// the next one (Recycle).
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"provirt/internal/trace"
@@ -26,15 +29,21 @@ import (
 // library's unit constants (time.Nanosecond etc.).
 type Time = time.Duration
 
-// node is the pooled representation of one scheduled callback. Exactly one
-// of fn and call is set.
-type node struct {
+// event is one scheduled callback, call(arg), held in the queue by value.
+type event struct {
 	at   Time
 	seq  uint64
-	fn   func()
 	call func(any)
 	arg  any
 }
+
+// callFunc is the trampoline At schedules: its argument is the func()
+// itself, which an interface holds without allocating.
+func callFunc(fn any) { fn.(func())() }
+
+// queues holds the backing arrays of recycled engines' queues, empty
+// and cleared, for NewEngine to take.
+var queues sync.Pool
 
 // Engine owns the virtual clock and the pending event queue. Events with
 // equal timestamps fire in the order they were scheduled, which keeps runs
@@ -49,8 +58,7 @@ type node struct {
 type Engine struct {
 	now    Time
 	seq    uint64
-	queue  []*node
-	free   []*node
+	queue  []event
 	fired  uint64
 	halted bool
 
@@ -60,30 +68,39 @@ type Engine struct {
 	tracer trace.Tracer
 }
 
-// NewEngine returns an engine with the clock at zero.
+// NewEngine returns an engine with the clock at zero. Its queue starts
+// on the storage of an engine recycled earlier, if there is one.
 func NewEngine() *Engine {
-	return &Engine{}
+	e := &Engine{}
+	if q, ok := queues.Get().(*[]event); ok {
+		e.queue = *q
+	}
+	return e
+}
+
+// Recycle hands the queue's storage to a later NewEngine, dropping any
+// events still pending. Now and EventsFired keep their values; an event
+// scheduled afterwards starts a fresh queue.
+func (e *Engine) Recycle() {
+	if cap(e.queue) == 0 {
+		return
+	}
+	clear(e.queue) // removeMin has already cleared the slots past len
+	q := e.queue[:0]
+	e.queue = nil
+	queues.Put(&q)
 }
 
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Reserve pre-sizes the engine for a workload that will keep about n
-// events in flight: the queue gets capacity up front and the free list
-// is stocked with n nodes, so the first wave of scheduling neither grows
-// the heap slice nor allocates nodes one by one. Million-rank worlds
-// call it once at build; it is never required for correctness.
+// Reserve sizes the queue for a workload that will keep about n events
+// in flight, so the first wave of scheduling does not grow it step by
+// step. Million-rank worlds call it once at build; it is never required
+// for correctness.
 func (e *Engine) Reserve(n int) {
-	if extra := n - cap(e.queue); extra > 0 {
-		q := make([]*node, len(e.queue), n)
-		copy(q, e.queue)
-		e.queue = q
-	}
-	if need := n - len(e.free); need > 0 {
-		nodes := make([]node, need) // one slab, not n small allocations
-		for i := range nodes {
-			e.free = append(e.free, &nodes[i])
-		}
+	if n > cap(e.queue) {
+		e.queue = append(make([]event, 0, n), e.queue...)
 	}
 }
 
@@ -93,45 +110,11 @@ func (e *Engine) EventsFired() uint64 { return e.fired }
 // SetTracer installs (or, with nil, removes) the dispatch tracer.
 func (e *Engine) SetTracer(t trace.Tracer) { e.tracer = t }
 
-// alloc takes a node from the free list, or makes one.
-func (e *Engine) alloc() *node {
-	if n := len(e.free); n > 0 {
-		nd := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		metrics.nodeReuse.Inc()
-		return nd
-	}
-	metrics.nodeAllocs.Inc()
-	return &node{}
-}
-
-// release recycles a node, dropping its references.
-func (e *Engine) release(nd *node) {
-	nd.fn = nil
-	nd.call = nil
-	nd.arg = nil
-	e.free = append(e.free, nd)
-}
-
-// push appends a prepared node and restores the heap invariant.
-func (e *Engine) push(nd *node) {
-	e.queue = append(e.queue, nd)
-	e.siftUp(len(e.queue) - 1)
-	metrics.queueDepth.SetMax(int64(len(e.queue)))
-}
-
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it indicates a bug in a cost model, and silently clamping would
 // mask causality violations.
 func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: event scheduled at %v, before now %v", t, e.now))
-	}
-	nd := e.alloc()
-	nd.at, nd.seq, nd.fn = t, e.seq, fn
-	e.seq++
-	e.push(nd)
+	e.AtCall(t, callFunc, fn)
 }
 
 // AtCall schedules call(arg) at absolute virtual time t. It is the
@@ -142,76 +125,61 @@ func (e *Engine) AtCall(t Time, call func(any), arg any) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: event scheduled at %v, before now %v", t, e.now))
 	}
-	nd := e.alloc()
-	nd.at, nd.seq, nd.call, nd.arg = t, e.seq, call, arg
+	// Sift a hole up from a new last slot and fill it once. The event has
+	// the largest sequence number yet, so it rises only past later times.
+	q := append(e.queue, event{})
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) >> 2
+		if q[p].at <= t {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	ev := &q[i]
+	ev.at, ev.seq, ev.call, ev.arg = t, e.seq, call, arg
 	e.seq++
-	e.push(nd)
+	e.queue = q
+	metrics.queueDepth.SetMax(int64(len(q)))
 }
 
-// less orders nodes by (time, scheduling sequence).
-func less(a, b *node) bool {
+// less orders events by (time, scheduling sequence).
+func less(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-// siftUp restores the 4-ary heap invariant from index i toward the root.
-func (e *Engine) siftUp(i int) {
+// removeMin drops the earliest event. A hole sinks from the root until
+// the last event fits in it, and the last event is moved there once.
+func (e *Engine) removeMin() {
 	q := e.queue
-	nd := q[i]
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !less(nd, q[p]) {
-			break
-		}
-		q[i] = q[p]
-		i = p
-	}
-	q[i] = nd
-}
-
-// siftDown restores the 4-ary heap invariant from index i toward the leaves.
-func (e *Engine) siftDown(i int) {
-	q := e.queue
-	n := len(q)
-	nd := q[i]
+	last := len(q) - 1
+	x := &q[last]
+	i := 0
 	for {
 		c := i<<2 + 1
-		if c >= n {
+		if c >= last {
 			break
 		}
-		end := c + 4
-		if end > n {
-			end = n
-		}
+		end := min(c+4, last)
 		m := c
 		for j := c + 1; j < end; j++ {
-			if less(q[j], q[m]) {
+			if less(&q[j], &q[m]) {
 				m = j
 			}
 		}
-		if !less(q[m], nd) {
+		if !less(&q[m], x) {
 			break
 		}
 		q[i] = q[m]
 		i = m
 	}
-	q[i] = nd
-}
-
-// popMin removes and returns the earliest node.
-func (e *Engine) popMin() *node {
-	q := e.queue
-	nd := q[0]
-	last := len(q) - 1
-	q[0] = q[last]
-	q[last] = nil
+	q[i] = *x
+	q[last] = event{}
 	e.queue = q[:last]
-	if last > 0 {
-		e.siftDown(0)
-	}
-	return nd
 }
 
 // Halt stops the run loop after the current event returns.
@@ -228,25 +196,18 @@ func (e *Engine) Step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	nd := e.popMin()
-	if nd.at < e.now {
+	at, call, arg := e.queue[0].at, e.queue[0].call, e.queue[0].arg
+	e.removeMin()
+	if at < e.now {
 		panic("sim: clock regression")
 	}
-	e.now = nd.at
+	e.now = at
 	e.fired++
 	metrics.dispatched.Inc()
 	if e.tracer != nil {
 		e.tracer.Emit(trace.Event{Time: e.now, Kind: trace.KindEngineEvent, PE: -1, VP: -1, Peer: -1})
 	}
-	fn, call, arg := nd.fn, nd.call, nd.arg
-	// Recycle before running the callback, so it can immediately reuse
-	// the node for what it schedules.
-	e.release(nd)
-	if fn != nil {
-		fn()
-	} else {
-		call(arg)
-	}
+	call(arg)
 	return true
 }
 

@@ -114,6 +114,53 @@ func TestEngineOrderingProperty(t *testing.T) {
 	}
 }
 
+// TestEngineFiresInTimeThenSchedulingOrder drives the heap with bursts
+// of events over few distinct times, so many of them tie, scheduled both
+// from outside and from callbacks, and checks every firing against a
+// linear scan for the pending event with the least (time, sequence).
+func TestEngineFiresInTimeThenSchedulingOrder(t *testing.T) {
+	type pending struct {
+		at  Time
+		seq int
+	}
+	rng := NewRNG(3)
+	e := NewEngine()
+	var ref []pending // what the engine should hold, in scheduling order
+	seq := 0
+	var fire func(any)
+	schedule := func(at Time) {
+		ref = append(ref, pending{at, seq})
+		e.AtCall(at, fire, seq)
+		seq++
+	}
+	fire = func(x any) {
+		min := 0
+		for i, p := range ref {
+			if p.at < ref[min].at || p.at == ref[min].at && p.seq < ref[min].seq {
+				min = i
+			}
+		}
+		if want := ref[min]; x.(int) != want.seq || e.Now() != want.at {
+			t.Fatalf("fired event %d at %v, want event %d at %v", x.(int), e.Now(), want.seq, want.at)
+		}
+		ref = append(ref[:min], ref[min+1:]...)
+		for n := rng.Intn(3); n > 0 && seq < 20_000; n-- {
+			schedule(e.Now() + Time(rng.Intn(3)))
+		}
+	}
+	for round := 0; round < 200; round++ {
+		for n := rng.Intn(40); n > 0; n-- {
+			schedule(e.Now() + Time(rng.Intn(4)*rng.Intn(30)))
+		}
+		for n := rng.Intn(60); n > 0 && e.Step(); n-- {
+		}
+	}
+	e.Drain()
+	if len(ref) != 0 || seq < 1000 {
+		t.Fatalf("%d events left unfired of %d scheduled", len(ref), seq)
+	}
+}
+
 func TestEngineAtCall(t *testing.T) {
 	e := NewEngine()
 	var got []int
@@ -127,8 +174,8 @@ func TestEngineAtCall(t *testing.T) {
 	}
 }
 
-// Steady-state scheduling must not allocate: nodes come from the free
-// list once the queue has warmed up.
+// Steady-state scheduling must not allocate: the queue holds events by
+// value once it has grown.
 func TestEngineEventPooling(t *testing.T) {
 	e := NewEngine()
 	tick := func(any) {}

@@ -19,10 +19,6 @@ type obsMetrics struct {
 	// queueDepth is the high-water mark of any engine's pending queue,
 	// the contention signal for the heap.
 	queueDepth *obs.Gauge
-	// nodeReuse counts event nodes taken from a free list; nodeAllocs
-	// counts nodes newly allocated. Steady state should be all reuse.
-	nodeReuse  *obs.Counter
-	nodeAllocs *obs.Counter
 }
 
 var metrics obsMetrics
@@ -41,9 +37,5 @@ func EnableObs(r *obs.Registry) {
 			"discrete events fired across all engines"),
 		queueDepth: r.Gauge("sim_queue_depth_high_water",
 			"highest resident pending-queue depth seen by any engine"),
-		nodeReuse: r.Counter("sim_event_node_reuse_total",
-			"event nodes recycled from an engine free list"),
-		nodeAllocs: r.Counter("sim_event_node_allocs_total",
-			"event nodes newly allocated (free list empty)"),
 	}
 }

@@ -191,7 +191,7 @@ func newBlock(nx, ny, nz int, neighbor func(dx, dy, dz int) int) *block {
 // release returns the block to the pool. Nothing may read or write it
 // afterwards, and no receive may still target it.
 func (b *block) release() {
-	clear(b.reqs) // each request belongs to its world's free list
+	clear(b.reqs) // each request belongs to its world's scratch set
 	blocks.Put(b)
 }
 

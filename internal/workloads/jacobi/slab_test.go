@@ -114,12 +114,13 @@ func TestRecycledSlabsChangeNoResult(t *testing.T) {
 var raceEnabled bool
 
 // worldBytesPerRankBudget is what a warm switch_msg world allocates per
-// rank, measured at 4 442 B (go1.24.0, linux/amd64), plus 10 %. It was
+// rank, measured at 1 372 B (go1.24.0, linux/amd64), plus 10 %. It was
 // 16 602 B while every rank allocated its two grids, its halo planes
-// (about 10.8 KB of them per 6^3 block) and its face table afresh; a
-// return to that exceeds the budget. What is left is the world's own:
-// contexts, heaps, threads and message pools.
-const worldBytesPerRankBudget = 4_442 * 11 / 10
+// (about 10.8 KB of them per 6^3 block) and its face table afresh, and
+// 4 442 B while every world refilled empty message pools; a return to
+// either exceeds the budget. What is left is the world's own: contexts,
+// heaps, threads and match queues.
+const worldBytesPerRankBudget = 1_372 * 11 / 10
 
 func TestJacobiWorldAllocationBudget(t *testing.T) {
 	if raceEnabled {
