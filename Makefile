@@ -41,9 +41,11 @@ cover:
 # race detector's annotations: the kill/unwind and leak tests must hold
 # under them. The workloads are here because Jacobi's pool of rank
 # storage is shared by the worlds that concurrent sweep and serve
-# workers run.
+# workers run. resultstore is here because every leader goroutine puts
+# its row after giving up its slot, so concurrent puts meet on the
+# store's two mutexes (the write's and the group commit's fsync).
 race:
-	$(GO) test -race ./internal/ult/... ./internal/sim/... ./internal/harness/... ./internal/ampi/... ./internal/ft/... ./internal/machine/... ./internal/lb/... ./internal/mem/... ./internal/core/... ./internal/serve/... ./internal/workloads/...
+	$(GO) test -race ./internal/ult/... ./internal/sim/... ./internal/harness/... ./internal/ampi/... ./internal/ft/... ./internal/machine/... ./internal/lb/... ./internal/mem/... ./internal/core/... ./internal/serve/... ./internal/resultstore/... ./internal/workloads/...
 
 # Full race sweep over every package, as CI's race job runs it.
 race-full:

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,8 +13,11 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"provirt/internal/obs"
 	"provirt/internal/resultstore"
 	"provirt/internal/scenario"
 	"provirt/internal/serve"
@@ -263,4 +267,142 @@ func TestCrashAtEveryStep(t *testing.T) {
 		}
 	}
 	t.Logf("%d crash states over %d records, %d acknowledgements", states, len(recs), len(moments))
+}
+
+// counter reads one counter of reg.
+func counter(t *testing.T, reg *obs.Registry, name string) uint64 {
+	t.Helper()
+	var b bytes.Buffer
+	if err := reg.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("no counter %s", name)
+	return 0
+}
+
+// sweepBody is a POST body of n distinct tiny points.
+func sweepBody(t *testing.T, n int) []byte {
+	t.Helper()
+	points := make([]scenario.Spec, n)
+	for i := range points {
+		points[i] = scenario.DefaultSpec("empty")
+		points[i].VPs = 4
+		points[i].Machine.Seed = uint64(i + 1)
+	}
+	body, err := json.Marshal(map[string]any{"points": points})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// A row's fsync holds no simulation slot: while a one-worker server's
+// first fsync is held, the second point of a two-point POST executes.
+func TestFsyncHoldsNoSimulationSlot(t *testing.T) {
+	var fsyncs atomic.Int32
+	held := make(chan struct{})
+	orig := *resultstore.SyncFile
+	*resultstore.SyncFile = func(f *os.File) error {
+		if fsyncs.Add(1) == 1 {
+			<-held
+		}
+		return orig(f)
+	}
+	t.Cleanup(func() { *resultstore.SyncFile = orig })
+	reg := obs.NewRegistry()
+	serve.EnableObs(reg)
+	defer serve.EnableObs(nil)
+	st, err := resultstore.Open(t.TempDir(), "test", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ts := httptest.NewServer(serve.New(st, "test", 1).Handler(nil))
+	defer ts.Close()
+	release := sync.OnceFunc(func() { close(held) })
+	defer release() // before ts.Close, which waits for the handler
+
+	body := sweepBody(t, 2)
+	done := make(chan []byte)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			done <- []byte(err.Error())
+			return
+		}
+		out, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		done <- out
+	}()
+	for deadline := time.Now().Add(5 * time.Second); counter(t, reg, "serve_points_executed_total") < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("point 1 did not execute while point 0's fsync was held (%d fsyncs begun)", fsyncs.Load())
+		}
+	}
+	release()
+	if out := <-done; !bytes.Contains(out, []byte(`"executed":2`)) {
+		t.Fatalf("the POST answered %s", out)
+	}
+}
+
+// No executed row reaches a client before its record is durable: each
+// cached:false line of a cold sweep arrives when the fsyncs begun so far
+// have covered its record.
+func TestExecutedRowsArriveDurable(t *testing.T) {
+	var mu sync.Mutex
+	var synced int64 // the log length the fsyncs so far covered
+	orig := *resultstore.SyncFile
+	*resultstore.SyncFile = func(f *os.File) error {
+		fi, err := f.Stat()
+		if err == nil {
+			err = orig(f)
+		}
+		if err == nil {
+			mu.Lock()
+			synced = max(synced, fi.Size())
+			mu.Unlock()
+		}
+		return err
+	}
+	t.Cleanup(func() { *resultstore.SyncFile = orig })
+	dir := t.TempDir()
+	st, err := resultstore.Open(dir, "test", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ts := httptest.NewServer(serve.New(st, "test", 2).Handler(nil))
+	defer ts.Close()
+
+	arrived := map[string]int64{} // an executed point's hash: what the fsyncs covered when its line arrived
+	lines(t, ts.URL+"/v1/runs", sweepBody(t, 48), func(line []byte) {
+		var p pointLine
+		if json.Unmarshal(line, &p) == nil && p.Hash != "" && !p.Cached {
+			mu.Lock()
+			arrived[p.Hash] = synced
+			mu.Unlock()
+		}
+	})
+	log, err := os.ReadFile(filepath.Join(dir, "test", resultstore.LogName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range records(t, log) {
+		if cover, ok := arrived[r.hash]; ok && int64(r.end) > cover {
+			t.Errorf("point %s arrived when the fsyncs covered %d bytes; its record ends at %d", r.hash, cover, r.end)
+		}
+		delete(arrived, r.hash)
+	}
+	if len(arrived) != 0 {
+		t.Errorf("%d executed points have no record", len(arrived))
+	}
 }

@@ -9,6 +9,7 @@ var (
 	evictions *obs.Counter
 	corrupt   *obs.Counter
 	puts      *obs.Counter
+	syncs     *obs.Counter
 )
 
 // EnableObs registers the store's instruments in r; EnableObs(nil)
@@ -16,7 +17,7 @@ var (
 // is not synchronized with concurrent store use.
 func EnableObs(r *obs.Registry) {
 	if r == nil {
-		evictions, corrupt, puts = nil, nil, nil
+		evictions, corrupt, puts, syncs = nil, nil, nil, nil
 		return
 	}
 	evictions = r.Counter("resultstore_evictions_total",
@@ -24,7 +25,9 @@ func EnableObs(r *obs.Registry) {
 	corrupt = r.Counter("resultstore_corrupt_skipped_total",
 		"log records skipped or refused because the header, length, or checksum failed verification")
 	puts = r.Counter("resultstore_puts_total",
-		"record appends (one write and one fsync each), failed ones included")
+		"record appends (one write each; concurrent ones share an fsync), failed ones included")
+	syncs = r.Counter("resultstore_syncs_total",
+		"log fsyncs, failed ones included: each covers every record written before it began")
 }
 
 // Evictions exposes the counter for launchers that report cache health

@@ -12,23 +12,24 @@
 //
 // A partition is <dir>/<version>/results.log, records of a header line
 // "provirt-result 2 <kind> <hash> <len> <sha256>" and the payload. Put
-// writes a record in one append and fsyncs it before it returns; its
-// first failure fails every later Put, since the fsync after a failed
-// one can succeed with the lost pages marked clean. The log is never
-// rewritten, so a crash loses only records whose Put had not returned.
-// Open indexes each record exactly as Put writes it and counts
-// (resultstore_corrupt_skipped_total) and skips anything else up to the
-// next magic. A disk hit reads a record's header and payload and
-// verifies them again. A Store sees the records present at its Open
-// plus its own puts, not what another Store appends later: a partition
-// wants one writing process. The index mutex never covers I/O or
-// hashing (the Go optimistic-concurrency study's short critical
-// sections).
+// returns, and serves its record, once an fsync begun after its write
+// succeeds; concurrent puts share one. The first failed write or fsync
+// fails every Put none covered and all later ones, as the next fsync can
+// pass over lost pages. The log is never rewritten, so a crash loses only
+// records whose Put had not returned. Open indexes each record exactly
+// as Put writes it and counts (resultstore_corrupt_skipped_total) and
+// skips anything else up to the next magic. A disk hit reads a record's
+// header and payload and verifies them again. A Store sees the records
+// present at its Open plus its own puts, not what another Store appends
+// later: a partition wants one writing process. No mutex covers hashing,
+// the index's no I/O, and a write's none of the fsync (the Go
+// optimistic-concurrency study's short critical sections).
 package resultstore
 
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -126,8 +127,11 @@ type Store struct {
 	f          *os.File // the log, opened for append
 	maxEntries int
 
-	appendMu sync.Mutex // held across a record's write and fsync
-	failed   error      // the first failed append; guarded by appendMu
+	appendMu sync.Mutex // held across a record's write and the read of the log's end
+	written  int64      // the log's end after the last write; guarded by appendMu
+	failed   error      // the first failed write or fsync; guarded by appendMu
+	syncMu   sync.Mutex // held across an fsync
+	synced   int64      // the log length the last successful fsync covered; guarded by syncMu
 
 	// mu guards exactly the index fields below.
 	mu       sync.Mutex
@@ -291,9 +295,9 @@ func (s *Store) read(e *entry, keyed []byte) (payload []byte, ok bool) {
 	return payload, true
 }
 
-// Put appends payload under (kind, hash) to the log, fsyncs it, and
-// indexes it. kind and hash must be safe tokens. The store keeps a
-// reference to payload; callers must not mutate it afterwards.
+// Put appends payload under (kind, hash) to the log and indexes it once
+// an fsync covers it. kind and hash must be safe tokens. The store keeps
+// a reference to payload; callers must not mutate it afterwards.
 func (s *Store) Put(kind, hash string, payload []byte) error {
 	puts.Inc()
 	if !token(kind) || !token(hash) {
@@ -319,22 +323,45 @@ func (s *Store) Put(kind, hash string, payload []byte) error {
 	return nil
 }
 
-// append writes rec at the log's end and fsyncs it, returning the file's
-// end (not a sum of this Store's writes: another may append).
+// append writes rec at the log's end and, once an fsync covers it,
+// returns the file's end, which another Store's appends also move.
 func (s *Store) append(rec []byte) (end int64, err error) {
 	s.appendMu.Lock()
-	defer s.appendMu.Unlock()
-	if s.failed != nil {
-		return 0, s.failed
+	if err = s.failed; err == nil {
+		if _, err = s.f.Write(rec); err == nil {
+			end, err = s.f.Seek(0, io.SeekCurrent)
+		}
+		s.failed, s.written = err, end
 	}
-	if _, err = s.f.Write(rec); err == nil {
-		end, err = s.f.Seek(0, io.SeekCurrent)
+	s.appendMu.Unlock()
+	if err != nil {
+		return 0, err
 	}
+	return end, s.sync(end)
+}
+
+// sync returns once an fsync begun after the log reached end has
+// succeeded, and fails if a write or fsync failed before one did.
+func (s *Store) sync(end int64) error {
+	s.syncMu.Lock()
+	defer s.syncMu.Unlock()
+	if s.synced >= end {
+		return nil
+	}
+	s.appendMu.Lock()
+	to, err := s.written, s.failed
+	s.appendMu.Unlock()
 	if err == nil {
-		err = syncFile(s.f)
+		syncs.Inc()
+		if err = syncFile(s.f); err == nil {
+			s.synced = to
+			return nil
+		}
+		s.appendMu.Lock()
+		s.failed = cmp.Or(s.failed, err)
+		s.appendMu.Unlock()
 	}
-	s.failed = err
-	return end, err
+	return err
 }
 
 // hold makes the indexed entry e the record at sp with its payload

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"provirt/internal/obs"
 )
@@ -383,9 +384,11 @@ func TestConcurrentPutGet(t *testing.T) {
 }
 
 // A failed fsync may have dropped pages that the next one on the same
-// file reports clean, so the first failed append fails every Put after
-// it: of eight concurrent puts whose third fsync fails, exactly two
-// return nil and are served, and nothing is written after the failure.
+// file reports clean, so the first failed fsync fails every Put after
+// it: of eight puts made one after another, whose third fsync fails,
+// exactly two return nil and are served, and nothing is written after
+// the failure. The puts are sequential so that each takes an fsync of
+// its own; concurrent ones share them (TestConcurrentPutsShareAnFsync).
 func TestFailedFsyncFailsEveryLaterPut(t *testing.T) {
 	var fsyncs atomic.Int32
 	defer func(orig func(*os.File) error) { syncFile = orig }(syncFile)
@@ -399,15 +402,9 @@ func TestFailedFsyncFailsEveryLaterPut(t *testing.T) {
 	st := open(t, dir, 16)
 	payload := []byte(`{"row":1}`)
 	errs := make([]error, 8)
-	var wg sync.WaitGroup
 	for i := range errs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = st.Put("pt", fmt.Sprintf("h%d", i), payload)
-		}()
+		errs[i] = st.Put("pt", fmt.Sprintf("h%d", i), payload)
 	}
-	wg.Wait()
 	acked := 0
 	for i, err := range errs {
 		if _, ok := st.Get("pt", fmt.Sprintf("h%d", i)); ok != (err == nil) {
@@ -434,6 +431,98 @@ func TestFailedFsyncFailsEveryLaterPut(t *testing.T) {
 	}
 	if after.Size() != before.Size() || fsyncs.Load() != 3 {
 		t.Fatalf("a put after the failure reached the log (size %d -> %d, %d fsyncs)", before.Size(), after.Size(), fsyncs.Load())
+	}
+}
+
+// sharedFsync makes eight puts of one record size in a fresh store, the
+// first alone and seven more once its fsync has begun, which then waits
+// (at most 5 s) until all eight records are written. The fsync numbered
+// fail, counting from 1, fails. It returns the store, its log's path,
+// each put's error, and the number of fsyncs the puts took.
+func sharedFsync(t *testing.T, fail int32) (st *Store, path string, errs []error, fsyncs int32) {
+	t.Helper()
+	payload := []byte(`{"row":1}`)
+	all := int64(8 * (len(header("pt", "h0", payload)) + len(payload)))
+	var n atomic.Int32
+	entered := make(chan struct{})
+	defer func(orig func(*os.File) error) { syncFile = orig }(syncFile)
+	syncFile = func(f *os.File) error {
+		i := n.Add(1)
+		if i == 1 {
+			close(entered)
+			for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+				if fi, err := f.Stat(); err != nil || fi.Size() >= all {
+					break
+				}
+			}
+		}
+		if i == fail {
+			return errors.New("injected fsync failure")
+		}
+		return f.Sync()
+	}
+	dir := t.TempDir()
+	st = open(t, dir, 16)
+	errs = make([]error, 8)
+	var wg sync.WaitGroup
+	put := func(i int) {
+		defer wg.Done()
+		errs[i] = st.Put("pt", fmt.Sprintf("h%d", i), payload)
+	}
+	wg.Add(1)
+	go put(0)
+	<-entered
+	for i := 1; i < len(errs); i++ {
+		wg.Add(1)
+		go put(i)
+	}
+	wg.Wait()
+	return st, filepath.Join(dir, "v1", logName), errs, n.Load()
+}
+
+// Puts whose records are written while an fsync runs share the next
+// one: eight puts, seven of them written during the first fsync, take
+// two fsyncs between them, and every one is served.
+func TestConcurrentPutsShareAnFsync(t *testing.T) {
+	st, _, errs, fsyncs := sharedFsync(t, 0)
+	for i, err := range errs {
+		if _, ok := st.Get("pt", fmt.Sprintf("h%d", i)); err != nil || !ok {
+			t.Errorf("put %d returned %v, and Get gives ok=%v", i, err, ok)
+		}
+	}
+	if fsyncs != 2 {
+		t.Fatalf("8 puts took %d fsyncs, want 2: the 7 written during the first share the second", fsyncs)
+	}
+}
+
+// A failed fsync fails every put it covered: when the second fsync,
+// shared by the seven puts written during the first, fails, the first
+// put alone returns nil and is served, the seven return an error and are
+// not served, and a later put fails without writing.
+func TestFailedSharedFsyncFailsEveryPutItCovered(t *testing.T) {
+	st, path, errs, fsyncs := sharedFsync(t, 2)
+	for i, err := range errs {
+		_, ok := st.Get("pt", fmt.Sprintf("h%d", i))
+		if (err == nil) != (i == 0) || ok != (i == 0) {
+			t.Errorf("put %d returned %v and Get gives ok=%v; want only put 0 acked and served", i, err, ok)
+		}
+	}
+	if fsyncs != 2 {
+		t.Fatalf("8 puts took %d fsyncs, want 2", fsyncs)
+	}
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put("pt", "later", []byte(`{"row":1}`)); err == nil {
+		t.Fatal("a put after the failed fsync returned nil")
+	}
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Size() != before.Size() {
+		t.Fatalf("a put after the failure reached the log (size %d -> %d)", before.Size(), after.Size())
 	}
 }
 

@@ -23,8 +23,9 @@
 //
 //	POST /v1/runs          {"points":[Spec,...]} or {"spec":Spec};
 //	                       streams NDJSON — a header line, one line per
-//	                       point (in index order, written as soon as
-//	                       the point and all before it are done), and a
+//	                       point (in index order; while a point executes,
+//	                       the lines ready so far are flushed whenever
+//	                       the next one waits for its point), and a
 //	                       trailer. The body is read once as it streams
 //	                       (scenario.DecodeRequest), split into each
 //	                       point's byte span: a span the memo does not
@@ -44,7 +45,10 @@
 // map, and the memo's only its table; simulation, marshaling, and store
 // I/O all happen outside them.
 // Total concurrent simulations across all requests are bounded by the
-// server's semaphore: each request's leaders take a slot apiece.
+// server's semaphore: each request's leaders take a slot apiece for the
+// simulation and its encoding only. A row's store write and fsync run
+// after the slot is released, and the row reaches no one until its
+// record is durable.
 package serve
 
 import (
@@ -298,7 +302,7 @@ func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
 	// the shared bounded pool in the background while this handler
 	// streams results in index order.
 	var leaders []leader
-	executing := 0 // points led or joined and not yet written
+	executing := false // some point is led or joined
 	for i := range points {
 		pt := &points[i]
 		if specs[i] == nil { // the probe found its row
@@ -311,7 +315,7 @@ func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		cacheMisses.Inc()
-		executing++
+		executing = true
 		f, lead := s.claim(pt.hash)
 		pt.f, pt.joined = f, !lead
 		if lead {
@@ -324,13 +328,14 @@ func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
 		go s.runLeaders(leaders)
 	}
 
-	// While a point executes, each line is flushed once it and all before
-	// it are ready; a fully cached response is sent when the handler returns.
+	// While a point executes, the header is flushed at once, and the lines
+	// buffered so far before the handler waits for a flight; a fully
+	// cached response is sent when the handler returns.
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	out := newLines(w)
 	defer out.close()
 	out.b = (&headerLine{Run: runHash, Points: len(points), Version: s.version}).appendTo(out.b)
-	out.sync(executing > 0)
+	out.sync(executing)
 
 	var trailer trailerLine
 	trailer.Done = true
@@ -342,7 +347,12 @@ func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
 			line.Cached = true
 			line.Row = pt.row
 		} else {
-			<-f.done
+			select {
+			case <-f.done:
+			default:
+				out.sync(true)
+				<-f.done
+			}
 			switch {
 			case f.stored:
 				trailer.Cached++
@@ -361,10 +371,7 @@ func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		out.b = line.appendTo(out.b)
-		out.sync(executing > 0)
-		if pt.f != nil {
-			executing--
-		}
+		out.sync(false)
 	}
 	if trailer.Failed == 0 {
 		s.putManifest(runHash, points)
@@ -387,10 +394,15 @@ func (s *Server) claim(hash string) (f *flight, leader bool) {
 }
 
 // runLeaders executes this request's leader points. It takes a slot of
-// the server-wide semaphore for each leader in index order and runs the
-// leader while it holds the slot, so total concurrent simulations
+// the server-wide semaphore for each leader in index order and simulates
+// the point while it holds the slot, so total concurrent simulations
 // across every request never exceed the pool size; joiners and cache
-// hits take no slot.
+// hits take no slot. The row's Put waits for its fsync after the slot
+// is released, so the slot runs the next simulation meanwhile and puts
+// that overlap share an fsync. The flight completes, and stays claimable
+// until then, only once its row is durable and indexed: no client,
+// joiner or store probe sees a row a crash could lose, and no point runs
+// twice.
 func (s *Server) runLeaders(leaders []leader) {
 	for _, l := range leaders {
 		queueHighwater.SetMax(s.queued.Add(1))
@@ -398,12 +410,15 @@ func (s *Server) runLeaders(leaders []leader) {
 		go func() {
 			f := l.f
 			f.payload, f.stored, f.err = s.lead(l.hash, l.sp)
+			<-s.sem
+			s.queued.Add(-1)
+			if f.err == nil && !f.stored {
+				s.put("pt", l.hash, f.payload)
+			}
 			s.mu.Lock()
 			delete(s.inflight, l.hash)
 			s.mu.Unlock()
 			close(f.done)
-			<-s.sem
-			s.queued.Add(-1)
 		}()
 	}
 }
@@ -417,6 +432,7 @@ func (e *panicError) Error() string { return fmt.Sprintf("point execution panick
 // builder, the supervisor and the reshape placements, and a panic under
 // them must cost one point, not the server — the flight completes with
 // a *panicError, so its joiners are released and the pool slot returns.
+// It stores nothing: runLeaders puts the row once the slot is free.
 func (s *Server) lead(hash string, sp *scenario.Spec) (payload []byte, stored bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -427,7 +443,7 @@ func (s *Server) lead(hash string, sp *scenario.Spec) (payload []byte, stored bo
 	return s.executePoint(hash, sp)
 }
 
-// executePoint runs one Spec and stores its row. The leader re-checks
+// executePoint runs one Spec and encodes its row. The leader re-checks
 // the store first: a flight that finished between this request's
 // store probe and its claim already persisted the row, and the point is
 // then a cache hit (stored), not an execution.
@@ -441,16 +457,17 @@ func (s *Server) executePoint(hash string, sp *scenario.Spec) (payload []byte, s
 	if err != nil {
 		return nil, false, err
 	}
-	if payload, err = json.Marshal(row); err != nil {
-		return nil, false, err
-	}
-	if err := s.store.Put("pt", hash, payload); err != nil {
-		// The row is still good; the next identical request just
-		// re-executes. Count it — a persistently failing store turns
-		// the cache off silently otherwise.
+	payload, err = json.Marshal(row)
+	return payload, false, err
+}
+
+// put stores a row or a manifest. A failed Put leaves the row good: the
+// next identical request just re-executes. It is counted, since a
+// persistently failing store turns the cache off silently otherwise.
+func (s *Server) put(kind, hash string, payload []byte) {
+	if err := s.store.Put(kind, hash, payload); err != nil {
 		storePutErrors.Inc()
 	}
-	return payload, false, nil
 }
 
 // putManifest persists the run-level record that lets GET
@@ -466,12 +483,8 @@ func (s *Server) putManifest(runHash string, points []postedPoint) {
 	for i := range points {
 		m.Points[i] = hex.EncodeToString(points[i].sum[:])
 	}
-	payload, err := json.Marshal(m)
-	if err != nil {
-		return
-	}
-	if err := s.store.Put("run", runHash, payload); err != nil {
-		storePutErrors.Inc()
+	if payload, err := json.Marshal(m); err == nil {
+		s.put("run", runHash, payload)
 	}
 }
 
