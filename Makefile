@@ -51,8 +51,8 @@ race:
 race-full:
 	$(GO) test -race ./...
 
-# Ten seconds each of the copy-on-write segment view against its
-# flat-heap oracle, of ChurnSpec.Compile against its sort-then-truncate
+# Ten seconds each of a whole copy-on-write heap against the flat-word
+# heap model it replaced, of ChurnSpec.Compile against its sort-then-truncate
 # oracle, of the Spec wire codec (decode, validate, hash, round trip),
 # of the result store's log index over arbitrary bytes and a record
 # appended after them, of the linear match queues against the

@@ -151,7 +151,7 @@ func TestPIERankSnapshotMovesOnlyRelocatedGranules(t *testing.T) {
 			seg = &snap.Blocks[i]
 		}
 	}
-	if seg == nil || seg.Seg == nil || seg.Size != img.DataSize || img.DataSize != 2<<20 {
+	if seg == nil || seg.Words == nil || seg.Size != img.DataSize || img.DataSize != 2<<20 {
 		t.Fatalf("snapshot's data segment block %+v, want a 2 MiB segment view", seg)
 	}
 	var text bytes.Buffer
@@ -233,7 +233,7 @@ func TestCheckpointImmutableAfterMigration(t *testing.T) {
 			if v := state.Load(); v != 0 {
 				// Restart path: record what the checkpoint preserved.
 				restoredState = v
-				restoredWord = ctx.Heap.Lookup(blkAddr).Words[0]
+				restoredWord = ctx.Heap.Lookup(blkAddr).Words.Load(0)
 				return
 			}
 			blk, err := ctx.Heap.Alloc(4096, "data")
@@ -241,7 +241,7 @@ func TestCheckpointImmutableAfterMigration(t *testing.T) {
 				panic(err)
 			}
 			blkAddr = blk.Addr
-			blk.Words[0] = 77
+			*blk.Words.Word(0) = 77
 			blk.Touch()
 			r.Migrate() // the rank keeps its live heap
 			state.Store(5)
@@ -250,7 +250,7 @@ func TestCheckpointImmutableAfterMigration(t *testing.T) {
 			// of this may leak into the kept snapshot.
 			state.Store(9)
 			nb := ctx.Heap.Lookup(blkAddr)
-			nb.Words[0] = 88
+			*nb.Words.Word(0) = 88
 			nb.Touch()
 			r.Migrate()
 		},

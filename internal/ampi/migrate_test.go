@@ -40,7 +40,7 @@ func TestMigrationPreservesState(t *testing.T) {
 					if err != nil {
 						panic(err)
 					}
-					blk.Words[3] = me + 500
+					*blk.Words.Word(3) = me + 500
 					startPEs[r.Rank()] = r.PE().ID
 					r.Migrate()
 					endPEs[r.Rank()] = r.PE().ID
@@ -50,7 +50,7 @@ func TestMigrationPreservesState(t *testing.T) {
 					if nb == nil {
 						panic("heap block lost after migration")
 					}
-					heapVals[r.Rank()] = nb.Words[3]
+					heapVals[r.Rank()] = nb.Words.Load(3)
 				},
 			}
 			cfg := ampi.Config{

@@ -136,7 +136,7 @@ func (c *RankContext) resolve(v *elf.Var) (*uint64, sim.Time, *mem.Block) {
 	case storeTLS:
 		return c.TLS.Word(ref.slot), ref.cost, nil
 	case storeHeapCell:
-		return &c.heapCells.Words[ref.slot], ref.cost, c.heapCells
+		return c.heapCells.Words.Word(ref.slot), ref.cost, c.heapCells
 	}
 	sc := c.segmentCell(v, ref)
 	if sc.cell == nil {
@@ -154,7 +154,7 @@ func (c *RankContext) load(v *elf.Var) (uint64, sim.Time) {
 	case storeTLS:
 		return c.TLS.Load(ref.slot), ref.cost
 	case storeHeapCell:
-		return c.heapCells.Words[ref.slot], ref.cost
+		return c.heapCells.Words.Load(ref.slot), ref.cost
 	}
 	if sc := c.segmentCell(v, ref); sc.cell != nil {
 		return *sc.cell, ref.cost

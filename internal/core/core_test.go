@@ -266,7 +266,7 @@ func TestResolvedCellDirtiesOnlyIsomallocSegments(t *testing.T) {
 					}
 					continue
 				}
-				if blk == nil || blk.Label != "pie-data-segment" || blk.Seg != c.Private.Seg {
+				if blk == nil || blk.Label != "pie-data-segment" || blk.Words != c.Private.Seg {
 					t.Fatalf("rank %d: PIE cell resolves to block %+v, want the rank's pie-data-segment", c.VP, blk)
 				}
 			}
@@ -299,12 +299,12 @@ func TestPIEglobalsCtorHeapReplication(t *testing.T) {
 	if o0 == nil {
 		t.Fatal("rank 0 object not reachable")
 	}
-	if !c0.Private.ContainsCode(o0.Words[0]) {
+	if !c0.Private.ContainsCode(o0.Words.Load(0)) {
 		t.Errorf("rank 0 vtable slot %#x outside its code copy [%#x,%#x)",
-			o0.Words[0], c0.Private.CodeBase, c0.Private.CodeBase+img.CodeSize)
+			o0.Words.Load(0), c0.Private.CodeBase, c0.Private.CodeBase+img.CodeSize)
 	}
 	o1 := c1.Private.HeapObjAt(p1)
-	if o1 == nil || !c1.Private.ContainsCode(o1.Words[0]) {
+	if o1 == nil || !c1.Private.ContainsCode(o1.Words.Load(0)) {
 		t.Error("rank 1 replication broken")
 	}
 }
@@ -392,7 +392,7 @@ func TestMigrationRoundTripPreservesEverything(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			blk.Words[5] = 12345
+			*blk.Words.Word(5) = 12345
 
 			payload, err := c.Serialize()
 			if err != nil {
@@ -412,7 +412,7 @@ func TestMigrationRoundTripPreservesEverything(t *testing.T) {
 				t.Errorf("tg = %d after restore", got)
 			}
 			nb := c.Heap.Lookup(blk.Addr)
-			if nb == nil || nb.Words[5] != 12345 {
+			if nb == nil || nb.Words.Load(5) != 12345 {
 				t.Error("heap payload lost")
 			}
 			if kind == KindPIEglobals {

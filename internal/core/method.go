@@ -233,9 +233,10 @@ type plan struct {
 	// one and the program tagged nothing). tlsWords is its length.
 	tls      *mem.SegmentBase
 	tlsWords int
-	// heapInit is the initial contents of the rank's privatized-copy
-	// block, one cell per program variable; nil when the method has none.
-	heapInit   []uint64
+	// heapCells is the rank's privatized-copy block as initialised, one
+	// cell per program variable, frozen once per process; every rank's
+	// block is a clone of this view. nil when the method has none.
+	heapCells  *mem.Segment
 	switchCost sim.Time
 }
 
@@ -244,8 +245,9 @@ func (k Kind) newPlan(env *ProcessEnv, img *elf.Image) *plan {
 	r := k.row()
 	p := &plan{cells: make([]cellRef, len(img.Vars))}
 	useTLS := r.tls == tlsAll || r.tls == tlsTagged && env.Toolchain.SupportsTLSSegRefs
+	var heapInit []uint64
 	if r.rest == storeHeapCell && len(img.Vars) > 0 {
-		p.heapInit = make([]uint64, len(img.Vars))
+		heapInit = make([]uint64, len(img.Vars))
 	}
 	for _, v := range img.Vars {
 		ref := cellRef{kind: r.rest, slot: v.Index}
@@ -261,9 +263,12 @@ func (k Kind) newPlan(env *ProcessEnv, img *elf.Image) *plan {
 		// shared and the duplicated segments are addressed PC-relative.
 		ref.cost = accessCost(env.Cost, ref.kind == storeTLS || ref.kind == storeHeapCell)
 		p.cells[v.Index] = ref
-		if p.heapInit != nil {
-			p.heapInit[v.Index] = v.Init
+		if heapInit != nil {
+			heapInit[v.Index] = v.Init
 		}
+	}
+	if heapInit != nil {
+		p.heapCells = mem.AdoptSegment(heapInit).View()
 	}
 	if useTLS {
 		init := make([]uint64, p.tlsWords)
@@ -321,7 +326,7 @@ func (k Kind) Setup(env *ProcessEnv, img *elf.Image, vps []int, start sim.Time) 
 
 	p := k.newPlan(env, img)
 	tlsCopy := env.Cost.CopyTime(uint64(p.tlsWords) * 8)
-	cellCopy := env.Cost.CopyTime(uint64(len(p.heapInit)) * 8)
+	cellCopy := env.Cost.CopyTime(uint64(p.heapCells.Len()) * 8)
 	if r.charge == chargeGOT {
 		// Per-rank GOT construction: one relocation-sized fixup per entry.
 		cellCopy += sim.Time(len(img.Vars)+len(img.Funcs)) * env.Cost.RelocationCost
@@ -351,12 +356,10 @@ func (k Kind) Setup(env *ProcessEnv, img *elf.Image, vps []int, start sim.Time) 
 			done = env.Linker.PopulateShim(copyH, done)
 			c.Private = copyH.Inst
 		}
-		if p.heapInit != nil {
-			c.heapCells, err = c.Heap.Alloc(uint64(len(p.heapInit))*8, r.cellLabel)
-			if err != nil {
+		if p.heapCells != nil {
+			if c.heapCells, err = c.Heap.AllocSegment(p.heapCells, r.cellLabel); err != nil {
 				return nil, err
 			}
-			copy(c.heapCells.Words, p.heapInit)
 		}
 		if p.tls != nil {
 			c.TLS = p.tls.View()

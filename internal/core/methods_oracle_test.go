@@ -184,7 +184,7 @@ func oracleRefactor(k Kind, env *ProcessEnv, img *elf.Image, vps []int, start si
 				return err
 			}
 			for _, v := range img.Vars {
-				blk.Words[v.Index] = v.Init
+				*blk.Words.Word(v.Index) = v.Init
 			}
 			c.heapCells = blk
 			done += env.Cost.CopyTime(words * 8)
@@ -217,7 +217,7 @@ func oracleSwapglobals(k Kind, env *ProcessEnv, img *elf.Image, vps []int, start
 			return err
 		}
 		for _, v := range img.Vars {
-			blk.Words[v.Index] = v.Init
+			*blk.Words.Word(v.Index) = v.Init
 		}
 		c.heapCells = blk
 		// Per-rank GOT construction: one relocation-sized fixup per

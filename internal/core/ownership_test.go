@@ -158,7 +158,7 @@ func heldHandleAcrossMove(t *testing.T, move func(c *RankContext, dest *SetupRes
 				if c.heapCells != c.Heap.Lookup(c.heapCells.Addr) {
 					t.Fatal("privatized cells not bound to the rank's heap")
 				}
-				cell = &c.heapCells.Words[v.Index]
+				cell = c.heapCells.Words.Word(v.Index)
 			}
 			if !v.Mutable() {
 				// The destination process's copy of shared state.

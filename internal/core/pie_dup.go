@@ -9,8 +9,8 @@ import (
 )
 
 // pieTemplate is what PIEglobals works out once per process and reuses
-// for every rank: the loaded instance whose data-segment view the ranks
-// fork, and the result of the pointer scan over it.
+// for every rank: the loaded instance whose data-segment and ctor-object
+// views the ranks clone, and the result of the pointer scan over them.
 type pieTemplate struct {
 	src *elf.Instance
 	// relocs lists every word of the data segment and of the ctor heap
@@ -59,7 +59,7 @@ func newPIETemplate(src *elf.Instance) *pieTemplate {
 	// address, mmap'd or Isomalloc, is at least mem.IsomallocBase.
 	src.Seg.Scan(func(first int, words []uint64) { scan(1, first, words) })
 	for k, o := range src.HeapObjs {
-		scan(2+k, 0, o.Words)
+		o.Words.Scan(func(first int, words []uint64) { scan(2+k, first, words) })
 	}
 	return t
 }
@@ -72,11 +72,11 @@ func newPIETemplate(src *elf.Instance) *pieTemplate {
 //
 // Modelled cost and host cost part ways here. The rank is charged for
 // copying, mapping and scanning every byte, as the real runtime does;
-// the host copies only the data-segment granules (512 B, not modelled
-// pages) the process's instance owns or that hold a rebased word — for
-// ADCIRC, the four around its GOT — and the rest of the rank's view
-// reads through to the image's frozen base: its initialised prefix and,
-// past it, zeros the host never stores.
+// the host copies only the granules (512 B, not modelled pages) the
+// process's instance owns or that hold a rebased word — for ADCIRC, the
+// four around its GOT — and the rest of each of the rank's views reads
+// through to a frozen base: the image's initialised prefix and, past it,
+// zeros the host never stores, or what a constructor wrote.
 func duplicateInstance(env *ProcessEnv, t *pieTemplate, heap *mem.Heap, r *methodRow) (*elf.Instance, sim.Time, error) {
 	src, img := t.src, t.src.Img
 	var cost sim.Time
@@ -114,29 +114,26 @@ func duplicateInstance(env *ProcessEnv, t *pieTemplate, heap *mem.Heap, r *metho
 		cost += env.Cost.CopyTime(img.CodeSize + dataBytes)
 	}
 	cost += env.Cost.PageMapTime(img.CodeSize + dataBytes)
-	cost += sim.Time(dataBlk.Seg.Len()) * env.Cost.PointerScanPerWord
+	cost += sim.Time(dataBlk.Words.Len()) * env.Cost.PointerScanPerWord
 
-	// addrs[i] is where this rank keeps the thing relocs call i.
+	// addrs[i] is where this rank keeps the thing relocs call i, and
+	// segs[i] its payload (none for the code segment).
 	addrs := []uint64{codeBlk.Addr, dataBlk.Addr}
+	segs := []*mem.Segment{nil, dataBlk.Words}
 	objs := make([]*elf.HeapObj, 0, len(src.HeapObjs))
 	for _, o := range src.HeapObjs {
-		blk, err := heap.Alloc(o.Size, "pie-ctor-alloc")
+		blk, err := heap.AllocSegment(o.Words, "pie-ctor-alloc")
 		if err != nil {
 			return nil, 0, err
 		}
-		copy(blk.Words, o.Words)
 		cost += env.Cost.CopyTime(o.Size) + env.Cost.CtorReplayPerAlloc +
-			sim.Time(len(o.Words))*env.Cost.PointerScanPerWord
+			sim.Time(o.Words.Len())*env.Cost.PointerScanPerWord
 		addrs = append(addrs, blk.Addr)
+		segs = append(segs, blk.Words)
 		objs = append(objs, &elf.HeapObj{Addr: blk.Addr, Size: o.Size, Words: blk.Words})
 	}
 	for _, r := range t.relocs {
-		v := addrs[r.target] + r.off
-		if r.holder == 1 {
-			*dataBlk.Seg.Word(r.word) = v
-		} else {
-			objs[r.holder-2].Words[r.word] = v
-		}
+		*segs[r.holder].Word(r.word) = addrs[r.target] + r.off
 	}
 
 	return &elf.Instance{
@@ -144,7 +141,7 @@ func duplicateInstance(env *ProcessEnv, t *pieTemplate, heap *mem.Heap, r *metho
 		Namespace:  src.Namespace,
 		CodeBase:   codeBlk.Addr,
 		DataBase:   dataBlk.Addr,
-		Seg:        dataBlk.Seg,
+		Seg:        dataBlk.Words,
 		HeapObjs:   objs,
 		Migratable: true,
 	}, cost, nil
@@ -174,7 +171,7 @@ func rebindPrivateInstance(c *RankContext) error {
 		objs = append(objs, &elf.HeapObj{Addr: blk.Addr, Size: blk.Size, Words: blk.Words})
 	}
 	priv := *old
-	priv.Seg, priv.HeapObjs = dataBlk.Seg, objs
+	priv.Seg, priv.HeapObjs = dataBlk.Words, objs
 	c.Private = &priv
 	return nil
 }

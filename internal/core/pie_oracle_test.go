@@ -42,16 +42,16 @@ func oracleDuplicate(src, priv *elf.Instance) (data []uint64, objs [][]uint64) {
 		data[i] = rebase(src.Seg.Load(i))
 	}
 	for _, o := range src.HeapObjs {
-		words := append([]uint64(nil), o.Words...)
-		for i, w := range words {
-			words[i] = rebase(w)
+		words := make([]uint64, o.Words.Len())
+		for i := range words {
+			words[i] = rebase(o.Words.Load(i))
 		}
 		objs = append(objs, words)
 	}
 	return data, objs
 }
 
-func pieSetup(t testing.TB, img *elf.Image, vps int) *core.SetupResult {
+func kindSetup(t testing.TB, kind core.Kind, img *elf.Image, vps int) *core.SetupResult {
 	t.Helper()
 	cl, err := machine.New(machine.Config{Nodes: 1, ProcsPerNode: 1, PEsPerProc: 1})
 	if err != nil {
@@ -66,7 +66,7 @@ func pieSetup(t testing.TB, img *elf.Image, vps int) *core.SetupResult {
 	for i := range ids {
 		ids[i] = i
 	}
-	res, err := core.KindPIEglobals.Setup(env, img, ids, 0)
+	res, err := kind.Setup(env, img, ids, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func ctorHeavyImage(hazards [3]uint64) *elf.Image {
 func TestPIEDuplicationMatchesCopyAndScan(t *testing.T) {
 	// Load the ctor-heavy image once to learn where its segments and
 	// allocations land, then rebuild it with integers aimed into them.
-	probe := pieSetup(t, ctorHeavyImage([3]uint64{}), 1).SharedInstance
+	probe := kindSetup(t, core.KindPIEglobals, ctorHeavyImage([3]uint64{}), 1).SharedInstance
 	hazards := [3]uint64{probe.CodeBase + 72, probe.DataBase + 8*3, probe.HeapObjs[5].Addr + 16}
 
 	for _, tc := range []struct {
@@ -129,7 +129,7 @@ func TestPIEDuplicationMatchesCopyAndScan(t *testing.T) {
 		{"ctor-heavy", ctorHeavyImage(hazards), "plain", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res := pieSetup(t, tc.img, 3)
+			res := kindSetup(t, core.KindPIEglobals, tc.img, 3)
 			src := res.SharedInstance
 			if tc.hazards {
 				if src.CodeBase != probe.CodeBase || src.HeapObjs[5].Addr != probe.HeapObjs[5].Addr {
@@ -153,7 +153,7 @@ func TestPIEDuplicationMatchesCopyAndScan(t *testing.T) {
 					}
 					for k, want := range wantObjs {
 						for i := range want {
-							if got := c.Private.HeapObjs[k].Words[i]; got != want[i] {
+							if got := c.Private.HeapObjs[k].Words.Load(i); got != want[i] {
 								t.Fatalf("rank %d %s: ctor object %d word %d = %#x, copy-and-scan gives %#x", c.VP, when, k, i, got, want[i])
 							}
 						}
@@ -197,7 +197,7 @@ func TestPIEDuplicationMatchesCopyAndScan(t *testing.T) {
 				check("after checkpoint restore")
 			}
 			// The process's instance is still what the loader mapped: no
-			// rank's store or rebase reached it, though every rank forked it.
+			// rank's store or rebase reached it, though every rank cloned it.
 			if got := src.Seg.Load(src.Seg.Len() - 3); got != 0 {
 				t.Fatalf("a rank's store reached the process image: %d", got)
 			}

@@ -212,7 +212,7 @@ func TestRunCtors(t *testing.T) {
 		t.Fatal("heap object not recorded")
 	}
 	// Slot 1 holds a pointer to some function in this instance's code.
-	if fp := obj.Words[1]; !in.ContainsCode(fp) {
+	if fp := obj.Words.Load(1); !in.ContainsCode(fp) {
 		t.Errorf("vtable slot %#x outside code", fp)
 	}
 	if in.Seg.Load(img.VarByName("vfn_ptr").Index) != in.FuncAddr(img.FuncByName("virtual_method")) {

@@ -7,11 +7,14 @@ import (
 )
 
 // HeapObj is a heap allocation made by a static constructor at load
-// time, owned by a particular instance of the image.
+// time, owned by a particular instance of the image. Words is its
+// content: in the loaded instance a view of what the constructor
+// wrote, frozen once, and in a PIEglobals copy the payload of the
+// rank's heap block.
 type HeapObj struct {
 	Addr  uint64
 	Size  uint64
-	Words []uint64
+	Words *mem.Segment
 }
 
 // Instance is one loaded copy of an Image, mapped at concrete segment
@@ -166,17 +169,18 @@ func (in *Instance) RunCtors(alloc func(size uint64) uint64) (int, error) {
 		for i, a := range c.Allocs {
 			size := (a.Size + 7) &^ 7
 			addr := alloc(size)
-			obj := &HeapObj{Addr: addr, Size: size, Words: make([]uint64, size/8)}
+			words := make([]uint64, size/8)
 			for _, slot := range a.FuncPtrSlots {
-				if slot < 0 || slot >= len(obj.Words) {
-					return count, fmt.Errorf("elf: ctor func-ptr slot %d outside alloc of %d words", slot, len(obj.Words))
+				if slot < 0 || slot >= len(words) {
+					return count, fmt.Errorf("elf: ctor func-ptr slot %d outside alloc of %d words", slot, len(words))
 				}
 				if len(in.Img.Funcs) == 0 {
 					return count, fmt.Errorf("elf: ctor func-ptr slot with no functions declared")
 				}
 				f := in.Img.Funcs[slot%len(in.Img.Funcs)]
-				obj.Words[slot] = in.FuncAddr(f)
+				words[slot] = in.FuncAddr(f)
 			}
+			obj := &HeapObj{Addr: addr, Size: size, Words: mem.AdoptSegment(words).View()}
 			objs[i] = obj
 			in.HeapObjs = append(in.HeapObjs, obj)
 			count++

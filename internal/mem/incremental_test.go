@@ -4,10 +4,8 @@ import (
 	"testing"
 )
 
-// sameArray reports whether two word slices share backing storage.
-func sameArray(a, b []uint64) bool {
-	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
-}
+// sameView reports whether two payloads are one and the same view.
+func sameView(a, b *Segment) bool { return a != nil && a == b }
 
 // TestSerializeIncrementalSharing pins the dirty-block contract: a
 // clean block's payload is shared with the previous snapshot (no copy),
@@ -18,7 +16,7 @@ func TestSerializeIncrementalSharing(t *testing.T) {
 	a, _ := h.Alloc(64, "a")
 	b, _ := h.Alloc(128, "b")
 	ballast, _ := h.AllocBallast(4096, "ballast")
-	a.Words[0], b.Words[0] = 1, 2
+	*a.Words.Word(0), *b.Words.Word(0) = 1, 2
 
 	s1 := h.Serialize()
 	if s1.DeltaBytes() != s1.Bytes() {
@@ -29,27 +27,27 @@ func TestSerializeIncrementalSharing(t *testing.T) {
 	if s2.DeltaBytes() != 0 {
 		t.Fatalf("unchanged heap delta %d, want 0", s2.DeltaBytes())
 	}
-	if !sameArray(s2.Blocks[0].Words, s1.Blocks[0].Words) ||
-		!sameArray(s2.Blocks[1].Words, s1.Blocks[1].Words) {
+	if !sameView(s2.Blocks[0].Words, s1.Blocks[0].Words) ||
+		!sameView(s2.Blocks[1].Words, s1.Blocks[1].Words) {
 		t.Fatal("clean blocks were re-copied instead of shared")
 	}
 
-	a.Words[0] = 42
+	*a.Words.Word(0) = 42
 	a.Touch()
 	s3 := h.Serialize()
 	if s3.DeltaBytes() != a.Size {
 		t.Fatalf("delta %d after touching a, want %d", s3.DeltaBytes(), a.Size)
 	}
-	if sameArray(s3.Blocks[0].Words, s2.Blocks[0].Words) {
+	if sameView(s3.Blocks[0].Words, s2.Blocks[0].Words) {
 		t.Fatal("dirty block shared the stale cached copy")
 	}
-	if !sameArray(s3.Blocks[1].Words, s2.Blocks[1].Words) {
+	if !sameView(s3.Blocks[1].Words, s2.Blocks[1].Words) {
 		t.Fatal("clean block was re-copied")
 	}
 	// Snapshot isolation: the earlier snapshots still see the old value.
-	if s1.Blocks[0].Words[0] != 1 || s2.Blocks[0].Words[0] != 1 || s3.Blocks[0].Words[0] != 42 {
+	if s1.Blocks[0].Words.Load(0) != 1 || s2.Blocks[0].Words.Load(0) != 1 || s3.Blocks[0].Words.Load(0) != 42 {
 		t.Fatalf("snapshot isolation broken: %d / %d / %d",
-			s1.Blocks[0].Words[0], s2.Blocks[0].Words[0], s3.Blocks[0].Words[0])
+			s1.Blocks[0].Words.Load(0), s2.Blocks[0].Words.Load(0), s3.Blocks[0].Words.Load(0))
 	}
 	_ = ballast
 }
@@ -59,7 +57,7 @@ func TestSerializeIncrementalSharing(t *testing.T) {
 func TestFreePurgesSnapshotCache(t *testing.T) {
 	h := NewHeap(0)
 	a, _ := h.Alloc(64, "a")
-	a.Words[0] = 7
+	*a.Words.Word(0) = 7
 	h.Serialize()
 	if err := h.Free(a.Addr); err != nil {
 		t.Fatal(err)
@@ -68,9 +66,9 @@ func TestFreePurgesSnapshotCache(t *testing.T) {
 	if b.Addr != a.Addr {
 		t.Fatalf("expected address reuse, got %#x vs %#x", b.Addr, a.Addr)
 	}
-	b.Words[0] = 9
+	*b.Words.Word(0) = 9
 	s := h.Serialize()
-	if s.Blocks[len(s.Blocks)-1].Words[0] != 9 {
+	if s.Blocks[len(s.Blocks)-1].Words.Load(0) != 9 {
 		t.Fatal("snapshot revived the freed block's stale payload")
 	}
 }
@@ -117,7 +115,7 @@ func TestSnapshotRoundTripUnderChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.Words[0] = uint64(i)
+		*b.Words.Word(0) = uint64(i)
 		hold = append(hold, b)
 		if i%3 == 2 { // free every third, creating reusable spans
 			victim := hold[i/3]
@@ -147,7 +145,7 @@ func TestSnapshotRoundTripUnderChurn(t *testing.T) {
 		if nb.Size != b.Size || nb.Label != b.Label || nb.SharedBytes != b.SharedBytes {
 			t.Fatalf("block %#x metadata diverged: %+v vs %+v", b.Addr, nb, b)
 		}
-		if b.Words != nil && nb.Words[0] != b.Words[0] {
+		if b.Words != nil && nb.Words.Load(0) != b.Words.Load(0) {
 			t.Fatalf("block %#x payload diverged", b.Addr)
 		}
 	}
@@ -172,62 +170,62 @@ func TestSnapshotRoundTripUnderChurn(t *testing.T) {
 func TestRestoreSeedsIncrementalCache(t *testing.T) {
 	h := NewHeap(5)
 	a, _ := h.Alloc(256, "a")
-	a.Words[3] = 11
+	*a.Words.Word(3) = 11
 	snap := h.Serialize()
 	h2 := Restore(snap)
 	s2 := h2.Serialize()
 	if s2.DeltaBytes() != 0 {
 		t.Fatalf("restored heap's first snapshot delta %d, want 0", s2.DeltaBytes())
 	}
-	// And it shares the original snapshot's arrays rather than copying.
-	if !sameArray(s2.Blocks[0].Words, snap.Blocks[0].Words) {
+	// And it shares the original snapshot's views rather than copying.
+	if !sameView(s2.Blocks[0].Words, snap.Blocks[0].Words) {
 		t.Fatal("restored heap re-copied a clean block")
 	}
 	// Writes on the restored heap must not leak into either snapshot.
 	a2 := h2.Lookup(a.Addr)
-	a2.Words[3] = 99
+	*a2.Words.Word(3) = 99
 	a2.Touch()
-	if snap.Blocks[0].Words[3] != 11 || s2.Blocks[0].Words[3] != 11 {
+	if snap.Blocks[0].Words.Load(3) != 11 || s2.Blocks[0].Words.Load(3) != 11 {
 		t.Fatal("live write leaked into an immutable snapshot")
 	}
 }
 
 // TestRestoreConsumeAdoptsFreshArrays: a migration's hand-off leaves the
-// heap its own live arrays, so the destination adopts them with no copy,
+// heap its own live views, so the destination adopts them with no copy,
 // while a checkpoint kept from before the move stays intact. The next
 // Serialize copies a handed-off block rather than sharing the live
-// array, sees writes made after the hand-off, and charges delta only
+// view, sees writes made after the hand-off, and charges delta only
 // for blocks touched since it.
 func TestRestoreConsumeAdoptsFreshArrays(t *testing.T) {
 	h := NewHeap(6)
 	a, _ := h.Alloc(64, "a")
 	b, _ := h.Alloc(64, "b")
-	a.Words[0], b.Words[0] = 1, 2
+	*a.Words.Word(0), *b.Words.Word(0) = 1, 2
 	aWords, bWords := a.Words, b.Words
 
 	ck := h.Serialize() // kept checkpoint
-	b.Words[0] = 22
+	*b.Words.Word(0) = 22
 	b.Touch()
 	if bytes, delta := h.Handoff(); bytes != 128 || delta != 64 {
 		t.Fatalf("hand-off moved %d bytes with delta %d, want 128 and only the 64 touched", bytes, delta)
 	}
 	if h.Lookup(a.Addr) != a || h.Lookup(b.Addr) != b ||
-		!sameArray(a.Words, aWords) || !sameArray(b.Words, bWords) {
-		t.Fatal("the hand-off replaced a block or its array instead of leaving it to the heap")
+		!sameView(a.Words, aWords) || !sameView(b.Words, bWords) {
+		t.Fatal("the hand-off replaced a block or its view instead of leaving it to the heap")
 	}
 	// Destination writes must not corrupt the kept checkpoint.
-	a.Words[0] = 100
-	b.Words[0] = 200
+	*a.Words.Word(0) = 100
+	*b.Words.Word(0) = 200
 	b.Touch()
-	if ck.Blocks[0].Words[0] != 1 || ck.Blocks[1].Words[0] != 2 {
-		t.Fatalf("checkpoint corrupted: %d/%d", ck.Blocks[0].Words[0], ck.Blocks[1].Words[0])
+	if ck.Blocks[0].Words.Load(0) != 1 || ck.Blocks[1].Words.Load(0) != 2 {
+		t.Fatalf("checkpoint corrupted: %d/%d", ck.Blocks[0].Words.Load(0), ck.Blocks[1].Words.Load(0))
 	}
 	s := h.Serialize()
-	if s.Blocks[1].Words[0] != 200 {
+	if s.Blocks[1].Words.Load(0) != 200 {
 		t.Fatal("serialize after the hand-off missed the block's mutation")
 	}
-	if sameArray(s.Blocks[1].Words, b.Words) {
-		t.Fatal("serialize shared a live handed-off array into a snapshot")
+	if sameView(s.Blocks[1].Words, b.Words) {
+		t.Fatal("serialize shared a live handed-off view into a snapshot")
 	}
 	if s.DeltaBytes() != 64 {
 		t.Fatalf("serialize after the hand-off charged %d delta bytes, want only the 64 touched", s.DeltaBytes())
@@ -238,12 +236,12 @@ func TestRestoreConsumeAdoptsFreshArrays(t *testing.T) {
 // hand off, mutate, repeat — and checks that after the first
 // full-payload round, every later round's wire delta is only the touched
 // bytes. A checkpoint after the last hand-off copies the handed-off
-// block locally, charges it no delta, and never shares the live array.
+// block locally, charges it no delta, and never shares the live view.
 func TestMigrationLoopStaysIncremental(t *testing.T) {
 	h := NewHeap(8)
 	hot, _ := h.Alloc(64, "hot")
 	cold, _ := h.Alloc(1<<16, "cold")
-	hot.Words[0], cold.Words[0] = 1, 100
+	*hot.Words.Word(0), *cold.Words.Word(0) = 1, 100
 
 	for round := 0; round < 4; round++ {
 		bytes, delta := h.Handoff()
@@ -257,11 +255,11 @@ func TestMigrationLoopStaysIncremental(t *testing.T) {
 		} else if delta != 64 {
 			t.Fatalf("round %d delta %d, want only the 64 touched bytes", round, delta)
 		}
-		hot.Words[0]++
+		*hot.Words.Word(0)++
 		hot.Touch()
 	}
-	if hot.Words[0] != 5 || cold.Words[0] != 100 {
-		t.Fatalf("hot/cold cells %d/%d after 4 rounds, want 5/100", hot.Words[0], cold.Words[0])
+	if hot.Words.Load(0) != 5 || cold.Words.Load(0) != 100 {
+		t.Fatalf("hot/cold cells %d/%d after 4 rounds, want 5/100", hot.Words.Load(0), cold.Words.Load(0))
 	}
 
 	h.Handoff()
@@ -269,12 +267,12 @@ func TestMigrationLoopStaysIncremental(t *testing.T) {
 	if s.DeltaBytes() != 0 {
 		t.Fatalf("checkpoint after a hand-off charged %d delta bytes, want 0", s.DeltaBytes())
 	}
-	if sameArray(s.Blocks[0].Words, hot.Words) {
-		t.Fatal("checkpoint shared the live array of a handed-off block")
+	if sameView(s.Blocks[0].Words, hot.Words) {
+		t.Fatal("checkpoint shared the live view of a handed-off block")
 	}
-	hot.Words[0] = 9
-	if s.Blocks[0].Words[0] != 5 {
-		t.Fatalf("a live write reached the checkpoint: %d, want 5", s.Blocks[0].Words[0])
+	*hot.Words.Word(0) = 9
+	if s.Blocks[0].Words.Load(0) != 5 {
+		t.Fatalf("a live write reached the checkpoint: %d, want 5", s.Blocks[0].Words.Load(0))
 	}
 }
 

@@ -12,14 +12,12 @@ type Block struct {
 	Addr  uint64
 	Size  uint64
 	Label string
-	// Words is the allocation's payload, one uint64 per 8 bytes, or nil
-	// for footprint-only ballast. Pointer values stored here survive
+	// Words is the allocation's payload, one word per 8 bytes: a
+	// copy-on-write view of a frozen base (zero for Alloc), or nil for
+	// footprint-only ballast. Pointer values stored here survive
 	// migration verbatim because the block's address is identical in
 	// every process.
-	Words []uint64
-	// Seg is the payload of a block made by AllocSegment: a copy-on-write
-	// view of a program image's frozen data segment, held instead of Words.
-	Seg *Segment
+	Words *Segment
 	// SharedBytes is the block's shared span: the leading bytes backed by
 	// a shared read-only mapping (one physical copy mapped from a single
 	// descriptor, per the paper's §6 future-work plan) — all of a code
@@ -29,9 +27,14 @@ type Block struct {
 	// receiving bytes. The writable remainder behaves normally.
 	SharedBytes uint64
 	// gen is the block's generation stamp: it advances whenever the
-	// payload may have changed, and a snapshot entry is reusable only
-	// while its recorded generation still matches. See Touch.
-	gen uint64
+	// payload may have changed (see Touch). snapGen is the generation the
+	// last Serialize or Handoff saw, and snap the view that Serialize
+	// captured, shared with its snapshot. While snapGen matches gen the
+	// next Serialize reuses snap; a nil snap for a payload block means a
+	// Handoff saw it last, so the content is unchanged but held nowhere
+	// else, and the next Serialize copies it without charging a delta.
+	gen, snapGen uint64
+	snap         *Segment
 }
 
 // End returns one past the last byte of the block.
@@ -40,20 +43,11 @@ func (b *Block) End() uint64 { return b.Addr + b.Size }
 // residentSpan returns the block's private (resident) byte count.
 func (b *Block) residentSpan() uint64 { return b.Size - b.SharedBytes }
 
-// payloadWords counts the words a host copy of the block's payload
-// moves: all of Words, or only a segment view's materialised granules.
-func (b *Block) payloadWords() int {
-	if b.Seg != nil {
-		return b.Seg.ownedWords()
-	}
-	return len(b.Words)
-}
-
 // Touch marks the block's payload as modified since the last snapshot.
 // The runtime's write paths (privatized stores, charge-only access
-// batches) call it automatically; code that mutates Words directly
+// batches) call it automatically; code that writes through Words.Word
 // between two Serialize calls on the same heap must call it by hand, or
-// the next incremental snapshot will reuse the stale cached copy.
+// the next incremental snapshot will reuse the stale captured view.
 func (b *Block) Touch() { b.gen++ }
 
 // Heap is a per-rank Isomalloc heap: a bump allocator with free-list
@@ -72,23 +66,6 @@ type Heap struct {
 	// Alloc/Free/MarkSharedBytes so the accessors never rescan.
 	live     uint64
 	resident uint64
-	// clean caches, per block, the words array captured by the last
-	// Serialize and the generation it captured. While the generation
-	// still matches, the next snapshot reuses the cached array instead
-	// of copying the payload again.
-	clean map[*Block]snapEntry
-}
-
-type snapEntry struct {
-	gen uint64
-	// words or seg is the payload the last Serialize captured, shared
-	// with that snapshot. Both are nil for ballast, and for a payload
-	// block a Handoff captured last: such an entry holds no copy, but
-	// while the generation matches the content is unchanged since the
-	// hand-off, so the next Serialize copies it locally and charges no
-	// delta.
-	words []uint64
-	seg   *Segment
 }
 
 // NewHeap returns an empty heap for virtual rank vp. vp must be within
@@ -106,14 +83,15 @@ func (h *Heap) Base() uint64 { return h.base }
 
 func align8(n uint64) uint64 { return (n + 7) &^ 7 }
 
-// Alloc allocates size bytes and returns the block. The payload is
-// zero-initialized.
+// Alloc allocates size bytes and returns the block. The payload is a
+// view of a zero base: the host stores a word's granule only once it is
+// written.
 func (h *Heap) Alloc(size uint64, label string) (*Block, error) {
 	b, err := h.allocRaw(size, label)
 	if err != nil {
 		return nil, err
 	}
-	b.Words = make([]uint64, b.Size/8)
+	b.Words = FreezeSegment(nil, int(b.Size/8)).View()
 	return b, nil
 }
 
@@ -158,7 +136,7 @@ func (h *Heap) allocRaw(size uint64, label string) (*Block, error) {
 		b := f
 		b.Label = label
 		b.SharedBytes = 0
-		b.gen++ // never match a stale snapshot entry from a past life
+		b.gen++ // never match the generation a past life's snapshot saw
 		if f.Size > size {
 			h.free[i] = &Block{Addr: f.Addr + size, Size: f.Size - size}
 			b.Size = size
@@ -173,7 +151,8 @@ func (h *Heap) allocRaw(size uint64, label string) (*Block, error) {
 	if size > h.limit-h.brk {
 		return nil, fmt.Errorf("isomalloc: rank %d range exhausted (%d bytes requested)", h.vp, size)
 	}
-	b := &Block{Addr: h.brk, Size: size, Label: label}
+	// gen starts past snapGen's zero: no snapshot has seen the block.
+	b := &Block{Addr: h.brk, Size: size, Label: label, gen: 1}
 	h.brk += size
 	h.indexInsert(b)
 	h.live += size
@@ -189,13 +168,11 @@ func (h *Heap) Free(addr uint64) error {
 	}
 	b := h.index[i]
 	h.index = append(h.index[:i], h.index[i+1:]...)
-	delete(h.clean, b) // the recycled struct must never revive a stale copy
 	h.live -= b.Size
 	h.resident -= b.residentSpan()
-	b.Words, b.Seg = nil, nil
+	b.Words, b.snap = nil, nil // the recycled struct must never revive a stale view
 	b.Label = ""
 	b.SharedBytes = 0
-	b.gen++
 	i = sort.Search(len(h.free), func(i int) bool { return h.free[i].Addr > b.Addr })
 	h.free = append(h.free, nil)
 	copy(h.free[i+1:], h.free[i:])
@@ -284,9 +261,9 @@ func (s *Snapshot) DeltaBytes() uint64 { return s.delta }
 
 // Serialize captures the heap for a checkpoint. Snapshots are
 // incremental: a block untouched since the previous Serialize shares
-// that snapshot's words array instead of being copied again, and all
-// blocks that do need copying go through one pooled buffer. The
-// returned snapshot is immutable and remains valid after the heap
+// that snapshot's view instead of being copied again, and the granules
+// of every view that does need copying go through one pooled buffer.
+// The returned snapshot is immutable and remains valid after the heap
 // changes or is discarded.
 func (h *Heap) Serialize() *Snapshot {
 	snap := &Snapshot{
@@ -300,39 +277,30 @@ func (h *Heap) Serialize() *Snapshot {
 			snap.FreeSpans[i] = FreeSpan{Addr: f.Addr, Size: f.Size}
 		}
 	}
-	if h.clean == nil {
-		h.clean = make(map[*Block]snapEntry, len(h.index))
-	}
-	// One pooled buffer backs every payload copy this snapshot makes:
-	// dirty blocks, plus clean blocks whose entry holds no copy (a
-	// Handoff captured them last) — those are copied locally, but
-	// charge no delta.
 	var copyWords int
 	for _, b := range h.index {
-		if e, ok := h.clean[b]; !ok || e.gen != b.gen || e.words == nil && e.seg == nil {
-			copyWords += b.payloadWords()
+		if b.snapGen != b.gen || b.snap == nil {
+			copyWords += b.Words.ownedWords()
 		}
 	}
 	arena := make([]uint64, copyWords)
 	var reused, copied uint64
 	for _, b := range h.index {
 		cp := Block{Addr: b.Addr, Size: b.Size, Label: b.Label, SharedBytes: b.SharedBytes}
-		e, cached := h.clean[b]
-		clean := cached && e.gen == b.gen
-		ballast := b.Words == nil && b.Seg == nil
+		clean := b.snapGen == b.gen
 		switch {
-		case clean && (ballast || e.words != nil || e.seg != nil):
-			cp.Words, cp.Seg = e.words, e.seg
+		case clean && (b.Words == nil || b.snap != nil):
+			cp.Words = b.snap
 			reused++
-		case ballast:
-			h.clean[b] = snapEntry{gen: b.gen}
+		case b.Words == nil:
+			b.snapGen = b.gen
 			snap.delta += b.residentSpan()
 		default:
-			// A segment view copies only its materialised granules; the
-			// modelled delta below is still the whole block.
-			cp.Words, cp.Seg = carve(&arena, b.Words), b.Seg.clone(&arena)
+			// A view copies only its materialised granules; the modelled
+			// delta below is still the whole block.
+			cp.Words = b.Words.clone(&arena)
 			copied++
-			h.clean[b] = snapEntry{gen: b.gen, words: cp.Words, seg: cp.Seg}
+			b.snap, b.snapGen = cp.Words, b.gen
 			// Shared spans are remapped by the destination, never sent,
 			// so they never count.
 			if !clean {
@@ -359,15 +327,12 @@ func (h *Heap) Serialize() *Snapshot {
 // It returns what Serialize would report — bytes, the resident span of
 // every block, and delta, that of every block touched since the last
 // Serialize or Handoff — and advances those blocks' delta base without
-// capturing them (see snapEntry).
+// capturing them (see Block.snap).
 func (h *Heap) Handoff() (bytes, delta uint64) {
-	if h.clean == nil {
-		h.clean = make(map[*Block]snapEntry, len(h.index))
-	}
 	for _, b := range h.index {
 		bytes += b.residentSpan()
-		if e, ok := h.clean[b]; !ok || e.gen != b.gen {
-			h.clean[b] = snapEntry{gen: b.gen}
+		if b.snapGen != b.gen {
+			b.snap, b.snapGen = nil, b.gen
 			delta += b.residentSpan()
 		}
 	}
@@ -381,14 +346,15 @@ func (h *Heap) Handoff() (bytes, delta uint64) {
 
 // Restore reconstructs a heap from a snapshot. Addresses are preserved
 // exactly; this is what makes Isomalloc restart transparent to any
-// pointers held in the payload. The snapshot is not consumed: payloads
-// are copied through one pooled buffer, so it can be restored again or
-// kept as a checkpoint. Its arrays seed the new heap's clean-block
-// cache, so the heap's own first Serialize is already incremental.
+// pointers held in the payload. The snapshot is not consumed: each view
+// is cloned, its granules through one pooled buffer, so it can be
+// restored again or kept as a checkpoint. Each block keeps the
+// snapshot's view as its captured one, so the heap's own first
+// Serialize is already incremental.
 func Restore(snap *Snapshot) *Heap {
 	var total int
 	for i := range snap.Blocks {
-		total += snap.Blocks[i].payloadWords()
+		total += snap.Blocks[i].Words.ownedWords()
 	}
 	arena := make([]uint64, total)
 	h := NewHeap(snap.VP)
@@ -396,13 +362,11 @@ func Restore(snap *Snapshot) *Heap {
 	n := len(snap.Blocks)
 	structs := make([]Block, n) // one allocation for all block headers
 	h.index = make([]*Block, 0, n)
-	h.clean = make(map[*Block]snapEntry, n)
 	for i := range snap.Blocks {
 		cp := &snap.Blocks[i]
 		nb := &structs[i]
-		*nb = *cp // gen is 0 in a snapshot block, matching the cache entry below
-		nb.Words, nb.Seg = carve(&arena, cp.Words), cp.Seg.clone(&arena)
-		h.clean[nb] = snapEntry{words: cp.Words, seg: cp.Seg}
+		*nb = *cp // gen and snapGen are 0 in a snapshot block: captured
+		nb.Words, nb.snap = cp.Words.clone(&arena), cp.Words
 		h.index = append(h.index, nb) // snapshots are address-ordered
 		h.live += nb.Size
 		h.resident += nb.residentSpan()

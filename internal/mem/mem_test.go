@@ -185,24 +185,24 @@ func TestHeapLookup(t *testing.T) {
 func TestSerializeRestoreRoundTrip(t *testing.T) {
 	h := NewHeap(5)
 	a, _ := h.Alloc(64, "data")
-	a.Words[0] = 0xdeadbeef
-	a.Words[7] = a.Addr // self-referential pointer
+	*a.Words.Word(0) = 0xdeadbeef
+	*a.Words.Word(7) = a.Addr // self-referential pointer
 	ballast, _ := h.AllocBallast(1<<20, "ballast")
 	c, _ := h.Alloc(32, "more")
-	c.Words[1] = a.Addr + 56 // pointer into a
+	*c.Words.Word(1) = a.Addr + 56 // pointer into a
 
 	snap := h.Serialize()
 	h2 := Restore(snap)
 
 	a2 := h2.Lookup(a.Addr)
-	if a2 == nil || a2.Words[0] != 0xdeadbeef {
+	if a2 == nil || a2.Words.Load(0) != 0xdeadbeef {
 		t.Fatal("payload lost in round trip")
 	}
-	if a2.Words[7] != a2.Addr {
+	if a2.Words.Load(7) != a2.Addr {
 		t.Fatal("self-pointer no longer valid")
 	}
 	c2 := h2.Lookup(c.Addr)
-	if c2.Words[1] != a2.Addr+56 {
+	if c2.Words.Load(1) != a2.Addr+56 {
 		t.Fatal("cross-block pointer broken")
 	}
 	b2 := h2.Lookup(ballast.Addr)
@@ -255,7 +255,7 @@ func TestHeapDisjointnessProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			b.Words[0] = uint64(i)
+			*b.Words.Word(0) = uint64(i)
 			live = append(live, b)
 		}
 		// Disjointness.
@@ -271,7 +271,7 @@ func TestHeapDisjointnessProperty(t *testing.T) {
 		h2 := Restore(h.Serialize())
 		for _, b := range live {
 			nb := h2.Lookup(b.Addr)
-			if nb == nil || nb.Words[0] != b.Words[0] {
+			if nb == nil || nb.Words.Load(0) != b.Words.Load(0) {
 				return false
 			}
 		}

@@ -27,7 +27,7 @@ type obsMetrics struct {
 	// granulesMaterialized counts 512 B granules a Segment view copied
 	// out of its base when Word first reached them; bytesShared
 	// accumulates the segment bytes each view creation and each view copy
-	// (Fork, Serialize, Restore) left on the shared base instead of
+	// (AllocSegment, Serialize, Restore) left on the shared base instead of
 	// moving — the host side of the modelled full/delta bytes above.
 	granulesMaterialized *obs.Counter
 	bytesShared          *obs.Counter

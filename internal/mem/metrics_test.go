@@ -17,6 +17,7 @@ func TestSnapshotObsCounts(t *testing.T) {
 	h := NewHeap(0)
 	a, _ := h.Alloc(256, "a")
 	h.Alloc(512, "b")
+	*a.Words.Word(0) = 1 // one granule for the arena to copy
 	a.Touch()
 
 	s1 := h.Serialize()
@@ -34,7 +35,7 @@ func TestSnapshotObsCounts(t *testing.T) {
 		t.Fatal("first snapshot copied no blocks")
 	}
 
-	// Untouched heap: everything reuses the clean cache, delta stays 0.
+	// Untouched heap: every block reuses its captured view, delta stays 0.
 	s2 := h.Serialize()
 	if s2.DeltaBytes() != 0 {
 		t.Fatalf("untouched heap delta = %d", s2.DeltaBytes())
@@ -75,7 +76,7 @@ func TestSegmentObsCounts(t *testing.T) {
 	// Off by default: nothing registered, nothing counted, no panic.
 	h := NewHeap(0)
 	b, _ := h.AllocSegment(base, "data")
-	*b.Seg.Word(0) = 1
+	*b.Words.Word(0) = 1
 	h.Serialize()
 	if metrics.granulesMaterialized != nil || metrics.bytesShared != nil {
 		t.Fatal("segment instruments are on without EnableObs")
@@ -90,8 +91,8 @@ func TestSegmentObsCounts(t *testing.T) {
 	if got := metrics.bytesShared.Value(); got != words*8 {
 		t.Fatalf("a fresh view shares %d bytes, want the whole segment %d", got, words*8)
 	}
-	*b.Seg.Word(3) = 1
-	*b.Seg.Word(4) = 2 // same granule
+	*b.Words.Word(3) = 1
+	*b.Words.Word(4) = 2 // same granule
 	b.Touch()
 	if got := metrics.granulesMaterialized.Value(); got != 1 {
 		t.Fatalf("mem_segment_granules_materialized_total = %d, want 1", got)

@@ -9,11 +9,12 @@ import (
 // every charge and modelled size still counts in PageSize pages.
 const granuleWords = 64
 
-// SegmentBase is a program image's immutable data segment: frozen once,
-// then read by every view of it — the loader's instances, the ranks'
-// forks of them, and every snapshot of those. Nothing writes it after
-// FreezeSegment. The host holds only the initialised prefix; every word
-// past it is zero and costs nothing until a view writes its granule.
+// SegmentBase is an immutable payload that copy-on-write views read
+// through: a program image's data segment, a plan's TLS or
+// privatized-cell block, a constructor's heap object, or Alloc's zeros.
+// Nothing writes it once frozen. The host holds only the initialised
+// prefix; every word past it is zero and costs nothing until a view
+// writes its granule.
 type SegmentBase struct {
 	init []uint64 // the initialised prefix
 	n    int      // the length in words
@@ -28,8 +29,9 @@ func FreezeSegment(init []uint64, words int) *SegmentBase {
 }
 
 // AdoptSegment is FreezeSegment of words without the copy: the base is
-// words itself, so nothing may write them afterwards. A plan's TLS
-// block, built for the purpose, and a checkpoint's are frozen this way.
+// words itself, so nothing may write them afterwards. Blocks built for
+// the purpose — a plan's TLS and privatized cells, a constructor's
+// object, a checkpoint's TLS — are frozen this way.
 func AdoptSegment(words []uint64) *SegmentBase {
 	return &SegmentBase{init: words, n: len(words)}
 }
@@ -87,8 +89,8 @@ func (s *Segment) Load(i int) uint64 {
 // Word returns the cell of word i, first materialising its granule —
 // zeros with the overlapping part of the base's prefix copied in — if the
 // view does not own it yet. The pointer stays valid for the life of the
-// view; a caller that writes through it into a heap block's view must
-// Touch the block, as with Block.Words.
+// view; a caller that writes through it into a heap block's payload must
+// Touch the block, or the next Serialize reuses the captured view.
 func (s *Segment) Word(i int) *uint64 {
 	g := i / granuleWords
 	k, ok := s.find(g)
@@ -130,31 +132,32 @@ func (s *Segment) Scan(fn func(first int, words []uint64)) {
 }
 
 // ownedWords counts the words in materialised granules: what a copy of
-// the view moves on the host.
+// the view moves on the host. A nil view owns none.
 func (s *Segment) ownedWords() int {
 	n := 0
-	for _, gr := range s.granules {
-		n += len(gr.words)
+	if s != nil {
+		for _, gr := range s.granules {
+			n += len(gr.words)
+		}
 	}
 	return n
 }
 
-// Fork returns an independent view with the same content: the base is
-// shared, and only the materialised granules are copied, into one arena.
-func (s *Segment) Fork() *Segment {
-	arena := make([]uint64, s.ownedWords())
-	return s.clone(&arena)
-}
-
-// clone is Fork with the granule copies carved from arena, which the
-// caller sized from ownedWords. A nil view clones to nil.
+// clone returns an independent view with the same content: the base is
+// shared, and the materialised granules are copied into the front of
+// arena, which the caller sized from ownedWords. A nil view clones to
+// nil.
 func (s *Segment) clone(arena *[]uint64) *Segment {
 	if s == nil {
 		return nil
 	}
 	c := &Segment{base: s.base, granules: make([]segGranule, len(s.granules))}
 	for k, gr := range s.granules {
-		c.granules[k] = segGranule{idx: gr.idx, words: carve(arena, gr.words)}
+		n := len(gr.words)
+		w := (*arena)[:n:n] // capped so appends never reach the next copy
+		*arena = (*arena)[n:]
+		copy(w, gr.words)
+		c.granules[k] = segGranule{idx: gr.idx, words: w}
 	}
 	if metrics.bytesShared != nil {
 		metrics.bytesShared.Add(uint64(s.Len()-s.ownedWords()) * 8)
@@ -162,25 +165,15 @@ func (s *Segment) clone(arena *[]uint64) *Segment {
 	return c
 }
 
-// carve copies src into the front of arena and returns the copy, capped
-// so appends never run into the next carving. A nil src stays nil.
-func carve(arena *[]uint64, src []uint64) []uint64 {
-	if src == nil {
-		return nil
-	}
-	w := (*arena)[:len(src):len(src)]
-	*arena = (*arena)[len(src):]
-	copy(w, src)
-	return w
-}
-
-// AllocSegment allocates a block the size of src whose payload is a
-// fork of it (Block.Seg; Block.Words stays nil).
+// AllocSegment allocates a block the size of src whose payload is an
+// independent copy-on-write clone of it: the block reads through to
+// src's base and holds a copy of only the granules src owns.
 func (h *Heap) AllocSegment(src *Segment, label string) (*Block, error) {
 	b, err := h.allocRaw(uint64(src.Len())*8, label)
 	if err != nil {
 		return nil, err
 	}
-	b.Seg = src.Fork()
+	arena := make([]uint64, src.ownedWords())
+	b.Words = src.clone(&arena)
 	return b, nil
 }
