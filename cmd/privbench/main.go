@@ -315,9 +315,7 @@ func readPoints(path string) ([]*scenario.Spec, error) {
 // workload's own report, then the row exactly as the server would
 // store it.
 func runPoint(sp *scenario.Spec, rec *trace.Recorder) error {
-	if rec != nil { // a nil *Recorder must not become a non-nil Tracer
-		sp.Tracer = rec
-	}
+	sp.Tracer = rec
 	row, report, err := sp.Execute()
 	if err != nil {
 		return err

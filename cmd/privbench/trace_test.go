@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/md5"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"testing"
@@ -72,6 +74,29 @@ func TestFigurePointTracesLikeItsDocument(t *testing.T) {
 			_, got := traced(t, tc.doc, "-spec -")
 			if !bytes.Equal(got, want) {
 				t.Errorf("-spec of the document traced %d B, the figure point %d B, and they differ", len(got), len(want))
+			}
+		})
+	}
+}
+
+// TestCLITraceBytes pins the trace files real runs write, byte for
+// byte, in both formats: the 65 536-rank scale run (139 263 events,
+// streamed), fig6's and table2's cores=4,ratio=2 point as Chrome JSON,
+// and the supervised sweeps' first points. A change to any hook, to the
+// recorder or to an exporter that moves a trace byte shows here.
+func TestCLITraceBytes(t *testing.T) {
+	for _, tc := range []struct{ name, args, md5 string }{
+		{"scale", "-experiment scale -vps 65536", "431866a5e89ef93dc0afa6a272d052a3"},
+		{"fig6", "-experiment fig6 -trace-format chrome", "586c9f54328e411fdcfb3a8c8db6f55a"},
+		{"table2", "-experiment table2 -trace-point cores=4,ratio=2 -trace-format chrome", "5669539754f160c3fa8689e190b39943"},
+		{"ftsweep", "-experiment ftsweep", "dd041ef283448732a1f810c5d92ce1ed"},
+		{"elastic", "-experiment elastic", "796a52c4cb22f09f63e22b20511c9c80"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, tr := traced(t, "", tc.args)
+			sum := md5.Sum(tr)
+			if got := hex.EncodeToString(sum[:]); got != tc.md5 {
+				t.Errorf("privbench %s traced %d B with md5 %s, want %s", tc.args, len(tr), got, tc.md5)
 			}
 		})
 	}

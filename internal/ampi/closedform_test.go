@@ -168,10 +168,15 @@ func TestFirstMigrationClosedForm(t *testing.T) {
 		{Nodes: 1, ProcsPerNode: 1, PEsPerProc: 2}, // shared memory
 		{Nodes: 2, ProcsPerNode: 1, PEsPerProc: 1}, // inter-node
 	} {
-		rec := trace.NewRecorder(trace.KindMigration)
+		rec := trace.NewRecorder()
 		w := closedFormWorld(t, Config{Machine: mc, VPs: 1, Balancer: lb.RotateLB{}, Tracer: rec},
 			func(r *Rank) { r.Migrate() })
-		evs := rec.Events()
+		var evs []trace.Event
+		for _, ev := range rec.Events() {
+			if ev.Kind == trace.KindMigration {
+				evs = append(evs, ev)
+			}
+		}
 		if len(evs) != 1 {
 			t.Fatalf("%dx%dx%d: %d migration spans, want 1", mc.Nodes, mc.ProcsPerNode, mc.PEsPerProc, len(evs))
 		}

@@ -115,7 +115,7 @@ func TestScheduleReconfigureNeedsPolicy(t *testing.T) {
 }
 
 func TestDrainEmitsDrainSpan(t *testing.T) {
-	rec := trace.NewRecorder(append(trace.DefaultKinds(), trace.KindEngineEvent)...)
+	rec := trace.NewRecorder()
 	finals := make([]uint64, 4)
 	cfg := elasticConfig(4)
 	cfg.Tracer = rec

@@ -97,7 +97,7 @@ type FlatConfig struct {
 	// Bridges-2: the configuration the scale experiment exists to
 	// demonstrate.
 	Image *elf.Image
-	// Tracer receives engine, link, and setup events. At this scale it
+	// Tracer receives link and setup events. At this scale it
 	// should be a streaming recorder (trace.NewJSONLRecorder), not a
 	// retaining one. Link spans arrive in cascade order (depth first
 	// from the dispatching event), not sorted by departure.
@@ -126,11 +126,7 @@ func NewFlatWorld(cfg FlatConfig) (*FlatWorld, error) {
 	w.reduceFn = func(arg any) { w.reduceArrive(w.eng.Now(), arg.(*flatRank)) }
 	w.bcastFn = func(arg any) { w.bcastArrive(w.eng.Now(), arg.(*flatRank)) }
 	w.migrateFn = w.migrateArrive
-	if cfg.Tracer != nil {
-		// Shared-FS spans during sampling, link spans and engine
-		// dispatches.
-		cl.SetTracer(cfg.Tracer)
-	}
+	cl.SetTracer(cfg.Tracer) // shared-FS spans during sampling, link spans
 
 	// Calibrate: run real privatization setup for one and for two ranks
 	// in the first process, on throwaway linkers so the samples don't

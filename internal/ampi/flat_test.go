@@ -180,7 +180,7 @@ func TestFlatWorldDeterministic(t *testing.T) {
 		return ar, st
 	}
 	ar1, st1 := run(nil)
-	rec := trace.NewRecorder(append(trace.DefaultKinds(), trace.KindEngineEvent)...)
+	rec := trace.NewRecorder()
 	ar2, st2 := run(rec)
 	if ar1 != ar2 || st1 != st2 {
 		t.Fatalf("traced run diverged: allreduce %v vs %v, storm %v vs %v", ar1, ar2, st1, st2)
@@ -230,14 +230,14 @@ type flatRun struct {
 	migrations       int
 	migratedBytes    uint64
 	traceJSONL       string
+	dispatches       uint64
 }
 
 // runFlatAt runs allreduce + storm on the given machine shape,
-// recording every trace kind (engine dispatch included) and exporting
-// it to canonical JSONL bytes.
+// recording its trace and exporting it to canonical JSONL bytes.
 func runFlatAt(t *testing.T, mc machine.Config, vps int) flatRun {
 	t.Helper()
-	rec := trace.NewRecorder(append(trace.DefaultKinds(), trace.KindEngineEvent)...)
+	rec := trace.NewRecorder()
 	w, err := ampi.NewFlatWorld(ampi.FlatConfig{
 		Machine: mc,
 		VPs:     vps,
@@ -266,14 +266,15 @@ func runFlatAt(t *testing.T, mc machine.Config, vps int) flatRun {
 		migrations:    w.Migrations,
 		migratedBytes: w.MigratedBytes,
 		traceJSONL:    buf.String(),
+		dispatches:    w.Dispatches(),
 	}
 }
 
 // TestFlatWorldParallelByteIdentical pins a 2 048-rank allreduce and
-// storm — times, counters and trace bytes — on a one-node shape
-// (per-PE domains) and a multi-node shape (per-node domains) to
-// recorded values. A change to how the flat world orders or dispatches
-// its events shows here as moved trace bytes.
+// storm — times, counters, engine dispatches and trace bytes — on a
+// one-node shape (per-PE domains) and a multi-node shape (per-node
+// domains) to recorded values. A change to how the flat world orders or
+// dispatches its events shows here as moved trace bytes or dispatches.
 func TestFlatWorldParallelByteIdentical(t *testing.T) {
 	for _, sh := range []struct {
 		name string
@@ -282,9 +283,9 @@ func TestFlatWorldParallelByteIdentical(t *testing.T) {
 		size int     // trace bytes
 	}{
 		{"laptop-1x1x8", laptop(), flatRun{198327520, 198688731, 4606, 512, 545255424,
-			"1a74073500166421c8dfc1a604425f70f4720720924641ecc2d639df0eaf4332"}, 547781},
+			"5a205a3045d7fb6e0ff5be1f37b61f54d3e61262c8c6759a902d46ada5684759", 526}, 488343},
 		{"cluster-4x2x2", machine.Config{Nodes: 4, ProcsPerNode: 2, PEsPerProc: 2}, flatRun{108093764, 108411502, 4606, 512, 545255424,
-			"53355d82500c0feb70420ee838f566a0e7454b2c0fbff48d91817a583b519718"}, 549823},
+			"fa26482cfc26c7e0a8f398b1b793a23c99af9f34098366aae4352532c19c899b", 518}, 491289},
 	} {
 		t.Run(sh.name, func(t *testing.T) {
 			got := runFlatAt(t, sh.mc, 2048)

@@ -65,8 +65,8 @@ type Config struct {
 	// remap ranks displaced from an evicted node onto survivors.
 	Placement []int
 	// Tracer, if set, receives Projections-style virtual-time events
-	// from every layer of the run: engine dispatch, context switches
-	// and execution quanta, message posts/matches/waits, collectives,
+	// from every layer of the run: context switches and execution
+	// quanta, message posts/matches/waits, collectives,
 	// migrations, link occupancy, and shared-FS transfers. The nil
 	// default is the zero-overhead path: each hook is a single pointer
 	// comparison, and no hook perturbs virtual time, so traced and
@@ -168,9 +168,7 @@ func NewWorld(cfg Config, prog *Program) (*World, error) {
 	}
 	w := &World{Cfg: cfg, Cluster: cl, Program: prog, tracer: cfg.Tracer,
 		scratch: scratchSets.Get().(*scratch)}
-	if w.tracer != nil {
-		cl.SetTracer(w.tracer)
-	}
+	cl.SetTracer(w.tracer)
 
 	// Block-map VPs onto PEs: PE i runs VPs [i*V/P, (i+1)*V/P).
 	// Config.Placement overrides the block map rank by rank.

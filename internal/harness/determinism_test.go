@@ -62,18 +62,18 @@ func TestFig9ParallelSweepIsDeterministic(t *testing.T) {
 }
 
 // TestScaleSimWorkersIsDeterministic pins the 65 536-rank scale run —
-// rows, table and the full trace, engine dispatches included — to
-// recorded digests, with the Opts.SimWorkers value the benchmark sets:
-// nothing reads it, so the bytes are the default run's.
+// rows, table and the full trace — to recorded digests, with the
+// Opts.SimWorkers value the benchmark sets: nothing reads it, so the
+// bytes are the default run's.
 func TestScaleSimWorkersIsDeterministic(t *testing.T) {
 	const (
 		vps        = 65536
 		wantRows   = "d060d31fbcf392870889ab727a9cb2596aa00a4e3efde3ea458e618dcea0b8c3"
 		wantTable  = "47f63cb6b7ba6b9a6c3f46d8ae60d68f1fd6ad4c8e71b940334c4f55ae8b7ecb"
-		wantTrace  = "37b1fa3148b929c7d2f1a5c7923193216c85c9d2bdc5bf78dbcd36a457b52b33"
-		traceBytes = 15918559
+		wantTrace  = "9f13b9f47f14368f4316d9804b52cfcc9ff3f86af8bedefa81c06fedf18ac1b4"
+		traceBytes = 14974869
 	)
-	rec := trace.NewRecorder(append(trace.DefaultKinds(), trace.KindEngineEvent)...)
+	rec := trace.NewRecorder()
 	o := harness.Opts{
 		SimWorkers: 2,
 		Trace:      &harness.TraceSel{Point: "vps=65536", Rec: rec},

@@ -20,7 +20,7 @@ func TestElasticSweepIsDeterministic(t *testing.T) {
 		t.Skip("runs the full elastic sweep twice")
 	}
 	run := func(par int) (string, string, []byte) {
-		rec := trace.NewRecorder(append(trace.DefaultKinds(), trace.KindEngineEvent)...)
+		rec := trace.NewRecorder()
 		o := harness.Opts{
 			Parallelism: par,
 			Trace:       &harness.TraceSel{Point: "method=pieglobals,target=fs,churn=spot-busy", Rec: rec},

@@ -133,15 +133,15 @@ type TraceSel struct {
 }
 
 // tracer offers label to the selection and returns its recorder when
-// label is the selected point, else a nil Tracer.
-func (ts *TraceSel) tracer(label string) trace.Tracer {
+// label is the selected point, else nil.
+func (ts *TraceSel) tracer(label string) *trace.Recorder {
 	if ts == nil {
 		return nil
 	}
 	selected := label == ts.Point || ts.Point == "" && len(ts.Offered) == 0
 	ts.Offered = append(ts.Offered, label)
-	if ts.Rec == nil || !selected {
-		return nil // never a typed nil: hooks test the interface
+	if !selected {
+		return nil
 	}
 	return ts.Rec
 }

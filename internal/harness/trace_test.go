@@ -76,7 +76,7 @@ func TestFig8TracedRunMatchesUntraced(t *testing.T) {
 }
 
 // A selection without a recorder attaches no tracer: the matched point
-// sees a nil Tracer, not a typed nil whose first Emit would panic.
+// runs with a nil recorder, as if untraced.
 func TestSelectionWithoutRecorderRunsUntraced(t *testing.T) {
 	sel := harness.TraceSel{Point: "method=pieglobals,nodes=2"}
 	if _, _, err := harness.Fig5Startup(harness.Opts{Trace: &sel}, 2); err != nil {

@@ -60,13 +60,12 @@ type Cluster struct {
 	pes []*PE
 }
 
-// SetTracer wires a tracer through the machine layer: link occupancy
-// on the cluster, transfer spans on the shared filesystem, and
-// dispatch events on the engine.
+// SetTracer hands the recorder to the machine layer's two hooks: link
+// occupancy on the cluster and transfer spans on the shared filesystem.
+// The engine's dispatches are counted (EventsFired), not traced.
 func (cl *Cluster) SetTracer(t trace.Tracer) {
 	cl.Tracer = t
 	cl.FS.tracer = t
-	cl.Engine.SetTracer(t)
 }
 
 // Node is one compute node.

@@ -5,12 +5,12 @@
 // complement of package trace, which observes the simulated world in
 // virtual time.
 //
-// The discipline mirrors trace.Tracer's: every instrument is a pointer
-// whose methods are no-ops on a nil receiver, so an un-instrumented
-// run pays exactly one pointer comparison per hook site. Instrumented
-// packages hold package-level instrument pointers (nil by default) and
-// expose an EnableObs(*Registry) that populates them; passing a nil
-// registry restores the no-op state.
+// The discipline mirrors the nil *trace.Recorder's: every instrument is
+// a pointer whose methods are no-ops on a nil receiver, so an
+// un-instrumented run pays exactly one pointer comparison per hook
+// site. Instrumented packages hold package-level instrument pointers
+// (nil by default) and expose an EnableObs(*Registry) that populates
+// them; passing a nil registry restores the no-op state.
 //
 // Instruments never feed back into the simulation: no hook reads a
 // metric, advances a clock, or perturbs scheduling, so runs with
@@ -62,18 +62,10 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Gauge is an instantaneous value. The nil Gauge is a valid no-op
-// instrument.
+// Gauge is a high-water mark, written only by SetMax. The nil Gauge
+// is a valid no-op instrument.
 type Gauge struct {
 	v atomic.Int64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
 }
 
 // SetMax raises the gauge to v if v exceeds the current value — the

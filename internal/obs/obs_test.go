@@ -16,7 +16,6 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 		t.Fatal("nil counter has a value")
 	}
 	var g *Gauge
-	g.Set(4)
 	g.SetMax(9)
 	if g.Value() != 0 {
 		t.Fatal("nil gauge has a value")
@@ -114,7 +113,7 @@ func TestWriteTextDeterministicAndSkipsVolatile(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("zz_total", "last").Add(3)
 	r.Counter("aa_total", "first").Add(1)
-	r.Gauge("mm_gauge", "middle").Set(-2)
+	r.Gauge("mm_gauge", "middle").SetMax(2)
 	r.Histogram("hh_depth", "hist", []uint64{2, 8}).Observe(5)
 	r.Histogram("vv_wall_us", "volatile hist", []uint64{10}, Volatile()).Observe(3)
 	r.Counter("vv_total", "volatile counter", Volatile()).Inc()
@@ -137,7 +136,7 @@ func TestWriteTextDeterministicAndSkipsVolatile(t *testing.T) {
 		`hh_depth_bucket{le="+Inf"} 1`,
 		"hh_depth_count 1",
 		"hh_depth_sum 5",
-		"mm_gauge -2",
+		"mm_gauge 2",
 		"zz_total 3",
 	}, "\n") + "\n"
 	if got != want {

@@ -20,8 +20,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"provirt/internal/trace"
 )
 
 // Time is a point in virtual time, measured as an offset from the start of
@@ -54,18 +52,15 @@ var queues sync.Pool
 // with the engine through package ult, and the flat world's records are
 // updated from its callbacks). It is the only clock: every world, of
 // either kind, runs on one. Independent engines are fully isolated and may
-// run on distinct goroutines, one per sweep point.
+// run on distinct goroutines, one per sweep point. The engine has no trace
+// hook: EventsFired counts its dispatches, and a trace records what the
+// dispatched callbacks did.
 type Engine struct {
 	now    Time
 	seq    uint64
 	queue  []event
 	fired  uint64
 	halted bool
-
-	// tracer, when non-nil, receives one KindEngineEvent per dispatch.
-	// The nil default keeps Step's dispatch loop hook-free apart from a
-	// single pointer comparison.
-	tracer trace.Tracer
 }
 
 // NewEngine returns an engine with the clock at zero. Its queue starts
@@ -106,9 +101,6 @@ func (e *Engine) Reserve(n int) {
 
 // EventsFired reports how many events have been processed so far.
 func (e *Engine) EventsFired() uint64 { return e.fired }
-
-// SetTracer installs (or, with nil, removes) the dispatch tracer.
-func (e *Engine) SetTracer(t trace.Tracer) { e.tracer = t }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it indicates a bug in a cost model, and silently clamping would
@@ -204,9 +196,6 @@ func (e *Engine) Step() bool {
 	e.now = at
 	e.fired++
 	metrics.dispatched.Inc()
-	if e.tracer != nil {
-		e.tracer.Emit(trace.Event{Time: e.now, Kind: trace.KindEngineEvent, PE: -1, VP: -1, Peer: -1})
-	}
 	call(arg)
 	return true
 }

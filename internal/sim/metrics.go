@@ -12,7 +12,7 @@ import "provirt/internal/obs"
 //
 // The zero value is metrics-off: every field is a nil instrument whose
 // methods cost one pointer comparison — the same discipline as the
-// engine's nil trace.Tracer.
+// runtime's nil *trace.Recorder.
 type obsMetrics struct {
 	// dispatched counts events fired across all engines.
 	dispatched *obs.Counter

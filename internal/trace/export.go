@@ -223,9 +223,6 @@ func WriteChrome(w io.Writer, events []Event) error {
 		case KindRecover:
 			cw.slice(rankPID, 0, "restore", "fault", t, d,
 				fmt.Sprintf(`{"bytes":%d}`, ev.Bytes))
-		case KindEngineEvent:
-			// Too fine-grained for a timeline; JSONL carries them when
-			// explicitly selected.
 		}
 	}
 	if cw.err != nil {

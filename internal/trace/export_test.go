@@ -12,7 +12,6 @@ import (
 func sampleEvents() []Event {
 	us := func(n int64) time.Duration { return time.Duration(n) * time.Microsecond }
 	return []Event{
-		{Time: 0, Kind: KindEngineEvent, PE: -1, VP: -1, Peer: -1},
 		{Time: 0, Dur: us(50), Kind: KindSetup, PE: 0, VP: -1, Peer: -1},
 		{Time: us(50), Dur: us(1), Kind: KindSwitch, PE: 0, VP: 0, Peer: -1},
 		{Time: us(51), Dur: us(10), Kind: KindExec, PE: 0, VP: 0, Peer: -1},
@@ -91,10 +90,6 @@ func TestWriteChromeValidAndComplete(t *testing.T) {
 	}
 	if phases["b"] != phases["e"] || phases["b"] != 3 {
 		t.Errorf("async begin/end mismatch: %d b vs %d e, want 3 each (link, migration, fs)", phases["b"], phases["e"])
-	}
-	// Engine events are excluded from the timeline export.
-	if strings.Contains(buf.String(), "engine_event") {
-		t.Error("chrome export must skip engine events")
 	}
 	// Distinct compute/comm categories per rank (the Perfetto acceptance
 	// criterion: compute, comm, and idle slices are distinguishable).

@@ -8,8 +8,8 @@ import (
 
 // This file is the event-tracing core: a Projections-style virtual-time
 // event stream for the simulated AMPI runtime. The runtime packages
-// (sim, ult, machine, ampi) each hold an optional Tracer and emit
-// events at their hook points; a nil Tracer costs exactly one pointer
+// (ult, machine, ampi) each hold an optional *Recorder and emit events
+// at their hook points; a nil recorder costs exactly one pointer
 // comparison per hook, so untraced runs pay nothing measurable and —
 // because no hook ever advances a clock or perturbs scheduling —
 // traced and untraced runs of the same configuration are bit-identical
@@ -26,13 +26,10 @@ import (
 type Kind uint8
 
 const (
-	// KindEngineEvent marks one discrete-event dispatch in the
-	// simulation engine (very high volume; excluded by DefaultKinds).
-	KindEngineEvent Kind = iota
 	// KindSetup spans one process's privatization setup (dlopen/dlmopen
 	// work, FS copies) from t=0 to its completion. PE is the process's
 	// first PE.
-	KindSetup
+	KindSetup Kind = iota
 	// KindIdle spans a gap in which a PE had no ready thread.
 	KindIdle
 	// KindSwitch spans one ULT context switch on a PE: scheduler base
@@ -90,25 +87,24 @@ const (
 )
 
 var kindNames = [numKinds]string{
-	KindEngineEvent: "engine_event",
-	KindSetup:       "setup",
-	KindIdle:        "idle",
-	KindSwitch:      "switch",
-	KindExec:        "exec",
-	KindSendPost:    "send_post",
-	KindRecvPost:    "recv_post",
-	KindMatch:       "match",
-	KindUnexpected:  "unexpected",
-	KindWait:        "wait",
-	KindColl:        "coll",
-	KindMigration:   "migration",
-	KindLink:        "link",
-	KindFSIO:        "fs_io",
-	KindRunEnd:      "run_end",
-	KindFault:       "fault",
-	KindDetect:      "detect",
-	KindRecover:     "recover",
-	KindDrain:       "drain",
+	KindSetup:      "setup",
+	KindIdle:       "idle",
+	KindSwitch:     "switch",
+	KindExec:       "exec",
+	KindSendPost:   "send_post",
+	KindRecvPost:   "recv_post",
+	KindMatch:      "match",
+	KindUnexpected: "unexpected",
+	KindWait:       "wait",
+	KindColl:       "coll",
+	KindMigration:  "migration",
+	KindLink:       "link",
+	KindFSIO:       "fs_io",
+	KindRunEnd:     "run_end",
+	KindFault:      "fault",
+	KindDetect:     "detect",
+	KindRecover:    "recover",
+	KindDrain:      "drain",
 }
 
 func (k Kind) String() string {
@@ -178,7 +174,7 @@ func TierName(tier int32) string {
 }
 
 // Event is one trace record. It is a fixed-size value — hook sites
-// build it on the stack and hand it to the Tracer by value, so an
+// build it on the stack and hand it to the Recorder by value, so an
 // enabled trace costs one slice append per event and a disabled one
 // costs a nil check. Fields that do not apply to a Kind are -1 (ids)
 // or 0 (quantities).
@@ -206,72 +202,40 @@ type Event struct {
 	Bytes uint64
 }
 
-// Tracer receives trace events. Implementations must not mutate
-// simulation state; the runtime guarantees Emit is called from the
-// world's single logical thread, in deterministic order.
-type Tracer interface {
-	Emit(Event)
-}
-
-// Recorder is the standard Tracer: it filters by Kind and either
-// retains the events in memory, for export or profiling after the run,
-// or streams them as JSONL to a writer (NewJSONLRecorder). A streaming
+// Recorder is the one trace sink every hook holds: it keeps every event
+// it is handed, either retained in memory, for export or profiling
+// after the run, or streamed as JSONL to a writer (NewJSONLRecorder).
+// Emit is called from the world's single logical thread, in
+// deterministic order, and never touches simulation state. A streaming
 // recorder encodes its buffer every streamWindow events and reuses it,
 // so a million-rank trace costs one window of host memory, not 48
 // bytes an event; its bytes equal WriteJSONL over the retained events.
 // The first write error sticks: nothing more is written, and Close
 // reports it.
 type Recorder struct {
-	mask    uint64
 	events  []Event
 	bw      *bufio.Writer // nil: retain every event
 	written int
 }
 
+// Tracer names the one recorder type in hook fields and signatures.
+type Tracer = *Recorder
+
 // streamWindow is how many events a streaming recorder buffers between
 // writes.
 const streamWindow = 4096
 
-// DefaultKinds is every Kind except KindEngineEvent, whose one-record-
-// per-dispatch volume swamps a trace without adding timeline structure.
-func DefaultKinds() []Kind {
-	ks := make([]Kind, 0, numKinds-1)
-	for k := Kind(0); k < numKinds; k++ {
-		if k != KindEngineEvent {
-			ks = append(ks, k)
-		}
-	}
-	return ks
+// NewRecorder returns a recorder retaining every event in memory.
+func NewRecorder() *Recorder { return &Recorder{} }
+
+// NewJSONLRecorder returns a recorder streaming every event to w in the
+// canonical JSONL encoding. Call Close after the run to write the tail.
+func NewJSONLRecorder(w io.Writer) *Recorder {
+	return &Recorder{bw: bufio.NewWriter(w), events: make([]Event, 0, streamWindow)}
 }
 
-// NewRecorder returns a recorder retaining the given kinds; with no
-// arguments it captures DefaultKinds.
-func NewRecorder(kinds ...Kind) *Recorder {
-	r := &Recorder{}
-	if len(kinds) == 0 {
-		kinds = DefaultKinds()
-	}
-	for _, k := range kinds {
-		r.mask |= 1 << k
-	}
-	return r
-}
-
-// NewJSONLRecorder returns a recorder streaming the given kinds (with
-// none, DefaultKinds) to w in the canonical JSONL encoding. Call Close
-// after the run to write the tail.
-func NewJSONLRecorder(w io.Writer, kinds ...Kind) *Recorder {
-	r := NewRecorder(kinds...)
-	r.bw = bufio.NewWriter(w)
-	r.events = make([]Event, 0, streamWindow)
-	return r
-}
-
-// Emit records the event if its kind is selected.
+// Emit records the event.
 func (r *Recorder) Emit(ev Event) {
-	if r.mask&(1<<ev.Kind) == 0 {
-		return
-	}
 	r.events = append(r.events, ev)
 	if r.bw != nil && len(r.events) == streamWindow {
 		r.drain()
@@ -295,7 +259,7 @@ func (r *Recorder) drain() {
 // recorder; callers must not mutate it.
 func (r *Recorder) Events() []Event { return r.events }
 
-// Len reports the number of selected events, written or retained.
+// Len reports the number of events emitted, written or retained.
 func (r *Recorder) Len() int { return r.written + len(r.events) }
 
 // Close writes a streaming recorder's buffered tail and flushes it,

@@ -7,31 +7,23 @@ import (
 	"time"
 )
 
-func TestRecorderDefaultKindsExcludeEngineEvents(t *testing.T) {
+// A recorder keeps every event it is handed, in emission order.
+func TestRecorderKeepsEveryKind(t *testing.T) {
 	r := NewRecorder()
-	r.Emit(Event{Time: 1, Kind: KindEngineEvent})
-	r.Emit(Event{Time: 2, Kind: KindExec, VP: 3})
-	r.Emit(Event{Time: 3, Kind: KindRunEnd})
-	if r.Len() != 2 {
-		t.Fatalf("recorded %d events, want 2 (engine event filtered)", r.Len())
-	}
-	evs := r.Events()
-	if evs[0].Kind != KindExec || evs[1].Kind != KindRunEnd {
-		t.Fatalf("wrong events kept: %v, %v", evs[0].Kind, evs[1].Kind)
-	}
-}
-
-func TestRecorderExplicitKinds(t *testing.T) {
-	r := NewRecorder(KindEngineEvent, KindExec)
 	for _, k := range allKinds() {
 		r.Emit(Event{Kind: k})
 	}
-	if r.Len() != 2 {
-		t.Fatalf("recorded %d events, want 2", r.Len())
+	if r.Len() != int(numKinds) {
+		t.Fatalf("recorded %d events, want %d", r.Len(), numKinds)
+	}
+	for i, ev := range r.Events() {
+		if ev.Kind != Kind(i) {
+			t.Fatalf("event %d has kind %v, want %v", i, ev.Kind, Kind(i))
+		}
 	}
 }
 
-// allKinds lists every Kind, including KindEngineEvent.
+// allKinds lists every Kind.
 func allKinds() []Kind {
 	ks := make([]Kind, numKinds)
 	for k := range ks {
@@ -41,17 +33,8 @@ func allKinds() []Kind {
 }
 
 func TestKindSets(t *testing.T) {
-	all, def := allKinds(), DefaultKinds()
-	if len(all) != len(def)+1 {
-		t.Fatalf("allKinds %d vs DefaultKinds %d", len(all), len(def))
-	}
-	for _, k := range def {
-		if k == KindEngineEvent {
-			t.Fatal("DefaultKinds must not include KindEngineEvent")
-		}
-	}
 	seen := map[string]bool{}
-	for _, k := range all {
+	for _, k := range allKinds() {
 		name := k.String()
 		if name == "unknown" || name == "" {
 			t.Fatalf("kind %d has no name", k)
@@ -90,16 +73,16 @@ func sinkSampleEvents(n int) []Event {
 	return evs
 }
 
-// streamMatchesRetained checks that a streaming recorder writes the
-// bytes WriteJSONL writes over a retaining recorder's events, at stream
-// lengths around the recorder's window.
-func streamMatchesRetained(t *testing.T, kinds []Kind) {
-	t.Helper()
+// TestWindowWriterMatchesRecorder pins the core property of the
+// windowed (streaming) recorder: its stream is byte-identical to a
+// retaining Recorder + WriteJSONL over the same events, including
+// lengths the window does not divide.
+func TestWindowWriterMatchesRecorder(t *testing.T) {
 	for _, n := range []int{0, 1, streamWindow - 1, streamWindow, streamWindow * 5 / 2} {
 		evs := sinkSampleEvents(n)
-		rec := NewRecorder(kinds...)
+		rec := NewRecorder()
 		var got bytes.Buffer
-		stream := NewJSONLRecorder(&got, kinds...)
+		stream := NewJSONLRecorder(&got)
 		for _, ev := range evs {
 			rec.Emit(ev)
 			stream.Emit(ev)
@@ -120,24 +103,10 @@ func streamMatchesRetained(t *testing.T, kinds []Kind) {
 	}
 }
 
-// TestWindowWriterMatchesRecorder pins the core property of the
-// windowed (streaming) recorder: its stream is byte-identical to a
-// retaining Recorder + WriteJSONL over the same events, including
-// lengths the window does not divide.
-func TestWindowWriterMatchesRecorder(t *testing.T) {
-	streamMatchesRetained(t, allKinds())
-}
-
-// TestWindowWriterFilters checks the streaming recorder's kind
-// selection matches the retaining one's under DefaultKinds.
-func TestWindowWriterFilters(t *testing.T) {
-	streamMatchesRetained(t, DefaultKinds())
-}
-
 // A streaming recorder's footprint is one window however long the run.
 func TestStreamingRecorderStaysBounded(t *testing.T) {
 	var out bytes.Buffer
-	r := NewJSONLRecorder(&out, allKinds()...)
+	r := NewJSONLRecorder(&out)
 	for _, ev := range sinkSampleEvents(10 * streamWindow) {
 		r.Emit(ev)
 	}
@@ -171,7 +140,7 @@ func (w *failAfter) Write(p []byte) (int, error) {
 func TestStreamingRecorderStopsAtFirstWriteError(t *testing.T) {
 	const limit = 10000
 	w := &failAfter{limit: limit}
-	r := NewJSONLRecorder(w, allKinds()...)
+	r := NewJSONLRecorder(w)
 	for _, ev := range sinkSampleEvents(3 * streamWindow) {
 		r.Emit(ev)
 	}
